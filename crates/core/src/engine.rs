@@ -2,14 +2,16 @@
 //! the portable pack steady state or the hand-scheduled `std::arch` AVX2
 //! steady state runs.
 //!
-//! The preferred entry point is the `tempora_plan` crate's
+//! The entry point is the `tempora_plan` crate's
 //! `Problem → PlanBuilder → Plan → Report` lifecycle, which resolves the
-//! selection once per plan and reuses scratch across runs; the one-shot
-//! `run_*` wrappers here are kept as `#[deprecated]` shims for one
-//! release. Every entry point returns the result **and** the [`Engine`]
-//! that actually executed, so callers (the bench harness in particular)
-//! can report honestly which instruction mix was measured. The selection
-//! policy is a three-valued [`Select`]:
+//! selection once per plan, reuses scratch across runs and reports the
+//! [`Engine`] that actually executed, so callers (the bench harness in
+//! particular) can state honestly which instruction mix was measured.
+//! Everything above the tile — ghost and skew workspaces, plan executors,
+//! the plan builder — reaches the kernels through one trait,
+//! [`KernelSpace`] (plus [`GsSpace`] for the Gauss-Seidel band executors),
+//! so those layers are written once for all dimensionalities. The
+//! selection policy is a three-valued [`Select`]:
 //!
 //! * [`Select::Auto`] (the default) — AVX2+FMA steady state whenever the
 //!   CPU supports it and the workload has one, portable otherwise;
@@ -36,10 +38,17 @@
 //! changes results — only speed.
 
 use crate::kernels::{
-    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
+    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, Kernel1d,
+    Kernel2d, Kernel3d, LifeKern2d,
 };
-use crate::{lcs, t1d, t2d, t3d};
-use tempora_grid::{Grid1, Grid2, Grid3};
+use crate::t1d::Scratch1d;
+use crate::t2d::Scratch2d;
+use crate::t2d_band::BandScratch2d;
+use crate::t3d::Scratch3d;
+use crate::t3d_band::BandScratch3d;
+use crate::{spatial, t1d, t1d_band, t2d, t2d_band, t3d, t3d_band};
+use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
+use tempora_simd::arch::avx2_available;
 
 /// Environment variable consulted by [`Select::from_env`].
 pub const ENV_VAR: &str = "TEMPORA_ENGINE";
@@ -152,470 +161,355 @@ pub fn shape_has_vector_tiles(vl: usize, n_outer: usize, steps: usize, s: usize)
     steps >= vl && n_outer >= vl * s
 }
 
-/// Run Heat-1D (1D3P Jacobi) under `sel`; returns the final grid and the
-/// engine that executed. The AVX2 ring is register-resident and capped at
-/// stride [`crate::t1d_avx2::MAX_STRIDE`]; wider strides resolve portable.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat1d(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &JacobiKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    run_heat1d_impl(sel, grid, kern, steps, s)
-}
-
-/// Shared Heat-1D dispatch body, so the deprecated shim and the
-/// non-deprecated crate-root convenience (`temporal1d_jacobi`) cannot
-/// drift apart.
-pub(crate) fn run_heat1d_impl(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &JacobiKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    let has_impl = JacobiKern1d::avx2_tile(s) && shape_has_vector_tiles(4, grid.n(), steps, s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t1d_avx2::run_heat1d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (t1d::run::<4, _>(grid, kern, steps, s), Engine::Portable),
-    }
-}
-
-/// Run GS-1D (1D3P Gauss-Seidel) under `sel`; returns the final grid and
-/// the engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_gs1d(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &GsKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    run_gs1d_impl(sel, grid, kern, steps, s)
-}
-
-/// Shared GS-1D dispatch body (see [`run_heat1d_impl`]).
-pub(crate) fn run_gs1d_impl(
-    sel: Select,
-    grid: &Grid1<f64>,
-    kern: &GsKern1d,
-    steps: usize,
-    s: usize,
-) -> (Grid1<f64>, Engine) {
-    let has_impl = GsKern1d::avx2_tile(s) && shape_has_vector_tiles(4, grid.n(), steps, s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t1d_avx2::run_gs1d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (t1d::run::<4, _>(grid, kern, steps, s), Engine::Portable),
-    }
-}
-
-/// Run Heat-2D (2D5P Jacobi) under `sel`; returns the final grid and the
-/// engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat2d(
-    sel: Select,
-    grid: &Grid2<f64>,
-    kern: &JacobiKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_heat2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run 2D9P (box Jacobi) under `sel`; returns the final grid and the
-/// engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_box2d(
-    sel: Select,
-    grid: &Grid2<f64>,
-    kern: &BoxKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_box2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run GS-2D (2D5P Gauss-Seidel) under `sel`; returns the final grid and
-/// the engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_gs2d(
-    sel: Select,
-    grid: &Grid2<f64>,
-    kern: &GsKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_gs2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run Game-of-Life (integer 2D9P, 8 lanes) under `sel`; returns the
-/// final grid and the engine that executed. The AVX2 integer steady
-/// state runs at `vl = 8` i32 lanes, so the degenerate bounds are
-/// `steps ≥ 8` whole tiles and `nx ≥ 8·s`; smaller shapes resolve
-/// portable because every engine runs the identical scalar schedule
-/// there.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_life(
-    sel: Select,
-    grid: &Grid2<i32>,
-    kern: &LifeKern2d,
-    steps: usize,
-    s: usize,
-) -> (Grid2<i32>, Engine) {
-    let has_impl = <LifeKern2d as Avx2Exec2d<i32>>::avx2_tile(8, s)
-        && shape_has_vector_tiles(8, grid.nx(), steps, s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t2d_avx2::run_life2d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t2d::run::<i32, 8, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run Heat-3D (3D7P Jacobi) under `sel`; returns the final grid and the
-/// engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat3d(
-    sel: Select,
-    grid: &Grid3<f64>,
-    kern: &JacobiKern3d,
-    steps: usize,
-    s: usize,
-) -> (Grid3<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t3d_avx2::run_heat3d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t3d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run GS-3D (3D7P Gauss-Seidel) under `sel`; returns the final grid and
-/// the engine that executed.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_gs3d(
-    sel: Select,
-    grid: &Grid3<f64>,
-    kern: &GsKern3d,
-    steps: usize,
-    s: usize,
-) -> (Grid3<f64>, Engine) {
-    match sel.resolve(shape_has_vector_tiles(4, grid.nx(), steps, s)) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (
-            crate::t3d_avx2::run_gs3d_avx2(grid, kern, steps, s),
-            Engine::Avx2,
-        ),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (
-            t3d::run::<f64, 4, _>(grid, kern, steps, s),
-            Engine::Portable,
-        ),
-    }
-}
-
-/// Run the LCS length DP under `sel`; returns the length and the engine
-/// that executed. The `i32×8` AVX2 steady state requires at least one
-/// full 8-level `A` tile and a row segment hosting the vector schedule
-/// (`lb ≥ 8·s + 1`, see [`crate::lcs_avx2::seq_has_vector_tiles`]);
-/// degenerate shapes resolve portable.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_lcs(sel: Select, a: &[u8], b: &[u8], s: usize) -> (i32, Engine) {
-    let has_impl = crate::lcs_avx2::seq_has_vector_tiles(a.len(), b.len(), s);
-    match sel.resolve(has_impl) {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => (crate::lcs_avx2::length_avx2(a, b, s), Engine::Avx2),
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => unreachable!("AVX2 resolved on a non-x86-64 target"),
-        Engine::Portable => (lcs::length(a, b, s), Engine::Portable),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Per-kernel AVX2 executor hooks for the tiled / parallel layer
+// One kernel-space trait for everything above the tile
 // ---------------------------------------------------------------------
 
-use crate::kernels::{Kernel1d, Kernel2d, Kernel3d};
-use crate::t1d::Scratch1d;
-use crate::t1d_band::MAX_BAND_STRIDE;
-use crate::t2d::Scratch2d;
-use crate::t2d_band::BandScratch2d;
-use crate::t3d::Scratch3d;
-use crate::t3d_band::BandScratch3d;
-use tempora_simd::Scalar;
+/// What the layers above the tile — the ghost and skew workspaces of
+/// `tempora-tiling`, the executors and the builder of `tempora-plan` —
+/// need from one kernel, and nothing else. Each benchmark kernel
+/// implements it once, naming its grid type, lane count and scratch and
+/// forwarding to its dimension's tile primitives, so those layers are
+/// written once and every call monomorphises to the same tile loop a
+/// hand-written per-dimension caller would contain.
+///
+/// Extents travel as `[outer, middle, inner]` with unused trailing
+/// dimensions 1 (see [`SlabGrid::dims`]).
+pub trait KernelSpace: Copy + Send + Sync + 'static {
+    /// The grid this kernel advances.
+    type Grid: SlabGrid;
+    /// Scratch of one temporal tile. The portable and the AVX2 steady
+    /// state both run at [`KernelSpace::VL`] lanes and share it.
+    type Scratch: Send;
+    /// Old-slab buffers of the in-place scalar step (none in 1-D).
+    type StepBufs: Send;
 
-/// Hand-scheduled AVX2 executors a 1-D kernel exposes to the tiled layer
-/// (`tempora-tiling`): one temporal tile for the ghost-zone Jacobi
-/// runners, one skewed band for the parallelogram Gauss-Seidel runners.
-/// Kernels without a hand-scheduled steady state keep the defaults (no
-/// AVX2 path) and the tiled runners resolve their [`Select`] to the
-/// portable engine. The `avx2_*` availability checks fold in the CPU
-/// feature test, so a `true` return is a licence to call the executor.
-pub trait Avx2Exec1d: Kernel1d {
+    /// Production lane count: 4 `f64` lanes, 8 `i32` lanes for Life. One
+    /// temporal tile advances this many time levels.
+    const VL: usize;
+    /// Minimum legal temporal stride (the kernel's dependence bound).
+    const MIN_STRIDE: usize;
+    /// Maximum supported temporal stride (the 1-D register ring is
+    /// bounded; the 2-D/3-D rings live in scratch).
+    const MAX_STRIDE: usize = usize::MAX;
+
+    /// Allocate tile scratch for interior extents `dims` and stride `s`.
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch;
+
+    /// Allocate scalar-step buffers for interior extents `dims`.
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs;
+
+    /// One in-place scalar time step, bit-identical to the reference.
+    fn scalar_step(&self, g: &mut Self::Grid, bufs: &mut Self::StepBufs);
+
+    /// One multi-load (spatially vectorized) Jacobi step `dst = S(src)`.
+    fn multiload_step(&self, src: &Self::Grid, dst: &mut Self::Grid);
+
+    /// One temporal tile ([`KernelSpace::VL`] levels, in place) with the
+    /// portable steady state. `COUNT` turns on reorganization-op
+    /// accounting where the engine is instrumented (1-D only).
+    fn tile<const COUNT: bool>(&self, g: &mut Self::Grid, s: usize, sc: &mut Self::Scratch);
+
     /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_tile(s: usize) -> bool {
-        let _ = s;
-        false
-    }
+    /// stride `s` **and** the CPU supports AVX2+FMA — a `true` return is
+    /// the licence to call [`KernelSpace::tile_avx2`]. Always false off
+    /// x86-64 and under Miri.
+    fn has_avx2_tile(s: usize) -> bool;
 
-    /// Advance one `VL = 4` temporal tile with the AVX2 steady state
-    /// (bit-identical to `t1d::tile`). Only callable when
-    /// [`Avx2Exec1d::avx2_tile`] returned true.
-    fn tile_avx2(&self, a: &mut [f64], n: usize, s: usize, scratch: &mut Scratch1d<4>) {
-        let _ = (a, n, s, scratch);
-        unreachable!("kernel has no AVX2 temporal tile");
-    }
-
-    /// True when this kernel has a hand-scheduled AVX2 skewed-band
-    /// executor at stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_band(s: usize) -> bool {
-        let _ = s;
-        false
-    }
-
-    /// Execute one skewed band with the AVX2 steady state (bit-identical
-    /// to `t1d_band::band_temporal_gs`). Only callable when
-    /// [`Avx2Exec1d::avx2_band`] returned true.
-    fn band_avx2(&self, a: &mut [f64], xl: usize, xr: usize, n: usize, s: usize) {
-        let _ = (a, xl, xr, n, s);
-        unreachable!("kernel has no AVX2 band executor");
-    }
-}
-
-impl Avx2Exec1d for JacobiKern1d {
-    fn avx2_tile(s: usize) -> bool {
-        s <= crate::t1d_avx2::MAX_STRIDE && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, a: &mut [f64], n: usize, s: usize, scratch: &mut Scratch1d<4>) {
-        crate::t1d_avx2::tile_heat1d_avx2(a, n, self, s, scratch);
-    }
-}
-
-impl Avx2Exec1d for GsKern1d {
-    fn avx2_tile(s: usize) -> bool {
-        s <= crate::t1d_avx2::MAX_STRIDE && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, a: &mut [f64], n: usize, s: usize, scratch: &mut Scratch1d<4>) {
-        crate::t1d_avx2::tile_gs1d_avx2(a, n, self, s, scratch);
-    }
-
-    fn avx2_band(s: usize) -> bool {
-        s <= MAX_BAND_STRIDE && tempora_simd::arch::avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(&self, a: &mut [f64], xl: usize, xr: usize, n: usize, s: usize) {
-        crate::t1d_band::band_temporal_gs_avx2(a, xl, xr, n, s, self);
-    }
-}
-
-/// Downcast a generic 2-D temporal scratch to the lane count an AVX2
-/// steady state is pinned to. The `avx2_tile(vl, s)` capability check
-/// guarantees the runner's lane count equals the steady state's, so the
-/// downcast can only fail on a dispatch bug — and then it fails loudly.
-fn scratch_at<T: Scalar, const VL: usize, const W: usize>(
-    sc: &mut Scratch2d<T, VL>,
-) -> &mut Scratch2d<T, W> {
-    (sc as &mut dyn core::any::Any)
-        .downcast_mut::<Scratch2d<T, W>>()
-        // Panic-justification: `avx2_tile` only dispatches here when
-        // VL == W, so a failed downcast is a dispatch-table bug that must
-        // fail loudly rather than corrupt the tile.
-        .expect("AVX2 steady state invoked at a lane count its avx2_tile check rejected")
-}
-
-/// Hand-scheduled AVX2 executors a 2-D kernel exposes to the tiled layer;
-/// see [`Avx2Exec1d`]. Each steady state is pinned to one `__m256`
-/// register width — `vl = 4` f64 lanes for the floating-point kernels,
-/// `vl = 8` i32 lanes for the integer Life kernel — so `avx2_tile` takes
-/// the vector length the caller runs at and `tile_avx2` accepts the
-/// caller's scratch generically (a `true` capability check guarantees
-/// the lane counts match).
-pub trait Avx2Exec2d<T: Scalar>: Kernel2d<T> {
-    /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// vector length `vl` and stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_tile(vl: usize, s: usize) -> bool {
-        let _ = (vl, s);
-        false
-    }
-
-    /// Advance one `VL`-level temporal tile with the AVX2 steady state
-    /// (bit-identical to `t2d::tile`). Only callable when
-    /// [`Avx2Exec2d::avx2_tile`] returned true for this `VL`.
-    fn tile_avx2<const VL: usize>(&self, g: &mut Grid2<T>, s: usize, sc: &mut Scratch2d<T, VL>) {
+    /// One temporal tile with the AVX2 steady state (bit-identical to
+    /// [`KernelSpace::tile`]).
+    fn tile_avx2(&self, g: &mut Self::Grid, s: usize, sc: &mut Self::Scratch) {
         let _ = (g, s, sc);
-        unreachable!("kernel has no AVX2 temporal tile");
+        unreachable!("AVX2 temporal tile resolved on a target without one");
     }
 
-    /// True when this kernel has a hand-scheduled AVX2 skewed-band
-    /// executor at stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_band(s: usize) -> bool {
-        let _ = s;
-        false
+    /// Resolve `sel` for an untiled run of `steps` levels over `outer`
+    /// slabs: AVX2 needs the kernel's tile and a shape that reaches the
+    /// vector steady state (see [`shape_has_vector_tiles`]).
+    fn resolve(sel: Select, outer: usize, steps: usize, s: usize) -> Engine {
+        sel.resolve(Self::has_avx2_tile(s) && shape_has_vector_tiles(Self::VL, outer, steps, s))
     }
+}
 
-    /// Execute one skewed band with the AVX2 steady state (bit-identical
-    /// to `t2d_band::band_temporal_gs2d`). Only callable when
-    /// [`Avx2Exec2d::avx2_band`] returned true.
+/// The element type of kernel `K`'s grid, as its boundary condition
+/// spells it.
+pub type Elem<K> = <<K as KernelSpace>::Grid as SlabGrid>::Elem;
+
+/// The skewed-band executors of the three Gauss-Seidel kernels (paper
+/// §3.4), on top of [`KernelSpace`]: what `tempora-tiling`'s skew
+/// workspace runs inside one parallelogram.
+pub trait GsSpace: KernelSpace {
+    /// Scratch of one band (none in 1-D).
+    type BandScratch: Send;
+
+    /// Allocate band scratch for interior extents `dims` and stride `s`.
+    fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch;
+
+    /// One scalar skewed band of `levels` levels anchored at `[xl, xr]`.
+    fn band_scalar(&self, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize);
+
+    /// One temporally vectorized skewed band ([`KernelSpace::VL`] levels)
+    /// with the portable steady state; edge or narrow bands run the
+    /// scalar band (identical results).
+    fn band(&self, g: &mut Self::Grid, xl: usize, xr: usize, s: usize, sc: &mut Self::BandScratch);
+
+    /// True when the AVX2 band executor exists at stride `s` and the CPU
+    /// supports AVX2+FMA (the licence to call [`GsSpace::band_avx2`]).
+    fn has_avx2_band(s: usize) -> bool;
+
+    /// [`GsSpace::band`] with the AVX2 steady state (bit-identical).
     fn band_avx2(
         &self,
-        g: &mut Grid2<T>,
+        g: &mut Self::Grid,
         xl: usize,
         xr: usize,
         s: usize,
-        sc: &mut BandScratch2d<4>,
+        sc: &mut Self::BandScratch,
     ) {
         let _ = (g, xl, xr, s, sc);
-        unreachable!("kernel has no AVX2 band executor");
+        unreachable!("AVX2 band executor resolved on a target without one");
     }
 }
 
-impl Avx2Exec2d<f64> for JacobiKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 4 && tempora_simd::arch::avx2_available()
+/// Two zeroed old-slab buffers of `len` elements each.
+fn slab_bufs<T: tempora_simd::Scalar>(len: usize) -> [Vec<T>; 2] {
+    [vec![T::ZERO; len], vec![T::ZERO; len]]
+}
+
+impl KernelSpace for JacobiKern1d {
+    type Grid = Grid1<f64>;
+    type Scratch = Scratch1d<4>;
+    type StepBufs = ();
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel1d>::MIN_STRIDE;
+    const MAX_STRIDE: usize = t1d::RING_CAP - 1;
+
+    fn scratch(_dims: [usize; 3], s: usize) -> Scratch1d<4> {
+        Scratch1d::new(s)
+    }
+
+    fn step_bufs(_dims: [usize; 3]) {}
+
+    fn scalar_step(&self, g: &mut Grid1<f64>, _bufs: &mut ()) {
+        let n = g.n();
+        t1d::scalar_step_inplace(g.data_mut(), n, self);
+    }
+
+    fn multiload_step(&self, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
+        spatial::step_1d(src.data(), dst.data_mut(), src.n(), self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
+        let n = g.n();
+        t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc);
+    }
+
+    /// The AVX2 ring is register-resident and capped at stride
+    /// [`crate::t1d_avx2::MAX_STRIDE`]; wider strides resolve portable.
+    fn has_avx2_tile(s: usize) -> bool {
+        s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<f64>,
-        s: usize,
-        sc: &mut Scratch2d<f64, VL>,
-    ) {
-        crate::t2d_avx2::tile_heat2d_avx2(g, self, s, scratch_at::<f64, VL, 4>(sc));
+    fn tile_avx2(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
+        let n = g.n();
+        crate::t1d_avx2::tile_heat1d_avx2(g.data_mut(), n, self, s, sc);
     }
 }
 
-impl Avx2Exec2d<f64> for BoxKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 4 && tempora_simd::arch::avx2_available()
+impl KernelSpace for GsKern1d {
+    type Grid = Grid1<f64>;
+    type Scratch = Scratch1d<4>;
+    type StepBufs = ();
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel1d>::MIN_STRIDE;
+    const MAX_STRIDE: usize = t1d::RING_CAP - 1;
+
+    fn scratch(_dims: [usize; 3], s: usize) -> Scratch1d<4> {
+        Scratch1d::new(s)
+    }
+
+    fn step_bufs(_dims: [usize; 3]) {}
+
+    fn scalar_step(&self, g: &mut Grid1<f64>, _bufs: &mut ()) {
+        let n = g.n();
+        t1d::scalar_step_inplace(g.data_mut(), n, self);
+    }
+
+    fn multiload_step(&self, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
+        spatial::step_1d(src.data(), dst.data_mut(), src.n(), self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
+        let n = g.n();
+        t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc);
+    }
+
+    fn has_avx2_tile(s: usize) -> bool {
+        s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<f64>,
-        s: usize,
-        sc: &mut Scratch2d<f64, VL>,
-    ) {
-        crate::t2d_avx2::tile_box2d_avx2(g, self, s, scratch_at::<f64, VL, 4>(sc));
+    fn tile_avx2(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
+        let n = g.n();
+        crate::t1d_avx2::tile_gs1d_avx2(g.data_mut(), n, self, s, sc);
     }
 }
 
-impl Avx2Exec2d<f64> for GsKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 4 && tempora_simd::arch::avx2_available()
+impl GsSpace for GsKern1d {
+    type BandScratch = ();
+
+    fn band_scratch(_dims: [usize; 3], _s: usize) {}
+
+    fn band_scalar(&self, g: &mut Grid1<f64>, xl: usize, xr: usize, levels: usize) {
+        let n = g.n();
+        t1d_band::band_scalar_gs(g.data_mut(), xl, xr, levels, n, self);
+    }
+
+    fn band(&self, g: &mut Grid1<f64>, xl: usize, xr: usize, s: usize, _sc: &mut ()) {
+        let n = g.n();
+        t1d_band::band_temporal_gs::<4, Self>(g.data_mut(), xl, xr, n, s, self);
+    }
+
+    fn has_avx2_band(s: usize) -> bool {
+        s <= t1d_band::MAX_BAND_STRIDE && avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<f64>,
-        s: usize,
-        sc: &mut Scratch2d<f64, VL>,
-    ) {
-        crate::t2d_avx2::tile_gs2d_avx2(g, self, s, scratch_at::<f64, VL, 4>(sc));
+    fn band_avx2(&self, g: &mut Grid1<f64>, xl: usize, xr: usize, s: usize, _sc: &mut ()) {
+        let n = g.n();
+        t1d_band::band_temporal_gs_avx2(g.data_mut(), xl, xr, n, s, self);
+    }
+}
+
+impl KernelSpace for JacobiKern2d {
+    type Grid = Grid2<f64>;
+    type Scratch = Scratch2d<f64, 4>;
+    type StepBufs = [Vec<f64>; 2];
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
+
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+        Scratch2d::new(s, dims[1])
     }
 
-    fn avx2_band(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+        slab_bufs(dims[1] + 2)
+    }
+
+    fn scalar_step(&self, g: &mut Grid2<f64>, [a, b]: &mut Self::StepBufs) {
+        t2d::scalar_step_inplace(g, self, a, b);
+    }
+
+    fn multiload_step(&self, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+        spatial::step_2d(src, dst, self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
+        t2d::tile::<f64, 4, Self>(g, self, s, sc);
+    }
+
+    fn has_avx2_tile(_s: usize) -> bool {
+        avx2_available()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn tile_avx2(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
+        crate::t2d_avx2::tile_heat2d_avx2(g, self, s, sc);
+    }
+}
+
+impl KernelSpace for BoxKern2d {
+    type Grid = Grid2<f64>;
+    type Scratch = Scratch2d<f64, 4>;
+    type StepBufs = [Vec<f64>; 2];
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
+
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+        Scratch2d::new(s, dims[1])
+    }
+
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+        slab_bufs(dims[1] + 2)
+    }
+
+    fn scalar_step(&self, g: &mut Grid2<f64>, [a, b]: &mut Self::StepBufs) {
+        t2d::scalar_step_inplace(g, self, a, b);
+    }
+
+    fn multiload_step(&self, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+        spatial::step_2d(src, dst, self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
+        t2d::tile::<f64, 4, Self>(g, self, s, sc);
+    }
+
+    fn has_avx2_tile(_s: usize) -> bool {
+        avx2_available()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn tile_avx2(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
+        crate::t2d_avx2::tile_box2d_avx2(g, self, s, sc);
+    }
+}
+
+impl KernelSpace for GsKern2d {
+    type Grid = Grid2<f64>;
+    type Scratch = Scratch2d<f64, 4>;
+    type StepBufs = [Vec<f64>; 2];
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
+
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+        Scratch2d::new(s, dims[1])
+    }
+
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+        slab_bufs(dims[1] + 2)
+    }
+
+    fn scalar_step(&self, g: &mut Grid2<f64>, [a, b]: &mut Self::StepBufs) {
+        t2d::scalar_step_inplace(g, self, a, b);
+    }
+
+    fn multiload_step(&self, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+        spatial::step_2d(src, dst, self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
+        t2d::tile::<f64, 4, Self>(g, self, s, sc);
+    }
+
+    fn has_avx2_tile(_s: usize) -> bool {
+        avx2_available()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn tile_avx2(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
+        crate::t2d_avx2::tile_gs2d_avx2(g, self, s, sc);
+    }
+}
+
+impl GsSpace for GsKern2d {
+    type BandScratch = BandScratch2d<4>;
+
+    fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch {
+        BandScratch2d::new(s, dims[1])
+    }
+
+    fn band_scalar(&self, g: &mut Grid2<f64>, xl: usize, xr: usize, levels: usize) {
+        t2d_band::band_scalar_gs2d(g, xl, xr, levels, self);
+    }
+
+    fn band(&self, g: &mut Grid2<f64>, xl: usize, xr: usize, s: usize, sc: &mut Self::BandScratch) {
+        t2d_band::band_temporal_gs2d::<4, Self>(g, xl, xr, s, self, sc);
+    }
+
+    fn has_avx2_band(_s: usize) -> bool {
+        avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -625,95 +519,143 @@ impl Avx2Exec2d<f64> for GsKern2d {
         xl: usize,
         xr: usize,
         s: usize,
-        sc: &mut BandScratch2d<4>,
+        sc: &mut Self::BandScratch,
     ) {
-        crate::t2d_band::band_temporal_gs2d_avx2(g, xl, xr, s, self, sc);
+        t2d_band::band_temporal_gs2d_avx2(g, xl, xr, s, self, sc);
     }
 }
 
 /// The integer Life steady state runs at `vl = 8` i32 lanes (one full
-/// `__m256i`), matching the portable Life engine's lane count, so the
-/// tiled runners dispatch it exactly like the f64 kernels.
-impl Avx2Exec2d<i32> for LifeKern2d {
-    fn avx2_tile(vl: usize, _s: usize) -> bool {
-        vl == 8 && tempora_simd::arch::avx2_available()
+/// `__m256i`) in both engines, so the layers above dispatch it exactly like
+/// the f64 kernels.
+impl KernelSpace for LifeKern2d {
+    type Grid = Grid2<i32>;
+    type Scratch = Scratch2d<i32, 8>;
+    type StepBufs = [Vec<i32>; 2];
+    const VL: usize = 8;
+    const MIN_STRIDE: usize = <Self as Kernel2d<i32>>::MIN_STRIDE;
+
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+        Scratch2d::new(s, dims[1])
+    }
+
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+        slab_bufs(dims[1] + 2)
+    }
+
+    fn scalar_step(&self, g: &mut Grid2<i32>, [a, b]: &mut Self::StepBufs) {
+        t2d::scalar_step_inplace(g, self, a, b);
+    }
+
+    fn multiload_step(&self, src: &Grid2<i32>, dst: &mut Grid2<i32>) {
+        spatial::step_2d(src, dst, self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid2<i32>, s: usize, sc: &mut Self::Scratch) {
+        t2d::tile::<i32, 8, Self>(g, self, s, sc);
+    }
+
+    fn has_avx2_tile(_s: usize) -> bool {
+        avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn tile_avx2<const VL: usize>(
-        &self,
-        g: &mut Grid2<i32>,
-        s: usize,
-        sc: &mut Scratch2d<i32, VL>,
-    ) {
-        crate::t2d_avx2::tile_life2d_avx2(g, self, s, scratch_at::<i32, VL, 8>(sc));
+    fn tile_avx2(&self, g: &mut Grid2<i32>, s: usize, sc: &mut Self::Scratch) {
+        crate::t2d_avx2::tile_life2d_avx2(g, self, s, sc);
     }
 }
 
-/// Hand-scheduled AVX2 executors a 3-D kernel exposes to the tiled layer;
-/// see [`Avx2Exec1d`].
-pub trait Avx2Exec3d: Kernel3d<f64> {
-    /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_tile(s: usize) -> bool {
-        let _ = s;
-        false
+impl KernelSpace for JacobiKern3d {
+    type Grid = Grid3<f64>;
+    type Scratch = Scratch3d<f64, 4>;
+    type StepBufs = [Vec<f64>; 2];
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel3d<f64>>::MIN_STRIDE;
+
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+        Scratch3d::new(s, dims[1], dims[2])
     }
 
-    /// Advance one `VL = 4` temporal tile with the AVX2 steady state
-    /// (bit-identical to `t3d::tile`). Only callable when
-    /// [`Avx2Exec3d::avx2_tile`] returned true.
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Scratch3d<f64, 4>) {
-        let _ = (g, s, sc);
-        unreachable!("kernel has no AVX2 temporal tile");
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+        slab_bufs((dims[1] + 2) * (dims[2] + 2))
     }
 
-    /// True when this kernel has a hand-scheduled AVX2 skewed-band
-    /// executor at stride `s` and the CPU supports AVX2+FMA.
-    fn avx2_band(s: usize) -> bool {
-        let _ = s;
-        false
+    fn scalar_step(&self, g: &mut Grid3<f64>, [a, b]: &mut Self::StepBufs) {
+        t3d::scalar_step_inplace(g, self, a, b);
     }
 
-    /// Execute one skewed band with the AVX2 steady state (bit-identical
-    /// to `t3d_band::band_temporal_gs3d`). Only callable when
-    /// [`Avx2Exec3d::avx2_band`] returned true.
-    fn band_avx2(
-        &self,
-        g: &mut Grid3<f64>,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut BandScratch3d<4>,
-    ) {
-        let _ = (g, xl, xr, s, sc);
-        unreachable!("kernel has no AVX2 band executor");
+    fn multiload_step(&self, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
+        spatial::step_3d(src, dst, self);
     }
-}
 
-impl Avx2Exec3d for JacobiKern3d {
-    fn avx2_tile(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
+    fn tile<const COUNT: bool>(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
+        t3d::tile::<f64, 4, Self>(g, self, s, sc);
+    }
+
+    fn has_avx2_tile(_s: usize) -> bool {
+        avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Scratch3d<f64, 4>) {
+    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
         crate::t3d_avx2::tile_heat3d_avx2(g, self, s, sc);
     }
 }
 
-impl Avx2Exec3d for GsKern3d {
-    fn avx2_tile(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
+impl KernelSpace for GsKern3d {
+    type Grid = Grid3<f64>;
+    type Scratch = Scratch3d<f64, 4>;
+    type StepBufs = [Vec<f64>; 2];
+    const VL: usize = 4;
+    const MIN_STRIDE: usize = <Self as Kernel3d<f64>>::MIN_STRIDE;
+
+    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+        Scratch3d::new(s, dims[1], dims[2])
+    }
+
+    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+        slab_bufs((dims[1] + 2) * (dims[2] + 2))
+    }
+
+    fn scalar_step(&self, g: &mut Grid3<f64>, [a, b]: &mut Self::StepBufs) {
+        t3d::scalar_step_inplace(g, self, a, b);
+    }
+
+    fn multiload_step(&self, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
+        spatial::step_3d(src, dst, self);
+    }
+
+    fn tile<const COUNT: bool>(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
+        t3d::tile::<f64, 4, Self>(g, self, s, sc);
+    }
+
+    fn has_avx2_tile(_s: usize) -> bool {
+        avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Scratch3d<f64, 4>) {
+    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
         crate::t3d_avx2::tile_gs3d_avx2(g, self, s, sc);
     }
+}
 
-    fn avx2_band(_s: usize) -> bool {
-        tempora_simd::arch::avx2_available()
+impl GsSpace for GsKern3d {
+    type BandScratch = BandScratch3d<4>;
+
+    fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch {
+        BandScratch3d::new(s, dims[1], dims[2])
+    }
+
+    fn band_scalar(&self, g: &mut Grid3<f64>, xl: usize, xr: usize, levels: usize) {
+        t3d_band::band_scalar_gs3d(g, xl, xr, levels, self);
+    }
+
+    fn band(&self, g: &mut Grid3<f64>, xl: usize, xr: usize, s: usize, sc: &mut Self::BandScratch) {
+        t3d_band::band_temporal_gs3d::<4, Self>(g, xl, xr, s, self, sc);
+    }
+
+    fn has_avx2_band(_s: usize) -> bool {
+        avx2_available()
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -723,19 +665,47 @@ impl Avx2Exec3d for GsKern3d {
         xl: usize,
         xr: usize,
         s: usize,
-        sc: &mut BandScratch3d<4>,
+        sc: &mut Self::BandScratch,
     ) {
-        crate::t3d_band::band_temporal_gs3d_avx2(g, xl, xr, s, self, sc);
+        t3d_band::band_temporal_gs3d_avx2(g, xl, xr, s, self, sc);
     }
 }
 
 #[cfg(test)]
-// Justification: these tests pin the deprecated one-shot wrappers' behavior until their removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use tempora_grid::{fill_random_1d, Boundary};
     use tempora_stencil::{reference, Heat1dCoeffs};
+
+    /// An untiled run the way every layer above drives the trait: resolve
+    /// once, whole tiles with the resolved steady state, scalar remainder.
+    fn run<K: KernelSpace>(
+        sel: Select,
+        g: &K::Grid,
+        kern: &K,
+        steps: usize,
+        s: usize,
+    ) -> (K::Grid, Engine) {
+        let dims = g.dims();
+        let engine = K::resolve(sel, dims[0], steps, s);
+        let (mut g, mut sc, mut bufs) = (g.clone(), K::scratch(dims, s), K::step_bufs(dims));
+        for _ in 0..steps / K::VL {
+            match engine {
+                Engine::Avx2 => kern.tile_avx2(&mut g, s, &mut sc),
+                Engine::Portable => kern.tile::<false>(&mut g, s, &mut sc),
+            }
+        }
+        for _ in 0..steps % K::VL {
+            kern.scalar_step(&mut g, &mut bufs);
+        }
+        (g, engine)
+    }
+
+    fn heat1d(n: usize, seed: u64) -> Grid1<f64> {
+        let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.0));
+        fill_random_1d(&mut g, seed, -1.0, 1.0);
+        g
+    }
 
     #[test]
     fn select_parses_all_names() {
@@ -752,22 +722,18 @@ mod tests {
     #[test]
     fn portable_selection_always_reports_portable() {
         let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(200, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 1, -1.0, 1.0);
-        let (r, e) = run_heat1d(Select::Portable, &g, &kern, 8, 7);
+        let g = heat1d(200, 1);
+        let (r, e) = run(Select::Portable, &g, &JacobiKern1d(c), 8, 7);
         assert_eq!(e, Engine::Portable);
         assert!(r.interior_eq(&reference::heat1d(&g, c, 8)));
     }
 
     #[test]
     fn auto_matches_portable_bitwise() {
-        let c = Heat1dCoeffs::new(0.3, 0.45, 0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(500, 1, Boundary::Dirichlet(-1.0));
-        fill_random_1d(&mut g, 9, -1.0, 1.0);
-        let (auto, _) = run_heat1d(Select::Auto, &g, &kern, 12, 7);
-        let (port, _) = run_heat1d(Select::Portable, &g, &kern, 12, 7);
+        let kern = JacobiKern1d(Heat1dCoeffs::new(0.3, 0.45, 0.25));
+        let g = heat1d(500, 9);
+        let (auto, _) = run(Select::Auto, &g, &kern, 12, 7);
+        let (port, _) = run(Select::Portable, &g, &kern, 12, 7);
         assert!(auto.interior_eq(&port));
     }
 
@@ -778,27 +744,23 @@ mod tests {
         // shapes no AVX2 steady-state instruction ever executes.
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
-        let mut small = Grid1::new(5, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut small, 4, -1.0, 1.0);
-        let mut big = Grid1::new(200, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut big, 5, -1.0, 1.0);
+        let (small, big) = (heat1d(5, 4), heat1d(200, 5));
         for sel in [Select::Auto, Select::Portable] {
             // n = 5 < VL·s = 8: no vector tile fits.
-            let (r, e) = run_heat1d(sel, &small, &kern, 8, 2);
+            let (r, e) = run(sel, &small, &kern, 8, 2);
             assert_eq!(e, Engine::Portable, "{sel:?}");
             assert!(r.interior_eq(&reference::heat1d(&small, c, 8)));
             // steps = 3 < VL: only scalar remainder steps run.
-            let (r, e) = run_heat1d(sel, &big, &kern, 3, 2);
+            let (r, e) = run(sel, &big, &kern, 3, 2);
             assert_eq!(e, Engine::Portable, "{sel:?}");
             assert!(r.interior_eq(&reference::heat1d(&big, c, 3)));
         }
         let c2 = tempora_stencil::Heat2dCoeffs::classic(0.12);
-        let k2 = JacobiKern2d(c2);
-        let mut g2 = tempora_grid::Grid2::new(5, 9, 1, Boundary::Dirichlet(0.0));
+        let mut g2 = Grid2::new(5, 9, 1, Boundary::Dirichlet(0.0));
         tempora_grid::fill_random_2d(&mut g2, 6, -1.0, 1.0);
-        let (r, e) = run_heat2d(Select::Auto, &g2, &k2, 8, 2);
+        let (r, e) = run(Select::Auto, &g2, &JacobiKern2d(c2), 8, 2);
         assert_eq!(e, Engine::Portable);
-        assert!(r.interior_eq(&tempora_stencil::reference::heat2d(&g2, c2, 8)));
+        assert!(r.interior_eq(&reference::heat2d(&g2, c2, 8)));
     }
 
     #[test]
@@ -806,11 +768,9 @@ mod tests {
         // Stride beyond the 1-D register-ring cap must resolve portable
         // even under Auto on an AVX2 host.
         let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(4096, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 2, -1.0, 1.0);
+        let g = heat1d(4096, 2);
         let wide = crate::t1d_avx2::MAX_STRIDE + 1;
-        let (r, e) = run_heat1d(Select::Auto, &g, &kern, 4, wide);
+        let (r, e) = run(Select::Auto, &g, &JacobiKern1d(c), 4, wide);
         assert_eq!(e, Engine::Portable);
         assert!(r.interior_eq(&reference::heat1d(&g, c, 4)));
     }

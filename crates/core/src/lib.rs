@@ -8,7 +8,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`engine`] | unified dispatch: portable vs `std::arch` AVX2, `TEMPORA_ENGINE` |
+//! | [`engine`] | unified dispatch (portable vs `std::arch` AVX2, `TEMPORA_ENGINE`) and the one [`engine::KernelSpace`] trait every layer above the tile is written against |
 //! | [`t1d`] | 1-D Jacobi and Gauss-Seidel engines (Algorithm 3), phase API |
 //! | [`t1d_avx2`] | hand-scheduled AVX2 steady states: Heat-1D, GS-1D |
 //! | [`t1d_band`] | skewed (parallelogram) 1-D Gauss-Seidel bands (§3.4) |
@@ -19,16 +19,13 @@
 //! | [`t3d_avx2`] | hand-scheduled AVX2 steady states: Heat-3D, GS-3D |
 //! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`) |
 //! | [`lcs_avx2`] | hand-scheduled AVX2 integer steady state for LCS |
+//! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!
 //! The portable 2-D/3-D engines expose the same prologue / steady-state /
 //! epilogue three-phase split as the 1-D engine, so every arch-specialized
 //! steady state shares the exact boundary machinery of the portable one
 //! and stays bit-identical to the scalar oracle.
-//!
-//! Convenience entry points for the 1-D benchmarks live at the crate
-//! root ([`temporal1d_jacobi`] etc.); they route through [`engine`]
-//! dispatch, honouring the `TEMPORA_ENGINE` environment variable.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,6 +34,7 @@ pub mod engine;
 pub mod kernels;
 pub mod lcs;
 pub mod lcs_avx2;
+pub mod spatial;
 pub mod t1d;
 pub mod t1d_avx2;
 pub mod t1d_band;
@@ -46,36 +44,3 @@ pub mod t2d_band;
 pub mod t3d;
 pub mod t3d_avx2;
 pub mod t3d_band;
-
-use tempora_grid::Grid1;
-use tempora_stencil::{Gs1dCoeffs, Heat1dCoeffs};
-
-/// Run `steps` time steps of the 1D3P Jacobi (Heat-1D) stencil with the
-/// temporal scheme at vector length 4 and space stride `s` (the paper uses
-/// `s = 7`), dispatched to the best engine for this CPU (respecting
-/// `TEMPORA_ENGINE`). Bit-identical to `tempora_stencil::reference::heat1d`.
-pub fn temporal1d_jacobi(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize, s: usize) -> Grid1<f64> {
-    engine::run_heat1d_impl(
-        engine::Select::from_env(),
-        g,
-        &kernels::JacobiKern1d(c),
-        steps,
-        s,
-    )
-    .0
-}
-
-/// Run `steps` time steps of the 1D3P Gauss-Seidel stencil with the
-/// temporal scheme at vector length 4 and space stride `s`, dispatched to
-/// the best engine for this CPU (respecting `TEMPORA_ENGINE`).
-/// Bit-identical to `tempora_stencil::reference::gs1d`.
-pub fn temporal1d_gs(g: &Grid1<f64>, c: Gs1dCoeffs, steps: usize, s: usize) -> Grid1<f64> {
-    engine::run_gs1d_impl(
-        engine::Select::from_env(),
-        g,
-        &kernels::GsKern1d(c),
-        steps,
-        s,
-    )
-    .0
-}

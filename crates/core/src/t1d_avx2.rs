@@ -12,8 +12,7 @@
 //! Gauss-Seidel steady state feeds the previous *output* vector back as
 //! the newest-west operand (§3.4) from a register.
 //!
-//! Use [`crate::engine`] (or the legacy [`run_heat1d_auto`]) for
-//! transparent runtime dispatch.
+//! Use [`crate::engine`] for transparent runtime dispatch.
 
 use crate::kernels::{GsKern1d, JacobiKern1d, Kernel1d};
 use crate::t1d::{self, Scratch1d};
@@ -174,7 +173,7 @@ mod imp {
 /// prologue/epilogue with the portable engine; degenerate `n < VL·s`
 /// tiles fall back to the portable schedule). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
-/// [`crate::engine::Avx2Exec1d`].
+/// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
 pub fn tile_heat1d_avx2(
     a: &mut [f64],
@@ -210,7 +209,7 @@ pub fn tile_gs1d_avx2(
 }
 
 /// Run `steps` Heat-1D time steps with the AVX2 steady state; panics if
-/// AVX2+FMA are unavailable (use [`run_heat1d_auto`] for dispatch).
+/// AVX2+FMA are unavailable (use [`crate::engine`] for dispatch).
 #[cfg(target_arch = "x86_64")]
 pub fn run_heat1d_avx2(
     grid: &Grid1<f64>,
@@ -248,27 +247,6 @@ pub fn run_gs1d_avx2(grid: &Grid1<f64>, kern: &GsKern1d, steps: usize, s: usize)
         t1d::scalar_step_inplace(a, n, kern);
     }
     g
-}
-
-/// Run Heat-1D with the best available engine: the `std::arch` AVX2 path
-/// on capable x86-64 CPUs, the portable pack engine elsewhere. Both are
-/// bit-identical to the scalar reference.
-///
-/// Thin wrapper over [`crate::engine::run_heat1d`] with
-/// [`crate::engine::Select::Auto`] (kept for API compatibility).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` instead; this one-shot wrapper allocates scratch per call"
-)]
-pub fn run_heat1d_auto(
-    grid: &Grid1<f64>,
-    kern: &JacobiKern1d,
-    steps: usize,
-    s: usize,
-) -> Grid1<f64> {
-    // Justification: this deprecated wrapper forwards to the deprecated engine entry point.
-    #[allow(deprecated)]
-    crate::engine::run_heat1d(crate::engine::Select::Auto, grid, kern, steps, s).0
 }
 
 #[cfg(test)]
@@ -331,18 +309,5 @@ mod tests {
             let gold = reference::gs1d(&g, c, 8);
             assert!(ours.interior_eq(&gold), "n={n}");
         }
-    }
-
-    #[test]
-    // Justification: exercises the deprecated auto-dispatch wrapper until its removal.
-    #[allow(deprecated)]
-    fn auto_dispatch_matches_portable() {
-        let c = Heat1dCoeffs::new(0.3, 0.45, 0.25);
-        let kern = JacobiKern1d(c);
-        let mut g = Grid1::new(500, 1, Boundary::Dirichlet(-1.0));
-        fill_random_1d(&mut g, 9, -1.0, 1.0);
-        let auto = run_heat1d_auto(&g, &kern, 12, 7);
-        let portable = t1d::run::<4, _>(&g, &kern, 12, 7);
-        assert!(auto.interior_eq(&portable));
     }
 }

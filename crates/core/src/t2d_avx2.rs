@@ -337,7 +337,7 @@ mod imp {
 /// prologue/epilogue with the portable engine; degenerate `nx < VL·s`
 /// tiles fall back to the scalar schedule). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
-/// [`crate::engine::Avx2Exec2d`].
+/// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
 pub fn tile_heat2d_avx2(
     g: &mut Grid2<f64>,
@@ -408,7 +408,7 @@ pub fn tile_gs2d_avx2(
 /// One Game-of-Life temporal tile with the AVX2 integer steady state
 /// (`vl = 8` i32 lanes); see [`tile_heat2d_avx2`] for the three-phase
 /// contract. The tiled layer reaches this through
-/// [`crate::engine::Avx2Exec2d`].
+/// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
 pub fn tile_life2d_avx2(
     g: &mut Grid2<i32>,

@@ -221,7 +221,7 @@ mod imp {
 /// prologue/epilogue with the portable engine; degenerate `nx < VL·s`
 /// tiles fall back to the scalar schedule). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
-/// [`crate::engine::Avx2Exec3d`].
+/// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
 pub fn tile_heat3d_avx2(
     g: &mut Grid3<f64>,

@@ -62,6 +62,119 @@ pub fn pad_len(len: usize) -> usize {
     len.div_ceil(8) * 8
 }
 
+/// A halo-1 grid viewed as a stack of **outer slabs** — cells in 1-D, rows
+/// in 2-D, planes in 3-D: the unit the time-tiled layers copy, band and
+/// skew over. One implementation per grid type lets every layer above
+/// the tile be written once for all three dimensionalities.
+pub trait SlabGrid: Clone + Send {
+    /// Element type.
+    type Elem: Scalar;
+
+    /// A zeroed halo-1 grid with interior extents `dims` (outer extent
+    /// first; a `D`-dimensional grid reads the first `D` entries).
+    fn with_dims(dims: [usize; 3], bc: Boundary<Self::Elem>) -> Self;
+
+    /// Interior extents, outer first, unused trailing dimensions 1.
+    fn dims(&self) -> [usize; 3];
+
+    /// Halo width.
+    fn halo(&self) -> usize;
+
+    /// Elements per outer slab in [`SlabGrid::data`]: 1, the row pitch,
+    /// the plane size.
+    fn slab(&self) -> usize;
+
+    /// The whole storage, halo slabs included.
+    fn data(&self) -> &[Self::Elem];
+
+    /// Mutable variant of [`SlabGrid::data`].
+    fn data_mut(&mut self) -> &mut [Self::Elem];
+}
+
+impl<T: Scalar> SlabGrid for Grid1<T> {
+    type Elem = T;
+
+    fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
+        Grid1::new(dims[0], 1, bc)
+    }
+
+    fn dims(&self) -> [usize; 3] {
+        [self.n(), 1, 1]
+    }
+
+    fn halo(&self) -> usize {
+        Grid1::halo(self)
+    }
+
+    fn slab(&self) -> usize {
+        1
+    }
+
+    fn data(&self) -> &[T] {
+        Grid1::data(self)
+    }
+
+    fn data_mut(&mut self) -> &mut [T] {
+        Grid1::data_mut(self)
+    }
+}
+
+impl<T: Scalar> SlabGrid for Grid2<T> {
+    type Elem = T;
+
+    fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
+        Grid2::new(dims[0], dims[1], 1, bc)
+    }
+
+    fn dims(&self) -> [usize; 3] {
+        [self.nx(), self.ny(), 1]
+    }
+
+    fn halo(&self) -> usize {
+        Grid2::halo(self)
+    }
+
+    fn slab(&self) -> usize {
+        self.pitch()
+    }
+
+    fn data(&self) -> &[T] {
+        Grid2::data(self)
+    }
+
+    fn data_mut(&mut self) -> &mut [T] {
+        Grid2::data_mut(self)
+    }
+}
+
+impl<T: Scalar> SlabGrid for Grid3<T> {
+    type Elem = T;
+
+    fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
+        Grid3::new(dims[0], dims[1], dims[2], 1, bc)
+    }
+
+    fn dims(&self) -> [usize; 3] {
+        [self.nx(), self.ny(), self.nz()]
+    }
+
+    fn halo(&self) -> usize {
+        Grid3::halo(self)
+    }
+
+    fn slab(&self) -> usize {
+        self.plane()
+    }
+
+    fn data(&self) -> &[T] {
+        Grid3::data(self)
+    }
+
+    fn data_mut(&mut self) -> &mut [T] {
+        Grid3::data_mut(self)
+    }
+}
+
 /// A pair of equally-shaped buffers for Jacobi-style ping-pong updates.
 ///
 /// `src` is the time-`t` state, `dst` the time-`t+1` state being produced;

@@ -7,23 +7,21 @@
 //! documented exceptions are the one-shot reorg/DLT baselines, which
 //! build their transposed layouts per call by design).
 //!
-//! All paths reuse the engine/tiling layers' own tile primitives and are
-//! bit-identical to the corresponding one-shot free functions and the
+//! The grid executors are generic over the kernel
+//! ([`KernelSpace`]): one `Temporal`, `Scalar`, `Multiload`, `Ghost` and
+//! `Skew` serve every dimensionality, each monomorphised per kernel so
+//! [`Exec`] stays the only dynamic dispatch. All paths reuse the
+//! engine/tiling layers' own tile primitives and are bit-identical to the
 //! scalar references.
 
 use crate::{PlanError, State};
 use tempora_baseline::{dlt, reorg};
-use tempora_core::engine::{Avx2Exec1d, Avx2Exec2d, Avx2Exec3d};
-use tempora_core::kernels::{Kernel1d, Kernel2d, Kernel3d};
-use tempora_core::{lcs, lcs_avx2, t1d, t2d, t3d};
-use tempora_grid::{Grid1, Grid2, Grid3};
+use tempora_core::engine::{GsSpace, KernelSpace};
+use tempora_core::{lcs, lcs_avx2};
+use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
 use tempora_parallel::Pool;
-use tempora_simd::Scalar;
 use tempora_stencil::Heat1dCoeffs;
-use tempora_tiling::ghost::{auto_step_1d, auto_step_2d, auto_step_3d};
-use tempora_tiling::{
-    GhostJacobi1d, GhostJacobi2d, GhostJacobi3d, LcsRect, SkewGs1d, SkewGs2d, SkewGs3d,
-};
+use tempora_tiling::{GhostJacobi, LcsRect, SkewGs};
 
 /// One compiled execution path: advance a [`State`] by the plan's time
 /// extent. Object-safe so [`crate::Plan`] can hold any workload behind
@@ -88,87 +86,98 @@ impl StateGrid for Grid3<f64> {
 }
 
 // ---------------------------------------------------------------------
-// Sequential 1-D
+// Sequential grid executors, generic over the kernel
 // ---------------------------------------------------------------------
 
-/// Sequential temporal 1-D engine (portable or AVX2 steady state, fixed
-/// at plan time), scratch reused across runs.
-pub(crate) struct Temporal1d<K: Avx2Exec1d> {
+/// Sequential temporal engine (portable or AVX2 steady state, fixed at
+/// plan time), tile scratch and remainder step buffers reused across
+/// runs. Both steady states run at the kernel's own lane count, so they
+/// share one scratch.
+pub(crate) struct Temporal<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
     pub s: usize,
     pub avx2: bool,
     pub counted: bool,
-    pub scratch: t1d::Scratch1d<4>,
+    pub scratch: K::Scratch,
+    pub rem: K::StepBufs,
 }
 
-impl<K: Avx2Exec1d + Send> Exec for Temporal1d<K> {
+impl<K: KernelSpace> Exec for Temporal<K>
+where
+    K::Grid: StateGrid,
+{
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid1<f64> as StateGrid>::from_state(state)?;
-        let n = g.n();
-        let a = g.data_mut();
-        for _ in 0..self.steps / 4 {
+        let g = K::Grid::from_state(state)?;
+        for _ in 0..self.steps / K::VL {
             if self.avx2 {
-                self.kern.tile_avx2(a, n, self.s, &mut self.scratch);
+                self.kern.tile_avx2(g, self.s, &mut self.scratch);
             } else if self.counted {
-                t1d::tile::<4, true, K>(a, n, &self.kern, self.s, &mut self.scratch);
+                self.kern.tile::<true>(g, self.s, &mut self.scratch);
             } else {
-                t1d::tile::<4, false, K>(a, n, &self.kern, self.s, &mut self.scratch);
+                self.kern.tile::<false>(g, self.s, &mut self.scratch);
             }
         }
-        for _ in 0..self.steps % 4 {
-            t1d::scalar_step_inplace(a, n, &self.kern);
+        for _ in 0..self.steps % K::VL {
+            self.kern.scalar_step(g, &mut self.rem);
         }
         Ok(())
     }
 }
 
-/// Sequential scalar 1-D sweep (the paper's Algorithm 1, in place).
-pub(crate) struct Scalar1d<K: Kernel1d> {
+/// Sequential scalar sweep (the paper's Algorithm 1, in place, plan-owned
+/// step buffers).
+pub(crate) struct Scalar<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
+    pub bufs: K::StepBufs,
 }
 
-impl<K: Kernel1d + Send> Exec for Scalar1d<K> {
+impl<K: KernelSpace> Exec for Scalar<K>
+where
+    K::Grid: StateGrid,
+{
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid1<f64> as StateGrid>::from_state(state)?;
-        let n = g.n();
-        let a = g.data_mut();
+        let g = K::Grid::from_state(state)?;
         for _ in 0..self.steps {
-            t1d::scalar_step_inplace(a, n, &self.kern);
+            self.kern.scalar_step(g, &mut self.bufs);
         }
         Ok(())
     }
 }
 
-/// Sequential multi-load (spatially vectorized) 1-D sweep, ping-ponging a
-/// plan-owned buffer.
-pub(crate) struct Multiload1d<K: Avx2Exec1d> {
+/// Sequential multi-load (spatially vectorized) sweep, ping-ponging a
+/// plan-owned grid.
+pub(crate) struct Multiload<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
-    pub tmp: Vec<f64>,
+    pub tmp: K::Grid,
 }
 
-impl<K: Avx2Exec1d + Send> Exec for Multiload1d<K> {
+impl<K: KernelSpace> Exec for Multiload<K>
+where
+    K::Grid: StateGrid,
+{
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid1<f64> as StateGrid>::from_state(state)?;
-        let n = g.n();
-        let a = g.data_mut();
-        let tmp = &mut self.tmp[..n + 2];
-        tmp.copy_from_slice(&a[..n + 2]);
+        let g = K::Grid::from_state(state)?;
+        self.tmp.data_mut().copy_from_slice(g.data());
         for step in 0..self.steps {
             if step % 2 == 0 {
-                auto_step_1d(a, tmp, n, &self.kern);
+                self.kern.multiload_step(g, &mut self.tmp);
             } else {
-                auto_step_1d(tmp, a, n, &self.kern);
+                self.kern.multiload_step(&self.tmp, g);
             }
         }
         if self.steps % 2 == 1 {
-            a[..n + 2].copy_from_slice(tmp);
+            g.data_mut().copy_from_slice(self.tmp.data());
         }
         Ok(())
     }
 }
+
+// ---------------------------------------------------------------------
+// Heat-1D baselines
+// ---------------------------------------------------------------------
 
 /// Data-reorganization baseline (§2.2), Heat-1D only. One-shot by design:
 /// the scheme's transposed layout is rebuilt per call, so this executor
@@ -181,7 +190,7 @@ pub(crate) struct Reorg1d {
 
 impl Exec for Reorg1d {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid1<f64> as StateGrid>::from_state(state)?;
+        let g = Grid1::from_state(state)?;
         let out = if self.counted {
             reorg::heat1d_counted(g, self.coeffs, self.steps)
         } else {
@@ -201,177 +210,8 @@ pub(crate) struct Dlt1d {
 
 impl Exec for Dlt1d {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid1<f64> as StateGrid>::from_state(state)?;
+        let g = Grid1::from_state(state)?;
         *g = dlt::heat1d(g, self.coeffs, self.steps);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sequential 2-D
-// ---------------------------------------------------------------------
-
-/// Sequential temporal 2-D engine (portable or AVX2 steady state, fixed
-/// at plan time), scratch and remainder rows reused across runs. Both
-/// steady states run at the plan's own lane count (4 f64 lanes, 8 i32
-/// lanes for Life), so they share one scratch.
-pub(crate) struct Temporal2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> {
-    pub kern: K,
-    pub steps: usize,
-    pub s: usize,
-    pub avx2: bool,
-    pub scratch: t2d::Scratch2d<T, VL>,
-    pub rem_rows: (Vec<T>, Vec<T>),
-}
-
-impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Send> Exec for Temporal2d<T, VL, K>
-where
-    Grid2<T>: StateGrid,
-{
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid2<T> as StateGrid>::from_state(state)?;
-        for _ in 0..self.steps / VL {
-            if self.avx2 {
-                self.kern.tile_avx2(g, self.s, &mut self.scratch);
-            } else {
-                t2d::tile::<T, VL, K>(g, &self.kern, self.s, &mut self.scratch);
-            }
-        }
-        let rem = self.steps % VL;
-        if rem > 0 {
-            let (ra, rb) = &mut self.rem_rows;
-            for _ in 0..rem {
-                t2d::scalar_step_inplace(g, &self.kern, ra, rb);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Sequential scalar 2-D sweep (in place, plan-owned row buffers).
-pub(crate) struct Scalar2d<T: Scalar, K: Kernel2d<T>> {
-    pub kern: K,
-    pub steps: usize,
-    pub rows: (Vec<T>, Vec<T>),
-}
-
-impl<T: Scalar, K: Kernel2d<T> + Send> Exec for Scalar2d<T, K>
-where
-    Grid2<T>: StateGrid,
-{
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid2<T> as StateGrid>::from_state(state)?;
-        let (ra, rb) = &mut self.rows;
-        for _ in 0..self.steps {
-            t2d::scalar_step_inplace(g, &self.kern, ra, rb);
-        }
-        Ok(())
-    }
-}
-
-/// Sequential multi-load 2-D sweep, ping-ponging a plan-owned grid.
-pub(crate) struct Multiload2d<T: Scalar, K: Kernel2d<T>> {
-    pub kern: K,
-    pub steps: usize,
-    pub tmp: Grid2<T>,
-}
-
-impl<T: Scalar, K: Kernel2d<T> + Send> Exec for Multiload2d<T, K>
-where
-    Grid2<T>: StateGrid,
-{
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid2<T> as StateGrid>::from_state(state)?;
-        self.tmp.data_mut().copy_from_slice(g.data());
-        for step in 0..self.steps {
-            if step % 2 == 0 {
-                auto_step_2d(g, &mut self.tmp, &self.kern);
-            } else {
-                auto_step_2d(&self.tmp, g, &self.kern);
-            }
-        }
-        if self.steps % 2 == 1 {
-            g.data_mut().copy_from_slice(self.tmp.data());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sequential 3-D
-// ---------------------------------------------------------------------
-
-/// Sequential temporal 3-D engine (portable and AVX2 both run at
-/// `VL = 4`), scratch and remainder planes reused across runs.
-pub(crate) struct Temporal3d<K: Avx2Exec3d> {
-    pub kern: K,
-    pub steps: usize,
-    pub s: usize,
-    pub avx2: bool,
-    pub scratch: t3d::Scratch3d<f64, 4>,
-    pub rem_planes: (Vec<f64>, Vec<f64>),
-}
-
-impl<K: Avx2Exec3d + Send> Exec for Temporal3d<K> {
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid3<f64> as StateGrid>::from_state(state)?;
-        for _ in 0..self.steps / 4 {
-            if self.avx2 {
-                self.kern.tile_avx2(g, self.s, &mut self.scratch);
-            } else {
-                t3d::tile::<f64, 4, K>(g, &self.kern, self.s, &mut self.scratch);
-            }
-        }
-        let rem = self.steps % 4;
-        if rem > 0 {
-            let (pa, pb) = &mut self.rem_planes;
-            for _ in 0..rem {
-                t3d::scalar_step_inplace(g, &self.kern, pa, pb);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Sequential scalar 3-D sweep (in place, plan-owned plane buffers).
-pub(crate) struct Scalar3d<K: Kernel3d<f64>> {
-    pub kern: K,
-    pub steps: usize,
-    pub planes: (Vec<f64>, Vec<f64>),
-}
-
-impl<K: Kernel3d<f64> + Send> Exec for Scalar3d<K> {
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid3<f64> as StateGrid>::from_state(state)?;
-        let (pa, pb) = &mut self.planes;
-        for _ in 0..self.steps {
-            t3d::scalar_step_inplace(g, &self.kern, pa, pb);
-        }
-        Ok(())
-    }
-}
-
-/// Sequential multi-load 3-D sweep, ping-ponging a plan-owned grid.
-pub(crate) struct Multiload3d<K: Kernel3d<f64>> {
-    pub kern: K,
-    pub steps: usize,
-    pub tmp: Grid3<f64>,
-}
-
-impl<K: Kernel3d<f64> + Send> Exec for Multiload3d<K> {
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = <Grid3<f64> as StateGrid>::from_state(state)?;
-        self.tmp.data_mut().copy_from_slice(g.data());
-        for step in 0..self.steps {
-            if step % 2 == 0 {
-                auto_step_3d(g, &mut self.tmp, &self.kern);
-            } else {
-                auto_step_3d(&self.tmp, g, &self.kern);
-            }
-        }
-        if self.steps % 2 == 1 {
-            g.data_mut().copy_from_slice(self.tmp.data());
-        }
         Ok(())
     }
 }
@@ -433,31 +273,14 @@ impl Exec for SeqLcs {
 // Tiled executors (thin adapters over the tiling workspaces)
 // ---------------------------------------------------------------------
 
-pub(crate) struct GhostExec1d<K: Avx2Exec1d>(pub GhostJacobi1d<K>);
+pub(crate) struct Ghost<K: KernelSpace>(pub GhostJacobi<K>);
 
-impl<K: Avx2Exec1d + Send> Exec for GhostExec1d<K> {
-    fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0
-            .advance(<Grid1<f64> as StateGrid>::from_state(state)?, pool);
-        Ok(())
-    }
-
-    fn fault_in(&mut self, pool: &Pool) {
-        self.0.fault_in(pool);
-    }
-}
-
-pub(crate) struct GhostExec2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>>(
-    pub GhostJacobi2d<T, VL, K>,
-);
-
-impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Send> Exec for GhostExec2d<T, VL, K>
+impl<K: KernelSpace> Exec for Ghost<K>
 where
-    Grid2<T>: StateGrid,
+    K::Grid: StateGrid,
 {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0
-            .advance(<Grid2<T> as StateGrid>::from_state(state)?, pool);
+        self.0.advance(K::Grid::from_state(state)?, pool);
         Ok(())
     }
 
@@ -466,50 +289,14 @@ where
     }
 }
 
-pub(crate) struct GhostExec3d<K: Avx2Exec3d>(pub GhostJacobi3d<K>);
+pub(crate) struct Skew<K: GsSpace>(pub SkewGs<K>);
 
-impl<K: Avx2Exec3d + Send> Exec for GhostExec3d<K> {
+impl<K: GsSpace> Exec for Skew<K>
+where
+    K::Grid: StateGrid,
+{
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0
-            .advance(<Grid3<f64> as StateGrid>::from_state(state)?, pool);
-        Ok(())
-    }
-
-    fn fault_in(&mut self, pool: &Pool) {
-        self.0.fault_in(pool);
-    }
-}
-
-pub(crate) struct SkewExec1d<K: Avx2Exec1d>(pub SkewGs1d<K>);
-
-impl<K: Avx2Exec1d + Send> Exec for SkewExec1d<K> {
-    fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0
-            .advance(<Grid1<f64> as StateGrid>::from_state(state)?, pool);
-        Ok(())
-    }
-}
-
-pub(crate) struct SkewExec2d<K: Avx2Exec2d<f64>>(pub SkewGs2d<K>);
-
-impl<K: Avx2Exec2d<f64> + Send> Exec for SkewExec2d<K> {
-    fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0
-            .advance(<Grid2<f64> as StateGrid>::from_state(state)?, pool);
-        Ok(())
-    }
-
-    fn fault_in(&mut self, pool: &Pool) {
-        self.0.fault_in(pool);
-    }
-}
-
-pub(crate) struct SkewExec3d<K: Avx2Exec3d>(pub SkewGs3d<K>);
-
-impl<K: Avx2Exec3d + Send> Exec for SkewExec3d<K> {
-    fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0
-            .advance(<Grid3<f64> as StateGrid>::from_state(state)?, pool);
+        self.0.advance(K::Grid::from_state(state)?, pool);
         Ok(())
     }
 

@@ -44,9 +44,7 @@
 //!
 //! The plan is the unit of caching and dispatch for serving scenarios:
 //! build one per configuration, pool them, and route each request's state
-//! through the matching plan. The deprecated free functions
-//! (`tempora_core::engine::run_*`, `tempora_tiling::{ghost,skew}::run_*`)
-//! remain as one-shot shims for one release.
+//! through the matching plan.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -2,26 +2,38 @@
 //! reusable execution plan.
 
 use crate::exec::{
-    Dlt1d, Exec, GhostExec1d, GhostExec2d, GhostExec3d, Multiload1d, Multiload2d, Multiload3d,
-    RectLcs, Reorg1d, Scalar1d, Scalar2d, Scalar3d, SeqLcs, SkewExec1d, SkewExec2d, SkewExec3d,
-    Temporal1d, Temporal2d, Temporal3d,
+    Dlt1d, Exec, Ghost, Multiload, RectLcs, Reorg1d, Scalar, SeqLcs, Skew, StateGrid, Temporal,
 };
 use crate::{PlanError, Problem, State};
-use tempora_core::engine::{
-    shape_has_vector_tiles, Avx2Exec1d, Avx2Exec2d, Avx2Exec3d, Engine, Select,
-};
+use tempora_core::engine::{Elem, Engine, GsSpace, KernelSpace, Select};
 use tempora_core::kernels::{
-    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, Kernel1d,
-    Kernel2d, Kernel3d, LifeKern2d,
+    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
-use tempora_core::{lcs, lcs_avx2, t1d, t2d, t3d};
-use tempora_grid::{Boundary, Grid2, Grid3};
+use tempora_core::{lcs, lcs_avx2};
+use tempora_grid::{Boundary, SlabGrid};
 use tempora_parallel::{Pool, PoolConfig, WaveSchedule};
 use tempora_simd::count;
-use tempora_simd::Scalar;
-use tempora_tiling::{
-    ghost, GhostJacobi1d, GhostJacobi2d, GhostJacobi3d, LcsRect, SkewGs1d, SkewGs2d, SkewGs3d,
-};
+use tempora_tiling::{ghost, GhostJacobi, LcsRect, SkewGs};
+
+/// What the builder hands [`Plan`]: the executor, the engine it resolved
+/// (temporal methods only) and the tile geometry (tiled plans only).
+type Built = (Box<dyn Exec>, Option<Engine>, Option<TileGeometry>);
+
+/// The [`Built`] triple of a tiled plan.
+fn tiled(
+    exec: impl Exec + 'static,
+    engine: Option<Engine>,
+    tiles: usize,
+    block: usize,
+    height: usize,
+) -> Built {
+    let geometry = TileGeometry {
+        tiles,
+        block,
+        height,
+    };
+    (Box::new(exec), engine, Some(geometry))
+}
 
 /// The vectorization scheme a plan executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -406,9 +418,53 @@ impl PlanBuilder {
         }
     }
 
+    /// Construct the executor, resolved engine and tile geometry.
+    fn build_exec(&self, problem: &Problem, s: usize) -> Result<Built, PlanError> {
+        let (dims, steps) = (problem.extents(), problem.steps());
+        match *problem {
+            Problem::Heat1d {
+                coeffs, boundary, ..
+            } => match self.method {
+                Method::Reorg => Ok((
+                    Box::new(Reorg1d {
+                        coeffs,
+                        steps,
+                        counted: self.count_reorg,
+                    }),
+                    None,
+                    None,
+                )),
+                Method::Dlt => Ok((Box::new(Dlt1d { coeffs, steps }), None, None)),
+                _ => self.plan_grid(JacobiKern1d(coeffs), dims, boundary, steps, s),
+            },
+            Problem::Gs1d {
+                coeffs, boundary, ..
+            } => self.plan_gs(GsKern1d(coeffs), dims, boundary, steps, s),
+            Problem::Heat2d {
+                coeffs, boundary, ..
+            } => self.plan_grid(JacobiKern2d(coeffs), dims, boundary, steps, s),
+            Problem::Box2d {
+                coeffs, boundary, ..
+            } => self.plan_grid(BoxKern2d(coeffs), dims, boundary, steps, s),
+            Problem::Gs2d {
+                coeffs, boundary, ..
+            } => self.plan_gs(GsKern2d(coeffs), dims, boundary, steps, s),
+            Problem::Life { rule, boundary, .. } => {
+                self.plan_grid(LifeKern2d(rule), dims, boundary, steps, s)
+            }
+            Problem::Heat3d {
+                coeffs, boundary, ..
+            } => self.plan_grid(JacobiKern3d(coeffs), dims, boundary, steps, s),
+            Problem::Gs3d {
+                coeffs, boundary, ..
+            } => self.plan_gs(GsKern3d(coeffs), dims, boundary, steps, s),
+            Problem::Lcs { la, lb } => self.plan_lcs(la, lb, s),
+        }
+    }
+
     /// Stride legality for the temporal method (spatial methods ignore
     /// the stride entirely).
-    fn check_stride_1d<K: Kernel1d>(&self, s: usize) -> Result<(), PlanError> {
+    fn check_stride<K: KernelSpace>(&self, s: usize) -> Result<(), PlanError> {
         if self.method != Method::Temporal {
             return Ok(());
         }
@@ -418,413 +474,90 @@ impl PlanBuilder {
                 min: K::MIN_STRIDE,
             });
         }
-        if s >= t1d::RING_CAP {
+        if s > K::MAX_STRIDE {
             return Err(PlanError::StrideTooLarge {
                 stride: s,
-                max: t1d::RING_CAP - 1,
+                max: K::MAX_STRIDE,
             });
         }
         Ok(())
     }
 
-    fn check_stride_min(&self, s: usize, min: usize) -> Result<(), PlanError> {
-        if self.method == Method::Temporal && s < min {
-            return Err(PlanError::StrideTooSmall { stride: s, min });
-        }
-        Ok(())
-    }
-
-    /// Construct the executor, resolved engine and tile geometry.
-    // Justification: the boxed executor closure type is spelled out exactly once, here; a type alias would not make it clearer.
-    #[allow(clippy::type_complexity)]
-    fn build_exec(
-        &self,
-        problem: &Problem,
-        s: usize,
-    ) -> Result<(Box<dyn Exec>, Option<Engine>, Option<TileGeometry>), PlanError> {
-        match *problem {
-            Problem::Heat1d {
-                n, steps, coeffs, ..
-            } => {
-                self.check_stride_1d::<JacobiKern1d>(s)?;
-                match self.method {
-                    Method::Reorg => Ok((
-                        Box::new(Reorg1d {
-                            coeffs,
-                            steps,
-                            counted: self.count_reorg,
-                        }),
-                        None,
-                        None,
-                    )),
-                    Method::Dlt => Ok((Box::new(Dlt1d { coeffs, steps }), None, None)),
-                    _ => self.plan_1d(JacobiKern1d(coeffs), n, steps, s),
-                }
-            }
-            Problem::Gs1d {
-                n, steps, coeffs, ..
-            } => {
-                self.check_stride_1d::<GsKern1d>(s)?;
-                self.plan_1d(GsKern1d(coeffs), n, steps, s)
-            }
-            Problem::Heat2d {
-                nx,
-                ny,
-                steps,
-                coeffs,
-                boundary,
-            } => {
-                self.check_stride_min(s, JacobiKern2d::MIN_STRIDE)?;
-                self.plan_2d::<f64, 4, _>(JacobiKern2d(coeffs), nx, ny, boundary, steps, s)
-            }
-            Problem::Box2d {
-                nx,
-                ny,
-                steps,
-                coeffs,
-                boundary,
-            } => {
-                self.check_stride_min(s, BoxKern2d::MIN_STRIDE)?;
-                self.plan_2d::<f64, 4, _>(BoxKern2d(coeffs), nx, ny, boundary, steps, s)
-            }
-            Problem::Gs2d {
-                nx,
-                ny,
-                steps,
-                coeffs,
-                boundary,
-            } => {
-                self.check_stride_min(s, GsKern2d::MIN_STRIDE)?;
-                if let Tiling::Skew { block, height } = self.tiling {
-                    // The 2-D skew workspace is f64-only; reached here for
-                    // the one 2-D Gauss-Seidel kernel.
-                    let mode = self.skew_mode(s);
-                    let w = SkewGs2d::new(
-                        GsKern2d(coeffs),
-                        nx,
-                        ny,
-                        steps,
-                        block,
-                        height,
-                        mode,
-                        self.select,
-                    );
-                    let engine = w.engine();
-                    let tiles = w.blocks();
-                    Ok((
-                        Box::new(SkewExec2d(w)),
-                        engine,
-                        Some(TileGeometry {
-                            tiles,
-                            block,
-                            height,
-                        }),
-                    ))
-                } else {
-                    self.plan_2d::<f64, 4, _>(GsKern2d(coeffs), nx, ny, boundary, steps, s)
-                }
-            }
-            Problem::Life {
-                nx,
-                ny,
-                steps,
-                rule,
-                boundary,
-            } => {
-                self.check_stride_min(s, LifeKern2d::MIN_STRIDE)?;
-                self.plan_2d::<i32, 8, _>(LifeKern2d(rule), nx, ny, boundary, steps, s)
-            }
-            Problem::Heat3d {
-                nx,
-                ny,
-                nz,
-                steps,
-                coeffs,
-                boundary,
-            } => {
-                self.check_stride_min(s, JacobiKern3d::MIN_STRIDE)?;
-                self.plan_3d(JacobiKern3d(coeffs), nx, ny, nz, boundary, steps, s)
-            }
-            Problem::Gs3d {
-                nx,
-                ny,
-                nz,
-                steps,
-                coeffs,
-                boundary,
-            } => {
-                self.check_stride_min(s, GsKern3d::MIN_STRIDE)?;
-                self.plan_3d(GsKern3d(coeffs), nx, ny, nz, boundary, steps, s)
-            }
-            Problem::Lcs { la, lb } => self.plan_lcs(la, lb, s),
-        }
-    }
-
-    // Justification: the boxed executor closure type is spelled out at each plan_* builder; a type alias would not make it clearer.
-    #[allow(clippy::type_complexity)]
-    fn plan_1d<K: Avx2Exec1d + Copy + Send + 'static>(
+    /// The one grid builder, for any kernel and dimensionality: the
+    /// untiled method executors and the ghost-zone workspace. (Skewed
+    /// tiling needs the Gauss-Seidel band executors: [`Self::plan_gs`].)
+    fn plan_grid<K: KernelSpace>(
         &self,
         kern: K,
-        n: usize,
+        dims: [usize; 3],
+        bc: Boundary<Elem<K>>,
         steps: usize,
         s: usize,
-    ) -> Result<(Box<dyn Exec>, Option<Engine>, Option<TileGeometry>), PlanError> {
-        match self.tiling {
-            Tiling::None => match self.method {
-                Method::Temporal => {
-                    let has = K::avx2_tile(s) && shape_has_vector_tiles(4, n, steps, s);
-                    let engine = self.select.resolve(has);
-                    Ok((
-                        Box::new(Temporal1d {
-                            kern,
-                            steps,
-                            s,
-                            avx2: engine == Engine::Avx2,
-                            counted: self.count_reorg,
-                            scratch: t1d::Scratch1d::new(s),
-                        }),
-                        Some(engine),
-                        None,
-                    ))
-                }
-                Method::Multiload => Ok((
-                    Box::new(Multiload1d {
-                        kern,
-                        steps,
-                        tmp: vec![0.0; n + 2],
-                    }),
-                    None,
-                    None,
-                )),
-                Method::Scalar => Ok((Box::new(Scalar1d { kern, steps }), None, None)),
-                Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
-            },
-            Tiling::Ghost { block, height } => {
-                let mode = self.ghost_mode(s);
-                let w = GhostJacobi1d::new(kern, n, steps, block, height, mode, self.select);
-                let engine = w.engine();
-                let tiles = w.tiles();
-                Ok((
-                    Box::new(GhostExec1d(w)),
-                    engine,
-                    Some(TileGeometry {
-                        tiles,
-                        block,
-                        height,
-                    }),
-                ))
-            }
-            Tiling::Skew { block, height } => {
-                let mode = self.skew_mode(s);
-                let w = SkewGs1d::new(kern, n, steps, block, height, mode, self.select);
-                let engine = w.engine();
-                let tiles = w.blocks();
-                Ok((
-                    Box::new(SkewExec1d(w)),
-                    engine,
-                    Some(TileGeometry {
-                        tiles,
-                        block,
-                        height,
-                    }),
-                ))
-            }
-            Tiling::LcsRect { .. } => unreachable!("validated: LcsRect is LCS-only"),
-        }
-    }
-
-    // Justification: the boxed executor closure type is spelled out at each plan_* builder; a type alias would not make it clearer.
-    #[allow(clippy::type_complexity)]
-    fn plan_2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Copy + Send + 'static>(
-        &self,
-        kern: K,
-        nx: usize,
-        ny: usize,
-        bc: Boundary<T>,
-        steps: usize,
-        s: usize,
-    ) -> Result<(Box<dyn Exec>, Option<Engine>, Option<TileGeometry>), PlanError>
+    ) -> Result<Built, PlanError>
     where
-        Grid2<T>: crate::exec::StateGrid,
+        K::Grid: StateGrid,
     {
-        let rows = || (vec![T::ZERO; ny + 2], vec![T::ZERO; ny + 2]);
+        self.check_stride::<K>(s)?;
         match self.tiling {
-            Tiling::None => match self.method {
+            Tiling::None => Ok(match self.method {
                 Method::Temporal => {
-                    let has = K::avx2_tile(VL, s) && shape_has_vector_tiles(VL, nx, steps, s);
-                    let engine = self.select.resolve(has);
-                    Ok((
-                        Box::new(Temporal2d::<T, VL, K> {
-                            kern,
-                            steps,
-                            s,
-                            avx2: engine == Engine::Avx2,
-                            scratch: t2d::Scratch2d::new(s, ny),
-                            rem_rows: rows(),
-                        }),
-                        Some(engine),
-                        None,
-                    ))
+                    let engine = K::resolve(self.select, dims[0], steps, s);
+                    let exec = Temporal {
+                        kern,
+                        steps,
+                        s,
+                        avx2: engine == Engine::Avx2,
+                        counted: self.count_reorg,
+                        scratch: K::scratch(dims, s),
+                        rem: K::step_bufs(dims),
+                    };
+                    (Box::new(exec), Some(engine), None)
                 }
-                Method::Multiload => Ok((
-                    Box::new(Multiload2d {
-                        kern,
-                        steps,
-                        tmp: Grid2::new(nx, ny, 1, bc),
-                    }),
-                    None,
-                    None,
-                )),
-                Method::Scalar => Ok((
-                    Box::new(Scalar2d {
-                        kern,
-                        steps,
-                        rows: rows(),
-                    }),
-                    None,
-                    None,
-                )),
+                Method::Multiload => {
+                    let tmp = K::Grid::with_dims(dims, bc);
+                    (Box::new(Multiload { kern, steps, tmp }), None, None)
+                }
+                Method::Scalar => {
+                    let bufs = K::step_bufs(dims);
+                    (Box::new(Scalar { kern, steps, bufs }), None, None)
+                }
                 Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
-            },
+            }),
             Tiling::Ghost { block, height } => {
-                let mode = self.ghost_mode(s);
-                let w = GhostJacobi2d::<T, VL, K>::new(
-                    kern,
-                    nx,
-                    ny,
-                    bc,
-                    steps,
-                    block,
-                    height,
-                    mode,
-                    self.select,
-                );
-                let engine = w.engine();
-                let tiles = w.tiles();
-                Ok((
-                    Box::new(GhostExec2d(w)),
-                    engine,
-                    Some(TileGeometry {
-                        tiles,
-                        block,
-                        height,
-                    }),
-                ))
+                let (mode, sel) = (self.mode(s), self.select);
+                let w = GhostJacobi::new(kern, dims, bc, steps, block, height, mode, sel);
+                let (engine, tiles) = (w.engine(), w.tiles());
+                Ok(tiled(Ghost(w), engine, tiles, block, height))
             }
-            Tiling::Skew { .. } => {
-                unreachable!("validated: 2-D skew is handled per-problem (GS-2D only)")
+            Tiling::Skew { .. } | Tiling::LcsRect { .. } => {
+                unreachable!("validated: skew is routed through plan_gs, LcsRect is LCS-only")
             }
-            Tiling::LcsRect { .. } => unreachable!("validated: LcsRect is LCS-only"),
         }
     }
 
-    // Justification: boxed executor closure type plus the 3-D tile geometry; neither an alias nor a params struct would clarify.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn plan_3d<K: Avx2Exec3d + Copy + Send + 'static>(
+    /// [`Self::plan_grid`] plus the skewed tiling only Gauss-Seidel
+    /// kernels support.
+    fn plan_gs<K: GsSpace>(
         &self,
         kern: K,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        bc: Boundary<f64>,
+        dims: [usize; 3],
+        bc: Boundary<Elem<K>>,
         steps: usize,
         s: usize,
-    ) -> Result<(Box<dyn Exec>, Option<Engine>, Option<TileGeometry>), PlanError> {
-        let planes = || {
-            let wp = (ny + 2) * (nz + 2);
-            (vec![0.0; wp], vec![0.0; wp])
+    ) -> Result<Built, PlanError>
+    where
+        K::Grid: StateGrid,
+    {
+        let Tiling::Skew { block, height } = self.tiling else {
+            return self.plan_grid(kern, dims, bc, steps, s);
         };
-        match self.tiling {
-            Tiling::None => match self.method {
-                Method::Temporal => {
-                    let has = K::avx2_tile(s) && shape_has_vector_tiles(4, nx, steps, s);
-                    let engine = self.select.resolve(has);
-                    Ok((
-                        Box::new(Temporal3d {
-                            kern,
-                            steps,
-                            s,
-                            avx2: engine == Engine::Avx2,
-                            scratch: t3d::Scratch3d::new(s, ny, nz),
-                            rem_planes: planes(),
-                        }),
-                        Some(engine),
-                        None,
-                    ))
-                }
-                Method::Multiload => Ok((
-                    Box::new(Multiload3d {
-                        kern,
-                        steps,
-                        tmp: Grid3::new(nx, ny, nz, 1, bc),
-                    }),
-                    None,
-                    None,
-                )),
-                Method::Scalar => Ok((
-                    Box::new(Scalar3d {
-                        kern,
-                        steps,
-                        planes: planes(),
-                    }),
-                    None,
-                    None,
-                )),
-                Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
-            },
-            Tiling::Ghost { block, height } => {
-                let mode = self.ghost_mode(s);
-                let w = GhostJacobi3d::new(
-                    kern,
-                    nx,
-                    ny,
-                    nz,
-                    bc,
-                    steps,
-                    block,
-                    height,
-                    mode,
-                    self.select,
-                );
-                let engine = w.engine();
-                let tiles = w.tiles();
-                Ok((
-                    Box::new(GhostExec3d(w)),
-                    engine,
-                    Some(TileGeometry {
-                        tiles,
-                        block,
-                        height,
-                    }),
-                ))
-            }
-            Tiling::Skew { block, height } => {
-                let mode = self.skew_mode(s);
-                let w = SkewGs3d::new(kern, nx, ny, nz, steps, block, height, mode, self.select);
-                let engine = w.engine();
-                let tiles = w.blocks();
-                Ok((
-                    Box::new(SkewExec3d(w)),
-                    engine,
-                    Some(TileGeometry {
-                        tiles,
-                        block,
-                        height,
-                    }),
-                ))
-            }
-            Tiling::LcsRect { .. } => unreachable!("validated: LcsRect is LCS-only"),
-        }
+        self.check_stride::<K>(s)?;
+        let w = SkewGs::new(kern, dims, steps, block, height, self.mode(s), self.select);
+        let (engine, tiles) = (w.engine(), w.tiles());
+        Ok(tiled(Skew(w), engine, tiles, block, height))
     }
 
-    // Justification: the boxed executor closure type is spelled out at each plan_* builder; a type alias would not make it clearer.
-    #[allow(clippy::type_complexity)]
-    fn plan_lcs(
-        &self,
-        la: usize,
-        lb: usize,
-        s: usize,
-    ) -> Result<(Box<dyn Exec>, Option<Engine>, Option<TileGeometry>), PlanError> {
+    fn plan_lcs(&self, la: usize, lb: usize, s: usize) -> Result<Built, PlanError> {
         let temporal = self.method == Method::Temporal;
         match self.tiling {
             Tiling::None => {
@@ -850,15 +583,8 @@ impl PlanBuilder {
             Tiling::LcsRect { xblock, yblock } => {
                 let w = LcsRect::new(la, lb, xblock, yblock, s, temporal, self.select);
                 let engine = if temporal { w.engine() } else { None };
-                Ok((
-                    Box::new(RectLcs(w)),
-                    engine,
-                    Some(TileGeometry {
-                        tiles: la.div_ceil(xblock) * lb.div_ceil(yblock),
-                        block: xblock,
-                        height: yblock,
-                    }),
-                ))
+                let tiles = la.div_ceil(xblock) * lb.div_ceil(yblock);
+                Ok(tiled(RectLcs(w), engine, tiles, xblock, yblock))
             }
             Tiling::Ghost { .. } | Tiling::Skew { .. } => {
                 unreachable!("validated: grid tilings are not LCS tilings")
@@ -866,20 +592,14 @@ impl PlanBuilder {
         }
     }
 
-    fn ghost_mode(&self, s: usize) -> ghost::Mode {
+    /// The in-tile scheme the tiling workspaces run for this method.
+    /// (Skew never sees `Auto`: multi-load is rejected for Gauss-Seidel.)
+    fn mode(&self, s: usize) -> ghost::Mode {
         match self.method {
             Method::Temporal => ghost::Mode::Temporal(s),
             Method::Multiload => ghost::Mode::Auto,
             Method::Scalar => ghost::Mode::Scalar,
             Method::Reorg | Method::Dlt => unreachable!("validated: baselines are untiled"),
-        }
-    }
-
-    fn skew_mode(&self, s: usize) -> ghost::Mode {
-        match self.method {
-            Method::Temporal => ghost::Mode::Temporal(s),
-            Method::Scalar => ghost::Mode::Scalar,
-            _ => unreachable!("validated: skew runs temporal or scalar bands"),
         }
     }
 }

@@ -12,37 +12,38 @@
 //! *shape* of Figure 4(b/d/f/h/j) is preserved; the ghost scheme pays a
 //! small redundant-compute overhead (`2·height` columns per tile per band)
 //! instead of the diamond's phase alternation. The substitution is
-//! recorded in DESIGN.md.
+//! recorded in the README ("Multicore execution model").
 //!
-//! # Reusable workspaces
+//! # One reusable workspace
 //!
-//! Each dimension exposes a **workspace** type — [`GhostJacobi1d`],
-//! [`GhostJacobi2d`], [`GhostJacobi3d`] — that resolves the geometry and
-//! the in-tile engine once, allocates the tile arena and temporal scratch
-//! once, and is then driven by repeated `advance(&mut grid, &pool)` calls
-//! that run **allocation-free**. This is the execution layer behind
-//! `tempora_plan::Plan`; the old `run_jacobi_*` free functions remain as
-//! deprecated one-shot wrappers.
+//! [`GhostJacobi`] is generic over the kernel
+//! ([`KernelSpace`]): one type serves Heat-1D, Heat-2D, 2D9P, Life and
+//! Heat-3D. It resolves the geometry and the in-tile engine once,
+//! allocates the per-tile buffer grids and in-tile scratch once, and is
+//! then driven by repeated `advance(&mut grid, &pool)` calls that run
+//! **allocation-free**. This is the execution layer behind
+//! `tempora_plan::Plan`.
 //!
 //! # Engine dispatch
 //!
 //! The temporal in-tile kernel goes through the same dispatch as the
-//! sequential engines: every workspace takes a [`Select`], resolves it
-//! **once** against the kernel's AVX2 capability ([`Avx2Exec1d`] and
-//! friends) and the tile geometry, and reports the resolved [`Engine`]
-//! so the bench harness can record which steady state the parallel
-//! series actually measured. Degenerate geometries — no full band, or
-//! tiles too narrow to host a vector steady state — resolve portable,
-//! because every engine would run the identical scalar schedule there.
+//! sequential engines: the workspace takes a [`Select`], resolves it
+//! **once** against the kernel's AVX2 capability
+//! ([`KernelSpace::has_avx2_tile`]) and the tile geometry, and reports
+//! the resolved [`Engine`] so the bench harness can record which steady
+//! state the parallel series actually measured. Degenerate geometries —
+//! no full band, or tiles too narrow to host a vector steady state —
+//! resolve portable, because every engine would run the identical scalar
+//! schedule there.
 //!
 //! # Correctness (contamination argument)
 //!
-//! Each tile copies its block plus `height + 1` extra columns per side into a
+//! Each tile copies its block plus `height + 1` extra slabs per side into a
 //! private buffer and advances the buffer `height` levels treating the buffer
 //! ends as Dirichlet cells. The values near the buffer edge are wrong
 //! (they use the fake boundary), but a radius-1 stencil propagates the
-//! error at most one column per level, so after `height` levels the
-//! invalid region is exactly the `height` outermost columns per side — strictly
+//! error at most one slab per level, so after `height` levels the
+//! invalid region is exactly the `height` outermost slabs per side — strictly
 //! inside the ghost. The written-back interior is bit-identical to the
 //! sequential result.
 //!
@@ -57,17 +58,14 @@
 //!
 //! Both phases run under [`Pool::for_each_owned`] **static ownership**:
 //! tile `t` is advanced by the same worker in every band of every
-//! `advance` call, and the workspaces' `fault_in` methods first-touch
-//! each tile's arena through the pool with the *same* owner map, so on
-//! NUMA machines a tile's pages live on the node of the worker that
-//! computes it.
+//! `advance` call, and [`GhostJacobi::fault_in`] first-touches each
+//! tile's buffer through the pool with the *same* owner map, so on NUMA
+//! machines a tile's pages live on the node of the worker that computes
+//! it.
 
-use tempora_core::engine::{Avx2Exec1d, Avx2Exec2d, Avx2Exec3d, Engine, Select};
-use tempora_core::kernels::{Kernel2d, Kernel3d, Nbhd, Nbhd3};
-use tempora_core::{t1d, t2d, t3d};
-use tempora_grid::{Boundary, Grid1, Grid2, Grid3};
+use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
+use tempora_grid::{Boundary, SlabGrid};
 use tempora_parallel::{Pool, SyncSlice};
-use tempora_simd::{Pack, Scalar};
 
 /// Which in-tile kernel advances a ghost buffer by `VL` levels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,134 +107,108 @@ pub fn tile_extent(t: usize, n: usize, block: usize, ghost: usize) -> TileExtent
     }
 }
 
-/// Resolve the in-tile engine for a temporal ghost run: the kernel must
-/// have an AVX2 tile at this stride, at least one full band must run, and
-/// **every** tile buffer must be wide enough to host the vector steady
-/// state (`nb ≥ VL·s`) — otherwise some tile would silently run the
-/// scalar fallback schedule and the reported engine would misname the
-/// instruction mix.
-fn resolve_ghost<const VL: usize>(
-    sel: Select,
-    has_kernel_avx2: bool,
-    n: usize,
-    block: usize,
-    ghost: usize,
-    bands: usize,
-    s: usize,
-) -> Engine {
-    let ntiles = n.div_ceil(block);
-    let vectorizable = bands > 0
-        && (0..ntiles).all(|t| {
-            let e = tile_extent(t, n, block, ghost);
-            // Buffer interior nb = hi - lo - 1, tested against the
-            // engines' own vector-path minimum so this check can never
-            // drift from the in-tile fallback condition.
-            e.hi - e.lo > t1d::min_vector_n::<VL>(s)
-        });
-    sel.resolve(has_kernel_avx2 && vectorizable)
+/// Per-tile in-tile state, allocated once per workspace so the band loop
+/// runs allocation-free.
+enum TileState<K: KernelSpace> {
+    /// Old-slab buffers of the scalar in-place step.
+    Scalar(K::StepBufs),
+    /// Multi-load ping-pong buffer.
+    Auto(K::Grid),
+    /// Temporal scratch (portable or AVX2 steady state, per the resolved
+    /// engine — both run at `K::VL` lanes and share it).
+    Temporal(K::Scratch),
 }
 
-/// One multi-load (spatially vectorized) Jacobi step on a 1-D buffer:
-/// `dst[1..=n]` from `src`, halos untouched. Bit-identical to the
-/// `multiload` baseline; exposed so sequential multi-load execution can
-/// ping-pong caller-owned buffers without per-step allocation.
-pub fn auto_step_1d<K: Avx2Exec1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
-    const N: usize = 4;
-    let mut x = 1;
-    while x + N <= n + 1 {
-        let l = Pack::<f64, N>::load(src, x - 1);
-        let m = Pack::<f64, N>::load(src, x);
-        let r = Pack::<f64, N>::load(src, x + 1);
-        kern.pack(l, m, r).store(dst, x);
-        x += N;
-    }
-    for x in x..=n {
-        dst[x] = kern.scalar(0.0, src[x - 1], src[x], src[x + 1]);
+impl<K: KernelSpace> TileState<K> {
+    fn new(mode: Mode, buf: &K::Grid) -> Self {
+        match mode {
+            Mode::Scalar => TileState::Scalar(K::step_bufs(buf.dims())),
+            Mode::Auto => TileState::Auto(buf.clone()),
+            Mode::Temporal(s) => TileState::Temporal(K::scratch(buf.dims(), s)),
+        }
     }
 }
 
-// ---------------------------------------------------------------------
-// 1-D workspace
-// ---------------------------------------------------------------------
-
-/// Reusable ghost-zone workspace for 1-D Jacobi band tiling: geometry and
-/// in-tile engine resolved once in [`GhostJacobi1d::new`], tile arena and
-/// temporal scratch allocated once, then reused by every
-/// [`GhostJacobi1d::advance`] call — the band loop is allocation-free.
-pub struct GhostJacobi1d<K: Avx2Exec1d> {
+/// Reusable ghost-zone workspace for Jacobi band tiling along the outer
+/// dimension, for any kernel and dimensionality: geometry and in-tile
+/// engine resolved once in [`GhostJacobi::new`], per-tile buffer grids
+/// and in-tile state allocated once, then reused by every
+/// [`GhostJacobi::advance`] call — the band loop is allocation-free.
+pub struct GhostJacobi<K: KernelSpace> {
     kern: K,
     steps: usize,
     block: usize,
     height: usize,
-    mode: Mode,
     engine: Option<Engine>,
-    n: usize,
-    ntiles: usize,
-    buf_len: usize,
-    bands: usize,
-    arena: Vec<f64>,
-    scratch: Vec<t1d::Scratch1d<4>>,
+    dims: [usize; 3],
+    /// `bufs[t]`: tile `t`'s block plus `height + 1` ghost slabs per side.
+    bufs: Vec<K::Grid>,
+    states: Vec<TileState<K>>,
+    mode: Mode,
+    rem: K::StepBufs,
 }
 
-impl<K: Avx2Exec1d> GhostJacobi1d<K> {
-    /// Build a workspace for interior size `n`: bands of `height` time
-    /// levels, blocks of `block` interior cells. For [`Mode::Temporal`],
-    /// `sel` picks the in-tile steady state (resolved here, once).
+impl<K: KernelSpace> GhostJacobi<K> {
+    /// Build a workspace for interior extents `dims` (outer first) with
+    /// boundary `bc`: bands of `height` time levels, blocks of `block`
+    /// outer slabs. For [`Mode::Temporal`], `sel` picks the in-tile
+    /// steady state (resolved here, once).
     ///
     /// # Panics
     /// Panics when `block == 0` or `height` is not a positive multiple of
-    /// the vector length 4 (`tempora_plan` validates these ahead of time
-    /// and returns a `PlanError` instead).
+    /// the kernel's vector length (`tempora_plan` validates these ahead of
+    /// time and returns a `PlanError` instead).
+    // Justification: the parameter list is the ghost-tile contract (kernel, shape, time extent, tile geometry, in-tile scheme); a params struct would obscure it.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         kern: K,
-        n: usize,
+        dims: [usize; 3],
+        bc: Boundary<Elem<K>>,
         steps: usize,
         block: usize,
         height: usize,
         mode: Mode,
         sel: Select,
     ) -> Self {
-        const VL: usize = 4;
         assert!(block >= 1);
         assert!(
-            height >= VL && height % VL == 0,
-            "height must be a multiple of {VL}"
+            height >= K::VL && height % K::VL == 0,
+            "height must be a multiple of {}",
+            K::VL
         );
-        let ntiles = n.div_ceil(block);
+        let n = dims[0];
         let ghost = height + 1;
-        let buf_len = block + 2 * ghost + 2;
         let bands = steps / height;
+        let extents = (0..n.div_ceil(block)).map(|t| tile_extent(t, n, block, ghost));
+        // Resolve the in-tile engine: the kernel must have an AVX2 tile at
+        // this stride, at least one full band must run, and **every**
+        // tile buffer must be wide enough to host the vector steady state
+        // (interior `hi - lo - 1 ≥ VL·s`, the engines' own vector-path
+        // minimum) — otherwise some tile would silently run the scalar
+        // fallback schedule and the reported engine would misname the
+        // instruction mix.
         let engine = match mode {
-            Mode::Temporal(s) => Some(resolve_ghost::<VL>(
-                sel,
-                K::avx2_tile(s),
-                n,
-                block,
-                ghost,
-                bands,
-                s,
+            Mode::Temporal(s) => Some(sel.resolve(
+                K::has_avx2_tile(s)
+                    && bands > 0
+                    && extents.clone().all(|e| e.hi - e.lo > K::VL * s),
             )),
             _ => None,
         };
-        // Per-tile temporal scratch (one arena slot per tile; the steady
-        // state runs allocation-free).
-        let scratch: Vec<t1d::Scratch1d<VL>> = match mode {
-            Mode::Temporal(s) => (0..ntiles).map(|_| t1d::Scratch1d::new(s)).collect(),
-            _ => Vec::new(),
-        };
-        GhostJacobi1d {
+        let bufs: Vec<K::Grid> = extents
+            .map(|e| K::Grid::with_dims([e.hi - e.lo - 1, dims[1], dims[2]], bc))
+            .collect();
+        GhostJacobi {
             kern,
             steps,
             block,
             height,
-            mode,
             engine,
-            n,
-            ntiles,
-            buf_len,
-            bands,
-            arena: vec![0.0f64; ntiles * buf_len * 2],
-            scratch,
+            dims,
+            states: bufs.iter().map(|b| TileState::new(mode, b)).collect(),
+            bufs,
+            mode,
+            rem: K::step_bufs(dims),
         }
     }
 
@@ -248,33 +220,29 @@ impl<K: Avx2Exec1d> GhostJacobi1d<K> {
 
     /// Number of tiles per band.
     pub fn tiles(&self) -> usize {
-        self.ntiles
+        self.bufs.len()
     }
 
-    /// First-touch the workspace arenas through `pool`: tile `t`'s
-    /// buffer pages are faulted in (and its temporal scratch
-    /// re-allocated) by the worker that [`GhostJacobi1d::advance`] will
-    /// later run tile `t` on — the owned schedule's `tiles()`-sized
-    /// owner map is identical in both calls. Purely a placement
-    /// optimization; results are unchanged whether or not it runs.
+    /// First-touch the workspace through `pool`: tile `t`'s buffer pages
+    /// are faulted in (and its in-tile state re-allocated) by the worker
+    /// that [`GhostJacobi::advance`] will later run tile `t` on — the
+    /// owned schedule's `tiles()`-sized owner map is identical in both
+    /// calls. Purely a placement optimization; results are unchanged
+    /// whether or not it runs.
     pub fn fault_in(&mut self, pool: &Pool) {
         tempora_failpoint::failpoint!("fault_in");
-        let buf_len = self.buf_len;
         let mode = self.mode;
-        let arena_shared = SyncSlice::new(&mut self.arena);
-        let scratch_shared = SyncSlice::new(&mut self.scratch);
-        pool.for_each_owned(self.ntiles, |t| {
-            // SAFETY: tile t touches only its own arena chunk and
-            // scratch slot (the same ownership advance relies on).
-            let chunk =
-                unsafe { &mut arena_shared.slice_mut()[t * buf_len * 2..(t + 1) * buf_len * 2] };
-            crate::touch_pages(chunk);
-            if let Mode::Temporal(s) = mode {
-                // SAFETY: tile t writes only its own scratch slot `[t]`;
-                // slots are disjoint across tiles.
-                let sc = unsafe { &mut scratch_shared.slice_mut()[t] };
-                *sc = t1d::Scratch1d::new(s);
-            }
+        let bufs_shared = SyncSlice::new(&mut self.bufs);
+        let states_shared = SyncSlice::new(&mut self.states);
+        pool.for_each_owned(bufs_shared.len(), |t| {
+            // SAFETY: tile t touches only its own buffer grid `bufs[t]`
+            // (the same ownership advance relies on).
+            let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
+            crate::touch_pages(buf.data_mut());
+            // SAFETY: tile t writes only its own state slot `states[t]`;
+            // slots are disjoint across tiles.
+            let st = unsafe { &mut states_shared.slice_mut()[t] };
+            *st = TileState::new(mode, buf);
         });
     }
 
@@ -285,699 +253,52 @@ impl<K: Avx2Exec1d> GhostJacobi1d<K> {
     ///
     /// # Panics
     /// Panics if `g` does not match the workspace geometry.
-    pub fn advance(&mut self, g: &mut Grid1<f64>, pool: &Pool) {
-        const VL: usize = 4;
+    pub fn advance(&mut self, g: &mut K::Grid, pool: &Pool) {
         assert_eq!(g.halo(), 1);
-        assert_eq!(g.n(), self.n, "grid does not match workspace geometry");
+        assert_eq!(
+            g.dims(),
+            self.dims,
+            "grid does not match workspace geometry"
+        );
         let Self {
             kern,
-            steps,
-            block,
-            height,
-            mode,
-            engine,
-            n,
-            ntiles,
-            buf_len,
-            bands,
-            arena,
-            scratch,
+            bufs,
+            states,
+            rem,
+            ..
         } = self;
-        let (n, block, height, buf_len) = (*n, *block, *height, *buf_len);
+        let (n, block, height) = (self.dims[0], self.block, self.height);
+        let s = match self.mode {
+            Mode::Temporal(s) => s,
+            _ => 0,
+        };
         let ghost = height + 1;
-        let mode = *mode;
-        let engine = *engine;
+        let ntiles = bufs.len();
+        let avx2 = self.engine == Some(Engine::Avx2);
+        // Elements per outer slab — identical in `g` and in every buffer,
+        // which share the inner extents.
+        let slab = g.slab();
 
-        for _ in 0..*bands {
-            let data = g.data_mut();
-            let shared = SyncSlice::new(data);
-            let arena_shared = SyncSlice::new(arena);
-            let scratch_shared = SyncSlice::new(scratch);
+        for _ in 0..self.steps / height {
+            let shared = SyncSlice::new(g.data_mut());
+            let bufs_shared = SyncSlice::new(bufs);
+            let states_shared = SyncSlice::new(states);
             // Phase A: copy-in (shared array is read-only here). Owned
             // scheduling: tile t always runs on the worker that
             // fault_in placed its pages on.
-            pool.for_each_owned(*ntiles, |t| {
-                // SAFETY: the global array is only read during this phase,
-                // so overlapping views across tiles never alias a write.
+            pool.for_each_owned(ntiles, |t| {
+                // SAFETY: phase A — the global array is only read, so
+                // overlapping views across tiles never alias a write.
                 let global = unsafe { shared.slice_mut() };
-                // SAFETY: tile t writes only its own arena chunk; chunks
-                // are disjoint across tiles.
-                let chunk = unsafe {
-                    &mut arena_shared.slice_mut()[t * buf_len * 2..t * buf_len * 2 + buf_len]
-                };
+                // SAFETY: phase A — tile t writes only its own bufs[t].
+                let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
                 let e = tile_extent(t, n, block, ghost);
-                chunk[..e.hi - e.lo + 1].copy_from_slice(&global[e.lo..=e.hi]);
+                let slabs = e.hi - e.lo + 1;
+                buf.data_mut()[..slabs * slab]
+                    .copy_from_slice(&global[e.lo * slab..(e.hi + 1) * slab]);
             });
             // Phase B: advance private buffers, write back disjoint blocks.
-            pool.for_each_owned(*ntiles, |t| {
-                // SAFETY: tile t writes global[a..=b] only — disjoint across
-                // tiles — and reads nothing else from the shared array.
-                let global = unsafe { shared.slice_mut() };
-                // SAFETY: tile t touches only its own arena chunk; chunks
-                // are disjoint across tiles.
-                let chunk = unsafe {
-                    &mut arena_shared.slice_mut()[t * buf_len * 2..(t + 1) * buf_len * 2]
-                };
-                let (buf, tmp) = chunk.split_at_mut(buf_len);
-                let e = tile_extent(t, n, block, ghost);
-                let nb = e.hi - e.lo - 1;
-                match mode {
-                    Mode::Scalar => {
-                        for _ in 0..height {
-                            t1d::scalar_step_inplace(buf, nb, kern);
-                        }
-                    }
-                    Mode::Auto => {
-                        tmp[..nb + 2].copy_from_slice(&buf[..nb + 2]);
-                        for step in 0..height {
-                            if step % 2 == 0 {
-                                auto_step_1d(buf, tmp, nb, kern);
-                            } else {
-                                auto_step_1d(tmp, buf, nb, kern);
-                            }
-                        }
-                        if height % 2 == 1 {
-                            buf[..nb + 2].copy_from_slice(&tmp[..nb + 2]);
-                        }
-                    }
-                    Mode::Temporal(s) => {
-                        // SAFETY: tile t writes only its own scratch slot
-                        // `[t]`; slots are disjoint across tiles.
-                        let sc = unsafe { &mut scratch_shared.slice_mut()[t] };
-                        match engine {
-                            Some(Engine::Avx2) => {
-                                for _ in 0..height / VL {
-                                    kern.tile_avx2(buf, nb, s, sc);
-                                }
-                            }
-                            _ => {
-                                for _ in 0..height / VL {
-                                    t1d::tile::<VL, false, K>(buf, nb, kern, s, sc);
-                                }
-                            }
-                        }
-                    }
-                }
-                let off = e.a - e.lo;
-                global[e.a..=e.b].copy_from_slice(&buf[off..off + (e.b - e.a + 1)]);
-            });
-        }
-        let a = g.data_mut();
-        for _ in 0..*steps % height {
-            t1d::scalar_step_inplace(a, n, kern);
-        }
-    }
-}
-
-/// Run `steps` Jacobi time steps over the grid with ghost-zone band
-/// tiling (one-shot wrapper over [`GhostJacobi1d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `ghost::GhostJacobi1d` workspace) instead"
-)]
-// Justification: the parameter list is the ghost-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_jacobi_1d<K: Avx2Exec1d + Copy>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid1<f64>, Option<Engine>) {
-    let mut w = GhostJacobi1d::new(*kern, grid.n(), steps, block, height, mode, sel);
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
-}
-
-/// One multi-load Jacobi step on a 2-D buffer grid (vectorized along `y`).
-/// Bit-identical to the `multiload` baseline; exposed for caller-owned
-/// ping-pong execution.
-pub fn auto_step_2d<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, kern: &K) {
-    const N: usize = 4;
-    let (nx, ny, p) = (src.nx(), src.ny(), src.pitch());
-    let a = src.data();
-    let b = dst.data_mut();
-    let zero = Pack::<T, N>::splat(T::ZERO);
-    for x in 1..=nx {
-        let r = x * p;
-        let rows = [r - p, r, r + p];
-        let mut y = 1;
-        while y + N <= ny + 1 {
-            let at = |row: usize, d: usize| Pack::<T, N>::load(a, rows[row] + y + d - 1);
-            let v = if K::IS_BOX {
-                [
-                    [at(0, 0), at(0, 1), at(0, 2)],
-                    [at(1, 0), at(1, 1), at(1, 2)],
-                    [at(2, 0), at(2, 1), at(2, 2)],
-                ]
-            } else {
-                [
-                    [zero, at(0, 1), zero],
-                    [at(1, 0), at(1, 1), at(1, 2)],
-                    [zero, at(2, 1), zero],
-                ]
-            };
-            kern.pack(Nbhd {
-                v,
-                new_n: zero,
-                new_w: zero,
-            })
-            .store(b, r + y);
-            y += N;
-        }
-        for y in y..=ny {
-            let v = [
-                [a[rows[0] + y - 1], a[rows[0] + y], a[rows[0] + y + 1]],
-                [a[rows[1] + y - 1], a[rows[1] + y], a[rows[1] + y + 1]],
-                [a[rows[2] + y - 1], a[rows[2] + y], a[rows[2] + y + 1]],
-            ];
-            b[r + y] = kern.scalar(Nbhd {
-                v,
-                new_n: T::ZERO,
-                new_w: T::ZERO,
-            });
-        }
-    }
-}
-
-/// Per-tile worker state for [`GhostJacobi2d`], allocated once per
-/// workspace so the band loop runs allocation-free. The portable and
-/// AVX2 steady states share one temporal scratch: every hand-scheduled
-/// 2-D tile runs at the workspace's own lane count (4 f64 lanes, 8 i32
-/// lanes for Life), which `Avx2Exec2d::avx2_tile` guarantees before the
-/// engine can resolve to AVX2.
-enum TileState2<T: Scalar, const VL: usize> {
-    /// Scalar in-place row buffers.
-    Rows(Vec<T>, Vec<T>),
-    /// Multi-load ping-pong buffer.
-    Tmp(Grid2<T>),
-    /// Temporal scratch (portable or AVX2 steady state, per the resolved
-    /// engine).
-    Temporal(t2d::Scratch2d<T, VL>),
-}
-
-/// Reusable ghost-zone workspace for 2-D Jacobi band tiling along the
-/// outer dimension (`VL` = 4 for `f64` kernels, 8 for the integer Life
-/// kernel). See [`GhostJacobi1d`] for the lifecycle and engine contract.
-pub struct GhostJacobi2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> {
-    kern: K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    engine: Option<Engine>,
-    nx: usize,
-    ny: usize,
-    ntiles: usize,
-    bands: usize,
-    bufs: Vec<Grid2<T>>,
-    states: Vec<TileState2<T, VL>>,
-    rem_rows: (Vec<T>, Vec<T>),
-}
-
-impl<T: Scalar, const VL: usize, K: Avx2Exec2d<T>> GhostJacobi2d<T, VL, K> {
-    /// Build a workspace for an `nx × ny` interior with boundary `bc`.
-    /// See [`GhostJacobi1d::new`] for the panics contract.
-    // Justification: constructor takes the full tile geometry; see the run_* wrapper rationale.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        kern: K,
-        nx: usize,
-        ny: usize,
-        bc: Boundary<T>,
-        steps: usize,
-        block: usize,
-        height: usize,
-        mode: Mode,
-        sel: Select,
-    ) -> Self {
-        assert!(block >= 1);
-        assert!(
-            height >= VL && height % VL == 0,
-            "height must be a multiple of VL"
-        );
-        let ntiles = nx.div_ceil(block);
-        let ghost = height + 1;
-        let bands = steps / height;
-        let engine = match mode {
-            Mode::Temporal(s) => Some(resolve_ghost::<VL>(
-                sel,
-                K::avx2_tile(VL, s),
-                nx,
-                block,
-                ghost,
-                bands,
-                s,
-            )),
-            _ => None,
-        };
-        // Persistent per-tile buffer grids (sized per tile).
-        let bufs: Vec<Grid2<T>> = (0..ntiles)
-            .map(|t| {
-                let e = tile_extent(t, nx, block, ghost);
-                Grid2::new(e.hi - e.lo - 1, ny, 1, bc)
-            })
-            .collect();
-        let states: Vec<TileState2<T, VL>> = (0..ntiles)
-            .map(|t| match mode {
-                Mode::Scalar => TileState2::Rows(vec![T::ZERO; ny + 2], vec![T::ZERO; ny + 2]),
-                Mode::Auto => TileState2::Tmp(bufs[t].clone()),
-                Mode::Temporal(s) => TileState2::Temporal(t2d::Scratch2d::new(s, ny)),
-            })
-            .collect();
-        GhostJacobi2d {
-            kern,
-            steps,
-            block,
-            height,
-            mode,
-            engine,
-            nx,
-            ny,
-            ntiles,
-            bands,
-            bufs,
-            states,
-            rem_rows: (vec![T::ZERO; ny + 2], vec![T::ZERO; ny + 2]),
-        }
-    }
-
-    /// The in-tile engine this workspace resolved to.
-    pub fn engine(&self) -> Option<Engine> {
-        self.engine
-    }
-
-    /// Number of tiles per band.
-    pub fn tiles(&self) -> usize {
-        self.ntiles
-    }
-
-    /// First-touch the per-tile buffer grids (and re-allocate the
-    /// per-tile state) through `pool`, on the same owner map
-    /// [`GhostJacobi2d::advance`] uses. See [`GhostJacobi1d::fault_in`].
-    pub fn fault_in(&mut self, pool: &Pool) {
-        tempora_failpoint::failpoint!("fault_in");
-        let mode = self.mode;
-        let ny = self.ny;
-        let bufs_shared = SyncSlice::new(&mut self.bufs);
-        let states_shared = SyncSlice::new(&mut self.states);
-        pool.for_each_owned(self.ntiles, |t| {
-            // SAFETY: tile t touches only its own buffer grid `bufs[t]`
-            // (the same ownership advance relies on).
-            let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
-            crate::touch_pages(buf.data_mut());
-            // SAFETY: tile t writes only its own state slot `states[t]`;
-            // slots are disjoint across tiles.
-            let st = unsafe { &mut states_shared.slice_mut()[t] };
-            *st = match mode {
-                Mode::Scalar => TileState2::Rows(vec![T::ZERO; ny + 2], vec![T::ZERO; ny + 2]),
-                Mode::Auto => TileState2::Tmp(buf.clone()),
-                Mode::Temporal(s) => TileState2::Temporal(t2d::Scratch2d::new(s, ny)),
-            };
-        });
-    }
-
-    /// Advance `g` by the workspace's `steps` time levels in place. See
-    /// [`GhostJacobi1d::advance`].
-    pub fn advance(&mut self, g: &mut Grid2<T>, pool: &Pool) {
-        assert_eq!(g.halo(), 1);
-        assert_eq!(
-            (g.nx(), g.ny()),
-            (self.nx, self.ny),
-            "grid does not match workspace geometry"
-        );
-        let Self {
-            kern,
-            steps,
-            block,
-            height,
-            mode,
-            engine,
-            ntiles,
-            bands,
-            bufs,
-            states,
-            rem_rows,
-            nx,
-            ..
-        } = self;
-        let (nx, block, height) = (*nx, *block, *height);
-        let ghost = height + 1;
-        let p = g.pitch();
-        let mode = *mode;
-        let engine = *engine;
-
-        for _ in 0..*bands {
-            let data = g.data_mut();
-            let shared = SyncSlice::new(data);
-            let bufs_shared = SyncSlice::new(bufs);
-            let states_shared = SyncSlice::new(states);
-            pool.for_each_owned(*ntiles, |t| {
-                // SAFETY: phase A — the global array is only read, so
-                // overlapping views across tiles never alias a write.
-                let global = unsafe { shared.slice_mut() };
-                // SAFETY: phase A — tile t writes only its own bufs[t].
-                let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
-                let e = tile_extent(t, nx, block, ghost);
-                let rows = e.hi - e.lo + 1;
-                buf.data_mut()[..rows * p].copy_from_slice(&global[e.lo * p..(e.hi + 1) * p]);
-            });
-            pool.for_each_owned(*ntiles, |t| {
-                // SAFETY: phase B — tile t's global writes are its own
-                // disjoint row block [a, b]; no shared reads.
-                let global = unsafe { shared.slice_mut() };
-                // SAFETY: phase B — bufs[t] is tile t's own slot.
-                let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
-                // SAFETY: phase B — states[t] is tile t's own slot.
-                let st = unsafe { &mut states_shared.slice_mut()[t] };
-                let e = tile_extent(t, nx, block, ghost);
-                match st {
-                    TileState2::Rows(ra, rb) => {
-                        for _ in 0..height {
-                            t2d::scalar_step_inplace(buf, kern, ra, rb);
-                        }
-                    }
-                    TileState2::Tmp(tmp) => {
-                        // Refresh the ping-pong buffer (including halo rows,
-                        // which the copy-in phase rewrote in `buf`).
-                        tmp.data_mut().copy_from_slice(buf.data());
-                        for step in 0..height {
-                            if step % 2 == 0 {
-                                auto_step_2d(buf, tmp, kern);
-                            } else {
-                                auto_step_2d(tmp, buf, kern);
-                            }
-                        }
-                        if height % 2 == 1 {
-                            core::mem::swap(buf, tmp);
-                        }
-                    }
-                    TileState2::Temporal(sc) => {
-                        let Mode::Temporal(s) = mode else {
-                            unreachable!()
-                        };
-                        match engine {
-                            Some(Engine::Avx2) => {
-                                for _ in 0..height / VL {
-                                    kern.tile_avx2(buf, s, sc);
-                                }
-                            }
-                            _ => {
-                                for _ in 0..height / VL {
-                                    t2d::tile::<T, VL, K>(buf, kern, s, sc);
-                                }
-                            }
-                        }
-                    }
-                }
-                let off = e.a - e.lo;
-                let src = buf.data();
-                global[e.a * p..(e.b + 1) * p]
-                    .copy_from_slice(&src[off * p..(off + e.b - e.a + 1) * p]);
-            });
-        }
-        let rem = *steps % height;
-        if rem > 0 {
-            let (ra, rb) = rem_rows;
-            for _ in 0..rem {
-                t2d::scalar_step_inplace(g, kern, ra, rb);
-            }
-        }
-    }
-}
-
-/// Run `steps` Jacobi time steps over a 2-D grid with ghost-zone band
-/// tiling (one-shot wrapper over [`GhostJacobi2d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `ghost::GhostJacobi2d` workspace) instead"
-)]
-// Justification: the parameter list is the ghost-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_jacobi_2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Copy>(
-    grid: &Grid2<T>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid2<T>, Option<Engine>) {
-    let mut w = GhostJacobi2d::<T, VL, K>::new(
-        *kern,
-        grid.nx(),
-        grid.ny(),
-        grid.boundary(),
-        steps,
-        block,
-        height,
-        mode,
-        sel,
-    );
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
-}
-
-/// One multi-load Jacobi step on a 3-D buffer grid (vectorized along `z`).
-/// Bit-identical to the `multiload` baseline; exposed for caller-owned
-/// ping-pong execution.
-pub fn auto_step_3d<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
-    const N: usize = 4;
-    let (nx, ny, nz) = (src.nx(), src.ny(), src.nz());
-    let (p, pl) = (src.pitch(), src.plane());
-    let a = src.data();
-    let b = dst.data_mut();
-    let zero = Pack::<f64, N>::splat(0.0);
-    for x in 1..=nx {
-        for y in 1..=ny {
-            let r = x * pl + y * p;
-            let mut z = 1;
-            while z + N <= nz + 1 {
-                let nb = Nbhd3 {
-                    xm: Pack::<f64, N>::load(a, r - pl + z),
-                    ym: Pack::<f64, N>::load(a, r - p + z),
-                    zm: Pack::<f64, N>::load(a, r + z - 1),
-                    m: Pack::<f64, N>::load(a, r + z),
-                    zp: Pack::<f64, N>::load(a, r + z + 1),
-                    yp: Pack::<f64, N>::load(a, r + p + z),
-                    xp: Pack::<f64, N>::load(a, r + pl + z),
-                    new_xm: zero,
-                    new_ym: zero,
-                    new_zm: zero,
-                };
-                kern.pack(nb).store(b, r + z);
-                z += N;
-            }
-            for z in z..=nz {
-                let nb = Nbhd3 {
-                    xm: a[r - pl + z],
-                    ym: a[r - p + z],
-                    zm: a[r + z - 1],
-                    m: a[r + z],
-                    zp: a[r + z + 1],
-                    yp: a[r + p + z],
-                    xp: a[r + pl + z],
-                    new_xm: 0.0,
-                    new_ym: 0.0,
-                    new_zm: 0.0,
-                };
-                b[r + z] = kern.scalar(nb);
-            }
-        }
-    }
-}
-
-/// Per-tile worker state for [`GhostJacobi3d`], allocated once per
-/// workspace.
-enum TileState3 {
-    /// Scalar in-place plane buffers.
-    Planes(Vec<f64>, Vec<f64>),
-    /// Multi-load ping-pong buffer.
-    Tmp(Grid3<f64>),
-    /// Temporal scratch (shared by the portable and AVX2 steady states —
-    /// both run at `VL = 4` in 3-D).
-    Temporal(t3d::Scratch3d<f64, 4>),
-}
-
-/// Reusable ghost-zone workspace for 3-D Jacobi band tiling along the
-/// outer dimension. See [`GhostJacobi1d`] for the lifecycle and engine
-/// contract.
-pub struct GhostJacobi3d<K: Avx2Exec3d> {
-    kern: K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    engine: Option<Engine>,
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    ntiles: usize,
-    bands: usize,
-    bufs: Vec<Grid3<f64>>,
-    states: Vec<TileState3>,
-    rem_planes: (Vec<f64>, Vec<f64>),
-}
-
-impl<K: Avx2Exec3d> GhostJacobi3d<K> {
-    /// Build a workspace for an `nx × ny × nz` interior with boundary
-    /// `bc`. See [`GhostJacobi1d::new`] for the panics contract.
-    // Justification: constructor takes the full tile geometry; see the run_* wrapper rationale.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        kern: K,
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        bc: Boundary<f64>,
-        steps: usize,
-        block: usize,
-        height: usize,
-        mode: Mode,
-        sel: Select,
-    ) -> Self {
-        const VL: usize = 4;
-        assert!(block >= 1);
-        assert!(
-            height >= VL && height % VL == 0,
-            "height must be a multiple of {VL}"
-        );
-        let ntiles = nx.div_ceil(block);
-        let ghost = height + 1;
-        let bands = steps / height;
-        let engine = match mode {
-            Mode::Temporal(s) => Some(resolve_ghost::<VL>(
-                sel,
-                K::avx2_tile(s),
-                nx,
-                block,
-                ghost,
-                bands,
-                s,
-            )),
-            _ => None,
-        };
-        let bufs: Vec<Grid3<f64>> = (0..ntiles)
-            .map(|t| {
-                let e = tile_extent(t, nx, block, ghost);
-                Grid3::new(e.hi - e.lo - 1, ny, nz, 1, bc)
-            })
-            .collect();
-        let wp = (ny + 2) * (nz + 2);
-        let states: Vec<TileState3> = (0..ntiles)
-            .map(|t| match mode {
-                Mode::Scalar => TileState3::Planes(vec![0.0; wp], vec![0.0; wp]),
-                Mode::Auto => TileState3::Tmp(bufs[t].clone()),
-                Mode::Temporal(s) => TileState3::Temporal(t3d::Scratch3d::new(s, ny, nz)),
-            })
-            .collect();
-        GhostJacobi3d {
-            kern,
-            steps,
-            block,
-            height,
-            mode,
-            engine,
-            nx,
-            ny,
-            nz,
-            ntiles,
-            bands,
-            bufs,
-            states,
-            rem_planes: (vec![0.0; wp], vec![0.0; wp]),
-        }
-    }
-
-    /// The in-tile engine this workspace resolved to.
-    pub fn engine(&self) -> Option<Engine> {
-        self.engine
-    }
-
-    /// Number of tiles per band.
-    pub fn tiles(&self) -> usize {
-        self.ntiles
-    }
-
-    /// First-touch the per-tile buffer grids (and re-allocate the
-    /// per-tile state) through `pool`, on the same owner map
-    /// [`GhostJacobi3d::advance`] uses. See [`GhostJacobi1d::fault_in`].
-    pub fn fault_in(&mut self, pool: &Pool) {
-        tempora_failpoint::failpoint!("fault_in");
-        let mode = self.mode;
-        let wp = (self.ny + 2) * (self.nz + 2);
-        let (ny, nz) = (self.ny, self.nz);
-        let bufs_shared = SyncSlice::new(&mut self.bufs);
-        let states_shared = SyncSlice::new(&mut self.states);
-        pool.for_each_owned(self.ntiles, |t| {
-            // SAFETY: tile t touches only its own buffer grid `bufs[t]`
-            // (the same ownership advance relies on).
-            let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
-            crate::touch_pages(buf.data_mut());
-            // SAFETY: tile t writes only its own state slot `states[t]`;
-            // slots are disjoint across tiles.
-            let st = unsafe { &mut states_shared.slice_mut()[t] };
-            *st = match mode {
-                Mode::Scalar => TileState3::Planes(vec![0.0; wp], vec![0.0; wp]),
-                Mode::Auto => TileState3::Tmp(buf.clone()),
-                Mode::Temporal(s) => TileState3::Temporal(t3d::Scratch3d::new(s, ny, nz)),
-            };
-        });
-    }
-
-    /// Advance `g` by the workspace's `steps` time levels in place. See
-    /// [`GhostJacobi1d::advance`].
-    pub fn advance(&mut self, g: &mut Grid3<f64>, pool: &Pool) {
-        const VL: usize = 4;
-        assert_eq!(g.halo(), 1);
-        assert_eq!(
-            (g.nx(), g.ny(), g.nz()),
-            (self.nx, self.ny, self.nz),
-            "grid does not match workspace geometry"
-        );
-        let Self {
-            kern,
-            steps,
-            block,
-            height,
-            mode,
-            engine,
-            ntiles,
-            bands,
-            bufs,
-            states,
-            rem_planes,
-            nx,
-            ..
-        } = self;
-        let (nx, block, height) = (*nx, *block, *height);
-        let ghost = height + 1;
-        let pl = g.plane();
-        let mode = *mode;
-        let engine = *engine;
-
-        for _ in 0..*bands {
-            let data = g.data_mut();
-            let shared = SyncSlice::new(data);
-            let bufs_shared = SyncSlice::new(bufs);
-            let states_shared = SyncSlice::new(states);
-            pool.for_each_owned(*ntiles, |t| {
-                // SAFETY: phase A — the global array is only read, so
-                // overlapping views across tiles never alias a write.
-                let global = unsafe { shared.slice_mut() };
-                // SAFETY: phase A — tile t writes only its own bufs[t].
-                let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
-                let e = tile_extent(t, nx, block, ghost);
-                let slabs = e.hi - e.lo + 1;
-                buf.data_mut()[..slabs * pl].copy_from_slice(&global[e.lo * pl..(e.hi + 1) * pl]);
-            });
-            pool.for_each_owned(*ntiles, |t| {
+            pool.for_each_owned(ntiles, |t| {
                 // SAFETY: phase B — tile t's global writes are its own
                 // disjoint slab block [a, b]; no shared reads.
                 let global = unsafe { shared.slice_mut() };
@@ -985,93 +306,43 @@ impl<K: Avx2Exec3d> GhostJacobi3d<K> {
                 let buf = unsafe { &mut bufs_shared.slice_mut()[t] };
                 // SAFETY: phase B — states[t] is tile t's own slot.
                 let st = unsafe { &mut states_shared.slice_mut()[t] };
-                let e = tile_extent(t, nx, block, ghost);
                 match st {
-                    TileState3::Planes(pa, pb) => {
+                    TileState::Scalar(step) => {
                         for _ in 0..height {
-                            t3d::scalar_step_inplace(buf, kern, pa, pb);
+                            kern.scalar_step(buf, step);
                         }
                     }
-                    TileState3::Tmp(tmp) => {
+                    TileState::Auto(tmp) => {
+                        // Refresh the ping-pong buffer (including halo
+                        // slabs, which the copy-in phase rewrote in `buf`).
+                        // `height` is even (a multiple of VL), so the
+                        // last step lands back in `buf`.
                         tmp.data_mut().copy_from_slice(buf.data());
-                        for step in 0..height {
-                            if step % 2 == 0 {
-                                auto_step_3d(buf, tmp, kern);
-                            } else {
-                                auto_step_3d(tmp, buf, kern);
-                            }
-                        }
-                        if height % 2 == 1 {
-                            core::mem::swap(buf, tmp);
+                        for _ in 0..height / 2 {
+                            kern.multiload_step(buf, tmp);
+                            kern.multiload_step(tmp, buf);
                         }
                     }
-                    TileState3::Temporal(sc) => {
-                        let Mode::Temporal(s) = mode else {
-                            unreachable!()
-                        };
-                        match engine {
-                            Some(Engine::Avx2) => {
-                                for _ in 0..height / VL {
-                                    kern.tile_avx2(buf, s, sc);
-                                }
-                            }
-                            _ => {
-                                for _ in 0..height / VL {
-                                    t3d::tile::<f64, VL, K>(buf, kern, s, sc);
-                                }
+                    TileState::Temporal(sc) => {
+                        for _ in 0..height / K::VL {
+                            if avx2 {
+                                kern.tile_avx2(buf, s, sc);
+                            } else {
+                                kern.tile::<false>(buf, s, sc);
                             }
                         }
                     }
                 }
+                let e = tile_extent(t, n, block, ghost);
                 let off = e.a - e.lo;
-                let src = buf.data();
-                global[e.a * pl..(e.b + 1) * pl]
-                    .copy_from_slice(&src[off * pl..(off + e.b - e.a + 1) * pl]);
+                global[e.a * slab..(e.b + 1) * slab]
+                    .copy_from_slice(&buf.data()[off * slab..(off + e.b - e.a + 1) * slab]);
             });
         }
-        let rem = *steps % height;
-        if rem > 0 {
-            let (pa, pb) = rem_planes;
-            for _ in 0..rem {
-                t3d::scalar_step_inplace(g, kern, pa, pb);
-            }
+        for _ in 0..self.steps % height {
+            kern.scalar_step(g, rem);
         }
     }
-}
-
-/// Run `steps` Jacobi time steps over a 3-D grid with ghost-zone band
-/// tiling (one-shot wrapper over [`GhostJacobi3d`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse a `ghost::GhostJacobi3d` workspace) instead"
-)]
-// Justification: the parameter list is the ghost-tile run contract (grid, kernel, steps, tiling, pool); a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_jacobi_3d<K: Avx2Exec3d + Copy>(
-    grid: &Grid3<f64>,
-    kern: &K,
-    steps: usize,
-    block: usize,
-    height: usize,
-    mode: Mode,
-    sel: Select,
-    pool: &Pool,
-) -> (Grid3<f64>, Option<Engine>) {
-    let mut w = GhostJacobi3d::new(
-        *kern,
-        grid.nx(),
-        grid.ny(),
-        grid.nz(),
-        grid.boundary(),
-        steps,
-        block,
-        height,
-        mode,
-        sel,
-    );
-    let mut g = grid.clone();
-    w.advance(&mut g, pool);
-    (g, w.engine())
 }
 
 #[cfg(test)]
@@ -1079,55 +350,19 @@ mod tests {
     use super::*;
     use tempora_core::kernels::{BoxKern2d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d};
     use tempora_grid::{
-        fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, Boundary,
+        fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, Grid1, Grid2, Grid3,
     };
     use tempora_stencil::reference;
     use tempora_stencil::{Box2dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule};
 
-    /// Workspace-based equivalents of the deprecated one-shot wrappers,
-    /// used below so the test suite exercises the current API.
-    // Justification: test helper mirrors the run contract signature.
-    #[allow(clippy::too_many_arguments)]
-    fn ghost_1d<K: Avx2Exec1d + Copy>(
-        grid: &Grid1<f64>,
-        kern: &K,
-        steps: usize,
-        block: usize,
-        height: usize,
-        mode: Mode,
-        sel: Select,
+    /// Advance a copy of `g` with workspace `w`; returns it with the
+    /// resolved engine.
+    fn run<K: KernelSpace>(
+        mut w: GhostJacobi<K>,
+        g: &K::Grid,
         pool: &Pool,
-    ) -> (Grid1<f64>, Option<Engine>) {
-        let mut w = GhostJacobi1d::new(*kern, grid.n(), steps, block, height, mode, sel);
-        let mut g = grid.clone();
-        w.advance(&mut g, pool);
-        (g, w.engine())
-    }
-
-    // Justification: test helper mirrors the run contract signature.
-    #[allow(clippy::too_many_arguments)]
-    fn ghost_2d<T: Scalar, const VL: usize, K: Avx2Exec2d<T> + Copy>(
-        grid: &Grid2<T>,
-        kern: &K,
-        steps: usize,
-        block: usize,
-        height: usize,
-        mode: Mode,
-        sel: Select,
-        pool: &Pool,
-    ) -> (Grid2<T>, Option<Engine>) {
-        let mut w = GhostJacobi2d::<T, VL, K>::new(
-            *kern,
-            grid.nx(),
-            grid.ny(),
-            grid.boundary(),
-            steps,
-            block,
-            height,
-            mode,
-            sel,
-        );
-        let mut g = grid.clone();
+    ) -> (K::Grid, Option<Engine>) {
+        let mut g = g.clone();
         w.advance(&mut g, pool);
         (g, w.engine())
     }
@@ -1154,11 +389,14 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let pool = Pool::new(threads);
             for &(n, block, steps) in &[(200usize, 64usize, 8usize), (333, 50, 13), (64, 100, 4)] {
-                let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.5));
+                let bc = Boundary::Dirichlet(0.5);
+                let mut g = Grid1::new(n, 1, bc);
                 fill_random_1d(&mut g, n as u64, -1.0, 1.0);
                 let gold = reference::heat1d(&g, c, steps);
                 for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(7)] {
-                    let (ours, _) = ghost_1d(&g, &kern, steps, block, 4, mode, Select::Auto, &pool);
+                    let w =
+                        GhostJacobi::new(kern, g.dims(), bc, steps, block, 4, mode, Select::Auto);
+                    let (ours, _) = run(w, &g, &pool);
                     assert!(
                         ours.interior_eq(&gold),
                         "threads={threads} n={n} block={block} steps={steps} mode={mode:?} {:?}",
@@ -1172,11 +410,12 @@ mod tests {
     #[test]
     fn ghost_1d_workspace_reuse_is_identical_and_allocation_free() {
         let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
         let pool = Pool::new(2);
-        let mut g0 = Grid1::new(300, 1, Boundary::Dirichlet(0.0));
+        let bc = Boundary::Dirichlet(0.0);
+        let mut g0 = Grid1::new(300, 1, bc);
         fill_random_1d(&mut g0, 17, -1.0, 1.0);
-        let mut w = GhostJacobi1d::new(kern, 300, 8, 64, 4, Mode::Temporal(7), Select::Auto);
+        let mode = Mode::Temporal(7);
+        let mut w = GhostJacobi::new(JacobiKern1d(c), g0.dims(), bc, 8, 64, 4, mode, Select::Auto);
         let mut a = g0.clone();
         w.advance(&mut a, &pool);
         // Second use of the same workspace on a fresh state must agree
@@ -1202,77 +441,64 @@ mod tests {
 
     #[test]
     fn ghost_1d_engine_report_is_honest() {
-        let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
+        let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
         let pool = Pool::new(2);
         // n divisible by block: every tile (runt included) hosts the
         // vector steady state at s = 7.
-        let mut g = Grid1::new(448, 1, Boundary::Dirichlet(0.0));
+        let bc = Boundary::Dirichlet(0.0);
+        let mut g = Grid1::new(448, 1, bc);
         fill_random_1d(&mut g, 3, -1.0, 1.0);
+        let engine = |block, mode, sel| {
+            run(
+                GhostJacobi::new(kern, g.dims(), bc, 8, block, 4, mode, sel),
+                &g,
+                &pool,
+            )
+            .1
+        };
         // Non-temporal modes never dispatch.
-        let (_, e) = ghost_1d(&g, &kern, 8, 64, 4, Mode::Scalar, Select::Auto, &pool);
-        assert_eq!(e, None);
+        assert_eq!(engine(64, Mode::Scalar, Select::Auto), None);
         // Forced portable reports portable.
-        let (_, e) = ghost_1d(
-            &g,
-            &kern,
-            8,
-            64,
-            4,
-            Mode::Temporal(7),
-            Select::Portable,
-            &pool,
+        assert_eq!(
+            engine(64, Mode::Temporal(7), Select::Portable),
+            Some(Engine::Portable)
         );
-        assert_eq!(e, Some(Engine::Portable));
         // A degenerate geometry (block so narrow that every tile falls
         // back to the scalar schedule) must resolve portable even when
         // AVX2 is available.
-        let (_, e) = ghost_1d(&g, &kern, 8, 2, 4, Mode::Temporal(7), Select::Auto, &pool);
-        assert_eq!(e, Some(Engine::Portable));
+        assert_eq!(
+            engine(2, Mode::Temporal(7), Select::Auto),
+            Some(Engine::Portable)
+        );
         // On an AVX2 host, a healthy geometry resolves avx2 under Auto.
         if tempora_simd::arch::avx2_available() {
-            let (_, e) = ghost_1d(&g, &kern, 8, 64, 4, Mode::Temporal(7), Select::Auto, &pool);
-            assert_eq!(e, Some(Engine::Avx2));
+            assert_eq!(
+                engine(64, Mode::Temporal(7), Select::Auto),
+                Some(Engine::Avx2)
+            );
         }
-    }
-
-    #[test]
-    // Justification: pins the deprecated one-shot wrappers' behavior until their removal.
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let pool = Pool::new(2);
-        let mut g = Grid1::new(200, 1, Boundary::Dirichlet(0.5));
-        fill_random_1d(&mut g, 7, -1.0, 1.0);
-        let gold = reference::heat1d(&g, c, 8);
-        let (ours, _) = run_jacobi_1d(&g, &kern, 8, 64, 4, Mode::Temporal(7), Select::Auto, &pool);
-        assert!(ours.interior_eq(&gold));
     }
 
     #[test]
     fn ghost_2d_star_and_box_match_reference() {
         let pool = Pool::new(2);
         let c = Heat2dCoeffs::classic(0.12);
-        let kern = JacobiKern2d(c);
-        let mut g = Grid2::new(60, 13, 1, Boundary::Dirichlet(0.1));
+        let bc = Boundary::Dirichlet(0.1);
+        let mut g = Grid2::new(60, 13, 1, bc);
         fill_random_2d(&mut g, 9, -1.0, 1.0);
         let gold = reference::heat2d(&g, c, 8);
+        let cb = Box2dCoeffs::smooth(0.08);
+        let goldb = reference::box2d(&g, cb, 8);
         for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(2)] {
-            let (ours, _) = ghost_2d::<f64, 4, _>(&g, &kern, 8, 16, 8, mode, Select::Auto, &pool);
+            let w = GhostJacobi::new(JacobiKern2d(c), g.dims(), bc, 8, 16, 8, mode, Select::Auto);
+            let (ours, _) = run(w, &g, &pool);
             assert!(
                 ours.interior_eq(&gold),
                 "mode={mode:?} {:?}",
                 ours.first_diff(&gold)
             );
-        }
-
-        let cb = Box2dCoeffs::smooth(0.08);
-        let kb = BoxKern2d(cb);
-        let goldb = reference::box2d(&g, cb, 8);
-        for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(2)] {
-            let (ours, _) = ghost_2d::<f64, 4, _>(&g, &kb, 8, 16, 4, mode, Select::Auto, &pool);
-            assert!(ours.interior_eq(&goldb), "box mode={mode:?}");
+            let w = GhostJacobi::new(BoxKern2d(cb), g.dims(), bc, 8, 16, 4, mode, Select::Auto);
+            assert!(run(w, &g, &pool).0.interior_eq(&goldb), "box mode={mode:?}");
         }
     }
 
@@ -1281,18 +507,26 @@ mod tests {
         let pool = Pool::new(2);
         let rule = LifeRule::b2s23();
         let kern = LifeKern2d(rule);
-        let mut g = Grid2::<i32>::new(70, 20, 1, Boundary::Dirichlet(0));
+        let bc = Boundary::Dirichlet(0);
+        let mut g = Grid2::<i32>::new(70, 20, 1, bc);
         fill_random_life(&mut g, 4, 0.4);
         let gold = reference::life(&g, rule, 16);
+        let life = |block, mode, sel| {
+            run(
+                GhostJacobi::new(kern, g.dims(), bc, 16, block, 8, mode, sel),
+                &g,
+                &pool,
+            )
+        };
         for mode in [Mode::Scalar, Mode::Temporal(2)] {
-            let (ours, e) = ghost_2d::<i32, 8, _>(&g, &kern, 16, 24, 8, mode, Select::Auto, &pool);
+            let (ours, e) = life(24, mode, Select::Auto);
             assert!(
                 ours.interior_eq(&gold),
                 "life mode={mode:?} {:?}",
                 ours.first_diff(&gold)
             );
-            // Life now carries the AVX2 integer steady state: on AVX2
-            // hosts this healthy geometry resolves avx2 under Auto.
+            // Life carries the AVX2 integer steady state: on AVX2 hosts
+            // this healthy geometry resolves avx2 under Auto.
             if let Mode::Temporal(_) = mode {
                 let expect = if tempora_simd::arch::avx2_available() {
                     Engine::Avx2
@@ -1303,74 +537,61 @@ mod tests {
             }
         }
         // Forced portable stays portable, bit-identically.
-        let (ours, e) = ghost_2d::<i32, 8, _>(
-            &g,
-            &kern,
-            16,
-            24,
-            8,
-            Mode::Temporal(2),
-            Select::Portable,
-            &pool,
-        );
+        let (ours, e) = life(24, Mode::Temporal(2), Select::Portable);
         assert!(ours.interior_eq(&gold));
         assert_eq!(e, Some(Engine::Portable));
         // A block too narrow for the 8-lane steady state resolves
         // portable even under Auto.
-        let (ours, e) =
-            ghost_2d::<i32, 8, _>(&g, &kern, 16, 2, 8, Mode::Temporal(8), Select::Auto, &pool);
+        let (ours, e) = life(2, Mode::Temporal(8), Select::Auto);
         assert!(ours.interior_eq(&gold));
         assert_eq!(e, Some(Engine::Portable));
+    }
+
+    /// Results of two identical workspaces, the second one faulted in.
+    fn plain_and_faulted<K: KernelSpace>(
+        mk: impl Fn() -> GhostJacobi<K>,
+        g: &K::Grid,
+        pool: &Pool,
+    ) -> (K::Grid, K::Grid) {
+        let mut faulted = mk();
+        faulted.fault_in(pool);
+        (run(mk(), g, pool).0, run(faulted, g, pool).0)
     }
 
     #[test]
     fn fault_in_preserves_results_bitwise() {
         let pool = Pool::new(4);
-        // 1-D.
-        let c1 = Heat1dCoeffs::classic(0.25);
-        let k1 = JacobiKern1d(c1);
-        let mut g1 = Grid1::new(300, 1, Boundary::Dirichlet(0.0));
+        let (k1, bc1) = (
+            JacobiKern1d(Heat1dCoeffs::classic(0.25)),
+            Boundary::Dirichlet(0.0),
+        );
+        let mut g1 = Grid1::new(300, 1, bc1);
         fill_random_1d(&mut g1, 17, -1.0, 1.0);
-        for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(7)] {
-            let mut plain = GhostJacobi1d::new(k1, 300, 8, 64, 4, mode, Select::Auto);
-            let mut faulted = GhostJacobi1d::new(k1, 300, 8, 64, 4, mode, Select::Auto);
-            faulted.fault_in(&pool);
-            let (mut a, mut b) = (g1.clone(), g1.clone());
-            plain.advance(&mut a, &pool);
-            faulted.advance(&mut b, &pool);
-            assert!(a.interior_eq(&b), "1d mode={mode:?}");
-        }
-        // 2-D.
-        let c2 = Heat2dCoeffs::classic(0.12);
-        let k2 = JacobiKern2d(c2);
-        let mut g2 = Grid2::new(60, 13, 1, Boundary::Dirichlet(0.1));
+        let (k2, bc2) = (
+            JacobiKern2d(Heat2dCoeffs::classic(0.12)),
+            Boundary::Dirichlet(0.1),
+        );
+        let mut g2 = Grid2::new(60, 13, 1, bc2);
         fill_random_2d(&mut g2, 9, -1.0, 1.0);
-        for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(2)] {
-            let mk = || {
-                GhostJacobi2d::<f64, 4, _>::new(k2, 60, 13, g2.boundary(), 8, 16, 8, mode, {
-                    Select::Auto
-                })
-            };
-            let (mut plain, mut faulted) = (mk(), mk());
-            faulted.fault_in(&pool);
-            let (mut a, mut b) = (g2.clone(), g2.clone());
-            plain.advance(&mut a, &pool);
-            faulted.advance(&mut b, &pool);
-            assert!(a.interior_eq(&b), "2d mode={mode:?}");
-        }
-        // 3-D.
-        let c3 = Heat3dCoeffs::classic(0.1);
-        let k3 = JacobiKern3d(c3);
-        let mut g3 = Grid3::new(40, 6, 7, 1, Boundary::Dirichlet(-0.2));
+        let (k3, bc3) = (
+            JacobiKern3d(Heat3dCoeffs::classic(0.1)),
+            Boundary::Dirichlet(-0.2),
+        );
+        let mut g3 = Grid3::new(40, 6, 7, 1, bc3);
         fill_random_3d(&mut g3, 11, -1.0, 1.0);
-        for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(2)] {
-            let mk =
-                || GhostJacobi3d::new(k3, 40, 6, 7, g3.boundary(), 9, 12, 4, mode, Select::Auto);
-            let (mut plain, mut faulted) = (mk(), mk());
-            faulted.fault_in(&pool);
-            let (mut a, mut b) = (g3.clone(), g3.clone());
-            plain.advance(&mut a, &pool);
-            faulted.advance(&mut b, &pool);
+        for (mode1, mode) in [
+            (Mode::Scalar, Mode::Scalar),
+            (Mode::Auto, Mode::Auto),
+            (Mode::Temporal(7), Mode::Temporal(2)),
+        ] {
+            let mk = || GhostJacobi::new(k1, g1.dims(), bc1, 8, 64, 4, mode1, Select::Auto);
+            let (a, b) = plain_and_faulted(mk, &g1, &pool);
+            assert!(a.interior_eq(&b), "1d mode={mode1:?}");
+            let mk = || GhostJacobi::new(k2, g2.dims(), bc2, 8, 16, 8, mode, Select::Auto);
+            let (a, b) = plain_and_faulted(mk, &g2, &pool);
+            assert!(a.interior_eq(&b), "2d mode={mode:?}");
+            let mk = || GhostJacobi::new(k3, g3.dims(), bc3, 9, 12, 4, mode, Select::Auto);
+            let (a, b) = plain_and_faulted(mk, &g3, &pool);
             assert!(a.interior_eq(&b), "3d mode={mode:?}");
         }
     }
@@ -1379,25 +600,13 @@ mod tests {
     fn ghost_3d_matches_reference() {
         let pool = Pool::new(2);
         let c = Heat3dCoeffs::classic(0.1);
-        let kern = JacobiKern3d(c);
-        let mut g = Grid3::new(40, 6, 7, 1, Boundary::Dirichlet(-0.2));
+        let bc = Boundary::Dirichlet(-0.2);
+        let mut g = Grid3::new(40, 6, 7, 1, bc);
         fill_random_3d(&mut g, 11, -1.0, 1.0);
         let gold = reference::heat3d(&g, c, 9); // 2 bands + 1 remainder
         for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(2)] {
-            let mut w = GhostJacobi3d::new(
-                kern,
-                g.nx(),
-                g.ny(),
-                g.nz(),
-                g.boundary(),
-                9,
-                12,
-                4,
-                mode,
-                Select::Auto,
-            );
-            let mut ours = g.clone();
-            w.advance(&mut ours, &pool);
+            let w = GhostJacobi::new(JacobiKern3d(c), g.dims(), bc, 9, 12, 4, mode, Select::Auto);
+            let (ours, _) = run(w, &g, &pool);
             assert!(
                 ours.interior_eq(&gold),
                 "mode={mode:?} {:?}",

@@ -12,9 +12,8 @@
 //!
 //! [`LcsRect`] is the reusable workspace form (row, column buffers and
 //! per-block temporal scratch allocated once, reused by every
-//! [`LcsRect::run`] call — the wavefront runs allocation-free); the old
-//! [`run_lcs`] free function remains as a deprecated one-shot wrapper.
-//! The temporal in-tile kernel dispatches like the grid tilings: the
+//! [`LcsRect::run`] call — the wavefront runs allocation-free). The
+//! temporal in-tile kernel dispatches like the grid tilings: the
 //! workspace resolves its [`Select`] once against the AVX2 LCS steady
 //! state's shape predicate
 //! ([`tempora_core::lcs_avx2::rect_has_vector_tiles`] — every block
@@ -239,26 +238,6 @@ impl LcsRect {
     }
 }
 
-/// Compute the LCS length of `a` and `b` with rectangle tiling (one-shot
-/// wrapper over [`LcsRect`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `tempora_plan::Plan` (or reuse an `lcs_rect::LcsRect` workspace) instead"
-)]
-// Justification: the parameter list is the LCS run contract; a params struct would obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lcs(
-    a: &[u8],
-    b: &[u8],
-    xblock: usize,
-    yblock: usize,
-    s: usize,
-    temporal: bool,
-    pool: &Pool,
-) -> i32 {
-    LcsRect::new(a.len(), b.len(), xblock, yblock, s, temporal, Select::Auto).run(a, b, pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,13 +358,11 @@ mod tests {
     }
 
     #[test]
-    // Justification: pins the deprecated one-shot wrapper's behavior until its removal.
-    #[allow(deprecated)]
-    fn degenerate_shapes_and_deprecated_wrapper() {
+    fn degenerate_shapes() {
         let pool = Pool::new(2);
-        assert_eq!(run_lcs(b"", b"ABC", 8, 8, 1, true, &pool), 0);
-        assert_eq!(run_lcs(b"ABC", b"", 8, 8, 1, true, &pool), 0);
-        assert_eq!(run_lcs(b"A", b"A", 8, 8, 1, true, &pool), 1);
-        assert_eq!(run_lcs(b"GATTACA", b"TACCAGA", 2, 3, 1, false, &pool), 4);
+        assert_eq!(lcs_tiled(b"", b"ABC", 8, 8, 1, true, &pool), 0);
+        assert_eq!(lcs_tiled(b"ABC", b"", 8, 8, 1, true, &pool), 0);
+        assert_eq!(lcs_tiled(b"A", b"A", 8, 8, 1, true, &pool), 1);
+        assert_eq!(lcs_tiled(b"GATTACA", b"TACCAGA", 2, 3, 1, false, &pool), 4);
     }
 }

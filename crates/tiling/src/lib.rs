@@ -7,21 +7,21 @@
 //! * [`ghost`] — overlapped (ghost-zone) band tiling for the five Jacobi
 //!   benchmarks: embarrassingly parallel tiles per `VL`-level band, with
 //!   scalar / multi-load ("auto") / temporal in-tile kernels. This is the
-//!   documented substitution for the paper's diamond tiling (see
-//!   DESIGN.md §2).
+//!   documented substitution for the paper's diamond tiling (see the
+//!   README, "Multicore execution model").
 //! * [`skew`] — parallelogram (time-skewed) tiling with pipelined
 //!   wavefronts for the three Gauss-Seidel benchmarks, exactly the
 //!   paper's scheme; in-place staircase arrays, no halo exchange.
 //! * [`lcs_rect`] — rectangle tiling with pipelined wavefronts for LCS,
 //!   the paper's `lcsA`/`lcsB` wavefront-array scheme.
 //!
-//! Each scheme is exposed as a **reusable workspace** — [`GhostJacobi1d`]
-//! / [`GhostJacobi2d`] / [`GhostJacobi3d`], [`SkewGs1d`] / [`SkewGs2d`] /
-//! [`SkewGs3d`], and [`LcsRect`] — that validates the geometry, resolves
-//! the in-tile engine, and allocates every arena **once**; repeated
-//! `advance` / `run` calls are then allocation-free. These workspaces are
-//! the execution layer behind `tempora_plan::Plan`; the old `run_*` free
-//! functions remain as deprecated one-shot wrappers for one release.
+//! Each scheme is exposed as one **reusable workspace** — [`GhostJacobi`]
+//! and [`SkewGs`], generic over the kernel through
+//! `tempora_core::engine::KernelSpace` so one type serves every
+//! dimensionality, and [`LcsRect`] — that validates the geometry,
+//! resolves the in-tile engine, and allocates every arena **once**;
+//! repeated `advance` / `run` calls are then allocation-free. These
+//! workspaces are the execution layer behind `tempora_plan::Plan`.
 //!
 //! The temporal in-tile kernels go through the same engine dispatch as
 //! the sequential engines: workspaces take a
@@ -60,6 +60,6 @@ pub(crate) fn touch_pages<T: Copy>(slice: &mut [T]) {
     }
 }
 
-pub use ghost::{GhostJacobi1d, GhostJacobi2d, GhostJacobi3d, Mode};
+pub use ghost::{GhostJacobi, Mode};
 pub use lcs_rect::LcsRect;
-pub use skew::{SkewGs1d, SkewGs2d, SkewGs3d};
+pub use skew::SkewGs;

@@ -24,7 +24,7 @@
 //! | [`stencil`] | problem definitions, dependence analysis, scalar oracles |
 //! | [`baseline`] | spatial schemes: multi-load, data-reorganization, DLT |
 //! | [`core`] | **the paper's contribution**: temporal engines, AVX2 steady states, [`engine`] dispatch |
-//! | [`tiling`] | ghost / skewed / rectangle tiling workspaces |
+//! | [`tiling`] | ghost / skewed / rectangle tiling workspaces (one generic workspace per scheme) |
 //! | [`parallel`] | crossbeam worker pool + wavefront executor |
 //! | [`plan`] | **the solver API**: `Problem → PlanBuilder → Plan → Report` |
 //! | [`proto`] | service wire protocol + canonical `Problem` serialization / cache keys |
@@ -90,7 +90,6 @@ pub use tempora_tiling as tiling;
 /// compare against the oracle. The quickstart in the crate docs compiles
 /// from this prelude alone.
 pub mod prelude {
-    pub use tempora_core::{temporal1d_gs, temporal1d_jacobi};
     pub use tempora_grid::{Boundary, DoubleBuffer, Grid1, Grid2, Grid3};
     pub use tempora_plan::{
         Engine, LcsState, Method, Plan, PlanBuilder, PlanError, Problem, Report, Select, State,

@@ -559,7 +559,17 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
         _ => Engine::Portable,
     };
 
-    for &(n, s, steps) in &[(200usize, 2usize, 8usize), (1000, 7, 12), (4096, 3, 5)] {
+    // Healthy shapes, then the degenerate ones that must resolve portable
+    // under every selection: n < VL·s, steps < VL, and a stride beyond
+    // the 1-D AVX2 register ring (`t1d_avx2::MAX_STRIDE` = 15).
+    for &(n, s, steps) in &[
+        (200usize, 2usize, 8usize),
+        (1000, 7, 12),
+        (4096, 3, 5),
+        (5, 2, 8),
+        (200, 2, 3),
+        (4096, 16, 4),
+    ] {
         let g = g1(n, (n + s) as u64, 0.4);
         let c = Heat1dCoeffs::classic(0.24);
         let cg = Gs1dCoeffs::classic(0.21);
@@ -575,9 +585,9 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
             coeffs: cg,
             boundary: g.boundary(),
         };
-        // The dispatch shape predicate: steps >= 4 vector tiles and
-        // n >= VL·s (all sampled shapes here are healthy for s <= 7).
-        let has_impl = steps >= 4 && n >= 4 * s;
+        // The dispatch shape predicate: steps >= 4 vector tiles,
+        // n >= VL·s and a stride the register ring can hold.
+        let has_impl = steps >= 4 && n >= 4 * s && s <= 15;
         let mut results = vec![];
         for &sel in sels {
             let b = PlanBuilder::new().stride(s).select(sel);
@@ -591,6 +601,8 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
             assert!(r.interior_eq(&results[0].0), "heat1d n={n} s={s}");
             assert!(rg.interior_eq(&results[0].1), "gs1d n={n} s={s}");
         }
+        assert!(results[0].0.interior_eq(&reference::heat1d(&g, c, steps)));
+        assert!(results[0].1.interior_eq(&reference::gs1d(&g, cg, steps)));
     }
 
     let g = g2(41, 23, 7, -0.5);

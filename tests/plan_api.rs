@@ -288,6 +288,122 @@ proptest! {
     }
 }
 
+/// Advance a copy of `init` by `problem`'s time extent with the scalar
+/// oracle of its kind.
+fn reference_state(problem: &Problem, init: &State) -> State {
+    match (*problem, init) {
+        (Problem::Heat1d { steps, coeffs, .. }, State::Grid1(g)) => {
+            State::Grid1(reference::heat1d(g, coeffs, steps))
+        }
+        (Problem::Gs1d { steps, coeffs, .. }, State::Grid1(g)) => {
+            State::Grid1(reference::gs1d(g, coeffs, steps))
+        }
+        (Problem::Heat2d { steps, coeffs, .. }, State::Grid2(g)) => {
+            State::Grid2(reference::heat2d(g, coeffs, steps))
+        }
+        (Problem::Box2d { steps, coeffs, .. }, State::Grid2(g)) => {
+            State::Grid2(reference::box2d(g, coeffs, steps))
+        }
+        (Problem::Gs2d { steps, coeffs, .. }, State::Grid2(g)) => {
+            State::Grid2(reference::gs2d(g, coeffs, steps))
+        }
+        (Problem::Life { steps, rule, .. }, State::Grid2i(g)) => {
+            State::Grid2i(reference::life(g, rule, steps))
+        }
+        (Problem::Heat3d { steps, coeffs, .. }, State::Grid3(g)) => {
+            State::Grid3(reference::heat3d(g, coeffs, steps))
+        }
+        (Problem::Gs3d { steps, coeffs, .. }, State::Grid3(g)) => {
+            State::Grid3(reference::gs3d(g, coeffs, steps))
+        }
+        (Problem::Lcs { .. }, State::Lcs(l)) => State::Lcs(LcsState {
+            length: Some(reference::lcs_len(&l.a, &l.b)),
+            ..l.clone()
+        }),
+        _ => unreachable!("state does not belong to the problem"),
+    }
+}
+
+/// The whole dispatch matrix once: all 9 problem kinds × all 4 tilings ×
+/// all 5 methods × threads {1, 2}, at miniature sizes whose outer extent
+/// (150) is divisible by neither block and whose time extent (19) is not
+/// a multiple of the band height. Every configuration `build` accepts
+/// must agree bitwise with the scalar reference; every other one must be
+/// rejected with a `PlanError` — a panic (an `unreachable!` reached in
+/// the builder) fails the test. The accepted count is pinned so that a
+/// legal configuration cannot start being rejected unnoticed.
+#[test]
+fn dispatch_matrix_agrees_with_the_reference_or_errors() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let (n, steps) = (150, 19);
+    let problems = [
+        Problem::heat1d(n, steps, Heat1dCoeffs::classic(0.24)),
+        Problem::gs1d(n, steps, Gs1dCoeffs::classic(0.22)),
+        Problem::heat2d(n, 11, steps, Heat2dCoeffs::classic(0.11)),
+        Problem::box2d(n, 11, steps, Box2dCoeffs::smooth(0.07)),
+        Problem::gs2d(n, 11, steps, Gs2dCoeffs::classic(0.17)),
+        Problem::life(n, 11, steps, LifeRule::b2s23()),
+        Problem::heat3d(n, 5, 6, steps, Heat3dCoeffs::classic(0.09)),
+        Problem::gs3d(n, 5, 6, steps, Gs3dCoeffs::classic(0.12)),
+        Problem::lcs(n, 90),
+    ];
+    // Height 8 suits both lane counts (4 and 8); the skew block clears
+    // the disjointness bound at the widest default stride (8 + 4·7 + 4).
+    let tilings = [
+        Tiling::None,
+        Tiling::Ghost {
+            block: 40,
+            height: 8,
+        },
+        Tiling::Skew {
+            block: 44,
+            height: 8,
+        },
+        Tiling::LcsRect {
+            xblock: 40,
+            yblock: 32,
+        },
+    ];
+    let methods = [
+        Method::Temporal,
+        Method::Multiload,
+        Method::Reorg,
+        Method::Dlt,
+        Method::Scalar,
+    ];
+    let mut accepted = 0;
+    for problem in &problems {
+        let init = fresh_state(problem, 11);
+        let gold = reference_state(problem, &init);
+        for tiling in tilings {
+            for method in methods {
+                for threads in [1, 2] {
+                    let name = format!("{} {tiling:?} {method:?} x{threads}", problem.kind_name());
+                    let builder = PlanBuilder::new()
+                        .method(method)
+                        .tiling(tiling)
+                        .threads(threads);
+                    let built = catch_unwind(AssertUnwindSafe(|| builder.build(problem)))
+                        .unwrap_or_else(|_| panic!("{name}: build panicked"));
+                    let mut plan = match built {
+                        Ok(plan) => plan,
+                        // Rejected configurations carry a descriptive error.
+                        Err(e) => {
+                            assert!(!e.to_string().is_empty(), "{name}");
+                            continue;
+                        }
+                    };
+                    accepted += 1;
+                    let mut state = init.clone();
+                    plan.run(&mut state).unwrap();
+                    assert!(states_equal(&state, &gold), "{name} {:?}", plan.engine());
+                }
+            }
+        }
+    }
+    assert_eq!(accepted, 71, "the set of legal configurations changed");
+}
+
 /// The documented one-shot exceptions: reorg/DLT rebuild their transposed
 /// layouts per run (and say so in their docs) — but they still run
 /// correctly and repeatedly through the same plan.

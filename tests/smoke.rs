@@ -26,13 +26,24 @@ fn quickstart_plan_lifecycle_from_prelude_alone() {
     state.grid1().unwrap().check_canaries().unwrap();
 }
 
+/// One temporal plan run on a copy of `grid` (engine per `TEMPORA_ENGINE`).
+fn run_temporal(problem: Problem, s: usize, grid: &Grid1<f64>) -> Grid1<f64> {
+    let builder = PlanBuilder::new().stride(s).select(Select::from_env());
+    let mut state = State::Grid1(grid.clone());
+    builder.build(&problem).unwrap().run(&mut state).unwrap();
+    let State::Grid1(out) = state else {
+        unreachable!()
+    };
+    out
+}
+
 #[test]
 fn quickstart_temporal_matches_reference() {
     let coeffs = Heat1dCoeffs::classic(0.25);
     let mut grid = Grid1::new(1000, 1, Boundary::Dirichlet(0.0));
     grid.fill_interior(|i| if i == 500 { 1.0 } else { 0.0 });
 
-    let ours = temporal1d_jacobi(&grid, coeffs, 64, 7);
+    let ours = run_temporal(Problem::heat1d(1000, 64, coeffs), 7, &grid);
     let gold = reference::heat1d(&grid, coeffs, 64);
     assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     ours.check_canaries().unwrap();
@@ -40,12 +51,20 @@ fn quickstart_temporal_matches_reference() {
 
 #[test]
 fn quickstart_gs_variant_matches_reference() {
-    // The Gauss-Seidel prelude export, exercised the same way.
+    // The Gauss-Seidel variant with a non-zero boundary, exercised the
+    // same way.
     let coeffs = Gs1dCoeffs::classic(0.3);
-    let mut grid = Grid1::new(777, 1, Boundary::Dirichlet(0.1));
+    let boundary = Boundary::Dirichlet(0.1);
+    let mut grid = Grid1::new(777, 1, boundary);
     grid.fill_interior(|i| (i as f64 * 0.37).sin());
 
-    let ours = temporal1d_gs(&grid, coeffs, 24, 4);
+    let problem = Problem::Gs1d {
+        n: 777,
+        steps: 24,
+        coeffs,
+        boundary,
+    };
+    let ours = run_temporal(problem, 4, &grid);
     let gold = reference::gs1d(&grid, coeffs, 24);
     assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
 }

@@ -1,6 +1,6 @@
 //! The safety audit wall: repo-specific lints over workspace sources.
 //!
-//! Seven rules, each scoped to where it is meaningful (unit-test regions
+//! Six rules, each scoped to where it is meaningful (unit-test regions
 //! are recognized by `#[cfg(test)]` / `#[test]` tracking, and files
 //! under `tests/`, `benches/` or `examples/` count as test code):
 //!
@@ -12,7 +12,6 @@
 //! | `panic-justification` | every `.unwrap()` / `.expect(` call carries a justification comment, same line or directly above | non-test code |
 //! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module | everywhere |
 //! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the `avx2_available()` capability probe it is dispatched behind | everywhere |
-//! | `deprecation-gate` | no `allow(deprecated)` or direct deprecated-shim calls outside the deprecating modules (ports the old CI shell grep) | path-scoped |
 //!
 //! The engine is deliberately line-based and dependency-free: it
 //! complements (never replaces) the denied rustc/clippy lints in
@@ -42,32 +41,11 @@ const STD_ARCH: &str = concat!("std::", "arch");
 const MM_INTRINSIC: &str = concat!("_m", "m");
 const TARGET_FEATURE: &str = concat!("#[tar", "get_feature");
 const AVAILABLE_PROBE: &str = concat!("avx2_av", "ailable");
-const ALLOW_DEPRECATED: &str = concat!("allow(dep", "recated)");
-const DEPRECATED_SHIMS: [&str; 4] = [
-    concat!("engine::", "run_"),
-    concat!("ghost::", "run_"),
-    concat!("skew::", "run_"),
-    concat!("lcs_rect::", "run_lcs"),
-];
 
 /// Files allowed to use `transmute` / raw intrinsics / inline `asm!`:
 /// the SIMD vocabulary and the affinity (pinning) syscall leaf.
 const CONSTRUCT_SANCTUARIES: [&str; 2] =
     ["crates/simd/src/arch.rs", "crates/parallel/src/affinity.rs"];
-
-/// Directory prefixes where `allow(deprecated)` remains legal: the
-/// modules that declare the deprecations (and vendored/infra code).
-const DEPRECATION_HOMES: [&str; 4] = ["crates/core/", "crates/tiling/", "shims/", "xtask/"];
-
-/// Directory prefixes that must not call the deprecated one-shot shims
-/// at all (same set the old CI shell gate scanned).
-const DEPRECATION_CALLER_BAN: [&str; 5] = [
-    "src/",
-    "examples/",
-    "tests/",
-    "crates/plan/",
-    "crates/bench/",
-];
 
 /// One audit violation, rendered as `file:line: [rule] message`.
 pub(crate) struct Diagnostic {
@@ -220,27 +198,6 @@ fn contains_prefix_token(code: &str, tok: &str) -> bool {
     false
 }
 
-/// After an occurrence of `needle` in `code`, the identifier run must be
-/// followed by `(` for the line to count as a call site.
-fn is_call_site(code: &str, needle: &str) -> bool {
-    let b = code.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = code[start..].find(needle) {
-        let mut i = start + pos + needle.len();
-        while i < b.len() && is_ident(b[i]) {
-            i += 1;
-        }
-        while i < b.len() && (b[i] == b' ' || b[i] == b'\t') {
-            i += 1;
-        }
-        if i < b.len() && b[i] == b'(' {
-            return true;
-        }
-        start = pos + start + 1;
-    }
-    false
-}
-
 struct FileView {
     /// Raw source lines.
     raw: Vec<String>,
@@ -387,8 +344,6 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let v = build_view(src);
     let test_path = is_test_path(path);
     let sanctuary = CONSTRUCT_SANCTUARIES.contains(&path);
-    let dep_allow_banned = !DEPRECATION_HOMES.iter().any(|p| path.starts_with(p));
-    let dep_call_banned = DEPRECATION_CALLER_BAN.iter().any(|p| path.starts_with(p));
     let mut out = Vec::new();
     let mut push = |line: usize, rule: &'static str, msg: String| {
         out.push(Diagnostic {
@@ -538,30 +493,6 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 );
             }
         }
-
-        // --- deprecation-gate -----------------------------------------
-        if dep_allow_banned && code.contains(ALLOW_DEPRECATED) {
-            push(
-                i,
-                "deprecation-gate",
-                format!(
-                    "`{ALLOW_DEPRECATED}` outside the deprecating modules \
-                     (one-shot shims are superseded by tempora_plan)"
-                ),
-            );
-        }
-        if dep_call_banned {
-            for needle in DEPRECATED_SHIMS {
-                if code.contains(needle) && is_call_site(code, needle) {
-                    push(
-                        i,
-                        "deprecation-gate",
-                        format!("direct call to deprecated shim `{needle}…` (use tempora_plan)"),
-                    );
-                    break;
-                }
-            }
-        }
     }
     out
 }
@@ -703,32 +634,6 @@ mod tests {
                      `{AVAILABLE_PROBE}()` (dispatch goes through engine::Select)"
                 ),
             ]
-        );
-    }
-
-    #[test]
-    fn deprecation_gate_ports_the_ci_shell_rules() {
-        let src = include_str!("../fixtures/bad/deprecated_use.rs");
-        // Banned where the old CI grep scanned…
-        let d = diags("tests/smoke.rs", src);
-        assert_eq!(
-            d,
-            vec![
-                format!(
-                    "tests/smoke.rs:4: [deprecation-gate] `{ALLOW_DEPRECATED}` outside the \
-                     deprecating modules (one-shot shims are superseded by tempora_plan)"
-                ),
-                format!(
-                    "tests/smoke.rs:7: [deprecation-gate] direct call to deprecated shim \
-                     `{}…` (use tempora_plan)",
-                    DEPRECATED_SHIMS[0]
-                ),
-            ]
-        );
-        // …and legal inside the modules that own the deprecations.
-        assert_eq!(
-            diags("crates/core/src/engine.rs", src),
-            Vec::<String>::new()
         );
     }
 
