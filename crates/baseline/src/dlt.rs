@@ -33,6 +33,7 @@ pub fn dlt_applicable(n: usize) -> bool {
 }
 
 /// Transpose the interior into DLT layout: `t[c*N + k] = a[1 + k*m + c]`.
+#[inline(always)]
 fn transpose_in(a: &[f64], t: &mut [f64], m: usize) {
     for c in 0..m {
         for k in 0..N {
@@ -42,6 +43,7 @@ fn transpose_in(a: &[f64], t: &mut [f64], m: usize) {
 }
 
 /// Transpose back from DLT layout into the interior.
+#[inline(always)]
 fn transpose_out(t: &[f64], a: &mut [f64], m: usize) {
     for c in 0..m {
         for k in 0..N {
@@ -52,7 +54,7 @@ fn transpose_out(t: &[f64], a: &mut [f64], m: usize) {
 
 /// One DLT-layout Jacobi step: `dst(c) = S(T(c-1), T(c), T(c+1))` with the
 /// two boundary columns assembled by lane shifts against the halo values.
-#[inline]
+#[inline(always)]
 fn step(t: &[f64], dst: &mut [f64], m: usize, c: &Heat1dCoeffs, halo_l: f64, halo_r: f64) {
     let col = |i: usize| Pack::<f64, N>::load(t, i * N);
     // Column 0: left neighbour lane k is a[k·m - 1] = lane k-1 of T(m-1),
@@ -82,10 +84,42 @@ fn step(t: &[f64], dst: &mut [f64], m: usize, c: &Heat1dCoeffs, halo_l: f64, hal
 /// lifted layout, transpose out. Falls back to multi-load when
 /// [`dlt_applicable`] is false.
 pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    sweeps(g, c, steps)
+}
+
+/// [`heat1d`] compiled for AVX2+FMA: the same source instantiated inside
+/// a `#[target_feature]` function, where a pack `mul_add` is one `vfmadd`
+/// instead of four calls into libm's `fma` (both exactly rounded, so the
+/// results are bit-identical). Panics if AVX2+FMA are unavailable.
+#[cfg(target_arch = "x86_64")]
+pub fn heat1d_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { sweeps_avx2(g, c, steps) }
+}
+
+/// [`sweeps`] instantiated in an AVX2+FMA codegen context.
+///
+/// # Safety
+/// Caller must ensure AVX2+FMA are available
+/// (`tempora_simd::arch::avx2_available()`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn sweeps_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    sweeps(g, c, steps)
+}
+
+/// The body of [`heat1d`], `#[inline(always)]` so each codegen context
+/// gets its own instantiation (multi-load fallback included).
+#[inline(always)]
+fn sweeps(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
     assert_eq!(g.halo(), 1);
     let n = g.n();
     if !dlt_applicable(n) {
-        return multiload::heat1d(g, c, steps);
+        return multiload::heat1d_sweeps(g, c, steps);
     }
     if steps == 0 {
         return g.clone();

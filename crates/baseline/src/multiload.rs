@@ -12,6 +12,13 @@
 //! the scalar references (same fused operation trees). Gauss-Seidel has
 //! no multi-load form — spatial vectorization of GS loops is illegal
 //! (paper §1), which is exactly why the temporal scheme matters.
+//!
+//! The Heat-1D sweep — the one the plan layer's baselines and the DLT
+//! fallback run — also comes as [`heat1d_avx2`]: the same
+//! `#[inline(always)]` source instantiated inside a
+//! `#[target_feature(enable = "avx2,fma")]` function, where a pack
+//! `mul_add` is one `vfmadd` instead of four calls into libm's `fma`.
+//! Both are exactly rounded, so the results are bit-identical.
 
 use tempora_grid::{Grid1, Grid2, Grid3};
 use tempora_simd::Pack;
@@ -23,7 +30,7 @@ pub const VL_F64: usize = 4;
 pub const VL_I32: usize = 8;
 
 /// One multi-load 1D3P Jacobi step: `b = S(a)`.
-#[inline]
+#[inline(always)]
 fn heat1d_step(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs) {
     const N: usize = VL_F64;
     let mut x = 1;
@@ -42,6 +49,35 @@ fn heat1d_step(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs) {
 
 /// `steps` multi-load 1D3P Jacobi sweeps.
 pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    heat1d_sweeps(g, c, steps)
+}
+
+/// [`heat1d`] compiled for AVX2+FMA. Panics if AVX2+FMA are unavailable.
+#[cfg(target_arch = "x86_64")]
+pub fn heat1d_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { heat1d_sweeps_avx2(g, c, steps) }
+}
+
+/// [`heat1d_sweeps`] instantiated in an AVX2+FMA codegen context.
+///
+/// # Safety
+/// Caller must ensure AVX2+FMA are available
+/// (`tempora_simd::arch::avx2_available()`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn heat1d_sweeps_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    heat1d_sweeps(g, c, steps)
+}
+
+/// The body of [`heat1d`], `#[inline(always)]` so each codegen context
+/// gets its own instantiation.
+#[inline(always)]
+pub(crate) fn heat1d_sweeps(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
     assert_eq!(g.halo(), 1);
     let mut cur = g.clone();
     let mut next = g.clone();

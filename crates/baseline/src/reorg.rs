@@ -25,7 +25,7 @@ const N: usize = 4;
 /// Outputs are produced for block starts `x = 1, 1+N, …`; the two aligned
 /// loads per block are `a[x-1 .. x-1+N]` and `a[x-1+N .. x-1+2N]` (the
 /// second is reused as the next block's first load).
-#[inline]
+#[inline(always)]
 fn step<const COUNT: bool>(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs) {
     let mut x = 1usize;
     // Block-aligned loads relative to x-1 (x-1 is a multiple of N when the
@@ -64,30 +64,54 @@ fn step<const COUNT: bool>(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs)
     }
 }
 
-/// `steps` data-reorganization 1D3P Jacobi sweeps.
-pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+/// `steps` sweeps of [`step`]; `#[inline(always)]` so each codegen
+/// context gets its own instantiation.
+#[inline(always)]
+fn sweeps<const COUNT: bool>(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
     assert_eq!(g.halo(), 1);
     let mut cur = g.clone();
     let mut next = g.clone();
     let n = g.n();
     for _ in 0..steps {
-        step::<false>(cur.data(), next.data_mut(), n, &c);
+        step::<COUNT>(cur.data(), next.data_mut(), n, &c);
         core::mem::swap(&mut cur, &mut next);
     }
     cur
 }
 
+/// `steps` data-reorganization 1D3P Jacobi sweeps.
+pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    sweeps::<false>(g, c, steps)
+}
+
 /// Counted variant of [`heat1d`] for the reorganization-budget ablation.
 pub fn heat1d_counted(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
-    assert_eq!(g.halo(), 1);
-    let mut cur = g.clone();
-    let mut next = g.clone();
-    let n = g.n();
-    for _ in 0..steps {
-        step::<true>(cur.data(), next.data_mut(), n, &c);
-        core::mem::swap(&mut cur, &mut next);
-    }
-    cur
+    sweeps::<true>(g, c, steps)
+}
+
+/// [`heat1d`] compiled for AVX2+FMA: the same source instantiated inside
+/// a `#[target_feature]` function, where a pack `mul_add` is one `vfmadd`
+/// instead of four calls into libm's `fma` (both exactly rounded, so the
+/// results are bit-identical). Panics if AVX2+FMA are unavailable.
+#[cfg(target_arch = "x86_64")]
+pub fn heat1d_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { sweeps_avx2(g, c, steps) }
+}
+
+/// [`sweeps`] instantiated in an AVX2+FMA codegen context.
+///
+/// # Safety
+/// Caller must ensure AVX2+FMA are available
+/// (`tempora_simd::arch::avx2_available()`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn sweeps_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    sweeps::<false>(g, c, steps)
 }
 
 #[cfg(test)]

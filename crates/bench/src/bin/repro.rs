@@ -5,6 +5,8 @@
 //!
 //! targets: table1, fig4a..fig4j, fig5a..fig5h,
 //!          ablate-reorg, ablate-stride, ablate-baselines, ablate-waves,
+//!          ablate-boundary (fails when an AVX2 tile's boundary code is
+//!          more than 12× slower per update than its steady state),
 //!          seq (all sequential), par (all parallel), all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
@@ -60,6 +62,7 @@ const KNOWN_TARGETS: &[&str] = &[
     "ablate-stride",
     "ablate-baselines",
     "ablate-waves",
+    "ablate-boundary",
     "fig4a",
     "fig4b",
     "fig4c",
@@ -162,6 +165,7 @@ fn main() {
         "ablate-stride",
         "ablate-baselines",
         "ablate-waves",
+        "ablate-boundary",
     ];
 
     let mut expanded: Vec<String> = vec![];
@@ -200,7 +204,7 @@ fn main() {
         // rest of the sweep down with it.
         let result = catch_unwind(AssertUnwindSafe(|| run_target(id, scale, cores)));
         match result {
-            Ok(Ok(Some(fig))) => {
+            Ok(Output::Figure(fig)) => {
                 let mut err = None;
                 if let Some(dir) = &csv_dir {
                     let path = format!("{dir}/{}.csv", fig.id);
@@ -215,8 +219,13 @@ fn main() {
                     record_failure(&mut failed, id, err);
                 }
             }
-            Ok(Ok(None)) => {} // text-only target, nothing to record
-            Ok(Err(never)) => match never {},
+            Ok(Output::Text) => {} // text-only target, nothing to record
+            Ok(Output::Checked { json, violation }) => {
+                fig_docs.push(json);
+                if let Some(msg) = violation {
+                    record_failure(&mut failed, id, msg);
+                }
+            }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
                 fig_docs.push(format!(
@@ -273,7 +282,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Compute one figure target; `None` for ids that are not figure targets
-/// (the text-only `table1` / `ablate-reorg`, or an unknown id).
+/// (`table1`, `ablate-reorg`, `ablate-boundary`, or an unknown id).
 fn compute_target(id: &str, scale: usize, cores: usize) -> Option<tb::Figure> {
     Some(match id {
         "ablate-stride" => tb::ablate_stride(scale),
@@ -301,30 +310,66 @@ fn compute_target(id: &str, scale: usize, cores: usize) -> Option<tb::Figure> {
     })
 }
 
+/// What one target produced, besides the table it printed.
+enum Output {
+    /// A text-only target.
+    Text,
+    /// A figure for the JSON document (and `--csv`).
+    Figure(tb::Figure),
+    /// A JSON entry of its own plus the target's verdict on it: `Some`
+    /// fails the target (reported like any other failed target).
+    Checked {
+        json: String,
+        violation: Option<String>,
+    },
+}
+
+/// A boundary point-update may cost at most this many steady-state ones
+/// in an AVX2 tile (measured ≈ 4-6 once the boundary phases are compiled
+/// for AVX2+FMA, ≈ 20 when they call libm `fma`).
+const BOUNDARY_RATIO_LIMIT: f64 = 12.0;
+
 /// Run one target: print its table (or text block) to stdout and return
-/// the figure when the target produces one. The `Err` arm is
-/// uninhabited — it exists so the caller's match stays exhaustive if a
-/// fallible target is ever added.
-fn run_target(
-    id: &str,
-    scale: usize,
-    cores: usize,
-) -> Result<Option<tb::Figure>, std::convert::Infallible> {
+/// what it produced.
+fn run_target(id: &str, scale: usize, cores: usize) -> Output {
     match id {
         "table1" => {
             println!("{}", tb::table1(scale));
-            Ok(None)
+            Output::Text
         }
         "ablate-reorg" => {
             println!("{}", tb::ablate_reorg());
-            Ok(None)
+            Output::Text
+        }
+        "ablate-boundary" => {
+            let table = tb::ablate_boundary(scale);
+            println!("{}", table.to_table());
+            if !tempora_simd::arch::avx2_available() {
+                println!("notice: no AVX2+FMA here — portable rows only, ratio check skipped\n");
+            }
+            let over: Vec<String> = table
+                .avx2_rows_over(BOUNDARY_RATIO_LIMIT)
+                .iter()
+                .map(|r| format!("{} {:.1}", r.kind, r.ratio()))
+                .collect();
+            Output::Checked {
+                json: table.to_json(),
+                violation: (!over.is_empty()).then(|| {
+                    format!(
+                        "boundary/steady ns-per-update ratio over {BOUNDARY_RATIO_LIMIT} in an \
+                         AVX2 tile ({}): are the boundary phases still inlined into their \
+                         target_feature sandwich?",
+                        over.join(", ")
+                    )
+                }),
+            }
         }
         _ => {
             // Unknown ids were rejected before the sweep started.
             let fig = compute_target(id, scale, cores)
                 .unwrap_or_else(|| unreachable!("target {id} validated before the sweep"));
             println!("{}", fig.to_table());
-            Ok(Some(fig))
+            Output::Figure(fig)
         }
     }
 }

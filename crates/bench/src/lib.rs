@@ -19,6 +19,7 @@
 //! | `ablate-stride` | §3.3 stride/ILP sweep | [`ablate_stride`] |
 //! | `ablate-baselines` | §2.2 baseline comparison | [`ablate_baselines`] |
 //! | `ablate-waves` | pipelined vs barrier wavefront schedule | [`ablate_waves`] |
+//! | `ablate-boundary` | bare steady state vs whole tile, per kind and engine | [`ablate_boundary`] |
 //!
 //! Every series runs through the unified solver API
 //! (`tempora_plan::Plan`): the harness compiles one plan per
@@ -1358,6 +1359,240 @@ pub fn ablate_waves(scale: usize, max_cores: usize) -> Figure {
             mk("barrier", WaveSchedule::Barrier),
         ],
     )
+}
+
+/// One row of [`ablate_boundary`]: one kind under one engine selection.
+#[derive(Clone, Debug)]
+pub struct BoundaryRow {
+    /// Workload kind (`heat2d` … `gs3d`).
+    pub kind: &'static str,
+    /// Engine the plan resolved to (`avx2` | `portable`).
+    pub engine: &'static str,
+    /// One whole temporal tile at the base geometry, µs.
+    pub tile_us: f64,
+    /// Its fixed part — prologue, ring fill/drain, epilogue — µs: what a
+    /// tile with zero steady-state slabs would cost.
+    pub boundary_us: f64,
+    /// Cost of one point-update in the steady state, ns.
+    pub steady_ns_per_update: f64,
+    /// Cost of one point-update in the boundary phases, ns.
+    pub boundary_ns_per_update: f64,
+}
+
+impl BoundaryRow {
+    /// Share of the base-geometry tile spent in the boundary phases.
+    pub fn boundary_share(&self) -> f64 {
+        self.boundary_us / self.tile_us
+    }
+
+    /// How many times slower a boundary point-update is than a
+    /// steady-state one. The paper's argument needs this to be a small
+    /// constant; ≈ 20 means the boundary code is calling libm `fma`.
+    pub fn ratio(&self) -> f64 {
+        self.boundary_ns_per_update / self.steady_ns_per_update
+    }
+}
+
+/// The `ablate-boundary` table: per kind and engine, where the time of a
+/// temporal tile goes.
+#[derive(Clone, Debug)]
+pub struct BoundaryTable {
+    /// `(2-D edge, 3-D edge)` of the base geometry.
+    pub geometry: (usize, usize),
+    /// One row per kind and resolved engine.
+    pub rows: Vec<BoundaryRow>,
+}
+
+impl BoundaryTable {
+    /// Render as an aligned text table.
+    pub fn to_table(&self) -> String {
+        let (n2, n3) = self.geometry;
+        let mut out = format!(
+            "# ablate-boundary — where the time goes in a tile \
+             (base: 2-D {n2}², 3-D {n3}³; fitted against 10× the outer extent)\n\
+             {:<8}{:>10}{:>11}{:>13}{:>8}{:>13}{:>15}{:>8}\n",
+            "kind",
+            "engine",
+            "tile µs",
+            "boundary µs",
+            "share",
+            "steady ns/u",
+            "boundary ns/u",
+            "ratio"
+        );
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:<8}{:>10}{:>11.1}{:>13.1}{:>8.2}{:>13.2}{:>15.2}{:>8.1}\n",
+                r.kind,
+                r.engine,
+                r.tile_us,
+                r.boundary_us,
+                r.boundary_share(),
+                r.steady_ns_per_update,
+                r.boundary_ns_per_update,
+                r.ratio()
+            ));
+        }
+        out
+    }
+
+    /// Render as a JSON object (`{"id", "geometry", "rows"}`), one entry
+    /// of the `repro --json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"kind\":\"{}\",\"engine\":\"{}\",\"tile_us\":{},\"boundary_us\":{},\
+                     \"boundary_share\":{},\"steady_ns_per_update\":{},\
+                     \"boundary_ns_per_update\":{},\"boundary_over_steady\":{}}}",
+                    r.kind,
+                    r.engine,
+                    json_num(r.tile_us),
+                    json_num(r.boundary_us),
+                    json_num(r.boundary_share()),
+                    json_num(r.steady_ns_per_update),
+                    json_num(r.boundary_ns_per_update),
+                    json_num(r.ratio())
+                )
+            })
+            .collect();
+        let (n2, n3) = self.geometry;
+        format!(
+            "{{\"id\":\"ablate-boundary\",\"geometry\":[{n2},{n3}],\"rows\":[{}]}}",
+            rows.join(",")
+        )
+    }
+
+    /// The AVX2 rows whose boundary/steady ratio exceeds `limit` — the
+    /// silent failure this target exists to catch: a boundary phase that
+    /// is no longer inlined into its `#[target_feature]` sandwich runs
+    /// its `mul_add`s through libm again and the ratio jumps to ≈ 20.
+    pub fn avx2_rows_over(&self, limit: f64) -> Vec<&BoundaryRow> {
+        self.rows
+            .iter()
+            // A non-finite ratio (noise drove the fitted slope to ≤ 0) is
+            // not evidence of a regression.
+            .filter(|r| r.engine == "avx2" && r.ratio().is_finite() && r.ratio() > limit)
+            .collect()
+    }
+}
+
+/// Where the time goes in a tile (ROADMAP aim 1: "bare steady state vs
+/// whole tile"). Per 2-D/3-D grid kind and engine, time `Plan::run` at
+/// the `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 64 gives
+/// its `--smoke` geometry) and at 10× the outer extent, minimum of 20
+/// runs each. A tile's time is linear in its steady-state slab count
+/// `x_max = nx + 1 - VL·s`, so the two points give the steady cost per
+/// slab (the slope) and the fixed boundary cost per tile (the intercept
+/// at `x_max = 0`); dividing by the point-updates each part performs
+/// (`VL·inner` per slab; `VL·inner·(VL·s - 1)` in the boundary) states
+/// both per update. A share within ± 0.03 of zero is below what two
+/// timings resolve. Rows are produced for `Select::Avx2` (when the CPU
+/// has AVX2+FMA) and `Select::Portable`. The 1-D kinds are left out:
+/// their boundary is 27 points per level of a 65536-point tile, which
+/// this method cannot see.
+pub fn ablate_boundary(scale: usize) -> BoundaryTable {
+    /// One kind: lane count, inner points per slab, outer extent of the
+    /// base geometry, and the problem at outer extent `nx` (the ledger's
+    /// step counts, whole tiles each).
+    struct Kind {
+        name: &'static str,
+        vl: usize,
+        inner: usize,
+        nx: usize,
+        problem: Box<dyn Fn(usize) -> Problem>,
+    }
+    const S: usize = 2; // the 2-D/3-D default stride
+    let d = scale.max(1);
+    let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
+    let kind2 = |name, vl, problem: fn(usize, usize) -> Problem| Kind {
+        name,
+        vl,
+        inner: n2,
+        nx: n2,
+        problem: Box::new(move |nx| problem(nx, n2)),
+    };
+    let kind3 = |name, problem: fn(usize, usize) -> Problem| Kind {
+        name,
+        vl: 4,
+        inner: n3 * n3,
+        nx: n3,
+        problem: Box::new(move |nx| problem(nx, n3)),
+    };
+    let kinds = [
+        kind2("heat2d", 4, |nx, n| {
+            Problem::heat2d(nx, n, 12, Heat2dCoeffs::classic(0.125))
+        }),
+        kind2("box2d", 4, |nx, n| {
+            Problem::box2d(nx, n, 8, Box2dCoeffs::smooth(0.1))
+        }),
+        kind2("life", 8, |nx, n| {
+            Problem::life(nx, n, 16, LifeRule::b2s23())
+        }),
+        kind2("gs2d", 4, |nx, n| {
+            Problem::gs2d(nx, n, 8, Gs2dCoeffs::classic(0.2))
+        }),
+        kind3("heat3d", |nx, n| {
+            Problem::heat3d(nx, n, n, 4, Heat3dCoeffs::classic(0.1))
+        }),
+        kind3("gs3d", |nx, n| {
+            Problem::gs3d(nx, n, n, 4, Gs3dCoeffs::classic(0.1))
+        }),
+    ];
+    let mut selects = vec![Select::Portable];
+    if tempora_simd::arch::avx2_available() {
+        selects.insert(0, Select::Avx2);
+    }
+    // Seconds per tile (minimum of 20 runs after a warm-up) and the
+    // resolved engine.
+    let tile_secs = |problem: &Problem, vl: usize, sel: Select| {
+        let mut plan = PlanBuilder::new()
+            .stride(S)
+            .select(sel)
+            .build(problem)
+            // Panic-justification: the configurations are hard-coded above.
+            .expect("bench configurations are valid by construction");
+        let mut state = problem.state();
+        fill_state(&mut state);
+        let mut engine = "portable";
+        let mut best = f64::INFINITY;
+        for rep in 0..=20 {
+            let t = Instant::now();
+            // Panic-justification: the state comes from `problem.state()`.
+            let report = plan.run(&mut state).expect("state matches plan");
+            if rep > 0 {
+                best = best.min(t.elapsed().as_secs_f64());
+            }
+            engine = report.engine.map_or(engine, |e| e.name());
+            std::hint::black_box(&state);
+        }
+        (best / (problem.steps() / vl) as f64, engine)
+    };
+    let mut rows = vec![];
+    for &sel in &selects {
+        for k in &kinds {
+            let (t1, engine) = tile_secs(&(k.problem)(k.nx), k.vl, sel);
+            let (t10, _) = tile_secs(&(k.problem)(10 * k.nx), k.vl, sel);
+            let x_max = (k.nx + 1 - k.vl * S) as f64;
+            let per_slab = (t10 - t1) / (9 * k.nx) as f64;
+            let boundary = t1 - per_slab * x_max;
+            let updates_per_slab = (k.vl * k.inner) as f64;
+            rows.push(BoundaryRow {
+                kind: k.name,
+                engine,
+                tile_us: t1 * 1e6,
+                boundary_us: boundary * 1e6,
+                steady_ns_per_update: per_slab * 1e9 / updates_per_slab,
+                boundary_ns_per_update: boundary * 1e9 / (updates_per_slab * (k.vl * S - 1) as f64),
+            });
+        }
+    }
+    BoundaryTable {
+        geometry: (n2, n3),
+        rows,
+    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,24 @@
 //!
 //! All engines are bit-identical to the scalar oracles, so dispatch never
 //! changes results — only speed.
+//!
+//! # One codegen context per resolved engine
+//!
+//! The resolved [`Engine`] names more than the steady state: every
+//! [`KernelSpace`] / [`GsSpace`] method takes it and runs *everything* —
+//! tile prologue and epilogue, degenerate fallback, remainder scalar
+//! steps, edge bands, the spatial multi-load steps — in that engine's
+//! codegen context. The phase functions are one `#[inline(always)]`
+//! source, instantiated once for baseline x86-64 and once inside
+//! `#[target_feature(enable = "avx2,fma")]` sandwiches. The reason is
+//! `f64::mul_add`: outside a feature context it is a call into libm's
+//! `fma` (≈ 3 ns), inside it is one `vfmadd`. Both are the
+//! exactly-rounded fused operation and Rust never contracts separate
+//! `*`/`+`, so results are bit-identical; only the boundary code stops
+//! running 20× slower per point than the vector loop it brackets.
+//! [`Engine::Avx2`] is only ever resolved on x86-64 with AVX2+FMA
+//! present; on other targets the AVX2 arms are compiled out and every
+//! engine value runs the portable instantiation.
 
 use crate::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, Kernel1d,
@@ -199,29 +217,33 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// Allocate scalar-step buffers for interior extents `dims`.
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs;
 
-    /// One in-place scalar time step, bit-identical to the reference.
-    fn scalar_step(&self, g: &mut Self::Grid, bufs: &mut Self::StepBufs);
+    /// One in-place scalar time step in `engine`'s codegen context,
+    /// bit-identical to the reference.
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs);
 
-    /// One multi-load (spatially vectorized) Jacobi step `dst = S(src)`.
-    fn multiload_step(&self, src: &Self::Grid, dst: &mut Self::Grid);
+    /// One multi-load (spatially vectorized) Jacobi step `dst = S(src)`
+    /// in `engine`'s codegen context.
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid);
 
-    /// One temporal tile ([`KernelSpace::VL`] levels, in place) with the
-    /// portable steady state. `COUNT` turns on reorganization-op
-    /// accounting where the engine is instrumented (1-D only).
-    fn tile<const COUNT: bool>(&self, g: &mut Self::Grid, s: usize, sc: &mut Self::Scratch);
+    /// One whole temporal tile ([`KernelSpace::VL`] levels, in place) —
+    /// boundary phases and steady state — with the resolved `engine`
+    /// (bit-identical either way). [`Engine::Avx2`] needs
+    /// [`KernelSpace::has_avx2_tile`]. `COUNT` turns on
+    /// reorganization-op accounting where the portable engine is
+    /// instrumented (1-D only; the AVX2 tile ignores it).
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Self::Grid,
+        s: usize,
+        sc: &mut Self::Scratch,
+    );
 
     /// True when this kernel has a hand-scheduled AVX2 temporal tile at
     /// stride `s` **and** the CPU supports AVX2+FMA — a `true` return is
-    /// the licence to call [`KernelSpace::tile_avx2`]. Always false off
-    /// x86-64 and under Miri.
+    /// the licence to pass [`Engine::Avx2`] to [`KernelSpace::tile`].
+    /// Always false off x86-64 and under Miri.
     fn has_avx2_tile(s: usize) -> bool;
-
-    /// One temporal tile with the AVX2 steady state (bit-identical to
-    /// [`KernelSpace::tile`]).
-    fn tile_avx2(&self, g: &mut Self::Grid, s: usize, sc: &mut Self::Scratch) {
-        let _ = (g, s, sc);
-        unreachable!("AVX2 temporal tile resolved on a target without one");
-    }
 
     /// Resolve `sel` for an untiled run of `steps` levels over `outer`
     /// slabs: AVX2 needs the kernel's tile and a shape that reaches the
@@ -245,29 +267,65 @@ pub trait GsSpace: KernelSpace {
     /// Allocate band scratch for interior extents `dims` and stride `s`.
     fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch;
 
-    /// One scalar skewed band of `levels` levels anchored at `[xl, xr]`.
-    fn band_scalar(&self, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize);
+    /// One scalar skewed band of `levels` levels anchored at `[xl, xr]`,
+    /// in `engine`'s codegen context.
+    fn band_scalar(&self, engine: Engine, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize);
 
     /// One temporally vectorized skewed band ([`KernelSpace::VL`] levels)
-    /// with the portable steady state; edge or narrow bands run the
-    /// scalar band (identical results).
-    fn band(&self, g: &mut Self::Grid, xl: usize, xr: usize, s: usize, sc: &mut Self::BandScratch);
-
-    /// True when the AVX2 band executor exists at stride `s` and the CPU
-    /// supports AVX2+FMA (the licence to call [`GsSpace::band_avx2`]).
-    fn has_avx2_band(s: usize) -> bool;
-
-    /// [`GsSpace::band`] with the AVX2 steady state (bit-identical).
-    fn band_avx2(
+    /// with the resolved `engine`; edge or narrow bands run the scalar
+    /// band in the same codegen context (identical results).
+    /// [`Engine::Avx2`] needs [`GsSpace::has_avx2_band`].
+    fn band(
         &self,
+        engine: Engine,
         g: &mut Self::Grid,
         xl: usize,
         xr: usize,
         s: usize,
         sc: &mut Self::BandScratch,
-    ) {
-        let _ = (g, xl, xr, s, sc);
-        unreachable!("AVX2 band executor resolved on a target without one");
+    );
+
+    /// True when the AVX2 band executor exists at stride `s` and the CPU
+    /// supports AVX2+FMA (the licence to pass [`Engine::Avx2`] to
+    /// [`GsSpace::band`]).
+    fn has_avx2_band(s: usize) -> bool;
+}
+
+/// [`t1d::scalar_step_inplace`] in `engine`'s codegen context.
+fn scalar_step_1d<K: Kernel1d>(engine: Engine, g: &mut Grid1<f64>, kern: &K) {
+    let n = g.n();
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::t1d_avx2::scalar_step_avx2(g.data_mut(), n, kern),
+        _ => t1d::scalar_step_inplace(g.data_mut(), n, kern),
+    }
+}
+
+/// [`t2d::scalar_step_inplace`] in `engine`'s codegen context.
+fn scalar_step_2d<T: tempora_simd::Scalar, K: Kernel2d<T>>(
+    engine: Engine,
+    g: &mut Grid2<T>,
+    kern: &K,
+    [a, b]: &mut [Vec<T>; 2],
+) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::t2d_avx2::scalar_step_avx2(g, kern, a, b),
+        _ => t2d::scalar_step_inplace(g, kern, a, b),
+    }
+}
+
+/// [`t3d::scalar_step_inplace`] in `engine`'s codegen context.
+fn scalar_step_3d<K: Kernel3d<f64>>(
+    engine: Engine,
+    g: &mut Grid3<f64>,
+    kern: &K,
+    [a, b]: &mut [Vec<f64>; 2],
+) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::t3d_avx2::scalar_step_avx2(g, kern, a, b),
+        _ => t3d::scalar_step_inplace(g, kern, a, b),
     }
 }
 
@@ -290,30 +348,33 @@ impl KernelSpace for JacobiKern1d {
 
     fn step_bufs(_dims: [usize; 3]) {}
 
-    fn scalar_step(&self, g: &mut Grid1<f64>, _bufs: &mut ()) {
-        let n = g.n();
-        t1d::scalar_step_inplace(g.data_mut(), n, self);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid1<f64>, _bufs: &mut ()) {
+        scalar_step_1d(engine, g, self);
     }
 
-    fn multiload_step(&self, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
-        spatial::step_1d(src.data(), dst.data_mut(), src.n(), self);
+    fn multiload_step(&self, engine: Engine, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
+        spatial::step_1d(engine, src.data(), dst.data_mut(), src.n(), self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid1<f64>,
+        s: usize,
+        sc: &mut Scratch1d<4>,
+    ) {
         let n = g.n();
-        t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc);
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t1d_avx2::tile_heat1d_avx2(g.data_mut(), n, self, s, sc),
+            _ => t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc),
+        }
     }
 
     /// The AVX2 ring is register-resident and capped at stride
     /// [`crate::t1d_avx2::MAX_STRIDE`]; wider strides resolve portable.
     fn has_avx2_tile(s: usize) -> bool {
         s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
-        let n = g.n();
-        crate::t1d_avx2::tile_heat1d_avx2(g.data_mut(), n, self, s, sc);
     }
 }
 
@@ -331,28 +392,31 @@ impl KernelSpace for GsKern1d {
 
     fn step_bufs(_dims: [usize; 3]) {}
 
-    fn scalar_step(&self, g: &mut Grid1<f64>, _bufs: &mut ()) {
-        let n = g.n();
-        t1d::scalar_step_inplace(g.data_mut(), n, self);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid1<f64>, _bufs: &mut ()) {
+        scalar_step_1d(engine, g, self);
     }
 
-    fn multiload_step(&self, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
-        spatial::step_1d(src.data(), dst.data_mut(), src.n(), self);
+    fn multiload_step(&self, engine: Engine, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
+        spatial::step_1d(engine, src.data(), dst.data_mut(), src.n(), self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid1<f64>,
+        s: usize,
+        sc: &mut Scratch1d<4>,
+    ) {
         let n = g.n();
-        t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc);
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t1d_avx2::tile_gs1d_avx2(g.data_mut(), n, self, s, sc),
+            _ => t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(s: usize) -> bool {
         s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid1<f64>, s: usize, sc: &mut Scratch1d<4>) {
-        let n = g.n();
-        crate::t1d_avx2::tile_gs1d_avx2(g.data_mut(), n, self, s, sc);
     }
 }
 
@@ -361,24 +425,34 @@ impl GsSpace for GsKern1d {
 
     fn band_scratch(_dims: [usize; 3], _s: usize) {}
 
-    fn band_scalar(&self, g: &mut Grid1<f64>, xl: usize, xr: usize, levels: usize) {
+    fn band_scalar(&self, engine: Engine, g: &mut Grid1<f64>, xl: usize, xr: usize, levels: usize) {
         let n = g.n();
-        t1d_band::band_scalar_gs(g.data_mut(), xl, xr, levels, n, self);
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => t1d_band::band_scalar_gs_avx2(g.data_mut(), xl, xr, levels, n, self),
+            _ => t1d_band::band_scalar_gs(g.data_mut(), xl, xr, levels, n, self),
+        }
     }
 
-    fn band(&self, g: &mut Grid1<f64>, xl: usize, xr: usize, s: usize, _sc: &mut ()) {
+    fn band(
+        &self,
+        engine: Engine,
+        g: &mut Grid1<f64>,
+        xl: usize,
+        xr: usize,
+        s: usize,
+        _sc: &mut (),
+    ) {
         let n = g.n();
-        t1d_band::band_temporal_gs::<4, Self>(g.data_mut(), xl, xr, n, s, self);
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => t1d_band::band_temporal_gs_avx2(g.data_mut(), xl, xr, n, s, self),
+            _ => t1d_band::band_temporal_gs::<4, Self>(g.data_mut(), xl, xr, n, s, self),
+        }
     }
 
     fn has_avx2_band(s: usize) -> bool {
         s <= t1d_band::MAX_BAND_STRIDE && avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(&self, g: &mut Grid1<f64>, xl: usize, xr: usize, s: usize, _sc: &mut ()) {
-        let n = g.n();
-        t1d_band::band_temporal_gs_avx2(g.data_mut(), xl, xr, n, s, self);
     }
 }
 
@@ -397,25 +471,30 @@ impl KernelSpace for JacobiKern2d {
         slab_bufs(dims[1] + 2)
     }
 
-    fn scalar_step(&self, g: &mut Grid2<f64>, [a, b]: &mut Self::StepBufs) {
-        t2d::scalar_step_inplace(g, self, a, b);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid2<f64>, bufs: &mut Self::StepBufs) {
+        scalar_step_2d(engine, g, self, bufs);
     }
 
-    fn multiload_step(&self, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
-        spatial::step_2d(src, dst, self);
+    fn multiload_step(&self, engine: Engine, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+        spatial::step_2d(engine, src, dst, self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
-        t2d::tile::<f64, 4, Self>(g, self, s, sc);
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid2<f64>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t2d_avx2::tile_heat2d_avx2(g, self, s, sc),
+            _ => t2d::tile::<f64, 4, Self>(g, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
         avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
-        crate::t2d_avx2::tile_heat2d_avx2(g, self, s, sc);
     }
 }
 
@@ -434,25 +513,30 @@ impl KernelSpace for BoxKern2d {
         slab_bufs(dims[1] + 2)
     }
 
-    fn scalar_step(&self, g: &mut Grid2<f64>, [a, b]: &mut Self::StepBufs) {
-        t2d::scalar_step_inplace(g, self, a, b);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid2<f64>, bufs: &mut Self::StepBufs) {
+        scalar_step_2d(engine, g, self, bufs);
     }
 
-    fn multiload_step(&self, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
-        spatial::step_2d(src, dst, self);
+    fn multiload_step(&self, engine: Engine, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+        spatial::step_2d(engine, src, dst, self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
-        t2d::tile::<f64, 4, Self>(g, self, s, sc);
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid2<f64>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t2d_avx2::tile_box2d_avx2(g, self, s, sc),
+            _ => t2d::tile::<f64, 4, Self>(g, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
         avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
-        crate::t2d_avx2::tile_box2d_avx2(g, self, s, sc);
     }
 }
 
@@ -471,25 +555,30 @@ impl KernelSpace for GsKern2d {
         slab_bufs(dims[1] + 2)
     }
 
-    fn scalar_step(&self, g: &mut Grid2<f64>, [a, b]: &mut Self::StepBufs) {
-        t2d::scalar_step_inplace(g, self, a, b);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid2<f64>, bufs: &mut Self::StepBufs) {
+        scalar_step_2d(engine, g, self, bufs);
     }
 
-    fn multiload_step(&self, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
-        spatial::step_2d(src, dst, self);
+    fn multiload_step(&self, engine: Engine, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+        spatial::step_2d(engine, src, dst, self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
-        t2d::tile::<f64, 4, Self>(g, self, s, sc);
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid2<f64>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t2d_avx2::tile_gs2d_avx2(g, self, s, sc),
+            _ => t2d::tile::<f64, 4, Self>(g, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
         avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid2<f64>, s: usize, sc: &mut Self::Scratch) {
-        crate::t2d_avx2::tile_gs2d_avx2(g, self, s, sc);
     }
 }
 
@@ -500,28 +589,32 @@ impl GsSpace for GsKern2d {
         BandScratch2d::new(s, dims[1])
     }
 
-    fn band_scalar(&self, g: &mut Grid2<f64>, xl: usize, xr: usize, levels: usize) {
-        t2d_band::band_scalar_gs2d(g, xl, xr, levels, self);
+    fn band_scalar(&self, engine: Engine, g: &mut Grid2<f64>, xl: usize, xr: usize, levels: usize) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => t2d_band::band_scalar_gs2d_avx2(g, xl, xr, levels, self),
+            _ => t2d_band::band_scalar_gs2d(g, xl, xr, levels, self),
+        }
     }
 
-    fn band(&self, g: &mut Grid2<f64>, xl: usize, xr: usize, s: usize, sc: &mut Self::BandScratch) {
-        t2d_band::band_temporal_gs2d::<4, Self>(g, xl, xr, s, self, sc);
-    }
-
-    fn has_avx2_band(_s: usize) -> bool {
-        avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(
+    fn band(
         &self,
+        engine: Engine,
         g: &mut Grid2<f64>,
         xl: usize,
         xr: usize,
         s: usize,
         sc: &mut Self::BandScratch,
     ) {
-        t2d_band::band_temporal_gs2d_avx2(g, xl, xr, s, self, sc);
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => t2d_band::band_temporal_gs2d_avx2(g, xl, xr, s, self, sc),
+            _ => t2d_band::band_temporal_gs2d::<4, Self>(g, xl, xr, s, self, sc),
+        }
+    }
+
+    fn has_avx2_band(_s: usize) -> bool {
+        avx2_available()
     }
 }
 
@@ -543,25 +636,30 @@ impl KernelSpace for LifeKern2d {
         slab_bufs(dims[1] + 2)
     }
 
-    fn scalar_step(&self, g: &mut Grid2<i32>, [a, b]: &mut Self::StepBufs) {
-        t2d::scalar_step_inplace(g, self, a, b);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid2<i32>, bufs: &mut Self::StepBufs) {
+        scalar_step_2d(engine, g, self, bufs);
     }
 
-    fn multiload_step(&self, src: &Grid2<i32>, dst: &mut Grid2<i32>) {
-        spatial::step_2d(src, dst, self);
+    fn multiload_step(&self, engine: Engine, src: &Grid2<i32>, dst: &mut Grid2<i32>) {
+        spatial::step_2d(engine, src, dst, self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid2<i32>, s: usize, sc: &mut Self::Scratch) {
-        t2d::tile::<i32, 8, Self>(g, self, s, sc);
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid2<i32>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t2d_avx2::tile_life2d_avx2(g, self, s, sc),
+            _ => t2d::tile::<i32, 8, Self>(g, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
         avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid2<i32>, s: usize, sc: &mut Self::Scratch) {
-        crate::t2d_avx2::tile_life2d_avx2(g, self, s, sc);
     }
 }
 
@@ -580,25 +678,30 @@ impl KernelSpace for JacobiKern3d {
         slab_bufs((dims[1] + 2) * (dims[2] + 2))
     }
 
-    fn scalar_step(&self, g: &mut Grid3<f64>, [a, b]: &mut Self::StepBufs) {
-        t3d::scalar_step_inplace(g, self, a, b);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid3<f64>, bufs: &mut Self::StepBufs) {
+        scalar_step_3d(engine, g, self, bufs);
     }
 
-    fn multiload_step(&self, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
-        spatial::step_3d(src, dst, self);
+    fn multiload_step(&self, engine: Engine, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
+        spatial::step_3d(engine, src, dst, self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
-        t3d::tile::<f64, 4, Self>(g, self, s, sc);
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid3<f64>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t3d_avx2::tile_heat3d_avx2(g, self, s, sc),
+            _ => t3d::tile::<f64, 4, Self>(g, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
         avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
-        crate::t3d_avx2::tile_heat3d_avx2(g, self, s, sc);
     }
 }
 
@@ -617,25 +720,30 @@ impl KernelSpace for GsKern3d {
         slab_bufs((dims[1] + 2) * (dims[2] + 2))
     }
 
-    fn scalar_step(&self, g: &mut Grid3<f64>, [a, b]: &mut Self::StepBufs) {
-        t3d::scalar_step_inplace(g, self, a, b);
+    fn scalar_step(&self, engine: Engine, g: &mut Grid3<f64>, bufs: &mut Self::StepBufs) {
+        scalar_step_3d(engine, g, self, bufs);
     }
 
-    fn multiload_step(&self, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
-        spatial::step_3d(src, dst, self);
+    fn multiload_step(&self, engine: Engine, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
+        spatial::step_3d(engine, src, dst, self);
     }
 
-    fn tile<const COUNT: bool>(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
-        t3d::tile::<f64, 4, Self>(g, self, s, sc);
+    fn tile<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        g: &mut Grid3<f64>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t3d_avx2::tile_gs3d_avx2(g, self, s, sc),
+            _ => t3d::tile::<f64, 4, Self>(g, self, s, sc),
+        }
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
         avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn tile_avx2(&self, g: &mut Grid3<f64>, s: usize, sc: &mut Self::Scratch) {
-        crate::t3d_avx2::tile_gs3d_avx2(g, self, s, sc);
     }
 }
 
@@ -646,28 +754,32 @@ impl GsSpace for GsKern3d {
         BandScratch3d::new(s, dims[1], dims[2])
     }
 
-    fn band_scalar(&self, g: &mut Grid3<f64>, xl: usize, xr: usize, levels: usize) {
-        t3d_band::band_scalar_gs3d(g, xl, xr, levels, self);
+    fn band_scalar(&self, engine: Engine, g: &mut Grid3<f64>, xl: usize, xr: usize, levels: usize) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => t3d_band::band_scalar_gs3d_avx2(g, xl, xr, levels, self),
+            _ => t3d_band::band_scalar_gs3d(g, xl, xr, levels, self),
+        }
     }
 
-    fn band(&self, g: &mut Grid3<f64>, xl: usize, xr: usize, s: usize, sc: &mut Self::BandScratch) {
-        t3d_band::band_temporal_gs3d::<4, Self>(g, xl, xr, s, self, sc);
-    }
-
-    fn has_avx2_band(_s: usize) -> bool {
-        avx2_available()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn band_avx2(
+    fn band(
         &self,
+        engine: Engine,
         g: &mut Grid3<f64>,
         xl: usize,
         xr: usize,
         s: usize,
         sc: &mut Self::BandScratch,
     ) {
-        t3d_band::band_temporal_gs3d_avx2(g, xl, xr, s, self, sc);
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => t3d_band::band_temporal_gs3d_avx2(g, xl, xr, s, self, sc),
+            _ => t3d_band::band_temporal_gs3d::<4, Self>(g, xl, xr, s, self, sc),
+        }
+    }
+
+    fn has_avx2_band(_s: usize) -> bool {
+        avx2_available()
     }
 }
 
@@ -678,7 +790,7 @@ mod tests {
     use tempora_stencil::{reference, Heat1dCoeffs};
 
     /// An untiled run the way every layer above drives the trait: resolve
-    /// once, whole tiles with the resolved steady state, scalar remainder.
+    /// once, whole tiles and the scalar remainder with the resolved engine.
     fn run<K: KernelSpace>(
         sel: Select,
         g: &K::Grid,
@@ -690,13 +802,10 @@ mod tests {
         let engine = K::resolve(sel, dims[0], steps, s);
         let (mut g, mut sc, mut bufs) = (g.clone(), K::scratch(dims, s), K::step_bufs(dims));
         for _ in 0..steps / K::VL {
-            match engine {
-                Engine::Avx2 => kern.tile_avx2(&mut g, s, &mut sc),
-                Engine::Portable => kern.tile::<false>(&mut g, s, &mut sc),
-            }
+            kern.tile::<false>(engine, &mut g, s, &mut sc);
         }
         for _ in 0..steps % K::VL {
-            kern.scalar_step(&mut g, &mut bufs);
+            kern.scalar_step(engine, &mut g, &mut bufs);
         }
         (g, engine)
     }

@@ -3,16 +3,78 @@
 //! per dimensionality, written against the same kernel adapters as the
 //! temporal engines. [`crate::engine::KernelSpace::multiload_step`] is the
 //! dimension-free entry point the tiled and plan layers call.
+//!
+//! Each step takes the [`Engine`] its plan resolved and runs in that
+//! codegen context: the bodies are `#[inline(always)]` and instantiated
+//! once for baseline x86-64 and once inside a
+//! `#[target_feature(enable = "avx2,fma")]` wrapper, where the packs'
+//! `mul_add`s are `vfmadd`s instead of four calls into libm's `fma` per
+//! vector. This is the comparison the paper is about — a spatial baseline
+//! measured through libm calls is not a baseline. Results are
+//! bit-identical in both contexts (both fused operations are exactly
+//! rounded).
 
+use crate::engine::Engine;
 use crate::kernels::{Kernel1d, Kernel2d, Kernel3d, Nbhd, Nbhd3};
 use tempora_grid::{Grid2, Grid3};
+#[cfg(target_arch = "x86_64")]
+use tempora_simd::arch::avx2_available;
 use tempora_simd::{Pack, Scalar};
+
+/// The step bodies instantiated in an AVX2+FMA codegen context.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::*;
+
+    /// [`step_1d`] compiled for AVX2+FMA.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn step_1d<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
+        step_1d_body(src, dst, n, kern);
+    }
+
+    /// [`step_2d`] compiled for AVX2+FMA.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn step_2d<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, kern: &K) {
+        step_2d_body(src, dst, kern);
+    }
+
+    /// [`step_3d`] compiled for AVX2+FMA.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn step_3d<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
+        step_3d_body(src, dst, kern);
+    }
+}
 
 /// One multi-load (spatially vectorized) Jacobi step on a 1-D buffer:
 /// `dst[1..=n]` from `src`, halos untouched. Bit-identical to the
 /// `multiload` baseline; callers ping-pong their own buffers, so no step
 /// allocates.
-pub fn step_1d<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
+pub fn step_1d<K: Kernel1d>(engine: Engine, src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => {
+            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
+            // SAFETY: availability asserted above.
+            unsafe { avx2::step_1d(src, dst, n, kern) }
+        }
+        _ => step_1d_body(src, dst, n, kern),
+    }
+}
+
+#[inline(always)]
+fn step_1d_body<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
     const N: usize = 4;
     let mut x = 1;
     while x + N <= n + 1 {
@@ -29,7 +91,25 @@ pub fn step_1d<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
 
 /// One multi-load Jacobi step on a 2-D buffer grid (vectorized along `y`).
 /// Bit-identical to the `multiload` baseline.
-pub fn step_2d<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, kern: &K) {
+pub fn step_2d<T: Scalar, K: Kernel2d<T>>(
+    engine: Engine,
+    src: &Grid2<T>,
+    dst: &mut Grid2<T>,
+    kern: &K,
+) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => {
+            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
+            // SAFETY: availability asserted above.
+            unsafe { avx2::step_2d(src, dst, kern) }
+        }
+        _ => step_2d_body(src, dst, kern),
+    }
+}
+
+#[inline(always)]
+fn step_2d_body<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, kern: &K) {
     const N: usize = 4;
     let (nx, ny, p) = (src.nx(), src.ny(), src.pitch());
     let a = src.data();
@@ -79,7 +159,20 @@ pub fn step_2d<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, ke
 
 /// One multi-load Jacobi step on a 3-D buffer grid (vectorized along `z`).
 /// Bit-identical to the `multiload` baseline.
-pub fn step_3d<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
+pub fn step_3d<K: Kernel3d<f64>>(engine: Engine, src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => {
+            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
+            // SAFETY: availability asserted above.
+            unsafe { avx2::step_3d(src, dst, kern) }
+        }
+        _ => step_3d_body(src, dst, kern),
+    }
+}
+
+#[inline(always)]
+fn step_3d_body<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
     const N: usize = 4;
     let (nx, ny, nz) = (src.nx(), src.ny(), src.nz());
     let (p, pl) = (src.pitch(), src.plane());

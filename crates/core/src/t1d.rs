@@ -50,6 +50,17 @@
 //! input and output and the memory traffic of Jacobi stencils halves.
 //! Intermediate levels `1..VL` exist only in vector registers plus `O(s)`
 //! scratch at the two boundaries, exactly as the paper prescribes.
+//!
+//! # One source, two codegen contexts
+//!
+//! [`tile_prologue`], [`tile_epilogue`], [`gs_initial_output`] and
+//! [`scalar_step_inplace`] are `#[inline(always)]`: the portable [`tile`]
+//! instantiates them for baseline x86-64 and the AVX2 tiles of
+//! [`crate::t1d_avx2`] instantiate the same source again inside their
+//! `#[target_feature(enable = "avx2,fma")]` functions, where `mul_add` is
+//! one `vfmadd` instead of a call into libm's `fma` (same exactly-rounded
+//! result). `cargo xtask audit` (rule `phase-inline`) guards the
+//! attributes.
 
 use crate::kernels::Kernel1d;
 use tempora_grid::Grid1;
@@ -324,6 +335,7 @@ pub const RING_CAP: usize = 17;
 /// — assembled from the prologue's head planes. Shared by the portable
 /// steady states and the arch-specialized ones (see `t1d_avx2`), so every
 /// engine seeds the §3.4 recurrence identically.
+#[inline(always)]
 pub fn gs_initial_output<const VL: usize>(
     boundary_l: f64,
     s: usize,
@@ -346,6 +358,7 @@ pub fn gs_initial_output<const VL: usize>(
 ///
 /// Exposed so arch-specialized steady states (see `t1d_avx2`) can share
 /// the exact boundary machinery of the portable engine.
+#[inline(always)]
 pub fn tile_prologue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     n: usize,
@@ -405,6 +418,7 @@ pub fn tile_prologue<const VL: usize, K: Kernel1d>(
 /// planes and finish every level scalar-wise up to `x = n` (Algorithm 3
 /// lines 16-22). `ring` must hold `V(j)` at slot `j % (s+1)` for
 /// `j ∈ x_max ..= x_max+s`, as left behind by the steady state.
+#[inline(always)]
 pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     n: usize,
@@ -461,6 +475,7 @@ pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
 /// `T mod VL` remainder steps). Bit-identical to the double-buffered
 /// reference: for Jacobi the old west value is carried in a register so a
 /// single array suffices; for Gauss-Seidel in-place *is* the definition.
+#[inline(always)]
 pub fn scalar_step_inplace<K: Kernel1d>(a: &mut [f64], n: usize, kern: &K) {
     if K::IS_GS {
         for x in 1..=n {

@@ -5,12 +5,22 @@
 //! LLVM; these variants pin the steady state to the exact AVX instruction
 //! mix the paper's §3.3 analysis assumes — `vfmadd231pd` for the stencil,
 //! one `vpermpd` (lane-crossing rotate) plus one `vblendpd` (in-lane) for
-//! the input-vector production — with the ring kept in `__m256d`
-//! registers via a fixed-capacity array. Prologue, epilogue and all
-//! boundary handling are shared with the portable engine, so results stay
-//! bit-identical to it (and therefore to the scalar reference). The
-//! Gauss-Seidel steady state feeds the previous *output* vector back as
-//! the newest-west operand (§3.4) from a register.
+//! the input-vector production. The ring is a fixed-capacity
+//! `[__m256d; 17]` array indexed dynamically, so it lives on the stack:
+//! only `V(x-1)`, `V(x)` and the previous output vector are carried in
+//! registers. The Gauss-Seidel steady state feeds the previous *output*
+//! vector back as the newest-west operand (§3.4).
+//!
+//! Prologue, epilogue, degenerate fallback and the remainder scalar step
+//! are the portable engine's *source* ([`crate::t1d::tile_prologue`] /
+//! [`crate::t1d::tile_epilogue`] / [`crate::t1d::scalar_step_inplace`],
+//! all `#[inline(always)]`), instantiated a second time inside this
+//! module's `#[target_feature(enable = "avx2,fma")]` functions, so the
+//! whole tile is compiled for the ISA the plan resolved. Outside a feature
+//! context `f64::mul_add` is a call into libm's `fma`; inside it is one
+//! `vfmadd`. Both are the exactly-rounded fused operation, so results
+//! stay bit-identical to the portable engine (and therefore to the scalar
+//! reference) — do not move a phase back out of the feature context.
 //!
 //! Use [`crate::engine`] for transparent runtime dispatch.
 
@@ -27,8 +37,9 @@ mod imp {
     use tempora_simd::arch::avx2;
     use tempora_simd::Pack;
 
-    /// One temporal tile with the AVX2 steady state. Falls back to the
-    /// portable tile for degenerate sizes.
+    /// One whole temporal tile — prologue, AVX2 steady state, epilogue —
+    /// in one AVX2+FMA codegen context. Degenerate sizes run the scalar
+    /// schedule, same context.
     ///
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
@@ -44,15 +55,13 @@ mod imp {
         const VL: usize = 4;
         assert!((JacobiKern1d::MIN_STRIDE..=MAX_STRIDE).contains(&s));
         if n < VL * s {
-            t1d::tile::<4, false, JacobiKern1d>(a, n, kern, s, scratch);
+            for _ in 0..VL {
+                t1d::scalar_step_inplace(a, n, kern);
+            }
             return;
         }
-        // Prologue + initial ring via the portable engine's head logic:
-        // run the portable tile on a *copy*? No — we re-derive the ring
-        // here exactly as the portable engine does, sharing its scratch
-        // planes, then run the vector loop with intrinsics, then let the
-        // shared epilogue drain. To keep the two engines in lock-step the
-        // portable tile is split into three phases; see `t1d::tile_phases`.
+        // The portable engine's prologue, inlined into this feature
+        // context: scalar head triangles plus the initial ring.
         let (ring_init, x_max) = t1d::tile_prologue::<4, JacobiKern1d>(a, n, kern, s, scratch);
 
         let cw = avx2::splat(kern.0.w);
@@ -102,8 +111,8 @@ mod imp {
         t1d::tile_epilogue::<4, JacobiKern1d>(a, n, kern, s, scratch, &back, x_max);
     }
 
-    /// One Gauss-Seidel temporal tile with the AVX2 steady state. Falls
-    /// back to the portable tile for degenerate sizes.
+    /// One whole Gauss-Seidel temporal tile in one AVX2+FMA codegen
+    /// context; see [`tile_avx2`].
     ///
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
@@ -119,7 +128,9 @@ mod imp {
         const VL: usize = 4;
         assert!((GsKern1d::MIN_STRIDE..=MAX_STRIDE).contains(&s));
         if n < VL * s {
-            t1d::tile::<4, false, GsKern1d>(a, n, kern, s, scratch);
+            for _ in 0..VL {
+                t1d::scalar_step_inplace(a, n, kern);
+            }
             return;
         }
         let boundary_l = a[0];
@@ -167,11 +178,23 @@ mod imp {
         }
         t1d::tile_epilogue::<4, GsKern1d>(a, n, kern, s, scratch, &back, x_max);
     }
+
+    /// [`t1d::scalar_step_inplace`] instantiated in an AVX2+FMA codegen
+    /// context.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scalar_step<K: Kernel1d>(a: &mut [f64], n: usize, kern: &K) {
+        t1d::scalar_step_inplace(a, n, kern);
+    }
 }
 
-/// One Heat-1D temporal tile with the AVX2 steady state (shared
-/// prologue/epilogue with the portable engine; degenerate `n < VL·s`
-/// tiles fall back to the portable schedule). Panics if AVX2+FMA are
+/// One Heat-1D temporal tile compiled for AVX2+FMA end to end: the
+/// portable engine's boundary phases instantiated under the tile's ISA
+/// around the hand-scheduled steady state (degenerate `n < VL·s` tiles
+/// run the scalar schedule, same context). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
 /// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
@@ -208,6 +231,19 @@ pub fn tile_gs1d_avx2(
     unsafe { imp::tile_gs_avx2(a, n, kern, s, scratch) }
 }
 
+/// [`t1d::scalar_step_inplace`] compiled for AVX2+FMA (step remainders
+/// and scalar sweeps of a plan that resolved the AVX2 engine). Panics if
+/// AVX2+FMA are unavailable.
+#[cfg(target_arch = "x86_64")]
+pub fn scalar_step_avx2<K: Kernel1d>(a: &mut [f64], n: usize, kern: &K) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::scalar_step(a, n, kern) }
+}
+
 /// Run `steps` Heat-1D time steps with the AVX2 steady state; panics if
 /// AVX2+FMA are unavailable (use [`crate::engine`] for dispatch).
 #[cfg(target_arch = "x86_64")]
@@ -226,7 +262,7 @@ pub fn run_heat1d_avx2(
         tile_heat1d_avx2(a, n, kern, s, &mut scratch);
     }
     for _ in 0..steps % 4 {
-        t1d::scalar_step_inplace(a, n, kern);
+        scalar_step_avx2(a, n, kern);
     }
     g
 }
@@ -244,7 +280,7 @@ pub fn run_gs1d_avx2(grid: &Grid1<f64>, kern: &GsKern1d, steps: usize, s: usize)
         tile_gs1d_avx2(a, n, kern, s, &mut scratch);
     }
     for _ in 0..steps % 4 {
-        t1d::scalar_step_inplace(a, n, kern);
+        scalar_step_avx2(a, n, kern);
     }
     g
 }

@@ -27,6 +27,18 @@
 //! re-shapes the prologue/steady/epilogue ranges, which is the paper's
 //! point that the scheme composes with blocking by "only changing the
 //! loop boundary conditions".
+//!
+//! # One source, two codegen contexts
+//!
+//! [`band_scalar_gs`] and the band prologue/epilogue are
+//! `#[inline(always)]`: the portable executors instantiate them for
+//! baseline x86-64, and the `*_avx2` executors instantiate the same
+//! source again inside `#[target_feature(enable = "avx2,fma")]` band
+//! sandwiches — including the scalar fallback of edge and narrow bands.
+//! Outside a feature context every `f64::mul_add` is a call into libm's
+//! `fma`; inside it is one `vfmadd` (both exactly rounded, so results do
+//! not change). `cargo xtask audit` (rule `phase-inline`) guards the
+//! attributes.
 
 use crate::kernels::Kernel1d;
 use tempora_simd::Pack;
@@ -52,6 +64,7 @@ pub fn vector_band_shape<const VL: usize>(xl: usize, xr: usize, n: usize, s: usi
 
 /// One scalar skewed band: advance levels `1..=vl` over the shifting
 /// windows `[xl-(k-1), xr-(k-1)] ∩ [1, n]`, in place.
+#[inline(always)]
 pub fn band_scalar_gs<K: Kernel1d>(
     a: &mut [f64],
     xl: usize,
@@ -114,10 +127,11 @@ pub fn band_temporal_gs<const VL: usize, K: Kernel1d>(
 /// Phase 1 of a temporal band: the scalar prologue triangles plus the
 /// initial ring `V(x_start) ..= V(x_start+s)` and the previous output
 /// vector `O(x_start-1)`. Returns `(ring, o_prev, x_start, x_max)`; ring
-/// slot `j % (s+1)` holds `V(j)`. Shared by the portable steady state and
-/// the AVX2 one ([`band_temporal_gs_avx2`]), so both bands seed the §3.4
-/// recurrence identically. Callers must have checked
-/// [`vector_band_shape`].
+/// slot `j % (s+1)` holds `V(j)`. One source for the portable steady state
+/// and the AVX2 one ([`band_temporal_gs_avx2`], which instantiates it
+/// under its own ISA), so both bands seed the §3.4 recurrence
+/// identically. Callers must have checked [`vector_band_shape`].
+#[inline(always)]
 fn band_prologue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     xl: usize,
@@ -179,6 +193,7 @@ fn band_prologue<const VL: usize, K: Kernel1d>(
 /// ascending. `ring` must hold `V(j)` at slot `j % (s+1)` for
 /// `j ∈ x_max ..= x_max+s` and `o_prev` must be `O(x_max)`, as left
 /// behind by the steady state.
+#[inline(always)]
 fn band_epilogue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     xr: usize,
@@ -215,10 +230,11 @@ fn band_epilogue<const VL: usize, K: Kernel1d>(
 /// One temporally vectorized skewed band with the hand-scheduled AVX2
 /// steady state — the same `vfmadd231pd` + `vpermpd` + `vblendpd`
 /// scheduling as `crate::t1d_avx2`, with the previous *output* vector fed
-/// back as the newest-west operand from a register (§3.4). Prologue and
-/// epilogue are shared with [`band_temporal_gs`], so results stay
-/// bit-identical to it and to [`band_scalar_gs`]; edge or narrow tiles
-/// fall back to the scalar band. Panics without AVX2+FMA.
+/// back as the newest-west operand from a register (§3.4). Prologue,
+/// epilogue and the scalar fallback of edge or narrow tiles are the
+/// source of [`band_temporal_gs`], compiled under this band's ISA, so
+/// results stay bit-identical to it and to [`band_scalar_gs`]. Panics
+/// without AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 pub fn band_temporal_gs_avx2(
     a: &mut [f64],
@@ -228,32 +244,91 @@ pub fn band_temporal_gs_avx2(
     s: usize,
     kern: &crate::kernels::GsKern1d,
 ) {
-    use crate::kernels::GsKern1d;
-    const VL: usize = 4;
     assert!(
         tempora_simd::arch::avx2_available(),
         "AVX2+FMA not available on this CPU"
     );
     assert!(
-        (GsKern1d::MIN_STRIDE..=MAX_BAND_STRIDE).contains(&s),
+        (crate::kernels::GsKern1d::MIN_STRIDE..=MAX_BAND_STRIDE).contains(&s),
         "stride {s} illegal for the banded AVX2 executor"
     );
-    if !vector_band_shape::<VL>(xl, xr, n, s) {
-        band_scalar_gs(a, xl, xr, VL, n, kern);
-        return;
-    }
-    let (ring, o_prev, x_start, x_max) = band_prologue::<VL, GsKern1d>(a, xl, xr, s, kern);
     // SAFETY: availability asserted above.
-    let (ring, o_prev) =
-        unsafe { imp::band_steady_gs_avx2(a, s, kern, &ring, o_prev, x_start, x_max) };
-    band_epilogue::<VL, GsKern1d>(a, xr, s, kern, &ring, o_prev, x_max);
+    unsafe { imp::band_gs(a, xl, xr, n, s, kern) }
+}
+
+/// [`band_scalar_gs`] compiled for AVX2+FMA (scalar bands of a workspace
+/// that resolved the AVX2 engine). Panics without AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+pub fn band_scalar_gs_avx2<K: Kernel1d>(
+    a: &mut [f64],
+    xl: usize,
+    xr: usize,
+    vl: usize,
+    n: usize,
+    kern: &K,
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::band_scalar(a, xl, xr, vl, n, kern) }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{Pack, MAX_BAND_STRIDE, RING_CAP};
-    use crate::kernels::GsKern1d;
+    use super::{
+        band_epilogue, band_prologue, band_scalar_gs, vector_band_shape, Pack, MAX_BAND_STRIDE,
+        RING_CAP,
+    };
+    use crate::kernels::{GsKern1d, Kernel1d};
     use tempora_simd::arch::avx2;
+
+    /// The sandwich of one AVX2 band — shape check, scalar fallback or
+    /// prologue → steady state → epilogue — as **one** AVX2+FMA codegen
+    /// context: the `#[inline(always)]` phase functions are instantiated
+    /// here, under this fn's features.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn band_gs(
+        a: &mut [f64],
+        xl: usize,
+        xr: usize,
+        n: usize,
+        s: usize,
+        kern: &GsKern1d,
+    ) {
+        const VL: usize = 4;
+        if !vector_band_shape::<VL>(xl, xr, n, s) {
+            band_scalar_gs(a, xl, xr, VL, n, kern);
+            return;
+        }
+        let (ring, o_prev, x_start, x_max) = band_prologue::<VL, GsKern1d>(a, xl, xr, s, kern);
+        // SAFETY: AVX2+FMA availability is this fn's own caller contract.
+        let (ring, o_prev) =
+            unsafe { band_steady_gs_avx2(a, s, kern, &ring, o_prev, x_start, x_max) };
+        band_epilogue::<VL, GsKern1d>(a, xr, s, kern, &ring, o_prev, x_max);
+    }
+
+    /// [`band_scalar_gs`] instantiated in an AVX2+FMA codegen context.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn band_scalar<K: Kernel1d>(
+        a: &mut [f64],
+        xl: usize,
+        xr: usize,
+        vl: usize,
+        n: usize,
+        kern: &K,
+    ) {
+        band_scalar_gs(a, xl, xr, vl, n, kern);
+    }
 
     /// The AVX2 steady state of one skewed Gauss-Seidel band: identical
     /// algebra and iteration order to the portable loop in

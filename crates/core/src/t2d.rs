@@ -30,6 +30,20 @@
 //! The engine is generic over the element type and vector length; the
 //! same code instantiates Heat-2D (`f64×4`), 2D9P (`f64×4`), Life
 //! (`i32×8`) and GS-2D (`f64×4`).
+//!
+//! # One source, two codegen contexts
+//!
+//! The boundary phases ([`tile_fallback_if_degenerate`],
+//! [`tile_prologue`], [`tile_epilogue`], [`scalar_step_inplace`] and the
+//! row helpers under them) are `#[inline(always)]`: the portable [`tile`]
+//! instantiates them for baseline x86-64, and the AVX2 sandwiches in
+//! [`crate::t2d_avx2`] instantiate the *same source* a second time inside
+//! a `#[target_feature(enable = "avx2,fma")]` function. That matters
+//! because outside such a context every `f64::mul_add` is a call into
+//! libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both are
+//! the exactly-rounded fused operation, so results do not change, only
+//! speed. Dropping one of these attributes silently brings the libm calls
+//! back; `cargo xtask audit` (rule `phase-inline`) guards them.
 
 use crate::kernels::{Kernel2d, Nbhd};
 use tempora_grid::Grid2;
@@ -82,6 +96,7 @@ impl<T: Scalar, const VL: usize> Scratch2d<T, VL> {
 /// tiles and `steps mod VL` remainders). Two saved old rows make the
 /// Jacobi update single-array; Gauss-Seidel is naturally in place. Results
 /// are bit-identical to the double-buffered reference.
+#[inline(always)]
 pub fn scalar_step_inplace<T: Scalar, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
@@ -143,6 +158,7 @@ pub fn tile<T: Scalar, const VL: usize, K: Kernel2d<T>>(
 /// Shared degenerate-tile guard: when the outer extent cannot host the
 /// vector schedule (`nx < VL·s`), run the `VL` steps with the scalar
 /// schedule instead (same results) and report `true`.
+#[inline(always)]
 pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
@@ -167,10 +183,106 @@ pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     true
 }
 
+/// One level's rows as the boundary sweeps read them: the grid itself
+/// (level 0, pitch `p`) or a head/tail plane (pitch `w`, re-based at outer
+/// row `x0`). The source and its strides are chosen once per level, so
+/// the row loops index plain equal-length slices.
+#[derive(Clone, Copy)]
+struct Level<'a, T> {
+    data: &'a [T],
+    pitch: usize,
+    x0: usize,
+    w: usize,
+}
+
+impl<'a, T> Level<'a, T> {
+    #[inline(always)]
+    fn row(self, x: usize) -> &'a [T] {
+        &self.data[(x - self.x0) * self.pitch..][..self.w]
+    }
+}
+
+/// One scalar row of one level: `out[1..=ny]` from the rows
+/// `[x-1, x, x+1]` of the level below (`old`) and, for Gauss-Seidel, the
+/// newest row above (`north`); every slice is `ny + 2` wide with its halo
+/// columns in place. Jacobi rows are branch-free loops over equal-length
+/// slices, which LLVM vectorizes spatially under the AVX2 sandwich's
+/// features; Gauss-Seidel rows carry the serial newest-west chain in a
+/// register.
+#[inline(always)]
+fn sweep_row<T: Scalar, K: Kernel2d<T>>(kern: &K, old: [&[T]; 3], north: &[T], out: &mut [T]) {
+    let w = out.len();
+    let [up, mid, dn] = old.map(|r| &r[..w]);
+    let north = if K::IS_GS { &north[..w] } else { north };
+    let mut west = out[0];
+    for y in 1..w - 1 {
+        let o = kern.scalar(Nbhd {
+            v: [
+                [up[y - 1], up[y], up[y + 1]],
+                [mid[y - 1], mid[y], mid[y + 1]],
+                [dn[y - 1], dn[y], dn[y + 1]],
+            ],
+            new_n: if K::IS_GS { north[y] } else { T::ZERO },
+            new_w: west,
+        });
+        out[y] = o;
+        if K::IS_GS {
+            west = o;
+        }
+    }
+}
+
+/// Sweep one level over the outer rows `xs`: row `x` of `out` (row pitch
+/// `pitch`, re-based at outer row `x0`) from rows `x-1 ..= x+1` of the
+/// level below. Halo columns of `out` must already hold the boundary
+/// value.
+#[inline(always)]
+fn sweep_level<T: Scalar, K: Kernel2d<T>>(
+    kern: &K,
+    below: Level<'_, T>,
+    out: &mut [T],
+    pitch: usize,
+    x0: usize,
+    xs: core::ops::RangeInclusive<usize>,
+) {
+    for x in xs {
+        let (done, rest) = out.split_at_mut((x - x0) * pitch);
+        let north = &done[(x - 1 - x0) * pitch..];
+        let old = [below.row(x - 1), below.row(x), below.row(x + 1)];
+        sweep_row(kern, old, north, &mut rest[..below.w]);
+    }
+}
+
+/// Interleave `VL` equal-length rows into the interior packs of `dst`:
+/// lane `i` of `dst[y]` is `rows[i][y]`.
+#[inline(always)]
+pub(crate) fn pack_rows<T: Scalar, const VL: usize>(dst: &mut [Pack<T, VL>], rows: [&[T]; VL]) {
+    let w = dst.len();
+    let rows = rows.map(|r| &r[..w]);
+    for y in 1..w - 1 {
+        dst[y] = Pack::from_fn(|i| rows[i][y]);
+    }
+}
+
+/// Lane `i` of the interior packs of `src`, into the interior of `out`.
+#[inline(always)]
+pub(crate) fn unpack_lane<T: Scalar, const VL: usize>(
+    src: &[Pack<T, VL>],
+    i: usize,
+    out: &mut [T],
+) {
+    let w = out.len();
+    let src = &src[..w];
+    for y in 1..w - 1 {
+        out[y] = src[y].extract(i);
+    }
+}
+
 /// Phase 1 of a 2-D temporal tile: scalar head bands for levels `1..VL`,
 /// the initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
 /// initial output row `O(0, ·)` in `sc.o_prev`. Returns the steady-state
 /// bound `x_max`.
+#[inline(always)]
 pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
@@ -190,7 +302,7 @@ pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     let x_max = nx + 1 - VL * s;
     let w = ny + 2;
     let rlen = s + 2;
-    let a = g.data_mut();
+    let a = g.data(); // the prologue only reads the grid
 
     // ------------------------------------------------------------------
     // Prologue: head[k] = level k over rows 1..=(VL-k)·s (row 0 boundary).
@@ -198,78 +310,64 @@ pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     for k in 1..VL {
         let hi = (VL - k) * s;
         let (lo_planes, hi_planes) = sc.head.split_at_mut(k);
-        let plane = &mut hi_planes[0];
-        for v in plane[..w].iter_mut() {
-            *v = bc; // boundary row 0
+        let plane = &mut hi_planes[0][..(hi + 1) * w];
+        plane[..w].fill(bc); // boundary row 0
+        for row in plane.chunks_exact_mut(w).skip(1) {
+            row[0] = bc;
+            row[ny + 1] = bc;
         }
-        for x in 1..=hi {
-            plane[x * w] = bc;
-            plane[x * w + ny + 1] = bc;
-            for y in 1..=ny {
-                // Old (level k-1) 3×3 neighbourhood.
-                let old = |dx: usize, dy: usize| -> T {
-                    // dx, dy ∈ {0,1,2} meaning offsets -1..=1.
-                    let (xx, yy) = (x + dx - 1, y + dy - 1);
-                    if k == 1 {
-                        a[xx * p + yy]
-                    } else {
-                        lo_planes[k - 1][xx * w + yy]
-                    }
-                };
-                let nb = Nbhd {
-                    v: [
-                        [old(0, 0), old(0, 1), old(0, 2)],
-                        [old(1, 0), old(1, 1), old(1, 2)],
-                        [old(2, 0), old(2, 1), old(2, 2)],
-                    ],
-                    new_n: plane[(x - 1) * w + y],
-                    new_w: plane[x * w + y - 1],
-                };
-                plane[x * w + y] = kern.scalar(nb);
-            }
-        }
+        let (data, pitch) = if k == 1 {
+            (a, p)
+        } else {
+            (&lo_planes[k - 1][..], w)
+        };
+        let below = Level {
+            data,
+            pitch,
+            x0: 0,
+            w,
+        };
+        sweep_level(kern, below, plane, w, 0, 1..=hi);
     }
 
     // ------------------------------------------------------------------
-    // Initial wavefront ring W(0) ..= W(s); halo packs everywhere else.
+    // Initial wavefront ring W(0) ..= W(s). Only the halo packs of a ring
+    // row are read before the steady state writes them, so only those are
+    // reset (per tile: the boundary value comes from the grid).
     // ------------------------------------------------------------------
     for row in sc.ring.iter_mut() {
         row[0] = Pack::splat(bc);
         row[ny + 1] = Pack::splat(bc);
     }
     for j in 0..=s {
-        let head = &sc.head;
-        let dst = &mut sc.ring[j % rlen];
-        for (y, slot) in dst.iter_mut().enumerate().take(ny + 1).skip(1) {
-            *slot = Pack::from_fn(|i| {
-                let x = j + (VL - 1 - i) * s;
-                if i == 0 {
-                    a[x * p + y]
-                } else if x == 0 {
-                    bc
-                } else {
-                    head[i][x * w + y]
-                }
-            });
-        }
+        // Lane i of W(j) is level i at outer row j + (VL-1-i)·s: level 0
+        // from the grid, level i ≥ 1 from head[i] (whose row 0 holds the
+        // boundary value).
+        let rows: [&[T]; VL] = core::array::from_fn(|i| {
+            let x = j + (VL - 1 - i) * s;
+            if i == 0 {
+                &a[x * p..][..w]
+            } else {
+                &sc.head[i][x * w..][..w]
+            }
+        });
+        pack_rows(&mut sc.ring[j % rlen], rows);
     }
 
-    // Gauss-Seidel: O(0, ·) from the head planes.
+    // Gauss-Seidel: O(0, ·), lane i = level i+1 at row (VL-1-i)·s; the
+    // top lane (level VL at row 0) is the boundary row of a head plane.
     if K::IS_GS {
-        for (y, slot) in sc.o_prev.iter_mut().enumerate() {
-            *slot = if y == 0 || y == ny + 1 {
-                Pack::splat(bc)
+        let rows: [&[T]; VL] = core::array::from_fn(|i| {
+            let (k, x) = if i == VL - 1 {
+                (VL - 1, 0)
             } else {
-                Pack::from_fn(|i| {
-                    let x = (VL - 1 - i) * s;
-                    if i == VL - 1 {
-                        bc
-                    } else {
-                        sc.head[i + 1][x * w + y]
-                    }
-                })
+                (i + 1, (VL - 1 - i) * s)
             };
-        }
+            &sc.head[k][x * w..][..w]
+        });
+        sc.o_prev[0] = Pack::splat(bc);
+        sc.o_prev[ny + 1] = Pack::splat(bc);
+        pack_rows(&mut sc.o_prev, rows);
     }
     x_max
 }
@@ -344,6 +442,7 @@ pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel2d<T>>(
 /// `x_max` must match the value [`tile_prologue`] returned and the ring
 /// must hold `W(j)` at slot `j % (s+2)` for `j ∈ x_max ..= x_max+s`, as
 /// left behind by the steady state.
+#[inline(always)]
 pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     g: &mut Grid2<T>,
     kern: &K,
@@ -359,83 +458,39 @@ pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
         let rows = (i + 1) * s + 1; // rel 0 ..= (i+1)·s, last = halo row nx+1
-        let (lo_planes, hi_planes) = sc.tail.split_at_mut(i);
-        let plane = &mut hi_planes[0];
-        // Halo prefill: y-halo columns of every row + the x = nx+1 row.
-        for r in 0..rows {
-            plane[r * w] = bc;
-            plane[r * w + ny + 1] = bc;
-        }
-        for v in plane[(rows - 1) * w..rows * w].iter_mut() {
-            *v = bc;
-        }
         debug_assert_eq!(base + rows - 1, nx + 1);
-        // Drain lane i of the surviving ring rows.
+        let (lo_planes, hi_planes) = sc.tail.split_at_mut(i);
+        let plane = &mut hi_planes[0][..rows * w];
+        // Halo prefill: y-halo columns of every row + the x = nx+1 row.
+        for row in plane.chunks_exact_mut(w) {
+            row[0] = bc;
+            row[ny + 1] = bc;
+        }
+        plane[(rows - 1) * w..].fill(bc);
+        // Drain lane i of the surviving ring rows: lane i of W(j) is level
+        // i at outer row j + (VL-1-i)·s = base + (j - x_max).
         for j in x_max..=x_max + s {
-            let rel = j - x_max;
-            let src = &sc.ring[j % rlen];
-            for y in 1..=ny {
-                plane[rel * w + y] = src[y].extract(i);
-            }
+            unpack_lane(&sc.ring[j % rlen], i, &mut plane[(j - x_max) * w..][..w]);
         }
-        // Scalar completion over rows base+s+1 ..= nx.
-        for x in base + s + 1..=nx {
-            let rel = x - base;
-            for y in 1..=ny {
-                let old = |dx: usize, dy: usize| -> T {
-                    let (xx, yy) = (x + dx - 1, y + dy - 1);
-                    if i == 1 {
-                        a[xx * p + yy]
-                    } else {
-                        // base_{i-1} = base + s
-                        lo_planes[i - 1][(xx - (base + s)) * w + yy]
-                    }
-                };
-                let nb = Nbhd {
-                    v: [
-                        [old(0, 0), old(0, 1), old(0, 2)],
-                        [old(1, 0), old(1, 1), old(1, 2)],
-                        [old(2, 0), old(2, 1), old(2, 2)],
-                    ],
-                    new_n: plane[(rel - 1) * w + y],
-                    new_w: plane[rel * w + y - 1],
-                };
-                plane[rel * w + y] = kern.scalar(nb);
-            }
-        }
+        // Scalar completion over rows base+s+1 ..= nx, reading level i-1
+        // from the grid or from tail[i-1] (based at base + s).
+        let (data, pitch, x0) = if i == 1 {
+            (&*a, p, 0)
+        } else {
+            (&lo_planes[i - 1][..], w, base + s)
+        };
+        let below = Level { data, pitch, x0, w };
+        sweep_level(kern, below, plane, w, base, base + s + 1..=nx);
     }
 
     // Final level VL over rows x_max+1 ..= nx, written into the array.
-    {
-        let below = &sc.tail[VL - 1]; // based at x_max
-        for x in x_max + 1..=nx {
-            let rel = x - x_max;
-            for y in 1..=ny {
-                let nb = Nbhd {
-                    v: [
-                        [
-                            below[(rel - 1) * w + y - 1],
-                            below[(rel - 1) * w + y],
-                            below[(rel - 1) * w + y + 1],
-                        ],
-                        [
-                            below[rel * w + y - 1],
-                            below[rel * w + y],
-                            below[rel * w + y + 1],
-                        ],
-                        [
-                            below[(rel + 1) * w + y - 1],
-                            below[(rel + 1) * w + y],
-                            below[(rel + 1) * w + y + 1],
-                        ],
-                    ],
-                    new_n: a[(x - 1) * p + y],
-                    new_w: a[x * p + y - 1],
-                };
-                a[x * p + y] = kern.scalar(nb);
-            }
-        }
-    }
+    let below = Level {
+        data: &sc.tail[VL - 1],
+        pitch: w,
+        x0: x_max,
+        w,
+    };
+    sweep_level(kern, below, a, p, 0, x_max + 1..=nx);
 }
 
 /// Run `steps` time steps of a 2-D stencil with the temporal-vectorized

@@ -8,11 +8,18 @@
 //! updates, a `vpaddd` tree plus the `vpsravd` rule-table bit test for
 //! the integer Life update, and one lane-crossing rotate (`vpermpd` /
 //! `vpermd`) plus one in-lane blend (`vblendpd` / `vpblendd`) for the
-//! input-vector production — while the wavefront ring, prologue,
-//! epilogue and all boundary handling are shared with the portable engine
-//! through its three-phase split ([`crate::t2d::tile_prologue`] /
-//! [`crate::t2d::tile_epilogue`]). Results stay bit-identical to the
-//! portable engine and therefore to the scalar references.
+//! input-vector production. The wavefront ring, prologue, epilogue and
+//! all boundary handling are the portable engine's *source*
+//! ([`crate::t2d::tile_prologue`] / [`crate::t2d::tile_epilogue`],
+//! `#[inline(always)]`), instantiated a second time inside this module's
+//! `#[target_feature(enable = "avx2,fma")]` tile sandwich — so the whole
+//! tile, not just its steady state, is compiled for the ISA the plan
+//! resolved. Why it matters: outside a feature context `f64::mul_add` is
+//! a call into libm's `fma`, which made the scalar boundary triangles
+//! ≈ 20× slower per point than the vector loop they bracket (see the
+//! [`crate::t2d`] module docs). A hardware `vfmadd` and libm's `fma` are
+//! both the exactly-rounded fused operation, so results stay
+//! bit-identical to the portable engine and to the scalar references.
 //!
 //! Use [`crate::engine`] for transparent runtime dispatch.
 
@@ -331,11 +338,72 @@ mod imp {
             }
         }
     }
+    /// The three-phase sandwich of one AVX2 tile — degenerate fallback,
+    /// prologue, the given steady state, epilogue — as **one** AVX2+FMA
+    /// codegen context: the `#[inline(always)]` phase functions of
+    /// [`t2d`] are instantiated here, under this fn's features, so their
+    /// `mul_add`s are `vfmadd`s instead of libm calls and their Jacobi
+    /// rows vectorize.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`); `steady` may rely on
+    /// that guarantee.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn tile_with<T: Scalar, const VL: usize, K: Kernel2d<T>>(
+        g: &mut Grid2<T>,
+        kern: &K,
+        s: usize,
+        sc: &mut Scratch2d<T, VL>,
+        steady: impl FnOnce(&mut Grid2<T>, &K, usize, &mut Scratch2d<T, VL>, usize),
+    ) {
+        if t2d::tile_fallback_if_degenerate::<T, VL, K>(g, kern, s, sc) {
+            return;
+        }
+        let x_max = t2d::tile_prologue::<T, VL, K>(g, kern, s, sc);
+        steady(g, kern, s, sc, x_max);
+        t2d::tile_epilogue::<T, VL, K>(g, kern, s, sc, x_max);
+    }
+
+    /// [`t2d::scalar_step_inplace`] instantiated in an AVX2+FMA codegen
+    /// context.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scalar_step<T: Scalar, K: Kernel2d<T>>(
+        g: &mut Grid2<T>,
+        kern: &K,
+        row_a: &mut [T],
+        row_b: &mut [T],
+    ) {
+        t2d::scalar_step_inplace(g, kern, row_a, row_b);
+    }
 }
 
-/// One Heat-2D temporal tile with the AVX2 steady state (shared
-/// prologue/epilogue with the portable engine; degenerate `nx < VL·s`
-/// tiles fall back to the scalar schedule). Panics if AVX2+FMA are
+/// Check AVX2+FMA availability and run one whole tile — boundary phases
+/// and the given steady state — in the AVX2 codegen context.
+#[cfg(target_arch = "x86_64")]
+fn tile_with<T: Scalar, const VL: usize, K: Kernel2d<T>>(
+    g: &mut Grid2<T>,
+    kern: &K,
+    s: usize,
+    sc: &mut Scratch2d<T, VL>,
+    steady: impl FnOnce(&mut Grid2<T>, &K, usize, &mut Scratch2d<T, VL>, usize),
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::tile_with(g, kern, s, sc, steady) }
+}
+
+/// One Heat-2D temporal tile compiled for AVX2+FMA end to end: the
+/// portable engine's boundary phases instantiated under the tile's ISA
+/// around the hand-scheduled steady state (degenerate `nx < VL·s` tiles
+/// run the scalar schedule, same context). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
 /// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
@@ -349,30 +417,6 @@ pub fn tile_heat2d_avx2(
         // SAFETY: tile_with asserted AVX2+FMA availability.
         unsafe { imp::steady_heat2d(g, k, s, sc, xm) }
     });
-}
-
-/// Shared three-phase sandwich of one AVX2 tile: availability assert,
-/// degenerate fallback, portable prologue, the given steady state,
-/// portable epilogue. Generic over the element type and lane count so
-/// the f64 (`vl = 4`) and integer (`vl = 8`) steady states share it.
-#[cfg(target_arch = "x86_64")]
-fn tile_with<T: Scalar, const VL: usize, K: Kernel2d<T>>(
-    g: &mut Grid2<T>,
-    kern: &K,
-    s: usize,
-    sc: &mut Scratch2d<T, VL>,
-    steady: impl FnOnce(&mut Grid2<T>, &K, usize, &mut Scratch2d<T, VL>, usize),
-) {
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    if t2d::tile_fallback_if_degenerate::<T, VL, K>(g, kern, s, sc) {
-        return;
-    }
-    let x_max = t2d::tile_prologue::<T, VL, K>(g, kern, s, sc);
-    steady(g, kern, s, sc, x_max);
-    t2d::tile_epilogue::<T, VL, K>(g, kern, s, sc, x_max);
 }
 
 /// One 2D9P (box Jacobi) temporal tile with the AVX2 steady state; see
@@ -422,8 +466,27 @@ pub fn tile_life2d_avx2(
     });
 }
 
+/// [`t2d::scalar_step_inplace`] compiled for AVX2+FMA (step remainders
+/// and scalar sweeps of a plan that resolved the AVX2 engine). Panics if
+/// AVX2+FMA are unavailable.
+#[cfg(target_arch = "x86_64")]
+pub fn scalar_step_avx2<T: Scalar, K: Kernel2d<T>>(
+    g: &mut Grid2<T>,
+    kern: &K,
+    row_a: &mut [T],
+    row_b: &mut [T],
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::scalar_step(g, kern, row_a, row_b) }
+}
+
 /// Drive `steps` time steps through whole AVX2 tiles; the `steps mod VL`
-/// remainder runs scalar, exactly like [`t2d::run`].
+/// remainder runs scalar in the same codegen context, exactly like
+/// [`t2d::run`].
 #[cfg(target_arch = "x86_64")]
 fn run_with<T: Scalar, const VL: usize, K: Kernel2d<T>>(
     grid: &Grid2<T>,
@@ -439,13 +502,7 @@ fn run_with<T: Scalar, const VL: usize, K: Kernel2d<T>>(
         tile(&mut g, kern, s, &mut sc);
     }
     for _ in 0..steps % VL {
-        let (mut ra, mut rb) = (
-            core::mem::take(&mut sc.row_a),
-            core::mem::take(&mut sc.row_b),
-        );
-        t2d::scalar_step_inplace(&mut g, kern, &mut ra, &mut rb);
-        sc.row_a = ra;
-        sc.row_b = rb;
+        scalar_step_avx2(&mut g, kern, &mut sc.row_a, &mut sc.row_b);
     }
     g
 }

@@ -11,32 +11,50 @@
 //! level, row `xl-k` holds level `k`, and level `k`'s rightmost row read
 //! of level `k-1` finds it intact because the windows shrink by one row
 //! per level.
+//!
+//! As in [`crate::t1d_band`] ("One source, two codegen contexts"), the
+//! scalar band, the row update and the band prologue/epilogue are
+//! `#[inline(always)]` so [`band_temporal_gs2d_avx2`] and
+//! [`band_scalar_gs2d_avx2`] instantiate them a second time under
+//! `avx2,fma`, where `mul_add` is a `vfmadd` instead of a libm call.
 
 use crate::kernels::{Kernel2d, Nbhd};
+use crate::t2d::{pack_rows, unpack_lane};
 use tempora_grid::Grid2;
 use tempora_simd::Pack;
 
 /// Scalar 2-D Gauss-Seidel row update over one row `x` (columns
-/// `1..=ny`), in place.
-#[inline]
+/// `1..=ny`), in place: the newest north row, the row itself and the old
+/// south row are sliced once, and the serial newest-west chain is carried
+/// in a register.
+#[inline(always)]
 fn gs_row<K: Kernel2d<f64>>(a: &mut [f64], x: usize, ny: usize, p: usize, kern: &K) {
-    let r = x * p;
+    let w = ny + 2;
+    let (above, rest) = a.split_at_mut(x * p);
+    let (cur, below) = rest.split_at_mut(p);
+    let (north, cur, south) = (&above[(x - 1) * p..][..w], &mut cur[..w], &below[..w]);
+    let mut west = cur[0];
+    let mut m = cur[1];
     for y in 1..=ny {
-        let nb = Nbhd {
+        let e = cur[y + 1];
+        let o = kern.scalar(Nbhd {
             v: [
                 [0.0, 0.0, 0.0], // old north operands unused by GS kernels
-                [0.0, a[r + y], a[r + y + 1]],
-                [0.0, a[r + p + y], 0.0],
+                [0.0, m, e],
+                [0.0, south[y], 0.0],
             ],
-            new_n: a[r - p + y],
-            new_w: a[r + y - 1],
-        };
-        a[r + y] = kern.scalar(nb);
+            new_n: north[y],
+            new_w: west,
+        });
+        cur[y] = o;
+        west = o;
+        m = e;
     }
 }
 
 /// One scalar skewed band: advance levels `1..=vl` over row windows
 /// `[xl-(k-1), xr-(k-1)] ∩ [1, nx]`, in place.
+#[inline(always)]
 pub fn band_scalar_gs2d<K: Kernel2d<f64>>(
     g: &mut Grid2<f64>,
     xl: usize,
@@ -83,8 +101,9 @@ pub fn band_temporal_gs2d<const VL: usize, K: Kernel2d<f64>>(
 /// Phase 1 of a 2-D temporal band: scalar prologue rows plus the initial
 /// ring rows `V(x_start, ·) ..= V(x_start+s, ·)` and the previous output
 /// row `O(x_start-1, ·)` in `sc.o_prev`. Returns `(x_start, x_max)`.
-/// Shared by the portable and AVX2 steady states. Callers must have
+/// One source for the portable and AVX2 steady states. Callers must have
 /// checked [`crate::t1d_band::vector_band_shape`].
+#[inline(always)]
 fn band_prologue2d<const VL: usize, K: Kernel2d<f64>>(
     g: &mut Grid2<f64>,
     xl: usize,
@@ -111,38 +130,30 @@ fn band_prologue2d<const VL: usize, K: Kernel2d<f64>>(
         }
     }
 
-    // Initial ring rows V(x_start) ..= V(x_start+s) and O(x_start-1, ·).
+    // Initial ring rows V(x_start) ..= V(x_start+s) and O(x_start-1, ·):
+    // lane i of V(x) is the staircase row x + (VL-1-i)·s, except that the
+    // first vector's lower lanes come from the stashed rows.
     let rlen = s + 1;
-    for (y, slot) in sc.ring[x_start % rlen].iter_mut().enumerate() {
-        *slot = if y == 0 || y == ny + 1 {
-            Pack::splat(bc)
-        } else {
-            Pack::from_fn(|i| {
-                if i == VL - 1 {
-                    a[x_start * p + y]
-                } else {
-                    sc.saved[i][y]
-                }
-            })
-        };
-    }
-    for j in 1..=s {
+    let a = &*a;
+    let staircase = |x: usize| -> [&[f64]; VL] {
+        core::array::from_fn(|i| &a[(x + (VL - 1 - i) * s) * p..][..w])
+    };
+    for j in 0..=s {
         let x = x_start + j;
-        for (y, slot) in sc.ring[x % rlen].iter_mut().enumerate() {
-            *slot = if y == 0 || y == ny + 1 {
-                Pack::splat(bc)
-            } else {
-                Pack::from_fn(|i| a[(x + (VL - 1 - i) * s) * p + y])
-            };
+        let mut rows = staircase(x);
+        if j == 0 {
+            for (i, row) in rows.iter_mut().enumerate().take(VL - 1) {
+                *row = &sc.saved[i][..w];
+            }
         }
+        let dst = &mut sc.ring[x % rlen];
+        dst[0] = Pack::splat(bc);
+        dst[ny + 1] = Pack::splat(bc);
+        pack_rows(dst, rows);
     }
-    for (y, slot) in sc.o_prev.iter_mut().enumerate() {
-        *slot = if y == 0 || y == ny + 1 {
-            Pack::splat(bc)
-        } else {
-            Pack::from_fn(|i| a[(x_start - 1 + (VL - 1 - i) * s) * p + y])
-        };
-    }
+    sc.o_prev[0] = Pack::splat(bc);
+    sc.o_prev[ny + 1] = Pack::splat(bc);
+    pack_rows(&mut sc.o_prev, staircase(x_start - 1));
     (x_start, x_max)
 }
 
@@ -200,6 +211,7 @@ fn band_steady2d<const VL: usize, K: Kernel2d<f64>>(
 
 /// Phase 3 of a 2-D temporal band: materialize register-resident levels
 /// into the staircase, then finish each level scalar.
+#[inline(always)]
 fn band_epilogue2d<const VL: usize, K: Kernel2d<f64>>(
     g: &mut Grid2<f64>,
     xr: usize,
@@ -210,21 +222,16 @@ fn band_epilogue2d<const VL: usize, K: Kernel2d<f64>>(
 ) {
     let (ny, p) = (g.ny(), g.pitch());
     let a = g.data_mut();
+    let w = ny + 2;
     let rlen = s + 1;
     for j in x_max + 1..=x_max + s {
         let src = &sc.ring[j % rlen];
         for i in 1..VL {
-            let row = (j + (VL - 1 - i) * s) * p;
-            for y in 1..=ny {
-                a[row + y] = src[y].extract(i);
-            }
+            unpack_lane(src, i, &mut a[(j + (VL - 1 - i) * s) * p..][..w]);
         }
     }
     for i in 0..VL - 1 {
-        let row = (x_max + (VL - 1 - i) * s) * p;
-        for y in 1..=ny {
-            a[row + y] = sc.o_prev[y].extract(i);
-        }
+        unpack_lane(&sc.o_prev, i, &mut a[(x_max + (VL - 1 - i) * s) * p..][..w]);
     }
     for k in 1..=VL {
         let lo = x_max + (VL - k) * s + 1;
@@ -239,10 +246,11 @@ fn band_epilogue2d<const VL: usize, K: Kernel2d<f64>>(
 /// hand-scheduled AVX2 steady state — the same scheduling
 /// (`vfmadd231pd`, `vpermpd`, `vblendpd`) as `crate::t2d_avx2`, with the newest-north
 /// operand from the previous output row and the newest-west operand from
-/// the previous output vector in a register (§3.4). Prologue/epilogue are
-/// shared with [`band_temporal_gs2d`], so results stay bit-identical to
-/// it and to [`band_scalar_gs2d`]; edge or narrow tiles fall back to the
-/// scalar band. Panics without AVX2+FMA.
+/// the previous output vector in a register (§3.4). Prologue, epilogue
+/// and the scalar fallback of edge or narrow tiles are the source of
+/// [`band_temporal_gs2d`], compiled under this band's ISA, so results
+/// stay bit-identical to it and to [`band_scalar_gs2d`]. Panics without
+/// AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 pub fn band_temporal_gs2d_avx2(
     g: &mut Grid2<f64>,
@@ -252,33 +260,86 @@ pub fn band_temporal_gs2d_avx2(
     kern: &crate::kernels::GsKern2d,
     sc: &mut BandScratch2d<4>,
 ) {
-    use crate::kernels::GsKern2d;
-    const VL: usize = 4;
     assert!(
         tempora_simd::arch::avx2_available(),
         "AVX2+FMA not available on this CPU"
     );
     assert!(
-        s >= GsKern2d::MIN_STRIDE,
+        s >= crate::kernels::GsKern2d::MIN_STRIDE,
         "stride {s} illegal for this kernel"
     );
-    let (nx, ny) = (g.nx(), g.ny());
-    assert_eq!(sc.ny, ny, "scratch shape mismatch");
-    if !crate::t1d_band::vector_band_shape::<VL>(xl, xr, nx, s) {
-        band_scalar_gs2d(g, xl, xr, VL, kern);
-        return;
-    }
-    let (x_start, x_max) = band_prologue2d::<VL, GsKern2d>(g, xl, xr, s, kern, sc);
+    assert_eq!(sc.ny, g.ny(), "scratch shape mismatch");
     // SAFETY: availability asserted above.
-    unsafe { imp::band_steady_gs2d_avx2(g, s, kern, sc, x_start, x_max) };
-    band_epilogue2d::<VL, GsKern2d>(g, xr, s, kern, sc, x_max);
+    unsafe { imp::band_gs2d(g, xl, xr, s, kern, sc) }
+}
+
+/// [`band_scalar_gs2d`] compiled for AVX2+FMA (scalar bands of a
+/// workspace that resolved the AVX2 engine). Panics without AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+pub fn band_scalar_gs2d_avx2<K: Kernel2d<f64>>(
+    g: &mut Grid2<f64>,
+    xl: usize,
+    xr: usize,
+    vl: usize,
+    kern: &K,
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::band_scalar(g, xl, xr, vl, kern) }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{BandScratch2d, Grid2, Pack};
-    use crate::kernels::GsKern2d;
+    use super::{band_epilogue2d, band_prologue2d, band_scalar_gs2d, BandScratch2d, Grid2, Pack};
+    use crate::kernels::{GsKern2d, Kernel2d};
     use tempora_simd::arch::avx2;
+
+    /// The sandwich of one AVX2 band — shape check, scalar fallback or
+    /// prologue → steady state → epilogue — as **one** AVX2+FMA codegen
+    /// context: the `#[inline(always)]` phase functions are instantiated
+    /// here, under this fn's features.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn band_gs2d(
+        g: &mut Grid2<f64>,
+        xl: usize,
+        xr: usize,
+        s: usize,
+        kern: &GsKern2d,
+        sc: &mut BandScratch2d<4>,
+    ) {
+        const VL: usize = 4;
+        if !crate::t1d_band::vector_band_shape::<VL>(xl, xr, g.nx(), s) {
+            band_scalar_gs2d(g, xl, xr, VL, kern);
+            return;
+        }
+        let (x_start, x_max) = band_prologue2d::<VL, GsKern2d>(g, xl, xr, s, kern, sc);
+        // SAFETY: AVX2+FMA availability is this fn's own caller contract.
+        unsafe { band_steady_gs2d_avx2(g, s, kern, sc, x_start, x_max) };
+        band_epilogue2d::<VL, GsKern2d>(g, xr, s, kern, sc, x_max);
+    }
+
+    /// [`band_scalar_gs2d`] instantiated in an AVX2+FMA codegen context.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn band_scalar<K: Kernel2d<f64>>(
+        g: &mut Grid2<f64>,
+        xl: usize,
+        xr: usize,
+        vl: usize,
+        kern: &K,
+    ) {
+        band_scalar_gs2d(g, xl, xr, vl, kern);
+    }
 
     /// The AVX2 steady state of one skewed 2-D Gauss-Seidel band:
     /// identical algebra and iteration order to

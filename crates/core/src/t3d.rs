@@ -11,8 +11,15 @@
 //! Gauss-Seidel adds the previous output plane (newest `x-1` operand), the
 //! current output plane being filled (newest `y-1` operand) and the
 //! previous output register (newest `z-1` operand).
+//!
+//! As in [`crate::t2d`] (see "One source, two codegen contexts" there),
+//! the boundary phases are `#[inline(always)]` so the AVX2 sandwiches of
+//! [`crate::t3d_avx2`] instantiate them a second time under
+//! `avx2,fma` — outside a feature context every `mul_add` of the seven
+//! per point is a libm call.
 
 use crate::kernels::{Kernel3d, Nbhd3};
+use crate::t2d::{pack_rows, unpack_lane};
 use tempora_grid::Grid3;
 use tempora_simd::{Pack, Scalar};
 
@@ -62,6 +69,7 @@ impl<T: Scalar, const VL: usize> Scratch3d<T, VL> {
 
 /// One in-place scalar time step (degenerate tiles, step remainders).
 /// Bit-identical to the double-buffered reference.
+#[inline(always)]
 pub fn scalar_step_inplace<T: Scalar, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
@@ -132,6 +140,7 @@ pub fn tile<T: Scalar, const VL: usize, K: Kernel3d<T>>(
 /// Shared degenerate-tile guard: when the outer extent cannot host the
 /// vector schedule (`nx < VL·s`), run the `VL` steps with the scalar
 /// schedule instead (same results) and report `true`.
+#[inline(always)]
 pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
@@ -160,10 +169,110 @@ pub fn tile_fallback_if_degenerate<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     true
 }
 
+/// One level's slabs as the boundary sweeps read them: the grid itself
+/// (level 0, strides `pl`/`p`) or a head/tail plane (strides `wp`/`wz`,
+/// re-based at outer slab `x0`). The source and its strides are chosen
+/// once per level, so the row loops index plain equal-length slices.
+#[derive(Clone, Copy)]
+struct Level<'a, T> {
+    data: &'a [T],
+    slab: usize,
+    pitch: usize,
+    x0: usize,
+    wz: usize,
+}
+
+impl<'a, T> Level<'a, T> {
+    #[inline(always)]
+    fn row(self, x: usize, y: usize) -> &'a [T] {
+        &self.data[(x - self.x0) * self.slab + y * self.pitch..][..self.wz]
+    }
+}
+
+/// Set the halo shell of one `(ny+2) × (nz+2)` slab to `v` (rows `0` and
+/// `ny+1`, columns `0` and `nz+1`).
+#[inline(always)]
+pub(crate) fn fill_shell<P: Copy>(slab: &mut [P], ny: usize, wz: usize, v: P) {
+    slab[..wz].fill(v);
+    for row in slab[wz..(ny + 1) * wz].chunks_exact_mut(wz) {
+        row[0] = v;
+        row[wz - 1] = v;
+    }
+    slab[(ny + 1) * wz..(ny + 2) * wz].fill(v);
+}
+
+/// One scalar `z`-row of one level: `out[1..=nz]` from the level below —
+/// `old = [x-1, y-1, centre, y+1, x+1]` rows — and, for Gauss-Seidel, the
+/// newest rows `new = [x-1, y-1]` of the level being written; every
+/// slice is `nz + 2` wide with its halo columns in place. Jacobi rows are
+/// branch-free loops over equal-length slices, which LLVM vectorizes
+/// spatially under the AVX2 sandwich's features; Gauss-Seidel rows carry
+/// the serial newest-`z-1` chain in a register.
+#[inline(always)]
+fn sweep_row<T: Scalar, K: Kernel3d<T>>(kern: &K, old: [&[T]; 5], new: [&[T]; 2], out: &mut [T]) {
+    let wz = out.len();
+    let [xm, ym, mid, yp, xp] = old.map(|r| &r[..wz]);
+    let [new_xm, new_ym] = if K::IS_GS { new.map(|r| &r[..wz]) } else { new };
+    let mut new_zm = out[0];
+    for z in 1..wz - 1 {
+        let o = kern.scalar(Nbhd3 {
+            xm: xm[z],
+            ym: ym[z],
+            zm: mid[z - 1],
+            m: mid[z],
+            zp: mid[z + 1],
+            yp: yp[z],
+            xp: xp[z],
+            new_xm: if K::IS_GS { new_xm[z] } else { T::ZERO },
+            new_ym: if K::IS_GS { new_ym[z] } else { T::ZERO },
+            new_zm,
+        });
+        out[z] = o;
+        if K::IS_GS {
+            new_zm = o;
+        }
+    }
+}
+
+/// Sweep one level over the outer slabs `xs`: slab `x` of `out` (strides
+/// `slab`/`pitch`, re-based at outer slab `x0`) from slabs `x-1 ..= x+1`
+/// of the level below. The halo shell of `out` must already hold the
+/// boundary value.
+// Justification: the output view is (buffer, two strides, rebase) — the same four facts `Level` carries for the input, spelled out because it is borrowed mutably.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn sweep_level<T: Scalar, K: Kernel3d<T>>(
+    kern: &K,
+    below: Level<'_, T>,
+    out: &mut [T],
+    slab: usize,
+    pitch: usize,
+    x0: usize,
+    xs: core::ops::RangeInclusive<usize>,
+    ny: usize,
+) {
+    for x in xs {
+        for y in 1..=ny {
+            let at = (x - x0) * slab + y * pitch;
+            let (done, rest) = out.split_at_mut(at);
+            let old = [
+                below.row(x - 1, y),
+                below.row(x, y - 1),
+                below.row(x, y),
+                below.row(x, y + 1),
+                below.row(x + 1, y),
+            ];
+            let new = [&done[at - slab..], &done[at - pitch..]];
+            sweep_row(kern, old, new, &mut rest[..below.wz]);
+        }
+    }
+}
+
 /// Phase 1 of a 3-D temporal tile: scalar head slabs for levels `1..VL`,
 /// the initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
-/// initial output plane `O(0, ·, ·)` in `sc.o_prev` (with `sc.o_cur`
-/// halo-initialized). Returns the steady-state bound `x_max`.
+/// initial output plane `O(0, ·, ·)` in `sc.o_prev` (with row 0 of
+/// `sc.o_cur` halo-initialized). Returns the steady-state bound `x_max`.
+#[inline(always)]
 pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
@@ -189,8 +298,7 @@ pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     let wz = nz + 2;
     let wp = (ny + 2) * wz;
     let rlen = s + 2;
-    let lp = |y: usize, z: usize| y * wz + z;
-    let a = g.data_mut();
+    let a = g.data(); // the prologue only reads the grid
 
     // ------------------------------------------------------------------
     // Prologue: head[k] = level k over slabs 1..=(VL-k)·s.
@@ -198,100 +306,69 @@ pub fn tile_prologue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     for k in 1..VL {
         let hi = (VL - k) * s;
         let (lo_planes, hi_planes) = sc.head.split_at_mut(k);
-        let plane = &mut hi_planes[0];
-        for v in plane[..wp].iter_mut() {
-            *v = bc; // boundary slab 0
+        let plane = &mut hi_planes[0][..(hi + 1) * wp];
+        plane[..wp].fill(bc); // boundary slab 0
+        for slab in plane.chunks_exact_mut(wp).skip(1) {
+            fill_shell(slab, ny, wz, bc);
         }
-        for x in 1..=hi {
-            let sb = x * wp;
-            // Halo shell of this slab.
-            for z in 0..wz {
-                plane[sb + lp(0, z)] = bc;
-                plane[sb + lp(ny + 1, z)] = bc;
-            }
-            for y in 1..=ny {
-                plane[sb + lp(y, 0)] = bc;
-                plane[sb + lp(y, nz + 1)] = bc;
-            }
-            for y in 1..=ny {
-                for z in 1..=nz {
-                    let old = |dx: i32, dy: i32, dz: i32| -> T {
-                        let (xx, yy, zz) = (
-                            (x as i32 + dx) as usize,
-                            (y as i32 + dy) as usize,
-                            (z as i32 + dz) as usize,
-                        );
-                        if k == 1 {
-                            a[xx * pl + yy * p + zz]
-                        } else {
-                            lo_planes[k - 1][xx * wp + lp(yy, zz)]
-                        }
-                    };
-                    let nb = Nbhd3 {
-                        xm: old(-1, 0, 0),
-                        ym: old(0, -1, 0),
-                        zm: old(0, 0, -1),
-                        m: old(0, 0, 0),
-                        zp: old(0, 0, 1),
-                        yp: old(0, 1, 0),
-                        xp: old(1, 0, 0),
-                        new_xm: plane[(x - 1) * wp + lp(y, z)],
-                        new_ym: plane[sb + lp(y - 1, z)],
-                        new_zm: plane[sb + lp(y, z - 1)],
-                    };
-                    plane[sb + lp(y, z)] = kern.scalar(nb);
-                }
-            }
-        }
+        let (data, slab, pitch) = if k == 1 {
+            (a, pl, p)
+        } else {
+            (&lo_planes[k - 1][..], wp, wz)
+        };
+        let below = Level {
+            data,
+            slab,
+            pitch,
+            x0: 0,
+            wz,
+        };
+        sweep_level(kern, below, plane, wp, wz, 0, 1..=hi, ny);
     }
 
     // ------------------------------------------------------------------
-    // Initial wavefront ring W(0) ..= W(s); halo packs everywhere.
+    // Initial wavefront ring W(0) ..= W(s). Only the halo shell of a ring
+    // plane is read before the steady state writes it, so only the shells
+    // are reset (per tile: the boundary value comes from the grid).
     // ------------------------------------------------------------------
     for plane in sc.ring.iter_mut() {
-        for slot in plane.iter_mut() {
-            *slot = Pack::splat(bc);
-        }
+        fill_shell(plane, ny, wz, Pack::splat(bc));
     }
     for j in 0..=s {
-        let head = &sc.head;
         let dst = &mut sc.ring[j % rlen];
         for y in 1..=ny {
-            for z in 1..=nz {
-                dst[lp(y, z)] = Pack::from_fn(|i| {
-                    let x = j + (VL - 1 - i) * s;
-                    if i == 0 {
-                        a[x * pl + y * p + z]
-                    } else if x == 0 {
-                        bc
-                    } else {
-                        head[i][x * wp + lp(y, z)]
-                    }
-                });
-            }
+            // Lane i of W(j) is level i at outer slab j + (VL-1-i)·s:
+            // level 0 from the grid, level i ≥ 1 from head[i] (whose slab
+            // 0 holds the boundary value).
+            let rows: [&[T]; VL] = core::array::from_fn(|i| {
+                let x = j + (VL - 1 - i) * s;
+                if i == 0 {
+                    &a[x * pl + y * p..][..wz]
+                } else {
+                    &sc.head[i][x * wp + y * wz..][..wz]
+                }
+            });
+            pack_rows(&mut dst[y * wz..][..wz], rows);
         }
     }
 
-    // Gauss-Seidel: O(0, ·, ·) from the head planes.
+    // Gauss-Seidel: O(0, ·, ·), lane i = level i+1 at slab (VL-1-i)·s; the
+    // top lane (level VL at slab 0) is the boundary slab of a head plane.
+    // Only interior packs of o_prev are ever read; of o_cur, only row 0 is
+    // read before being written (the y = 1 newest-north operand).
     if K::IS_GS {
-        for slot in sc.o_prev.iter_mut() {
-            *slot = Pack::splat(bc);
-        }
         for y in 1..=ny {
-            for z in 1..=nz {
-                sc.o_prev[lp(y, z)] = Pack::from_fn(|i| {
-                    let x = (VL - 1 - i) * s;
-                    if i == VL - 1 {
-                        bc
-                    } else {
-                        sc.head[i + 1][x * wp + lp(y, z)]
-                    }
-                });
-            }
+            let rows: [&[T]; VL] = core::array::from_fn(|i| {
+                let (k, x) = if i == VL - 1 {
+                    (VL - 1, 0)
+                } else {
+                    (i + 1, (VL - 1 - i) * s)
+                };
+                &sc.head[k][x * wp + y * wz..][..wz]
+            });
+            pack_rows(&mut sc.o_prev[y * wz..][..wz], rows);
         }
-        for slot in sc.o_cur.iter_mut() {
-            *slot = Pack::splat(bc);
-        }
+        sc.o_cur[..wz].fill(Pack::splat(bc));
     }
     x_max
 }
@@ -367,6 +444,7 @@ pub fn tile_steady<T: Scalar, const VL: usize, K: Kernel3d<T>>(
 /// the tail slabs and finish every level scalar-wise up to slab `nx`.
 /// `x_max` must match the value [`tile_prologue`] returned, with the ring
 /// left behind by the steady state.
+#[inline(always)]
 pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     g: &mut Grid3<T>,
     kern: &K,
@@ -380,99 +458,53 @@ pub fn tile_epilogue<T: Scalar, const VL: usize, K: Kernel3d<T>>(
     let wz = nz + 2;
     let wp = (ny + 2) * wz;
     let rlen = s + 2;
-    let lp = |y: usize, z: usize| y * wz + z;
     let a = g.data_mut();
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
         let slabs = (i + 1) * s + 1; // rel 0 ..= (i+1)·s, last = halo slab nx+1
         debug_assert_eq!(base + slabs - 1, nx + 1);
         let (lo_planes, hi_planes) = sc.tail.split_at_mut(i);
-        let plane = &mut hi_planes[0];
-        // Halo prefill: full boundary shell.
-        for r in 0..slabs {
-            let sb = r * wp;
-            for z in 0..wz {
-                plane[sb + lp(0, z)] = bc;
-                plane[sb + lp(ny + 1, z)] = bc;
-            }
-            for y in 1..=ny {
-                plane[sb + lp(y, 0)] = bc;
-                plane[sb + lp(y, nz + 1)] = bc;
-            }
+        let plane = &mut hi_planes[0][..slabs * wp];
+        // Halo prefill: the shell of every slab + the x = nx+1 slab.
+        for slab in plane.chunks_exact_mut(wp) {
+            fill_shell(slab, ny, wz, bc);
         }
-        for v in plane[(slabs - 1) * wp..slabs * wp].iter_mut() {
-            *v = bc;
-        }
-        // Drain lane i of the surviving ring planes.
+        plane[(slabs - 1) * wp..].fill(bc);
+        // Drain lane i of the surviving ring planes: lane i of W(j) is
+        // level i at outer slab j + (VL-1-i)·s = base + (j - x_max).
         for j in x_max..=x_max + s {
-            let rel = j - x_max;
             let src = &sc.ring[j % rlen];
+            let dst = &mut plane[(j - x_max) * wp..][..wp];
             for y in 1..=ny {
-                for z in 1..=nz {
-                    plane[rel * wp + lp(y, z)] = src[lp(y, z)].extract(i);
-                }
+                unpack_lane(&src[y * wz..][..wz], i, &mut dst[y * wz..][..wz]);
             }
         }
-        // Scalar completion over slabs base+s+1 ..= nx.
-        for x in base + s + 1..=nx {
-            let rel = x - base;
-            let sb = rel * wp;
-            for y in 1..=ny {
-                for z in 1..=nz {
-                    let old = |dx: i32, dy: i32, dz: i32| -> T {
-                        let (xx, yy, zz) = (
-                            (x as i32 + dx) as usize,
-                            (y as i32 + dy) as usize,
-                            (z as i32 + dz) as usize,
-                        );
-                        if i == 1 {
-                            a[xx * pl + yy * p + zz]
-                        } else {
-                            lo_planes[i - 1][(xx - (base + s)) * wp + lp(yy, zz)]
-                        }
-                    };
-                    let nb = Nbhd3 {
-                        xm: old(-1, 0, 0),
-                        ym: old(0, -1, 0),
-                        zm: old(0, 0, -1),
-                        m: old(0, 0, 0),
-                        zp: old(0, 0, 1),
-                        yp: old(0, 1, 0),
-                        xp: old(1, 0, 0),
-                        new_xm: plane[(rel - 1) * wp + lp(y, z)],
-                        new_ym: plane[sb + lp(y - 1, z)],
-                        new_zm: plane[sb + lp(y, z - 1)],
-                    };
-                    plane[sb + lp(y, z)] = kern.scalar(nb);
-                }
-            }
-        }
+        // Scalar completion over slabs base+s+1 ..= nx, reading level i-1
+        // from the grid or from tail[i-1] (based at base + s).
+        let (data, slab, pitch, x0) = if i == 1 {
+            (&*a, pl, p, 0)
+        } else {
+            (&lo_planes[i - 1][..], wp, wz, base + s)
+        };
+        let below = Level {
+            data,
+            slab,
+            pitch,
+            x0,
+            wz,
+        };
+        sweep_level(kern, below, plane, wp, wz, base, base + s + 1..=nx, ny);
     }
 
-    // Final level VL over slabs x_max+1 ..= nx.
-    {
-        let below = &sc.tail[VL - 1]; // based at x_max
-        for x in x_max + 1..=nx {
-            let rel = x - x_max;
-            for y in 1..=ny {
-                for z in 1..=nz {
-                    let nb = Nbhd3 {
-                        xm: below[(rel - 1) * wp + lp(y, z)],
-                        ym: below[rel * wp + lp(y - 1, z)],
-                        zm: below[rel * wp + lp(y, z - 1)],
-                        m: below[rel * wp + lp(y, z)],
-                        zp: below[rel * wp + lp(y, z + 1)],
-                        yp: below[rel * wp + lp(y + 1, z)],
-                        xp: below[(rel + 1) * wp + lp(y, z)],
-                        new_xm: a[(x - 1) * pl + y * p + z],
-                        new_ym: a[x * pl + (y - 1) * p + z],
-                        new_zm: a[x * pl + y * p + z - 1],
-                    };
-                    a[x * pl + y * p + z] = kern.scalar(nb);
-                }
-            }
-        }
-    }
+    // Final level VL over slabs x_max+1 ..= nx, written into the array.
+    let below = Level {
+        data: &sc.tail[VL - 1],
+        slab: wp,
+        pitch: wz,
+        x0: x_max,
+        wz,
+    };
+    sweep_level(kern, below, a, pl, p, 0, x_max + 1..=nx, ny);
 }
 
 /// Run `steps` time steps of a 3-D stencil with the temporal-vectorized

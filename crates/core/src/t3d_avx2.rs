@@ -2,13 +2,20 @@
 //! engines: Heat-3D (3D7P star Jacobi) and GS-3D.
 //!
 //! Same division of labour as [`crate::t2d_avx2`]: the wavefront-plane
-//! ring, prologue, epilogue and boundary handling come from the portable
-//! engine's three-phase split ([`crate::t3d::tile_prologue`] /
-//! [`crate::t3d::tile_epilogue`]); only the steady state is pinned to the
-//! paper's §3.3 instruction mix (`vfmadd231pd` + one `vpermpd` + one
-//! `vblendpd` per produced input vector — the per-point reorganization
-//! cost does not grow with dimensionality). Results stay bit-identical to
-//! the portable engine and therefore to the scalar references.
+//! ring, prologue, epilogue and boundary handling are the portable
+//! engine's *source* ([`crate::t3d::tile_prologue`] /
+//! [`crate::t3d::tile_epilogue`], `#[inline(always)]`), instantiated a
+//! second time inside this module's
+//! `#[target_feature(enable = "avx2,fma")]` tile sandwich, so the whole
+//! tile is compiled for the ISA the plan resolved — outside a feature
+//! context each of a 3D7P point's seven `mul_add`s is a call into libm's
+//! `fma`, which used to make the boundary slabs 77 % of a 40³ tile. Only
+//! the steady state is additionally pinned to the paper's §3.3
+//! instruction mix (`vfmadd231pd` + one `vpermpd` + one `vblendpd` per
+//! produced input vector — the per-point reorganization cost does not
+//! grow with dimensionality). A hardware `vfmadd` and libm's `fma` are
+//! both exactly rounded, so results stay bit-identical to the portable
+//! engine and therefore to the scalar references.
 //!
 //! Use [`crate::engine`] for transparent runtime dispatch.
 
@@ -215,11 +222,72 @@ mod imp {
             }
         }
     }
+    /// The three-phase sandwich of one AVX2 tile — degenerate fallback,
+    /// prologue, the given steady state, epilogue — as **one** AVX2+FMA
+    /// codegen context: the `#[inline(always)]` phase functions of
+    /// [`t3d`] are instantiated here, under this fn's features, so their
+    /// `mul_add`s are `vfmadd`s instead of libm calls and their Jacobi
+    /// rows vectorize.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`); `steady` may rely on
+    /// that guarantee.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn tile_with<K: Kernel3d<f64>>(
+        g: &mut Grid3<f64>,
+        kern: &K,
+        s: usize,
+        sc: &mut Scratch3d<f64, 4>,
+        steady: impl FnOnce(&mut Grid3<f64>, &K, usize, &mut Scratch3d<f64, 4>, usize),
+    ) {
+        if t3d::tile_fallback_if_degenerate::<f64, 4, K>(g, kern, s, sc) {
+            return;
+        }
+        let x_max = t3d::tile_prologue::<f64, 4, K>(g, kern, s, sc);
+        steady(g, kern, s, sc, x_max);
+        t3d::tile_epilogue::<f64, 4, K>(g, kern, s, sc, x_max);
+    }
+
+    /// [`t3d::scalar_step_inplace`] instantiated in an AVX2+FMA codegen
+    /// context.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scalar_step<K: Kernel3d<f64>>(
+        g: &mut Grid3<f64>,
+        kern: &K,
+        plane_a: &mut [f64],
+        plane_b: &mut [f64],
+    ) {
+        t3d::scalar_step_inplace(g, kern, plane_a, plane_b);
+    }
 }
 
-/// One Heat-3D temporal tile with the AVX2 steady state (shared
-/// prologue/epilogue with the portable engine; degenerate `nx < VL·s`
-/// tiles fall back to the scalar schedule). Panics if AVX2+FMA are
+/// Check AVX2+FMA availability and run one whole tile — boundary phases
+/// and the given steady state — in the AVX2 codegen context.
+#[cfg(target_arch = "x86_64")]
+fn tile_with<K: Kernel3d<f64>>(
+    g: &mut Grid3<f64>,
+    kern: &K,
+    s: usize,
+    sc: &mut Scratch3d<f64, 4>,
+    steady: impl FnOnce(&mut Grid3<f64>, &K, usize, &mut Scratch3d<f64, 4>, usize),
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::tile_with(g, kern, s, sc, steady) }
+}
+
+/// One Heat-3D temporal tile compiled for AVX2+FMA end to end: the
+/// portable engine's boundary phases instantiated under the tile's ISA
+/// around the hand-scheduled steady state (degenerate `nx < VL·s` tiles
+/// run the scalar schedule, same context). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
 /// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
@@ -233,29 +301,6 @@ pub fn tile_heat3d_avx2(
         // SAFETY: tile_with asserted AVX2+FMA availability.
         unsafe { imp::steady_heat3d(g, k, s, sc, xm) }
     });
-}
-
-/// Shared three-phase sandwich of one AVX2 tile: availability assert,
-/// degenerate fallback, portable prologue, the given steady state,
-/// portable epilogue.
-#[cfg(target_arch = "x86_64")]
-fn tile_with<K: Kernel3d<f64>>(
-    g: &mut Grid3<f64>,
-    kern: &K,
-    s: usize,
-    sc: &mut Scratch3d<f64, 4>,
-    steady: impl FnOnce(&mut Grid3<f64>, &K, usize, &mut Scratch3d<f64, 4>, usize),
-) {
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    if t3d::tile_fallback_if_degenerate::<f64, 4, K>(g, kern, s, sc) {
-        return;
-    }
-    let x_max = t3d::tile_prologue::<f64, 4, K>(g, kern, s, sc);
-    steady(g, kern, s, sc, x_max);
-    t3d::tile_epilogue::<f64, 4, K>(g, kern, s, sc, x_max);
 }
 
 /// One GS-3D temporal tile with the AVX2 steady state; see
@@ -273,8 +318,27 @@ pub fn tile_gs3d_avx2(
     });
 }
 
+/// [`t3d::scalar_step_inplace`] compiled for AVX2+FMA (step remainders
+/// and scalar sweeps of a plan that resolved the AVX2 engine). Panics if
+/// AVX2+FMA are unavailable.
+#[cfg(target_arch = "x86_64")]
+pub fn scalar_step_avx2<K: Kernel3d<f64>>(
+    g: &mut Grid3<f64>,
+    kern: &K,
+    plane_a: &mut [f64],
+    plane_b: &mut [f64],
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::scalar_step(g, kern, plane_a, plane_b) }
+}
+
 /// Drive `steps` time steps through whole AVX2 tiles; the `steps mod 4`
-/// remainder runs scalar, exactly like [`t3d::run`].
+/// remainder runs scalar in the same codegen context, exactly like
+/// [`t3d::run`].
 #[cfg(target_arch = "x86_64")]
 fn run_with<K: Kernel3d<f64>>(
     grid: &Grid3<f64>,
@@ -290,13 +354,7 @@ fn run_with<K: Kernel3d<f64>>(
         tile(&mut g, kern, s, &mut sc);
     }
     for _ in 0..steps % 4 {
-        let (mut pa, mut pb) = (
-            core::mem::take(&mut sc.plane_a),
-            core::mem::take(&mut sc.plane_b),
-        );
-        t3d::scalar_step_inplace(&mut g, kern, &mut pa, &mut pb);
-        sc.plane_a = pa;
-        sc.plane_b = pb;
+        scalar_step_avx2(&mut g, kern, &mut sc.plane_a, &mut sc.plane_b);
     }
     g
 }

@@ -1,13 +1,23 @@
 //! Skewed-band (parallelogram) execution of the 3-D Gauss-Seidel engine —
 //! [`crate::t1d_band`] with whole `(y, z)` planes as the unit of the
 //! outer dimension.
+//!
+//! As in [`crate::t1d_band`] ("One source, two codegen contexts"), the
+//! scalar band, the slab update and the band prologue/epilogue are
+//! `#[inline(always)]` so [`band_temporal_gs3d_avx2`] and
+//! [`band_scalar_gs3d_avx2`] instantiate them a second time under
+//! `avx2,fma`, where `mul_add` is a `vfmadd` instead of a libm call.
 
 use crate::kernels::{Kernel3d, Nbhd3};
+use crate::t2d::{pack_rows, unpack_lane};
+use crate::t3d::fill_shell;
 use tempora_grid::Grid3;
 use tempora_simd::Pack;
 
-/// Scalar in-place 3-D Gauss-Seidel update of one slab `x`.
-#[inline]
+/// Scalar in-place 3-D Gauss-Seidel update of one slab `x`: per `z`-row
+/// the five operand rows are sliced once, and the serial newest-`z-1`
+/// chain is carried in a register.
+#[inline(always)]
 fn gs_slab<K: Kernel3d<f64>>(
     a: &mut [f64],
     x: usize,
@@ -17,27 +27,38 @@ fn gs_slab<K: Kernel3d<f64>>(
     pl: usize,
     kern: &K,
 ) {
+    let wz = nz + 2;
     for y in 1..=ny {
         let r = x * pl + y * p;
+        let (before, rest) = a.split_at_mut(r);
+        let (cur, after) = rest.split_at_mut(p);
+        let (new_xm, new_ym) = (&before[r - pl..][..wz], &before[r - p..][..wz]);
+        let (cur, yp, xp) = (&mut cur[..wz], &after[..wz], &after[pl - p..][..wz]);
+        let mut new_zm = cur[0];
+        let mut m = cur[1];
         for z in 1..=nz {
-            let nb = Nbhd3 {
+            let zp = cur[z + 1];
+            let o = kern.scalar(Nbhd3 {
                 xm: 0.0,
                 ym: 0.0,
                 zm: 0.0,
-                m: a[r + z],
-                zp: a[r + z + 1],
-                yp: a[r + p + z],
-                xp: a[r + pl + z],
-                new_xm: a[r - pl + z],
-                new_ym: a[r - p + z],
-                new_zm: a[r + z - 1],
-            };
-            a[r + z] = kern.scalar(nb);
+                m,
+                zp,
+                yp: yp[z],
+                xp: xp[z],
+                new_xm: new_xm[z],
+                new_ym: new_ym[z],
+                new_zm,
+            });
+            cur[z] = o;
+            new_zm = o;
+            m = zp;
         }
     }
 }
 
 /// One scalar skewed band over slab windows `[xl-(k-1), xr-(k-1)] ∩ [1, nx]`.
+#[inline(always)]
 pub fn band_scalar_gs3d<K: Kernel3d<f64>>(
     g: &mut Grid3<f64>,
     xl: usize,
@@ -108,9 +129,11 @@ pub fn band_temporal_gs3d<const VL: usize, K: Kernel3d<f64>>(
 
 /// Phase 1 of a 3-D temporal band: scalar prologue slabs plus the initial
 /// ring planes and the previous output plane `O(x_start-1, ·, ·)` in
-/// `sc.o_prev` (with `sc.o_cur` reset to the boundary value — its row 0
+/// `sc.o_prev` (with row 0 of `sc.o_cur` reset to the boundary value — it
 /// feeds the first plane's `y = 1` newest-north reads). Returns
-/// `(x_start, x_max)`. Shared by the portable and AVX2 steady states.
+/// `(x_start, x_max)`. One source for the portable and AVX2 steady
+/// states.
+#[inline(always)]
 fn band_prologue3d<const VL: usize, K: Kernel3d<f64>>(
     g: &mut Grid3<f64>,
     xl: usize,
@@ -126,64 +149,47 @@ fn band_prologue3d<const VL: usize, K: Kernel3d<f64>>(
     let x_start = xl - (VL - 1);
     let x_max = xr + 1 - VL * s;
     let wz = nz + 2;
-    let lp = |y: usize, z: usize| y * wz + z;
 
     // Prologue slabs, stashing the slab each pass is about to clobber.
     for k in 1..VL {
         let src = (x_start + (VL - k) * s) * pl;
         let dst = &mut sc.saved[k - 1];
         for y in 0..ny + 2 {
-            for z in 0..wz {
-                dst[lp(y, z)] = a[src + y * p + z];
-            }
+            dst[y * wz..][..wz].copy_from_slice(&a[src + y * p..][..wz]);
         }
         for x in xl - (k - 1)..=x_start + (VL - k) * s {
             gs_slab(a, x, ny, nz, p, pl, kern);
         }
     }
 
-    // Initial ring planes and O(x_start-1).
+    // Initial ring planes and O(x_start-1): lane i of V(x) is the
+    // staircase slab x + (VL-1-i)·s, except that the first vector's lower
+    // lanes come from the stashed slabs. Only the halo shell of a ring
+    // plane is read before the steady state writes it; of o_prev only the
+    // interior is read, of o_cur only row 0.
     let rlen = s + 1;
-    for plane in sc.ring.iter_mut() {
-        for slot in plane.iter_mut() {
-            *slot = Pack::splat(bc);
-        }
-    }
-    {
-        let dst = &mut sc.ring[x_start % rlen];
-        for y in 1..=ny {
-            for z in 1..=nz {
-                dst[lp(y, z)] = Pack::from_fn(|i| {
-                    if i == VL - 1 {
-                        a[x_start * pl + y * p + z]
-                    } else {
-                        sc.saved[i][lp(y, z)]
-                    }
-                });
-            }
-        }
-    }
-    for j in 1..=s {
+    let a = &*a;
+    let staircase = |x: usize, y: usize| -> [&[f64]; VL] {
+        core::array::from_fn(|i| &a[(x + (VL - 1 - i) * s) * pl + y * p..][..wz])
+    };
+    for j in 0..=s {
         let x = x_start + j;
         let dst = &mut sc.ring[x % rlen];
+        fill_shell(dst, ny, wz, Pack::splat(bc));
         for y in 1..=ny {
-            for z in 1..=nz {
-                dst[lp(y, z)] = Pack::from_fn(|i| a[(x + (VL - 1 - i) * s) * pl + y * p + z]);
+            let mut rows = staircase(x, y);
+            if j == 0 {
+                for (i, row) in rows.iter_mut().enumerate().take(VL - 1) {
+                    *row = &sc.saved[i][y * wz..][..wz];
+                }
             }
+            pack_rows(&mut dst[y * wz..][..wz], rows);
         }
-    }
-    for slot in sc.o_prev.iter_mut() {
-        *slot = Pack::splat(bc);
     }
     for y in 1..=ny {
-        for z in 1..=nz {
-            sc.o_prev[lp(y, z)] =
-                Pack::from_fn(|i| a[(x_start - 1 + (VL - 1 - i) * s) * pl + y * p + z]);
-        }
+        pack_rows(&mut sc.o_prev[y * wz..][..wz], staircase(x_start - 1, y));
     }
-    for slot in sc.o_cur.iter_mut() {
-        *slot = Pack::splat(bc);
-    }
+    sc.o_cur[..wz].fill(Pack::splat(bc));
     (x_start, x_max)
 }
 
@@ -255,6 +261,7 @@ fn band_steady3d<const VL: usize, K: Kernel3d<f64>>(
 
 /// Phase 3 of a 3-D temporal band: materialize register-resident levels,
 /// then finish each level scalar.
+#[inline(always)]
 fn band_epilogue3d<const VL: usize, K: Kernel3d<f64>>(
     g: &mut Grid3<f64>,
     xr: usize,
@@ -267,25 +274,20 @@ fn band_epilogue3d<const VL: usize, K: Kernel3d<f64>>(
     let (p, pl) = (g.pitch(), g.plane());
     let a = g.data_mut();
     let wz = nz + 2;
-    let lp = |y: usize, z: usize| y * wz + z;
     let rlen = s + 1;
     for j in x_max + 1..=x_max + s {
         let src = &sc.ring[j % rlen];
         for i in 1..VL {
             let slab = (j + (VL - 1 - i) * s) * pl;
             for y in 1..=ny {
-                for z in 1..=nz {
-                    a[slab + y * p + z] = src[lp(y, z)].extract(i);
-                }
+                unpack_lane(&src[y * wz..][..wz], i, &mut a[slab + y * p..][..wz]);
             }
         }
     }
     for i in 0..VL - 1 {
         let slab = (x_max + (VL - 1 - i) * s) * pl;
         for y in 1..=ny {
-            for z in 1..=nz {
-                a[slab + y * p + z] = sc.o_prev[lp(y, z)].extract(i);
-            }
+            unpack_lane(&sc.o_prev[y * wz..][..wz], i, &mut a[slab + y * p..][..wz]);
         }
     }
     for k in 1..=VL {
@@ -302,10 +304,11 @@ fn band_epilogue3d<const VL: usize, K: Kernel3d<f64>>(
 /// (`vfmadd231pd`, `vpermpd`, `vblendpd`) as `crate::t3d_avx2`, with newest operands
 /// from the previous output plane (`x-1`), the output plane being filled
 /// (`y-1`) and the previous output register (`z-1`), exactly as in the
-/// portable steady state (§3.4). Prologue/epilogue are shared with
-/// [`band_temporal_gs3d`], so results stay bit-identical to it and to
-/// [`band_scalar_gs3d`]; edge or narrow tiles fall back to the scalar
-/// band. Panics without AVX2+FMA.
+/// portable steady state (§3.4). Prologue, epilogue and the scalar
+/// fallback of edge or narrow tiles are the source of
+/// [`band_temporal_gs3d`], compiled under this band's ISA, so results
+/// stay bit-identical to it and to [`band_scalar_gs3d`]. Panics without
+/// AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 pub fn band_temporal_gs3d_avx2(
     g: &mut Grid3<f64>,
@@ -315,33 +318,86 @@ pub fn band_temporal_gs3d_avx2(
     kern: &crate::kernels::GsKern3d,
     sc: &mut BandScratch3d<4>,
 ) {
-    use crate::kernels::GsKern3d;
-    const VL: usize = 4;
     assert!(
         tempora_simd::arch::avx2_available(),
         "AVX2+FMA not available on this CPU"
     );
     assert!(
-        s >= GsKern3d::MIN_STRIDE,
+        s >= crate::kernels::GsKern3d::MIN_STRIDE,
         "stride {s} illegal for this kernel"
     );
-    let (nx, ny, nz) = (g.nx(), g.ny(), g.nz());
-    assert_eq!((sc.ny, sc.nz), (ny, nz), "scratch shape mismatch");
-    if !crate::t1d_band::vector_band_shape::<VL>(xl, xr, nx, s) {
-        band_scalar_gs3d(g, xl, xr, VL, kern);
-        return;
-    }
-    let (x_start, x_max) = band_prologue3d::<VL, GsKern3d>(g, xl, xr, s, kern, sc);
+    assert_eq!((sc.ny, sc.nz), (g.ny(), g.nz()), "scratch shape mismatch");
     // SAFETY: availability asserted above.
-    unsafe { imp::band_steady_gs3d_avx2(g, s, kern, sc, x_start, x_max) };
-    band_epilogue3d::<VL, GsKern3d>(g, xr, s, kern, sc, x_max);
+    unsafe { imp::band_gs3d(g, xl, xr, s, kern, sc) }
+}
+
+/// [`band_scalar_gs3d`] compiled for AVX2+FMA (scalar bands of a
+/// workspace that resolved the AVX2 engine). Panics without AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+pub fn band_scalar_gs3d_avx2<K: Kernel3d<f64>>(
+    g: &mut Grid3<f64>,
+    xl: usize,
+    xr: usize,
+    vl: usize,
+    kern: &K,
+) {
+    assert!(
+        tempora_simd::arch::avx2_available(),
+        "AVX2+FMA not available on this CPU"
+    );
+    // SAFETY: availability asserted above.
+    unsafe { imp::band_scalar(g, xl, xr, vl, kern) }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{BandScratch3d, Grid3, Pack};
-    use crate::kernels::GsKern3d;
+    use super::{band_epilogue3d, band_prologue3d, band_scalar_gs3d, BandScratch3d, Grid3, Pack};
+    use crate::kernels::{GsKern3d, Kernel3d};
     use tempora_simd::arch::avx2;
+
+    /// The sandwich of one AVX2 band — shape check, scalar fallback or
+    /// prologue → steady state → epilogue — as **one** AVX2+FMA codegen
+    /// context: the `#[inline(always)]` phase functions are instantiated
+    /// here, under this fn's features.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn band_gs3d(
+        g: &mut Grid3<f64>,
+        xl: usize,
+        xr: usize,
+        s: usize,
+        kern: &GsKern3d,
+        sc: &mut BandScratch3d<4>,
+    ) {
+        const VL: usize = 4;
+        if !crate::t1d_band::vector_band_shape::<VL>(xl, xr, g.nx(), s) {
+            band_scalar_gs3d(g, xl, xr, VL, kern);
+            return;
+        }
+        let (x_start, x_max) = band_prologue3d::<VL, GsKern3d>(g, xl, xr, s, kern, sc);
+        // SAFETY: AVX2+FMA availability is this fn's own caller contract.
+        unsafe { band_steady_gs3d_avx2(g, s, kern, sc, x_start, x_max) };
+        band_epilogue3d::<VL, GsKern3d>(g, xr, s, kern, sc, x_max);
+    }
+
+    /// [`band_scalar_gs3d`] instantiated in an AVX2+FMA codegen context.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn band_scalar<K: Kernel3d<f64>>(
+        g: &mut Grid3<f64>,
+        xl: usize,
+        xr: usize,
+        vl: usize,
+        kern: &K,
+    ) {
+        band_scalar_gs3d(g, xl, xr, vl, kern);
+    }
 
     /// The AVX2 steady state of one skewed 3-D Gauss-Seidel band:
     /// identical algebra and iteration order to

@@ -16,7 +16,7 @@
 
 use crate::{PlanError, State};
 use tempora_baseline::{dlt, reorg};
-use tempora_core::engine::{GsSpace, KernelSpace};
+use tempora_core::engine::{Engine, GsSpace, KernelSpace};
 use tempora_core::{lcs, lcs_avx2};
 use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
 use tempora_parallel::Pool;
@@ -89,15 +89,16 @@ impl StateGrid for Grid3<f64> {
 // Sequential grid executors, generic over the kernel
 // ---------------------------------------------------------------------
 
-/// Sequential temporal engine (portable or AVX2 steady state, fixed at
-/// plan time), tile scratch and remainder step buffers reused across
+/// Sequential temporal engine (portable or AVX2, fixed at plan time —
+/// the engine is the codegen context of the whole run, remainder steps
+/// included), tile scratch and remainder step buffers reused across
 /// runs. Both steady states run at the kernel's own lane count, so they
 /// share one scratch.
 pub(crate) struct Temporal<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
     pub s: usize,
-    pub avx2: bool,
+    pub engine: Engine,
     pub counted: bool,
     pub scratch: K::Scratch,
     pub rem: K::StepBufs,
@@ -109,27 +110,27 @@ where
 {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = K::Grid::from_state(state)?;
+        let (engine, s) = (self.engine, self.s);
         for _ in 0..self.steps / K::VL {
-            if self.avx2 {
-                self.kern.tile_avx2(g, self.s, &mut self.scratch);
-            } else if self.counted {
-                self.kern.tile::<true>(g, self.s, &mut self.scratch);
+            if self.counted {
+                self.kern.tile::<true>(engine, g, s, &mut self.scratch);
             } else {
-                self.kern.tile::<false>(g, self.s, &mut self.scratch);
+                self.kern.tile::<false>(engine, g, s, &mut self.scratch);
             }
         }
         for _ in 0..self.steps % K::VL {
-            self.kern.scalar_step(g, &mut self.rem);
+            self.kern.scalar_step(engine, g, &mut self.rem);
         }
         Ok(())
     }
 }
 
 /// Sequential scalar sweep (the paper's Algorithm 1, in place, plan-owned
-/// step buffers).
+/// step buffers), in the codegen context the plan's selection allows.
 pub(crate) struct Scalar<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
+    pub isa: Engine,
     pub bufs: K::StepBufs,
 }
 
@@ -140,17 +141,18 @@ where
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = K::Grid::from_state(state)?;
         for _ in 0..self.steps {
-            self.kern.scalar_step(g, &mut self.bufs);
+            self.kern.scalar_step(self.isa, g, &mut self.bufs);
         }
         Ok(())
     }
 }
 
 /// Sequential multi-load (spatially vectorized) sweep, ping-ponging a
-/// plan-owned grid.
+/// plan-owned grid, in the codegen context the plan's selection allows.
 pub(crate) struct Multiload<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
+    pub isa: Engine,
     pub tmp: K::Grid,
 }
 
@@ -163,9 +165,9 @@ where
         self.tmp.data_mut().copy_from_slice(g.data());
         for step in 0..self.steps {
             if step % 2 == 0 {
-                self.kern.multiload_step(g, &mut self.tmp);
+                self.kern.multiload_step(self.isa, g, &mut self.tmp);
             } else {
-                self.kern.multiload_step(&self.tmp, g);
+                self.kern.multiload_step(self.isa, &self.tmp, g);
             }
         }
         if self.steps % 2 == 1 {
@@ -185,18 +187,19 @@ where
 pub(crate) struct Reorg1d {
     pub coeffs: Heat1dCoeffs,
     pub steps: usize,
+    pub isa: Engine,
     pub counted: bool,
 }
 
 impl Exec for Reorg1d {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = Grid1::from_state(state)?;
-        let out = if self.counted {
-            reorg::heat1d_counted(g, self.coeffs, self.steps)
-        } else {
-            reorg::heat1d(g, self.coeffs, self.steps)
+        *g = match self.isa {
+            _ if self.counted => reorg::heat1d_counted(g, self.coeffs, self.steps),
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => reorg::heat1d_avx2(g, self.coeffs, self.steps),
+            _ => reorg::heat1d(g, self.coeffs, self.steps),
         };
-        *g = out;
         Ok(())
     }
 }
@@ -206,12 +209,17 @@ impl Exec for Reorg1d {
 pub(crate) struct Dlt1d {
     pub coeffs: Heat1dCoeffs,
     pub steps: usize,
+    pub isa: Engine,
 }
 
 impl Exec for Dlt1d {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = Grid1::from_state(state)?;
-        *g = dlt::heat1d(g, self.coeffs, self.steps);
+        *g = match self.isa {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => dlt::heat1d_avx2(g, self.coeffs, self.steps),
+            _ => dlt::heat1d(g, self.coeffs, self.steps),
+        };
         Ok(())
     }
 }

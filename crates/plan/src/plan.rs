@@ -429,12 +429,21 @@ impl PlanBuilder {
                     Box::new(Reorg1d {
                         coeffs,
                         steps,
+                        isa: self.isa(),
                         counted: self.count_reorg,
                     }),
                     None,
                     None,
                 )),
-                Method::Dlt => Ok((Box::new(Dlt1d { coeffs, steps }), None, None)),
+                Method::Dlt => Ok((
+                    Box::new(Dlt1d {
+                        coeffs,
+                        steps,
+                        isa: self.isa(),
+                    }),
+                    None,
+                    None,
+                )),
                 _ => self.plan_grid(JacobiKern1d(coeffs), dims, boundary, steps, s),
             },
             Problem::Gs1d {
@@ -506,7 +515,7 @@ impl PlanBuilder {
                         kern,
                         steps,
                         s,
-                        avx2: engine == Engine::Avx2,
+                        engine,
                         counted: self.count_reorg,
                         scratch: K::scratch(dims, s),
                         rem: K::step_bufs(dims),
@@ -514,12 +523,24 @@ impl PlanBuilder {
                     (Box::new(exec), Some(engine), None)
                 }
                 Method::Multiload => {
-                    let tmp = K::Grid::with_dims(dims, bc);
-                    (Box::new(Multiload { kern, steps, tmp }), None, None)
+                    let (isa, tmp) = (self.isa(), K::Grid::with_dims(dims, bc));
+                    let exec = Multiload {
+                        kern,
+                        steps,
+                        isa,
+                        tmp,
+                    };
+                    (Box::new(exec), None, None)
                 }
                 Method::Scalar => {
-                    let bufs = K::step_bufs(dims);
-                    (Box::new(Scalar { kern, steps, bufs }), None, None)
+                    let (isa, bufs) = (self.isa(), K::step_bufs(dims));
+                    let exec = Scalar {
+                        kern,
+                        steps,
+                        isa,
+                        bufs,
+                    };
+                    (Box::new(exec), None, None)
                 }
                 Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
             }),
@@ -590,6 +611,14 @@ impl PlanBuilder {
                 unreachable!("validated: grid tilings are not LCS tilings")
             }
         }
+    }
+
+    /// The codegen context of the spatial methods (scalar, multi-load,
+    /// reorg, DLT): they have no hand-scheduled variant and report no
+    /// engine, but their `mul_add`s still follow the selection — AVX2+FMA
+    /// code when the policy and the CPU allow it, portable otherwise.
+    fn isa(&self) -> Engine {
+        self.select.resolve(true)
     }
 
     /// The in-tile scheme the tiling workspaces run for this method.

@@ -36,6 +36,13 @@
 //! resolve portable, because every engine would run the identical scalar
 //! schedule there.
 //!
+//! The resolved engine is also the **codegen context** of everything a
+//! tile executes — boundary phases, remainder steps — and the scalar and
+//! multi-load modes, which report no engine, still follow the [`Select`]
+//! for theirs (`sel.resolve(true)`: AVX2+FMA code when the policy and the
+//! CPU allow it), so the "scalar" and "auto" curves are not measured
+//! through libm `fma` calls.
+//!
 //! # Correctness (contamination argument)
 //!
 //! Each tile copies its block plus `height + 1` extra slabs per side into a
@@ -140,6 +147,9 @@ pub struct GhostJacobi<K: KernelSpace> {
     block: usize,
     height: usize,
     engine: Option<Engine>,
+    /// Codegen context of every in-tile kernel and remainder step: the
+    /// resolved temporal engine, or the selection's for the other modes.
+    isa: Engine,
     dims: [usize; 3],
     /// `bufs[t]`: tile `t`'s block plus `height + 1` ghost slabs per side.
     bufs: Vec<K::Grid>,
@@ -204,6 +214,7 @@ impl<K: KernelSpace> GhostJacobi<K> {
             block,
             height,
             engine,
+            isa: engine.unwrap_or_else(|| sel.resolve(true)),
             dims,
             states: bufs.iter().map(|b| TileState::new(mode, b)).collect(),
             bufs,
@@ -274,7 +285,7 @@ impl<K: KernelSpace> GhostJacobi<K> {
         };
         let ghost = height + 1;
         let ntiles = bufs.len();
-        let avx2 = self.engine == Some(Engine::Avx2);
+        let isa = self.isa;
         // Elements per outer slab — identical in `g` and in every buffer,
         // which share the inner extents.
         let slab = g.slab();
@@ -309,7 +320,7 @@ impl<K: KernelSpace> GhostJacobi<K> {
                 match st {
                     TileState::Scalar(step) => {
                         for _ in 0..height {
-                            kern.scalar_step(buf, step);
+                            kern.scalar_step(isa, buf, step);
                         }
                     }
                     TileState::Auto(tmp) => {
@@ -319,17 +330,13 @@ impl<K: KernelSpace> GhostJacobi<K> {
                         // last step lands back in `buf`.
                         tmp.data_mut().copy_from_slice(buf.data());
                         for _ in 0..height / 2 {
-                            kern.multiload_step(buf, tmp);
-                            kern.multiload_step(tmp, buf);
+                            kern.multiload_step(isa, buf, tmp);
+                            kern.multiload_step(isa, tmp, buf);
                         }
                     }
                     TileState::Temporal(sc) => {
                         for _ in 0..height / K::VL {
-                            if avx2 {
-                                kern.tile_avx2(buf, s, sc);
-                            } else {
-                                kern.tile::<false>(buf, s, sc);
-                            }
+                            kern.tile::<false>(isa, buf, s, sc);
                         }
                     }
                 }
@@ -340,7 +347,7 @@ impl<K: KernelSpace> GhostJacobi<K> {
             });
         }
         for _ in 0..self.steps % height {
-            kern.scalar_step(g, rem);
+            kern.scalar_step(isa, g, rem);
         }
     }
 }

@@ -40,6 +40,13 @@
 //! band scratch lives in a workspace arena (one slot per block index —
 //! tasks with the same block index are ordered by the wave dependences,
 //! so slots are never touched concurrently).
+//!
+//! The resolved engine is also the **codegen context** of everything a
+//! band executes — prologue/epilogue, the scalar fallback of edge and
+//! narrow bands, remainder steps — and scalar-mode workspaces, which
+//! report no engine, still follow the [`Select`] for theirs
+//! (`sel.resolve(true)`), so no band runs its `mul_add`s through libm
+//! `fma` calls when AVX2+FMA code was allowed.
 
 use tempora_core::engine::{Engine, GsSpace, Select};
 use tempora_core::t1d_band::vector_band_shape;
@@ -95,6 +102,9 @@ pub struct SkewGs<K: GsSpace> {
     height: usize,
     s: usize,
     engine: Option<Engine>,
+    /// Codegen context of every band and remainder step: the resolved
+    /// temporal engine, or the selection's for scalar bands.
+    isa: Engine,
     dims: [usize; 3],
     nblocks: usize,
     /// One slot per block index, present when a temporal engine runs
@@ -159,6 +169,7 @@ impl<K: GsSpace> SkewGs<K> {
             height,
             s,
             engine,
+            isa: engine.unwrap_or_else(|| sel.resolve(true)),
             dims,
             nblocks,
             scratch,
@@ -215,7 +226,7 @@ impl<K: GsSpace> SkewGs<K> {
             kern, scratch, rem, ..
         } = self;
         let (n, block, height, s) = (self.dims[0], self.block, self.height, self.s);
-        let engine = self.engine;
+        let (temporal, isa) = (self.engine.is_some(), self.isa);
         {
             let shared_grid = SyncSlice::new(core::slice::from_mut(g));
             let scratch_shared = SyncSlice::new(scratch);
@@ -227,24 +238,20 @@ impl<K: GsSpace> SkewGs<K> {
                 let g = &mut unsafe { shared_grid.slice_mut() }[0];
                 let (xl, xr) = block_bounds(i, n, block, height);
                 for (xlj, xrj) in sub_bands(xl, xr, height) {
-                    match engine {
-                        None => kern.band_scalar(g, xlj, xrj, VL),
-                        Some(eng) => {
-                            // SAFETY: scratch slot i belongs to block i
-                            // alone; one tile of block i is in flight at a
-                            // time (wavefront dependences).
-                            let sc = unsafe { &mut scratch_shared.slice_mut()[i] };
-                            match eng {
-                                Engine::Avx2 => kern.band_avx2(g, xlj, xrj, s, sc),
-                                Engine::Portable => kern.band(g, xlj, xrj, s, sc),
-                            }
-                        }
+                    if temporal {
+                        // SAFETY: scratch slot i belongs to block i alone;
+                        // one tile of block i is in flight at a time
+                        // (wavefront dependences).
+                        let sc = unsafe { &mut scratch_shared.slice_mut()[i] };
+                        kern.band(isa, g, xlj, xrj, s, sc);
+                    } else {
+                        kern.band_scalar(isa, g, xlj, xrj, VL);
                     }
                 }
             });
         }
         for _ in 0..self.steps % height {
-            kern.scalar_step(g, rem);
+            kern.scalar_step(isa, g, rem);
         }
     }
 }

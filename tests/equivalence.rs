@@ -126,6 +126,17 @@ fn heat1d_all_schemes_agree() {
     );
     assert!(reorg::heat1d(&g, c, steps).interior_eq(&gold), "reorg");
     assert!(dlt::heat1d(&g, c, steps).interior_eq(&gold), "dlt");
+    // The same baselines compiled for AVX2+FMA (n = 1000 takes the DLT
+    // fast path, n = 1001 its multi-load fallback).
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        let odd = g1(1001, 2, 0.5);
+        let gold_odd = reference::heat1d(&odd, c, steps);
+        assert!(multiload::heat1d_avx2(&g, c, steps).interior_eq(&gold));
+        assert!(reorg::heat1d_avx2(&g, c, steps).interior_eq(&gold));
+        assert!(dlt::heat1d_avx2(&g, c, steps).interior_eq(&gold));
+        assert!(dlt::heat1d_avx2(&odd, c, steps).interior_eq(&gold_odd));
+    }
     // All five methods again through the plan API (including the
     // one-shot baselines) plus the ghost tiling on 2 workers.
     let problem = Problem::Heat1d {
@@ -436,6 +447,180 @@ fn parallel_results_are_deterministic_across_thread_counts() {
     let (s1, _) = run1(&problem, skew.threads(1), &g);
     let (s4, _) = run1(&problem, skew.threads(4), &g);
     assert!(s1.interior_eq(&s4));
+}
+
+/// The scalar reference of `problem` on `input`, and bitwise equality of
+/// two states' interiors — the two halves of the table-driven test below.
+fn reference_state(problem: &Problem, input: &State) -> State {
+    match (*problem, input) {
+        (Problem::Heat1d { coeffs, steps, .. }, State::Grid1(g)) => {
+            State::Grid1(reference::heat1d(g, coeffs, steps))
+        }
+        (Problem::Gs1d { coeffs, steps, .. }, State::Grid1(g)) => {
+            State::Grid1(reference::gs1d(g, coeffs, steps))
+        }
+        (Problem::Heat2d { coeffs, steps, .. }, State::Grid2(g)) => {
+            State::Grid2(reference::heat2d(g, coeffs, steps))
+        }
+        (Problem::Box2d { coeffs, steps, .. }, State::Grid2(g)) => {
+            State::Grid2(reference::box2d(g, coeffs, steps))
+        }
+        (Problem::Gs2d { coeffs, steps, .. }, State::Grid2(g)) => {
+            State::Grid2(reference::gs2d(g, coeffs, steps))
+        }
+        (Problem::Life { rule, steps, .. }, State::Grid2i(g)) => {
+            State::Grid2i(reference::life(g, rule, steps))
+        }
+        (Problem::Heat3d { coeffs, steps, .. }, State::Grid3(g)) => {
+            State::Grid3(reference::heat3d(g, coeffs, steps))
+        }
+        (Problem::Gs3d { coeffs, steps, .. }, State::Grid3(g)) => {
+            State::Grid3(reference::gs3d(g, coeffs, steps))
+        }
+        _ => unreachable!("state does not match problem"),
+    }
+}
+
+fn states_eq(a: &State, b: &State) -> bool {
+    match (a, b) {
+        (State::Grid1(a), State::Grid1(b)) => a.interior_eq(b),
+        (State::Grid2(a), State::Grid2(b)) => a.interior_eq(b),
+        (State::Grid2i(a), State::Grid2i(b)) => a.interior_eq(b),
+        (State::Grid3(a), State::Grid3(b)) => a.interior_eq(b),
+        _ => false,
+    }
+}
+
+/// Boundary-dominated shapes, all eight grid kinds: outer extents that
+/// leave the steady state 1, 2 or `VL·s` slabs (`x_max`), inner rows
+/// shorter than, equal to and not a multiple of a vector, a whole tile
+/// and two tiles plus a remainder step, both engines, untiled plus the
+/// ghost/skew tiling at its minimum legal block on 1 and 2 threads.
+/// Every result equals the scalar reference bit for bit (hence the two
+/// engines equal each other). The other suites use shapes where the
+/// steady state dominates; these are the shapes where the prologue,
+/// ring fill/drain, epilogue, edge bands and remainder steps are most of
+/// the run — the code both engines instantiate from one source.
+#[test]
+fn boundary_dominated_shapes_match_reference_bitwise() {
+    const S: usize = 2;
+    let b = Boundary::Dirichlet(0.3);
+    type Mk = fn(usize, [usize; 2], usize, Boundary<f64>) -> Problem;
+    let kinds: [(usize, Mk); 8] = [
+        (4, |n, _, steps, boundary| Problem::Heat1d {
+            n,
+            steps,
+            coeffs: Heat1dCoeffs::new(0.3, 0.45, 0.25),
+            boundary,
+        }),
+        (4, |n, _, steps, boundary| Problem::Gs1d {
+            n,
+            steps,
+            coeffs: Gs1dCoeffs::new(0.4, 0.35, 0.25),
+            boundary,
+        }),
+        (4, |nx, [ny, _], steps, boundary| Problem::Heat2d {
+            nx,
+            ny,
+            steps,
+            coeffs: Heat2dCoeffs::classic(0.12),
+            boundary,
+        }),
+        (4, |nx, [ny, _], steps, boundary| Problem::Box2d {
+            nx,
+            ny,
+            steps,
+            coeffs: Box2dCoeffs::smooth(0.1),
+            boundary,
+        }),
+        (4, |nx, [ny, _], steps, boundary| Problem::Gs2d {
+            nx,
+            ny,
+            steps,
+            coeffs: Gs2dCoeffs::new(0.31, 0.17, 0.23, 0.11, 0.13),
+            boundary,
+        }),
+        (8, |nx, [ny, _], steps, _| Problem::Life {
+            nx,
+            ny,
+            steps,
+            rule: LifeRule::b2s23(),
+            boundary: Boundary::Dirichlet(1),
+        }),
+        (4, |nx, [ny, nz], steps, boundary| Problem::Heat3d {
+            nx,
+            ny,
+            nz,
+            steps,
+            coeffs: Heat3dCoeffs::classic(0.11),
+            boundary,
+        }),
+        (4, |nx, [ny, nz], steps, boundary| Problem::Gs3d {
+            nx,
+            ny,
+            nz,
+            steps,
+            coeffs: Gs3dCoeffs::new(0.21, 0.13, 0.08, 0.3, 0.09, 0.11, 0.07),
+            boundary,
+        }),
+    ];
+    let can_force_avx2 = cfg!(target_arch = "x86_64") && tempora::simd::arch::avx2_available();
+    let selects: &[Select] = if can_force_avx2 {
+        &[Select::Portable, Select::Avx2]
+    } else {
+        &[Select::Portable]
+    };
+    // Middle/inner extent pairs: every inner row length, asymmetric in 3-D.
+    let inners = [[1usize, 3usize], [3, 5], [5, 9], [9, 1]];
+    for (vl, mk) in kinds {
+        for outer in [vl * S, vl * S + 1, 2 * vl * S - 1] {
+            for inner in inners {
+                for steps in [vl, 2 * vl + 1] {
+                    let problem = mk(outer, inner, steps, b);
+                    let mut input = problem.state();
+                    match &mut input {
+                        State::Grid1(g) => fill_random_1d(g, 11, -1.0, 1.0),
+                        State::Grid2(g) => fill_random_2d(g, 12, -1.0, 1.0),
+                        State::Grid2i(g) => fill_random_life(g, 13, 0.4),
+                        State::Grid3(g) => fill_random_3d(g, 14, -1.0, 1.0),
+                        State::Lcs(_) => unreachable!(),
+                    }
+                    let gold = reference_state(&problem, &input);
+                    // Minimum legal blocks: one slab per ghost tile; the
+                    // skew wave-disjointness bound height + VL·s + VL.
+                    let tiled = if problem.is_gauss_seidel() {
+                        Tiling::Skew {
+                            block: 4 + 4 * S + 4,
+                            height: 4,
+                        }
+                    } else {
+                        Tiling::Ghost {
+                            block: 1,
+                            height: vl,
+                        }
+                    };
+                    for &sel in selects {
+                        let base = PlanBuilder::new().stride(S).select(sel);
+                        for (builder, what) in [
+                            (base, "untiled"),
+                            (base.tiling(tiled).threads(1), "tiled, 1 thread"),
+                            (base.tiling(tiled).threads(2), "tiled, 2 threads"),
+                        ] {
+                            let mut state = input.clone();
+                            compile(&problem, builder)
+                                .run(&mut state)
+                                .expect("state matches plan");
+                            assert!(
+                                states_eq(&state, &gold),
+                                "{} outer={outer} inner={inner:?} steps={steps} {sel:?} {what}",
+                                problem.kind_name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -31,6 +31,13 @@ pub unsafe fn incr(p: *mut u32) {
 #[target_feature(enable = "avx2")]
 pub unsafe fn fast() {}
 
+/// A phase function (checked under `crates/core/src`): one source,
+/// instantiated in each caller's codegen context.
+#[inline(always)]
+pub fn tile_prologue(n: usize) -> usize {
+    n + 1
+}
+
 // Justification: demo helper reached only from doctests.
 #[allow(dead_code)]
 fn helper() {}

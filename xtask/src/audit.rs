@@ -1,6 +1,6 @@
 //! The safety audit wall: repo-specific lints over workspace sources.
 //!
-//! Six rules, each scoped to where it is meaningful (unit-test regions
+//! Seven rules, each scoped to where it is meaningful (unit-test regions
 //! are recognized by `#[cfg(test)]` / `#[test]` tracking, and files
 //! under `tests/`, `benches/` or `examples/` count as test code):
 //!
@@ -12,6 +12,7 @@
 //! | `panic-justification` | every `.unwrap()` / `.expect(` call carries a justification comment, same line or directly above | non-test code |
 //! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module | everywhere |
 //! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the `avx2_available()` capability probe it is dispatched behind | everywhere |
+//! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src` |
 //!
 //! The engine is deliberately line-based and dependency-free: it
 //! complements (never replaces) the denied rustc/clippy lints in
@@ -41,6 +42,53 @@ const STD_ARCH: &str = concat!("std::", "arch");
 const MM_INTRINSIC: &str = concat!("_m", "m");
 const TARGET_FEATURE: &str = concat!("#[tar", "get_feature");
 const AVAILABLE_PROBE: &str = concat!("avx2_av", "ailable");
+
+const INLINE_ALWAYS: &str = "#[inline(always)]";
+
+/// Directory whose phase functions the `phase-inline` rule guards.
+const PHASE_SCOPE: &str = "crates/core/src/";
+
+/// The phase functions of `tempora_core`: boundary code written once and
+/// instantiated twice — for baseline x86-64 by the portable engines, and
+/// inside the `#[target_feature(enable = "avx2,fma")]` sandwiches of the
+/// AVX2 engines. That second instantiation exists only because these
+/// functions are `#[inline(always)]`; drop the attribute from one and it
+/// compiles once, for baseline x86-64, where every `f64::mul_add` is a
+/// call into libm's `fma` — same results, ≈ 20× slower per boundary
+/// point, and no test notices.
+const PHASE_FNS: [&str; 24] = [
+    "tile_fallback_if_degenerate",
+    "tile_prologue",
+    "tile_epilogue",
+    "scalar_step_inplace",
+    "gs_initial_output",
+    "sweep_row",
+    "sweep_level",
+    "pack_rows",
+    "unpack_lane",
+    "fill_shell",
+    "band_scalar_gs",
+    "band_scalar_gs2d",
+    "band_scalar_gs3d",
+    "band_prologue",
+    "band_prologue2d",
+    "band_prologue3d",
+    "band_epilogue",
+    "band_epilogue2d",
+    "band_epilogue3d",
+    "gs_row",
+    "gs_slab",
+    "step_1d_body",
+    "step_2d_body",
+    "step_3d_body",
+];
+
+/// The phase function a code line defines, if any.
+fn defined_phase_fn(code: &str) -> Option<&'static str> {
+    let rest = &code[code.find("fn ")? + 3..];
+    let name_len = rest.bytes().take_while(|&b| is_ident(b)).count();
+    PHASE_FNS.into_iter().find(|&f| f == &rest[..name_len])
+}
 
 /// Files allowed to use `transmute` / raw intrinsics / inline `asm!`:
 /// the SIMD vocabulary and the affinity (pinning) syscall leaf.
@@ -493,6 +541,23 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 );
             }
         }
+
+        // --- phase-inline ---------------------------------------------
+        if !in_test && path.starts_with(PHASE_SCOPE) {
+            if let Some(name) = defined_phase_fn(code) {
+                if !header_block_contains(&v, i, INLINE_ALWAYS) {
+                    push(
+                        i,
+                        "phase-inline",
+                        format!(
+                            "phase function `{name}` must be `{INLINE_ALWAYS}`: without it the \
+                             AVX2 sandwiches call the baseline-x86-64 instantiation (libm `fma` \
+                             per `mul_add`) instead of compiling their own"
+                        ),
+                    );
+                }
+            }
+        }
     }
     out
 }
@@ -635,6 +700,26 @@ mod tests {
                 ),
             ]
         );
+    }
+
+    #[test]
+    fn phase_fn_without_inline_always_is_flagged_in_core_only() {
+        let src = include_str!("../fixtures/bad/phase_not_inlined.rs");
+        assert_eq!(
+            diags("crates/core/src/t9d.rs", src),
+            vec![format!(
+                "crates/core/src/t9d.rs:12: [phase-inline] phase function `tile_epilogue` must \
+                 be `{INLINE_ALWAYS}`: without it the AVX2 sandwiches call the \
+                 baseline-x86-64 instantiation (libm `fma` per `mul_add`) instead of \
+                 compiling their own"
+            )]
+        );
+        // Other crates may reuse the names freely.
+        assert_eq!(diags("crates/demo/src/lib.rs", src), Vec::<String>::new());
+        // The good fixture defines a phase function with the attribute.
+        let good = include_str!("../fixtures/good/clean.rs");
+        assert!(good.contains("fn tile_prologue"));
+        assert_eq!(diags("crates/core/src/t9d.rs", good), Vec::<String>::new());
     }
 
     #[test]
