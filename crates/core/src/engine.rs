@@ -45,7 +45,10 @@
 //! steps, edge bands, the spatial multi-load steps — in that engine's
 //! codegen context. The phase functions are one `#[inline(always)]`
 //! source, instantiated once for baseline x86-64 and once inside
-//! `#[target_feature(enable = "avx2,fma")]` sandwiches. The reason is
+//! `#[target_feature(enable = "avx2,fma")]` sandwiches — for the 2-D/3-D
+//! kernels a single one, [`crate::slab_avx2`], generic over the kernel's
+//! row updates, so their impls below name a grid, a lane count and
+//! `Rows2`/`Rows3` and forward to [`crate::slab`]. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
 //! `fma` (≈ 3 ns), inside it is one `vfmadd`. Both are the
 //! exactly-rounded fused operation and Rust never contracts separate
@@ -59,12 +62,9 @@ use crate::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, Kernel1d,
     Kernel2d, Kernel3d, LifeKern2d,
 };
+use crate::slab::{self, BandScratch, Rows2, Rows3, Scratch};
 use crate::t1d::Scratch1d;
-use crate::t2d::Scratch2d;
-use crate::t2d_band::BandScratch2d;
-use crate::t3d::Scratch3d;
-use crate::t3d_band::BandScratch3d;
-use crate::{spatial, t1d, t1d_band, t2d, t2d_band, t3d, t3d_band};
+use crate::{spatial, t1d, t1d_band};
 use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
 use tempora_simd::arch::avx2_available;
 
@@ -187,7 +187,8 @@ pub fn shape_has_vector_tiles(vl: usize, n_outer: usize, steps: usize, s: usize)
 /// `tempora-tiling`, the executors and the builder of `tempora-plan` —
 /// need from one kernel, and nothing else. Each benchmark kernel
 /// implements it once, naming its grid type, lane count and scratch and
-/// forwarding to its dimension's tile primitives, so those layers are
+/// forwarding to its tile primitives (`t1d*`, or [`crate::slab`] with the
+/// kernel's row updates), so those layers are
 /// written once and every call monomorphises to the same tile loop a
 /// hand-written per-dimension caller would contain.
 ///
@@ -228,9 +229,9 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// One whole temporal tile ([`KernelSpace::VL`] levels, in place) —
     /// boundary phases and steady state — with the resolved `engine`
     /// (bit-identical either way). [`Engine::Avx2`] needs
-    /// [`KernelSpace::has_avx2_tile`]. `COUNT` turns on
-    /// reorganization-op accounting where the portable engine is
-    /// instrumented (1-D only; the AVX2 tile ignores it).
+    /// [`KernelSpace::has_avx2_tile`]. `COUNT` turns on the portable
+    /// steady state's reorganization-op accounting
+    /// ([`tempora_simd::count`]; the AVX2 tile ignores it).
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
@@ -251,6 +252,29 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     fn resolve(sel: Select, outer: usize, steps: usize, s: usize) -> Engine {
         sel.resolve(Self::has_avx2_tile(s) && shape_has_vector_tiles(Self::VL, outer, steps, s))
     }
+}
+
+/// An untiled run the way every layer above drives [`KernelSpace`]:
+/// `steps / VL` whole tiles, then the `steps mod VL` remainder as scalar
+/// steps, all in `engine`'s codegen context, on a copy of `grid`.
+/// Bit-identical to the scalar reference sweeps for either engine;
+/// [`Engine::Avx2`] needs [`KernelSpace::has_avx2_tile`].
+pub fn run<K: KernelSpace>(
+    engine: Engine,
+    grid: &K::Grid,
+    kern: &K,
+    steps: usize,
+    s: usize,
+) -> K::Grid {
+    let dims = grid.dims();
+    let (mut g, mut sc, mut bufs) = (grid.clone(), K::scratch(dims, s), K::step_bufs(dims));
+    for _ in 0..steps / K::VL {
+        kern.tile::<false>(engine, &mut g, s, &mut sc);
+    }
+    for _ in 0..steps % K::VL {
+        kern.scalar_step(engine, &mut g, &mut bufs);
+    }
+    g
 }
 
 /// The element type of kernel `K`'s grid, as its boundary condition
@@ -299,39 +323,6 @@ fn scalar_step_1d<K: Kernel1d>(engine: Engine, g: &mut Grid1<f64>, kern: &K) {
         Engine::Avx2 => crate::t1d_avx2::scalar_step_avx2(g.data_mut(), n, kern),
         _ => t1d::scalar_step_inplace(g.data_mut(), n, kern),
     }
-}
-
-/// [`t2d::scalar_step_inplace`] in `engine`'s codegen context.
-fn scalar_step_2d<T: tempora_simd::Scalar, K: Kernel2d<T>>(
-    engine: Engine,
-    g: &mut Grid2<T>,
-    kern: &K,
-    [a, b]: &mut [Vec<T>; 2],
-) {
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::t2d_avx2::scalar_step_avx2(g, kern, a, b),
-        _ => t2d::scalar_step_inplace(g, kern, a, b),
-    }
-}
-
-/// [`t3d::scalar_step_inplace`] in `engine`'s codegen context.
-fn scalar_step_3d<K: Kernel3d<f64>>(
-    engine: Engine,
-    g: &mut Grid3<f64>,
-    kern: &K,
-    [a, b]: &mut [Vec<f64>; 2],
-) {
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::t3d_avx2::scalar_step_avx2(g, kern, a, b),
-        _ => t3d::scalar_step_inplace(g, kern, a, b),
-    }
-}
-
-/// Two zeroed old-slab buffers of `len` elements each.
-fn slab_bufs<T: tempora_simd::Scalar>(len: usize) -> [Vec<T>; 2] {
-    [vec![T::ZERO; len], vec![T::ZERO; len]]
 }
 
 impl KernelSpace for JacobiKern1d {
@@ -458,39 +449,35 @@ impl GsSpace for GsKern1d {
 
 impl KernelSpace for JacobiKern2d {
     type Grid = Grid2<f64>;
-    type Scratch = Scratch2d<f64, 4>;
+    type Scratch = Scratch<f64, 4>;
     type StepBufs = [Vec<f64>; 2];
     const VL: usize = 4;
     const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
 
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch2d::new(s, dims[1])
+        Scratch::new::<Self::Grid>(dims, s)
     }
 
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab_bufs(dims[1] + 2)
+        slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Grid2<f64>, bufs: &mut Self::StepBufs) {
-        scalar_step_2d(engine, g, self, bufs);
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows2(self), bufs);
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
         spatial::step_2d(engine, src, dst, self);
     }
 
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid2<f64>,
+        g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t2d_avx2::tile_heat2d_avx2(g, self, s, sc),
-            _ => t2d::tile::<f64, 4, Self>(g, self, s, sc),
-        }
+        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -500,39 +487,35 @@ impl KernelSpace for JacobiKern2d {
 
 impl KernelSpace for BoxKern2d {
     type Grid = Grid2<f64>;
-    type Scratch = Scratch2d<f64, 4>;
+    type Scratch = Scratch<f64, 4>;
     type StepBufs = [Vec<f64>; 2];
     const VL: usize = 4;
     const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
 
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch2d::new(s, dims[1])
+        Scratch::new::<Self::Grid>(dims, s)
     }
 
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab_bufs(dims[1] + 2)
+        slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Grid2<f64>, bufs: &mut Self::StepBufs) {
-        scalar_step_2d(engine, g, self, bufs);
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows2(self), bufs);
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
         spatial::step_2d(engine, src, dst, self);
     }
 
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid2<f64>,
+        g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t2d_avx2::tile_box2d_avx2(g, self, s, sc),
-            _ => t2d::tile::<f64, 4, Self>(g, self, s, sc),
-        }
+        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -542,39 +525,35 @@ impl KernelSpace for BoxKern2d {
 
 impl KernelSpace for GsKern2d {
     type Grid = Grid2<f64>;
-    type Scratch = Scratch2d<f64, 4>;
+    type Scratch = Scratch<f64, 4>;
     type StepBufs = [Vec<f64>; 2];
     const VL: usize = 4;
     const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
 
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch2d::new(s, dims[1])
+        Scratch::new::<Self::Grid>(dims, s)
     }
 
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab_bufs(dims[1] + 2)
+        slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Grid2<f64>, bufs: &mut Self::StepBufs) {
-        scalar_step_2d(engine, g, self, bufs);
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows2(self), bufs);
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid2<f64>, dst: &mut Grid2<f64>) {
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
         spatial::step_2d(engine, src, dst, self);
     }
 
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid2<f64>,
+        g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t2d_avx2::tile_gs2d_avx2(g, self, s, sc),
-            _ => t2d::tile::<f64, 4, Self>(g, self, s, sc),
-        }
+        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -583,34 +562,26 @@ impl KernelSpace for GsKern2d {
 }
 
 impl GsSpace for GsKern2d {
-    type BandScratch = BandScratch2d<4>;
+    type BandScratch = BandScratch<f64, 4>;
 
     fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch {
-        BandScratch2d::new(s, dims[1])
+        BandScratch::new::<Self::Grid>(dims, s)
     }
 
-    fn band_scalar(&self, engine: Engine, g: &mut Grid2<f64>, xl: usize, xr: usize, levels: usize) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t2d_band::band_scalar_gs2d_avx2(g, xl, xr, levels, self),
-            _ => t2d_band::band_scalar_gs2d(g, xl, xr, levels, self),
-        }
+    fn band_scalar(&self, engine: Engine, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize) {
+        slab::band_scalar::<f64, 4, _, _>(engine, g, &Rows2(self), xl, xr, levels);
     }
 
     fn band(
         &self,
         engine: Engine,
-        g: &mut Grid2<f64>,
+        g: &mut Self::Grid,
         xl: usize,
         xr: usize,
         s: usize,
         sc: &mut Self::BandScratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t2d_band::band_temporal_gs2d_avx2(g, xl, xr, s, self, sc),
-            _ => t2d_band::band_temporal_gs2d::<4, Self>(g, xl, xr, s, self, sc),
-        }
+        slab::band(engine, g, &Rows2(self), xl, xr, s, sc);
     }
 
     fn has_avx2_band(_s: usize) -> bool {
@@ -623,39 +594,35 @@ impl GsSpace for GsKern2d {
 /// the f64 kernels.
 impl KernelSpace for LifeKern2d {
     type Grid = Grid2<i32>;
-    type Scratch = Scratch2d<i32, 8>;
+    type Scratch = Scratch<i32, 8>;
     type StepBufs = [Vec<i32>; 2];
     const VL: usize = 8;
     const MIN_STRIDE: usize = <Self as Kernel2d<i32>>::MIN_STRIDE;
 
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch2d::new(s, dims[1])
+        Scratch::new::<Self::Grid>(dims, s)
     }
 
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab_bufs(dims[1] + 2)
+        slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Grid2<i32>, bufs: &mut Self::StepBufs) {
-        scalar_step_2d(engine, g, self, bufs);
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        slab::scalar_step::<i32, 8, _, _>(engine, g, &Rows2(self), bufs);
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid2<i32>, dst: &mut Grid2<i32>) {
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
         spatial::step_2d(engine, src, dst, self);
     }
 
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid2<i32>,
+        g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t2d_avx2::tile_life2d_avx2(g, self, s, sc),
-            _ => t2d::tile::<i32, 8, Self>(g, self, s, sc),
-        }
+        slab::tile::<i32, 8, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -665,39 +632,35 @@ impl KernelSpace for LifeKern2d {
 
 impl KernelSpace for JacobiKern3d {
     type Grid = Grid3<f64>;
-    type Scratch = Scratch3d<f64, 4>;
+    type Scratch = Scratch<f64, 4>;
     type StepBufs = [Vec<f64>; 2];
     const VL: usize = 4;
     const MIN_STRIDE: usize = <Self as Kernel3d<f64>>::MIN_STRIDE;
 
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch3d::new(s, dims[1], dims[2])
+        Scratch::new::<Self::Grid>(dims, s)
     }
 
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab_bufs((dims[1] + 2) * (dims[2] + 2))
+        slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Grid3<f64>, bufs: &mut Self::StepBufs) {
-        scalar_step_3d(engine, g, self, bufs);
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows3(self), bufs);
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
         spatial::step_3d(engine, src, dst, self);
     }
 
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid3<f64>,
+        g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t3d_avx2::tile_heat3d_avx2(g, self, s, sc),
-            _ => t3d::tile::<f64, 4, Self>(g, self, s, sc),
-        }
+        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows3(self), s, sc);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -707,39 +670,35 @@ impl KernelSpace for JacobiKern3d {
 
 impl KernelSpace for GsKern3d {
     type Grid = Grid3<f64>;
-    type Scratch = Scratch3d<f64, 4>;
+    type Scratch = Scratch<f64, 4>;
     type StepBufs = [Vec<f64>; 2];
     const VL: usize = 4;
     const MIN_STRIDE: usize = <Self as Kernel3d<f64>>::MIN_STRIDE;
 
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch3d::new(s, dims[1], dims[2])
+        Scratch::new::<Self::Grid>(dims, s)
     }
 
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab_bufs((dims[1] + 2) * (dims[2] + 2))
+        slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Grid3<f64>, bufs: &mut Self::StepBufs) {
-        scalar_step_3d(engine, g, self, bufs);
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows3(self), bufs);
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid3<f64>, dst: &mut Grid3<f64>) {
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
         spatial::step_3d(engine, src, dst, self);
     }
 
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid3<f64>,
+        g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t3d_avx2::tile_gs3d_avx2(g, self, s, sc),
-            _ => t3d::tile::<f64, 4, Self>(g, self, s, sc),
-        }
+        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows3(self), s, sc);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -748,34 +707,26 @@ impl KernelSpace for GsKern3d {
 }
 
 impl GsSpace for GsKern3d {
-    type BandScratch = BandScratch3d<4>;
+    type BandScratch = BandScratch<f64, 4>;
 
     fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch {
-        BandScratch3d::new(s, dims[1], dims[2])
+        BandScratch::new::<Self::Grid>(dims, s)
     }
 
-    fn band_scalar(&self, engine: Engine, g: &mut Grid3<f64>, xl: usize, xr: usize, levels: usize) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t3d_band::band_scalar_gs3d_avx2(g, xl, xr, levels, self),
-            _ => t3d_band::band_scalar_gs3d(g, xl, xr, levels, self),
-        }
+    fn band_scalar(&self, engine: Engine, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize) {
+        slab::band_scalar::<f64, 4, _, _>(engine, g, &Rows3(self), xl, xr, levels);
     }
 
     fn band(
         &self,
         engine: Engine,
-        g: &mut Grid3<f64>,
+        g: &mut Self::Grid,
         xl: usize,
         xr: usize,
         s: usize,
         sc: &mut Self::BandScratch,
     ) {
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t3d_band::band_temporal_gs3d_avx2(g, xl, xr, s, self, sc),
-            _ => t3d_band::band_temporal_gs3d::<4, Self>(g, xl, xr, s, self, sc),
-        }
+        slab::band(engine, g, &Rows3(self), xl, xr, s, sc);
     }
 
     fn has_avx2_band(_s: usize) -> bool {
@@ -789,8 +740,7 @@ mod tests {
     use tempora_grid::{fill_random_1d, Boundary};
     use tempora_stencil::{reference, Heat1dCoeffs};
 
-    /// An untiled run the way every layer above drives the trait: resolve
-    /// once, whole tiles and the scalar remainder with the resolved engine.
+    /// Resolve `sel` for the shape, then [`super::run`] with the result.
     fn run<K: KernelSpace>(
         sel: Select,
         g: &K::Grid,
@@ -798,16 +748,8 @@ mod tests {
         steps: usize,
         s: usize,
     ) -> (K::Grid, Engine) {
-        let dims = g.dims();
-        let engine = K::resolve(sel, dims[0], steps, s);
-        let (mut g, mut sc, mut bufs) = (g.clone(), K::scratch(dims, s), K::step_bufs(dims));
-        for _ in 0..steps / K::VL {
-            kern.tile::<false>(engine, &mut g, s, &mut sc);
-        }
-        for _ in 0..steps % K::VL {
-            kern.scalar_step(engine, &mut g, &mut bufs);
-        }
-        (g, engine)
+        let engine = K::resolve(sel, g.dims()[0], steps, s);
+        (super::run(engine, g, kern, steps, s), engine)
     }
 
     fn heat1d(n: usize, seed: u64) -> Grid1<f64> {

@@ -11,24 +11,23 @@
 //! | [`engine`] | unified dispatch (portable vs `std::arch` AVX2, `TEMPORA_ENGINE`) and the one [`engine::KernelSpace`] trait every layer above the tile is written against |
 //! | [`t1d`] | 1-D Jacobi and Gauss-Seidel engines (Algorithm 3), phase API |
 //! | [`t1d_avx2`] | AVX2 tiles (hand-scheduled steady states): Heat-1D, GS-1D |
-//! | [`t1d_band`] | skewed (parallelogram) 1-D Gauss-Seidel bands (§3.4) |
-//! | [`t2d`] | 2-D outer-loop engine: Heat-2D, 2D9P, Life (`i32×8`), GS-2D |
-//! | [`t2d_avx2`] | AVX2 tiles (hand-scheduled steady states): Heat-2D, 2D9P, Life, GS-2D |
-//! | [`t2d_band`] / [`t3d_band`] | skewed 2-D/3-D Gauss-Seidel bands |
-//! | [`t3d`] | 3-D outer-loop engine: Heat-3D, GS-3D |
-//! | [`t3d_avx2`] | AVX2 tiles (hand-scheduled steady states): Heat-3D, GS-3D |
+//! | [`t1d_band`] | skewed (parallelogram) 1-D Gauss-Seidel bands (§3.4); the band-shape rule shared with [`slab`] |
+//! | [`slab`] | the 2-D/3-D tile, written once over a slab shape: three-phase driver, skewed Gauss-Seidel band, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D) |
+//! | [`slab_avx2`] | the AVX2 codegen sandwich around that driver and one hand-scheduled steady row per kernel |
 //! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`) |
 //! | [`lcs_avx2`] | hand-scheduled AVX2 integer steady state for LCS |
 //! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!
-//! The portable 2-D/3-D engines expose the same prologue / steady-state /
-//! epilogue three-phase split as the 1-D engine. The boundary phases are
-//! one `#[inline(always)]` source: each AVX2 engine instantiates them a
-//! second time inside its own `#[target_feature(enable = "avx2,fma")]`
-//! tile sandwich, so a whole tile is compiled for the ISA its plan
-//! resolved (outside a feature context `f64::mul_add` is a libm call) and
-//! stays bit-identical to the scalar oracle; see [`engine`].
+//! Every tile is the same three phases — scalar prologue, vector steady
+//! state, scalar epilogue. The phases are one `#[inline(always)]` source:
+//! the portable engine instantiates it for the baseline target, and each
+//! AVX2 engine instantiates it a second time inside a
+//! `#[target_feature(enable = "avx2,fma")]` sandwich (one sandwich for all
+//! 2-D/3-D kernels, generic over their row updates), so a whole tile is
+//! compiled for the ISA its plan resolved (outside a feature context
+//! `f64::mul_add` is a libm call) and stays bit-identical to the scalar
+//! oracle; see [`engine`] and [`slab`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,13 +36,15 @@ pub mod engine;
 pub mod kernels;
 pub mod lcs;
 pub mod lcs_avx2;
+pub mod slab;
+pub mod slab_avx2;
 pub mod spatial;
 pub mod t1d;
 pub mod t1d_avx2;
 pub mod t1d_band;
-pub mod t2d;
-pub mod t2d_avx2;
-pub mod t2d_band;
-pub mod t3d;
-pub mod t3d_avx2;
-pub mod t3d_band;
+
+// The slab suite's entry points under the module paths of the six files
+// `slab` replaced (`t2d::tests::…` and so on): the repo's test floor is
+// keyed by those names, and the modules must sit at the crate root to
+// keep them (each is `#[cfg(test)]` in the file).
+include!("slab_floor_names.rs");

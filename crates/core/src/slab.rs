@@ -1,0 +1,1558 @@
+//! The slab-generic temporal tile: paper §3.2 ("High-dimensional
+//! Stencils") and the §3.4 skewed bands, written once for every `d ≥ 2`.
+//!
+//! For `d ≥ 2` the inner time loop cannot be interchanged past the space
+//! loops, so the temporal scheme vectorizes the **outermost** space loop
+//! `x`: the input vector at `(x, ·)` packs `VL` time levels along `x`,
+//!
+//! ```text
+//! V(x, ·) = ( a[t+VL-1][x][·], …, a[t+1][x+(VL-2)·s][·], a[t][x+(VL-1)·s][·] )
+//! ```
+//!
+//! and one stencil application per inner point advances all `VL` levels
+//! at once (paper Figure 2). The produced input vectors cannot stay in
+//! registers — a whole **slab** (a row of `ny + 2` in 2-D, a plane of
+//! `(ny+2)·(nz+2)` in 3-D, see [`SlabShape`]) is in flight — so they live
+//! in a ring of `s + 2` wavefront slabs `W(j) = V(j, ·)`, the memory
+//! analogue of the 1-D register ring. The store of the finished top lane
+//! and the level-0 bottom fill touch the main array once per point per
+//! tile, and producing an input vector costs one rotate and one blend
+//! whatever the vector length, stencil order or dimension: dimension
+//! enters only through the slab shape, which is why there is one driver.
+//!
+//! # What is shared and what is per kernel
+//!
+//! The driver owns the three phases — `tile_prologue` (scalar head
+//! slabs, initial ring), the steady ring rotation, `tile_epilogue`
+//! (drain, scalar tail) — the degenerate fallback, the in-place scalar
+//! step, and the skewed Gauss-Seidel band (`band_prologue`, the *same*
+//! steady loop, `band_epilogue`). A kernel contributes a `Rows`
+//! implementation and nothing else: one scalar row sweep and one
+//! `Pack`-generic steady row per dimension (`Rows2` over
+//! [`Kernel2d`], `Rows3` over [`Kernel3d`]), plus, for the AVX2 engine,
+//! one hand-scheduled steady row per kernel in [`crate::slab_avx2`].
+//! Gauss-Seidel (§3.4) adds the previous and the current output slab
+//! (`O(x-1, ·)`, `O(x, ·)`) for the newest operands of the outer
+//! dimensions; the newest operand of the innermost dimension is the
+//! previous output vector, carried in a register by the row.
+//!
+//! # One source, two codegen contexts
+//!
+//! Every function below the public entry points is `#[inline(always)]`:
+//! `tile`, `scalar_step`, `band` and `band_scalar` instantiate the
+//! driver for baseline x86-64 when the resolved [`Engine`] is portable,
+//! and [`crate::slab_avx2`] instantiates the *same source* a second time
+//! inside `#[target_feature(enable = "avx2,fma")]` sandwiches. That
+//! matters because outside such a context every `f64::mul_add` is a call
+//! into libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both
+//! are the exactly-rounded fused operation, so results do not change,
+//! only speed. Dropping one of these attributes silently brings the libm
+//! calls back; `cargo xtask audit` (rule `phase-inline`) guards them.
+
+use crate::engine::Engine;
+use crate::kernels::{Kernel2d, Kernel3d, Nbhd, Nbhd3};
+use crate::slab_avx2::Avx2Row;
+use crate::t1d_band::vector_band_shape;
+use core::ops::RangeInclusive;
+use tempora_grid::{SlabGrid, SlabShape};
+use tempora_simd::count::{self, Op};
+use tempora_simd::{Pack, Scalar};
+
+// ---------------------------------------------------------------------
+// The per-kernel part: row updates
+// ---------------------------------------------------------------------
+
+/// One scalar row update: `out[1..w-1]` of the level being written, from
+/// the three slabs around it in the level below. Every row is `w`
+/// elements wide with its ghost columns in place.
+pub(crate) struct SweepRow<'a, T> {
+    /// Slabs `x-1`, `x`, `x+1` of the level below, each from its first
+    /// row. In place (`IN_PLACE`, Gauss-Seidel bands) only `old[2]` is
+    /// given: the centre row is `out` itself.
+    pub old: [&'a [T]; 3],
+    /// Row pitches of the three `old` slabs.
+    pub pitch: [usize; 3],
+    /// Index of the row within its slab, ghost rows included.
+    pub r: usize,
+    /// The level being written, up to the row (newest Gauss-Seidel
+    /// operands) …
+    pub done: &'a [T],
+    /// … the row …
+    pub out: &'a mut [T],
+    /// … and everything after it.
+    pub ahead: &'a [T],
+    /// `[slab stride, row pitch]` of the level being written.
+    pub strides: [usize; 2],
+}
+
+/// One steady-state row: the interior packs of row `at / w` of `W(x+s)`,
+/// the finished top lanes and (Gauss-Seidel) the output row, from the
+/// wavefront slabs around `x`.
+pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize> {
+    /// Wavefront slabs `W(x-1)`, `W(x)`, `W(x+1)`.
+    pub ring: [&'a [Pack<T, VL>]; 3],
+    /// Previous output slab `O(x-1, ·)` (Gauss-Seidel only).
+    pub o_prev: &'a [Pack<T, VL>],
+    /// Output slab `O(x, ·)` being produced (Gauss-Seidel only).
+    pub o_cur: &'a mut [Pack<T, VL>],
+    /// The row of `W(x+s)` to produce, `w` packs.
+    pub out: &'a mut [Pack<T, VL>],
+    /// Offset of the row within a wavefront or output slab.
+    pub at: usize,
+    /// Grid row `(x, ·)`: receives the finished top lanes.
+    pub top: &'a mut [T],
+    /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes.
+    pub bottom: &'a [T],
+    /// Boundary value (the newest operand left of the first column).
+    pub bc: T,
+}
+
+/// The row updates of one kernel at `VL` lanes: all the slab driver needs
+/// to know about a stencil.
+pub(crate) trait Rows<T: Scalar, const VL: usize> {
+    /// True for Gauss-Seidel updates.
+    const IS_GS: bool;
+    /// Minimum legal temporal stride along the outer dimension.
+    const MIN_STRIDE: usize;
+
+    /// Scalar row update, bit-identical to the reference sweep. Jacobi
+    /// rows are branch-free loops over equal-length slices (LLVM
+    /// vectorizes them spatially under the AVX2 sandwich's features);
+    /// Gauss-Seidel rows carry the serial newest-west chain in a
+    /// register. `IN_PLACE` (Gauss-Seidel only) updates `row.out` where it
+    /// stands.
+    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>);
+
+    /// Steady-state row: per interior point one vectorized stencil
+    /// application, the top-lane store and the rotate-and-blend that
+    /// produces the next input vector. `COUNT` ticks
+    /// [`tempora_simd::count`] like the 1-D engine does.
+    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>);
+}
+
+/// Tick the reorganization budget of one produced input vector (the one
+/// `shift_up_insert` of a portable steady row; same ticks as
+/// `t1d::tile`).
+#[inline(always)]
+fn count_output_vector() {
+    count::record_output(1);
+    count::record(Op::ScalarExtract, 1);
+    count::record(Op::CrossLane, 1); // vrotate
+    count::record(Op::InLane, 1); // vblend
+    count::record(Op::ScalarInsert, 1);
+}
+
+/// The rows of a 2-D kernel: a slab is one row, its neighbours are the
+/// same row of the slabs around it.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows2<'k, K>(pub &'k K);
+
+impl<T: Scalar, const VL: usize, K: Kernel2d<T>> Rows<T, VL> for Rows2<'_, K> {
+    const IS_GS: bool = K::IS_GS;
+    const MIN_STRIDE: usize = K::MIN_STRIDE;
+
+    #[inline(always)]
+    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>) {
+        debug_assert!(K::IS_GS || !IN_PLACE);
+        let SweepRow {
+            old,
+            done,
+            out,
+            strides,
+            ..
+        } = row;
+        let w = out.len();
+        let dn = &old[2][..w];
+        // In place the old north and centre rows are not given (and not
+        // read: Gauss-Seidel ignores them, the centre comes from `out`).
+        let [up, mid] = if IN_PLACE {
+            [dn, dn]
+        } else {
+            [&old[0][..w], &old[1][..w]]
+        };
+        let north = if K::IS_GS {
+            &done[done.len() - strides[0]..][..w]
+        } else {
+            dn
+        };
+        let mut west = out[0];
+        for y in 1..w - 1 {
+            let [m, e] = if IN_PLACE {
+                [out[y], out[y + 1]]
+            } else {
+                [mid[y], mid[y + 1]]
+            };
+            let o = self.0.scalar(Nbhd {
+                v: [
+                    [up[y - 1], up[y], up[y + 1]],
+                    [mid[y - 1], m, e],
+                    [dn[y - 1], dn[y], dn[y + 1]],
+                ],
+                new_n: if K::IS_GS { north[y] } else { T::ZERO },
+                new_w: west,
+            });
+            out[y] = o;
+            if K::IS_GS {
+                west = o;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
+        let SteadyRow {
+            ring,
+            o_prev,
+            o_cur,
+            out,
+            top,
+            bottom,
+            bc,
+            ..
+        } = row;
+        let w = out.len();
+        let [rm1, r0, rp1] = ring.map(|slab| &slab[..w]);
+        let (o_prev, o_cur) = (&o_prev[..w], &mut o_cur[..w]);
+        let (top, bottom) = (&mut top[..w], &bottom[..w]);
+        let zero = Pack::<T, VL>::splat(T::ZERO);
+        // O(x, 0) is the boundary column; the west and centre packs are
+        // carried in registers (w ← m ← e).
+        let mut o_west = Pack::splat(bc);
+        let mut w_pack = r0[0];
+        let mut m_pack = r0[1];
+        for y in 1..w - 1 {
+            let e_pack = r0[y + 1];
+            let corners = if K::IS_BOX {
+                [rm1[y - 1], rm1[y + 1], rp1[y - 1], rp1[y + 1]]
+            } else {
+                [zero; 4]
+            };
+            let o = self.0.pack(Nbhd {
+                v: [
+                    [corners[0], rm1[y], corners[1]],
+                    [w_pack, m_pack, e_pack],
+                    [corners[2], rp1[y], corners[3]],
+                ],
+                new_n: if K::IS_GS { o_prev[y] } else { zero },
+                new_w: o_west,
+            });
+            w_pack = m_pack;
+            m_pack = e_pack;
+            top[y] = o.top();
+            out[y] = o.shift_up_insert(bottom[y]);
+            if COUNT {
+                count_output_vector();
+            }
+            if K::IS_GS {
+                o_cur[y] = o;
+                o_west = o;
+            }
+        }
+    }
+}
+
+/// The rows of a 3-D star kernel: a slab is a plane, a row's neighbours
+/// are the rows above and below it in the plane and the same row of the
+/// planes around it.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows3<'k, K>(pub &'k K);
+
+impl<T: Scalar, const VL: usize, K: Kernel3d<T>> Rows<T, VL> for Rows3<'_, K> {
+    const IS_GS: bool = K::IS_GS;
+    const MIN_STRIDE: usize = K::MIN_STRIDE;
+
+    #[inline(always)]
+    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>) {
+        debug_assert!(K::IS_GS || !IN_PLACE);
+        let SweepRow {
+            old,
+            pitch,
+            r,
+            done,
+            out,
+            ahead,
+            strides,
+        } = row;
+        let w = out.len();
+        let xp = &old[2][r * pitch[2]..][..w];
+        // In place the old `x-1`, `y-1` and centre rows are not given (and
+        // not read: Gauss-Seidel ignores them, the centre comes from
+        // `out`); the old `y+1` row follows `out` in its own slab.
+        let [xm, ym, mid, yp] = if IN_PLACE {
+            [xp, xp, xp, &ahead[strides[1] - w..][..w]]
+        } else {
+            [
+                &old[0][r * pitch[0]..][..w],
+                &old[1][(r - 1) * pitch[1]..][..w],
+                &old[1][r * pitch[1]..][..w],
+                &old[1][(r + 1) * pitch[1]..][..w],
+            ]
+        };
+        let [new_xm, new_ym] = if K::IS_GS {
+            strides.map(|back| &done[done.len() - back..][..w])
+        } else {
+            [xp, xp]
+        };
+        let mut new_zm = out[0];
+        for z in 1..w - 1 {
+            let [m, zp] = if IN_PLACE {
+                [out[z], out[z + 1]]
+            } else {
+                [mid[z], mid[z + 1]]
+            };
+            let o = self.0.scalar(Nbhd3 {
+                xm: xm[z],
+                ym: ym[z],
+                zm: mid[z - 1],
+                m,
+                zp,
+                yp: yp[z],
+                xp: xp[z],
+                new_xm: if K::IS_GS { new_xm[z] } else { T::ZERO },
+                new_ym: if K::IS_GS { new_ym[z] } else { T::ZERO },
+                new_zm,
+            });
+            out[z] = o;
+            if K::IS_GS {
+                new_zm = o;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
+        let SteadyRow {
+            ring,
+            o_prev,
+            o_cur,
+            out,
+            at,
+            top,
+            bottom,
+            bc,
+        } = row;
+        let w = out.len();
+        let [xm, mid, xp] = ring.map(|slab| &slab[at..][..w]);
+        let (ym, yp) = (&ring[1][at - w..][..w], &ring[1][at + w..][..w]);
+        let new_xm = &o_prev[at..][..w];
+        let (new_ym, o_row) = o_cur[at - w..].split_at_mut(w);
+        let o_row = &mut o_row[..w];
+        let (top, bottom) = (&mut top[..w], &bottom[..w]);
+        let zero = Pack::<T, VL>::splat(T::ZERO);
+        let mut o_z = Pack::splat(bc); // O(x, y, 0): boundary column
+        for z in 1..w - 1 {
+            let o = self.0.pack(Nbhd3 {
+                xm: xm[z],
+                ym: ym[z],
+                zm: mid[z - 1],
+                m: mid[z],
+                zp: mid[z + 1],
+                yp: yp[z],
+                xp: xp[z],
+                new_xm: if K::IS_GS { new_xm[z] } else { zero },
+                new_ym: if K::IS_GS { new_ym[z] } else { zero },
+                new_zm: o_z,
+            });
+            top[z] = o.top();
+            out[z] = o.shift_up_insert(bottom[z]);
+            if COUNT {
+                count_output_vector();
+            }
+            if K::IS_GS {
+                o_row[z] = o;
+                o_z = o;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scratch
+// ---------------------------------------------------------------------
+
+/// The wavefront ring of one tile or band: `s + 2` slabs of input-vector
+/// packs, `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output
+/// slabs.
+struct Ring<T: Scalar, const VL: usize> {
+    slabs: Vec<Vec<Pack<T, VL>>>,
+    /// Previous output slab `O(x-1, ·)` (Gauss-Seidel only).
+    o_prev: Vec<Pack<T, VL>>,
+    /// Output slab being produced `O(x, ·)` (Gauss-Seidel only).
+    o_cur: Vec<Pack<T, VL>>,
+}
+
+impl<T: Scalar, const VL: usize> Ring<T, VL> {
+    fn new(s: usize, shape: SlabShape) -> Self {
+        let slab = || vec![Pack::splat(T::ZERO); shape.elems()];
+        Ring {
+            slabs: (0..s + 2).map(|_| slab()).collect(),
+            o_prev: slab(),
+            o_cur: slab(),
+        }
+    }
+
+    /// Set the ghost packs the steady state reads and never writes to the
+    /// boundary value: the shell of every wavefront slab and, for
+    /// Gauss-Seidel, of both output slabs (per tile: the boundary value
+    /// comes from the grid).
+    #[inline(always)]
+    fn reset_shells(&mut self, shape: SlabShape, bc: T, is_gs: bool) {
+        for slab in self.slabs.iter_mut() {
+            fill_shell(slab, shape, Pack::splat(bc));
+        }
+        if is_gs {
+            fill_shell(&mut self.o_prev, shape, Pack::splat(bc));
+            fill_shell(&mut self.o_cur, shape, Pack::splat(bc));
+        }
+    }
+}
+
+/// Scratch state of one tile configuration (slab shape × stride),
+/// reusable across tiles.
+pub struct Scratch<T: Scalar, const VL: usize> {
+    /// Head planes: `head[k]` holds level-`k` slabs `0..=(VL-k)·s` (slab 0
+    /// = boundary).
+    head: Vec<Vec<T>>,
+    /// Tail planes: `tail[i]` holds level-`i` slabs re-based at
+    /// `x_max + (VL-1-i)·s`, `(i+1)·s + 1` of them.
+    tail: Vec<Vec<T>>,
+    ring: Ring<T, VL>,
+    /// Two old-slab copies for the in-place scalar step.
+    old: [Vec<T>; 2],
+    s: usize,
+    shape: SlabShape,
+}
+
+impl<T: Scalar, const VL: usize> Scratch<T, VL> {
+    /// Allocate scratch for a grid of type `G` with interior extents
+    /// `dims`, at stride `s`.
+    pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize) -> Self {
+        let shape = G::slab_shape(dims);
+        let plane = |slabs: usize| vec![T::ZERO; slabs * shape.elems()];
+        Scratch {
+            head: (0..VL).map(|k| plane((VL - k) * s + 1)).collect(),
+            tail: (0..VL).map(|i| plane((i + 1) * s + 1)).collect(),
+            ring: Ring::new(s, shape),
+            old: step_bufs::<G>(dims),
+            s,
+            shape,
+        }
+    }
+}
+
+/// Scratch of one skewed band configuration.
+pub struct BandScratch<T: Scalar, const VL: usize> {
+    /// The slabs each prologue pass is about to clobber.
+    saved: Vec<Vec<T>>,
+    ring: Ring<T, VL>,
+    s: usize,
+    shape: SlabShape,
+}
+
+impl<T: Scalar, const VL: usize> BandScratch<T, VL> {
+    /// Allocate band scratch for a grid of type `G` with interior extents
+    /// `dims`, at stride `s`.
+    pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize) -> Self {
+        let shape = G::slab_shape(dims);
+        BandScratch {
+            saved: (1..VL).map(|_| vec![T::ZERO; shape.elems()]).collect(),
+            ring: Ring::new(s, shape),
+            s,
+            shape,
+        }
+    }
+}
+
+/// Two zeroed old-slab buffers for [`scalar_step`] on a grid of type `G`
+/// with interior extents `dims`.
+pub(crate) fn step_bufs<G: SlabGrid>(dims: [usize; 3]) -> [Vec<G::Elem>; 2] {
+    let len = G::slab_shape(dims).elems();
+    [vec![G::Elem::ZERO; len], vec![G::Elem::ZERO; len]]
+}
+
+// ---------------------------------------------------------------------
+// Geometry and row plumbing
+// ---------------------------------------------------------------------
+
+/// Where a grid's slabs and rows are, and what its ghost cells hold.
+#[derive(Clone, Copy)]
+struct Geo<T> {
+    nx: usize,
+    shape: SlabShape,
+    /// Elements per outer slab of the grid.
+    slab: usize,
+    /// Elements between rows of one slab of the grid.
+    pitch: usize,
+    bc: T,
+}
+
+impl<T: Scalar> Geo<T> {
+    #[inline(always)]
+    fn of<G: SlabGrid<Elem = T>>(g: &G) -> Self {
+        let dims = g.dims();
+        Geo {
+            nx: dims[0],
+            shape: G::slab_shape(dims),
+            slab: g.slab(),
+            pitch: g.row_pitch(),
+            bc: g.boundary().value(),
+        }
+    }
+}
+
+/// One level's slabs as the boundary sweeps read them: the grid itself
+/// (level 0) or a head/tail plane (packed rows, re-based at outer slab
+/// `x0`). The source and its strides are chosen once per level, so the
+/// row loops index plain equal-length slices.
+#[derive(Clone, Copy)]
+struct Level<'a, T> {
+    data: &'a [T],
+    slab: usize,
+    pitch: usize,
+    x0: usize,
+}
+
+impl<'a, T> Level<'a, T> {
+    #[inline(always)]
+    fn slab(self, x: usize) -> &'a [T] {
+        &self.data[(x - self.x0) * self.slab..]
+    }
+}
+
+/// Set the ghost shell of one packed slab to `v`: its ghost rows and the
+/// first and last column of every interior row.
+#[inline(always)]
+fn fill_shell<P: Copy>(slab: &mut [P], shape: SlabShape, v: P) {
+    let (w, rows) = (shape.width, shape.interior());
+    slab[..rows.start * w].fill(v);
+    for row in slab[rows.start * w..rows.end * w].chunks_exact_mut(w) {
+        row[0] = v;
+        row[w - 1] = v;
+    }
+    slab[rows.end * w..shape.elems()].fill(v);
+}
+
+/// Copy slab `src` (row pitch `pitch`) into the packed buffer `dst`, ghost
+/// rows and columns included.
+#[inline(always)]
+fn copy_slab<T: Copy>(src: &[T], pitch: usize, dst: &mut [T], shape: SlabShape) {
+    for (r, row) in dst[..shape.elems()]
+        .chunks_exact_mut(shape.width)
+        .enumerate()
+    {
+        row.copy_from_slice(&src[r * pitch..][..shape.width]);
+    }
+}
+
+/// Interleave `VL` equal-length rows into the interior packs of `dst`:
+/// lane `i` of `dst[y]` is `rows[i][y]`.
+#[inline(always)]
+fn pack_rows<T: Scalar, const VL: usize>(dst: &mut [Pack<T, VL>], rows: [&[T]; VL]) {
+    let w = dst.len();
+    let rows = rows.map(|r| &r[..w]);
+    for y in 1..w - 1 {
+        dst[y] = Pack::from_fn(|i| rows[i][y]);
+    }
+}
+
+/// Lane `i` of the interior packs of `src`, into the interior of `out`.
+#[inline(always)]
+fn unpack_lane<T: Scalar, const VL: usize>(src: &[Pack<T, VL>], i: usize, out: &mut [T]) {
+    let w = out.len();
+    let src = &src[..w];
+    for y in 1..w - 1 {
+        out[y] = src[y].extract(i);
+    }
+}
+
+/// Sweep one level over the outer slabs `xs`: slab `x` of `out` (strides
+/// `[slab, pitch]`, re-based at outer slab `x0`) from slabs `x-1 ..= x+1`
+/// of the level `below`, or in place (`None`: Gauss-Seidel on the array
+/// that carries the band staircase). The ghost shell of `out` must
+/// already hold the boundary value.
+#[inline(always)]
+fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
+    rows: &R,
+    shape: SlabShape,
+    below: Option<Level<'_, T>>,
+    out: &mut [T],
+    strides: [usize; 2],
+    x0: usize,
+    xs: RangeInclusive<usize>,
+) {
+    let w = shape.width;
+    for x in xs {
+        for r in shape.interior() {
+            let (done, rest) = out.split_at_mut((x - x0) * strides[0] + r * strides[1]);
+            let (row, ahead) = rest.split_at_mut(w);
+            let ahead = &*ahead;
+            let (old, pitch) = match below {
+                Some(below) => (
+                    [below.slab(x - 1), below.slab(x), below.slab(x + 1)],
+                    below.pitch,
+                ),
+                None => (
+                    [&[][..], &[], &ahead[strides[0] - r * strides[1] - w..]],
+                    strides[1],
+                ),
+            };
+            let row = SweepRow {
+                old,
+                pitch: [pitch; 3],
+                r,
+                done,
+                out: row,
+                ahead,
+                strides,
+            };
+            match below {
+                Some(_) => rows.sweep_row::<false>(row),
+                None => rows.sweep_row::<true>(row),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The rectangular tile
+// ---------------------------------------------------------------------
+
+/// One in-place scalar time step over the whole grid (degenerate tiles
+/// and `steps mod VL` remainders). Two saved old slabs make the Jacobi
+/// update single-array; Gauss-Seidel is naturally in place. Results are
+/// bit-identical to the double-buffered reference.
+#[inline(always)]
+pub(crate) fn scalar_step_inplace<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    bufs: &mut [Vec<T>; 2],
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    let geo = Geo::of(g);
+    let (shape, w) = (geo.shape, geo.shape.width);
+    let a = g.data_mut();
+    // old_m = old values of slab x-1, old_c = old values of slab x.
+    let [old_m, old_c] = bufs;
+    let (mut old_m, mut old_c) = (&mut old_m[..], &mut old_c[..]);
+    copy_slab(a, geo.pitch, old_m, shape);
+    for x in 1..=geo.nx {
+        copy_slab(&a[x * geo.slab..], geo.pitch, old_c, shape);
+        for r in shape.interior() {
+            let (done, rest) = a.split_at_mut(x * geo.slab + r * geo.pitch);
+            let (row, ahead) = rest.split_at_mut(w);
+            rows.sweep_row::<false>(SweepRow {
+                old: [&*old_m, &*old_c, &ahead[geo.slab - r * geo.pitch - w..]],
+                pitch: [w, w, geo.pitch],
+                r,
+                done,
+                out: row,
+                ahead,
+                strides: [geo.slab, geo.pitch],
+            });
+        }
+        core::mem::swap(&mut old_m, &mut old_c);
+    }
+}
+
+/// Advance the grid by `VL` time steps with the temporal-vectorized
+/// schedule (in place, single array): the degenerate guard, then the
+/// three phases. The codegen context is the caller's.
+///
+/// # Panics
+/// Panics if `s < R::MIN_STRIDE`, the grid's halo is not 1, or `sc` was
+/// allocated for another stride or slab shape.
+#[inline(always)]
+pub(crate) fn tile_body<T, const VL: usize, const COUNT: bool, G, R>(
+    g: &mut G,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
+    assert_eq!(g.halo(), 1, "temporal engines use halo width 1");
+    assert_eq!(
+        (sc.s, sc.shape),
+        (s, G::slab_shape(g.dims())),
+        "scratch shape mismatch"
+    );
+    if tile_fallback_if_degenerate(g, rows, s, sc) {
+        return;
+    }
+    let x_max = tile_prologue(g, rows, s, sc);
+    let geo = Geo::of(g);
+    steady_slabs::<T, VL, COUNT, R>(g.data_mut(), geo, rows, s, &mut sc.ring, 1..=x_max);
+    tile_epilogue(g, rows, s, sc, x_max);
+}
+
+/// Degenerate-tile guard: when the outer extent cannot host the vector
+/// schedule (`nx < VL·s`), run the `VL` steps with the scalar schedule
+/// instead (same results) and report `true`.
+#[inline(always)]
+fn tile_fallback_if_degenerate<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+) -> bool
+where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    if g.dims()[0] >= VL * s {
+        return false;
+    }
+    for _ in 0..VL {
+        scalar_step_inplace(g, rows, &mut sc.old);
+    }
+    true
+}
+
+/// Phase 1 of a temporal tile: scalar head slabs for levels `1..VL`, the
+/// initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
+/// initial output slab `O(0, ·)`. Returns the steady-state bound `x_max`.
+#[inline(always)]
+fn tile_prologue<T, const VL: usize, G, R>(
+    g: &G,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+) -> usize
+where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    let geo = Geo::of(g);
+    let (nx, shape, bc) = (geo.nx, geo.shape, geo.bc);
+    assert!(
+        nx >= VL * s,
+        "degenerate tile (nx={nx} < VL*s={}): call tile_fallback_if_degenerate first",
+        VL * s
+    );
+    let x_max = nx + 1 - VL * s;
+    let (w, wp) = (shape.width, shape.elems());
+    let a = g.data(); // the prologue only reads the grid
+
+    // head[k] = level k over slabs 1..=(VL-k)·s (slab 0 = boundary).
+    for k in 1..VL {
+        let hi = (VL - k) * s;
+        let (lo_planes, hi_planes) = sc.head.split_at_mut(k);
+        let plane = &mut hi_planes[0][..(hi + 1) * wp];
+        plane[..wp].fill(bc);
+        for slab in plane.chunks_exact_mut(wp).skip(1) {
+            fill_shell(slab, shape, bc);
+        }
+        let below = if k == 1 {
+            Level {
+                data: a,
+                slab: geo.slab,
+                pitch: geo.pitch,
+                x0: 0,
+            }
+        } else {
+            Level {
+                data: &lo_planes[k - 1],
+                slab: wp,
+                pitch: w,
+                x0: 0,
+            }
+        };
+        sweep_level(rows, shape, Some(below), plane, [wp, w], 0, 1..=hi);
+    }
+
+    // Initial wavefront ring W(0) ..= W(s): lane i of W(j) is level i at
+    // outer slab j + (VL-1-i)·s — level 0 from the grid, level i ≥ 1 from
+    // head[i] (whose slab 0 holds the boundary value).
+    sc.ring.reset_shells(shape, bc, R::IS_GS);
+    for j in 0..=s {
+        let dst = &mut sc.ring.slabs[j % (s + 2)];
+        for r in shape.interior() {
+            let lanes: [&[T]; VL] = core::array::from_fn(|i| {
+                let x = j + (VL - 1 - i) * s;
+                if i == 0 {
+                    &a[x * geo.slab + r * geo.pitch..][..w]
+                } else {
+                    &sc.head[i][x * wp + r * w..][..w]
+                }
+            });
+            pack_rows(&mut dst[r * w..][..w], lanes);
+        }
+    }
+
+    // Gauss-Seidel: O(0, ·), lane i = level i+1 at slab (VL-1-i)·s; the
+    // top lane (level VL at slab 0) is the boundary slab of a head plane.
+    if R::IS_GS {
+        for r in shape.interior() {
+            let lanes: [&[T]; VL] = core::array::from_fn(|i| {
+                let (k, x) = if i == VL - 1 {
+                    (VL - 1, 0)
+                } else {
+                    (i + 1, (VL - 1 - i) * s)
+                };
+                &sc.head[k][x * wp + r * w..][..w]
+            });
+            pack_rows(&mut sc.ring.o_prev[r * w..][..w], lanes);
+        }
+    }
+    x_max
+}
+
+/// Phase 2, shared by the rectangular tile and the skewed band and by
+/// both engines: one pass per outer slab `x ∈ xs`, producing `W(x+s)`
+/// from `W(x-1 ..= x+1)` row by row with the rotate-and-blend rule. The
+/// ring must hold `W(j)` at slot `j % (s+2)` for `j` from the first `x`
+/// to `x + s` (`W(x-1)` too for Jacobi), and `(x + VL·s)` must stay
+/// within the array for every `x` — what the two prologues establish.
+#[inline(always)]
+fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
+    a: &mut [T],
+    geo: Geo<T>,
+    rows: &R,
+    s: usize,
+    ring: &mut Ring<T, VL>,
+    xs: RangeInclusive<usize>,
+) {
+    let w = geo.shape.width;
+    let rlen = s + 2;
+    for x in xs {
+        let ips = (x + s) % rlen;
+        // Detach the write slab so the read slabs can stay borrowed.
+        let mut wslab = core::mem::take(&mut ring.slabs[ips]);
+        let read = [x - 1, x, x + 1].map(|j| &ring.slabs[j % rlen][..]);
+        let (lo, hi) = a.split_at_mut((x + VL * s) * geo.slab);
+        for r in geo.shape.interior() {
+            rows.steady_row::<COUNT>(SteadyRow {
+                ring: read,
+                o_prev: &ring.o_prev,
+                o_cur: &mut ring.o_cur,
+                out: &mut wslab[r * w..][..w],
+                at: r * w,
+                top: &mut lo[x * geo.slab + r * geo.pitch..][..w],
+                bottom: &hi[r * geo.pitch..][..w],
+                bc: geo.bc,
+            });
+        }
+        ring.slabs[ips] = wslab;
+        if R::IS_GS {
+            core::mem::swap(&mut ring.o_prev, &mut ring.o_cur);
+        }
+    }
+}
+
+/// Phase 3 of a temporal tile: drain the surviving wavefront ring into
+/// the tail planes and finish every level scalar-wise up to slab `nx`.
+/// `x_max` must match the value [`tile_prologue`] returned and the ring
+/// must hold `W(j)` at slot `j % (s+2)` for `j ∈ x_max ..= x_max+s`, as
+/// left behind by the steady state.
+#[inline(always)]
+fn tile_epilogue<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+    x_max: usize,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    let geo = Geo::of(g);
+    let (nx, shape, bc) = (geo.nx, geo.shape, geo.bc);
+    let (w, wp) = (shape.width, shape.elems());
+    let a = g.data_mut();
+    for i in 1..VL {
+        let base = x_max + (VL - 1 - i) * s;
+        let slabs = (i + 1) * s + 1; // rel 0 ..= (i+1)·s, last = ghost slab nx+1
+        debug_assert_eq!(base + slabs - 1, nx + 1);
+        let (lo_planes, hi_planes) = sc.tail.split_at_mut(i);
+        let plane = &mut hi_planes[0][..slabs * wp];
+        for slab in plane.chunks_exact_mut(wp) {
+            fill_shell(slab, shape, bc);
+        }
+        plane[(slabs - 1) * wp..].fill(bc);
+        // Drain lane i of the surviving ring slabs: lane i of W(j) is
+        // level i at outer slab j + (VL-1-i)·s = base + (j - x_max).
+        for j in x_max..=x_max + s {
+            let src = &sc.ring.slabs[j % (s + 2)];
+            let dst = &mut plane[(j - x_max) * wp..][..wp];
+            for r in shape.interior() {
+                unpack_lane(&src[r * w..][..w], i, &mut dst[r * w..][..w]);
+            }
+        }
+        // Scalar completion over slabs base+s+1 ..= nx, reading level i-1
+        // from the grid or from tail[i-1] (based at base + s).
+        let below = if i == 1 {
+            Level {
+                data: &*a,
+                slab: geo.slab,
+                pitch: geo.pitch,
+                x0: 0,
+            }
+        } else {
+            Level {
+                data: &lo_planes[i - 1],
+                slab: wp,
+                pitch: w,
+                x0: base + s,
+            }
+        };
+        sweep_level(
+            rows,
+            shape,
+            Some(below),
+            plane,
+            [wp, w],
+            base,
+            base + s + 1..=nx,
+        );
+    }
+
+    // Final level VL over slabs x_max+1 ..= nx, written into the array.
+    let below = Level {
+        data: &sc.tail[VL - 1],
+        slab: wp,
+        pitch: w,
+        x0: x_max,
+    };
+    let strides = [geo.slab, geo.pitch];
+    sweep_level(rows, shape, Some(below), a, strides, 0, x_max + 1..=nx);
+}
+
+// ---------------------------------------------------------------------
+// The skewed Gauss-Seidel band (§3.4)
+// ---------------------------------------------------------------------
+//
+// Parallelogram tiles lean left along the outer dimension (whole slabs
+// move as units), the single in-place array carries the inter-tile
+// staircase, and the temporal vector algebra is the rectangular tile's —
+// only the prologue/epilogue slab ranges shift. Staircase invariants
+// (identical to `t1d_band`): when a tile anchored at slabs `[xl, xr]`
+// starts, slabs `≥ xl` hold the band-base level, slab `xl-k` holds level
+// `k`, and level `k`'s rightmost read of level `k-1` finds it intact
+// because the windows shrink by one slab per level.
+
+/// One scalar skewed band: advance levels `1..=levels` over the slab
+/// windows `[xl-(k-1), xr-(k-1)] ∩ [1, nx]`, in place.
+#[inline(always)]
+pub(crate) fn band_scalar_body<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    xl: usize,
+    xr: usize,
+    levels: usize,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    debug_assert!(R::IS_GS, "banded skewed execution is for Gauss-Seidel");
+    let geo = Geo::of(g);
+    let a = g.data_mut();
+    for k in 1..=levels {
+        let lo = xl.saturating_sub(k - 1).max(1);
+        let hi = (xr + 1).saturating_sub(k).min(geo.nx);
+        sweep_level(rows, geo.shape, None, a, [geo.slab, geo.pitch], 0, lo..=hi);
+    }
+}
+
+/// One temporally vectorized skewed band, bit-identical to
+/// [`band_scalar_body`]; edge or narrow tiles (see
+/// [`vector_band_shape`]) run the scalar band instead. The codegen
+/// context is the caller's.
+///
+/// # Panics
+/// Panics if `s < R::MIN_STRIDE` or `sc` was allocated for another stride
+/// or slab shape.
+#[inline(always)]
+pub(crate) fn band_body<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    xl: usize,
+    xr: usize,
+    s: usize,
+    sc: &mut BandScratch<T, VL>,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    debug_assert!(R::IS_GS, "banded skewed execution is for Gauss-Seidel");
+    assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
+    assert_eq!(
+        (sc.s, sc.shape),
+        (s, G::slab_shape(g.dims())),
+        "scratch shape mismatch"
+    );
+    if !vector_band_shape::<VL>(xl, xr, g.dims()[0], s) {
+        band_scalar_body(g, rows, xl, xr, VL);
+        return;
+    }
+    // Steady-state anchors: O(x) lane i writes level i+1 at slab
+    // x + (VL-1-i)·s; lane VL-1 binds the left end (x ≥ xl-(VL-1)) and
+    // the bottom fill x + VL·s ≤ xr+1 binds the right end.
+    let (x_start, x_max) = (xl - (VL - 1), xr + 1 - VL * s);
+    debug_assert!(x_max >= x_start);
+    band_prologue(g, rows, xl, s, sc);
+    let geo = Geo::of(g);
+    steady_slabs::<T, VL, false, R>(g.data_mut(), geo, rows, s, &mut sc.ring, x_start..=x_max);
+    band_epilogue(g, rows, xr, s, sc);
+}
+
+/// Phase 1 of a temporal band: the scalar prologue slabs, the initial
+/// ring `V(x_start) ..= V(x_start+s)` and the previous output slab
+/// `O(x_start-1, ·)`. Callers must have checked [`vector_band_shape`].
+#[inline(always)]
+fn band_prologue<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    xl: usize,
+    s: usize,
+    sc: &mut BandScratch<T, VL>,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    let geo = Geo::of(g);
+    let (shape, w) = (geo.shape, geo.shape.width);
+    let a = g.data_mut();
+    let x_start = xl - (VL - 1);
+
+    // Prologue slabs, stashing the slab each pass is about to clobber.
+    for k in 1..VL {
+        let hi = x_start + (VL - k) * s;
+        copy_slab(&a[hi * geo.slab..], geo.pitch, &mut sc.saved[k - 1], shape);
+        let strides = [geo.slab, geo.pitch];
+        sweep_level(rows, shape, None, a, strides, 0, xl - (k - 1)..=hi);
+    }
+
+    // Initial ring slabs and O(x_start-1): lane i of V(x) is the
+    // staircase slab x + (VL-1-i)·s, except that the first vector's lower
+    // lanes come from the stashed slabs.
+    let a = &*a;
+    let staircase = |x: usize, r: usize| -> [&[T]; VL] {
+        core::array::from_fn(|i| &a[(x + (VL - 1 - i) * s) * geo.slab + r * geo.pitch..][..w])
+    };
+    sc.ring.reset_shells(shape, geo.bc, true);
+    for x in x_start..=x_start + s {
+        let dst = &mut sc.ring.slabs[x % (s + 2)];
+        for r in shape.interior() {
+            let mut lanes = staircase(x, r);
+            if x == x_start {
+                for (lane, saved) in lanes.iter_mut().zip(&sc.saved) {
+                    *lane = &saved[r * w..][..w];
+                }
+            }
+            pack_rows(&mut dst[r * w..][..w], lanes);
+        }
+    }
+    for r in shape.interior() {
+        pack_rows(&mut sc.ring.o_prev[r * w..][..w], staircase(x_start - 1, r));
+    }
+}
+
+/// Phase 3 of a temporal band: materialize the ring- and
+/// output-slab-resident levels into the staircase, then finish each level
+/// scalar.
+#[inline(always)]
+fn band_epilogue<T, const VL: usize, G, R>(
+    g: &mut G,
+    rows: &R,
+    xr: usize,
+    s: usize,
+    sc: &mut BandScratch<T, VL>,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL>,
+{
+    let geo = Geo::of(g);
+    let (shape, w) = (geo.shape, geo.shape.width);
+    let a = g.data_mut();
+    let x_max = xr + 1 - VL * s;
+    let mut unpack = |src: &[Pack<T, VL>], i: usize, x: usize| {
+        for r in shape.interior() {
+            let dst = &mut a[x * geo.slab + r * geo.pitch..][..w];
+            unpack_lane(&src[r * w..][..w], i, dst);
+        }
+    };
+    for j in x_max + 1..=x_max + s {
+        for i in 1..VL {
+            unpack(&sc.ring.slabs[j % (s + 2)], i, j + (VL - 1 - i) * s);
+        }
+    }
+    for i in 0..VL - 1 {
+        unpack(&sc.ring.o_prev, i, x_max + (VL - 1 - i) * s);
+    }
+    for k in 1..=VL {
+        let xs = x_max + (VL - k) * s + 1..=xr + 1 - k;
+        sweep_level(rows, shape, None, a, [geo.slab, geo.pitch], 0, xs);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Entry points: one codegen context per resolved engine
+// ---------------------------------------------------------------------
+
+/// One whole temporal tile (`VL` levels, in place) in `engine`'s codegen
+/// context; `COUNT` instruments the portable steady rows (the AVX2 rows
+/// ignore it).
+///
+/// # Panics
+/// Panics if `s < R::MIN_STRIDE`, the grid's halo is not 1, or `sc` was
+/// allocated for another stride or slab shape.
+pub(crate) fn tile<T, const VL: usize, const COUNT: bool, G, R>(
+    engine: Engine,
+    g: &mut G,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL> + Avx2Row<T, VL>,
+{
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::slab_avx2::tile(g, rows, s, sc),
+        _ => tile_body::<T, VL, COUNT, G, R>(g, rows, s, sc),
+    }
+}
+
+/// One in-place scalar time step in `engine`'s codegen context.
+pub(crate) fn scalar_step<T, const VL: usize, G, R>(
+    engine: Engine,
+    g: &mut G,
+    rows: &R,
+    bufs: &mut [Vec<T>; 2],
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL> + Avx2Row<T, VL>,
+{
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::slab_avx2::scalar_step(g, rows, bufs),
+        _ => scalar_step_inplace(g, rows, bufs),
+    }
+}
+
+/// One temporally vectorized skewed band in `engine`'s codegen context
+/// (edge or narrow bands run scalar, same context).
+///
+/// # Panics
+/// Panics if `s < R::MIN_STRIDE` or `sc` was allocated for another stride
+/// or slab shape.
+pub(crate) fn band<T, const VL: usize, G, R>(
+    engine: Engine,
+    g: &mut G,
+    rows: &R,
+    xl: usize,
+    xr: usize,
+    s: usize,
+    sc: &mut BandScratch<T, VL>,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL> + Avx2Row<T, VL>,
+{
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::slab_avx2::band(g, rows, xl, xr, s, sc),
+        _ => band_body(g, rows, xl, xr, s, sc),
+    }
+}
+
+/// One scalar skewed band of `levels` levels in `engine`'s codegen
+/// context.
+pub(crate) fn band_scalar<T, const VL: usize, G, R>(
+    engine: Engine,
+    g: &mut G,
+    rows: &R,
+    xl: usize,
+    xr: usize,
+    levels: usize,
+) where
+    T: Scalar,
+    G: SlabGrid<Elem = T>,
+    R: Rows<T, VL> + Avx2Row<T, VL>,
+{
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::slab_avx2::band_scalar(g, rows, xl, xr, levels),
+        _ => band_scalar_body(g, rows, xl, xr, levels),
+    }
+}
+
+/// One table-driven suite for the driver: kind × shape × steps
+/// (remainders included) × stride × engine ≡ the scalar reference,
+/// rectangular and banded. The helpers are `pub(crate)` because the
+/// entry points in `slab_floor_names.rs` select rows of the same table.
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::vector_band_shape;
+    use crate::engine::{self, Engine, GsSpace, KernelSpace};
+    use crate::kernels::{BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, LifeKern2d};
+    use tempora_grid::{
+        fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid2, Grid3, SlabGrid,
+    };
+    use tempora_simd::arch::avx2_available;
+    use tempora_stencil::{
+        reference, Box2dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule,
+    };
+
+    /// What the table needs from a kernel besides [`KernelSpace`].
+    pub(crate) trait Kind: KernelSpace {
+        /// The rectangular shapes every kernel of this dimension runs.
+        const SHAPES: &'static [[usize; 3]];
+        /// A seeded grid with a seed-dependent boundary value.
+        fn grid(dims: [usize; 3], seed: u64) -> Self::Grid;
+        /// `steps` sweeps of the scalar reference.
+        fn gold(&self, g: &Self::Grid, steps: usize) -> Self::Grid;
+        /// The first interior difference or clobbered canary, if any.
+        fn mismatch(ours: &Self::Grid, gold: &Self::Grid) -> Option<String>;
+    }
+
+    pub(crate) const SHAPES_2D: &[[usize; 3]] = &[
+        [8, 5, 1],
+        [9, 8, 1],
+        [17, 12, 1],
+        [33, 9, 1],
+        [40, 40, 1],
+        [24, 31, 1],
+        [35, 7, 1],
+        [48, 25, 1],
+    ];
+    pub(crate) const SHAPES_3D: &[[usize; 3]] = &[
+        [9, 5, 6],
+        [16, 8, 7],
+        [21, 6, 11],
+        [26, 6, 7],
+        [24, 9, 8],
+        [10, 4, 5],
+        [33, 4, 3],
+    ];
+    /// Whole tiles at both lane counts, and every remainder class.
+    pub(crate) const STEPS: &[usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16];
+    pub(crate) const STRIDES: &[usize] = &[2, 3, 4];
+    /// `(shape, block)` of the banded sweeps whose interior blocks pass
+    /// `vector_band_shape` at every stride of [`STRIDES`] …
+    pub(crate) const WIDE_BANDS_2D: &[([usize; 3], usize)] =
+        &[([128, 10, 1], 32), ([150, 7, 1], 50), ([96, 16, 1], 48)];
+    pub(crate) const WIDE_BANDS_3D: &[([usize; 3], usize)] = &[([96, 5, 7], 32), ([120, 5, 7], 40)];
+    /// … and of the sweeps whose every block is narrower than the vector
+    /// schedule (pure scalar fallback), the last one a single block.
+    pub(crate) const NARROW_BANDS_2D: &[([usize; 3], usize)] = &[
+        ([40, 8, 1], 10),
+        ([30, 9, 1], 8),
+        ([48, 17, 1], 13),
+        ([10, 6, 1], 25),
+    ];
+    pub(crate) const NARROW_BANDS_3D: &[([usize; 3], usize)] = &[
+        ([30, 4, 4], 8),
+        ([20, 5, 6], 6),
+        ([33, 5, 6], 11),
+        ([9, 5, 6], 16),
+    ];
+
+    fn grid2(dims: [usize; 3], seed: u64) -> Grid2<f64> {
+        let bc = (seed % 7) as f64 * 0.5 - 1.0;
+        let mut g = Grid2::with_dims(dims, Boundary::Dirichlet(bc));
+        fill_random_2d(&mut g, seed, -1.0, 1.0);
+        g
+    }
+
+    fn grid3(dims: [usize; 3], seed: u64) -> Grid3<f64> {
+        let bc = (seed % 7) as f64 * 0.5 - 1.0;
+        let mut g = Grid3::with_dims(dims, Boundary::Dirichlet(bc));
+        fill_random_3d(&mut g, seed, -1.0, 1.0);
+        g
+    }
+
+    fn mismatch<D: core::fmt::Debug>(
+        canaries: Result<(), usize>,
+        diff: Option<D>,
+    ) -> Option<String> {
+        let canary = canaries.err().map(|at| format!("canary {at}"));
+        diff.map(|d| format!("{d:?}")).or(canary)
+    }
+
+    impl Kind for JacobiKern2d {
+        const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
+        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
+            grid2(dims, seed)
+        }
+        fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
+            reference::heat2d(g, self.0, steps)
+        }
+        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
+            mismatch(ours.check_canaries(), ours.first_diff(gold))
+        }
+    }
+
+    impl Kind for BoxKern2d {
+        const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
+        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
+            grid2(dims, seed)
+        }
+        fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
+            reference::box2d(g, self.0, steps)
+        }
+        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
+            mismatch(ours.check_canaries(), ours.first_diff(gold))
+        }
+    }
+
+    impl Kind for GsKern2d {
+        const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
+        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
+            grid2(dims, seed)
+        }
+        fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
+            reference::gs2d(g, self.0, steps)
+        }
+        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
+            mismatch(ours.check_canaries(), ours.first_diff(gold))
+        }
+    }
+
+    impl Kind for LifeKern2d {
+        const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
+        fn grid(dims: [usize; 3], seed: u64) -> Grid2<i32> {
+            let mut g = Grid2::with_dims(dims, Boundary::Dirichlet(0));
+            fill_random_life(&mut g, seed, 0.35);
+            g
+        }
+        fn gold(&self, g: &Grid2<i32>, steps: usize) -> Grid2<i32> {
+            reference::life(g, self.0, steps)
+        }
+        fn mismatch(ours: &Grid2<i32>, gold: &Grid2<i32>) -> Option<String> {
+            mismatch(ours.check_canaries(), ours.first_diff(gold))
+        }
+    }
+
+    impl Kind for JacobiKern3d {
+        const SHAPES: &'static [[usize; 3]] = SHAPES_3D;
+        fn grid(dims: [usize; 3], seed: u64) -> Grid3<f64> {
+            grid3(dims, seed)
+        }
+        fn gold(&self, g: &Grid3<f64>, steps: usize) -> Grid3<f64> {
+            reference::heat3d(g, self.0, steps)
+        }
+        fn mismatch(ours: &Grid3<f64>, gold: &Grid3<f64>) -> Option<String> {
+            mismatch(ours.check_canaries(), ours.first_diff(gold))
+        }
+    }
+
+    impl Kind for GsKern3d {
+        const SHAPES: &'static [[usize; 3]] = SHAPES_3D;
+        fn grid(dims: [usize; 3], seed: u64) -> Grid3<f64> {
+            grid3(dims, seed)
+        }
+        fn gold(&self, g: &Grid3<f64>, steps: usize) -> Grid3<f64> {
+            reference::gs3d(g, self.0, steps)
+        }
+        fn mismatch(ours: &Grid3<f64>, gold: &Grid3<f64>) -> Option<String> {
+            mismatch(ours.check_canaries(), ours.first_diff(gold))
+        }
+    }
+
+    // The kernels of the table; Gauss-Seidel and Life come in two variants
+    // (the asymmetric coefficients tell the five/seven operands apart).
+    pub(crate) fn heat2d() -> JacobiKern2d {
+        JacobiKern2d(Heat2dCoeffs::classic(0.12))
+    }
+    pub(crate) fn box2d() -> BoxKern2d {
+        BoxKern2d(Box2dCoeffs::new([
+            [0.01, 0.07, 0.03],
+            [0.09, 0.55, 0.08],
+            [0.05, 0.06, 0.06],
+        ]))
+    }
+    pub(crate) fn gs2d() -> GsKern2d {
+        GsKern2d(Gs2dCoeffs::classic(0.2))
+    }
+    pub(crate) fn gs2d_asym() -> GsKern2d {
+        GsKern2d(Gs2dCoeffs::new(0.31, 0.17, 0.23, 0.11, 0.13))
+    }
+    pub(crate) fn life() -> LifeKern2d {
+        LifeKern2d(LifeRule::b2s23())
+    }
+    pub(crate) fn conway() -> LifeKern2d {
+        LifeKern2d(LifeRule::conway())
+    }
+    pub(crate) fn heat3d() -> JacobiKern3d {
+        JacobiKern3d(Heat3dCoeffs::classic(0.11))
+    }
+    pub(crate) fn gs3d() -> GsKern3d {
+        GsKern3d(Gs3dCoeffs::classic(0.13))
+    }
+    pub(crate) fn gs3d_asym() -> GsKern3d {
+        GsKern3d(Gs3dCoeffs::new(0.21, 0.13, 0.08, 0.3, 0.09, 0.11, 0.07))
+    }
+
+    /// The AVX2 engine where the CPU has it (else nothing to compare).
+    pub(crate) fn avx2() -> Vec<Engine> {
+        Vec::from_iter(avx2_available().then_some(Engine::Avx2))
+    }
+
+    /// Portable, plus AVX2 where the CPU has it.
+    pub(crate) fn engines() -> Vec<Engine> {
+        [vec![Engine::Portable], avx2()].concat()
+    }
+
+    /// Untiled runs (`engine::run`: whole tiles + scalar remainder) over
+    /// `shapes × strides × steps × engines` against the reference.
+    pub(crate) fn rect<K: Kind>(
+        kern: &K,
+        engines: &[Engine],
+        shapes: &[[usize; 3]],
+        steps: &[usize],
+        strides: &[usize],
+    ) {
+        for (&dims, &s, &n) in product3(shapes, strides, steps) {
+            let g = K::grid(dims, (dims[0] * dims[1] + s + n) as u64);
+            let gold = kern.gold(&g, n);
+            for &e in engines {
+                let ours = engine::run(e, &g, kern, n, s);
+                if let Some(d) = K::mismatch(&ours, &gold) {
+                    panic!("{e:?} dims={dims:?} s={s} steps={n}: {d}");
+                }
+            }
+        }
+    }
+
+    /// The product of three slices, as references.
+    fn product3<'a, A, B, C>(
+        a: &'a [A],
+        b: &'a [B],
+        c: &'a [C],
+    ) -> impl Iterator<Item = (&'a A, &'a B, &'a C)> {
+        a.iter()
+            .flat_map(move |x| b.iter().flat_map(move |y| c.iter().map(move |z| (x, y, z))))
+    }
+
+    /// Outer extents `1 ..= VL·s` at the minimum stride: every one below
+    /// `VL·s` runs the scalar fallback inside the tile entry point, the
+    /// last one is the smallest vector tile.
+    pub(crate) fn degenerate<K: Kind>(kern: &K, engines: &[Engine]) {
+        let inner = K::SHAPES[0];
+        let shapes = Vec::from_iter((1..=K::VL * K::MIN_STRIDE).map(|nx| [nx, inner[1], inner[2]]));
+        rect(
+            kern,
+            engines,
+            &shapes,
+            &[K::VL, K::VL + 1, 2 * K::VL + 3],
+            &[K::MIN_STRIDE],
+        );
+    }
+
+    /// Banded sweeps — whole bands block by block through
+    /// [`GsSpace::band`] (`temporal`) or [`GsSpace::band_scalar`], then the
+    /// scalar remainder — over `cases × strides × steps × engines` against
+    /// the reference. `vector` states whether the blocks of `cases` are
+    /// wide enough for the vector schedule; it is asserted, so a temporal
+    /// row compares the vector path and not its scalar fallback.
+    pub(crate) fn banded<K: Kind + GsSpace>(
+        kern: &K,
+        engines: &[Engine],
+        cases: &[([usize; 3], usize)],
+        strides: &[usize],
+        temporal: bool,
+        vector: bool,
+    ) {
+        assert_eq!(K::VL, 4);
+        for (&(dims, block), &s, &n) in product3(cases, strides, &[4, 8, 10]) {
+            let g = K::grid(dims, (dims[0] + dims[1] + s + n) as u64);
+            let gold = kern.gold(&g, n);
+            let span = dims[0] + K::VL - 1;
+            for &e in engines {
+                let (mut ours, mut vector_blocks) = (g.clone(), 0);
+                let mut sc = K::band_scratch(dims, s);
+                for _ in 0..n / K::VL {
+                    for i in 0..span.div_ceil(block) {
+                        let (xl, xr) = (i * block + 1, ((i + 1) * block).min(span));
+                        vector_blocks += usize::from(vector_band_shape::<4>(xl, xr, dims[0], s));
+                        if temporal {
+                            kern.band(e, &mut ours, xl, xr, s, &mut sc);
+                        } else {
+                            kern.band_scalar(e, &mut ours, xl, xr, K::VL);
+                        }
+                    }
+                }
+                let mut bufs = K::step_bufs(dims);
+                for _ in 0..n % K::VL {
+                    kern.scalar_step(e, &mut ours, &mut bufs);
+                }
+                let at = format!("{e:?} dims={dims:?} block={block} s={s} steps={n}");
+                assert_eq!(vector_blocks > 0, vector, "{at}");
+                if let Some(d) = K::mismatch(&ours, &gold) {
+                    panic!("{at}: {d}");
+                }
+            }
+        }
+    }
+
+    /// A glider on a dead 40×40 board moves one cell diagonally every four
+    /// generations, through whole tiles and remainders alike.
+    pub(crate) fn glider(engines: &[Engine]) {
+        let mut g = Grid2::<i32>::new(40, 40, 1, Boundary::Dirichlet(0));
+        for &(x, y) in &[(2, 3), (3, 4), (4, 2), (4, 3), (4, 4)] {
+            g.set(x, y, 1);
+        }
+        for &e in engines {
+            let ours = engine::run(e, &g, &conway(), 24, 2);
+            assert_eq!(LifeKern2d::mismatch(&ours, &conway().gold(&g, 24)), None);
+            assert_eq!(ours.get(4 + 6, 3 + 6), 1);
+        }
+    }
+
+    #[test]
+    fn rect_table_matches_reference() {
+        let e = engines();
+        rect(&heat2d(), &e, SHAPES_2D, STEPS, STRIDES);
+        rect(&box2d(), &e, SHAPES_2D, STEPS, STRIDES);
+        rect(&gs2d(), &e, SHAPES_2D, STEPS, STRIDES);
+        rect(&gs2d_asym(), &e, SHAPES_2D, STEPS, STRIDES);
+        rect(&life(), &e, SHAPES_2D, STEPS, STRIDES);
+        rect(&conway(), &e, SHAPES_2D, STEPS, STRIDES);
+        rect(&heat3d(), &e, SHAPES_3D, STEPS, STRIDES);
+        rect(&gs3d(), &e, SHAPES_3D, STEPS, STRIDES);
+        rect(&gs3d_asym(), &e, SHAPES_3D, STEPS, STRIDES);
+        glider(&e);
+    }
+
+    #[test]
+    fn degenerate_outer_extents_fall_back() {
+        let e = engines();
+        degenerate(&heat2d(), &e);
+        degenerate(&box2d(), &e);
+        degenerate(&gs2d_asym(), &e);
+        degenerate(&life(), &e);
+        degenerate(&heat3d(), &e);
+        degenerate(&gs3d_asym(), &e);
+    }
+
+    #[test]
+    fn band_table_matches_reference() {
+        let e = engines();
+        for temporal in [false, true] {
+            for kern in [gs2d(), gs2d_asym()] {
+                banded(&kern, &e, WIDE_BANDS_2D, STRIDES, temporal, true);
+                banded(&kern, &e, NARROW_BANDS_2D, &[2], temporal, false);
+            }
+            for kern in [gs3d(), gs3d_asym()] {
+                banded(&kern, &e, WIDE_BANDS_3D, STRIDES, temporal, true);
+                banded(&kern, &e, NARROW_BANDS_3D, &[2], temporal, false);
+            }
+        }
+    }
+}

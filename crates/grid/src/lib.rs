@@ -62,6 +62,31 @@ pub fn pad_len(len: usize) -> usize {
     len.div_ceil(8) * 8
 }
 
+/// The rows of one outer slab of a halo-1 grid, ghost cells included: a
+/// cell in 1-D, one row of `ny + 2` in 2-D, `ny + 2` rows of `nz + 2` in
+/// 3-D (the first and the last row are ghost rows).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SlabShape {
+    /// Rows per slab, ghost rows included.
+    pub rows: usize,
+    /// Elements per row, ghost columns included.
+    pub width: usize,
+    /// Ghost rows on each side of the interior rows (0 or 1).
+    pub halo_rows: usize,
+}
+
+impl SlabShape {
+    /// Elements of one slab stored row after row without padding.
+    pub fn elems(self) -> usize {
+        self.rows * self.width
+    }
+
+    /// Indices of the interior (non-ghost) rows.
+    pub fn interior(self) -> core::ops::Range<usize> {
+        self.halo_rows..self.rows - self.halo_rows
+    }
+}
+
 /// A halo-1 grid viewed as a stack of **outer slabs** — cells in 1-D, rows
 /// in 2-D, planes in 3-D: the unit the time-tiled layers copy, band and
 /// skew over. One implementation per grid type lets every layer above
@@ -69,6 +94,9 @@ pub fn pad_len(len: usize) -> usize {
 pub trait SlabGrid: Clone + Send {
     /// Element type.
     type Elem: Scalar;
+
+    /// The rows of one outer slab of a grid with interior extents `dims`.
+    fn slab_shape(dims: [usize; 3]) -> SlabShape;
 
     /// A zeroed halo-1 grid with interior extents `dims` (outer extent
     /// first; a `D`-dimensional grid reads the first `D` entries).
@@ -84,6 +112,13 @@ pub trait SlabGrid: Clone + Send {
     /// the plane size.
     fn slab(&self) -> usize;
 
+    /// Elements between consecutive rows of one slab in
+    /// [`SlabGrid::data`] (a slab of a 1-D or 2-D grid is a single row).
+    fn row_pitch(&self) -> usize;
+
+    /// The boundary condition the ghost cells encode.
+    fn boundary(&self) -> Boundary<Self::Elem>;
+
     /// The whole storage, halo slabs included.
     fn data(&self) -> &[Self::Elem];
 
@@ -93,6 +128,15 @@ pub trait SlabGrid: Clone + Send {
 
 impl<T: Scalar> SlabGrid for Grid1<T> {
     type Elem = T;
+
+    fn slab_shape(dims: [usize; 3]) -> SlabShape {
+        let _ = dims;
+        SlabShape {
+            rows: 1,
+            width: 1,
+            halo_rows: 0,
+        }
+    }
 
     fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
         Grid1::new(dims[0], 1, bc)
@@ -110,6 +154,14 @@ impl<T: Scalar> SlabGrid for Grid1<T> {
         1
     }
 
+    fn row_pitch(&self) -> usize {
+        1
+    }
+
+    fn boundary(&self) -> Boundary<T> {
+        Grid1::boundary(self)
+    }
+
     fn data(&self) -> &[T] {
         Grid1::data(self)
     }
@@ -121,6 +173,14 @@ impl<T: Scalar> SlabGrid for Grid1<T> {
 
 impl<T: Scalar> SlabGrid for Grid2<T> {
     type Elem = T;
+
+    fn slab_shape(dims: [usize; 3]) -> SlabShape {
+        SlabShape {
+            rows: 1,
+            width: dims[1] + 2,
+            halo_rows: 0,
+        }
+    }
 
     fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
         Grid2::new(dims[0], dims[1], 1, bc)
@@ -138,6 +198,14 @@ impl<T: Scalar> SlabGrid for Grid2<T> {
         self.pitch()
     }
 
+    fn row_pitch(&self) -> usize {
+        self.pitch()
+    }
+
+    fn boundary(&self) -> Boundary<T> {
+        Grid2::boundary(self)
+    }
+
     fn data(&self) -> &[T] {
         Grid2::data(self)
     }
@@ -149,6 +217,14 @@ impl<T: Scalar> SlabGrid for Grid2<T> {
 
 impl<T: Scalar> SlabGrid for Grid3<T> {
     type Elem = T;
+
+    fn slab_shape(dims: [usize; 3]) -> SlabShape {
+        SlabShape {
+            rows: dims[1] + 2,
+            width: dims[2] + 2,
+            halo_rows: 1,
+        }
+    }
 
     fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
         Grid3::new(dims[0], dims[1], dims[2], 1, bc)
@@ -164,6 +240,14 @@ impl<T: Scalar> SlabGrid for Grid3<T> {
 
     fn slab(&self) -> usize {
         self.plane()
+    }
+
+    fn row_pitch(&self) -> usize {
+        self.pitch()
+    }
+
+    fn boundary(&self) -> Boundary<T> {
+        Grid3::boundary(self)
     }
 
     fn data(&self) -> &[T] {

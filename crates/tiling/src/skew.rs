@@ -6,7 +6,7 @@
 //! The iteration space is cut into bands of `height` time levels × skewed
 //! blocks of `block` anchor columns; block `(band, i)` is the
 //! parallelogram executed by the banded engines in `tempora-core`
-//! (`t1d_band`/`t2d_band`/`t3d_band`), executed as `height/VL` successive
+//! (`t1d_band`, `slab::band`), executed as `height/VL` successive
 //! `VL`-level sub-bands whose anchors shift left by `VL` each (one
 //! parallelogram of the paper's Table-1 time-block depth). Dependences
 //! are `(b, i-1)`, `(b-1, i)` and `(b-1, i+1)`, so

@@ -11,7 +11,7 @@
 use tempora::baseline::{dlt, multiload, reorg};
 use tempora::core::engine;
 use tempora::core::kernels::*;
-use tempora::core::{lcs, t1d, t2d, t3d};
+use tempora::core::{lcs, t1d};
 use tempora::grid::*;
 use tempora::prelude::{Engine, Method, Plan, PlanBuilder, Problem, Select, State, Tiling};
 use tempora::stencil::*;
@@ -180,7 +180,7 @@ fn heat2d_and_box2d_all_schemes_agree() {
     let c = Heat2dCoeffs::classic(0.11);
     let kern = JacobiKern2d(c);
     let gold = reference::heat2d(&g, c, steps);
-    assert!(t2d::run::<f64, 4, _>(&g, &kern, steps, 2).interior_eq(&gold));
+    assert!(engine::run(Engine::Portable, &g, &kern, steps, 2).interior_eq(&gold));
     assert!(multiload::heat2d(&g, c, steps).interior_eq(&gold));
     let problem = Problem::Heat2d {
         nx: g.nx(),
@@ -208,7 +208,7 @@ fn heat2d_and_box2d_all_schemes_agree() {
     let cb = Box2dCoeffs::smooth(0.07);
     let kb = BoxKern2d(cb);
     let goldb = reference::box2d(&g, cb, steps);
-    assert!(t2d::run::<f64, 4, _>(&g, &kb, steps, 2).interior_eq(&goldb));
+    assert!(engine::run(Engine::Portable, &g, &kb, steps, 2).interior_eq(&goldb));
     assert!(multiload::box2d(&g, cb, steps).interior_eq(&goldb));
     let problem = Problem::Box2d {
         nx: g.nx(),
@@ -229,7 +229,7 @@ fn life_all_schemes_agree() {
     fill_random_life(&mut g, 5, 0.37);
     let steps = 16;
     let gold = reference::life(&g, rule, steps);
-    assert!(t2d::run::<i32, 8, _>(&g, &kern, steps, 2).interior_eq(&gold));
+    assert!(engine::run(Engine::Portable, &g, &kern, steps, 2).interior_eq(&gold));
     assert!(multiload::life(&g, rule, steps).interior_eq(&gold));
     let problem = Problem::Life {
         nx: g.nx(),
@@ -272,7 +272,7 @@ fn heat3d_all_schemes_agree() {
     let g = g3(24, 7);
     let steps = 8;
     let gold = reference::heat3d(&g, c, steps);
-    assert!(t3d::run::<f64, 4, _>(&g, &kern, steps, 2).interior_eq(&gold));
+    assert!(engine::run(Engine::Portable, &g, &kern, steps, 2).interior_eq(&gold));
     assert!(multiload::heat3d(&g, c, steps).interior_eq(&gold));
     let problem = Problem::Heat3d {
         nx: g.nx(),
@@ -334,7 +334,7 @@ fn gauss_seidel_all_schemes_agree() {
     let k2 = GsKern2d(c2);
     let h = g2(100, 21, 4, -0.1);
     let gold2 = reference::gs2d(&h, c2, steps);
-    assert!(t2d::run::<f64, 4, _>(&h, &k2, steps, 2).interior_eq(&gold2));
+    assert!(engine::run(Engine::Portable, &h, &k2, steps, 2).interior_eq(&gold2));
     let problem = Problem::Gs2d {
         nx: h.nx(),
         ny: h.ny(),
@@ -362,7 +362,7 @@ fn gauss_seidel_all_schemes_agree() {
     let k3 = GsKern3d(c3);
     let v = g3(32, 9);
     let gold3 = reference::gs3d(&v, c3, 8);
-    assert!(t3d::run::<f64, 4, _>(&v, &k3, 8, 2).interior_eq(&gold3));
+    assert!(engine::run(Engine::Portable, &v, &k3, 8, 2).interior_eq(&gold3));
     let problem = Problem::Gs3d {
         nx: v.nx(),
         ny: v.ny(),
@@ -635,7 +635,7 @@ fn has_avx2() -> bool {
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn avx2_engines_match_scalar_oracles_bitwise() {
-    use tempora::core::{t1d_avx2, t2d_avx2, t3d_avx2};
+    use tempora::core::t1d_avx2;
     if !has_avx2() {
         return;
     }
@@ -674,7 +674,7 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
         for s in [2usize, 3] {
             for steps in [4usize, 7, 12] {
                 let g = g2(nx, ny, (nx * ny + s + steps) as u64, -0.25);
-                let ours = t2d_avx2::run_heat2d_avx2(&g, &JacobiKern2d(c2), steps, s);
+                let ours = engine::run(Engine::Avx2, &g, &JacobiKern2d(c2), steps, s);
                 let gold = reference::heat2d(&g, c2, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -682,14 +682,14 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
                     ours.first_diff(&gold)
                 );
                 ours.check_canaries().unwrap();
-                let ours = t2d_avx2::run_box2d_avx2(&g, &BoxKern2d(cb), steps, s);
+                let ours = engine::run(Engine::Avx2, &g, &BoxKern2d(cb), steps, s);
                 let gold = reference::box2d(&g, cb, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "box2d nx={nx} ny={ny} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = t2d_avx2::run_gs2d_avx2(&g, &GsKern2d(cg2), steps, s);
+                let ours = engine::run(Engine::Avx2, &g, &GsKern2d(cg2), steps, s);
                 let gold = reference::gs2d(&g, cg2, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -708,14 +708,14 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
             for steps in [4usize, 8, 9] {
                 let mut g = Grid3::new(nx, ny, nz, 1, Boundary::Dirichlet(0.1));
                 fill_random_3d(&mut g, (nx + ny + nz + s + steps) as u64, -1.0, 1.0);
-                let ours = t3d_avx2::run_heat3d_avx2(&g, &JacobiKern3d(c3), steps, s);
+                let ours = engine::run(Engine::Avx2, &g, &JacobiKern3d(c3), steps, s);
                 let gold = reference::heat3d(&g, c3, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "heat3d nx={nx} ny={ny} nz={nz} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = t3d_avx2::run_gs3d_avx2(&g, &GsKern3d(cg3), steps, s);
+                let ours = engine::run(Engine::Avx2, &g, &GsKern3d(cg3), steps, s);
                 let gold = reference::gs3d(&g, cg3, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -1341,7 +1341,7 @@ fn canaries_survive_every_engine() {
     let c = Heat2dCoeffs::classic(0.125);
     let kern = JacobiKern2d(c);
     let g = g2(40, 37, 8, 0.0); // ny chosen so padding exists (37+2=39 -> pitch 40)
-    let r = t2d::run::<f64, 4, _>(&g, &kern, 8, 2);
+    let r = engine::run(Engine::Portable, &g, &kern, 8, 2);
     r.check_canaries().unwrap();
     let rm = multiload::heat2d(&g, c, 8);
     rm.check_canaries().unwrap();

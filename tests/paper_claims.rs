@@ -2,10 +2,13 @@
 //! the evaluation section argues from, verified on the instrumented
 //! kernels rather than trusted.
 
-use tempora::core::kernels::{GsKern1d, JacobiKern1d};
+use tempora::core::engine::{Elem, Engine, KernelSpace};
+use tempora::core::kernels::{
+    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
+};
 use tempora::core::t1d;
-use tempora::grid::{fill_random_1d, Boundary, Grid1};
-use tempora::simd::count;
+use tempora::grid::{fill_random_1d, Boundary, Grid1, SlabGrid};
+use tempora::simd::{count, Scalar};
 use tempora::stencil::*;
 
 fn grid(n: usize) -> Grid1<f64> {
@@ -120,4 +123,42 @@ fn reorg_cost_independent_of_vector_length() {
     let k = sess.finish();
     assert_eq!(k.cross_lane, k.output_vectors);
     assert_eq!(k.in_lane, k.output_vectors);
+}
+
+/// The "irrelevant to … dimension" clause of the same claim: one tile of
+/// every 2-D and 3-D kernel through `KernelSpace::tile::<true>` (portable
+/// engine) produces one input vector per interior point of every
+/// steady-state slab, each for exactly one rotate and one blend — at
+/// `VL = 4` and, for Life, `VL = 8`, star and box neighbourhoods, Jacobi
+/// and Gauss-Seidel alike.
+#[test]
+fn reorg_cost_independent_of_dimension() {
+    fn check<K: KernelSpace>(name: &str, kern: K, dims: [usize; 3]) {
+        for s in [K::MIN_STRIDE, K::MIN_STRIDE + 1] {
+            let mut g = K::Grid::with_dims(dims, Boundary::Dirichlet(Elem::<K>::ZERO));
+            let mut sc = K::scratch(dims, s);
+            let sess = count::Session::start();
+            kern.tile::<true>(Engine::Portable, &mut g, s, &mut sc);
+            let k = sess.finish();
+            let slabs = dims[0] + 1 - K::VL * s;
+            let vectors = (slabs * dims[1] * dims[2]) as u64;
+            assert_eq!(k.output_vectors, vectors, "{name} s={s}");
+            assert_eq!(k.cross_lane, vectors, "{name} s={s}");
+            assert_eq!(k.in_lane, vectors, "{name} s={s}");
+        }
+    }
+    check(
+        "heat2d",
+        JacobiKern2d(Heat2dCoeffs::classic(0.125)),
+        [40, 17, 1],
+    );
+    check("box2d", BoxKern2d(Box2dCoeffs::smooth(0.1)), [40, 17, 1]);
+    check("gs2d", GsKern2d(Gs2dCoeffs::classic(0.2)), [40, 17, 1]);
+    check("life", LifeKern2d(LifeRule::b2s23()), [40, 17, 1]);
+    check(
+        "heat3d",
+        JacobiKern3d(Heat3dCoeffs::classic(0.1)),
+        [24, 6, 7],
+    );
+    check("gs3d", GsKern3d(Gs3dCoeffs::classic(0.1)), [24, 6, 7]);
 }

@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 
+use tempora::core::engine::{self, Engine};
 use tempora::core::kernels::*;
-use tempora::core::{lcs, t1d, t2d};
+use tempora::core::{lcs, t1d};
 use tempora::grid::*;
 use tempora::prelude::{Method, PlanBuilder, Problem, State, Tiling};
 use tempora::stencil::*;
@@ -59,7 +60,7 @@ proptest! {
         let kern = JacobiKern2d(c);
         let mut g = Grid2::new(nx, ny, 1, Boundary::Dirichlet(-0.5));
         fill_random_2d(&mut g, seed, -1.0, 1.0);
-        let ours = t2d::run::<f64, 4, _>(&g, &kern, steps, 2);
+        let ours = engine::run(Engine::Portable, &g, &kern, steps, 2);
         let gold = reference::heat2d(&g, c, steps);
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }
@@ -76,7 +77,7 @@ proptest! {
         let kern = LifeKern2d(rule);
         let mut g = Grid2::<i32>::new(nx, ny, 1, Boundary::Dirichlet(0));
         fill_random_life(&mut g, seed, p);
-        let ours = t2d::run::<i32, 8, _>(&g, &kern, steps, 2);
+        let ours = engine::run(Engine::Portable, &g, &kern, steps, 2);
         let gold = reference::life(&g, rule, steps);
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }

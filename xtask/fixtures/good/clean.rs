@@ -38,6 +38,23 @@ pub fn tile_prologue(n: usize) -> usize {
     n + 1
 }
 
+/// A trait may declare a phase function without the attribute (a
+/// prototype has no body to inline); each impl carries it.
+pub trait Rows {
+    /// Declared here, defined by the impl below.
+    fn sweep_row(
+        &self,
+        n: usize,
+    ) -> usize;
+}
+
+impl Rows for u8 {
+    #[inline(always)]
+    fn sweep_row(&self, n: usize) -> usize {
+        n
+    }
+}
+
 // Justification: demo helper reached only from doctests.
 #[allow(dead_code)]
 fn helper() {}

@@ -57,37 +57,43 @@ const PHASE_SCOPE: &str = "crates/core/src/";
 /// call into libm's `fma` — same results, ≈ 20× slower per boundary
 /// point, and no test notices.
 const PHASE_FNS: [&str; 24] = [
+    "tile_body",
     "tile_fallback_if_degenerate",
     "tile_prologue",
     "tile_epilogue",
+    "steady_slabs",
     "scalar_step_inplace",
-    "gs_initial_output",
     "sweep_row",
+    "steady_row",
     "sweep_level",
     "pack_rows",
     "unpack_lane",
     "fill_shell",
+    "copy_slab",
+    "reset_shells",
+    "band_body",
+    "band_scalar_body",
     "band_scalar_gs",
-    "band_scalar_gs2d",
-    "band_scalar_gs3d",
     "band_prologue",
-    "band_prologue2d",
-    "band_prologue3d",
     "band_epilogue",
-    "band_epilogue2d",
-    "band_epilogue3d",
-    "gs_row",
-    "gs_slab",
+    "gs_initial_output",
+    "count_output_vector",
     "step_1d_body",
     "step_2d_body",
     "step_3d_body",
 ];
 
-/// The phase function a code line defines, if any.
-fn defined_phase_fn(code: &str) -> Option<&'static str> {
-    let rest = &code[code.find("fn ")? + 3..];
+/// The phase function defined on code line `i`, if any. A bodiless
+/// trait-method prototype (its signature ends in `;` before any `{`) is
+/// a declaration, not a definition: the attribute belongs on each impl.
+fn defined_phase_fn(code: &[String], i: usize) -> Option<&'static str> {
+    let rest = &code[i][code[i].find("fn ")? + 3..];
     let name_len = rest.bytes().take_while(|&b| is_ident(b)).count();
-    PHASE_FNS.into_iter().find(|&f| f == &rest[..name_len])
+    let name = PHASE_FNS.into_iter().find(|&f| f == &rest[..name_len])?;
+    let end = code[i..]
+        .iter()
+        .find_map(|l| l.find(['{', ';']).map(|at| &l[at..=at]));
+    (end != Some(";")).then_some(name)
 }
 
 /// Files allowed to use `transmute` / raw intrinsics / inline `asm!`:
@@ -544,7 +550,7 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
 
         // --- phase-inline ---------------------------------------------
         if !in_test && path.starts_with(PHASE_SCOPE) {
-            if let Some(name) = defined_phase_fn(code) {
+            if let Some(name) = defined_phase_fn(&v.code, i) {
                 if !header_block_contains(&v, i, INLINE_ALWAYS) {
                     push(
                         i,
