@@ -4,7 +4,9 @@
 //! repro [--scale K] [--cores N] [--csv DIR] [--json FILE] <target>...
 //!
 //! targets: table1, fig4a..fig4j, fig5a..fig5h,
-//!          ablate-reorg, ablate-stride, ablate-baselines, ablate-waves,
+//!          ablate-reorg, ablate-baselines, ablate-waves,
+//!          ablate-stride (fails when an AVX2 kind's default stride runs
+//!          below 0.7× its best stride),
 //!          ablate-boundary (fails when an AVX2 tile's boundary code is
 //!          more than 12× slower per update than its steady state),
 //!          seq (all sequential), par (all parallel), all
@@ -282,10 +284,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Compute one figure target; `None` for ids that are not figure targets
-/// (`table1`, `ablate-reorg`, `ablate-boundary`, or an unknown id).
+/// (`table1`, `ablate-reorg`, `ablate-stride`, `ablate-boundary`, or an
+/// unknown id).
 fn compute_target(id: &str, scale: usize, cores: usize) -> Option<tb::Figure> {
     Some(match id {
-        "ablate-stride" => tb::ablate_stride(scale),
         "ablate-baselines" => tb::ablate_baselines(scale),
         "ablate-waves" => tb::ablate_waves(scale, cores),
         "fig4a" => tb::fig4a(scale),
@@ -329,6 +331,11 @@ enum Output {
 /// for AVX2+FMA, ≈ 20 when they call libm `fma`).
 const BOUNDARY_RATIO_LIMIT: f64 = 12.0;
 
+/// An AVX2 kind's default stride must reach this share of its best
+/// stride's throughput (measured: the chosen defaults 0.94–1.00, the rolled
+/// in-memory ring they would fall back to ≈ 0.45).
+const DEFAULT_STRIDE_FLOOR: f64 = 0.7;
+
 /// Run one target: print its table (or text block) to stdout and return
 /// what it produced.
 fn run_target(id: &str, scale: usize, cores: usize) -> Output {
@@ -340,6 +347,29 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
         "ablate-reorg" => {
             println!("{}", tb::ablate_reorg());
             Output::Text
+        }
+        "ablate-stride" => {
+            let table = tb::ablate_stride(scale);
+            println!("{}", table.to_table());
+            if !tempora_simd::arch::avx2_available() {
+                println!("notice: no AVX2+FMA here — portable rows only, default check skipped\n");
+            }
+            let under: Vec<String> = table
+                .avx2_defaults_under(DEFAULT_STRIDE_FLOOR)
+                .iter()
+                .map(|r| format!("{} s={} {:.2}", r.kind, r.stride, table.vs_best(r)))
+                .collect();
+            Output::Checked {
+                json: table.to_json(),
+                violation: (!under.is_empty()).then(|| {
+                    format!(
+                        "default stride below {DEFAULT_STRIDE_FLOOR} of the best stride on the \
+                         AVX2 engine ({}): is the default still one the steady state \
+                         specialises, and still on the plateau?",
+                        under.join(", ")
+                    )
+                }),
+            }
         }
         "ablate-boundary" => {
             let table = tb::ablate_boundary(scale);

@@ -16,7 +16,7 @@
 //! | `fig5e`/`fig5f` | GS-3D | [`fig5e`], [`fig5f`] |
 //! | `fig5g`/`fig5h` | LCS | [`fig5g`], [`fig5h`] |
 //! | `ablate-reorg` | §3.3/§3.5 reorganization budgets | [`ablate_reorg`] |
-//! | `ablate-stride` | §3.3 stride/ILP sweep | [`ablate_stride`] |
+//! | `ablate-stride` | §3.3 stride/ILP sweep, all three 1-D kinds, default marked | [`ablate_stride`] |
 //! | `ablate-baselines` | §2.2 baseline comparison | [`ablate_baselines`] |
 //! | `ablate-waves` | pipelined vs barrier wavefront schedule | [`ablate_waves`] |
 //! | `ablate-boundary` | bare steady state vs whole tile, per kind and engine | [`ablate_boundary`] |
@@ -69,6 +69,10 @@ pub struct Series {
     /// sequential sweeps, the x-axis core count for parallel sweeps).
     /// Same length as `points`.
     pub cores: Vec<usize>,
+    /// Per-point temporal stride the plan resolved (`Plan::stride`), for
+    /// dispatched (temporal) series; `None` entries otherwise. Same
+    /// length as `points`.
+    pub strides: Vec<Option<usize>>,
     /// `(x, Gstencils/s)` samples.
     pub points: Vec<(f64, f64)>,
 }
@@ -80,16 +84,18 @@ impl Series {
             label: label.to_string(),
             engines: vec![],
             cores: vec![],
+            strides: vec![],
             points: vec![],
         }
     }
 
-    /// Append one measured point with its resolved engine and worker
-    /// count.
-    pub fn push(&mut self, x: f64, gst: f64, cores: usize, engine: Option<&str>) {
+    /// Append one measured point with its worker count and, for a
+    /// dispatched plan, the engine and stride it resolved.
+    pub fn push(&mut self, x: f64, gst: f64, cores: usize, smp: &Sample) {
         self.points.push((x, gst));
         self.cores.push(cores);
-        self.engines.push(engine.map(str::to_string));
+        self.engines.push(smp.engine.map(str::to_string));
+        self.strides.push(smp.engine.and(Some(smp.stride)));
     }
 
     /// Summary of the per-point engines: `None` when no point was
@@ -206,9 +212,9 @@ impl Figure {
     /// Render as a JSON object (`{"id", "title", "xlabel", "series"}`),
     /// the element format of the committed `BENCH_*.json` baselines.
     /// Each series carries the summary `"engine"` (when dispatched) plus
-    /// per-point `"cores"` and `"engines"` arrays aligned with
-    /// `"points"`, so a reader can tell exactly which engine produced
-    /// each sample and at how many workers.
+    /// per-point `"cores"`, `"engines"` and `"strides"` arrays aligned
+    /// with `"points"`, so a reader can tell exactly which engine produced
+    /// each sample, at which temporal stride and at how many workers.
     pub fn to_json(&self) -> String {
         let series: Vec<String> = self
             .series
@@ -232,11 +238,17 @@ impl Figure {
                         None => "null".to_string(),
                     })
                     .collect();
+                let strides: Vec<String> = s
+                    .strides
+                    .iter()
+                    .map(|s| s.map_or("null".to_string(), |s| s.to_string()))
+                    .collect();
                 format!(
-                    "{{\"label\":\"{}\",{engine}\"cores\":[{}],\"engines\":[{}],\"points\":[{}]}}",
+                    "{{\"label\":\"{}\",{engine}\"cores\":[{}],\"engines\":[{}],\"strides\":[{}],\"points\":[{}]}}",
                     json_escape(&s.label),
                     cores.join(","),
                     engines.join(","),
+                    strides.join(","),
                     pts.join(",")
                 )
             })
@@ -342,6 +354,8 @@ pub struct Sample {
     pub secs: f64,
     /// Resolved engine name (`portable` | `avx2`), for dispatched plans.
     pub engine: Option<&'static str>,
+    /// The temporal stride the plan resolved (`Plan::stride`).
+    pub stride: usize,
 }
 
 /// Compile `builder` against `problem`, build and fill a state, then
@@ -365,7 +379,37 @@ pub fn plan_sample(problem: &Problem, builder: PlanBuilder, fill: &dyn Fn(&mut S
         engine = report.engine.map(|e| e.name());
         std::hint::black_box(&state);
     });
-    Sample { secs, engine }
+    Sample {
+        secs,
+        engine,
+        stride: plan.stride(),
+    }
+}
+
+/// The ablations' measurement: compile `builder` against `problem`, fill
+/// a state, and return the fastest of 20 `plan.run` calls after one
+/// warm-up, in seconds, with the engine the plan resolved (`portable` for
+/// a plan that dispatches none). The minimum, not [`time_stable`]'s median
+/// of 3: these targets compare code paths and gate on the ratio.
+fn best_of_20(problem: &Problem, builder: PlanBuilder) -> (f64, &'static str) {
+    let mut plan = builder
+        .build(problem)
+        // Panic-justification: every ablation configuration is hard-coded
+        // against its problem; a build failure is a bench-suite bug.
+        .expect("bench configurations are valid by construction");
+    let mut state = problem.state();
+    fill_state(&mut state);
+    let mut best = f64::INFINITY;
+    for rep in 0..=20 {
+        let t = Instant::now();
+        // Panic-justification: the state comes from `problem.state()`.
+        plan.run(&mut state).expect("state matches plan");
+        if rep > 0 {
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        std::hint::black_box(&state);
+    }
+    (best, plan.engine().map_or("portable", |e| e.name()))
 }
 
 /// Fill helper: seeded random interior for whichever grid the state
@@ -552,7 +596,7 @@ fn seq_sweep<'a>(
         for (k, (_, run)) in runs.iter().enumerate() {
             let (problem, builder) = run(n, steps);
             let smp = plan_sample(&problem, builder, &fill_state);
-            series[k].push(xmap(n), gstencils(pts, steps, smp.secs), 1, smp.engine);
+            series[k].push(xmap(n), gstencils(pts, steps, smp.secs), 1, &smp);
         }
     }
     Figure {
@@ -597,12 +641,7 @@ fn parallel_sweep<'a>(
             // means what it says, and the plan first-touches its tile
             // arenas from their owning workers.
             let smp = plan_sample(&problem, builder.threads(cores).pin(true), &fill_state);
-            series[k].push(
-                cores as f64,
-                gstencils(pts, steps, smp.secs),
-                cores,
-                smp.engine,
-            );
+            series[k].push(cores as f64, gstencils(pts, steps, smp.secs), cores, &smp);
         }
     }
     Figure {
@@ -904,7 +943,7 @@ pub fn fig5g(scale: usize) -> Figure {
         let problem = Problem::lcs(n, n);
         for (k, (_, builder)) in builders.iter().enumerate() {
             let smp = plan_sample(&problem, *builder, &fill_state);
-            series[k].push((n as f64).log2(), gstencils(n, n, smp.secs), 1, smp.engine);
+            series[k].push((n as f64).log2(), gstencils(n, n, smp.secs), 1, &smp);
         }
     }
     Figure {
@@ -1263,29 +1302,171 @@ pub fn ablate_reorg() -> String {
     out
 }
 
-/// §3.3 stride sweep: Gstencils/s of the 1-D temporal engine as the
-/// space stride `s` (and with it the number of in-flight input vectors /
-/// ILP) varies.
-pub fn ablate_stride(scale: usize) -> Figure {
-    let n = ((1usize << 20) / scale.max(1)).max(1 << 12);
-    let c = Heat1dCoeffs::classic(0.25);
-    let sel = Select::from_env();
-    let steps = choose_steps(n, SEQ_BUDGET, 8, 4096);
-    let problem = Problem::heat1d(n, steps, c);
-    let mut series = Series::new("our");
-    for s in 2..=8 {
-        let smp = plan_sample(
-            &problem,
-            PlanBuilder::new().stride(s).select(sel),
-            &fill_state,
-        );
-        series.push(s as f64, gstencils(n, steps, smp.secs), 1, smp.engine);
+/// One row of [`ablate_stride`]: one kind at one stride.
+#[derive(Clone, Debug)]
+pub struct StrideRow {
+    /// Workload kind (`heat1d` | `gs1d` | `lcs`).
+    pub kind: &'static str,
+    /// The space stride `s` of this row.
+    pub stride: usize,
+    /// Engine the plan resolved to (`avx2` | `portable`).
+    pub engine: &'static str,
+    /// Throughput, million point-updates per second (best of 20 runs).
+    pub mupd_per_s: f64,
+    /// True when a default-built plan of this kind runs this stride
+    /// (`Plan::stride`).
+    pub default: bool,
+    /// True when the resolved engine keeps this stride's ring in
+    /// registers (`t1d_avx2::REGISTER_STRIDES` /
+    /// `lcs_avx2::REGISTER_STRIDES`; never on the portable engine).
+    pub registers: bool,
+}
+
+/// The `ablate-stride` table: throughput per kind and stride, with the
+/// default and the register-specialised strides marked.
+#[derive(Clone, Debug)]
+pub struct StrideTable {
+    /// `(1-D points, LCS length)` of the swept geometry.
+    pub geometry: (usize, usize),
+    /// One row per kind and accepted stride, strides ascending per kind.
+    pub rows: Vec<StrideRow>,
+}
+
+impl StrideTable {
+    /// `row`'s throughput as a share of its kind's best row.
+    pub fn vs_best(&self, row: &StrideRow) -> f64 {
+        let best = self
+            .rows
+            .iter()
+            .filter(|r| r.kind == row.kind)
+            .map(|r| r.mupd_per_s)
+            .fold(0.0, f64::max);
+        row.mupd_per_s / best
     }
-    Figure {
-        id: "ablate-stride".into(),
-        title: "Temporal stride sweep (Heat-1D)".into(),
-        xlabel: "stride s".into(),
-        series: vec![series],
+
+    /// Render as an aligned text table (`*` marks a kind's default
+    /// stride, `r` a register-specialised one).
+    pub fn to_table(&self) -> String {
+        let (n1, nl) = self.geometry;
+        let mut out = format!(
+            "# ablate-stride — temporal stride sweep (1-D {n1} x 32 steps, LCS {nl}²; \
+             * = default stride, r = ring in registers)\n\
+             {:<8}{:>8}{:>6}{:>10}{:>12}{:>10}\n",
+            "kind", "stride", "", "engine", "Mupd/s", "vs best"
+        );
+        for r in &self.rows {
+            let marks = format!(
+                "{}{}",
+                if r.default { "*" } else { "" },
+                if r.registers { "r" } else { "" }
+            );
+            out.push_str(&format!(
+                "{:<8}{:>8}{:>6}{:>10}{:>12.0}{:>10.2}\n",
+                r.kind,
+                r.stride,
+                marks,
+                r.engine,
+                r.mupd_per_s,
+                self.vs_best(r)
+            ));
+        }
+        out
+    }
+
+    /// Render as a JSON object (`{"id", "geometry", "rows"}`), one entry
+    /// of the `repro --json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"kind\":\"{}\",\"stride\":{},\"engine\":\"{}\",\"mupd_per_s\":{},\
+                     \"vs_best\":{},\"default\":{},\"registers\":{}}}",
+                    r.kind,
+                    r.stride,
+                    r.engine,
+                    json_num(r.mupd_per_s),
+                    json_num(self.vs_best(r)),
+                    r.default,
+                    r.registers
+                )
+            })
+            .collect();
+        let (n1, nl) = self.geometry;
+        format!(
+            "{{\"id\":\"ablate-stride\",\"geometry\":[{n1},{nl}],\"rows\":[{}]}}",
+            rows.join(",")
+        )
+    }
+
+    /// The AVX2 rows at their kind's default stride that run below
+    /// `floor` × the kind's best row — a default that no longer sits on
+    /// the plateau, or a default stride whose register-ring instantiation
+    /// was dropped (the rolled in-memory ring measures ≈ 0.45).
+    pub fn avx2_defaults_under(&self, floor: f64) -> Vec<&StrideRow> {
+        self.rows
+            .iter()
+            .filter(|r| r.default && r.engine == "avx2" && self.vs_best(r) < floor)
+            .collect()
+    }
+}
+
+/// §3.3 stride sweep: throughput of the three 1-D temporal engines as the
+/// space stride `s` — and with it the number of in-flight input vectors —
+/// varies, over every stride Heat-1D and GS-1D accept and `s = 1..=3` for
+/// LCS, at the `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256
+/// gives its `--smoke` geometry).
+pub fn ablate_stride(scale: usize) -> StrideTable {
+    use tempora_core::engine::KernelSpace;
+    use tempora_core::kernels::JacobiKern1d;
+    use tempora_core::{lcs_avx2, t1d_avx2};
+    let d = scale.max(1);
+    let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(256));
+    let sel = Select::from_env();
+    let grid_strides = JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE;
+    let kinds = [
+        (
+            "heat1d",
+            Problem::heat1d(n1, 32, Heat1dCoeffs::classic(0.25)),
+            grid_strides.clone(),
+            t1d_avx2::REGISTER_STRIDES,
+        ),
+        (
+            "gs1d",
+            Problem::gs1d(n1, 32, Gs1dCoeffs::classic(0.25)),
+            grid_strides,
+            t1d_avx2::REGISTER_STRIDES,
+        ),
+        (
+            "lcs",
+            Problem::lcs(nl, nl),
+            1..=3,
+            lcs_avx2::REGISTER_STRIDES,
+        ),
+    ];
+    let mut rows = vec![];
+    for (kind, problem, strides, register_strides) in kinds {
+        let default = PlanBuilder::new()
+            .build(&problem)
+            // Panic-justification: hard-coded, accepted configurations.
+            .expect("bench configurations are valid by construction")
+            .stride();
+        for s in strides {
+            let (best, engine) = best_of_20(&problem, PlanBuilder::new().stride(s).select(sel));
+            rows.push(StrideRow {
+                kind,
+                stride: s,
+                engine,
+                mupd_per_s: (problem.points() * problem.steps()) as f64 / best / 1e6,
+                default: s == default,
+                registers: engine == "avx2" && register_strides.contains(&s),
+            });
+        }
+    }
+    StrideTable {
+        geometry: (n1, nl),
+        rows,
     }
 }
 
@@ -1545,29 +1726,9 @@ pub fn ablate_boundary(scale: usize) -> BoundaryTable {
     if tempora_simd::arch::avx2_available() {
         selects.insert(0, Select::Avx2);
     }
-    // Seconds per tile (minimum of 20 runs after a warm-up) and the
-    // resolved engine.
+    // Seconds per tile and the resolved engine.
     let tile_secs = |problem: &Problem, vl: usize, sel: Select| {
-        let mut plan = PlanBuilder::new()
-            .stride(S)
-            .select(sel)
-            .build(problem)
-            // Panic-justification: the configurations are hard-coded above.
-            .expect("bench configurations are valid by construction");
-        let mut state = problem.state();
-        fill_state(&mut state);
-        let mut engine = "portable";
-        let mut best = f64::INFINITY;
-        for rep in 0..=20 {
-            let t = Instant::now();
-            // Panic-justification: the state comes from `problem.state()`.
-            let report = plan.run(&mut state).expect("state matches plan");
-            if rep > 0 {
-                best = best.min(t.elapsed().as_secs_f64());
-            }
-            engine = report.engine.map_or(engine, |e| e.name());
-            std::hint::black_box(&state);
-        }
+        let (best, engine) = best_of_20(problem, PlanBuilder::new().stride(S).select(sel));
         (best / (problem.steps() / vl) as f64, engine)
     };
     let mut rows = vec![];
@@ -1621,12 +1782,17 @@ mod tests {
 
     #[test]
     fn figure_rendering() {
+        let smp = |engine| Sample {
+            secs: 1.0,
+            engine,
+            stride: 7,
+        };
         let mut a = Series::new("a");
-        a.push(1.0, 2.0, 1, None);
-        a.push(2.0, 3.0, 2, None);
+        a.push(1.0, 2.0, 1, &smp(None));
+        a.push(2.0, 3.0, 2, &smp(None));
         let mut our = Series::new("our");
-        our.push(1.0, 4.0, 1, Some("avx2"));
-        our.push(2.0, 5.0, 2, Some("avx2"));
+        our.push(1.0, 4.0, 1, &smp(Some("avx2")));
+        our.push(2.0, 5.0, 2, &smp(Some("avx2")));
         let f = Figure {
             id: "t".into(),
             title: "T".into(),
@@ -1646,6 +1812,9 @@ mod tests {
         assert!(json.contains("\"cores\":[1,2]"), "{json}");
         assert!(json.contains("\"engines\":[\"avx2\",\"avx2\"]"), "{json}");
         assert!(json.contains("\"engines\":[null,null]"), "{json}");
+        // So does the resolved stride, for dispatched points only.
+        assert!(json.contains("\"strides\":[7,7]"), "{json}");
+        assert!(json.contains("\"strides\":[null,null]"), "{json}");
     }
 
     #[test]
@@ -1653,16 +1822,21 @@ mod tests {
         // Regression for the first-point-only engine recording: a sweep
         // whose plans resolve different engines at different points must
         // say "mixed", not whatever the first point happened to resolve.
+        let smp = |engine| Sample {
+            secs: 1.0,
+            engine,
+            stride: 7,
+        };
         let mut s = Series::new("our");
-        s.push(1.0, 1.0, 1, Some("avx2"));
-        s.push(2.0, 1.0, 1, Some("portable"));
+        s.push(1.0, 1.0, 1, &smp(Some("avx2")));
+        s.push(2.0, 1.0, 1, &smp(Some("portable")));
         assert_eq!(s.engine_summary().as_deref(), Some("mixed"));
         assert_eq!(s.column_label(), "our:mixed");
         // Uniform sweeps keep the plain engine name; undispatched points
         // (None) don't poison the summary.
         let mut u = Series::new("our");
-        u.push(1.0, 1.0, 1, None);
-        u.push(2.0, 1.0, 1, Some("portable"));
+        u.push(1.0, 1.0, 1, &smp(None));
+        u.push(2.0, 1.0, 1, &smp(Some("portable")));
         assert_eq!(u.engine_summary().as_deref(), Some("portable"));
         assert_eq!(Series::new("scalar").engine_summary(), None);
     }

@@ -208,8 +208,8 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     const VL: usize;
     /// Minimum legal temporal stride (the kernel's dependence bound).
     const MIN_STRIDE: usize;
-    /// Maximum supported temporal stride (the 1-D register ring is
-    /// bounded; the 2-D/3-D rings live in scratch).
+    /// Maximum supported temporal stride (the 1-D ring has a fixed
+    /// capacity; the 2-D/3-D rings live in scratch).
     const MAX_STRIDE: usize = usize::MAX;
 
     /// Allocate tile scratch for interior extents `dims` and stride `s`.
@@ -357,13 +357,13 @@ impl KernelSpace for JacobiKern1d {
         let n = g.n();
         match engine {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t1d_avx2::tile_heat1d_avx2(g.data_mut(), n, self, s, sc),
+            Engine::Avx2 => crate::t1d_avx2::tile_avx2(g.data_mut(), n, self, s, sc),
             _ => t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc),
         }
     }
 
-    /// The AVX2 ring is register-resident and capped at stride
-    /// [`crate::t1d_avx2::MAX_STRIDE`]; wider strides resolve portable.
+    /// The AVX2 tile is capped at stride [`crate::t1d_avx2::MAX_STRIDE`];
+    /// wider strides resolve portable.
     fn has_avx2_tile(s: usize) -> bool {
         s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
     }
@@ -401,7 +401,7 @@ impl KernelSpace for GsKern1d {
         let n = g.n();
         match engine {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t1d_avx2::tile_gs1d_avx2(g.data_mut(), n, self, s, sc),
+            Engine::Avx2 => crate::t1d_avx2::tile_avx2(g.data_mut(), n, self, s, sc),
             _ => t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc),
         }
     }
@@ -738,7 +738,7 @@ impl GsSpace for GsKern3d {
 mod tests {
     use super::*;
     use tempora_grid::{fill_random_1d, Boundary};
-    use tempora_stencil::{reference, Heat1dCoeffs};
+    use tempora_stencil::{reference, Gs1dCoeffs, Heat1dCoeffs};
 
     /// Resolve `sel` for the shape, then [`super::run`] with the result.
     fn run<K: KernelSpace>(
@@ -812,6 +812,91 @@ mod tests {
         let (r, e) = run(Select::Auto, &g2, &JacobiKern2d(c2), 8, 2);
         assert_eq!(e, Engine::Portable);
         assert!(r.interior_eq(&reference::heat2d(&g2, c2, 8)));
+    }
+
+    /// Every engine this host can run.
+    fn engines() -> Vec<Engine> {
+        let mut engines = vec![Engine::Portable];
+        if avx2_available() {
+            engines.push(Engine::Avx2);
+        }
+        engines
+    }
+
+    #[test]
+    fn stride_remainder_table_matches_reference_bitwise() {
+        // Every stride the AVX2 tile accepts — the register-specialised
+        // ones and the rolled fallback — against every way the unrolled
+        // `R = s + 1` chunks can end: a steady state of one iteration
+        // (`n = VL·s`), whole chunks, and chunks plus 1 or `R - 1`
+        // remainder iterations. Tile and skewed band, both engines.
+        const VL: usize = 4;
+        let heat = [
+            Heat1dCoeffs::classic(0.25),
+            Heat1dCoeffs::new(0.3, 0.45, 0.25),
+        ];
+        let gs = [Gs1dCoeffs::classic(0.25), Gs1dCoeffs::new(0.37, 0.4, 0.23)];
+        for s in 2..=crate::t1d_avx2::MAX_STRIDE {
+            let r = s + 1;
+            for x_max in [1, 3 * r, 3 * r + 1, 4 * r - 1] {
+                let n = x_max - 1 + VL * s;
+                for steps in [4usize, 8, 13] {
+                    let g = heat1d(n, (n + steps) as u64);
+                    for engine in engines() {
+                        for c in heat {
+                            let ours = super::run(engine, &g, &JacobiKern1d(c), steps, s);
+                            let gold = reference::heat1d(&g, c, steps);
+                            assert!(
+                                ours.interior_eq(&gold),
+                                "heat1d {engine:?} s={s} n={n} steps={steps} {:?}",
+                                ours.first_diff(&gold)
+                            );
+                        }
+                        for c in gs {
+                            let ours = super::run(engine, &g, &GsKern1d(c), steps, s);
+                            let gold = reference::gs1d(&g, c, steps);
+                            assert!(
+                                ours.interior_eq(&gold),
+                                "gs1d {engine:?} s={s} n={n} steps={steps} {:?}",
+                                ours.first_diff(&gold)
+                            );
+                        }
+                    }
+                }
+            }
+            // Skewed bands: an interior block of width `block` runs
+            // `block + VL - VL·s` steady iterations from an anchor that
+            // moves with the block, so the ring enters rotated.
+            for rem in [0, 1, r - 1] {
+                let block = 4 * r + rem + VL * s - VL;
+                let n = 4 * block + 3;
+                let g = heat1d(n, (n + s) as u64);
+                for steps in [4usize, 8, 13] {
+                    for engine in engines() {
+                        for c in gs {
+                            let kern = GsKern1d(c);
+                            let mut ours = g.clone();
+                            for _ in 0..steps / VL {
+                                let span = n + VL - 1;
+                                for i in 0..span.div_ceil(block) {
+                                    let (xl, xr) = (i * block + 1, ((i + 1) * block).min(span));
+                                    kern.band(engine, &mut ours, xl, xr, s, &mut ());
+                                }
+                            }
+                            for _ in 0..steps % VL {
+                                kern.scalar_step(engine, &mut ours, &mut ());
+                            }
+                            let gold = reference::gs1d(&g, c, steps);
+                            assert!(
+                                ours.interior_eq(&gold),
+                                "band {engine:?} s={s} block={block} steps={steps} {:?}",
+                                ours.first_diff(&gold)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

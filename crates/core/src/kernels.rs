@@ -44,6 +44,11 @@ pub trait Kernel1d: Sync {
         v0: Pack<f64, N>,
         vp1: Pack<f64, N>,
     ) -> Pack<f64, N>;
+
+    /// The `(w, c, e)` of the fused tree `west·w + (v0·c + vp1·e)` both
+    /// updates above compute, for the engine that schedules it by hand
+    /// (`t1d_avx2`).
+    fn coeffs(&self) -> (f64, f64, f64);
 }
 
 /// 1D3P Jacobi adapter (the Heat-1D benchmark).
@@ -68,6 +73,11 @@ impl Kernel1d for JacobiKern1d {
     ) -> Pack<f64, N> {
         self.0.apply_pack(west, v0, vp1)
     }
+
+    #[inline(always)]
+    fn coeffs(&self) -> (f64, f64, f64) {
+        (self.0.w, self.0.c, self.0.e)
+    }
 }
 
 /// 1D3P Gauss-Seidel adapter (the GS-1D benchmark).
@@ -91,6 +101,11 @@ impl Kernel1d for GsKern1d {
         vp1: Pack<f64, N>,
     ) -> Pack<f64, N> {
         self.0.apply_pack(west, v0, vp1)
+    }
+
+    #[inline(always)]
+    fn coeffs(&self) -> (f64, f64, f64) {
+        (self.0.w, self.0.c, self.0.e)
     }
 }
 

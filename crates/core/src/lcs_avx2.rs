@@ -11,11 +11,12 @@
 //! and the segmented (rectangle-tiled) entry point are shared with the
 //! portable engine through its phase split
 //! ([`crate::lcs::tile_seg_prologue`] /
-//! [`crate::lcs::tile_seg_epilogue`]). At the minimum stride `s = 1` the
-//! `B`-character vector is produced by the same rotate-and-blend rule;
-//! wider strides gather it with the strided `vloadset` helper. Results
-//! stay bit-identical to the portable engine and therefore to the
-//! scalar DP.
+//! [`crate::lcs::tile_seg_epilogue`]). At the strides in
+//! [`REGISTER_STRIDES`] the input-vector ring lives in registers and the
+//! `B`-character vectors are produced by the same rotate-and-blend rule;
+//! wider strides index the ring in scratch and gather the characters with
+//! the strided `vloadset` helper. Results stay bit-identical to the
+//! portable engine and therefore to the scalar DP.
 //!
 //! Use [`crate::engine`] (or a `tempora_plan::Plan`) for transparent
 //! runtime dispatch; the shape predicates [`seq_has_vector_tiles`] /
@@ -56,17 +57,24 @@ pub fn rect_has_vector_tiles(la: usize, lb: usize, xblock: usize, yblock: usize,
     yblock.min(lb) > VL * s && last > VL * s
 }
 
+/// The strides whose steady state keeps the input-vector ring and the
+/// `B`-character vectors in registers (one unrolled instantiation each,
+/// see `imp::ring_regs`); wider strides index the ring in scratch memory
+/// and gather the characters.
+pub const REGISTER_STRIDES: core::ops::RangeInclusive<usize> = 1..=2;
+
 #[cfg(target_arch = "x86_64")]
 mod imp {
     use super::VL;
     use crate::lcs::ScratchLcs;
-    use tempora_simd::arch::avx2;
+    use tempora_simd::arch::avx2::{self, __m256i};
     use tempora_simd::I32x8;
 
-    /// AVX2 steady state of one LCS temporal tile: same loop structure as
-    /// [`crate::lcs::tile_seg_steady`], with the diagonal, the previous
-    /// output vector and (at `s = 1`) the `B`-character vector all
-    /// carried in `__m256i` registers between iterations.
+    /// AVX2 steady state of one LCS temporal tile: same algebra and
+    /// iteration order as [`crate::lcs::tile_seg_steady`]. The strides in
+    /// [`super::REGISTER_STRIDES`] run [`ring_regs`]; wider ones keep the
+    /// ring in scratch memory, with the diagonal and the previous output
+    /// vector carried in `__m256i` registers between iterations.
     ///
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
@@ -84,72 +92,129 @@ mod imp {
         sc: &mut ScratchLcs<VL>,
         o_prev: I32x8,
     ) {
-        let rlen = s + 1;
-        let ones = avx2::splat_i32(1);
+        // The one bound of the loops below: every `row[y + VL·s]` and
+        // every character index up to `y - 1 + VL·s` has `y ≤ y_max`, and
+        // no index is below `y0 - 1`. The prologue establishes it
+        // (`y_max + VL·s = y1 ≤ b.len() < row.len()`).
+        assert!(y0 >= 1 && y_max + VL * s < row.len() && y_max + VL * s <= b.len());
         let a_vec = avx2::from_pack_i32(I32x8::from_fn(|i| a_tile[i] as i32));
         let mut o_prev = avx2::from_pack_i32(o_prev);
-        let mut diag = avx2::from_pack_i32(sc.ring[(y0 + rlen - 1) % rlen]);
-        let mut iu = y0 % rlen;
-        let mut iw = (y0 + s) % rlen;
         // SAFETY: the vocabulary calls below are gated only on AVX2,
         // discharged by this fn's own `#[target_feature(enable = "avx2")]`
-        // caller contract. The two `gather_u8_i32` uses additionally
-        // require their eight lane indices in bounds for `b`: the caller
-        // (`tile_seg_avx2` after `tile_seg_fallback_if_degenerate`)
-        // guarantees the non-degenerate segment shape `y_max + VL·s ≤
-        // b.len()` with `y0 ≥ 1`, so the highest gathered index
-        // `y - 1 + (VL-1)·s ≤ y_max - 1 + (VL-1)·s < b.len()` and the
-        // lowest `y - 1 ≥ 0`. Row access (`row[y]`, `row[y + VL·s]`) is
-        // checked slice indexing.
+        // caller contract. `ring_regs` and `gather_u8_i32` additionally
+        // require their indices in bounds: for the gather the highest is
+        // `y - 1 + (VL-1)·s < y_max + VL·s` and the lowest
+        // `y - 1 ≥ y0 - 1`, so the hoisted
+        // `assert!(y0 >= 1 && … y_max + VL * s <= b.len())` above covers
+        // both, and it is `ring_regs`' bound verbatim. Row access in the
+        // wider-stride loop is checked slice indexing.
         unsafe {
-            if s == 1 {
-                // One-rotate-one-blend input production for the characters
-                // too: lane 0 takes the next byte, every other lane shifts up.
-                let mut b_vec = avx2::gather_u8_i32(b, y0 - 1 + (VL - 1), -1);
-                for y in y0..=y_max {
-                    let up = avx2::from_pack_i32(sc.ring[iu]);
-                    let eq = avx2::cmpeq_i32(a_vec, b_vec);
-                    let o =
-                        avx2::blendv_i32(avx2::max_i32(up, o_prev), avx2::add_i32(diag, ones), eq);
-                    row[y] = avx2::extract_top_i32(o);
-                    let bottom = row[y + VL];
-                    sc.ring[iw] = avx2::to_pack_i32(avx2::shift_up_insert_i32(o, bottom));
-                    o_prev = o;
-                    diag = up;
-                    b_vec = avx2::shift_up_insert_i32(b_vec, b[y + VL - 1] as i32);
-                    iu += 1;
-                    if iu == rlen {
-                        iu = 0;
-                    }
-                    iw += 1;
-                    if iw == rlen {
-                        iw = 0;
-                    }
-                }
-            } else {
-                for y in y0..=y_max {
-                    let up = avx2::from_pack_i32(sc.ring[iu]);
-                    // Strided vloadset of the B characters: lane i reads
-                    // b[y - 1 + (VL-1-i)·s].
-                    let b_vec = avx2::gather_u8_i32(b, y - 1 + (VL - 1) * s, -(s as isize));
-                    let eq = avx2::cmpeq_i32(a_vec, b_vec);
-                    let o =
-                        avx2::blendv_i32(avx2::max_i32(up, o_prev), avx2::add_i32(diag, ones), eq);
-                    row[y] = avx2::extract_top_i32(o);
-                    let bottom = row[y + VL * s];
-                    sc.ring[iw] = avx2::to_pack_i32(avx2::shift_up_insert_i32(o, bottom));
-                    o_prev = o;
-                    diag = up;
-                    iu += 1;
-                    if iu == rlen {
-                        iu = 0;
-                    }
-                    iw += 1;
-                    if iw == rlen {
-                        iw = 0;
+            match s {
+                1 => ring_regs::<1, 2>(row, y0, y_max, a_vec, b, sc, o_prev),
+                2 => ring_regs::<2, 3>(row, y0, y_max, a_vec, b, sc, o_prev),
+                _ => {
+                    let rlen = s + 1;
+                    let ones = avx2::splat_i32(1);
+                    let mut diag = avx2::from_pack_i32(sc.ring[(y0 + rlen - 1) % rlen]);
+                    let mut iu = y0 % rlen;
+                    let mut iw = (y0 + s) % rlen;
+                    for y in y0..=y_max {
+                        let up = avx2::from_pack_i32(sc.ring[iu]);
+                        // Strided vloadset of the B characters: lane i reads
+                        // b[y - 1 + (VL-1-i)·s].
+                        let b_vec = avx2::gather_u8_i32(b, y - 1 + (VL - 1) * s, -(s as isize));
+                        let eq = avx2::cmpeq_i32(a_vec, b_vec);
+                        let o = avx2::blendv_i32(
+                            avx2::max_i32(up, o_prev),
+                            avx2::add_i32(diag, ones),
+                            eq,
+                        );
+                        row[y] = avx2::extract_top_i32(o);
+                        let bottom = row[y + VL * s];
+                        sc.ring[iw] = avx2::to_pack_i32(avx2::shift_up_insert_i32(o, bottom));
+                        o_prev = o;
+                        diag = up;
+                        iu += 1;
+                        if iu == rlen {
+                            iu = 0;
+                        }
+                        iw += 1;
+                        if iw == rlen {
+                            iw = 0;
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The steady state with every vector in a register. `S` is the
+    /// stride and `R = S + 1` the ring length, as constants: the loop is
+    /// unrolled `S·R`-wide so all indices below are compile-time —
+    /// iteration `y` reads the diagonal `V(y-1)` and `V(y)` from `v[k % R]`
+    /// and `v[(k+1) % R]` and overwrites the dead diagonal with the
+    /// `V(y+S)` it produces (`y+S ≡ y-1 mod R`). The `B` characters are
+    /// produced by the same one-rotate-one-blend rule from a ring of `S`
+    /// vectors — lane 0 takes the next byte, every other lane shifts up —
+    /// instead of a gather per iteration. Slot `j` always holds a `V(m)`
+    /// with `m ≡ y0-1+j (mod R)`, wherever the sweep stops, so the ring is
+    /// read from scratch before the loop and written back after it for
+    /// the shared epilogue.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available
+    /// (`tempora_simd::arch::avx2_available()`), and that `y0 ≥ 1`,
+    /// `y_max + VL·S < row.len()` and `y_max + VL·S ≤ b.len()`.
+    #[inline(always)]
+    unsafe fn ring_regs<const S: usize, const R: usize>(
+        row: &mut [i32],
+        y0: usize,
+        y_max: usize,
+        a_vec: __m256i,
+        b: &[u8],
+        sc: &mut ScratchLcs<VL>,
+        mut o_prev: __m256i,
+    ) {
+        assert!(R == S + 1);
+        let ones = avx2::splat_i32(1);
+        let mut v = [ones; R];
+        for (j, v) in v.iter_mut().enumerate() {
+            *v = avx2::from_pack_i32(sc.ring[(y0 - 1 + j) % R]);
+        }
+        let mut b_vec = [ones; S];
+        // SAFETY: AVX2 vocabulary calls under the caller's availability
+        // guarantee. Every index is within the caller-guaranteed bounds:
+        // `y ≤ y_max` inside the loop, so `row[y]`, `row[y + VL·S]` and
+        // `b[y - 1 + VL·S]` are in range, and the initial gathers read
+        // `b[y0 - 1 ..= y0 - 2 + VL·S]`.
+        unsafe {
+            for (i, b_vec) in b_vec.iter_mut().enumerate() {
+                // B(y0+i): lane l reads b[y0 + i - 1 + (VL-1-l)·S].
+                *b_vec = avx2::gather_u8_i32(b, y0 + i - 1 + (VL - 1) * S, -(S as isize));
+            }
+            let mut y = y0;
+            'sweep: loop {
+                for k in 0..S * R {
+                    if y > y_max {
+                        break 'sweep;
+                    }
+                    let eq = avx2::cmpeq_i32(a_vec, b_vec[k % S]);
+                    let o = avx2::blendv_i32(
+                        avx2::max_i32(v[(k + 1) % R], o_prev),
+                        avx2::add_i32(v[k % R], ones),
+                        eq,
+                    );
+                    *row.get_unchecked_mut(y) = avx2::extract_top_i32(o);
+                    v[k % R] = avx2::shift_up_insert_i32(o, *row.get_unchecked(y + VL * S));
+                    let next = *b.get_unchecked(y - 1 + VL * S) as i32;
+                    b_vec[k % S] = avx2::shift_up_insert_i32(b_vec[k % S], next);
+                    o_prev = o;
+                    y += 1;
+                }
+            }
+        }
+        for (j, &v) in v.iter().enumerate() {
+            sc.ring[(y0 - 1 + j) % R] = avx2::to_pack_i32(v);
         }
     }
 }
@@ -339,6 +404,52 @@ mod tests {
                 }
                 let gold_row = &gold_table[(la / 8 * 8) * w..(la / 8 * 8) * w + w];
                 assert_eq!(&row[..], gold_row);
+            }
+        }
+    }
+
+    #[test]
+    fn steady_iteration_counts_match_reference() {
+        if !avx2_available() {
+            return;
+        }
+        // Segments of `VL·s + k` columns run `k` steady iterations: none
+        // (the scalar fallback), 1, 2, one short of and one past a whole
+        // unrolled chunk, and many — whole-row and as the column blocks of
+        // a rectangle tiling, where the ring written back after one tile
+        // row is the scratch the next one starts from. `s = 1, 2` keep the
+        // ring in registers, `s = 3` in scratch memory.
+        for s in 1..=3 {
+            for k in [0, 1, 2, s * (s + 1) - 1, s * (s + 1) + 1, 61] {
+                let seg = VL * s + k;
+                let a = random_sequence(24, 3, (s + k) as u64);
+                let b = random_sequence(seg, 3, (s * k) as u64 + 7);
+                let gold = reference::lcs_final_row(&a, &b);
+                assert_eq!(final_row_avx2(&a, &b, s), gold, "whole row s={s} k={k}");
+                assert_eq!(
+                    crate::lcs::final_row::<8>(&a, &b, s),
+                    gold,
+                    "portable s={s} k={k}"
+                );
+                // Three full blocks of `seg` columns and a ragged fourth.
+                let b = random_sequence(3 * seg + VL * s + 1, 3, (s + k) as u64 + 11);
+                let (lb, w) = (b.len(), b.len() + 1);
+                let gold = reference::lcs_table(&a, &b);
+                let mut row = vec![0i32; w];
+                let mut sc = ScratchLcs::<8>::new(s);
+                for x0 in (0..a.len()).step_by(VL) {
+                    let (mut left, mut right) = ([0i32; 9], [0i32; 9]);
+                    for y0 in (1..=lb).step_by(seg) {
+                        let y1 = (y0 + seg - 1).min(lb);
+                        let a_tile = &a[x0..x0 + VL];
+                        tile_seg_avx2(&mut row, y0, y1, a_tile, &b, s, &left, &mut right, &mut sc);
+                        for (h, &v) in right.iter().enumerate() {
+                            assert_eq!(v, gold[(x0 + h) * w + y1], "s={s} k={k} x0={x0} y1={y1}");
+                        }
+                        left = right;
+                    }
+                }
+                assert_eq!(&row[..], &gold[a.len() * w..], "rect s={s} k={k}");
             }
         }
     }

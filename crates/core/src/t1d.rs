@@ -90,7 +90,6 @@ impl<const VL: usize> Scratch1d<VL> {
     pub fn new(s: usize) -> Self {
         let head = (0..VL).map(|k| vec![0.0; (VL - k) * s + 2]).collect();
         let tail = (0..VL).map(|i| vec![0.0; (i + 1) * s + 2]).collect();
-        let _ = s;
         Scratch1d { head, tail }
     }
 }

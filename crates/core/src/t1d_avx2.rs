@@ -5,11 +5,18 @@
 //! LLVM; these variants pin the steady state to the exact AVX instruction
 //! mix the paper's §3.3 analysis assumes — `vfmadd231pd` for the stencil,
 //! one `vpermpd` (lane-crossing rotate) plus one `vblendpd` (in-lane) for
-//! the input-vector production. The ring is a fixed-capacity
-//! `[__m256d; 17]` array indexed dynamically, so it lives on the stack:
-//! only `V(x-1)`, `V(x)` and the previous output vector are carried in
-//! registers. The Gauss-Seidel steady state feeds the previous *output*
-//! vector back as the newest-west operand (§3.4).
+//! the input-vector production. The steady state is written once
+//! (`imp::ring_sweep`), for both kernels — Gauss-Seidel feeds the previous
+//! *output* vector back as the newest-west operand (§3.4) — and for the
+//! skewed band of [`crate::t1d_band`]. It is instantiated per stride in
+//! [`REGISTER_STRIDES`] with the ring length `s + 1` a constant and the
+//! loop unrolled that wide, so every ring slot is a `ymm` register: a
+//! produced input vector is first consumed `s - 1` iterations later, and
+//! only with the ring in registers does that hop cost the arithmetic's
+//! latency alone (§3.3's reason for the stride; README, "Where the time
+//! goes in a tile"). The remaining strides run the same function's rolled
+//! loop over the ring in memory. All grid access sits behind one hoisted
+//! bound, the contract the prologue establishes.
 //!
 //! Prologue, epilogue, degenerate fallback and the remainder scalar step
 //! are the portable engine's *source* ([`crate::t1d::tile_prologue`] /
@@ -28,14 +35,23 @@ use crate::kernels::{GsKern1d, JacobiKern1d, Kernel1d};
 use crate::t1d::{self, Scratch1d};
 use tempora_grid::Grid1;
 
-/// Maximum supported space stride of the AVX2 path (ring capacity).
+/// Maximum supported space stride of the AVX2 path.
 pub const MAX_STRIDE: usize = 15;
 
+/// The strides whose steady state keeps the ring in registers: one
+/// instantiation of the unrolled body each (the `match` in
+/// `imp::steady_ring`). Every other stride up to [`MAX_STRIDE`] runs the
+/// rolled loop over the in-memory ring: same results, under half the speed.
+pub const REGISTER_STRIDES: core::ops::RangeInclusive<usize> = 2..=13;
+
 #[cfg(target_arch = "x86_64")]
-mod imp {
+pub(crate) mod imp {
     use super::*;
-    use tempora_simd::arch::avx2;
+    use crate::t1d::RING_CAP;
+    use tempora_simd::arch::avx2::{self, __m256d};
     use tempora_simd::Pack;
+
+    const VL: usize = 4;
 
     /// One whole temporal tile — prologue, AVX2 steady state, epilogue —
     /// in one AVX2+FMA codegen context. Degenerate sizes run the scalar
@@ -45,15 +61,14 @@ mod imp {
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tile_avx2(
+    pub unsafe fn tile<K: Kernel1d>(
         a: &mut [f64],
         n: usize,
-        kern: &JacobiKern1d,
+        kern: &K,
         s: usize,
         scratch: &mut Scratch1d<4>,
     ) {
-        const VL: usize = 4;
-        assert!((JacobiKern1d::MIN_STRIDE..=MAX_STRIDE).contains(&s));
+        assert!((K::MIN_STRIDE..=MAX_STRIDE).contains(&s));
         if n < VL * s {
             for _ in 0..VL {
                 t1d::scalar_step_inplace(a, n, kern);
@@ -62,121 +77,147 @@ mod imp {
         }
         // The portable engine's prologue, inlined into this feature
         // context: scalar head triangles plus the initial ring.
-        let (ring_init, x_max) = t1d::tile_prologue::<4, JacobiKern1d>(a, n, kern, s, scratch);
-
-        let cw = avx2::splat(kern.0.w);
-        let cc = avx2::splat(kern.0.c);
-        let ce = avx2::splat(kern.0.e);
-
-        let ring_len = s + 1;
-        let mut ring = [avx2::splat(0.0); MAX_STRIDE + 2];
-        for (k, slot) in ring_init.iter().enumerate().take(ring_len) {
-            ring[k] = avx2::from_pack(*slot);
-        }
-
-        let mut vm1 = ring[0];
-        let mut v0 = ring[1 % ring_len];
-        let mut ip1 = 2 % ring_len;
-        let mut im1 = 0usize;
-        // SAFETY: every unsafe op in the steady-state loop is an AVX2/FMA
-        // intrinsic or `arch::avx2` vocabulary call whose sole
-        // precondition is feature availability — discharged by this fn's
-        // own `#[target_feature(enable = "avx2,fma")]` caller contract.
-        // All grid access (`a[x]`, `a[x + VL·s]`) is checked slice
-        // indexing, in bounds because `tile_prologue` established
-        // `x_max + VL·s ≤ n + 1` for the non-degenerate `n ≥ VL·s` case.
-        unsafe {
-            for x in 1..=x_max {
-                let vp1 = ring[ip1];
-                // w·vm1 + (c·v0 + e·vp1), the same fused tree as the scalar
-                // oracle: l.mul_add(w, m.mul_add(c, r*e)).
-                let o = avx2::fmadd(vm1, cw, avx2::fmadd(v0, cc, avx2::mul(vp1, ce)));
-                // Store the finished top lane a[t+4][x].
-                a[x] = avx2::extract_top(o);
-                // Produce V(x+s): vpermpd rotate + vblendpd bottom insert.
-                let bottom = a[x + VL * s];
-                ring[im1] = avx2::shift_up_insert(o, bottom);
-                vm1 = v0;
-                v0 = vp1;
-                im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
-                ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
-            }
-        }
-
-        // Hand the surviving ring back for the shared epilogue.
-        let mut back = [Pack::<f64, 4>::splat(0.0); 17];
-        for k in 0..ring_len {
-            back[k] = avx2::to_pack(ring[k]);
-        }
-        t1d::tile_epilogue::<4, JacobiKern1d>(a, n, kern, s, scratch, &back, x_max);
+        let boundary_l = a[0];
+        let (mut ring, x_max) = t1d::tile_prologue::<4, K>(a, n, kern, s, scratch);
+        // §3.4: the newest-west operand is the previous output vector.
+        let o_prev = if K::IS_GS {
+            t1d::gs_initial_output::<4>(boundary_l, s, scratch)
+        } else {
+            Pack::splat(0.0)
+        };
+        // SAFETY: AVX2+FMA availability is this fn's own caller contract.
+        unsafe { steady_ring(a, kern, s, &mut ring, o_prev, 1, x_max) };
+        t1d::tile_epilogue::<4, K>(a, n, kern, s, scratch, &ring, x_max);
     }
 
-    /// One whole Gauss-Seidel temporal tile in one AVX2+FMA codegen
-    /// context; see [`tile_avx2`].
+    /// The AVX2 steady state of a tile or a skewed band over the anchors
+    /// `x0 ..= x_max`, in place: the one dispatch on the stride. On entry
+    /// ring slot `j % (s+1)` holds `V(j)` for `j ∈ x0-1 ..= x0-1+s` and
+    /// `o_prev` is `O(x0-1)` (read by Gauss-Seidel only); on exit the same
+    /// holds for `j ∈ x_max ..= x_max+s` and `O(x_max)` is returned.
     ///
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tile_gs_avx2(
+    #[inline(always)]
+    pub(crate) unsafe fn steady_ring<K: Kernel1d>(
         a: &mut [f64],
-        n: usize,
-        kern: &GsKern1d,
+        kern: &K,
         s: usize,
-        scratch: &mut Scratch1d<4>,
-    ) {
-        const VL: usize = 4;
-        assert!((GsKern1d::MIN_STRIDE..=MAX_STRIDE).contains(&s));
-        if n < VL * s {
-            for _ in 0..VL {
-                t1d::scalar_step_inplace(a, n, kern);
-            }
-            return;
-        }
-        let boundary_l = a[0];
-        let (ring_init, x_max) = t1d::tile_prologue::<4, GsKern1d>(a, n, kern, s, scratch);
-
-        let cw = avx2::splat(kern.0.w);
-        let cc = avx2::splat(kern.0.c);
-        let ce = avx2::splat(kern.0.e);
-
-        let ring_len = s + 1;
-        let mut ring = [avx2::splat(0.0); MAX_STRIDE + 2];
-        for (k, slot) in ring_init.iter().enumerate().take(ring_len) {
-            ring[k] = avx2::from_pack(*slot);
-        }
-
-        // §3.4: the newest-west operand is the previous output vector.
-        let mut o_prev = avx2::from_pack(t1d::gs_initial_output::<4>(boundary_l, s, scratch));
-        let mut v0 = ring[1 % ring_len];
-        let mut ip1 = 2 % ring_len;
-        let mut im1 = 0usize;
-        // SAFETY: same contract as `tile_avx2`'s steady state — only
-        // feature-gated intrinsics/vocabulary calls (discharged by this
-        // fn's `#[target_feature(enable = "avx2,fma")]`), with all grid
-        // access through checked indexing (`x_max + VL·s ≤ n + 1` per
-        // the prologue).
+        ring: &mut [Pack<f64, 4>; RING_CAP],
+        o_prev: Pack<f64, 4>,
+        x0: usize,
+        x_max: usize,
+    ) -> Pack<f64, 4> {
+        // SAFETY: availability, every arm's contract, is this fn's own.
         unsafe {
-            for x in 1..=x_max {
-                let vp1 = ring[ip1];
-                // w·O(x-1) + (c·v0 + e·vp1), the same fused tree as the
-                // scalar oracle: l_new.mul_add(w, m.mul_add(c, r*e)).
-                let o = avx2::fmadd(o_prev, cw, avx2::fmadd(v0, cc, avx2::mul(vp1, ce)));
-                a[x] = avx2::extract_top(o);
-                let bottom = a[x + VL * s];
-                ring[im1] = avx2::shift_up_insert(o, bottom);
-                o_prev = o;
-                v0 = vp1;
-                im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
-                ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
+            match s {
+                2 => ring_sweep::<3, K>(a, kern, s, ring, o_prev, x0, x_max),
+                3 => ring_sweep::<4, K>(a, kern, s, ring, o_prev, x0, x_max),
+                4 => ring_sweep::<5, K>(a, kern, s, ring, o_prev, x0, x_max),
+                5 => ring_sweep::<6, K>(a, kern, s, ring, o_prev, x0, x_max),
+                6 => ring_sweep::<7, K>(a, kern, s, ring, o_prev, x0, x_max),
+                7 => ring_sweep::<8, K>(a, kern, s, ring, o_prev, x0, x_max),
+                8 => ring_sweep::<9, K>(a, kern, s, ring, o_prev, x0, x_max),
+                9 => ring_sweep::<10, K>(a, kern, s, ring, o_prev, x0, x_max),
+                10 => ring_sweep::<11, K>(a, kern, s, ring, o_prev, x0, x_max),
+                11 => ring_sweep::<12, K>(a, kern, s, ring, o_prev, x0, x_max),
+                12 => ring_sweep::<13, K>(a, kern, s, ring, o_prev, x0, x_max),
+                13 => ring_sweep::<14, K>(a, kern, s, ring, o_prev, x0, x_max),
+                _ => ring_sweep::<0, K>(a, kern, s, ring, o_prev, x0, x_max),
             }
         }
+    }
 
-        let mut back = [Pack::<f64, 4>::splat(0.0); 17];
-        for k in 0..ring_len {
-            back[k] = avx2::to_pack(ring[k]);
+    /// The steady-state body, written once. `R = s + 1` is the ring
+    /// length as a constant: whole chunks of `R` iterations run unrolled
+    /// with the ring in a local `[__m256d; R]` whose every index is a
+    /// compile-time constant, so each slot is a `ymm` register —
+    /// iteration `x+k` reads `V(x+k-1)`, `V(x+k)`, `V(x+k+1)` from `r[k]`,
+    /// `r[(k+1) % R]`, `r[(k+2) % R]` and overwrites the dead `r[k]` with
+    /// the `V(x+k+s)` it produces (`x+k+s ≡ x+k-1 mod R`), which leaves
+    /// `r[k] = V(x+R-1+k)`: the entry layout of the next chunk. The rolled
+    /// loop below it indexes the ring in memory (`V(x-1)`, `V(x)` carried
+    /// in registers, indices tracked incrementally) and serves the `< R`
+    /// remainder iterations — and, as `R = 0`, the strides outside
+    /// [`REGISTER_STRIDES`] from start to end.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2+FMA are available
+    /// (`tempora_simd::arch::avx2_available()`).
+    #[inline(always)]
+    unsafe fn ring_sweep<const R: usize, K: Kernel1d>(
+        a: &mut [f64],
+        kern: &K,
+        s: usize,
+        ring: &mut [Pack<f64, 4>; RING_CAP],
+        o_prev: Pack<f64, 4>,
+        x0: usize,
+        x_max: usize,
+    ) -> Pack<f64, 4> {
+        let rlen = s + 1;
+        assert!(x0 >= 1 && rlen <= RING_CAP && (R == 0 || R == rlen));
+        debug_assert_eq!(R != 0, REGISTER_STRIDES.contains(&s));
+        // The one bound of the loop: every store `a[x]` and every bottom
+        // load `a[x + VL·s]` below has `x ≤ x_max`. The prologues
+        // establish it (`x_max + VL·s = n + 1` in a tile, `xr + 1` in a
+        // band).
+        assert!(x_max + VL * s < a.len());
+        let (w, c, e) = kern.coeffs();
+        let (cw, cc, ce) = (avx2::splat(w), avx2::splat(c), avx2::splat(e));
+        let mut o_prev = avx2::from_pack(o_prev);
+        // One iteration at `x`: `west·w + (v0·c + vp1·e)`, the same fused
+        // tree as the scalar oracle `l.mul_add(w, m.mul_add(c, r*e))`; the
+        // finished top lane a[t+4][x] is stored, and V(x+s) — vpermpd
+        // rotate + vblendpd bottom insert — returned with O(x).
+        let step = |a: &mut [f64], x: usize, west: __m256d, v0: __m256d, vp1: __m256d| {
+            // SAFETY: AVX2/FMA intrinsics under this fn's availability
+            // contract; `x ≤ x_max` at both call sites, so `x` and
+            // `x + VL·s` are in bounds by the hoisted
+            // `assert!(x_max + VL * s < a.len())` above.
+            unsafe {
+                let o = avx2::fmadd(west, cw, avx2::fmadd(v0, cc, avx2::mul(vp1, ce)));
+                *a.get_unchecked_mut(x) = avx2::extract_top(o);
+                (o, avx2::shift_up_insert(o, *a.get_unchecked(x + VL * s)))
+            }
+        };
+        let mut x = x0;
+        if R > 0 {
+            // Slot of V(x-1): r[k] = V(x-1+k).
+            let rot = (x - 1) % R;
+            let mut r = [cw; R];
+            for k in 0..R {
+                r[k] = avx2::from_pack(ring[(rot + k) % R]);
+            }
+            while x + R <= x_max + 1 {
+                for k in 0..R {
+                    let west = if K::IS_GS { o_prev } else { r[k] };
+                    (o_prev, r[k]) = step(a, x + k, west, r[(k + 1) % R], r[(k + 2) % R]);
+                }
+                x += R;
+            }
+            for k in 0..R {
+                ring[(rot + k) % R] = avx2::to_pack(r[k]);
+            }
         }
-        t1d::tile_epilogue::<4, GsKern1d>(a, n, kern, s, scratch, &back, x_max);
+        let ring = &mut ring[..rlen];
+        let mut im1 = (x - 1) % rlen;
+        let mut ip1 = (x + 1) % rlen;
+        let mut vm1 = avx2::from_pack(ring[im1]);
+        let mut v0 = avx2::from_pack(ring[x % rlen]);
+        for x in x..=x_max {
+            let vp1 = avx2::from_pack(ring[ip1]);
+            let west = if K::IS_GS { o_prev } else { vm1 };
+            let v;
+            (o_prev, v) = step(a, x, west, v0, vp1);
+            // V(x+s) reuses the dead V(x-1) slot ((x+s) ≡ (x-1) mod s+1).
+            ring[im1] = avx2::to_pack(v);
+            vm1 = v0;
+            v0 = vp1;
+            im1 = if im1 + 1 == rlen { 0 } else { im1 + 1 };
+            ip1 = if ip1 + 1 == rlen { 0 } else { ip1 + 1 };
+        }
+        avx2::to_pack(o_prev)
     }
 
     /// [`t1d::scalar_step_inplace`] instantiated in an AVX2+FMA codegen
@@ -191,17 +232,17 @@ mod imp {
     }
 }
 
-/// One Heat-1D temporal tile compiled for AVX2+FMA end to end: the
-/// portable engine's boundary phases instantiated under the tile's ISA
-/// around the hand-scheduled steady state (degenerate `n < VL·s` tiles
+/// One Heat-1D or GS-1D temporal tile compiled for AVX2+FMA end to end:
+/// the portable engine's boundary phases instantiated under the tile's
+/// ISA around the hand-scheduled steady state (degenerate `n < VL·s` tiles
 /// run the scalar schedule, same context). Panics if AVX2+FMA are
 /// unavailable. The tiled layer reaches this through
 /// [`crate::engine::KernelSpace`].
 #[cfg(target_arch = "x86_64")]
-pub fn tile_heat1d_avx2(
+pub fn tile_avx2<K: Kernel1d>(
     a: &mut [f64],
     n: usize,
-    kern: &JacobiKern1d,
+    kern: &K,
     s: usize,
     scratch: &mut Scratch1d<4>,
 ) {
@@ -210,25 +251,7 @@ pub fn tile_heat1d_avx2(
         "AVX2+FMA not available on this CPU"
     );
     // SAFETY: availability asserted above.
-    unsafe { imp::tile_avx2(a, n, kern, s, scratch) }
-}
-
-/// One GS-1D temporal tile with the AVX2 steady state; see
-/// [`tile_heat1d_avx2`].
-#[cfg(target_arch = "x86_64")]
-pub fn tile_gs1d_avx2(
-    a: &mut [f64],
-    n: usize,
-    kern: &GsKern1d,
-    s: usize,
-    scratch: &mut Scratch1d<4>,
-) {
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    // SAFETY: availability asserted above.
-    unsafe { imp::tile_gs_avx2(a, n, kern, s, scratch) }
+    unsafe { imp::tile(a, n, kern, s, scratch) }
 }
 
 /// [`t1d::scalar_step_inplace`] compiled for AVX2+FMA (step remainders
@@ -254,17 +277,7 @@ pub fn run_heat1d_avx2(
     s: usize,
 ) -> Grid1<f64> {
     assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<4>::new(s);
-    let a = g.data_mut();
-    for _ in 0..steps / 4 {
-        tile_heat1d_avx2(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % 4 {
-        scalar_step_avx2(a, n, kern);
-    }
-    g
+    crate::engine::run(crate::engine::Engine::Avx2, grid, kern, steps, s)
 }
 
 /// Run `steps` GS-1D time steps with the AVX2 steady state; panics if
@@ -272,17 +285,7 @@ pub fn run_heat1d_avx2(
 #[cfg(target_arch = "x86_64")]
 pub fn run_gs1d_avx2(grid: &Grid1<f64>, kern: &GsKern1d, steps: usize, s: usize) -> Grid1<f64> {
     assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<4>::new(s);
-    let a = g.data_mut();
-    for _ in 0..steps / 4 {
-        tile_gs1d_avx2(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % 4 {
-        scalar_step_avx2(a, n, kern);
-    }
-    g
+    crate::engine::run(crate::engine::Engine::Avx2, grid, kern, steps, s)
 }
 
 #[cfg(test)]

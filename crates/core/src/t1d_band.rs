@@ -41,10 +41,8 @@
 //! attributes.
 
 use crate::kernels::Kernel1d;
+use crate::t1d::RING_CAP;
 use tempora_simd::Pack;
-
-/// Ring capacity of the banded executors.
-const RING_CAP: usize = 17;
 
 /// Maximum space stride the banded executors support (ring capacity
 /// minus the produced slot).
@@ -228,8 +226,8 @@ fn band_epilogue<const VL: usize, K: Kernel1d>(
 }
 
 /// One temporally vectorized skewed band with the hand-scheduled AVX2
-/// steady state — the same `vfmadd231pd` + `vpermpd` + `vblendpd`
-/// scheduling as `crate::t1d_avx2`, with the previous *output* vector fed
+/// steady state — the rectangular tile's own body in `crate::t1d_avx2`,
+/// started at this band's anchor, with the previous *output* vector fed
 /// back as the newest-west operand from a register (§3.4). Prologue,
 /// epilogue and the scalar fallback of edge or narrow tiles are the
 /// source of [`band_temporal_gs`], compiled under this band's ISA, so
@@ -277,12 +275,9 @@ pub fn band_scalar_gs_avx2<K: Kernel1d>(
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{
-        band_epilogue, band_prologue, band_scalar_gs, vector_band_shape, Pack, MAX_BAND_STRIDE,
-        RING_CAP,
-    };
+    use super::{band_epilogue, band_prologue, band_scalar_gs, vector_band_shape};
     use crate::kernels::{GsKern1d, Kernel1d};
-    use tempora_simd::arch::avx2;
+    use crate::t1d_avx2::imp::steady_ring;
 
     /// The sandwich of one AVX2 band — shape check, scalar fallback or
     /// prologue → steady state → epilogue — as **one** AVX2+FMA codegen
@@ -306,10 +301,10 @@ mod imp {
             band_scalar_gs(a, xl, xr, VL, n, kern);
             return;
         }
-        let (ring, o_prev, x_start, x_max) = band_prologue::<VL, GsKern1d>(a, xl, xr, s, kern);
+        let (mut ring, o_prev, x_start, x_max) = band_prologue::<VL, GsKern1d>(a, xl, xr, s, kern);
+        // The tile's steady state, started at this band's anchor.
         // SAFETY: AVX2+FMA availability is this fn's own caller contract.
-        let (ring, o_prev) =
-            unsafe { band_steady_gs_avx2(a, s, kern, &ring, o_prev, x_start, x_max) };
+        let o_prev = unsafe { steady_ring(a, kern, s, &mut ring, o_prev, x_start, x_max) };
         band_epilogue::<VL, GsKern1d>(a, xr, s, kern, &ring, o_prev, x_max);
     }
 
@@ -328,71 +323,6 @@ mod imp {
         kern: &K,
     ) {
         band_scalar_gs(a, xl, xr, vl, n, kern);
-    }
-
-    /// The AVX2 steady state of one skewed Gauss-Seidel band: identical
-    /// algebra and iteration order to the portable loop in
-    /// [`super::band_temporal_gs`], with the ring kept in `__m256d`
-    /// registers and incremental ring indices. Returns the surviving ring
-    /// and `O(x_max)` for the shared epilogue.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn band_steady_gs_avx2(
-        a: &mut [f64],
-        s: usize,
-        kern: &GsKern1d,
-        ring_init: &[Pack<f64, 4>; RING_CAP],
-        o_prev0: Pack<f64, 4>,
-        x_start: usize,
-        x_max: usize,
-    ) -> ([Pack<f64, 4>; RING_CAP], Pack<f64, 4>) {
-        const VL: usize = 4;
-        debug_assert!(s <= MAX_BAND_STRIDE);
-        let rlen = s + 1;
-        // SAFETY: every unsafe op below is an AVX2/FMA intrinsic or an
-        // `arch::avx2` vocabulary call whose sole precondition is
-        // AVX2/FMA availability — discharged by this fn's own
-        // `#[target_feature(enable = "avx2,fma")]` caller contract. All
-        // band accesses use checked slice indexing; the deepest read
-        // `a[x_max + VL·s]` is in bounds because `vector_band_shape`
-        // verified `x_max + VL·s ≤ a.len() - 1` before dispatch.
-        unsafe {
-            let cw = avx2::splat(kern.0.w);
-            let cc = avx2::splat(kern.0.c);
-            let ce = avx2::splat(kern.0.e);
-
-            let mut ring = [avx2::splat(0.0); RING_CAP];
-            for k in 0..rlen {
-                ring[k] = avx2::from_pack(ring_init[k]);
-            }
-            let mut o_prev = avx2::from_pack(o_prev0);
-            let mut v0 = ring[x_start % rlen];
-            let mut ip1 = (x_start + 1) % rlen;
-            // V(x+s) replaces the dead V(x-1) slot ((x+s) ≡ x-1 mod s+1).
-            let mut ips = (x_start + s) % rlen;
-            for x in x_start..=x_max {
-                let vp1 = ring[ip1];
-                // w·O(x-1) + (c·v0 + e·vp1), the same fused tree as the
-                // scalar oracle: l_new.mul_add(w, m.mul_add(c, r*e)).
-                let o = avx2::fmadd(o_prev, cw, avx2::fmadd(v0, cc, avx2::mul(vp1, ce)));
-                a[x] = avx2::extract_top(o);
-                let bottom = a[x + VL * s];
-                ring[ips] = avx2::shift_up_insert(o, bottom);
-                o_prev = o;
-                v0 = vp1;
-                ips = if ips + 1 == rlen { 0 } else { ips + 1 };
-                ip1 = if ip1 + 1 == rlen { 0 } else { ip1 + 1 };
-            }
-
-            let mut back = [Pack::<f64, 4>::splat(0.0); RING_CAP];
-            for k in 0..rlen {
-                back[k] = avx2::to_pack(ring[k]);
-            }
-            (back, avx2::to_pack(o_prev))
-        }
     }
 }
 

@@ -84,6 +84,46 @@ mod tests {
     }
 
     #[test]
+    fn default_1d_strides_are_register_specialised() {
+        // The 1-D defaults are only fast because the AVX2 steady states
+        // instantiate them with the ring in registers; change a default
+        // and the specialised set together (`repro ablate-stride` measures
+        // both). An explicit stride is honoured and reported as given.
+        use tempora_core::{lcs_avx2, t1d_avx2};
+        use tempora_stencil::Gs1dCoeffs;
+        let heat = Problem::heat1d(4096, 8, Heat1dCoeffs::classic(0.25));
+        let gs = Problem::gs1d(4096, 8, Gs1dCoeffs::classic(0.25));
+        let lcs = Problem::lcs(64, 64);
+        let (ghost, skew, rect) = (
+            Tiling::Ghost {
+                block: 512,
+                height: 8,
+            },
+            Tiling::Skew {
+                block: 512,
+                height: 8,
+            },
+            Tiling::LcsRect {
+                xblock: 32,
+                yblock: 32,
+            },
+        );
+        for (problem, tiling, set) in [
+            (&heat, Tiling::None, t1d_avx2::REGISTER_STRIDES),
+            (&heat, ghost, t1d_avx2::REGISTER_STRIDES),
+            (&gs, Tiling::None, t1d_avx2::REGISTER_STRIDES),
+            (&gs, skew, t1d_avx2::REGISTER_STRIDES),
+            (&lcs, Tiling::None, lcs_avx2::REGISTER_STRIDES),
+            (&lcs, rect, lcs_avx2::REGISTER_STRIDES),
+        ] {
+            let b = PlanBuilder::new().tiling(tiling);
+            let s = b.build(problem).unwrap().stride();
+            assert!(set.contains(&s), "{problem:?} {tiling:?}: default {s}");
+            assert_eq!(b.stride(3).build(problem).unwrap().stride(), 3);
+        }
+    }
+
+    #[test]
     fn pin_and_wave_schedule_knobs_are_honest_and_bit_identical() {
         use tempora_grid::fill_random_2d;
         // Skewed GS-2D exercises the wavefront schedules; pin(true) on

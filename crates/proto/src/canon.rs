@@ -351,7 +351,8 @@ pub struct SolveConfig {
     pub select: Select,
     /// Worker threads for the plan's pool.
     pub threads: usize,
-    /// Temporal space stride (`None` = the per-kind paper default).
+    /// Temporal space stride (`None` = the per-kind default, see
+    /// `PlanBuilder::stride`; the built plan reports it as `Plan::stride`).
     pub stride: Option<usize>,
     /// Request per-core pinning of the plan's workers.
     pub pin: bool,

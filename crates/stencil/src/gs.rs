@@ -274,7 +274,8 @@ mod tests {
 
     #[test]
     fn gs_schedule_legal_for_paper_strides() {
-        // Paper uses s = 7 for GS-1D and s = 2 for GS-2D/3D.
+        // The plan defaults: s = 7 for GS-1D (the paper's value, and
+        // where the measured plateau starts) and s = 2 for GS-2D/3D.
         validate_schedule(&Gs1dCoeffs::deps(), 4, 7, 128).unwrap();
         validate_schedule(&Gs2dCoeffs::deps(), 4, 2, 64).unwrap();
         assert!(validate_schedule(&Gs1dCoeffs::deps(), 4, 1, 64).is_err());

@@ -55,8 +55,11 @@ const PHASE_SCOPE: &str = "crates/core/src/";
 /// functions are `#[inline(always)]`; drop the attribute from one and it
 /// compiles once, for baseline x86-64, where every `f64::mul_add` is a
 /// call into libm's `fma` — same results, ≈ 20× slower per boundary
-/// point, and no test notices.
-const PHASE_FNS: [&str; 24] = [
+/// point, and no test notices. The 1-D steady-state bodies (`steady_ring`,
+/// `ring_sweep`, `ring_regs`) are on the list for the same reason one
+/// level down: they carry no `#[target_feature]` of their own and reach
+/// their intrinsics only by being inlined into a sandwich that does.
+const PHASE_FNS: [&str; 27] = [
     "tile_body",
     "tile_fallback_if_degenerate",
     "tile_prologue",
@@ -77,6 +80,9 @@ const PHASE_FNS: [&str; 24] = [
     "band_prologue",
     "band_epilogue",
     "gs_initial_output",
+    "steady_ring",
+    "ring_sweep",
+    "ring_regs",
     "count_output_vector",
     "step_1d_body",
     "step_2d_body",
