@@ -3,13 +3,15 @@
 //! ```text
 //! repro [--scale K] [--cores N] [--csv DIR] [--json FILE] <target>...
 //!
-//! targets: table1, fig4a..fig4j, fig5a..fig5h,
-//!          ablate-reorg, ablate-baselines, ablate-waves,
+//! targets: table1, fig4a..fig4j, fig5a..fig5h (the sequential and parallel
+//!          figure of each Table-1 row; every "our" series runs the plan's
+//!          default stride),
+//!          ablate-reorg, ablate-baselines,
 //!          ablate-stride (fails when an AVX2 kind's default stride runs
 //!          below 0.7× its best stride),
 //!          ablate-boundary (fails when an AVX2 tile's boundary code is
 //!          more than 12× slower per update than its steady state),
-//!          seq (all sequential), par (all parallel), all
+//!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
 //! --cores N   max worker count for parallel figures (default: all;
@@ -57,33 +59,34 @@ fn parse_count(flag: &str, value: Option<String>) -> usize {
     }
 }
 
-/// Every id `run_target` accepts, for up-front validation of the sweep.
-const KNOWN_TARGETS: &[&str] = &[
-    "table1",
+/// The targets that are not a Table-1 row's figure, in `all` order.
+const ABLATIONS: [&str; 4] = [
     "ablate-reorg",
     "ablate-stride",
     "ablate-baselines",
-    "ablate-waves",
     "ablate-boundary",
-    "fig4a",
-    "fig4b",
-    "fig4c",
-    "fig4d",
-    "fig4e",
-    "fig4f",
-    "fig4g",
-    "fig4h",
-    "fig4i",
-    "fig4j",
-    "fig5a",
-    "fig5b",
-    "fig5c",
-    "fig5d",
-    "fig5e",
-    "fig5f",
-    "fig5g",
-    "fig5h",
 ];
+
+/// The sequential or the parallel figure ids of Table 1, in figure order.
+fn figure_ids(parallel: bool) -> Vec<&'static str> {
+    let mut ids: Vec<&str> = tb::BENCHMARKS
+        .iter()
+        .map(|row| if parallel { row.par_id } else { row.seq_id })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Every target, in the order `all` runs them.
+fn all_targets() -> Vec<&'static str> {
+    [
+        vec!["table1"],
+        figure_ids(false),
+        figure_ids(true),
+        ABLATIONS.to_vec(),
+    ]
+    .concat()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -156,34 +159,16 @@ fn main() {
         );
     }
 
-    let seq_ids = [
-        "fig4a", "fig4c", "fig4e", "fig4g", "fig4i", "fig5a", "fig5c", "fig5e", "fig5g",
-    ];
-    let par_ids = [
-        "fig4b", "fig4d", "fig4f", "fig4h", "fig4j", "fig5b", "fig5d", "fig5f", "fig5h",
-    ];
-    let ablate_ids = [
-        "ablate-reorg",
-        "ablate-stride",
-        "ablate-baselines",
-        "ablate-waves",
-        "ablate-boundary",
-    ];
-
     let mut expanded: Vec<String> = vec![];
     for t in &targets {
-        match t.as_str() {
-            "all" => {
-                expanded.push("table1".into());
-                expanded.extend(seq_ids.iter().map(|s| s.to_string()));
-                expanded.extend(par_ids.iter().map(|s| s.to_string()));
-                expanded.extend(ablate_ids.iter().map(|s| s.to_string()));
-            }
-            "seq" => expanded.extend(seq_ids.iter().map(|s| s.to_string())),
-            "par" => expanded.extend(par_ids.iter().map(|s| s.to_string())),
-            "ablate" => expanded.extend(ablate_ids.iter().map(|s| s.to_string())),
-            other => expanded.push(other.to_string()),
-        }
+        let group: Vec<&str> = match t.as_str() {
+            "all" => all_targets(),
+            "seq" => figure_ids(false),
+            "par" => figure_ids(true),
+            "ablate" => ABLATIONS.to_vec(),
+            other => vec![other],
+        };
+        expanded.extend(group.into_iter().map(String::from));
     }
 
     print!("{}", machine_banner(avail));
@@ -191,10 +176,9 @@ fn main() {
 
     // Reject unknown targets up front (usage error, exit 2) so a typo is
     // not reported as a "failed figure" at the end of a long sweep.
-    for id in &expanded {
-        if !KNOWN_TARGETS.contains(&id.as_str()) {
-            usage_error(&format!("unknown target: {id}"));
-        }
+    let known = all_targets();
+    if let Some(id) = expanded.iter().find(|id| !known.contains(&id.as_str())) {
+        usage_error(&format!("unknown target: {id}"));
     }
 
     // One JSON entry per target, success or failure, in sweep order.
@@ -283,35 +267,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
-/// Compute one figure target; `None` for ids that are not figure targets
-/// (`table1`, `ablate-reorg`, `ablate-stride`, `ablate-boundary`, or an
-/// unknown id).
-fn compute_target(id: &str, scale: usize, cores: usize) -> Option<tb::Figure> {
-    Some(match id {
-        "ablate-baselines" => tb::ablate_baselines(scale),
-        "ablate-waves" => tb::ablate_waves(scale, cores),
-        "fig4a" => tb::fig4a(scale),
-        "fig4b" => tb::fig4b(scale, cores),
-        "fig4c" => tb::fig4c(scale),
-        "fig4d" => tb::fig4d(scale, cores),
-        "fig4e" => tb::fig4e(scale),
-        "fig4f" => tb::fig4f(scale, cores),
-        "fig4g" => tb::fig4g(scale),
-        "fig4h" => tb::fig4h(scale, cores),
-        "fig4i" => tb::fig4i(scale),
-        "fig4j" => tb::fig4j(scale, cores),
-        "fig5a" => tb::fig5a(scale),
-        "fig5b" => tb::fig5b(scale, cores),
-        "fig5c" => tb::fig5c(scale),
-        "fig5d" => tb::fig5d(scale, cores),
-        "fig5e" => tb::fig5e(scale),
-        "fig5f" => tb::fig5f(scale, cores),
-        "fig5g" => tb::fig5g(scale),
-        "fig5h" => tb::fig5h(scale, cores),
-        _ => return None,
-    })
-}
-
 /// What one target produced, besides the table it printed.
 enum Output {
     /// A text-only target.
@@ -394,12 +349,23 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                 }),
             }
         }
+        "ablate-baselines" => print_figure(tb::ablate_baselines(scale)),
         _ => {
             // Unknown ids were rejected before the sweep started.
-            let fig = compute_target(id, scale, cores)
+            let row = tb::BENCHMARKS
+                .iter()
+                .find(|row| [row.seq_id, row.par_id].contains(&id))
                 .unwrap_or_else(|| unreachable!("target {id} validated before the sweep"));
-            println!("{}", fig.to_table());
-            Output::Figure(fig)
+            print_figure(if id == row.seq_id {
+                tb::seq_figure(row, scale)
+            } else {
+                tb::par_figure(row, scale, cores)
+            })
         }
     }
+}
+
+fn print_figure(fig: tb::Figure) -> Output {
+    println!("{}", fig.to_table());
+    Output::Figure(fig)
 }

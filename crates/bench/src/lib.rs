@@ -1,24 +1,20 @@
 //! # tempora-bench — reproduction harness for the paper's evaluation
 //!
-//! One runner per table/figure of the evaluation section (§4), wired to
-//! the `repro` binary:
+//! The evaluation section (§4) is one table of nine benchmarks and, per
+//! benchmark, one sequential and one parallel figure. [`BENCHMARKS`] is
+//! that table — one [`Benchmark`] row per line of the paper's Table 1,
+//! carrying the figure ids (`fig4a` … `fig5h`), the problem, the size
+//! ladder and the tiling rule — and two runners draw every figure from
+//! it. The `repro` binary derives its targets from the same table:
 //!
 //! | id | artefact | runner |
 //! |---|---|---|
 //! | `table1` | Table 1 problem/blocking sizes | [`table1`] |
-//! | `fig4a`/`fig4b` | Heat-1D sequential / parallel | [`fig4a`], [`fig4b`] |
-//! | `fig4c`/`fig4d` | Heat-2D | [`fig4c`], [`fig4d`] |
-//! | `fig4e`/`fig4f` | Heat-3D | [`fig4e`], [`fig4f`] |
-//! | `fig4g`/`fig4h` | 2D9P | [`fig4g`], [`fig4h`] |
-//! | `fig4i`/`fig4j` | Life | [`fig4i`], [`fig4j`] |
-//! | `fig5a`/`fig5b` | GS-1D | [`fig5a`], [`fig5b`] |
-//! | `fig5c`/`fig5d` | GS-2D | [`fig5c`], [`fig5d`] |
-//! | `fig5e`/`fig5f` | GS-3D | [`fig5e`], [`fig5f`] |
-//! | `fig5g`/`fig5h` | LCS | [`fig5g`], [`fig5h`] |
+//! | a row's `seq_id` | its sequential figure | [`seq_figure`] |
+//! | a row's `par_id` | its parallel figure | [`par_figure`] |
 //! | `ablate-reorg` | §3.3/§3.5 reorganization budgets | [`ablate_reorg`] |
 //! | `ablate-stride` | §3.3 stride/ILP sweep, all three 1-D kinds, default marked | [`ablate_stride`] |
 //! | `ablate-baselines` | §2.2 baseline comparison | [`ablate_baselines`] |
-//! | `ablate-waves` | pipelined vs barrier wavefront schedule | [`ablate_waves`] |
 //! | `ablate-boundary` | bare steady state vs whole tile, per kind and engine | [`ablate_boundary`] |
 //!
 //! Every series runs through the unified solver API
@@ -26,8 +22,10 @@
 //! configuration — geometry validated, engine resolved, scratch and
 //! thread pool allocated once — and times repeated `plan.run(&mut
 //! state)` calls, exactly the serving pattern the plan API exists for.
-//! Each dispatched ("our") series records the engine its plan resolved
-//! to; the JSON baselines carry it as the per-series `"engine"` field.
+//! Every "our" series is the plan a user gets — default stride,
+//! `TEMPORA_ENGINE` honoured — and records the engine and stride its plan
+//! resolved; the JSON baselines carry them as the per-series `"engine"`,
+//! `"engines"` and `"strides"` fields.
 //!
 //! Measurements report **Gstencils/s** (grid points updated per second,
 //! the paper's metric). The `scale` parameter shrinks the paper's problem
@@ -96,6 +94,14 @@ impl Series {
         self.cores.push(cores);
         self.engines.push(smp.engine.map(str::to_string));
         self.strides.push(smp.engine.and(Some(smp.stride)));
+    }
+
+    /// Measure `builder`'s plan on `problem` ([`plan_sample`]) and append
+    /// the point at `x`.
+    fn measure(&mut self, x: f64, cores: usize, problem: &Problem, builder: PlanBuilder) {
+        let smp = plan_sample(problem, builder);
+        let gst = gstencils(problem.points(), problem.steps(), smp.secs);
+        self.push(x, gst, cores, &smp);
     }
 
     /// Summary of the per-point engines: `None` when no point was
@@ -291,14 +297,6 @@ fn json_num(x: f64) -> String {
     }
 }
 
-/// Time a closure once, in seconds — a single **cold** measurement.
-/// Prefer [`time_stable`] for anything that lands in reported figures.
-pub fn time_once<F: FnOnce()>(f: F) -> f64 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_secs_f64()
-}
-
 /// One untimed warm-up call (faults in pages, warms caches and branch
 /// predictors, spins up worker pools) followed by `reps` timed calls;
 /// returns the **median** of the timed calls. The median is robust to the
@@ -358,19 +356,19 @@ pub struct Sample {
     pub stride: usize,
 }
 
-/// Compile `builder` against `problem`, build and fill a state, then
-/// measure repeated `plan.run(&mut state)` calls (warm-up + median of 3;
+/// Compile `builder` against `problem`, build a state with a seeded
+/// random interior, then measure repeated `plan.run(&mut state)` calls (warm-up + median of 3;
 /// setup — validation, engine resolution, scratch and pool allocation —
 /// happens once, outside the timed region, exactly as a serving system
 /// would amortize it).
-pub fn plan_sample(problem: &Problem, builder: PlanBuilder, fill: &dyn Fn(&mut State)) -> Sample {
+pub fn plan_sample(problem: &Problem, builder: PlanBuilder) -> Sample {
     let mut plan = builder
         .build(problem)
         // Panic-justification: every harness configuration is hard-coded
         // against its problem; a build failure is a bench-suite bug.
         .expect("bench configurations are valid by construction");
     let mut state = problem.state();
-    fill(&mut state);
+    fill_state(&mut state);
     let mut engine = None;
     let secs = time_stable(|| {
         // Panic-justification: the state comes from `problem.state()`, so
@@ -432,65 +430,370 @@ fn fill_state(state: &mut State) {
 // Table 1
 // ---------------------------------------------------------------------
 
-/// Scaled parallel configurations `(size, steps, block, height)` per
-/// benchmark (`height` = time-block depth of Table 1, clamped to the
-/// scaled step count and rounded to the engine's vector length).
-pub struct ParallelConfigs {
-    /// Heat-1D `(n, steps, block, height)`.
-    pub heat1d: (usize, usize, usize, usize),
-    /// Heat-2D `(n, steps, block, height)`.
-    pub heat2d: (usize, usize, usize, usize),
-    /// 2D9P `(n, steps, block, height)`.
-    pub box2d: (usize, usize, usize, usize),
-    /// Heat-3D `(n, steps, block, height)`.
-    pub heat3d: (usize, usize, usize, usize),
-    /// Life `(n, steps, block, height)`.
-    pub life: (usize, usize, usize, usize),
-    /// GS-1D `(n, steps, block, height)`.
-    pub gs1d: (usize, usize, usize, usize),
-    /// GS-2D `(n, steps, block, height)`.
-    pub gs2d: (usize, usize, usize, usize),
-    /// GS-3D `(n, steps, block, height)`.
-    pub gs3d: (usize, usize, usize, usize),
-    /// LCS `(len, xblock, yblock)`.
-    pub lcs: (usize, usize, usize),
+/// The problem-size column of Table 1 with everything that hangs off it:
+/// how the parallel figures scale it down and which sizes the sequential
+/// figures sweep. One per dimensionality, shared by its rows.
+#[derive(Clone, Copy, Debug)]
+pub struct Geometry {
+    /// The paper's problem size, as Table 1 prints it.
+    pub paper: &'static str,
+    /// A run updates `n^dim` points per step at edge length `n`.
+    pub dim: u32,
+    /// Parallel figures: the paper's edge length and the floor it is
+    /// scaled down to.
+    pub size: (usize, usize),
+    /// Parallel figures: the paper's step count, its floor, and the cap
+    /// that keeps runtimes laptop-sized.
+    pub steps: (usize, usize, usize),
+    /// Sequential figures sweep `2^lo_exp, 2^(lo_exp+1), …`
+    pub lo_exp: u32,
+    /// … up to this edge length at a given scale.
+    pub cap: fn(usize) -> usize,
+    /// Plot the sweep against `log2(N)` rather than `N`.
+    pub log2_axis: bool,
+    /// Most time steps one sequential measurement takes.
+    pub steps_hi: usize,
 }
 
-/// Table-1 configurations divided by `scale` (linear dimensions), with
-/// step counts shortened so runtimes stay laptop-sized.
-pub fn parallel_configs(scale: usize) -> ParallelConfigs {
-    let s = scale.max(1);
-    let d = |v: usize, lo: usize| (v / s).max(lo);
-    // Clamp a paper time-block height: ghost (Jacobi) tiles want a few
-    // bands and a ghost width well below the block; skewed (GS) tiles
-    // want a deep enough pipeline (>= 8 bands) for wavefront parallelism.
-    let hj = |paper: usize, steps: usize, block: usize, vl: usize| {
-        (paper.min(steps / 2).min(block / 4).max(vl) / vl) * vl
-    };
-    let hg = |paper: usize, steps: usize, block: usize, s_: usize, vl: usize| {
-        let cap = block.saturating_sub(vl * s_ + vl); // wave disjointness
-        (paper.min(steps / 8).min(cap).max(vl) / vl) * vl
-    };
-    let heat1d = (d(16_000_000, 4096), d(6000, 64).min(256), d(16384, 512));
-    let heat2d = (d(8000, 128), d(2000, 32).min(64), d(256, 32));
-    let heat3d = (d(800, 32), d(200, 16).min(32), d(32, 8));
-    let life = (d(8000, 128), d(2000, 32).min(64), d(256, 32));
-    let gs1d_n = d(16_000_000, 4096);
-    let gs1d = (gs1d_n, d(6000, 64).min(256), (gs1d_n / 64).max(512));
-    let gs2d_n = d(8000, 128);
-    let gs2d = (gs2d_n, d(2000, 32).min(64), (gs2d_n / 4).max(32));
-    let gs3d_n = d(800, 32);
-    let gs3d = (gs3d_n, d(200, 16).min(32), (gs3d_n / 2).max(24));
-    ParallelConfigs {
-        heat1d: (heat1d.0, heat1d.1, heat1d.2, hj(128, heat1d.1, heat1d.2, 4)),
-        heat2d: (heat2d.0, heat2d.1, heat2d.2, hj(64, heat2d.1, heat2d.2, 4)),
-        box2d: (heat2d.0, heat2d.1, heat2d.2, hj(64, heat2d.1, heat2d.2, 4)),
-        heat3d: (heat3d.0, heat3d.1, heat3d.2, hj(8, heat3d.1, heat3d.2, 4)),
-        life: (life.0, life.1, life.2, hj(32, life.1, life.2, 8)),
-        gs1d: (gs1d.0, gs1d.1, gs1d.2, hg(64, gs1d.1, gs1d.2, 7, 4)),
-        gs2d: (gs2d.0, gs2d.1, gs2d.2, hg(32, gs2d.1 * 2, gs2d.2, 2, 4)),
-        gs3d: (gs3d.0, gs3d.1, gs3d.2, hg(32, gs3d.1 * 2, gs3d.2, 2, 4)),
-        lcs: (d(200_000, 2048), d(4096, 256), d(4096, 256)),
+impl Geometry {
+    /// The sequential sweep's edge lengths at `scale`.
+    fn sizes(&self, scale: usize) -> Vec<usize> {
+        (self.lo_exp..usize::BITS)
+            .map(|e| 1usize << e)
+            .take_while(|&n| n <= (self.cap)(scale))
+            .collect()
+    }
+
+    /// The step count a sequential measurement at edge length `n` runs.
+    fn sweep_steps(&self, n: usize) -> usize {
+        choose_steps(n.pow(self.dim), SEQ_BUDGET, 4, self.steps_hi)
+    }
+}
+
+/// `caps[k]` for the `k`-th scale tier: paper sizes, ≤ 4, ≤ 16, beyond.
+fn tier(scale: usize, caps: [usize; 4]) -> usize {
+    caps[match scale {
+        0..=1 => 0,
+        2..=4 => 1,
+        5..=16 => 2,
+        _ => 3,
+    }]
+}
+
+const LINE: Geometry = Geometry {
+    paper: "16000000 x 6000",
+    dim: 1,
+    size: (16_000_000, 4096),
+    steps: (6000, 64, 256),
+    lo_exp: 7,
+    cap: |scale| 1 << tier(scale, [23, 22, 20, 18]),
+    log2_axis: true,
+    steps_hi: 65536,
+};
+
+const SQUARE: Geometry = Geometry {
+    paper: "8000^2 x 2000",
+    dim: 2,
+    size: (8000, 128),
+    steps: (2000, 32, 64),
+    lo_exp: 7,
+    cap: |scale| 8192 / scale.clamp(1, 8),
+    log2_axis: false,
+    steps_hi: 2000,
+};
+
+const CUBE: Geometry = Geometry {
+    paper: "800^3 x 200",
+    dim: 3,
+    size: (800, 32),
+    steps: (200, 16, 32),
+    lo_exp: 4,
+    cap: |scale| tier(scale, [512, 256, 128, 128]),
+    log2_axis: false,
+    steps_hi: 512,
+};
+
+/// LCS takes no step count: one run fills the whole `n × n` table, so its
+/// "steps" are its `n` rows and its problem ignores the swept count.
+const LCS_TABLE: Geometry = Geometry {
+    paper: "200000 x 200000",
+    dim: 1,
+    size: (200_000, 2048),
+    steps: (200_000, 2048, usize::MAX),
+    lo_exp: 7,
+    cap: |scale| 1 << tier(scale, [17, 16, 14, 14]),
+    log2_axis: true,
+    steps_hi: 4,
+};
+
+/// The time tiling of a row's parallel figure, with the rule that scales
+/// the paper's block down. A `(paper, floor)` pair is divided by the
+/// scale like [`Geometry::size`].
+#[derive(Clone, Copy, Debug)]
+pub enum Family {
+    /// Ghost-zone bands (the Jacobi rows). The band height is the
+    /// paper's, clamped to a few bands (`steps / 2`) and a ghost width
+    /// well below the block (`block / 4`), in whole `vl`-level tiles.
+    Ghost {
+        /// Block edge, `(paper, floor)`.
+        block: (usize, usize),
+        /// The paper's time-block height.
+        height: usize,
+        /// Lanes of the row's engine.
+        vl: usize,
+    },
+    /// Skewed bands behind a wavefront (the Gauss-Seidel rows). The band
+    /// height is the paper's, clamped to a pipeline `steps_div` bands
+    /// deep and to the wave-disjointness bound `block - VL·s - VL` at
+    /// the row's default stride `s`.
+    Skew {
+        /// Blocks per edge and the floor of the block edge.
+        blocks: (usize, usize),
+        /// The paper's time-block height.
+        height: usize,
+        /// Fewest bands the scaled step count must give.
+        steps_div: usize,
+    },
+    /// Square rectangles of the LCS table behind a wavefront.
+    Rect {
+        /// Block edge, `(paper, floor)`.
+        block: (usize, usize),
+    },
+}
+
+/// One line of the paper's Table 1 and the two figures drawn from it.
+#[derive(Clone, Copy, Debug)]
+pub struct Benchmark {
+    /// Benchmark name; the figures are titled `<name> Sequential` and
+    /// `<name> Parallel`.
+    pub name: &'static str,
+    /// The paper's blocking size, as Table 1 prints it.
+    pub paper_block: &'static str,
+    /// Id of the sequential figure (left column of Figures 4 and 5).
+    pub seq_id: &'static str,
+    /// Id of the parallel figure (right column).
+    pub par_id: &'static str,
+    /// The problem at edge length `n`, advanced `steps` time steps.
+    pub problem: fn(usize, usize) -> Problem,
+    /// Problem sizes, paper and swept.
+    pub geometry: &'static Geometry,
+    /// Time tiling of the parallel figure.
+    pub family: Family,
+    /// Whether a multi-load "auto" series exists (spatial vectorization
+    /// of Gauss-Seidel loops is illegal, and LCS has no such form; the
+    /// plan API rejects both).
+    pub auto: bool,
+}
+
+/// The paper's Table 1, in its order.
+pub static BENCHMARKS: [Benchmark; 9] = [
+    Benchmark {
+        name: "Heat-1D",
+        paper_block: "16384 x 128",
+        seq_id: "fig4a",
+        par_id: "fig4b",
+        problem: |n, steps| Problem::heat1d(n, steps, Heat1dCoeffs::classic(0.25)),
+        geometry: &LINE,
+        family: Family::Ghost {
+            block: (16384, 512),
+            height: 128,
+            vl: 4,
+        },
+        auto: true,
+    },
+    Benchmark {
+        name: "Heat-2D",
+        paper_block: "256^2 x 64",
+        seq_id: "fig4c",
+        par_id: "fig4d",
+        problem: |n, steps| Problem::heat2d(n, n, steps, Heat2dCoeffs::classic(0.125)),
+        geometry: &SQUARE,
+        family: Family::Ghost {
+            block: (256, 32),
+            height: 64,
+            vl: 4,
+        },
+        auto: true,
+    },
+    Benchmark {
+        name: "2D9P",
+        paper_block: "256^2 x 64",
+        seq_id: "fig4g",
+        par_id: "fig4h",
+        problem: |n, steps| Problem::box2d(n, n, steps, Box2dCoeffs::smooth(0.1)),
+        geometry: &SQUARE,
+        family: Family::Ghost {
+            block: (256, 32),
+            height: 64,
+            vl: 4,
+        },
+        auto: true,
+    },
+    Benchmark {
+        name: "Heat-3D",
+        paper_block: "32^3 x 8",
+        seq_id: "fig4e",
+        par_id: "fig4f",
+        problem: |n, steps| Problem::heat3d(n, n, n, steps, Heat3dCoeffs::classic(1.0 / 6.0)),
+        geometry: &CUBE,
+        family: Family::Ghost {
+            block: (32, 8),
+            height: 8,
+            vl: 4,
+        },
+        auto: true,
+    },
+    Benchmark {
+        name: "Life",
+        paper_block: "256^2 x 32",
+        seq_id: "fig4i",
+        par_id: "fig4j",
+        problem: |n, steps| Problem::life(n, n, steps, LifeRule::b2s23()),
+        geometry: &SQUARE,
+        family: Family::Ghost {
+            block: (256, 32),
+            height: 32,
+            vl: 8,
+        },
+        auto: true,
+    },
+    Benchmark {
+        name: "GS-1D",
+        paper_block: "2048 x 64",
+        seq_id: "fig5a",
+        par_id: "fig5b",
+        problem: |n, steps| Problem::gs1d(n, steps, Gs1dCoeffs::classic(0.25)),
+        geometry: &LINE,
+        family: Family::Skew {
+            blocks: (64, 512),
+            height: 64,
+            steps_div: 8,
+        },
+        auto: false,
+    },
+    Benchmark {
+        name: "GS-2D",
+        paper_block: "128^2 x 32",
+        seq_id: "fig5c",
+        par_id: "fig5d",
+        problem: |n, steps| Problem::gs2d(n, n, steps, Gs2dCoeffs::classic(0.2)),
+        geometry: &SQUARE,
+        family: Family::Skew {
+            blocks: (4, 32),
+            height: 32,
+            steps_div: 4,
+        },
+        auto: false,
+    },
+    Benchmark {
+        name: "GS-3D",
+        paper_block: "32^3 x 32",
+        seq_id: "fig5e",
+        par_id: "fig5f",
+        problem: |n, steps| Problem::gs3d(n, n, n, steps, Gs3dCoeffs::classic(0.125)),
+        geometry: &CUBE,
+        family: Family::Skew {
+            blocks: (2, 24),
+            height: 32,
+            steps_div: 4,
+        },
+        auto: false,
+    },
+    Benchmark {
+        name: "LCS",
+        paper_block: "4096 x 4096",
+        seq_id: "fig5g",
+        par_id: "fig5h",
+        problem: |n, _| Problem::lcs(n, n),
+        geometry: &LCS_TABLE,
+        family: Family::Rect { block: (4096, 256) },
+        auto: false,
+    },
+];
+
+/// A row's parallel figure at one scale: edge length, step count and the
+/// tiling, block and height clamped to the scaled problem.
+#[derive(Clone, Copy, Debug)]
+pub struct ParallelConfig {
+    /// Edge length.
+    pub n: usize,
+    /// Time steps (`n` table rows for LCS).
+    pub steps: usize,
+    /// The row's tiling at this scale.
+    pub tiling: Tiling,
+}
+
+/// The temporal stride a default-built plan of `problem` runs.
+fn default_stride(problem: &Problem) -> usize {
+    PlanBuilder::new()
+        .build(problem)
+        // Panic-justification: a default plan of a hard-coded, non-empty
+        // problem; a build failure is a bench-suite bug.
+        .expect("bench configurations are valid by construction")
+        .stride()
+}
+
+impl Benchmark {
+    /// The Table-1 configuration divided by `scale` (linear dimensions),
+    /// with step counts shortened so runtimes stay laptop-sized.
+    pub fn parallel_config(&self, scale: usize) -> ParallelConfig {
+        let d = |(paper, lo): (usize, usize)| (paper / scale.max(1)).max(lo);
+        let g = self.geometry;
+        let n = d(g.size);
+        let steps = d((g.steps.0, g.steps.1)).min(g.steps.2);
+        // A tile is a whole number of `vl`-level vectors, at least one.
+        let whole = |height: usize, vl: usize| height.max(vl) / vl * vl;
+        let tiling = match self.family {
+            Family::Ghost { block, height, vl } => {
+                let block = d(block);
+                Tiling::Ghost {
+                    block,
+                    height: whole(height.min(steps / 2).min(block / 4), vl),
+                }
+            }
+            Family::Skew {
+                blocks: (per_edge, lo),
+                height,
+                steps_div,
+            } => {
+                const VL: usize = 4;
+                let block = (n / per_edge).max(lo);
+                // The stride is the kind's, whatever the size.
+                let s = default_stride(&(self.problem)(VL * 16, VL));
+                let disjoint = block.saturating_sub(VL * s + VL);
+                Tiling::Skew {
+                    block,
+                    height: whole(height.min(steps / steps_div).min(disjoint), VL),
+                }
+            }
+            Family::Rect { block } => Tiling::LcsRect {
+                xblock: d(block),
+                yblock: d(block),
+            },
+        };
+        ParallelConfig { n, steps, tiling }
+    }
+
+    /// The series of this row's figures on `tiling`: temporal ("our"),
+    /// multi-load ("auto", where the row has one) and scalar. "our" is
+    /// the plan a user gets — default stride, `TEMPORA_ENGINE` honoured.
+    fn builders(&self, tiling: Tiling) -> Vec<(&'static str, PlanBuilder)> {
+        let sel = Select::from_env();
+        let base = PlanBuilder::new().tiling(tiling);
+        // Untiled baselines are what the compiler gives on this host,
+        // whatever `TEMPORA_ENGINE` forces on "our"; a tiling workspace
+        // takes the selection for every method it runs in its tiles.
+        let spatial = if tiling == Tiling::None {
+            base
+        } else {
+            base.select(sel)
+        };
+        let mut builders = vec![("our", base.select(sel))];
+        if self.auto {
+            builders.push(("auto", spatial.method(Method::Multiload)));
+        }
+        builders.push(("scalar", spatial.method(Method::Scalar)));
+        builders
     }
 }
 
@@ -498,113 +801,74 @@ pub fn parallel_configs(scale: usize) -> ParallelConfigs {
 /// the sizes this harness actually runs at the given `scale` divisor.
 pub fn table1(scale: usize) -> String {
     let s = scale.max(1);
-    let rows = [
-        ("Heat-1D", "16000000 x 6000", "16384 x 128"),
-        ("Heat-2D", "8000^2 x 2000", "256^2 x 64"),
-        ("2D9P", "8000^2 x 2000", "256^2 x 64"),
-        ("Heat-3D", "800^3 x 200", "32^3 x 8"),
-        ("Life", "8000^2 x 2000", "256^2 x 32"),
-        ("GS-1D", "16000000 x 6000", "2048 x 64"),
-        ("GS-2D", "8000^2 x 2000", "128^2 x 32"),
-        ("GS-3D", "800^3 x 200", "32^3 x 32"),
-        ("LCS", "200000 x 200000", "4096 x 4096"),
-    ];
-    let p = parallel_configs(s);
-    let scaled = [
-        format!(
-            "{} x {} / blk {}x{}",
-            p.heat1d.0, p.heat1d.1, p.heat1d.2, p.heat1d.3
-        ),
-        format!(
-            "{}^2 x {} / blk {}x{}",
-            p.heat2d.0, p.heat2d.1, p.heat2d.2, p.heat2d.3
-        ),
-        format!(
-            "{}^2 x {} / blk {}x{}",
-            p.box2d.0, p.box2d.1, p.box2d.2, p.box2d.3
-        ),
-        format!(
-            "{}^3 x {} / blk {}x{}",
-            p.heat3d.0, p.heat3d.1, p.heat3d.2, p.heat3d.3
-        ),
-        format!(
-            "{}^2 x {} / blk {}x{}",
-            p.life.0, p.life.1, p.life.2, p.life.3
-        ),
-        format!(
-            "{} x {} / blk {}x{}",
-            p.gs1d.0, p.gs1d.1, p.gs1d.2, p.gs1d.3
-        ),
-        format!(
-            "{}^2 x {} / blk {}x{}",
-            p.gs2d.0, p.gs2d.1, p.gs2d.2, p.gs2d.3
-        ),
-        format!(
-            "{}^3 x {} / blk {}x{}",
-            p.gs3d.0, p.gs3d.1, p.gs3d.2, p.gs3d.3
-        ),
-        format!("{}^2 / blk {}^2", p.lcs.0, p.lcs.1),
-    ];
-    let mut out = String::new();
-    out.push_str(&format!(
-        "# table1 — Problem and blocking sizes (paper vs this run, scale 1/{s})\n"
-    ));
-    out.push_str(&format!(
-        "{:<10}{:>22}{:>16}{:>34}\n",
+    let mut out = format!(
+        "# table1 — Problem and blocking sizes (paper vs this run, scale 1/{s})\n\
+         {:<10}{:>22}{:>16}{:>34}\n",
         "benchmark", "paper size", "paper block", "this run"
-    ));
-    for (i, (name, size, blockv)) in rows.iter().enumerate() {
+    );
+    for row in &BENCHMARKS {
+        let p = row.parallel_config(s);
+        let edge = format!("{}{}", p.n, ["", "^2", "^3"][row.geometry.dim as usize - 1]);
+        let this_run = match p.tiling {
+            Tiling::Ghost { block, height } | Tiling::Skew { block, height } => {
+                format!("{edge} x {} / blk {block}x{height}", p.steps)
+            }
+            Tiling::LcsRect { xblock, .. } => format!("{}^2 / blk {xblock}^2", p.n),
+            Tiling::None => format!("{edge} x {}", p.steps),
+        };
         out.push_str(&format!(
             "{:<10}{:>22}{:>16}{:>34}\n",
-            name, size, blockv, scaled[i]
+            row.name, row.geometry.paper, row.paper_block, this_run
         ));
     }
     out
 }
 
 // ---------------------------------------------------------------------
-// Sweep scaffolding
+// The two figure runners
 // ---------------------------------------------------------------------
 
-fn pow2_sizes(lo_exp: u32, hi_exp: u32) -> Vec<usize> {
-    (lo_exp..=hi_exp).map(|e| 1usize << e).collect()
-}
-
-/// Labelled `(n, steps) -> (Problem, PlanBuilder)` factory for one series
-/// of a sequential sweep.
-type SeqRun<'a> = (
-    &'static str,
-    Box<dyn Fn(usize, usize) -> (Problem, PlanBuilder) + 'a>,
-);
-
-// Justification: the parameter list mirrors the figure's sweep geometry; a params struct would obscure the harness call sites.
-#[allow(clippy::too_many_arguments)]
-fn seq_sweep<'a>(
+/// One sequential sweep: every builder's plan on `problem(n, steps)` at
+/// each edge length of `g`'s ladder.
+fn seq_sweep(
     id: &str,
     title: &str,
-    xlabel: &str,
-    xs: &[usize],
-    xmap: impl Fn(usize) -> f64,
-    points_of: impl Fn(usize) -> usize,
-    runs: Vec<SeqRun<'a>>,
-    steps_hi: usize,
+    problem: fn(usize, usize) -> Problem,
+    g: &Geometry,
+    scale: usize,
+    builders: &[(&'static str, PlanBuilder)],
 ) -> Figure {
-    let mut series: Vec<Series> = runs.iter().map(|(label, _)| Series::new(label)).collect();
-    for &n in xs {
-        let pts = points_of(n);
-        let steps = choose_steps(pts, SEQ_BUDGET, 4, steps_hi);
-        for (k, (_, run)) in runs.iter().enumerate() {
-            let (problem, builder) = run(n, steps);
-            let smp = plan_sample(&problem, builder, &fill_state);
-            series[k].push(xmap(n), gstencils(pts, steps, smp.secs), 1, &smp);
+    let mut series: Vec<Series> = builders.iter().map(|(l, _)| Series::new(l)).collect();
+    for n in g.sizes(scale) {
+        let problem = problem(n, g.sweep_steps(n));
+        let x = if g.log2_axis {
+            (n as f64).log2()
+        } else {
+            n as f64
+        };
+        for (s, &(_, builder)) in series.iter_mut().zip(builders) {
+            s.measure(x, 1, &problem, builder);
         }
     }
     Figure {
         id: id.into(),
         title: title.into(),
-        xlabel: xlabel.into(),
+        xlabel: if g.log2_axis { "log2(N)" } else { "N" }.into(),
         series,
     }
+}
+
+/// The sequential figure of a Table-1 row: Gstencils/s against problem
+/// size, untiled, one thread.
+pub fn seq_figure(row: &Benchmark, scale: usize) -> Figure {
+    seq_sweep(
+        row.seq_id,
+        &format!("{} Sequential", row.name),
+        row.problem,
+        row.geometry,
+        scale,
+        &row.builders(Tiling::None),
+    )
 }
 
 fn core_counts(max_cores: usize) -> Vec<usize> {
@@ -614,621 +878,38 @@ fn core_counts(max_cores: usize) -> Vec<usize> {
         v.push(c);
         c += if c < 4 { 1 } else { 4 };
     }
-    v.dedup();
     v
 }
 
-/// Labelled `(cores) -> (Problem, PlanBuilder)` factory for one series of
-/// a core-count sweep; the builder already carries the tiling, and the
-/// sweep adds `.threads(cores)`.
-type ParRun<'a> = (&'static str, Box<dyn Fn() -> (Problem, PlanBuilder) + 'a>);
-
-fn parallel_sweep<'a>(
-    id: &str,
-    title: &str,
-    max_cores: usize,
-    pts: usize,
-    steps: usize,
-    runs: Vec<ParRun<'a>>,
-) -> Figure {
-    let mut series: Vec<Series> = runs.iter().map(|(label, _)| Series::new(label)).collect();
-    for &cores in &core_counts(max_cores) {
-        for (k, (_, run)) in runs.iter().enumerate() {
-            let (problem, builder) = run();
+/// The parallel figure of a Table-1 row: Gstencils/s of the row's tiling
+/// at its scaled Table-1 configuration against the worker count. Each
+/// plan owns its pool and resolves its in-tile engine.
+pub fn par_figure(row: &Benchmark, scale: usize, max_cores: usize) -> Figure {
+    let cfg = row.parallel_config(scale);
+    let problem = (row.problem)(cfg.n, cfg.steps);
+    let builders = row.builders(cfg.tiling);
+    let mut series: Vec<Series> = builders.iter().map(|(l, _)| Series::new(l)).collect();
+    for cores in core_counts(max_cores) {
+        for (s, &(_, builder)) in series.iter_mut().zip(&builders) {
             // plan_sample's built-in warm-up faults in pages and spins up
             // the plan's workers before the three timed runs. Workers are
             // pinned one-per-core (best-effort) so the core-count axis
             // means what it says, and the plan first-touches its tile
             // arenas from their owning workers.
-            let smp = plan_sample(&problem, builder.threads(cores).pin(true), &fill_state);
-            series[k].push(cores as f64, gstencils(pts, steps, smp.secs), cores, &smp);
+            s.measure(
+                cores as f64,
+                cores,
+                &problem,
+                builder.threads(cores).pin(true),
+            );
         }
     }
     Figure {
-        id: id.into(),
-        title: title.into(),
+        id: row.par_id.into(),
+        title: format!("{} Parallel", row.name),
         xlabel: "cores".into(),
         series,
     }
-}
-
-/// The three standard sequential builders: temporal ("our"), multi-load
-/// ("auto"), scalar.
-fn seq_builders(sel: Select, stride: usize) -> [(&'static str, PlanBuilder); 3] {
-    [
-        ("our", PlanBuilder::new().stride(stride).select(sel)),
-        ("auto", PlanBuilder::new().method(Method::Multiload)),
-        ("scalar", PlanBuilder::new().method(Method::Scalar)),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// Sequential figures (left column of Figures 4 and 5)
-// ---------------------------------------------------------------------
-
-/// Figure 4a: Heat-1D sequential, Gstencils/s vs problem size (2^x).
-pub fn fig4a(scale: usize) -> Figure {
-    let hi = match scale {
-        0..=1 => 23,
-        2..=4 => 22,
-        5..=16 => 20,
-        _ => 18,
-    };
-    let c = Heat1dCoeffs::classic(0.25);
-    let sel = Select::from_env();
-    seq_sweep(
-        "fig4a",
-        "Heat-1D Sequential",
-        "log2(N)",
-        &pow2_sizes(7, hi),
-        |n| (n as f64).log2(),
-        |n| n,
-        seq_builders(sel, 7)
-            .into_iter()
-            .map(|(label, b)| -> SeqRun<'_> {
-                (
-                    label,
-                    Box::new(move |n, steps| (Problem::heat1d(n, steps, c), b)),
-                )
-            })
-            .collect(),
-        65536,
-    )
-}
-
-/// Figure 4c: Heat-2D sequential.
-pub fn fig4c(scale: usize) -> Figure {
-    let cap = 8192 / scale.clamp(1, 8);
-    let sizes: Vec<usize> = [128usize, 256, 512, 1024, 2048, 4096, 8192]
-        .into_iter()
-        .filter(|&n| n <= cap)
-        .collect();
-    let c = Heat2dCoeffs::classic(0.125);
-    let sel = Select::from_env();
-    seq_sweep(
-        "fig4c",
-        "Heat-2D Sequential",
-        "N",
-        &sizes,
-        |n| n as f64,
-        |n| n * n,
-        seq_builders(sel, 2)
-            .into_iter()
-            .map(|(label, b)| -> SeqRun<'_> {
-                (
-                    label,
-                    Box::new(move |n, steps| (Problem::heat2d(n, n, steps, c), b)),
-                )
-            })
-            .collect(),
-        2000,
-    )
-}
-
-/// Figure 4e: Heat-3D sequential.
-pub fn fig4e(scale: usize) -> Figure {
-    let cap = match scale {
-        0..=1 => 512,
-        2..=4 => 256,
-        _ => 128,
-    };
-    let sizes: Vec<usize> = [16usize, 32, 64, 128, 256, 512]
-        .into_iter()
-        .filter(|&n| n <= cap)
-        .collect();
-    let c = Heat3dCoeffs::classic(1.0 / 6.0);
-    let sel = Select::from_env();
-    seq_sweep(
-        "fig4e",
-        "Heat-3D Sequential",
-        "N",
-        &sizes,
-        |n| n as f64,
-        |n| n * n * n,
-        seq_builders(sel, 2)
-            .into_iter()
-            .map(|(label, b)| -> SeqRun<'_> {
-                (
-                    label,
-                    Box::new(move |n, steps| (Problem::heat3d(n, n, n, steps, c), b)),
-                )
-            })
-            .collect(),
-        512,
-    )
-}
-
-/// Figure 4g: 2D9P sequential.
-pub fn fig4g(scale: usize) -> Figure {
-    let cap = 8192 / scale.clamp(1, 8);
-    let sizes: Vec<usize> = [128usize, 256, 512, 1024, 2048, 4096, 8192]
-        .into_iter()
-        .filter(|&n| n <= cap)
-        .collect();
-    let c = Box2dCoeffs::smooth(0.1);
-    let sel = Select::from_env();
-    seq_sweep(
-        "fig4g",
-        "2D9P Sequential",
-        "N",
-        &sizes,
-        |n| n as f64,
-        |n| n * n,
-        seq_builders(sel, 2)
-            .into_iter()
-            .map(|(label, b)| -> SeqRun<'_> {
-                (
-                    label,
-                    Box::new(move |n, steps| (Problem::box2d(n, n, steps, c), b)),
-                )
-            })
-            .collect(),
-        2000,
-    )
-}
-
-/// Figure 4i: Life sequential (integer 2D9P, 8 lanes).
-pub fn fig4i(scale: usize) -> Figure {
-    let cap = 8192 / scale.clamp(1, 8);
-    let sizes: Vec<usize> = [128usize, 256, 512, 1024, 2048, 4096, 8192]
-        .into_iter()
-        .filter(|&n| n <= cap)
-        .collect();
-    let rule = LifeRule::b2s23();
-    let sel = Select::from_env();
-    seq_sweep(
-        "fig4i",
-        "Life Sequential",
-        "N",
-        &sizes,
-        |n| n as f64,
-        |n| n * n,
-        seq_builders(sel, 2)
-            .into_iter()
-            .map(|(label, b)| -> SeqRun<'_> {
-                (
-                    label,
-                    Box::new(move |n, steps| (Problem::life(n, n, steps, rule), b)),
-                )
-            })
-            .collect(),
-        2000,
-    )
-}
-
-/// Figure 5a: GS-1D sequential (no "auto" — spatial vectorization of
-/// Gauss-Seidel loops is illegal, and the plan API rejects it).
-pub fn fig5a(scale: usize) -> Figure {
-    let hi = match scale {
-        0..=1 => 23,
-        2..=4 => 22,
-        5..=16 => 20,
-        _ => 18,
-    };
-    let c = Gs1dCoeffs::classic(0.25);
-    let sel = Select::from_env();
-    let our = PlanBuilder::new().stride(7).select(sel);
-    let scalar = PlanBuilder::new().method(Method::Scalar);
-    seq_sweep(
-        "fig5a",
-        "GS-1D Sequential",
-        "log2(N)",
-        &pow2_sizes(7, hi),
-        |n| (n as f64).log2(),
-        |n| n,
-        vec![
-            (
-                "our",
-                Box::new(move |n, steps| (Problem::gs1d(n, steps, c), our)),
-            ),
-            (
-                "scalar",
-                Box::new(move |n, steps| (Problem::gs1d(n, steps, c), scalar)),
-            ),
-        ],
-        65536,
-    )
-}
-
-/// Figure 5c: GS-2D sequential.
-pub fn fig5c(scale: usize) -> Figure {
-    let cap = 8192 / scale.clamp(1, 8);
-    let sizes: Vec<usize> = [128usize, 256, 512, 1024, 2048, 4096, 8192]
-        .into_iter()
-        .filter(|&n| n <= cap)
-        .collect();
-    let c = Gs2dCoeffs::classic(0.2);
-    let sel = Select::from_env();
-    let our = PlanBuilder::new().stride(2).select(sel);
-    let scalar = PlanBuilder::new().method(Method::Scalar);
-    seq_sweep(
-        "fig5c",
-        "GS-2D Sequential",
-        "N",
-        &sizes,
-        |n| n as f64,
-        |n| n * n,
-        vec![
-            (
-                "our",
-                Box::new(move |n, steps| (Problem::gs2d(n, n, steps, c), our)),
-            ),
-            (
-                "scalar",
-                Box::new(move |n, steps| (Problem::gs2d(n, n, steps, c), scalar)),
-            ),
-        ],
-        2000,
-    )
-}
-
-/// Figure 5e: GS-3D sequential.
-pub fn fig5e(scale: usize) -> Figure {
-    let cap = match scale {
-        0..=1 => 512,
-        2..=4 => 256,
-        _ => 128,
-    };
-    let sizes: Vec<usize> = [16usize, 32, 64, 128, 256, 512]
-        .into_iter()
-        .filter(|&n| n <= cap)
-        .collect();
-    let c = Gs3dCoeffs::classic(0.125);
-    let sel = Select::from_env();
-    let our = PlanBuilder::new().stride(2).select(sel);
-    let scalar = PlanBuilder::new().method(Method::Scalar);
-    seq_sweep(
-        "fig5e",
-        "GS-3D Sequential",
-        "N",
-        &sizes,
-        |n| n as f64,
-        |n| n * n * n,
-        vec![
-            (
-                "our",
-                Box::new(move |n, steps| (Problem::gs3d(n, n, n, steps, c), our)),
-            ),
-            (
-                "scalar",
-                Box::new(move |n, steps| (Problem::gs3d(n, n, n, steps, c), scalar)),
-            ),
-        ],
-        512,
-    )
-}
-
-/// Figure 5g: LCS sequential (one full DP table; Gcells/s). The temporal
-/// series is dispatched like every other figure: its plan resolves (and
-/// reports) the engine — the `i32×8` AVX2 LCS steady state on AVX2
-/// hosts, portable otherwise.
-pub fn fig5g(scale: usize) -> Figure {
-    let hi = match scale {
-        0..=1 => 17,
-        2..=4 => 16,
-        _ => 14,
-    };
-    let sel = Select::from_env();
-    let builders: [(&'static str, PlanBuilder); 2] = [
-        ("our", PlanBuilder::new().stride(1).select(sel)),
-        ("scalar", PlanBuilder::new().method(Method::Scalar)),
-    ];
-    let mut series: Vec<Series> = builders
-        .iter()
-        .map(|(label, _)| Series::new(label))
-        .collect();
-    // One run computes the whole n × n table, so the "step" count is n
-    // DP rows — fixed by the problem, not by the point budget.
-    for n in pow2_sizes(7, hi) {
-        let problem = Problem::lcs(n, n);
-        for (k, (_, builder)) in builders.iter().enumerate() {
-            let smp = plan_sample(&problem, *builder, &fill_state);
-            series[k].push((n as f64).log2(), gstencils(n, n, smp.secs), 1, &smp);
-        }
-    }
-    Figure {
-        id: "fig5g".into(),
-        title: "LCS Sequential".into(),
-        xlabel: "log2(N)".into(),
-        series,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel figures (right column of Figures 4 and 5)
-// ---------------------------------------------------------------------
-
-/// Figure 4b: Heat-1D parallel scaling (ghost-zone temporal bands; each
-/// plan owns its pool and in-tile engine resolution).
-pub fn fig4b(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).heat1d;
-    let c = Heat1dCoeffs::classic(0.25);
-    let sel = Select::from_env();
-    let ghost = Tiling::Ghost { block, height };
-    let mk = move |method: Method, stride: usize| -> ParRun<'static> {
-        let label = match method {
-            Method::Temporal => "our",
-            Method::Multiload => "auto",
-            _ => "scalar",
-        };
-        (
-            label,
-            Box::new(move || {
-                (
-                    Problem::heat1d(n, steps, c),
-                    PlanBuilder::new()
-                        .method(method)
-                        .tiling(ghost)
-                        .stride(stride)
-                        .select(sel),
-                )
-            }),
-        )
-    };
-    parallel_sweep(
-        "fig4b",
-        "Heat-1D Parallel",
-        max_cores,
-        n,
-        steps,
-        vec![
-            mk(Method::Temporal, 7),
-            mk(Method::Multiload, 7),
-            mk(Method::Scalar, 7),
-        ],
-    )
-}
-
-/// Shared scaffolding for the 2-D/3-D ghost-tiled parallel figures.
-// Justification: the parameter list mirrors the figure's sweep geometry; a params struct would obscure the harness call sites.
-#[allow(clippy::too_many_arguments)]
-fn ghost_par_fig(
-    id: &str,
-    title: &str,
-    max_cores: usize,
-    pts: usize,
-    steps: usize,
-    problem: Problem,
-    tiling: Tiling,
-    with_auto: bool,
-) -> Figure {
-    let sel = Select::from_env();
-    let mk = move |method: Method| -> ParRun<'static> {
-        let label = match method {
-            Method::Temporal => "our",
-            Method::Multiload => "auto",
-            _ => "scalar",
-        };
-        (
-            label,
-            Box::new(move || {
-                (
-                    problem,
-                    PlanBuilder::new()
-                        .method(method)
-                        .tiling(tiling)
-                        .stride(2)
-                        .select(sel),
-                )
-            }),
-        )
-    };
-    let mut runs = vec![mk(Method::Temporal)];
-    if with_auto {
-        runs.push(mk(Method::Multiload));
-    }
-    runs.push(mk(Method::Scalar));
-    parallel_sweep(id, title, max_cores, pts, steps, runs)
-}
-
-/// Figure 4d: Heat-2D parallel scaling.
-pub fn fig4d(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).heat2d;
-    ghost_par_fig(
-        "fig4d",
-        "Heat-2D Parallel",
-        max_cores,
-        n * n,
-        steps,
-        Problem::heat2d(n, n, steps, Heat2dCoeffs::classic(0.125)),
-        Tiling::Ghost { block, height },
-        true,
-    )
-}
-
-/// Figure 4f: Heat-3D parallel scaling.
-pub fn fig4f(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).heat3d;
-    ghost_par_fig(
-        "fig4f",
-        "Heat-3D Parallel",
-        max_cores,
-        n * n * n,
-        steps,
-        Problem::heat3d(n, n, n, steps, Heat3dCoeffs::classic(1.0 / 6.0)),
-        Tiling::Ghost { block, height },
-        true,
-    )
-}
-
-/// Figure 4h: 2D9P parallel scaling.
-pub fn fig4h(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).box2d;
-    ghost_par_fig(
-        "fig4h",
-        "2D9P Parallel",
-        max_cores,
-        n * n,
-        steps,
-        Problem::box2d(n, n, steps, Box2dCoeffs::smooth(0.1)),
-        Tiling::Ghost { block, height },
-        true,
-    )
-}
-
-/// Figure 4j: Life parallel scaling.
-pub fn fig4j(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).life;
-    ghost_par_fig(
-        "fig4j",
-        "Life Parallel",
-        max_cores,
-        n * n,
-        steps,
-        Problem::life(n, n, steps, LifeRule::b2s23()),
-        Tiling::Ghost { block, height },
-        true,
-    )
-}
-
-/// Shared scaffolding for the skew-tiled Gauss-Seidel parallel figures.
-// Justification: the parameter list mirrors the figure's sweep geometry; a params struct would obscure the harness call sites.
-#[allow(clippy::too_many_arguments)]
-fn skew_par_fig(
-    id: &str,
-    title: &str,
-    max_cores: usize,
-    pts: usize,
-    steps: usize,
-    problem: Problem,
-    tiling: Tiling,
-    stride: usize,
-) -> Figure {
-    let sel = Select::from_env();
-    let mk = move |method: Method| -> ParRun<'static> {
-        let label = if method == Method::Temporal {
-            "our"
-        } else {
-            "scalar"
-        };
-        (
-            label,
-            Box::new(move || {
-                (
-                    problem,
-                    PlanBuilder::new()
-                        .method(method)
-                        .tiling(tiling)
-                        .stride(stride)
-                        .select(sel),
-                )
-            }),
-        )
-    };
-    parallel_sweep(
-        id,
-        title,
-        max_cores,
-        pts,
-        steps,
-        vec![mk(Method::Temporal), mk(Method::Scalar)],
-    )
-}
-
-/// Figure 5b: GS-1D parallel scaling (pipelined parallelogram tiles).
-pub fn fig5b(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).gs1d;
-    skew_par_fig(
-        "fig5b",
-        "GS-1D Parallel",
-        max_cores,
-        n,
-        steps,
-        Problem::gs1d(n, steps, Gs1dCoeffs::classic(0.25)),
-        Tiling::Skew { block, height },
-        7,
-    )
-}
-
-/// Figure 5d: GS-2D parallel scaling.
-pub fn fig5d(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).gs2d;
-    skew_par_fig(
-        "fig5d",
-        "GS-2D Parallel",
-        max_cores,
-        n * n,
-        steps,
-        Problem::gs2d(n, n, steps, Gs2dCoeffs::classic(0.2)),
-        Tiling::Skew { block, height },
-        2,
-    )
-}
-
-/// Figure 5f: GS-3D parallel scaling.
-pub fn fig5f(scale: usize, max_cores: usize) -> Figure {
-    let (n, steps, block, height) = parallel_configs(scale).gs3d;
-    skew_par_fig(
-        "fig5f",
-        "GS-3D Parallel",
-        max_cores,
-        n * n * n,
-        steps,
-        Problem::gs3d(n, n, n, steps, Gs3dCoeffs::classic(0.125)),
-        Tiling::Skew { block, height },
-        2,
-    )
-}
-
-/// Figure 5h: LCS parallel scaling (rectangle tiles, wavefront). Routed
-/// through the same plan dispatch as every other figure; the rectangle
-/// workspace resolves the `i32×8` AVX2 steady state per block column on
-/// AVX2 hosts.
-pub fn fig5h(scale: usize, max_cores: usize) -> Figure {
-    let (n, xb, yb) = parallel_configs(scale).lcs;
-    let sel = Select::from_env();
-    let tiling = Tiling::LcsRect {
-        xblock: xb,
-        yblock: yb,
-    };
-    let mk = move |method: Method| -> ParRun<'static> {
-        let label = if method == Method::Temporal {
-            "our"
-        } else {
-            "scalar"
-        };
-        (
-            label,
-            Box::new(move || {
-                (
-                    Problem::lcs(n, n),
-                    PlanBuilder::new()
-                        .method(method)
-                        .tiling(tiling)
-                        .stride(1)
-                        .select(sel),
-                )
-            }),
-        )
-    };
-    parallel_sweep(
-        "fig5h",
-        "LCS Parallel",
-        max_cores,
-        n,
-        n,
-        vec![mk(Method::Temporal), mk(Method::Scalar)],
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -1447,11 +1128,7 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
     ];
     let mut rows = vec![];
     for (kind, problem, strides, register_strides) in kinds {
-        let default = PlanBuilder::new()
-            .build(&problem)
-            // Panic-justification: hard-coded, accepted configurations.
-            .expect("bench configurations are valid by construction")
-            .stride();
+        let default = default_stride(&problem);
         for s in strides {
             let (best, engine) = best_of_20(&problem, PlanBuilder::new().stride(s).select(sel));
             rows.push(StrideRow {
@@ -1470,75 +1147,34 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
     }
 }
 
-/// §2.2 baseline comparison: all five sequential schemes on Heat-1D,
-/// each as a plan method.
-pub fn ablate_baselines(scale: usize) -> Figure {
-    let hi = if scale <= 2 { 22 } else { 19 };
-    let c = Heat1dCoeffs::classic(0.25);
-    let sel = Select::from_env();
-    let schemes: [(&'static str, PlanBuilder); 5] = [
-        ("our", PlanBuilder::new().stride(7).select(sel)),
+/// The five schemes of [`ablate_baselines`]; "our" is the plan a user
+/// gets, like every figure's.
+fn baseline_schemes() -> [(&'static str, PlanBuilder); 5] {
+    [
+        ("our", PlanBuilder::new().select(Select::from_env())),
         ("multiload", PlanBuilder::new().method(Method::Multiload)),
         ("reorg", PlanBuilder::new().method(Method::Reorg)),
         ("dlt", PlanBuilder::new().method(Method::Dlt)),
         ("scalar", PlanBuilder::new().method(Method::Scalar)),
-    ];
+    ]
+}
+
+/// §2.2 baseline comparison: all five sequential schemes on Heat-1D,
+/// each as a plan method.
+pub fn ablate_baselines(scale: usize) -> Figure {
+    let ladder = Geometry {
+        lo_exp: 10,
+        cap: |scale| 1 << if scale <= 2 { 22 } else { 19 },
+        steps_hi: 16384,
+        ..LINE
+    };
     seq_sweep(
         "ablate-baselines",
         "All vectorization schemes (Heat-1D sequential)",
-        "log2(N)",
-        &pow2_sizes(10, hi),
-        |n| (n as f64).log2(),
-        |n| n,
-        schemes
-            .into_iter()
-            .map(|(label, b)| -> SeqRun<'_> {
-                (
-                    label,
-                    Box::new(move |n, steps| (Problem::heat1d(n, steps, c), b)),
-                )
-            })
-            .collect(),
-        16384,
-    )
-}
-
-/// Wavefront-schedule A/B: the dependence-counter pipelined schedule
-/// versus the legacy barrier-per-anti-diagonal schedule on the skew-tiled
-/// GS-2D workload, across core counts. Both schedules are bit-identical
-/// (verified by the tiling test suite); this ablation measures only the
-/// synchronization cost the barrier adds per wave.
-pub fn ablate_waves(scale: usize, max_cores: usize) -> Figure {
-    use tempora_plan::WaveSchedule;
-    let (n, steps, block, height) = parallel_configs(scale).gs2d;
-    let c = Gs2dCoeffs::classic(0.2);
-    let sel = Select::from_env();
-    let tiling = Tiling::Skew { block, height };
-    let mk = move |label: &'static str, schedule: WaveSchedule| -> ParRun<'static> {
-        (
-            label,
-            Box::new(move || {
-                (
-                    Problem::gs2d(n, n, steps, c),
-                    PlanBuilder::new()
-                        .stride(2)
-                        .select(sel)
-                        .tiling(tiling)
-                        .wave_schedule(schedule),
-                )
-            }),
-        )
-    };
-    parallel_sweep(
-        "ablate-waves",
-        "Wavefront schedule A/B (GS-2D, pipelined vs barrier)",
-        max_cores,
-        n * n,
-        steps,
-        vec![
-            mk("pipelined", WaveSchedule::Pipelined),
-            mk("barrier", WaveSchedule::Barrier),
-        ],
+        BENCHMARKS[0].problem,
+        &ladder,
+        scale,
+        &baseline_schemes(),
     )
 }
 
@@ -1873,13 +1509,9 @@ mod tests {
     fn plan_sample_reports_engine_for_temporal_only() {
         let c = Heat1dCoeffs::classic(0.25);
         let problem = Problem::heat1d(512, 8, c);
-        let our = plan_sample(&problem, PlanBuilder::new().stride(7), &fill_state);
+        let our = plan_sample(&problem, PlanBuilder::new().stride(7));
         assert!(our.engine.is_some());
-        let scalar = plan_sample(
-            &problem,
-            PlanBuilder::new().method(Method::Scalar),
-            &fill_state,
-        );
+        let scalar = plan_sample(&problem, PlanBuilder::new().method(Method::Scalar));
         assert!(scalar.engine.is_none());
     }
 
@@ -1894,7 +1526,7 @@ mod tests {
             Some("portable")
         };
         let problem = Problem::lcs(128, 128);
-        let seq = plan_sample(&problem, PlanBuilder::new().stride(1), &fill_state);
+        let seq = plan_sample(&problem, PlanBuilder::new().stride(1));
         assert_eq!(seq.engine, expect);
         let par = plan_sample(
             &problem,
@@ -1905,25 +1537,97 @@ mod tests {
                     yblock: 32,
                 })
                 .threads(2),
-            &fill_state,
         );
         assert_eq!(par.engine, expect);
         // Forced portable stays portable.
         let forced = plan_sample(
             &problem,
             PlanBuilder::new().stride(1).select(Select::Portable),
-            &fill_state,
         );
         assert_eq!(forced.engine, Some("portable"));
     }
 
     #[test]
     fn parallel_configs_scale_down() {
-        let p1 = parallel_configs(1);
-        let p16 = parallel_configs(16);
-        assert!(p16.heat1d.0 < p1.heat1d.0);
-        assert!(p16.lcs.0 < p1.lcs.0);
-        assert!(p16.heat2d.0 >= 128);
+        for row in &BENCHMARKS {
+            let (p1, p16) = (row.parallel_config(1), row.parallel_config(16));
+            assert!(p16.n < p1.n, "{}", row.name);
+            assert!(p16.n >= row.geometry.size.1, "{}", row.name);
+            // Whatever the scale, the floors keep the row runnable.
+            let floor = row.parallel_config(usize::MAX);
+            assert_eq!(floor.n, row.geometry.size.1, "{}", row.name);
+        }
+    }
+
+    /// Build `builder` against `problem`; a `PlanError` fails the test
+    /// with the configuration that caused it.
+    fn build(what: &str, problem: &Problem, builder: PlanBuilder) -> tempora_plan::Plan {
+        builder
+            .build(problem)
+            .unwrap_or_else(|e| panic!("{what}: {builder:?} on {problem:?}: {e}"))
+    }
+
+    #[test]
+    fn every_benchmark_row_builds_its_plans() {
+        // The CI smoke geometry. Plans are built only; nothing is timed.
+        let scale = 512;
+        for row in &BENCHMARKS {
+            let g = row.geometry;
+            for n in g.sizes(scale) {
+                let problem = (row.problem)(n, g.sweep_steps(n));
+                for (label, builder) in row.builders(Tiling::None) {
+                    build(&format!("{} {label}", row.seq_id), &problem, builder);
+                }
+            }
+            let cfg = row.parallel_config(scale);
+            let problem = (row.problem)(cfg.n, cfg.steps);
+            for (label, builder) in row.builders(cfg.tiling) {
+                for cores in [1, 2] {
+                    let what = format!("{} {label} at {cores}", row.par_id);
+                    build(&what, &problem, builder.threads(cores).pin(true));
+                }
+            }
+        }
+        // The table reproduces the paper's figure numbering.
+        let mut ids: Vec<&str> = BENCHMARKS
+            .iter()
+            .flat_map(|b| [b.seq_id, b.par_id])
+            .collect();
+        ids.sort_unstable();
+        let expect: Vec<String> = ("abcdefghij".chars().map(|c| format!("fig4{c}")))
+            .chain("abcdefgh".chars().map(|c| format!("fig5{c}")))
+            .collect();
+        assert_eq!(ids, expect);
+    }
+
+    #[test]
+    fn figures_run_the_default_stride() {
+        // A figure's "our" series publishes what a user's default plan
+        // delivers: the stride it records is `Plan::stride()` of a plan
+        // built with nothing but the tiling set.
+        let recorded = |problem: &Problem, (label, builder): (&'static str, PlanBuilder)| {
+            assert_eq!(label, "our");
+            let mut series = Series::new(label);
+            series.push(0.0, 0.0, 1, &plan_sample(problem, builder));
+            series.strides[0]
+        };
+        for row in &BENCHMARKS {
+            let cfg = row.parallel_config(512);
+            let problem = (row.problem)(cfg.n, cfg.steps);
+            for tiling in [Tiling::None, cfg.tiling] {
+                let default = build(row.name, &problem, PlanBuilder::new().tiling(tiling)).stride();
+                let our = row.builders(tiling)[0];
+                assert_eq!(
+                    recorded(&problem, our),
+                    Some(default),
+                    "{} {tiling:?}",
+                    row.name
+                );
+            }
+        }
+        let problem = (BENCHMARKS[0].problem)(4096, 8);
+        let default = build("ablate-baselines", &problem, PlanBuilder::new()).stride();
+        assert_eq!(recorded(&problem, baseline_schemes()[0]), Some(default));
     }
 
     #[test]

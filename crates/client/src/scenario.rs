@@ -8,7 +8,7 @@
 //! | scenario | shape |
 //! |---|---|
 //! | `baseline` | 1 connection, 1 spec — pure cached-path latency |
-//! | `fan-out` | N connections, 1 shared spec — combiner batching under contention |
+//! | `fan-out` | N connections, 1 shared spec — requests taking turns on one plan |
 //! | `fan-in` | N connections, N distinct specs — shard spread, no plan sharing |
 //! | `churn` | N connections rotating through more specs than the cache holds — eviction pressure |
 
@@ -105,7 +105,8 @@ pub struct Outcome {
     /// is summed by the harness via server stats; this is the per-reply
     /// build-attribution count: replies that triggered a build).
     pub built: u64,
-    /// Largest combiner batch observed.
+    /// Largest `RunReply::batched` observed: the peak number of
+    /// concurrent requests for one plan.
     pub max_batched: u32,
     /// Retry attempts beyond each request's first try (retry mode).
     pub retries: u64,

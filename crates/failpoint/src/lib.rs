@@ -34,17 +34,14 @@
 //!   suite uses.
 //!
 //! Each directive fires at most once; [`clear`]ing and re-[`arm`]ing resets
-//! the hit counters. Three actions are supported:
+//! the hit counters. Two actions are supported:
 //!
 //! - `panic` — throw a panic at the site, exercising the containment and
 //!   recovery paths in `tempora_parallel`, `tempora_plan` and
 //!   `tempora_server` (a panic in a connection thread *is* a dropped
 //!   connection);
 //! - `sleep:MS` — block the hitting thread for `MS` milliseconds,
-//!   modelling a stalled peer or a slow I/O path without killing it;
-//! - `exit:CODE` — terminate the whole process with `CODE` immediately
-//!   (no unwinding, no drain), modelling a server crash mid-scenario for
-//!   the network-chaos harness.
+//!   modelling a stalled peer or a slow I/O path without killing it.
 
 /// True when this build carries live failpoints.
 ///
@@ -112,8 +109,6 @@ mod imp {
         Panic,
         /// Block the hitting thread for this many milliseconds.
         Sleep(u64),
-        /// Terminate the process with this exit code (no unwinding).
-        Exit(i32),
     }
 
     /// One armed directive: act on the `at`-th hit of its key.
@@ -187,14 +182,9 @@ mod imp {
                         "malformed failpoint directive `{directive}`: `sleep:{ms}` wants milliseconds"
                     )
                 })),
-                Some(("exit", code)) => Action::Exit(code.parse().unwrap_or_else(|_| {
-                    panic!(
-                        "malformed failpoint directive `{directive}`: `exit:{code}` wants an exit code"
-                    )
-                })),
                 _ => panic!(
                     "malformed failpoint directive `{directive}`: unsupported action `{action}` \
-                     (expected `panic`, `sleep:MS` or `exit:CODE`)"
+                     (expected `panic` or `sleep:MS`)"
                 ),
             };
             if at == 0 {
@@ -252,7 +242,6 @@ mod imp {
                         let what = match arm.action {
                             Action::Panic => "panic".to_owned(),
                             Action::Sleep(ms) => format!("{ms}ms sleep"),
-                            Action::Exit(code) => format!("exit({code})"),
                         };
                         trip = Some((
                             arm.action,
@@ -277,10 +266,6 @@ mod imp {
             Some((Action::Panic, msg)) => panic!("{msg}"),
             Some((Action::Sleep(ms), _)) => {
                 std::thread::sleep(std::time::Duration::from_millis(ms))
-            }
-            Some((Action::Exit(code), msg)) => {
-                eprintln!("tempora_failpoint: {msg} — exiting");
-                std::process::exit(code)
             }
             None => {}
         }

@@ -5,7 +5,7 @@
 //! beyond `align_of::<T>()`, so the workspace allocates through
 //! [`AlignedBuf`], a minimal owned buffer with a fixed 64-byte alignment.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,6 +13,10 @@ use tempora_simd::Scalar;
 
 /// Cache-line alignment used for every grid allocation (bytes).
 pub const GRID_ALIGN: usize = 64;
+
+/// Buffers below this many bytes come out of the allocator's heap rather
+/// than a mapping of their own (glibc's initial `M_MMAP_THRESHOLD`).
+const HEAP_SERVED: usize = 128 << 10;
 
 /// Process-wide count of non-empty [`AlignedBuf`] allocations.
 ///
@@ -39,6 +43,8 @@ pub fn alloc_count() -> u64 {
 /// Dereferences to `[T]`; all element access goes through ordinary slices,
 /// so the only `unsafe` in this type is the allocation itself.
 pub struct AlignedBuf<T: Scalar> {
+    /// The allocation `ptr` was aligned within.
+    base: *mut u8,
     ptr: *mut T,
     len: usize,
 }
@@ -55,6 +61,7 @@ impl<T: Scalar> AlignedBuf<T> {
     pub fn zeroed(len: usize) -> Self {
         if len == 0 {
             return AlignedBuf {
+                base: core::ptr::null_mut(),
                 ptr: core::ptr::NonNull::<T>::dangling().as_ptr(),
                 len: 0,
             };
@@ -69,11 +76,17 @@ impl<T: Scalar> AlignedBuf<T> {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         let layout = Self::layout(len);
         // SAFETY: layout has non-zero size (len > 0) and valid alignment.
-        let raw = unsafe { alloc_zeroed(layout) } as *mut T;
-        if raw.is_null() {
+        let base = unsafe { alloc(layout) };
+        if base.is_null() {
             handle_alloc_error(layout);
         }
-        AlignedBuf { ptr: raw, len }
+        // The first GRID_ALIGN boundary at or after `base`.
+        let ptr = base.wrapping_add((base as usize).wrapping_neg() % GRID_ALIGN) as *mut T;
+        // SAFETY: `ptr` is `base` when the layout asked the allocator for
+        // the alignment, and otherwise less than GRID_ALIGN bytes into a
+        // layout that holds GRID_ALIGN bytes more than the `len` elements.
+        unsafe { ptr.write_bytes(0, len) };
+        AlignedBuf { base, ptr, len }
     }
 
     /// Allocate `len` elements, all set to `fill`.
@@ -87,11 +100,23 @@ impl<T: Scalar> AlignedBuf<T> {
 
     fn layout(len: usize) -> Layout {
         let bytes = len * core::mem::size_of::<T>();
+        // A buffer small enough for the allocator's heap is aligned by
+        // hand inside an ordinary allocation with room to reach the next
+        // boundary: glibc's `posix_memalign` (2.36) cannot give a freed
+        // buffer's hole to the next buffer of the same size, so a server
+        // that allocates, runs and frees one state per request pinned
+        // several buffers' worth of heap for every one in use. Larger
+        // buffers get a mapping of their own and leave no holes.
+        let (bytes, align) = if bytes < HEAP_SERVED {
+            (bytes + GRID_ALIGN, core::mem::align_of::<T>())
+        } else {
+            (bytes, GRID_ALIGN)
+        };
         // Panic-justification: a byte size overflowing isize::MAX cannot
         // be allocated on any supported target; there is no fallible
         // grid-construction API to surface it through, and real callers
         // run out of memory (handle_alloc_error) long before this bound.
-        Layout::from_size_align(bytes, GRID_ALIGN).expect("grid allocation too large")
+        Layout::from_size_align(bytes, align).expect("grid allocation too large")
     }
 
     /// Number of elements.
@@ -128,7 +153,7 @@ impl<T: Scalar> Drop for AlignedBuf<T> {
     fn drop(&mut self) {
         if self.len != 0 {
             // SAFETY: allocated in `zeroed` with the identical layout.
-            unsafe { dealloc(self.ptr as *mut u8, Self::layout(self.len)) };
+            unsafe { dealloc(self.base, Self::layout(self.len)) };
         }
     }
 }
@@ -153,7 +178,10 @@ mod tests {
 
     #[test]
     fn alignment_and_zeroing() {
-        for len in [1usize, 3, 64, 1000, 4097] {
+        // Both sides of HEAP_SERVED.
+        for len in [1usize, 3, 64, 1000, 4097, 16383, 16384, 20_000] {
+            // A buffer that takes over a freed one's memory is zeroed too.
+            drop(AlignedBuf::<f64>::filled(len, 7.0));
             let b = AlignedBuf::<f64>::zeroed(len);
             assert_eq!(b.as_ptr() as usize % GRID_ALIGN, 0);
             assert_eq!(b.len(), len);

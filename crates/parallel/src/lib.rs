@@ -5,19 +5,21 @@
 //! replacing the authors' OpenMP runtime with a small pinned-worker
 //! executor:
 //!
-//! * [`Pool::for_each_index`] — a parallel-for with chunked atomic work
-//!   claiming, used where every task of a region is independent;
 //! * [`Pool::for_each_owned`] — a parallel-for with **static contiguous
 //!   ownership**: index `i` always runs on the same worker, so a
 //!   workspace can first-touch its arenas from the worker that will
 //!   later advance them (NUMA-correct page placement);
 //! * [`Pool::waves`] — a wavefront over a `(band, block)` grid with the
 //!   dependence pattern of skewed/rectangular time tiling (`(b, i)`
-//!   waits for `(b, i-1)` and `(b-1, i..=i+1)`). The default
-//!   [`WaveSchedule::Pipelined`] schedule tracks per-task predecessor
-//!   counts and releases each task the moment its last dependence
-//!   completes — no full-pool barrier per anti-diagonal; the legacy
-//!   [`WaveSchedule::Barrier`] schedule is kept for A/B ablations;
+//!   waits for `(b, i-1)` and `(b-1, i..=i+1)`): a dependence-counter
+//!   pipeline that tracks per-task predecessor counts and releases each
+//!   task the moment its last dependence completes — no full-pool
+//!   barrier per anti-diagonal;
+//! * [`Pool::for_each_index`] — a bare dynamic region (one index per
+//!   atomic claim), the kind the pipeline claims its ready slots
+//!   through. No tiling dispatches it; it is public because the `ledger`
+//!   benchmark times a no-op region through it
+//!   (`parallel.dispatch_us`);
 //! * per-core **pinning** ([`PoolConfig::pin`]) via `sched_setaffinity`
 //!   on Linux/x86_64 behind a capability probe, a no-op elsewhere;
 //! * [`SyncSlice`] — a shared-mutable slice handle for tile executors
@@ -45,22 +47,6 @@ use tempora_failpoint::failpoint;
 
 mod affinity;
 
-/// Which schedule [`Pool::waves`] dispatches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum WaveSchedule {
-    /// Dependence-counter pipeline: every `(band, block)` task carries
-    /// an atomic count of its ≤ 3 unfinished predecessors and is
-    /// released to a ready queue the moment the last one completes, so
-    /// bands overlap and no full-pool barrier runs per anti-diagonal.
-    /// The default.
-    #[default]
-    Pipelined,
-    /// The legacy bulk-synchronous schedule: anti-diagonal `w = 2b + i`
-    /// runs as one parallel region with a barrier between waves. Kept
-    /// behind this flag for A/B comparison in ablation runs.
-    Barrier,
-}
-
 /// Construction-time options for [`Pool::with_config`].
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
@@ -70,8 +56,6 @@ pub struct PoolConfig {
     /// Best-effort: [`Pool::is_pinned`] reports whether every pin took
     /// effect. The dispatcher's original affinity is restored on drop.
     pub pin: bool,
-    /// The schedule [`Pool::waves`] uses.
-    pub schedule: WaveSchedule,
     /// Opt-in wavefront watchdog: when set, a worker that observes no
     /// publish-cursor progress for this long while waiting on a ready
     /// slot panics with a task-graph snapshot instead of spinning
@@ -82,13 +66,11 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Options for an unpinned pool of `threads` workers with the
-    /// default pipelined wavefront schedule.
+    /// Options for an unpinned pool of `threads` workers.
     pub fn new(threads: usize) -> Self {
         PoolConfig {
             threads,
             pin: false,
-            schedule: WaveSchedule::Pipelined,
             stall_timeout: None,
         }
     }
@@ -96,12 +78,6 @@ impl PoolConfig {
     /// Request per-core pinning.
     pub fn pin(mut self, pin: bool) -> Self {
         self.pin = pin;
-        self
-    }
-
-    /// Select the wavefront schedule.
-    pub fn schedule(mut self, schedule: WaveSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -142,8 +118,8 @@ unsafe impl Send for TaskRef {}
 /// How a region's index space is handed to the workers.
 #[derive(Clone, Copy)]
 enum RegionSpec {
-    /// Workers claim runs of `chunk` indices per `fetch_add`.
-    Dynamic { n: usize, chunk: usize },
+    /// Workers claim one index per `fetch_add`.
+    Dynamic { n: usize },
     /// Worker `w` of `T` statically owns indices
     /// `[w·n/T, (w+1)·n/T)` — no atomics, and index `i` lands on the
     /// same worker in every region of the same size.
@@ -240,26 +216,20 @@ pub struct Pool {
     threads: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
     pinned: bool,
-    schedule: WaveSchedule,
     /// The dispatcher's pre-pinning affinity, restored on drop.
     caller_mask: Option<affinity::Mask>,
 }
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Pool(threads={}, pinned={}, schedule={:?})",
-            self.threads, self.pinned, self.schedule
-        )
+        write!(f, "Pool(threads={}, pinned={})", self.threads, self.pinned)
     }
 }
 
 impl Pool {
     /// Create an unpinned pool using `threads` workers (clamped to
-    /// ≥ 1) and the default pipelined wavefront schedule. One of the
-    /// workers is the caller itself, so `threads - 1` OS threads are
-    /// spawned.
+    /// ≥ 1). One of the workers is the caller itself, so `threads - 1`
+    /// OS threads are spawned.
     pub fn new(threads: usize) -> Self {
         Pool::with_config(PoolConfig::new(threads))
     }
@@ -352,7 +322,6 @@ impl Pool {
             threads,
             handles,
             pinned,
-            schedule: cfg.schedule,
             caller_mask,
         };
         // A panic during worker startup (failpoint-injected) is re-thrown
@@ -365,15 +334,6 @@ impl Pool {
         pool
     }
 
-    /// A pool sized to the machine.
-    pub fn max() -> Self {
-        Pool::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
     /// Number of workers (including the dispatching thread).
     pub fn threads(&self) -> usize {
         self.threads
@@ -383,11 +343,6 @@ impl Pool {
     /// (workers and dispatcher) was successfully pinned to a CPU.
     pub fn is_pinned(&self) -> bool {
         self.pinned
-    }
-
-    /// The wavefront schedule [`Pool::waves`] dispatches.
-    pub fn wave_schedule(&self) -> WaveSchedule {
-        self.schedule
     }
 
     /// Whether this platform supports thread-to-core pinning at all
@@ -448,9 +403,11 @@ impl Pool {
         self.shared.take_panic()
     }
 
-    /// Run `f(i)` for every `i ∈ 0..n`, distributing indices over the
-    /// workers in chunked runs claimed off one atomic counter. Returns
-    /// when all tasks finished (bulk-synchronous).
+    /// Run `f(i)` for every `i ∈ 0..n`, workers claiming one index at a
+    /// time off one atomic counter. Returns when all tasks finished
+    /// (bulk-synchronous). [`Pool::waves`] hands out its ready-slot
+    /// tickets through the same kind of region; see the crate docs for
+    /// why this one is public.
     ///
     /// # Panics
     /// Re-throws the first panic raised by `f` after the region has
@@ -467,10 +424,7 @@ impl Pool {
             }
             return;
         }
-        // ~4 chunks per worker: coarse enough that tiny tile regions
-        // stop hammering the shared counter, fine enough to balance.
-        let chunk = (n / (self.threads * 4)).max(1);
-        if let Some(payload) = self.dispatch(RegionSpec::Dynamic { n, chunk }, &f) {
+        if let Some(payload) = self.dispatch(RegionSpec::Dynamic { n }, &f) {
             resume_unwind(payload);
         }
     }
@@ -484,7 +438,8 @@ impl Pool {
     ///
     /// # Panics
     /// Re-throws the first panic raised by `f` after the region has
-    /// drained, like [`Pool::for_each_index`].
+    /// drained (remaining indices are skipped, none run twice). The pool
+    /// itself survives and can dispatch further regions.
     pub fn for_each_owned<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -506,13 +461,18 @@ impl Pool {
 
     /// Execute `f(band, block)` for all `(band, block) ∈ n_bands ×
     /// n_blocks` respecting the dependences of skewed time tiling —
-    /// `(b, i)` after `(b, i-1)`, `(b-1, i)` and `(b-1, i+1)` — using
-    /// the pool's configured [`WaveSchedule`].
+    /// `(b, i)` after `(b, i-1)`, `(b-1, i)` and `(b-1, i+1)` — as a
+    /// dependence-counter pipeline. One parallel region covers the whole
+    /// grid: every task carries an atomic count of its ≤ 3 unfinished
+    /// predecessors, decremented as they complete, and is published to a
+    /// lock-free ready queue when the count hits zero. Workers claim
+    /// ready slots in publish order, so bands overlap, no full-pool
+    /// barrier runs per anti-diagonal and the pool is woken exactly once.
     ///
-    /// Tasks that may run concurrently under either schedule are at
-    /// band distance ≥ 1 and block distance ≥ 2, which the tiling
-    /// layer uses to prove write-set disjointness. `f` must not
-    /// dispatch further regions on this pool.
+    /// Tasks that may run concurrently are at band distance ≥ 1 and
+    /// block distance ≥ 2, which the tiling layer uses to prove
+    /// write-set disjointness. `f` must not dispatch further regions on
+    /// this pool.
     ///
     /// # Panics
     /// Re-throws the first panic raised by `f` after the wavefront has
@@ -521,23 +481,6 @@ impl Pool {
     /// a dead predecessor. The pool (and its wave scratch) is left
     /// reusable for the next job.
     pub fn waves<F>(&self, n_bands: usize, n_blocks: usize, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        match self.schedule {
-            WaveSchedule::Pipelined => self.waves_pipelined(n_bands, n_blocks, f),
-            WaveSchedule::Barrier => self.waves_barrier(n_bands, n_blocks, f),
-        }
-    }
-
-    /// The dependence-counter pipelined wavefront (see
-    /// [`WaveSchedule::Pipelined`]). One parallel region covers the
-    /// whole `(band, block)` grid: each task's atomic predecessor count
-    /// is decremented as its dependences complete, and the task is
-    /// published to a lock-free ready queue when the count hits zero.
-    /// Workers claim ready slots in publish order, so bands overlap and
-    /// the pool is woken exactly once.
-    pub fn waves_pipelined<F>(&self, n_bands: usize, n_blocks: usize, f: F)
     where
         F: Fn(usize, usize) + Sync,
     {
@@ -691,9 +634,9 @@ impl Pool {
                 }
             }
         };
-        // chunk = 1: tickets are awaited individually, so claiming runs
-        // would serialize the pipeline's release order.
-        let panicked = self.dispatch(RegionSpec::Dynamic { n: total, chunk: 1 }, &run_one);
+        // Tickets are claimed (and awaited) one at a time: claiming runs
+        // of them would serialize the pipeline's release order.
+        let panicked = self.dispatch(RegionSpec::Dynamic { n: total }, &run_one);
         if let Some(payload) = panicked {
             // A cancelled wavefront leaves counts/slots mid-flight; zero
             // the used prefix so the scratch is back to a clean reusable
@@ -712,38 +655,6 @@ impl Pool {
             // Ordering: Relaxed — see the reset-block comment above.
             scratch.cursor.store(0, Ordering::Relaxed);
             resume_unwind(payload);
-        }
-    }
-
-    /// The legacy bulk-synchronous wavefront (see
-    /// [`WaveSchedule::Barrier`]): wave `w` runs every task with
-    /// `2·band + block == w`, waves in ascending order with a full-pool
-    /// barrier between them. Kept for A/B ablation against
-    /// [`Pool::waves_pipelined`].
-    pub fn waves_barrier<F>(&self, n_bands: usize, n_blocks: usize, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        if n_bands == 0 || n_blocks == 0 {
-            return;
-        }
-        let max_wave = 2 * (n_bands - 1) + (n_blocks - 1);
-        for w in 0..=max_wave {
-            // Tasks on this wave: band b with block i = w - 2b.
-            let b_lo = w.saturating_sub(n_blocks - 1).div_ceil(2);
-            let b_hi = (w / 2).min(n_bands - 1);
-            if b_lo > b_hi {
-                continue;
-            }
-            let count = b_hi - b_lo + 1;
-            // A panic inside a wave propagates out of `for_each_index`
-            // after that wave drained; the remaining waves never start.
-            self.for_each_index(count, |k| {
-                let b = b_lo + k;
-                let i = w - 2 * b;
-                failpoint!("wave_task", b, i);
-                f(b, i);
-            });
         }
     }
 }
@@ -791,23 +702,18 @@ fn run_task_contained(shared: &PoolShared, task: TaskRef, i: usize) {
 /// worker thread; once the cancel flag is up, remaining work is skipped.
 fn run_region(shared: &PoolShared, id: usize, task: TaskRef, spec: RegionSpec) {
     match spec {
-        RegionSpec::Dynamic { n, chunk } => loop {
+        RegionSpec::Dynamic { n } => loop {
             if shared.cancelled() {
                 break;
             }
-            // Ordering: Relaxed — the counter only parcels out index
-            // ranges; the task closure itself was published through the
-            // state mutex, and claimers need no cross-claim ordering.
-            let start = shared.next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
+            // Ordering: Relaxed — the counter only parcels out indices;
+            // the task closure itself was published through the state
+            // mutex, and claimers need no cross-claim ordering.
+            let i = shared.next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
                 break;
             }
-            for i in start..(start + chunk).min(n) {
-                if shared.cancelled() {
-                    break;
-                }
-                run_task_contained(shared, task, i);
-            }
+            run_task_contained(shared, task, i);
         },
         RegionSpec::Owned { n } => {
             let t = shared.threads;
@@ -1013,18 +919,13 @@ mod tests {
     /// The stamp oracle shared by every wavefront test: run the
     /// schedule, then check that each task's completion stamp is after
     /// all three of its dependences.
-    fn check_wave_order(pool: &Pool, nb: usize, nc: usize, barrier: bool) {
+    fn check_wave_order(pool: &Pool, nb: usize, nc: usize) {
         let log = Mutex::new(Vec::new());
         let stamp = AtomicU64::new(0);
-        let record = |b: usize, i: usize| {
+        pool.waves(nb, nc, |b: usize, i: usize| {
             let t = stamp.fetch_add(1, Ordering::SeqCst);
             log.lock().unwrap().push((b, i, t));
-        };
-        if barrier {
-            pool.waves_barrier(nb, nc, record);
-        } else {
-            pool.waves_pipelined(nb, nc, record);
-        }
+        });
         let log = log.into_inner().unwrap();
         assert_eq!(log.len(), nb * nc);
         let stamp_of = |b: usize, i: usize| log.iter().find(|e| e.0 == b && e.1 == i).unwrap().2;
@@ -1051,22 +952,9 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::new(threads);
             for (nb, nc) in [(5usize, 7usize), (1, 9), (6, 1), (3, 3)] {
-                check_wave_order(&pool, nb, nc, false);
-                check_wave_order(&pool, nb, nc, true);
+                check_wave_order(&pool, nb, nc);
             }
         }
-    }
-
-    #[test]
-    fn waves_dispatches_configured_schedule() {
-        let pool = Pool::with_config(PoolConfig::new(2).schedule(WaveSchedule::Barrier));
-        assert_eq!(pool.wave_schedule(), WaveSchedule::Barrier);
-        let count = AtomicUsize::new(0);
-        pool.waves(4, 5, |_, _| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 20);
-        assert_eq!(Pool::new(1).wave_schedule(), WaveSchedule::Pipelined);
     }
 
     #[test]
@@ -1103,7 +991,7 @@ mod tests {
         // honest no-op, never a panic.
         assert_eq!(pool.is_pinned(), Pool::pinning_supported());
         let count = AtomicUsize::new(0);
-        pool.for_each_index(100, |_| {
+        pool.for_each_owned(100, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         pool.waves(3, 4, |_, _| {
@@ -1117,7 +1005,7 @@ mod tests {
         let pool = Pool::new(4);
         let mut data = vec![0u64; 64];
         let shared = SyncSlice::new(&mut data);
-        pool.for_each_index(8, |i| {
+        pool.for_each_owned(8, |i| {
             // SAFETY: each task writes a disjoint 8-element block.
             let s = unsafe { shared.slice_mut() };
             for v in &mut s[i * 8..(i + 1) * 8] {
@@ -1132,7 +1020,7 @@ mod tests {
     #[test]
     fn pool_sizes() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert!(Pool::max().threads() >= 1);
+        assert_eq!(Pool::new(3).threads(), 3);
     }
 
     /// Snapshot the wave scratch (counts prefix, slots prefix, cursor)
@@ -1160,7 +1048,7 @@ mod tests {
         let pool = Pool::new(4);
         let run = |nb: usize, nc: usize| {
             let hits: Vec<AtomicUsize> = (0..nb * nc).map(|_| AtomicUsize::new(0)).collect();
-            pool.waves_pipelined(nb, nc, |b, i| {
+            pool.waves(nb, nc, |b, i| {
                 hits[b * nc + i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -1235,7 +1123,7 @@ mod tests {
         }
     }
 
-    /// Containment on both wavefront schedules: an injected task panic
+    /// Containment in the wavefront: an injected task panic
     /// neither deadlocks peers (the dead task's successors are released
     /// but skipped) nor poisons the pool — the next wavefront on the same
     /// pool reproduces the sequential dataflow bitwise.
@@ -1260,50 +1148,44 @@ mod tests {
             }
         }
         for threads in [1usize, 2, 4, 8] {
-            for schedule in [WaveSchedule::Pipelined, WaveSchedule::Barrier] {
-                let pool = Pool::with_config(PoolConfig::new(threads).schedule(schedule));
-                let err = catch_unwind(AssertUnwindSafe(|| {
-                    pool.waves(nb, nc, |b, i| {
-                        if (b, i) == (2, 3) {
-                            panic!("boom-wave");
-                        }
-                    });
-                }))
-                .expect_err("panic must propagate out of waves");
-                assert_eq!(
-                    payload_str(&*err),
-                    "boom-wave",
-                    "threads={threads} schedule={schedule:?}"
-                );
-                if schedule == WaveSchedule::Pipelined && threads > 1 {
-                    // The pipelined queue must be reset to a clean
-                    // reusable state, not left mid-flight.
-                    let (counts, slots, cursor) = scratch_state(&pool, nb * nc);
-                    assert!(counts.iter().all(|&c| c == 0), "counts {counts:?}");
-                    assert!(slots.iter().all(|&s| s == 0), "slots {slots:?}");
-                    assert_eq!(cursor, 0);
-                }
-                // Survival: the next job on the same pool is bitwise
-                // identical to the sequential reference.
-                let mut cells = vec![0u64; nb * nc];
-                let shared = SyncSlice::new(&mut cells);
+            let pool = Pool::new(threads);
+            let err = catch_unwind(AssertUnwindSafe(|| {
                 pool.waves(nb, nc, |b, i| {
-                    // SAFETY: task (b, i) writes only cell b*nc+i and
-                    // reads only predecessor cells, whose tasks completed
-                    // before this one was released (the waves dependence
-                    // contract).
-                    let cells = unsafe { shared.slice_mut() };
-                    let left = if i > 0 { cells[b * nc + i - 1] } else { 7 };
-                    let below = if b > 0 { cells[(b - 1) * nc + i] } else { 11 };
-                    let right = if b > 0 && i + 1 < nc {
-                        cells[(b - 1) * nc + i + 1]
-                    } else {
-                        13
-                    };
-                    cells[b * nc + i] = mix(left, below, right, (b * nc + i) as u64);
+                    if (b, i) == (2, 3) {
+                        panic!("boom-wave");
+                    }
                 });
-                assert_eq!(cells, gold, "threads={threads} schedule={schedule:?}");
+            }))
+            .expect_err("panic must propagate out of waves");
+            assert_eq!(payload_str(&*err), "boom-wave", "threads={threads}");
+            if threads > 1 {
+                // The ready queue must be reset to a clean reusable
+                // state, not left mid-flight.
+                let (counts, slots, cursor) = scratch_state(&pool, nb * nc);
+                assert!(counts.iter().all(|&c| c == 0), "counts {counts:?}");
+                assert!(slots.iter().all(|&s| s == 0), "slots {slots:?}");
+                assert_eq!(cursor, 0);
             }
+            // Survival: the next job on the same pool is bitwise
+            // identical to the sequential reference.
+            let mut cells = vec![0u64; nb * nc];
+            let shared = SyncSlice::new(&mut cells);
+            pool.waves(nb, nc, |b, i| {
+                // SAFETY: task (b, i) writes only cell b*nc+i and
+                // reads only predecessor cells, whose tasks completed
+                // before this one was released (the waves dependence
+                // contract).
+                let cells = unsafe { shared.slice_mut() };
+                let left = if i > 0 { cells[b * nc + i - 1] } else { 7 };
+                let below = if b > 0 { cells[(b - 1) * nc + i] } else { 11 };
+                let right = if b > 0 && i + 1 < nc {
+                    cells[(b - 1) * nc + i + 1]
+                } else {
+                    13
+                };
+                cells[b * nc + i] = mix(left, below, right, (b * nc + i) as u64);
+            });
+            assert_eq!(cells, gold, "threads={threads}");
         }
     }
 
@@ -1318,7 +1200,7 @@ mod tests {
             PoolConfig::new(4).stall_timeout(std::time::Duration::from_millis(50)),
         );
         let err = catch_unwind(AssertUnwindSafe(|| {
-            pool.waves_pipelined(1, 16, |_b, i| {
+            pool.waves(1, 16, |_b, i| {
                 if i == 0 {
                     // Holds back every successor: the other claimers see
                     // zero cursor progress for >> stall_timeout.
@@ -1335,14 +1217,14 @@ mod tests {
         assert!(msg.contains("1x16 grid"), "unexpected message: {msg}");
         // Survival: the same pool completes the next wavefront.
         let count = AtomicUsize::new(0);
-        pool.waves_pipelined(1, 16, |_, _| {
+        pool.waves(1, 16, |_, _| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 16);
     }
 
     /// A tiny deterministic PRNG (splitmix64) for the adversarial
-    /// schedules; no external crates, stable across platforms.
+    /// release orders; no external crates, stable across platforms.
     fn splitmix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e3779b97f4a7c15);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -1354,8 +1236,8 @@ mod tests {
     /// static orderings audit): deterministically perturb each task's
     /// completion time with a seeded busy delay — which permutes the
     /// dependence-counter queue's release order — and assert that the
-    /// pipelined schedule still computes the exact same dataflow result
-    /// as the barrier schedule and the sequential reference.
+    /// pipeline still computes the exact same dataflow result as the
+    /// sequential reference.
     ///
     /// Each task `(b, i)` writes one cell from its three predecessors'
     /// cells, so any missing happens-before edge in the queue (a stale
@@ -1363,7 +1245,7 @@ mod tests {
     #[test]
     fn waves_adversarial_release_orders_agree_bitwise() {
         // Miri executes ~1000x slower and already explores its own
-        // interleavings; shrink the sweep but keep both schedules.
+        // interleavings; shrink the sweep.
         let (grids, seeds): (&[(usize, usize)], u64) = if cfg!(miri) {
             (&[(3, 4)], 2)
         } else {
@@ -1390,41 +1272,31 @@ mod tests {
             for threads in [2usize, 4, 8] {
                 let pool = Pool::new(threads);
                 for seed in 0..seeds {
-                    for barrier in [false, true] {
-                        let mut cells = vec![0u64; nb * nc];
-                        let shared = SyncSlice::new(&mut cells);
-                        let task = |b: usize, i: usize| {
-                            // Seeded perturbation: stall this task so its
-                            // successors' releases happen in a different
-                            // order on every (seed, b, i).
-                            let delay = splitmix(seed ^ ((b * nc + i) as u64) << 8) % 500;
-                            for _ in 0..delay {
-                                std::hint::spin_loop();
-                            }
-                            // SAFETY: task (b, i) writes only cell
-                            // b*nc+i and reads only predecessor cells,
-                            // whose tasks completed before this one was
-                            // released (the waves dependence contract).
-                            let cells = unsafe { shared.slice_mut() };
-                            let left = if i > 0 { cells[b * nc + i - 1] } else { 7 };
-                            let below = if b > 0 { cells[(b - 1) * nc + i] } else { 11 };
-                            let right = if b > 0 && i + 1 < nc {
-                                cells[(b - 1) * nc + i + 1]
-                            } else {
-                                13
-                            };
-                            cells[b * nc + i] = mix(left, below, right, (b * nc + i) as u64);
-                        };
-                        if barrier {
-                            pool.waves_barrier(nb, nc, task);
-                        } else {
-                            pool.waves_pipelined(nb, nc, task);
+                    let mut cells = vec![0u64; nb * nc];
+                    let shared = SyncSlice::new(&mut cells);
+                    pool.waves(nb, nc, |b: usize, i: usize| {
+                        // Seeded perturbation: stall this task so its
+                        // successors' releases happen in a different
+                        // order on every (seed, b, i).
+                        let delay = splitmix(seed ^ ((b * nc + i) as u64) << 8) % 500;
+                        for _ in 0..delay {
+                            std::hint::spin_loop();
                         }
-                        assert_eq!(
-                            cells, gold,
-                            "{nb}x{nc} threads={threads} seed={seed} barrier={barrier}"
-                        );
-                    }
+                        // SAFETY: task (b, i) writes only cell
+                        // b*nc+i and reads only predecessor cells,
+                        // whose tasks completed before this one was
+                        // released (the waves dependence contract).
+                        let cells = unsafe { shared.slice_mut() };
+                        let left = if i > 0 { cells[b * nc + i - 1] } else { 7 };
+                        let below = if b > 0 { cells[(b - 1) * nc + i] } else { 11 };
+                        let right = if b > 0 && i + 1 < nc {
+                            cells[(b - 1) * nc + i + 1]
+                        } else {
+                            13
+                        };
+                        cells[b * nc + i] = mix(left, below, right, (b * nc + i) as u64);
+                    });
+                    assert_eq!(cells, gold, "{nb}x{nc} threads={threads} seed={seed}");
                 }
             }
         }

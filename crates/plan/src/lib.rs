@@ -60,9 +60,6 @@ pub use problem::{LcsState, Problem, State};
 
 // The engine vocabulary is part of the plan API surface.
 pub use tempora_core::engine::{Engine, Select};
-// So is the pool's wavefront-schedule vocabulary, for the
-// [`PlanBuilder::wave_schedule`] knob.
-pub use tempora_parallel::WaveSchedule;
 
 #[cfg(test)]
 mod tests {
@@ -124,40 +121,34 @@ mod tests {
     }
 
     #[test]
-    fn pin_and_wave_schedule_knobs_are_honest_and_bit_identical() {
+    fn pin_knob_is_honest_and_bit_identical() {
         use tempora_grid::fill_random_2d;
-        // Skewed GS-2D exercises the wavefront schedules; pin(true) on
-        // the pipelined side exercises affinity + first-touch fault-in.
+        // Skewed GS-2D exercises the wavefront; pin(true) exercises
+        // affinity + first-touch fault-in.
         let coeffs = Gs2dCoeffs::classic(0.2);
         let problem = Problem::gs2d(96, 9, 8, coeffs);
         let mut gold_state = problem.state();
         fill_random_2d(gold_state.grid2_mut().unwrap(), 11, -1.0, 1.0);
         let gold = reference::gs2d(gold_state.grid2().unwrap(), coeffs, 8);
-        for schedule in [WaveSchedule::Pipelined, WaveSchedule::Barrier] {
+        for pin in [true, false] {
             let mut plan = PlanBuilder::new()
                 .tiling(Tiling::Skew {
                     block: 24,
                     height: 4,
                 })
                 .threads(4)
-                .pin(schedule == WaveSchedule::Pipelined)
-                .wave_schedule(schedule)
+                .pin(pin)
                 .build(&problem)
                 .unwrap();
-            assert_eq!(plan.wave_schedule(), schedule);
             let mut state = problem.state();
             fill_random_2d(state.grid2_mut().unwrap(), 11, -1.0, 1.0);
             let report = plan.run(&mut state).unwrap();
             assert!(state.grid2().unwrap().interior_eq(&gold));
             // Pinning is honest: reported iff requested AND the host
             // supports it.
-            if schedule == WaveSchedule::Pipelined {
-                use tempora_parallel::Pool;
-                assert_eq!(report.pinned, Pool::pinning_supported());
-                assert_eq!(plan.is_pinned(), report.pinned);
-            } else {
-                assert!(!report.pinned);
-            }
+            use tempora_parallel::Pool;
+            assert_eq!(report.pinned, pin && Pool::pinning_supported());
+            assert_eq!(plan.is_pinned(), report.pinned);
         }
     }
 

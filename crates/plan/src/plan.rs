@@ -11,7 +11,7 @@ use tempora_core::kernels::{
 };
 use tempora_core::{lcs, lcs_avx2};
 use tempora_grid::{Boundary, SlabGrid};
-use tempora_parallel::{Pool, PoolConfig, WaveSchedule};
+use tempora_parallel::{Pool, PoolConfig};
 use tempora_simd::count;
 use tempora_tiling::{ghost, GhostJacobi, LcsRect, SkewGs};
 
@@ -138,7 +138,6 @@ pub struct PlanBuilder {
     stride: Option<usize>,
     count_reorg: bool,
     pin: bool,
-    wave_schedule: WaveSchedule,
 }
 
 impl PlanBuilder {
@@ -190,15 +189,6 @@ impl PlanBuilder {
     /// [`Plan::is_pinned`] and [`Report::pinned`]. Default off.
     pub fn pin(mut self, pin: bool) -> PlanBuilder {
         self.pin = pin;
-        self
-    }
-
-    /// Set the wavefront schedule for skew/LCS tilings (default
-    /// [`WaveSchedule::Pipelined`]; [`WaveSchedule::Barrier`] keeps the
-    /// legacy bulk-synchronous schedule for A/B ablations). Both are
-    /// bit-identical; only the synchronization pattern differs.
-    pub fn wave_schedule(mut self, schedule: WaveSchedule) -> PlanBuilder {
-        self.wave_schedule = schedule;
         self
     }
 
@@ -264,11 +254,7 @@ impl PlanBuilder {
         // Pool first, then first-touch: the workspaces fault their tile
         // arenas in from the workers that will advance them (the owned
         // schedule reuses the same owner map).
-        let pool = Pool::with_config(
-            PoolConfig::new(threads)
-                .pin(self.pin)
-                .schedule(self.wave_schedule),
-        );
+        let pool = Pool::with_config(PoolConfig::new(threads).pin(self.pin));
         // A panic here (e.g. an injected `fault_in` failpoint) unwinds to
         // the caller: no `Plan` exists yet, so there is nothing to
         // poison, and dropping `pool` shuts its workers down cleanly.
@@ -728,12 +714,6 @@ impl Plan {
     /// thread was successfully pinned to a CPU.
     pub fn is_pinned(&self) -> bool {
         self.pool.is_pinned()
-    }
-
-    /// The wavefront schedule the plan's pool dispatches for skew/LCS
-    /// tilings.
-    pub fn wave_schedule(&self) -> WaveSchedule {
-        self.pool.wave_schedule()
     }
 
     /// Advance `state` by the problem's time extent (compute the DP table

@@ -2,8 +2,8 @@
 //!
 //! `cargo miri test -p tempora_plan --test miri_portable` interprets the
 //! whole Problem → Plan → Report lifecycle — validation, engine
-//! resolution, scratch arenas, the pinned thread pool and both wavefront
-//! schedules — with no `std::arch` intrinsics, no inline `asm!` and no
+//! resolution, scratch arenas, the pinned thread pool and the pipelined
+//! wavefront — with no `std::arch` intrinsics, no inline `asm!` and no
 //! affinity syscalls in sight: `avx2_available()` reports `false` under
 //! Miri, which routes every `Select::Auto` dispatch onto the portable
 //! pack engines, and the pinning module compiles to its portable stub.
@@ -12,7 +12,7 @@
 //! than native); the same tests run natively in the ordinary suite,
 //! where they pin the portable path's bit-exactness at miniature scale.
 
-use tempora_plan::{Method, PlanBuilder, Problem, Select, State, Tiling, WaveSchedule};
+use tempora_plan::{Method, PlanBuilder, Problem, Select, State, Tiling};
 use tempora_stencil::{Gs2dCoeffs, Heat1dCoeffs, Heat2dCoeffs};
 
 /// Interior cells as raw bit patterns: bit-exact comparison that skips
@@ -105,30 +105,30 @@ fn ghost_tiled_portable_matches_untiled() {
 }
 
 #[test]
-fn pipelined_and_barrier_wavefronts_agree_bitwise() {
+fn pipelined_wavefront_agrees_with_untiled_bitwise() {
     let problem = Problem::gs2d(48, 16, 8, Gs2dCoeffs::classic(0.23));
 
-    let run = |schedule: WaveSchedule| {
+    let run = |tiling: Tiling, threads: usize| {
         let mut state = problem.state();
         fill2(&mut state);
         PlanBuilder::new()
             .method(Method::Temporal)
             .stride(2)
             .select(Select::Portable)
-            .tiling(Tiling::Skew {
-                block: 16,
-                height: 4,
-            })
-            .threads(2)
-            .wave_schedule(schedule)
+            .tiling(tiling)
+            .threads(threads)
             .build(&problem)
-            .expect("skew-tiled portable plan")
+            .expect("portable plan")
             .run(&mut state)
-            .expect("skew run");
+            .expect("run");
         bits2(&state)
     };
 
-    // The dependence-counter pipelined schedule must be bit-identical to
-    // the conservative per-wave barrier schedule.
-    assert_eq!(run(WaveSchedule::Pipelined), run(WaveSchedule::Barrier));
+    // The dependence-counter pipeline must be bit-identical to the
+    // untiled sequential sweep.
+    let skew = Tiling::Skew {
+        block: 16,
+        height: 4,
+    };
+    assert_eq!(run(skew, 2), run(Tiling::None, 1));
 }

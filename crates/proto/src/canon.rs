@@ -23,7 +23,7 @@
 
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use tempora_grid::Boundary;
-use tempora_plan::{Method, PlanBuilder, Problem, Select, State, Tiling, WaveSchedule};
+use tempora_plan::{Method, PlanBuilder, Problem, Select, State, Tiling};
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
@@ -356,8 +356,6 @@ pub struct SolveConfig {
     pub stride: Option<usize>,
     /// Request per-core pinning of the plan's workers.
     pub pin: bool,
-    /// Wavefront schedule for skew/LCS tilings.
-    pub wave_schedule: WaveSchedule,
 }
 
 impl Default for SolveConfig {
@@ -369,7 +367,6 @@ impl Default for SolveConfig {
             threads: 1,
             stride: None,
             pin: false,
-            wave_schedule: WaveSchedule::Pipelined,
         }
     }
 }
@@ -383,8 +380,7 @@ impl SolveConfig {
             .tiling(self.tiling)
             .select(self.select)
             .threads(self.threads)
-            .pin(self.pin)
-            .wave_schedule(self.wave_schedule);
+            .pin(self.pin);
         if let Some(s) = self.stride {
             b = b.stride(s);
         }
@@ -432,10 +428,6 @@ fn encode_config(w: &mut ByteWriter, cfg: &SolveConfig) {
         }
     }
     w.put_u8(cfg.pin as u8);
-    w.put_u8(match cfg.wave_schedule {
-        WaveSchedule::Pipelined => 0,
-        WaveSchedule::Barrier => 1,
-    });
 }
 
 fn decode_config(r: &mut ByteReader<'_>) -> Result<SolveConfig, DecodeError> {
@@ -484,15 +476,6 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<SolveConfig, DecodeError> {
         1 => true,
         _ => return Err(DecodeError::BadValue { what: "pin flag" }),
     };
-    let wave_schedule = match r.u8()? {
-        0 => WaveSchedule::Pipelined,
-        1 => WaveSchedule::Barrier,
-        _ => {
-            return Err(DecodeError::BadValue {
-                what: "wave schedule tag",
-            })
-        }
-    };
     Ok(SolveConfig {
         method,
         tiling,
@@ -500,7 +483,6 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<SolveConfig, DecodeError> {
         threads,
         stride,
         pin,
-        wave_schedule,
     })
 }
 
@@ -548,16 +530,20 @@ impl JobSpec {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the running FNV-1a 64-bit state `h`.
+fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// FNV-1a 64-bit over a byte slice — the key/digest hash of the
 /// protocol (stable across platforms and releases, unlike `DefaultHasher`).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_fold(FNV_OFFSET, bytes)
 }
 
 /// Canonical-bytes key: hashes by a precomputed FNV-1a of the bytes,
@@ -629,38 +615,27 @@ impl SpecKey {
 /// data including halo, or LCS sequences and result), over canonical
 /// `f64` bit patterns. Two bitwise-identical states — e.g. a cached
 /// plan's output versus a fresh plan's — digest equal; any interior
-/// difference digests different (up to hash collision).
+/// difference digests different (up to hash collision). FNV-1a over
+/// each element's little-endian bytes, folded straight from the grid.
 #[must_use]
 pub fn state_digest(state: &State) -> u64 {
-    let mut bytes = Vec::new();
+    let f64s = |data: &[f64]| {
+        data.iter().fold(FNV_OFFSET, |h, &v| {
+            fnv1a_fold(h, &canon_f64(v).to_le_bytes())
+        })
+    };
     match state {
-        State::Grid1(g) => {
-            for &v in g.data() {
-                bytes.extend_from_slice(&canon_f64(v).to_le_bytes());
-            }
-        }
-        State::Grid2(g) => {
-            for &v in g.data() {
-                bytes.extend_from_slice(&canon_f64(v).to_le_bytes());
-            }
-        }
-        State::Grid2i(g) => {
-            for &v in g.data() {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        State::Grid3(g) => {
-            for &v in g.data() {
-                bytes.extend_from_slice(&canon_f64(v).to_le_bytes());
-            }
-        }
-        State::Lcs(l) => {
-            bytes.extend_from_slice(&l.a);
-            bytes.extend_from_slice(&l.b);
-            bytes.extend_from_slice(&l.length.unwrap_or(-1).to_le_bytes());
-        }
+        State::Grid1(g) => f64s(g.data()),
+        State::Grid2(g) => f64s(g.data()),
+        State::Grid3(g) => f64s(g.data()),
+        State::Grid2i(g) => g
+            .data()
+            .iter()
+            .fold(FNV_OFFSET, |h, v| fnv1a_fold(h, &v.to_le_bytes())),
+        State::Lcs(l) => [&l.a[..], &l.b, &l.length.unwrap_or(-1).to_le_bytes()]
+            .iter()
+            .fold(FNV_OFFSET, |h, part| fnv1a_fold(h, part)),
     }
-    fnv1a(&bytes)
 }
 
 #[cfg(test)]
@@ -722,6 +697,25 @@ mod tests {
         };
         threaded.config.threads = 2;
         assert_ne!(base.key(), threaded.key());
+    }
+
+    #[test]
+    fn digest_values_are_pinned() {
+        // Recorded from the copy-then-hash implementation this fold
+        // replaced: both ends of the wire compare these values.
+        use tempora_grid::{fill_random_1d, fill_random_life, random_sequence};
+        let mut heat = Problem::heat1d(257, 4, Heat1dCoeffs::classic(0.25)).state();
+        fill_random_1d(heat.grid1_mut().unwrap(), 7, -1.0, 1.0);
+        assert_eq!(state_digest(&heat), 0x6f46_a77f_0988_1146);
+        let mut life = Problem::life(33, 17, 4, LifeRule::b2s23()).state();
+        fill_random_life(life.grid2i_mut().unwrap(), 7, 0.35);
+        assert_eq!(state_digest(&life), 0x6dc1_585d_c173_2835);
+        let mut lcs = Problem::lcs(40, 50).state();
+        let l = lcs.lcs_mut().unwrap();
+        (l.a, l.b) = (random_sequence(40, 4, 7), random_sequence(50, 4, 8));
+        assert_eq!(state_digest(&lcs), 0x4d96_43cc_d186_1d3a);
+        lcs.lcs_mut().unwrap().length = Some(23);
+        assert_eq!(state_digest(&lcs), 0xc284_015c_e97e_d3f9);
     }
 
     #[test]

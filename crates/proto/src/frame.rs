@@ -22,8 +22,11 @@ use std::io::{Read, Write};
 use tempora_core::engine::Engine;
 
 /// The protocol version this build speaks. Frames carrying any other
-/// version decode to [`DecodeError::UnknownVersion`].
-pub const PROTO_VERSION: u8 = 1;
+/// version decode to [`DecodeError::UnknownVersion`]. Version 2 dropped
+/// the trailing wave-schedule byte of version 1's `SolveConfig`
+/// encoding, so a version-1 peer gets the typed, recoverable version
+/// error instead of a mis-parse.
+pub const PROTO_VERSION: u8 = 2;
 
 /// Upper bound on one frame's body length (16 MiB). Length prefixes
 /// above this are rejected **before** any allocation.
@@ -170,8 +173,9 @@ pub struct RunReply {
     pub plan_builds: u64,
     /// Lifetime poison-recovery resets of this cache entry.
     pub resets: u64,
-    /// Requests serviced in the same combining batch as this one
-    /// (≥ 1; this request counts itself).
+    /// Requests holding or waiting for this plan when this one was
+    /// admitted, itself included (≥ 1). Its maximum over a run is the
+    /// peak number of concurrent requests for one plan.
     pub batched: u32,
     /// Resolved engine (`Report::engine`), if the method dispatches.
     pub engine: Option<Engine>,

@@ -25,7 +25,8 @@
 //! [`FrameAccum`].
 //!
 //! On the wire each frame is `len: u32le` followed by `len` body bytes;
-//! the body starts with `version: u8` ([`PROTO_VERSION`]) and `tag: u8`.
+//! the body starts with `version: u8` ([`PROTO_VERSION`], currently 2)
+//! and `tag: u8`.
 //! Decoding is total: truncated bodies, oversized length prefixes
 //! (bounded by [`MAX_FRAME_LEN`]), unknown versions and unknown tags all
 //! map to a [`DecodeError`] the server answers with an [`ErrorCode`] —
@@ -38,7 +39,10 @@
 //! canonical bytes, so two differently-constructed but equal problems
 //! collide onto one cached plan. `f64` coefficients are encoded by **bit
 //! pattern** (`+0.0 ≠ -0.0`), with every NaN normalized to the canonical
-//! quiet NaN — see [`canon::canon_f64`] for the full policy.
+//! quiet NaN — see [`canon::canon_f64`] for the full policy. A
+//! [`JobSpec`] is the problem followed by the six [`SolveConfig`] fields
+//! in declaration order: method, tiling, engine selection, threads,
+//! optional stride, pin.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -55,4 +59,4 @@ pub use frame::{
 };
 
 // The protocol speaks the solver vocabulary directly.
-pub use tempora_plan::{Engine, Method, Problem, Select, Tiling, WaveSchedule};
+pub use tempora_plan::{Engine, Method, Problem, Select, Tiling};

@@ -159,7 +159,6 @@ fn config(sel: u64) -> SolveConfig {
             None
         },
         pin: sel & 0x200 != 0,
-        ..SolveConfig::default()
     }
 }
 
@@ -274,7 +273,7 @@ fn unknown_version_maps_to_error_reply_material_not_panic() {
         spec: JobSpec::new(Problem::heat1d(64, 4, Heat1dCoeffs::classic(0.25))),
     }
     .encode_body();
-    for v in [0u8, 2, 7, 255] {
+    for v in [0u8, 1, 7, 255] {
         body[0] = v;
         assert_eq!(
             Frame::decode_body(&body),
@@ -358,4 +357,105 @@ fn multi_frame_stream_stays_in_sync_after_bad_version() {
     assert!(mid.recoverable());
     assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), good);
     assert!(read_frame(&mut cursor).unwrap().is_none());
+}
+
+#[test]
+fn version_1_run_steps_gets_the_version_error_and_the_stream_stays_in_sync() {
+    // `RunSteps { request_id: 1, spec: JobSpec::new(heat1d(64, 4,
+    // classic(0.25))), seed: 9 }` as a version-1 build encoded it: the
+    // config carried one more byte (the wave schedule) after `pin`.
+    #[rustfmt::skip]
+    const V1_RUN_STEPS: [u8; 81] = [
+        1, 2, 1, 0, 0, 0, 0, 0, 0, 0,                   // version, tag, request id
+        1, 64, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, // heat1d, n, steps
+        0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 224, 63, // w, c
+        0, 0, 0, 0, 0, 0, 208, 63, 0, 0, 0, 0, 0, 0, 0, 0,  // e, boundary
+        0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,          // method … threads, stride, pin
+        0,                                              // wave schedule
+        9, 0, 0, 0, 0, 0, 0, 0,                         // seed
+    ];
+    let err = Frame::decode_body(&V1_RUN_STEPS).unwrap_err();
+    assert_eq!(err, DecodeError::UnknownVersion { got: 1 });
+    assert!(WireError::from(err).recoverable());
+
+    let same_request = Frame::RunSteps {
+        request_id: 1,
+        spec: JobSpec::new(Problem::heat1d(64, 4, Heat1dCoeffs::classic(0.25))),
+        seed: 9,
+    };
+    assert_eq!(same_request.encode_body().len(), V1_RUN_STEPS.len() - 1);
+
+    let mut stream = Vec::new();
+    stream.extend_from_slice(&(V1_RUN_STEPS.len() as u32).to_le_bytes());
+    stream.extend_from_slice(&V1_RUN_STEPS);
+    write_frame(&mut stream, &same_request).unwrap();
+    let mut cursor = std::io::Cursor::new(stream);
+    assert!(read_frame(&mut cursor).unwrap_err().recoverable());
+    assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), same_request);
+    assert!(read_frame(&mut cursor).unwrap().is_none());
+}
+
+#[test]
+fn spec_keys_collide_only_for_equal_configs() {
+    let tilings = [
+        Tiling::None,
+        Tiling::Ghost {
+            block: 32,
+            height: 4,
+        },
+        Tiling::Ghost {
+            block: 32,
+            height: 8,
+        },
+        Tiling::Skew {
+            block: 32,
+            height: 4,
+        },
+        Tiling::LcsRect {
+            xblock: 32,
+            yblock: 4,
+        },
+    ];
+    let mut configs = Vec::new();
+    for method in [
+        Method::Temporal,
+        Method::Multiload,
+        Method::Reorg,
+        Method::Dlt,
+        Method::Scalar,
+    ] {
+        for tiling in tilings {
+            for select in [Select::Auto, Select::Portable, Select::Avx2] {
+                for threads in [1, 2] {
+                    for stride in [None, Some(2), Some(7)] {
+                        for pin in [false, true] {
+                            configs.push(SolveConfig {
+                                method,
+                                tiling,
+                                select,
+                                threads,
+                                stride,
+                                pin,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let problem = Problem::heat1d(64, 4, Heat1dCoeffs::classic(0.25));
+    let key = |config: &SolveConfig| {
+        JobSpec {
+            problem,
+            config: *config,
+        }
+        .key()
+    };
+    let keys: Vec<_> = configs.iter().map(key).collect();
+    for (a, ka) in configs.iter().zip(&keys) {
+        assert_eq!(&key(a), ka, "{a:?}: the key is a function of the spec");
+        for (b, kb) in configs.iter().zip(&keys) {
+            assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
+        }
+    }
 }

@@ -1,4 +1,4 @@
-//! The sharded concurrent plan cache with same-plan request batching.
+//! The sharded concurrent plan cache.
 //!
 //! # Interning
 //!
@@ -12,22 +12,23 @@
 //! evicted entry alive through their `Arc` — eviction only unlinks it
 //! from the map.
 //!
-//! # Batching (flat combining)
+//! # Serialisation and admission
 //!
-//! Requests for the same entry don't queue on a lock one by one. Each
-//! request enqueues a job on the entry and then tries to become the
-//! entry's **combiner** (`try_lock` on the plan slot). The winner drains
-//! the whole queue under a single slot acquisition — plan built once,
-//! then one run per job — while the losers block on their job's condvar.
-//! A drained job records how many requests shared its acquisition
-//! ([`tempora_proto::RunReply::batched`]).
+//! A plan runs one state at a time, so requests for the same entry take
+//! turns on the entry's slot mutex: lock, build if empty, run, reply.
+//! How many may hold or wait for that mutex is bounded before anyone
+//! blocks on it: each entry counts its admitted requests, a request that
+//! finds [`CacheConfig::max_queue_depth`] of them already there is shed
+//! with [`ServeError::Busy`], and a drop guard gives the place back when
+//! the request returns or unwinds. The count a request saw on admission,
+//! itself included, is its [`tempora_proto::RunReply::batched`].
 //!
 //! # Poisoning
 //!
 //! A panic inside a cached plan's run (PR 8's failure model) returns
 //! [`PlanError::Poisoned`] and marks *only that entry's* plan. The
 //! poisoned run's own request gets [`ServeError::Poisoned`]; the **next**
-//! job for the same key finds `Plan::is_poisoned()`, calls
+//! request for the same key finds `Plan::is_poisoned()`, calls
 //! [`Plan::reset`] against its fresh state, and runs — bitwise identical
 //! to a fresh build (pinned by `tests/fault_injection.rs`). If even the
 //! reset run fails, the plan is dropped from the slot so the following
@@ -35,10 +36,10 @@
 
 use crate::fill::fresh_state;
 use crate::ServeError;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 use tempora_plan::{Plan, PlanError};
 use tempora_proto::{state_digest, JobSpec, RunReply, SpecKey};
 
@@ -56,11 +57,10 @@ pub struct CacheConfig {
     pub shards: usize,
     /// Total cached-plan capacity across all shards.
     pub capacity: usize,
-    /// Per-entry batching-queue bound: a `run` arriving while this many
-    /// jobs already wait on the same entry is **shed** with
-    /// [`ServeError::Busy`] instead of queueing unbounded work. `0`
-    /// sheds everything (a test hook); large values approximate the old
-    /// unbounded behavior.
+    /// Per-entry admission bound: a `run` arriving while this many
+    /// requests already hold or wait for the same entry's plan is
+    /// **shed** with [`ServeError::Busy`] instead of queueing unbounded
+    /// work. `0` sheds everything (a test hook).
     pub max_queue_depth: usize,
     /// The `retry_after_ms` hint carried by shed replies.
     pub busy_retry_ms: u32,
@@ -86,8 +86,6 @@ pub struct CacheStats {
     builds: AtomicU64,
     poison_resets: AtomicU64,
     evictions: AtomicU64,
-    drains: AtomicU64,
-    drained_jobs: AtomicU64,
     shed: AtomicU64,
 }
 
@@ -104,11 +102,7 @@ pub struct StatsSnapshot {
     pub poison_resets: u64,
     /// Entries unlinked by LRU pressure.
     pub evictions: u64,
-    /// Combiner drains executed.
-    pub drains: u64,
-    /// Jobs serviced across all drains.
-    pub drained_jobs: u64,
-    /// Runs shed with `Busy` because an entry's queue was full.
+    /// Runs shed with `Busy` because an entry's admission bound was hit.
     pub shed: u64,
     /// Connections accepted by the network layer (zero for a bare
     /// cache; merged in by `Server::stats`).
@@ -133,8 +127,6 @@ impl CacheStats {
             builds: self.builds.load(Ordering::Relaxed), // Relaxed: reporting
             poison_resets: self.poison_resets.load(Ordering::Relaxed), // Relaxed: reporting
             evictions: self.evictions.load(Ordering::Relaxed), // Relaxed: reporting
-            drains: self.drains.load(Ordering::Relaxed), // Relaxed: reporting
-            drained_jobs: self.drained_jobs.load(Ordering::Relaxed), // Relaxed: reporting
             shed: self.shed.load(Ordering::Relaxed), // Relaxed: reporting
             // Network-layer counters live on the server, not the cache.
             conns_opened: 0,
@@ -146,22 +138,8 @@ impl CacheStats {
     }
 }
 
-/// Where one request parks until its combiner publishes a result.
-struct JobSlot {
-    result: Mutex<Option<Result<RunReply, ServeError>>>,
-    ready: Condvar,
-}
-
-struct Job {
-    seed: u64,
-    /// True when the map lookup found the entry already interned.
-    map_hit: bool,
-    enqueued: Instant,
-    done: Arc<JobSlot>,
-}
-
-/// One interned spec: its compiled plan (the slot) plus the batching
-/// queue. The slot mutex doubles as the combiner token.
+/// One interned spec: its compiled plan (the slot) and the count of
+/// requests admitted to it.
 struct Entry {
     spec: JobSpec,
     /// LRU tick of the last lookup. Relaxed: an approximate recency
@@ -169,8 +147,23 @@ struct Entry {
     last_used: AtomicU64,
     builds: AtomicU64,
     resets: AtomicU64,
+    /// Requests holding or waiting for `slot`; never above the cache's
+    /// `max_queue_depth`.
+    admitted: AtomicUsize,
     slot: Mutex<Option<Plan>>,
-    queue: Mutex<VecDeque<Job>>,
+}
+
+/// One request's place among an entry's admitted requests, given back
+/// on drop — also when `fresh_state` or a failpoint unwinds through
+/// [`PlanCache::run`].
+struct Admission<'e>(&'e Entry);
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        // Relaxed: the count only bounds admission; the plan itself is
+        // ordered by the slot mutex.
+        self.0.admitted.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 type Shard = Mutex<HashMap<SpecKey, Arc<Entry>>>;
@@ -250,8 +243,8 @@ impl PlanCache {
             last_used: AtomicU64::new(now),
             builds: AtomicU64::new(0),
             resets: AtomicU64::new(0),
+            admitted: AtomicUsize::new(0),
             slot: Mutex::new(None),
-            queue: Mutex::new(VecDeque::new()),
         });
         map.insert(key, Arc::clone(&entry));
         (entry, false)
@@ -283,95 +276,31 @@ impl PlanCache {
         })
     }
 
-    /// Run `spec`'s plan against a fresh `seed`-derived state, batching
-    /// with any concurrent same-spec requests. Blocks until a combiner
-    /// (possibly this thread) publishes the result.
+    /// Run `spec`'s plan against a fresh `seed`-derived state, after any
+    /// earlier request for the same spec has finished with it. Sheds
+    /// with [`ServeError::Busy`], without blocking, when the entry's
+    /// admission bound is reached.
     pub fn run(&self, spec: &JobSpec, seed: u64) -> Result<RunReply, ServeError> {
+        let start = Instant::now();
         let (entry, map_hit) = self.entry(spec);
-        let done = Arc::new(JobSlot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        {
-            // Queue-depth shed: refuse work the combiner can't batch soon
-            // rather than queueing unboundedly — the caller gets a typed
-            // Busy with a retry hint instead of latency collapse.
-            let mut queue = lock(&entry.queue);
-            if queue.len() >= self.max_queue_depth {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed); // Relaxed: statistic
-                return Err(ServeError::Busy {
-                    retry_after_ms: self.busy_retry_ms,
-                });
-            }
-            queue.push_back(Job {
-                seed,
-                map_hit,
-                enqueued: Instant::now(),
-                done: Arc::clone(&done),
+        // Admission before locking: refuse work the entry cannot take
+        // soon rather than queueing it unboundedly — the caller gets a
+        // typed Busy with a retry hint instead of latency collapse.
+        let admit = |n: usize| (n < self.max_queue_depth).then_some(n + 1);
+        let count = &entry.admitted;
+        // Relaxed (both): the count only bounds admission; the plan
+        // itself is ordered by the slot mutex.
+        let Ok(ahead) = count.fetch_update(Ordering::Relaxed, Ordering::Relaxed, admit) else {
+            self.stats.shed.fetch_add(1, Ordering::Relaxed); // Relaxed: statistic
+            return Err(ServeError::Busy {
+                retry_after_ms: self.busy_retry_ms,
             });
-        }
-        loop {
-            if let Some(result) = lock(&done.result).take() {
-                return result;
-            }
-            match entry.slot.try_lock() {
-                Ok(mut slot) => self.drain(&entry, &mut slot),
-                // Another thread holds the combiner token and a poisoned
-                // token still drains queued jobs consistently.
-                Err(TryLockError::Poisoned(p)) => self.drain(&entry, &mut p.into_inner()),
-                Err(TryLockError::WouldBlock) => {
-                    // A combiner is active. Wait for it to publish our
-                    // result, with a timeout so the push-after-drain race
-                    // (combiner exits just before our enqueue became
-                    // visible) re-enters try_lock instead of hanging.
-                    let guard = lock(&done.result);
-                    if guard.is_some() {
-                        continue;
-                    }
-                    drop(
-                        done.ready
-                            .wait_timeout(guard, Duration::from_micros(500))
-                            .unwrap_or_else(PoisonError::into_inner),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Drain every queued job of `entry` under one slot acquisition —
-    /// the flat-combining step.
-    fn drain(&self, entry: &Entry, slot: &mut Option<Plan>) {
-        let jobs: Vec<Job> = lock(&entry.queue).drain(..).collect();
-        if jobs.is_empty() {
-            return;
-        }
-        // Relaxed: statistics.
-        self.stats.drains.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .drained_jobs
-            // Relaxed: statistics.
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        let batched = jobs.len() as u32;
-        for job in jobs {
-            let built_now = slot.is_none();
-            let outcome = self.run_one(entry, slot, &job, built_now, batched);
-            *lock(&job.done.result) = Some(outcome);
-            job.done.ready.notify_all();
-        }
-    }
-
-    /// Execute one job against the (possibly still unbuilt, possibly
-    /// poisoned) plan in `slot`.
-    fn run_one(
-        &self,
-        entry: &Entry,
-        slot: &mut Option<Plan>,
-        job: &Job,
-        built_now: bool,
-        batched: u32,
-    ) -> Result<RunReply, ServeError> {
-        let plan = self.ensure_plan(entry, slot)?;
-        let mut state = fresh_state(&entry.spec.problem, job.seed);
+        };
+        let _admission = Admission(&entry);
+        let mut slot = lock(&entry.slot);
+        let built_now = slot.is_none();
+        let plan = self.ensure_plan(&entry, &mut slot)?;
+        let mut state = fresh_state(&entry.spec.problem, seed);
         if plan.is_poisoned() {
             // Poison recovery: reset against the fresh state, then run.
             // The entry's plan is reused — zero rebuilds — and the run
@@ -385,8 +314,8 @@ impl PlanCache {
             Ok(report) => report,
             Err(PlanError::Poisoned { panic }) => {
                 // This request's run panicked: the entry stays interned
-                // with its poisoned plan (the *next* job resets it) and
-                // only this request fails.
+                // with its poisoned plan (the *next* request resets it)
+                // and only this request fails.
                 return Err(ServeError::Poisoned(panic));
             }
             Err(e) => {
@@ -397,11 +326,11 @@ impl PlanCache {
             }
         };
         Ok(RunReply {
-            cache_hit: job.map_hit && !built_now,
+            cache_hit: map_hit && !built_now,
             // Relaxed: reporting monotonic counters.
             plan_builds: entry.builds.load(Ordering::Relaxed),
             resets: entry.resets.load(Ordering::Relaxed), // Relaxed: reporting
-            batched,
+            batched: ahead as u32 + 1,
             engine: report.engine,
             steps: report.steps as u64,
             threads: report.threads as u32,
@@ -411,7 +340,7 @@ impl PlanCache {
                 .map(|t| (t.tiles as u64, t.block as u64, t.height as u64)),
             lcs_length: report.lcs_length,
             digest: state_digest(&state),
-            server_ns: job.enqueued.elapsed().as_nanos() as u64,
+            server_ns: start.elapsed().as_nanos() as u64,
         })
     }
 
@@ -515,6 +444,8 @@ mod tests {
         let replies: Vec<RunReply> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(cache.stats().builds, 1, "one build for the whole burst");
         assert!(replies.iter().all(|r| r.plan_builds == 1));
+        // Each saw itself plus at most the seven others on admission.
+        assert!(replies.iter().all(|r| (1..=8).contains(&r.batched)));
         // Same seed ⇒ same digest; different seeds ⇒ (almost surely) not.
         assert_ne!(replies[0].digest, replies[1].digest);
     }

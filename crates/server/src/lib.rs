@@ -26,8 +26,9 @@
 //! - **Admission control** — at most
 //!   [`ResilienceConfig::max_connections`] live connections; excess
 //!   accepts are answered [`ErrorCode::Busy`] (with a retry hint) and
-//!   closed, and a cache entry whose batching queue is full sheds with
-//!   `Busy` instead of queueing unbounded work.
+//!   closed, and a cache entry with its bound of requests already
+//!   holding or waiting for its plan sheds with `Busy` instead of
+//!   queueing unbounded work.
 //!
 //! All of it is counted in [`StatsSnapshot`] via [`Server::stats`].
 

@@ -340,19 +340,17 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_and_barrier_schedules_agree_and_fault_in_is_safe() {
-        use tempora_parallel::{PoolConfig, WaveSchedule};
+    fn pipelined_wavefront_agrees_at_every_thread_count_and_fault_in_is_safe() {
         let a = random_sequence(100, 4, 1);
         let b = random_sequence(140, 4, 2);
         let gold = reference::lcs_len(&a, &b);
-        for threads in [2usize, 4, 8] {
-            let pipe = Pool::with_config(PoolConfig::new(threads));
-            let barr = Pool::with_config(PoolConfig::new(threads).schedule(WaveSchedule::Barrier));
+        for threads in [1usize, 2, 4, 8] {
+            let pool = Pool::new(threads);
             for temporal in [false, true] {
                 let mut w = LcsRect::new(100, 140, 24, 40, 1, temporal, Select::Auto);
-                w.fault_in(&pipe);
-                assert_eq!(w.run(&a, &b, &pipe), gold, "pipelined threads={threads}");
-                assert_eq!(w.run(&a, &b, &barr), gold, "barrier threads={threads}");
+                w.fault_in(&pool);
+                assert_eq!(w.run(&a, &b, &pool), gold, "threads={threads}");
+                assert_eq!(w.run(&a, &b, &pool), gold, "reuse threads={threads}");
             }
         }
     }

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use tempora::grid::{fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life};
-use tempora::parallel::{Pool, PoolConfig, SyncSlice, WaveSchedule};
+use tempora::parallel::{Pool, PoolConfig, SyncSlice};
 use tempora::prelude::*;
 use tempora_failpoint as fp;
 
@@ -92,9 +92,9 @@ fn splitmix(mut x: u64) -> u64 {
 }
 
 /// An injected panic in one `(band, block)` wavefront task neither
-/// deadlocks nor aborts the pool, at every thread count and under both
-/// schedules; the next job on the same pool is bitwise-identical to the
-/// sequential dataflow reference.
+/// deadlocks nor aborts the pool, at every thread count, pinned or not;
+/// the next job on the same pool is bitwise-identical to the sequential
+/// dataflow reference.
 #[test]
 fn wave_task_injection_is_contained_and_pool_is_reusable() {
     let _g = fp_guard();
@@ -116,44 +116,39 @@ fn wave_task_injection_is_contained_and_pool_is_reusable() {
         }
     }
     for threads in [1usize, 2, 4, 8] {
-        for schedule in [WaveSchedule::Pipelined, WaveSchedule::Barrier] {
-            for pin in [false, true] {
-                let pool = Pool::with_config(PoolConfig::new(threads).schedule(schedule).pin(pin));
-                // Target one exact task by its instance key: deterministic
-                // at any thread count because the key names the task.
-                fp::arm("wave_task:2:3=panic@1");
-                let err = catch_unwind(AssertUnwindSafe(|| {
-                    pool.waves(nb, nc, |_, _| {});
-                }))
-                .expect_err("injected panic must propagate out of waves");
-                assert_eq!(
-                    payload_str(&*err),
-                    "failpoint `wave_task:2:3` injected panic on hit 1",
-                    "threads={threads} schedule={schedule:?} pin={pin}"
-                );
-                fp::clear();
-                // Survival: same pool, full wavefront, bitwise dataflow.
-                let mut cells = vec![0u64; nb * nc];
-                let shared = SyncSlice::new(&mut cells);
-                pool.waves(nb, nc, |b, i| {
-                    // SAFETY: task (b, i) writes only cell b*nc+i and reads
-                    // only predecessor cells, whose tasks completed before
-                    // this one was released (the waves dependence contract).
-                    let cells = unsafe { shared.slice_mut() };
-                    let left = if i > 0 { cells[b * nc + i - 1] } else { 7 };
-                    let below = if b > 0 { cells[(b - 1) * nc + i] } else { 11 };
-                    let right = if b > 0 && i + 1 < nc {
-                        cells[(b - 1) * nc + i + 1]
-                    } else {
-                        13
-                    };
-                    cells[b * nc + i] = mix(left, below, right, (b * nc + i) as u64);
-                });
-                assert_eq!(
-                    cells, gold,
-                    "threads={threads} schedule={schedule:?} pin={pin}"
-                );
-            }
+        for pin in [false, true] {
+            let pool = Pool::with_config(PoolConfig::new(threads).pin(pin));
+            // Target one exact task by its instance key: deterministic
+            // at any thread count because the key names the task.
+            fp::arm("wave_task:2:3=panic@1");
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                pool.waves(nb, nc, |_, _| {});
+            }))
+            .expect_err("injected panic must propagate out of waves");
+            assert_eq!(
+                payload_str(&*err),
+                "failpoint `wave_task:2:3` injected panic on hit 1",
+                "threads={threads} pin={pin}"
+            );
+            fp::clear();
+            // Survival: same pool, full wavefront, bitwise dataflow.
+            let mut cells = vec![0u64; nb * nc];
+            let shared = SyncSlice::new(&mut cells);
+            pool.waves(nb, nc, |b, i| {
+                // SAFETY: task (b, i) writes only cell b*nc+i and reads
+                // only predecessor cells, whose tasks completed before
+                // this one was released (the waves dependence contract).
+                let cells = unsafe { shared.slice_mut() };
+                let left = if i > 0 { cells[b * nc + i - 1] } else { 7 };
+                let below = if b > 0 { cells[(b - 1) * nc + i] } else { 11 };
+                let right = if b > 0 && i + 1 < nc {
+                    cells[(b - 1) * nc + i + 1]
+                } else {
+                    13
+                };
+                cells[b * nc + i] = mix(left, below, right, (b * nc + i) as u64);
+            });
+            assert_eq!(cells, gold, "threads={threads} pin={pin}");
         }
     }
 }
@@ -215,7 +210,7 @@ fn worker_spawn_injection_fails_pool_construction_cleanly() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let pool = Pool::new(4);
     let count = AtomicUsize::new(0);
-    pool.for_each_index(32, |_| {
+    pool.for_each_owned(32, |_| {
         count.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(count.load(Ordering::Relaxed), 32);
@@ -279,13 +274,13 @@ fn arena_alloc_injection_is_contained() {
 /// A plan whose run panics is poisoned: every later `run` returns
 /// [`PlanError::Poisoned`] without executing, `Plan::reset` clears the
 /// poison, and the reset plan is bitwise-identical to a fresh one — for
-/// both wavefront schedules and pinned/unpinned pools.
+/// the owned (ghost) and wavefront (skew) regions, pinned and unpinned.
 #[test]
 fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
     let _g = fp_guard();
     let h1 = Problem::heat1d(300, 13, Heat1dCoeffs::classic(0.24));
     let g1 = Problem::gs1d(400, 11, Gs1dCoeffs::classic(0.22));
-    let ghost = |schedule: WaveSchedule, pin: bool| {
+    let ghost = |pin: bool| {
         PlanBuilder::new()
             .stride(3)
             .tiling(Tiling::Ghost {
@@ -293,10 +288,9 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
                 height: 4,
             })
             .threads(2)
-            .wave_schedule(schedule)
             .pin(pin)
     };
-    let skew = |schedule: WaveSchedule, pin: bool| {
+    let skew = |pin: bool| {
         PlanBuilder::new()
             .stride(2)
             .tiling(Tiling::Skew {
@@ -304,26 +298,13 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
                 height: 4,
             })
             .threads(2)
-            .wave_schedule(schedule)
             .pin(pin)
     };
     let configs: Vec<(&str, &Problem, PlanBuilder)> = vec![
-        (
-            "heat1d/ghost/pipelined",
-            &h1,
-            ghost(WaveSchedule::Pipelined, false),
-        ),
-        (
-            "heat1d/ghost/barrier",
-            &h1,
-            ghost(WaveSchedule::Barrier, true),
-        ),
-        (
-            "gs1d/skew/pipelined",
-            &g1,
-            skew(WaveSchedule::Pipelined, true),
-        ),
-        ("gs1d/skew/barrier", &g1, skew(WaveSchedule::Barrier, false)),
+        ("heat1d/ghost", &h1, ghost(false)),
+        ("heat1d/ghost/pinned", &h1, ghost(true)),
+        ("gs1d/skew/pinned", &g1, skew(true)),
+        ("gs1d/skew", &g1, skew(false)),
     ];
     for (name, problem, builder) in configs {
         // Gold: a fresh plan over a fresh state.
@@ -378,7 +359,7 @@ fn env_variable_syntax_arms_failpoints() {
     fp::reload_from_env();
     std::env::remove_var("TEMPORA_FAILPOINT");
     let pool = Pool::new(1);
-    let err = catch_unwind(AssertUnwindSafe(|| pool.for_each_index(4, |_| {})))
+    let err = catch_unwind(AssertUnwindSafe(|| pool.for_each_owned(4, |_| {})))
         .expect_err("env-armed failpoint must fire");
     assert_eq!(
         payload_str(&*err),
@@ -386,7 +367,22 @@ fn env_variable_syntax_arms_failpoints() {
     );
     assert_eq!(fp::hits("pool_task:2"), 1);
     fp::clear();
-    pool.for_each_index(4, |_| {});
+    pool.for_each_owned(4, |_| {});
+}
+
+/// A threaded ghost-tiled spec: every run dispatches `pool_task` sites,
+/// so a failpoint can poison its plan, or a `sleep` hold it while other
+/// requests arrive.
+fn ghost_tiled_spec() -> tempora::proto::JobSpec {
+    let mut spec =
+        tempora::proto::JobSpec::new(Problem::heat1d(300, 13, Heat1dCoeffs::classic(0.24)));
+    spec.config.stride = Some(3);
+    spec.config.tiling = Tiling::Ghost {
+        block: 48,
+        height: 4,
+    };
+    spec.config.threads = 2;
+    spec
 }
 
 /// The plan-cache × poisoning interaction (PR 9): an injected panic
@@ -402,13 +398,7 @@ fn cached_plan_poisoning_is_per_entry_and_recovers() {
     let _g = fp_guard();
     // Spec A: threaded ghost-tiled heat — its run drives the pool/wave
     // task sites the failpoints arm. Spec B: a different key entirely.
-    let mut spec_a = JobSpec::new(Problem::heat1d(300, 13, Heat1dCoeffs::classic(0.24)));
-    spec_a.config.stride = Some(3);
-    spec_a.config.tiling = ProtoTiling::Ghost {
-        block: 48,
-        height: 4,
-    };
-    spec_a.config.threads = 2;
+    let spec_a = ghost_tiled_spec();
     let mut spec_b = JobSpec::new(Problem::gs1d(400, 11, Gs1dCoeffs::classic(0.22)));
     spec_b.config.stride = Some(2);
     spec_b.config.tiling = ProtoTiling::Skew {
@@ -466,4 +456,87 @@ fn cached_plan_poisoning_is_per_entry_and_recovers() {
     let stats = cache.stats();
     assert_eq!(stats.poison_resets, 1);
     assert_eq!(stats.builds, 2, "whole scenario: exactly two builds");
+}
+
+/// Admission is bounded before anyone blocks: with `max_queue_depth = d`
+/// and the entry's plan held, `d + k` simultaneous requests admit exactly
+/// `d` (which all complete, in turn) and shed exactly `k` with `Busy`.
+#[test]
+fn held_entry_admits_its_bound_and_sheds_the_rest() {
+    use tempora::server::{CacheConfig, PlanCache, ServeError};
+
+    let _g = fp_guard();
+    let (d, k) = (3usize, 2usize);
+    let cache = PlanCache::new(CacheConfig {
+        max_queue_depth: d,
+        ..CacheConfig::default()
+    });
+    let spec = ghost_tiled_spec();
+    let gold = cache.run(&spec, 5).expect("warm").digest;
+    // The first admitted request sleeps inside its run, holding the plan
+    // while the other threads leave the barrier and reach admission.
+    fp::arm("pool_task=sleep:500@1");
+    let barrier = std::sync::Barrier::new(d + k);
+    let replies: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..d + k)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    cache.run(&spec, 5)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no request thread panics"))
+            .collect()
+    });
+    fp::clear();
+    let shed = replies
+        .iter()
+        .filter(|r| matches!(r, Err(ServeError::Busy { .. })))
+        .count();
+    assert_eq!(shed, k, "{replies:?}");
+    assert_eq!(cache.stats().shed, k as u64);
+    let served: Vec<_> = replies.iter().filter_map(|r| r.as_ref().ok()).collect();
+    assert_eq!(served.len(), d, "{replies:?}");
+    for r in &served {
+        assert_eq!(r.digest, gold);
+        assert!((1..=d as u32).contains(&r.batched), "{r:?}");
+    }
+    assert_eq!(served.iter().map(|r| r.batched).max(), Some(d as u32));
+    // Every place was given back: the entry is empty again.
+    assert_eq!(cache.run(&spec, 5).expect("after the burst").batched, 1);
+}
+
+/// A panic between admission and run — the allocation inside
+/// `fresh_state` — unwinds through `PlanCache::run` without leaking the
+/// request's place: with a bound of one, the next request is admitted and
+/// runs on the same plan.
+#[test]
+fn panic_after_admission_gives_the_place_back() {
+    use tempora::server::{CacheConfig, PlanCache};
+
+    let _g = fp_guard();
+    let cache = PlanCache::new(CacheConfig {
+        max_queue_depth: 1,
+        ..CacheConfig::default()
+    });
+    let spec = ghost_tiled_spec();
+    let gold = cache.run(&spec, 5).expect("warm").digest;
+    fp::arm("arena_alloc=panic@1");
+    let err = catch_unwind(AssertUnwindSafe(|| cache.run(&spec, 5)))
+        .expect_err("the allocation panic unwinds out of run");
+    assert!(
+        payload_str(&*err).contains("failpoint `arena_alloc`"),
+        "unexpected payload: {}",
+        payload_str(&*err)
+    );
+    fp::clear();
+    let next = cache.run(&spec, 5).expect("the entry admits again");
+    assert_eq!(next.batched, 1);
+    assert!(next.cache_hit);
+    assert_eq!(next.plan_builds, 1, "same plan, no rebuild");
+    assert_eq!(next.digest, gold);
+    assert_eq!(cache.stats().shed, 0);
 }
