@@ -11,6 +11,8 @@
 //!          below 0.7× its best stride),
 //!          ablate-boundary (fails when an AVX2 tile's boundary code is
 //!          more than 12× slower per update than its steady state),
+//!          ablate-tiling (fails when an AVX2 tiled plan takes more than
+//!          1.25× its untiled time on one thread),
 //!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
@@ -60,11 +62,12 @@ fn parse_count(flag: &str, value: Option<String>) -> usize {
 }
 
 /// The targets that are not a Table-1 row's figure, in `all` order.
-const ABLATIONS: [&str; 4] = [
+const ABLATIONS: [&str; 5] = [
     "ablate-reorg",
     "ablate-stride",
     "ablate-baselines",
     "ablate-boundary",
+    "ablate-tiling",
 ];
 
 /// The sequential or the parallel figure ids of Table 1, in figure order.
@@ -291,6 +294,11 @@ const BOUNDARY_RATIO_LIMIT: f64 = 12.0;
 /// in-memory ring they would fall back to ≈ 0.45).
 const DEFAULT_STRIDE_FLOOR: f64 = 0.7;
 
+/// A tiled plan may take at most this many times its untiled time on one
+/// thread (measured 1.0–1.1 with sweeps chunked in place; the copying
+/// tilings this replaced measured 1.3–2.2).
+const TILING_OVERHEAD_LIMIT: f64 = 1.25;
+
 /// Run one target: print its table (or text block) to stdout and return
 /// what it produced.
 fn run_target(id: &str, scale: usize, cores: usize) -> Output {
@@ -344,6 +352,29 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                         "boundary/steady ns-per-update ratio over {BOUNDARY_RATIO_LIMIT} in an \
                          AVX2 tile ({}): are the boundary phases still inlined into their \
                          target_feature sandwich?",
+                        over.join(", ")
+                    )
+                }),
+            }
+        }
+        "ablate-tiling" => {
+            let table = tb::ablate_tiling(scale, cores);
+            println!("{}", table.to_table());
+            let checked = tempora_simd::arch::avx2_available() && cores >= 2;
+            if !checked {
+                println!("notice: no AVX2+FMA or a single core here — overhead check skipped\n");
+            }
+            let over: Vec<String> = table
+                .avx2_rows_over(TILING_OVERHEAD_LIMIT)
+                .iter()
+                .map(|r| format!("{} {:.2}", r.kind, r.overhead()))
+                .collect();
+            Output::Checked {
+                json: table.to_json(),
+                violation: (checked && !over.is_empty()).then(|| {
+                    format!(
+                        "tiled one-thread time over {TILING_OVERHEAD_LIMIT}x the untiled plan's \
+                         ({}): is a tiled run still nothing but the untiled sweeps, chunked?",
                         over.join(", ")
                     )
                 }),

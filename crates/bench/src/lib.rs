@@ -43,7 +43,7 @@ use tempora_core::t1d;
 use tempora_grid::{
     fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence,
 };
-use tempora_plan::{Method, PlanBuilder, Problem, Select, State, Tiling};
+use tempora_plan::{Method, PlanBuilder, Problem, Select, State, TileGeometry, Tiling};
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
@@ -384,30 +384,53 @@ pub fn plan_sample(problem: &Problem, builder: PlanBuilder) -> Sample {
     }
 }
 
-/// The ablations' measurement: compile `builder` against `problem`, fill
-/// a state, and return the fastest of 20 `plan.run` calls after one
-/// warm-up, in seconds, with the engine the plan resolved (`portable` for
-/// a plan that dispatches none). The minimum, not [`time_stable`]'s median
-/// of 3: these targets compare code paths and gate on the ratio.
-fn best_of_20(problem: &Problem, builder: PlanBuilder) -> (f64, &'static str) {
-    let mut plan = builder
-        .build(problem)
+/// The ablations' measurement: compile each of `builders` against
+/// `problem`, fill **one** state, and run the plans on it in turn, 21
+/// rounds; per plan, the fastest run after the first round (the warm-up)
+/// in seconds, with the engine the plan resolved (`portable` for a plan
+/// that dispatches none) and the tile geometry of a tiled plan. The
+/// minimum, not [`time_stable`]'s median of 3: these targets compare code
+/// paths and gate on the ratio — which is also why the plans share the
+/// state and alternate: where an allocation lands moves a small 3-D run
+/// by a third, and that must not pass for a difference between plans.
+fn best_of_20_each(
+    problem: &Problem,
+    builders: &[PlanBuilder],
+) -> Vec<(f64, &'static str, Option<TileGeometry>)> {
+    let mut plans = vec![];
+    for b in builders {
         // Panic-justification: every ablation configuration is hard-coded
         // against its problem; a build failure is a bench-suite bug.
-        .expect("bench configurations are valid by construction");
+        plans.push(b.build(problem).expect("bench configurations are valid"));
+    }
     let mut state = problem.state();
     fill_state(&mut state);
-    let mut best = f64::INFINITY;
+    let mut best = vec![(f64::INFINITY, None); plans.len()];
     for rep in 0..=20 {
-        let t = Instant::now();
-        // Panic-justification: the state comes from `problem.state()`.
-        plan.run(&mut state).expect("state matches plan");
-        if rep > 0 {
-            best = best.min(t.elapsed().as_secs_f64());
+        for (plan, (best, tiles)) in plans.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            // Panic-justification: the state comes from `problem.state()`.
+            let report = plan.run(&mut state).expect("state matches plan");
+            if rep > 0 {
+                *best = best.min(t.elapsed().as_secs_f64());
+            }
+            *tiles = report.tiles;
+            std::hint::black_box(&state);
         }
-        std::hint::black_box(&state);
     }
-    (best, plan.engine().map_or("portable", |e| e.name()))
+    let engines = plans
+        .iter()
+        .map(|p| p.engine().map_or("portable", |e| e.name()));
+    engines
+        .zip(best)
+        .map(|(engine, (best, tiles))| (best, engine, tiles))
+        .collect()
+}
+
+/// [`best_of_20_each`] for one plan: its fastest run and its engine.
+fn best_of_20(problem: &Problem, builder: PlanBuilder) -> (f64, &'static str) {
+    let (best, engine, _) = best_of_20_each(problem, &[builder])[0];
+    (best, engine)
 }
 
 /// Fill helper: seeded random interior for whichever grid the state
@@ -531,9 +554,10 @@ const LCS_TABLE: Geometry = Geometry {
 /// scale like [`Geometry::size`].
 #[derive(Clone, Copy, Debug)]
 pub enum Family {
-    /// Ghost-zone bands (the Jacobi rows). The band height is the
-    /// paper's, clamped to a few bands (`steps / 2`) and a ghost width
-    /// well below the block (`block / 4`), in whole `vl`-level tiles.
+    /// `Tiling::Ghost` (the Jacobi rows). The height is the paper's,
+    /// clamped to `steps / 2` and `block / 4`, in whole `vl`-level tiles;
+    /// the plan validates and reports it, its schedule — sweeps cut into
+    /// chunks of `block` — does not depend on it.
     Ghost {
         /// Block edge, `(paper, floor)`.
         block: (usize, usize),
@@ -542,10 +566,10 @@ pub enum Family {
         /// Lanes of the row's engine.
         vl: usize,
     },
-    /// Skewed bands behind a wavefront (the Gauss-Seidel rows). The band
-    /// height is the paper's, clamped to a pipeline `steps_div` bands
-    /// deep and to the wave-disjointness bound `block - VL·s - VL` at
-    /// the row's default stride `s`.
+    /// `Tiling::Skew` (the Gauss-Seidel rows). The height is the
+    /// paper's, clamped to `steps / steps_div` and to the bound the plan
+    /// validates, `block - VL·s - VL` at the row's default stride `s`;
+    /// as for `Ghost`, the schedule does not depend on it.
     Skew {
         /// Blocks per edge and the floor of the block edge.
         blocks: (usize, usize),
@@ -1390,6 +1414,171 @@ pub fn ablate_boundary(scale: usize) -> BoundaryTable {
         geometry: (n2, n3),
         rows,
     }
+}
+
+/// One row of [`ablate_tiling`]: one Table-1 grid benchmark at its
+/// parallel geometry.
+#[derive(Clone, Debug)]
+pub struct TilingRow {
+    /// Benchmark name, as Table 1 prints it.
+    pub kind: &'static str,
+    /// Engine the tiled plan resolved to (`avx2` | `portable`).
+    pub engine: &'static str,
+    /// Anchors per chunk (`TileGeometry::block`: the effective value).
+    pub block: usize,
+    /// Chunks per sweep (`TileGeometry::tiles`).
+    pub chunks: usize,
+    /// Sweeps per run: `steps / vl` temporal plus `steps % vl` scalar.
+    pub sweeps: usize,
+    /// Untiled plan, one thread, µs (best of 20 runs, like the others).
+    pub untiled_us: f64,
+    /// Tiled plan, one thread, µs.
+    pub tiled_1t_us: f64,
+    /// Tiled plan, two threads, µs; `None` on a one-core host.
+    pub tiled_2t_us: Option<f64>,
+}
+
+impl TilingRow {
+    /// What tiling costs at one thread: tiled / untiled time.
+    pub fn overhead(&self) -> f64 {
+        self.tiled_1t_us / self.untiled_us
+    }
+
+    /// What the second thread gains: tiled 1-thread / 2-thread time.
+    pub fn speedup_2t(&self) -> Option<f64> {
+        self.tiled_2t_us.map(|t2| self.tiled_1t_us / t2)
+    }
+}
+
+/// The `ablate-tiling` table: per grid benchmark, the default plan
+/// untiled, tiled on one thread and tiled on two.
+#[derive(Clone, Debug)]
+pub struct TilingTable {
+    /// The `--scale` divisor of the geometry.
+    pub scale: usize,
+    /// One row per Ghost/Skew row of Table 1.
+    pub rows: Vec<TilingRow>,
+}
+
+impl TilingTable {
+    /// Render as an aligned text table.
+    pub fn to_table(&self) -> String {
+        let mut out = format!(
+            "# ablate-tiling — what tiling costs and what a second thread gains \
+             (Table-1 parallel geometry, scale 1/{})\n\
+             {:<10}{:>10}{:>8}{:>8}{:>8}{:>13}{:>13}{:>13}{:>10}{:>9}\n",
+            self.scale,
+            "benchmark",
+            "engine",
+            "block",
+            "chunks",
+            "sweeps",
+            "untiled µs",
+            "tiled-1t µs",
+            "tiled-2t µs",
+            "1t/untld",
+            "1t/2t"
+        );
+        for r in &self.rows {
+            let (t2, gain) = match (r.tiled_2t_us, r.speedup_2t()) {
+                (Some(t2), Some(gain)) => (format!("{t2:.1}"), format!("{gain:.2}")),
+                _ => ("-".into(), "-".into()),
+            };
+            out.push_str(&format!(
+                "{:<10}{:>10}{:>8}{:>8}{:>8}{:>13.1}{:>13.1}{:>13}{:>10.2}{:>9}\n",
+                r.kind,
+                r.engine,
+                r.block,
+                r.chunks,
+                r.sweeps,
+                r.untiled_us,
+                r.tiled_1t_us,
+                t2,
+                r.overhead(),
+                gain
+            ));
+        }
+        out
+    }
+
+    /// Render as a JSON object (`{"id", "scale", "rows"}`), one entry of
+    /// the `repro --json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"kind\":\"{}\",\"engine\":\"{}\",\"block\":{},\"chunks\":{},\
+                     \"sweeps\":{},\"untiled_us\":{},\"tiled_1t_us\":{},\"tiled_2t_us\":{}}}",
+                    r.kind,
+                    r.engine,
+                    r.block,
+                    r.chunks,
+                    r.sweeps,
+                    json_num(r.untiled_us),
+                    json_num(r.tiled_1t_us),
+                    r.tiled_2t_us.map_or("null".into(), json_num)
+                )
+            })
+            .collect();
+        format!(
+            "{{\"id\":\"ablate-tiling\",\"scale\":{},\"rows\":[{}]}}",
+            self.scale,
+            rows.join(",")
+        )
+    }
+
+    /// The AVX2 rows whose one-thread tiled run takes more than `limit`
+    /// times the untiled one: chunking a sweep should cost the wavefront's
+    /// bookkeeping and nothing else.
+    pub fn avx2_rows_over(&self, limit: f64) -> Vec<&TilingRow> {
+        self.rows
+            .iter()
+            .filter(|r| r.engine == "avx2" && r.overhead() > limit)
+            .collect()
+    }
+}
+
+/// ROADMAP item "time tiling that pays for itself": for every Ghost/Skew
+/// row of Table 1 at its parallel geometry (divided by `scale`), the
+/// default "our" plan untiled on one thread, tiled on one thread and —
+/// when `cores ≥ 2` — tiled on two, minimum of 20 runs each, alternating
+/// on one state.
+pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
+    let sel = Select::from_env();
+    let mut rows = vec![];
+    for row in &BENCHMARKS {
+        let vl = match row.family {
+            Family::Ghost { vl, .. } => vl,
+            Family::Skew { .. } => 4,
+            Family::Rect { .. } => continue,
+        };
+        let cfg = row.parallel_config(scale);
+        let problem = (row.problem)(cfg.n, cfg.steps);
+        let our = PlanBuilder::new().select(sel);
+        let tiled = |threads| our.tiling(cfg.tiling).threads(threads);
+        let mut builders = vec![our, tiled(1)];
+        if cores >= 2 {
+            builders.push(tiled(2));
+        }
+        let runs = best_of_20_each(&problem, &builders);
+        let (tiled_1t, engine, tiles) = runs[1];
+        // Panic-justification: a plan built with a tiling reports its
+        // geometry; anything else is a bench-suite bug.
+        let tiles = tiles.expect("tiled plans report their geometry");
+        rows.push(TilingRow {
+            kind: row.name,
+            engine,
+            block: tiles.block,
+            chunks: tiles.tiles,
+            sweeps: cfg.steps / vl + cfg.steps % vl,
+            untiled_us: runs[0].0 * 1e6,
+            tiled_1t_us: tiled_1t * 1e6,
+            tiled_2t_us: runs.get(2).map(|r| r.0 * 1e6),
+        });
+    }
+    TilingTable { scale, rows }
 }
 
 #[cfg(test)]

@@ -7,11 +7,10 @@
 //! selection once per plan, reuses scratch across runs and reports the
 //! [`Engine`] that actually executed, so callers (the bench harness in
 //! particular) can state honestly which instruction mix was measured.
-//! Everything above the tile — ghost and skew workspaces, plan executors,
-//! the plan builder — reaches the kernels through one trait,
-//! [`KernelSpace`] (plus [`GsSpace`] for the Gauss-Seidel band executors),
-//! so those layers are written once for all dimensionalities. The
-//! selection policy is a three-valued [`Select`]:
+//! Everything above the tile — the pipelined-sweep workspace, plan
+//! executors, the plan builder — reaches the kernels through one trait,
+//! [`KernelSpace`], so those layers are written once for all
+//! dimensionalities. The selection policy is a three-valued [`Select`]:
 //!
 //! * [`Select::Auto`] (the default) — AVX2+FMA steady state whenever the
 //!   CPU supports it and the workload has one, portable otherwise;
@@ -40,10 +39,9 @@
 //! # One codegen context per resolved engine
 //!
 //! The resolved [`Engine`] names more than the steady state: every
-//! [`KernelSpace`] / [`GsSpace`] method takes it and runs *everything* —
-//! tile prologue and epilogue, degenerate fallback, remainder scalar
-//! steps, edge bands, the spatial multi-load steps — in that engine's
-//! codegen context. The phase functions are one `#[inline(always)]`
+//! [`KernelSpace`] method takes it and runs *everything* — sweep prologue
+//! and epilogue, remainder scalar steps, the spatial multi-load steps — in
+//! that engine's codegen context. The phase functions are one `#[inline(always)]`
 //! source, instantiated once for baseline x86-64 and once inside
 //! `#[target_feature(enable = "avx2,fma")]` sandwiches — for the 2-D/3-D
 //! kernels a single one, [`crate::slab_avx2`], generic over the kernel's
@@ -59,13 +57,14 @@
 //! engine value runs the portable instantiation.
 
 use crate::kernels::{
-    BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, Kernel1d,
-    Kernel2d, Kernel3d, LifeKern2d,
+    BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, Kernel1d, Kernel2d, Kernel3d,
+    LifeKern2d,
 };
-use crate::slab::{self, BandScratch, Rows2, Rows3, Scratch};
+use crate::slab::{self, Rows2, Rows3, Scratch};
 use crate::t1d::Scratch1d;
-use crate::{spatial, t1d, t1d_band};
-use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
+use crate::{spatial, t1d};
+use core::ops::RangeInclusive;
+use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid, SlabLayout, Slabs, SlabsMut};
 use tempora_simd::arch::avx2_available;
 
 /// Environment variable consulted by [`Select::from_env`].
@@ -183,28 +182,51 @@ pub fn shape_has_vector_tiles(vl: usize, n_outer: usize, steps: usize, s: usize)
 // One kernel-space trait for everything above the tile
 // ---------------------------------------------------------------------
 
-/// What the layers above the tile — the ghost and skew workspaces of
+/// The element type of kernel `K`'s grid, as its boundary condition
+/// spells it.
+pub type Elem<K> = <<K as KernelSpace>::Grid as SlabGrid>::Elem;
+
+/// What the layers above the tile — the pipelined-sweep workspace of
 /// `tempora-tiling`, the executors and the builder of `tempora-plan` —
 /// need from one kernel, and nothing else. Each benchmark kernel
 /// implements it once, naming its grid type, lane count and scratch and
-/// forwarding to its tile primitives (`t1d*`, or [`crate::slab`] with the
-/// kernel's row updates), so those layers are
-/// written once and every call monomorphises to the same tile loop a
-/// hand-written per-dimension caller would contain.
+/// forwarding to its sweep primitives (`t1d*`, or [`crate::slab`] with the
+/// kernel's row updates), so those layers are written once and every call
+/// monomorphises to the same loop a hand-written per-dimension caller
+/// would contain.
+///
+/// # Parts and windows
+///
+/// The three primitives — [`sweep`](KernelSpace::sweep) (one temporal
+/// sweep, `VL` levels), [`scalar_sweep`](KernelSpace::scalar_sweep) and
+/// [`multiload_sweep`](KernelSpace::multiload_sweep) (one level each) —
+/// advance a **range of outer slabs** of a grid given as its
+/// [`SlabLayout`] plus a [`SlabsMut`] window of its storage, and document
+/// the slabs they touch; everything a sweep has in flight at the end of
+/// the range is left in the scratch it was given, so the ranges of one
+/// sweep can be run as separate **parts**, in ascending order, and a
+/// second sweep can follow through the same array as soon as the slabs
+/// its next part touches are final. The whole-grid forms
+/// [`tile`](KernelSpace::tile), [`scalar_step`](KernelSpace::scalar_step)
+/// and [`multiload_step`](KernelSpace::multiload_step) are the one-part
+/// cases of the same code.
 ///
 /// Extents travel as `[outer, middle, inner]` with unused trailing
 /// dimensions 1 (see [`SlabGrid::dims`]).
 pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// The grid this kernel advances.
     type Grid: SlabGrid;
-    /// Scratch of one temporal tile. The portable and the AVX2 steady
-    /// state both run at [`KernelSpace::VL`] lanes and share it.
+    /// Everything one temporal sweep has in flight: what its parts hand
+    /// each other. The portable and the AVX2 steady state both run at
+    /// [`KernelSpace::VL`] lanes and share it.
     type Scratch: Send;
-    /// Old-slab buffers of the in-place scalar step (none in 1-D).
+    /// What the parts of an in-place scalar step hand each other: the old
+    /// values already overwritten and still needed (a cell in 1-D, two
+    /// slabs above).
     type StepBufs: Send;
 
     /// Production lane count: 4 `f64` lanes, 8 `i32` lanes for Life. One
-    /// temporal tile advances this many time levels.
+    /// temporal sweep advances this many time levels.
     const VL: usize;
     /// Minimum legal temporal stride (the kernel's dependence bound).
     const MIN_STRIDE: usize;
@@ -212,53 +234,141 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// capacity; the 2-D/3-D rings live in scratch).
     const MAX_STRIDE: usize = usize::MAX;
 
-    /// Allocate tile scratch for interior extents `dims` and stride `s`.
+    /// Allocate sweep scratch for interior extents `dims` and stride `s`.
     fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch;
 
-    /// Allocate scalar-step buffers for interior extents `dims`.
+    /// Allocate scalar-step state for interior extents `dims`.
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs;
 
-    /// One in-place scalar time step in `engine`'s codegen context,
-    /// bit-identical to the reference.
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs);
-
-    /// One multi-load (spatially vectorized) Jacobi step `dst = S(src)`
-    /// in `engine`'s codegen context.
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid);
-
-    /// One whole temporal tile ([`KernelSpace::VL`] levels, in place) —
-    /// boundary phases and steady state — with the resolved `engine`
-    /// (bit-identical either way). [`Engine::Avx2`] needs
-    /// [`KernelSpace::has_avx2_tile`]. `COUNT` turns on the portable
+    /// The anchors `xs ⊆ 1 ..= x_max` (`x_max = nx + 1 - VL·s`) of one
+    /// temporal sweep — [`KernelSpace::VL`] levels, in place — with the
+    /// resolved `engine` (bit-identical either way): the prologue when
+    /// `xs` starts at 1, the steady state over `xs`, the epilogue when
+    /// `xs` ends at `x_max`. Touches the slabs from `xs.start()` (from
+    /// ghost slab 0 with the prologue) to `xs.end() + VL·s` (to ghost slab
+    /// `nx + 1` with the epilogue), which `a` must hold. [`Engine::Avx2`]
+    /// needs [`KernelSpace::has_avx2_tile`]. `COUNT` turns on the portable
     /// steady state's reorganization-op accounting
-    /// ([`tempora_simd::count`]; the AVX2 tile ignores it).
+    /// ([`tempora_simd::count`]; the AVX2 sweep ignores it).
+    ///
+    /// # Panics
+    /// Panics when the outer extent cannot host the vector schedule
+    /// (`nx < VL·s`; run scalar steps instead, as [`advance`] does).
+    // Justification: kernel, codegen context, grid geometry, window, range, stride and carried state are the part's contract; a params struct would only rename it.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep<const COUNT: bool>(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<Elem<Self>>,
+        a: SlabsMut<'_, Elem<Self>>,
+        xs: RangeInclusive<usize>,
+        s: usize,
+        sc: &mut Self::Scratch,
+    );
+
+    /// The slabs `xs ⊆ 1 ..= nx` of one in-place scalar time step in
+    /// `engine`'s codegen context, bit-identical to the reference.
+    /// Touches slabs `xs.start() - 1 ..= xs.end() + 1`, which `a` must
+    /// hold.
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<Elem<Self>>,
+        a: SlabsMut<'_, Elem<Self>>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    );
+
+    /// The slabs `xs ⊆ 1 ..= nx` of one multi-load (spatially vectorized)
+    /// Jacobi step `dst = S(src)` in `engine`'s codegen context: reads
+    /// slabs `xs.start() - 1 ..= xs.end() + 1` of `src` and writes the
+    /// interior of slabs `xs` of `dst`.
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<Elem<Self>>,
+        src: Slabs<'_, Elem<Self>>,
+        dst: SlabsMut<'_, Elem<Self>>,
+        xs: RangeInclusive<usize>,
+    );
+
+    /// True when this kernel has a hand-scheduled AVX2 temporal sweep at
+    /// stride `s` **and** the CPU supports AVX2+FMA — a `true` return is
+    /// the licence to pass [`Engine::Avx2`] to [`KernelSpace::sweep`].
+    /// Always false off x86-64 and under Miri.
+    fn has_avx2_tile(s: usize) -> bool;
+
+    /// One whole temporal tile: [`KernelSpace::sweep`] over every anchor
+    /// of `g`.
+    ///
+    /// # Panics
+    /// Panics when `g`'s halo is not 1 or its outer extent is below
+    /// `VL·s`.
     fn tile<const COUNT: bool>(
         &self,
         engine: Engine,
         g: &mut Self::Grid,
         s: usize,
         sc: &mut Self::Scratch,
-    );
+    ) {
+        assert_eq!(g.halo(), 1, "temporal engines use halo width 1");
+        let lay = g.layout();
+        let xs = 1..=(lay.nx + 1).saturating_sub(Self::VL * s);
+        self.sweep::<COUNT>(engine, &lay, g.slabs_mut(), xs, s, sc);
+    }
 
-    /// True when this kernel has a hand-scheduled AVX2 temporal tile at
-    /// stride `s` **and** the CPU supports AVX2+FMA — a `true` return is
-    /// the licence to pass [`Engine::Avx2`] to [`KernelSpace::tile`].
-    /// Always false off x86-64 and under Miri.
-    fn has_avx2_tile(s: usize) -> bool;
+    /// One whole in-place scalar time step: [`KernelSpace::scalar_sweep`]
+    /// over every slab of `g`.
+    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
+        let lay = g.layout();
+        self.scalar_sweep(engine, &lay, g.slabs_mut(), 1..=lay.nx, bufs);
+    }
 
-    /// Resolve `sel` for an untiled run of `steps` levels over `outer`
-    /// slabs: AVX2 needs the kernel's tile and a shape that reaches the
-    /// vector steady state (see [`shape_has_vector_tiles`]).
+    /// One whole multi-load step: [`KernelSpace::multiload_sweep`] over
+    /// every slab.
+    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
+        let lay = src.layout();
+        self.multiload_sweep(engine, &lay, src.slabs(), dst.slabs_mut(), 1..=lay.nx);
+    }
+
+    /// Resolve `sel` for a run of `steps` levels over `outer` slabs: AVX2
+    /// needs the kernel's sweep and a shape that reaches the vector
+    /// steady state (see [`shape_has_vector_tiles`]).
     fn resolve(sel: Select, outer: usize, steps: usize, s: usize) -> Engine {
         sel.resolve(Self::has_avx2_tile(s) && shape_has_vector_tiles(Self::VL, outer, steps, s))
     }
 }
 
-/// An untiled run the way every layer above drives [`KernelSpace`]:
-/// `steps / VL` whole tiles, then the `steps mod VL` remainder as scalar
-/// steps, all in `engine`'s codegen context, on a copy of `grid`.
-/// Bit-identical to the scalar reference sweeps for either engine;
-/// [`Engine::Avx2`] needs [`KernelSpace::has_avx2_tile`].
+/// An untiled run in place, the way every layer above drives
+/// [`KernelSpace`]: `steps / VL` whole tiles, then the `steps mod VL`
+/// remainder as scalar steps — or, when the outer extent cannot host the
+/// vector schedule (`nx < VL·s`), every step as a scalar step — all in
+/// `engine`'s codegen context. Bit-identical to the scalar reference
+/// sweeps for either engine; [`Engine::Avx2`] needs
+/// [`KernelSpace::has_avx2_tile`].
+pub fn advance<const COUNT: bool, K: KernelSpace>(
+    engine: Engine,
+    g: &mut K::Grid,
+    kern: &K,
+    steps: usize,
+    s: usize,
+    sc: &mut K::Scratch,
+    bufs: &mut K::StepBufs,
+) {
+    let tiles = if g.dims()[0] < K::VL * s {
+        0
+    } else {
+        steps / K::VL
+    };
+    for _ in 0..tiles {
+        kern.tile::<COUNT>(engine, g, s, sc);
+    }
+    for _ in 0..steps - tiles * K::VL {
+        kern.scalar_step(engine, g, bufs);
+    }
+}
+
+/// [`advance`] on a copy of `grid`, with freshly allocated scratch.
 pub fn run<K: KernelSpace>(
     engine: Engine,
     grid: &K::Grid,
@@ -268,182 +378,76 @@ pub fn run<K: KernelSpace>(
 ) -> K::Grid {
     let dims = grid.dims();
     let (mut g, mut sc, mut bufs) = (grid.clone(), K::scratch(dims, s), K::step_bufs(dims));
-    for _ in 0..steps / K::VL {
-        kern.tile::<false>(engine, &mut g, s, &mut sc);
-    }
-    for _ in 0..steps % K::VL {
-        kern.scalar_step(engine, &mut g, &mut bufs);
-    }
+    advance::<false, K>(engine, &mut g, kern, steps, s, &mut sc, &mut bufs);
     g
 }
 
-/// The element type of kernel `K`'s grid, as its boundary condition
-/// spells it.
-pub type Elem<K> = <<K as KernelSpace>::Grid as SlabGrid>::Elem;
-
-/// The skewed-band executors of the three Gauss-Seidel kernels (paper
-/// §3.4), on top of [`KernelSpace`]: what `tempora-tiling`'s skew
-/// workspace runs inside one parallelogram.
-pub trait GsSpace: KernelSpace {
-    /// Scratch of one band (none in 1-D).
-    type BandScratch: Send;
-
-    /// Allocate band scratch for interior extents `dims` and stride `s`.
-    fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch;
-
-    /// One scalar skewed band of `levels` levels anchored at `[xl, xr]`,
-    /// in `engine`'s codegen context.
-    fn band_scalar(&self, engine: Engine, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize);
-
-    /// One temporally vectorized skewed band ([`KernelSpace::VL`] levels)
-    /// with the resolved `engine`; edge or narrow bands run the scalar
-    /// band in the same codegen context (identical results).
-    /// [`Engine::Avx2`] needs [`GsSpace::has_avx2_band`].
-    fn band(
-        &self,
-        engine: Engine,
-        g: &mut Self::Grid,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut Self::BandScratch,
-    );
-
-    /// True when the AVX2 band executor exists at stride `s` and the CPU
-    /// supports AVX2+FMA (the licence to pass [`Engine::Avx2`] to
-    /// [`GsSpace::band`]).
-    fn has_avx2_band(s: usize) -> bool;
-}
-
-/// [`t1d::scalar_step_inplace`] in `engine`'s codegen context.
-fn scalar_step_1d<K: Kernel1d>(engine: Engine, g: &mut Grid1<f64>, kern: &K) {
-    let n = g.n();
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::t1d_avx2::scalar_step_avx2(g.data_mut(), n, kern),
-        _ => t1d::scalar_step_inplace(g.data_mut(), n, kern),
-    }
-}
-
-impl KernelSpace for JacobiKern1d {
+/// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`] at four `f64`
+/// lanes; the slab of a line is a cell, so only the outer extent of the
+/// layout is read.
+impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
     type Grid = Grid1<f64>;
     type Scratch = Scratch1d<4>;
-    type StepBufs = ();
+    /// The old value of the last cell updated (Jacobi's west operand).
+    type StepBufs = f64;
     const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel1d>::MIN_STRIDE;
+    const MIN_STRIDE: usize = <K as Kernel1d>::MIN_STRIDE;
     const MAX_STRIDE: usize = t1d::RING_CAP - 1;
 
     fn scratch(_dims: [usize; 3], s: usize) -> Scratch1d<4> {
         Scratch1d::new(s)
     }
 
-    fn step_bufs(_dims: [usize; 3]) {}
-
-    fn scalar_step(&self, engine: Engine, g: &mut Grid1<f64>, _bufs: &mut ()) {
-        scalar_step_1d(engine, g, self);
+    fn step_bufs(_dims: [usize; 3]) -> f64 {
+        0.0
     }
 
-    fn multiload_step(&self, engine: Engine, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
-        spatial::step_1d(engine, src.data(), dst.data_mut(), src.n(), self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Grid1<f64>,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Scratch1d<4>,
     ) {
-        let n = g.n();
         match engine {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t1d_avx2::tile_avx2(g.data_mut(), n, self, s, sc),
-            _ => t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc),
+            Engine::Avx2 => crate::t1d_avx2::sweep_avx2(a.data, a.first, lay.nx, self, s, sc, xs),
+            _ => t1d::sweep::<4, COUNT, K>(a.data, a.first, lay.nx, self, s, sc, xs),
         }
     }
 
-    /// The AVX2 tile is capped at stride [`crate::t1d_avx2::MAX_STRIDE`];
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        _lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        old_west: &mut f64,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 => crate::t1d_avx2::scalar_sweep_avx2(a.data, a.first, self, xs, old_west),
+            _ => t1d::scalar_cells(a.data, a.first, self, xs, old_west),
+        }
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        _lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_1d(engine, src, dst, xs, self);
+    }
+
+    /// The AVX2 sweep is capped at stride [`crate::t1d_avx2::MAX_STRIDE`];
     /// wider strides resolve portable.
     fn has_avx2_tile(s: usize) -> bool {
         s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
-    }
-}
-
-impl KernelSpace for GsKern1d {
-    type Grid = Grid1<f64>;
-    type Scratch = Scratch1d<4>;
-    type StepBufs = ();
-    const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel1d>::MIN_STRIDE;
-    const MAX_STRIDE: usize = t1d::RING_CAP - 1;
-
-    fn scratch(_dims: [usize; 3], s: usize) -> Scratch1d<4> {
-        Scratch1d::new(s)
-    }
-
-    fn step_bufs(_dims: [usize; 3]) {}
-
-    fn scalar_step(&self, engine: Engine, g: &mut Grid1<f64>, _bufs: &mut ()) {
-        scalar_step_1d(engine, g, self);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Grid1<f64>, dst: &mut Grid1<f64>) {
-        spatial::step_1d(engine, src.data(), dst.data_mut(), src.n(), self);
-    }
-
-    fn tile<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        g: &mut Grid1<f64>,
-        s: usize,
-        sc: &mut Scratch1d<4>,
-    ) {
-        let n = g.n();
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t1d_avx2::tile_avx2(g.data_mut(), n, self, s, sc),
-            _ => t1d::tile::<4, COUNT, Self>(g.data_mut(), n, self, s, sc),
-        }
-    }
-
-    fn has_avx2_tile(s: usize) -> bool {
-        s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
-    }
-}
-
-impl GsSpace for GsKern1d {
-    type BandScratch = ();
-
-    fn band_scratch(_dims: [usize; 3], _s: usize) {}
-
-    fn band_scalar(&self, engine: Engine, g: &mut Grid1<f64>, xl: usize, xr: usize, levels: usize) {
-        let n = g.n();
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t1d_band::band_scalar_gs_avx2(g.data_mut(), xl, xr, levels, n, self),
-            _ => t1d_band::band_scalar_gs(g.data_mut(), xl, xr, levels, n, self),
-        }
-    }
-
-    fn band(
-        &self,
-        engine: Engine,
-        g: &mut Grid1<f64>,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        _sc: &mut (),
-    ) {
-        let n = g.n();
-        match engine {
-            #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t1d_band::band_temporal_gs_avx2(g.data_mut(), xl, xr, n, s, self),
-            _ => t1d_band::band_temporal_gs::<4, Self>(g.data_mut(), xl, xr, n, s, self),
-        }
-    }
-
-    fn has_avx2_band(s: usize) -> bool {
-        s <= t1d_band::MAX_BAND_STRIDE && avx2_available()
     }
 }
 
@@ -462,22 +466,38 @@ impl KernelSpace for JacobiKern2d {
         slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows2(self), bufs);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        spatial::step_2d(engine, src, dst, self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Self::Grid,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+    }
+
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    ) {
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(self), xs, bufs);
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_2d(engine, lay, src, dst, xs, self);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -500,22 +520,38 @@ impl KernelSpace for BoxKern2d {
         slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows2(self), bufs);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        spatial::step_2d(engine, src, dst, self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Self::Grid,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+    }
+
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    ) {
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(self), xs, bufs);
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_2d(engine, lay, src, dst, xs, self);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -538,53 +574,41 @@ impl KernelSpace for GsKern2d {
         slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows2(self), bufs);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        spatial::step_2d(engine, src, dst, self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Self::Grid,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+    }
+
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    ) {
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(self), xs, bufs);
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_2d(engine, lay, src, dst, xs, self);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
-}
-
-impl GsSpace for GsKern2d {
-    type BandScratch = BandScratch<f64, 4>;
-
-    fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch {
-        BandScratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn band_scalar(&self, engine: Engine, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize) {
-        slab::band_scalar::<f64, 4, _, _>(engine, g, &Rows2(self), xl, xr, levels);
-    }
-
-    fn band(
-        &self,
-        engine: Engine,
-        g: &mut Self::Grid,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut Self::BandScratch,
-    ) {
-        slab::band(engine, g, &Rows2(self), xl, xr, s, sc);
-    }
-
-    fn has_avx2_band(_s: usize) -> bool {
         avx2_available()
     }
 }
@@ -607,22 +631,38 @@ impl KernelSpace for LifeKern2d {
         slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        slab::scalar_step::<i32, 8, _, _>(engine, g, &Rows2(self), bufs);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        spatial::step_2d(engine, src, dst, self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Self::Grid,
+        lay: &SlabLayout<i32>,
+        a: SlabsMut<'_, i32>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::tile::<i32, 8, COUNT, _, _>(engine, g, &Rows2(self), s, sc);
+        slab::sweep::<i32, 8, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+    }
+
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<i32>,
+        a: SlabsMut<'_, i32>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    ) {
+        slab::scalar_sweep::<i32, 8, _>(engine, lay, a, &Rows2(self), xs, bufs);
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<i32>,
+        src: Slabs<'_, i32>,
+        dst: SlabsMut<'_, i32>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_2d(engine, lay, src, dst, xs, self);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -645,22 +685,38 @@ impl KernelSpace for JacobiKern3d {
         slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows3(self), bufs);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        spatial::step_3d(engine, src, dst, self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Self::Grid,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows3(self), s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(self), xs, s, sc);
+    }
+
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    ) {
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(self), xs, bufs);
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_3d(engine, lay, src, dst, xs, self);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -683,22 +739,38 @@ impl KernelSpace for GsKern3d {
         slab::step_bufs::<Self::Grid>(dims)
     }
 
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        slab::scalar_step::<f64, 4, _, _>(engine, g, &Rows3(self), bufs);
-    }
-
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        spatial::step_3d(engine, src, dst, self);
-    }
-
-    fn tile<const COUNT: bool>(
+    fn sweep<const COUNT: bool>(
         &self,
         engine: Engine,
-        g: &mut Self::Grid,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::tile::<f64, 4, COUNT, _, _>(engine, g, &Rows3(self), s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(self), xs, s, sc);
+    }
+
+    fn scalar_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        a: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        bufs: &mut Self::StepBufs,
+    ) {
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(self), xs, bufs);
+    }
+
+    fn multiload_sweep(
+        &self,
+        engine: Engine,
+        lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+    ) {
+        spatial::step_3d(engine, lay, src, dst, xs, self);
     }
 
     fn has_avx2_tile(_s: usize) -> bool {
@@ -706,39 +778,89 @@ impl KernelSpace for GsKern3d {
     }
 }
 
-impl GsSpace for GsKern3d {
-    type BandScratch = BandScratch<f64, 4>;
-
-    fn band_scratch(dims: [usize; 3], s: usize) -> Self::BandScratch {
-        BandScratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn band_scalar(&self, engine: Engine, g: &mut Self::Grid, xl: usize, xr: usize, levels: usize) {
-        slab::band_scalar::<f64, 4, _, _>(engine, g, &Rows3(self), xl, xr, levels);
-    }
-
-    fn band(
-        &self,
-        engine: Engine,
-        g: &mut Self::Grid,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut Self::BandScratch,
-    ) {
-        slab::band(engine, g, &Rows3(self), xl, xr, s, sc);
-    }
-
-    fn has_avx2_band(_s: usize) -> bool {
-        avx2_available()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::kernels::{GsKern1d, JacobiKern1d};
     use tempora_grid::{fill_random_1d, Boundary};
     use tempora_stencil::{reference, Gs1dCoeffs, Heat1dCoeffs};
+
+    /// The window of `g` holding slabs `lo ..= hi`: what a part is given,
+    /// so that a part reaching outside its documented slabs panics.
+    fn window<G: SlabGrid>(g: &mut G, lo: usize, hi: usize) -> SlabsMut<'_, G::Elem> {
+        let slab = g.slab();
+        SlabsMut {
+            data: &mut g.data_mut()[lo * slab..(hi + 1) * slab],
+            first: lo,
+        }
+    }
+
+    /// [`super::run`] with every sweep and every scalar step cut into
+    /// parts of `cut` anchors, run in ascending order, each on the window
+    /// its contract names: the sequential form of the pipelined sweeps of
+    /// `tempora-tiling` (consecutive parts are the §3.4 parallelogram
+    /// tiles). Without a stride every step is a scalar step.
+    pub(crate) fn run_in_parts<K: KernelSpace>(
+        engine: Engine,
+        grid: &K::Grid,
+        kern: &K,
+        steps: usize,
+        s: Option<usize>,
+        cut: usize,
+    ) -> K::Grid {
+        let (dims, lay) = (grid.dims(), grid.layout());
+        let (mut g, mut bufs, nx) = (grid.clone(), K::step_bufs(dims), lay.nx);
+        let parts = |hi: usize| {
+            (1..=hi)
+                .step_by(cut)
+                .map(move |x0| (x0, (x0 + cut - 1).min(hi)))
+        };
+        let mut scalar_steps = steps;
+        if let Some(s) = s.filter(|s| nx >= K::VL * s) {
+            let (mut sc, reach) = (K::scratch(dims, s), K::VL * s);
+            let x_max = nx + 1 - reach;
+            scalar_steps %= K::VL;
+            for _ in 0..steps / K::VL {
+                for (x0, x1) in parts(x_max) {
+                    let lo = if x0 == 1 { 0 } else { x0 };
+                    let hi = if x1 == x_max { nx + 1 } else { x1 + reach };
+                    kern.sweep::<false>(engine, &lay, window(&mut g, lo, hi), x0..=x1, s, &mut sc);
+                }
+            }
+        }
+        for _ in 0..scalar_steps {
+            for (x0, x1) in parts(nx) {
+                let a = window(&mut g, x0 - 1, x1 + 1);
+                kern.scalar_sweep(engine, &lay, a, x0..=x1, &mut bufs);
+            }
+        }
+        g
+    }
+
+    /// `steps` multi-load steps ping-ponging `grid` and a twin, every step
+    /// cut into parts of `cut` slabs on the windows the contract names.
+    pub(crate) fn multiload_in_parts<K: KernelSpace>(
+        engine: Engine,
+        grid: &K::Grid,
+        kern: &K,
+        steps: usize,
+        cut: usize,
+    ) -> K::Grid {
+        let lay = grid.layout();
+        let (mut a, mut b) = (grid.clone(), grid.clone());
+        for _ in 0..steps {
+            for x0 in (1..=lay.nx).step_by(cut) {
+                let x1 = (x0 + cut - 1).min(lay.nx);
+                let src = Slabs {
+                    data: &a.data()[(x0 - 1) * lay.slab..(x1 + 2) * lay.slab],
+                    first: x0 - 1,
+                };
+                kern.multiload_sweep(engine, &lay, src, window(&mut b, x0, x1), x0..=x1);
+            }
+            core::mem::swap(&mut a, &mut b);
+        }
+        a
+    }
 
     /// Resolve `sel` for the shape, then [`super::run`] with the result.
     fn run<K: KernelSpace>(
@@ -829,7 +951,7 @@ mod tests {
         // ones and the rolled fallback — against every way the unrolled
         // `R = s + 1` chunks can end: a steady state of one iteration
         // (`n = VL·s`), whole chunks, and chunks plus 1 or `R - 1`
-        // remainder iterations. Tile and skewed band, both engines.
+        // remainder iterations. Whole tiles and parts, both engines.
         const VL: usize = 4;
         let heat = [
             Heat1dCoeffs::classic(0.25),
@@ -864,36 +986,55 @@ mod tests {
                     }
                 }
             }
-            // Skewed bands: an interior block of width `block` runs
-            // `block + VL - VL·s` steady iterations from an anchor that
-            // moves with the block, so the ring enters rotated.
+            // Parts: a sweep cut every `4·R + rem` anchors enters the
+            // steady state at ring rotations `k·rem mod R` — every chunk
+            // whole, one iteration over, one short — and hands the ring
+            // from part to part; the remainder steps are cut the same way.
             for rem in [0, 1, r - 1] {
-                let block = 4 * r + rem + VL * s - VL;
-                let n = 4 * block + 3;
+                let cut = 4 * r + rem;
+                let n = 4 * cut + 3 + VL * s;
                 let g = heat1d(n, (n + s) as u64);
                 for steps in [4usize, 8, 13] {
                     for engine in engines() {
+                        for c in heat {
+                            let ours =
+                                run_in_parts(engine, &g, &JacobiKern1d(c), steps, Some(s), cut);
+                            let gold = reference::heat1d(&g, c, steps);
+                            assert!(
+                                ours.interior_eq(&gold),
+                                "heat1d parts {engine:?} s={s} cut={cut} steps={steps} {:?}",
+                                ours.first_diff(&gold)
+                            );
+                        }
                         for c in gs {
-                            let kern = GsKern1d(c);
-                            let mut ours = g.clone();
-                            for _ in 0..steps / VL {
-                                let span = n + VL - 1;
-                                for i in 0..span.div_ceil(block) {
-                                    let (xl, xr) = (i * block + 1, ((i + 1) * block).min(span));
-                                    kern.band(engine, &mut ours, xl, xr, s, &mut ());
-                                }
-                            }
-                            for _ in 0..steps % VL {
-                                kern.scalar_step(engine, &mut ours, &mut ());
-                            }
+                            let ours = run_in_parts(engine, &g, &GsKern1d(c), steps, Some(s), cut);
                             let gold = reference::gs1d(&g, c, steps);
                             assert!(
                                 ours.interior_eq(&gold),
-                                "band {engine:?} s={s} block={block} steps={steps} {:?}",
+                                "gs1d parts {engine:?} s={s} cut={cut} steps={steps} {:?}",
                                 ours.first_diff(&gold)
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multiload_parts_match_reference_bitwise() {
+        let c = Heat1dCoeffs::new(0.3, 0.45, 0.25);
+        let g = heat1d(203, 11);
+        for engine in engines() {
+            for cut in [1, 2, 5, 64, 203, 500] {
+                for steps in [0usize, 1, 2, 7] {
+                    let ours = multiload_in_parts(engine, &g, &JacobiKern1d(c), steps, cut);
+                    let gold = reference::heat1d(&g, c, steps);
+                    assert!(
+                        ours.interior_eq(&gold),
+                        "{engine:?} cut={cut} steps={steps} {:?}",
+                        ours.first_diff(&gold)
+                    );
                 }
             }
         }

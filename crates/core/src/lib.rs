@@ -9,18 +9,19 @@
 //! | module | contents |
 //! |---|---|
 //! | [`engine`] | unified dispatch (portable vs `std::arch` AVX2, `TEMPORA_ENGINE`) and the one [`engine::KernelSpace`] trait every layer above the tile is written against |
-//! | [`t1d`] | 1-D Jacobi and Gauss-Seidel engines (Algorithm 3), phase API |
-//! | [`t1d_avx2`] | AVX2 tiles (hand-scheduled steady states): Heat-1D, GS-1D |
-//! | [`t1d_band`] | skewed (parallelogram) 1-D Gauss-Seidel bands (§3.4); the band-shape rule shared with [`slab`] |
-//! | [`slab`] | the 2-D/3-D tile, written once over a slab shape: three-phase driver, skewed Gauss-Seidel band, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D) |
+//! | [`t1d`] | 1-D Jacobi and Gauss-Seidel engines (Algorithm 3), phase API, resumable sweeps |
+//! | [`t1d_avx2`] | AVX2 sweeps (hand-scheduled steady states): Heat-1D, GS-1D |
+//! | [`slab`] | the 2-D/3-D sweep, written once over a slab shape: resumable three-phase driver (its parts are the §3.4 parallelogram tiles), in-place scalar step, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D) |
 //! | [`slab_avx2`] | the AVX2 codegen sandwich around that driver and one hand-scheduled steady row per kernel |
 //! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`) |
 //! | [`lcs_avx2`] | hand-scheduled AVX2 integer steady state for LCS |
 //! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!
-//! Every tile is the same three phases — scalar prologue, vector steady
-//! state, scalar epilogue. The phases are one `#[inline(always)]` source:
+//! Every sweep is the same three phases — scalar prologue, vector steady
+//! state, scalar epilogue — and can be cut between any two anchors of its
+//! steady state and resumed, which is how `tempora-tiling` pipelines
+//! sweeps through one array. The phases are one `#[inline(always)]` source:
 //! the portable engine instantiates it for the baseline target, and each
 //! AVX2 engine instantiates it a second time inside a
 //! `#[target_feature(enable = "avx2,fma")]` sandwich (one sandwich for all
@@ -41,7 +42,6 @@ pub mod slab_avx2;
 pub mod spatial;
 pub mod t1d;
 pub mod t1d_avx2;
-pub mod t1d_band;
 
 // The slab suite's entry points under the module paths of the six files
 // `slab` replaced (`t2d::tests::…` and so on): the repo's test floor is

@@ -1,5 +1,6 @@
-//! The slab-generic temporal tile: paper §3.2 ("High-dimensional
-//! Stencils") and the §3.4 skewed bands, written once for every `d ≥ 2`.
+//! The slab-generic temporal sweep: paper §3.2 ("High-dimensional
+//! Stencils") and the §3.4 parallelogram tiles, written once for every
+//! `d ≥ 2`.
 //!
 //! For `d ≥ 2` the inner time loop cannot be interchanged past the space
 //! loops, so the temporal scheme vectorizes the **outermost** space loop
@@ -16,45 +17,60 @@
 //! in a ring of `s + 2` wavefront slabs `W(j) = V(j, ·)`, the memory
 //! analogue of the 1-D register ring. The store of the finished top lane
 //! and the level-0 bottom fill touch the main array once per point per
-//! tile, and producing an input vector costs one rotate and one blend
+//! sweep, and producing an input vector costs one rotate and one blend
 //! whatever the vector length, stencil order or dimension: dimension
 //! enters only through the slab shape, which is why there is one driver.
 //!
+//! # A sweep is resumable, and its chunks are the §3.4 tiles
+//!
+//! One sweep advances the grid `VL` levels: a prologue (scalar head slabs,
+//! initial ring), the steady state over the anchors `1 ..= x_max`
+//! (`x_max = nx + 1 - VL·s`), and an epilogue (drain, scalar tail). The
+//! steady state at anchor `x` writes level `t + VL` into slab `x` and
+//! reads level `t` from slab `x + VL·s`: in `(x, t)` it sweeps a
+//! parallelogram of slope `-s`. Everything in flight — the ring, the two
+//! Gauss-Seidel output slabs, the head and tail planes — lives in
+//! [`Scratch`], so the anchor range can be cut anywhere and resumed: the
+//! driver's primitive is one **part** (`sweep_body` over a range of
+//! anchors, with the prologue when the range starts at 1 and the epilogue
+//! when it ends at `x_max`), and a whole tile is its one-part case.
+//! Consecutive parts of one sweep *are* the paper's §3.4 parallelogram
+//! tiles, and a part touches one contiguous window of slabs, from its
+//! first anchor to `VL·s` past its last — which is all that
+//! `tempora-tiling` needs to let a second sweep chase the first through
+//! the same array. The in-place scalar step (`scalar_sweep_body`) is
+//! resumable the same way; its carried state is the two saved old slabs.
+//!
 //! # What is shared and what is per kernel
 //!
-//! The driver owns the three phases — `tile_prologue` (scalar head
-//! slabs, initial ring), the steady ring rotation, `tile_epilogue`
-//! (drain, scalar tail) — the degenerate fallback, the in-place scalar
-//! step, and the skewed Gauss-Seidel band (`band_prologue`, the *same*
-//! steady loop, `band_epilogue`). A kernel contributes a `Rows`
-//! implementation and nothing else: one scalar row sweep and one
-//! `Pack`-generic steady row per dimension (`Rows2` over
-//! [`Kernel2d`], `Rows3` over [`Kernel3d`]), plus, for the AVX2 engine,
-//! one hand-scheduled steady row per kernel in [`crate::slab_avx2`].
-//! Gauss-Seidel (§3.4) adds the previous and the current output slab
-//! (`O(x-1, ·)`, `O(x, ·)`) for the newest operands of the outer
-//! dimensions; the newest operand of the innermost dimension is the
-//! previous output vector, carried in a register by the row.
+//! The driver owns the three phases and the in-place scalar step. A
+//! kernel contributes a `Rows` implementation and nothing else: one
+//! scalar row sweep and one `Pack`-generic steady row per dimension
+//! (`Rows2` over [`Kernel2d`], `Rows3` over [`Kernel3d`]), plus, for the
+//! AVX2 engine, one hand-scheduled steady row per kernel in
+//! [`crate::slab_avx2`]. Gauss-Seidel (§3.4) adds the previous and the
+//! current output slab (`O(x-1, ·)`, `O(x, ·)`) for the newest operands of
+//! the outer dimensions; the newest operand of the innermost dimension is
+//! the previous output vector, carried in a register by the row.
 //!
 //! # One source, two codegen contexts
 //!
 //! Every function below the public entry points is `#[inline(always)]`:
-//! `tile`, `scalar_step`, `band` and `band_scalar` instantiate the
-//! driver for baseline x86-64 when the resolved [`Engine`] is portable,
-//! and [`crate::slab_avx2`] instantiates the *same source* a second time
-//! inside `#[target_feature(enable = "avx2,fma")]` sandwiches. That
-//! matters because outside such a context every `f64::mul_add` is a call
-//! into libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both
-//! are the exactly-rounded fused operation, so results do not change,
-//! only speed. Dropping one of these attributes silently brings the libm
-//! calls back; `cargo xtask audit` (rule `phase-inline`) guards them.
+//! `sweep` and `scalar_sweep` instantiate the driver for baseline x86-64
+//! when the resolved [`Engine`] is portable, and [`crate::slab_avx2`]
+//! instantiates the *same source* a second time inside
+//! `#[target_feature(enable = "avx2,fma")]` sandwiches. That matters
+//! because outside such a context every `f64::mul_add` is a call into
+//! libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both are
+//! the exactly-rounded fused operation, so results do not change, only
+//! speed. Dropping one of these attributes silently brings the libm calls
+//! back; `cargo xtask audit` (rule `phase-inline`) guards them.
 
 use crate::engine::Engine;
 use crate::kernels::{Kernel2d, Kernel3d, Nbhd, Nbhd3};
 use crate::slab_avx2::Avx2Row;
-use crate::t1d_band::vector_band_shape;
 use core::ops::RangeInclusive;
-use tempora_grid::{SlabGrid, SlabShape};
+use tempora_grid::{SlabGrid, SlabLayout, SlabShape, SlabsMut};
 use tempora_simd::count::{self, Op};
 use tempora_simd::{Pack, Scalar};
 
@@ -67,8 +83,7 @@ use tempora_simd::{Pack, Scalar};
 /// elements wide with its ghost columns in place.
 pub(crate) struct SweepRow<'a, T> {
     /// Slabs `x-1`, `x`, `x+1` of the level below, each from its first
-    /// row. In place (`IN_PLACE`, Gauss-Seidel bands) only `old[2]` is
-    /// given: the centre row is `out` itself.
+    /// row.
     pub old: [&'a [T]; 3],
     /// Row pitches of the three `old` slabs.
     pub pitch: [usize; 3],
@@ -77,10 +92,8 @@ pub(crate) struct SweepRow<'a, T> {
     /// The level being written, up to the row (newest Gauss-Seidel
     /// operands) …
     pub done: &'a [T],
-    /// … the row …
+    /// … and the row.
     pub out: &'a mut [T],
-    /// … and everything after it.
-    pub ahead: &'a [T],
     /// `[slab stride, row pitch]` of the level being written.
     pub strides: [usize; 2],
 }
@@ -119,9 +132,8 @@ pub(crate) trait Rows<T: Scalar, const VL: usize> {
     /// rows are branch-free loops over equal-length slices (LLVM
     /// vectorizes them spatially under the AVX2 sandwich's features);
     /// Gauss-Seidel rows carry the serial newest-west chain in a
-    /// register. `IN_PLACE` (Gauss-Seidel only) updates `row.out` where it
-    /// stands.
-    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>);
+    /// register.
+    fn sweep_row(&self, row: SweepRow<'_, T>);
 
     /// Steady-state row: per interior point one vectorized stencil
     /// application, the top-lane store and the rotate-and-blend that
@@ -152,8 +164,7 @@ impl<T: Scalar, const VL: usize, K: Kernel2d<T>> Rows<T, VL> for Rows2<'_, K> {
     const MIN_STRIDE: usize = K::MIN_STRIDE;
 
     #[inline(always)]
-    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>) {
-        debug_assert!(K::IS_GS || !IN_PLACE);
+    fn sweep_row(&self, row: SweepRow<'_, T>) {
         let SweepRow {
             old,
             done,
@@ -162,14 +173,7 @@ impl<T: Scalar, const VL: usize, K: Kernel2d<T>> Rows<T, VL> for Rows2<'_, K> {
             ..
         } = row;
         let w = out.len();
-        let dn = &old[2][..w];
-        // In place the old north and centre rows are not given (and not
-        // read: Gauss-Seidel ignores them, the centre comes from `out`).
-        let [up, mid] = if IN_PLACE {
-            [dn, dn]
-        } else {
-            [&old[0][..w], &old[1][..w]]
-        };
+        let [up, mid, dn] = old.map(|slab| &slab[..w]);
         let north = if K::IS_GS {
             &done[done.len() - strides[0]..][..w]
         } else {
@@ -177,15 +181,10 @@ impl<T: Scalar, const VL: usize, K: Kernel2d<T>> Rows<T, VL> for Rows2<'_, K> {
         };
         let mut west = out[0];
         for y in 1..w - 1 {
-            let [m, e] = if IN_PLACE {
-                [out[y], out[y + 1]]
-            } else {
-                [mid[y], mid[y + 1]]
-            };
             let o = self.0.scalar(Nbhd {
                 v: [
                     [up[y - 1], up[y], up[y + 1]],
-                    [mid[y - 1], m, e],
+                    [mid[y - 1], mid[y], mid[y + 1]],
                     [dn[y - 1], dn[y], dn[y + 1]],
                 ],
                 new_n: if K::IS_GS { north[y] } else { T::ZERO },
@@ -262,32 +261,23 @@ impl<T: Scalar, const VL: usize, K: Kernel3d<T>> Rows<T, VL> for Rows3<'_, K> {
     const MIN_STRIDE: usize = K::MIN_STRIDE;
 
     #[inline(always)]
-    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>) {
-        debug_assert!(K::IS_GS || !IN_PLACE);
+    fn sweep_row(&self, row: SweepRow<'_, T>) {
         let SweepRow {
             old,
             pitch,
             r,
             done,
             out,
-            ahead,
             strides,
         } = row;
         let w = out.len();
         let xp = &old[2][r * pitch[2]..][..w];
-        // In place the old `x-1`, `y-1` and centre rows are not given (and
-        // not read: Gauss-Seidel ignores them, the centre comes from
-        // `out`); the old `y+1` row follows `out` in its own slab.
-        let [xm, ym, mid, yp] = if IN_PLACE {
-            [xp, xp, xp, &ahead[strides[1] - w..][..w]]
-        } else {
-            [
-                &old[0][r * pitch[0]..][..w],
-                &old[1][(r - 1) * pitch[1]..][..w],
-                &old[1][r * pitch[1]..][..w],
-                &old[1][(r + 1) * pitch[1]..][..w],
-            ]
-        };
+        let [xm, ym, mid, yp] = [
+            &old[0][r * pitch[0]..][..w],
+            &old[1][(r - 1) * pitch[1]..][..w],
+            &old[1][r * pitch[1]..][..w],
+            &old[1][(r + 1) * pitch[1]..][..w],
+        ];
         let [new_xm, new_ym] = if K::IS_GS {
             strides.map(|back| &done[done.len() - back..][..w])
         } else {
@@ -295,17 +285,12 @@ impl<T: Scalar, const VL: usize, K: Kernel3d<T>> Rows<T, VL> for Rows3<'_, K> {
         };
         let mut new_zm = out[0];
         for z in 1..w - 1 {
-            let [m, zp] = if IN_PLACE {
-                [out[z], out[z + 1]]
-            } else {
-                [mid[z], mid[z + 1]]
-            };
             let o = self.0.scalar(Nbhd3 {
                 xm: xm[z],
                 ym: ym[z],
                 zm: mid[z - 1],
-                m,
-                zp,
+                m: mid[z],
+                zp: mid[z + 1],
                 yp: yp[z],
                 xp: xp[z],
                 new_xm: if K::IS_GS { new_xm[z] } else { T::ZERO },
@@ -370,9 +355,8 @@ impl<T: Scalar, const VL: usize, K: Kernel3d<T>> Rows<T, VL> for Rows3<'_, K> {
 // Scratch
 // ---------------------------------------------------------------------
 
-/// The wavefront ring of one tile or band: `s + 2` slabs of input-vector
-/// packs, `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output
-/// slabs.
+/// The wavefront ring of one sweep: `s + 2` slabs of input-vector packs,
+/// `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output slabs.
 struct Ring<T: Scalar, const VL: usize> {
     slabs: Vec<Vec<Pack<T, VL>>>,
     /// Previous output slab `O(x-1, ·)` (Gauss-Seidel only).
@@ -393,7 +377,7 @@ impl<T: Scalar, const VL: usize> Ring<T, VL> {
 
     /// Set the ghost packs the steady state reads and never writes to the
     /// boundary value: the shell of every wavefront slab and, for
-    /// Gauss-Seidel, of both output slabs (per tile: the boundary value
+    /// Gauss-Seidel, of both output slabs (per sweep: the boundary value
     /// comes from the grid).
     #[inline(always)]
     fn reset_shells(&mut self, shape: SlabShape, bc: T, is_gs: bool) {
@@ -407,8 +391,8 @@ impl<T: Scalar, const VL: usize> Ring<T, VL> {
     }
 }
 
-/// Scratch state of one tile configuration (slab shape × stride),
-/// reusable across tiles.
+/// Everything one sweep has in flight (slab shape × stride): what its
+/// parts hand each other, reusable by the next sweep.
 pub struct Scratch<T: Scalar, const VL: usize> {
     /// Head planes: `head[k]` holds level-`k` slabs `0..=(VL-k)·s` (slab 0
     /// = boundary).
@@ -417,8 +401,6 @@ pub struct Scratch<T: Scalar, const VL: usize> {
     /// `x_max + (VL-1-i)·s`, `(i+1)·s + 1` of them.
     tail: Vec<Vec<T>>,
     ring: Ring<T, VL>,
-    /// Two old-slab copies for the in-place scalar step.
-    old: [Vec<T>; 2],
     s: usize,
     shape: SlabShape,
 }
@@ -433,37 +415,13 @@ impl<T: Scalar, const VL: usize> Scratch<T, VL> {
             head: (0..VL).map(|k| plane((VL - k) * s + 1)).collect(),
             tail: (0..VL).map(|i| plane((i + 1) * s + 1)).collect(),
             ring: Ring::new(s, shape),
-            old: step_bufs::<G>(dims),
             s,
             shape,
         }
     }
 }
 
-/// Scratch of one skewed band configuration.
-pub struct BandScratch<T: Scalar, const VL: usize> {
-    /// The slabs each prologue pass is about to clobber.
-    saved: Vec<Vec<T>>,
-    ring: Ring<T, VL>,
-    s: usize,
-    shape: SlabShape,
-}
-
-impl<T: Scalar, const VL: usize> BandScratch<T, VL> {
-    /// Allocate band scratch for a grid of type `G` with interior extents
-    /// `dims`, at stride `s`.
-    pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize) -> Self {
-        let shape = G::slab_shape(dims);
-        BandScratch {
-            saved: (1..VL).map(|_| vec![T::ZERO; shape.elems()]).collect(),
-            ring: Ring::new(s, shape),
-            s,
-            shape,
-        }
-    }
-}
-
-/// Two zeroed old-slab buffers for [`scalar_step`] on a grid of type `G`
+/// Two zeroed old-slab buffers for [`scalar_sweep`] on a grid of type `G`
 /// with interior extents `dims`.
 pub(crate) fn step_bufs<G: SlabGrid>(dims: [usize; 3]) -> [Vec<G::Elem>; 2] {
     let len = G::slab_shape(dims).elems();
@@ -474,9 +432,10 @@ pub(crate) fn step_bufs<G: SlabGrid>(dims: [usize; 3]) -> [Vec<G::Elem>; 2] {
 // Geometry and row plumbing
 // ---------------------------------------------------------------------
 
-/// Where a grid's slabs and rows are, and what its ghost cells hold.
+/// A grid's layout and the window of its storage in hand: where slab `x`
+/// of the array a phase was given starts.
 #[derive(Clone, Copy)]
-struct Geo<T> {
+pub(crate) struct Geo<T> {
     nx: usize,
     shape: SlabShape,
     /// Elements per outer slab of the grid.
@@ -484,25 +443,33 @@ struct Geo<T> {
     /// Elements between rows of one slab of the grid.
     pitch: usize,
     bc: T,
+    /// Outer index of the slab the array starts with.
+    x0: usize,
 }
 
 impl<T: Scalar> Geo<T> {
     #[inline(always)]
-    fn of<G: SlabGrid<Elem = T>>(g: &G) -> Self {
-        let dims = g.dims();
+    fn new(lay: &SlabLayout<T>, first: usize) -> Self {
         Geo {
-            nx: dims[0],
-            shape: G::slab_shape(dims),
-            slab: g.slab(),
-            pitch: g.row_pitch(),
-            bc: g.boundary().value(),
+            nx: lay.nx,
+            shape: lay.shape,
+            slab: lay.slab,
+            pitch: lay.pitch,
+            bc: lay.bc,
+            x0: first,
         }
+    }
+
+    /// Offset of outer slab `x` in the array.
+    #[inline(always)]
+    fn at(self, x: usize) -> usize {
+        (x - self.x0) * self.slab
     }
 }
 
 /// One level's slabs as the boundary sweeps read them: the grid itself
-/// (level 0) or a head/tail plane (packed rows, re-based at outer slab
-/// `x0`). The source and its strides are chosen once per level, so the
+/// (level 0) or a head/tail plane (packed rows), re-based at outer slab
+/// `x0`. The source and its strides are chosen once per level, so the
 /// row loops index plain equal-length slices.
 #[derive(Clone, Copy)]
 struct Level<'a, T> {
@@ -513,6 +480,28 @@ struct Level<'a, T> {
 }
 
 impl<'a, T> Level<'a, T> {
+    /// Level 0: the array of `geo`.
+    #[inline(always)]
+    fn grid(a: &'a [T], geo: Geo<T>) -> Self {
+        Level {
+            data: a,
+            slab: geo.slab,
+            pitch: geo.pitch,
+            x0: geo.x0,
+        }
+    }
+
+    /// A head or tail plane of packed slabs whose first is outer slab `x0`.
+    #[inline(always)]
+    fn plane(data: &'a [T], shape: SlabShape, x0: usize) -> Self {
+        Level {
+            data,
+            slab: shape.elems(),
+            pitch: shape.width,
+            x0,
+        }
+    }
+
     #[inline(always)]
     fn slab(self, x: usize) -> &'a [T] {
         &self.data[(x - self.x0) * self.slab..]
@@ -567,14 +556,13 @@ fn unpack_lane<T: Scalar, const VL: usize>(src: &[Pack<T, VL>], i: usize, out: &
 
 /// Sweep one level over the outer slabs `xs`: slab `x` of `out` (strides
 /// `[slab, pitch]`, re-based at outer slab `x0`) from slabs `x-1 ..= x+1`
-/// of the level `below`, or in place (`None`: Gauss-Seidel on the array
-/// that carries the band staircase). The ghost shell of `out` must
-/// already hold the boundary value.
+/// of the level `below`. The ghost shell of `out` must already hold the
+/// boundary value.
 #[inline(always)]
 fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
     rows: &R,
     shape: SlabShape,
-    below: Option<Level<'_, T>>,
+    below: Level<'_, T>,
     out: &mut [T],
     strides: [usize; 2],
     x0: usize,
@@ -584,162 +572,133 @@ fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
     for x in xs {
         for r in shape.interior() {
             let (done, rest) = out.split_at_mut((x - x0) * strides[0] + r * strides[1]);
-            let (row, ahead) = rest.split_at_mut(w);
-            let ahead = &*ahead;
-            let (old, pitch) = match below {
-                Some(below) => (
-                    [below.slab(x - 1), below.slab(x), below.slab(x + 1)],
-                    below.pitch,
-                ),
-                None => (
-                    [&[][..], &[], &ahead[strides[0] - r * strides[1] - w..]],
-                    strides[1],
-                ),
-            };
-            let row = SweepRow {
-                old,
-                pitch: [pitch; 3],
+            rows.sweep_row(SweepRow {
+                old: [below.slab(x - 1), below.slab(x), below.slab(x + 1)],
+                pitch: [below.pitch; 3],
                 r,
                 done,
-                out: row,
-                ahead,
+                out: &mut rest[..w],
                 strides,
-            };
-            match below {
-                Some(_) => rows.sweep_row::<false>(row),
-                None => rows.sweep_row::<true>(row),
-            }
+            });
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// The rectangular tile
+// The in-place scalar step
 // ---------------------------------------------------------------------
 
-/// One in-place scalar time step over the whole grid (degenerate tiles
-/// and `steps mod VL` remainders). Two saved old slabs make the Jacobi
-/// update single-array; Gauss-Seidel is naturally in place. Results are
-/// bit-identical to the double-buffered reference.
+/// The outer slabs `xs` of one in-place scalar time step (grids below
+/// `VL·s` and `steps mod VL` remainders). Two saved old slabs make the
+/// Jacobi update single-array; Gauss-Seidel is naturally in place.
+/// Results are bit-identical to the double-buffered reference.
+///
+/// The step is resumable: `bufs[0]` carries the old values of the last
+/// slab a part updated to the part that continues at the next slab (a
+/// part that starts at slab 1 takes them from the ghost slab), so a step
+/// may be cut into parts run in ascending order over the same `bufs`. A
+/// part touches slabs `xs.start() - 1 ..= xs.end() + 1` of the array.
 #[inline(always)]
-pub(crate) fn scalar_step_inplace<T, const VL: usize, G, R>(
-    g: &mut G,
+pub(crate) fn scalar_sweep_body<T, const VL: usize, R>(
+    a: &mut [T],
+    geo: Geo<T>,
     rows: &R,
     bufs: &mut [Vec<T>; 2],
+    xs: RangeInclusive<usize>,
 ) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Rows<T, VL>,
 {
-    let geo = Geo::of(g);
     let (shape, w) = (geo.shape, geo.shape.width);
-    let a = g.data_mut();
-    // old_m = old values of slab x-1, old_c = old values of slab x.
-    let [old_m, old_c] = bufs;
-    let (mut old_m, mut old_c) = (&mut old_m[..], &mut old_c[..]);
-    copy_slab(a, geo.pitch, old_m, shape);
-    for x in 1..=geo.nx {
-        copy_slab(&a[x * geo.slab..], geo.pitch, old_c, shape);
+    if *xs.start() == 1 {
+        copy_slab(&a[geo.at(0)..], geo.pitch, &mut bufs[0], shape);
+    }
+    for x in xs {
+        // old_m = old values of slab x-1, old_c = old values of slab x.
+        let [old_m, old_c] = &mut *bufs;
+        copy_slab(&a[geo.at(x)..], geo.pitch, old_c, shape);
         for r in shape.interior() {
-            let (done, rest) = a.split_at_mut(x * geo.slab + r * geo.pitch);
+            let (done, rest) = a.split_at_mut(geo.at(x) + r * geo.pitch);
             let (row, ahead) = rest.split_at_mut(w);
-            rows.sweep_row::<false>(SweepRow {
-                old: [&*old_m, &*old_c, &ahead[geo.slab - r * geo.pitch - w..]],
+            rows.sweep_row(SweepRow {
+                old: [old_m, old_c, &ahead[geo.slab - r * geo.pitch - w..]],
                 pitch: [w, w, geo.pitch],
                 r,
                 done,
                 out: row,
-                ahead,
                 strides: [geo.slab, geo.pitch],
             });
         }
-        core::mem::swap(&mut old_m, &mut old_c);
+        bufs.swap(0, 1);
     }
 }
 
-/// Advance the grid by `VL` time steps with the temporal-vectorized
-/// schedule (in place, single array): the degenerate guard, then the
-/// three phases. The codegen context is the caller's.
+// ---------------------------------------------------------------------
+// The temporal sweep
+// ---------------------------------------------------------------------
+
+/// The anchors `xs` of one temporal sweep (`VL` time steps, in place,
+/// single array): the prologue when `xs` starts at anchor 1, the steady
+/// state over `xs`, the epilogue when `xs` ends at the last anchor
+/// `x_max = nx + 1 - VL·s`. A whole tile is `xs = 1 ..= x_max`; parts of
+/// one sweep run in ascending order over the same `sc`, which carries
+/// everything in flight between them. The part touches the slabs from
+/// its first anchor (from ghost slab 0 with the prologue) to `VL·s` past
+/// its last (to ghost slab `nx + 1` with the epilogue). The codegen
+/// context is the caller's.
 ///
 /// # Panics
-/// Panics if `s < R::MIN_STRIDE`, the grid's halo is not 1, or `sc` was
-/// allocated for another stride or slab shape.
+/// Panics if `s < R::MIN_STRIDE`, the outer extent cannot host the vector
+/// schedule (`nx < VL·s`: run scalar steps instead), or `sc` was allocated
+/// for another stride or slab shape.
 #[inline(always)]
-pub(crate) fn tile_body<T, const VL: usize, const COUNT: bool, G, R>(
-    g: &mut G,
+pub(crate) fn sweep_body<T, const VL: usize, const COUNT: bool, R>(
+    a: &mut [T],
+    geo: Geo<T>,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+    xs: RangeInclusive<usize>,
+) where
+    T: Scalar,
+    R: Rows<T, VL>,
+{
+    assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
+    assert_eq!((sc.s, sc.shape), (s, geo.shape), "scratch shape mismatch");
+    assert!(
+        geo.nx >= VL * s,
+        "outer extent {} below VL*s = {}: no vector schedule, run scalar steps",
+        geo.nx,
+        VL * s
+    );
+    let x_max = geo.nx + 1 - VL * s;
+    let (first, last) = (*xs.start() == 1, *xs.end() == x_max);
+    if first {
+        tile_prologue(a, geo, rows, s, sc);
+    }
+    steady_slabs::<T, VL, COUNT, R>(a, geo, rows, s, &mut sc.ring, xs);
+    if last {
+        tile_epilogue(a, geo, rows, s, sc, x_max);
+    }
+}
+
+/// Phase 1 of a temporal sweep: scalar head slabs for levels `1..VL`, the
+/// initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
+/// initial output slab `O(0, ·)`. Reads slabs `0 ..= VL·s` of the array
+/// and writes only `sc`.
+#[inline(always)]
+fn tile_prologue<T, const VL: usize, R>(
+    a: &[T],
+    geo: Geo<T>,
     rows: &R,
     s: usize,
     sc: &mut Scratch<T, VL>,
 ) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Rows<T, VL>,
 {
-    assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
-    assert_eq!(g.halo(), 1, "temporal engines use halo width 1");
-    assert_eq!(
-        (sc.s, sc.shape),
-        (s, G::slab_shape(g.dims())),
-        "scratch shape mismatch"
-    );
-    if tile_fallback_if_degenerate(g, rows, s, sc) {
-        return;
-    }
-    let x_max = tile_prologue(g, rows, s, sc);
-    let geo = Geo::of(g);
-    steady_slabs::<T, VL, COUNT, R>(g.data_mut(), geo, rows, s, &mut sc.ring, 1..=x_max);
-    tile_epilogue(g, rows, s, sc, x_max);
-}
-
-/// Degenerate-tile guard: when the outer extent cannot host the vector
-/// schedule (`nx < VL·s`), run the `VL` steps with the scalar schedule
-/// instead (same results) and report `true`.
-#[inline(always)]
-fn tile_fallback_if_degenerate<T, const VL: usize, G, R>(
-    g: &mut G,
-    rows: &R,
-    s: usize,
-    sc: &mut Scratch<T, VL>,
-) -> bool
-where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL>,
-{
-    if g.dims()[0] >= VL * s {
-        return false;
-    }
-    for _ in 0..VL {
-        scalar_step_inplace(g, rows, &mut sc.old);
-    }
-    true
-}
-
-/// Phase 1 of a temporal tile: scalar head slabs for levels `1..VL`, the
-/// initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
-/// initial output slab `O(0, ·)`. Returns the steady-state bound `x_max`.
-#[inline(always)]
-fn tile_prologue<T, const VL: usize, G, R>(
-    g: &G,
-    rows: &R,
-    s: usize,
-    sc: &mut Scratch<T, VL>,
-) -> usize
-where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL>,
-{
-    let geo = Geo::of(g);
-    let (nx, shape, bc) = (geo.nx, geo.shape, geo.bc);
-    assert!(
-        nx >= VL * s,
-        "degenerate tile (nx={nx} < VL*s={}): call tile_fallback_if_degenerate first",
-        VL * s
-    );
-    let x_max = nx + 1 - VL * s;
+    let (shape, bc) = (geo.shape, geo.bc);
     let (w, wp) = (shape.width, shape.elems());
-    let a = g.data(); // the prologue only reads the grid
 
     // head[k] = level k over slabs 1..=(VL-k)·s (slab 0 = boundary).
     for k in 1..VL {
@@ -751,21 +710,11 @@ where
             fill_shell(slab, shape, bc);
         }
         let below = if k == 1 {
-            Level {
-                data: a,
-                slab: geo.slab,
-                pitch: geo.pitch,
-                x0: 0,
-            }
+            Level::grid(a, geo)
         } else {
-            Level {
-                data: &lo_planes[k - 1],
-                slab: wp,
-                pitch: w,
-                x0: 0,
-            }
+            Level::plane(&lo_planes[k - 1], shape, 0)
         };
-        sweep_level(rows, shape, Some(below), plane, [wp, w], 0, 1..=hi);
+        sweep_level(rows, shape, below, plane, [wp, w], 0, 1..=hi);
     }
 
     // Initial wavefront ring W(0) ..= W(s): lane i of W(j) is level i at
@@ -778,7 +727,7 @@ where
             let lanes: [&[T]; VL] = core::array::from_fn(|i| {
                 let x = j + (VL - 1 - i) * s;
                 if i == 0 {
-                    &a[x * geo.slab + r * geo.pitch..][..w]
+                    &a[geo.at(x) + r * geo.pitch..][..w]
                 } else {
                     &sc.head[i][x * wp + r * w..][..w]
                 }
@@ -802,15 +751,14 @@ where
             pack_rows(&mut sc.ring.o_prev[r * w..][..w], lanes);
         }
     }
-    x_max
 }
 
-/// Phase 2, shared by the rectangular tile and the skewed band and by
-/// both engines: one pass per outer slab `x ∈ xs`, producing `W(x+s)`
-/// from `W(x-1 ..= x+1)` row by row with the rotate-and-blend rule. The
-/// ring must hold `W(j)` at slot `j % (s+2)` for `j` from the first `x`
-/// to `x + s` (`W(x-1)` too for Jacobi), and `(x + VL·s)` must stay
-/// within the array for every `x` — what the two prologues establish.
+/// Phase 2, shared by both engines: one pass per anchor `x ∈ xs`,
+/// producing `W(x+s)` from `W(x-1 ..= x+1)` row by row with the
+/// rotate-and-blend rule, storing the finished top lanes into slab `x`
+/// and taking the level-0 bottom lanes from slab `x + VL·s`. The ring
+/// must hold `W(j)` at slot `j % (s+2)` for `j` from the first `x - 1` to
+/// `x + s` — what the prologue, or the part before, left behind.
 #[inline(always)]
 fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     a: &mut [T],
@@ -827,7 +775,7 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
         // Detach the write slab so the read slabs can stay borrowed.
         let mut wslab = core::mem::take(&mut ring.slabs[ips]);
         let read = [x - 1, x, x + 1].map(|j| &ring.slabs[j % rlen][..]);
-        let (lo, hi) = a.split_at_mut((x + VL * s) * geo.slab);
+        let (lo, hi) = a.split_at_mut(geo.at(x + VL * s));
         for r in geo.shape.interior() {
             rows.steady_row::<COUNT>(SteadyRow {
                 ring: read,
@@ -835,7 +783,7 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
                 o_cur: &mut ring.o_cur,
                 out: &mut wslab[r * w..][..w],
                 at: r * w,
-                top: &mut lo[x * geo.slab + r * geo.pitch..][..w],
+                top: &mut lo[geo.at(x) + r * geo.pitch..][..w],
                 bottom: &hi[r * geo.pitch..][..w],
                 bc: geo.bc,
             });
@@ -847,27 +795,26 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     }
 }
 
-/// Phase 3 of a temporal tile: drain the surviving wavefront ring into
+/// Phase 3 of a temporal sweep: drain the surviving wavefront ring into
 /// the tail planes and finish every level scalar-wise up to slab `nx`.
-/// `x_max` must match the value [`tile_prologue`] returned and the ring
-/// must hold `W(j)` at slot `j % (s+2)` for `j ∈ x_max ..= x_max+s`, as
-/// left behind by the steady state.
+/// The ring must hold `W(j)` at slot `j % (s+2)` for
+/// `j ∈ x_max ..= x_max+s`, as left behind by the steady state. Reads
+/// slabs `x_max + (VL-1)·s ..= nx + 1` of the array and writes slabs
+/// `x_max + 1 ..= nx`.
 #[inline(always)]
-fn tile_epilogue<T, const VL: usize, G, R>(
-    g: &mut G,
+fn tile_epilogue<T, const VL: usize, R>(
+    a: &mut [T],
+    geo: Geo<T>,
     rows: &R,
     s: usize,
     sc: &mut Scratch<T, VL>,
     x_max: usize,
 ) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Rows<T, VL>,
 {
-    let geo = Geo::of(g);
     let (nx, shape, bc) = (geo.nx, geo.shape, geo.bc);
     let (w, wp) = (shape.width, shape.elems());
-    let a = g.data_mut();
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
         let slabs = (i + 1) * s + 1; // rel 0 ..= (i+1)·s, last = ghost slab nx+1
@@ -890,316 +837,82 @@ fn tile_epilogue<T, const VL: usize, G, R>(
         // Scalar completion over slabs base+s+1 ..= nx, reading level i-1
         // from the grid or from tail[i-1] (based at base + s).
         let below = if i == 1 {
-            Level {
-                data: &*a,
-                slab: geo.slab,
-                pitch: geo.pitch,
-                x0: 0,
-            }
+            Level::grid(a, geo)
         } else {
-            Level {
-                data: &lo_planes[i - 1],
-                slab: wp,
-                pitch: w,
-                x0: base + s,
-            }
+            Level::plane(&lo_planes[i - 1], shape, base + s)
         };
-        sweep_level(
-            rows,
-            shape,
-            Some(below),
-            plane,
-            [wp, w],
-            base,
-            base + s + 1..=nx,
-        );
+        sweep_level(rows, shape, below, plane, [wp, w], base, base + s + 1..=nx);
     }
 
     // Final level VL over slabs x_max+1 ..= nx, written into the array.
-    let below = Level {
-        data: &sc.tail[VL - 1],
-        slab: wp,
-        pitch: w,
-        x0: x_max,
-    };
+    let below = Level::plane(&sc.tail[VL - 1], shape, x_max);
     let strides = [geo.slab, geo.pitch];
-    sweep_level(rows, shape, Some(below), a, strides, 0, x_max + 1..=nx);
-}
-
-// ---------------------------------------------------------------------
-// The skewed Gauss-Seidel band (§3.4)
-// ---------------------------------------------------------------------
-//
-// Parallelogram tiles lean left along the outer dimension (whole slabs
-// move as units), the single in-place array carries the inter-tile
-// staircase, and the temporal vector algebra is the rectangular tile's —
-// only the prologue/epilogue slab ranges shift. Staircase invariants
-// (identical to `t1d_band`): when a tile anchored at slabs `[xl, xr]`
-// starts, slabs `≥ xl` hold the band-base level, slab `xl-k` holds level
-// `k`, and level `k`'s rightmost read of level `k-1` finds it intact
-// because the windows shrink by one slab per level.
-
-/// One scalar skewed band: advance levels `1..=levels` over the slab
-/// windows `[xl-(k-1), xr-(k-1)] ∩ [1, nx]`, in place.
-#[inline(always)]
-pub(crate) fn band_scalar_body<T, const VL: usize, G, R>(
-    g: &mut G,
-    rows: &R,
-    xl: usize,
-    xr: usize,
-    levels: usize,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL>,
-{
-    debug_assert!(R::IS_GS, "banded skewed execution is for Gauss-Seidel");
-    let geo = Geo::of(g);
-    let a = g.data_mut();
-    for k in 1..=levels {
-        let lo = xl.saturating_sub(k - 1).max(1);
-        let hi = (xr + 1).saturating_sub(k).min(geo.nx);
-        sweep_level(rows, geo.shape, None, a, [geo.slab, geo.pitch], 0, lo..=hi);
-    }
-}
-
-/// One temporally vectorized skewed band, bit-identical to
-/// [`band_scalar_body`]; edge or narrow tiles (see
-/// [`vector_band_shape`]) run the scalar band instead. The codegen
-/// context is the caller's.
-///
-/// # Panics
-/// Panics if `s < R::MIN_STRIDE` or `sc` was allocated for another stride
-/// or slab shape.
-#[inline(always)]
-pub(crate) fn band_body<T, const VL: usize, G, R>(
-    g: &mut G,
-    rows: &R,
-    xl: usize,
-    xr: usize,
-    s: usize,
-    sc: &mut BandScratch<T, VL>,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL>,
-{
-    debug_assert!(R::IS_GS, "banded skewed execution is for Gauss-Seidel");
-    assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
-    assert_eq!(
-        (sc.s, sc.shape),
-        (s, G::slab_shape(g.dims())),
-        "scratch shape mismatch"
-    );
-    if !vector_band_shape::<VL>(xl, xr, g.dims()[0], s) {
-        band_scalar_body(g, rows, xl, xr, VL);
-        return;
-    }
-    // Steady-state anchors: O(x) lane i writes level i+1 at slab
-    // x + (VL-1-i)·s; lane VL-1 binds the left end (x ≥ xl-(VL-1)) and
-    // the bottom fill x + VL·s ≤ xr+1 binds the right end.
-    let (x_start, x_max) = (xl - (VL - 1), xr + 1 - VL * s);
-    debug_assert!(x_max >= x_start);
-    band_prologue(g, rows, xl, s, sc);
-    let geo = Geo::of(g);
-    steady_slabs::<T, VL, false, R>(g.data_mut(), geo, rows, s, &mut sc.ring, x_start..=x_max);
-    band_epilogue(g, rows, xr, s, sc);
-}
-
-/// Phase 1 of a temporal band: the scalar prologue slabs, the initial
-/// ring `V(x_start) ..= V(x_start+s)` and the previous output slab
-/// `O(x_start-1, ·)`. Callers must have checked [`vector_band_shape`].
-#[inline(always)]
-fn band_prologue<T, const VL: usize, G, R>(
-    g: &mut G,
-    rows: &R,
-    xl: usize,
-    s: usize,
-    sc: &mut BandScratch<T, VL>,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL>,
-{
-    let geo = Geo::of(g);
-    let (shape, w) = (geo.shape, geo.shape.width);
-    let a = g.data_mut();
-    let x_start = xl - (VL - 1);
-
-    // Prologue slabs, stashing the slab each pass is about to clobber.
-    for k in 1..VL {
-        let hi = x_start + (VL - k) * s;
-        copy_slab(&a[hi * geo.slab..], geo.pitch, &mut sc.saved[k - 1], shape);
-        let strides = [geo.slab, geo.pitch];
-        sweep_level(rows, shape, None, a, strides, 0, xl - (k - 1)..=hi);
-    }
-
-    // Initial ring slabs and O(x_start-1): lane i of V(x) is the
-    // staircase slab x + (VL-1-i)·s, except that the first vector's lower
-    // lanes come from the stashed slabs.
-    let a = &*a;
-    let staircase = |x: usize, r: usize| -> [&[T]; VL] {
-        core::array::from_fn(|i| &a[(x + (VL - 1 - i) * s) * geo.slab + r * geo.pitch..][..w])
-    };
-    sc.ring.reset_shells(shape, geo.bc, true);
-    for x in x_start..=x_start + s {
-        let dst = &mut sc.ring.slabs[x % (s + 2)];
-        for r in shape.interior() {
-            let mut lanes = staircase(x, r);
-            if x == x_start {
-                for (lane, saved) in lanes.iter_mut().zip(&sc.saved) {
-                    *lane = &saved[r * w..][..w];
-                }
-            }
-            pack_rows(&mut dst[r * w..][..w], lanes);
-        }
-    }
-    for r in shape.interior() {
-        pack_rows(&mut sc.ring.o_prev[r * w..][..w], staircase(x_start - 1, r));
-    }
-}
-
-/// Phase 3 of a temporal band: materialize the ring- and
-/// output-slab-resident levels into the staircase, then finish each level
-/// scalar.
-#[inline(always)]
-fn band_epilogue<T, const VL: usize, G, R>(
-    g: &mut G,
-    rows: &R,
-    xr: usize,
-    s: usize,
-    sc: &mut BandScratch<T, VL>,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL>,
-{
-    let geo = Geo::of(g);
-    let (shape, w) = (geo.shape, geo.shape.width);
-    let a = g.data_mut();
-    let x_max = xr + 1 - VL * s;
-    let mut unpack = |src: &[Pack<T, VL>], i: usize, x: usize| {
-        for r in shape.interior() {
-            let dst = &mut a[x * geo.slab + r * geo.pitch..][..w];
-            unpack_lane(&src[r * w..][..w], i, dst);
-        }
-    };
-    for j in x_max + 1..=x_max + s {
-        for i in 1..VL {
-            unpack(&sc.ring.slabs[j % (s + 2)], i, j + (VL - 1 - i) * s);
-        }
-    }
-    for i in 0..VL - 1 {
-        unpack(&sc.ring.o_prev, i, x_max + (VL - 1 - i) * s);
-    }
-    for k in 1..=VL {
-        let xs = x_max + (VL - k) * s + 1..=xr + 1 - k;
-        sweep_level(rows, shape, None, a, [geo.slab, geo.pitch], 0, xs);
-    }
+    sweep_level(rows, shape, below, a, strides, geo.x0, x_max + 1..=nx);
 }
 
 // ---------------------------------------------------------------------
 // Entry points: one codegen context per resolved engine
 // ---------------------------------------------------------------------
 
-/// One whole temporal tile (`VL` levels, in place) in `engine`'s codegen
-/// context; `COUNT` instruments the portable steady rows (the AVX2 rows
-/// ignore it).
+/// The anchors `xs` of one temporal sweep over the window `a` of a grid
+/// laid out as `lay` (see [`sweep_body`] for the contract), in `engine`'s
+/// codegen context; `COUNT` instruments the portable steady rows (the
+/// AVX2 rows ignore it).
 ///
 /// # Panics
-/// Panics if `s < R::MIN_STRIDE`, the grid's halo is not 1, or `sc` was
-/// allocated for another stride or slab shape.
-pub(crate) fn tile<T, const VL: usize, const COUNT: bool, G, R>(
+/// Panics if `s < R::MIN_STRIDE`, `lay.nx < VL·s`, or `sc` was allocated
+/// for another stride or slab shape.
+pub(crate) fn sweep<T, const VL: usize, const COUNT: bool, R>(
     engine: Engine,
-    g: &mut G,
+    lay: &SlabLayout<T>,
+    a: SlabsMut<'_, T>,
     rows: &R,
+    xs: RangeInclusive<usize>,
     s: usize,
     sc: &mut Scratch<T, VL>,
 ) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Rows<T, VL> + Avx2Row<T, VL>,
 {
+    let geo = Geo::new(lay, a.first);
     match engine {
         #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::slab_avx2::tile(g, rows, s, sc),
-        _ => tile_body::<T, VL, COUNT, G, R>(g, rows, s, sc),
+        Engine::Avx2 => crate::slab_avx2::sweep(a.data, geo, rows, s, sc, xs),
+        _ => sweep_body::<T, VL, COUNT, R>(a.data, geo, rows, s, sc, xs),
     }
 }
 
-/// One in-place scalar time step in `engine`'s codegen context.
-pub(crate) fn scalar_step<T, const VL: usize, G, R>(
+/// The outer slabs `xs` of one in-place scalar time step over the window
+/// `a` (see [`scalar_sweep_body`] for the contract), in `engine`'s
+/// codegen context.
+pub(crate) fn scalar_sweep<T, const VL: usize, R>(
     engine: Engine,
-    g: &mut G,
+    lay: &SlabLayout<T>,
+    a: SlabsMut<'_, T>,
     rows: &R,
+    xs: RangeInclusive<usize>,
     bufs: &mut [Vec<T>; 2],
 ) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Rows<T, VL> + Avx2Row<T, VL>,
 {
+    let geo = Geo::new(lay, a.first);
     match engine {
         #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::slab_avx2::scalar_step(g, rows, bufs),
-        _ => scalar_step_inplace(g, rows, bufs),
-    }
-}
-
-/// One temporally vectorized skewed band in `engine`'s codegen context
-/// (edge or narrow bands run scalar, same context).
-///
-/// # Panics
-/// Panics if `s < R::MIN_STRIDE` or `sc` was allocated for another stride
-/// or slab shape.
-pub(crate) fn band<T, const VL: usize, G, R>(
-    engine: Engine,
-    g: &mut G,
-    rows: &R,
-    xl: usize,
-    xr: usize,
-    s: usize,
-    sc: &mut BandScratch<T, VL>,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL> + Avx2Row<T, VL>,
-{
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::slab_avx2::band(g, rows, xl, xr, s, sc),
-        _ => band_body(g, rows, xl, xr, s, sc),
-    }
-}
-
-/// One scalar skewed band of `levels` levels in `engine`'s codegen
-/// context.
-pub(crate) fn band_scalar<T, const VL: usize, G, R>(
-    engine: Engine,
-    g: &mut G,
-    rows: &R,
-    xl: usize,
-    xr: usize,
-    levels: usize,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Rows<T, VL> + Avx2Row<T, VL>,
-{
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::slab_avx2::band_scalar(g, rows, xl, xr, levels),
-        _ => band_scalar_body(g, rows, xl, xr, levels),
+        Engine::Avx2 => crate::slab_avx2::scalar_sweep(a.data, geo, rows, bufs, xs),
+        _ => scalar_sweep_body(a.data, geo, rows, bufs, xs),
     }
 }
 
 /// One table-driven suite for the driver: kind × shape × steps
-/// (remainders included) × stride × engine ≡ the scalar reference,
-/// rectangular and banded. The helpers are `pub(crate)` because the
-/// entry points in `slab_floor_names.rs` select rows of the same table.
+/// (remainders included) × stride × engine ≡ the scalar reference, as
+/// whole tiles and cut into parts. The helpers are `pub(crate)` because
+/// the entry points in `slab_floor_names.rs` select rows of the same
+/// table.
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::vector_band_shape;
-    use crate::engine::{self, Engine, GsSpace, KernelSpace};
+    use crate::engine::tests::{multiload_in_parts, run_in_parts};
+    use crate::engine::{self, Engine, KernelSpace};
     use crate::kernels::{BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, LifeKern2d};
     use tempora_grid::{
         fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid2, Grid3, SlabGrid,
@@ -1243,23 +956,25 @@ pub(crate) mod tests {
     /// Whole tiles at both lane counts, and every remainder class.
     pub(crate) const STEPS: &[usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16];
     pub(crate) const STRIDES: &[usize] = &[2, 3, 4];
-    /// `(shape, block)` of the banded sweeps whose interior blocks pass
-    /// `vector_band_shape` at every stride of [`STRIDES`] …
+    /// `(shape, cut)` of the sweeps run as bands of parallelogram tiles
+    /// (parts of `cut` anchors) several tiles long at every stride of
+    /// [`STRIDES`] …
     pub(crate) const WIDE_BANDS_2D: &[([usize; 3], usize)] =
         &[([128, 10, 1], 32), ([150, 7, 1], 50), ([96, 16, 1], 48)];
     pub(crate) const WIDE_BANDS_3D: &[([usize; 3], usize)] = &[([96, 5, 7], 32), ([120, 5, 7], 40)];
-    /// … and of the sweeps whose every block is narrower than the vector
-    /// schedule (pure scalar fallback), the last one a single block.
+    /// … and of the sweeps whose every part is narrower than the `VL·s`
+    /// slabs it reads ahead (down to one anchor a part), the last one a
+    /// single part.
     pub(crate) const NARROW_BANDS_2D: &[([usize; 3], usize)] = &[
-        ([40, 8, 1], 10),
-        ([30, 9, 1], 8),
-        ([48, 17, 1], 13),
+        ([40, 8, 1], 5),
+        ([30, 9, 1], 1),
+        ([48, 17, 1], 7),
         ([10, 6, 1], 25),
     ];
     pub(crate) const NARROW_BANDS_3D: &[([usize; 3], usize)] = &[
-        ([30, 4, 4], 8),
-        ([20, 5, 6], 6),
-        ([33, 5, 6], 11),
+        ([30, 4, 4], 3),
+        ([20, 5, 6], 1),
+        ([33, 5, 6], 7),
         ([9, 5, 6], 16),
     ];
 
@@ -1455,47 +1170,54 @@ pub(crate) mod tests {
         );
     }
 
-    /// Banded sweeps — whole bands block by block through
-    /// [`GsSpace::band`] (`temporal`) or [`GsSpace::band_scalar`], then the
-    /// scalar remainder — over `cases × strides × steps × engines` against
-    /// the reference. `vector` states whether the blocks of `cases` are
-    /// wide enough for the vector schedule; it is asserted, so a temporal
-    /// row compares the vector path and not its scalar fallback.
-    pub(crate) fn banded<K: Kind + GsSpace>(
+    /// Sweeps as bands of parallelogram tiles (§3.4) — every temporal
+    /// sweep (`temporal`) or every scalar step cut into parts of `cut`
+    /// anchors, each on the window of slabs its contract names, then the
+    /// remainder steps cut the same way — over `cases × strides × steps ×
+    /// engines` against the reference. `wide` states whether the parts of
+    /// `cases` are at least as wide as the `VL·s` slabs they read ahead,
+    /// the width the pipelined sweeps of `tempora-tiling` chunk by; it is
+    /// asserted, so that a narrow row stays narrow.
+    pub(crate) fn banded<K: Kind>(
         kern: &K,
         engines: &[Engine],
         cases: &[([usize; 3], usize)],
         strides: &[usize],
         temporal: bool,
-        vector: bool,
+        wide: bool,
     ) {
-        assert_eq!(K::VL, 4);
-        for (&(dims, block), &s, &n) in product3(cases, strides, &[4, 8, 10]) {
+        for (&(dims, cut), &s, &n) in product3(cases, strides, &[K::VL, 2 * K::VL, 2 * K::VL + 2]) {
+            assert_eq!(
+                cut >= K::VL * s && cut < dims[0],
+                wide,
+                "{dims:?} {cut} {s}"
+            );
             let g = K::grid(dims, (dims[0] + dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
-            let span = dims[0] + K::VL - 1;
             for &e in engines {
-                let (mut ours, mut vector_blocks) = (g.clone(), 0);
-                let mut sc = K::band_scratch(dims, s);
-                for _ in 0..n / K::VL {
-                    for i in 0..span.div_ceil(block) {
-                        let (xl, xr) = (i * block + 1, ((i + 1) * block).min(span));
-                        vector_blocks += usize::from(vector_band_shape::<4>(xl, xr, dims[0], s));
-                        if temporal {
-                            kern.band(e, &mut ours, xl, xr, s, &mut sc);
-                        } else {
-                            kern.band_scalar(e, &mut ours, xl, xr, K::VL);
-                        }
-                    }
-                }
-                let mut bufs = K::step_bufs(dims);
-                for _ in 0..n % K::VL {
-                    kern.scalar_step(e, &mut ours, &mut bufs);
-                }
-                let at = format!("{e:?} dims={dims:?} block={block} s={s} steps={n}");
-                assert_eq!(vector_blocks > 0, vector, "{at}");
+                let ours = run_in_parts(e, &g, kern, n, temporal.then_some(s), cut);
                 if let Some(d) = K::mismatch(&ours, &gold) {
-                    panic!("{at}: {d}");
+                    panic!("{e:?} dims={dims:?} cut={cut} s={s} steps={n}: {d}");
+                }
+            }
+        }
+    }
+
+    /// Multi-load steps cut into parts of `cut` slabs over `shapes × cuts
+    /// × steps × engines` against the reference.
+    pub(crate) fn multiload<K: Kind>(
+        kern: &K,
+        engines: &[Engine],
+        shapes: &[[usize; 3]],
+        cuts: &[usize],
+    ) {
+        for (&dims, &cut, &n) in product3(shapes, cuts, &[1, 2, 5]) {
+            let g = K::grid(dims, (dims[0] * dims[1] + cut + n) as u64);
+            let gold = kern.gold(&g, n);
+            for &e in engines {
+                let ours = multiload_in_parts(e, &g, kern, n, cut);
+                if let Some(d) = K::mismatch(&ours, &gold) {
+                    panic!("multiload {e:?} dims={dims:?} cut={cut} steps={n}: {d}");
                 }
             }
         }
@@ -1541,18 +1263,31 @@ pub(crate) mod tests {
         degenerate(&gs3d_asym(), &e);
     }
 
+    /// §3.4: a sweep run as a band of parallelogram tiles — its parts —
+    /// is the sweep, for every kind (the Jacobi kinds too: one path), wide
+    /// and narrow parts, scalar and temporal, and the multi-load steps.
     #[test]
     fn band_table_matches_reference() {
         let e = engines();
         for temporal in [false, true] {
+            banded(&heat2d(), &e, WIDE_BANDS_2D, STRIDES, temporal, true);
+            banded(&box2d(), &e, NARROW_BANDS_2D, &[2], temporal, false);
+            banded(&life(), &e, WIDE_BANDS_2D, &[2, 3], temporal, true);
+            banded(&conway(), &e, NARROW_BANDS_2D, &[2], temporal, false);
             for kern in [gs2d(), gs2d_asym()] {
                 banded(&kern, &e, WIDE_BANDS_2D, STRIDES, temporal, true);
                 banded(&kern, &e, NARROW_BANDS_2D, &[2], temporal, false);
             }
+            banded(&heat3d(), &e, WIDE_BANDS_3D, STRIDES, temporal, true);
+            banded(&heat3d(), &e, NARROW_BANDS_3D, &[2], temporal, false);
             for kern in [gs3d(), gs3d_asym()] {
                 banded(&kern, &e, WIDE_BANDS_3D, STRIDES, temporal, true);
                 banded(&kern, &e, NARROW_BANDS_3D, &[2], temporal, false);
             }
         }
+        multiload(&heat2d(), &e, SHAPES_2D, &[1, 3, 100]);
+        multiload(&box2d(), &e, SHAPES_2D, &[1, 3, 100]);
+        multiload(&life(), &e, SHAPES_2D, &[1, 3, 100]);
+        multiload(&heat3d(), &e, SHAPES_3D, &[1, 3, 100]);
     }
 }

@@ -10,9 +10,9 @@
 //! and one lane-crossing rotate (`vpermpd` / `vpermd`) plus one in-lane
 //! blend (`vblendpd` / `vpblendd`) per produced input vector, whatever
 //! the dimension. Everything else — ring rotation, prologue, epilogue,
-//! degenerate fallback, scalar steps, bands — is the driver's *source*
-//! (`#[inline(always)]`), instantiated a second time inside this module's
-//! `#[target_feature(enable = "avx2,fma")]` sandwiches, so a whole tile,
+//! scalar steps — is the driver's *source* (`#[inline(always)]`),
+//! instantiated a second time inside this module's
+//! `#[target_feature(enable = "avx2,fma")]` sandwiches, so a whole sweep,
 //! not just its steady rows, is compiled for the ISA the plan resolved.
 //! Why it matters: outside a feature context `f64::mul_add` is a call
 //! into libm's `fma`, which made the scalar boundary slabs ≈ 20× slower
@@ -28,9 +28,9 @@ use crate::slab::{Rows, Rows2, Rows3, SteadyRow};
 use tempora_simd::Scalar;
 
 #[cfg(target_arch = "x86_64")]
-use crate::slab::{self, BandScratch, Scratch, SweepRow};
+use crate::slab::{self, Geo, Scratch, SweepRow};
 #[cfg(target_arch = "x86_64")]
-use tempora_grid::SlabGrid;
+use core::ops::RangeInclusive;
 #[cfg(target_arch = "x86_64")]
 use tempora_simd::arch::avx2::{self, __m256d, __m256i};
 
@@ -60,8 +60,8 @@ impl<T: Scalar, const VL: usize, R: Avx2Row<T, VL>> Rows<T, VL> for Avx2<'_, R> 
     const MIN_STRIDE: usize = R::MIN_STRIDE;
 
     #[inline(always)]
-    fn sweep_row<const IN_PLACE: bool>(&self, row: SweepRow<'_, T>) {
-        self.0.sweep_row::<IN_PLACE>(row);
+    fn sweep_row(&self, row: SweepRow<'_, T>) {
+        self.0.sweep_row(row);
     }
 
     /// The AVX2 rows are not instrumented: `COUNT` is ignored.
@@ -81,139 +81,76 @@ fn assert_available() {
     );
 }
 
-/// [`slab::tile_body`] compiled for AVX2+FMA end to end — boundary
-/// phases, degenerate fallback and the hand-scheduled steady rows as one
-/// codegen context. Panics if AVX2+FMA are unavailable.
+/// [`slab::sweep_body`] compiled for AVX2+FMA end to end — boundary
+/// phases and the hand-scheduled steady rows of a part as one codegen
+/// context. Panics if AVX2+FMA are unavailable.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn tile<T, const VL: usize, G, R>(g: &mut G, rows: &R, s: usize, sc: &mut Scratch<T, VL>)
-where
+pub(crate) fn sweep<T, const VL: usize, R>(
+    a: &mut [T],
+    geo: Geo<T>,
+    rows: &R,
+    s: usize,
+    sc: &mut Scratch<T, VL>,
+    xs: RangeInclusive<usize>,
+) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Avx2Row<T, VL>,
 {
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn sandwich<T, const VL: usize, G, R>(
-        g: &mut G,
+    unsafe fn sandwich<T, const VL: usize, R>(
+        a: &mut [T],
+        geo: Geo<T>,
         rows: &R,
         s: usize,
         sc: &mut Scratch<T, VL>,
+        xs: RangeInclusive<usize>,
     ) where
         T: Scalar,
-        G: SlabGrid<Elem = T>,
         R: Avx2Row<T, VL>,
     {
-        slab::tile_body::<T, VL, false, G, _>(g, &Avx2(rows), s, sc);
+        slab::sweep_body::<T, VL, false, _>(a, geo, &Avx2(rows), s, sc, xs);
     }
     assert_available();
     // SAFETY: availability asserted above.
-    unsafe { sandwich(g, rows, s, sc) }
+    unsafe { sandwich(a, geo, rows, s, sc, xs) }
 }
 
-/// [`slab::scalar_step_inplace`] compiled for AVX2+FMA (step remainders
-/// and scalar sweeps of a plan that resolved the AVX2 engine). Panics if
+/// [`slab::scalar_sweep_body`] compiled for AVX2+FMA (step remainders and
+/// scalar sweeps of a plan that resolved the AVX2 engine). Panics if
 /// AVX2+FMA are unavailable.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn scalar_step<T, const VL: usize, G, R>(g: &mut G, rows: &R, bufs: &mut [Vec<T>; 2])
-where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Avx2Row<T, VL>,
-{
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn sandwich<T, const VL: usize, G, R>(g: &mut G, rows: &R, bufs: &mut [Vec<T>; 2])
-    where
-        T: Scalar,
-        G: SlabGrid<Elem = T>,
-        R: Avx2Row<T, VL>,
-    {
-        slab::scalar_step_inplace(g, &Avx2(rows), bufs);
-    }
-    assert_available();
-    // SAFETY: availability asserted above.
-    unsafe { sandwich(g, rows, bufs) }
-}
-
-/// [`slab::band_body`] compiled for AVX2+FMA: shape check, scalar
-/// fallback of edge or narrow bands, prologue, hand-scheduled steady rows
-/// and epilogue as one codegen context. Panics if AVX2+FMA are
-/// unavailable.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn band<T, const VL: usize, G, R>(
-    g: &mut G,
+pub(crate) fn scalar_sweep<T, const VL: usize, R>(
+    a: &mut [T],
+    geo: Geo<T>,
     rows: &R,
-    xl: usize,
-    xr: usize,
-    s: usize,
-    sc: &mut BandScratch<T, VL>,
+    bufs: &mut [Vec<T>; 2],
+    xs: RangeInclusive<usize>,
 ) where
     T: Scalar,
-    G: SlabGrid<Elem = T>,
     R: Avx2Row<T, VL>,
 {
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn sandwich<T, const VL: usize, G, R>(
-        g: &mut G,
+    unsafe fn sandwich<T, const VL: usize, R>(
+        a: &mut [T],
+        geo: Geo<T>,
         rows: &R,
-        xl: usize,
-        xr: usize,
-        s: usize,
-        sc: &mut BandScratch<T, VL>,
+        bufs: &mut [Vec<T>; 2],
+        xs: RangeInclusive<usize>,
     ) where
         T: Scalar,
-        G: SlabGrid<Elem = T>,
         R: Avx2Row<T, VL>,
     {
-        slab::band_body(g, &Avx2(rows), xl, xr, s, sc);
+        slab::scalar_sweep_body(a, geo, &Avx2(rows), bufs, xs);
     }
     assert_available();
     // SAFETY: availability asserted above.
-    unsafe { sandwich(g, rows, xl, xr, s, sc) }
-}
-
-/// [`slab::band_scalar_body`] compiled for AVX2+FMA (scalar bands of a
-/// workspace that resolved the AVX2 engine). Panics if AVX2+FMA are
-/// unavailable.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn band_scalar<T, const VL: usize, G, R>(
-    g: &mut G,
-    rows: &R,
-    xl: usize,
-    xr: usize,
-    levels: usize,
-) where
-    T: Scalar,
-    G: SlabGrid<Elem = T>,
-    R: Avx2Row<T, VL>,
-{
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn sandwich<T, const VL: usize, G, R>(
-        g: &mut G,
-        rows: &R,
-        xl: usize,
-        xr: usize,
-        levels: usize,
-    ) where
-        T: Scalar,
-        G: SlabGrid<Elem = T>,
-        R: Avx2Row<T, VL>,
-    {
-        slab::band_scalar_body(g, &Avx2(rows), xl, xr, levels);
-    }
-    assert_available();
-    // SAFETY: availability asserted above.
-    unsafe { sandwich(g, rows, xl, xr, levels) }
+    unsafe { sandwich(a, geo, rows, bufs, xs) }
 }
 
 // ---------------------------------------------------------------------

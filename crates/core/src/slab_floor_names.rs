@@ -3,7 +3,11 @@
 // these names, so they stay; each one is the slice of the shared table in
 // `slab::tests` that the test of that name used to spell out by hand
 // (kind × engine × the aspect in its name), while `slab::tests` itself
-// runs the whole product.
+// runs the whole product. The `t{2,3}d_band` entries named the skewed band
+// executors; a band of parallelogram tiles is now a sweep run in parts
+// (`slab::tests::banded`), and "narrow" parts — narrower than the `VL·s`
+// slabs they read ahead, which used to fall back to scalar bands — run
+// the same vector code.
 
 #[cfg(test)]
 mod t2d {

@@ -1,8 +1,10 @@
 //! Kernel-generic multi-load (spatially vectorized) Jacobi steps — the
 //! in-tile kernel of the paper's "auto" curves (§2.2, Algorithm 2), one
 //! per dimensionality, written against the same kernel adapters as the
-//! temporal engines. [`crate::engine::KernelSpace::multiload_step`] is the
-//! dimension-free entry point the tiled and plan layers call.
+//! temporal engines and, like them, over a range of outer slabs of a
+//! window of the buffers, so a step can be cut into parts.
+//! [`crate::engine::KernelSpace::multiload_sweep`] is the dimension-free
+//! entry point the tiled and plan layers call.
 //!
 //! Each step takes the [`Engine`] its plan resolved and runs in that
 //! codegen context: the bodies are `#[inline(always)]` and instantiated
@@ -16,7 +18,8 @@
 
 use crate::engine::Engine;
 use crate::kernels::{Kernel1d, Kernel2d, Kernel3d, Nbhd, Nbhd3};
-use tempora_grid::{Grid2, Grid3};
+use core::ops::RangeInclusive;
+use tempora_grid::{SlabLayout, Slabs, SlabsMut};
 #[cfg(target_arch = "x86_64")]
 use tempora_simd::arch::avx2_available;
 use tempora_simd::{Pack, Scalar};
@@ -32,8 +35,13 @@ mod avx2 {
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_1d<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
-        step_1d_body(src, dst, n, kern);
+    pub unsafe fn step_1d<K: Kernel1d>(
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        kern: &K,
+    ) {
+        step_1d_body(src, dst, xs, kern);
     }
 
     /// [`step_2d`] compiled for AVX2+FMA.
@@ -42,8 +50,14 @@ mod avx2 {
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_2d<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, kern: &K) {
-        step_2d_body(src, dst, kern);
+    pub unsafe fn step_2d<T: Scalar, K: Kernel2d<T>>(
+        lay: &SlabLayout<T>,
+        src: Slabs<'_, T>,
+        dst: SlabsMut<'_, T>,
+        xs: RangeInclusive<usize>,
+        kern: &K,
+    ) {
+        step_2d_body(lay, src, dst, xs, kern);
     }
 
     /// [`step_3d`] compiled for AVX2+FMA.
@@ -52,49 +66,26 @@ mod avx2 {
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_3d<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
-        step_3d_body(src, dst, kern);
+    pub unsafe fn step_3d<K: Kernel3d<f64>>(
+        lay: &SlabLayout<f64>,
+        src: Slabs<'_, f64>,
+        dst: SlabsMut<'_, f64>,
+        xs: RangeInclusive<usize>,
+        kern: &K,
+    ) {
+        step_3d_body(lay, src, dst, xs, kern);
     }
 }
 
-/// One multi-load (spatially vectorized) Jacobi step on a 1-D buffer:
-/// `dst[1..=n]` from `src`, halos untouched. Bit-identical to the
-/// `multiload` baseline; callers ping-pong their own buffers, so no step
-/// allocates.
-pub fn step_1d<K: Kernel1d>(engine: Engine, src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => {
-            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
-            // SAFETY: availability asserted above.
-            unsafe { avx2::step_1d(src, dst, n, kern) }
-        }
-        _ => step_1d_body(src, dst, n, kern),
-    }
-}
-
-#[inline(always)]
-fn step_1d_body<K: Kernel1d>(src: &[f64], dst: &mut [f64], n: usize, kern: &K) {
-    const N: usize = 4;
-    let mut x = 1;
-    while x + N <= n + 1 {
-        let l = Pack::<f64, N>::load(src, x - 1);
-        let m = Pack::<f64, N>::load(src, x);
-        let r = Pack::<f64, N>::load(src, x + 1);
-        kern.pack(l, m, r).store(dst, x);
-        x += N;
-    }
-    for x in x..=n {
-        dst[x] = kern.scalar(0.0, src[x - 1], src[x], src[x + 1]);
-    }
-}
-
-/// One multi-load Jacobi step on a 2-D buffer grid (vectorized along `y`).
-/// Bit-identical to the `multiload` baseline.
-pub fn step_2d<T: Scalar, K: Kernel2d<T>>(
+/// The cells `xs` of one multi-load (spatially vectorized) Jacobi step on
+/// 1-D buffers: `dst[xs]` from `src[xs.start() - 1 ..= xs.end() + 1]`,
+/// halos untouched. Bit-identical to the `multiload` baseline; callers
+/// ping-pong their own buffers, so no step allocates.
+pub fn step_1d<K: Kernel1d>(
     engine: Engine,
-    src: &Grid2<T>,
-    dst: &mut Grid2<T>,
+    src: Slabs<'_, f64>,
+    dst: SlabsMut<'_, f64>,
+    xs: RangeInclusive<usize>,
     kern: &K,
 ) {
     match engine {
@@ -102,22 +93,74 @@ pub fn step_2d<T: Scalar, K: Kernel2d<T>>(
         Engine::Avx2 => {
             assert!(avx2_available(), "AVX2+FMA not available on this CPU");
             // SAFETY: availability asserted above.
-            unsafe { avx2::step_2d(src, dst, kern) }
+            unsafe { avx2::step_1d(src, dst, xs, kern) }
         }
-        _ => step_2d_body(src, dst, kern),
+        _ => step_1d_body(src, dst, xs, kern),
     }
 }
 
 #[inline(always)]
-fn step_2d_body<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, kern: &K) {
+fn step_1d_body<K: Kernel1d>(
+    src: Slabs<'_, f64>,
+    dst: SlabsMut<'_, f64>,
+    xs: RangeInclusive<usize>,
+    kern: &K,
+) {
     const N: usize = 4;
-    let (nx, ny, p) = (src.nx(), src.ny(), src.pitch());
-    let a = src.data();
-    let b = dst.data_mut();
+    let (a, b) = (src.data, dst.data);
+    // a[x - sa] and b[x - sb] are cell x.
+    let (sa, sb) = (src.first, dst.first);
+    let (mut x, x1) = (*xs.start(), *xs.end());
+    while x + N <= x1 + 1 {
+        let l = Pack::<f64, N>::load(a, x - 1 - sa);
+        let m = Pack::<f64, N>::load(a, x - sa);
+        let r = Pack::<f64, N>::load(a, x + 1 - sa);
+        kern.pack(l, m, r).store(b, x - sb);
+        x += N;
+    }
+    for x in x..=x1 {
+        b[x - sb] = kern.scalar(0.0, a[x - 1 - sa], a[x - sa], a[x + 1 - sa]);
+    }
+}
+
+/// The outer slabs `xs` of one multi-load Jacobi step on 2-D buffers laid
+/// out as `lay` (vectorized along `y`): `dst[xs]` from
+/// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the
+/// `multiload` baseline.
+pub fn step_2d<T: Scalar, K: Kernel2d<T>>(
+    engine: Engine,
+    lay: &SlabLayout<T>,
+    src: Slabs<'_, T>,
+    dst: SlabsMut<'_, T>,
+    xs: RangeInclusive<usize>,
+    kern: &K,
+) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => {
+            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
+            // SAFETY: availability asserted above.
+            unsafe { avx2::step_2d(lay, src, dst, xs, kern) }
+        }
+        _ => step_2d_body(lay, src, dst, xs, kern),
+    }
+}
+
+#[inline(always)]
+fn step_2d_body<T: Scalar, K: Kernel2d<T>>(
+    lay: &SlabLayout<T>,
+    src: Slabs<'_, T>,
+    dst: SlabsMut<'_, T>,
+    xs: RangeInclusive<usize>,
+    kern: &K,
+) {
+    const N: usize = 4;
+    let (ny, p) = (lay.shape.width - 2, lay.pitch);
+    let (a, b) = (src.data, dst.data);
     let zero = Pack::<T, N>::splat(T::ZERO);
-    for x in 1..=nx {
-        let r = x * p;
-        let rows = [r - p, r, r + p];
+    for x in xs {
+        let (ra, r) = ((x - src.first) * p, (x - dst.first) * p);
+        let rows = [ra - p, ra, ra + p];
         let mut y = 1;
         while y + N <= ny + 1 {
             let at = |row: usize, d: usize| Pack::<T, N>::load(a, rows[row] + y + d - 1);
@@ -157,31 +200,46 @@ fn step_2d_body<T: Scalar, K: Kernel2d<T>>(src: &Grid2<T>, dst: &mut Grid2<T>, k
     }
 }
 
-/// One multi-load Jacobi step on a 3-D buffer grid (vectorized along `z`).
-/// Bit-identical to the `multiload` baseline.
-pub fn step_3d<K: Kernel3d<f64>>(engine: Engine, src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
+/// The outer slabs `xs` of one multi-load Jacobi step on 3-D buffers laid
+/// out as `lay` (vectorized along `z`): `dst[xs]` from
+/// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the
+/// `multiload` baseline.
+pub fn step_3d<K: Kernel3d<f64>>(
+    engine: Engine,
+    lay: &SlabLayout<f64>,
+    src: Slabs<'_, f64>,
+    dst: SlabsMut<'_, f64>,
+    xs: RangeInclusive<usize>,
+    kern: &K,
+) {
     match engine {
         #[cfg(target_arch = "x86_64")]
         Engine::Avx2 => {
             assert!(avx2_available(), "AVX2+FMA not available on this CPU");
             // SAFETY: availability asserted above.
-            unsafe { avx2::step_3d(src, dst, kern) }
+            unsafe { avx2::step_3d(lay, src, dst, xs, kern) }
         }
-        _ => step_3d_body(src, dst, kern),
+        _ => step_3d_body(lay, src, dst, xs, kern),
     }
 }
 
 #[inline(always)]
-fn step_3d_body<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: &K) {
+fn step_3d_body<K: Kernel3d<f64>>(
+    lay: &SlabLayout<f64>,
+    src: Slabs<'_, f64>,
+    dst: SlabsMut<'_, f64>,
+    xs: RangeInclusive<usize>,
+    kern: &K,
+) {
     const N: usize = 4;
-    let (nx, ny, nz) = (src.nx(), src.ny(), src.nz());
-    let (p, pl) = (src.pitch(), src.plane());
-    let a = src.data();
-    let b = dst.data_mut();
+    let (ny, nz) = (lay.shape.rows - 2, lay.shape.width - 2);
+    let (p, pl) = (lay.pitch, lay.slab);
+    let (a, b) = (src.data, dst.data);
     let zero = Pack::<f64, N>::splat(0.0);
-    for x in 1..=nx {
+    for x in xs {
         for y in 1..=ny {
-            let r = x * pl + y * p;
+            // Row (x, y) of the source and of the destination.
+            let (r, rb) = ((x - src.first) * pl + y * p, (x - dst.first) * pl + y * p);
             let mut z = 1;
             while z + N <= nz + 1 {
                 let nb = Nbhd3 {
@@ -196,7 +254,7 @@ fn step_3d_body<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: 
                     new_ym: zero,
                     new_zm: zero,
                 };
-                kern.pack(nb).store(b, r + z);
+                kern.pack(nb).store(b, rb + z);
                 z += N;
             }
             for z in z..=nz {
@@ -212,7 +270,7 @@ fn step_3d_body<K: Kernel3d<f64>>(src: &Grid3<f64>, dst: &mut Grid3<f64>, kern: 
                     new_ym: 0.0,
                     new_zm: 0.0,
                 };
-                b[r + z] = kern.scalar(nb);
+                b[rb + z] = kern.scalar(nb);
             }
         }
     }

@@ -51,18 +51,34 @@
 //! Intermediate levels `1..VL` exist only in vector registers plus `O(s)`
 //! scratch at the two boundaries, exactly as the paper prescribes.
 //!
+//! # A sweep is resumable
+//!
+//! The steady state at `x` stores into `a[x]` and loads from
+//! `a[x + VL·s]`, so the anchors `1 ..= x_max` may be cut into **parts**
+//! run in ascending order: [`sweep`] is the primitive — the prologue when
+//! its range starts at anchor 1, the steady state over the range, the
+//! epilogue when it ends at `x_max` — and [`tile`] is its one-part case.
+//! The ring of in-flight input vectors and the Gauss-Seidel output vector
+//! live in [`Scratch1d`] between parts; consecutive parts are the paper's
+//! §3.4 parallelogram tiles, and a part touches only the cells from its
+//! first anchor to `VL·s` past its last, which is what lets
+//! `tempora-tiling` run a second sweep through the same array close
+//! behind the first. [`scalar_cells`] cuts the in-place scalar step the
+//! same way.
+//!
 //! # One source, two codegen contexts
 //!
 //! [`tile_prologue`], [`tile_epilogue`], [`gs_initial_output`] and
-//! [`scalar_step_inplace`] are `#[inline(always)]`: the portable [`tile`]
-//! instantiates them for baseline x86-64 and the AVX2 tiles of
-//! [`crate::t1d_avx2`] instantiate the same source again inside their
-//! `#[target_feature(enable = "avx2,fma")]` functions, where `mul_add` is
+//! [`scalar_cells`] are `#[inline(always)]`: the portable [`sweep`]
+//! instantiates them for baseline x86-64 and the AVX2 sweep of
+//! [`crate::t1d_avx2`] instantiates the same source again inside its
+//! `#[target_feature(enable = "avx2,fma")]` function, where `mul_add` is
 //! one `vfmadd` instead of a call into libm's `fma` (same exactly-rounded
 //! result). `cargo xtask audit` (rule `phase-inline`) guards the
 //! attributes.
 
 use crate::kernels::Kernel1d;
+use core::ops::RangeInclusive;
 use tempora_grid::Grid1;
 use tempora_simd::count::{self, Op};
 use tempora_simd::Pack;
@@ -74,7 +90,8 @@ pub fn min_vector_n<const VL: usize>(s: usize) -> usize {
     VL * s
 }
 
-/// Scratch buffers for one sweep configuration, reusable across tiles.
+/// Everything one sweep has in flight at stride `s`: what its phases and
+/// parts hand each other, reusable by the next sweep.
 ///
 /// Head plane `k` (1-based level) holds levels computed by the prologue
 /// over `x ∈ 0 ..= (VL-k)·s` (entry 0 is the left boundary value); tail
@@ -83,6 +100,10 @@ pub fn min_vector_n<const VL: usize>(s: usize) -> usize {
 pub struct Scratch1d<const VL: usize> {
     head: Vec<Vec<f64>>,
     tail: Vec<Vec<f64>>,
+    /// The in-flight input vectors: slot `j % (s+1)` holds `V(j)`.
+    pub(crate) ring: [Pack<f64, VL>; RING_CAP],
+    /// Gauss-Seidel: the previous output vector `O(x-1)`.
+    pub(crate) o_prev: Pack<f64, VL>,
 }
 
 impl<const VL: usize> Scratch1d<VL> {
@@ -90,12 +111,19 @@ impl<const VL: usize> Scratch1d<VL> {
     pub fn new(s: usize) -> Self {
         let head = (0..VL).map(|k| vec![0.0; (VL - k) * s + 2]).collect();
         let tail = (0..VL).map(|i| vec![0.0; (i + 1) * s + 2]).collect();
-        Scratch1d { head, tail }
+        Scratch1d {
+            head,
+            tail,
+            ring: [Pack::splat(0.0); RING_CAP],
+            o_prev: Pack::splat(0.0),
+        }
     }
 }
 
 /// Advance `a` (interior `1..=n`, Dirichlet halos at `0` and `n+1`) by
-/// `VL` time steps with the temporal-vectorized schedule.
+/// `VL` time steps with the temporal-vectorized schedule: one whole
+/// [`sweep`], or `VL` scalar steps when `n` cannot host the vector
+/// schedule (same results).
 ///
 /// `COUNT` enables reorganization-instruction accounting (see
 /// [`tempora_simd::count`]); the counted variant is for analysis only.
@@ -121,62 +149,99 @@ pub fn tile<const VL: usize, const COUNT: bool, K: Kernel1d>(
         }
         return;
     }
-    let (ring_init, x_max) = tile_prologue::<VL, K>(a, n, kern, s, scratch);
-    let ring_len = s + 1;
+    sweep::<VL, COUNT, K>(a, 0, n, kern, s, scratch, 1..=n + 1 - VL * s);
+}
 
-    // For Gauss-Seidel: O(0), lane i = level i+1 at (VL-1-i)·s.
-    let boundary_l = a[0];
-    let mut o_prev = if K::IS_GS {
-        gs_initial_output::<VL>(boundary_l, s, scratch)
-    } else {
-        Pack::splat(0.0)
-    };
-
-    // ------------------------------------------------------------------
-    // Steady state (Algorithm 3 lines 8-15), in place. V(x-1) and V(x)
-    // are carried in registers between iterations (vm1 ← v0 ← vp1); only
-    // V(x+1) is loaded from the ring and only the produced V(x+s) is
-    // stored back — one vector load + one vector store per output vector.
-    // Ring indices are consecutive modulo ring_len, tracked incrementally
-    // (no division in the hot loop); V(x+s) reuses the dead V(x-1) slot
-    // ((x+s) ≡ (x-1) mod s+1).
-    // ------------------------------------------------------------------
-    let mut ring = ring_init;
-    {
-        let ring = &mut ring[..ring_len];
-        let mut vm1 = ring[0];
-        let mut v0 = ring[1 % ring_len];
-        let mut ip1 = 2 % ring_len;
-        let mut im1 = 0usize;
-        for x in 1..=x_max {
-            let vp1 = ring[ip1];
-            let west = if K::IS_GS { o_prev } else { vm1 };
-            let o = kern.pack::<VL>(west, v0, vp1);
-            if COUNT {
-                count::record_output(1);
-            }
-            // Store the finished top lane a[t+VL][x] (line 12)…
-            a[x] = o.top();
-            // …and produce V(x+s) = shift-up + fresh bottom (lines 13-14).
-            let bottom = a[x + VL * s];
-            ring[im1] = o.shift_up_insert(bottom);
-            if COUNT {
-                count::record(Op::ScalarExtract, 1);
-                count::record(Op::CrossLane, 1); // vrotate
-                count::record(Op::InLane, 1); // vblend
-                count::record(Op::ScalarInsert, 1);
-            }
-            if K::IS_GS {
-                o_prev = o;
-            }
-            vm1 = v0;
-            v0 = vp1;
-            im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
-            ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
-        }
+/// The anchors `xs` of one temporal sweep (`VL` time steps, in place):
+/// the prologue when `xs` starts at anchor 1, the steady state over `xs`,
+/// the epilogue when `xs` ends at the last anchor `x_max = n + 1 - VL·s`.
+/// `a` is a window of the array that starts at cell `first`; the part
+/// touches the cells from its first anchor (from the halo cell 0 with the
+/// prologue) to `VL·s` past its last (to the halo cell `n + 1` with the
+/// epilogue). Parts of one sweep run in ascending order over the same
+/// `scratch`, which carries the ring between them. The codegen context is
+/// the caller's.
+///
+/// # Panics
+/// Panics if `s` is illegal for the kernel or `n < VL·s` (no vector
+/// schedule: run scalar steps instead).
+#[inline(always)]
+pub fn sweep<const VL: usize, const COUNT: bool, K: Kernel1d>(
+    a: &mut [f64],
+    first: usize,
+    n: usize,
+    kern: &K,
+    s: usize,
+    scratch: &mut Scratch1d<VL>,
+    xs: RangeInclusive<usize>,
+) {
+    assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
+    assert!(n >= min_vector_n::<VL>(s), "n={n} below VL*s: run scalar");
+    let x_max = n + 1 - VL * s;
+    let (x0, x1) = (*xs.start(), *xs.end());
+    if x0 == 1 {
+        assert_eq!(first, 0, "the prologue reads from the halo cell");
+        tile_prologue::<VL, K>(a, kern, s, scratch);
     }
+    steady_cells::<VL, COUNT, K>(a, first, kern, s, scratch, x0, x1);
+    if x1 == x_max {
+        tile_epilogue::<VL, K>(a, first, n, kern, s, scratch, x_max);
+    }
+}
 
-    tile_epilogue::<VL, K>(a, n, kern, s, scratch, &ring, x_max);
+/// Steady state (Algorithm 3 lines 8-15) over the anchors `x0 ..= x1`, in
+/// place. `V(x-1)` and `V(x)` are carried in registers between iterations
+/// (vm1 ← v0 ← vp1); only `V(x+1)` is loaded from the ring and only the
+/// produced `V(x+s)` is stored back — one vector load + one vector store
+/// per output vector. Ring indices are consecutive modulo `s + 1`, tracked
+/// incrementally (no division in the hot loop); `V(x+s)` reuses the dead
+/// `V(x-1)` slot (`(x+s) ≡ (x-1) mod s+1`). On entry the ring holds `V(j)`
+/// for `j ∈ x0-1 ..= x0-1+s` and `scratch.o_prev` is `O(x0-1)`; on exit the
+/// same holds for `x1`.
+#[inline(always)]
+fn steady_cells<const VL: usize, const COUNT: bool, K: Kernel1d>(
+    a: &mut [f64],
+    first: usize,
+    kern: &K,
+    s: usize,
+    scratch: &mut Scratch1d<VL>,
+    x0: usize,
+    x1: usize,
+) {
+    let ring_len = s + 1;
+    let ring = &mut scratch.ring[..ring_len];
+    let mut o_prev = scratch.o_prev;
+    let mut im1 = (x0 - 1) % ring_len;
+    let mut ip1 = (x0 + 1) % ring_len;
+    let mut vm1 = ring[im1];
+    let mut v0 = ring[x0 % ring_len];
+    for x in x0 - first..=x1 - first {
+        let vp1 = ring[ip1];
+        let west = if K::IS_GS { o_prev } else { vm1 };
+        let o = kern.pack::<VL>(west, v0, vp1);
+        if COUNT {
+            count::record_output(1);
+        }
+        // Store the finished top lane a[t+VL][x] (line 12)…
+        a[x] = o.top();
+        // …and produce V(x+s) = shift-up + fresh bottom (lines 13-14).
+        let bottom = a[x + VL * s];
+        ring[im1] = o.shift_up_insert(bottom);
+        if COUNT {
+            count::record(Op::ScalarExtract, 1);
+            count::record(Op::CrossLane, 1); // vrotate
+            count::record(Op::InLane, 1); // vblend
+            count::record(Op::ScalarInsert, 1);
+        }
+        if K::IS_GS {
+            o_prev = o;
+        }
+        vm1 = v0;
+        v0 = vp1;
+        im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
+        ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
+    }
+    scratch.o_prev = o_prev;
 }
 
 /// Like [`tile`], but with the paper's **batched top/bottom vectors**
@@ -211,18 +276,13 @@ pub fn tile_batched<const VL: usize, const COUNT: bool, K: Kernel1d>(
         }
         return;
     }
-    let (mut ring, x_max) = tile_prologue::<VL, K>(a, n, kern, s, scratch);
+    tile_prologue::<VL, K>(a, kern, s, scratch);
+    let x_max = n + 1 - VL * s;
     let ring_len = s + 1;
-
-    let boundary_l = a[0];
-    let mut o_prev = if K::IS_GS {
-        gs_initial_output::<VL>(boundary_l, s, scratch)
-    } else {
-        Pack::splat(0.0)
-    };
+    let mut o_prev = scratch.o_prev;
 
     {
-        let ring = &mut ring[..ring_len];
+        let ring = &mut scratch.ring[..ring_len];
         let mut x = 1usize;
         // Grouped steady state: VL iterations per trip.
         while x + VL - 1 <= x_max {
@@ -280,7 +340,7 @@ pub fn tile_batched<const VL: usize, const COUNT: bool, K: Kernel1d>(
         }
     }
 
-    tile_epilogue::<VL, K>(a, n, kern, s, scratch, &ring, x_max);
+    tile_epilogue::<VL, K>(a, 0, n, kern, s, scratch, x_max);
 }
 
 /// [`run`] with the batched-vector steady state of [`tile_batched`].
@@ -350,26 +410,24 @@ pub fn gs_initial_output<const VL: usize>(
     })
 }
 
-/// Phase 1 of a temporal tile: scalar prologue triangles plus the strided
+/// Phase 1 of a temporal sweep: scalar prologue triangles plus the strided
 /// gather of the initial input vectors `V(0) ..= V(s)` (Algorithm 3 lines
-/// 2-7). Returns the initial ring (slot `j % (s+1)` holds `V(j)`) and the
-/// steady-state bound `x_max`.
+/// 2-7) into the scratch ring (slot `j % (s+1)` holds `V(j)`), and the
+/// initial Gauss-Seidel output vector. Reads cells `0 ..= VL·s` of `a`,
+/// which starts at the halo cell, and writes only `scratch`.
 ///
 /// Exposed so arch-specialized steady states (see `t1d_avx2`) can share
 /// the exact boundary machinery of the portable engine.
 #[inline(always)]
 pub fn tile_prologue<const VL: usize, K: Kernel1d>(
-    a: &mut [f64],
-    n: usize,
+    a: &[f64],
     kern: &K,
     s: usize,
     scratch: &mut Scratch1d<VL>,
-) -> ([Pack<f64, VL>; RING_CAP], usize) {
-    debug_assert!(n >= min_vector_n::<VL>(s));
+) {
     debug_assert!(scratch.head.len() >= VL);
     assert!(s < RING_CAP, "stride too large for the ring capacity");
     let boundary_l = a[0];
-    let x_max = n + 1 - VL * s;
 
     // Prologue: levels k = 1..VL-1 over x ∈ 1..=(VL-k)·s, scalar.
     // head[k][x] = a[t+k][x]; head[0] is not used (level 0 lives in `a`).
@@ -394,7 +452,6 @@ pub fn tile_prologue<const VL: usize, K: Kernel1d>(
     // Initial input vectors V(0) ..= V(s) (Algorithm 3 lines 5-7):
     // lane i of V(j) = level i at x = j + (VL-1-i)·s.
     let ring_len = s + 1;
-    let mut ring = [Pack::<f64, VL>::splat(0.0); RING_CAP];
     for j in 0..=s {
         let v = Pack::<f64, VL>::from_fn(|i| {
             let x = j + (VL - 1 - i) * s;
@@ -408,43 +465,54 @@ pub fn tile_prologue<const VL: usize, K: Kernel1d>(
         });
         // Off the hot path: records only into an active counting session.
         count::record(Op::Gather, 1);
-        ring[j % ring_len] = v;
+        scratch.ring[j % ring_len] = v;
     }
-    (ring, x_max)
+    // §3.4: the newest-west operand is the previous output vector.
+    scratch.o_prev = if K::IS_GS {
+        gs_initial_output::<VL>(boundary_l, s, scratch)
+    } else {
+        Pack::splat(0.0)
+    };
 }
 
-/// Phase 3 of a temporal tile: drain the surviving ring into the tail
+/// Phase 3 of a temporal sweep: drain the surviving ring into the tail
 /// planes and finish every level scalar-wise up to `x = n` (Algorithm 3
-/// lines 16-22). `ring` must hold `V(j)` at slot `j % (s+1)` for
-/// `j ∈ x_max ..= x_max+s`, as left behind by the steady state.
+/// lines 16-22). The scratch ring must hold `V(j)` at slot `j % (s+1)` for
+/// `j ∈ x_max ..= x_max+s`, as left behind by the steady state. `a` is a
+/// window that starts at cell `first`; cells `x_max ..= n + 1` are
+/// touched.
 #[inline(always)]
 pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
+    first: usize,
     n: usize,
     kern: &K,
     s: usize,
     scratch: &mut Scratch1d<VL>,
-    ring: &[Pack<f64, VL>],
     x_max: usize,
 ) {
+    let Scratch1d { tail, ring, .. } = scratch;
+    // The window from cell x_max on: a[x - x_max] is cell x.
+    let a = &mut a[x_max - first..];
     let ring_len = s + 1;
-    let boundary_r = a[n + 1];
+    let boundary_r = a[n + 1 - x_max];
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
         // Extract the s+1 surviving lane values of level i.
         for j in x_max..=x_max + s {
             let v = ring[j % ring_len];
-            scratch.tail[i][j + (VL - 1 - i) * s - base] = v.extract(i);
+            tail[i][j + (VL - 1 - i) * s - base] = v.extract(i);
         }
         // Scalar completion of level i over x ∈ base+s+1 ..= n, reading
         // level i-1 from tail[i-1] (or `a` when i == 1).
         let done_hi = base + s; // = x_max + (VL-i)·s
-        let (lo_planes, hi_planes) = scratch.tail.split_at_mut(i);
+        let (lo_planes, hi_planes) = tail.split_at_mut(i);
         let plane = &mut hi_planes[0];
         for x in done_hi + 1..=n {
             let rel = x - base;
             let (bm1, b0, bp1) = if i == 1 {
-                (a[x - 1], a[x], a[x + 1])
+                let at = x - x_max;
+                (a[at - 1], a[at], a[at + 1])
             } else {
                 let below = &lo_planes[i - 1];
                 let bb = x - (base + s); // base_{i-1} = base + s
@@ -455,18 +523,15 @@ pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
         }
         // Right halo of the plane.
         let rel_halo = n + 1 - base;
-        scratch.tail[i][rel_halo] = boundary_r;
+        tail[i][rel_halo] = boundary_r;
     }
 
-    // Final level VL over x ∈ x_max+1 ..= n, writing into `a`.
-    {
-        let base = x_max; // base of tail[VL-1]
-        let below = &scratch.tail[VL - 1];
-        for x in x_max + 1..=n {
-            let rel = x - base;
-            let west = a[x - 1]; // already level VL (GS) — unused for Jacobi
-            a[x] = kern.scalar(west, below[rel - 1], below[rel], below[rel + 1]);
-        }
+    // Final level VL over x ∈ x_max+1 ..= n, writing into `a`; tail[VL-1]
+    // is based at x_max like the window.
+    let below = &tail[VL - 1];
+    for rel in 1..=n - x_max {
+        let west = a[rel - 1]; // already level VL (GS) — unused for Jacobi
+        a[rel] = kern.scalar(west, below[rel - 1], below[rel], below[rel + 1]);
     }
 }
 
@@ -476,17 +541,41 @@ pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
 /// single array suffices; for Gauss-Seidel in-place *is* the definition.
 #[inline(always)]
 pub fn scalar_step_inplace<K: Kernel1d>(a: &mut [f64], n: usize, kern: &K) {
+    scalar_cells(a, 0, kern, 1..=n, &mut 0.0);
+}
+
+/// The cells `xs` of one in-place scalar time step. `a` is a window of the
+/// array that starts at cell `first`; cells `xs.start() - 1 ..=
+/// xs.end() + 1` are touched. The step is resumable: `old_west` carries
+/// the old value of the last cell a part updated to the part that
+/// continues at the next cell (Jacobi only; a part that starts at cell 1
+/// takes it from the halo cell), so a step may be cut into parts run in
+/// ascending order.
+#[inline(always)]
+pub fn scalar_cells<K: Kernel1d>(
+    a: &mut [f64],
+    first: usize,
+    kern: &K,
+    xs: RangeInclusive<usize>,
+    old_west: &mut f64,
+) {
+    let (x0, x1) = (*xs.start() - first, *xs.end() - first);
     if K::IS_GS {
-        for x in 1..=n {
+        for x in x0..=x1 {
             a[x] = kern.scalar(a[x - 1], a[x - 1], a[x], a[x + 1]);
         }
     } else {
-        let mut prev = a[0];
-        for x in 1..=n {
+        let mut prev = if *xs.start() == 1 {
+            a[x0 - 1]
+        } else {
+            *old_west
+        };
+        for x in x0..=x1 {
             let cur = a[x];
             a[x] = kern.scalar(prev, prev, cur, a[x + 1]);
             prev = cur;
         }
+        *old_west = prev;
     }
 }
 

@@ -8,6 +8,7 @@
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use tempora_simd::Scalar;
 
@@ -36,6 +37,29 @@ pub fn alloc_count() -> u64 {
     // Ordering: Relaxed — a monotonic statistics counter; callers compare
     // snapshots taken on one thread, no cross-thread data is published.
     ALLOC_COUNT.load(Ordering::Relaxed)
+}
+
+/// True when some run of `f` performed no [`AlignedBuf`] allocation: how
+/// the suites prove a warmed-up path allocation-free. The counter is
+/// process-wide and sibling tests allocate concurrently, so one dirty
+/// window proves nothing; `f` is re-run, backing off between attempts so
+/// a burst of siblings can pass, for about two seconds. A path that really
+/// allocates dirties every window and the answer is `false`.
+pub fn runs_allocation_free(mut f: impl FnMut()) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut pause = Duration::from_millis(1);
+    loop {
+        let before = alloc_count();
+        f();
+        if alloc_count() == before {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(pause);
+        pause = (2 * pause).min(Duration::from_millis(64));
+    }
 }
 
 /// An owned, fixed-length, 64-byte aligned buffer of `T`.

@@ -25,7 +25,7 @@ pub mod grid1;
 pub mod grid2;
 pub mod grid3;
 
-pub use alloc::{alloc_count, AlignedBuf, GRID_ALIGN};
+pub use alloc::{alloc_count, runs_allocation_free, AlignedBuf, GRID_ALIGN};
 pub use grid1::Grid1;
 pub use grid2::Grid2;
 pub use grid3::Grid3;
@@ -87,9 +87,50 @@ impl SlabShape {
     }
 }
 
+/// Where the outer slabs and rows of a halo-1 grid are and what its ghost
+/// cells hold: a grid's geometry without its storage, so that a kernel can
+/// be handed a [`SlabsMut`] window of the storage instead of the grid.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct SlabLayout<T> {
+    /// Interior outer extent: slabs `1 ..= nx` are interior, slabs `0` and
+    /// `nx + 1` are ghost slabs.
+    pub nx: usize,
+    /// The rows of one slab.
+    pub shape: SlabShape,
+    /// Elements per outer slab of the storage ([`SlabGrid::slab`]).
+    pub slab: usize,
+    /// Elements between consecutive rows of one slab
+    /// ([`SlabGrid::row_pitch`]).
+    pub pitch: usize,
+    /// The value every ghost cell holds.
+    pub bc: T,
+}
+
+/// A run of whole outer slabs of a grid's storage, read-only: `data` holds
+/// slabs `first ..` ([`SlabLayout::slab`] elements each).
+#[derive(Clone, Copy, Debug)]
+pub struct Slabs<'a, T> {
+    /// The storage of the slabs, first slab first.
+    pub data: &'a [T],
+    /// Outer index of the slab `data` starts with.
+    pub first: usize,
+}
+
+/// A run of whole outer slabs of a grid's storage, exclusively borrowed:
+/// everything one task of an in-place sweep may touch. Tasks whose windows
+/// are disjoint may run concurrently on one grid; an access outside the
+/// window is a slice-bounds panic, not a race.
+#[derive(Debug)]
+pub struct SlabsMut<'a, T> {
+    /// The storage of the slabs, first slab first.
+    pub data: &'a mut [T],
+    /// Outer index of the slab `data` starts with.
+    pub first: usize,
+}
+
 /// A halo-1 grid viewed as a stack of **outer slabs** — cells in 1-D, rows
-/// in 2-D, planes in 3-D: the unit the time-tiled layers copy, band and
-/// skew over. One implementation per grid type lets every layer above
+/// in 2-D, planes in 3-D: the unit the time-tiled layers chunk their
+/// sweeps by. One implementation per grid type lets every layer above
 /// the tile be written once for all three dimensionalities.
 pub trait SlabGrid: Clone + Send {
     /// Element type.
@@ -124,6 +165,34 @@ pub trait SlabGrid: Clone + Send {
 
     /// Mutable variant of [`SlabGrid::data`].
     fn data_mut(&mut self) -> &mut [Self::Elem];
+
+    /// The geometry of this grid.
+    fn layout(&self) -> SlabLayout<Self::Elem> {
+        let dims = self.dims();
+        SlabLayout {
+            nx: dims[0],
+            shape: Self::slab_shape(dims),
+            slab: self.slab(),
+            pitch: self.row_pitch(),
+            bc: self.boundary().value(),
+        }
+    }
+
+    /// The whole storage as a window: every slab from ghost slab 0.
+    fn slabs(&self) -> Slabs<'_, Self::Elem> {
+        Slabs {
+            data: self.data(),
+            first: 0,
+        }
+    }
+
+    /// Mutable variant of [`SlabGrid::slabs`].
+    fn slabs_mut(&mut self) -> SlabsMut<'_, Self::Elem> {
+        SlabsMut {
+            data: self.data_mut(),
+            first: 0,
+        }
+    }
 }
 
 impl<T: Scalar> SlabGrid for Grid1<T> {

@@ -75,9 +75,9 @@ pub enum PlanError {
         /// The engine's vector length for this problem.
         vl: usize,
     },
-    /// A skewed block narrower than `height + VL·s + VL` would let
-    /// same-wave tiles overlap; the wavefront schedule requires wider
-    /// blocks.
+    /// A `Tiling::Skew` block narrower than `height + VL·s + VL`: the
+    /// bound under which the wavefront tasks of the skewed bands stayed
+    /// apart, kept as the variant's validation rule.
     BlockTooNarrow {
         /// Requested block width.
         block: usize,

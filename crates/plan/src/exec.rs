@@ -8,20 +8,20 @@
 //! build their transposed layouts per call by design).
 //!
 //! The grid executors are generic over the kernel
-//! ([`KernelSpace`]): one `Temporal`, `Scalar`, `Multiload`, `Ghost` and
-//! `Skew` serve every dimensionality, each monomorphised per kernel so
+//! ([`KernelSpace`]): one `Temporal`, `Scalar`, `Multiload` and `Tiled`
+//! serve every dimensionality, each monomorphised per kernel so
 //! [`Exec`] stays the only dynamic dispatch. All paths reuse the
 //! engine/tiling layers' own tile primitives and are bit-identical to the
 //! scalar references.
 
 use crate::{PlanError, State};
 use tempora_baseline::{dlt, reorg};
-use tempora_core::engine::{Engine, GsSpace, KernelSpace};
+use tempora_core::engine::{self, Engine, KernelSpace};
 use tempora_core::{lcs, lcs_avx2};
 use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
 use tempora_parallel::Pool;
 use tempora_stencil::Heat1dCoeffs;
-use tempora_tiling::{GhostJacobi, LcsRect, SkewGs};
+use tempora_tiling::{LcsRect, Sweeps};
 
 /// One compiled execution path: advance a [`State`] by the plan's time
 /// extent. Object-safe so [`crate::Plan`] can hold any workload behind
@@ -30,9 +30,8 @@ use tempora_tiling::{GhostJacobi, LcsRect, SkewGs};
 pub(crate) trait Exec: Send {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError>;
 
-    /// First-touch the executor's arenas through `pool` so each page is
-    /// faulted in by the worker that will later advance it (the tiled
-    /// workspaces reuse `advance`'s owner map). Sequential executors
+    /// Allocate (or first-touch) the executor's arenas through `pool` so
+    /// their pages are faulted in by pool workers. Sequential executors
     /// have nothing to place, so the default is a no-op.
     fn fault_in(&mut self, _pool: &Pool) {}
 }
@@ -91,9 +90,9 @@ impl StateGrid for Grid3<f64> {
 
 /// Sequential temporal engine (portable or AVX2, fixed at plan time —
 /// the engine is the codegen context of the whole run, remainder steps
-/// included), tile scratch and remainder step buffers reused across
-/// runs. Both steady states run at the kernel's own lane count, so they
-/// share one scratch.
+/// included): [`engine::advance`] over plan-owned tile scratch and
+/// remainder step buffers, reused across runs. Both steady states run at
+/// the kernel's own lane count, so they share one scratch.
 pub(crate) struct Temporal<K: KernelSpace> {
     pub kern: K,
     pub steps: usize,
@@ -110,16 +109,19 @@ where
 {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = K::Grid::from_state(state)?;
-        let (engine, s) = (self.engine, self.s);
-        for _ in 0..self.steps / K::VL {
-            if self.counted {
-                self.kern.tile::<true>(engine, g, s, &mut self.scratch);
-            } else {
-                self.kern.tile::<false>(engine, g, s, &mut self.scratch);
-            }
-        }
-        for _ in 0..self.steps % K::VL {
-            self.kern.scalar_step(engine, g, &mut self.rem);
+        let Self {
+            kern,
+            steps,
+            s,
+            engine,
+            scratch,
+            rem,
+            ..
+        } = self;
+        if self.counted {
+            engine::advance::<true, K>(*engine, g, kern, *steps, *s, scratch, rem);
+        } else {
+            engine::advance::<false, K>(*engine, g, kern, *steps, *s, scratch, rem);
         }
         Ok(())
     }
@@ -281,25 +283,11 @@ impl Exec for SeqLcs {
 // Tiled executors (thin adapters over the tiling workspaces)
 // ---------------------------------------------------------------------
 
-pub(crate) struct Ghost<K: KernelSpace>(pub GhostJacobi<K>);
+/// Every tiled grid plan — `Tiling::Ghost` and `Tiling::Skew`, whatever
+/// the method: the in-place pipelined sweeps.
+pub(crate) struct Tiled<K: KernelSpace>(pub Sweeps<K>);
 
-impl<K: KernelSpace> Exec for Ghost<K>
-where
-    K::Grid: StateGrid,
-{
-    fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError> {
-        self.0.advance(K::Grid::from_state(state)?, pool);
-        Ok(())
-    }
-
-    fn fault_in(&mut self, pool: &Pool) {
-        self.0.fault_in(pool);
-    }
-}
-
-pub(crate) struct Skew<K: GsSpace>(pub SkewGs<K>);
-
-impl<K: GsSpace> Exec for Skew<K>
+impl<K: KernelSpace> Exec for Tiled<K>
 where
     K::Grid: StateGrid,
 {

@@ -9,8 +9,8 @@
 //! * [`Problem`] — typed stencil descriptor: kind, interior extents, time
 //!   extent, coefficients, boundary condition. Carries no data.
 //! * [`PlanBuilder`] — picks the [`Method`] (temporal / multi-load /
-//!   reorg / DLT / scalar), the [`Tiling`] (none / ghost / skew /
-//!   LCS rectangles), the engine [`Select`] policy, the worker-thread
+//!   reorg / DLT / scalar), the [`Tiling`] (none / pipelined in-place
+//!   sweeps under the names ghost and skew / LCS rectangles), the engine [`Select`] policy, the worker-thread
 //!   count and the temporal stride. [`PlanBuilder::build`] validates
 //!   everything up front and returns a descriptive [`PlanError`] for any
 //!   invalid combination — no panics, no silent fallbacks beyond the

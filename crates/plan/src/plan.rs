@@ -2,10 +2,10 @@
 //! reusable execution plan.
 
 use crate::exec::{
-    Dlt1d, Exec, Ghost, Multiload, RectLcs, Reorg1d, Scalar, SeqLcs, Skew, StateGrid, Temporal,
+    Dlt1d, Exec, Multiload, RectLcs, Reorg1d, Scalar, SeqLcs, StateGrid, Temporal, Tiled,
 };
 use crate::{PlanError, Problem, State};
-use tempora_core::engine::{Elem, Engine, GsSpace, KernelSpace, Select};
+use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
 use tempora_core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
@@ -13,7 +13,7 @@ use tempora_core::{lcs, lcs_avx2};
 use tempora_grid::{Boundary, SlabGrid};
 use tempora_parallel::{Pool, PoolConfig};
 use tempora_simd::count;
-use tempora_tiling::{ghost, GhostJacobi, LcsRect, SkewGs};
+use tempora_tiling::{LcsRect, Mode, Sweeps};
 
 /// What the builder hands [`Plan`]: the executor, the engine it resolved
 /// (temporal methods only) and the tile geometry (tiled plans only).
@@ -55,25 +55,43 @@ pub enum Method {
 }
 
 /// The time-space tiling a plan wraps around the method.
+///
+/// The two grid tilings run the same executor: the method's sweeps —
+/// `steps / VL` temporal sweeps plus `steps % VL` scalar ones, or one
+/// scalar or multi-load sweep per step — are cut into chunks of `block`
+/// anchors along the outer dimension and pipelined through the grid **in
+/// place** by one wavefront: the next sweep starts on a chunk as soon as
+/// the sweep before has finished the chunk after it (see
+/// `tempora_tiling::sweeps`). Consecutive chunks of a sweep are the
+/// paper's parallelogram tiles; nothing is copied and no level runs
+/// outside the wavefront — the `steps % VL` remainder levels are chunked
+/// sweeps like the rest, not scalar steps on the calling thread. The two
+/// variants differ in the stencils they accept and the geometry rules
+/// they validate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Tiling {
     /// No tiling: the sequential engine on one worker.
     #[default]
     None,
-    /// Overlapped (ghost-zone) band tiling — Jacobi stencils only.
+    /// Pipelined in-place sweeps — Jacobi stencils only.
     Ghost {
-        /// Interior cells per tile along the outer dimension.
+        /// Anchors (outer slabs) per chunk of a sweep; a narrower value is
+        /// widened to `max(VL·s, 2)`, the slabs a chunk reads ahead.
         block: usize,
-        /// Time levels per band (a positive multiple of the vector
-        /// length).
+        /// Validated (a positive multiple of the vector length) and echoed
+        /// in [`TileGeometry`], but **it no longer shapes the schedule**:
+        /// a sweep is `VL` levels deep whatever the height. Kept because
+        /// the wire format and the benchmark name it.
         height: usize,
     },
-    /// Parallelogram (time-skewed) tiling with pipelined wavefronts —
-    /// Gauss-Seidel stencils only.
+    /// Pipelined in-place sweeps — Gauss-Seidel stencils only.
     Skew {
-        /// Anchor columns per skewed block.
+        /// Anchors (outer slabs) per chunk of a sweep; validated against
+        /// `height + VL·s + VL` (stride 0 for the scalar method).
         block: usize,
-        /// Time levels per band (a positive multiple of 4).
+        /// Validated (a positive multiple of 4) and echoed in
+        /// [`TileGeometry`], but **it no longer shapes the schedule**, as
+        /// for [`Tiling::Ghost`].
         height: usize,
     },
     /// Rectangle tiling with pipelined wavefronts — LCS only.
@@ -88,14 +106,16 @@ pub enum Tiling {
 /// Tile geometry a plan resolved (for tiled plans).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileGeometry {
-    /// Tiles per band (ghost), skewed blocks per band (skew), or
-    /// rectangles per wavefront sweep (LCS).
+    /// Chunks per sweep (grid tilings), or rectangles per wavefront sweep
+    /// (LCS).
     pub tiles: usize,
-    /// Block extent along the outer dimension (`xblock` — DP rows per
-    /// rectangle — for LCS).
+    /// Anchors per chunk along the outer dimension — the `block` asked
+    /// for, widened to `max(VL·s, 2)` when narrower (`xblock` — DP rows
+    /// per rectangle — for LCS).
     pub block: usize,
-    /// Time levels per band (`yblock` — DP columns per rectangle — for
-    /// LCS).
+    /// The `height` the tiling was given, echoed; the grid tilings'
+    /// schedule does not depend on it (`yblock` — DP columns per
+    /// rectangle — for LCS).
     pub height: usize,
 }
 
@@ -176,8 +196,8 @@ impl PlanBuilder {
     /// Set the temporal space stride `s`. The default is per kind: the
     /// paper's 2 in 2-D/3-D, and in 1-D the start of the measured plateau
     /// of the register-ring steady states (`repro ablate-stride`) — 10 for
-    /// untiled Heat-1D, 7 for GS-1D and ghost-tiled Heat-1D, 2 for LCS.
-    /// [`Plan::stride`] reports what a built plan runs.
+    /// Heat-1D, 7 for GS-1D, 2 for LCS. [`Plan::stride`] reports what a
+    /// built plan runs.
     pub fn stride(mut self, stride: usize) -> PlanBuilder {
         self.stride = Some(stride);
         self
@@ -207,12 +227,12 @@ impl PlanBuilder {
     /// test ties them to the engines' specialised sets). Heat-1D's chain
     /// advances `s - 1` iterations per hop and levels off at 10; GS-1D is
     /// bound by its output chain from 7, and a wider stride would only
-    /// raise the skew tiling's minimum block. Ghost-tiled Heat-1D keeps 7
-    /// so that tiles of 28 to 39 cells stay on the vector path.
+    /// raise the skew tiling's minimum block. Tiling does not enter: a
+    /// tiled plan runs the same sweeps, cut into chunks.
     fn default_stride(&self, problem: &Problem) -> usize {
         match problem {
-            Problem::Heat1d { .. } if self.tiling == Tiling::None => 10,
-            Problem::Heat1d { .. } | Problem::Gs1d { .. } => 7,
+            Problem::Heat1d { .. } => 10,
+            Problem::Gs1d { .. } => 7,
             _ => 2,
         }
     }
@@ -251,9 +271,8 @@ impl PlanBuilder {
         self.check_count(problem)?;
 
         let (mut exec, engine, tiles) = self.build_exec(problem, s)?;
-        // Pool first, then first-touch: the workspaces fault their tile
-        // arenas in from the workers that will advance them (the owned
-        // schedule reuses the same owner map).
+        // Pool first, then first-touch: the workspaces allocate their
+        // scratch arenas from pool workers.
         let pool = Pool::with_config(PoolConfig::new(threads).pin(self.pin));
         // A panic here (e.g. an injected `fault_in` failpoint) unwinds to
         // the caller: no `Plan` exists yet, so there is nothing to
@@ -360,9 +379,11 @@ impl PlanBuilder {
                 if height < VL || height % VL != 0 {
                     return Err(PlanError::BadTileHeight { height, vl: VL });
                 }
-                // Wave disjointness: a tile touches block ± one block only
-                // when blocks are at least height + VL·s + VL wide (scalar
-                // bands reach back `height` columns: stride 0).
+                // The skewed bands' wave-disjointness bound,
+                // height + VL·s + VL (stride 0 for the scalar method). The
+                // pipelined sweeps need only VL·s and widen to it
+                // themselves, but the rule is part of the validated
+                // surface (`BlockTooNarrow` is on the wire), so it stays.
                 let s_eff = if self.method == Method::Temporal {
                     s
                 } else {
@@ -446,7 +467,7 @@ impl PlanBuilder {
             },
             Problem::Gs1d {
                 coeffs, boundary, ..
-            } => self.plan_gs(GsKern1d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(GsKern1d(coeffs), dims, boundary, steps, s),
             Problem::Heat2d {
                 coeffs, boundary, ..
             } => self.plan_grid(JacobiKern2d(coeffs), dims, boundary, steps, s),
@@ -455,7 +476,7 @@ impl PlanBuilder {
             } => self.plan_grid(BoxKern2d(coeffs), dims, boundary, steps, s),
             Problem::Gs2d {
                 coeffs, boundary, ..
-            } => self.plan_gs(GsKern2d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(GsKern2d(coeffs), dims, boundary, steps, s),
             Problem::Life { rule, boundary, .. } => {
                 self.plan_grid(LifeKern2d(rule), dims, boundary, steps, s)
             }
@@ -464,7 +485,7 @@ impl PlanBuilder {
             } => self.plan_grid(JacobiKern3d(coeffs), dims, boundary, steps, s),
             Problem::Gs3d {
                 coeffs, boundary, ..
-            } => self.plan_gs(GsKern3d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(GsKern3d(coeffs), dims, boundary, steps, s),
             Problem::Lcs { la, lb } => self.plan_lcs(la, lb, s),
         }
     }
@@ -491,8 +512,8 @@ impl PlanBuilder {
     }
 
     /// The one grid builder, for any kernel and dimensionality: the
-    /// untiled method executors and the ghost-zone workspace. (Skewed
-    /// tiling needs the Gauss-Seidel band executors: [`Self::plan_gs`].)
+    /// untiled method executors and the pipelined-sweep workspace behind
+    /// both grid tilings.
     fn plan_grid<K: KernelSpace>(
         &self,
         kern: K,
@@ -542,38 +563,19 @@ impl PlanBuilder {
                 }
                 Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
             }),
-            Tiling::Ghost { block, height } => {
-                let (mode, sel) = (self.mode(s), self.select);
-                let w = GhostJacobi::new(kern, dims, bc, steps, block, height, mode, sel);
-                let (engine, tiles) = (w.engine(), w.tiles());
-                Ok(tiled(Ghost(w), engine, tiles, block, height))
+            Tiling::Ghost { block, height } | Tiling::Skew { block, height } => {
+                let mode = match self.method {
+                    Method::Temporal => Mode::Temporal(s),
+                    Method::Multiload => Mode::Auto,
+                    Method::Scalar => Mode::Scalar,
+                    Method::Reorg | Method::Dlt => unreachable!("validated: baselines are untiled"),
+                };
+                let w = Sweeps::new(kern, dims, bc, steps, block, mode, self.select);
+                let (engine, chunks, chunk) = (w.engine(), w.chunks(), w.chunk());
+                Ok(tiled(Tiled(w), engine, chunks, chunk, height))
             }
-            Tiling::Skew { .. } | Tiling::LcsRect { .. } => {
-                unreachable!("validated: skew is routed through plan_gs, LcsRect is LCS-only")
-            }
+            Tiling::LcsRect { .. } => unreachable!("validated: LcsRect is LCS-only"),
         }
-    }
-
-    /// [`Self::plan_grid`] plus the skewed tiling only Gauss-Seidel
-    /// kernels support.
-    fn plan_gs<K: GsSpace>(
-        &self,
-        kern: K,
-        dims: [usize; 3],
-        bc: Boundary<Elem<K>>,
-        steps: usize,
-        s: usize,
-    ) -> Result<Built, PlanError>
-    where
-        K::Grid: StateGrid,
-    {
-        let Tiling::Skew { block, height } = self.tiling else {
-            return self.plan_grid(kern, dims, bc, steps, s);
-        };
-        self.check_stride::<K>(s)?;
-        let w = SkewGs::new(kern, dims, steps, block, height, self.mode(s), self.select);
-        let (engine, tiles) = (w.engine(), w.tiles());
-        Ok(tiled(Skew(w), engine, tiles, block, height))
     }
 
     fn plan_lcs(&self, la: usize, lb: usize, s: usize) -> Result<Built, PlanError> {
@@ -617,17 +619,6 @@ impl PlanBuilder {
     /// code when the policy and the CPU allow it, portable otherwise.
     fn isa(&self) -> Engine {
         self.select.resolve(true)
-    }
-
-    /// The in-tile scheme the tiling workspaces run for this method.
-    /// (Skew never sees `Auto`: multi-load is rejected for Gauss-Seidel.)
-    fn mode(&self, s: usize) -> ghost::Mode {
-        match self.method {
-            Method::Temporal => ghost::Mode::Temporal(s),
-            Method::Multiload => ghost::Mode::Auto,
-            Method::Scalar => ghost::Mode::Scalar,
-            Method::Reorg | Method::Dlt => unreachable!("validated: baselines are untiled"),
-        }
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! `cargo miri test -p tempora_plan --test miri_portable` interprets the
 //! whole Problem → Plan → Report lifecycle — validation, engine
-//! resolution, scratch arenas, the pinned thread pool and the pipelined
-//! wavefront — with no `std::arch` intrinsics, no inline `asm!` and no
+//! resolution, scratch arenas, the pinned thread pool and a two-thread
+//! tiled plan of each grid family, whose wavefront tasks advance disjoint
+//! slab windows of one grid in place — with no `std::arch` intrinsics, no
+//! inline `asm!` and no
 //! affinity syscalls in sight: `avx2_available()` reports `false` under
 //! Miri, which routes every `Select::Auto` dispatch onto the portable
 //! pack engines, and the pinning module compiles to its portable stub.

@@ -283,18 +283,9 @@ mod tests {
         };
         assert_eq!(w.engine(), Some(expect));
         assert_eq!(w.run(&a, &b, &pool), gold);
-        // Process-global counter + concurrent sibling tests: retry until
-        // a clean window (a real allocation in `run` would taint every
-        // window).
-        let mut clean = false;
-        for _ in 0..32 {
-            let before = tempora_grid::alloc_count();
+        let clean = tempora_grid::runs_allocation_free(|| {
             assert_eq!(w.run(&a, &b, &pool), gold);
-            if tempora_grid::alloc_count() == before {
-                clean = true;
-                break;
-            }
-        }
+        });
         assert!(clean, "reused run allocated in every observed window");
     }
 

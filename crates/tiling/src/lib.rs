@@ -4,27 +4,24 @@
 //! the temporal-vectorization engines of `tempora-core` with time-space
 //! tiling and the `tempora-parallel` executor:
 //!
-//! * [`ghost`] — overlapped (ghost-zone) band tiling for the five Jacobi
-//!   benchmarks: embarrassingly parallel tiles per `VL`-level band, with
-//!   scalar / multi-load ("auto") / temporal in-tile kernels. This is the
-//!   documented substitution for the paper's diamond tiling (see the
-//!   README, "Multicore execution model").
-//! * [`skew`] — parallelogram (time-skewed) tiling with pipelined
-//!   wavefronts for the three Gauss-Seidel benchmarks, exactly the
-//!   paper's scheme; in-place staircase arrays, no halo exchange.
+//! * [`sweeps`] — in-place pipelined sweeps for the eight grid benchmarks,
+//!   Jacobi and Gauss-Seidel alike: every sweep of the engine is cut into
+//!   chunks of anchors (the paper's parallelogram tiles), and one
+//!   wavefront lets the next sweep follow through the same array as soon
+//!   as the slabs it reads are final — no tile buffers, no copies, with
+//!   scalar / multi-load ("auto") / temporal sweeps.
 //! * [`lcs_rect`] — rectangle tiling with pipelined wavefronts for LCS,
 //!   the paper's `lcsA`/`lcsB` wavefront-array scheme.
 //!
-//! Each scheme is exposed as one **reusable workspace** — [`GhostJacobi`]
-//! and [`SkewGs`], generic over the kernel through
-//! `tempora_core::engine::KernelSpace` so one type serves every
-//! dimensionality, and [`LcsRect`] — that validates the geometry,
-//! resolves the in-tile engine, and allocates every arena **once**;
+//! Each scheme is exposed as one **reusable workspace** — [`Sweeps`],
+//! generic over the kernel through `tempora_core::engine::KernelSpace` so
+//! one type serves every dimensionality, and [`LcsRect`] — that validates
+//! the geometry, resolves the engine, and allocates every arena **once**;
 //! repeated `advance` / `run` calls are then allocation-free. These
 //! workspaces are the execution layer behind `tempora_plan::Plan`.
 //!
-//! The temporal in-tile kernels go through the same engine dispatch as
-//! the sequential engines: workspaces take a
+//! The temporal kernels go through the same engine dispatch as the
+//! sequential engines: workspaces take a
 //! `tempora_core::engine::Select`, resolve it once (portable vs
 //! hand-scheduled AVX2, degenerate geometries honestly portable) and
 //! report the resolved engine for per-series reporting in the bench
@@ -33,20 +30,21 @@
 //! Every parallel path is bit-identical to the sequential engines and the
 //! scalar references, for every thread count, engine selection and mode —
 //! verified by the test suites of each module and the cross-crate
-//! integration tests.
+//! integration tests. Why the in-place wavefront is race-free — the
+//! hazard argument — is in the [`sweeps`] module docs, next to the checker
+//! that enforces it in test and debug builds.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ghost;
 pub mod lcs_rect;
-pub mod skew;
+pub mod sweeps;
 
 /// Force a write fault on every page of `slice` without changing its
-/// contents (one volatile read + write-back per 4 KiB page). The
-/// workspaces' `fault_in` methods run this through the pool so each
-/// tile's arena pages are placed on the NUMA node of the worker that
-/// will later advance the tile (first-touch placement).
+/// contents (one volatile read + write-back per 4 KiB page).
+/// [`LcsRect::fault_in`] runs this through the pool so a column buffer's
+/// pages are placed on the NUMA node of a pool worker (first-touch
+/// placement).
 pub(crate) fn touch_pages<T: Copy>(slice: &mut [T]) {
     let step = (4096 / core::mem::size_of::<T>().max(1)).max(1);
     let mut i = 0;
@@ -60,6 +58,11 @@ pub(crate) fn touch_pages<T: Copy>(slice: &mut [T]) {
     }
 }
 
-pub use ghost::{GhostJacobi, Mode};
 pub use lcs_rect::LcsRect;
-pub use skew::SkewGs;
+pub use sweeps::{Mode, Sweeps};
+
+// The tests of the two workspaces `sweeps` replaced, under the module
+// paths (`ghost::tests::…`, `skew::tests::…`) the repo's test floor is
+// keyed by; the modules must sit at the crate root to keep them (each is
+// `#[cfg(test)]` in the file).
+include!("floor_names.rs");

@@ -24,7 +24,7 @@
 //! | [`stencil`] | problem definitions, dependence analysis, scalar oracles |
 //! | [`baseline`] | spatial schemes: multi-load, data-reorganization, DLT |
 //! | [`core`] | **the paper's contribution**: temporal engines, AVX2 steady states, [`engine`] dispatch |
-//! | [`tiling`] | ghost / skewed / rectangle tiling workspaces (one generic workspace per scheme) |
+//! | [`tiling`] | time-tiling workspaces: in-place pipelined sweeps (every grid kernel) and LCS rectangles |
 //! | [`parallel`] | crossbeam worker pool + wavefront executor |
 //! | [`plan`] | **the solver API**: `Problem → PlanBuilder → Plan → Report` |
 //! | [`proto`] | service wire protocol + canonical `Problem` serialization / cache keys |

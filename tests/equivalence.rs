@@ -886,10 +886,9 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
 
 /// Property: the tiled parallel plans agree bitwise between a forced
 /// portable run and a forced AVX2 run at every tested worker count, and
-/// both match the scalar reference — including degenerate tiles
-/// (`block < VL·s`, where every tile falls back to the scalar schedule
-/// and the resolved engine honestly reports portable) and
-/// `steps % height != 0` tails.
+/// both match the scalar reference — including blocks below `VL·s`
+/// (widened to the slabs a chunk reads ahead: the same vector code runs
+/// and the resolved engine honestly says so) and `steps % VL != 0` tails.
 #[test]
 fn tiled_forced_engines_agree_bitwise() {
     // 1 worker exercises the dispatcher-only path, 2 and 4 exercise real
@@ -907,14 +906,15 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         &[Select::Portable, Select::Auto]
     };
 
-    // Ghost-zone Jacobi, 1-D: (block, height, steps, s, healthy-geometry?).
-    // steps = 19 with height 8 leaves a 3-step scalar tail; block = 2
-    // with s = 7 makes every tile degenerate.
+    // Tiled Jacobi, 1-D: (block, height, steps, s, healthy-geometry?).
+    // steps = 19 leaves a 3-sweep scalar tail; block = 2 with s = 7 is
+    // widened to 28-cell chunks, which run the vector schedule like any
+    // other.
     let c1 = Heat1dCoeffs::classic(0.24);
     let g = g1(448, 5, 0.3);
     for &(block, height, steps, s, healthy) in &[
         (64usize, 8usize, 19usize, 7usize, true),
-        (2, 4, 13, 7, false),
+        (2, 4, 13, 7, true),
     ] {
         let problem = Problem::Heat1d {
             n: g.n(),
@@ -1007,9 +1007,9 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         assert!(r.interior_eq(&gold3), "ghost3d sel={sel:?}");
     }
 
-    // Skewed Gauss-Seidel, 1/2/3-D, with tails; the (n=60, block=36,
-    // s=7) geometry has no interior vector block, so the engine honestly
-    // resolves portable whatever the selection.
+    // Tiled Gauss-Seidel, 1/2/3-D, with tails; the (n=24, s=7) grid is
+    // below VL·s = 28 cells, so every level is a scalar sweep and the
+    // engine honestly resolves portable whatever the selection.
     let cg1 = Gs1dCoeffs::classic(0.21);
     let gg = g1(1000, 11, 0.4);
     let gold = reference::gs1d(&gg, cg1, 21);
@@ -1040,7 +1040,7 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         };
         assert_eq!(e, Some(expect), "skew1d sel={sel:?}");
     }
-    let small = g1(60, 13, 0.0);
+    let small = g1(24, 13, 0.0);
     let gold_small = reference::gs1d(&small, cg1, 10);
     let gs_small = Problem::Gs1d {
         n: small.n(),
@@ -1171,13 +1171,12 @@ fn life_forced_engines_agree_bitwise() {
                 assert_eq!(e, Some(expect), "seq life rule#{ri} nx={nx} sel={sel:?}");
             }
         }
-        // Ghost-tiled on 4 workers: healthy blocks, a steps % height
-        // tail, and a degenerate geometry (at stride 3 a block-2 tile's
-        // ghost buffer is 20 cells, below VL·s = 24, so every tile runs
-        // the scalar fallback schedule).
+        // Tiled on 4 workers: healthy blocks, a steps % VL tail, and a
+        // block below the read-ahead (at stride 3 a block of 2 is widened
+        // to VL·s = 24 slabs; the chunks run the vector schedule).
         let mut g = Grid2::<i32>::new(96, 20, 1, Boundary::Dirichlet(0));
         fill_random_life(&mut g, ri as u64 + 7, 0.37);
-        for &(block, steps, s, healthy) in &[(24usize, 19usize, 2usize, true), (2, 16, 3, false)] {
+        for &(block, steps, s, healthy) in &[(24usize, 19usize, 2usize, true), (2, 16, 3, true)] {
             let gold = reference::life(&g, rule, steps);
             let problem = Problem::Life {
                 nx: 96,

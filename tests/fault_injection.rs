@@ -274,7 +274,8 @@ fn arena_alloc_injection_is_contained() {
 /// A plan whose run panics is poisoned: every later `run` returns
 /// [`PlanError::Poisoned`] without executing, `Plan::reset` clears the
 /// poison, and the reset plan is bitwise-identical to a fresh one — for
-/// the owned (ghost) and wavefront (skew) regions, pinned and unpinned.
+/// both grid tilings (one wavefront of in-place sweeps each), pinned and
+/// unpinned.
 #[test]
 fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
     let _g = fp_guard();
@@ -315,10 +316,10 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
             .run(&mut gold)
             .expect("gold run");
 
-        // Victim: build first (fault_in runs the pool), then arm both task
-        // sites so whichever surface this executor drives gets hit.
+        // Victim: build first (fault_in runs the pool), then arm the
+        // wavefront's task site, the one a tiled run dispatches.
         let mut plan = builder.build(problem).expect("victim build");
-        fp::arm("wave_task=panic@1;pool_task=panic@1");
+        fp::arm("wave_task=panic@1");
         let mut state = fresh_state(problem, 1234);
         let err = plan
             .run(&mut state)
@@ -330,7 +331,7 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
             other => panic!("{name}: expected Poisoned, got {other:?}"),
         }
         assert!(plan.is_poisoned(), "{name}");
-        assert!(fp::hits("wave_task") + fp::hits("pool_task") >= 1, "{name}");
+        assert!(fp::hits("wave_task") >= 1, "{name}");
 
         // Still poisoned on the next run, with no execution behind it.
         let mut again = fresh_state(problem, 1234);
@@ -348,6 +349,64 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
         plan.run(&mut recovered).expect("run after reset");
         assert!(states_equal(&recovered, &gold), "{name}: reset != fresh");
     }
+}
+
+/// Run `builder`'s plan for `problem` at 2 and 4 threads with one task of
+/// the wavefront stalled (`wave_task:<sweep>:<chunk>=sleep:…`), so the
+/// interleaving the name describes is forced rather than hoped for, and
+/// require bitwise agreement with the untiled single-thread plan.
+fn stalled_wavefront_matches_untiled(problem: &Problem, builder: PlanBuilder, stalled: &str) {
+    let mut gold = fresh_state(problem, 77);
+    PlanBuilder::new()
+        .build(problem)
+        .expect("untiled build")
+        .run(&mut gold)
+        .expect("untiled run");
+    for threads in [2usize, 4] {
+        let mut plan = builder
+            .threads(threads)
+            .build(problem)
+            .expect("tiled build");
+        fp::arm(&format!("{stalled}=sleep:150@1"));
+        let mut state = fresh_state(problem, 77);
+        plan.run(&mut state).expect("stalled run");
+        assert_eq!(fp::hits(stalled), 1, "{stalled} never ran");
+        fp::clear();
+        assert!(
+            states_equal(&state, &gold),
+            "{stalled} stalled, threads={threads}"
+        );
+    }
+}
+
+/// The leading sweep stalls in its third chunk: the sweep behind it has
+/// chunk 0 to run and then must wait on `(p-1, c+1)` — if it did not, it
+/// would read slabs the leading sweep has not produced.
+#[test]
+fn trailing_sweep_waits_for_a_stalled_leading_sweep() {
+    let _g = fp_guard();
+    // 3 vector sweeps + 1 scalar × 4 chunks (x_max = 57, chunk = 16).
+    let problem = Problem::heat2d(64, 16, 13, Heat2dCoeffs::classic(0.11));
+    let builder = PlanBuilder::new().stride(2).tiling(Tiling::Ghost {
+        block: 16,
+        height: 4,
+    });
+    stalled_wavefront_matches_untiled(&problem, builder, "wave_task:0:2");
+}
+
+/// More sweeps than chunks, so scratch slots are reused (`slots = 2`):
+/// sweep 1 stalls in its last chunk while sweep 3, which takes over its
+/// slot, and sweep 2, which reads what it writes, are ready to go.
+#[test]
+fn stalled_trailing_sweep_keeps_its_scratch_slot() {
+    let _g = fp_guard();
+    // 4 vector sweeps + 2 scalar × 2 chunks (x_max = 33, chunk = 20).
+    let problem = Problem::gs2d(40, 11, 18, Gs2dCoeffs::classic(0.17));
+    let builder = PlanBuilder::new().stride(2).tiling(Tiling::Skew {
+        block: 20,
+        height: 4,
+    });
+    stalled_wavefront_matches_untiled(&problem, builder, "wave_task:1:1");
 }
 
 /// The `TEMPORA_FAILPOINT` environment syntax arms the same registry the
@@ -370,9 +429,9 @@ fn env_variable_syntax_arms_failpoints() {
     pool.for_each_owned(4, |_| {});
 }
 
-/// A threaded ghost-tiled spec: every run dispatches `pool_task` sites,
-/// so a failpoint can poison its plan, or a `sleep` hold it while other
-/// requests arrive.
+/// A threaded tiled spec: every run dispatches one wavefront of
+/// `wave_task` sites, so a failpoint can poison its plan, or a `sleep`
+/// hold it while other requests arrive.
 fn ghost_tiled_spec() -> tempora::proto::JobSpec {
     let mut spec =
         tempora::proto::JobSpec::new(Problem::heat1d(300, 13, Heat1dCoeffs::classic(0.24)));
@@ -396,8 +455,8 @@ fn cached_plan_poisoning_is_per_entry_and_recovers() {
     use tempora::server::{CacheConfig, PlanCache, ServeError};
 
     let _g = fp_guard();
-    // Spec A: threaded ghost-tiled heat — its run drives the pool/wave
-    // task sites the failpoints arm. Spec B: a different key entirely.
+    // Spec A: threaded tiled heat — its run drives the wave task sites
+    // the failpoint arms. Spec B: a different key entirely.
     let spec_a = ghost_tiled_spec();
     let mut spec_b = JobSpec::new(Problem::gs1d(400, 11, Gs1dCoeffs::classic(0.22)));
     spec_b.config.stride = Some(2);
@@ -429,7 +488,7 @@ fn cached_plan_poisoning_is_per_entry_and_recovers() {
     assert_eq!(cache.stats().builds, 2);
 
     // Inject: A's next run panics inside the pool and poisons A's entry.
-    fp::arm("wave_task=panic@1;pool_task=panic@1");
+    fp::arm("wave_task=panic@1");
     match cache.run(&spec_a, seed) {
         Err(ServeError::Poisoned(panic)) => {
             assert!(panic.contains("injected panic"), "{panic}")
@@ -475,7 +534,7 @@ fn held_entry_admits_its_bound_and_sheds_the_rest() {
     let gold = cache.run(&spec, 5).expect("warm").digest;
     // The first admitted request sleeps inside its run, holding the plan
     // while the other threads leave the barrier and reach admission.
-    fp::arm("pool_task=sleep:500@1");
+    fp::arm("wave_task=sleep:500@1");
     let barrier = std::sync::Barrier::new(d + k);
     let replies: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..d + k)

@@ -14,7 +14,8 @@
 
 use proptest::prelude::*;
 use tempora::grid::{
-    alloc_count, fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence,
+    fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence,
+    runs_allocation_free,
 };
 use tempora::prelude::*;
 
@@ -207,18 +208,9 @@ fn second_run_is_allocation_free() {
         let mut state = fresh_state(&problem, 42);
         plan.run(&mut state).unwrap(); // warm-up (first run)
         let mut state2 = fresh_state(&problem, 43);
-        // The counter is process-global and sibling tests allocate
-        // concurrently, so retry until a clean window: if `run` itself
-        // allocated, every window would show a delta.
-        let mut clean = false;
-        for _ in 0..32 {
-            let before = alloc_count();
+        let clean = runs_allocation_free(|| {
             plan.run(&mut state2).unwrap();
-            if alloc_count() == before {
-                clean = true;
-                break;
-            }
-        }
+        });
         assert!(
             clean,
             "{name}: repeated plan.run allocated aligned buffers in every observed window"
@@ -267,18 +259,9 @@ proptest! {
             let mut state = fresh_state(&problem, seed);
             plan.run(&mut state).unwrap(); // warm-up (first run)
             let mut state2 = fresh_state(&problem, seed ^ 0x5bd1e995);
-            // Process-global counter + concurrent sibling tests: retry
-            // until a clean window (a real allocation in `run` would
-            // taint every window).
-            let mut clean = false;
-            for _ in 0..32 {
-                let before = alloc_count();
+            let clean = runs_allocation_free(|| {
                 plan.run(&mut state2).unwrap();
-                if alloc_count() == before {
-                    clean = true;
-                    break;
-                }
-            }
+            });
             prop_assert!(
                 clean,
                 "config #{i} ({:?}): reused integer plan allocated in every observed window",

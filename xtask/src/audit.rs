@@ -59,13 +59,15 @@ const PHASE_SCOPE: &str = "crates/core/src/";
 /// `ring_sweep`, `ring_regs`) are on the list for the same reason one
 /// level down: they carry no `#[target_feature]` of their own and reach
 /// their intrinsics only by being inlined into a sandwich that does.
-const PHASE_FNS: [&str; 27] = [
-    "tile_body",
-    "tile_fallback_if_degenerate",
+const PHASE_FNS: [&str; 24] = [
+    "sweep_body",
     "tile_prologue",
     "tile_epilogue",
     "steady_slabs",
+    "scalar_sweep_body",
     "scalar_step_inplace",
+    "scalar_cells",
+    "steady_cells",
     "sweep_row",
     "steady_row",
     "sweep_level",
@@ -74,11 +76,6 @@ const PHASE_FNS: [&str; 27] = [
     "fill_shell",
     "copy_slab",
     "reset_shells",
-    "band_body",
-    "band_scalar_body",
-    "band_scalar_gs",
-    "band_prologue",
-    "band_epilogue",
     "gs_initial_output",
     "steady_ring",
     "ring_sweep",
