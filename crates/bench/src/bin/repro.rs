@@ -13,6 +13,8 @@
 //!          more than 12× slower per update than its steady state),
 //!          ablate-tiling (fails when an AVX2 tiled plan takes more than
 //!          1.25× its untiled time on one thread),
+//!          ablate-digest (fails when `state_digest` runs below 1.5× its
+//!          one-chain definition on the served state),
 //!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
@@ -62,12 +64,13 @@ fn parse_count(flag: &str, value: Option<String>) -> usize {
 }
 
 /// The targets that are not a Table-1 row's figure, in `all` order.
-const ABLATIONS: [&str; 5] = [
+const ABLATIONS: [&str; 6] = [
     "ablate-reorg",
     "ablate-stride",
     "ablate-baselines",
     "ablate-boundary",
     "ablate-tiling",
+    "ablate-digest",
 ];
 
 /// The sequential or the parallel figure ids of Table 1, in figure order.
@@ -299,6 +302,15 @@ const DEFAULT_STRIDE_FLOOR: f64 = 0.7;
 /// tilings this replaced measured 1.3–2.2).
 const TILING_OVERHEAD_LIMIT: f64 = 1.25;
 
+/// `state_digest` must run at least this many times as fast as its
+/// definition folded as one chain, on the served 4096-point `Grid1`.
+/// Lanes the compiler serialised read 1.00 and two surviving chains
+/// 1.9–2.0; the four read 3.1–3.9 on a quiet host, 2.3–2.8 while the
+/// sibling hyperthread is busy (the `f64` fold is then bound by its six
+/// µops a word, the single chain still by its latency) and once 1.84 in
+/// sixty runs, so the floor sits well under the quiet-host 3.
+const DIGEST_LANES_FLOOR: f64 = 1.5;
+
 /// Run one target: print its table (or text block) to stdout and return
 /// what it produced.
 fn run_target(id: &str, scale: usize, cores: usize) -> Output {
@@ -376,6 +388,24 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                         "tiled one-thread time over {TILING_OVERHEAD_LIMIT}x the untiled plan's \
                          ({}): is a tiled run still nothing but the untiled sweeps, chunked?",
                         over.join(", ")
+                    )
+                }),
+            }
+        }
+        "ablate-digest" => {
+            let table = tb::ablate_digest();
+            println!("{}", table.to_table());
+            let served = &table.rows[0];
+            Output::Checked {
+                json: table.to_json(),
+                violation: (served.vs_spec() < DIGEST_LANES_FLOOR).then(|| {
+                    format!(
+                        "state_digest runs at {:.2}x its one-chain spec on the served {} \
+                         (floor {DIGEST_LANES_FLOOR}): are the {} lanes still independent \
+                         chains?",
+                        served.vs_spec(),
+                        served.variant,
+                        table.lanes
                     )
                 }),
             }

@@ -16,6 +16,8 @@
 //! | `ablate-stride` | §3.3 stride/ILP sweep, all three 1-D kinds, default marked | [`ablate_stride`] |
 //! | `ablate-baselines` | §2.2 baseline comparison | [`ablate_baselines`] |
 //! | `ablate-boundary` | bare steady state vs whole tile, per kind and engine | [`ablate_boundary`] |
+//! | `ablate-tiling` | untiled vs tiled on one and two threads, per Table-1 grid row | [`ablate_tiling`] |
+//! | `ablate-digest` | `state_digest` vs its one-chain spec vs a word sum, per `State` variant | [`ablate_digest`] |
 //!
 //! Every series runs through the unified solver API
 //! (`tempora_plan::Plan`): the harness compiles one plan per
@@ -1579,6 +1581,142 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
         });
     }
     TilingTable { scale, rows }
+}
+
+/// One row of [`ablate_digest`]: one `State` variant at the served size.
+#[derive(Clone, Debug)]
+pub struct DigestRow {
+    /// `State` variant name.
+    pub variant: &'static str,
+    /// Payload size in bytes (eight per digested word).
+    pub bytes: usize,
+    /// `tempora_proto::state_digest`, MiB/s (best of 20, like the others).
+    pub digest_mib_per_s: f64,
+    /// The same definition folded one lane after the other — a single
+    /// dependence chain — MiB/s.
+    pub spec_mib_per_s: f64,
+    /// A wrapping `u64` sum of the same words — what reading them
+    /// costs — MiB/s.
+    pub sum_mib_per_s: f64,
+}
+
+impl DigestRow {
+    /// How many times the single chain's speed the digest runs at.
+    pub fn vs_spec(&self) -> f64 {
+        self.digest_mib_per_s / self.spec_mib_per_s
+    }
+}
+
+/// The `ablate-digest` table: per `State` variant, the digest against
+/// its one-chain definition and against a plain sum.
+#[derive(Clone, Debug)]
+pub struct DigestTable {
+    /// `tempora_proto::digest::LANES`.
+    pub lanes: usize,
+    /// One row per `State` variant; the served 4096-point `Grid1` first.
+    pub rows: Vec<DigestRow>,
+}
+
+impl DigestTable {
+    /// Render as an aligned text table.
+    pub fn to_table(&self) -> String {
+        let mut out = format!(
+            "# ablate-digest — state_digest ({} lanes) vs its one-chain spec vs a word sum \
+             (served reference sizes, MiB/s)\n\
+             {:<8}{:>9}{:>10}{:>10}{:>10}{:>10}\n",
+            self.lanes, "state", "bytes", "digest", "spec", "sum", "vs spec"
+        );
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:<8}{:>9}{:>10.0}{:>10.0}{:>10.0}{:>10.2}\n",
+                r.variant,
+                r.bytes,
+                r.digest_mib_per_s,
+                r.spec_mib_per_s,
+                r.sum_mib_per_s,
+                r.vs_spec()
+            ));
+        }
+        out
+    }
+
+    /// Render as a JSON object (`{"id", "lanes", "rows"}`), one entry of
+    /// the `repro --json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"state\":\"{}\",\"bytes\":{},\"digest_mib_per_s\":{},\
+                     \"spec_mib_per_s\":{},\"sum_mib_per_s\":{},\"vs_spec\":{}}}",
+                    r.variant,
+                    r.bytes,
+                    json_num(r.digest_mib_per_s),
+                    json_num(r.spec_mib_per_s),
+                    json_num(r.sum_mib_per_s),
+                    json_num(r.vs_spec())
+                )
+            })
+            .collect();
+        format!(
+            "{{\"id\":\"ablate-digest\",\"lanes\":{},\"rows\":[{}]}}",
+            self.lanes,
+            rows.join(",")
+        )
+    }
+}
+
+/// What the digest of a served reply costs (ROADMAP item 4(a)). The hash
+/// is a loop-carried recurrence; `state_digest` deals the words across
+/// `LANES` independent chains, and when a change makes the compiler
+/// serialise them every digest stays equal, every test passes, and the
+/// digest of a cache hit costs 7 µs instead of 2. Per `State` variant at the served
+/// size (32 KiB of payload; the ledger's 4096-point Heat-1D first),
+/// minimum of 20 timings of 32 calls each: the digest, its definition
+/// one lane at a time, and a wrapping sum of the same words.
+pub fn ablate_digest() -> DigestTable {
+    use tempora_proto::digest::{DigestInput, LANES};
+    let problems = [
+        Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
+        Problem::heat2d(64, 64, 32, Heat2dCoeffs::classic(0.125)),
+        Problem::life(64, 128, 32, LifeRule::b2s23()),
+        Problem::heat3d(16, 16, 16, 32, Heat3dCoeffs::classic(0.1)),
+        Problem::lcs(16384, 16384),
+    ];
+    let mib_per_s = |bytes: usize, f: &mut dyn FnMut() -> u64| {
+        let best = (0..20)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..32 {
+                    std::hint::black_box(f());
+                }
+                t.elapsed().as_secs_f64() / 32.0
+            })
+            .fold(f64::INFINITY, f64::min);
+        bytes as f64 / best / (1u64 << 20) as f64
+    };
+    let rows = problems
+        .iter()
+        .map(|problem| {
+            let state = tempora_server::fresh_state(problem, SEED);
+            let input = DigestInput::of(&state);
+            let bytes = 8 * input.parts.iter().map(Vec::len).sum::<usize>();
+            DigestRow {
+                variant: state.variant_name(),
+                bytes,
+                digest_mib_per_s: mib_per_s(bytes, &mut || {
+                    tempora_proto::state_digest(std::hint::black_box(&state))
+                }),
+                spec_mib_per_s: mib_per_s(bytes, &mut || std::hint::black_box(&input).digest()),
+                sum_mib_per_s: mib_per_s(bytes, &mut || {
+                    let parts = &std::hint::black_box(&input).parts;
+                    parts.iter().flatten().fold(0, |s, &w| s.wrapping_add(w))
+                }),
+            }
+        })
+        .collect();
+    DigestTable { lanes: LANES, rows }
 }
 
 #[cfg(test)]

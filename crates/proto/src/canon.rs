@@ -22,8 +22,9 @@
 //! unit tests.
 
 use crate::codec::{ByteReader, ByteWriter, DecodeError};
+use crate::digest::bytes_hash;
 use tempora_grid::Boundary;
-use tempora_plan::{Method, PlanBuilder, Problem, Select, State, Tiling};
+use tempora_plan::{Method, PlanBuilder, Problem, Select, Tiling};
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
@@ -530,23 +531,8 @@ impl JobSpec {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `bytes` into the running FNV-1a 64-bit state `h`.
-fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
-/// FNV-1a 64-bit over a byte slice — the key/digest hash of the
-/// protocol (stable across platforms and releases, unlike `DefaultHasher`).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
-}
-
-/// Canonical-bytes key: hashes by a precomputed FNV-1a of the bytes,
+/// Canonical-bytes key: hashes by a precomputed [`bytes_hash`] of the
+/// bytes (stable across platforms and releases, unlike `DefaultHasher`),
 /// compares by the bytes themselves (hash collisions cannot alias).
 #[derive(Clone, Debug, Eq)]
 struct CanonKey {
@@ -557,7 +543,7 @@ struct CanonKey {
 impl CanonKey {
     fn of_bytes(bytes: Vec<u8>) -> CanonKey {
         CanonKey {
-            hash: fnv1a(&bytes),
+            hash: bytes_hash(&bytes),
             bytes,
         }
     }
@@ -590,7 +576,7 @@ impl ProblemKey {
         ProblemKey(CanonKey::of_bytes(w.into_bytes()))
     }
 
-    /// The precomputed FNV-1a hash (used for shard selection).
+    /// The precomputed hash of the canonical bytes (used for shard selection).
     #[must_use]
     pub fn hash64(&self) -> u64 {
         self.0.hash
@@ -604,37 +590,10 @@ impl ProblemKey {
 pub struct SpecKey(CanonKey);
 
 impl SpecKey {
-    /// The precomputed FNV-1a hash (used for shard selection).
+    /// The precomputed hash of the canonical bytes (used for shard selection).
     #[must_use]
     pub fn hash64(&self) -> u64 {
         self.0.hash
-    }
-}
-
-/// A deterministic 64-bit digest of a [`State`]'s full payload (grid
-/// data including halo, or LCS sequences and result), over canonical
-/// `f64` bit patterns. Two bitwise-identical states — e.g. a cached
-/// plan's output versus a fresh plan's — digest equal; any interior
-/// difference digests different (up to hash collision). FNV-1a over
-/// each element's little-endian bytes, folded straight from the grid.
-#[must_use]
-pub fn state_digest(state: &State) -> u64 {
-    let f64s = |data: &[f64]| {
-        data.iter().fold(FNV_OFFSET, |h, &v| {
-            fnv1a_fold(h, &canon_f64(v).to_le_bytes())
-        })
-    };
-    match state {
-        State::Grid1(g) => f64s(g.data()),
-        State::Grid2(g) => f64s(g.data()),
-        State::Grid3(g) => f64s(g.data()),
-        State::Grid2i(g) => g
-            .data()
-            .iter()
-            .fold(FNV_OFFSET, |h, v| fnv1a_fold(h, &v.to_le_bytes())),
-        State::Lcs(l) => [&l.a[..], &l.b, &l.length.unwrap_or(-1).to_le_bytes()]
-            .iter()
-            .fold(FNV_OFFSET, |h, part| fnv1a_fold(h, part)),
     }
 }
 
@@ -697,36 +656,5 @@ mod tests {
         };
         threaded.config.threads = 2;
         assert_ne!(base.key(), threaded.key());
-    }
-
-    #[test]
-    fn digest_values_are_pinned() {
-        // Recorded from the copy-then-hash implementation this fold
-        // replaced: both ends of the wire compare these values.
-        use tempora_grid::{fill_random_1d, fill_random_life, random_sequence};
-        let mut heat = Problem::heat1d(257, 4, Heat1dCoeffs::classic(0.25)).state();
-        fill_random_1d(heat.grid1_mut().unwrap(), 7, -1.0, 1.0);
-        assert_eq!(state_digest(&heat), 0x6f46_a77f_0988_1146);
-        let mut life = Problem::life(33, 17, 4, LifeRule::b2s23()).state();
-        fill_random_life(life.grid2i_mut().unwrap(), 7, 0.35);
-        assert_eq!(state_digest(&life), 0x6dc1_585d_c173_2835);
-        let mut lcs = Problem::lcs(40, 50).state();
-        let l = lcs.lcs_mut().unwrap();
-        (l.a, l.b) = (random_sequence(40, 4, 7), random_sequence(50, 4, 8));
-        assert_eq!(state_digest(&lcs), 0x4d96_43cc_d186_1d3a);
-        lcs.lcs_mut().unwrap().length = Some(23);
-        assert_eq!(state_digest(&lcs), 0xc284_015c_e97e_d3f9);
-    }
-
-    #[test]
-    fn digest_distinguishes_states_and_matches_identical_ones() {
-        let p = Problem::heat1d(128, 4, Heat1dCoeffs::classic(0.25));
-        let mut a = p.state();
-        let mut b = p.state();
-        assert_eq!(state_digest(&a), state_digest(&b));
-        a.grid1_mut().unwrap().fill_interior(|i| i as f64);
-        assert_ne!(state_digest(&a), state_digest(&b));
-        b.grid1_mut().unwrap().fill_interior(|i| i as f64);
-        assert_eq!(state_digest(&a), state_digest(&b));
     }
 }

@@ -25,8 +25,11 @@ use tempora_core::engine::Engine;
 /// version decode to [`DecodeError::UnknownVersion`]. Version 2 dropped
 /// the trailing wave-schedule byte of version 1's `SolveConfig`
 /// encoding, so a version-1 peer gets the typed, recoverable version
-/// error instead of a mis-parse.
-pub const PROTO_VERSION: u8 = 2;
+/// error instead of a mis-parse. Version 3 changed no frame layout: it
+/// redefined [`RunReply::digest`] (the word-wise lane-parallel fold of
+/// [`crate::digest`] replaced a byte-serial FNV-1a), so a version-2 peer
+/// gets that same typed error, never a digest that silently mismatches.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Upper bound on one frame's body length (16 MiB). Length prefixes
 /// above this are rejected **before** any allocation.
@@ -190,9 +193,8 @@ pub struct RunReply {
     pub tiles: Option<(u64, u64, u64)>,
     /// The LCS length for LCS problems (`Report::lcs_length`).
     pub lcs_length: Option<i32>,
-    /// FNV-1a digest of the full output state
-    /// ([`crate::canon::state_digest`]); lets clients assert bitwise
-    /// identity against a local reference run.
+    /// Digest of the full output state ([`crate::state_digest`]); lets
+    /// clients assert bitwise identity against a local reference run.
     pub digest: u64,
     /// Server-side service time for this request, in nanoseconds
     /// (queueing + run, excluding socket I/O).
@@ -835,19 +837,19 @@ mod tests {
 
     #[test]
     fn unknown_version_is_recoverable() {
-        let mut body = Frame::SubmitProblem {
-            request_id: 9,
-            spec: spec(),
-        }
-        .encode_body();
-        body[0] = PROTO_VERSION + 1;
-        let err = Frame::decode_body(&body).unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::UnknownVersion {
-                got: PROTO_VERSION + 1
+        // The previous version (whose `digest` meant something else) as
+        // much as a future one.
+        assert_eq!(PROTO_VERSION, 3);
+        for version in [2, PROTO_VERSION + 1] {
+            let mut body = Frame::SubmitProblem {
+                request_id: 9,
+                spec: spec(),
             }
-        );
-        assert!(WireError::from(err).recoverable());
+            .encode_body();
+            body[0] = version;
+            let err = Frame::decode_body(&body).unwrap_err();
+            assert_eq!(err, DecodeError::UnknownVersion { got: version });
+            assert!(WireError::from(err).recoverable());
+        }
     }
 }

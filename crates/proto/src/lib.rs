@@ -25,7 +25,7 @@
 //! [`FrameAccum`].
 //!
 //! On the wire each frame is `len: u32le` followed by `len` body bytes;
-//! the body starts with `version: u8` ([`PROTO_VERSION`], currently 2)
+//! the body starts with `version: u8` ([`PROTO_VERSION`], currently 3)
 //! and `tag: u8`.
 //! Decoding is total: truncated bodies, oversized length prefixes
 //! (bounded by [`MAX_FRAME_LEN`]), unknown versions and unknown tags all
@@ -49,10 +49,12 @@
 
 pub mod canon;
 pub mod codec;
+pub mod digest;
 pub mod frame;
 
-pub use canon::{canon_f64, state_digest, JobSpec, ProblemKey, SolveConfig, SpecKey};
+pub use canon::{canon_f64, JobSpec, ProblemKey, SolveConfig, SpecKey};
 pub use codec::{ByteReader, ByteWriter, DecodeError};
+pub use digest::state_digest;
 pub use frame::{
     read_frame, write_frame, ErrorCode, Frame, FrameAccum, FramePoll, RunReply, WireError,
     MAX_FRAME_LEN, PROTO_VERSION,
