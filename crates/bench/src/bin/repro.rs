@@ -15,6 +15,9 @@
 //!          1.25× its untiled time on one thread),
 //!          ablate-digest (fails when `state_digest` runs below 1.5× its
 //!          one-chain definition on the served state),
+//!          ablate-rows (fails when an AVX2 Jacobi slab row, ring in L1,
+//!          takes more cycles per vector than its threshold × its port
+//!          bound),
 //!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
@@ -64,13 +67,14 @@ fn parse_count(flag: &str, value: Option<String>) -> usize {
 }
 
 /// The targets that are not a Table-1 row's figure, in `all` order.
-const ABLATIONS: [&str; 6] = [
+const ABLATIONS: [&str; 7] = [
     "ablate-reorg",
     "ablate-stride",
     "ablate-baselines",
     "ablate-boundary",
     "ablate-tiling",
     "ablate-digest",
+    "ablate-rows",
 ];
 
 /// The sequential or the parallel figure ids of Table 1, in figure order.
@@ -311,6 +315,30 @@ const TILING_OVERHEAD_LIMIT: f64 = 1.25;
 /// sixty runs, so the floor sits well under the quiet-host 3.
 const DIGEST_LANES_FLOOR: f64 = 1.5;
 
+/// An AVX2 Jacobi slab row with its ring in L1 may take at most this many
+/// times its port bound, in cycles per vector. Measured on the 6-wide
+/// host these were chosen on: the cursor rows 1.2–1.4 (Heat-2D), 1.25–1.45
+/// (2D9P), 1.55–1.65 (Life), 1.3–1.6 (Heat-3D, whose 40-vector rows pay
+/// their cutting once per row); the indexed rows they replaced, with
+/// their four to eight bounds checks per vector, 1.8–2.0, 2.0–2.4, 2.3–2.6
+/// and 1.8–2.0.
+fn steady_row_limit(kind: &str) -> f64 {
+    match kind {
+        "heat2d" => 1.65,
+        "heat3d" => 1.85,
+        "box2d" => 1.75,
+        _ => 1.95, // life
+    }
+}
+
+/// Times `ablate-rows` measures the rows over their limit again, 0.3 s
+/// apart and keeping the lower readings, before it believes them: a busy
+/// sibling hyperthread takes up to half the FMA issue slots for a
+/// fraction of a second at a time (a ten-stream `vfmadd` loop on the host
+/// these limits were chosen on read 1.1–2.0 per cycle from one quarter
+/// second to the next), and a reading is twenty runs a millisecond apart.
+const STEADY_ROW_RETRIES: usize = 10;
+
 /// Run one target: print its table (or text block) to stdout and return
 /// what it produced.
 fn run_target(id: &str, scale: usize, cores: usize) -> Output {
@@ -406,6 +434,43 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                         served.vs_spec(),
                         served.variant,
                         table.lanes
+                    )
+                }),
+            }
+        }
+        "ablate-rows" => {
+            let mut table = tb::ablate_rows();
+            for _ in 0..STEADY_ROW_RETRIES {
+                if table.avx2_jacobi_rows_over(steady_row_limit).is_empty() {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                table.remeasure(|r| r.over(steady_row_limit(r.kind)));
+            }
+            println!("{}", table.to_table());
+            if !tempora_simd::arch::avx2_available() {
+                println!("notice: no AVX2+FMA here — portable rows only, model check skipped\n");
+            }
+            let over: Vec<String> = table
+                .avx2_jacobi_rows_over(steady_row_limit)
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{} {:.2} > {}",
+                        r.kind,
+                        r.l1_vs_model(),
+                        steady_row_limit(r.kind)
+                    )
+                })
+                .collect();
+            Output::Checked {
+                json: table.to_json(),
+                violation: (!over.is_empty()).then(|| {
+                    format!(
+                        "L1-resident cycles per vector over the kind's limit x its port bound \
+                         in an AVX2 Jacobi row ({}): does its steady loop carry bounds checks or \
+                         stack reloads again (objdump recipe: .claude/skills/verify/SKILL.md)?",
+                        over.join(", ")
                     )
                 }),
             }

@@ -13,11 +13,12 @@
 //! | a row's `seq_id` | its sequential figure | [`seq_figure`] |
 //! | a row's `par_id` | its parallel figure | [`par_figure`] |
 //! | `ablate-reorg` | §3.3/§3.5 reorganization budgets | [`ablate_reorg`] |
-//! | `ablate-stride` | §3.3 stride/ILP sweep, all three 1-D kinds, default marked | [`ablate_stride`] |
+//! | `ablate-stride` | §3.3 stride/ILP sweep, the three 1-D and the six slab kinds, default marked | [`ablate_stride`] |
 //! | `ablate-baselines` | §2.2 baseline comparison | [`ablate_baselines`] |
 //! | `ablate-boundary` | bare steady state vs whole tile, per kind and engine | [`ablate_boundary`] |
 //! | `ablate-tiling` | untiled vs tiled on one and two threads, per Table-1 grid row | [`ablate_tiling`] |
 //! | `ablate-digest` | `state_digest` vs its one-chain spec vs a word sum, per `State` variant | [`ablate_digest`] |
+//! | `ablate-rows` | slab steady rows in cycles per vector against their port bound, ring in L1 and at the ledger geometry | [`ablate_rows`] |
 //!
 //! Every series runs through the unified solver API
 //! (`tempora_plan::Plan`): the harness compiles one plan per
@@ -54,7 +55,7 @@ use tempora_stencil::{
 /// One measured curve: label + `(x, Gstencils/s)` points, with the
 /// resolved engine and worker count recorded **per point** (a sweep can
 /// legitimately resolve different engines at different sizes, e.g. a
-/// degenerate small geometry falling back to portable — recording only
+/// degenerate small LCS geometry falling back to portable — recording only
 /// the first point's engine would misreport the rest of the curve).
 #[derive(Clone, Debug)]
 pub struct Series {
@@ -386,19 +387,48 @@ pub fn plan_sample(problem: &Problem, builder: PlanBuilder) -> Sample {
     }
 }
 
+/// One plan's result in [`best_of_20_each`].
+#[derive(Clone, Copy)]
+struct Best {
+    /// Fastest run, seconds.
+    secs: f64,
+    /// Fewest core cycles of a run ([`clock_ghz`] sampled around it).
+    cycles: f64,
+    /// Engine the plan resolved (`portable` for a plan that dispatches
+    /// none).
+    engine: &'static str,
+    /// Tile geometry of a tiled plan.
+    tiles: Option<TileGeometry>,
+}
+
+/// The core clock in GHz, from a dependent chain timed on the spot:
+/// `x ← x·k ^ i` is one `imul` (3 cycles) and one `xor` (1) per link, and
+/// the `xor` with the counter keeps the compiler from reassociating the
+/// products. The fastest of three chains of 2¹² links (≈ 6 µs each): an
+/// interrupted chain reads low, never high.
+fn clock_ghz() -> f64 {
+    const LINKS: u64 = 1 << 12;
+    let k = std::hint::black_box(0x9e37_79b9_7f4a_7c15_u64);
+    let chain = |_| {
+        let t = Instant::now();
+        std::hint::black_box((0..LINKS).fold(k, |x, i| x.wrapping_mul(k) ^ i));
+        4.0 * LINKS as f64 / t.elapsed().as_secs_f64() / 1e9
+    };
+    (0..3).map(chain).fold(0.0, f64::max)
+}
+
 /// The ablations' measurement: compile each of `builders` against
 /// `problem`, fill **one** state, and run the plans on it in turn, 21
-/// rounds; per plan, the fastest run after the first round (the warm-up)
-/// in seconds, with the engine the plan resolved (`portable` for a plan
-/// that dispatches none) and the tile geometry of a tiled plan. The
-/// minimum, not [`time_stable`]'s median of 3: these targets compare code
-/// paths and gate on the ratio — which is also why the plans share the
-/// state and alternate: where an allocation lands moves a small 3-D run
-/// by a third, and that must not pass for a difference between plans.
-fn best_of_20_each(
-    problem: &Problem,
-    builders: &[PlanBuilder],
-) -> Vec<(f64, &'static str, Option<TileGeometry>)> {
+/// rounds; per plan, the fastest run after the first round (the warm-up).
+/// The minimum, not [`time_stable`]'s median of 3: these targets compare
+/// code paths and gate on the ratio — which is also why the plans share
+/// the state and alternate: where an allocation lands moves a small 3-D
+/// run by a third, and that must not pass for a difference between plans.
+/// Each run is also converted to core cycles by the faster of two clock
+/// samples taken right before and after it, and the fewest kept: the host
+/// steps each vCPU's clock by a quarter for a second at a time, so neither
+/// a nominal frequency nor one sample per table would do.
+fn best_of_20_each(problem: &Problem, builders: &[PlanBuilder]) -> Vec<Best> {
     let mut plans = vec![];
     for b in builders {
         // Panic-justification: every ablation configuration is hard-coded
@@ -407,32 +437,36 @@ fn best_of_20_each(
     }
     let mut state = problem.state();
     fill_state(&mut state);
-    let mut best = vec![(f64::INFINITY, None); plans.len()];
+    let mut best: Vec<Best> = plans
+        .iter()
+        .map(|p| Best {
+            secs: f64::INFINITY,
+            cycles: f64::INFINITY,
+            engine: p.engine().map_or("portable", |e| e.name()),
+            tiles: None,
+        })
+        .collect();
     for rep in 0..=20 {
-        for (plan, (best, tiles)) in plans.iter_mut().zip(&mut best) {
+        for (plan, best) in plans.iter_mut().zip(&mut best) {
+            let before = clock_ghz();
             let t = Instant::now();
             // Panic-justification: the state comes from `problem.state()`.
             let report = plan.run(&mut state).expect("state matches plan");
+            let secs = t.elapsed().as_secs_f64();
             if rep > 0 {
-                *best = best.min(t.elapsed().as_secs_f64());
+                best.secs = best.secs.min(secs);
+                best.cycles = best.cycles.min(secs * before.max(clock_ghz()) * 1e9);
             }
-            *tiles = report.tiles;
+            best.tiles = report.tiles;
             std::hint::black_box(&state);
         }
     }
-    let engines = plans
-        .iter()
-        .map(|p| p.engine().map_or("portable", |e| e.name()));
-    engines
-        .zip(best)
-        .map(|(engine, (best, tiles))| (best, engine, tiles))
-        .collect()
+    best
 }
 
-/// [`best_of_20_each`] for one plan: its fastest run and its engine.
-fn best_of_20(problem: &Problem, builder: PlanBuilder) -> (f64, &'static str) {
-    let (best, engine, _) = best_of_20_each(problem, &[builder])[0];
-    (best, engine)
+/// [`best_of_20_each`] for one plan.
+fn best_of_20(problem: &Problem, builder: PlanBuilder) -> Best {
+    best_of_20_each(problem, &[builder])[0]
 }
 
 /// Fill helper: seeded random interior for whichever grid the state
@@ -1012,7 +1046,7 @@ pub fn ablate_reorg() -> String {
 /// One row of [`ablate_stride`]: one kind at one stride.
 #[derive(Clone, Debug)]
 pub struct StrideRow {
-    /// Workload kind (`heat1d` | `gs1d` | `lcs`).
+    /// Workload kind (`heat1d` | `gs1d` | `lcs` | a slab kind).
     pub kind: &'static str,
     /// The space stride `s` of this row.
     pub stride: usize,
@@ -1033,8 +1067,9 @@ pub struct StrideRow {
 /// default and the register-specialised strides marked.
 #[derive(Clone, Debug)]
 pub struct StrideTable {
-    /// `(1-D points, LCS length)` of the swept geometry.
-    pub geometry: (usize, usize),
+    /// 1-D points, LCS length, 2-D edge and 3-D edge of the swept
+    /// geometry.
+    pub geometry: [usize; 4],
     /// One row per kind and accepted stride, strides ascending per kind.
     pub rows: Vec<StrideRow>,
 }
@@ -1054,10 +1089,10 @@ impl StrideTable {
     /// Render as an aligned text table (`*` marks a kind's default
     /// stride, `r` a register-specialised one).
     pub fn to_table(&self) -> String {
-        let (n1, nl) = self.geometry;
+        let [n1, nl, n2, n3] = self.geometry;
         let mut out = format!(
-            "# ablate-stride — temporal stride sweep (1-D {n1} x 32 steps, LCS {nl}²; \
-             * = default stride, r = ring in registers)\n\
+            "# ablate-stride — temporal stride sweep (1-D {n1} x 32 steps, LCS {nl}², 2-D {n2}², \
+             3-D {n3}³; * = default stride, r = ring in registers)\n\
              {:<8}{:>8}{:>6}{:>10}{:>12}{:>10}\n",
             "kind", "stride", "", "engine", "Mupd/s", "vs best"
         );
@@ -1100,9 +1135,9 @@ impl StrideTable {
                 )
             })
             .collect();
-        let (n1, nl) = self.geometry;
+        let [n1, nl, n2, n3] = self.geometry;
         format!(
-            "{{\"id\":\"ablate-stride\",\"geometry\":[{n1},{nl}],\"rows\":[{}]}}",
+            "{{\"id\":\"ablate-stride\",\"geometry\":[{n1},{nl},{n2},{n3}],\"rows\":[{}]}}",
             rows.join(",")
         )
     }
@@ -1119,19 +1154,27 @@ impl StrideTable {
     }
 }
 
-/// §3.3 stride sweep: throughput of the three 1-D temporal engines as the
-/// space stride `s` — and with it the number of in-flight input vectors —
-/// varies, over every stride Heat-1D and GS-1D accept and `s = 1..=3` for
-/// LCS, at the `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256
-/// gives its `--smoke` geometry).
+/// §3.3 stride sweep: throughput of the temporal engines as the space
+/// stride `s` — and with it the number of in-flight input vectors —
+/// varies, over every stride Heat-1D and GS-1D accept, `s = 1..=3` for
+/// LCS and `s = 2..=4` for the six slab kinds (whose ring of `s + 2` slabs
+/// lives in memory at any stride: the narrowest ring wins), at the
+/// `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256 gives its
+/// `--smoke` geometry).
 pub fn ablate_stride(scale: usize) -> StrideTable {
     use tempora_core::engine::KernelSpace;
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::{lcs_avx2, t1d_avx2};
     let d = scale.max(1);
     let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(256));
+    let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let sel = Select::from_env();
     let grid_strides = JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE;
+    // No slab stride keeps its ring in registers.
+    let slab = |k: &SlabKind| {
+        let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
+        (k.name, (k.problem)(dims), 2..=4, 0..=0)
+    };
     let kinds = [
         (
             "heat1d",
@@ -1153,22 +1196,25 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
         ),
     ];
     let mut rows = vec![];
-    for (kind, problem, strides, register_strides) in kinds {
+    for (kind, problem, strides, register_strides) in
+        kinds.into_iter().chain(SLAB_KINDS.iter().map(slab))
+    {
         let default = default_stride(&problem);
         for s in strides {
-            let (best, engine) = best_of_20(&problem, PlanBuilder::new().stride(s).select(sel));
+            let Best { secs, engine, .. } =
+                best_of_20(&problem, PlanBuilder::new().stride(s).select(sel));
             rows.push(StrideRow {
                 kind,
                 stride: s,
                 engine,
-                mupd_per_s: (problem.points() * problem.steps()) as f64 / best / 1e6,
+                mupd_per_s: (problem.points() * problem.steps()) as f64 / secs / 1e6,
                 default: s == default,
                 registers: engine == "avx2" && register_strides.contains(&s),
             });
         }
     }
     StrideTable {
-        geometry: (n1, nl),
+        geometry: [n1, nl, n2, n3],
         rows,
     }
 }
@@ -1202,6 +1248,176 @@ pub fn ablate_baselines(scale: usize) -> Figure {
         scale,
         &baseline_schemes(),
     )
+}
+
+/// The steady loop of one AVX2 slab row as `objdump` shows it, per
+/// output vector (README, "Slab steady state", has the recipe), and the
+/// cycles it cannot go below on a core that issues six fused µops, two
+/// FMA-port µops and two loads a cycle.
+#[derive(Clone, Copy, Debug)]
+pub struct RowModel {
+    /// Instructions in the loop.
+    pub insns: u32,
+    /// Fused-domain µops (a compare-and-branch pair is one).
+    pub uops: u32,
+    /// µops that need an FMA port: `vfmadd`/`vmulpd`; Life's `vpmulld`
+    /// (two) and `vpsrlvd`.
+    pub fma_port: u32,
+    /// Loads, folded into an arithmetic instruction or not.
+    pub loads: u32,
+    /// FMAs on the loop-carried chain through the previous output vector
+    /// (Gauss-Seidel), 0 for the Jacobi rows.
+    pub chain: u32,
+}
+
+impl RowModel {
+    /// Latency of one `vfmadd`, cycles.
+    const FMA_LATENCY: f64 = 4.0;
+
+    /// Cycles per output vector the loop cannot beat: the loop-carried
+    /// FMA chain for a Gauss-Seidel row, the busiest of the FMA ports,
+    /// the load ports and the front end for a Jacobi row.
+    pub fn cycles_per_vector(&self) -> f64 {
+        let ports = (self.fma_port.max(self.loads) as f64 / 2.0).max(self.uops as f64 / 6.0);
+        ports.max(self.chain as f64 * Self::FMA_LATENCY)
+    }
+}
+
+/// One 2-D/3-D kind of the steady-state ablations, at the `ledger`
+/// benchmark's step counts (whole tiles each).
+#[derive(Debug)]
+struct SlabKind {
+    name: &'static str,
+    /// Lanes: one temporal tile advances this many levels.
+    vl: usize,
+    /// A slab is a plane (else a row).
+    three_d: bool,
+    /// The problem at interior extents `[nx, ny, nz]` (2-D: `nz` unused).
+    problem: fn([usize; 3]) -> Problem,
+    /// Its AVX2 steady loop.
+    model: RowModel,
+}
+
+impl SlabKind {
+    /// Interior points of one slab at `dims`.
+    fn inner(&self, dims: [usize; 3]) -> usize {
+        (self.problem)(dims).points() / dims[0]
+    }
+}
+
+/// The six slab kinds.
+static SLAB_KINDS: [SlabKind; 6] = [
+    SlabKind {
+        name: "heat2d",
+        vl: 4,
+        three_d: false,
+        problem: |[nx, ny, _]| Problem::heat2d(nx, ny, 12, Heat2dCoeffs::classic(0.125)),
+        model: RowModel {
+            insns: 17,
+            uops: 16,
+            fma_port: 5,
+            loads: 4,
+            chain: 0,
+        },
+    },
+    SlabKind {
+        name: "box2d",
+        vl: 4,
+        three_d: false,
+        problem: |[nx, ny, _]| Problem::box2d(nx, ny, 8, Box2dCoeffs::smooth(0.1)),
+        model: RowModel {
+            insns: 21,
+            uops: 20,
+            fma_port: 9,
+            loads: 8,
+            chain: 0,
+        },
+    },
+    SlabKind {
+        name: "life",
+        vl: 8,
+        three_d: false,
+        problem: |[nx, ny, _]| Problem::life(nx, ny, 16, LifeRule::b2s23()),
+        // `vpmulld` and the `vpextrd` to memory are two µops each.
+        model: RowModel {
+            insns: 23,
+            uops: 24,
+            fma_port: 3,
+            loads: 8,
+            chain: 0,
+        },
+    },
+    SlabKind {
+        name: "gs2d",
+        vl: 4,
+        three_d: false,
+        problem: |[nx, ny, _]| Problem::gs2d(nx, ny, 8, Gs2dCoeffs::classic(0.2)),
+        model: RowModel {
+            insns: 18,
+            uops: 17,
+            fma_port: 5,
+            loads: 4,
+            chain: 2,
+        },
+    },
+    SlabKind {
+        name: "heat3d",
+        vl: 4,
+        three_d: true,
+        problem: |[nx, ny, nz]| Problem::heat3d(nx, ny, nz, 4, Heat3dCoeffs::classic(0.1)),
+        model: RowModel {
+            insns: 19,
+            uops: 18,
+            fma_port: 7,
+            loads: 6,
+            chain: 0,
+        },
+    },
+    SlabKind {
+        name: "gs3d",
+        vl: 4,
+        three_d: true,
+        problem: |[nx, ny, nz]| Problem::gs3d(nx, ny, nz, 4, Gs3dCoeffs::classic(0.1)),
+        model: RowModel {
+            insns: 20,
+            uops: 19,
+            fma_port: 7,
+            loads: 6,
+            chain: 3,
+        },
+    },
+];
+
+/// The stride every slab kind defaults to (`ablate-stride` measures it).
+const SLAB_STRIDE: usize = 2;
+
+/// One temporal tile of `kind` at interior extents `dims`, stride
+/// [`SLAB_STRIDE`], under `sel`: `[seconds, cycles]` per tile, the same
+/// per steady-state slab, and the engine that ran. A tile's time is
+/// linear in its steady-state slab count `x_max = nx + 1 - VL·s`, so the
+/// same problem at 10× the outer extent gives the slope. Minimum of 20
+/// runs each.
+fn tile_and_slab(
+    kind: &SlabKind,
+    dims: [usize; 3],
+    sel: Select,
+) -> ([f64; 2], [f64; 2], &'static str) {
+    let tile = |nx: usize| {
+        let problem = (kind.problem)([nx, dims[1], dims[2]]);
+        let best = best_of_20(&problem, PlanBuilder::new().stride(SLAB_STRIDE).select(sel));
+        let tiles = (problem.steps() / kind.vl) as f64;
+        ([best.secs / tiles, best.cycles / tiles], best.engine)
+    };
+    let ((t1, engine), (t10, _)) = (tile(dims[0]), tile(10 * dims[0]));
+    let per_slab = [0, 1].map(|u| (t10[u] - t1[u]) / (9 * dims[0]) as f64);
+    (t1, per_slab, engine)
+}
+
+/// The engine selections the per-engine ablations run: forced AVX2 where
+/// the CPU has it, then forced portable.
+fn forced_selects() -> Vec<Select> {
+    let avx2 = tempora_simd::arch::avx2_available().then_some(Select::Avx2);
+    avx2.into_iter().chain([Select::Portable]).collect()
 }
 
 /// One row of [`ablate_boundary`]: one kind under one engine selection.
@@ -1337,78 +1553,24 @@ impl BoundaryTable {
 /// their boundary is 27 points per level of a 65536-point tile, which
 /// this method cannot see.
 pub fn ablate_boundary(scale: usize) -> BoundaryTable {
-    /// One kind: lane count, inner points per slab, outer extent of the
-    /// base geometry, and the problem at outer extent `nx` (the ledger's
-    /// step counts, whole tiles each).
-    struct Kind {
-        name: &'static str,
-        vl: usize,
-        inner: usize,
-        nx: usize,
-        problem: Box<dyn Fn(usize) -> Problem>,
-    }
-    const S: usize = 2; // the 2-D/3-D default stride
     let d = scale.max(1);
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
-    let kind2 = |name, vl, problem: fn(usize, usize) -> Problem| Kind {
-        name,
-        vl,
-        inner: n2,
-        nx: n2,
-        problem: Box::new(move |nx| problem(nx, n2)),
-    };
-    let kind3 = |name, problem: fn(usize, usize) -> Problem| Kind {
-        name,
-        vl: 4,
-        inner: n3 * n3,
-        nx: n3,
-        problem: Box::new(move |nx| problem(nx, n3)),
-    };
-    let kinds = [
-        kind2("heat2d", 4, |nx, n| {
-            Problem::heat2d(nx, n, 12, Heat2dCoeffs::classic(0.125))
-        }),
-        kind2("box2d", 4, |nx, n| {
-            Problem::box2d(nx, n, 8, Box2dCoeffs::smooth(0.1))
-        }),
-        kind2("life", 8, |nx, n| {
-            Problem::life(nx, n, 16, LifeRule::b2s23())
-        }),
-        kind2("gs2d", 4, |nx, n| {
-            Problem::gs2d(nx, n, 8, Gs2dCoeffs::classic(0.2))
-        }),
-        kind3("heat3d", |nx, n| {
-            Problem::heat3d(nx, n, n, 4, Heat3dCoeffs::classic(0.1))
-        }),
-        kind3("gs3d", |nx, n| {
-            Problem::gs3d(nx, n, n, 4, Gs3dCoeffs::classic(0.1))
-        }),
-    ];
-    let mut selects = vec![Select::Portable];
-    if tempora_simd::arch::avx2_available() {
-        selects.insert(0, Select::Avx2);
-    }
-    // Seconds per tile and the resolved engine.
-    let tile_secs = |problem: &Problem, vl: usize, sel: Select| {
-        let (best, engine) = best_of_20(problem, PlanBuilder::new().stride(S).select(sel));
-        (best / (problem.steps() / vl) as f64, engine)
-    };
     let mut rows = vec![];
-    for &sel in &selects {
-        for k in &kinds {
-            let (t1, engine) = tile_secs(&(k.problem)(k.nx), k.vl, sel);
-            let (t10, _) = tile_secs(&(k.problem)(10 * k.nx), k.vl, sel);
-            let x_max = (k.nx + 1 - k.vl * S) as f64;
-            let per_slab = (t10 - t1) / (9 * k.nx) as f64;
+    for sel in forced_selects() {
+        for k in &SLAB_KINDS {
+            let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
+            let ([t1, _], [per_slab, _], engine) = tile_and_slab(k, dims, sel);
+            let x_max = (dims[0] + 1 - k.vl * SLAB_STRIDE) as f64;
             let boundary = t1 - per_slab * x_max;
-            let updates_per_slab = (k.vl * k.inner) as f64;
+            let updates_per_slab = (k.vl * k.inner(dims)) as f64;
             rows.push(BoundaryRow {
                 kind: k.name,
                 engine,
                 tile_us: t1 * 1e6,
                 boundary_us: boundary * 1e6,
                 steady_ns_per_update: per_slab * 1e9 / updates_per_slab,
-                boundary_ns_per_update: boundary * 1e9 / (updates_per_slab * (k.vl * S - 1) as f64),
+                boundary_ns_per_update: boundary * 1e9
+                    / (updates_per_slab * (k.vl * SLAB_STRIDE - 1) as f64),
             });
         }
     }
@@ -1416,6 +1578,204 @@ pub fn ablate_boundary(scale: usize) -> BoundaryTable {
         geometry: (n2, n3),
         rows,
     }
+}
+
+/// One slab kind under one engine selection at one geometry of
+/// [`ablate_rows`]: the steady-state cost of a point-update in ns, and of
+/// an output vector (`vl` point-updates) in core cycles.
+#[derive(Clone, Copy, Debug)]
+pub struct SteadyCost {
+    /// ns per point-update (from the fastest runs).
+    pub ns_per_update: f64,
+    /// Core cycles per output vector (from the runs of fewest cycles, each
+    /// converted by a clock sample taken next to it).
+    pub cycles_per_vector: f64,
+}
+
+/// One row of [`ablate_rows`]: one slab kind under one engine selection.
+#[derive(Clone, Debug)]
+pub struct SteadyRowsRow {
+    /// Workload kind (`heat2d` … `gs3d`).
+    pub kind: &'static str,
+    /// Engine the plan resolved to (`avx2` | `portable`).
+    pub engine: &'static str,
+    /// With the wavefront ring in L1.
+    pub l1: SteadyCost,
+    /// At the `ledger` benchmark's geometry.
+    pub ledger: SteadyCost,
+    /// The kind's AVX2 steady loop (the portable rows are LLVM's choice
+    /// and have no written model: their ratio is against the same bound).
+    pub model: RowModel,
+    /// What to measure again: the kind and the forced selection.
+    source: (&'static SlabKind, Select),
+}
+
+impl SteadyRowsRow {
+    /// L1-resident cycles per vector over the model's.
+    pub fn l1_vs_model(&self) -> f64 {
+        self.l1.cycles_per_vector / self.model.cycles_per_vector()
+    }
+
+    /// An AVX2 Jacobi row whose L1-resident cycles per vector exceed
+    /// `limit` × its model: a steady loop that grew back its bounds checks
+    /// or spills, or dropped out of its sandwich.
+    pub fn over(&self, limit: f64) -> bool {
+        self.engine == "avx2" && self.model.chain == 0 && self.l1_vs_model() > limit
+    }
+}
+
+/// The `ablate-rows` table: per slab kind and engine, the steady state
+/// against its port bound.
+#[derive(Clone, Debug)]
+pub struct SteadyRowsTable {
+    /// Interior extents of the L1-resident geometry, 2-D and 3-D.
+    pub l1_dims: [[usize; 3]; 2],
+    /// Interior extents of the ledger geometry, 2-D and 3-D.
+    pub ledger_dims: [[usize; 3]; 2],
+    /// One row per kind and resolved engine.
+    pub rows: Vec<SteadyRowsRow>,
+}
+
+impl SteadyRowsTable {
+    /// Render as an aligned text table.
+    pub fn to_table(&self) -> String {
+        let dims = |d: [usize; 3]| format!("{}x{}x{}", d[0], d[1], d[2]);
+        let mut out = format!(
+            "# ablate-rows — slab steady rows against their port bound (ring in L1: {} / {}; \
+             ledger: {} / {}; c/v = core cycles per output vector, clock sampled around each \
+             run; model = max(FMA-port µops/2, loads/2, µops/6), Gauss-Seidel: 4 x chained \
+             FMAs)\n\
+             {:<8}{:>10}{:>10}{:>8}{:>12}{:>8}{:>7}{:>6}{:>6}{:>7}{:>7}{:>8}{:>8}{:>9}\n",
+            dims(self.l1_dims[0]),
+            dims(self.l1_dims[1]),
+            dims(self.ledger_dims[0]),
+            dims(self.ledger_dims[1]),
+            "kind",
+            "engine",
+            "L1 ns/u",
+            "L1 c/v",
+            "ledger ns/u",
+            "c/v",
+            "insns",
+            "µops",
+            "fma",
+            "loads",
+            "chain",
+            "model",
+            "L1/mod",
+            "ldgr/mod"
+        );
+        for r in &self.rows {
+            let m = r.model;
+            // The counts are the AVX2 loop's.
+            let count = |n: u32| match r.engine {
+                "avx2" => n.to_string(),
+                _ => "-".into(),
+            };
+            out.push_str(&format!(
+                "{:<8}{:>10}{:>10.3}{:>8.2}{:>12.3}{:>8.2}{:>7}{:>6}{:>6}{:>7}{:>7}{:>8.2}{:>8.2}{:>9.2}\n",
+                r.kind,
+                r.engine,
+                r.l1.ns_per_update,
+                r.l1.cycles_per_vector,
+                r.ledger.ns_per_update,
+                r.ledger.cycles_per_vector,
+                count(m.insns),
+                count(m.uops),
+                count(m.fma_port),
+                count(m.loads),
+                count(m.chain),
+                m.cycles_per_vector(),
+                r.l1_vs_model(),
+                r.ledger.cycles_per_vector / m.cycles_per_vector()
+            ));
+        }
+        out
+    }
+
+    /// Render as a JSON object (`{"id", "rows"}`), one entry of the
+    /// `repro --json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"kind\":\"{}\",\"engine\":\"{}\",\"l1_ns_per_update\":{},\
+                     \"l1_cycles_per_vector\":{},\"ledger_ns_per_update\":{},\
+                     \"ledger_cycles_per_vector\":{},\"model_cycles_per_vector\":{},\
+                     \"l1_vs_model\":{}}}",
+                    r.kind,
+                    r.engine,
+                    json_num(r.l1.ns_per_update),
+                    json_num(r.l1.cycles_per_vector),
+                    json_num(r.ledger.ns_per_update),
+                    json_num(r.ledger.cycles_per_vector),
+                    json_num(r.model.cycles_per_vector()),
+                    json_num(r.l1_vs_model())
+                )
+            })
+            .collect();
+        format!("{{\"id\":\"ablate-rows\",\"rows\":[{}]}}", rows.join(","))
+    }
+
+    /// The rows [`SteadyRowsRow::over`] their kind's limit.
+    pub fn avx2_jacobi_rows_over(&self, limit: impl Fn(&str) -> f64) -> Vec<&SteadyRowsRow> {
+        let over = |r: &&SteadyRowsRow| r.over(limit(r.kind));
+        self.rows.iter().filter(over).collect()
+    }
+
+    /// Measure the rows `again` picks (once more), keeping the lower
+    /// reading of each cost: a busy sibling hyperthread halves the
+    /// throughput of a port-bound loop for a fraction of a second at a
+    /// time, and the twenty runs behind a reading span less than that.
+    pub fn remeasure(&mut self, again: impl Fn(&SteadyRowsRow) -> bool) {
+        for r in self.rows.iter_mut().filter(|r| again(r)) {
+            let (kind, sel) = r.source;
+            for (cost, dims) in [(&mut r.l1, self.l1_dims), (&mut r.ledger, self.ledger_dims)] {
+                let dims = dims[kind.three_d as usize];
+                let (_, [secs, cycles], engine) = tile_and_slab(kind, dims, sel);
+                let updates = (kind.vl * kind.inner(dims)) as f64;
+                cost.ns_per_update = cost.ns_per_update.min(secs * 1e9 / updates);
+                cost.cycles_per_vector =
+                    (cost.cycles_per_vector).min(cycles / updates * kind.vl as f64);
+                r.engine = engine;
+            }
+        }
+    }
+}
+
+/// ROADMAP item 2(d): the slab steady state against a ceiling. Per slab
+/// kind and engine, the steady cost of a point-update (the slope of
+/// [`ablate_boundary`]'s fit) at a geometry whose wavefront ring — `s + 2`
+/// slabs of packs, plus two for Gauss-Seidel — sits in L1, and at the
+/// `ledger` benchmark's geometry, whose ring does not, next to the kind's
+/// [`RowModel`]. The geometry is the same at any `--scale`.
+pub fn ablate_rows() -> SteadyRowsTable {
+    let unmeasured = SteadyCost {
+        ns_per_update: f64::INFINITY,
+        cycles_per_vector: f64::INFINITY,
+    };
+    let rows = forced_selects().into_iter().flat_map(|sel| {
+        SLAB_KINDS.iter().map(move |kind| SteadyRowsRow {
+            kind: kind.name,
+            engine: "",
+            l1: unmeasured,
+            ledger: unmeasured,
+            model: kind.model,
+            source: (kind, sel),
+        })
+    });
+    let mut table = SteadyRowsTable {
+        // Rows as wide as the ledger's 3-D rows; 2-D slabs of 130 packs
+        // (ring 17 KB), 3-D slabs of 6 x 42 (ring 32 KB, 48 KB with the
+        // Gauss-Seidel output slabs).
+        l1_dims: [[64, 128, 1], [16, 4, 40]],
+        ledger_dims: [[256, 256, 1], [40, 40, 40]],
+        rows: rows.collect(),
+    };
+    table.remeasure(|_| true);
+    table
 }
 
 /// One row of [`ablate_tiling`]: one Table-1 grid benchmark at its
@@ -1565,19 +1925,18 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
             builders.push(tiled(2));
         }
         let runs = best_of_20_each(&problem, &builders);
-        let (tiled_1t, engine, tiles) = runs[1];
         // Panic-justification: a plan built with a tiling reports its
         // geometry; anything else is a bench-suite bug.
-        let tiles = tiles.expect("tiled plans report their geometry");
+        let tiles = runs[1].tiles.expect("tiled plans report their geometry");
         rows.push(TilingRow {
             kind: row.name,
-            engine,
+            engine: runs[1].engine,
             block: tiles.block,
             chunks: tiles.tiles,
             sweeps: cfg.steps / vl + cfg.steps % vl,
-            untiled_us: runs[0].0 * 1e6,
-            tiled_1t_us: tiled_1t * 1e6,
-            tiled_2t_us: runs.get(2).map(|r| r.0 * 1e6),
+            untiled_us: runs[0].secs * 1e6,
+            tiled_1t_us: runs[1].secs * 1e6,
+            tiled_2t_us: runs.get(2).map(|r| r.secs * 1e6),
         });
     }
     TilingTable { scale, rows }
@@ -1722,6 +2081,21 @@ pub fn ablate_digest() -> DigestTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn row_models_state_the_written_bounds() {
+        // README, "The slab steady state": cycles per output vector.
+        let bound = |kind: &str| {
+            let k = SLAB_KINDS.iter().find(|k| k.name == kind).unwrap();
+            (k.model.cycles_per_vector() * 100.0).round() / 100.0
+        };
+        assert_eq!(bound("heat2d"), 2.67); // 16 µops / 6
+        assert_eq!(bound("box2d"), 4.5); // 9 FMA-port µops / 2
+        assert_eq!(bound("life"), 4.0); // 8 loads / 2, 24 µops / 6
+        assert_eq!(bound("heat3d"), 3.5); // 7 FMA-port µops / 2
+        assert_eq!(bound("gs2d"), 8.0); // 2 chained FMAs
+        assert_eq!(bound("gs3d"), 12.0); // 3 chained FMAs
+    }
 
     #[test]
     fn steps_selection() {

@@ -21,12 +21,16 @@
 //!
 //! Every workload now has a hand-scheduled steady state: the f64 kernels
 //! run at `vl = 4` double lanes, and the two integer workloads — Life
-//! and LCS — at the paper's `vl = 8` i32 lanes. Degenerate shapes that
-//! cannot exercise a vector steady state at all — fewer than one full
-//! `vl`-level time tile, or an outer extent below `vl·s` (for LCS, a row
-//! segment below `vl·s + 1`) — resolve portable, because every engine
-//! would run the identical scalar schedule there and reporting `avx2`
-//! would misname the instruction mix that actually executed.
+//! and LCS — at the paper's `vl = 8` i32 lanes. The grid kernels resolve
+//! by capability alone: a shape that never reaches the vector steady
+//! state — fewer than one full `vl`-level time tile, or an outer extent
+//! below `vl·s` — runs the scalar schedule in every engine, but the
+//! engine is also the codegen context (below), and the scalar schedule
+//! compiled for baseline x86-64 pays a libm `fma` call per point: twenty
+//! times the AVX2 context's cost. So such a shape resolves AVX2 where the
+//! CPU has it and reports the context that ran it. LCS has no `mul_add`:
+//! its degenerate shapes (a row segment below `vl·s + 1`, fewer than `vl`
+//! rows) run the one portable code there is and report it.
 //!
 //! The selection is overridable at process level through the
 //! `TEMPORA_ENGINE` environment variable (`auto` | `portable` | `avx2`,
@@ -119,10 +123,9 @@ impl Select {
     }
 
     /// Resolve the policy against CPU capability and whether the workload
-    /// has a hand-scheduled AVX2 steady state. Public so the tiled layer
+    /// has an AVX2 codegen context to run in. Public so the tiled layer
     /// (`tempora-tiling`) can resolve its in-tile engine **once per run**
-    /// and report it honestly; degenerate geometries must pass
-    /// `has_avx2_impl = false`.
+    /// and report it honestly.
     pub fn resolve(self, has_avx2_impl: bool) -> Engine {
         match self {
             Select::Portable => Engine::Portable,
@@ -165,17 +168,6 @@ impl Engine {
             Engine::Avx2 => "avx2",
         }
     }
-}
-
-/// True when a workload shape can actually exercise a vector steady
-/// state at vector length `vl` (4 for the f64 kernels, 8 for the
-/// integer Life kernel): at least one full `vl`-level time tile, and an
-/// outer extent that hosts the vector schedule (`n ≥ vl·s`). Degenerate
-/// shapes run the scalar schedule in *every* engine, so dispatch
-/// resolves them portable — the returned [`Engine`] must name the
-/// steady state that executes, not the one that was asked for.
-pub fn shape_has_vector_tiles(vl: usize, n_outer: usize, steps: usize, s: usize) -> bool {
-    steps >= vl && n_outer >= vl * s
 }
 
 // ---------------------------------------------------------------------
@@ -331,11 +323,12 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
         self.multiload_sweep(engine, &lay, src.slabs(), dst.slabs_mut(), 1..=lay.nx);
     }
 
-    /// Resolve `sel` for a run of `steps` levels over `outer` slabs: AVX2
-    /// needs the kernel's sweep and a shape that reaches the vector
-    /// steady state (see [`shape_has_vector_tiles`]).
-    fn resolve(sel: Select, outer: usize, steps: usize, s: usize) -> Engine {
-        sel.resolve(Self::has_avx2_tile(s) && shape_has_vector_tiles(Self::VL, outer, steps, s))
+    /// Resolve `sel` for runs at stride `s`, whatever their shape: AVX2
+    /// wherever the kernel has the sweep and the CPU the features. A run
+    /// too short or too narrow for the vector schedule runs scalar steps
+    /// in the same codegen context (see the [module docs](self)).
+    fn resolve(sel: Select, s: usize) -> Engine {
+        sel.resolve(Self::has_avx2_tile(s))
     }
 }
 
@@ -475,7 +468,7 @@ impl KernelSpace for JacobiKern2d {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
     }
 
     fn scalar_sweep(
@@ -486,7 +479,7 @@ impl KernelSpace for JacobiKern2d {
         xs: RangeInclusive<usize>,
         bufs: &mut Self::StepBufs,
     ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(self), xs, bufs);
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(*self), xs, bufs);
     }
 
     fn multiload_sweep(
@@ -529,7 +522,7 @@ impl KernelSpace for BoxKern2d {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
     }
 
     fn scalar_sweep(
@@ -540,7 +533,7 @@ impl KernelSpace for BoxKern2d {
         xs: RangeInclusive<usize>,
         bufs: &mut Self::StepBufs,
     ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(self), xs, bufs);
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(*self), xs, bufs);
     }
 
     fn multiload_sweep(
@@ -583,7 +576,7 @@ impl KernelSpace for GsKern2d {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
     }
 
     fn scalar_sweep(
@@ -594,7 +587,7 @@ impl KernelSpace for GsKern2d {
         xs: RangeInclusive<usize>,
         bufs: &mut Self::StepBufs,
     ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(self), xs, bufs);
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(*self), xs, bufs);
     }
 
     fn multiload_sweep(
@@ -640,7 +633,7 @@ impl KernelSpace for LifeKern2d {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::sweep::<i32, 8, COUNT, _>(engine, lay, a, &Rows2(self), xs, s, sc);
+        slab::sweep::<i32, 8, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
     }
 
     fn scalar_sweep(
@@ -651,7 +644,7 @@ impl KernelSpace for LifeKern2d {
         xs: RangeInclusive<usize>,
         bufs: &mut Self::StepBufs,
     ) {
-        slab::scalar_sweep::<i32, 8, _>(engine, lay, a, &Rows2(self), xs, bufs);
+        slab::scalar_sweep::<i32, 8, _>(engine, lay, a, &Rows2(*self), xs, bufs);
     }
 
     fn multiload_sweep(
@@ -694,7 +687,7 @@ impl KernelSpace for JacobiKern3d {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(self), xs, s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(*self), xs, s, sc);
     }
 
     fn scalar_sweep(
@@ -705,7 +698,7 @@ impl KernelSpace for JacobiKern3d {
         xs: RangeInclusive<usize>,
         bufs: &mut Self::StepBufs,
     ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(self), xs, bufs);
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(*self), xs, bufs);
     }
 
     fn multiload_sweep(
@@ -748,7 +741,7 @@ impl KernelSpace for GsKern3d {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(self), xs, s, sc);
+        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(*self), xs, s, sc);
     }
 
     fn scalar_sweep(
@@ -759,7 +752,7 @@ impl KernelSpace for GsKern3d {
         xs: RangeInclusive<usize>,
         bufs: &mut Self::StepBufs,
     ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(self), xs, bufs);
+        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(*self), xs, bufs);
     }
 
     fn multiload_sweep(
@@ -870,7 +863,7 @@ pub(crate) mod tests {
         steps: usize,
         s: usize,
     ) -> (K::Grid, Engine) {
-        let engine = K::resolve(sel, g.dims()[0], steps, s);
+        let engine = K::resolve(sel, s);
         (super::run(engine, g, kern, steps, s), engine)
     }
 
@@ -911,28 +904,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn degenerate_shapes_resolve_portable() {
-        // Shapes whose every step runs the scalar schedule must report
-        // the portable engine, whatever the selection policy — on these
-        // shapes no AVX2 steady-state instruction ever executes.
+    fn degenerate_shapes_resolve_by_capability() {
+        // Shapes whose every step runs the scalar schedule resolve like
+        // any other: the engine is the codegen context of that schedule
+        // too (portable would pay libm `fma` per point on an AVX2 host).
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
         let (small, big) = (heat1d(5, 4), heat1d(200, 5));
-        for sel in [Select::Auto, Select::Portable] {
+        let auto = Select::Auto.resolve(true);
+        for (sel, expect) in [(Select::Auto, auto), (Select::Portable, Engine::Portable)] {
             // n = 5 < VL·s = 8: no vector tile fits.
             let (r, e) = run(sel, &small, &kern, 8, 2);
-            assert_eq!(e, Engine::Portable, "{sel:?}");
+            assert_eq!(e, expect, "{sel:?}");
             assert!(r.interior_eq(&reference::heat1d(&small, c, 8)));
             // steps = 3 < VL: only scalar remainder steps run.
             let (r, e) = run(sel, &big, &kern, 3, 2);
-            assert_eq!(e, Engine::Portable, "{sel:?}");
+            assert_eq!(e, expect, "{sel:?}");
             assert!(r.interior_eq(&reference::heat1d(&big, c, 3)));
         }
         let c2 = tempora_stencil::Heat2dCoeffs::classic(0.12);
         let mut g2 = Grid2::new(5, 9, 1, Boundary::Dirichlet(0.0));
         tempora_grid::fill_random_2d(&mut g2, 6, -1.0, 1.0);
         let (r, e) = run(Select::Auto, &g2, &JacobiKern2d(c2), 8, 2);
-        assert_eq!(e, Engine::Portable);
+        assert_eq!(e, auto);
         assert!(r.interior_eq(&reference::heat2d(&g2, c2, 8)));
     }
 

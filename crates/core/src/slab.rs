@@ -48,10 +48,10 @@
 //! scalar row sweep and one `Pack`-generic steady row per dimension
 //! (`Rows2` over [`Kernel2d`], `Rows3` over [`Kernel3d`]), plus, for the
 //! AVX2 engine, one hand-scheduled steady row per kernel in
-//! [`crate::slab_avx2`]. Gauss-Seidel (§3.4) adds the previous and the
-//! current output slab (`O(x-1, ·)`, `O(x, ·)`) for the newest operands of
-//! the outer dimensions; the newest operand of the innermost dimension is
-//! the previous output vector, carried in a register by the row.
+//! [`crate::slab_avx2`] — all eight steady rows written on one
+//! `RowCursor`. Gauss-Seidel (§3.4) adds the previous and the current
+//! output slab (`O(x-1, ·)`, `O(x, ·)`) for the outer dimensions' newest
+//! operands; the innermost one's is the previous output vector, in a register.
 //!
 //! # One source, two codegen contexts
 //!
@@ -82,15 +82,13 @@ use tempora_simd::{Pack, Scalar};
 /// the three slabs around it in the level below. Every row is `w`
 /// elements wide with its ghost columns in place.
 pub(crate) struct SweepRow<'a, T> {
-    /// Slabs `x-1`, `x`, `x+1` of the level below, each from its first
-    /// row.
+    /// Slabs `x-1`, `x`, `x+1` of the level below, from their first rows.
     pub old: [&'a [T]; 3],
     /// Row pitches of the three `old` slabs.
     pub pitch: [usize; 3],
     /// Index of the row within its slab, ghost rows included.
     pub r: usize,
-    /// The level being written, up to the row (newest Gauss-Seidel
-    /// operands) …
+    /// The level being written up to the row (Gauss-Seidel's newest) …
     pub done: &'a [T],
     /// … and the row.
     pub out: &'a mut [T],
@@ -98,154 +96,291 @@ pub(crate) struct SweepRow<'a, T> {
     pub strides: [usize; 2],
 }
 
-/// One steady-state row: the interior packs of row `at / w` of `W(x+s)`,
-/// the finished top lanes and (Gauss-Seidel) the output row, from the
-/// wavefront slabs around `x`.
+/// One steady-state row: the interior packs of a row of `W(x+s)`, the
+/// finished top lanes and (Gauss-Seidel) the output row, from the rows
+/// around it in the wavefront slabs around `x`. Every row is `w` wide
+/// with its ghost columns in place.
 pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize> {
-    /// Wavefront slabs `W(x-1)`, `W(x)`, `W(x+1)`.
+    /// The row in `W(x-1)`, `W(x)`, `W(x+1)`.
     pub ring: [&'a [Pack<T, VL>]; 3],
-    /// Previous output slab `O(x-1, ·)` (Gauss-Seidel only).
-    pub o_prev: &'a [Pack<T, VL>],
-    /// Output slab `O(x, ·)` being produced (Gauss-Seidel only).
-    pub o_cur: &'a mut [Pack<T, VL>],
-    /// The row of `W(x+s)` to produce, `w` packs.
+    /// The rows above and below it in `W(x)`; the row itself in 2-D,
+    /// where a slab is one row.
+    pub sides: [&'a [Pack<T, VL>]; 2],
+    /// Gauss-Seidel (else empty): the row in `O(x-1, ·)` and the row
+    /// above in `O(x, ·)` (2-D: the former again) …
+    pub newest: [&'a [Pack<T, VL>]; 2],
+    /// … and the row of `O(x, ·)` to produce, the boundary value in its
+    /// ghost columns.
+    pub o_row: &'a mut [Pack<T, VL>],
+    /// The row of `W(x+s)` to produce.
     pub out: &'a mut [Pack<T, VL>],
-    /// Offset of the row within a wavefront or output slab.
-    pub at: usize,
     /// Grid row `(x, ·)`: receives the finished top lanes.
     pub top: &'a mut [T],
     /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes.
     pub bottom: &'a [T],
-    /// Boundary value (the newest operand left of the first column).
-    pub bc: T,
+}
+
+/// The register form an engine computes a steady row in: the packs
+/// themselves ([`Packs`], portable) or `ymm` registers (`slab_avx2::Ymm`,
+/// which also pins the two operations every steady row performs,
+/// whatever the kernel, to the paper's instructions).
+pub(crate) trait Lanes<T: Scalar, const VL: usize>: Copy {
+    /// An input or output vector in a register.
+    type V: Copy;
+    /// Load a stored vector.
+    fn load(self, p: Pack<T, VL>) -> Self::V;
+    /// The stored form of `v`.
+    fn store(self, v: Self::V) -> Pack<T, VL>;
+
+    /// The finished top lane of an output vector.
+    #[inline(always)]
+    fn top(self, v: Self::V) -> T {
+        self.store(v).top()
+    }
+
+    /// The next input vector from an output vector: one rotate and one
+    /// blend, lanes up one level and `bottom` (level 0) into lane 0.
+    #[inline(always)]
+    fn shift_up_insert(self, v: Self::V, bottom: T) -> Self::V {
+        self.load(self.store(v).shift_up_insert(bottom))
+    }
+}
+
+/// The portable register form: LLVM's choice for the pack itself.
+#[derive(Clone, Copy)]
+pub(crate) struct Packs;
+
+impl<T: Scalar, const VL: usize> Lanes<T, VL> for Packs {
+    type V = Pack<T, VL>;
+
+    #[inline(always)]
+    fn load(self, p: Pack<T, VL>) -> Pack<T, VL> {
+        p
+    }
+
+    #[inline(always)]
+    fn store(self, v: Pack<T, VL>) -> Pack<T, VL> {
+        v
+    }
+}
+
+/// The interior of one steady row, for all eight steady bodies: every
+/// operand row cut to the `len` interior points exactly once — the row
+/// loop `for i in 0..cur.len()` indexes equal-length slices and carries
+/// no bounds check — the per-point operands in the engine's register
+/// form, and what a steady iteration does whatever the kernel
+/// ([`RowCursor::finish`]).
+pub(crate) struct RowCursor<'a, T: Scalar, const VL: usize, L: Lanes<T, VL>> {
+    isa: L,
+    /// The centre row from its third pack on: the east operands.
+    east: &'a [Pack<T, VL>],
+    /// West and centre operand of the next point (`w ← m ← e`).
+    carry: [L::V; 2],
+    /// The other rows read at the point: `W(x-1)` west, centre, east,
+    /// `W(x+1)` likewise, the rows above and below, `O(x-1)`, the row
+    /// above in `O(x)`.
+    reads: [&'a [Pack<T, VL>]; 10],
+    /// The previous output vector `O(x, ·, i-1)`: before the first
+    /// point, the boundary column (Gauss-Seidel only).
+    newest: L::V,
+    bottom: &'a [T],
+    top: &'a mut [T],
+    out: &'a mut [Pack<T, VL>],
+    /// Empty unless the outputs are kept (Gauss-Seidel).
+    o_row: &'a mut [Pack<T, VL>],
+}
+
+/// The three `n`-element views of a `n + 2`-element row: the points'
+/// west, centre and east neighbours.
+#[inline(always)]
+fn views<P>(row: &[P], n: usize) -> [&[P]; 3] {
+    [&row[..n], &row[1..][..n], &row[2..][..n]]
+}
+
+impl<'a, T: Scalar, const VL: usize> SteadyRow<'a, T, VL> {
+    /// The row's cursor in `isa`'s register form.
+    #[inline(always)]
+    pub(crate) fn cursor<L: Lanes<T, VL>>(self, isa: L) -> RowCursor<'a, T, VL, L> {
+        let n = self.out.len() - 2;
+        let [rm1, r0, rp1] = self.ring;
+        let ([nw, nn, ne], [sw, ss, se]) = (views(rm1, n), views(rp1, n));
+        let [up, down] = [&self.sides[0][1..][..n], &self.sides[1][1..][..n]];
+        let carry = [isa.load(r0[0]), isa.load(r0[1])];
+        // Only a Gauss-Seidel row has output rows to cut.
+        let (new_x, new_y, newest, o_row) = if self.o_row.is_empty() {
+            (nn, nn, carry[0], self.o_row)
+        } else {
+            let ([new_x, new_y], bc) = (self.newest, isa.load(self.o_row[0]));
+            (
+                &new_x[1..][..n],
+                &new_y[1..][..n],
+                bc,
+                &mut self.o_row[1..][..n],
+            )
+        };
+        RowCursor {
+            isa,
+            east: &r0[2..][..n],
+            carry,
+            reads: [nw, nn, ne, sw, ss, se, up, down, new_x, new_y],
+            newest,
+            bottom: &self.bottom[1..][..n],
+            top: &mut self.top[1..][..n],
+            out: &mut self.out[1..][..n],
+            o_row,
+        }
+    }
+}
+
+impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
+    /// Interior points of the row.
+    #[inline(always)]
+    pub(crate) fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Read `k` at point `i`.
+    #[inline(always)]
+    fn read(&self, k: usize, i: usize) -> L::V {
+        self.isa.load(self.reads[k][i])
+    }
+
+    /// West, centre and east operand of the centre row at point `i`.
+    /// Points are visited in ascending order: only the east operand is
+    /// loaded, and the registers move on (`w ← m ← e`).
+    #[inline(always)]
+    fn centre(&mut self, i: usize) -> [L::V; 3] {
+        let [w, m] = self.carry;
+        let e = self.isa.load(self.east[i]);
+        self.carry = [m, e];
+        [w, m, e]
+    }
+
+    /// The operands of point `i` of a 2-D row.
+    #[inline(always)]
+    pub(crate) fn nbhd(&mut self, i: usize) -> Nbhd<L::V> {
+        Nbhd {
+            v: [
+                [self.read(0, i), self.read(1, i), self.read(2, i)],
+                self.centre(i),
+                [self.read(3, i), self.read(4, i), self.read(5, i)],
+            ],
+            new_n: self.read(8, i),
+            new_w: self.newest,
+        }
+    }
+
+    /// The operands of point `i` of a 3-D row.
+    #[inline(always)]
+    pub(crate) fn nbhd3(&mut self, i: usize) -> Nbhd3<L::V> {
+        let [zm, m, zp] = self.centre(i);
+        Nbhd3 {
+            xm: self.read(1, i),
+            ym: self.read(6, i),
+            zm,
+            m,
+            zp,
+            yp: self.read(7, i),
+            xp: self.read(4, i),
+            new_xm: self.read(8, i),
+            new_ym: self.read(9, i),
+            new_zm: self.newest,
+        }
+    }
+
+    /// What every steady iteration does with the output vector `o` of
+    /// point `i`: store its finished top lane into the grid, rotate and
+    /// blend the next input vector into the ring (one `vrotate`, one
+    /// `vblend`, whatever the kernel) and, for Gauss-Seidel, keep `o`: in
+    /// the output row, and in the register the next point reads. `COUNT`
+    /// ticks the produced input vector's reorganization budget in
+    /// [`tempora_simd::count`] (same ticks as `t1d::tile`).
+    #[inline(always)]
+    pub(crate) fn finish<const COUNT: bool>(&mut self, i: usize, o: L::V) {
+        let isa = self.isa;
+        self.top[i] = isa.top(o);
+        self.out[i] = isa.store(isa.shift_up_insert(o, self.bottom[i]));
+        if COUNT {
+            count::record_output(1);
+            count::record(Op::ScalarExtract, 1);
+            count::record(Op::CrossLane, 1); // vrotate
+            count::record(Op::InLane, 1); // vblend
+            count::record(Op::ScalarInsert, 1);
+        }
+        if !self.o_row.is_empty() {
+            self.o_row[i] = isa.store(o);
+            self.newest = o;
+        }
+    }
 }
 
 /// The row updates of one kernel at `VL` lanes: all the slab driver needs
-/// to know about a stencil.
-pub(crate) trait Rows<T: Scalar, const VL: usize> {
+/// to know about a stencil. `Copy`, the kernel held by value: the steady
+/// state copies it out once per part, so that the coefficients and their
+/// splats are loop invariants in registers, not reloads through a
+/// reference the row's stores might alias.
+pub(crate) trait Rows<T: Scalar, const VL: usize>: Copy {
     /// True for Gauss-Seidel updates.
     const IS_GS: bool;
     /// Minimum legal temporal stride along the outer dimension.
     const MIN_STRIDE: usize;
 
-    /// Scalar row update, bit-identical to the reference sweep. Jacobi
-    /// rows are branch-free loops over equal-length slices (LLVM
-    /// vectorizes them spatially under the AVX2 sandwich's features);
-    /// Gauss-Seidel rows carry the serial newest-west chain in a
-    /// register.
+    /// Scalar row update, bit-identical to the reference sweep: a
+    /// branch-free loop over rows cut once to the interior (LLVM
+    /// vectorizes the Jacobi rows spatially under the AVX2 sandwich's
+    /// features); Gauss-Seidel rows carry the serial newest-west chain in
+    /// a register.
     fn sweep_row(&self, row: SweepRow<'_, T>);
 
-    /// Steady-state row: per interior point one vectorized stencil
-    /// application, the top-lane store and the rotate-and-blend that
-    /// produces the next input vector. `COUNT` ticks
-    /// [`tempora_simd::count`] like the 1-D engine does.
+    /// Steady-state row, on a [`RowCursor`]: per interior point one
+    /// vectorized stencil application, then [`RowCursor::finish`].
+    /// `COUNT` ticks [`tempora_simd::count`] like the 1-D engine does.
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>);
-}
-
-/// Tick the reorganization budget of one produced input vector (the one
-/// `shift_up_insert` of a portable steady row; same ticks as
-/// `t1d::tile`).
-#[inline(always)]
-fn count_output_vector() {
-    count::record_output(1);
-    count::record(Op::ScalarExtract, 1);
-    count::record(Op::CrossLane, 1); // vrotate
-    count::record(Op::InLane, 1); // vblend
-    count::record(Op::ScalarInsert, 1);
 }
 
 /// The rows of a 2-D kernel: a slab is one row, its neighbours are the
 /// same row of the slabs around it.
 #[derive(Clone, Copy)]
-pub(crate) struct Rows2<'k, K>(pub &'k K);
+pub(crate) struct Rows2<K>(pub K);
 
-impl<T: Scalar, const VL: usize, K: Kernel2d<T>> Rows<T, VL> for Rows2<'_, K> {
+impl<T: Scalar, const VL: usize, K: Kernel2d<T> + Copy> Rows<T, VL> for Rows2<K> {
     const IS_GS: bool = K::IS_GS;
     const MIN_STRIDE: usize = K::MIN_STRIDE;
 
     #[inline(always)]
     fn sweep_row(&self, row: SweepRow<'_, T>) {
-        let SweepRow {
-            old,
-            done,
-            out,
-            strides,
-            ..
-        } = row;
-        let w = out.len();
-        let [up, mid, dn] = old.map(|slab| &slab[..w]);
+        let n = row.out.len() - 2;
+        let [nw, nn, ne] = views(row.old[0], n);
+        let [w, m, e] = views(row.old[1], n);
+        let [sw, ss, se] = views(row.old[2], n);
         let north = if K::IS_GS {
-            &done[done.len() - strides[0]..][..w]
+            &row.done[row.done.len() - row.strides[0] + 1..][..n]
         } else {
-            dn
+            ss
         };
-        let mut west = out[0];
-        for y in 1..w - 1 {
+        let mut west = row.out[0];
+        let out = &mut row.out[1..][..n];
+        for i in 0..n {
             let o = self.0.scalar(Nbhd {
                 v: [
-                    [up[y - 1], up[y], up[y + 1]],
-                    [mid[y - 1], mid[y], mid[y + 1]],
-                    [dn[y - 1], dn[y], dn[y + 1]],
+                    [nw[i], nn[i], ne[i]],
+                    [w[i], m[i], e[i]],
+                    [sw[i], ss[i], se[i]],
                 ],
-                new_n: if K::IS_GS { north[y] } else { T::ZERO },
+                new_n: north[i],
                 new_w: west,
             });
-            out[y] = o;
-            if K::IS_GS {
-                west = o;
-            }
+            out[i] = o;
+            west = o;
         }
     }
 
     #[inline(always)]
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
-        let SteadyRow {
-            ring,
-            o_prev,
-            o_cur,
-            out,
-            top,
-            bottom,
-            bc,
-            ..
-        } = row;
-        let w = out.len();
-        let [rm1, r0, rp1] = ring.map(|slab| &slab[..w]);
-        let (o_prev, o_cur) = (&o_prev[..w], &mut o_cur[..w]);
-        let (top, bottom) = (&mut top[..w], &bottom[..w]);
-        let zero = Pack::<T, VL>::splat(T::ZERO);
-        // O(x, 0) is the boundary column; the west and centre packs are
-        // carried in registers (w ← m ← e).
-        let mut o_west = Pack::splat(bc);
-        let mut w_pack = r0[0];
-        let mut m_pack = r0[1];
-        for y in 1..w - 1 {
-            let e_pack = r0[y + 1];
-            let corners = if K::IS_BOX {
-                [rm1[y - 1], rm1[y + 1], rp1[y - 1], rp1[y + 1]]
-            } else {
-                [zero; 4]
-            };
-            let o = self.0.pack(Nbhd {
-                v: [
-                    [corners[0], rm1[y], corners[1]],
-                    [w_pack, m_pack, e_pack],
-                    [corners[2], rp1[y], corners[3]],
-                ],
-                new_n: if K::IS_GS { o_prev[y] } else { zero },
-                new_w: o_west,
-            });
-            w_pack = m_pack;
-            m_pack = e_pack;
-            top[y] = o.top();
-            out[y] = o.shift_up_insert(bottom[y]);
-            if COUNT {
-                count_output_vector();
-            }
-            if K::IS_GS {
-                o_cur[y] = o;
-                o_west = o;
-            }
+        let mut cur = row.cursor(Packs);
+        for i in 0..cur.len() {
+            let o = self.0.pack(cur.nbhd(i));
+            cur.finish::<COUNT>(i, o);
         }
     }
 }
@@ -254,99 +389,49 @@ impl<T: Scalar, const VL: usize, K: Kernel2d<T>> Rows<T, VL> for Rows2<'_, K> {
 /// are the rows above and below it in the plane and the same row of the
 /// planes around it.
 #[derive(Clone, Copy)]
-pub(crate) struct Rows3<'k, K>(pub &'k K);
+pub(crate) struct Rows3<K>(pub K);
 
-impl<T: Scalar, const VL: usize, K: Kernel3d<T>> Rows<T, VL> for Rows3<'_, K> {
+impl<T: Scalar, const VL: usize, K: Kernel3d<T> + Copy> Rows<T, VL> for Rows3<K> {
     const IS_GS: bool = K::IS_GS;
     const MIN_STRIDE: usize = K::MIN_STRIDE;
 
     #[inline(always)]
     fn sweep_row(&self, row: SweepRow<'_, T>) {
-        let SweepRow {
-            old,
-            pitch,
-            r,
-            done,
-            out,
-            strides,
-        } = row;
-        let w = out.len();
-        let xp = &old[2][r * pitch[2]..][..w];
-        let [xm, ym, mid, yp] = [
-            &old[0][r * pitch[0]..][..w],
-            &old[1][(r - 1) * pitch[1]..][..w],
-            &old[1][r * pitch[1]..][..w],
-            &old[1][(r + 1) * pitch[1]..][..w],
-        ];
+        let (n, r, done) = (row.out.len() - 2, row.r, row.done);
+        let at = |k: usize, r: usize| &row.old[k][r * row.pitch[k] + 1..][..n];
+        let (xm, ym, yp, xp) = (at(0, r), at(1, r - 1), at(1, r + 1), at(2, r));
+        let [zm, mid, zp] = views(&row.old[1][r * row.pitch[1]..], n);
         let [new_xm, new_ym] = if K::IS_GS {
-            strides.map(|back| &done[done.len() - back..][..w])
+            row.strides.map(|back| &done[done.len() - back + 1..][..n])
         } else {
             [xp, xp]
         };
-        let mut new_zm = out[0];
-        for z in 1..w - 1 {
+        let mut new_zm = row.out[0];
+        let out = &mut row.out[1..][..n];
+        for i in 0..n {
             let o = self.0.scalar(Nbhd3 {
-                xm: xm[z],
-                ym: ym[z],
-                zm: mid[z - 1],
-                m: mid[z],
-                zp: mid[z + 1],
-                yp: yp[z],
-                xp: xp[z],
-                new_xm: if K::IS_GS { new_xm[z] } else { T::ZERO },
-                new_ym: if K::IS_GS { new_ym[z] } else { T::ZERO },
+                xm: xm[i],
+                ym: ym[i],
+                zm: zm[i],
+                m: mid[i],
+                zp: zp[i],
+                yp: yp[i],
+                xp: xp[i],
+                new_xm: new_xm[i],
+                new_ym: new_ym[i],
                 new_zm,
             });
-            out[z] = o;
-            if K::IS_GS {
-                new_zm = o;
-            }
+            out[i] = o;
+            new_zm = o;
         }
     }
 
     #[inline(always)]
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
-        let SteadyRow {
-            ring,
-            o_prev,
-            o_cur,
-            out,
-            at,
-            top,
-            bottom,
-            bc,
-        } = row;
-        let w = out.len();
-        let [xm, mid, xp] = ring.map(|slab| &slab[at..][..w]);
-        let (ym, yp) = (&ring[1][at - w..][..w], &ring[1][at + w..][..w]);
-        let new_xm = &o_prev[at..][..w];
-        let (new_ym, o_row) = o_cur[at - w..].split_at_mut(w);
-        let o_row = &mut o_row[..w];
-        let (top, bottom) = (&mut top[..w], &bottom[..w]);
-        let zero = Pack::<T, VL>::splat(T::ZERO);
-        let mut o_z = Pack::splat(bc); // O(x, y, 0): boundary column
-        for z in 1..w - 1 {
-            let o = self.0.pack(Nbhd3 {
-                xm: xm[z],
-                ym: ym[z],
-                zm: mid[z - 1],
-                m: mid[z],
-                zp: mid[z + 1],
-                yp: yp[z],
-                xp: xp[z],
-                new_xm: if K::IS_GS { new_xm[z] } else { zero },
-                new_ym: if K::IS_GS { new_ym[z] } else { zero },
-                new_zm: o_z,
-            });
-            top[z] = o.top();
-            out[z] = o.shift_up_insert(bottom[z]);
-            if COUNT {
-                count_output_vector();
-            }
-            if K::IS_GS {
-                o_row[z] = o;
-                o_z = o;
-            }
+        let mut cur = row.cursor(Packs);
+        for i in 0..cur.len() {
+            let o = self.0.pack(cur.nbhd3(i));
+            cur.finish::<COUNT>(i, o);
         }
     }
 }
@@ -768,24 +853,35 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     ring: &mut Ring<T, VL>,
     xs: RangeInclusive<usize>,
 ) {
-    let w = geo.shape.width;
+    // Rows above and below a row exist in 3-D only: `up` packs away.
+    let (w, up) = (geo.shape.width, geo.shape.halo_rows * geo.shape.width);
     let rlen = s + 2;
+    let rows = *rows; // the kernel by value: see `Rows`
     for x in xs {
         let ips = (x + s) % rlen;
         // Detach the write slab so the read slabs can stay borrowed.
         let mut wslab = core::mem::take(&mut ring.slabs[ips]);
-        let read = [x - 1, x, x + 1].map(|j| &ring.slabs[j % rlen][..]);
+        let [xm, mid, xp] = [x - 1, x, x + 1].map(|j| &ring.slabs[j % rlen][..]);
         let (lo, hi) = a.split_at_mut(geo.at(x + VL * s));
+        let (o_prev, o_cur) = (&ring.o_prev[..], &mut ring.o_cur[..]);
         for r in geo.shape.interior() {
+            let at = r * w;
+            let (newest, o_row) = if R::IS_GS {
+                let (above, o_row) = o_cur[at - up..].split_at_mut(up);
+                let new_x = &o_prev[at..][..w];
+                let new_y = if up > 0 { &above[..w] } else { new_x };
+                ([new_x, new_y], &mut o_row[..w])
+            } else {
+                Default::default()
+            };
             rows.steady_row::<COUNT>(SteadyRow {
-                ring: read,
-                o_prev: &ring.o_prev,
-                o_cur: &mut ring.o_cur,
-                out: &mut wslab[r * w..][..w],
-                at: r * w,
+                ring: [&xm[at..][..w], &mid[at..][..w], &xp[at..][..w]],
+                sides: [&mid[at - up..][..w], &mid[at + up..][..w]],
+                newest,
+                o_row,
+                out: &mut wslab[at..][..w],
                 top: &mut lo[geo.at(x) + r * geo.pitch..][..w],
                 bottom: &hi[r * geo.pitch..][..w],
-                bc: geo.bc,
             });
         }
         ring.slabs[ips] = wslab;
@@ -934,6 +1030,9 @@ pub(crate) mod tests {
         fn mismatch(ours: &Self::Grid, gold: &Self::Grid) -> Option<String>;
     }
 
+    /// The last three of each: rows of one, two and three interior
+    /// points (the row cursor's shortest rows, odd and even), in 3-D along
+    /// both inner dimensions.
     pub(crate) const SHAPES_2D: &[[usize; 3]] = &[
         [8, 5, 1],
         [9, 8, 1],
@@ -943,6 +1042,9 @@ pub(crate) mod tests {
         [24, 31, 1],
         [35, 7, 1],
         [48, 25, 1],
+        [19, 1, 1],
+        [26, 2, 1],
+        [33, 3, 1],
     ];
     pub(crate) const SHAPES_3D: &[[usize; 3]] = &[
         [9, 5, 6],
@@ -952,6 +1054,9 @@ pub(crate) mod tests {
         [24, 9, 8],
         [10, 4, 5],
         [33, 4, 3],
+        [17, 1, 3],
+        [20, 2, 1],
+        [9, 3, 2],
     ];
     /// Whole tiles at both lane counts, and every remainder class.
     pub(crate) const STEPS: &[usize] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16];
@@ -959,9 +1064,14 @@ pub(crate) mod tests {
     /// `(shape, cut)` of the sweeps run as bands of parallelogram tiles
     /// (parts of `cut` anchors) several tiles long at every stride of
     /// [`STRIDES`] …
-    pub(crate) const WIDE_BANDS_2D: &[([usize; 3], usize)] =
-        &[([128, 10, 1], 32), ([150, 7, 1], 50), ([96, 16, 1], 48)];
-    pub(crate) const WIDE_BANDS_3D: &[([usize; 3], usize)] = &[([96, 5, 7], 32), ([120, 5, 7], 40)];
+    pub(crate) const WIDE_BANDS_2D: &[([usize; 3], usize)] = &[
+        ([128, 10, 1], 32),
+        ([150, 7, 1], 50),
+        ([96, 16, 1], 48),
+        ([100, 1, 1], 33),
+    ];
+    pub(crate) const WIDE_BANDS_3D: &[([usize; 3], usize)] =
+        &[([96, 5, 7], 32), ([120, 5, 7], 40), ([100, 2, 1], 33)];
     /// … and of the sweeps whose every part is narrower than the `VL·s`
     /// slabs it reads ahead (down to one anchor a part), the last one a
     /// single part.
@@ -970,12 +1080,16 @@ pub(crate) mod tests {
         ([30, 9, 1], 1),
         ([48, 17, 1], 7),
         ([10, 6, 1], 25),
+        ([36, 2, 1], 5),
+        ([30, 3, 1], 1),
     ];
     pub(crate) const NARROW_BANDS_3D: &[([usize; 3], usize)] = &[
         ([30, 4, 4], 3),
         ([20, 5, 6], 1),
         ([33, 5, 6], 7),
         ([9, 5, 6], 16),
+        ([30, 1, 3], 3),
+        ([20, 3, 2], 1),
     ];
 
     fn grid2(dims: [usize; 3], seed: u64) -> Grid2<f64> {
@@ -1155,12 +1269,15 @@ pub(crate) mod tests {
             .flat_map(move |x| b.iter().flat_map(move |y| c.iter().map(move |z| (x, y, z))))
     }
 
-    /// Outer extents `1 ..= VL·s` at the minimum stride: every one below
-    /// `VL·s` runs the scalar fallback inside the tile entry point, the
-    /// last one is the smallest vector tile.
+    /// Outer extents `1 ..= VL·s` at the minimum stride, over the inner
+    /// extents of every shape: every outer extent below `VL·s` runs the
+    /// scalar fallback inside the tile entry point, the last one is the
+    /// smallest vector tile.
     pub(crate) fn degenerate<K: Kind>(kern: &K, engines: &[Engine]) {
-        let inner = K::SHAPES[0];
-        let shapes = Vec::from_iter((1..=K::VL * K::MIN_STRIDE).map(|nx| [nx, inner[1], inner[2]]));
+        let outer = 1..=K::VL * K::MIN_STRIDE;
+        let shapes = Vec::from_iter(
+            outer.flat_map(|nx| K::SHAPES.iter().map(move |inner| [nx, inner[1], inner[2]])),
+        );
         rect(
             kern,
             engines,

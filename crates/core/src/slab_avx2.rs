@@ -28,34 +28,107 @@ use crate::slab::{Rows, Rows2, Rows3, SteadyRow};
 use tempora_simd::Scalar;
 
 #[cfg(target_arch = "x86_64")]
-use crate::slab::{self, Geo, Scratch, SweepRow};
-#[cfg(target_arch = "x86_64")]
-use core::ops::RangeInclusive;
-#[cfg(target_arch = "x86_64")]
-use tempora_simd::arch::avx2::{self, __m256d, __m256i};
+use {
+    crate::kernels::Nbhd,
+    crate::slab::{self, Geo, Lanes, Scratch, SweepRow},
+    core::ops::RangeInclusive,
+    tempora_simd::arch::avx2::{self, __m256d, __m256i},
+    tempora_simd::Pack,
+};
 
 /// Rows with a hand-scheduled AVX2 steady row. Off x86-64 the trait is an
 /// empty marker and every engine value runs the portable rows.
 pub(crate) trait Avx2Row<T: Scalar, const VL: usize>: Rows<T, VL> {
-    /// [`Rows::steady_row`] pinned to the paper's instruction mix; same
-    /// algebra, same iteration order, bit-identical results.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
+    /// [`Rows::steady_row`] pinned to the paper's instruction mix: same
+    /// algebra and order, bit-identical. Only a sandwich can make an `isa`.
     #[cfg(target_arch = "x86_64")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, T, VL>);
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, T, VL>);
+}
+
+/// The AVX2 register form of the steady rows ([`Lanes`]) and the
+/// arithmetic of the six kernels, as safe methods: a proof that AVX2+FMA
+/// are available. Only this module's sandwiches, whose caller contract
+/// that availability is, construct one — the `SAFETY` argument of the one
+/// `unsafe` block behind every method: each wraps one `arch::avx2`
+/// vocabulary call whose sole precondition is AVX2/FMA availability. No
+/// method touches memory: every grid, ring and output access is the
+/// [`slab::RowCursor`]'s, over rows it cut to one common length.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Ymm(());
+
+/// `fn name(self, args) -> ret`: the `arch::avx2` call of the same `args`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! ymm_ops {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $op:ident;)*) => {$(
+        #[inline(always)]
+        fn $name(self, $($arg: $ty),*) -> $ret {
+            // SAFETY: see `Ymm`.
+            unsafe { avx2::$op($($arg),*) }
+        }
+    )*};
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Ymm {
+    ymm_ops! {
+        fmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d = fmadd;
+        mul(a: __m256d, b: __m256d) -> __m256d = mul;
+        add_i32(a: __m256i, b: __m256i) -> __m256i = add_i32;
+        mullo_i32(a: __m256i, b: __m256i) -> __m256i = mullo_i32;
+        srav_i32(v: __m256i, counts: __m256i) -> __m256i = srav_i32;
+        and_i32(a: __m256i, b: __m256i) -> __m256i = and_i32;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<f64, 4> for Ymm {
+    type V = __m256d;
+
+    #[inline(always)]
+    fn load(self, p: Pack<f64, 4>) -> __m256d {
+        avx2::from_pack(p)
+    }
+
+    #[inline(always)]
+    fn store(self, v: __m256d) -> Pack<f64, 4> {
+        avx2::to_pack(v)
+    }
+
+    ymm_ops! {
+        top(v: __m256d) -> f64 = extract_top;
+        shift_up_insert(v: __m256d, bottom: f64) -> __m256d = shift_up_insert;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<i32, 8> for Ymm {
+    type V = __m256i;
+
+    #[inline(always)]
+    fn load(self, p: Pack<i32, 8>) -> __m256i {
+        avx2::from_pack_i32(p)
+    }
+
+    #[inline(always)]
+    fn store(self, v: __m256i) -> Pack<i32, 8> {
+        avx2::to_pack_i32(v)
+    }
+
+    ymm_ops! {
+        top(v: __m256i) -> i32 = extract_top_i32;
+        shift_up_insert(v: __m256i, bottom: i32) -> __m256i = shift_up_insert_i32;
+    }
 }
 
 /// Rows `R` with the steady row swapped for its AVX2 body. Constructed
-/// only by this module's sandwiches, whose caller contract is AVX2+FMA
-/// availability — which is what makes the safe [`Rows::steady_row`] below
-/// sound.
+/// only by this module's sandwiches.
 #[cfg(target_arch = "x86_64")]
-struct Avx2<'r, R>(&'r R);
+#[derive(Clone, Copy)]
+struct Avx2<R>(R, Ymm);
 
 #[cfg(target_arch = "x86_64")]
-impl<T: Scalar, const VL: usize, R: Avx2Row<T, VL>> Rows<T, VL> for Avx2<'_, R> {
+impl<T: Scalar, const VL: usize, R: Avx2Row<T, VL>> Rows<T, VL> for Avx2<R> {
     const IS_GS: bool = R::IS_GS;
     const MIN_STRIDE: usize = R::MIN_STRIDE;
 
@@ -67,9 +140,7 @@ impl<T: Scalar, const VL: usize, R: Avx2Row<T, VL>> Rows<T, VL> for Avx2<'_, R> 
     /// The AVX2 rows are not instrumented: `COUNT` is ignored.
     #[inline(always)]
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
-        // SAFETY: an `Avx2` exists only inside the sandwiches below, which
-        // run under their callers' AVX2+FMA availability guarantee.
-        unsafe { self.0.steady_row_avx2(row) }
+        self.0.steady_row_avx2(self.1, row);
     }
 }
 
@@ -111,7 +182,7 @@ pub(crate) fn sweep<T, const VL: usize, R>(
         T: Scalar,
         R: Avx2Row<T, VL>,
     {
-        slab::sweep_body::<T, VL, false, _>(a, geo, &Avx2(rows), s, sc, xs);
+        slab::sweep_body::<T, VL, false, _>(a, geo, &Avx2(*rows, Ymm(())), s, sc, xs);
     }
     assert_available();
     // SAFETY: availability asserted above.
@@ -146,7 +217,7 @@ pub(crate) fn scalar_sweep<T, const VL: usize, R>(
         T: Scalar,
         R: Avx2Row<T, VL>,
     {
-        slab::scalar_sweep_body(a, geo, &Avx2(rows), bufs, xs);
+        slab::scalar_sweep_body(a, geo, &Avx2(*rows, Ymm(())), bufs, xs);
     }
     assert_available();
     // SAFETY: availability asserted above.
@@ -154,150 +225,78 @@ pub(crate) fn scalar_sweep<T, const VL: usize, R>(
 }
 
 // ---------------------------------------------------------------------
-// The six steady rows
+// The six steady rows: per point, the kernel's fused tree on the
+// cursor's operands
 // ---------------------------------------------------------------------
-//
-// SAFETY argument shared by the `unsafe` blocks below: every unsafe op in
-// a row is an `arch::avx2` vocabulary call whose sole precondition is
-// AVX2/FMA availability — discharged by the row's own
-// `#[target_feature]` caller contract. All grid, ring and output accesses
-// use checked slice indexing over rows re-sliced to the common width.
 
-impl Avx2Row<f64, 4> for Rows2<'_, JacobiKern2d> {
-    /// Heat-2D: west/centre packs carried in registers between inner
-    /// iterations; `n·cn + (w·cw + (m·cc + (e·ce + s·cs)))`, the same
-    /// fused tree as `Heat2dCoeffs::apply`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
+impl Avx2Row<f64, 4> for Rows2<JacobiKern2d> {
+    /// Heat-2D: `n·cn + (w·cw + (m·cc + (e·ce + s·cs)))`, the same fused
+    /// tree as `Heat2dCoeffs::apply`.
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, f64, 4>) {
-        let w = row.out.len();
-        let [rm1, r0, rp1] = row.ring.map(|slab| &slab[..w]);
-        let (out, top, bottom) = (row.out, &mut row.top[..w], &row.bottom[..w]);
+    #[inline(always)]
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, f64, 4>) {
         let k = self.0 .0;
         let [cn, cw, cc, ce, cs] = [k.cn, k.cw, k.cc, k.ce, k.cs].map(avx2::splat);
-        let mut wv = avx2::from_pack(r0[0]);
-        let mut m = avx2::from_pack(r0[1]);
-        for y in 1..w - 1 {
-            let e = avx2::from_pack(r0[y + 1]);
-            let n = avx2::from_pack(rm1[y]);
-            let sth = avx2::from_pack(rp1[y]);
-            // SAFETY: see "The six steady rows" above.
-            unsafe {
-                let o = avx2::fmadd(
-                    n,
-                    cn,
-                    avx2::fmadd(
-                        wv,
-                        cw,
-                        avx2::fmadd(m, cc, avx2::fmadd(e, ce, avx2::mul(sth, cs))),
-                    ),
-                );
-                top[y] = avx2::extract_top(o);
-                out[y] = avx2::to_pack(avx2::shift_up_insert(o, bottom[y]));
-            }
-            wv = m;
-            m = e;
+        let mut cur = row.cursor(isa);
+        for i in 0..cur.len() {
+            let [[_, n, _], [w, m, e], [_, s, _]] = cur.nbhd(i).v;
+            let o = isa.fmadd(m, cc, isa.fmadd(e, ce, isa.mul(s, cs)));
+            cur.finish::<false>(i, isa.fmadd(n, cn, isa.fmadd(w, cw, o)));
         }
     }
 }
 
-impl Avx2Row<f64, 4> for Rows2<'_, BoxKern2d> {
+impl Avx2Row<f64, 4> for Rows2<BoxKern2d> {
     /// 2D9P: row-major 3×3 fused chain, identical to
     /// `Box2dCoeffs::apply`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, f64, 4>) {
-        let w = row.out.len();
-        let [rm1, r0, rp1] = row.ring.map(|slab| &slab[..w]);
-        let (out, top, bottom) = (row.out, &mut row.top[..w], &row.bottom[..w]);
-        let c: [[__m256d; 3]; 3] = self.0 .0.c.map(|r| r.map(avx2::splat));
-        let mut wv = avx2::from_pack(r0[0]);
-        let mut m = avx2::from_pack(r0[1]);
-        for y in 1..w - 1 {
-            let e = avx2::from_pack(r0[y + 1]);
-            let v: [[__m256d; 3]; 3] = [
-                [rm1[y - 1], rm1[y], rm1[y + 1]].map(avx2::from_pack),
-                [wv, m, e],
-                [rp1[y - 1], rp1[y], rp1[y + 1]].map(avx2::from_pack),
-            ];
-            // SAFETY: see "The six steady rows" above.
-            unsafe {
-                let mut o = avx2::mul(v[2][2], c[2][2]);
-                o = avx2::fmadd(v[2][1], c[2][1], o);
-                o = avx2::fmadd(v[2][0], c[2][0], o);
-                o = avx2::fmadd(v[1][2], c[1][2], o);
-                o = avx2::fmadd(v[1][1], c[1][1], o);
-                o = avx2::fmadd(v[1][0], c[1][0], o);
-                o = avx2::fmadd(v[0][2], c[0][2], o);
-                o = avx2::fmadd(v[0][1], c[0][1], o);
-                o = avx2::fmadd(v[0][0], c[0][0], o);
-                top[y] = avx2::extract_top(o);
-                out[y] = avx2::to_pack(avx2::shift_up_insert(o, bottom[y]));
-            }
-            wv = m;
-            m = e;
+    #[inline(always)]
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, f64, 4>) {
+        // Row by row: a nested `map` is an out-of-line call per row.
+        let [c0, c1, c2] = self.0 .0.c;
+        let c = [
+            c0.map(avx2::splat),
+            c1.map(avx2::splat),
+            c2.map(avx2::splat),
+        ];
+        let mut cur = row.cursor(isa);
+        for i in 0..cur.len() {
+            let v = cur.nbhd(i).v;
+            let mut o = isa.mul(v[2][2], c[2][2]);
+            o = isa.fmadd(v[2][1], c[2][1], o);
+            o = isa.fmadd(v[2][0], c[2][0], o);
+            o = isa.fmadd(v[1][2], c[1][2], o);
+            o = isa.fmadd(v[1][1], c[1][1], o);
+            o = isa.fmadd(v[1][0], c[1][0], o);
+            o = isa.fmadd(v[0][2], c[0][2], o);
+            o = isa.fmadd(v[0][1], c[0][1], o);
+            cur.finish::<false>(i, isa.fmadd(v[0][0], c[0][0], o));
         }
     }
 }
 
-impl Avx2Row<f64, 4> for Rows2<'_, GsKern2d> {
+impl Avx2Row<f64, 4> for Rows2<GsKern2d> {
     /// GS-2D: the newest-north operand comes from the previous output
     /// row, the newest-west operand from the previous output vector
     /// carried in a register (§3.4);
     /// `new_n·cn + (new_w·cw + (m·cc + (e·ce + s·cs)))`, the same fused
     /// tree as `Gs2dCoeffs::apply`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, f64, 4>) {
-        let w = row.out.len();
-        let [_, r0, rp1] = row.ring.map(|slab| &slab[..w]);
-        let (o_prev, o_cur) = (&row.o_prev[..w], &mut row.o_cur[..w]);
-        let (out, top, bottom) = (row.out, &mut row.top[..w], &row.bottom[..w]);
+    #[inline(always)]
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, f64, 4>) {
         let k = self.0 .0;
         let [cn, cw, cc, ce, cs] = [k.cn, k.cw, k.cc, k.ce, k.cs].map(avx2::splat);
-        let mut o_west = avx2::splat(row.bc); // O(x, 0): boundary column
-        let mut m = avx2::from_pack(r0[1]);
-        for y in 1..w - 1 {
-            let e = avx2::from_pack(r0[y + 1]);
-            let sth = avx2::from_pack(rp1[y]);
-            let n_new = avx2::from_pack(o_prev[y]);
-            // SAFETY: see "The six steady rows" above.
-            unsafe {
-                let o = avx2::fmadd(
-                    n_new,
-                    cn,
-                    avx2::fmadd(
-                        o_west,
-                        cw,
-                        avx2::fmadd(m, cc, avx2::fmadd(e, ce, avx2::mul(sth, cs))),
-                    ),
-                );
-                top[y] = avx2::extract_top(o);
-                out[y] = avx2::to_pack(avx2::shift_up_insert(o, bottom[y]));
-                o_cur[y] = avx2::to_pack(o);
-                o_west = o;
-            }
-            m = e;
+        let mut cur = row.cursor(isa);
+        for i in 0..cur.len() {
+            let Nbhd { v, new_n, new_w } = cur.nbhd(i);
+            let [_, [_, m, e], [_, s, _]] = v;
+            let o = isa.fmadd(m, cc, isa.fmadd(e, ce, isa.mul(s, cs)));
+            cur.finish::<false>(i, isa.fmadd(new_n, cn, isa.fmadd(new_w, cw, o)));
         }
     }
 }
 
-impl Avx2Row<i32, 8> for Rows2<'_, LifeKern2d> {
+impl Avx2Row<i32, 8> for Rows2<LifeKern2d> {
     /// Game-of-Life at `vl = 8` i32 lanes: the eight neighbour packs are
     /// summed with a `vpaddd` tree (wrapping adds are associative, so the
     /// tree order is free to maximize ILP while staying bit-identical to
@@ -306,156 +305,61 @@ impl Avx2Row<i32, 8> for Rows2<'_, LifeKern2d> {
     /// `out = (mask >> sum) & 1` — `vpmulld` rule-mask select, `vpsravd`
     /// variable shift — exactly the portable `LifeRule::apply_pack`
     /// arithmetic, lane for lane.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available
-    /// (`tempora_simd::arch::avx2_available()`).
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, i32, 8>) {
-        let w = row.out.len();
-        let [rm1, r0, rp1] = row.ring.map(|slab| &slab[..w]);
-        let (out, top, bottom) = (row.out, &mut row.top[..w], &row.bottom[..w]);
+    #[inline(always)]
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, i32, 8>) {
         let rule = self.0 .0;
         let birth = avx2::splat_i32(rule.birth as i32);
         let delta = avx2::splat_i32(rule.survive as i32 - rule.birth as i32);
         let one = avx2::splat_i32(1);
-        let mut wv = avx2::from_pack_i32(r0[0]);
-        let mut m = avx2::from_pack_i32(r0[1]);
-        for y in 1..w - 1 {
-            let e = avx2::from_pack_i32(r0[y + 1]);
-            let n: [__m256i; 6] = [
-                rm1[y - 1],
-                rm1[y],
-                rm1[y + 1],
-                rp1[y - 1],
-                rp1[y],
-                rp1[y + 1],
-            ]
-            .map(avx2::from_pack_i32);
-            // SAFETY: see "The six steady rows" above.
-            unsafe {
-                let sum = avx2::add_i32(
-                    avx2::add_i32(avx2::add_i32(n[0], n[1]), avx2::add_i32(n[2], n[3])),
-                    avx2::add_i32(avx2::add_i32(n[4], n[5]), avx2::add_i32(wv, e)),
-                );
-                let mask = avx2::add_i32(birth, avx2::mullo_i32(m, delta));
-                let o = avx2::and_i32(avx2::srav_i32(mask, sum), one);
-                top[y] = avx2::extract_top_i32(o);
-                out[y] = avx2::to_pack_i32(avx2::shift_up_insert_i32(o, bottom[y]));
-            }
-            wv = m;
-            m = e;
+        let mut cur = row.cursor(isa);
+        for i in 0..cur.len() {
+            let [[nw, n, ne], [w, m, e], [sw, s, se]] = cur.nbhd(i).v;
+            let sum = isa.add_i32(
+                isa.add_i32(isa.add_i32(nw, n), isa.add_i32(ne, sw)),
+                isa.add_i32(isa.add_i32(s, se), isa.add_i32(w, e)),
+            );
+            let mask = isa.add_i32(birth, isa.mullo_i32(m, delta));
+            cur.finish::<false>(i, isa.and_i32(isa.srav_i32(mask, sum), one));
         }
     }
 }
 
-impl Avx2Row<f64, 4> for Rows3<'_, JacobiKern3d> {
-    /// Heat-3D: `z`-west and centre packs carried in registers; the same
-    /// fused tree as `Heat3dCoeffs::apply`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
+impl Avx2Row<f64, 4> for Rows3<JacobiKern3d> {
+    /// Heat-3D: the same fused tree as `Heat3dCoeffs::apply`.
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, f64, 4>) {
-        let (w, at) = (row.out.len(), row.at);
-        let [xm, mid, xp] = row.ring.map(|slab| &slab[at..][..w]);
-        let (ym, yp) = (&row.ring[1][at - w..][..w], &row.ring[1][at + w..][..w]);
-        let (out, top, bottom) = (row.out, &mut row.top[..w], &row.bottom[..w]);
+    #[inline(always)]
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, f64, 4>) {
         let k = self.0 .0;
         let [cxm, cym, czm, cc, czp, cyp, cxp] =
             [k.cxm, k.cym, k.czm, k.cc, k.czp, k.cyp, k.cxp].map(avx2::splat);
-        let mut zm = avx2::from_pack(mid[0]);
-        let mut m = avx2::from_pack(mid[1]);
-        for z in 1..w - 1 {
-            let zp = avx2::from_pack(mid[z + 1]);
-            let [xm, ym, yp, xp] = [xm[z], ym[z], yp[z], xp[z]].map(avx2::from_pack);
-            // SAFETY: see "The six steady rows" above.
-            unsafe {
-                let o = avx2::fmadd(
-                    xm,
-                    cxm,
-                    avx2::fmadd(
-                        ym,
-                        cym,
-                        avx2::fmadd(
-                            zm,
-                            czm,
-                            avx2::fmadd(
-                                m,
-                                cc,
-                                avx2::fmadd(zp, czp, avx2::fmadd(yp, cyp, avx2::mul(xp, cxp))),
-                            ),
-                        ),
-                    ),
-                );
-                top[z] = avx2::extract_top(o);
-                out[z] = avx2::to_pack(avx2::shift_up_insert(o, bottom[z]));
-            }
-            zm = m;
-            m = zp;
+        let mut cur = row.cursor(isa);
+        for i in 0..cur.len() {
+            let p = cur.nbhd3(i);
+            let o = isa.fmadd(p.zp, czp, isa.fmadd(p.yp, cyp, isa.mul(p.xp, cxp)));
+            let o = isa.fmadd(p.ym, cym, isa.fmadd(p.zm, czm, isa.fmadd(p.m, cc, o)));
+            cur.finish::<false>(i, isa.fmadd(p.xm, cxm, o));
         }
     }
 }
 
-impl Avx2Row<f64, 4> for Rows3<'_, GsKern3d> {
+impl Avx2Row<f64, 4> for Rows3<GsKern3d> {
     /// GS-3D: newest operands come from the previous output plane
     /// (`x-1`), the current output plane being filled (`y-1`) and the
     /// previous output vector in a register (`z-1`), exactly as in the
     /// portable row (§3.4); the same fused tree as `Gs3dCoeffs::apply`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
     #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn steady_row_avx2(&self, row: SteadyRow<'_, f64, 4>) {
-        let (w, at) = (row.out.len(), row.at);
-        let [_, mid, xp] = row.ring.map(|slab| &slab[at..][..w]);
-        let yp = &row.ring[1][at + w..][..w];
-        let new_xm = &row.o_prev[at..][..w];
-        let (new_ym, o_row) = row.o_cur[at - w..].split_at_mut(w);
-        let o_row = &mut o_row[..w];
-        let (out, top, bottom) = (row.out, &mut row.top[..w], &row.bottom[..w]);
+    #[inline(always)]
+    fn steady_row_avx2(&self, isa: Ymm, row: SteadyRow<'_, f64, 4>) {
         let k = self.0 .0;
         let [cxm, cym, czm, cc, czp, cyp, cxp] =
             [k.cxm, k.cym, k.czm, k.cc, k.czp, k.cyp, k.cxp].map(avx2::splat);
-        let mut o_z = avx2::splat(row.bc); // O(x, y, 0): boundary column
-        let mut m = avx2::from_pack(mid[1]);
-        for z in 1..w - 1 {
-            let zp = avx2::from_pack(mid[z + 1]);
-            let [yp, xp, new_xm, new_ym] =
-                [yp[z], xp[z], new_xm[z], new_ym[z]].map(avx2::from_pack);
-            // SAFETY: see "The six steady rows" above.
-            unsafe {
-                let o = avx2::fmadd(
-                    new_xm,
-                    cxm,
-                    avx2::fmadd(
-                        new_ym,
-                        cym,
-                        avx2::fmadd(
-                            o_z,
-                            czm,
-                            avx2::fmadd(
-                                m,
-                                cc,
-                                avx2::fmadd(zp, czp, avx2::fmadd(yp, cyp, avx2::mul(xp, cxp))),
-                            ),
-                        ),
-                    ),
-                );
-                top[z] = avx2::extract_top(o);
-                out[z] = avx2::to_pack(avx2::shift_up_insert(o, bottom[z]));
-                o_row[z] = avx2::to_pack(o);
-                o_z = o;
-            }
-            m = zp;
+        let mut cur = row.cursor(isa);
+        for i in 0..cur.len() {
+            let p = cur.nbhd3(i);
+            let o = isa.fmadd(p.zp, czp, isa.fmadd(p.yp, cyp, isa.mul(p.xp, cxp)));
+            let o = isa.fmadd(p.new_zm, czm, isa.fmadd(p.m, cc, o));
+            cur.finish::<false>(i, isa.fmadd(p.new_xm, cxm, isa.fmadd(p.new_ym, cym, o)));
         }
     }
 }

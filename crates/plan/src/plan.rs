@@ -227,7 +227,11 @@ impl PlanBuilder {
     /// test ties them to the engines' specialised sets). Heat-1D's chain
     /// advances `s - 1` iterations per hop and levels off at 10; GS-1D is
     /// bound by its output chain from 7, and a wider stride would only
-    /// raise the skew tiling's minimum block. Tiling does not enter: a
+    /// raise the skew tiling's minimum block. The six slab kinds and LCS
+    /// are measured by the same target: a slab ring of `s + 2` slabs
+    /// lives in memory at any stride, so the minimum legal stride 2 (the
+    /// narrowest ring, the shortest boundary phases) is the fastest of
+    /// 2 ..= 4 for all six, and LCS peaks at 2. Tiling does not enter: a
     /// tiled plan runs the same sweeps, cut into chunks.
     fn default_stride(&self, problem: &Problem) -> usize {
         match problem {
@@ -244,9 +248,9 @@ impl PlanBuilder {
     /// # Errors
     /// Any invalid configuration returns a descriptive [`PlanError`];
     /// see the variants for the catalogue. Degenerate-but-legal
-    /// geometries (interiors below `VL·s`, workloads without an AVX2
-    /// steady state) are *not* errors: they build fine and honestly
-    /// resolve to the portable engine.
+    /// geometries (interiors below `VL·s`, fewer than `VL` steps) are
+    /// *not* errors: they build fine, run scalar steps and report the
+    /// engine whose codegen context runs them (LCS: portable).
     pub fn build(&self, problem: &Problem) -> Result<Plan, PlanError> {
         let threads = self.threads.unwrap_or(1);
         if threads == 0 {
@@ -529,7 +533,7 @@ impl PlanBuilder {
         match self.tiling {
             Tiling::None => Ok(match self.method {
                 Method::Temporal => {
-                    let engine = K::resolve(self.select, dims[0], steps, s);
+                    let engine = K::resolve(self.select, s);
                     let exec = Temporal {
                         kern,
                         steps,
@@ -584,7 +588,9 @@ impl PlanBuilder {
             Tiling::None => {
                 // Whole-row tiles: the AVX2 steady state needs one full
                 // 8-level A tile and a row segment hosting the vector
-                // schedule; degenerate shapes honestly resolve portable.
+                // schedule. A degenerate shape runs the portable code in
+                // every engine — integer, so no slower for it, unlike the
+                // grid kernels' `mul_add` — and reports portable.
                 let engine = temporal.then(|| {
                     self.select
                         .resolve(lcs_avx2::seq_has_vector_tiles(la, lb, s))

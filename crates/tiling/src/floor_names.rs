@@ -4,8 +4,9 @@
 // name describes; `sweeps::tests` runs the generated table. What changed with
 // the workspace is stated where it did: a block below `VL·s` is widened,
 // runs the vector schedule and reports the engine that runs (it used to
-// force the scalar fallback and report portable), and only a grid below
-// `VL·s` slabs is degenerate.
+// force the scalar fallback and report portable); a grid below `VL·s`
+// slabs or a run below `VL` steps is degenerate — scalar steps only — and
+// reports the engine whose codegen context runs them.
 
 #[cfg(test)]
 mod ghost {
@@ -129,17 +130,17 @@ mod ghost {
                     "block={block}"
                 );
             }
-            // Whole-grid degenerate shapes run no vector instruction and
-            // report portable whatever the selection: fewer than VL
-            // steps, or a grid below VL·s cells.
+            // Whole-grid degenerate shapes — fewer than VL steps, or a
+            // grid below VL·s cells — run scalar steps only, in the
+            // resolved engine's codegen context, and report it.
             assert_eq!(
                 engine(&g, 3, 64, Mode::Temporal(7), Select::Auto),
-                Some(Engine::Portable)
+                Some(best())
             );
             let small: Grid1<f64> = JacobiKern1d::grid([27, 1, 1], 4);
             assert_eq!(
                 engine(&small, 8, 64, Mode::Temporal(7), Select::Auto),
-                Some(Engine::Portable)
+                Some(best())
             );
         }
 
@@ -306,12 +307,12 @@ mod skew {
             );
             if tempora_simd::arch::avx2_available() {
                 assert_eq!(engine(Mode::Temporal(2), Select::Auto), Some(Engine::Avx2));
-                // A grid below VL·s = 28 cells has no vector schedule:
-                // honest portable even when AVX2 is requested.
+                // A grid below VL·s = 28 cells has no vector schedule: its
+                // scalar steps run in, and report, the AVX2 context.
                 let small: Grid1<f64> = GsKern1d::grid([24, 1, 1], 2);
                 let w = workspace(&kern, &small, 8, 36, Mode::Temporal(7), Select::Avx2);
                 let (r, e) = run(w, &small, &pool);
-                assert_eq!(e, Some(Engine::Portable));
+                assert_eq!(e, Some(Engine::Avx2));
                 assert!(r.interior_eq(&reference::gs1d(&small, c, 8)));
             }
         }

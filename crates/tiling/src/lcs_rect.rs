@@ -315,7 +315,10 @@ mod tests {
         assert_eq!(w.engine(), Some(Engine::Portable));
         assert_eq!(w.run(&a, &b, &pool), gold);
         // Degenerate geometries resolve portable even under Auto: a
-        // column block below VL·s + 1, and an xblock below VL.
+        // column block below VL·s + 1, and an xblock below VL (LCS is
+        // integer code, one and the same in every engine's context —
+        // unlike the grid kernels, whose scalar steps resolve by
+        // capability because of `mul_add`).
         let mut w = LcsRect::new(96, 130, 24, 6, 1, true, Select::Auto);
         assert_eq!(w.engine(), Some(Engine::Portable));
         assert_eq!(w.run(&a, &b, &pool), gold);

@@ -23,7 +23,8 @@
 //! The temporal kernels go through the same engine dispatch as the
 //! sequential engines: workspaces take a
 //! `tempora_core::engine::Select`, resolve it once (portable vs
-//! hand-scheduled AVX2, degenerate geometries honestly portable) and
+//! hand-scheduled AVX2, by capability; degenerate LCS geometries
+//! honestly portable) and
 //! report the resolved engine for per-series reporting in the bench
 //! harness.
 //!

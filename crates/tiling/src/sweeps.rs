@@ -414,7 +414,7 @@ impl<K: KernelSpace> Sweeps<K> {
         assert!(block >= 1, "chunks hold at least one anchor");
         let sched = Schedule::new::<K>(dims[0], steps, block, mode);
         let engine = match mode {
-            Mode::Temporal(s) => Some(K::resolve(sel, dims[0], steps, s)),
+            Mode::Temporal(s) => Some(K::resolve(sel, s)),
             _ => None,
         };
         Sweeps {
@@ -783,19 +783,14 @@ pub(crate) mod tests {
     }
 
     /// The engine a temporal workspace must report: AVX2 exactly when the
-    /// selection allows it, the CPU has it and the untiled run would take
-    /// the vector schedule — whatever the block.
-    fn expected_engine<K: Kind>(
-        mode: Mode,
-        sel: Select,
-        nx: usize,
-        steps: usize,
-    ) -> Option<Engine> {
+    /// selection allows it and the CPU and the kernel have it at this
+    /// stride — whatever the block, the extents and the step count (the
+    /// scalar schedule of a degenerate run is compiled for it too).
+    fn expected_engine<K: Kind>(mode: Mode, sel: Select) -> Option<Engine> {
         let Mode::Temporal(s) = mode else {
             return None;
         };
-        let vector = K::has_avx2_tile(s) && steps >= K::VL && nx >= K::VL * s;
-        Some(if sel != Select::Portable && vector {
+        Some(if sel != Select::Portable && K::has_avx2_tile(s) {
             Engine::Avx2
         } else {
             Engine::Portable
@@ -855,12 +850,7 @@ pub(crate) mod tests {
         if fault_in {
             w.fault_in(pool);
         }
-        assert_eq!(
-            w.engine(),
-            expected_engine::<K>(mode, sel, g.dims()[0], steps),
-            "{}",
-            at()
-        );
+        assert_eq!(w.engine(), expected_engine::<K>(mode, sel), "{}", at());
         for run in 0..2 {
             let mut ours = g.clone();
             w.advance(&mut ours, pool);

@@ -574,10 +574,9 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
 
     // Select::Avx2 on a non-AVX2 host is an error, not a panic; on an
     // AVX2 host, degenerate geometries below the engine's `VL·s` bound
-    // build fine and honestly fall back to the portable engine — even
-    // for the integer workloads, which now carry AVX2 steady states of
-    // their own (checked at `vl = 8`: a 12-wide Life outer extent cannot
-    // host an 8-lane tile at stride 2).
+    // build fine, run scalar steps in the AVX2 codegen context and
+    // report it — the integer workloads too (checked at `vl = 8`: a
+    // 12-wide Life outer extent cannot host an 8-lane tile at stride 2).
     if tempora::simd::arch::avx2_available() {
         let plan = PlanBuilder::new()
             .select(Select::Avx2)
@@ -591,16 +590,16 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
             .stride(2)
             .build(&tiny_life)
             .unwrap();
-        assert_eq!(plan.engine(), Some(Engine::Portable));
-        // Degenerate geometry below VL·s: documented fallback, honest
-        // portable report even when AVX2 was requested.
+        assert_eq!(plan.engine(), Some(Engine::Avx2));
+        // Degenerate geometry below VL·s: documented scalar fallback,
+        // compiled for and reported as the engine that was requested.
         let tiny = Problem::heat1d(8, 8, Heat1dCoeffs::classic(0.25));
         let plan = PlanBuilder::new()
             .select(Select::Avx2)
             .stride(7)
             .build(&tiny)
             .unwrap();
-        assert_eq!(plan.engine(), Some(Engine::Portable));
+        assert_eq!(plan.engine(), Some(Engine::Avx2));
     } else {
         assert_eq!(
             PlanBuilder::new()

@@ -58,8 +58,12 @@ const PHASE_SCOPE: &str = "crates/core/src/";
 /// point, and no test notices. The 1-D steady-state bodies (`steady_ring`,
 /// `ring_sweep`, `ring_regs`) are on the list for the same reason one
 /// level down: they carry no `#[target_feature]` of their own and reach
-/// their intrinsics only by being inlined into a sandwich that does.
-const PHASE_FNS: [&str; 24] = [
+/// their intrinsics only by being inlined into a sandwich that does. So
+/// is everything on the slab row path: the row cursor (`cursor` …
+/// `finish`), the lane vocabulary (`load` … `shift_up_insert`, and
+/// `$name`: the macro-generated safe forms of the AVX2 calls) and the six
+/// hand-scheduled rows (`steady_row_avx2`).
+const PHASE_FNS: [&str; 37] = [
     "sweep_body",
     "tile_prologue",
     "tile_epilogue",
@@ -80,7 +84,20 @@ const PHASE_FNS: [&str; 24] = [
     "steady_ring",
     "ring_sweep",
     "ring_regs",
-    "count_output_vector",
+    "steady_row_avx2",
+    "cursor",
+    "views",
+    "len",
+    "read",
+    "centre",
+    "nbhd",
+    "nbhd3",
+    "finish",
+    "load",
+    "store",
+    "top",
+    "shift_up_insert",
+    "$name",
     "step_1d_body",
     "step_2d_body",
     "step_3d_body",
@@ -91,7 +108,11 @@ const PHASE_FNS: [&str; 24] = [
 /// a declaration, not a definition: the attribute belongs on each impl.
 fn defined_phase_fn(code: &[String], i: usize) -> Option<&'static str> {
     let rest = &code[i][code[i].find("fn ")? + 3..];
-    let name_len = rest.bytes().take_while(|&b| is_ident(b)).count();
+    // `$name`: a function generated by a macro of the scope.
+    let name_len = rest
+        .bytes()
+        .take_while(|&b| is_ident(b) || b == b'$')
+        .count();
     let name = PHASE_FNS.into_iter().find(|&f| f == &rest[..name_len])?;
     let end = code[i..]
         .iter()
