@@ -414,7 +414,7 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                 violation: (checked && !over.is_empty()).then(|| {
                     format!(
                         "tiled one-thread time over {TILING_OVERHEAD_LIMIT}x the untiled plan's \
-                         ({}): is a tiled run still nothing but the untiled sweeps, chunked?",
+                         ({}): is a tiled run still nothing but the one-chunk sweeps, cut?",
                         over.join(", ")
                     )
                 }),

@@ -42,7 +42,6 @@
 
 use std::time::Instant;
 
-use tempora_core::t1d;
 use tempora_grid::{
     fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence,
 };
@@ -978,11 +977,8 @@ pub fn par_figure(row: &Benchmark, scale: usize, max_cores: usize) -> Figure {
 
 /// §3.3/§3.5 reorganization-instruction budgets, measured through plan
 /// reports (`PlanBuilder::count_reorg`): the temporal scheme's constant
-/// per-output-vector cost versus the data-reorganization baseline. The
-/// batched-top variant keeps its direct counted engine call (it is an
-/// engine ablation, not a plan method).
+/// per-output-vector cost versus the data-reorganization baseline.
 pub fn ablate_reorg() -> String {
-    use tempora_core::kernels::JacobiKern1d;
     use tempora_simd::count;
     let c = Heat1dCoeffs::classic(0.25);
     let n = 1 << 14;
@@ -1024,15 +1020,6 @@ pub fn ablate_reorg() -> String {
             .expect("count_reorg plans report counts")
     };
     line("temporal (ours)", counted(Method::Temporal));
-    {
-        // Batched top/bottom vectors: an engine-level ablation of the
-        // same schedule, counted directly.
-        let mut g = tempora_grid::Grid1::new(n, 1, tempora_grid::Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, SEED, -1.0, 1.0);
-        let sess = count::Session::start();
-        let _ = t1d::run_batched_counted::<4, _>(&g, &JacobiKern1d(c), 4, 7);
-        line("temporal, batched tops", sess.finish());
-    }
     line("data-reorganization", counted(Method::Reorg));
     out.push_str(
         "\npaper's analysis: temporal = 1 rotate (cross-lane) + 1 blend (in-lane)\n\
@@ -1792,7 +1779,8 @@ pub struct TilingRow {
     pub chunks: usize,
     /// Sweeps per run: `steps / vl` temporal plus `steps % vl` scalar.
     pub sweeps: usize,
-    /// Untiled plan, one thread, µs (best of 20 runs, like the others).
+    /// Untiled plan — the one-chunk schedule of the executor the tiled
+    /// plans run — µs (best of 20 runs, like the others).
     pub untiled_us: f64,
     /// Tiled plan, one thread, µs.
     pub tiled_1t_us: f64,
@@ -1813,7 +1801,7 @@ impl TilingRow {
 }
 
 /// The `ablate-tiling` table: per grid benchmark, the default plan
-/// untiled, tiled on one thread and tiled on two.
+/// untiled (each sweep one chunk), tiled on one thread and tiled on two.
 #[derive(Clone, Debug)]
 pub struct TilingTable {
     /// The `--scale` divisor of the geometry.
@@ -1827,7 +1815,8 @@ impl TilingTable {
     pub fn to_table(&self) -> String {
         let mut out = format!(
             "# ablate-tiling — what tiling costs and what a second thread gains \
-             (Table-1 parallel geometry, scale 1/{})\n\
+             (Table-1 parallel geometry, scale 1/{}; untiled = the same executor's \
+             one-chunk schedule)\n\
              {:<10}{:>10}{:>8}{:>8}{:>8}{:>13}{:>13}{:>13}{:>10}{:>9}\n",
             self.scale,
             "benchmark",

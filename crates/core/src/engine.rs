@@ -49,8 +49,9 @@
 //! source, instantiated once for baseline x86-64 and once inside
 //! `#[target_feature(enable = "avx2,fma")]` sandwiches — for the 2-D/3-D
 //! kernels a single one, [`crate::slab_avx2`], generic over the kernel's
-//! row updates, so their impls below name a grid, a lane count and
-//! `Rows2`/`Rows3` and forward to [`crate::slab`]. The reason is
+//! row updates, so their one impl below (a macro, one line per kernel)
+//! names a grid, a lane count and `Rows2`/`Rows3` and forwards to
+//! [`crate::slab`]. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
 //! `fma` (≈ 3 ns), inside it is one `vfmadd`. Both are the
 //! exactly-rounded fused operation and Rust never contracts separate
@@ -198,10 +199,9 @@ pub type Elem<K> = <<K as KernelSpace>::Grid as SlabGrid>::Elem;
 /// the range is left in the scratch it was given, so the ranges of one
 /// sweep can be run as separate **parts**, in ascending order, and a
 /// second sweep can follow through the same array as soon as the slabs
-/// its next part touches are final. The whole-grid forms
-/// [`tile`](KernelSpace::tile), [`scalar_step`](KernelSpace::scalar_step)
-/// and [`multiload_step`](KernelSpace::multiload_step) are the one-part
-/// cases of the same code.
+/// its next part touches are final. There are no whole-grid forms: an
+/// untiled run hands the same primitives the one part `1 ..= x_max`
+/// (`1 ..= nx` for the one-level kinds) and the whole grid as its window.
 ///
 /// Extents travel as `[outer, middle, inner]` with unused trailing
 /// dimensions 1 (see [`SlabGrid::dims`]).
@@ -245,7 +245,8 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     ///
     /// # Panics
     /// Panics when the outer extent cannot host the vector schedule
-    /// (`nx < VL·s`; run scalar steps instead, as [`advance`] does).
+    /// (`nx < VL·s`; run scalar sweeps instead, as `tempora_tiling::Sweeps`
+    /// does).
     // Justification: kernel, codegen context, grid geometry, window, range, stride and carried state are the part's contract; a params struct would only rename it.
     #[allow(clippy::too_many_arguments)]
     fn sweep<const COUNT: bool>(
@@ -290,39 +291,6 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// Always false off x86-64 and under Miri.
     fn has_avx2_tile(s: usize) -> bool;
 
-    /// One whole temporal tile: [`KernelSpace::sweep`] over every anchor
-    /// of `g`.
-    ///
-    /// # Panics
-    /// Panics when `g`'s halo is not 1 or its outer extent is below
-    /// `VL·s`.
-    fn tile<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        g: &mut Self::Grid,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        assert_eq!(g.halo(), 1, "temporal engines use halo width 1");
-        let lay = g.layout();
-        let xs = 1..=(lay.nx + 1).saturating_sub(Self::VL * s);
-        self.sweep::<COUNT>(engine, &lay, g.slabs_mut(), xs, s, sc);
-    }
-
-    /// One whole in-place scalar time step: [`KernelSpace::scalar_sweep`]
-    /// over every slab of `g`.
-    fn scalar_step(&self, engine: Engine, g: &mut Self::Grid, bufs: &mut Self::StepBufs) {
-        let lay = g.layout();
-        self.scalar_sweep(engine, &lay, g.slabs_mut(), 1..=lay.nx, bufs);
-    }
-
-    /// One whole multi-load step: [`KernelSpace::multiload_sweep`] over
-    /// every slab.
-    fn multiload_step(&self, engine: Engine, src: &Self::Grid, dst: &mut Self::Grid) {
-        let lay = src.layout();
-        self.multiload_sweep(engine, &lay, src.slabs(), dst.slabs_mut(), 1..=lay.nx);
-    }
-
     /// Resolve `sel` for runs at stride `s`, whatever their shape: AVX2
     /// wherever the kernel has the sweep and the CPU the features. A run
     /// too short or too narrow for the vector schedule runs scalar steps
@@ -330,49 +298,6 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     fn resolve(sel: Select, s: usize) -> Engine {
         sel.resolve(Self::has_avx2_tile(s))
     }
-}
-
-/// An untiled run in place, the way every layer above drives
-/// [`KernelSpace`]: `steps / VL` whole tiles, then the `steps mod VL`
-/// remainder as scalar steps — or, when the outer extent cannot host the
-/// vector schedule (`nx < VL·s`), every step as a scalar step — all in
-/// `engine`'s codegen context. Bit-identical to the scalar reference
-/// sweeps for either engine; [`Engine::Avx2`] needs
-/// [`KernelSpace::has_avx2_tile`].
-pub fn advance<const COUNT: bool, K: KernelSpace>(
-    engine: Engine,
-    g: &mut K::Grid,
-    kern: &K,
-    steps: usize,
-    s: usize,
-    sc: &mut K::Scratch,
-    bufs: &mut K::StepBufs,
-) {
-    let tiles = if g.dims()[0] < K::VL * s {
-        0
-    } else {
-        steps / K::VL
-    };
-    for _ in 0..tiles {
-        kern.tile::<COUNT>(engine, g, s, sc);
-    }
-    for _ in 0..steps - tiles * K::VL {
-        kern.scalar_step(engine, g, bufs);
-    }
-}
-
-/// [`advance`] on a copy of `grid`, with freshly allocated scratch.
-pub fn run<K: KernelSpace>(
-    engine: Engine,
-    grid: &K::Grid,
-    kern: &K,
-    steps: usize,
-    s: usize,
-) -> K::Grid {
-    let dims = grid.dims();
-    let (mut g, mut sc, mut bufs) = (grid.clone(), K::scratch(dims, s), K::step_bufs(dims));
-    advance::<false, K>(engine, &mut g, kern, steps, s, &mut sc, &mut bufs);
-    g
 }
 
 /// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`] at four `f64`
@@ -444,331 +369,77 @@ impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
     }
 }
 
-impl KernelSpace for JacobiKern2d {
-    type Grid = Grid2<f64>;
-    type Scratch = Scratch<f64, 4>;
-    type StepBufs = [Vec<f64>; 2];
-    const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
+/// The six slab kernels differ in what one invocation line names: the
+/// grid and its element, the lane count (the integer Life steady state
+/// runs at `vl = 8` i32 lanes — one full `__m256i` — in both engines, so
+/// the layers above dispatch it exactly like the f64 kernels), the
+/// dimension's kernel trait and row updates, and its multi-load step.
+/// Everything else forwards to [`crate::slab`].
+macro_rules! slab_kernel_space {
+    ($($kern:ty: $grid:ident<$t:ty> x $vl:literal, $kernel:ident, $rows:ident, $step:path;)*) => {$(
+        impl KernelSpace for $kern {
+            type Grid = $grid<$t>;
+            type Scratch = Scratch<$t, $vl>;
+            type StepBufs = [Vec<$t>; 2];
+            const VL: usize = $vl;
+            const MIN_STRIDE: usize = <Self as $kernel<$t>>::MIN_STRIDE;
 
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch::new::<Self::Grid>(dims, s)
-    }
+            fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+                Scratch::new::<Self::Grid>(dims, s)
+            }
 
-    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab::step_bufs::<Self::Grid>(dims)
-    }
+            fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+                slab::step_bufs::<Self::Grid>(dims)
+            }
 
-    fn sweep<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
-    }
+            fn sweep<const COUNT: bool>(
+                &self,
+                engine: Engine,
+                lay: &SlabLayout<$t>,
+                a: SlabsMut<'_, $t>,
+                xs: RangeInclusive<usize>,
+                s: usize,
+                sc: &mut Self::Scratch,
+            ) {
+                slab::sweep::<$t, $vl, COUNT, _>(engine, lay, a, &$rows(*self), xs, s, sc);
+            }
 
-    fn scalar_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        bufs: &mut Self::StepBufs,
-    ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(*self), xs, bufs);
-    }
+            fn scalar_sweep(
+                &self,
+                engine: Engine,
+                lay: &SlabLayout<$t>,
+                a: SlabsMut<'_, $t>,
+                xs: RangeInclusive<usize>,
+                bufs: &mut Self::StepBufs,
+            ) {
+                slab::scalar_sweep::<$t, $vl, _>(engine, lay, a, &$rows(*self), xs, bufs);
+            }
 
-    fn multiload_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-    ) {
-        spatial::step_2d(engine, lay, src, dst, xs, self);
-    }
+            fn multiload_sweep(
+                &self,
+                engine: Engine,
+                lay: &SlabLayout<$t>,
+                src: Slabs<'_, $t>,
+                dst: SlabsMut<'_, $t>,
+                xs: RangeInclusive<usize>,
+            ) {
+                $step(engine, lay, src, dst, xs, self);
+            }
 
-    fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
+            fn has_avx2_tile(_s: usize) -> bool {
+                avx2_available()
+            }
+        }
+    )*};
 }
 
-impl KernelSpace for BoxKern2d {
-    type Grid = Grid2<f64>;
-    type Scratch = Scratch<f64, 4>;
-    type StepBufs = [Vec<f64>; 2];
-    const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
-
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab::step_bufs::<Self::Grid>(dims)
-    }
-
-    fn sweep<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
-    }
-
-    fn scalar_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        bufs: &mut Self::StepBufs,
-    ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(*self), xs, bufs);
-    }
-
-    fn multiload_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-    ) {
-        spatial::step_2d(engine, lay, src, dst, xs, self);
-    }
-
-    fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
-}
-
-impl KernelSpace for GsKern2d {
-    type Grid = Grid2<f64>;
-    type Scratch = Scratch<f64, 4>;
-    type StepBufs = [Vec<f64>; 2];
-    const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel2d<f64>>::MIN_STRIDE;
-
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab::step_bufs::<Self::Grid>(dims)
-    }
-
-    fn sweep<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
-    }
-
-    fn scalar_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        bufs: &mut Self::StepBufs,
-    ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows2(*self), xs, bufs);
-    }
-
-    fn multiload_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-    ) {
-        spatial::step_2d(engine, lay, src, dst, xs, self);
-    }
-
-    fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
-}
-
-/// The integer Life steady state runs at `vl = 8` i32 lanes (one full
-/// `__m256i`) in both engines, so the layers above dispatch it exactly like
-/// the f64 kernels.
-impl KernelSpace for LifeKern2d {
-    type Grid = Grid2<i32>;
-    type Scratch = Scratch<i32, 8>;
-    type StepBufs = [Vec<i32>; 2];
-    const VL: usize = 8;
-    const MIN_STRIDE: usize = <Self as Kernel2d<i32>>::MIN_STRIDE;
-
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab::step_bufs::<Self::Grid>(dims)
-    }
-
-    fn sweep<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<i32>,
-        a: SlabsMut<'_, i32>,
-        xs: RangeInclusive<usize>,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        slab::sweep::<i32, 8, COUNT, _>(engine, lay, a, &Rows2(*self), xs, s, sc);
-    }
-
-    fn scalar_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<i32>,
-        a: SlabsMut<'_, i32>,
-        xs: RangeInclusive<usize>,
-        bufs: &mut Self::StepBufs,
-    ) {
-        slab::scalar_sweep::<i32, 8, _>(engine, lay, a, &Rows2(*self), xs, bufs);
-    }
-
-    fn multiload_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<i32>,
-        src: Slabs<'_, i32>,
-        dst: SlabsMut<'_, i32>,
-        xs: RangeInclusive<usize>,
-    ) {
-        spatial::step_2d(engine, lay, src, dst, xs, self);
-    }
-
-    fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
-}
-
-impl KernelSpace for JacobiKern3d {
-    type Grid = Grid3<f64>;
-    type Scratch = Scratch<f64, 4>;
-    type StepBufs = [Vec<f64>; 2];
-    const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel3d<f64>>::MIN_STRIDE;
-
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab::step_bufs::<Self::Grid>(dims)
-    }
-
-    fn sweep<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(*self), xs, s, sc);
-    }
-
-    fn scalar_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        bufs: &mut Self::StepBufs,
-    ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(*self), xs, bufs);
-    }
-
-    fn multiload_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-    ) {
-        spatial::step_3d(engine, lay, src, dst, xs, self);
-    }
-
-    fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
-}
-
-impl KernelSpace for GsKern3d {
-    type Grid = Grid3<f64>;
-    type Scratch = Scratch<f64, 4>;
-    type StepBufs = [Vec<f64>; 2];
-    const VL: usize = 4;
-    const MIN_STRIDE: usize = <Self as Kernel3d<f64>>::MIN_STRIDE;
-
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
-        Scratch::new::<Self::Grid>(dims, s)
-    }
-
-    fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-        slab::step_bufs::<Self::Grid>(dims)
-    }
-
-    fn sweep<const COUNT: bool>(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        s: usize,
-        sc: &mut Self::Scratch,
-    ) {
-        slab::sweep::<f64, 4, COUNT, _>(engine, lay, a, &Rows3(*self), xs, s, sc);
-    }
-
-    fn scalar_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        a: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        bufs: &mut Self::StepBufs,
-    ) {
-        slab::scalar_sweep::<f64, 4, _>(engine, lay, a, &Rows3(*self), xs, bufs);
-    }
-
-    fn multiload_sweep(
-        &self,
-        engine: Engine,
-        lay: &SlabLayout<f64>,
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-    ) {
-        spatial::step_3d(engine, lay, src, dst, xs, self);
-    }
-
-    fn has_avx2_tile(_s: usize) -> bool {
-        avx2_available()
-    }
+slab_kernel_space! {
+    JacobiKern2d: Grid2<f64> x 4, Kernel2d, Rows2, spatial::step_2d;
+    BoxKern2d: Grid2<f64> x 4, Kernel2d, Rows2, spatial::step_2d;
+    GsKern2d: Grid2<f64> x 4, Kernel2d, Rows2, spatial::step_2d;
+    LifeKern2d: Grid2<i32> x 8, Kernel2d, Rows2, spatial::step_2d;
+    JacobiKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
+    GsKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
 }
 
 #[cfg(test)]
@@ -788,11 +459,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// [`super::run`] with every sweep and every scalar step cut into
-    /// parts of `cut` anchors, run in ascending order, each on the window
-    /// its contract names: the sequential form of the pipelined sweeps of
-    /// `tempora-tiling` (consecutive parts are the §3.4 parallelogram
-    /// tiles). Without a stride every step is a scalar step.
+    /// An untiled run on a copy of `grid` — `steps / VL` temporal sweeps,
+    /// then the `steps mod VL` remainder as scalar steps; every step a
+    /// scalar step when the outer extent cannot host the vector schedule
+    /// (`nx < VL·s`) or without a stride — with every sweep and every
+    /// scalar step cut into parts of `cut` anchors, run in ascending order,
+    /// each on the window its contract names: the sequential form of the
+    /// pipelined sweeps of `tempora-tiling` (consecutive parts are the
+    /// §3.4 parallelogram tiles).
     pub(crate) fn run_in_parts<K: KernelSpace>(
         engine: Engine,
         grid: &K::Grid,
@@ -855,7 +529,18 @@ pub(crate) mod tests {
         a
     }
 
-    /// Resolve `sel` for the shape, then [`super::run`] with the result.
+    /// [`run_in_parts`] with one part per sweep: the whole-grid run.
+    pub(crate) fn run_whole<K: KernelSpace>(
+        engine: Engine,
+        grid: &K::Grid,
+        kern: &K,
+        steps: usize,
+        s: usize,
+    ) -> K::Grid {
+        run_in_parts(engine, grid, kern, steps, Some(s), grid.dims()[0])
+    }
+
+    /// Resolve `sel` for the shape, then [`run_whole`] with the result.
     fn run<K: KernelSpace>(
         sel: Select,
         g: &K::Grid,
@@ -864,7 +549,7 @@ pub(crate) mod tests {
         s: usize,
     ) -> (K::Grid, Engine) {
         let engine = K::resolve(sel, s);
-        (super::run(engine, g, kern, steps, s), engine)
+        (run_whole(engine, g, kern, steps, s), engine)
     }
 
     fn heat1d(n: usize, seed: u64) -> Grid1<f64> {
@@ -960,7 +645,7 @@ pub(crate) mod tests {
                     let g = heat1d(n, (n + steps) as u64);
                     for engine in engines() {
                         for c in heat {
-                            let ours = super::run(engine, &g, &JacobiKern1d(c), steps, s);
+                            let ours = run_whole(engine, &g, &JacobiKern1d(c), steps, s);
                             let gold = reference::heat1d(&g, c, steps);
                             assert!(
                                 ours.interior_eq(&gold),
@@ -969,7 +654,7 @@ pub(crate) mod tests {
                             );
                         }
                         for c in gs {
-                            let ours = super::run(engine, &g, &GsKern1d(c), steps, s);
+                            let ours = run_whole(engine, &g, &GsKern1d(c), steps, s);
                             let gold = reference::gs1d(&g, c, steps);
                             assert!(
                                 ours.interior_eq(&gold),

@@ -19,24 +19,14 @@
 //! portable engine and therefore to the scalar DP.
 //!
 //! Use [`crate::engine`] (or a `tempora_plan::Plan`) for transparent
-//! runtime dispatch; the shape predicates [`seq_has_vector_tiles`] /
-//! [`rect_has_vector_tiles`] are what the dispatch layers feed to
-//! `Select::resolve`.
+//! runtime dispatch; the shape predicate [`rect_has_vector_tiles`] is what
+//! the dispatch layers feed to `Select::resolve`.
 
 use crate::lcs::ScratchLcs;
 
 /// The integer vector length of the AVX2 LCS steady state (8 × i32 lanes
 /// in one `__m256i` — the paper's "theoretical maximal speedup of 8").
 pub const VL: usize = 8;
-
-/// True when the sequential (whole-row) LCS engine can run the AVX2
-/// steady state: the CPU supports AVX2+FMA, at least one full `VL = 8`
-/// temporal tile of `A`-positions exists, and the row segment hosts the
-/// vector schedule (`lb ≥ VL·s + 1`). Degenerate shapes run the scalar
-/// schedule in every engine, so dispatch must resolve them portable.
-pub fn seq_has_vector_tiles(la: usize, lb: usize, s: usize) -> bool {
-    tempora_simd::arch::avx2_available() && la >= VL && lb > VL * s
-}
 
 /// True when every rectangle tile of an `xblock × yblock` tiling can run
 /// the AVX2 steady state: whole `VL`-level bands exist (`la ≥ VL` and
@@ -457,10 +447,13 @@ mod tests {
     #[test]
     fn shape_predicates() {
         let cpu = avx2_available();
-        assert_eq!(seq_has_vector_tiles(8, 9, 1), cpu);
-        assert!(!seq_has_vector_tiles(7, 100, 1)); // no full A tile
-        assert!(!seq_has_vector_tiles(100, 8, 1)); // segment too short
-        assert!(!seq_has_vector_tiles(100, 16, 2)); // 16 < 8·2 + 1
+        // One rectangle (the untiled plan): a full A tile and a row
+        // hosting the vector schedule.
+        assert_eq!(rect_has_vector_tiles(8, 9, 8, 9, 1), cpu);
+        assert!(!rect_has_vector_tiles(7, 100, 7, 100, 1)); // no full A tile
+        assert!(!rect_has_vector_tiles(100, 8, 100, 8, 1)); // segment too short
+        assert!(!rect_has_vector_tiles(100, 16, 100, 16, 2)); // 16 < 8·2 + 1
+        assert!(!rect_has_vector_tiles(100, 0, 100, 1, 1)); // empty B
         assert_eq!(rect_has_vector_tiles(90, 140, 24, 40, 1), cpu);
         assert!(!rect_has_vector_tiles(90, 140, 4, 40, 1)); // xblock < VL
         assert!(!rect_has_vector_tiles(6, 140, 24, 40, 1)); // la < VL

@@ -1007,8 +1007,8 @@ pub(crate) fn scalar_sweep<T, const VL: usize, R>(
 /// table.
 #[cfg(test)]
 pub(crate) mod tests {
-    use crate::engine::tests::{multiload_in_parts, run_in_parts};
-    use crate::engine::{self, Engine, KernelSpace};
+    use crate::engine::tests::{multiload_in_parts, run_in_parts, run_whole};
+    use crate::engine::{Engine, KernelSpace};
     use crate::kernels::{BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, LifeKern2d};
     use tempora_grid::{
         fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid2, Grid3, SlabGrid,
@@ -1238,7 +1238,7 @@ pub(crate) mod tests {
         [vec![Engine::Portable], avx2()].concat()
     }
 
-    /// Untiled runs (`engine::run`: whole tiles + scalar remainder) over
+    /// Untiled runs (whole sweeps + scalar remainder) over
     /// `shapes × strides × steps × engines` against the reference.
     pub(crate) fn rect<K: Kind>(
         kern: &K,
@@ -1251,7 +1251,7 @@ pub(crate) mod tests {
             let g = K::grid(dims, (dims[0] * dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
             for &e in engines {
-                let ours = engine::run(e, &g, kern, n, s);
+                let ours = run_whole(e, &g, kern, n, s);
                 if let Some(d) = K::mismatch(&ours, &gold) {
                     panic!("{e:?} dims={dims:?} s={s} steps={n}: {d}");
                 }
@@ -1348,7 +1348,7 @@ pub(crate) mod tests {
             g.set(x, y, 1);
         }
         for &e in engines {
-            let ours = engine::run(e, &g, &conway(), 24, 2);
+            let ours = run_whole(e, &g, &conway(), 24, 2);
             assert_eq!(LifeKern2d::mismatch(&ours, &conway().gold(&g, 24)), None);
             assert_eq!(ours.get(4 + 6, 3 + 6), 1);
         }

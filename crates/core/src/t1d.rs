@@ -244,148 +244,6 @@ fn steady_cells<const VL: usize, const COUNT: bool, K: Kernel1d>(
     scratch.o_prev = o_prev;
 }
 
-/// Like [`tile`], but with the paper's **batched top/bottom vectors**
-/// (§3.2): "the values at the highest position of the output vectors in
-/// every four continuous iterations of the innermost loop are assembled
-/// in one top vector and written to memory with a vector-storing
-/// instruction", and symmetrically one vector load of `VL` contiguous
-/// level-0 values feeds the blends of `VL` produced input vectors.
-///
-/// Numerically identical to [`tile`] (the batching only defers the
-/// finished-value stores to the end of each group, which is safe because
-/// every in-group read sits `VL·s > VL` cells ahead of the deferred
-/// stores). The accounting matches the paper's §3.2 budget: per group of
-/// `VL` output vectors, `VL` lane-crossing rotates + 5 top-batch + 5
-/// bottom-batch in-lane operations — `1 + 10/VL = 3.5` reorganizations
-/// per output vector at `VL = 4`.
-pub fn tile_batched<const VL: usize, const COUNT: bool, K: Kernel1d>(
-    a: &mut [f64],
-    n: usize,
-    kern: &K,
-    s: usize,
-    scratch: &mut Scratch1d<VL>,
-) {
-    assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
-    assert!(
-        a.len() >= n + 2,
-        "slice must include one halo cell per side"
-    );
-    if n < min_vector_n::<VL>(s) {
-        for _ in 0..VL {
-            scalar_step_inplace(a, n, kern);
-        }
-        return;
-    }
-    tile_prologue::<VL, K>(a, kern, s, scratch);
-    let x_max = n + 1 - VL * s;
-    let ring_len = s + 1;
-    let mut o_prev = scratch.o_prev;
-
-    {
-        let ring = &mut scratch.ring[..ring_len];
-        let mut x = 1usize;
-        // Grouped steady state: VL iterations per trip.
-        while x + VL - 1 <= x_max {
-            // One vector load covers the group's bottom elements
-            // (contiguous level-0 values, untouched by the deferred
-            // stores below since x + VL·s > x + VL - 1).
-            let vbottom = Pack::<f64, VL>::load(a, x + VL * s);
-            let mut vtop = Pack::<f64, VL>::splat(0.0);
-            for k in 0..VL {
-                let xi = x + k;
-                let im1 = (xi + ring_len - 1) % ring_len;
-                let vm1 = ring[im1];
-                let v0 = ring[xi % ring_len];
-                let vp1 = ring[(xi + 1) % ring_len];
-                let west = if K::IS_GS { o_prev } else { vm1 };
-                let o = kern.pack::<VL>(west, v0, vp1);
-                vtop[k] = o.top();
-                ring[im1] = o.shift_up_insert(vbottom.extract(k));
-                if K::IS_GS {
-                    o_prev = o;
-                }
-            }
-            // One vector store retires the group's finished values.
-            vtop.store(a, x);
-            if COUNT {
-                count::record_output(VL as u64);
-                count::record(Op::CrossLane, VL as u64); // vrotate per vector
-                count::record(Op::InLane, 10); // 5 top-batch + 5 bottom-batch
-                count::record(Op::VecLoad, 1);
-                count::record(Op::VecStore, 1);
-            }
-            x += VL;
-        }
-        // Ungrouped tail of the steady state.
-        for x in x..=x_max {
-            let im1 = (x + ring_len - 1) % ring_len;
-            let vm1 = ring[im1];
-            let v0 = ring[x % ring_len];
-            let vp1 = ring[(x + 1) % ring_len];
-            let west = if K::IS_GS { o_prev } else { vm1 };
-            let o = kern.pack::<VL>(west, v0, vp1);
-            if COUNT {
-                count::record_output(1);
-                count::record(Op::CrossLane, 1);
-                count::record(Op::InLane, 1);
-                count::record(Op::ScalarExtract, 1);
-                count::record(Op::ScalarInsert, 1);
-            }
-            a[x] = o.top();
-            let bottom = a[x + VL * s];
-            ring[im1] = o.shift_up_insert(bottom);
-            if K::IS_GS {
-                o_prev = o;
-            }
-        }
-    }
-
-    tile_epilogue::<VL, K>(a, 0, n, kern, s, scratch, x_max);
-}
-
-/// [`run`] with the batched-vector steady state of [`tile_batched`].
-pub fn run_batched<const VL: usize, K: Kernel1d>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    s: usize,
-) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let a = g.data_mut();
-    for _ in 0..steps / VL {
-        tile_batched::<VL, false, K>(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % VL {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
-}
-
-/// Counted variant of [`run_batched`] for the §3.2 reorganization-budget
-/// ablation.
-pub fn run_batched_counted<const VL: usize, K: Kernel1d>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    s: usize,
-) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let a = g.data_mut();
-    for _ in 0..steps / VL {
-        tile_batched::<VL, true, K>(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % VL {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
-}
-
 /// Ring capacity of the phase API (supports strides up to 16).
 pub const RING_CAP: usize = 17;
 
@@ -762,55 +620,6 @@ mod tests {
         // Halo cells must still hold the boundary value.
         assert_eq!(ours.get(0), 2.5);
         assert_eq!(ours.get(41), 2.5);
-    }
-
-    #[test]
-    fn batched_variant_matches_reference_bitwise() {
-        let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        for &n in &[16usize, 61, 200, 1000] {
-            for s in 2..=7 {
-                for steps in [4usize, 8, 13] {
-                    let g = random_grid(n, (n + s + steps) as u64, 0.2);
-                    let ours = run_batched::<4, _>(&g, &kern, steps, s);
-                    let gold = reference::heat1d(&g, c, steps);
-                    assert!(
-                        ours.interior_eq(&gold),
-                        "n={n} s={s} steps={steps} {:?}",
-                        ours.first_diff(&gold)
-                    );
-                }
-            }
-        }
-        // Gauss-Seidel through the batched path as well.
-        let cg = Gs1dCoeffs::classic(0.3);
-        let kg = GsKern1d(cg);
-        let g = random_grid(333, 5, -0.5);
-        let ours = run_batched::<4, _>(&g, &kg, 12, 7);
-        let gold = reference::gs1d(&g, cg, 12);
-        assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
-    }
-
-    #[test]
-    fn batched_budget_matches_paper_3_5_per_output() {
-        // §3.2: 1 rotate + 10/4 batch operations = 3.5 reorganizations
-        // per output vector.
-        let c = Heat1dCoeffs::classic(0.25);
-        let kern = JacobiKern1d(c);
-        let g = random_grid(4096, 3, 0.0);
-        let session = tempora_simd::count::Session::start();
-        let _ = run_batched_counted::<4, _>(&g, &kern, 4, 7);
-        let counts = session.finish();
-        assert!(counts.output_vectors > 500);
-        let per_output = counts.reorg_per_output();
-        assert!(
-            (per_output - 3.5).abs() < 0.05,
-            "expected ~3.5 reorg/output, got {per_output}"
-        );
-        // And the batching turns most scalar element traffic into full
-        // vector loads/stores.
-        assert!(counts.vec_load > 0 && counts.vec_store > 0);
-        assert!(counts.scalar_extract < counts.output_vectors / 16);
     }
 
     #[test]

@@ -32,10 +32,9 @@
 //!
 //! Use [`crate::engine`] for transparent runtime dispatch.
 
-use crate::kernels::{GsKern1d, JacobiKern1d, Kernel1d};
+use crate::kernels::Kernel1d;
 use crate::t1d::{self, Scratch1d};
 use core::ops::RangeInclusive;
-use tempora_grid::Grid1;
 
 /// Maximum supported space stride of the AVX2 path.
 pub const MAX_STRIDE: usize = 15;
@@ -293,31 +292,11 @@ pub fn scalar_sweep_avx2<K: Kernel1d>(
     unsafe { imp::scalar_sweep(a, first, kern, xs, old_west) }
 }
 
-/// Run `steps` Heat-1D time steps with the AVX2 steady state; panics if
-/// AVX2+FMA are unavailable (use [`crate::engine`] for dispatch).
-#[cfg(target_arch = "x86_64")]
-pub fn run_heat1d_avx2(
-    grid: &Grid1<f64>,
-    kern: &JacobiKern1d,
-    steps: usize,
-    s: usize,
-) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    crate::engine::run(crate::engine::Engine::Avx2, grid, kern, steps, s)
-}
-
-/// Run `steps` GS-1D time steps with the AVX2 steady state; panics if
-/// AVX2+FMA are unavailable (use [`crate::engine`] for dispatch).
-#[cfg(target_arch = "x86_64")]
-pub fn run_gs1d_avx2(grid: &Grid1<f64>, kern: &GsKern1d, steps: usize, s: usize) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    crate::engine::run(crate::engine::Engine::Avx2, grid, kern, steps, s)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use tempora_grid::{fill_random_1d, Boundary};
+    use crate::engine::{tests::run_whole, Engine};
+    use crate::kernels::{GsKern1d, JacobiKern1d};
+    use tempora_grid::{fill_random_1d, Boundary, Grid1};
     use tempora_stencil::{reference, Gs1dCoeffs, Heat1dCoeffs};
 
     #[test]
@@ -332,7 +311,7 @@ mod tests {
                 for steps in [4usize, 8, 13] {
                     let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.4));
                     fill_random_1d(&mut g, (n + s + steps) as u64, -1.0, 1.0);
-                    let ours = run_heat1d_avx2(&g, &kern, steps, s);
+                    let ours = run_whole(Engine::Avx2, &g, &kern, steps, s);
                     let gold = reference::heat1d(&g, c, steps);
                     assert!(
                         ours.interior_eq(&gold),
@@ -356,7 +335,7 @@ mod tests {
                 for steps in [4usize, 8, 13] {
                     let mut g = Grid1::new(n, 1, Boundary::Dirichlet(-0.3));
                     fill_random_1d(&mut g, (2 * n + s + steps) as u64, -1.0, 1.0);
-                    let ours = run_gs1d_avx2(&g, &kern, steps, s);
+                    let ours = run_whole(Engine::Avx2, &g, &kern, steps, s);
                     let gold = reference::gs1d(&g, c, steps);
                     assert!(
                         ours.interior_eq(&gold),
@@ -370,7 +349,7 @@ mod tests {
         for n in 1..=15 {
             let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.1));
             fill_random_1d(&mut g, n as u64, -1.0, 1.0);
-            let ours = run_gs1d_avx2(&g, &kern, 8, 4);
+            let ours = run_whole(Engine::Avx2, &g, &kern, 8, 4);
             let gold = reference::gs1d(&g, c, 8);
             assert!(ours.interior_eq(&gold), "n={n}");
         }

@@ -53,6 +53,13 @@ impl<T: Scalar> Boundary<T> {
             Boundary::Dirichlet(v) => v,
         }
     }
+
+    /// True when both conditions put the same bit pattern into the ghost
+    /// cells. `==` is not that test: a `NaN` boundary differs from itself,
+    /// and `-0.0` equals `0.0` yet yields other result bits.
+    pub fn same_bits(self, other: Self) -> bool {
+        self.value().bits() == other.value().bits()
+    }
 }
 
 /// Round a length up to the next multiple of 8 elements (64 bytes for
@@ -175,22 +182,6 @@ pub trait SlabGrid: Clone + Send {
             slab: self.slab(),
             pitch: self.row_pitch(),
             bc: self.boundary().value(),
-        }
-    }
-
-    /// The whole storage as a window: every slab from ghost slab 0.
-    fn slabs(&self) -> Slabs<'_, Self::Elem> {
-        Slabs {
-            data: self.data(),
-            first: 0,
-        }
-    }
-
-    /// Mutable variant of [`SlabGrid::slabs`].
-    fn slabs_mut(&mut self) -> SlabsMut<'_, Self::Elem> {
-        SlabsMut {
-            data: self.data_mut(),
-            first: 0,
         }
     }
 }

@@ -32,9 +32,9 @@ pub enum PlanError {
     },
     /// The builder asked for zero worker threads.
     ZeroThreads,
-    /// More than one thread was requested without a tiling scheme — the
-    /// sequential engines cannot use extra workers, so this is almost
-    /// certainly a misconfiguration.
+    /// More than one thread was requested without a tiling scheme — an
+    /// untiled plan is one chunk per sweep, which extra workers cannot
+    /// share, so this is almost certainly a misconfiguration.
     ThreadsRequireTiling {
         /// Requested worker count.
         threads: usize,
@@ -120,6 +120,14 @@ pub enum PlanError {
         /// Panic message of the run that poisoned the plan.
         panic: String,
     },
+    /// `Plan::run` was handed a grid whose boundary condition is not, bit
+    /// for bit, the one of the problem the plan was built for.
+    StateBoundaryMismatch {
+        /// The problem's boundary condition.
+        expected: String,
+        /// The boundary condition of the passed grid.
+        got: String,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -138,7 +146,7 @@ impl std::fmt::Display for PlanError {
             PlanError::ThreadsRequireTiling { threads } => write!(
                 f,
                 "{threads} threads requested but no tiling scheme selected; \
-                 sequential engines use exactly one worker — pick a tiling or threads(1)"
+                 an untiled plan uses exactly one worker — pick a tiling or threads(1)"
             ),
             PlanError::EmptyDomain => write!(f, "problem interior is empty"),
             PlanError::Avx2Unavailable => {
@@ -181,6 +189,10 @@ impl std::fmt::Display for PlanError {
                 f,
                 "plan is poisoned by a panicked run ({panic}); \
                  re-initialize the state and call Plan::reset"
+            ),
+            PlanError::StateBoundaryMismatch { expected, got } => write!(
+                f,
+                "state boundary {got} does not match the plan's problem boundary {expected}"
             ),
         }
     }

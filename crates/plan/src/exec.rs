@@ -1,24 +1,23 @@
 //! Object-safe executors behind [`crate::Plan`].
 //!
-//! Each executor owns its kernel, schedule constants and **all scratch it
-//! will ever need** — temporal rings, remainder row/plane buffers,
-//! multi-load ping-pong grids, tiling workspaces — so repeated
-//! [`Exec::run`] calls on fresh states are allocation-free (the two
-//! documented exceptions are the one-shot reorg/DLT baselines, which
-//! build their transposed layouts per call by design).
+//! There is one executor per family, tiled or not: [`Tiled`] — the
+//! pipelined-sweep workspace — for the eight grid kinds under every
+//! method, [`RectLcs`] for LCS, and the two Heat-1D baselines. An untiled
+//! plan is the one-chunk (one-rectangle) schedule of the same workspace
+//! on the plan's one-thread pool. Each executor owns **all scratch it
+//! will ever need**, so repeated [`Exec::run`] calls on fresh states are
+//! allocation-free (the two documented exceptions are the one-shot
+//! reorg/DLT baselines, which build their transposed layouts per call by
+//! design).
 //!
-//! The grid executors are generic over the kernel
-//! ([`KernelSpace`]): one `Temporal`, `Scalar`, `Multiload` and `Tiled`
-//! serve every dimensionality, each monomorphised per kernel so
-//! [`Exec`] stays the only dynamic dispatch. All paths reuse the
-//! engine/tiling layers' own tile primitives and are bit-identical to the
-//! scalar references.
+//! [`Tiled`] is generic over the kernel ([`KernelSpace`]) and
+//! monomorphised per kernel, so [`Exec`] stays the only dynamic dispatch.
+//! All paths are bit-identical to the scalar references.
 
 use crate::{PlanError, State};
 use tempora_baseline::{dlt, reorg};
-use tempora_core::engine::{self, Engine, KernelSpace};
-use tempora_core::{lcs, lcs_avx2};
-use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid};
+use tempora_core::engine::{Engine, KernelSpace};
+use tempora_grid::{Grid1, Grid2, Grid3};
 use tempora_parallel::Pool;
 use tempora_stencil::Heat1dCoeffs;
 use tempora_tiling::{LcsRect, Sweeps};
@@ -31,7 +30,7 @@ pub(crate) trait Exec: Send {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError>;
 
     /// Allocate (or first-touch) the executor's arenas through `pool` so
-    /// their pages are faulted in by pool workers. Sequential executors
+    /// their pages are faulted in by pool workers. The one-shot baselines
     /// have nothing to place, so the default is a no-op.
     fn fault_in(&mut self, _pool: &Pool) {}
 }
@@ -85,101 +84,6 @@ impl StateGrid for Grid3<f64> {
 }
 
 // ---------------------------------------------------------------------
-// Sequential grid executors, generic over the kernel
-// ---------------------------------------------------------------------
-
-/// Sequential temporal engine (portable or AVX2, fixed at plan time —
-/// the engine is the codegen context of the whole run, remainder steps
-/// included): [`engine::advance`] over plan-owned tile scratch and
-/// remainder step buffers, reused across runs. Both steady states run at
-/// the kernel's own lane count, so they share one scratch.
-pub(crate) struct Temporal<K: KernelSpace> {
-    pub kern: K,
-    pub steps: usize,
-    pub s: usize,
-    pub engine: Engine,
-    pub counted: bool,
-    pub scratch: K::Scratch,
-    pub rem: K::StepBufs,
-}
-
-impl<K: KernelSpace> Exec for Temporal<K>
-where
-    K::Grid: StateGrid,
-{
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = K::Grid::from_state(state)?;
-        let Self {
-            kern,
-            steps,
-            s,
-            engine,
-            scratch,
-            rem,
-            ..
-        } = self;
-        if self.counted {
-            engine::advance::<true, K>(*engine, g, kern, *steps, *s, scratch, rem);
-        } else {
-            engine::advance::<false, K>(*engine, g, kern, *steps, *s, scratch, rem);
-        }
-        Ok(())
-    }
-}
-
-/// Sequential scalar sweep (the paper's Algorithm 1, in place, plan-owned
-/// step buffers), in the codegen context the plan's selection allows.
-pub(crate) struct Scalar<K: KernelSpace> {
-    pub kern: K,
-    pub steps: usize,
-    pub isa: Engine,
-    pub bufs: K::StepBufs,
-}
-
-impl<K: KernelSpace> Exec for Scalar<K>
-where
-    K::Grid: StateGrid,
-{
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = K::Grid::from_state(state)?;
-        for _ in 0..self.steps {
-            self.kern.scalar_step(self.isa, g, &mut self.bufs);
-        }
-        Ok(())
-    }
-}
-
-/// Sequential multi-load (spatially vectorized) sweep, ping-ponging a
-/// plan-owned grid, in the codegen context the plan's selection allows.
-pub(crate) struct Multiload<K: KernelSpace> {
-    pub kern: K,
-    pub steps: usize,
-    pub isa: Engine,
-    pub tmp: K::Grid,
-}
-
-impl<K: KernelSpace> Exec for Multiload<K>
-where
-    K::Grid: StateGrid,
-{
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let g = K::Grid::from_state(state)?;
-        self.tmp.data_mut().copy_from_slice(g.data());
-        for step in 0..self.steps {
-            if step % 2 == 0 {
-                self.kern.multiload_step(self.isa, g, &mut self.tmp);
-            } else {
-                self.kern.multiload_step(self.isa, &self.tmp, g);
-            }
-        }
-        if self.steps % 2 == 1 {
-            g.data_mut().copy_from_slice(self.tmp.data());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // Heat-1D baselines
 // ---------------------------------------------------------------------
 
@@ -227,64 +131,11 @@ impl Exec for Dlt1d {
 }
 
 // ---------------------------------------------------------------------
-// Sequential LCS
+// The two workspaces (thin adapters)
 // ---------------------------------------------------------------------
 
-/// Sequential LCS DP (temporal `i32×8` tiles — portable or AVX2 steady
-/// state, fixed at plan time — or scalar rows), rolling row and scratch
-/// reused across runs. Writes the result into `LcsState::length`.
-pub(crate) struct SeqLcs {
-    pub s: usize,
-    pub temporal: bool,
-    pub avx2: bool,
-    pub row: Vec<i32>,
-    pub scratch: lcs::ScratchLcs<8>,
-}
-
-impl Exec for SeqLcs {
-    fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
-        let State::Lcs(l) = state else {
-            return Err(mismatch("Lcs", state));
-        };
-        let (la, lb) = (l.a.len(), l.b.len());
-        if la == 0 || lb == 0 {
-            l.length = Some(0);
-            return Ok(());
-        }
-        self.row.fill(0);
-        let row = &mut self.row[..lb + 1];
-        if self.temporal {
-            const VL: usize = 8;
-            let tiles = la / VL;
-            for t in 0..tiles {
-                let a_tile = &l.a[t * VL..(t + 1) * VL];
-                match self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    true => lcs_avx2::tile_avx2(row, a_tile, &l.b, self.s, &mut self.scratch),
-                    #[cfg(not(target_arch = "x86_64"))]
-                    true => unreachable!("AVX2 resolved on a non-x86-64 target"),
-                    false => lcs::tile::<VL>(row, a_tile, &l.b, self.s, &mut self.scratch),
-                }
-            }
-            for &ca in &l.a[tiles * VL..] {
-                lcs::scalar_row_step(row, ca, &l.b);
-            }
-        } else {
-            for &ca in &l.a {
-                lcs::scalar_row_step(row, ca, &l.b);
-            }
-        }
-        l.length = Some(row[lb]);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tiled executors (thin adapters over the tiling workspaces)
-// ---------------------------------------------------------------------
-
-/// Every tiled grid plan — `Tiling::Ghost` and `Tiling::Skew`, whatever
-/// the method: the in-place pipelined sweeps.
+/// Every grid plan — `Tiling::None`, `Tiling::Ghost` and `Tiling::Skew`,
+/// whatever the method: the in-place pipelined sweeps.
 pub(crate) struct Tiled<K: KernelSpace>(pub Sweeps<K>);
 
 impl<K: KernelSpace> Exec for Tiled<K>
@@ -301,6 +152,8 @@ where
     }
 }
 
+/// Every LCS plan: the rectangle wavefront (one rectangle when untiled).
+/// Writes the result into `LcsState::length`.
 pub(crate) struct RectLcs(pub LcsRect);
 
 impl Exec for RectLcs {

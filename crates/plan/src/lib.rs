@@ -9,9 +9,10 @@
 //! * [`Problem`] — typed stencil descriptor: kind, interior extents, time
 //!   extent, coefficients, boundary condition. Carries no data.
 //! * [`PlanBuilder`] — picks the [`Method`] (temporal / multi-load /
-//!   reorg / DLT / scalar), the [`Tiling`] (none / pipelined in-place
-//!   sweeps under the names ghost and skew / LCS rectangles), the engine [`Select`] policy, the worker-thread
-//!   count and the temporal stride. [`PlanBuilder::build`] validates
+//!   reorg / DLT / scalar), the [`Tiling`] (pipelined in-place sweeps
+//!   under the names ghost and skew / LCS rectangles / none: the
+//!   one-chunk, one-rectangle schedule of the same executors), the engine
+//!   [`Select`] policy, the worker-thread count and the temporal stride. [`PlanBuilder::build`] validates
 //!   everything up front and returns a descriptive [`PlanError`] for any
 //!   invalid combination — no panics, no silent fallbacks beyond the
 //!   documented engine resolutions.

@@ -1,16 +1,13 @@
 //! [`PlanBuilder`] → [`Plan`] → [`Report`]: compile a [`Problem`] into a
 //! reusable execution plan.
 
-use crate::exec::{
-    Dlt1d, Exec, Multiload, RectLcs, Reorg1d, Scalar, SeqLcs, StateGrid, Temporal, Tiled,
-};
+use crate::exec::{Dlt1d, Exec, RectLcs, Reorg1d, StateGrid, Tiled};
 use crate::{PlanError, Problem, State};
 use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
 use tempora_core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
-use tempora_core::{lcs, lcs_avx2};
-use tempora_grid::{Boundary, SlabGrid};
+use tempora_grid::Boundary;
 use tempora_parallel::{Pool, PoolConfig};
 use tempora_simd::count;
 use tempora_tiling::{LcsRect, Mode, Sweeps};
@@ -18,22 +15,6 @@ use tempora_tiling::{LcsRect, Mode, Sweeps};
 /// What the builder hands [`Plan`]: the executor, the engine it resolved
 /// (temporal methods only) and the tile geometry (tiled plans only).
 type Built = (Box<dyn Exec>, Option<Engine>, Option<TileGeometry>);
-
-/// The [`Built`] triple of a tiled plan.
-fn tiled(
-    exec: impl Exec + 'static,
-    engine: Option<Engine>,
-    tiles: usize,
-    block: usize,
-    height: usize,
-) -> Built {
-    let geometry = TileGeometry {
-        tiles,
-        block,
-        height,
-    };
-    (Box::new(exec), engine, Some(geometry))
-}
 
 /// The vectorization scheme a plan executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -56,7 +37,7 @@ pub enum Method {
 
 /// The time-space tiling a plan wraps around the method.
 ///
-/// The two grid tilings run the same executor: the method's sweeps —
+/// Every grid plan runs the same executor: the method's sweeps —
 /// `steps / VL` temporal sweeps plus `steps % VL` scalar ones, or one
 /// scalar or multi-load sweep per step — are cut into chunks of `block`
 /// anchors along the outer dimension and pipelined through the grid **in
@@ -65,12 +46,15 @@ pub enum Method {
 /// `tempora_tiling::sweeps`). Consecutive chunks of a sweep are the
 /// paper's parallelogram tiles; nothing is copied and no level runs
 /// outside the wavefront — the `steps % VL` remainder levels are chunked
-/// sweeps like the rest, not scalar steps on the calling thread. The two
+/// sweeps like the rest, not scalar steps on the calling thread.
+/// [`Tiling::None`] is the one-chunk case of that schedule; the two grid
 /// variants differ in the stencils they accept and the geometry rules
 /// they validate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Tiling {
-    /// No tiling: the sequential engine on one worker.
+    /// No tiling: each sweep is one chunk (LCS: the table is one
+    /// rectangle), run by the calling thread — the sequential engine. The
+    /// [`Report`] of such a plan carries no [`TileGeometry`].
     #[default]
     None,
     /// Pipelined in-place sweeps — Jacobi stencils only.
@@ -214,7 +198,8 @@ impl PlanBuilder {
 
     /// Record data-reorganization operation counts in each run's
     /// [`Report`]. Only the instrumented paths support this: 1-D temporal
-    /// under [`Select::Portable`] without tiling, and the reorg baseline.
+    /// under [`Select::Portable`] without tiling (the counters are per
+    /// thread), and the reorg baseline.
     pub fn count_reorg(mut self, on: bool) -> PlanBuilder {
         self.count_reorg = on;
         self
@@ -275,13 +260,16 @@ impl PlanBuilder {
         self.check_count(problem)?;
 
         let (mut exec, engine, tiles) = self.build_exec(problem, s)?;
-        // Pool first, then first-touch: the workspaces allocate their
-        // scratch arenas from pool workers.
+        // Pool first, then first-touch: the workspaces re-allocate their
+        // scratch arenas from pool workers. A one-thread pool is the
+        // calling thread, which allocated them in `build_exec` already.
         let pool = Pool::with_config(PoolConfig::new(threads).pin(self.pin));
-        // A panic here (e.g. an injected `fault_in` failpoint) unwinds to
-        // the caller: no `Plan` exists yet, so there is nothing to
-        // poison, and dropping `pool` shuts its workers down cleanly.
-        exec.fault_in(&pool);
+        if threads > 1 {
+            // A panic here (e.g. an injected `fault_in` failpoint) unwinds
+            // to the caller: no `Plan` exists yet, so there is nothing to
+            // poison, and dropping `pool` shuts its workers down cleanly.
+            exec.fault_in(&pool);
+        }
         Ok(Plan {
             problem: *problem,
             method: self.method,
@@ -339,8 +327,14 @@ impl PlanBuilder {
         );
         match self.tiling {
             Tiling::None => Ok(()),
-            Tiling::Ghost { block, height } => {
-                if !is_jacobi_grid {
+            Tiling::Ghost { block, height } | Tiling::Skew { block, height } => {
+                let skew = matches!(self.tiling, Tiling::Skew { .. });
+                if skew && !problem.is_gauss_seidel() {
+                    return reject(
+                        "skewed (parallelogram) tiling applies to Gauss-Seidel stencils only",
+                    );
+                }
+                if !skew && !is_jacobi_grid {
                     return reject("ghost-zone tiling applies to Jacobi stencils only");
                 }
                 if matches!(self.method, Method::Reorg | Method::Dlt) {
@@ -361,28 +355,6 @@ impl PlanBuilder {
                 if height < vl || height % vl != 0 {
                     return Err(PlanError::BadTileHeight { height, vl });
                 }
-                Ok(())
-            }
-            Tiling::Skew { block, height } => {
-                if !problem.is_gauss_seidel() {
-                    return reject(
-                        "skewed (parallelogram) tiling applies to Gauss-Seidel stencils only",
-                    );
-                }
-                if matches!(self.method, Method::Reorg | Method::Dlt) {
-                    return Err(PlanError::MethodUnsupported {
-                        method: self.method,
-                        problem: problem.kind_name(),
-                        why: "the reorg/DLT baselines have no tiled form",
-                    });
-                }
-                if block == 0 {
-                    return Err(PlanError::ZeroTileExtent);
-                }
-                const VL: usize = 4;
-                if height < VL || height % VL != 0 {
-                    return Err(PlanError::BadTileHeight { height, vl: VL });
-                }
                 // The skewed bands' wave-disjointness bound,
                 // height + VL·s + VL (stride 0 for the scalar method). The
                 // pipelined sweeps need only VL·s and widen to it
@@ -393,11 +365,10 @@ impl PlanBuilder {
                 } else {
                     0
                 };
-                let min = height + VL * s_eff + VL;
-                if block < min {
-                    return Err(PlanError::BlockTooNarrow { block, min });
+                match height + vl * s_eff + vl {
+                    min if skew && block < min => Err(PlanError::BlockTooNarrow { block, min }),
+                    _ => Ok(()),
                 }
-                Ok(())
             }
             Tiling::LcsRect { xblock, yblock } => {
                 if !matches!(problem, Problem::Lcs { .. }) {
@@ -515,9 +486,9 @@ impl PlanBuilder {
         Ok(())
     }
 
-    /// The one grid builder, for any kernel and dimensionality: the
-    /// untiled method executors and the pipelined-sweep workspace behind
-    /// both grid tilings.
+    /// The one grid builder, for any kernel, dimensionality, method and
+    /// tiling: the pipelined-sweep workspace. An untiled plan cuts each
+    /// sweep into one chunk and reports no tile geometry.
     fn plan_grid<K: KernelSpace>(
         &self,
         kern: K,
@@ -530,93 +501,53 @@ impl PlanBuilder {
         K::Grid: StateGrid,
     {
         self.check_stride::<K>(s)?;
-        match self.tiling {
-            Tiling::None => Ok(match self.method {
-                Method::Temporal => {
-                    let engine = K::resolve(self.select, s);
-                    let exec = Temporal {
-                        kern,
-                        steps,
-                        s,
-                        engine,
-                        counted: self.count_reorg,
-                        scratch: K::scratch(dims, s),
-                        rem: K::step_bufs(dims),
-                    };
-                    (Box::new(exec), Some(engine), None)
-                }
-                Method::Multiload => {
-                    let (isa, tmp) = (self.isa(), K::Grid::with_dims(dims, bc));
-                    let exec = Multiload {
-                        kern,
-                        steps,
-                        isa,
-                        tmp,
-                    };
-                    (Box::new(exec), None, None)
-                }
-                Method::Scalar => {
-                    let (isa, bufs) = (self.isa(), K::step_bufs(dims));
-                    let exec = Scalar {
-                        kern,
-                        steps,
-                        isa,
-                        bufs,
-                    };
-                    (Box::new(exec), None, None)
-                }
-                Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
-            }),
+        let (block, height) = match self.tiling {
+            Tiling::None => (dims[0], None),
             Tiling::Ghost { block, height } | Tiling::Skew { block, height } => {
-                let mode = match self.method {
-                    Method::Temporal => Mode::Temporal(s),
-                    Method::Multiload => Mode::Auto,
-                    Method::Scalar => Mode::Scalar,
-                    Method::Reorg | Method::Dlt => unreachable!("validated: baselines are untiled"),
-                };
-                let w = Sweeps::new(kern, dims, bc, steps, block, mode, self.select);
-                let (engine, chunks, chunk) = (w.engine(), w.chunks(), w.chunk());
-                Ok(tiled(Tiled(w), engine, chunks, chunk, height))
+                (block, Some(height))
             }
             Tiling::LcsRect { .. } => unreachable!("validated: LcsRect is LCS-only"),
-        }
+        };
+        let mode = match self.method {
+            Method::Temporal => Mode::Temporal(s),
+            Method::Multiload => Mode::Auto,
+            Method::Scalar => Mode::Scalar,
+            Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
+        };
+        let w = Sweeps::new(kern, dims, bc, steps, block, mode, self.select)
+            .count_reorg(self.count_reorg);
+        let geometry = height.map(|height| TileGeometry {
+            tiles: w.chunks(),
+            block: w.chunk(),
+            height,
+        });
+        let engine = w.engine();
+        Ok((Box::new(Tiled(w)), engine, geometry))
     }
 
+    /// The one LCS builder: the rectangle wavefront, over one rectangle
+    /// when untiled. The AVX2 steady state needs a full 8-level `A` tile
+    /// and row segments hosting the vector schedule; a degenerate shape
+    /// runs the portable code in every engine — integer, so no slower for
+    /// it, unlike the grid kernels' `mul_add` — and reports portable.
     fn plan_lcs(&self, la: usize, lb: usize, s: usize) -> Result<Built, PlanError> {
-        let temporal = self.method == Method::Temporal;
-        match self.tiling {
-            Tiling::None => {
-                // Whole-row tiles: the AVX2 steady state needs one full
-                // 8-level A tile and a row segment hosting the vector
-                // schedule. A degenerate shape runs the portable code in
-                // every engine — integer, so no slower for it, unlike the
-                // grid kernels' `mul_add` — and reports portable.
-                let engine = temporal.then(|| {
-                    self.select
-                        .resolve(lcs_avx2::seq_has_vector_tiles(la, lb, s))
-                });
-                Ok((
-                    Box::new(SeqLcs {
-                        s,
-                        temporal,
-                        avx2: engine == Some(Engine::Avx2),
-                        row: vec![0; lb + 1],
-                        scratch: lcs::ScratchLcs::new(s),
-                    }),
-                    engine,
-                    None,
-                ))
-            }
-            Tiling::LcsRect { xblock, yblock } => {
-                let w = LcsRect::new(la, lb, xblock, yblock, s, temporal, self.select);
-                let engine = if temporal { w.engine() } else { None };
-                let tiles = la.div_ceil(xblock) * lb.div_ceil(yblock);
-                Ok(tiled(RectLcs(w), engine, tiles, xblock, yblock))
-            }
+        let (xblock, yblock) = match self.tiling {
+            // An empty sequence still builds (and has LCS length 0).
+            Tiling::None => (la.max(1), lb.max(1)),
+            Tiling::LcsRect { xblock, yblock } => (xblock, yblock),
             Tiling::Ghost { .. } | Tiling::Skew { .. } => {
                 unreachable!("validated: grid tilings are not LCS tilings")
             }
-        }
+        };
+        let temporal = self.method == Method::Temporal;
+        let w = LcsRect::new(la, lb, xblock, yblock, s, temporal, self.select);
+        let geometry = (self.tiling != Tiling::None).then(|| TileGeometry {
+            tiles: la.div_ceil(xblock) * lb.div_ceil(yblock),
+            block: xblock,
+            height: yblock,
+        });
+        let engine = w.engine();
+        Ok((Box::new(RectLcs(w)), engine, geometry))
     }
 
     /// The codegen context of the spatial methods (scalar, multi-load,

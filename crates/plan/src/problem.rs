@@ -10,6 +10,7 @@
 
 use crate::PlanError;
 use tempora_grid::{Boundary, Grid1, Grid2, Grid3};
+use tempora_simd::Scalar;
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
@@ -364,7 +365,30 @@ impl Problem {
                 return Err(PlanError::UnsupportedHalo { halo: h });
             }
         }
-        Ok(())
+        // The multi-load twin's ghost cells were set from the problem's
+        // boundary at build time; every other path reads the state's own.
+        // One rule for all: the state carries the problem's boundary, bit
+        // for bit (`==` would reject a NaN boundary on every run).
+        match (self, state) {
+            (
+                Problem::Heat1d { boundary, .. } | Problem::Gs1d { boundary, .. },
+                State::Grid1(g),
+            ) => check_boundary(*boundary, g.boundary()),
+            (
+                Problem::Heat2d { boundary, .. }
+                | Problem::Box2d { boundary, .. }
+                | Problem::Gs2d { boundary, .. },
+                State::Grid2(g),
+            ) => check_boundary(*boundary, g.boundary()),
+            (Problem::Life { boundary, .. }, State::Grid2i(g)) => {
+                check_boundary(*boundary, g.boundary())
+            }
+            (
+                Problem::Heat3d { boundary, .. } | Problem::Gs3d { boundary, .. },
+                State::Grid3(g),
+            ) => check_boundary(*boundary, g.boundary()),
+            _ => Ok(()),
+        }
     }
 
     fn state_variant(&self) -> &'static str {
@@ -376,6 +400,16 @@ impl Problem {
             Problem::Lcs { .. } => "Lcs",
         }
     }
+}
+
+fn check_boundary<T: Scalar>(want: Boundary<T>, have: Boundary<T>) -> Result<(), PlanError> {
+    if want.same_bits(have) {
+        return Ok(());
+    }
+    Err(PlanError::StateBoundaryMismatch {
+        expected: format!("{want:?}"),
+        got: format!("{have:?}"),
+    })
 }
 
 /// Sequence pair (and result slot) for an LCS problem.

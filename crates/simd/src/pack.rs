@@ -81,6 +81,10 @@ pub trait Scalar:
     /// True when the value is the canary / poison pattern (`NaN`-aware for
     /// floats, where `== CANARY` would always be false).
     fn is_canary(self) -> bool;
+    /// The value's bit pattern, widened: equal exactly when two values are
+    /// the same bits — unlike `==`, which calls a `NaN` different from
+    /// itself and `-0.0` equal to `0.0`.
+    fn bits(self) -> u64;
 }
 
 macro_rules! impl_scalar_float {
@@ -136,6 +140,10 @@ macro_rules! impl_scalar_float {
             #[inline(always)]
             fn is_canary(self) -> bool {
                 self.is_nan()
+            }
+            #[inline(always)]
+            fn bits(self) -> u64 {
+                self.to_bits().into()
             }
             #[inline(always)]
             fn select_s(m: bool, a: Self, b: Self) -> Self {
@@ -204,6 +212,11 @@ macro_rules! impl_scalar_int {
             #[inline(always)]
             fn is_canary(self) -> bool {
                 self == Self::CANARY
+            }
+            #[inline(always)]
+            fn bits(self) -> u64 {
+                // Sign extension keeps distinct values distinct.
+                self as u64
             }
             #[inline(always)]
             fn select_s(m: bool, a: Self, b: Self) -> Self {

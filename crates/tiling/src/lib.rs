@@ -18,17 +18,18 @@
 //! one type serves every dimensionality, and [`LcsRect`] — that validates
 //! the geometry, resolves the engine, and allocates every arena **once**;
 //! repeated `advance` / `run` calls are then allocation-free. These
-//! workspaces are the execution layer behind `tempora_plan::Plan`.
+//! workspaces are the whole execution layer behind `tempora_plan::Plan`:
+//! an untiled plan is their smallest schedule — one chunk per sweep, one
+//! rectangle — on a one-thread pool.
 //!
-//! The temporal kernels go through the same engine dispatch as the
-//! sequential engines: workspaces take a
+//! Workspaces take a
 //! `tempora_core::engine::Select`, resolve it once (portable vs
 //! hand-scheduled AVX2, by capability; degenerate LCS geometries
 //! honestly portable) and
 //! report the resolved engine for per-series reporting in the bench
 //! harness.
 //!
-//! Every parallel path is bit-identical to the sequential engines and the
+//! Every parallel path is bit-identical to the one-thread schedule and the
 //! scalar references, for every thread count, engine selection and mode —
 //! verified by the test suites of each module and the cross-crate
 //! integration tests. Why the in-place wavefront is race-free — the

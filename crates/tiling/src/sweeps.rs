@@ -1,5 +1,8 @@
-//! In-place pipelined sweeps: the one time-tiling workspace of the grid
-//! kernels, Jacobi and Gauss-Seidel, in every dimension.
+//! In-place pipelined sweeps: the one executor of the grid kernels,
+//! Jacobi and Gauss-Seidel, in every dimension — tiled or not. An untiled
+//! plan is the one-chunk schedule (`block = nx`) on a one-thread pool,
+//! where [`Pool::waves`] is a plain row-major loop: the sweeps of the
+//! sequential engine, one after the other.
 //!
 //! The paper's scheme "keeps the working state in a single array", and the
 //! steady state of one temporal sweep already walks a parallelogram of
@@ -70,11 +73,11 @@
 //!
 //! # Engine dispatch
 //!
-//! A temporal workspace resolves its [`Select`] **once**, by the untiled
-//! rule ([`KernelSpace::resolve`]: the kernel's AVX2 sweep, a grid of at
-//! least `VL·s` slabs, at least `VL` steps) — chunking does not change
-//! which code runs, so a narrow `block` forces nothing onto the scalar
-//! schedule — and reports the resolved [`Engine`]. That engine is the
+//! A temporal workspace resolves its [`Select`] **once**, by capability
+//! ([`KernelSpace::resolve`]: the kernel's AVX2 sweep at this stride and
+//! the CPU's features) — chunking does not change which code runs, so a
+//! narrow `block` forces nothing onto the scalar schedule — and reports
+//! the resolved [`Engine`]. That engine is the
 //! codegen context of everything a task executes; the scalar and
 //! multi-load modes report no engine but still follow the selection for
 //! theirs (`sel.resolve(true)`), so no sweep runs its `mul_add`s through
@@ -388,6 +391,8 @@ pub struct Sweeps<K: KernelSpace> {
     slots: Vec<Slot<K>>,
     /// The second buffer of the multi-load sweeps.
     twin: Option<K::Grid>,
+    /// Vector sweeps tick [`tempora_simd::count`].
+    count: bool,
     #[cfg(any(test, debug_assertions))]
     hazards: hazards::Hazards,
 }
@@ -397,7 +402,7 @@ impl<K: KernelSpace> Sweeps<K> {
     /// boundary `bc`, advancing `steps` levels per [`Sweeps::advance`] in
     /// chunks of `block` anchors (widened to `max(VL·s, 2)`). For
     /// [`Mode::Temporal`], `sel` picks the steady state (resolved here,
-    /// once, by the untiled rule).
+    /// once, by capability).
     ///
     /// # Panics
     /// Panics when `block == 0` (`tempora_plan` validates the geometry
@@ -428,9 +433,19 @@ impl<K: KernelSpace> Sweeps<K> {
                 .map(|_| Slot::new(dims, &sched, mode))
                 .collect(),
             twin: (mode == Mode::Auto).then(|| K::Grid::with_dims(dims, bc)),
+            count: false,
             #[cfg(any(test, debug_assertions))]
             hazards: hazards::Hazards::new(&sched),
         }
+    }
+
+    /// Turn the vector sweeps' reorganization-op accounting
+    /// ([`tempora_simd::count`]) on or off. The counters are per thread
+    /// and only the portable steady state ticks them: count on a
+    /// one-thread pool under [`Select::Portable`].
+    pub fn count_reorg(mut self, on: bool) -> Self {
+        self.count = on;
+        self
     }
 
     /// The engine this workspace resolved to (`None` for the
@@ -487,7 +502,7 @@ impl<K: KernelSpace> Sweeps<K> {
     ///
     /// # Panics
     /// Panics if `g` does not match the workspace geometry (or, in
-    /// [`Mode::Auto`], its boundary value).
+    /// [`Mode::Auto`], the bits of its boundary value).
     pub fn advance(&mut self, g: &mut K::Grid, pool: &Pool) {
         assert_eq!(g.halo(), 1, "temporal engines use halo width 1");
         assert_eq!(
@@ -498,11 +513,17 @@ impl<K: KernelSpace> Sweeps<K> {
         let lay = g.layout();
         if let Some(twin) = &self.twin {
             // The twin's ghost cells were set once, from this boundary.
-            assert_eq!(g.boundary(), twin.boundary(), "boundary mismatch");
+            assert!(
+                g.boundary().same_bits(twin.boundary()),
+                "boundary mismatch: {:?} vs the workspace's {:?}",
+                g.boundary(),
+                twin.boundary()
+            );
         }
         #[cfg(any(test, debug_assertions))]
         self.hazards.reset();
-        let (kern, sched, isa, slab) = (self.kern, self.sched, self.isa, lay.slab);
+        let (kern, sched, isa, slab, count) =
+            (self.kern, self.sched, self.isa, lay.slab, self.count);
         let s = match self.mode {
             Mode::Temporal(s) => s,
             _ => 0,
@@ -556,6 +577,9 @@ impl<K: KernelSpace> Sweeps<K> {
                 )
             };
             match (part.kind, &mut slot.sc, &mut slot.bufs, part.view) {
+                (SweepKind::Vector, Some(sc), ..) if count => {
+                    kern.sweep::<true>(isa, &lay, own, part.xs, s, sc);
+                }
                 (SweepKind::Vector, Some(sc), ..) => {
                     kern.sweep::<false>(isa, &lay, own, part.xs, s, sc);
                 }

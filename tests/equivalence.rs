@@ -95,6 +95,11 @@ fn run_lcs_plan(b: PlanBuilder, a: &[u8], bs: &[u8]) -> (i32, Option<Engine>) {
     (report.lcs_length.unwrap(), report.engine)
 }
 
+/// The untiled temporal plan forced onto one engine at stride `s`.
+fn forced(sel: Select, s: usize) -> PlanBuilder {
+    PlanBuilder::new().select(sel).stride(s)
+}
+
 /// The three tiled in-tile schemes as `(label, method, stride)` rows.
 fn tiled_methods(s: usize, with_auto: bool) -> Vec<(Method, usize)> {
     let mut v = vec![(Method::Scalar, s)];
@@ -178,9 +183,7 @@ fn heat2d_and_box2d_all_schemes_agree() {
     let g = g2(96, 33, 2, -0.25);
 
     let c = Heat2dCoeffs::classic(0.11);
-    let kern = JacobiKern2d(c);
     let gold = reference::heat2d(&g, c, steps);
-    assert!(engine::run(Engine::Portable, &g, &kern, steps, 2).interior_eq(&gold));
     assert!(multiload::heat2d(&g, c, steps).interior_eq(&gold));
     let problem = Problem::Heat2d {
         nx: g.nx(),
@@ -189,6 +192,8 @@ fn heat2d_and_box2d_all_schemes_agree() {
         coeffs: c,
         boundary: g.boundary(),
     };
+    let (r, _) = run2(&problem, forced(Select::Portable, 2), &g);
+    assert!(r.interior_eq(&gold));
     for (method, s) in tiled_methods(2, true) {
         let (r, _) = run2(
             &problem,
@@ -206,9 +211,7 @@ fn heat2d_and_box2d_all_schemes_agree() {
     }
 
     let cb = Box2dCoeffs::smooth(0.07);
-    let kb = BoxKern2d(cb);
     let goldb = reference::box2d(&g, cb, steps);
-    assert!(engine::run(Engine::Portable, &g, &kb, steps, 2).interior_eq(&goldb));
     assert!(multiload::box2d(&g, cb, steps).interior_eq(&goldb));
     let problem = Problem::Box2d {
         nx: g.nx(),
@@ -217,6 +220,8 @@ fn heat2d_and_box2d_all_schemes_agree() {
         coeffs: cb,
         boundary: g.boundary(),
     };
+    let (r, _) = run2(&problem, forced(Select::Portable, 2), &g);
+    assert!(r.interior_eq(&goldb));
     let (r, _) = run2(&problem, PlanBuilder::new().stride(2), &g);
     assert!(r.interior_eq(&goldb), "plan box2d");
 }
@@ -224,12 +229,10 @@ fn heat2d_and_box2d_all_schemes_agree() {
 #[test]
 fn life_all_schemes_agree() {
     let rule = LifeRule::b2s23();
-    let kern = LifeKern2d(rule);
     let mut g = Grid2::<i32>::new(80, 40, 1, Boundary::Dirichlet(0));
     fill_random_life(&mut g, 5, 0.37);
     let steps = 16;
     let gold = reference::life(&g, rule, steps);
-    assert!(engine::run(Engine::Portable, &g, &kern, steps, 2).interior_eq(&gold));
     assert!(multiload::life(&g, rule, steps).interior_eq(&gold));
     let problem = Problem::Life {
         nx: g.nx(),
@@ -238,6 +241,8 @@ fn life_all_schemes_agree() {
         rule,
         boundary: g.boundary(),
     };
+    let (r, _) = run2i(&problem, forced(Select::Portable, 2), &g);
+    assert!(r.interior_eq(&gold));
     for (method, s) in [(Method::Scalar, 2), (Method::Temporal, 2)] {
         let (r, e) = run2i(
             &problem,
@@ -268,11 +273,9 @@ fn life_all_schemes_agree() {
 #[test]
 fn heat3d_all_schemes_agree() {
     let c = Heat3dCoeffs::classic(0.09);
-    let kern = JacobiKern3d(c);
     let g = g3(24, 7);
     let steps = 8;
     let gold = reference::heat3d(&g, c, steps);
-    assert!(engine::run(Engine::Portable, &g, &kern, steps, 2).interior_eq(&gold));
     assert!(multiload::heat3d(&g, c, steps).interior_eq(&gold));
     let problem = Problem::Heat3d {
         nx: g.nx(),
@@ -282,6 +285,8 @@ fn heat3d_all_schemes_agree() {
         coeffs: c,
         boundary: g.boundary(),
     };
+    let (r, _) = run3(&problem, forced(Select::Portable, 2), &g);
+    assert!(r.interior_eq(&gold));
     for (method, s) in tiled_methods(2, true) {
         let (r, _) = run3(
             &problem,
@@ -331,10 +336,8 @@ fn gauss_seidel_all_schemes_agree() {
     }
 
     let c2 = Gs2dCoeffs::classic(0.17);
-    let k2 = GsKern2d(c2);
     let h = g2(100, 21, 4, -0.1);
     let gold2 = reference::gs2d(&h, c2, steps);
-    assert!(engine::run(Engine::Portable, &h, &k2, steps, 2).interior_eq(&gold2));
     let problem = Problem::Gs2d {
         nx: h.nx(),
         ny: h.ny(),
@@ -342,6 +345,8 @@ fn gauss_seidel_all_schemes_agree() {
         coeffs: c2,
         boundary: h.boundary(),
     };
+    let (r, _) = run2(&problem, forced(Select::Portable, 2), &h);
+    assert!(r.interior_eq(&gold2));
     for (method, s) in tiled_methods(2, false) {
         let (r, _) = run2(
             &problem,
@@ -359,10 +364,8 @@ fn gauss_seidel_all_schemes_agree() {
     }
 
     let c3 = Gs3dCoeffs::classic(0.12);
-    let k3 = GsKern3d(c3);
     let v = g3(32, 9);
     let gold3 = reference::gs3d(&v, c3, 8);
-    assert!(engine::run(Engine::Portable, &v, &k3, 8, 2).interior_eq(&gold3));
     let problem = Problem::Gs3d {
         nx: v.nx(),
         ny: v.ny(),
@@ -371,6 +374,8 @@ fn gauss_seidel_all_schemes_agree() {
         coeffs: c3,
         boundary: v.boundary(),
     };
+    let (r, _) = run3(&problem, forced(Select::Portable, 2), &v);
+    assert!(r.interior_eq(&gold3));
     for (method, s) in tiled_methods(2, false) {
         let (r, _) = run3(
             &problem,
@@ -635,10 +640,10 @@ fn has_avx2() -> bool {
 #[test]
 #[cfg(target_arch = "x86_64")]
 fn avx2_engines_match_scalar_oracles_bitwise() {
-    use tempora::core::t1d_avx2;
     if !has_avx2() {
         return;
     }
+    let avx2 = |s| forced(Select::Avx2, s);
 
     // 1-D: Jacobi and Gauss-Seidel over strides up to the paper's s = 7.
     let c1 = Heat1dCoeffs::classic(0.24);
@@ -647,14 +652,28 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
         for s in [2usize, 4, 7] {
             for steps in [4usize, 8, 13] {
                 let g = g1(n, (n + s + steps) as u64, 0.5);
-                let ours = t1d_avx2::run_heat1d_avx2(&g, &JacobiKern1d(c1), steps, s);
+                let (n, boundary) = (g.n(), g.boundary());
+                let problem = Problem::Heat1d {
+                    n,
+                    steps,
+                    coeffs: c1,
+                    boundary,
+                };
+                let (ours, e) = run1(&problem, avx2(s), &g);
+                assert_eq!(e, Some(Engine::Avx2));
                 let gold = reference::heat1d(&g, c1, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "heat1d n={n} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = t1d_avx2::run_gs1d_avx2(&g, &GsKern1d(cg1), steps, s);
+                let problem = Problem::Gs1d {
+                    n,
+                    steps,
+                    coeffs: cg1,
+                    boundary,
+                };
+                let (ours, _) = run1(&problem, avx2(s), &g);
                 let gold = reference::gs1d(&g, cg1, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -674,7 +693,16 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
         for s in [2usize, 3] {
             for steps in [4usize, 7, 12] {
                 let g = g2(nx, ny, (nx * ny + s + steps) as u64, -0.25);
-                let ours = engine::run(Engine::Avx2, &g, &JacobiKern2d(c2), steps, s);
+                let boundary = g.boundary();
+                let problem = Problem::Heat2d {
+                    nx,
+                    ny,
+                    steps,
+                    coeffs: c2,
+                    boundary,
+                };
+                let (ours, e) = run2(&problem, avx2(s), &g);
+                assert_eq!(e, Some(Engine::Avx2));
                 let gold = reference::heat2d(&g, c2, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -682,14 +710,28 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
                     ours.first_diff(&gold)
                 );
                 ours.check_canaries().unwrap();
-                let ours = engine::run(Engine::Avx2, &g, &BoxKern2d(cb), steps, s);
+                let problem = Problem::Box2d {
+                    nx,
+                    ny,
+                    steps,
+                    coeffs: cb,
+                    boundary,
+                };
+                let (ours, _) = run2(&problem, avx2(s), &g);
                 let gold = reference::box2d(&g, cb, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "box2d nx={nx} ny={ny} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = engine::run(Engine::Avx2, &g, &GsKern2d(cg2), steps, s);
+                let problem = Problem::Gs2d {
+                    nx,
+                    ny,
+                    steps,
+                    coeffs: cg2,
+                    boundary,
+                };
+                let (ours, _) = run2(&problem, avx2(s), &g);
                 let gold = reference::gs2d(&g, cg2, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -708,14 +750,32 @@ fn avx2_engines_match_scalar_oracles_bitwise() {
             for steps in [4usize, 8, 9] {
                 let mut g = Grid3::new(nx, ny, nz, 1, Boundary::Dirichlet(0.1));
                 fill_random_3d(&mut g, (nx + ny + nz + s + steps) as u64, -1.0, 1.0);
-                let ours = engine::run(Engine::Avx2, &g, &JacobiKern3d(c3), steps, s);
+                let boundary = g.boundary();
+                let problem = Problem::Heat3d {
+                    nx,
+                    ny,
+                    nz,
+                    steps,
+                    coeffs: c3,
+                    boundary,
+                };
+                let (ours, e) = run3(&problem, avx2(s), &g);
+                assert_eq!(e, Some(Engine::Avx2));
                 let gold = reference::heat3d(&g, c3, steps);
                 assert!(
                     ours.interior_eq(&gold),
                     "heat3d nx={nx} ny={ny} nz={nz} s={s} steps={steps} {:?}",
                     ours.first_diff(&gold)
                 );
-                let ours = engine::run(Engine::Avx2, &g, &GsKern3d(cg3), steps, s);
+                let problem = Problem::Gs3d {
+                    nx,
+                    ny,
+                    nz,
+                    steps,
+                    coeffs: cg3,
+                    boundary,
+                };
+                let (ours, _) = run3(&problem, avx2(s), &g);
                 let gold = reference::gs3d(&g, cg3, steps);
                 assert!(
                     ours.interior_eq(&gold),
@@ -1345,10 +1405,7 @@ fn tempora_engine_env_is_honoured() {
 fn canaries_survive_every_engine() {
     // No engine may write into the alignment padding.
     let c = Heat2dCoeffs::classic(0.125);
-    let kern = JacobiKern2d(c);
     let g = g2(40, 37, 8, 0.0); // ny chosen so padding exists (37+2=39 -> pitch 40)
-    let r = engine::run(Engine::Portable, &g, &kern, 8, 2);
-    r.check_canaries().unwrap();
     let rm = multiload::heat2d(&g, c, 8);
     rm.check_canaries().unwrap();
     let problem = Problem::Heat2d {
@@ -1358,6 +1415,8 @@ fn canaries_survive_every_engine() {
         coeffs: c,
         boundary: g.boundary(),
     };
+    let (r, _) = run2(&problem, forced(Select::Portable, 2), &g);
+    r.check_canaries().unwrap();
     let (rp, _) = run2(
         &problem,
         PlanBuilder::new()

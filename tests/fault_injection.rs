@@ -251,6 +251,30 @@ fn fault_in_injection_fails_build_and_next_build_succeeds() {
     assert!(states_equal(&a, &b));
 }
 
+/// `fault_in` re-allocates the scratch arenas from pool workers; on a
+/// one-thread pool the only worker is the thread that allocated them, so
+/// the build must not pay for it — untiled builds above all, which are
+/// one-thread tiled builds.
+#[test]
+fn fault_in_runs_only_on_multi_thread_pools() {
+    let _g = fp_guard();
+    let problem = Problem::heat2d(48, 17, 9, Heat2dCoeffs::classic(0.11));
+    let ghost = Tiling::Ghost {
+        block: 12,
+        height: 4,
+    };
+    for (tiling, threads, expect) in [(Tiling::None, 1, 0), (ghost, 1, 0), (ghost, 2, 1)] {
+        // Armed far beyond reach: the directive only counts hits.
+        fp::arm("fault_in=panic@1000");
+        PlanBuilder::new()
+            .tiling(tiling)
+            .threads(threads)
+            .build(&problem)
+            .expect("build succeeds");
+        assert_eq!(fp::hits("fault_in"), expect, "{tiling:?} x{threads}");
+    }
+}
+
 /// A panic at the single arena-allocation funnel escapes state
 /// construction cleanly and the process stays healthy.
 #[test]

@@ -7,7 +7,7 @@ use tempora::core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
 use tempora::core::t1d;
-use tempora::grid::{fill_random_1d, Boundary, Grid1, SlabGrid};
+use tempora::grid::{fill_random_1d, Boundary, Grid1, SlabGrid, SlabsMut};
 use tempora::simd::{count, Scalar};
 use tempora::stencil::*;
 
@@ -125,9 +125,9 @@ fn reorg_cost_independent_of_vector_length() {
     assert_eq!(k.in_lane, k.output_vectors);
 }
 
-/// The "irrelevant to … dimension" clause of the same claim: one tile of
-/// every 2-D and 3-D kernel through `KernelSpace::tile::<true>` (portable
-/// engine) produces one input vector per interior point of every
+/// The "irrelevant to … dimension" clause of the same claim: one whole
+/// sweep of every 2-D and 3-D kernel through `KernelSpace::sweep::<true>`
+/// (portable engine) produces one input vector per interior point of every
 /// steady-state slab, each for exactly one rotate and one blend — at
 /// `VL = 4` and, for Life, `VL = 8`, star and box neighbourhoods, Jacobi
 /// and Gauss-Seidel alike.
@@ -137,10 +137,15 @@ fn reorg_cost_independent_of_dimension() {
         for s in [K::MIN_STRIDE, K::MIN_STRIDE + 1] {
             let mut g = K::Grid::with_dims(dims, Boundary::Dirichlet(Elem::<K>::ZERO));
             let mut sc = K::scratch(dims, s);
-            let sess = count::Session::start();
-            kern.tile::<true>(Engine::Portable, &mut g, s, &mut sc);
-            let k = sess.finish();
             let slabs = dims[0] + 1 - K::VL * s;
+            let lay = g.layout();
+            let a = SlabsMut {
+                data: g.data_mut(),
+                first: 0,
+            };
+            let sess = count::Session::start();
+            kern.sweep::<true>(Engine::Portable, &lay, a, 1..=slabs, s, &mut sc);
+            let k = sess.finish();
             let vectors = (slabs * dims[1] * dims[2]) as u64;
             assert_eq!(k.output_vectors, vectors, "{name} s={s}");
             assert_eq!(k.cross_lane, vectors, "{name} s={s}");

@@ -387,6 +387,199 @@ fn dispatch_matrix_agrees_with_the_reference_or_errors() {
     assert_eq!(accepted, 71, "the set of legal configurations changed");
 }
 
+/// The three plans of one table row: untiled, the explicit one-chunk
+/// tiling (one thread) and a chunked tiling (two threads).
+fn three_tilings(problem: &Problem, method: Method, s: usize) -> [(Tiling, usize); 3] {
+    let [outer, inner, _] = problem.extents();
+    if matches!(problem, Problem::Lcs { .. }) {
+        let whole = Tiling::LcsRect {
+            xblock: outer.max(1),
+            yblock: inner.max(1),
+        };
+        let cut = Tiling::LcsRect {
+            xblock: 24,
+            yblock: 40,
+        };
+        return [(Tiling::None, 1), (whole, 1), (cut, 2)];
+    }
+    let height = 8;
+    if problem.is_gauss_seidel() {
+        // The narrowest block `Tiling::Skew` validates.
+        let s_eff = if method == Method::Temporal { s } else { 0 };
+        let min = height + 4 * s_eff + 4;
+        let skew = |block| Tiling::Skew { block, height };
+        [(Tiling::None, 1), (skew(outer.max(min)), 1), (skew(min), 2)]
+    } else {
+        let ghost = |block| Tiling::Ghost { block, height };
+        [
+            (Tiling::None, 1),
+            (ghost(outer), 1),
+            (ghost(outer.div_ceil(4)), 2),
+        ]
+    }
+}
+
+/// One executor per family: every kind × every method with a tiled form
+/// × {`Tiling::None`, the explicit one-chunk tiling, a chunked tiling on
+/// two threads} agrees bitwise with the scalar reference (the hazard
+/// checker is armed in this build), resolves the same engine in all
+/// three, reports tile geometry exactly when a tiling was asked for, and
+/// allocates nothing on its second run. The rows cover healthy shapes,
+/// `nx < VL·s`, `steps < VL`, `steps % VL ∈ {0, ≠ 0}` and the LCS edges
+/// (`la = 0`, `lb = 0`, `la < VL`, `lb ≤ VL·s`).
+#[test]
+fn untiled_one_chunk_and_chunked_plans_agree_with_the_reference() {
+    let (h1, g1) = (Heat1dCoeffs::classic(0.24), Gs1dCoeffs::classic(0.22));
+    let (h2, b2) = (Heat2dCoeffs::classic(0.11), Box2dCoeffs::smooth(0.07));
+    let (g2, rule) = (Gs2dCoeffs::classic(0.17), LifeRule::b2s23());
+    let (h3, g3) = (Heat3dCoeffs::classic(0.09), Gs3dCoeffs::classic(0.12));
+    let rows = [
+        // Healthy shapes, `steps % VL != 0`.
+        (Problem::heat1d(150, 19, h1), 3),
+        (Problem::heat1d(150, 19, h1), 10),
+        (Problem::gs1d(150, 19, g1), 3),
+        (Problem::heat2d(60, 11, 13, h2), 2),
+        (Problem::box2d(60, 11, 13, b2), 2),
+        (Problem::gs2d(60, 11, 13, g2), 2),
+        (Problem::life(70, 11, 19, rule), 2),
+        (Problem::heat3d(40, 5, 6, 9, h3), 2),
+        (Problem::gs3d(40, 5, 6, 9, g3), 2),
+        // An outer extent below `VL·s`: scalar sweeps only.
+        (Problem::heat1d(7, 9, h1), 2),
+        (Problem::gs1d(27, 9, g1), 7),
+        (Problem::box2d(7, 9, 9, b2), 2),
+        (Problem::life(15, 9, 17, rule), 2),
+        (Problem::gs3d(7, 4, 5, 9, g3), 2),
+        // Fewer steps than lanes, and whole sweeps only.
+        (Problem::heat1d(150, 3, h1), 3),
+        (Problem::gs2d(60, 11, 3, g2), 2),
+        (Problem::life(70, 11, 7, rule), 2),
+        (Problem::heat3d(40, 5, 6, 8, h3), 2),
+        (Problem::gs1d(150, 8, g1), 3),
+        // LCS: a healthy table and its degenerate edges.
+        (Problem::lcs(90, 140), 1),
+        (Problem::lcs(0, 40), 1),
+        (Problem::lcs(40, 0), 1),
+        (Problem::lcs(5, 140), 1),
+        (Problem::lcs(90, 8), 1),
+        (Problem::lcs(90, 16), 2),
+    ];
+    for (problem, s) in rows {
+        let init = fresh_state(&problem, 31);
+        let gold = reference_state(&problem, &init);
+        let jacobi_grid = !problem.is_gauss_seidel() && !matches!(problem, Problem::Lcs { .. });
+        let multiload = jacobi_grid.then_some(Method::Multiload);
+        for method in [Method::Temporal, Method::Scalar]
+            .into_iter()
+            .chain(multiload)
+        {
+            let mut engines = vec![];
+            for (tiling, threads) in three_tilings(&problem, method, s) {
+                let name = format!("{problem:?} s={s} {method:?} {tiling:?} x{threads}");
+                let mut plan = PlanBuilder::new()
+                    .method(method)
+                    .stride(s)
+                    .tiling(tiling)
+                    .threads(threads)
+                    .build(&problem)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let mut state = init.clone();
+                let report = plan.run(&mut state).unwrap();
+                assert!(states_equal(&state, &gold), "{name}");
+                assert_eq!(report.tiles.is_none(), tiling == Tiling::None, "{name}");
+                assert_eq!(
+                    report.engine.is_some(),
+                    method == Method::Temporal,
+                    "{name}"
+                );
+                engines.push(report.engine);
+                let clean = runs_allocation_free(|| {
+                    plan.run(&mut state).unwrap();
+                });
+                assert!(clean, "{name}: the second run allocated");
+            }
+            assert!(
+                engines.iter().all(|e| *e == engines[0]),
+                "{problem:?} {engines:?}"
+            );
+        }
+    }
+
+    // The counted 1-D plans reach the instrumented sweep through the same
+    // executor: one rotate and one blend per output vector.
+    for problem in [Problem::heat1d(4096, 16, h1), Problem::gs1d(4096, 16, g1)] {
+        let mut plan = PlanBuilder::new()
+            .select(Select::Portable)
+            .count_reorg(true)
+            .build(&problem)
+            .unwrap();
+        let report = plan.run(&mut fresh_state(&problem, 6)).unwrap();
+        let k = report.reorg.expect("count_reorg plans report counts");
+        assert!(k.output_vectors > 0, "{problem:?}");
+        assert_eq!(k.cross_lane, k.output_vectors, "{problem:?}");
+        assert_eq!(k.in_lane, k.output_vectors, "{problem:?}");
+    }
+}
+
+/// A state carrying another boundary than the plan's problem is a typed
+/// error — not a panic inside the run that poisons the plan — and a NaN
+/// boundary, which `==` tells apart from itself, runs: multi-load (whose
+/// twin holds the problem's boundary) and temporal, untiled and tiled.
+#[test]
+fn boundary_is_compared_by_bit_pattern() {
+    let ghost = Tiling::Ghost {
+        block: 16,
+        height: 4,
+    };
+    let coeffs = Heat1dCoeffs::classic(0.24);
+    let with = |b: f64| Problem::Heat1d {
+        n: 64,
+        steps: 5,
+        coeffs,
+        boundary: Boundary::Dirichlet(b),
+    };
+    for method in [Method::Multiload, Method::Temporal] {
+        for (tiling, threads) in [(Tiling::None, 1), (ghost, 2)] {
+            let name = format!("{method:?} {tiling:?}");
+            let builder = PlanBuilder::new()
+                .method(method)
+                .stride(2)
+                .tiling(tiling)
+                .threads(threads);
+            let mut plan = builder.build(&with(0.5)).unwrap();
+            for other in [0.25, -0.5, f64::NAN] {
+                let err = plan.run(&mut fresh_state(&with(other), 3)).unwrap_err();
+                assert!(
+                    matches!(err, PlanError::StateBoundaryMismatch { .. }),
+                    "{name}: {err}"
+                );
+                assert!(!plan.is_poisoned(), "{name}");
+            }
+            // -0.0 == 0.0, but the ghost cells would hold other bits.
+            let mut zero = builder.build(&with(0.0)).unwrap();
+            assert!(
+                zero.run(&mut fresh_state(&with(-0.0), 3)).is_err(),
+                "{name}"
+            );
+            assert!(zero.run(&mut fresh_state(&with(0.0), 3)).is_ok(), "{name}");
+
+            let nan = with(f64::NAN);
+            let mut plan = builder.build(&nan).unwrap();
+            let mut state = fresh_state(&nan, 3);
+            let gold = reference_state(&nan, &state);
+            plan.run(&mut state)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!plan.is_poisoned(), "{name}");
+            let bits = |s: &State| -> Vec<u64> {
+                let cells = s.grid1().unwrap().interior().iter();
+                cells.map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&state), bits(&gold), "{name}");
+            assert!(state.grid1().unwrap().interior()[0].is_nan(), "{name}");
+        }
+    }
+}
+
 /// The documented one-shot exceptions: reorg/DLT rebuild their transposed
 /// layouts per run (and say so in their docs) — but they still run
 /// correctly and repeatedly through the same plan.

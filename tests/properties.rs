@@ -4,12 +4,16 @@
 
 use proptest::prelude::*;
 
-use tempora::core::engine::{self, Engine};
 use tempora::core::kernels::*;
 use tempora::core::{lcs, t1d};
 use tempora::grid::*;
-use tempora::prelude::{Method, PlanBuilder, Problem, State, Tiling};
+use tempora::prelude::{Method, PlanBuilder, Problem, Select, State, Tiling};
 use tempora::stencil::*;
+
+/// The untiled temporal plan forced onto the portable engine at stride `s`.
+fn portable(s: usize) -> PlanBuilder {
+    PlanBuilder::new().select(Select::Portable).stride(s)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -57,11 +61,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let c = Heat2dCoeffs::classic(0.12);
-        let kern = JacobiKern2d(c);
         let mut g = Grid2::new(nx, ny, 1, Boundary::Dirichlet(-0.5));
         fill_random_2d(&mut g, seed, -1.0, 1.0);
-        let ours = engine::run(Engine::Portable, &g, &kern, steps, 2);
         let gold = reference::heat2d(&g, c, steps);
+        let problem = Problem::Heat2d { nx, ny, steps, coeffs: c, boundary: g.boundary() };
+        let mut state = State::Grid2(g);
+        portable(2).build(&problem).unwrap().run(&mut state).unwrap();
+        let ours = state.grid2().unwrap();
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }
 
@@ -74,11 +80,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let rule = LifeRule::b2s23();
-        let kern = LifeKern2d(rule);
         let mut g = Grid2::<i32>::new(nx, ny, 1, Boundary::Dirichlet(0));
         fill_random_life(&mut g, seed, p);
-        let ours = engine::run(Engine::Portable, &g, &kern, steps, 2);
         let gold = reference::life(&g, rule, steps);
+        let problem = Problem::life(nx, ny, steps, rule);
+        let mut state = State::Grid2i(g);
+        portable(2).build(&problem).unwrap().run(&mut state).unwrap();
+        let ours = state.grid2i().unwrap();
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }
 
