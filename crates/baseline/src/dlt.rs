@@ -22,7 +22,7 @@
 
 use crate::multiload;
 use tempora_grid::Grid1;
-use tempora_simd::Pack;
+use tempora_simd::{Pack, Packs};
 use tempora_stencil::Heat1dCoeffs;
 
 const N: usize = 4;
@@ -63,11 +63,11 @@ fn step(t: &[f64], dst: &mut [f64], m: usize, c: &Heat1dCoeffs, halo_l: f64, hal
         let left = col(m - 1).shift_up_insert(halo_l);
         let mid = col(0);
         let right = col(1);
-        c.apply_pack(left, mid, right).store(dst, 0);
+        c.apply_pack(Packs, left, mid, right).store(dst, 0);
     }
     // Bulk: full vectors, no shuffles at all.
     for i in 1..m - 1 {
-        let out = c.apply_pack(col(i - 1), col(i), col(i + 1));
+        let out = c.apply_pack(Packs, col(i - 1), col(i), col(i + 1));
         out.store(dst, i * N);
     }
     // Column m-1: right neighbour lane k is a[k·m + m] = lane k+1 of T(0),
@@ -76,7 +76,8 @@ fn step(t: &[f64], dst: &mut [f64], m: usize, c: &Heat1dCoeffs, halo_l: f64, hal
         let left = col(m - 2);
         let mid = col(m - 1);
         let right = col(0).shift_down_insert(halo_r);
-        c.apply_pack(left, mid, right).store(dst, (m - 1) * N);
+        c.apply_pack(Packs, left, mid, right)
+            .store(dst, (m - 1) * N);
     }
 }
 

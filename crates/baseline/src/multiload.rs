@@ -21,7 +21,7 @@
 //! Both are exactly rounded, so the results are bit-identical.
 
 use tempora_grid::{Grid1, Grid2, Grid3};
-use tempora_simd::Pack;
+use tempora_simd::{Pack, Packs};
 use tempora_stencil::{Box2dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule};
 
 /// Vector width used by the f64 baselines (the paper's AVX `vl = 4`).
@@ -39,7 +39,7 @@ fn heat1d_step(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs) {
         let l = Pack::<f64, N>::load(a, x - 1);
         let m = Pack::<f64, N>::load(a, x);
         let r = Pack::<f64, N>::load(a, x + 1);
-        c.apply_pack(l, m, r).store(b, x);
+        c.apply_pack(Packs, l, m, r).store(b, x);
         x += N;
     }
     for x in x..=n {
@@ -108,7 +108,7 @@ pub fn heat2d(g: &Grid2<f64>, c: Heat2dCoeffs, steps: usize) -> Grid2<f64> {
                 let m = Pack::<f64, N>::load(a, r + y);
                 let e = Pack::<f64, N>::load(a, r + y + 1);
                 let dn = Pack::<f64, N>::load(a, r + p + y);
-                c.apply_pack(up, w, m, e, dn).store(b, r + y);
+                c.apply_pack(Packs, up, w, m, e, dn).store(b, r + y);
                 y += N;
             }
             for y in y..=ny {
@@ -149,7 +149,8 @@ pub fn heat3d(g: &Grid3<f64>, c: Heat3dCoeffs, steps: usize) -> Grid3<f64> {
                     let zp = Pack::<f64, N>::load(a, r + z + 1);
                     let yp = Pack::<f64, N>::load(a, r + p + z);
                     let xp = Pack::<f64, N>::load(a, r + pl + z);
-                    c.apply_pack(xm, ym, zm, m, zp, yp, xp).store(b, r + z);
+                    c.apply_pack(Packs, xm, ym, zm, m, zp, yp, xp)
+                        .store(b, r + z);
                     z += N;
                 }
                 for z in z..=nz {
@@ -189,7 +190,7 @@ pub fn box2d(g: &Grid2<f64>, c: Box2dCoeffs, steps: usize) -> Grid2<f64> {
                 let v: [[Pack<f64, N>; 3]; 3] = core::array::from_fn(|di| {
                     core::array::from_fn(|dj| Pack::load(a, rows[di] + y + dj - 1))
                 });
-                c.apply_pack(v).store(b, r + y);
+                c.apply_pack(Packs, v).store(b, r + y);
                 y += N;
             }
             for y in y..=ny {
@@ -226,7 +227,7 @@ pub fn life(g: &Grid2<i32>, rule: LifeRule, steps: usize) -> Grid2<i32> {
                     [row(r, 0), row(r, 1), row(r, 2)],
                     [row(r + p, 0), row(r + p, 1), row(r + p, 2)],
                 ];
-                rule.apply_neighborhood_pack(v).store(b, r + y);
+                rule.apply_neighborhood_pack(Packs, v).store(b, r + y);
                 y += N;
             }
             for y in y..=ny {

@@ -15,7 +15,7 @@
 
 use tempora_grid::Grid1;
 use tempora_simd::count::{self, Op};
-use tempora_simd::Pack;
+use tempora_simd::{Pack, Packs};
 use tempora_stencil::Heat1dCoeffs;
 
 const N: usize = 4;
@@ -51,7 +51,7 @@ fn step<const COUNT: bool>(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs)
                 count::record(Op::CrossLane, 1);
                 count::record_output(1);
             }
-            c.apply_pack(l, m, r).store(b, x);
+            c.apply_pack(Packs, l, m, r).store(b, x);
             if COUNT {
                 count::record(Op::VecStore, 1);
             }

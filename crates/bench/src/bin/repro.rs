@@ -8,7 +8,8 @@
 //!          default stride),
 //!          ablate-reorg, ablate-baselines,
 //!          ablate-stride (fails when an AVX2 kind's default stride runs
-//!          below 0.7× its best stride),
+//!          below 0.7× its best stride, or when under `auto` on an AVX2
+//!          host an accepted stride resolves the portable engine),
 //!          ablate-boundary (fails when an AVX2 tile's boundary code is
 //!          more than 12× slower per update than its steady state),
 //!          ablate-tiling (fails when an AVX2 tiled plan takes more than
@@ -362,16 +363,32 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                 .iter()
                 .map(|r| format!("{} s={} {:.2}", r.kind, r.stride, table.vs_best(r)))
                 .collect();
+            let mut violations = vec![];
+            if !under.is_empty() {
+                violations.push(format!(
+                    "default stride below {DEFAULT_STRIDE_FLOOR} of the best stride on the \
+                     AVX2 engine ({}): is the default still one the steady state \
+                     specialises, and still on the plateau?",
+                    under.join(", ")
+                ));
+            }
+            let portable: Vec<String> = table
+                .portable_rows()
+                .iter()
+                .map(|r| format!("{} s={}", r.kind, r.stride))
+                .collect();
+            let auto =
+                tempora_core::engine::Select::from_env() == tempora_core::engine::Select::Auto;
+            if auto && tempora_simd::arch::avx2_available() && !portable.is_empty() {
+                violations.push(format!(
+                    "accepted stride resolved the portable engine under `auto` on an AVX2 \
+                     host ({}): does a kernel's AVX2 sweep refuse a stride its plan accepts?",
+                    portable.join(", ")
+                ));
+            }
             Output::Checked {
                 json: table.to_json(),
-                violation: (!under.is_empty()).then(|| {
-                    format!(
-                        "default stride below {DEFAULT_STRIDE_FLOOR} of the best stride on the \
-                         AVX2 engine ({}): is the default still one the steady state \
-                         specialises, and still on the plateau?",
-                        under.join(", ")
-                    )
-                }),
+                violation: (!violations.is_empty()).then(|| violations.join("; ")),
             }
         }
         "ablate-boundary" => {

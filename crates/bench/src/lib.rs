@@ -1139,6 +1139,17 @@ impl StrideTable {
             .filter(|r| r.default && r.engine == "avx2" && self.vs_best(r) < floor)
             .collect()
     }
+
+    /// The rows that resolved the portable engine: none on an AVX2 host
+    /// under `auto`, where every accepted stride resolves by capability —
+    /// a row that does runs through libm's `fma` at a sixteenth of its
+    /// neighbours' speed (the `s = 16` rows of the 1-D kinds once did).
+    pub fn portable_rows(&self) -> Vec<&StrideRow> {
+        self.rows
+            .iter()
+            .filter(|r| r.engine == "portable")
+            .collect()
+    }
 }
 
 /// §3.3 stride sweep: throughput of the temporal engines as the space

@@ -1,6 +1,7 @@
 //! Unified engine dispatch: one place that decides, per workload, whether
-//! the portable pack steady state or the hand-scheduled `std::arch` AVX2
-//! steady state runs.
+//! its sweeps run in the portable register form (`Packs`, compiled for
+//! baseline x86-64) or in the `std::arch` AVX2 one (`Ymm`, compiled inside
+//! an AVX2+FMA sandwich).
 //!
 //! The entry point is the `tempora_plan` crate's
 //! `Problem → PlanBuilder → Plan → Report` lifecycle, which resolves the
@@ -12,16 +13,17 @@
 //! [`KernelSpace`], so those layers are written once for all
 //! dimensionalities. The selection policy is a three-valued [`Select`]:
 //!
-//! * [`Select::Auto`] (the default) — AVX2+FMA steady state whenever the
-//!   CPU supports it and the workload has one, portable otherwise;
+//! * [`Select::Auto`] (the default) — the AVX2+FMA engine whenever the
+//!   CPU supports it and the shape reaches it, portable otherwise;
 //! * [`Select::Portable`] — always the portable pack engine;
-//! * [`Select::Avx2`] — require the AVX2 path (panics if the CPU lacks
-//!   AVX2+FMA; workloads with no hand-scheduled variant still resolve to
-//!   portable, reported as such).
+//! * [`Select::Avx2`] — require the AVX2 engine (panics if the CPU lacks
+//!   AVX2+FMA; an LCS shape that never reaches the vector steady state
+//!   still resolves to portable, reported as such).
 //!
-//! Every workload now has a hand-scheduled steady state: the f64 kernels
-//! run at `vl = 4` double lanes, and the two integer workloads — Life
-//! and LCS — at the paper's `vl = 8` i32 lanes. The grid kernels resolve
+//! Every workload's steady state is one source instantiated per engine
+//! (see [`tempora_simd::Lanes`]): the f64 kernels run at `vl = 4` double
+//! lanes, and the two integer workloads — Life and LCS — at the paper's
+//! `vl = 8` i32 lanes. The grid kernels resolve
 //! by capability alone: a shape that never reaches the vector steady
 //! state — fewer than one full `vl`-level time tile, or an outer extent
 //! below `vl·s` — runs the scalar schedule in every engine, but the
@@ -45,13 +47,14 @@
 //! The resolved [`Engine`] names more than the steady state: every
 //! [`KernelSpace`] method takes it and runs *everything* — sweep prologue
 //! and epilogue, remainder scalar steps, the spatial multi-load steps — in
-//! that engine's codegen context. The phase functions are one `#[inline(always)]`
-//! source, instantiated once for baseline x86-64 and once inside
-//! `#[target_feature(enable = "avx2,fma")]` sandwiches — for the 2-D/3-D
-//! kernels a single one, [`crate::slab_avx2`], generic over the kernel's
-//! row updates, so their one impl below (a macro, one line per kernel)
-//! names a grid, a lane count and `Rows2`/`Rows3` and forwards to
-//! [`crate::slab`]. The reason is
+//! that engine's codegen context. The phase functions, steady states
+//! included, are one `#[inline(always)]` source, instantiated once for
+//! baseline x86-64 with `Packs` and once inside
+//! `#[target_feature(enable = "avx2,fma")]` sandwiches with `Ymm` — for
+//! the 2-D/3-D kernels a single one, [`crate::slab_avx2`], generic over
+//! the kernel's row updates, so their one impl below (a macro, one line
+//! per kernel) names a grid, a lane count and `Rows2`/`Rows3` and forwards
+//! to [`crate::slab`]. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
 //! `fma` (≈ 3 ns), inside it is one `vfmadd`. Both are the
 //! exactly-rounded fused operation and Rust never contracts separate
@@ -71,6 +74,12 @@ use crate::{spatial, t1d};
 use core::ops::RangeInclusive;
 use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid, SlabLayout, Slabs, SlabsMut};
 use tempora_simd::arch::avx2_available;
+use tempora_simd::Packs;
+#[cfg(target_arch = "x86_64")]
+use {
+    crate::{slab_avx2, t1d_avx2},
+    tempora_simd::arch::Ymm,
+};
 
 /// Environment variable consulted by [`Select::from_env`].
 pub const ENV_VAR: &str = "TEMPORA_ENGINE";
@@ -124,7 +133,7 @@ impl Select {
     }
 
     /// Resolve the policy against CPU capability and whether the workload
-    /// has an AVX2 codegen context to run in. Public so the tiled layer
+    /// reaches an AVX2 codegen context. Public so the tiled layer
     /// (`tempora-tiling`) can resolve its in-tile engine **once per run**
     /// and report it honestly.
     pub fn resolve(self, has_avx2_impl: bool) -> Engine {
@@ -157,8 +166,20 @@ impl Select {
 pub enum Engine {
     /// The portable `Pack` engine (LLVM auto-selection).
     Portable,
-    /// The hand-scheduled `std::arch` AVX2+FMA engine.
+    /// The `std::arch` AVX2+FMA engine.
     Avx2,
+}
+
+/// The register form of [`Engine::Avx2`], on the way into a sandwich.
+///
+/// # Panics
+/// Panics if the CPU lacks AVX2+FMA: no selection resolves
+/// [`Engine::Avx2`] there.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn ymm() -> Ymm {
+    // Panic-justification: `Select::resolve` yields `Engine::Avx2` only
+    // after `avx2_available()`; a hand-made one on a lesser CPU stops here.
+    Ymm::detect().expect("AVX2+FMA not available on this CPU")
 }
 
 impl Engine {
@@ -239,9 +260,8 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// `xs` ends at `x_max`. Touches the slabs from `xs.start()` (from
     /// ghost slab 0 with the prologue) to `xs.end() + VL·s` (to ghost slab
     /// `nx + 1` with the epilogue), which `a` must hold. [`Engine::Avx2`]
-    /// needs [`KernelSpace::has_avx2_tile`]. `COUNT` turns on the portable
-    /// steady state's reorganization-op accounting
-    /// ([`tempora_simd::count`]; the AVX2 sweep ignores it).
+    /// needs [`KernelSpace::has_avx2_tile`]. `COUNT` turns on the steady
+    /// state's reorganization-op accounting ([`tempora_simd::count`]).
     ///
     /// # Panics
     /// Panics when the outer extent cannot host the vector schedule
@@ -285,25 +305,27 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
         xs: RangeInclusive<usize>,
     );
 
-    /// True when this kernel has a hand-scheduled AVX2 temporal sweep at
-    /// stride `s` **and** the CPU supports AVX2+FMA — a `true` return is
-    /// the licence to pass [`Engine::Avx2`] to [`KernelSpace::sweep`].
-    /// Always false off x86-64 and under Miri.
-    fn has_avx2_tile(s: usize) -> bool;
+    /// True when the CPU supports AVX2+FMA, and with it this kernel's
+    /// AVX2 sweeps at every stride it accepts — a `true` return is the
+    /// licence to pass [`Engine::Avx2`] to [`KernelSpace::sweep`]. Always
+    /// false off x86-64 and under Miri.
+    fn has_avx2_tile() -> bool {
+        avx2_available()
+    }
 
-    /// Resolve `sel` for runs at stride `s`, whatever their shape: AVX2
-    /// wherever the kernel has the sweep and the CPU the features. A run
-    /// too short or too narrow for the vector schedule runs scalar steps
-    /// in the same codegen context (see the [module docs](self)).
-    fn resolve(sel: Select, s: usize) -> Engine {
-        sel.resolve(Self::has_avx2_tile(s))
+    /// Resolve `sel` for this kernel's runs, whatever their stride and
+    /// shape: AVX2 wherever the CPU has the features. A run too short or
+    /// too narrow for the vector schedule runs scalar steps in the same
+    /// codegen context (see the [module docs](self)).
+    fn resolve(sel: Select) -> Engine {
+        sel.resolve(Self::has_avx2_tile())
     }
 }
 
 /// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`] at four `f64`
 /// lanes; the slab of a line is a cell, so only the outer extent of the
 /// layout is read.
-impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
+impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     type Grid = Grid1<f64>;
     type Scratch = Scratch1d<4>;
     /// The old value of the last cell updated (Jacobi's west operand).
@@ -329,10 +351,11 @@ impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
         s: usize,
         sc: &mut Scratch1d<4>,
     ) {
+        let (first, a, n) = (a.first, a.data, lay.nx);
         match engine {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t1d_avx2::sweep_avx2(a.data, a.first, lay.nx, self, s, sc, xs),
-            _ => t1d::sweep::<4, COUNT, K>(a.data, a.first, lay.nx, self, s, sc, xs),
+            Engine::Avx2 => t1d_avx2::sweep::<COUNT, K>(ymm(), a, first, n, self, s, sc, xs),
+            _ => t1d::sweep_body::<4, COUNT, false, K, _>(Packs, a, first, n, self, s, sc, xs),
         }
     }
 
@@ -346,7 +369,7 @@ impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
     ) {
         match engine {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => crate::t1d_avx2::scalar_sweep_avx2(a.data, a.first, self, xs, old_west),
+            Engine::Avx2 => t1d_avx2::scalar_sweep(ymm(), a.data, a.first, self, xs, old_west),
             _ => t1d::scalar_cells(a.data, a.first, self, xs, old_west),
         }
     }
@@ -361,12 +384,6 @@ impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
     ) {
         spatial::step_1d(engine, src, dst, xs, self);
     }
-
-    /// The AVX2 sweep is capped at stride [`crate::t1d_avx2::MAX_STRIDE`];
-    /// wider strides resolve portable.
-    fn has_avx2_tile(s: usize) -> bool {
-        s <= crate::t1d_avx2::MAX_STRIDE && avx2_available()
-    }
 }
 
 /// The six slab kernels differ in what one invocation line names: the
@@ -374,15 +391,16 @@ impl<K: Kernel1d + Copy + Send + 'static> KernelSpace for K {
 /// runs at `vl = 8` i32 lanes — one full `__m256i` — in both engines, so
 /// the layers above dispatch it exactly like the f64 kernels), the
 /// dimension's kernel trait and row updates, and its multi-load step.
-/// Everything else forwards to [`crate::slab`].
+/// Everything else forwards to [`crate::slab`], in the codegen context and
+/// with the rows' register form of the resolved engine.
 macro_rules! slab_kernel_space {
-    ($($kern:ty: $grid:ident<$t:ty> x $vl:literal, $kernel:ident, $rows:ident, $step:path;)*) => {$(
+    ($($kern:ty: $grid:ident<$t:ty> x $vl:literal, $kernel:path, $rows:ident, $step:path;)*) => {$(
         impl KernelSpace for $kern {
             type Grid = $grid<$t>;
             type Scratch = Scratch<$t, $vl>;
             type StepBufs = [Vec<$t>; 2];
             const VL: usize = $vl;
-            const MIN_STRIDE: usize = <Self as $kernel<$t>>::MIN_STRIDE;
+            const MIN_STRIDE: usize = <Self as $kernel>::MIN_STRIDE;
 
             fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
                 Scratch::new::<Self::Grid>(dims, s)
@@ -401,7 +419,17 @@ macro_rules! slab_kernel_space {
                 s: usize,
                 sc: &mut Self::Scratch,
             ) {
-                slab::sweep::<$t, $vl, COUNT, _>(engine, lay, a, &$rows(*self), xs, s, sc);
+                match engine {
+                    #[cfg(target_arch = "x86_64")]
+                    Engine::Avx2 => {
+                        let isa = ymm();
+                        let rows = $rows(*self, isa);
+                        slab_avx2::sweep::<$t, $vl, COUNT, _>(isa, lay, a, &rows, xs, s, sc)
+                    }
+                    _ => slab::sweep_body::<$t, $vl, COUNT, _>(
+                        lay, a, &$rows(*self, Packs), xs, s, sc,
+                    ),
+                }
             }
 
             fn scalar_sweep(
@@ -412,7 +440,17 @@ macro_rules! slab_kernel_space {
                 xs: RangeInclusive<usize>,
                 bufs: &mut Self::StepBufs,
             ) {
-                slab::scalar_sweep::<$t, $vl, _>(engine, lay, a, &$rows(*self), xs, bufs);
+                match engine {
+                    #[cfg(target_arch = "x86_64")]
+                    Engine::Avx2 => {
+                        let isa = ymm();
+                        let rows = $rows(*self, isa);
+                        slab_avx2::scalar_sweep::<$t, $vl, _>(isa, lay, a, &rows, xs, bufs)
+                    }
+                    _ => slab::scalar_sweep_body::<$t, $vl, _>(
+                        lay, a, &$rows(*self, Packs), xs, bufs,
+                    ),
+                }
             }
 
             fn multiload_sweep(
@@ -425,19 +463,15 @@ macro_rules! slab_kernel_space {
             ) {
                 $step(engine, lay, src, dst, xs, self);
             }
-
-            fn has_avx2_tile(_s: usize) -> bool {
-                avx2_available()
-            }
         }
     )*};
 }
 
 slab_kernel_space! {
-    JacobiKern2d: Grid2<f64> x 4, Kernel2d, Rows2, spatial::step_2d;
-    BoxKern2d: Grid2<f64> x 4, Kernel2d, Rows2, spatial::step_2d;
-    GsKern2d: Grid2<f64> x 4, Kernel2d, Rows2, spatial::step_2d;
-    LifeKern2d: Grid2<i32> x 8, Kernel2d, Rows2, spatial::step_2d;
+    JacobiKern2d: Grid2<f64> x 4, Kernel2d<f64>, Rows2, spatial::step_2d;
+    BoxKern2d: Grid2<f64> x 4, Kernel2d<f64>, Rows2, spatial::step_2d;
+    GsKern2d: Grid2<f64> x 4, Kernel2d<f64>, Rows2, spatial::step_2d;
+    LifeKern2d: Grid2<i32> x 8, Kernel2d<i32>, Rows2, spatial::step_2d;
     JacobiKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
     GsKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
 }
@@ -548,7 +582,7 @@ pub(crate) mod tests {
         steps: usize,
         s: usize,
     ) -> (K::Grid, Engine) {
-        let engine = K::resolve(sel, s);
+        let engine = K::resolve(sel);
         (run_whole(engine, g, kern, steps, s), engine)
     }
 
@@ -626,8 +660,8 @@ pub(crate) mod tests {
 
     #[test]
     fn stride_remainder_table_matches_reference_bitwise() {
-        // Every stride the AVX2 tile accepts — the register-specialised
-        // ones and the rolled fallback — against every way the unrolled
+        // Every stride the 1-D kinds accept — the register-specialised
+        // ones and the rolled ring — against every way the unrolled
         // `R = s + 1` chunks can end: a steady state of one iteration
         // (`n = VL·s`), whole chunks, and chunks plus 1 or `R - 1`
         // remainder iterations. Whole tiles and parts, both engines.
@@ -637,7 +671,7 @@ pub(crate) mod tests {
             Heat1dCoeffs::new(0.3, 0.45, 0.25),
         ];
         let gs = [Gs1dCoeffs::classic(0.25), Gs1dCoeffs::new(0.37, 0.4, 0.23)];
-        for s in 2..=crate::t1d_avx2::MAX_STRIDE {
+        for s in 2..=<JacobiKern1d as KernelSpace>::MAX_STRIDE {
             let r = s + 1;
             for x_max in [1, 3 * r, 3 * r + 1, 4 * r - 1] {
                 let n = x_max - 1 + VL * s;
@@ -721,13 +755,21 @@ pub(crate) mod tests {
 
     #[test]
     fn workloads_without_avx2_impl_resolve_portable() {
-        // Stride beyond the 1-D register-ring cap must resolve portable
-        // even under Auto on an AVX2 host.
+        // A workload that does not reach an AVX2 context resolves portable
+        // under every selection (`Select::Avx2` still needs the CPU) …
+        assert_eq!(Select::Auto.resolve(false), Engine::Portable);
+        assert_eq!(Select::Portable.resolve(false), Engine::Portable);
+        if avx2_available() {
+            assert_eq!(Select::Avx2.resolve(false), Engine::Portable);
+        }
+        // … and no stride of the 1-D kinds is such a workload: the widest
+        // the ring holds resolves like any other (the rolled loop serves
+        // it), where it used to fall off the AVX2 engine silently.
         let c = Heat1dCoeffs::classic(0.25);
         let g = heat1d(4096, 2);
-        let wide = crate::t1d_avx2::MAX_STRIDE + 1;
+        let wide = <JacobiKern1d as KernelSpace>::MAX_STRIDE;
         let (r, e) = run(Select::Auto, &g, &JacobiKern1d(c), 4, wide);
-        assert_eq!(e, Engine::Portable);
+        assert_eq!(e, Select::Auto.resolve(true));
         assert!(r.interior_eq(&reference::heat1d(&g, c, 4)));
     }
 }

@@ -7,22 +7,31 @@
 //! * **1-D kernels** ([`Kernel1d`]) receive a `west` operand (the newest
 //!   value at `x-1`, used only by Gauss-Seidel) plus the three old values
 //!   at `x-1, x, x+1` (the Jacobi neighbourhood; GS ignores the old west).
-//! * The pack form receives whole vectors in the same roles: for Jacobi,
-//!   `west` is the input vector `V(x-1)`; for Gauss-Seidel it is the
-//!   previous *output* vector `O(x-1)` (paper §3.4: "the temporal
-//!   vectorization uses their corresponding output vectors").
+//! * The vector form receives whole vectors in the same roles, in the
+//!   registers of the engine's lane vocabulary (`isa`, a
+//!   [`tempora_simd::Lanes`]): for Jacobi, `west` is the input vector
+//!   `V(x-1)`; for Gauss-Seidel it is the previous *output* vector
+//!   `O(x-1)` (paper §3.4: "the temporal vectorization uses their
+//!   corresponding output vectors").
 //!
-//! Each adapter simply forwards to the matched scalar/pack update pair in
-//! `tempora-stencil`, so the engines inherit the bit-for-bit equivalence.
+//! Each adapter simply forwards to the matched scalar/vector update pair
+//! in `tempora-stencil`, so the engines inherit the bit-for-bit
+//! equivalence. The 1-D and 3-D kernels are all `f64` and bound their
+//! vector form by [`F64Lanes`]; a 2-D kernel's element type is its own
+//! (Life is `i32`), and only an impl can name the arithmetic that goes
+//! with it, so the 2-D vector form is a trait of its own, [`Pack2d`],
+//! with the register form as a parameter.
 
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{F64Lanes, I32Lanes, Lanes, Scalar};
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
 };
 
-/// A radius-1, 1-D stencil update usable by the temporal engine.
-pub trait Kernel1d: Sync {
+/// A radius-1, 1-D stencil update usable by the temporal engine. `Copy`:
+/// a steady state holds its kernel by value, so that the coefficient
+/// splats are loop invariants in registers.
+pub trait Kernel1d: Copy + Sync {
     /// True for Gauss-Seidel kernels (west operand is the newest value and
     /// comes from the previous output vector).
     const IS_GS: bool;
@@ -36,19 +45,10 @@ pub trait Kernel1d: Sync {
     /// `west_new`, GS ignores `wm1`).
     fn scalar(&self, west_new: f64, wm1: f64, w0: f64, wp1: f64) -> f64;
 
-    /// Pack update with lanes in the same roles; must be lane-wise
+    /// Vector update with lanes in the same roles; must be lane-wise
     /// bit-identical to [`Kernel1d::scalar`].
-    fn pack<const N: usize>(
-        &self,
-        west: Pack<f64, N>,
-        v0: Pack<f64, N>,
-        vp1: Pack<f64, N>,
-    ) -> Pack<f64, N>;
-
-    /// The `(w, c, e)` of the fused tree `west·w + (v0·c + vp1·e)` both
-    /// updates above compute, for the engine that schedules it by hand
-    /// (`t1d_avx2`).
-    fn coeffs(&self) -> (f64, f64, f64);
+    fn pack<const N: usize, L: F64Lanes<N>>(&self, isa: L, west: L::V, v0: L::V, vp1: L::V)
+        -> L::V;
 }
 
 /// 1D3P Jacobi adapter (the Heat-1D benchmark).
@@ -65,18 +65,14 @@ impl Kernel1d for JacobiKern1d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(
+    fn pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        west: Pack<f64, N>,
-        v0: Pack<f64, N>,
-        vp1: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        self.0.apply_pack(west, v0, vp1)
-    }
-
-    #[inline(always)]
-    fn coeffs(&self) -> (f64, f64, f64) {
-        (self.0.w, self.0.c, self.0.e)
+        isa: L,
+        west: L::V,
+        v0: L::V,
+        vp1: L::V,
+    ) -> L::V {
+        self.0.apply_pack(isa, west, v0, vp1)
     }
 }
 
@@ -94,28 +90,24 @@ impl Kernel1d for GsKern1d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(
+    fn pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        west: Pack<f64, N>,
-        v0: Pack<f64, N>,
-        vp1: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        self.0.apply_pack(west, v0, vp1)
-    }
-
-    #[inline(always)]
-    fn coeffs(&self) -> (f64, f64, f64) {
-        (self.0.w, self.0.c, self.0.e)
+        isa: L,
+        west: L::V,
+        v0: L::V,
+        vp1: L::V,
+    ) -> L::V {
+        self.0.apply_pack(isa, west, v0, vp1)
     }
 }
 
 /// A 3×3 neighbourhood of *old* values plus the two newest-value operands
 /// Gauss-Seidel kernels need. `P` is either a scalar `T` or a
-/// `Pack<T, VL>` (lane-wise neighbourhood).
+/// vector register `L::V` (lane-wise neighbourhood).
 ///
 /// `v[di][dj]` is the old value at `(x+di-1, y+dj-1)`; `new_n` / `new_w`
 /// are the already-updated north/west values (ignored by Jacobi kernels;
-/// for packs they come from output vectors, §3.4).
+/// for vectors they come from output vectors, §3.4).
 #[derive(Clone, Copy, Debug)]
 pub struct Nbhd<P> {
     /// Old 3×3 neighbourhood, `v[di][dj] = a(x+di-1, y+dj-1)`.
@@ -139,9 +131,12 @@ pub trait Kernel2d<T: Scalar>: Sync {
 
     /// Scalar update over a neighbourhood.
     fn scalar(&self, nb: Nbhd<T>) -> T;
+}
 
-    /// Pack update, lane-wise bit-identical to [`Kernel2d::scalar`].
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<T, N>>) -> Pack<T, N>;
+/// The vector form of a [`Kernel2d`] in the register form `L`.
+pub trait Pack2d<T: Scalar, const N: usize, L: Lanes<T, N>>: Kernel2d<T> {
+    /// Vector update, lane-wise bit-identical to [`Kernel2d::scalar`].
+    fn pack(&self, isa: L, nb: Nbhd<L::V>) -> L::V;
 }
 
 /// 2D5P Jacobi star adapter (the Heat-2D benchmark).
@@ -158,11 +153,13 @@ impl Kernel2d<f64> for JacobiKern2d {
         self.0
             .apply(nb.v[0][1], nb.v[1][0], nb.v[1][1], nb.v[1][2], nb.v[2][1])
     }
+}
 
+impl<const N: usize, L: F64Lanes<N>> Pack2d<f64, N, L> for JacobiKern2d {
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<f64, N>>) -> Pack<f64, N> {
-        self.0
-            .apply_pack(nb.v[0][1], nb.v[1][0], nb.v[1][1], nb.v[1][2], nb.v[2][1])
+    fn pack(&self, isa: L, nb: Nbhd<L::V>) -> L::V {
+        let [[_, n, _], [w, m, e], [_, s, _]] = nb.v;
+        self.0.apply_pack(isa, n, w, m, e, s)
     }
 }
 
@@ -179,10 +176,12 @@ impl Kernel2d<f64> for BoxKern2d {
     fn scalar(&self, nb: Nbhd<f64>) -> f64 {
         self.0.apply(nb.v)
     }
+}
 
+impl<const N: usize, L: F64Lanes<N>> Pack2d<f64, N, L> for BoxKern2d {
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<f64, N>>) -> Pack<f64, N> {
-        self.0.apply_pack(nb.v)
+    fn pack(&self, isa: L, nb: Nbhd<L::V>) -> L::V {
+        self.0.apply_pack(isa, nb.v)
     }
 }
 
@@ -199,10 +198,12 @@ impl Kernel2d<i32> for LifeKern2d {
     fn scalar(&self, nb: Nbhd<i32>) -> i32 {
         self.0.apply_neighborhood(nb.v)
     }
+}
 
+impl<const N: usize, L: I32Lanes<N>> Pack2d<i32, N, L> for LifeKern2d {
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<i32, N>>) -> Pack<i32, N> {
-        self.0.apply_neighborhood_pack(nb.v)
+    fn pack(&self, isa: L, nb: Nbhd<L::V>) -> L::V {
+        self.0.apply_neighborhood_pack(isa, nb.v)
     }
 }
 
@@ -220,17 +221,19 @@ impl Kernel2d<f64> for GsKern2d {
         self.0
             .apply(nb.new_n, nb.new_w, nb.v[1][1], nb.v[1][2], nb.v[2][1])
     }
+}
 
+impl<const N: usize, L: F64Lanes<N>> Pack2d<f64, N, L> for GsKern2d {
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd<Pack<f64, N>>) -> Pack<f64, N> {
-        self.0
-            .apply_pack(nb.new_n, nb.new_w, nb.v[1][1], nb.v[1][2], nb.v[2][1])
+    fn pack(&self, isa: L, nb: Nbhd<L::V>) -> L::V {
+        let [_, [_, m, e], [_, s, _]] = nb.v;
+        self.0.apply_pack(isa, nb.new_n, nb.new_w, m, e, s)
     }
 }
 
 /// The 7-point star neighbourhood of a 3-D stencil plus the three
-/// newest-value operands Gauss-Seidel needs. `P` is a scalar `T` or a
-/// `Pack<T, VL>`.
+/// newest-value operands Gauss-Seidel needs. `P` is an `f64` or a vector register
+/// `L::V`.
 #[derive(Clone, Copy, Debug)]
 pub struct Nbhd3<P> {
     /// Old value at `(x-1, y, z)`.
@@ -256,24 +259,24 @@ pub struct Nbhd3<P> {
 }
 
 /// A radius-1, 3-D star stencil update usable by the temporal engine.
-pub trait Kernel3d<T: Scalar>: Sync {
+pub trait Kernel3d: Sync {
     /// True for Gauss-Seidel updates.
     const IS_GS: bool;
     /// Minimum legal temporal space stride along the outer dimension.
     const MIN_STRIDE: usize;
 
     /// Scalar update over a neighbourhood.
-    fn scalar(&self, nb: Nbhd3<T>) -> T;
+    fn scalar(&self, nb: Nbhd3<f64>) -> f64;
 
-    /// Pack update, lane-wise bit-identical to [`Kernel3d::scalar`].
-    fn pack<const N: usize>(&self, nb: Nbhd3<Pack<T, N>>) -> Pack<T, N>;
+    /// Vector update, lane-wise bit-identical to [`Kernel3d::scalar`].
+    fn pack<const N: usize, L: F64Lanes<N>>(&self, isa: L, nb: Nbhd3<L::V>) -> L::V;
 }
 
 /// 3D7P Jacobi star adapter (the Heat-3D benchmark).
 #[derive(Clone, Copy, Debug)]
 pub struct JacobiKern3d(pub Heat3dCoeffs);
 
-impl Kernel3d<f64> for JacobiKern3d {
+impl Kernel3d for JacobiKern3d {
     const IS_GS: bool = false;
     const MIN_STRIDE: usize = 2;
 
@@ -283,9 +286,9 @@ impl Kernel3d<f64> for JacobiKern3d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd3<Pack<f64, N>>) -> Pack<f64, N> {
+    fn pack<const N: usize, L: F64Lanes<N>>(&self, isa: L, nb: Nbhd3<L::V>) -> L::V {
         self.0
-            .apply_pack(nb.xm, nb.ym, nb.zm, nb.m, nb.zp, nb.yp, nb.xp)
+            .apply_pack(isa, nb.xm, nb.ym, nb.zm, nb.m, nb.zp, nb.yp, nb.xp)
     }
 }
 
@@ -293,7 +296,7 @@ impl Kernel3d<f64> for JacobiKern3d {
 #[derive(Clone, Copy, Debug)]
 pub struct GsKern3d(pub Gs3dCoeffs);
 
-impl Kernel3d<f64> for GsKern3d {
+impl Kernel3d for GsKern3d {
     const IS_GS: bool = true;
     const MIN_STRIDE: usize = 2;
 
@@ -304,16 +307,17 @@ impl Kernel3d<f64> for GsKern3d {
     }
 
     #[inline(always)]
-    fn pack<const N: usize>(&self, nb: Nbhd3<Pack<f64, N>>) -> Pack<f64, N> {
-        self.0
-            .apply_pack(nb.new_xm, nb.new_ym, nb.new_zm, nb.m, nb.zp, nb.yp, nb.xp)
+    fn pack<const N: usize, L: F64Lanes<N>>(&self, isa: L, nb: Nbhd3<L::V>) -> L::V {
+        self.0.apply_pack(
+            isa, nb.new_xm, nb.new_ym, nb.new_zm, nb.m, nb.zp, nb.yp, nb.xp,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_simd::F64x4;
+    use tempora_simd::{F64x4, Packs};
     use tempora_stencil::{Gs1dCoeffs, Heat1dCoeffs};
 
     #[test]
@@ -329,8 +333,8 @@ mod tests {
         let a = F64x4::from_fn(|i| i as f64 + 0.5);
         let b = F64x4::from_fn(|i| 2.0 * i as f64 - 1.0);
         let c = F64x4::from_fn(|i| 0.25 * i as f64);
-        assert_eq!(jk.pack(a, b, c), jc.apply_pack(a, b, c));
-        assert_eq!(gk.pack(a, b, c), gc.apply_pack(a, b, c));
+        assert_eq!(jk.pack(Packs, a, b, c), jc.apply_pack(Packs, a, b, c));
+        assert_eq!(gk.pack(Packs, a, b, c), gc.apply_pack(Packs, a, b, c));
     }
 
     #[test]

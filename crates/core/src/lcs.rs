@@ -20,7 +20,7 @@
 //! * `left` = `O(y-1)` (previous output vector — the Gauss-Seidel rule),
 //! * the character equality mask: lane `i` compares `A[x0+1+i]` (a
 //!   per-tile constant vector) against `B[y + (VL-1-i)·s]` (a strided
-//!   gather acting as the paper's "variable coefficient"),
+//!   load acting as the paper's "variable coefficient"),
 //!
 //! and produces `O(y) = select(eq, diag + 1, max(up, left))` — the
 //! paper's "blend instruction with a mask vector of equalities". The
@@ -31,15 +31,34 @@
 //! the iteration space"), [`tile_seg`] runs the same schedule on a row
 //! *segment*, importing the per-level west values of the neighbouring
 //! block as a column vector and exporting its own east column.
+//!
+//! # One steady state, two engines
+//!
+//! The steady state is written once, generic over the register form it
+//! computes in ([`tempora_simd::I32Lanes`]): `ring_regs`, with every
+//! vector in a register and the `B` characters produced by the same
+//! rotate-and-blend rule as the input vectors, for the strides in
+//! [`crate::lcs_avx2::REGISTER_STRIDES`], and one rolled loop that keeps
+//! the ring in scratch and loads the characters strided for wider ones.
+//! [`tile_seg`] takes the resolved [`Engine`]: portable runs the tile in
+//! `Packs` for baseline x86-64, AVX2 runs the same source in `Ymm` inside
+//! the sandwich of [`crate::lcs_avx2`], where the vocabulary is
+//! `vpcmpeqd`, `vpaddd`/`vpmaxsd`, `vpblendvb` and one `vpermd` plus one
+//! `vpblendd` per produced vector.
 
-use tempora_simd::Pack;
-use tempora_stencil::lcs_update;
+use crate::engine::Engine;
+use tempora_simd::{I32Lanes, Pack, Packs};
+use tempora_stencil::{lcs_update, lcs_update_pack};
+
+/// The integer vector length of the production LCS engines (8 × i32
+/// lanes, one `ymm` — the paper's "theoretical maximal speedup of 8").
+pub const VL: usize = 8;
 
 /// Scratch for the LCS engine (head/tail wavefront triangles).
 pub struct ScratchLcs<const VL: usize> {
-    pub(crate) head: Vec<Vec<i32>>,
-    pub(crate) tail: Vec<Vec<i32>>,
-    pub(crate) ring: Vec<Pack<i32, VL>>,
+    head: Vec<Vec<i32>>,
+    tail: Vec<Vec<i32>>,
+    ring: Vec<Pack<i32, VL>>,
 }
 
 impl<const VL: usize> ScratchLcs<VL> {
@@ -79,8 +98,9 @@ pub fn scalar_row_step_seg(
     }
 }
 
-/// Advance the DP rows by `VL` sequence-`A` positions over the column
-/// segment `[y0, y1]` (one temporal tile of one rectangle block).
+/// Advance the DP rows by [`VL`] sequence-`A` positions over the column
+/// segment `[y0, y1]` (one temporal tile of one rectangle block) with the
+/// resolved `engine` (bit-identical either way).
 ///
 /// * `row` holds `lcs[x0][·]` on the segment on entry, `lcs[x0+VL][·]` on
 ///   exit (positions outside the segment are not touched);
@@ -89,14 +109,49 @@ pub fn scalar_row_step_seg(
 ///   the segment starts at column 1);
 /// * on return `right_col[k]` = `lcs[x0+k][y1]`.
 ///
-/// The tile is the composition of the phases exposed below —
-/// [`tile_seg_fallback_if_degenerate`], [`tile_seg_prologue`],
-/// [`tile_seg_steady`], [`tile_seg_epilogue`] — so that arch-specialized
-/// steady states (see `lcs_avx2`) can swap the middle phase while sharing
-/// the exact head/tail wavefront-triangle machinery.
+/// # Panics
+/// Panics if `engine` is AVX2 and the CPU lacks AVX2+FMA.
 // Justification: the parameter list is the tile contract itself (row, columns, bounds, shift); bundling it would hide what each kernel stage touches.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg<const VL: usize>(
+pub fn tile_seg(
+    engine: Engine,
+    row: &mut [i32],
+    y0: usize,
+    y1: usize,
+    a_tile: &[u8],
+    b: &[u8],
+    s: usize,
+    left_col: &[i32],
+    right_col: &mut [i32],
+    sc: &mut ScratchLcs<VL>,
+) {
+    match engine {
+        #[cfg(target_arch = "x86_64")]
+        Engine::Avx2 => crate::lcs_avx2::tile_seg(
+            crate::engine::ymm(),
+            row,
+            y0,
+            y1,
+            a_tile,
+            b,
+            s,
+            left_col,
+            right_col,
+            sc,
+        ),
+        _ => tile_seg_in(Packs, row, y0, y1, a_tile, b, s, left_col, right_col, sc),
+    }
+}
+
+/// [`tile_seg`] at any lane count, computing in `isa`'s registers, in the
+/// caller's codegen context: the scalar fallback when the segment cannot
+/// host the vector schedule, else head triangles, steady state and tail
+/// triangles.
+// Justification: same tile-contract signature as `tile_seg`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn tile_seg_in<const VL: usize, L: I32Lanes<VL>>(
+    isa: L,
     row: &mut [i32],
     y0: usize,
     y1: usize,
@@ -111,17 +166,17 @@ pub fn tile_seg<const VL: usize>(
         return;
     }
     let (y_max, o_prev) = tile_seg_prologue::<VL>(row, y0, y1, a_tile, b, s, left_col, sc);
-    tile_seg_steady::<VL>(row, y0, y_max, a_tile, b, s, sc, o_prev);
+    steady::<VL, L>(isa, row, y0, y_max, a_tile, b, s, sc, o_prev);
     tile_seg_epilogue::<VL>(row, y1, a_tile, b, s, right_col, sc, y_max);
 }
 
-/// Shared degenerate-segment guard: when the segment cannot host the
-/// vector schedule (`seg < VL·s + 1`), run the `VL` levels with scalar
-/// row steps instead (same results, `right_col` fully exported) and
-/// report `true`. Also validates the shared tile contract.
+/// Degenerate-segment guard: when the segment cannot host the vector
+/// schedule (`seg < VL·s + 1`), run the `VL` levels with scalar row steps
+/// instead (same results, `right_col` fully exported) and report `true`.
+/// Also validates the tile contract.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_fallback_if_degenerate<const VL: usize>(
+fn tile_seg_fallback_if_degenerate<const VL: usize>(
     row: &mut [i32],
     y0: usize,
     y1: usize,
@@ -154,7 +209,7 @@ pub fn tile_seg_fallback_if_degenerate<const VL: usize>(
 /// [`tile_seg_fallback_if_degenerate`]).
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_prologue<const VL: usize>(
+fn tile_seg_prologue<const VL: usize>(
     row: &mut [i32],
     y0: usize,
     y1: usize,
@@ -217,22 +272,22 @@ pub fn tile_seg_prologue<const VL: usize>(
     (y_max, o_prev)
 }
 
-/// Phase 2 of an LCS temporal tile (portable): the §3.4 steady state
+/// Phase 2 of an LCS temporal tile: the §3.4 steady state
 /// `O(y) = select(eq, diag + 1, max(up, left))` over the anchors
-/// `y ∈ [y0, y_max]`. `(y_max, o_prev)` must come from
-/// [`tile_seg_prologue`].
+/// `y ∈ [y0, y_max]`, in `isa`'s registers — the one dispatch on the
+/// stride. `(y_max, o_prev)` must come from [`tile_seg_prologue`].
 ///
-/// The loop keeps the ring traffic at one read and one write per
-/// iteration: the write at column `y` lands in the very slot the
-/// diagonal operand was read from (`y+s ≡ y-1 mod s+1`), so `diag` is
-/// simply the previous iteration's `up` vector, carried in a register.
-/// At the minimum stride `s = 1` the character vector `B` advances by
-/// one column per iteration and is produced by the same
-/// rotate-and-blend rule as the input vectors — no per-iteration gather
-/// remains in the hot loop.
+/// The strides in [`crate::lcs_avx2::REGISTER_STRIDES`] run
+/// [`ring_regs`]. Wider ones run the rolled loop below, which keeps the
+/// ring in scratch at one read and one write per iteration — the write at
+/// column `y` lands in the very slot the diagonal operand was read from
+/// (`y+s ≡ y-1 mod s+1`), so `diag` is the previous iteration's `up`
+/// vector, carried in a register — and loads the characters strided.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_steady<const VL: usize>(
+#[inline(always)]
+fn steady<const VL: usize, L: I32Lanes<VL>>(
+    isa: L,
     row: &mut [i32],
     y0: usize,
     y_max: usize,
@@ -240,65 +295,99 @@ pub fn tile_seg_steady<const VL: usize>(
     b: &[u8],
     s: usize,
     sc: &mut ScratchLcs<VL>,
-    mut o_prev: Pack<i32, VL>,
+    o_prev: Pack<i32, VL>,
 ) {
-    let rlen = s + 1;
     // Per-tile constant: lane i compares against A[x0+1+i].
-    let a_pack = Pack::<i32, VL>::from_fn(|i| a_tile[i] as i32);
-    // One fused lane function instead of eq_mask + select: the compare,
-    // the sign-extended mask and the blend stay in a single lane-parallel
-    // expression (`mask = -(a==b); (diag+1 & mask) | (max & !mask)`),
-    // which LLVM lowers to compare/blend vector code without
-    // materializing the `[bool; VL]` mask array — bit-identical to
-    // `lcs_update_pack` (see `fused_update_matches_lcs_update_pack`).
-    let fused = |diag: Pack<i32, VL>, up: Pack<i32, VL>, left: Pack<i32, VL>, bv: Pack<i32, VL>| {
-        Pack::<i32, VL>::from_fn(|i| {
-            let mask = -((a_pack.0[i] == bv.0[i]) as i32);
-            (diag.0[i].wrapping_add(1) & mask) | (up.0[i].max(left.0[i]) & !mask)
-        })
-    };
-    let mut diag = sc.ring[(y0 + rlen - 1) % rlen];
-    let mut iu = y0 % rlen;
-    let mut iw = (y0 + s) % rlen;
-    if s == 1 {
-        let mut b_pack = Pack::<i32, VL>::from_fn(|i| b[y0 - 1 + (VL - 1 - i)] as i32);
-        for y in y0..=y_max {
-            let up = sc.ring[iu];
-            let o = fused(diag, up, o_prev, b_pack);
-            row[y] = o.top();
-            let bottom = row[y + VL];
-            sc.ring[iw] = o.shift_up_insert(bottom);
-            o_prev = o;
-            diag = up;
-            b_pack = b_pack.shift_up_insert(b[y + VL - 1] as i32);
-            iu += 1;
-            if iu == rlen {
-                iu = 0;
-            }
-            iw += 1;
-            if iw == rlen {
-                iw = 0;
+    let a_vec = isa.load(Pack::from_fn(|i| a_tile[i] as i32));
+    let mut o_prev = isa.load(o_prev);
+    match s {
+        1 => ring_regs::<1, 2, VL, L>(isa, row, y0, y_max, a_vec, b, sc, o_prev),
+        2 => ring_regs::<2, 3, VL, L>(isa, row, y0, y_max, a_vec, b, sc, o_prev),
+        _ => {
+            let rlen = s + 1;
+            let mut diag = isa.load(sc.ring[(y0 + rlen - 1) % rlen]);
+            let mut iu = y0 % rlen;
+            let mut iw = (y0 + s) % rlen;
+            for y in y0..=y_max {
+                let up = isa.load(sc.ring[iu]);
+                // Lane i reads b[y - 1 + (VL-1-i)·s].
+                let b_vec = isa.load_u8(b, y - 1 + (VL - 1) * s, -(s as isize));
+                let o = lcs_update_pack(isa, diag, up, o_prev, a_vec, b_vec);
+                row[y] = isa.top(o);
+                sc.ring[iw] = isa.store(isa.shift_up_insert(o, row[y + VL * s]));
+                o_prev = o;
+                diag = up;
+                iu = if iu + 1 == rlen { 0 } else { iu + 1 };
+                iw = if iw + 1 == rlen { 0 } else { iw + 1 };
             }
         }
-    } else {
-        for y in y0..=y_max {
-            let up = sc.ring[iu];
-            let b_pack = Pack::<i32, VL>::from_fn(|i| b[y + (VL - 1 - i) * s - 1] as i32);
-            let o = fused(diag, up, o_prev, b_pack);
-            row[y] = o.top();
-            let bottom = row[y + VL * s];
-            sc.ring[iw] = o.shift_up_insert(bottom);
+    }
+}
+
+/// The steady state with every vector in a register. `S` is the stride
+/// and `R = S + 1` the ring length, as constants: the loop is unrolled
+/// `S·R`-wide so all indices below are compile-time — iteration `y` reads
+/// the diagonal `V(y-1)` and `V(y)` from `v[k % R]` and `v[(k+1) % R]` and
+/// overwrites the dead diagonal with the `V(y+S)` it produces
+/// (`y+S ≡ y-1 mod R`). The `B` characters are produced by the same
+/// one-rotate-one-blend rule from a ring of `S` vectors — lane 0 takes the
+/// next byte, every other lane shifts up — instead of a strided load per
+/// iteration. Slot `j` always holds a `V(m)` with `m ≡ y0-1+j (mod R)`,
+/// wherever the sweep stops, so the ring is read from scratch before the
+/// loop and written back after it for the epilogue.
+// Justification: same tile-contract signature as `tile_seg`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
+    isa: L,
+    row: &mut [i32],
+    y0: usize,
+    y_max: usize,
+    a_vec: L::V,
+    b: &[u8],
+    sc: &mut ScratchLcs<VL>,
+    mut o_prev: L::V,
+) {
+    assert!(R == S + 1);
+    // The one bound of the loop below: every `row[y + VL·S]` and every
+    // character index `y - 1 + VL·S` has `y ≤ y_max`, and no index is
+    // below `y0 - 1`. The prologue establishes it
+    // (`y_max + VL·S = y1 ≤ b.len() < row.len()`).
+    assert!(y0 >= 1 && y_max + VL * S < row.len() && y_max + VL * S <= b.len());
+    let mut v = [o_prev; R];
+    for (j, v) in v.iter_mut().enumerate() {
+        *v = isa.load(sc.ring[(y0 - 1 + j) % R]);
+    }
+    let mut b_vec = [a_vec; S];
+    for (i, b_vec) in b_vec.iter_mut().enumerate() {
+        // B(y0+i): lane l reads b[y0 + i - 1 + (VL-1-l)·S].
+        *b_vec = isa.load_u8(b, y0 + i - 1 + (VL - 1) * S, -(S as isize));
+    }
+    let mut y = y0;
+    'sweep: loop {
+        for k in 0..S * R {
+            if y > y_max {
+                break 'sweep;
+            }
+            let o = lcs_update_pack(isa, v[k % R], v[(k + 1) % R], o_prev, a_vec, b_vec[k % S]);
+            // SAFETY: `y ≤ y_max` here, so `y`, `y + VL·S` (in `row`) and
+            // `y - 1 + VL·S` (in `b`) are in bounds by the hoisted assert
+            // above.
+            let (bottom, next) = unsafe {
+                *row.get_unchecked_mut(y) = isa.top(o);
+                (
+                    *row.get_unchecked(y + VL * S),
+                    *b.get_unchecked(y - 1 + VL * S),
+                )
+            };
+            v[k % R] = isa.shift_up_insert(o, bottom);
+            b_vec[k % S] = isa.shift_up_insert(b_vec[k % S], next as i32);
             o_prev = o;
-            diag = up;
-            iu += 1;
-            if iu == rlen {
-                iu = 0;
-            }
-            iw += 1;
-            if iw == rlen {
-                iw = 0;
-            }
+            y += 1;
         }
+    }
+    for (j, &v) in v.iter().enumerate() {
+        sc.ring[(y0 - 1 + j) % R] = isa.store(v);
     }
 }
 
@@ -309,7 +398,7 @@ pub fn tile_seg_steady<const VL: usize>(
 /// `j ∈ y_max ..= y_max+s`, as left behind by the steady state.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
-pub fn tile_seg_epilogue<const VL: usize>(
+fn tile_seg_epilogue<const VL: usize>(
     row: &mut [i32],
     y1: usize,
     a_tile: &[u8],
@@ -353,20 +442,18 @@ pub fn tile_seg_epilogue<const VL: usize>(
     }
 }
 
-/// Advance the full DP row by `VL` sequence-`A` positions (whole-row
+/// Advance the full DP row by [`VL`] sequence-`A` positions (whole-row
 /// temporal tile — the non-blocked configuration).
-pub fn tile<const VL: usize>(
+pub fn tile(
+    engine: Engine,
     row: &mut [i32],
     a_tile: &[u8],
     b: &[u8],
     s: usize,
     sc: &mut ScratchLcs<VL>,
 ) {
-    let lb = b.len();
-    let zeros = [0i32; 17];
-    let mut sink = [0i32; 17];
-    assert!(VL < zeros.len());
-    tile_seg::<VL>(row, 1, lb, a_tile, b, s, &zeros, &mut sink, sc);
+    let (zeros, mut sink) = ([0i32; VL + 1], [0i32; VL + 1]);
+    tile_seg(engine, row, 1, b.len(), a_tile, b, s, &zeros, &mut sink, sc);
 }
 
 /// One scalar DP row step over the whole row (left boundary column 0).
@@ -375,59 +462,64 @@ pub fn scalar_row_step(row: &mut [i32], ca: u8, b: &[u8]) {
 }
 
 /// Compute the final DP row `lcs[a.len()][0..=b.len()]` with the temporal
-/// scheme (vector length `VL`, stride `s`). Bit-identical to
+/// scheme (stride `s`) on `engine`. Bit-identical to
 /// `tempora_stencil::reference::lcs_final_row`.
-pub fn final_row<const VL: usize>(a: &[u8], b: &[u8], s: usize) -> Vec<i32> {
+pub fn final_row(engine: Engine, a: &[u8], b: &[u8], s: usize) -> Vec<i32> {
     let mut row = vec![0i32; b.len() + 1];
     if b.is_empty() {
         return row;
     }
-    let mut sc = ScratchLcs::<VL>::new(s);
-    let tiles = a.len() / VL;
-    for t in 0..tiles {
-        tile::<VL>(&mut row, &a[t * VL..(t + 1) * VL], b, s, &mut sc);
+    let mut sc = ScratchLcs::new(s);
+    let tiles = a.chunks_exact(VL);
+    let rest = tiles.remainder();
+    for a_tile in tiles {
+        tile(engine, &mut row, a_tile, b, s, &mut sc);
     }
-    for &ca in &a[tiles * VL..] {
+    for &ca in rest {
         scalar_row_step(&mut row, ca, b);
     }
     row
 }
 
-/// LCS length via the temporal scheme (`VL = 8`, the paper's integer
-/// configuration).
-pub fn length(a: &[u8], b: &[u8], s: usize) -> i32 {
+/// LCS length via the temporal scheme on `engine`.
+pub fn length(engine: Engine, a: &[u8], b: &[u8], s: usize) -> i32 {
     if a.is_empty() || b.is_empty() {
         return 0;
     }
     // Panic-justification: `b` is non-empty (checked above), so the final
     // row has `b.len()` entries and `last()` is always Some.
-    *final_row::<8>(a, b, s).last().unwrap()
+    *final_row(engine, a, b, s).last().unwrap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tempora_grid::random_sequence;
-    use tempora_simd::Mask;
-    use tempora_stencil::{lcs_update_pack, reference};
+    use tempora_stencil::reference;
 
     #[test]
     fn fused_update_matches_lcs_update_pack() {
-        // The steady state's fused mask-blend lane function must agree
-        // with the two-step eq_mask + lcs_update_pack form bit for bit
-        // (including at i32::MAX, where diag + 1 wraps in both).
-        let diag = Pack::<i32, 8>::from_fn(|i| [0, 3, -1, i32::MAX, 7, 2, 5, 1][i]);
-        let up = Pack::<i32, 8>::from_fn(|i| (i as i32) * 3 - 4);
-        let left = Pack::<i32, 8>::from_fn(|i| 6 - i as i32);
-        let a = Pack::<i32, 8>::from_fn(|i| (i % 3) as i32);
-        let b = Pack::<i32, 8>::from_fn(|i| (i % 2) as i32);
-        let eq: Mask<8> = a.eq_mask(b);
-        let gold = lcs_update_pack(diag, up, left, eq);
-        let fused = Pack::<i32, 8>::from_fn(|i| {
-            let mask = -((a.0[i] == b.0[i]) as i32);
-            (diag.0[i].wrapping_add(1) & mask) | (up.0[i].max(left.0[i]) & !mask)
+        // The one vector formula of the steady state, in every register
+        // form this host has, must agree with the scalar `lcs_update` lane
+        // for lane — and wrap where `diag + 1` overflows (lane 3), which
+        // the scalar form is never asked.
+        let diag = [0, 3, -1, i32::MAX, 7, 2, 5, 1];
+        let (up, left) = ([-4, -1, 2, 5, 8, 11, 14, 17], [6, 5, 4, 3, 2, 1, 0, -1]);
+        let (a, b) = ([0u8, 1, 2, 1, 1, 2, 0, 1], [0u8, 1, 0, 1, 0, 1, 0, 1]);
+        let gold = Pack::<i32, 8>::from_fn(|i| match diag[i] {
+            i32::MAX => i32::MIN,
+            d => lcs_update(d, up[i], left[i], a[i], b[i]),
         });
-        assert_eq!(fused, gold);
+        fn fused<L: I32Lanes<8>>(isa: L, ops: [[i32; 8]; 5]) -> Pack<i32, 8> {
+            let [diag, up, left, a, b] = ops.map(|v| isa.load(Pack(v)));
+            isa.store(lcs_update_pack(isa, diag, up, left, a, b))
+        }
+        let ops = [diag, up, left, a.map(i32::from), b.map(i32::from)];
+        assert_eq!(fused(Packs, ops), gold);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(isa) = tempora_simd::arch::Ymm::detect() {
+            assert_eq!(fused(isa, ops), gold);
+        }
     }
 
     #[test]
@@ -443,7 +535,7 @@ mod tests {
             for s in 1..=3 {
                 let a = random_sequence(la, 4, la as u64);
                 let b = random_sequence(lb, 4, lb as u64 + 1);
-                let ours = final_row::<8>(&a, &b, s);
+                let ours = final_row(Engine::Portable, &a, &b, s);
                 let gold = reference::lcs_final_row(&a, &b);
                 assert_eq!(ours, gold, "la={la} lb={lb} s={s}");
             }
@@ -455,17 +547,37 @@ mod tests {
         let a = random_sequence(30, 3, 1);
         let b = random_sequence(77, 3, 2);
         for s in 1..=4 {
-            assert_eq!(final_row::<4>(&a, &b, s), reference::lcs_final_row(&a, &b));
+            let mut row = vec![0i32; b.len() + 1];
+            let mut sc = ScratchLcs::<4>::new(s);
+            let (zeros, mut sink) = ([0i32; 5], [0i32; 5]);
+            for a_tile in a.chunks_exact(4) {
+                tile_seg_in(
+                    Packs,
+                    &mut row,
+                    1,
+                    b.len(),
+                    a_tile,
+                    &b,
+                    s,
+                    &zeros,
+                    &mut sink,
+                    &mut sc,
+                );
+            }
+            for &ca in a.chunks_exact(4).remainder() {
+                scalar_row_step(&mut row, ca, &b);
+            }
+            assert_eq!(row, reference::lcs_final_row(&a, &b));
         }
     }
 
     #[test]
     fn length_known_answers() {
-        assert_eq!(length(b"ABCBDAB", b"BDCABA", 1), 4);
-        assert_eq!(length(b"GATTACA", b"GATTACA", 2), 7);
-        assert_eq!(length(b"AAAA", b"BBBB", 1), 0);
-        assert_eq!(length(b"", b"ABC", 1), 0);
-        assert_eq!(length(b"ABCDEFGHIJKLMNOP", b"", 1), 0);
+        assert_eq!(length(Engine::Portable, b"ABCBDAB", b"BDCABA", 1), 4);
+        assert_eq!(length(Engine::Portable, b"GATTACA", b"GATTACA", 2), 7);
+        assert_eq!(length(Engine::Portable, b"AAAA", b"BBBB", 1), 0);
+        assert_eq!(length(Engine::Portable, b"", b"ABC", 1), 0);
+        assert_eq!(length(Engine::Portable, b"ABCDEFGHIJKLMNOP", b"", 1), 0);
     }
 
     #[test]
@@ -474,7 +586,7 @@ mod tests {
             let a = random_sequence(48, 2, seed);
             let b = random_sequence(96, 2, seed + 100);
             assert_eq!(
-                length(&a, &b, 1),
+                length(Engine::Portable, &a, &b, 1),
                 *reference::lcs_final_row(&a, &b).last().unwrap()
             );
         }
@@ -484,7 +596,10 @@ mod tests {
     fn tiny_b_falls_back_to_scalar() {
         let a = random_sequence(16, 4, 9);
         let b = random_sequence(5, 4, 10);
-        assert_eq!(final_row::<8>(&a, &b, 1), reference::lcs_final_row(&a, &b));
+        assert_eq!(
+            final_row(Engine::Portable, &a, &b, 1),
+            reference::lcs_final_row(&a, &b)
+        );
     }
 
     #[test]
@@ -508,7 +623,8 @@ mod tests {
                     let mut y0 = 1usize;
                     while y0 <= lb {
                         let y1 = (y0 + block - 1).min(lb);
-                        tile_seg::<8>(
+                        tile_seg(
+                            Engine::Portable,
                             &mut row,
                             y0,
                             y1,

@@ -9,26 +9,31 @@
 //! | module | contents |
 //! |---|---|
 //! | [`engine`] | unified dispatch (portable vs `std::arch` AVX2, `TEMPORA_ENGINE`) and the one [`engine::KernelSpace`] trait every layer above the tile is written against |
-//! | [`t1d`] | 1-D Jacobi and Gauss-Seidel engines (Algorithm 3), phase API, resumable sweeps |
-//! | [`t1d_avx2`] | AVX2 sweeps (hand-scheduled steady states): Heat-1D, GS-1D |
-//! | [`slab`] | the 2-D/3-D sweep, written once over a slab shape: resumable three-phase driver (its parts are the §3.4 parallelogram tiles), in-place scalar step, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D) |
-//! | [`slab_avx2`] | the AVX2 codegen sandwich around that driver and one hand-scheduled steady row per kernel |
-//! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`) |
-//! | [`lcs_avx2`] | hand-scheduled AVX2 integer steady state for LCS |
+//! | [`t1d`] | 1-D Jacobi and Gauss-Seidel sweeps (Algorithm 3): phases, resumable parts, and the one ring steady state of both kernels and both engines |
+//! | [`t1d_avx2`] | the AVX2 codegen sandwiches around those sweeps, and the strides whose ring they keep in registers |
+//! | [`slab`] | the 2-D/3-D sweep, written once over a slab shape: resumable three-phase driver (its parts are the §3.4 parallelogram tiles), in-place scalar step, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D), one steady row per dimension |
+//! | [`slab_avx2`] | the AVX2 codegen sandwiches around that driver |
+//! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`): tile phases, the one ring steady state, engine-taking entry points |
+//! | [`lcs_avx2`] | the AVX2 codegen sandwich around the LCS tile, and the shape predicate of its dispatch |
 //! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!
 //! Every sweep is the same three phases — scalar prologue, vector steady
 //! state, scalar epilogue — and can be cut between any two anchors of its
 //! steady state and resumed, which is how `tempora-tiling` pipelines
-//! sweeps through one array. The phases are one `#[inline(always)]` source:
-//! the portable engine instantiates it for the baseline target, and each
-//! AVX2 engine instantiates it a second time inside a
+//! sweeps through one array. The phases — the steady state included, which
+//! is generic over the lane vocabulary it computes in
+//! ([`tempora_simd::Lanes`]) — are one `#[inline(always)]` source: the
+//! portable engine instantiates it for the baseline target with `Packs`,
+//! and the AVX2 engine instantiates it a second time with
+//! [`tempora_simd::arch::Ymm`] inside a
 //! `#[target_feature(enable = "avx2,fma")]` sandwich (one sandwich for all
 //! 2-D/3-D kernels, generic over their row updates), so a whole tile is
 //! compiled for the ISA its plan resolved (outside a feature context
 //! `f64::mul_add` is a libm call) and stays bit-identical to the scalar
-//! oracle; see [`engine`] and [`slab`].
+//! oracle; see [`engine`] and [`slab`]. No module here names an intrinsic:
+//! of `tempora_simd::arch` they import `avx2_available` and the `Ymm`
+//! token only.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

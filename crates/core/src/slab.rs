@@ -45,34 +45,35 @@
 //!
 //! The driver owns the three phases and the in-place scalar step. A
 //! kernel contributes a `Rows` implementation and nothing else: one
-//! scalar row sweep and one `Pack`-generic steady row per dimension
-//! (`Rows2` over [`Kernel2d`], `Rows3` over [`Kernel3d`]), plus, for the
-//! AVX2 engine, one hand-scheduled steady row per kernel in
-//! [`crate::slab_avx2`] — all eight steady rows written on one
-//! `RowCursor`. Gauss-Seidel (§3.4) adds the previous and the current
-//! output slab (`O(x-1, ·)`, `O(x, ·)`) for the outer dimensions' newest
-//! operands; the innermost one's is the previous output vector, in a register.
+//! scalar row sweep and one steady row per dimension (`Rows2` over
+//! [`Pack2d`], `Rows3` over [`Kernel3d`]), the steady row written once,
+//! on a `RowCursor`, generic over the register form it computes in
+//! ([`tempora_simd::Lanes`]: the portable engine's `Packs`, the AVX2
+//! engine's `Ymm`) — the kernel's own vector formula between the cursor's
+//! operands and its `finish`. Gauss-Seidel (§3.4) adds the previous and
+//! the current output slab (`O(x-1, ·)`, `O(x, ·)`) for the outer
+//! dimensions' newest operands; the innermost one's is the previous
+//! output vector, in a register.
 //!
 //! # One source, two codegen contexts
 //!
-//! Every function below the public entry points is `#[inline(always)]`:
-//! `sweep` and `scalar_sweep` instantiate the driver for baseline x86-64
-//! when the resolved [`Engine`] is portable, and [`crate::slab_avx2`]
-//! instantiates the *same source* a second time inside
-//! `#[target_feature(enable = "avx2,fma")]` sandwiches. That matters
+//! Every function below the entry points is `#[inline(always)]`: `sweep`
+//! and `scalar_sweep` instantiate the driver for baseline x86-64, with
+//! rows that compute in `Packs`, and [`crate::slab_avx2`] instantiates
+//! the *same source*, steady rows included, a second time inside
+//! `#[target_feature(enable = "avx2,fma")]` sandwiches, with rows that
+//! compute in `Ymm`. That matters
 //! because outside such a context every `f64::mul_add` is a call into
 //! libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both are
 //! the exactly-rounded fused operation, so results do not change, only
 //! speed. Dropping one of these attributes silently brings the libm calls
 //! back; `cargo xtask audit` (rule `phase-inline`) guards them.
 
-use crate::engine::Engine;
-use crate::kernels::{Kernel2d, Kernel3d, Nbhd, Nbhd3};
-use crate::slab_avx2::Avx2Row;
+use crate::kernels::{Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::ops::RangeInclusive;
 use tempora_grid::{SlabGrid, SlabLayout, SlabShape, SlabsMut};
 use tempora_simd::count::{self, Op};
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{F64Lanes, Lanes, Pack, Scalar};
 
 // ---------------------------------------------------------------------
 // The per-kernel part: row updates
@@ -120,51 +121,7 @@ pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize> {
     pub bottom: &'a [T],
 }
 
-/// The register form an engine computes a steady row in: the packs
-/// themselves ([`Packs`], portable) or `ymm` registers (`slab_avx2::Ymm`,
-/// which also pins the two operations every steady row performs,
-/// whatever the kernel, to the paper's instructions).
-pub(crate) trait Lanes<T: Scalar, const VL: usize>: Copy {
-    /// An input or output vector in a register.
-    type V: Copy;
-    /// Load a stored vector.
-    fn load(self, p: Pack<T, VL>) -> Self::V;
-    /// The stored form of `v`.
-    fn store(self, v: Self::V) -> Pack<T, VL>;
-
-    /// The finished top lane of an output vector.
-    #[inline(always)]
-    fn top(self, v: Self::V) -> T {
-        self.store(v).top()
-    }
-
-    /// The next input vector from an output vector: one rotate and one
-    /// blend, lanes up one level and `bottom` (level 0) into lane 0.
-    #[inline(always)]
-    fn shift_up_insert(self, v: Self::V, bottom: T) -> Self::V {
-        self.load(self.store(v).shift_up_insert(bottom))
-    }
-}
-
-/// The portable register form: LLVM's choice for the pack itself.
-#[derive(Clone, Copy)]
-pub(crate) struct Packs;
-
-impl<T: Scalar, const VL: usize> Lanes<T, VL> for Packs {
-    type V = Pack<T, VL>;
-
-    #[inline(always)]
-    fn load(self, p: Pack<T, VL>) -> Pack<T, VL> {
-        p
-    }
-
-    #[inline(always)]
-    fn store(self, v: Pack<T, VL>) -> Pack<T, VL> {
-        v
-    }
-}
-
-/// The interior of one steady row, for all eight steady bodies: every
+/// The interior of one steady row, whatever the kernel and engine: every
 /// operand row cut to the `len` interior points exactly once — the row
 /// loop `for i in 0..cur.len()` indexes equal-length slices and carries
 /// no bounds check — the per-point operands in the engine's register
@@ -294,7 +251,7 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
     /// `vblend`, whatever the kernel) and, for Gauss-Seidel, keep `o`: in
     /// the output row, and in the register the next point reads. `COUNT`
     /// ticks the produced input vector's reorganization budget in
-    /// [`tempora_simd::count`] (same ticks as `t1d::tile`).
+    /// [`tempora_simd::count`] (same ticks as `t1d`'s ring).
     #[inline(always)]
     pub(crate) fn finish<const COUNT: bool>(&mut self, i: usize, o: L::V) {
         let isa = self.isa;
@@ -332,18 +289,25 @@ pub(crate) trait Rows<T: Scalar, const VL: usize>: Copy {
     /// a register.
     fn sweep_row(&self, row: SweepRow<'_, T>);
 
-    /// Steady-state row, on a [`RowCursor`]: per interior point one
-    /// vectorized stencil application, then [`RowCursor::finish`].
-    /// `COUNT` ticks [`tempora_simd::count`] like the 1-D engine does.
+    /// Steady-state row, on a [`RowCursor`] in the rows' register form:
+    /// per interior point one vectorized stencil application, then
+    /// [`RowCursor::finish`]. `COUNT` ticks [`tempora_simd::count`] like
+    /// the 1-D engine does.
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>);
 }
 
-/// The rows of a 2-D kernel: a slab is one row, its neighbours are the
-/// same row of the slabs around it.
+/// The rows of a 2-D kernel, their steady row computed in `L`'s
+/// registers: a slab is one row, its neighbours are the same row of the
+/// slabs around it.
 #[derive(Clone, Copy)]
-pub(crate) struct Rows2<K>(pub K);
+pub(crate) struct Rows2<K, L>(pub K, pub L);
 
-impl<T: Scalar, const VL: usize, K: Kernel2d<T> + Copy> Rows<T, VL> for Rows2<K> {
+impl<T, const VL: usize, L, K> Rows<T, VL> for Rows2<K, L>
+where
+    T: Scalar,
+    L: Lanes<T, VL>,
+    K: Pack2d<T, VL, L> + Copy,
+{
     const IS_GS: bool = K::IS_GS;
     const MIN_STRIDE: usize = K::MIN_STRIDE;
 
@@ -377,26 +341,26 @@ impl<T: Scalar, const VL: usize, K: Kernel2d<T> + Copy> Rows<T, VL> for Rows2<K>
 
     #[inline(always)]
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
-        let mut cur = row.cursor(Packs);
+        let mut cur = row.cursor(self.1);
         for i in 0..cur.len() {
-            let o = self.0.pack(cur.nbhd(i));
+            let o = self.0.pack(self.1, cur.nbhd(i));
             cur.finish::<COUNT>(i, o);
         }
     }
 }
 
-/// The rows of a 3-D star kernel: a slab is a plane, a row's neighbours
-/// are the rows above and below it in the plane and the same row of the
-/// planes around it.
+/// The rows of a 3-D star kernel, their steady row computed in `L`'s
+/// registers: a slab is a plane, a row's neighbours are the rows above
+/// and below it in the plane and the same row of the planes around it.
 #[derive(Clone, Copy)]
-pub(crate) struct Rows3<K>(pub K);
+pub(crate) struct Rows3<K, L>(pub K, pub L);
 
-impl<T: Scalar, const VL: usize, K: Kernel3d<T> + Copy> Rows<T, VL> for Rows3<K> {
+impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Rows3<K, L> {
     const IS_GS: bool = K::IS_GS;
     const MIN_STRIDE: usize = K::MIN_STRIDE;
 
     #[inline(always)]
-    fn sweep_row(&self, row: SweepRow<'_, T>) {
+    fn sweep_row(&self, row: SweepRow<'_, f64>) {
         let (n, r, done) = (row.out.len() - 2, row.r, row.done);
         let at = |k: usize, r: usize| &row.old[k][r * row.pitch[k] + 1..][..n];
         let (xm, ym, yp, xp) = (at(0, r), at(1, r - 1), at(1, r + 1), at(2, r));
@@ -427,10 +391,10 @@ impl<T: Scalar, const VL: usize, K: Kernel3d<T> + Copy> Rows<T, VL> for Rows3<K>
     }
 
     #[inline(always)]
-    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
-        let mut cur = row.cursor(Packs);
+    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, f64, VL>) {
+        let mut cur = row.cursor(self.1);
         for i in 0..cur.len() {
-            let o = self.0.pack(cur.nbhd3(i));
+            let o = self.0.pack(self.1, cur.nbhd3(i));
             cur.finish::<COUNT>(i, o);
         }
     }
@@ -674,7 +638,8 @@ fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
 // ---------------------------------------------------------------------
 
 /// The outer slabs `xs` of one in-place scalar time step (grids below
-/// `VL·s` and `steps mod VL` remainders). Two saved old slabs make the
+/// `VL·s` and `steps mod VL` remainders) over the window `a` of a grid
+/// laid out as `lay`. Two saved old slabs make the
 /// Jacobi update single-array; Gauss-Seidel is naturally in place.
 /// Results are bit-identical to the double-buffered reference.
 ///
@@ -683,17 +648,19 @@ fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
 /// part that starts at slab 1 takes them from the ghost slab), so a step
 /// may be cut into parts run in ascending order over the same `bufs`. A
 /// part touches slabs `xs.start() - 1 ..= xs.end() + 1` of the array.
+/// The codegen context is the caller's.
 #[inline(always)]
 pub(crate) fn scalar_sweep_body<T, const VL: usize, R>(
-    a: &mut [T],
-    geo: Geo<T>,
+    lay: &SlabLayout<T>,
+    a: SlabsMut<'_, T>,
     rows: &R,
-    bufs: &mut [Vec<T>; 2],
     xs: RangeInclusive<usize>,
+    bufs: &mut [Vec<T>; 2],
 ) where
     T: Scalar,
     R: Rows<T, VL>,
 {
+    let (geo, a) = (Geo::new(lay, a.first), a.data);
     let (shape, w) = (geo.shape, geo.shape.width);
     if *xs.start() == 1 {
         copy_slab(&a[geo.at(0)..], geo.pitch, &mut bufs[0], shape);
@@ -723,14 +690,17 @@ pub(crate) fn scalar_sweep_body<T, const VL: usize, R>(
 // ---------------------------------------------------------------------
 
 /// The anchors `xs` of one temporal sweep (`VL` time steps, in place,
-/// single array): the prologue when `xs` starts at anchor 1, the steady
+/// single array) over the window `a` of a grid laid out as `lay`: the
+/// prologue when `xs` starts at anchor 1, the steady
 /// state over `xs`, the epilogue when `xs` ends at the last anchor
 /// `x_max = nx + 1 - VL·s`. A whole tile is `xs = 1 ..= x_max`; parts of
 /// one sweep run in ascending order over the same `sc`, which carries
 /// everything in flight between them. The part touches the slabs from
 /// its first anchor (from ghost slab 0 with the prologue) to `VL·s` past
-/// its last (to ghost slab `nx + 1` with the epilogue). The codegen
-/// context is the caller's.
+/// its last (to ghost slab `nx + 1` with the epilogue). `COUNT`
+/// instruments the steady rows. The codegen context is the caller's, and
+/// must be the one `rows` compute in: baseline x86-64 for `Packs`, a
+/// [`crate::slab_avx2`] sandwich for `Ymm`.
 ///
 /// # Panics
 /// Panics if `s < R::MIN_STRIDE`, the outer extent cannot host the vector
@@ -738,16 +708,17 @@ pub(crate) fn scalar_sweep_body<T, const VL: usize, R>(
 /// for another stride or slab shape.
 #[inline(always)]
 pub(crate) fn sweep_body<T, const VL: usize, const COUNT: bool, R>(
-    a: &mut [T],
-    geo: Geo<T>,
+    lay: &SlabLayout<T>,
+    a: SlabsMut<'_, T>,
     rows: &R,
+    xs: RangeInclusive<usize>,
     s: usize,
     sc: &mut Scratch<T, VL>,
-    xs: RangeInclusive<usize>,
 ) where
     T: Scalar,
     R: Rows<T, VL>,
 {
+    let (geo, a) = (Geo::new(lay, a.first), a.data);
     assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
     assert_eq!((sc.s, sc.shape), (s, geo.shape), "scratch shape mismatch");
     assert!(
@@ -838,7 +809,7 @@ fn tile_prologue<T, const VL: usize, R>(
     }
 }
 
-/// Phase 2, shared by both engines: one pass per anchor `x ∈ xs`,
+/// Phase 2: one pass per anchor `x ∈ xs`,
 /// producing `W(x+s)` from `W(x-1 ..= x+1)` row by row with the
 /// rotate-and-blend rule, storing the finished top lanes into slab `x`
 /// and taking the level-0 bottom lanes from slab `x + VL·s`. The ring
@@ -944,60 +915,6 @@ fn tile_epilogue<T, const VL: usize, R>(
     let below = Level::plane(&sc.tail[VL - 1], shape, x_max);
     let strides = [geo.slab, geo.pitch];
     sweep_level(rows, shape, below, a, strides, geo.x0, x_max + 1..=nx);
-}
-
-// ---------------------------------------------------------------------
-// Entry points: one codegen context per resolved engine
-// ---------------------------------------------------------------------
-
-/// The anchors `xs` of one temporal sweep over the window `a` of a grid
-/// laid out as `lay` (see [`sweep_body`] for the contract), in `engine`'s
-/// codegen context; `COUNT` instruments the portable steady rows (the
-/// AVX2 rows ignore it).
-///
-/// # Panics
-/// Panics if `s < R::MIN_STRIDE`, `lay.nx < VL·s`, or `sc` was allocated
-/// for another stride or slab shape.
-pub(crate) fn sweep<T, const VL: usize, const COUNT: bool, R>(
-    engine: Engine,
-    lay: &SlabLayout<T>,
-    a: SlabsMut<'_, T>,
-    rows: &R,
-    xs: RangeInclusive<usize>,
-    s: usize,
-    sc: &mut Scratch<T, VL>,
-) where
-    T: Scalar,
-    R: Rows<T, VL> + Avx2Row<T, VL>,
-{
-    let geo = Geo::new(lay, a.first);
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::slab_avx2::sweep(a.data, geo, rows, s, sc, xs),
-        _ => sweep_body::<T, VL, COUNT, R>(a.data, geo, rows, s, sc, xs),
-    }
-}
-
-/// The outer slabs `xs` of one in-place scalar time step over the window
-/// `a` (see [`scalar_sweep_body`] for the contract), in `engine`'s
-/// codegen context.
-pub(crate) fn scalar_sweep<T, const VL: usize, R>(
-    engine: Engine,
-    lay: &SlabLayout<T>,
-    a: SlabsMut<'_, T>,
-    rows: &R,
-    xs: RangeInclusive<usize>,
-    bufs: &mut [Vec<T>; 2],
-) where
-    T: Scalar,
-    R: Rows<T, VL> + Avx2Row<T, VL>,
-{
-    let geo = Geo::new(lay, a.first);
-    match engine {
-        #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::slab_avx2::scalar_sweep(a.data, geo, rows, bufs, xs),
-        _ => scalar_sweep_body(a.data, geo, rows, bufs, xs),
-    }
 }
 
 /// One table-driven suite for the driver: kind × shape × steps

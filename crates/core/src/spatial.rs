@@ -17,12 +17,12 @@
 //! rounded).
 
 use crate::engine::Engine;
-use crate::kernels::{Kernel1d, Kernel2d, Kernel3d, Nbhd, Nbhd3};
+use crate::kernels::{Kernel1d, Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::ops::RangeInclusive;
 use tempora_grid::{SlabLayout, Slabs, SlabsMut};
 #[cfg(target_arch = "x86_64")]
 use tempora_simd::arch::avx2_available;
-use tempora_simd::{Pack, Scalar};
+use tempora_simd::{Pack, Packs, Scalar};
 
 /// The step bodies instantiated in an AVX2+FMA codegen context.
 #[cfg(target_arch = "x86_64")]
@@ -50,7 +50,7 @@ mod avx2 {
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_2d<T: Scalar, K: Kernel2d<T>>(
+    pub unsafe fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
         lay: &SlabLayout<T>,
         src: Slabs<'_, T>,
         dst: SlabsMut<'_, T>,
@@ -66,7 +66,7 @@ mod avx2 {
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_3d<K: Kernel3d<f64>>(
+    pub unsafe fn step_3d<K: Kernel3d>(
         lay: &SlabLayout<f64>,
         src: Slabs<'_, f64>,
         dst: SlabsMut<'_, f64>,
@@ -115,7 +115,7 @@ fn step_1d_body<K: Kernel1d>(
         let l = Pack::<f64, N>::load(a, x - 1 - sa);
         let m = Pack::<f64, N>::load(a, x - sa);
         let r = Pack::<f64, N>::load(a, x + 1 - sa);
-        kern.pack(l, m, r).store(b, x - sb);
+        kern.pack(Packs, l, m, r).store(b, x - sb);
         x += N;
     }
     for x in x..=x1 {
@@ -127,7 +127,7 @@ fn step_1d_body<K: Kernel1d>(
 /// out as `lay` (vectorized along `y`): `dst[xs]` from
 /// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the
 /// `multiload` baseline.
-pub fn step_2d<T: Scalar, K: Kernel2d<T>>(
+pub fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
     engine: Engine,
     lay: &SlabLayout<T>,
     src: Slabs<'_, T>,
@@ -147,7 +147,7 @@ pub fn step_2d<T: Scalar, K: Kernel2d<T>>(
 }
 
 #[inline(always)]
-fn step_2d_body<T: Scalar, K: Kernel2d<T>>(
+fn step_2d_body<T: Scalar, K: Pack2d<T, 4, Packs>>(
     lay: &SlabLayout<T>,
     src: Slabs<'_, T>,
     dst: SlabsMut<'_, T>,
@@ -177,12 +177,12 @@ fn step_2d_body<T: Scalar, K: Kernel2d<T>>(
                     [zero, at(2, 1), zero],
                 ]
             };
-            kern.pack(Nbhd {
+            let nb = Nbhd {
                 v,
                 new_n: zero,
                 new_w: zero,
-            })
-            .store(b, r + y);
+            };
+            kern.pack(Packs, nb).store(b, r + y);
             y += N;
         }
         for y in y..=ny {
@@ -204,7 +204,7 @@ fn step_2d_body<T: Scalar, K: Kernel2d<T>>(
 /// out as `lay` (vectorized along `z`): `dst[xs]` from
 /// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the
 /// `multiload` baseline.
-pub fn step_3d<K: Kernel3d<f64>>(
+pub fn step_3d<K: Kernel3d>(
     engine: Engine,
     lay: &SlabLayout<f64>,
     src: Slabs<'_, f64>,
@@ -224,7 +224,7 @@ pub fn step_3d<K: Kernel3d<f64>>(
 }
 
 #[inline(always)]
-fn step_3d_body<K: Kernel3d<f64>>(
+fn step_3d_body<K: Kernel3d>(
     lay: &SlabLayout<f64>,
     src: Slabs<'_, f64>,
     dst: SlabsMut<'_, f64>,
@@ -254,7 +254,7 @@ fn step_3d_body<K: Kernel3d<f64>>(
                     new_ym: zero,
                     new_zm: zero,
                 };
-                kern.pack(nb).store(b, rb + z);
+                kern.pack(Packs, nb).store(b, rb + z);
                 z += N;
             }
             for z in z..=nz {

@@ -55,33 +55,47 @@
 //!
 //! The steady state at `x` stores into `a[x]` and loads from
 //! `a[x + VL·s]`, so the anchors `1 ..= x_max` may be cut into **parts**
-//! run in ascending order: [`sweep`] is the primitive — the prologue when
+//! run in ascending order: [`sweep_body`] is the primitive — the prologue when
 //! its range starts at anchor 1, the steady state over the range, the
-//! epilogue when it ends at `x_max` — and [`tile`] is its one-part case.
-//! The ring of in-flight input vectors and the Gauss-Seidel output vector
-//! live in [`Scratch1d`] between parts; consecutive parts are the paper's
+//! epilogue when it ends at `x_max` — and a whole tile is its one-part
+//! case. The ring of in-flight input vectors and the Gauss-Seidel output
+//! vector live in [`Scratch1d`] between parts; consecutive parts are the paper's
 //! §3.4 parallelogram tiles, and a part touches only the cells from its
 //! first anchor to `VL·s` past its last, which is what lets
 //! `tempora-tiling` run a second sweep through the same array close
 //! behind the first. [`scalar_cells`] cuts the in-place scalar step the
 //! same way.
 //!
-//! # One source, two codegen contexts
+//! # One steady state, one source, two codegen contexts
 //!
-//! [`tile_prologue`], [`tile_epilogue`], [`gs_initial_output`] and
-//! [`scalar_cells`] are `#[inline(always)]`: the portable [`sweep`]
-//! instantiates them for baseline x86-64 and the AVX2 sweep of
-//! [`crate::t1d_avx2`] instantiates the same source again inside its
-//! `#[target_feature(enable = "avx2,fma")]` function, where `mul_add` is
+//! The steady state is written once (`ring_sweep`), for both kernels and
+//! both engines: it is generic over the register form it computes in
+//! ([`tempora_simd::F64Lanes`]), and with its ring length `R = s + 1` a
+//! constant it runs unrolled that wide, every ring slot a local with a
+//! constant index — a `ymm` register when the form is `Ymm`. A produced
+//! input vector is first consumed `s - 1` iterations later, and only with
+//! the ring in registers does that hop cost the arithmetic's latency alone
+//! (§3.3's reason for the stride; README, "Where the time goes in a
+//! tile"). Its rolled `R = 0` form keeps the ring in scratch memory and
+//! serves every other stride — and every stride of the portable engine,
+//! whose `mul_add` is a libm call either way.
+//!
+//! [`sweep_body`] and everything under it — [`tile_prologue`],
+//! [`tile_epilogue`], [`gs_initial_output`], [`scalar_cells`] — is
+//! `#[inline(always)]`: the portable engine instantiates it for baseline
+//! x86-64 with `Packs`, and [`crate::t1d_avx2`] instantiates the same
+//! source again with `Ymm` inside its
+//! `#[target_feature(enable = "avx2,fma")]` functions, where `mul_add` is
 //! one `vfmadd` instead of a call into libm's `fma` (same exactly-rounded
 //! result). `cargo xtask audit` (rule `phase-inline`) guards the
 //! attributes.
 
 use crate::kernels::Kernel1d;
+use crate::t1d_avx2::REGISTER_STRIDES;
 use core::ops::RangeInclusive;
 use tempora_grid::Grid1;
 use tempora_simd::count::{self, Op};
-use tempora_simd::Pack;
+use tempora_simd::{F64Lanes, Pack, Packs};
 
 /// Minimum interior size for the vector path of one tile; below this the
 /// tile falls back to the scalar schedule (same results).
@@ -101,9 +115,9 @@ pub struct Scratch1d<const VL: usize> {
     head: Vec<Vec<f64>>,
     tail: Vec<Vec<f64>>,
     /// The in-flight input vectors: slot `j % (s+1)` holds `V(j)`.
-    pub(crate) ring: [Pack<f64, VL>; RING_CAP],
+    ring: [Pack<f64, VL>; RING_CAP],
     /// Gauss-Seidel: the previous output vector `O(x-1)`.
-    pub(crate) o_prev: Pack<f64, VL>,
+    o_prev: Pack<f64, VL>,
 }
 
 impl<const VL: usize> Scratch1d<VL> {
@@ -120,38 +134,6 @@ impl<const VL: usize> Scratch1d<VL> {
     }
 }
 
-/// Advance `a` (interior `1..=n`, Dirichlet halos at `0` and `n+1`) by
-/// `VL` time steps with the temporal-vectorized schedule: one whole
-/// [`sweep`], or `VL` scalar steps when `n` cannot host the vector
-/// schedule (same results).
-///
-/// `COUNT` enables reorganization-instruction accounting (see
-/// [`tempora_simd::count`]); the counted variant is for analysis only.
-///
-/// # Panics
-/// Panics if `s` is illegal for the kernel (`s < K::MIN_STRIDE`).
-pub fn tile<const VL: usize, const COUNT: bool, K: Kernel1d>(
-    a: &mut [f64],
-    n: usize,
-    kern: &K,
-    s: usize,
-    scratch: &mut Scratch1d<VL>,
-) {
-    assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
-    assert!(
-        a.len() >= n + 2,
-        "slice must include one halo cell per side"
-    );
-    if n < min_vector_n::<VL>(s) {
-        // Degenerate tile: pure scalar schedule.
-        for _ in 0..VL {
-            scalar_step_inplace(a, n, kern);
-        }
-        return;
-    }
-    sweep::<VL, COUNT, K>(a, 0, n, kern, s, scratch, 1..=n + 1 - VL * s);
-}
-
 /// The anchors `xs` of one temporal sweep (`VL` time steps, in place):
 /// the prologue when `xs` starts at anchor 1, the steady state over `xs`,
 /// the epilogue when `xs` ends at the last anchor `x_max = n + 1 - VL·s`.
@@ -159,14 +141,22 @@ pub fn tile<const VL: usize, const COUNT: bool, K: Kernel1d>(
 /// touches the cells from its first anchor (from the halo cell 0 with the
 /// prologue) to `VL·s` past its last (to the halo cell `n + 1` with the
 /// epilogue). Parts of one sweep run in ascending order over the same
-/// `scratch`, which carries the ring between them. The codegen context is
-/// the caller's.
+/// `scratch`, which carries the ring between them.
+///
+/// The steady state computes in `isa`'s registers, and the codegen context
+/// is the caller's: baseline x86-64 for `Packs`, a [`crate::t1d_avx2`]
+/// sandwich for `Ymm`. `REGS` lets the strides in [`REGISTER_STRIDES`]
+/// keep their ring in registers (what only `Ymm` has); `COUNT` enables
+/// reorganization-instruction accounting (see [`tempora_simd::count`]).
 ///
 /// # Panics
 /// Panics if `s` is illegal for the kernel or `n < VL·s` (no vector
 /// schedule: run scalar steps instead).
+// Justification: register form, window, extent, kernel, stride, carried state and anchor range are the part's contract; a params struct would only rename it.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub fn sweep<const VL: usize, const COUNT: bool, K: Kernel1d>(
+pub fn sweep_body<const VL: usize, const COUNT: bool, const REGS: bool, K, L>(
+    isa: L,
     a: &mut [f64],
     first: usize,
     n: usize,
@@ -174,7 +164,10 @@ pub fn sweep<const VL: usize, const COUNT: bool, K: Kernel1d>(
     s: usize,
     scratch: &mut Scratch1d<VL>,
     xs: RangeInclusive<usize>,
-) {
+) where
+    K: Kernel1d,
+    L: F64Lanes<VL>,
+{
     assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
     assert!(n >= min_vector_n::<VL>(s), "n={n} below VL*s: run scalar");
     let x_max = n + 1 - VL * s;
@@ -183,65 +176,161 @@ pub fn sweep<const VL: usize, const COUNT: bool, K: Kernel1d>(
         assert_eq!(first, 0, "the prologue reads from the halo cell");
         tile_prologue::<VL, K>(a, kern, s, scratch);
     }
-    steady_cells::<VL, COUNT, K>(a, first, kern, s, scratch, x0, x1);
+    let Scratch1d { ring, o_prev, .. } = scratch;
+    *o_prev = steady_ring::<VL, COUNT, REGS, K, L>(isa, a, first, kern, s, ring, *o_prev, x0, x1);
     if x1 == x_max {
         tile_epilogue::<VL, K>(a, first, n, kern, s, scratch, x_max);
     }
 }
 
-/// Steady state (Algorithm 3 lines 8-15) over the anchors `x0 ..= x1`, in
-/// place. `V(x-1)` and `V(x)` are carried in registers between iterations
-/// (vm1 ← v0 ← vp1); only `V(x+1)` is loaded from the ring and only the
-/// produced `V(x+s)` is stored back — one vector load + one vector store
-/// per output vector. Ring indices are consecutive modulo `s + 1`, tracked
-/// incrementally (no division in the hot loop); `V(x+s)` reuses the dead
-/// `V(x-1)` slot (`(x+s) ≡ (x-1) mod s+1`). On entry the ring holds `V(j)`
-/// for `j ∈ x0-1 ..= x0-1+s` and `scratch.o_prev` is `O(x0-1)`; on exit the
-/// same holds for `x1`.
+/// The steady state (Algorithm 3 lines 8-15) over the anchors
+/// `x0 ..= x_max`, in place, on the window `a` that starts at cell
+/// `first`: the one dispatch on the stride. On entry ring slot
+/// `j % (s+1)` holds `V(j)` for `j ∈ x0-1 ..= x0-1+s` and `o_prev` is
+/// `O(x0-1)` (read by Gauss-Seidel only); on exit the same holds for
+/// `j ∈ x_max ..= x_max+s` and `O(x_max)` is returned.
+// Justification: the steady state's operands (register form, window, kernel, stride, ring, carried output vector, anchor range) are its contract; a params struct would sit between the loop and its registers.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn steady_cells<const VL: usize, const COUNT: bool, K: Kernel1d>(
+fn steady_ring<const VL: usize, const COUNT: bool, const REGS: bool, K, L>(
+    isa: L,
     a: &mut [f64],
     first: usize,
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<VL>,
+    ring: &mut [Pack<f64, VL>; RING_CAP],
+    o_prev: Pack<f64, VL>,
     x0: usize,
-    x1: usize,
-) {
-    let ring_len = s + 1;
-    let ring = &mut scratch.ring[..ring_len];
-    let mut o_prev = scratch.o_prev;
-    let mut im1 = (x0 - 1) % ring_len;
-    let mut ip1 = (x0 + 1) % ring_len;
-    let mut vm1 = ring[im1];
-    let mut v0 = ring[x0 % ring_len];
-    for x in x0 - first..=x1 - first {
-        let vp1 = ring[ip1];
-        let west = if K::IS_GS { o_prev } else { vm1 };
-        let o = kern.pack::<VL>(west, v0, vp1);
+    x_max: usize,
+) -> Pack<f64, VL>
+where
+    K: Kernel1d,
+    L: F64Lanes<VL>,
+{
+    if !REGS {
+        return ring_sweep::<0, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max);
+    }
+    match s {
+        2 => ring_sweep::<3, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        3 => ring_sweep::<4, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        4 => ring_sweep::<5, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        5 => ring_sweep::<6, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        6 => ring_sweep::<7, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        7 => ring_sweep::<8, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        8 => ring_sweep::<9, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        9 => ring_sweep::<10, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        10 => ring_sweep::<11, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        11 => ring_sweep::<12, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        12 => ring_sweep::<13, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        13 => ring_sweep::<14, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        _ => {
+            debug_assert!(!REGISTER_STRIDES.contains(&s), "no arm for stride {s}");
+            ring_sweep::<0, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+        }
+    }
+}
+
+/// The steady-state body, written once. `R = s + 1` is the ring length as
+/// a constant: whole chunks of `R` iterations run unrolled with the ring
+/// in a local `[L::V; R]` whose every index is a compile-time constant, so
+/// each slot is a register — iteration `x+k` reads `V(x+k-1)`, `V(x+k)`,
+/// `V(x+k+1)` from `r[k]`, `r[(k+1) % R]`, `r[(k+2) % R]` and overwrites
+/// the dead `r[k]` with the `V(x+k+s)` it produces (`x+k+s ≡ x+k-1 mod R`),
+/// which leaves `r[k] = V(x+R-1+k)`: the entry layout of the next chunk.
+/// The rolled loop below it indexes the ring in memory (`V(x-1)`, `V(x)`
+/// carried in registers, indices tracked incrementally: one vector load
+/// and one vector store per output vector) and serves the `< R` remainder
+/// iterations — and, as `R = 0`, whole sweeps.
+// Justification: as for `steady_ring`, whose arguments these are.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn ring_sweep<const R: usize, const VL: usize, const COUNT: bool, K, L>(
+    isa: L,
+    a: &mut [f64],
+    first: usize,
+    kern: &K,
+    s: usize,
+    ring: &mut [Pack<f64, VL>; RING_CAP],
+    o_prev: Pack<f64, VL>,
+    x0: usize,
+    x_max: usize,
+) -> Pack<f64, VL>
+where
+    K: Kernel1d,
+    L: F64Lanes<VL>,
+{
+    let rlen = s + 1;
+    assert!(x0 >= 1 && rlen <= RING_CAP && (R == 0 || R == rlen));
+    // From here on `a[i]` is cell `x0 + i` and iteration `i` is anchor
+    // `x0 + i`. The one bound of the loop: every store `a[i]` and every
+    // bottom load `a[i + VL·s]` below has `i < n`. The parts of a sweep
+    // establish it (the window of a part reaches from its first anchor to
+    // `VL·s` past its last).
+    assert!(first <= x0 && x0 <= x_max);
+    let a = &mut a[x0 - first..];
+    let n = x_max + 1 - x0;
+    assert!(n - 1 + VL * s < a.len());
+    let kern = *kern; // by value: the coefficient splats hoist
+    let mut o_prev = isa.load(o_prev);
+    // One iteration: the kernel's fused tree on `west, v0, vp1`; the
+    // finished top lane a[t+VL][x] is stored (line 12), and V(x+s) — one
+    // rotate, one blend of the fresh bottom (lines 13-14) — returned with
+    // O(x).
+    let step = |a: &mut [f64], i: usize, west: L::V, v0: L::V, vp1: L::V| {
+        let o = kern.pack(isa, west, v0, vp1);
         if COUNT {
             count::record_output(1);
-        }
-        // Store the finished top lane a[t+VL][x] (line 12)…
-        a[x] = o.top();
-        // …and produce V(x+s) = shift-up + fresh bottom (lines 13-14).
-        let bottom = a[x + VL * s];
-        ring[im1] = o.shift_up_insert(bottom);
-        if COUNT {
             count::record(Op::ScalarExtract, 1);
             count::record(Op::CrossLane, 1); // vrotate
             count::record(Op::InLane, 1); // vblend
             count::record(Op::ScalarInsert, 1);
         }
-        if K::IS_GS {
-            o_prev = o;
+        // SAFETY: `i < n` at both call sites, so `i` and `i + VL·s` are in
+        // bounds by the hoisted `assert!(n - 1 + VL * s < a.len())` above.
+        unsafe {
+            *a.get_unchecked_mut(i) = isa.top(o);
+            (o, isa.shift_up_insert(o, *a.get_unchecked(i + VL * s)))
         }
+    };
+    let mut i = 0;
+    if R > 0 {
+        // Slot of V(x0-1): r[k] = V(x0-1+i+k), and whole chunks leave the
+        // rotation as it is.
+        let rot = (x0 - 1) % R;
+        let mut r = [o_prev; R];
+        for k in 0..R {
+            r[k] = isa.load(ring[(rot + k) % R]);
+        }
+        while i + R <= n {
+            for k in 0..R {
+                let west = if K::IS_GS { o_prev } else { r[k] };
+                (o_prev, r[k]) = step(a, i + k, west, r[(k + 1) % R], r[(k + 2) % R]);
+            }
+            i += R;
+        }
+        for k in 0..R {
+            ring[(rot + k) % R] = isa.store(r[k]);
+        }
+    }
+    let ring = &mut ring[..rlen];
+    let x = x0 + i;
+    let mut im1 = (x - 1) % rlen;
+    let mut ip1 = (x + 1) % rlen;
+    let mut vm1 = isa.load(ring[im1]);
+    let mut v0 = isa.load(ring[x % rlen]);
+    for i in i..n {
+        let vp1 = isa.load(ring[ip1]);
+        let west = if K::IS_GS { o_prev } else { vm1 };
+        let v;
+        (o_prev, v) = step(a, i, west, v0, vp1);
+        // V(x+s) reuses the dead V(x-1) slot ((x+s) ≡ (x-1) mod s+1).
+        ring[im1] = isa.store(v);
         vm1 = v0;
         v0 = vp1;
-        im1 = if im1 + 1 == ring_len { 0 } else { im1 + 1 };
-        ip1 = if ip1 + 1 == ring_len { 0 } else { ip1 + 1 };
+        im1 = if im1 + 1 == rlen { 0 } else { im1 + 1 };
+        ip1 = if ip1 + 1 == rlen { 0 } else { ip1 + 1 };
     }
-    scratch.o_prev = o_prev;
+    isa.store(o_prev)
 }
 
 /// Ring capacity of the phase API (supports strides up to 16).
@@ -249,9 +338,7 @@ pub const RING_CAP: usize = 17;
 
 /// The initial Gauss-Seidel output vector `O(0)` — lane `i` holds the
 /// level-`i+1` value at `x = (VL-1-i)·s` (boundary value in the top lane)
-/// — assembled from the prologue's head planes. Shared by the portable
-/// steady states and the arch-specialized ones (see `t1d_avx2`), so every
-/// engine seeds the §3.4 recurrence identically.
+/// — assembled from the prologue's head planes.
 #[inline(always)]
 pub fn gs_initial_output<const VL: usize>(
     boundary_l: f64,
@@ -273,9 +360,6 @@ pub fn gs_initial_output<const VL: usize>(
 /// 2-7) into the scratch ring (slot `j % (s+1)` holds `V(j)`), and the
 /// initial Gauss-Seidel output vector. Reads cells `0 ..= VL·s` of `a`,
 /// which starts at the halo cell, and writes only `scratch`.
-///
-/// Exposed so arch-specialized steady states (see `t1d_avx2`) can share
-/// the exact boundary machinery of the portable engine.
 #[inline(always)]
 pub fn tile_prologue<const VL: usize, K: Kernel1d>(
     a: &[f64],
@@ -438,50 +522,40 @@ pub fn scalar_cells<K: Kernel1d>(
 }
 
 /// Run `steps` time steps of a 1-D stencil with the temporal-vectorized
-/// schedule (vector length `VL`), returning the final grid.
+/// schedule (vector length `VL`) on the portable engine, returning the
+/// final grid.
 ///
-/// Full tiles of height `VL` run vectorized; the `steps mod VL` remainder
-/// runs scalar. Results are bit-identical to the scalar reference.
-pub fn run<const VL: usize, K: Kernel1d>(
+/// Full tiles of height `VL` run one whole [`sweep_body`] each — `VL` scalar
+/// steps when `n` cannot host the vector schedule — and the `steps mod VL`
+/// remainder runs scalar. Results are bit-identical to the scalar
+/// reference. `COUNT` records every data-reorganization operation of the
+/// steady state in the active [`tempora_simd::count::Session`] (identical
+/// numerics; for analysis only).
+///
+/// # Panics
+/// Panics if `s` is illegal for the kernel (`s < K::MIN_STRIDE`).
+pub fn run<const VL: usize, const COUNT: bool, K: Kernel1d>(
     grid: &Grid1<f64>,
     kern: &K,
     steps: usize,
     s: usize,
 ) -> Grid1<f64> {
     assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
+    assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
     let mut g = grid.clone();
     let n = g.n();
     let mut scratch = Scratch1d::<VL>::new(s);
-    let tiles = steps / VL;
+    let (sweeps, scalar_steps) = if n >= min_vector_n::<VL>(s) {
+        (steps / VL, steps % VL)
+    } else {
+        (0, steps)
+    };
     let a = g.data_mut();
-    for _ in 0..tiles {
-        tile::<VL, false, K>(a, n, kern, s, &mut scratch);
+    for _ in 0..sweeps {
+        let xs = 1..=n + 1 - VL * s;
+        sweep_body::<VL, COUNT, false, K, _>(Packs, a, 0, n, kern, s, &mut scratch, xs);
     }
-    for _ in 0..steps % VL {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
-}
-
-/// Counted variant of [`run`]: identical numerics, but every
-/// data-reorganization operation of the steady state is recorded in the
-/// active [`tempora_simd::count::Session`].
-pub fn run_counted<const VL: usize, K: Kernel1d>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    s: usize,
-) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let tiles = steps / VL;
-    let a = g.data_mut();
-    for _ in 0..tiles {
-        tile::<VL, true, K>(a, n, kern, s, &mut scratch);
-    }
-    for _ in 0..steps % VL {
+    for _ in 0..scalar_steps {
         scalar_step_inplace(a, n, kern);
     }
     g
@@ -508,7 +582,7 @@ mod tests {
         for &n in &[8usize, 9, 16, 31, 64, 100, 127] {
             for s in 2..=7 {
                 let g = random_grid(n, 42 + n as u64, 0.5);
-                let ours = run::<4, _>(&g, &kern, 4, s);
+                let ours = run::<4, false, _>(&g, &kern, 4, s);
                 let gold = reference::heat1d(&g, c, 4);
                 assert!(
                     ours.interior_eq(&gold),
@@ -526,7 +600,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         for steps in [0usize, 1, 2, 3, 4, 5, 7, 8, 12, 13, 29] {
             let g = random_grid(61, 7, -0.25);
-            let ours = run::<4, _>(&g, &kern, steps, 3);
+            let ours = run::<4, false, _>(&g, &kern, steps, 3);
             let gold = reference::heat1d(&g, c, steps);
             assert!(
                 ours.interior_eq(&gold),
@@ -542,7 +616,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         for n in 1..=16 {
             let g = random_grid(n, n as u64, 1.0);
-            let ours = run::<4, _>(&g, &kern, 8, 4); // needs n >= 16 for vector path
+            let ours = run::<4, false, _>(&g, &kern, 8, 4); // needs n >= 16 for vector path
             let gold = reference::heat1d(&g, c, 8);
             assert!(ours.interior_eq(&gold), "n={n}");
         }
@@ -556,7 +630,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         for &n in &[32usize, 57, 96] {
             let g = random_grid(n, 3, 0.0);
-            let ours = run::<8, _>(&g, &kern, 16, 2);
+            let ours = run::<8, false, _>(&g, &kern, 16, 2);
             let gold = reference::heat1d(&g, c, 16);
             assert!(
                 ours.interior_eq(&gold),
@@ -573,7 +647,7 @@ mod tests {
         for &n in &[8usize, 15, 33, 64, 101] {
             for s in 2..=7 {
                 let g = random_grid(n, 100 + n as u64, 0.25);
-                let ours = run::<4, _>(&g, &kern, 4, s);
+                let ours = run::<4, false, _>(&g, &kern, 4, s);
                 let gold = reference::gs1d(&g, c, 4);
                 assert!(
                     ours.interior_eq(&gold),
@@ -590,7 +664,7 @@ mod tests {
         let kern = GsKern1d(c);
         for steps in [1usize, 4, 6, 8, 11, 20] {
             let g = random_grid(77, 9, -1.0);
-            let ours = run::<4, _>(&g, &kern, steps, 7); // the paper's s = 7
+            let ours = run::<4, false, _>(&g, &kern, steps, 7); // the paper's s = 7
             let gold = reference::gs1d(&g, c, steps);
             assert!(
                 ours.interior_eq(&gold),
@@ -606,7 +680,7 @@ mod tests {
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
         let g = random_grid(64, 1, 0.0);
-        let _ = run::<4, _>(&g, &kern, 4, 1);
+        let _ = run::<4, false, _>(&g, &kern, 4, 1);
     }
 
     #[test]
@@ -614,7 +688,7 @@ mod tests {
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
         let g = random_grid(40, 5, 2.5);
-        let ours = run::<4, _>(&g, &kern, 12, 2);
+        let ours = run::<4, false, _>(&g, &kern, 12, 2);
         let gold = reference::heat1d(&g, c, 12);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
         // Halo cells must still hold the boundary value.
@@ -628,7 +702,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         let g = random_grid(4096, 11, 0.0);
         let session = tempora_simd::count::Session::start();
-        let _ = run_counted::<4, _>(&g, &kern, 4, 7);
+        let _ = run::<4, true, _>(&g, &kern, 4, 7);
         let counts = session.finish();
         assert!(counts.output_vectors > 0);
         // Per-iteration production rule: exactly 1 lane-crossing rotate

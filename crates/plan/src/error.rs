@@ -84,9 +84,8 @@ pub enum PlanError {
         /// Minimum block width for wave disjointness.
         min: usize,
     },
-    /// Reorg-op counting is only meaningful where the engines are
-    /// instrumented (1-D temporal under the portable engine, and the
-    /// reorg baseline).
+    /// Reorg-op counting is only meaningful where a plan is instrumented
+    /// (untiled 1-D temporal, and the reorg baseline).
     CountUnsupported {
         /// Why counting is unavailable here.
         why: &'static str,

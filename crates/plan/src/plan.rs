@@ -198,8 +198,8 @@ impl PlanBuilder {
 
     /// Record data-reorganization operation counts in each run's
     /// [`Report`]. Only the instrumented paths support this: 1-D temporal
-    /// under [`Select::Portable`] without tiling (the counters are per
-    /// thread), and the reorg baseline.
+    /// without tiling (the counters are per thread), on whichever engine
+    /// the plan resolves, and the reorg baseline.
     pub fn count_reorg(mut self, on: bool) -> PlanBuilder {
         self.count_reorg = on;
         self
@@ -398,10 +398,6 @@ impl PlanBuilder {
                     Err(PlanError::CountUnsupported {
                         why: "tiled runs are not instrumented",
                     })
-                } else if self.select != Select::Portable {
-                    Err(PlanError::CountUnsupported {
-                        why: "counting requires Select::Portable (the AVX2 steady state is not instrumented)",
-                    })
                 } else {
                     Ok(())
                 }
@@ -551,7 +547,7 @@ impl PlanBuilder {
     }
 
     /// The codegen context of the spatial methods (scalar, multi-load,
-    /// reorg, DLT): they have no hand-scheduled variant and report no
+    /// reorg, DLT): they run no temporal steady state and report no
     /// engine, but their `mul_add`s still follow the selection — AVX2+FMA
     /// code when the policy and the CPU allow it, portable otherwise.
     fn isa(&self) -> Engine {

@@ -1,13 +1,17 @@
-//! Hand-rolled `std::arch` implementations of the hot pack operations.
+//! Hand-rolled `std::arch` implementations of the hot pack operations —
+//! the one file of the workspace allowed intrinsics.
 //!
 //! The portable [`crate::pack::Pack`] model compiles to good vector code
 //! under `-C target-cpu=native`, but the paper's cost analysis (§3.3) is
 //! stated in terms of *specific* AVX instructions — `vpermpd` for the
 //! lane-crossing rotate, `vblendpd` for the bottom-element blend,
-//! `vunpcklpd`/`vperm2f128` for the 4×4 transpose. This module pins those
-//! choices down explicitly for x86-64 so that the measured kernels execute
-//! the instruction mix the paper reasons about, and so the repository
-//! demonstrates the `std::arch` path end to end.
+//! `vunpcklpd`/`vperm2f128` for the 4×4 transpose. The [`avx2`] module
+//! pins those choices down explicitly for x86-64, and [`Ymm`] offers them
+//! to the engines as the AVX2 implementor of the lane vocabulary
+//! ([`crate::lanes`]): a token that proves AVX2+FMA available, whose safe
+//! methods are the `avx2` calls, so the measured kernels execute the
+//! instruction mix the paper reasons about and no crate above this one
+//! names an intrinsic or writes `unsafe` to reach one.
 //!
 //! Everything here is equivalence-tested against the portable model (see
 //! the tests at the bottom; they run on any x86-64 host with AVX2+FMA and
@@ -32,15 +36,151 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// The AVX2 register form of the lane vocabulary ([`crate::Lanes`],
+/// [`crate::F64Lanes`] at four lanes, [`crate::I32Lanes`] at eight): `ymm`
+/// registers, every method one [`avx2`] call — the instruction the
+/// paper's §3.3 analysis names for it (`srav` is two: `vpsravd` saturates
+/// its counts where the vocabulary wraps them).
+///
+/// A value is a proof that AVX2+FMA are available on the running CPU:
+/// only [`Ymm::detect`] makes one. That is the `SAFETY` argument of the
+/// `unsafe` block behind every method — each wraps an `avx2` call whose
+/// sole precondition is that availability ([`I32Lanes::load_u8`] checks
+/// its indices first) — and of every `#[target_feature]` function entered
+/// on the strength of a `Ymm` argument. The methods are
+/// `#[inline(always)]` and reach their instructions by being inlined into
+/// such a function; called from baseline code they are correct, and slow.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Ymm(());
+
+#[cfg(target_arch = "x86_64")]
+impl Ymm {
+    /// The token, if the running CPU has AVX2+FMA ([`avx2_available`]:
+    /// never under Miri).
+    pub fn detect() -> Option<Ymm> {
+        avx2_available().then_some(Ymm(()))
+    }
+}
+
+/// `fn name(self, args) -> ret`: the [`avx2`] call of the same `args`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! ymm_ops {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $op:ident;)*) => {$(
+        #[inline(always)]
+        fn $name(self, $($arg: $ty),*) -> $ret {
+            // SAFETY: see `Ymm`.
+            unsafe { avx2::$op($($arg),*) }
+        }
+    )*};
+}
+
+#[cfg(target_arch = "x86_64")]
+use {
+    crate::lanes::{F64Lanes, I32Lanes, Lanes},
+    crate::pack::{F64x4, I32x8},
+    avx2::{__m256d, __m256i},
+};
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<f64, 4> for Ymm {
+    type V = __m256d;
+
+    #[inline(always)]
+    fn load(self, p: F64x4) -> __m256d {
+        avx2::from_pack(p)
+    }
+
+    #[inline(always)]
+    fn store(self, v: __m256d) -> F64x4 {
+        avx2::to_pack(v)
+    }
+
+    #[inline(always)]
+    fn splat(self, v: f64) -> __m256d {
+        avx2::splat(v)
+    }
+
+    ymm_ops! {
+        top(v: __m256d) -> f64 = extract_top;
+        shift_up_insert(v: __m256d, bottom: f64) -> __m256d = shift_up_insert;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl F64Lanes<4> for Ymm {
+    ymm_ops! {
+        mul(a: __m256d, b: __m256d) -> __m256d = mul;
+        fmadd(a: __m256d, b: __m256d, c: __m256d) -> __m256d = fmadd;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<i32, 8> for Ymm {
+    type V = __m256i;
+
+    #[inline(always)]
+    fn load(self, p: I32x8) -> __m256i {
+        avx2::from_pack_i32(p)
+    }
+
+    #[inline(always)]
+    fn store(self, v: __m256i) -> I32x8 {
+        avx2::to_pack_i32(v)
+    }
+
+    #[inline(always)]
+    fn splat(self, v: i32) -> __m256i {
+        avx2::splat_i32(v)
+    }
+
+    ymm_ops! {
+        top(v: __m256i) -> i32 = extract_top_i32;
+        shift_up_insert(v: __m256i, bottom: i32) -> __m256i = shift_up_insert_i32;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl I32Lanes<8> for Ymm {
+    ymm_ops! {
+        add(a: __m256i, b: __m256i) -> __m256i = add_i32;
+        mullo(a: __m256i, b: __m256i) -> __m256i = mullo_i32;
+        max(a: __m256i, b: __m256i) -> __m256i = max_i32;
+        cmpeq(a: __m256i, b: __m256i) -> __m256i = cmpeq_i32;
+        blendv(b: __m256i, a: __m256i, mask: __m256i) -> __m256i = blendv_i32;
+        and(a: __m256i, b: __m256i) -> __m256i = and_i32;
+    }
+
+    #[inline(always)]
+    fn srav(self, v: __m256i, counts: __m256i) -> __m256i {
+        // `vpsravd` saturates its counts; the vocabulary wraps them.
+        let counts = self.and(counts, avx2::splat_i32(31));
+        // SAFETY: see `Ymm`.
+        unsafe { avx2::srav_i32(v, counts) }
+    }
+
+    #[inline(always)]
+    fn load_u8(self, src: &[u8], base: usize, stride: isize) -> __m256i {
+        let last = base as isize + 7 * stride;
+        assert!(
+            base < src.len() && 0 <= last && (last as usize) < src.len(),
+            "strided load from {base} by {stride} leaves its {} bytes",
+            src.len()
+        );
+        // SAFETY: see `Ymm`; the eight indices lie between the first and
+        // the last, both checked above.
+        unsafe { avx2::gather_u8_i32(src, base, stride) }
+    }
+}
+
 /// AVX2 `__m256d` kernels (x86-64 only).
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use crate::pack::F64x4;
     use core::arch::x86_64::*;
 
-    // Re-exported so downstream engines can name the register types
-    // without importing `core::arch` themselves (`cargo xtask audit`
-    // bans raw `core::arch` use outside this module).
+    // The register types behind `Ymm`'s `Lanes::V` (`cargo xtask audit`
+    // bans raw `core::arch` use outside this file).
     pub use core::arch::x86_64::{__m256d, __m256i};
 
     /// Bit-cast a portable pack to `__m256d`.
@@ -402,11 +542,29 @@ pub mod avx2 {
 #[allow(clippy::undocumented_unsafe_blocks)]
 mod tests {
     use super::avx2::*;
-    use super::avx2_available;
+    use super::{avx2_available, Ymm};
+    use crate::lanes::{F64Lanes, I32Lanes, Lanes, Packs};
     use crate::pack::{transpose, F64x4, I32x8, Pack};
 
     fn p(a: f64, b: f64, c: f64, d: f64) -> F64x4 {
         Pack([a, b, c, d])
+    }
+
+    /// Each vocabulary row set below is one generic function run in `Ymm`
+    /// and in `Packs`; the two must agree lane for lane and — `f64` rows
+    /// are compared as bits — bit for bit, a NaN's payload and a zero's
+    /// sign included.
+    fn ymm() -> Ymm {
+        Ymm::detect().unwrap()
+    }
+
+    fn bits(v: F64x4) -> [u64; 4] {
+        v.0.map(f64::to_bits)
+    }
+
+    /// A quiet NaN carrying `payload`.
+    fn nan(payload: u64) -> f64 {
+        f64::from_bits(0x7ff8_0000_0000_0000 | payload)
     }
 
     #[test]
@@ -416,6 +574,13 @@ mod tests {
         }
         let x = p(1.0, 2.0, 3.0, 4.0);
         assert_eq!(to_pack(from_pack(x)), x);
+        // The vocabulary's load, store and splat keep every bit.
+        fn rows<L: Lanes<f64, 4>>(isa: L) -> Vec<[u64; 4]> {
+            let odd = p(nan(0xbeef), -0.0, 0.0, -nan(1));
+            let splats = odd.0.map(|k| bits(isa.store(isa.splat(k))));
+            [vec![bits(isa.store(isa.load(odd)))], splats.to_vec()].concat()
+        }
+        assert_eq!(rows(ymm()), rows(Packs));
     }
 
     #[test]
@@ -438,6 +603,15 @@ mod tests {
         assert_eq!(to_pack(b), x.replace(0, 9.0));
         let s = unsafe { shift_up_insert(from_pack(x), 9.0) };
         assert_eq!(to_pack(s), x.shift_up_insert(9.0));
+        // The production rule through the vocabulary, signed zeros and
+        // NaN payloads in flight.
+        fn rows<L: Lanes<f64, 4>>(isa: L) -> Vec<[u64; 4]> {
+            let odd = isa.load(p(-0.0, nan(0xabc), 0.0, 7.5));
+            let bottoms = [-0.0, 0.0, -nan(1)];
+            Vec::from(bottoms.map(|b| bits(isa.store(isa.shift_up_insert(odd, b)))))
+        }
+        assert_eq!(rows(ymm()), rows(Packs));
+        assert_eq!(rows(Packs)[0], bits(p(-0.0, -0.0, nan(0xabc), 0.0)));
     }
 
     #[test]
@@ -450,6 +624,27 @@ mod tests {
         let c = p(0.1, 0.2, 0.3, 0.4);
         let r = unsafe { fmadd(from_pack(a), from_pack(b), from_pack(c)) };
         assert_eq!(to_pack(r), a.mul_add(b, c));
+        // `fmadd` and `mul` through the vocabulary: one NaN per lane, its
+        // payload kept from whichever operand carries it, and the zeros'
+        // signs (`-0·1 + -0 = -0`, `-0·1 + 0 = +0`).
+        fn rows<L: F64Lanes<4>>(isa: L) -> Vec<[u64; 4]> {
+            let a = isa.load(p(nan(0xc0ffee), 2.0, -0.0, -0.0));
+            let b = isa.load(p(3.0, nan(0xf00d), 1.0, 1.0));
+            let c = isa.load(p(0.5, 0.25, -0.0, 0.0));
+            let fused = [[a, b, c], [b, c, a], [c, a, b]].map(|[x, y, z]| isa.fmadd(x, y, z));
+            let products = [[a, b], [b, c], [c, a]].map(|[x, y]| isa.mul(x, y));
+            Vec::from_iter(
+                fused
+                    .into_iter()
+                    .chain(products)
+                    .map(|v| bits(isa.store(v))),
+            )
+        }
+        assert_eq!(rows(ymm()), rows(Packs));
+        assert_eq!(
+            rows(Packs)[0],
+            bits(p(nan(0xc0ffee), nan(0xf00d), -0.0, 0.0))
+        );
     }
 
     #[test]
@@ -459,6 +654,12 @@ mod tests {
         }
         let x = p(1.0, 2.0, 3.0, 42.0);
         assert_eq!(unsafe { extract_top(from_pack(x)) }, 42.0);
+        fn rows<L: Lanes<f64, 4>>(isa: L) -> Vec<u64> {
+            let tops = [-0.0, nan(0x42), 42.0];
+            Vec::from(tops.map(|t| isa.top(isa.load(p(1.0, 2.0, 3.0, t))).to_bits()))
+        }
+        assert_eq!(rows(ymm()), rows(Packs));
+        assert_eq!(rows(Packs)[1], nan(0x42).to_bits());
     }
 
     #[test]
@@ -496,6 +697,12 @@ mod tests {
         assert_eq!(to_pack_i32(from_pack_i32(x)), x);
         assert_eq!(to_pack_i32(splat_i32(-9)), I32x8::splat(-9));
         assert_eq!(unsafe { extract_top_i32(from_pack_i32(x)) }, x.top());
+        fn rows<L: Lanes<i32, 8>>(isa: L, x: I32x8) -> (I32x8, I32x8, i32) {
+            let v = isa.load(x);
+            (isa.store(v), isa.store(isa.splat(i32::MIN)), isa.top(v))
+        }
+        assert_eq!(rows(ymm(), x), rows(Packs, x));
+        assert_eq!(rows(Packs, x), (x, I32x8::splat(i32::MIN), x[7]));
     }
 
     #[test]
@@ -516,6 +723,17 @@ mod tests {
             to_pack_i32(unsafe { add_i32(from_pack_i32(big), from_pack_i32(one)) }),
             big + one
         );
+        // `add`, `mullo` and `max` through the vocabulary, wrapping at both
+        // ends of the range.
+        fn rows<L: I32Lanes<8>>(isa: L) -> [I32x8; 3] {
+            let x = isa.load(Pack([i32::MAX, i32::MIN, -1, 1 << 30, 65536, -65536, 7, 0]));
+            let y = isa.load(Pack([1, -1, i32::MIN, 2, 65536, 65537, -3, i32::MIN]));
+            [isa.add(x, y), isa.mullo(x, y), isa.max(x, y)].map(|v| isa.store(v))
+        }
+        assert_eq!(rows(ymm()), rows(Packs));
+        let [sum, product, _] = rows(Packs);
+        assert_eq!(sum.0[..2], [i32::MIN, i32::MAX]);
+        assert_eq!(product.0[3..6], [i32::MIN, 0, -65536]);
     }
 
     #[test]
@@ -531,6 +749,19 @@ mod tests {
         let r = unsafe { blendv_i32(from_pack_i32(other), from_pack_i32(take), mask) };
         let gold = I32x8::select(a.eq_mask(b), take, other);
         assert_eq!(to_pack_i32(r), gold);
+        // Through the vocabulary: the mask is all ones or all zeros per
+        // lane, and a mixed mask takes each lane from its own side.
+        fn rows<L: I32Lanes<8>>(isa: L, ops: [I32x8; 4]) -> [I32x8; 2] {
+            let [a, b, take, other] = ops.map(|v| isa.load(v));
+            let mask = isa.cmpeq(a, b);
+            [mask, isa.blendv(other, take, mask)].map(|v| isa.store(v))
+        }
+        let ops = [a, b, take, other];
+        assert_eq!(rows(ymm(), ops), rows(Packs, ops));
+        let [mask, blend] = rows(Packs, ops);
+        assert_eq!(mask, I32x8::from_fn(|i| if a[i] == b[i] { -1 } else { 0 }));
+        assert!(mask.0.contains(&0) && mask.0.contains(&-1));
+        assert_eq!(blend, gold);
     }
 
     #[test]
@@ -549,6 +780,15 @@ mod tests {
         };
         let gold = I32x8::from_fn(|i| (mask[i] >> sums[i]) & 1);
         assert_eq!(to_pack_i32(r), gold);
+        // `srav` and `and` through the vocabulary: counts of 32 and more,
+        // and negative ones, wrap modulo 32.
+        fn rows<L: I32Lanes<8>>(isa: L) -> [I32x8; 2] {
+            let v = isa.load(Pack([i32::MIN, i32::MAX, -8, 8, -1, 0x5a5a, i32::MIN, 12]));
+            let counts = isa.load(Pack([31, 31, 32, 32, 1000, -1, i32::MIN, 2]));
+            [isa.srav(v, counts), isa.and(v, counts)].map(|v| isa.store(v))
+        }
+        assert_eq!(rows(ymm()), rows(Packs));
+        assert_eq!(rows(Packs)[0], Pack([-1, 0, -8, 8, -1, 0, i32::MIN, 3]));
     }
 
     #[test]
@@ -567,6 +807,11 @@ mod tests {
         assert_eq!(to_pack_i32(fused), x.shift_up_insert(99));
         let two_step = unsafe { blend_bottom_i32(rotate_up_i32(from_pack_i32(x)), 99) };
         assert_eq!(to_pack_i32(two_step), x.rotate_up().replace(0, 99));
+        fn rows<L: Lanes<i32, 8>>(isa: L, x: I32x8) -> I32x8 {
+            isa.store(isa.shift_up_insert(isa.load(x), i32::MIN))
+        }
+        assert_eq!(rows(ymm(), x), rows(Packs, x));
+        assert_eq!(rows(Packs, x), x.shift_up_insert(i32::MIN));
     }
 
     #[test]
@@ -580,6 +825,30 @@ mod tests {
             let gold =
                 I32x8::from_fn(|i| bytes[(base as isize + i as isize * stride) as usize] as i32);
             assert_eq!(to_pack_i32(g), gold, "base={base} stride={stride}");
+        }
+        // The vocabulary's checked form: from the first byte, to the last,
+        // down to the first — and never past either end.
+        fn row<L: I32Lanes<8>>(isa: L, bytes: &[u8], base: usize, stride: isize) -> I32x8 {
+            isa.store(isa.load_u8(bytes, base, stride))
+        }
+        for (base, stride) in [
+            (0usize, 9isize),
+            (63, -9),
+            (7, 8),
+            (56, -8),
+            (56, 1),
+            (7, -1),
+        ] {
+            let gold =
+                I32x8::from_fn(|i| bytes[(base as isize + i as isize * stride) as usize] as i32);
+            assert_eq!(row(Packs, &bytes, base, stride), gold, "{base} {stride}");
+            assert_eq!(row(ymm(), &bytes, base, stride), gold, "{base} {stride}");
+        }
+        for (base, stride) in [(57usize, 1isize), (6, -1), (64, 0), (0, 10)] {
+            let past = std::panic::catch_unwind(|| row(ymm(), &bytes, base, stride));
+            assert!(past.is_err(), "{base} {stride}");
+            let past = std::panic::catch_unwind(|| row(Packs, &bytes, base, stride));
+            assert!(past.is_err(), "{base} {stride}");
         }
     }
 

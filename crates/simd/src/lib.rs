@@ -11,8 +11,14 @@
 //! * [`count`] — the in-lane / lane-crossing reorganization-instruction
 //!   cost model of §3.3, as a thread-local counting session used to verify
 //!   the paper's per-output-vector instruction budgets;
+//! * [`lanes`] — the lane vocabulary the temporal steady states and the
+//!   stencils' vector formulas are written in, once, generic over a
+//!   register form: [`Lanes`] (load, store, splat, top lane, the
+//!   rotate-and-blend production rule), [`F64Lanes`] and [`I32Lanes`]
+//!   (the kernels' arithmetic), and the portable implementor [`Packs`];
 //! * [`arch`] — `std::arch` AVX2 implementations of the hot operations,
-//!   equivalence-tested against the portable model.
+//!   equivalence-tested against the portable model, and the AVX2
+//!   implementor of the vocabulary, the [`arch::Ymm`] availability token.
 //!
 //! ## Temporal lane convention (paper Figure 1)
 //!
@@ -48,6 +54,8 @@
 
 pub mod arch;
 pub mod count;
+pub mod lanes;
 pub mod pack;
 
+pub use lanes::{F64Lanes, I32Lanes, Lanes, Packs};
 pub use pack::{transpose, F32x8, F64x4, I32x8, I64x4, Mask, Pack, Scalar};

@@ -9,7 +9,7 @@
 //! operands are taken from previous *output* vectors.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::Pack;
+use tempora_simd::F64Lanes;
 
 /// Coefficients of the 1D 3-point Gauss-Seidel stencil
 /// `a[x] ← w·a[x-1] + c·a[x] + e·a[x+1]` with `a[x-1]` already updated
@@ -55,19 +55,18 @@ impl Gs1dCoeffs {
         l_new.mul_add(self.w, m.mul_add(self.c, r * self.e))
     }
 
-    /// Pack update — identical operation tree, lane-wise. `l_new` is the
-    /// previous *output* vector (§3.4).
+    /// Vector update in `isa`'s registers — identical operation tree,
+    /// lane-wise. `l_new` is the previous *output* vector (§3.4).
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        l_new: Pack<f64, N>,
-        m: Pack<f64, N>,
-        r: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        l_new.mul_add(
-            Pack::splat(self.w),
-            m.mul_add(Pack::splat(self.c), r * Pack::splat(self.e)),
-        )
+        isa: L,
+        l_new: L::V,
+        m: L::V,
+        r: L::V,
+    ) -> L::V {
+        let (w, c, e) = (isa.splat(self.w), isa.splat(self.c), isa.splat(self.e));
+        isa.fmadd(l_new, w, isa.fmadd(m, c, isa.mul(r, e)))
     }
 }
 
@@ -123,26 +122,25 @@ impl Gs2dCoeffs {
         )
     }
 
-    /// Pack update — identical operation tree, lane-wise.
+    /// Vector update in `isa`'s registers — identical operation tree,
+    /// lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        n_new: Pack<f64, N>,
-        w_new: Pack<f64, N>,
-        m: Pack<f64, N>,
-        e: Pack<f64, N>,
-        s: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        n_new.mul_add(
-            Pack::splat(self.cn),
-            w_new.mul_add(
-                Pack::splat(self.cw),
-                m.mul_add(
-                    Pack::splat(self.cc),
-                    e.mul_add(Pack::splat(self.ce), s * Pack::splat(self.cs)),
-                ),
-            ),
-        )
+        isa: L,
+        n_new: L::V,
+        w_new: L::V,
+        m: L::V,
+        e: L::V,
+        s: L::V,
+    ) -> L::V {
+        let o = isa.fmadd(e, isa.splat(self.ce), isa.mul(s, isa.splat(self.cs)));
+        let o = isa.fmadd(
+            w_new,
+            isa.splat(self.cw),
+            isa.fmadd(m, isa.splat(self.cc), o),
+        );
+        isa.fmadd(n_new, isa.splat(self.cn), o)
     }
 }
 
@@ -223,36 +221,30 @@ impl Gs3dCoeffs {
         )
     }
 
-    /// Pack update — identical operation tree, lane-wise.
-    // Justification: seven neighbor packs are the 3-D stencil star itself, in sweep order.
+    /// Vector update in `isa`'s registers — identical operation tree,
+    /// lane-wise.
+    // Justification: seven neighbor vectors are the 3-D stencil star itself, in sweep order.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        xm: Pack<f64, N>,
-        ym: Pack<f64, N>,
-        zm: Pack<f64, N>,
-        m: Pack<f64, N>,
-        zp: Pack<f64, N>,
-        yp: Pack<f64, N>,
-        xp: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        xm.mul_add(
-            Pack::splat(self.cxm),
-            ym.mul_add(
-                Pack::splat(self.cym),
-                zm.mul_add(
-                    Pack::splat(self.czm),
-                    m.mul_add(
-                        Pack::splat(self.cc),
-                        zp.mul_add(
-                            Pack::splat(self.czp),
-                            yp.mul_add(Pack::splat(self.cyp), xp * Pack::splat(self.cxp)),
-                        ),
-                    ),
-                ),
-            ),
-        )
+        isa: L,
+        xm: L::V,
+        ym: L::V,
+        zm: L::V,
+        m: L::V,
+        zp: L::V,
+        yp: L::V,
+        xp: L::V,
+    ) -> L::V {
+        let o = isa.fmadd(yp, isa.splat(self.cyp), isa.mul(xp, isa.splat(self.cxp)));
+        let o = isa.fmadd(m, isa.splat(self.cc), isa.fmadd(zp, isa.splat(self.czp), o));
+        let o = isa.fmadd(
+            ym,
+            isa.splat(self.cym),
+            isa.fmadd(zm, isa.splat(self.czm), o),
+        );
+        isa.fmadd(xm, isa.splat(self.cxm), o)
     }
 }
 
@@ -260,7 +252,7 @@ impl Gs3dCoeffs {
 mod tests {
     use super::*;
     use crate::deps::validate_schedule;
-    use tempora_simd::F64x4;
+    use tempora_simd::{F64x4, Pack, Packs};
 
     #[test]
     fn gs_kernels_are_gauss_seidel() {
@@ -287,7 +279,7 @@ mod tests {
         let l = Pack([1.0, -0.5, 3.25, 0.125]);
         let m = Pack([2.0, 0.5, -1.25, 7.5]);
         let r = Pack([0.25, 4.0, 0.5, -2.0]);
-        let p = c.apply_pack(l, m, r);
+        let p = c.apply_pack(Packs, l, m, r);
         for i in 0..4 {
             assert_eq!(
                 p.extract(i),
@@ -300,7 +292,7 @@ mod tests {
     fn gs2d_gs3d_scalar_pack_bitwise_equal() {
         let c2 = Gs2dCoeffs::new(0.13, 0.21, 0.2, 0.19, 0.27);
         let v: [F64x4; 5] = core::array::from_fn(|k| F64x4::from_fn(|i| (k + i) as f64 * 0.41));
-        let p2 = c2.apply_pack(v[0], v[1], v[2], v[3], v[4]);
+        let p2 = c2.apply_pack(Packs, v[0], v[1], v[2], v[3], v[4]);
         for i in 0..4 {
             let s: Vec<f64> = v.iter().map(|q| q.extract(i)).collect();
             assert_eq!(p2.extract(i), c2.apply(s[0], s[1], s[2], s[3], s[4]));
@@ -308,7 +300,7 @@ mod tests {
 
         let c3 = Gs3dCoeffs::classic(0.11);
         let w: [F64x4; 7] = core::array::from_fn(|k| F64x4::from_fn(|i| (k * 3 + i) as f64 * 0.07));
-        let p3 = c3.apply_pack(w[0], w[1], w[2], w[3], w[4], w[5], w[6]);
+        let p3 = c3.apply_pack(Packs, w[0], w[1], w[2], w[3], w[4], w[5], w[6]);
         for i in 0..4 {
             let s: Vec<f64> = w.iter().map(|q| q.extract(i)).collect();
             assert_eq!(

@@ -7,7 +7,7 @@
 //! compared bit-for-bit against the scalar reference.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::Pack;
+use tempora_simd::F64Lanes;
 
 /// Coefficients of the 1D 3-point Jacobi stencil
 /// `a'[x] = w·a[x-1] + c·a[x] + e·a[x+1]`.
@@ -51,18 +51,18 @@ impl Heat1dCoeffs {
         l.mul_add(self.w, m.mul_add(self.c, r * self.e))
     }
 
-    /// Pack update — the identical operation tree, lane-wise.
+    /// Vector update in `isa`'s registers — the identical operation tree,
+    /// lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        l: Pack<f64, N>,
-        m: Pack<f64, N>,
-        r: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        l.mul_add(
-            Pack::splat(self.w),
-            m.mul_add(Pack::splat(self.c), r * Pack::splat(self.e)),
-        )
+        isa: L,
+        l: L::V,
+        m: L::V,
+        r: L::V,
+    ) -> L::V {
+        let (w, c, e) = (isa.splat(self.w), isa.splat(self.c), isa.splat(self.e));
+        isa.fmadd(l, w, isa.fmadd(m, c, isa.mul(r, e)))
     }
 }
 
@@ -121,26 +121,21 @@ impl Heat2dCoeffs {
         )
     }
 
-    /// Pack update — identical operation tree, lane-wise.
+    /// Vector update in `isa`'s registers — identical operation tree,
+    /// lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        n: Pack<f64, N>,
-        w: Pack<f64, N>,
-        m: Pack<f64, N>,
-        e: Pack<f64, N>,
-        s: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        n.mul_add(
-            Pack::splat(self.cn),
-            w.mul_add(
-                Pack::splat(self.cw),
-                m.mul_add(
-                    Pack::splat(self.cc),
-                    e.mul_add(Pack::splat(self.ce), s * Pack::splat(self.cs)),
-                ),
-            ),
-        )
+        isa: L,
+        n: L::V,
+        w: L::V,
+        m: L::V,
+        e: L::V,
+        s: L::V,
+    ) -> L::V {
+        let o = isa.fmadd(e, isa.splat(self.ce), isa.mul(s, isa.splat(self.cs)));
+        let o = isa.fmadd(w, isa.splat(self.cw), isa.fmadd(m, isa.splat(self.cc), o));
+        isa.fmadd(n, isa.splat(self.cn), o)
     }
 }
 
@@ -223,36 +218,30 @@ impl Heat3dCoeffs {
         )
     }
 
-    /// Pack update — identical operation tree, lane-wise.
-    // Justification: seven neighbor packs are the 3-D stencil star itself, in sweep order.
+    /// Vector update in `isa`'s registers — identical operation tree,
+    /// lane-wise.
+    // Justification: seven neighbor vectors are the 3-D stencil star itself, in sweep order.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(
         &self,
-        xm: Pack<f64, N>,
-        ym: Pack<f64, N>,
-        zm: Pack<f64, N>,
-        m: Pack<f64, N>,
-        zp: Pack<f64, N>,
-        yp: Pack<f64, N>,
-        xp: Pack<f64, N>,
-    ) -> Pack<f64, N> {
-        xm.mul_add(
-            Pack::splat(self.cxm),
-            ym.mul_add(
-                Pack::splat(self.cym),
-                zm.mul_add(
-                    Pack::splat(self.czm),
-                    m.mul_add(
-                        Pack::splat(self.cc),
-                        zp.mul_add(
-                            Pack::splat(self.czp),
-                            yp.mul_add(Pack::splat(self.cyp), xp * Pack::splat(self.cxp)),
-                        ),
-                    ),
-                ),
-            ),
-        )
+        isa: L,
+        xm: L::V,
+        ym: L::V,
+        zm: L::V,
+        m: L::V,
+        zp: L::V,
+        yp: L::V,
+        xp: L::V,
+    ) -> L::V {
+        let o = isa.fmadd(yp, isa.splat(self.cyp), isa.mul(xp, isa.splat(self.cxp)));
+        let o = isa.fmadd(m, isa.splat(self.cc), isa.fmadd(zp, isa.splat(self.czp), o));
+        let o = isa.fmadd(
+            ym,
+            isa.splat(self.cym),
+            isa.fmadd(zm, isa.splat(self.czm), o),
+        );
+        isa.fmadd(xm, isa.splat(self.cxm), o)
     }
 }
 
@@ -315,40 +304,29 @@ impl Box2dCoeffs {
         )
     }
 
-    /// Pack update — identical operation tree, lane-wise.
+    /// Vector update in `isa`'s registers — identical operation tree,
+    /// lane-wise.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(&self, v: [[Pack<f64, N>; 3]; 3]) -> Pack<f64, N> {
-        let s = |x: f64| Pack::<f64, N>::splat(x);
+    pub fn apply_pack<const N: usize, L: F64Lanes<N>>(&self, isa: L, v: [[L::V; 3]; 3]) -> L::V {
+        // Splat by splat: `map` over the coefficient rows is an out-of-line
+        // call per application.
         let c = &self.c;
-        v[0][0].mul_add(
-            s(c[0][0]),
-            v[0][1].mul_add(
-                s(c[0][1]),
-                v[0][2].mul_add(
-                    s(c[0][2]),
-                    v[1][0].mul_add(
-                        s(c[1][0]),
-                        v[1][1].mul_add(
-                            s(c[1][1]),
-                            v[1][2].mul_add(
-                                s(c[1][2]),
-                                v[2][0].mul_add(
-                                    s(c[2][0]),
-                                    v[2][1].mul_add(s(c[2][1]), v[2][2] * s(c[2][2])),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        )
+        let mut o = isa.mul(v[2][2], isa.splat(c[2][2]));
+        o = isa.fmadd(v[2][1], isa.splat(c[2][1]), o);
+        o = isa.fmadd(v[2][0], isa.splat(c[2][0]), o);
+        o = isa.fmadd(v[1][2], isa.splat(c[1][2]), o);
+        o = isa.fmadd(v[1][1], isa.splat(c[1][1]), o);
+        o = isa.fmadd(v[1][0], isa.splat(c[1][0]), o);
+        o = isa.fmadd(v[0][2], isa.splat(c[0][2]), o);
+        o = isa.fmadd(v[0][1], isa.splat(c[0][1]), o);
+        isa.fmadd(v[0][0], isa.splat(c[0][0]), o)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_simd::F64x4;
+    use tempora_simd::{F64x4, Pack, Packs};
 
     #[test]
     fn heat1d_scalar_pack_bitwise_equal() {
@@ -356,7 +334,7 @@ mod tests {
         let l = Pack([0.1, -2.0, 3.5, 1e-8]);
         let m = Pack([0.7, 0.2, -1.5, 2e8]);
         let r = Pack([-0.3, 9.1, 0.0, 3.25]);
-        let p = c.apply_pack(l, m, r);
+        let p = c.apply_pack(Packs, l, m, r);
         for i in 0..4 {
             assert_eq!(
                 p.extract(i),
@@ -376,7 +354,7 @@ mod tests {
         let c = Heat2dCoeffs::new(0.11, 0.22, 0.1, 0.31, 0.26);
         let v: [F64x4; 5] =
             core::array::from_fn(|k| F64x4::from_fn(|i| (k * 4 + i) as f64 * 0.37 - 1.0));
-        let p = c.apply_pack(v[0], v[1], v[2], v[3], v[4]);
+        let p = c.apply_pack(Packs, v[0], v[1], v[2], v[3], v[4]);
         for i in 0..4 {
             assert_eq!(
                 p.extract(i),
@@ -402,7 +380,7 @@ mod tests {
         let c = Heat3dCoeffs::classic(0.12);
         let v: [F64x4; 7] =
             core::array::from_fn(|k| F64x4::from_fn(|i| ((k + 1) * (i + 2)) as f64 * 0.19));
-        let p = c.apply_pack(v[0], v[1], v[2], v[3], v[4], v[5], v[6]);
+        let p = c.apply_pack(Packs, v[0], v[1], v[2], v[3], v[4], v[5], v[6]);
         for i in 0..4 {
             let s: Vec<f64> = v.iter().map(|q| q.extract(i)).collect();
             assert_eq!(
@@ -418,7 +396,7 @@ mod tests {
         let v: [[F64x4; 3]; 3] = core::array::from_fn(|i| {
             core::array::from_fn(|j| F64x4::from_fn(|k| (i * 9 + j * 3 + k) as f64 * 0.13 - 0.5))
         });
-        let p = c.apply_pack(v);
+        let p = c.apply_pack(Packs, v);
         for k in 0..4 {
             let s: [[f64; 3]; 3] =
                 core::array::from_fn(|i| core::array::from_fn(|j| v[i][j].extract(k)));

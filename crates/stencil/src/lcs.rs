@@ -12,7 +12,7 @@
 //! paper's "theoretical maximal speedup of 8" for integer SIMD.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::{Mask, Pack};
+use tempora_simd::I32Lanes;
 
 /// Dependence set of LCS projected on `(t = x, space = y)`.
 pub fn lcs_deps() -> DepSet {
@@ -36,25 +36,30 @@ pub fn lcs_update(diag: i32, up: i32, left: i32, a: u8, b: u8) -> i32 {
     }
 }
 
-/// Pack LCS cell update with identical semantics, branch-free: the paper's
-/// "blend instruction with a mask vector of equalities".
-///
-/// `a_eq_b` is the per-lane equality mask of the sequence characters.
+/// Vector LCS cell update in `isa`'s registers with identical semantics,
+/// branch-free: the paper's "blend instruction with a mask vector of
+/// equalities". `a` and `b` hold the lanes' sequence characters.
 #[inline(always)]
-pub fn lcs_update_pack<const N: usize>(
-    diag: Pack<i32, N>,
-    up: Pack<i32, N>,
-    left: Pack<i32, N>,
-    a_eq_b: Mask<N>,
-) -> Pack<i32, N> {
-    Pack::select(a_eq_b, diag + Pack::splat(1), up.max(left))
+pub fn lcs_update_pack<const N: usize, L: I32Lanes<N>>(
+    isa: L,
+    diag: L::V,
+    up: L::V,
+    left: L::V,
+    a: L::V,
+    b: L::V,
+) -> L::V {
+    isa.blendv(
+        isa.max(up, left),
+        isa.add(diag, isa.splat(1)),
+        isa.cmpeq(a, b),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deps::validate_schedule;
-    use tempora_simd::I32x8;
+    use tempora_simd::{I32x8, Packs};
 
     #[test]
     fn deps_allow_stride_one() {
@@ -80,8 +85,11 @@ mod tests {
         let left = I32x8::from_fn(|i| ((i * 3) % 5) as i32);
         let a: [u8; 8] = [0, 1, 2, 3, 0, 1, 2, 3];
         let b: [u8; 8] = [0, 2, 2, 1, 3, 1, 0, 3];
-        let eq = Mask::from_fn(|i| a[i] == b[i]);
-        let p = lcs_update_pack(diag, up, left, eq);
+        let (av, bv) = (
+            I32x8::from_fn(|i| a[i] as i32),
+            I32x8::from_fn(|i| b[i] as i32),
+        );
+        let p = lcs_update_pack(Packs, diag, up, left, av, bv);
         for i in 0..8 {
             assert_eq!(
                 p.extract(i),

@@ -7,7 +7,7 @@
 //! general (any B/S bitmask) so classic Conway B3S23 is available too.
 
 use crate::deps::{Dep, DepSet};
-use tempora_simd::Pack;
+use tempora_simd::I32Lanes;
 
 /// A Life rule given as birth/survival neighbour-count bitmasks
 /// (bit `c` set ⇔ the transition applies at neighbour count `c`).
@@ -53,28 +53,18 @@ impl LifeRule {
         ((mask >> sum) & 1) as i32
     }
 
-    /// Pack transition with the identical semantics, implemented in pure
-    /// branch-free integer arithmetic so it lowers to straight vector
-    /// code regardless of how unpredictable the board is:
-    ///
-    /// * per relevant count `c`, `eq01 = 1 - min(1, (sum-c)²)` is the 0/1
-    ///   indicator of `sum == c` (counts are in `0..=8`, so the square
-    ///   never overflows and is 0 exactly on equality);
-    /// * indicators of distinct counts are disjoint, so the rule masks
-    ///   reduce to *sums* of indicators;
-    /// * cells are 0/1 by the Life invariant, so the final blend is
-    ///   `(1-cur)·born + cur·surv`.
+    /// Vector transition in `isa`'s registers with the identical
+    /// semantics, branch-free: the applicable rule mask per lane is
+    /// selected arithmetically (cells are 0/1 by the Life invariant),
+    /// `birth + cur·(survive - birth)`, and tested with the same variable
+    /// shift as the scalar rule, `(mask >> sum) & 1`.
     #[inline(always)]
-    pub fn apply_pack<const N: usize>(&self, cur: Pack<i32, N>, sum: Pack<i32, N>) -> Pack<i32, N> {
-        debug_assert!((0..N).all(|i| cur.extract(i) == 0 || cur.extract(i) == 1));
-        // The applicable rule mask per lane, selected arithmetically
-        // (cells are 0/1): birth + cur·(survive - birth).
-        let mask = Pack::<i32, N>::splat(self.birth as i32)
-            + cur * Pack::splat(self.survive as i32 - self.birth as i32);
-        // (mask >> sum) & 1, lane-wise — the same variable-shift bit test
-        // as the scalar rule; LLVM lowers the fixed-size loop to a single
-        // vector variable-shift on AVX2+.
-        Pack::from_fn(|i| (mask[i] >> sum[i]) & 1)
+    pub fn apply_pack<const N: usize, L: I32Lanes<N>>(&self, isa: L, cur: L::V, sum: L::V) -> L::V {
+        debug_assert!(isa.store(cur).0.iter().all(|&c| c == 0 || c == 1));
+        let birth = isa.splat(self.birth as i32);
+        let delta = isa.splat(self.survive as i32 - self.birth as i32);
+        let mask = isa.add(birth, isa.mullo(cur, delta));
+        isa.and(isa.srav(mask, sum), isa.splat(1))
     }
 
     /// Scalar 3×3 neighbourhood update (`v[di+1][dj+1] = a[x+di][y+dj]`):
@@ -85,22 +75,28 @@ impl LifeRule {
         self.apply(v[1][1], sum)
     }
 
-    /// Pack 3×3 neighbourhood update, lane-wise identical to
-    /// [`LifeRule::apply_neighborhood`].
+    /// Vector 3×3 neighbourhood update, lane-wise identical to
+    /// [`LifeRule::apply_neighborhood`]: wrapping adds are associative, so
+    /// the eight neighbours are summed as a tree.
     #[inline(always)]
-    pub fn apply_neighborhood_pack<const N: usize>(
+    pub fn apply_neighborhood_pack<const N: usize, L: I32Lanes<N>>(
         &self,
-        v: [[Pack<i32, N>; 3]; 3],
-    ) -> Pack<i32, N> {
-        let sum = v[0][0] + v[0][1] + v[0][2] + v[1][0] + v[1][2] + v[2][0] + v[2][1] + v[2][2];
-        self.apply_pack(v[1][1], sum)
+        isa: L,
+        v: [[L::V; 3]; 3],
+    ) -> L::V {
+        let [[nw, n, ne], [w, m, e], [sw, s, se]] = v;
+        let sum = isa.add(
+            isa.add(isa.add(nw, n), isa.add(ne, sw)),
+            isa.add(isa.add(s, se), isa.add(w, e)),
+        );
+        self.apply_pack(isa, m, sum)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_simd::I32x8;
+    use tempora_simd::{I32x8, Packs};
 
     #[test]
     fn b2s23_truth_table() {
@@ -135,7 +131,7 @@ mod tests {
             for base in 0..3 {
                 let cur = I32x8::from_fn(|i| ((i + base) % 2) as i32);
                 let sum = I32x8::from_fn(|i| (i % 9) as i32);
-                let p = rule.apply_pack(cur, sum);
+                let p = rule.apply_pack(Packs, cur, sum);
                 for i in 0..8 {
                     assert_eq!(p.extract(i), rule.apply(cur.extract(i), sum.extract(i)));
                 }
@@ -163,7 +159,7 @@ mod tests {
         let v: [[I32x8; 3]; 3] = core::array::from_fn(|i| {
             core::array::from_fn(|j| I32x8::from_fn(|k| ((i * 5 + j * 3 + k) % 2) as i32))
         });
-        let p = r.apply_neighborhood_pack(v);
+        let p = r.apply_neighborhood_pack(Packs, v);
         for k in 0..8 {
             let s: [[i32; 3]; 3] =
                 core::array::from_fn(|i| core::array::from_fn(|j| v[i][j].extract(k)));

@@ -14,26 +14,24 @@
 //! per-block temporal scratch allocated once, reused by every
 //! [`LcsRect::run`] call — the wavefront runs allocation-free). The
 //! temporal in-tile kernel dispatches like the grid tilings: the
-//! workspace resolves its [`Select`] once against the AVX2 LCS steady
-//! state's shape predicate
+//! workspace resolves its [`Select`] once against the AVX2 LCS engine's
+//! shape predicate
 //! ([`tempora_core::lcs_avx2::rect_has_vector_tiles`] — every block
 //! column must host the `vl = 8` vector schedule) and reports the
 //! resolved [`Engine`]; degenerate geometries honestly stay portable.
 
 use tempora_core::engine::{Engine, Select};
-use tempora_core::lcs::{scalar_row_step_seg, tile_seg, ScratchLcs};
+use tempora_core::lcs::{scalar_row_step_seg, tile_seg, ScratchLcs, VL};
 use tempora_core::lcs_avx2;
 use tempora_parallel::{Pool, SyncSlice};
-
-const VL: usize = 8;
 
 /// Per-tile executor parameters.
 struct TileRun<'a> {
     a: &'a [u8],
     b: &'a [u8],
     s: usize,
-    temporal: bool,
-    avx2: bool,
+    /// The engine of the temporal in-tile kernel; `None` runs scalar rows.
+    engine: Option<Engine>,
 }
 
 impl TileRun<'_> {
@@ -55,32 +53,19 @@ impl TileRun<'_> {
     ) {
         let height = x1 - x0;
         right[0] = row[y1];
-        if self.temporal {
-            let bands = height / VL;
-            for t in 0..bands {
-                let base = t * VL;
+        let mut done = 0;
+        if let Some(engine) = self.engine {
+            for base in (0..height / VL).map(|t| t * VL) {
                 let a_tile = &self.a[x0 + base..x0 + base + VL];
                 let lcol = &left[base..base + VL + 1];
                 let rcol = &mut right[base..base + VL + 1];
-                match self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    true => {
-                        lcs_avx2::tile_seg_avx2(row, y0, y1, a_tile, self.b, self.s, lcol, rcol, sc)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    true => unreachable!("AVX2 resolved on a non-x86-64 target"),
-                    false => tile_seg::<VL>(row, y0, y1, a_tile, self.b, self.s, lcol, rcol, sc),
-                }
+                tile_seg(engine, row, y0, y1, a_tile, self.b, self.s, lcol, rcol, sc);
             }
-            for h in bands * VL..height {
-                scalar_row_step_seg(row, self.a[x0 + h], self.b, y0, y1, left[h + 1], left[h]);
-                right[h + 1] = row[y1];
-            }
-        } else {
-            for h in 0..height {
-                scalar_row_step_seg(row, self.a[x0 + h], self.b, y0, y1, left[h + 1], left[h]);
-                right[h + 1] = row[y1];
-            }
+            done = height / VL * VL;
+        }
+        for h in done..height {
+            scalar_row_step_seg(row, self.a[x0 + h], self.b, y0, y1, left[h + 1], left[h]);
+            right[h + 1] = row[y1];
         }
     }
 }
@@ -93,7 +78,6 @@ pub struct LcsRect {
     xblock: usize,
     yblock: usize,
     s: usize,
-    temporal: bool,
     engine: Option<Engine>,
     la: usize,
     lb: usize,
@@ -139,7 +123,6 @@ impl LcsRect {
             xblock,
             yblock,
             s,
-            temporal,
             engine: temporal
                 .then(|| sel.resolve(lcs_avx2::rect_has_vector_tiles(la, lb, xblock, yblock, s))),
             la,
@@ -204,8 +187,7 @@ impl LcsRect {
             a,
             b,
             s: self.s,
-            temporal: self.temporal,
-            avx2: self.engine == Some(Engine::Avx2),
+            engine: self.engine,
         };
         let (xblock, yblock) = (self.xblock, self.yblock);
         {

@@ -24,8 +24,7 @@
 //!
 //! Workspaces take a
 //! `tempora_core::engine::Select`, resolve it once (portable vs
-//! hand-scheduled AVX2, by capability; degenerate LCS geometries
-//! honestly portable) and
+//! AVX2, by capability; degenerate LCS geometries honestly portable) and
 //! report the resolved engine for per-series reporting in the bench
 //! harness.
 //!

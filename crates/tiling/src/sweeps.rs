@@ -419,7 +419,7 @@ impl<K: KernelSpace> Sweeps<K> {
         assert!(block >= 1, "chunks hold at least one anchor");
         let sched = Schedule::new::<K>(dims[0], steps, block, mode);
         let engine = match mode {
-            Mode::Temporal(s) => Some(K::resolve(sel, s)),
+            Mode::Temporal(_) => Some(K::resolve(sel)),
             _ => None,
         };
         Sweeps {
@@ -440,9 +440,8 @@ impl<K: KernelSpace> Sweeps<K> {
     }
 
     /// Turn the vector sweeps' reorganization-op accounting
-    /// ([`tempora_simd::count`]) on or off. The counters are per thread
-    /// and only the portable steady state ticks them: count on a
-    /// one-thread pool under [`Select::Portable`].
+    /// ([`tempora_simd::count`]) on or off. The counters are per thread:
+    /// count on a one-thread pool.
     pub fn count_reorg(mut self, on: bool) -> Self {
         self.count = on;
         self
@@ -807,14 +806,14 @@ pub(crate) mod tests {
     }
 
     /// The engine a temporal workspace must report: AVX2 exactly when the
-    /// selection allows it and the CPU and the kernel have it at this
-    /// stride — whatever the block, the extents and the step count (the
-    /// scalar schedule of a degenerate run is compiled for it too).
+    /// selection allows it and the CPU has it — whatever the stride, the
+    /// block, the extents and the step count (the scalar schedule of a
+    /// degenerate run is compiled for it too).
     fn expected_engine<K: Kind>(mode: Mode, sel: Select) -> Option<Engine> {
-        let Mode::Temporal(s) = mode else {
+        let Mode::Temporal(_) = mode else {
             return None;
         };
-        Some(if sel != Select::Portable && K::has_avx2_tile(s) {
+        Some(if sel != Select::Portable && K::has_avx2_tile() {
             Engine::Avx2
         } else {
             Engine::Portable

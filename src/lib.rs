@@ -35,7 +35,7 @@
 //! [`prelude::Problem`], compile a [`prelude::Plan`] (geometry validated,
 //! engine resolved, scratch and thread pool allocated once), then execute
 //! it against any number of states with amortized setup. Engine selection
-//! (portable pack model vs hand-scheduled `std::arch` AVX2) is unified in
+//! (portable pack model vs `std::arch` AVX2, two instantiations of one steady state) is unified in
 //! [`engine`]; the `TEMPORA_ENGINE` environment variable (`auto` |
 //! `portable` | `avx2`) overrides it process-wide via
 //! [`engine::Select::from_env`]. Every engine is bit-identical to the

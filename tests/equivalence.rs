@@ -118,11 +118,11 @@ fn heat1d_all_schemes_agree() {
     let steps = 24;
     let gold = reference::heat1d(&g, c, steps);
     assert!(
-        t1d::run::<4, _>(&g, &kern, steps, 7).interior_eq(&gold),
+        t1d::run::<4, false, _>(&g, &kern, steps, 7).interior_eq(&gold),
         "temporal"
     );
     assert!(
-        t1d::run::<8, _>(&g, &kern, steps, 2).interior_eq(&gold),
+        t1d::run::<8, false, _>(&g, &kern, steps, 2).interior_eq(&gold),
         "temporal vl=8"
     );
     assert!(
@@ -312,7 +312,7 @@ fn gauss_seidel_all_schemes_agree() {
     let k1 = GsKern1d(c1);
     let g = g1(2000, 3, 0.4);
     let gold1 = reference::gs1d(&g, c1, steps);
-    assert!(t1d::run::<4, _>(&g, &k1, steps, 7).interior_eq(&gold1));
+    assert!(t1d::run::<4, false, _>(&g, &k1, steps, 7).interior_eq(&gold1));
     let problem = Problem::Gs1d {
         n: g.n(),
         steps,
@@ -398,8 +398,10 @@ fn lcs_all_schemes_agree() {
     let a = random_sequence(300, 4, 11);
     let b = random_sequence(777, 4, 12);
     let gold = reference::lcs_len(&a, &b);
-    assert_eq!(lcs::length(&a, &b, 1), gold);
-    assert_eq!(lcs::length(&a, &b, 2), gold);
+    for engine in [Engine::Portable, Select::Auto.resolve(true)] {
+        assert_eq!(lcs::length(engine, &a, &b, 1), gold, "{engine:?}");
+        assert_eq!(lcs::length(engine, &a, &b, 2), gold, "{engine:?}");
+    }
     for threads in [1, 2, 4] {
         for method in [Method::Scalar, Method::Temporal] {
             let (len, _) = run_lcs_plan(
@@ -806,9 +808,8 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
 
     // Healthy shapes, then the degenerate ones — n < VL·s, steps < VL —
     // whose scalar steps resolve like any run (the engine is their
-    // codegen context too), and a stride beyond the 1-D AVX2 register
-    // ring (`t1d_avx2::MAX_STRIDE` = 15), which must resolve portable
-    // under every selection.
+    // codegen context too), and the widest stride the 1-D ring holds,
+    // which the rolled loop serves on either engine.
     for &(n, s, steps) in &[
         (200usize, 2usize, 8usize),
         (1000, 7, 12),
@@ -832,8 +833,8 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
             coeffs: cg,
             boundary: g.boundary(),
         };
-        // The dispatch predicate: a stride the register ring can hold.
-        let has_impl = s <= 15;
+        // The dispatch predicate: capability alone, at every stride.
+        let has_impl = true;
         let mut results = vec![];
         for &sel in sels {
             let b = PlanBuilder::new().stride(s).select(sel);

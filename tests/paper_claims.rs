@@ -17,6 +17,38 @@ fn grid(n: usize) -> Grid1<f64> {
     g
 }
 
+/// Every engine of this host: each is its own instantiation of the one
+/// counted steady state, so each is counted.
+fn engines() -> Vec<Engine> {
+    let avx2 = tempora::simd::arch::avx2_available().then_some(Engine::Avx2);
+    [Some(Engine::Portable), avx2]
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// The reorganization ops of `sweeps` whole temporal sweeps of `kern` over
+/// `g` at stride `s`, through `KernelSpace::sweep::<true>` on `engine`.
+fn count_sweeps<K: KernelSpace>(
+    engine: Engine,
+    kern: &K,
+    g: &mut K::Grid,
+    s: usize,
+    sweeps: usize,
+) -> count::Counts {
+    let (dims, lay) = (g.dims(), g.layout());
+    let mut sc = K::scratch(dims, s);
+    let sess = count::Session::start();
+    for _ in 0..sweeps {
+        let a = SlabsMut {
+            data: g.data_mut(),
+            first: 0,
+        };
+        kern.sweep::<true>(engine, &lay, a, 1..=dims[0] + 1 - K::VL * s, s, &mut sc);
+    }
+    sess.finish()
+}
+
 /// §3.2/§6: "The temporal vectorization leads to a small fixed number of
 /// vector reorganizations that is irrelevant to the vector length, stencil
 /// order, and dimension" — the steady state costs exactly one rotate
@@ -28,15 +60,14 @@ fn reorg_cost_is_constant_per_output_vector() {
     let kern = JacobiKern1d(c);
     for n in [512usize, 4096, 65536] {
         for s in [2usize, 4, 7] {
-            let g = grid(n);
-            let sess = count::Session::start();
-            let _ = t1d::run_counted::<4, _>(&g, &kern, 8, s);
-            let k = sess.finish();
-            assert!(k.output_vectors > 0);
-            assert_eq!(k.cross_lane, k.output_vectors, "n={n} s={s}");
-            assert_eq!(k.in_lane, k.output_vectors, "n={n} s={s}");
-            // Gathers happen only at tile starts: s+1 per tile, 2 tiles.
-            assert_eq!(k.gather, 2 * (s as u64 + 1), "n={n} s={s}");
+            for engine in engines() {
+                let k = count_sweeps(engine, &kern, &mut grid(n), s, 2);
+                assert!(k.output_vectors > 0);
+                assert_eq!(k.cross_lane, k.output_vectors, "{engine:?} n={n} s={s}");
+                assert_eq!(k.in_lane, k.output_vectors, "{engine:?} n={n} s={s}");
+                // Gathers happen only at tile starts: s+1 per tile, 2 tiles.
+                assert_eq!(k.gather, 2 * (s as u64 + 1), "{engine:?} n={n} s={s}");
+            }
         }
     }
 }
@@ -47,12 +78,12 @@ fn reorg_cost_is_constant_per_output_vector() {
 fn gs_reorg_cost_matches_jacobi() {
     let c = Gs1dCoeffs::classic(0.25);
     let kern = GsKern1d(c);
-    let g = grid(8192);
-    let sess = count::Session::start();
-    let _ = t1d::run_counted::<4, _>(&g, &kern, 4, 7);
-    let k = sess.finish();
-    assert_eq!(k.cross_lane, k.output_vectors);
-    assert_eq!(k.in_lane, k.output_vectors);
+    for engine in engines() {
+        let k = count_sweeps(engine, &kern, &mut grid(8192), 7, 1);
+        assert!(k.output_vectors > 0);
+        assert_eq!(k.cross_lane, k.output_vectors, "{engine:?}");
+        assert_eq!(k.in_lane, k.output_vectors, "{engine:?}");
+    }
 }
 
 /// §2.2: the data-reorganization baseline needs at least 2 shuffles per
@@ -84,7 +115,7 @@ fn minimum_strides_match_paper() {
 
     let result = std::panic::catch_unwind(|| {
         let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
-        let _ = t1d::run::<4, _>(&grid(64), &kern, 4, 1);
+        let _ = t1d::run::<4, false, _>(&grid(64), &kern, 4, 1);
     });
     assert!(result.is_err(), "illegal stride must be rejected");
 }
@@ -105,7 +136,7 @@ fn jacobi_single_array_execution() {
     let c = Heat1dCoeffs::classic(0.25);
     let kern = JacobiKern1d(c);
     let g = grid(1 << 16);
-    let ours = t1d::run::<4, _>(&g, &kern, 64, 7);
+    let ours = t1d::run::<4, false, _>(&g, &kern, 64, 7);
     let gold = reference::heat1d(&g, c, 64);
     assert!(ours.interior_eq(&gold));
 }
@@ -119,15 +150,15 @@ fn reorg_cost_independent_of_vector_length() {
     let kern = JacobiKern1d(c);
     let g = grid(4096);
     let sess = count::Session::start();
-    let _ = t1d::run_counted::<8, _>(&g, &kern, 8, 2);
+    let _ = t1d::run::<8, true, _>(&g, &kern, 8, 2);
     let k = sess.finish();
     assert_eq!(k.cross_lane, k.output_vectors);
     assert_eq!(k.in_lane, k.output_vectors);
 }
 
 /// The "irrelevant to … dimension" clause of the same claim: one whole
-/// sweep of every 2-D and 3-D kernel through `KernelSpace::sweep::<true>`
-/// (portable engine) produces one input vector per interior point of every
+/// sweep of every 2-D and 3-D kernel through `KernelSpace::sweep::<true>`,
+/// on every engine, produces one input vector per interior point of every
 /// steady-state slab, each for exactly one rotate and one blend — at
 /// `VL = 4` and, for Life, `VL = 8`, star and box neighbourhoods, Jacobi
 /// and Gauss-Seidel alike.
@@ -135,21 +166,15 @@ fn reorg_cost_independent_of_vector_length() {
 fn reorg_cost_independent_of_dimension() {
     fn check<K: KernelSpace>(name: &str, kern: K, dims: [usize; 3]) {
         for s in [K::MIN_STRIDE, K::MIN_STRIDE + 1] {
-            let mut g = K::Grid::with_dims(dims, Boundary::Dirichlet(Elem::<K>::ZERO));
-            let mut sc = K::scratch(dims, s);
-            let slabs = dims[0] + 1 - K::VL * s;
-            let lay = g.layout();
-            let a = SlabsMut {
-                data: g.data_mut(),
-                first: 0,
-            };
-            let sess = count::Session::start();
-            kern.sweep::<true>(Engine::Portable, &lay, a, 1..=slabs, s, &mut sc);
-            let k = sess.finish();
-            let vectors = (slabs * dims[1] * dims[2]) as u64;
-            assert_eq!(k.output_vectors, vectors, "{name} s={s}");
-            assert_eq!(k.cross_lane, vectors, "{name} s={s}");
-            assert_eq!(k.in_lane, vectors, "{name} s={s}");
+            for engine in engines() {
+                let mut g = K::Grid::with_dims(dims, Boundary::Dirichlet(Elem::<K>::ZERO));
+                let k = count_sweeps(engine, &kern, &mut g, s, 1);
+                let slabs = dims[0] + 1 - K::VL * s;
+                let vectors = (slabs * dims[1] * dims[2]) as u64;
+                assert_eq!(k.output_vectors, vectors, "{name} {engine:?} s={s}");
+                assert_eq!(k.cross_lane, vectors, "{name} {engine:?} s={s}");
+                assert_eq!(k.in_lane, vectors, "{name} {engine:?} s={s}");
+            }
         }
     }
     check(

@@ -506,18 +506,54 @@ fn untiled_one_chunk_and_chunked_plans_agree_with_the_reference() {
     }
 
     // The counted 1-D plans reach the instrumented sweep through the same
-    // executor: one rotate and one blend per output vector.
+    // executor, on whichever engine they resolve: one rotate and one blend
+    // per output vector.
     for problem in [Problem::heat1d(4096, 16, h1), Problem::gs1d(4096, 16, g1)] {
-        let mut plan = PlanBuilder::new()
-            .select(Select::Portable)
-            .count_reorg(true)
-            .build(&problem)
-            .unwrap();
-        let report = plan.run(&mut fresh_state(&problem, 6)).unwrap();
-        let k = report.reorg.expect("count_reorg plans report counts");
-        assert!(k.output_vectors > 0, "{problem:?}");
-        assert_eq!(k.cross_lane, k.output_vectors, "{problem:?}");
-        assert_eq!(k.in_lane, k.output_vectors, "{problem:?}");
+        for sel in [Select::Portable, Select::Auto] {
+            let mut plan = PlanBuilder::new()
+                .select(sel)
+                .count_reorg(true)
+                .build(&problem)
+                .unwrap();
+            let report = plan.run(&mut fresh_state(&problem, 6)).unwrap();
+            let k = report.reorg.expect("count_reorg plans report counts");
+            assert!(k.output_vectors > 0, "{problem:?} {sel:?}");
+            assert_eq!(k.cross_lane, k.output_vectors, "{problem:?} {sel:?}");
+            assert_eq!(k.in_lane, k.output_vectors, "{problem:?} {sel:?}");
+        }
+    }
+}
+
+/// Every stride the 1-D kinds accept runs on the engine the host's
+/// capability resolves — the register-specialised strides and the rolled
+/// ring alike, up to the ring's capacity (`s = 16` used to fall back to
+/// the portable engine silently, at a sixteenth of the speed) — and is
+/// bit-identical to the scalar reference.
+#[test]
+fn every_accepted_1d_stride_resolves_by_capability() {
+    let kinds = [
+        Problem::heat1d(700, 13, Heat1dCoeffs::new(0.3, 0.45, 0.25)),
+        Problem::gs1d(700, 13, Gs1dCoeffs::new(0.37, 0.4, 0.23)),
+    ];
+    for problem in kinds {
+        let init = fresh_state(&problem, 17);
+        let gold = reference_state(&problem, &init);
+        let mut accepted = vec![];
+        for s in 0..=40 {
+            let Ok(mut plan) = PlanBuilder::new().stride(s).build(&problem) else {
+                continue;
+            };
+            accepted.push(s);
+            let mut state = init.clone();
+            let report = plan.run(&mut state).unwrap();
+            assert_eq!(
+                report.engine,
+                Some(Select::Auto.resolve(true)),
+                "{problem:?} s={s}"
+            );
+            assert!(states_equal(&state, &gold), "{problem:?} s={s}");
+        }
+        assert_eq!(accepted, Vec::from_iter(2..=16), "{problem:?}");
     }
 }
 
@@ -759,7 +795,10 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
     assert!(matches!(
         PlanBuilder::new()
             .count_reorg(true)
-            .select(Select::Auto)
+            .tiling(Tiling::Ghost {
+                block: 64,
+                height: 8
+            })
             .build(&heat1)
             .unwrap_err(),
         PlanError::CountUnsupported { .. }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use tempora::core::kernels::*;
 use tempora::core::{lcs, t1d};
 use tempora::grid::*;
-use tempora::prelude::{Method, PlanBuilder, Problem, Select, State, Tiling};
+use tempora::prelude::{Engine, Method, PlanBuilder, Problem, Select, State, Tiling};
 use tempora::stencil::*;
 
 /// The untiled temporal plan forced onto the portable engine at stride `s`.
@@ -31,7 +31,7 @@ proptest! {
         let kern = JacobiKern1d(c);
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(bval));
         fill_random_1d(&mut g, seed, -1.0, 1.0);
-        let ours = t1d::run::<4, _>(&g, &kern, steps, s);
+        let ours = t1d::run::<4, false, _>(&g, &kern, steps, s);
         let gold = reference::heat1d(&g, c, steps);
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
         ours.check_canaries().unwrap();
@@ -48,7 +48,7 @@ proptest! {
         let kern = GsKern1d(c);
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.25));
         fill_random_1d(&mut g, seed, -1.0, 1.0);
-        let ours = t1d::run::<4, _>(&g, &kern, steps, s);
+        let ours = t1d::run::<4, false, _>(&g, &kern, steps, s);
         let gold = reference::gs1d(&g, c, steps);
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }
@@ -156,7 +156,7 @@ proptest! {
         let a = random_sequence(la, alpha, seed);
         let b = random_sequence(lb, alpha, seed ^ 0xabcd);
         let gold = reference::lcs_len(&a, &b);
-        prop_assert_eq!(lcs::length(&a, &b, 1), gold);
+        prop_assert_eq!(lcs::length(Engine::Portable, &a, &b, 1), gold);
         let problem = Problem::lcs(la, lb);
         let mut plan = PlanBuilder::new()
             .stride(1)

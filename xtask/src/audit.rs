@@ -10,9 +10,9 @@
 //! | `allow-justification` | every `#[allow(...)]` carries a justification comment, same line or directly above | everywhere |
 //! | `ordering-rationale` | every atomic `Ordering::` use carries an ordering-rationale comment, same line or directly above | non-test code |
 //! | `panic-justification` | every `.unwrap()` / `.expect(` call carries a justification comment, same line or directly above | non-test code |
-//! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module | everywhere |
+//! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module; the raw `tempora_simd::arch::avx2` calls only under `crates/simd/` (everything above computes through the `Lanes` vocabulary) | everywhere |
 //! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the `avx2_available()` capability probe it is dispatched behind | everywhere |
-//! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src` |
+//! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src`, the lane vocabulary in `crates/simd/src`, the vector formulas in `crates/stencil/src` |
 //!
 //! The engine is deliberately line-based and dependency-free: it
 //! complements (never replaces) the denied rustc/clippy lints in
@@ -42,78 +42,120 @@ const STD_ARCH: &str = concat!("std::", "arch");
 const MM_INTRINSIC: &str = concat!("_m", "m");
 const TARGET_FEATURE: &str = concat!("#[tar", "get_feature");
 const AVAILABLE_PROBE: &str = concat!("avx2_av", "ailable");
+const ARCH_AVX2: &str = concat!("arch::", "avx2");
+const ARCH_BRACE: &str = concat!("arch::", "{");
+const AVX2_MODULE: &str = concat!("av", "x2");
+
+/// Directory allowed to name the raw AVX2 vocabulary module.
+const AVX2_SCOPE: &str = "crates/simd/";
 
 const INLINE_ALWAYS: &str = "#[inline(always)]";
 
-/// Directory whose phase functions the `phase-inline` rule guards.
-const PHASE_SCOPE: &str = "crates/core/src/";
-
-/// The phase functions of `tempora_core`: boundary code written once and
-/// instantiated twice — for baseline x86-64 by the portable engines, and
-/// inside the `#[target_feature(enable = "avx2,fma")]` sandwiches of the
-/// AVX2 engines. That second instantiation exists only because these
-/// functions are `#[inline(always)]`; drop the attribute from one and it
-/// compiles once, for baseline x86-64, where every `f64::mul_add` is a
-/// call into libm's `fma` — same results, ≈ 20× slower per boundary
-/// point, and no test notices. The 1-D steady-state bodies (`steady_ring`,
-/// `ring_sweep`, `ring_regs`) are on the list for the same reason one
-/// level down: they carry no `#[target_feature]` of their own and reach
-/// their intrinsics only by being inlined into a sandwich that does. So
-/// is everything on the slab row path: the row cursor (`cursor` …
-/// `finish`), the lane vocabulary (`load` … `shift_up_insert`, and
-/// `$name`: the macro-generated safe forms of the AVX2 calls) and the six
-/// hand-scheduled rows (`steady_row_avx2`).
-const PHASE_FNS: [&str; 37] = [
-    "sweep_body",
-    "tile_prologue",
-    "tile_epilogue",
-    "steady_slabs",
-    "scalar_sweep_body",
-    "scalar_step_inplace",
-    "scalar_cells",
-    "steady_cells",
-    "sweep_row",
-    "steady_row",
-    "sweep_level",
-    "pack_rows",
-    "unpack_lane",
-    "fill_shell",
-    "copy_slab",
-    "reset_shells",
-    "gs_initial_output",
-    "steady_ring",
-    "ring_sweep",
-    "ring_regs",
-    "steady_row_avx2",
-    "cursor",
-    "views",
-    "len",
-    "read",
-    "centre",
-    "nbhd",
-    "nbhd3",
-    "finish",
-    "load",
-    "store",
-    "top",
-    "shift_up_insert",
-    "$name",
-    "step_1d_body",
-    "step_2d_body",
-    "step_3d_body",
+/// The phase functions, by the directory or file that defines them: code
+/// written once and instantiated twice — for baseline x86-64 by the
+/// portable engine, and inside the `#[target_feature(enable = "avx2,fma")]`
+/// sandwiches of the AVX2 engine. That second instantiation exists only
+/// because these functions are `#[inline(always)]`; drop the attribute
+/// from one and it compiles once, for baseline x86-64, where every
+/// `f64::mul_add` is a call into libm's `fma` and every `Ymm` method a
+/// call instead of an instruction — same results, ≈ 20× slower, and no
+/// test notices.
+///
+/// * `tempora_core`: the boundary phases and scalar steps, the steady
+///   states (`steady_ring`, `ring_sweep`; `steady`, `ring_regs`,
+///   `tile_seg_in`; `steady_row`), which carry no `#[target_feature]` of
+///   their own and reach their instructions only by being inlined into a
+///   sandwich, everything on the slab row path (`cursor` … `finish`), the
+///   kernel adapters (`scalar`, `pack`) and the multi-load step bodies;
+/// * `tempora_simd`: the lane vocabulary — every method of `Packs`, and of
+///   `Ymm` (`$name`: the macro-generated safe forms of the AVX2 calls);
+/// * `tempora_stencil`: the kernels' vector formulas.
+const PHASE_FNS: [(&str, &[&str]); 4] = [
+    (
+        "crates/core/src/",
+        &[
+            "sweep_body",
+            "tile_prologue",
+            "tile_epilogue",
+            "steady_slabs",
+            "scalar_sweep_body",
+            "scalar_step_inplace",
+            "scalar_cells",
+            "sweep_row",
+            "steady_row",
+            "sweep_level",
+            "pack_rows",
+            "unpack_lane",
+            "fill_shell",
+            "copy_slab",
+            "reset_shells",
+            "gs_initial_output",
+            "steady_ring",
+            "ring_sweep",
+            "tile_seg_in",
+            "steady",
+            "ring_regs",
+            "cursor",
+            "views",
+            "len",
+            "read",
+            "centre",
+            "nbhd",
+            "nbhd3",
+            "finish",
+            "scalar",
+            "pack",
+            "step_1d_body",
+            "step_2d_body",
+            "step_3d_body",
+        ],
+    ),
+    (
+        "crates/simd/src/lanes.rs",
+        &[
+            "load",
+            "store",
+            "splat",
+            "top",
+            "shift_up_insert",
+            "mul",
+            "fmadd",
+            "add",
+            "mullo",
+            "max",
+            "cmpeq",
+            "blendv",
+            "srav",
+            "and",
+            "load_u8",
+        ],
+    ),
+    (
+        "crates/simd/src/arch.rs",
+        &["$name", "load", "store", "splat", "srav", "load_u8"],
+    ),
+    (
+        "crates/stencil/src/",
+        &["apply_pack", "apply_neighborhood_pack", "lcs_update_pack"],
+    ),
 ];
 
-/// The phase function defined on code line `i`, if any. A bodiless
-/// trait-method prototype (its signature ends in `;` before any `{`) is
-/// a declaration, not a definition: the attribute belongs on each impl.
-fn defined_phase_fn(code: &[String], i: usize) -> Option<&'static str> {
+/// The phase function of `path` defined on code line `i`, if any. A
+/// bodiless trait-method prototype (its signature ends in `;` before any
+/// `{`) is a declaration, not a definition: the attribute belongs on each
+/// impl.
+fn defined_phase_fn(path: &str, code: &[String], i: usize) -> Option<&'static str> {
     let rest = &code[i][code[i].find("fn ")? + 3..];
     // `$name`: a function generated by a macro of the scope.
     let name_len = rest
         .bytes()
         .take_while(|&b| is_ident(b) || b == b'$')
         .count();
-    let name = PHASE_FNS.into_iter().find(|&f| f == &rest[..name_len])?;
+    let name = PHASE_FNS
+        .iter()
+        .filter(|(scope, _)| path.starts_with(scope))
+        .flat_map(|(_, fns)| fns.iter().copied())
+        .find(|&f| f == &rest[..name_len])?;
     let end = code[i..]
         .iter()
         .find_map(|l| l.find(['{', ';']).map(|at| &l[at..=at]));
@@ -541,6 +583,19 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 );
             }
         }
+        let names_avx2 = contains_token(code, ARCH_AVX2)
+            || (code.contains(ARCH_BRACE) && contains_token(code, AVX2_MODULE));
+        if names_avx2 && !path.starts_with(AVX2_SCOPE) {
+            push(
+                i,
+                "forbidden-construct",
+                format!(
+                    "`{ARCH_AVX2}` may be named only under {AVX2_SCOPE}: compute through the \
+                     `Lanes` vocabulary (`Ymm`), so that a steady state stays one body for \
+                     every engine"
+                ),
+            );
+        }
 
         // --- target-feature -------------------------------------------
         if code.contains(TARGET_FEATURE) {
@@ -573,8 +628,8 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
         }
 
         // --- phase-inline ---------------------------------------------
-        if !in_test && path.starts_with(PHASE_SCOPE) {
-            if let Some(name) = defined_phase_fn(&v.code, i) {
+        if !in_test {
+            if let Some(name) = defined_phase_fn(path, &v.code, i) {
                 if !header_block_contains(&v, i, INLINE_ALWAYS) {
                     push(
                         i,
@@ -713,6 +768,26 @@ mod tests {
     }
 
     #[test]
+    fn raw_avx2_vocabulary_is_flagged_outside_simd() {
+        let src = include_str!("../fixtures/bad/arch_avx2_outside_simd.rs");
+        let msg = format!(
+            "[forbidden-construct] `{ARCH_AVX2}` may be named only under {AVX2_SCOPE}: compute \
+             through the `Lanes` vocabulary (`Ymm`), so that a steady state stays one body \
+             for every engine"
+        );
+        assert_eq!(
+            diags("crates/core/src/t9d_avx2.rs", src),
+            vec![
+                format!("crates/core/src/t9d_avx2.rs:5: {msg}"),
+                format!("crates/core/src/t9d_avx2.rs:7: {msg}"),
+                format!("crates/core/src/t9d_avx2.rs:14: {msg}"),
+            ]
+        );
+        // The vocabulary's own crate names it freely.
+        assert_eq!(diags("crates/simd/tests/it.rs", src), Vec::<String>::new());
+    }
+
+    #[test]
     fn safe_target_feature_fn_is_flagged_twice() {
         let src = include_str!("../fixtures/bad/target_feature_safe.rs");
         let d = diags("crates/demo/src/lib.rs", src);
@@ -746,6 +821,17 @@ mod tests {
         );
         // Other crates may reuse the names freely.
         assert_eq!(diags("crates/demo/src/lib.rs", src), Vec::<String>::new());
+        // The vocabulary and the formulas are phase functions in their own
+        // files, under their own names only.
+        let lane = "pub fn fmadd(a: f64) -> f64 {\n    a\n}\n";
+        assert_eq!(diags("crates/simd/src/lanes.rs", lane).len(), 1);
+        assert_eq!(diags("crates/simd/src/pack.rs", lane), Vec::<String>::new());
+        let formula = "pub fn apply_pack(a: f64) -> f64 {\n    a\n}\n";
+        assert_eq!(diags("crates/stencil/src/heat.rs", formula).len(), 1);
+        assert_eq!(
+            diags("crates/core/src/kernels.rs", formula),
+            Vec::<String>::new()
+        );
         // The good fixture defines a phase function with the attribute.
         let good = include_str!("../fixtures/good/clean.rs");
         assert!(good.contains("fn tile_prologue"));
