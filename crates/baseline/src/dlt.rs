@@ -29,7 +29,7 @@ const N: usize = 4;
 
 /// True when the DLT fast path applies to interior length `n`.
 pub fn dlt_applicable(n: usize) -> bool {
-    n % N == 0 && n / N >= 2
+    n.is_multiple_of(N) && n / N >= 2
 }
 
 /// Transpose the interior into DLT layout: `t[c*N + k] = a[1 + k*m + c]`.

@@ -19,6 +19,12 @@
 //!          ablate-rows (fails when an AVX2 Jacobi slab row, ring in L1,
 //!          takes more cycles per vector than its threshold × its port
 //!          bound),
+//!          ablate-vl (fails on an AVX-512 host when the eight-lane default
+//!          of GS-1D / Heat-1D runs below 1.4× / 1.1× the four-lane one,
+//!          when `auto` resolves a ledger 1-D problem to another engine
+//!          than avx512, or when on a line of 128 … 4096 points it picks
+//!          the width that runs 1.25× slower; the same geometry at any
+//!          --scale),
 //!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
@@ -68,7 +74,7 @@ fn parse_count(flag: &str, value: Option<String>) -> usize {
 }
 
 /// The targets that are not a Table-1 row's figure, in `all` order.
-const ABLATIONS: [&str; 7] = [
+const ABLATIONS: [&str; 8] = [
     "ablate-reorg",
     "ablate-stride",
     "ablate-baselines",
@@ -76,6 +82,7 @@ const ABLATIONS: [&str; 7] = [
     "ablate-tiling",
     "ablate-digest",
     "ablate-rows",
+    "ablate-vl",
 ];
 
 /// The sequential or the parallel figure ids of Table 1, in figure order.
@@ -332,6 +339,24 @@ fn steady_row_limit(kind: &str) -> f64 {
     }
 }
 
+/// The eight-lane default of each 1-D kind must reach this many times the
+/// four-lane default's throughput on an AVX-512 host (measured: GS-1D
+/// 1.8–1.9, whose one-`vfmadd` output chain is what doubling the lanes
+/// doubles; Heat-1D 1.2–1.3, bound by its ports rather than a chain).
+fn vl_gain_floor(kind: &str) -> f64 {
+    match kind {
+        "gs1d" => 1.4,
+        _ => 1.1, // heat1d
+    }
+}
+
+/// How much slower than the other width the one `auto` picks may run on
+/// a shape row of `ablate-vl` before the crossover counts as wrong. The
+/// rows next to a crossover read 0.92–1.07, and another microarchitecture
+/// moves it; a rule off by a factor — eight lanes from `nx ≥ 8s` on,
+/// 0.51–0.94 for Heat-1D at 128–1024 points — is what this catches.
+const VL_SHAPE_MARGIN: f64 = 1.25;
+
 /// Times `ablate-rows` measures the rows over their limit again, 0.3 s
 /// apart and keeping the lower readings, before it believes them: a busy
 /// sibling hyperthread takes up to half the FMA issue slots for a
@@ -490,6 +515,49 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                         over.join(", ")
                     )
                 }),
+            }
+        }
+        "ablate-vl" => {
+            let table = tb::ablate_vl();
+            println!("{}", table.to_table());
+            let mut violations = vec![];
+            if !tempora_simd::arch::avx512_available() {
+                println!("notice: no avx512 here — four-lane rows only, gain check skipped\n");
+            } else {
+                for kind in ["heat1d", "gs1d"] {
+                    let gain = table.default_gain(kind).unwrap_or(0.0);
+                    if gain < vl_gain_floor(kind) {
+                        violations.push(format!(
+                            "{kind}: eight-lane default at {gain:.2}x the four-lane one (floor \
+                             {}): is the Zmm sandwich still free of calls, its ring in registers?",
+                            vl_gain_floor(kind)
+                        ));
+                    }
+                }
+                for (problem, engine) in &table.ledger {
+                    if *engine != "avx512" {
+                        violations.push(format!("auto resolves {problem} to {engine}, not avx512"));
+                    }
+                }
+                for r in table
+                    .shapes
+                    .iter()
+                    .filter(|r| r.misresolved(VL_SHAPE_MARGIN))
+                {
+                    violations.push(format!(
+                        "auto resolves {} {} x {} to {}, but eight lanes run {:.2}x four \
+                         (engine::wide_min_nx is off its measured crossover)",
+                        r.kind,
+                        r.nx,
+                        r.steps,
+                        r.auto,
+                        r.gain()
+                    ));
+                }
+            }
+            Output::Checked {
+                json: table.to_json(),
+                violation: (!violations.is_empty()).then(|| violations.join("; ")),
             }
         }
         "ablate-baselines" => print_figure(tb::ablate_baselines(scale)),

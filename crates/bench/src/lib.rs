@@ -19,6 +19,7 @@
 //! | `ablate-tiling` | untiled vs tiled on one and two threads, per Table-1 grid row | [`ablate_tiling`] |
 //! | `ablate-digest` | `state_digest` vs its one-chain spec vs a word sum, per `State` variant | [`ablate_digest`] |
 //! | `ablate-rows` | slab steady rows in cycles per vector against their port bound, ring in L1 and at the ledger geometry | [`ablate_rows`] |
+//! | `ablate-vl` | the 1-D steady state at four and eight lanes, every stride: Mupd/s, cycles and reorganizations per output vector; both widths on each side of `auto`'s crossover | [`ablate_vl`], [`vl_shapes`] |
 //!
 //! Every series runs through the unified solver API
 //! (`tempora_plan::Plan`): the harness compiles one plan per
@@ -28,7 +29,9 @@
 //! Every "our" series is the plan a user gets — default stride,
 //! `TEMPORA_ENGINE` honoured — and records the engine and stride its plan
 //! resolved; the JSON baselines carry them as the per-series `"engine"`,
-//! `"engines"` and `"strides"` fields.
+//! `"engines"` and `"strides"` fields. The one exception is
+//! [`vl_shapes`], which times the width `auto` does *not* pick and so
+//! builds the executor for each engine itself.
 //!
 //! Measurements report **Gstencils/s** (grid points updated per second,
 //! the paper's metric). The `scale` parameter shrinks the paper's problem
@@ -782,14 +785,20 @@ pub struct ParallelConfig {
     pub tiling: Tiling,
 }
 
-/// The temporal stride a default-built plan of `problem` runs.
-fn default_stride(problem: &Problem) -> usize {
-    PlanBuilder::new()
+/// Compile a hard-coded bench configuration.
+fn plan_of(problem: &Problem, builder: PlanBuilder) -> tempora_plan::Plan {
+    builder
         .build(problem)
-        // Panic-justification: a default plan of a hard-coded, non-empty
-        // problem; a build failure is a bench-suite bug.
+        // Panic-justification: every harness configuration is hard-coded
+        // against its (non-empty) problem; a build failure is a bench-suite
+        // bug.
         .expect("bench configurations are valid by construction")
-        .stride()
+}
+
+/// The temporal stride a default-built plan of `problem` runs, under
+/// `TEMPORA_ENGINE`: each engine has its own 1-D defaults.
+fn default_stride(problem: &Problem) -> usize {
+    plan_of(problem, PlanBuilder::new().select(Select::from_env())).stride()
 }
 
 impl Benchmark {
@@ -1037,16 +1046,19 @@ pub struct StrideRow {
     pub kind: &'static str,
     /// The space stride `s` of this row.
     pub stride: usize,
-    /// Engine the plan resolved to (`avx2` | `portable`).
+    /// Engine the plan resolved to (`avx512` | `avx2` | `portable`).
     pub engine: &'static str,
     /// Throughput, million point-updates per second (best of 20 runs).
     pub mupd_per_s: f64,
     /// True when a default-built plan of this kind runs this stride
-    /// (`Plan::stride`).
+    /// (`Plan::stride`) — under the same selection, so each engine's own
+    /// default is the one marked.
     pub default: bool,
     /// True when the resolved engine keeps this stride's ring in
     /// registers (`t1d_avx2::REGISTER_STRIDES` /
-    /// `lcs_avx2::REGISTER_STRIDES`; never on the portable engine).
+    /// `lcs_avx2::REGISTER_STRIDES` on AVX2,
+    /// `t1d_avx2::ZMM_REGISTER_STRIDES` on AVX-512; never on the portable
+    /// engine).
     pub registers: bool,
 }
 
@@ -1129,14 +1141,15 @@ impl StrideTable {
         )
     }
 
-    /// The AVX2 rows at their kind's default stride that run below
-    /// `floor` × the kind's best row — a default that no longer sits on
-    /// the plateau, or a default stride whose register-ring instantiation
-    /// was dropped (the rolled in-memory ring measures ≈ 0.45).
+    /// The `std::arch` (AVX2 and AVX-512) rows at their kind's default
+    /// stride that run below `floor` × the kind's best row — a default
+    /// that no longer sits on the plateau, or a default stride whose
+    /// register-ring instantiation was dropped (the rolled in-memory ring
+    /// measures ≈ 0.45).
     pub fn avx2_defaults_under(&self, floor: f64) -> Vec<&StrideRow> {
         self.rows
             .iter()
-            .filter(|r| r.default && r.engine == "avx2" && self.vs_best(r) < floor)
+            .filter(|r| r.default && r.engine != "portable" && self.vs_best(r) < floor)
             .collect()
     }
 
@@ -1207,7 +1220,11 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
                 engine,
                 mupd_per_s: (problem.points() * problem.steps()) as f64 / secs / 1e6,
                 default: s == default,
-                registers: engine == "avx2" && register_strides.contains(&s),
+                registers: match engine {
+                    "avx2" => register_strides.contains(&s),
+                    "avx512" => t1d_avx2::ZMM_REGISTER_STRIDES.contains(&s),
+                    _ => false,
+                },
             });
         }
     }
@@ -1215,6 +1232,391 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
         geometry: [n1, nl, n2, n3],
         rows,
     }
+}
+
+/// One row of [`ablate_vl`]: one 1-D kind at one lane count and stride.
+#[derive(Clone, Debug)]
+pub struct VlRow {
+    /// `heat1d` | `gs1d`.
+    pub kind: &'static str,
+    /// Lanes of the steady state: 4 (`Ymm`) or 8 (`Zmm`).
+    pub vl: usize,
+    /// The space stride `s` of this row.
+    pub stride: usize,
+    /// Engine the plan resolved to (`avx2` at four lanes, `avx512` at
+    /// eight).
+    pub engine: &'static str,
+    /// Throughput, million point-updates per second (best of 20 runs).
+    pub mupd_per_s: f64,
+    /// Core cycles per output vector (best of the same 20 runs).
+    pub cycles_per_vector: f64,
+    /// Counted reorganization ops (rotates + blends) per output vector of
+    /// one run at this stride: 2 at every width, the paper's claim.
+    pub reorg_per_vector: f64,
+    /// True at this lane count's default stride.
+    pub default: bool,
+    /// True when this lane count keeps the stride's ring in registers.
+    pub registers: bool,
+}
+
+/// The `ablate-vl` table: the 1-D kinds at four and eight lanes over
+/// every accepted stride, and the engine `auto` resolves for each of the
+/// ledger's 1-D problems.
+#[derive(Clone, Debug)]
+pub struct VlTable {
+    /// Points and steps of the swept problems.
+    pub geometry: (usize, usize),
+    /// One row per kind, lane count and stride.
+    pub rows: Vec<VlRow>,
+    /// `(kind, gain)`: the eight-lane default plan's throughput over the
+    /// four-lane default plan's, the two timed alternately on one state
+    /// (best of 20 each); absent without both engines.
+    pub gains: Vec<(&'static str, f64)>,
+    /// `(problem, engine)`: the engine a default plan of each of the
+    /// `ledger` benchmark's 1-D problems resolves under `auto`.
+    pub ledger: Vec<(String, &'static str)>,
+    /// Both widths timed over the shapes around `auto`'s crossover
+    /// ([`vl_shapes`]).
+    pub shapes: Vec<VlShapeRow>,
+}
+
+impl VlTable {
+    /// `kind`'s eight-lane default plan over its four-lane default plan,
+    /// in throughput; `None` without both (a host without AVX-512F).
+    pub fn default_gain(&self, kind: &str) -> Option<f64> {
+        self.gains.iter().find(|(k, _)| *k == kind).map(|&(_, g)| g)
+    }
+
+    /// Render as an aligned text table (`*` marks a lane count's default
+    /// stride, `r` a stride whose ring stays in registers).
+    pub fn to_table(&self) -> String {
+        let (n, steps) = self.geometry;
+        let mut out = format!(
+            "# ablate-vl — one steady state at four and eight lanes (1-D {n} x {steps} steps; \
+             * = default stride, r = ring in registers)\n\
+             {:<8}{:>4}{:>8}{:>6}{:>10}{:>12}{:>11}{:>11}\n",
+            "kind", "vl", "stride", "", "engine", "Mupd/s", "cyc/vec", "reorg/vec"
+        );
+        for r in &self.rows {
+            let marks = format!(
+                "{}{}",
+                if r.default { "*" } else { "" },
+                if r.registers { "r" } else { "" }
+            );
+            out.push_str(&format!(
+                "{:<8}{:>4}{:>8}{:>6}{:>10}{:>12.0}{:>11.2}{:>11.2}\n",
+                r.kind,
+                r.vl,
+                r.stride,
+                marks,
+                r.engine,
+                r.mupd_per_s,
+                r.cycles_per_vector,
+                r.reorg_per_vector
+            ));
+        }
+        for (kind, gain) in &self.gains {
+            out.push_str(&format!(
+                "{kind}: eight-lane default / four-lane default = {gain:.2} (timed in pairs)\n"
+            ));
+        }
+        for (problem, engine) in &self.ledger {
+            out.push_str(&format!("auto resolves {problem}: {engine}\n"));
+        }
+        if !self.shapes.is_empty() {
+            out.push_str(&format!(
+                "# both widths at their default strides around auto's crossover\n\
+                 {:<8}{:>6}{:>6}{:>8}{:>10}{:>10}{:>8}\n",
+                "kind", "nx", "steps", "auto", "vl4 µs", "vl8 µs", "gain"
+            ));
+        }
+        for r in &self.shapes {
+            out.push_str(&format!(
+                "{:<8}{:>6}{:>6}{:>8}{:>10.2}{:>10.2}{:>8.2}\n",
+                r.kind,
+                r.nx,
+                r.steps,
+                r.auto,
+                r.four_us,
+                r.eight_us,
+                r.gain()
+            ));
+        }
+        out
+    }
+
+    /// Render as a JSON object (`{"id", "geometry", "rows", "ledger"}`),
+    /// one entry of the `repro --json` document.
+    pub fn to_json(&self) -> String {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"kind\":\"{}\",\"vl\":{},\"stride\":{},\"engine\":\"{}\",\"mupd_per_s\":{},\
+                     \"cycles_per_vector\":{},\"reorg_per_vector\":{},\"default\":{},\
+                     \"registers\":{}}}",
+                    r.kind,
+                    r.vl,
+                    r.stride,
+                    r.engine,
+                    json_num(r.mupd_per_s),
+                    json_num(r.cycles_per_vector),
+                    json_num(r.reorg_per_vector),
+                    r.default,
+                    r.registers
+                )
+            })
+            .collect();
+        let ledger: Vec<String> = self
+            .ledger
+            .iter()
+            .map(|(p, e)| format!("{{\"problem\":\"{}\",\"engine\":\"{e}\"}}", json_escape(p)))
+            .collect();
+        let gains: Vec<String> = self
+            .gains
+            .iter()
+            .map(|(k, g)| format!("{{\"kind\":\"{k}\",\"default_gain\":{}}}", json_num(*g)))
+            .collect();
+        let shapes: Vec<String> = self
+            .shapes
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"kind\":\"{}\",\"nx\":{},\"steps\":{},\"auto\":\"{}\",\"vl4_us\":{},\
+                     \"vl8_us\":{},\"gain\":{}}}",
+                    r.kind,
+                    r.nx,
+                    r.steps,
+                    r.auto,
+                    json_num(r.four_us),
+                    json_num(r.eight_us),
+                    json_num(r.gain())
+                )
+            })
+            .collect();
+        let (n, steps) = self.geometry;
+        format!(
+            "{{\"id\":\"ablate-vl\",\"geometry\":[{n},{steps}],\"rows\":[{}],\"gains\":[{}],\
+             \"ledger\":[{}],\"shapes\":[{}]}}",
+            rows.join(","),
+            gains.join(","),
+            ledger.join(","),
+            shapes.join(",")
+        )
+    }
+}
+
+/// The vector-length claim measured (ROADMAP item 1): Heat-1D and GS-1D
+/// through the one 1-D steady state at four lanes (`Select::Avx2`, `Ymm`)
+/// and eight (`Select::Auto` on an AVX-512 host, `Zmm`) over every stride
+/// the ring holds, at the `ledger` benchmark's compute geometry (65536
+/// points, 32 steps, at any `--scale`: the gate below is about that
+/// shape): throughput and core cycles per output vector, best of 20 runs
+/// with the two widths alternating on one state, and the reorganization
+/// ops a counted run of each row spends per output vector. Then each
+/// kind's two default plans once more, alternating, for the gain the
+/// `repro` gate reads, and both widths over the shapes of
+/// [`vl_shapes`], on each side of `auto`'s crossover. A width the CPU
+/// lacks has no rows. The 2-D/3-D
+/// kinds are left out on purpose: at eight lanes a slab ring of 64-byte
+/// packs leaves L1 at the benchmark widths and loses (README, "Engine
+/// dispatch").
+pub fn ablate_vl() -> VlTable {
+    use tempora_core::engine::KernelSpace;
+    use tempora_core::kernels::JacobiKern1d;
+    use tempora_core::t1d_avx2;
+    let (n, steps) = (1 << 16, 32);
+    let avx2 = tempora_simd::arch::avx2_available().then_some((4, Select::Avx2));
+    let avx512 = tempora_simd::arch::avx512_available().then_some((8, Select::Auto));
+    let widths: Vec<(usize, Select)> = avx2.into_iter().chain(avx512).collect();
+    let kinds = [
+        (
+            "heat1d",
+            Problem::heat1d(n, steps, Heat1dCoeffs::classic(0.25)),
+        ),
+        ("gs1d", Problem::gs1d(n, steps, Gs1dCoeffs::classic(0.25))),
+    ];
+    let (mut rows, mut gains) = (vec![], vec![]);
+    for (kind, problem) in kinds {
+        let defaults: Vec<PlanBuilder> = widths
+            .iter()
+            .map(|&(_, sel)| PlanBuilder::new().select(sel))
+            .collect();
+        let default_strides: Vec<usize> = defaults
+            .iter()
+            .map(|&b| plan_of(&problem, b).stride())
+            .collect();
+        for s in JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE {
+            let builders: Vec<PlanBuilder> = defaults.iter().map(|b| b.stride(s)).collect();
+            let runs = best_of_20_each(&problem, &builders);
+            for ((&(vl, _), b), (best, &default)) in widths
+                .iter()
+                .zip(builders)
+                .zip(runs.iter().zip(&default_strides))
+            {
+                let mut counted = plan_of(&problem, b.count_reorg(true));
+                let mut state = problem.state();
+                fill_state(&mut state);
+                let reorg = counted
+                    .run(&mut state)
+                    .ok()
+                    .and_then(|r| r.reorg)
+                    .map_or(f64::NAN, |k| k.reorg_per_output());
+                let vectors = (steps / vl * (n + 1 - vl * s)) as f64;
+                let registers = if vl == 8 {
+                    t1d_avx2::ZMM_REGISTER_STRIDES
+                } else {
+                    t1d_avx2::REGISTER_STRIDES
+                };
+                rows.push(VlRow {
+                    kind,
+                    vl,
+                    stride: s,
+                    engine: best.engine,
+                    mupd_per_s: (n * steps) as f64 / best.secs / 1e6,
+                    cycles_per_vector: best.cycles / vectors,
+                    reorg_per_vector: reorg,
+                    default: s == default,
+                    registers: registers.contains(&s),
+                });
+            }
+        }
+        if let [four, eight] = best_of_20_each(&problem, &defaults)[..] {
+            gains.push((kind, four.secs / eight.secs));
+        }
+    }
+    let ledger = [
+        Problem::heat1d(1 << 16, 32, Heat1dCoeffs::classic(0.25)),
+        Problem::gs1d(1 << 16, 32, Gs1dCoeffs::classic(0.25)),
+        Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
+    ]
+    .iter()
+    .map(|p| {
+        let engine = plan_of(p, PlanBuilder::new()).engine();
+        (
+            format!("{} {} x {}", p.kind_name(), p.points(), p.steps()),
+            engine.map_or("none", |e| e.name()),
+        )
+    })
+    .collect();
+    VlTable {
+        geometry: (n, steps),
+        rows,
+        gains,
+        ledger,
+        shapes: vl_shapes(),
+    }
+}
+
+/// One row of [`vl_shapes`]: one 1-D kind at one shape, timed at four and
+/// eight lanes, each at its engine's default stride.
+#[derive(Clone, Debug)]
+pub struct VlShapeRow {
+    /// `heat1d` | `gs1d`.
+    pub kind: &'static str,
+    /// Interior points.
+    pub nx: usize,
+    /// Time steps.
+    pub steps: usize,
+    /// The engine a default plan of this shape resolves under `auto`.
+    pub auto: &'static str,
+    /// Fastest run at four lanes (AVX2), µs.
+    pub four_us: f64,
+    /// Fastest run at eight lanes (AVX-512), µs.
+    pub eight_us: f64,
+}
+
+impl VlShapeRow {
+    /// Eight lanes' throughput over four lanes'.
+    pub fn gain(&self) -> f64 {
+        self.four_us / self.eight_us
+    }
+
+    /// True when `auto` took the slower width by more than `margin` (a
+    /// ratio, e.g. 1.1): AVX-512 where four lanes run `margin` × faster,
+    /// or AVX2 where eight lanes do.
+    pub fn misresolved(&self, margin: f64) -> bool {
+        match self.auto {
+            "avx512" => self.gain() * margin < 1.0,
+            _ => self.gain() > margin,
+        }
+    }
+}
+
+/// Where eight lanes start to pay: Heat-1D and GS-1D over lines of
+/// 128 … 4096 points at 32, 12 and 9 steps, each shape through the one
+/// executor (`tempora_tiling::Sweeps`, untiled) at four lanes
+/// ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their default
+/// strides — built for each engine directly, since `auto` picks only one
+/// of them and the point is to time the one it does not — next to the
+/// engine a default plan resolves. Best of 20 alternating rounds, each
+/// timing enough runs to last ≈ 0.1 ms. Empty without AVX-512F.
+///
+/// [`Engine::Avx2`]: tempora_core::engine::Engine::Avx2
+/// [`Engine::Avx512`]: tempora_core::engine::Engine::Avx512
+pub fn vl_shapes() -> Vec<VlShapeRow> {
+    use tempora_core::kernels::{GsKern1d, JacobiKern1d};
+    if !tempora_simd::arch::avx512_available() {
+        return vec![];
+    }
+    let row = |kind, problem: Problem, (four_us, eight_us)| VlShapeRow {
+        kind,
+        nx: problem.points(),
+        steps: problem.steps(),
+        auto: plan_of(&problem, PlanBuilder::new())
+            .engine()
+            .map_or("none", |e| e.name()),
+        four_us,
+        eight_us,
+    };
+    let (h, g) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
+    let mut rows = vec![];
+    for steps in [32, 12, 9] {
+        for nx in [128, 256, 512, 1024, 2048, 4096] {
+            let heat = Problem::heat1d(nx, steps, h);
+            rows.push(row("heat1d", heat, time_widths(JacobiKern1d(h), nx, steps)));
+            let gs = Problem::gs1d(nx, steps, g);
+            rows.push(row("gs1d", gs, time_widths(GsKern1d(g), nx, steps)));
+        }
+    }
+    rows
+}
+
+/// The fastest untiled run of `kern` over `nx` points × `steps` levels at
+/// four and at eight lanes, µs, the two alternating on one line.
+fn time_widths<K>(kern: K, nx: usize, steps: usize) -> (f64, f64)
+where
+    K: tempora_core::engine::KernelSpace<Grid = tempora_grid::Grid1<f64>>,
+{
+    use tempora_core::engine::Engine;
+    use tempora_tiling::{Mode, Sweeps};
+    // A boundary of 1: the line tends to it, never to subnormals.
+    let mut g = tempora_grid::Grid1::new(nx, 1, tempora_grid::Boundary::Dirichlet(1.0));
+    fill_random_1d(&mut g, SEED, -1.0, 1.0);
+    let pool = tempora_parallel::Pool::new(1);
+    let mut widths: Vec<Sweeps<K>> = [Engine::Avx2, Engine::Avx512]
+        .into_iter()
+        .map(|e| {
+            let mode = Mode::Temporal(K::default_stride(e));
+            Sweeps::new(kern, [nx, 1, 1], g.boundary(), steps, nx, mode, e)
+        })
+        .collect();
+    let reps = (100_000 / (nx * steps)).max(1);
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..=20 {
+        for (w, best) in widths.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            for _ in 0..reps {
+                w.advance(&mut g, &pool);
+            }
+            if round > 0 {
+                *best = best.min(t.elapsed().as_secs_f64() / reps as f64 * 1e6);
+            }
+            std::hint::black_box(&g);
+        }
+    }
+    (best[0], best[1])
 }
 
 /// The five schemes of [`ablate_baselines`]; "our" is the plan a user
@@ -1782,7 +2184,7 @@ pub fn ablate_rows() -> SteadyRowsTable {
 pub struct TilingRow {
     /// Benchmark name, as Table 1 prints it.
     pub kind: &'static str,
-    /// Engine the tiled plan resolved to (`avx2` | `portable`).
+    /// Engine the tiled plan resolved to (`avx512` | `avx2` | `portable`).
     pub engine: &'static str,
     /// Anchors per chunk (`TileGeometry::block`: the effective value).
     pub block: usize,
@@ -1891,13 +2293,13 @@ impl TilingTable {
         )
     }
 
-    /// The AVX2 rows whose one-thread tiled run takes more than `limit`
-    /// times the untiled one: chunking a sweep should cost the wavefront's
-    /// bookkeeping and nothing else.
+    /// The `std::arch` (AVX2 and AVX-512) rows whose one-thread tiled run
+    /// takes more than `limit` times the untiled one: chunking a sweep
+    /// should cost the wavefront's bookkeeping and nothing else.
     pub fn avx2_rows_over(&self, limit: f64) -> Vec<&TilingRow> {
         self.rows
             .iter()
-            .filter(|r| r.engine == "avx2" && r.overhead() > limit)
+            .filter(|r| r.engine != "portable" && r.overhead() > limit)
             .collect()
     }
 }
@@ -1928,6 +2330,8 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
         // Panic-justification: a plan built with a tiling reports its
         // geometry; anything else is a bench-suite bug.
         let tiles = runs[1].tiles.expect("tiled plans report their geometry");
+        // The 1-D rows sweep eight levels at a time on the AVX-512 engine.
+        let vl = if runs[1].engine == "avx512" { 8 } else { vl };
         rows.push(TilingRow {
             kind: row.name,
             engine: runs[1].engine,
@@ -2305,18 +2709,20 @@ mod tests {
     fn figures_run_the_default_stride() {
         // A figure's "our" series publishes what a user's default plan
         // delivers: the stride it records is `Plan::stride()` of a plan
-        // built with nothing but the tiling set.
+        // built with nothing but the tiling set (and `TEMPORA_ENGINE`'s
+        // selection: the 1-D defaults are per engine).
         let recorded = |problem: &Problem, (label, builder): (&'static str, PlanBuilder)| {
             assert_eq!(label, "our");
             let mut series = Series::new(label);
             series.push(0.0, 0.0, 1, &plan_sample(problem, builder));
             series.strides[0]
         };
+        let user = PlanBuilder::new().select(Select::from_env());
         for row in &BENCHMARKS {
             let cfg = row.parallel_config(512);
             let problem = (row.problem)(cfg.n, cfg.steps);
             for tiling in [Tiling::None, cfg.tiling] {
-                let default = build(row.name, &problem, PlanBuilder::new().tiling(tiling)).stride();
+                let default = build(row.name, &problem, user.tiling(tiling)).stride();
                 let our = row.builders(tiling)[0];
                 assert_eq!(
                     recorded(&problem, our),
@@ -2327,7 +2733,7 @@ mod tests {
             }
         }
         let problem = (BENCHMARKS[0].problem)(4096, 8);
-        let default = build("ablate-baselines", &problem, PlanBuilder::new()).stride();
+        let default = build("ablate-baselines", &problem, user).stride();
         assert_eq!(recorded(&problem, baseline_schemes()[0]), Some(default));
     }
 

@@ -1,7 +1,8 @@
 //! Unified engine dispatch: one place that decides, per workload, whether
 //! its sweeps run in the portable register form (`Packs`, compiled for
-//! baseline x86-64) or in the `std::arch` AVX2 one (`Ymm`, compiled inside
-//! an AVX2+FMA sandwich).
+//! baseline x86-64), in the `std::arch` AVX2 one (`Ymm`, compiled inside
+//! an AVX2+FMA sandwich) or — the 1-D kinds only — in the AVX-512 one
+//! (`Zmm`, eight `f64` lanes, inside an AVX-512F+AVX2+FMA sandwich).
 //!
 //! The entry point is the `tempora_plan` crate's
 //! `Problem → PlanBuilder → Plan → Report` lifecycle, which resolves the
@@ -13,17 +14,20 @@
 //! [`KernelSpace`], so those layers are written once for all
 //! dimensionalities. The selection policy is a three-valued [`Select`]:
 //!
-//! * [`Select::Auto`] (the default) — the AVX2+FMA engine whenever the
-//!   CPU supports it and the shape reaches it, portable otherwise;
+//! * [`Select::Auto`] (the default) — the widest `std::arch` engine the
+//!   CPU supports and the kernel and shape reach (below), portable
+//!   otherwise;
 //! * [`Select::Portable`] — always the portable pack engine;
-//! * [`Select::Avx2`] — require the AVX2 engine (panics if the CPU lacks
-//!   AVX2+FMA; an LCS shape that never reaches the vector steady state
-//!   still resolves to portable, reported as such).
+//! * [`Select::Avx2`] — require the four-lane AVX2 engine (panics if the
+//!   CPU lacks AVX2+FMA; an LCS shape that never reaches the vector steady
+//!   state still resolves to portable, reported as such). It never
+//!   resolves [`Engine::Avx512`].
 //!
 //! Every workload's steady state is one source instantiated per engine
 //! (see [`tempora_simd::Lanes`]): the f64 kernels run at `vl = 4` double
-//! lanes, and the two integer workloads — Life and LCS — at the paper's
-//! `vl = 8` i32 lanes. The grid kernels resolve
+//! lanes — Heat-1D and GS-1D at `vl = 8` on [`Engine::Avx512`] — and the
+//! two integer workloads — Life and LCS — at the paper's `vl = 8` i32
+//! lanes ([`KernelSpace::vl`]). The grid kernels resolve
 //! by capability alone: a shape that never reaches the vector steady
 //! state — fewer than one full `vl`-level time tile, or an outer extent
 //! below `vl·s` — runs the scalar schedule in every engine, but the
@@ -33,6 +37,18 @@
 //! CPU has it and reports the context that ran it. LCS has no `mul_add`:
 //! its degenerate shapes (a row segment below `vl·s + 1`, fewer than `vl`
 //! rows) run the one portable code there is and report it.
+//!
+//! `Select::Auto` takes [`Engine::Avx512`] for the 1-D kinds where the CPU
+//! has AVX-512F, the line is wide enough for eight lanes to pay
+//! ([`wide_min_nx`], measured: 1024 points for GS-1D, 4096 for Heat-1D)
+//! and the run has an eight-lane sweep (`steps ≥ 8`) that leaves no more
+//! scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4` —
+//! so the ledger's 65536 × 32 and 4096 × 32 take it, while `steps = 12`,
+//! narrower lines and runs that are scalar steps at either width stay
+//! AVX2. Each engine runs its own default stride
+//! ([`KernelSpace::default_stride`]). The slab kinds stay at four lanes: a
+//! ring of 64-byte packs leaves L1 at their benchmark widths (README,
+//! "Engine dispatch").
 //!
 //! The selection is overridable at process level through the
 //! `TEMPORA_ENGINE` environment variable (`auto` | `portable` | `avx2`,
@@ -47,22 +63,26 @@
 //! The resolved [`Engine`] names more than the steady state: every
 //! [`KernelSpace`] method takes it and runs *everything* — sweep prologue
 //! and epilogue, remainder scalar steps, the spatial multi-load steps — in
-//! that engine's codegen context. The phase functions, steady states
-//! included, are one `#[inline(always)]` source, instantiated once for
-//! baseline x86-64 with `Packs` and once inside
+//! that engine's codegen context ([`Engine::codegen`]). The phase
+//! functions, steady states included, are one `#[inline(always)]` source,
+//! instantiated once for baseline x86-64 with `Packs` and once inside
 //! `#[target_feature(enable = "avx2,fma")]` sandwiches with `Ymm` — for
 //! the 2-D/3-D kernels a single one, [`crate::slab_avx2`], generic over
 //! the kernel's row updates, so their one impl below (a macro, one line
 //! per kernel) names a grid, a lane count and `Rows2`/`Rows3` and forwards
-//! to [`crate::slab`]. The reason is
+//! to [`crate::slab`] — and the 1-D sweep a third time at eight lanes with
+//! `Zmm` ([`crate::t1d_avx2`]). Whatever does not run at eight lanes in an
+//! AVX-512 plan — scalar steps, multi-load steps — runs in the AVX2
+//! context: a `Zmm` implies a `Ymm`. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
 //! `fma` (≈ 3 ns), inside it is one `vfmadd`. Both are the
 //! exactly-rounded fused operation and Rust never contracts separate
 //! `*`/`+`, so results are bit-identical; only the boundary code stops
-//! running 20× slower per point than the vector loop it brackets.
-//! [`Engine::Avx2`] is only ever resolved on x86-64 with AVX2+FMA
-//! present; on other targets the AVX2 arms are compiled out and every
-//! engine value runs the portable instantiation.
+//! running 20× slower per point than the vector loop it brackets. No
+//! dispatch has a catch-all arm that could route a `std::arch` engine to
+//! the baseline context. [`Engine::Avx2`] and [`Engine::Avx512`] are only
+//! ever resolved on x86-64 with their features present; on other targets
+//! their arms are compiled out and only [`Engine::Portable`] resolves.
 
 use crate::kernels::{
     BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, Kernel1d, Kernel2d, Kernel3d,
@@ -73,12 +93,12 @@ use crate::t1d::Scratch1d;
 use crate::{spatial, t1d};
 use core::ops::RangeInclusive;
 use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid, SlabLayout, Slabs, SlabsMut};
-use tempora_simd::arch::avx2_available;
+use tempora_simd::arch::{avx2_available, avx512_available};
 use tempora_simd::Packs;
 #[cfg(target_arch = "x86_64")]
 use {
     crate::{slab_avx2, t1d_avx2},
-    tempora_simd::arch::Ymm,
+    tempora_simd::arch::{Ymm, Zmm},
 };
 
 /// Environment variable consulted by [`Select::from_env`].
@@ -87,7 +107,9 @@ pub const ENV_VAR: &str = "TEMPORA_ENGINE";
 /// Engine-selection policy (see the [module docs](self)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Select {
-    /// Best available: AVX2 where supported and implemented, else portable.
+    /// Best available: AVX-512 for the 1-D kinds where the CPU has it and
+    /// the shape makes it pay, AVX2 where supported and implemented, else
+    /// portable.
     #[default]
     Auto,
     /// Force the portable pack engine.
@@ -135,7 +157,8 @@ impl Select {
     /// Resolve the policy against CPU capability and whether the workload
     /// reaches an AVX2 codegen context. Public so the tiled layer
     /// (`tempora-tiling`) can resolve its in-tile engine **once per run**
-    /// and report it honestly.
+    /// and report it honestly. Never [`Engine::Avx512`]: only the 1-D
+    /// kinds' [`KernelSpace::resolve`] widens an `Auto` run to it.
     pub fn resolve(self, has_avx2_impl: bool) -> Engine {
         match self {
             Select::Portable => Engine::Portable,
@@ -168,26 +191,76 @@ pub enum Engine {
     Portable,
     /// The `std::arch` AVX2+FMA engine.
     Avx2,
+    /// The `std::arch` AVX-512 engine of the 1-D kinds: their sweeps at
+    /// eight `f64` lanes, everything else of the plan in the AVX2 context.
+    Avx512,
 }
 
 /// The register form of [`Engine::Avx2`], on the way into a sandwich.
 ///
 /// # Panics
 /// Panics if the CPU lacks AVX2+FMA: no selection resolves
-/// [`Engine::Avx2`] there.
+/// [`Engine::Avx2`] or [`Engine::Avx512`] there.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn ymm() -> Ymm {
+fn ymm() -> Ymm {
     // Panic-justification: `Select::resolve` yields `Engine::Avx2` only
     // after `avx2_available()`; a hand-made one on a lesser CPU stops here.
     Ymm::detect().expect("AVX2+FMA not available on this CPU")
 }
 
+/// The register form of [`Engine::Avx512`], on the way into a sandwich.
+///
+/// # Panics
+/// Panics if the CPU lacks AVX-512F: no selection resolves
+/// [`Engine::Avx512`] there.
+#[cfg(target_arch = "x86_64")]
+fn zmm() -> Zmm {
+    // Panic-justification: only the 1-D `resolve` yields `Engine::Avx512`,
+    // after `avx512_available()`; a hand-made one on a lesser CPU stops
+    // here.
+    Zmm::detect().expect("AVX-512F not available on this CPU")
+}
+
+/// The codegen context an engine runs its four-lane and scalar code in
+/// ([`Engine::codegen`]).
+#[derive(Clone, Copy, Debug)]
+pub enum Codegen {
+    /// Baseline x86-64: `mul_add` is a libm call.
+    Baseline,
+    /// The AVX2+FMA sandwiches, entered with their token.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(Ymm),
+}
+
 impl Engine {
-    /// The engine name as recorded in bench output (`portable` | `avx2`).
+    /// The engine name as recorded in bench output and reports
+    /// (`portable` | `avx2` | `avx512`).
     pub fn name(self) -> &'static str {
         match self {
             Engine::Portable => "portable",
             Engine::Avx2 => "avx2",
+            Engine::Avx512 => "avx512",
+        }
+    }
+
+    /// Where everything of this engine's plans that is not an eight-lane
+    /// sweep runs: the AVX2 context for both `std::arch` engines (a `Zmm`
+    /// implies a `Ymm`), the baseline one for the portable engine. Each
+    /// dispatch matches on this, so no engine can fall into the baseline
+    /// context through a catch-all arm.
+    ///
+    /// # Panics
+    /// Panics on a `std::arch` engine the CPU cannot run (no selection
+    /// resolves one).
+    pub fn codegen(self) -> Codegen {
+        match self {
+            Engine::Portable => Codegen::Baseline,
+            #[cfg(target_arch = "x86_64")]
+            Engine::Avx2 | Engine::Avx512 => Codegen::Avx2(ymm()),
+            #[cfg(not(target_arch = "x86_64"))]
+            Engine::Avx2 | Engine::Avx512 => {
+                unreachable!("the x86-64 engines resolve on x86-64 only")
+            }
         }
     }
 }
@@ -230,43 +303,49 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// The grid this kernel advances.
     type Grid: SlabGrid;
     /// Everything one temporal sweep has in flight: what its parts hand
-    /// each other. The portable and the AVX2 steady state both run at
-    /// [`KernelSpace::VL`] lanes and share it.
+    /// each other, at the lane count of the engine it was allocated for
+    /// ([`KernelSpace::scratch`]).
     type Scratch: Send;
     /// What the parts of an in-place scalar step hand each other: the old
     /// values already overwritten and still needed (a cell in 1-D, two
     /// slabs above).
     type StepBufs: Send;
 
-    /// Production lane count: 4 `f64` lanes, 8 `i32` lanes for Life. One
-    /// temporal sweep advances this many time levels.
-    const VL: usize;
     /// Minimum legal temporal stride (the kernel's dependence bound).
     const MIN_STRIDE: usize;
     /// Maximum supported temporal stride (the 1-D ring has a fixed
     /// capacity; the 2-D/3-D rings live in scratch).
     const MAX_STRIDE: usize = usize::MAX;
 
-    /// Allocate sweep scratch for interior extents `dims` and stride `s`.
-    fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch;
+    /// Lane count `VL` of `engine`'s temporal sweep: 4 `f64` lanes, 8
+    /// `i32` lanes for Life, 8 `f64` lanes for the 1-D kinds on
+    /// [`Engine::Avx512`]. One temporal sweep advances this many time
+    /// levels.
+    fn vl(engine: Engine) -> usize;
+
+    /// Allocate sweep scratch for `engine`'s sweeps over interior extents
+    /// `dims` at stride `s`.
+    fn scratch(engine: Engine, dims: [usize; 3], s: usize) -> Self::Scratch;
 
     /// Allocate scalar-step state for interior extents `dims`.
     fn step_bufs(dims: [usize; 3]) -> Self::StepBufs;
 
-    /// The anchors `xs ⊆ 1 ..= x_max` (`x_max = nx + 1 - VL·s`) of one
-    /// temporal sweep — [`KernelSpace::VL`] levels, in place — with the
-    /// resolved `engine` (bit-identical either way): the prologue when
-    /// `xs` starts at 1, the steady state over `xs`, the epilogue when
-    /// `xs` ends at `x_max`. Touches the slabs from `xs.start()` (from
-    /// ghost slab 0 with the prologue) to `xs.end() + VL·s` (to ghost slab
-    /// `nx + 1` with the epilogue), which `a` must hold. [`Engine::Avx2`]
-    /// needs [`KernelSpace::has_avx2_tile`]. `COUNT` turns on the steady
-    /// state's reorganization-op accounting ([`tempora_simd::count`]).
+    /// The anchors `xs ⊆ 1 ..= x_max` (`x_max = nx + 1 - VL·s`,
+    /// `VL = vl(engine)`) of one temporal sweep — `VL` levels, in place —
+    /// with the resolved `engine` (bit-identical either way): the prologue
+    /// when `xs` starts at 1, the steady state over `xs`, the epilogue
+    /// when `xs` ends at `x_max`. Touches the slabs from `xs.start()`
+    /// (from ghost slab 0 with the prologue) to `xs.end() + VL·s` (to
+    /// ghost slab `nx + 1` with the epilogue), which `a` must hold. `sc`
+    /// must come from [`KernelSpace::scratch`] for the same engine; a
+    /// `std::arch` engine needs [`KernelSpace::has_avx2_tile`] (and a
+    /// CPU with its features). `COUNT` turns on the steady state's
+    /// reorganization-op accounting ([`tempora_simd::count`]).
     ///
     /// # Panics
     /// Panics when the outer extent cannot host the vector schedule
     /// (`nx < VL·s`; run scalar sweeps instead, as `tempora_tiling::Sweeps`
-    /// does).
+    /// does), or when `sc` was allocated for another lane count.
     // Justification: kernel, codegen context, grid geometry, window, range, stride and carried state are the part's contract; a params struct would only rename it.
     #[allow(clippy::too_many_arguments)]
     fn sweep<const COUNT: bool>(
@@ -313,29 +392,88 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
         avx2_available()
     }
 
-    /// Resolve `sel` for this kernel's runs, whatever their stride and
-    /// shape: AVX2 wherever the CPU has the features. A run too short or
-    /// too narrow for the vector schedule runs scalar steps in the same
-    /// codegen context (see the [module docs](self)).
-    fn resolve(sel: Select) -> Engine {
+    /// Resolve `sel` for a temporal run of `steps` levels over `nx` outer
+    /// slabs: AVX2 wherever the CPU has the features, whatever the stride
+    /// and shape. A run too short or too narrow for the vector schedule
+    /// runs scalar steps in the same codegen context (see the
+    /// [module docs](self)). The 1-D kinds widen an `Auto` run to
+    /// [`Engine::Avx512`] where it pays.
+    fn resolve(sel: Select, _nx: usize, _steps: usize) -> Engine {
         sel.resolve(Self::has_avx2_tile())
+    }
+
+    /// The temporal stride a plan runs on `engine` when none is given:
+    /// the minimum legal stride 2. A slab ring of `s + 2` slabs lives in
+    /// memory at any stride, so the narrowest ring (the shortest boundary
+    /// phases) is the fastest of `2 ..= 4` for all six slab kinds in
+    /// `repro ablate-stride`. The 1-D kinds' defaults depend on the
+    /// engine.
+    fn default_stride(_engine: Engine) -> usize {
+        2
     }
 }
 
-/// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`] at four `f64`
-/// lanes; the slab of a line is a cell, so only the outer extent of the
-/// layout is read.
+/// The narrowest line `Select::Auto` runs 1-D kernel `K` on at eight
+/// lanes: 1024 points for GS-1D, 4096 for Heat-1D — measured, not
+/// derived. `repro ablate-vl` times both widths at their default strides
+/// over lines of 128 … 4096 points at 32, 12 and 9 steps; each value is
+/// the smallest power of two at which eight lanes ran faster in every
+/// reading at the step counts that leave them no more scalar levels
+/// (2-vCPU AVX-512 container, eight over four lanes, 32 / 9 steps: GS-1D
+/// 0.76–0.81 / 0.83–0.84 at 256 points, 0.94–1.03 / 0.97–1.01 at 512,
+/// 1.15–1.28 / 1.06–1.13 at 1024; Heat-1D 0.78–0.91 / 0.84–0.94 at 1024,
+/// 0.92–1.07 / 0.93–1.05 at 2048, 1.04–1.20 / 1.05–1.12 at 4096; at 12
+/// steps, four scalar levels against none, 0.29–0.60 everywhere; README,
+/// "Eight lanes", has the table). The power of two
+/// below each is break-even. Below it the scalar prologue and epilogue of
+/// every sweep — triangles of `s·VL(VL-1)/2` cells each, 364 at eight
+/// lanes and `s = 13` against 60 at four and `s = 10` — outweigh the
+/// wider steady state; GS-1D, whose steady state gains 1.8× at eight lanes
+/// against Heat-1D's 1.3×, crosses over four times earlier. Both lie above
+/// `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane schedule at
+/// every stride.
+pub fn wide_min_nx<K: Kernel1d>() -> usize {
+    if K::IS_GS {
+        1024
+    } else {
+        4096
+    }
+}
+
+/// The scratch of a 1-D sweep at its engine's lane count.
+// Justification: one per scratch slot of a plan, allocated at build time;
+// the eight-lane ring's extra 544 bytes cost nothing a box would save.
+#[allow(clippy::large_enum_variant)]
+pub enum Scratch1dVl {
+    /// Four lanes: the portable and AVX2 engines.
+    Vl4(Scratch1d<4>),
+    /// Eight lanes: [`Engine::Avx512`].
+    Vl8(Scratch1d<8>),
+}
+
+/// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`], at four `f64`
+/// lanes or, on [`Engine::Avx512`], eight; the slab of a line is a cell,
+/// so only the outer extent of the layout is read.
 impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     type Grid = Grid1<f64>;
-    type Scratch = Scratch1d<4>;
+    type Scratch = Scratch1dVl;
     /// The old value of the last cell updated (Jacobi's west operand).
     type StepBufs = f64;
-    const VL: usize = 4;
     const MIN_STRIDE: usize = <K as Kernel1d>::MIN_STRIDE;
     const MAX_STRIDE: usize = t1d::RING_CAP - 1;
 
-    fn scratch(_dims: [usize; 3], s: usize) -> Scratch1d<4> {
-        Scratch1d::new(s)
+    fn vl(engine: Engine) -> usize {
+        match engine {
+            Engine::Avx512 => 8,
+            Engine::Portable | Engine::Avx2 => 4,
+        }
+    }
+
+    fn scratch(engine: Engine, _dims: [usize; 3], s: usize) -> Scratch1dVl {
+        match engine {
+            Engine::Avx512 => Scratch1dVl::Vl8(Scratch1d::new(s)),
+            Engine::Portable | Engine::Avx2 => Scratch1dVl::Vl4(Scratch1d::new(s)),
+        }
     }
 
     fn step_bufs(_dims: [usize; 3]) -> f64 {
@@ -349,13 +487,24 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         a: SlabsMut<'_, f64>,
         xs: RangeInclusive<usize>,
         s: usize,
-        sc: &mut Scratch1d<4>,
+        sc: &mut Scratch1dVl,
     ) {
         let (first, a, n) = (a.first, a.data, lay.nx);
-        match engine {
+        match (engine, sc) {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t1d_avx2::sweep::<COUNT, K>(ymm(), a, first, n, self, s, sc, xs),
-            _ => t1d::sweep_body::<4, COUNT, false, K, _>(Packs, a, first, n, self, s, sc, xs),
+            (Engine::Avx512, Scratch1dVl::Vl8(sc)) => {
+                t1d_avx2::sweep_zmm::<COUNT, K>(zmm(), a, first, n, self, s, sc, xs)
+            }
+            #[cfg(target_arch = "x86_64")]
+            (Engine::Avx2, Scratch1dVl::Vl4(sc)) => {
+                t1d_avx2::sweep::<COUNT, K>(ymm(), a, first, n, self, s, sc, xs)
+            }
+            (Engine::Portable, Scratch1dVl::Vl4(sc)) => {
+                t1d::sweep_body::<4, COUNT, false, K, _>(Packs, a, first, n, self, s, sc, xs)
+            }
+            (engine, _) => {
+                panic!("1-D sweep scratch was allocated for another engine than {engine:?}")
+            }
         }
     }
 
@@ -367,10 +516,10 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         xs: RangeInclusive<usize>,
         old_west: &mut f64,
     ) {
-        match engine {
+        match engine.codegen() {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => t1d_avx2::scalar_sweep(ymm(), a.data, a.first, self, xs, old_west),
-            _ => t1d::scalar_cells(a.data, a.first, self, xs, old_west),
+            Codegen::Avx2(isa) => t1d_avx2::scalar_sweep(isa, a.data, a.first, self, xs, old_west),
+            Codegen::Baseline => t1d::scalar_cells(a.data, a.first, self, xs, old_west),
         }
     }
 
@@ -384,25 +533,62 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     ) {
         spatial::step_1d(engine, src, dst, xs, self);
     }
+
+    /// [`Engine::Avx512`] for an `Auto` run where the CPU has AVX-512F, the
+    /// line is at least [`wide_min_nx`] points and the run has an
+    /// eight-lane sweep that leaves no more scalar levels than four lanes
+    /// would (see the [module docs](self)); otherwise as every kernel
+    /// resolves.
+    fn resolve(sel: Select, nx: usize, steps: usize) -> Engine {
+        // With a sweep at eight lanes (`steps ≥ 8`) there is one at four,
+        // and the scalar levels are `steps % 8` and `steps % 4`.
+        let wide = nx >= wide_min_nx::<K>() && steps >= 8 && steps % 8 <= steps % 4;
+        match sel.resolve(true) {
+            Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
+            engine => engine,
+        }
+    }
+
+    /// The smallest register-specialised stride within 3 % of the kind's
+    /// plateau on `engine` in `repro ablate-stride` at this repo's
+    /// benchmark geometry (a unit test of `tempora_plan` ties each to its
+    /// engine's specialised set: `t1d_avx2::REGISTER_STRIDES` /
+    /// `ZMM_REGISTER_STRIDES`). At four lanes Heat-1D's chain advances
+    /// `s - 1` iterations per hop and levels off at 10; at eight
+    /// ([`Engine::Avx512`]) it levels off at 13 (4.2 cycles per vector
+    /// against 4.5 at 7–12, and no slower than 10 on the served 4096
+    /// points). GS-1D is bound by its output chain from 7 at either width,
+    /// and a wider stride would only raise the skew tiling's minimum block.
+    fn default_stride(engine: Engine) -> usize {
+        match (K::IS_GS, engine) {
+            (true, _) => 7,
+            (false, Engine::Avx512) => 13,
+            (false, Engine::Portable | Engine::Avx2) => 10,
+        }
+    }
 }
 
 /// The six slab kernels differ in what one invocation line names: the
 /// grid and its element, the lane count (the integer Life steady state
-/// runs at `vl = 8` i32 lanes — one full `__m256i` — in both engines, so
+/// runs at `vl = 8` i32 lanes — one full `__m256i` — in every engine, so
 /// the layers above dispatch it exactly like the f64 kernels), the
 /// dimension's kernel trait and row updates, and its multi-load step.
 /// Everything else forwards to [`crate::slab`], in the codegen context and
-/// with the rows' register form of the resolved engine.
+/// with the rows' register form of the resolved engine ([`Engine::codegen`]:
+/// an [`Engine::Avx512`] handed to a slab kernel runs its AVX2 rows).
 macro_rules! slab_kernel_space {
     ($($kern:ty: $grid:ident<$t:ty> x $vl:literal, $kernel:path, $rows:ident, $step:path;)*) => {$(
         impl KernelSpace for $kern {
             type Grid = $grid<$t>;
             type Scratch = Scratch<$t, $vl>;
             type StepBufs = [Vec<$t>; 2];
-            const VL: usize = $vl;
             const MIN_STRIDE: usize = <Self as $kernel>::MIN_STRIDE;
 
-            fn scratch(dims: [usize; 3], s: usize) -> Self::Scratch {
+            fn vl(_engine: Engine) -> usize {
+                $vl
+            }
+
+            fn scratch(_engine: Engine, dims: [usize; 3], s: usize) -> Self::Scratch {
                 Scratch::new::<Self::Grid>(dims, s)
             }
 
@@ -419,14 +605,13 @@ macro_rules! slab_kernel_space {
                 s: usize,
                 sc: &mut Self::Scratch,
             ) {
-                match engine {
+                match engine.codegen() {
                     #[cfg(target_arch = "x86_64")]
-                    Engine::Avx2 => {
-                        let isa = ymm();
+                    Codegen::Avx2(isa) => {
                         let rows = $rows(*self, isa);
                         slab_avx2::sweep::<$t, $vl, COUNT, _>(isa, lay, a, &rows, xs, s, sc)
                     }
-                    _ => slab::sweep_body::<$t, $vl, COUNT, _>(
+                    Codegen::Baseline => slab::sweep_body::<$t, $vl, COUNT, _>(
                         lay, a, &$rows(*self, Packs), xs, s, sc,
                     ),
                 }
@@ -440,14 +625,13 @@ macro_rules! slab_kernel_space {
                 xs: RangeInclusive<usize>,
                 bufs: &mut Self::StepBufs,
             ) {
-                match engine {
+                match engine.codegen() {
                     #[cfg(target_arch = "x86_64")]
-                    Engine::Avx2 => {
-                        let isa = ymm();
+                    Codegen::Avx2(isa) => {
                         let rows = $rows(*self, isa);
                         slab_avx2::scalar_sweep::<$t, $vl, _>(isa, lay, a, &rows, xs, bufs)
                     }
-                    _ => slab::scalar_sweep_body::<$t, $vl, _>(
+                    Codegen::Baseline => slab::scalar_sweep_body::<$t, $vl, _>(
                         lay, a, &$rows(*self, Packs), xs, bufs,
                     ),
                 }
@@ -516,12 +700,12 @@ pub(crate) mod tests {
                 .step_by(cut)
                 .map(move |x0| (x0, (x0 + cut - 1).min(hi)))
         };
-        let mut scalar_steps = steps;
-        if let Some(s) = s.filter(|s| nx >= K::VL * s) {
-            let (mut sc, reach) = (K::scratch(dims, s), K::VL * s);
+        let (mut scalar_steps, vl) = (steps, K::vl(engine));
+        if let Some(s) = s.filter(|s| nx >= vl * s) {
+            let (mut sc, reach) = (K::scratch(engine, dims, s), vl * s);
             let x_max = nx + 1 - reach;
-            scalar_steps %= K::VL;
-            for _ in 0..steps / K::VL {
+            scalar_steps %= vl;
+            for _ in 0..steps / vl {
                 for (x0, x1) in parts(x_max) {
                     let lo = if x0 == 1 { 0 } else { x0 };
                     let hi = if x1 == x_max { nx + 1 } else { x1 + reach };
@@ -582,7 +766,7 @@ pub(crate) mod tests {
         steps: usize,
         s: usize,
     ) -> (K::Grid, Engine) {
-        let engine = K::resolve(sel);
+        let engine = K::resolve(sel, g.dims()[0], steps);
         (run_whole(engine, g, kern, steps, s), engine)
     }
 
@@ -650,12 +834,46 @@ pub(crate) mod tests {
     }
 
     /// Every engine this host can run.
-    fn engines() -> Vec<Engine> {
+    pub(crate) fn engines() -> Vec<Engine> {
         let mut engines = vec![Engine::Portable];
         if avx2_available() {
             engines.push(Engine::Avx2);
         }
+        if avx512_available() {
+            engines.push(Engine::Avx512);
+        }
         engines
+    }
+
+    /// Heat-1D and GS-1D, two coefficient sets each (the asymmetric ones
+    /// tell the operands apart), run whole or in parts of `cut` on
+    /// `engine` ≡ the reference; `at` names the row.
+    fn both_1d_kinds(engine: Engine, g: &Grid1<f64>, steps: usize, s: usize, cut: usize, at: &str) {
+        let heat = [
+            Heat1dCoeffs::classic(0.25),
+            Heat1dCoeffs::new(0.3, 0.45, 0.25),
+        ];
+        let gs = [Gs1dCoeffs::classic(0.25), Gs1dCoeffs::new(0.37, 0.4, 0.23)];
+        for c in heat {
+            let ours = run_in_parts(engine, g, &JacobiKern1d(c), steps, Some(s), cut);
+            let gold = reference::heat1d(g, c, steps);
+            assert!(
+                ours.interior_eq(&gold),
+                "heat1d {engine:?} {at} s={s} n={} steps={steps} {:?}",
+                g.n(),
+                ours.first_diff(&gold)
+            );
+        }
+        for c in gs {
+            let ours = run_in_parts(engine, g, &GsKern1d(c), steps, Some(s), cut);
+            let gold = reference::gs1d(g, c, steps);
+            assert!(
+                ours.interior_eq(&gold),
+                "gs1d {engine:?} {at} s={s} n={} steps={steps} {:?}",
+                g.n(),
+                ours.first_diff(&gold)
+            );
+        }
     }
 
     #[test]
@@ -664,70 +882,32 @@ pub(crate) mod tests {
         // ones and the rolled ring — against every way the unrolled
         // `R = s + 1` chunks can end: a steady state of one iteration
         // (`n = VL·s`), whole chunks, and chunks plus 1 or `R - 1`
-        // remainder iterations. Whole tiles and parts, both engines.
-        const VL: usize = 4;
-        let heat = [
-            Heat1dCoeffs::classic(0.25),
-            Heat1dCoeffs::new(0.3, 0.45, 0.25),
-        ];
-        let gs = [Gs1dCoeffs::classic(0.25), Gs1dCoeffs::new(0.37, 0.4, 0.23)];
-        for s in 2..=<JacobiKern1d as KernelSpace>::MAX_STRIDE {
-            let r = s + 1;
-            for x_max in [1, 3 * r, 3 * r + 1, 4 * r - 1] {
-                let n = x_max - 1 + VL * s;
-                for steps in [4usize, 8, 13] {
-                    let g = heat1d(n, (n + steps) as u64);
-                    for engine in engines() {
-                        for c in heat {
-                            let ours = run_whole(engine, &g, &JacobiKern1d(c), steps, s);
-                            let gold = reference::heat1d(&g, c, steps);
-                            assert!(
-                                ours.interior_eq(&gold),
-                                "heat1d {engine:?} s={s} n={n} steps={steps} {:?}",
-                                ours.first_diff(&gold)
-                            );
-                        }
-                        for c in gs {
-                            let ours = run_whole(engine, &g, &GsKern1d(c), steps, s);
-                            let gold = reference::gs1d(&g, c, steps);
-                            assert!(
-                                ours.interior_eq(&gold),
-                                "gs1d {engine:?} s={s} n={n} steps={steps} {:?}",
-                                ours.first_diff(&gold)
-                            );
-                        }
+        // remainder iterations; and one cell short of a vector tile
+        // (`n = VL·s - 1`: scalar steps only). Whole tiles and parts, every
+        // engine of the host at its own lane count (`steps` a sweep, two,
+        // and 13: sweeps plus a scalar remainder at either width).
+        for engine in engines() {
+            let vl = JacobiKern1d::vl(engine);
+            for s in 2..=<JacobiKern1d as KernelSpace>::MAX_STRIDE {
+                let r = s + 1;
+                for x_max in [0, 1, 3 * r, 3 * r + 1, 4 * r - 1] {
+                    let n = x_max + vl * s - 1;
+                    for steps in [vl, 2 * vl, 13] {
+                        let g = heat1d(n, (n + steps) as u64);
+                        both_1d_kinds(engine, &g, steps, s, n, "whole");
                     }
                 }
-            }
-            // Parts: a sweep cut every `4·R + rem` anchors enters the
-            // steady state at ring rotations `k·rem mod R` — every chunk
-            // whole, one iteration over, one short — and hands the ring
-            // from part to part; the remainder steps are cut the same way.
-            for rem in [0, 1, r - 1] {
-                let cut = 4 * r + rem;
-                let n = 4 * cut + 3 + VL * s;
-                let g = heat1d(n, (n + s) as u64);
-                for steps in [4usize, 8, 13] {
-                    for engine in engines() {
-                        for c in heat {
-                            let ours =
-                                run_in_parts(engine, &g, &JacobiKern1d(c), steps, Some(s), cut);
-                            let gold = reference::heat1d(&g, c, steps);
-                            assert!(
-                                ours.interior_eq(&gold),
-                                "heat1d parts {engine:?} s={s} cut={cut} steps={steps} {:?}",
-                                ours.first_diff(&gold)
-                            );
-                        }
-                        for c in gs {
-                            let ours = run_in_parts(engine, &g, &GsKern1d(c), steps, Some(s), cut);
-                            let gold = reference::gs1d(&g, c, steps);
-                            assert!(
-                                ours.interior_eq(&gold),
-                                "gs1d parts {engine:?} s={s} cut={cut} steps={steps} {:?}",
-                                ours.first_diff(&gold)
-                            );
-                        }
+                // Parts: a sweep cut every `4·R + rem` anchors enters the
+                // steady state at ring rotations `k·rem mod R` — every
+                // chunk whole, one iteration over, one short — and hands
+                // the ring from part to part; the remainder steps are cut
+                // the same way.
+                for rem in [0, 1, r - 1] {
+                    let cut = 4 * r + rem;
+                    let n = 4 * cut + 3 + vl * s;
+                    let g = heat1d(n, (n + s) as u64);
+                    for steps in [vl, 2 * vl, 13] {
+                        both_1d_kinds(engine, &g, steps, s, cut, &format!("cut={cut}"));
                     }
                 }
             }
@@ -751,6 +931,45 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// `K` under `Auto` at its crossover `w`: eight lanes from `w` points
+    /// on (where the CPU has them) at any step count that leaves them no
+    /// more scalar levels, four below it and at twelve steps; the other
+    /// selections never widen.
+    fn widens_at_the_crossover<K: Kernel1d + Send + 'static>() {
+        let (w, auto) = (wide_min_nx::<K>(), Select::Auto.resolve(true));
+        assert!(w >= 8 * <K as KernelSpace>::MAX_STRIDE, "{w}");
+        let wide = if avx512_available() {
+            Engine::Avx512
+        } else {
+            auto
+        };
+        for (nx, steps, expect) in [
+            (w, 32, wide),
+            (w, 9, wide),
+            (w, 8, wide),
+            (1 << 16, 32, wide),
+            (w - 1, 32, auto),
+            (w, 12, auto),
+            (w, 7, auto),
+        ] {
+            assert_eq!(
+                K::resolve(Select::Auto, nx, steps),
+                expect,
+                "{nx} x {steps}"
+            );
+        }
+        assert_eq!(K::resolve(Select::Portable, w, 32), Engine::Portable);
+        if avx2_available() {
+            assert_eq!(K::resolve(Select::Avx2, w, 32), Engine::Avx2);
+        }
+    }
+
+    #[test]
+    fn auto_widens_1d_at_the_measured_crossover() {
+        widens_at_the_crossover::<JacobiKern1d>();
+        widens_at_the_crossover::<GsKern1d>();
     }
 
     #[test]

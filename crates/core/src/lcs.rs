@@ -46,7 +46,7 @@
 //! `vpcmpeqd`, `vpaddd`/`vpmaxsd`, `vpblendvb` and one `vpermd` plus one
 //! `vpblendd` per produced vector.
 
-use crate::engine::Engine;
+use crate::engine::{Codegen, Engine};
 use tempora_simd::{I32Lanes, Pack, Packs};
 use tempora_stencil::{lcs_update, lcs_update_pack};
 
@@ -110,7 +110,7 @@ pub fn scalar_row_step_seg(
 /// * on return `right_col[k]` = `lcs[x0+k][y1]`.
 ///
 /// # Panics
-/// Panics if `engine` is AVX2 and the CPU lacks AVX2+FMA.
+/// Panics if `engine` is a `std::arch` engine and the CPU lacks AVX2+FMA.
 // Justification: the parameter list is the tile contract itself (row, columns, bounds, shift); bundling it would hide what each kernel stage touches.
 #[allow(clippy::too_many_arguments)]
 pub fn tile_seg(
@@ -125,21 +125,12 @@ pub fn tile_seg(
     right_col: &mut [i32],
     sc: &mut ScratchLcs<VL>,
 ) {
-    match engine {
+    match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => crate::lcs_avx2::tile_seg(
-            crate::engine::ymm(),
-            row,
-            y0,
-            y1,
-            a_tile,
-            b,
-            s,
-            left_col,
-            right_col,
-            sc,
-        ),
-        _ => tile_seg_in(Packs, row, y0, y1, a_tile, b, s, left_col, right_col, sc),
+        Codegen::Avx2(isa) => {
+            crate::lcs_avx2::tile_seg(isa, row, y0, y1, a_tile, b, s, left_col, right_col, sc)
+        }
+        Codegen::Baseline => tile_seg_in(Packs, row, y0, y1, a_tile, b, s, left_col, right_col, sc),
     }
 }
 

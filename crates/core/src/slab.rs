@@ -1191,7 +1191,8 @@ pub(crate) mod tests {
     /// scalar fallback inside the tile entry point, the last one is the
     /// smallest vector tile.
     pub(crate) fn degenerate<K: Kind>(kern: &K, engines: &[Engine]) {
-        let outer = 1..=K::VL * K::MIN_STRIDE;
+        let vl = K::vl(Engine::Portable);
+        let outer = 1..=vl * K::MIN_STRIDE;
         let shapes = Vec::from_iter(
             outer.flat_map(|nx| K::SHAPES.iter().map(move |inner| [nx, inner[1], inner[2]])),
         );
@@ -1199,7 +1200,7 @@ pub(crate) mod tests {
             kern,
             engines,
             &shapes,
-            &[K::VL, K::VL + 1, 2 * K::VL + 3],
+            &[vl, vl + 1, 2 * vl + 3],
             &[K::MIN_STRIDE],
         );
     }
@@ -1220,12 +1221,9 @@ pub(crate) mod tests {
         temporal: bool,
         wide: bool,
     ) {
-        for (&(dims, cut), &s, &n) in product3(cases, strides, &[K::VL, 2 * K::VL, 2 * K::VL + 2]) {
-            assert_eq!(
-                cut >= K::VL * s && cut < dims[0],
-                wide,
-                "{dims:?} {cut} {s}"
-            );
+        let vl = K::vl(Engine::Portable);
+        for (&(dims, cut), &s, &n) in product3(cases, strides, &[vl, 2 * vl, 2 * vl + 2]) {
+            assert_eq!(cut >= vl * s && cut < dims[0], wide, "{dims:?} {cut} {s}");
             let g = K::grid(dims, (dims[0] + dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
             for &e in engines {

@@ -7,8 +7,9 @@
 //! entry point the tiled and plan layers call.
 //!
 //! Each step takes the [`Engine`] its plan resolved and runs in that
-//! codegen context: the bodies are `#[inline(always)]` and instantiated
-//! once for baseline x86-64 and once inside a
+//! engine's codegen context ([`Engine::codegen`]: AVX2 for both
+//! `std::arch` engines): the bodies are `#[inline(always)]` and
+//! instantiated once for baseline x86-64 and once inside a
 //! `#[target_feature(enable = "avx2,fma")]` wrapper, where the packs'
 //! `mul_add`s are `vfmadd`s instead of four calls into libm's `fma` per
 //! vector. This is the comparison the paper is about — a spatial baseline
@@ -16,12 +17,10 @@
 //! bit-identical in both contexts (both fused operations are exactly
 //! rounded).
 
-use crate::engine::Engine;
+use crate::engine::{Codegen, Engine};
 use crate::kernels::{Kernel1d, Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::ops::RangeInclusive;
 use tempora_grid::{SlabLayout, Slabs, SlabsMut};
-#[cfg(target_arch = "x86_64")]
-use tempora_simd::arch::avx2_available;
 use tempora_simd::{Pack, Packs, Scalar};
 
 /// The step bodies instantiated in an AVX2+FMA codegen context.
@@ -88,14 +87,11 @@ pub fn step_1d<K: Kernel1d>(
     xs: RangeInclusive<usize>,
     kern: &K,
 ) {
-    match engine {
+    match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => {
-            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
-            // SAFETY: availability asserted above.
-            unsafe { avx2::step_1d(src, dst, xs, kern) }
-        }
-        _ => step_1d_body(src, dst, xs, kern),
+        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
+        Codegen::Avx2(_) => unsafe { avx2::step_1d(src, dst, xs, kern) },
+        Codegen::Baseline => step_1d_body(src, dst, xs, kern),
     }
 }
 
@@ -135,14 +131,11 @@ pub fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
     xs: RangeInclusive<usize>,
     kern: &K,
 ) {
-    match engine {
+    match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => {
-            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
-            // SAFETY: availability asserted above.
-            unsafe { avx2::step_2d(lay, src, dst, xs, kern) }
-        }
-        _ => step_2d_body(lay, src, dst, xs, kern),
+        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
+        Codegen::Avx2(_) => unsafe { avx2::step_2d(lay, src, dst, xs, kern) },
+        Codegen::Baseline => step_2d_body(lay, src, dst, xs, kern),
     }
 }
 
@@ -212,14 +205,11 @@ pub fn step_3d<K: Kernel3d>(
     xs: RangeInclusive<usize>,
     kern: &K,
 ) {
-    match engine {
+    match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        Engine::Avx2 => {
-            assert!(avx2_available(), "AVX2+FMA not available on this CPU");
-            // SAFETY: availability asserted above.
-            unsafe { avx2::step_3d(lay, src, dst, xs, kern) }
-        }
-        _ => step_3d_body(lay, src, dst, xs, kern),
+        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
+        Codegen::Avx2(_) => unsafe { avx2::step_3d(lay, src, dst, xs, kern) },
+        Codegen::Baseline => step_3d_body(lay, src, dst, xs, kern),
     }
 }
 

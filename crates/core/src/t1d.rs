@@ -66,32 +66,36 @@
 //! behind the first. [`scalar_cells`] cuts the in-place scalar step the
 //! same way.
 //!
-//! # One steady state, one source, two codegen contexts
+//! # One steady state, one source, three codegen contexts
 //!
 //! The steady state is written once (`ring_sweep`), for both kernels and
-//! both engines: it is generic over the register form it computes in
-//! ([`tempora_simd::F64Lanes`]), and with its ring length `R = s + 1` a
-//! constant it runs unrolled that wide, every ring slot a local with a
-//! constant index — a `ymm` register when the form is `Ymm`. A produced
-//! input vector is first consumed `s - 1` iterations later, and only with
-//! the ring in registers does that hop cost the arithmetic's latency alone
-//! (§3.3's reason for the stride; README, "Where the time goes in a
-//! tile"). Its rolled `R = 0` form keeps the ring in scratch memory and
-//! serves every other stride — and every stride of the portable engine,
-//! whose `mul_add` is a libm call either way.
+//! every engine: it is generic over the register form it computes in
+//! ([`tempora_simd::F64Lanes`]) and over the lane count `VL`, and with its
+//! ring length `R = s + 1` a constant it runs unrolled that wide, every
+//! ring slot a local with a constant index — a `ymm` register when the
+//! form is `Ymm`, a `zmm` register when it is `Zmm` at `VL = 8`. A
+//! produced input vector is first consumed `s - 1` iterations later, and
+//! only with the ring in registers does that hop cost the arithmetic's
+//! latency alone (§3.3's reason for the stride; README, "Where the time
+//! goes in a tile"). Its rolled `R = 0` form keeps the ring in scratch
+//! memory and serves every other stride — and every stride of the
+//! portable engine, whose `mul_add` is a libm call either way.
 //!
 //! [`sweep_body`] and everything under it — [`tile_prologue`],
-//! [`tile_epilogue`], [`gs_initial_output`], [`scalar_cells`] — is
+//! [`tile_epilogue`], [`scalar_cells`] — is
 //! `#[inline(always)]`: the portable engine instantiates it for baseline
 //! x86-64 with `Packs`, and [`crate::t1d_avx2`] instantiates the same
 //! source again with `Ymm` inside its
 //! `#[target_feature(enable = "avx2,fma")]` functions, where `mul_add` is
 //! one `vfmadd` instead of a call into libm's `fma` (same exactly-rounded
-//! result). `cargo xtask audit` (rule `phase-inline`) guards the
-//! attributes.
+//! result), and a third time at eight lanes with `Zmm` inside
+//! `#[target_feature(enable = "avx512f,avx2,fma")]`: one rotate and one
+//! blend per output vector at either width, the paper's "irrelevant to
+//! the vector length". `cargo xtask audit` (rule `phase-inline`) guards
+//! the attributes.
 
 use crate::kernels::Kernel1d;
-use crate::t1d_avx2::REGISTER_STRIDES;
+use crate::t1d_avx2::{REGISTER_STRIDES, ZMM_REGISTER_STRIDES};
 use core::ops::RangeInclusive;
 use tempora_grid::Grid1;
 use tempora_simd::count::{self, Op};
@@ -107,13 +111,15 @@ pub fn min_vector_n<const VL: usize>(s: usize) -> usize {
 /// Everything one sweep has in flight at stride `s`: what its phases and
 /// parts hand each other, reusable by the next sweep.
 ///
-/// Head plane `k` (1-based level) holds levels computed by the prologue
-/// over `x ∈ 0 ..= (VL-k)·s` (entry 0 is the left boundary value); tail
-/// plane `i` holds the level-`i` values surrounding the right edge,
-/// re-based at `x_max + (VL-1-i)·s`.
+/// The boundary phases compute one level at a time from the level below,
+/// so two planes of `VL·s + 2` values are all they keep: the prologue's
+/// level `k` over `x ∈ 0 ..= (VL-k)·s` (entry 0 is the left boundary
+/// value), the epilogue's level `i` around the right edge, re-based at
+/// `x_max + (VL-1-i)·s` — `O(VL·s)` values at any lane count, where a
+/// plane per level would be `O(VL²·s)`.
 pub struct Scratch1d<const VL: usize> {
-    head: Vec<Vec<f64>>,
-    tail: Vec<Vec<f64>>,
+    /// The two planes, end to end.
+    planes: Vec<f64>,
     /// The in-flight input vectors: slot `j % (s+1)` holds `V(j)`.
     ring: [Pack<f64, VL>; RING_CAP],
     /// Gauss-Seidel: the previous output vector `O(x-1)`.
@@ -123,11 +129,8 @@ pub struct Scratch1d<const VL: usize> {
 impl<const VL: usize> Scratch1d<VL> {
     /// Allocate scratch for stride `s`.
     pub fn new(s: usize) -> Self {
-        let head = (0..VL).map(|k| vec![0.0; (VL - k) * s + 2]).collect();
-        let tail = (0..VL).map(|i| vec![0.0; (i + 1) * s + 2]).collect();
         Scratch1d {
-            head,
-            tail,
+            planes: vec![0.0; 2 * (VL * s + 2)],
             ring: [Pack::splat(0.0); RING_CAP],
             o_prev: Pack::splat(0.0),
         }
@@ -145,9 +148,11 @@ impl<const VL: usize> Scratch1d<VL> {
 ///
 /// The steady state computes in `isa`'s registers, and the codegen context
 /// is the caller's: baseline x86-64 for `Packs`, a [`crate::t1d_avx2`]
-/// sandwich for `Ymm`. `REGS` lets the strides in [`REGISTER_STRIDES`]
-/// keep their ring in registers (what only `Ymm` has); `COUNT` enables
-/// reorganization-instruction accounting (see [`tempora_simd::count`]).
+/// sandwich for `Ymm` (`VL = 4`) and `Zmm` (`VL = 8`). `REGS` lets the
+/// strides in [`REGISTER_STRIDES`] (at eight lanes:
+/// [`ZMM_REGISTER_STRIDES`]) keep their ring in registers (what only the
+/// `std::arch` forms have); `COUNT` enables reorganization-instruction
+/// accounting (see [`tempora_simd::count`]).
 ///
 /// # Panics
 /// Panics if `s` is illegal for the kernel or `n < VL·s` (no vector
@@ -223,12 +228,46 @@ where
         11 => ring_sweep::<12, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
         12 => ring_sweep::<13, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
         13 => ring_sweep::<14, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+        // The 32 `zmm` registers hold the widest rings too.
+        14 if VL == 8 => {
+            ring_sweep::<15, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+        }
+        15 if VL == 8 => {
+            ring_sweep::<16, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+        }
+        16 if VL == 8 => {
+            ring_sweep::<17, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+        }
         _ => {
-            debug_assert!(!REGISTER_STRIDES.contains(&s), "no arm for stride {s}");
+            let regs = if VL == 8 {
+                ZMM_REGISTER_STRIDES
+            } else {
+                REGISTER_STRIDES
+            };
+            debug_assert!(!regs.contains(&s), "no arm for stride {s}");
             ring_sweep::<0, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
         }
     }
 }
+
+/// `$body` once per ring slot `$k = 0, 1, …, R - 1`, written out: the
+/// unroll [`ring_sweep`]'s register ring rests on is the source's, not
+/// LLVM's, whose threshold once kept the sixteen-slot ring of `s = 15`
+/// rolled and on the stack. The guards on the constant `R` fold away.
+macro_rules! for_each_slot {
+    ($R:ident, $k:ident => $body:block) => {
+        for_each_slot!(@ $R, $k, $body, 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@ $R:ident, $k:ident, $body:block, $($slot:literal)*) => {$(
+        if $slot < $R {
+            let $k: usize = $slot;
+            $body
+        }
+    )*};
+}
+
+// `for_each_slot!` writes out exactly the slots of the widest ring.
+const _: () = assert!(RING_CAP == 17);
 
 /// The steady-state body, written once. `R = s + 1` is the ring length as
 /// a constant: whole chunks of `R` iterations run unrolled with the ring
@@ -272,40 +311,26 @@ where
     assert!(n - 1 + VL * s < a.len());
     let kern = *kern; // by value: the coefficient splats hoist
     let mut o_prev = isa.load(o_prev);
-    // One iteration: the kernel's fused tree on `west, v0, vp1`; the
-    // finished top lane a[t+VL][x] is stored (line 12), and V(x+s) — one
-    // rotate, one blend of the fresh bottom (lines 13-14) — returned with
-    // O(x).
-    let step = |a: &mut [f64], i: usize, west: L::V, v0: L::V, vp1: L::V| {
-        let o = kern.pack(isa, west, v0, vp1);
-        if COUNT {
-            count::record_output(1);
-            count::record(Op::ScalarExtract, 1);
-            count::record(Op::CrossLane, 1); // vrotate
-            count::record(Op::InLane, 1); // vblend
-            count::record(Op::ScalarInsert, 1);
-        }
-        // SAFETY: `i < n` at both call sites, so `i` and `i + VL·s` are in
-        // bounds by the hoisted `assert!(n - 1 + VL * s < a.len())` above.
-        unsafe {
-            *a.get_unchecked_mut(i) = isa.top(o);
-            (o, isa.shift_up_insert(o, *a.get_unchecked(i + VL * s)))
-        }
-    };
     let mut i = 0;
     if R > 0 {
         // Slot of V(x0-1): r[k] = V(x0-1+i+k), and whole chunks leave the
         // rotation as it is.
         let rot = (x0 - 1) % R;
         let mut r = [o_prev; R];
+        // Loops this short LLVM unrolls itself (writing them out as well
+        // moves the four-lane chunks' register allocation for nothing).
         for k in 0..R {
             r[k] = isa.load(ring[(rot + k) % R]);
         }
         while i + R <= n {
-            for k in 0..R {
+            for_each_slot!(R, k => {
                 let west = if K::IS_GS { o_prev } else { r[k] };
-                (o_prev, r[k]) = step(a, i + k, west, r[(k + 1) % R], r[(k + 2) % R]);
-            }
+                let nb = (west, r[(k + 1) % R], r[(k + 2) % R]);
+                // SAFETY: `i + k < i + R ≤ n`, and `n - 1 + VL·s < a.len()`
+                // by the hoisted assertion above.
+                (o_prev, r[k]) =
+                    unsafe { ring_step::<VL, COUNT, K, L>(isa, &kern, a, i + k, s, nb) };
+            });
             i += R;
         }
         for k in 0..R {
@@ -322,7 +347,9 @@ where
         let vp1 = isa.load(ring[ip1]);
         let west = if K::IS_GS { o_prev } else { vm1 };
         let v;
-        (o_prev, v) = step(a, i, west, v0, vp1);
+        // SAFETY: `i < n`, and `n - 1 + VL·s < a.len()` by the hoisted
+        // assertion above.
+        (o_prev, v) = unsafe { ring_step::<VL, COUNT, K, L>(isa, &kern, a, i, s, (west, v0, vp1)) };
         // V(x+s) reuses the dead V(x-1) slot ((x+s) ≡ (x-1) mod s+1).
         ring[im1] = isa.store(v);
         vm1 = v0;
@@ -333,33 +360,58 @@ where
     isa.store(o_prev)
 }
 
+/// One iteration of [`ring_sweep`] at window index `i` (`a[i]` is the cell
+/// of its anchor): the kernel's fused tree on the operands
+/// `(west, V(x), V(x+1))`; the finished top lane `a[t+VL][x]` is stored
+/// (Algorithm 3 line 12), and `V(x+s)` — one rotate, one blend of the
+/// fresh bottom `a[i + VL·s]` (lines 13-14) — returned with `O(x)`.
+///
+/// A function and not a closure because it must carry
+/// `#[inline(always)]`: a closure is inlined only while LLVM's budget
+/// lasts, and once the `s = 14..=16` arms joined the eight-lane sandwich
+/// it was not: 272 call sites in the sandwich, which then ran at the
+/// speed of the libm `fma` cliff.
+///
+/// # Safety
+/// `i + VL·s < a.len()`.
+#[inline(always)]
+unsafe fn ring_step<const VL: usize, const COUNT: bool, K: Kernel1d, L: F64Lanes<VL>>(
+    isa: L,
+    kern: &K,
+    a: &mut [f64],
+    i: usize,
+    s: usize,
+    (west, v0, vp1): (L::V, L::V, L::V),
+) -> (L::V, L::V) {
+    let o = kern.pack(isa, west, v0, vp1);
+    if COUNT {
+        count::record_output(1);
+        count::record(Op::ScalarExtract, 1);
+        count::record(Op::CrossLane, 1); // vrotate
+        count::record(Op::InLane, 1); // vblend
+        count::record(Op::ScalarInsert, 1);
+    }
+    // SAFETY: `i < i + VL·s < a.len()` by the contract.
+    unsafe {
+        *a.get_unchecked_mut(i) = isa.top(o);
+        (o, isa.shift_up_insert(o, *a.get_unchecked(i + VL * s)))
+    }
+}
+
 /// Ring capacity of the phase API (supports strides up to 16).
 pub const RING_CAP: usize = 17;
-
-/// The initial Gauss-Seidel output vector `O(0)` — lane `i` holds the
-/// level-`i+1` value at `x = (VL-1-i)·s` (boundary value in the top lane)
-/// — assembled from the prologue's head planes.
-#[inline(always)]
-pub fn gs_initial_output<const VL: usize>(
-    boundary_l: f64,
-    s: usize,
-    scratch: &Scratch1d<VL>,
-) -> Pack<f64, VL> {
-    Pack::from_fn(|i| {
-        let x = (VL - 1 - i) * s;
-        if i == VL - 1 {
-            boundary_l
-        } else {
-            scratch.head[i + 1][x]
-        }
-    })
-}
 
 /// Phase 1 of a temporal sweep: scalar prologue triangles plus the strided
 /// gather of the initial input vectors `V(0) ..= V(s)` (Algorithm 3 lines
 /// 2-7) into the scratch ring (slot `j % (s+1)` holds `V(j)`), and the
 /// initial Gauss-Seidel output vector. Reads cells `0 ..= VL·s` of `a`,
 /// which starts at the halo cell, and writes only `scratch`.
+///
+/// Level `k = 1 .. VL` is computed over `x ∈ 1 ..= (VL-k)·s` from level
+/// `k - 1` (`a` itself for `k = 1`), and gathered as soon as it is done:
+/// lane `k` of `V(j)` is level `k` at `x = j + (VL-1-k)·s`, and lane
+/// `k - 1` of `O(0)` level `k` at `x = (VL-k)·s` (its top lane is the
+/// boundary value).
 #[inline(always)]
 pub fn tile_prologue<const VL: usize, K: Kernel1d>(
     a: &[f64],
@@ -367,59 +419,46 @@ pub fn tile_prologue<const VL: usize, K: Kernel1d>(
     s: usize,
     scratch: &mut Scratch1d<VL>,
 ) {
-    debug_assert!(scratch.head.len() >= VL);
     assert!(s < RING_CAP, "stride too large for the ring capacity");
     let boundary_l = a[0];
-
-    // Prologue: levels k = 1..VL-1 over x ∈ 1..=(VL-k)·s, scalar.
-    // head[k][x] = a[t+k][x]; head[0] is not used (level 0 lives in `a`).
+    let Scratch1d {
+        planes,
+        ring,
+        o_prev,
+    } = scratch;
+    let ring = &mut ring[..=s];
+    // Lane 0 of V(j): level 0 at x = j + (VL-1)·s (Algorithm 3 lines 5-7).
+    for (j, v) in ring.iter_mut().enumerate() {
+        v.0[0] = a[j + (VL - 1) * s];
+        // Off the hot path: records only into an active counting session.
+        count::record(Op::Gather, 1);
+    }
+    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
     for k in 1..VL {
         let hi = (VL - k) * s;
-        // Split so we can read head[k-1] while writing head[k].
-        let (lo_planes, hi_planes) = scratch.head.split_at_mut(k);
-        let plane = &mut hi_planes[0];
         plane[0] = boundary_l;
         if k == 1 {
             for x in 1..=hi {
                 plane[x] = kern.scalar(plane[x - 1], a[x - 1], a[x], a[x + 1]);
             }
         } else {
-            let below = &lo_planes[k - 1];
             for x in 1..=hi {
                 plane[x] = kern.scalar(plane[x - 1], below[x - 1], below[x], below[x + 1]);
             }
         }
+        for (j, v) in ring.iter_mut().enumerate() {
+            v.0[k] = plane[j + (VL - 1 - k) * s];
+        }
+        // §3.4: the newest-west operand is the previous output vector.
+        o_prev.0[k - 1] = plane[hi];
+        core::mem::swap(&mut below, &mut plane);
     }
-
-    // Initial input vectors V(0) ..= V(s) (Algorithm 3 lines 5-7):
-    // lane i of V(j) = level i at x = j + (VL-1-i)·s.
-    let ring_len = s + 1;
-    for j in 0..=s {
-        let v = Pack::<f64, VL>::from_fn(|i| {
-            let x = j + (VL - 1 - i) * s;
-            if i == 0 {
-                a[x]
-            } else if x == 0 {
-                boundary_l
-            } else {
-                scratch.head[i][x]
-            }
-        });
-        // Off the hot path: records only into an active counting session.
-        count::record(Op::Gather, 1);
-        scratch.ring[j % ring_len] = v;
-    }
-    // §3.4: the newest-west operand is the previous output vector.
-    scratch.o_prev = if K::IS_GS {
-        gs_initial_output::<VL>(boundary_l, s, scratch)
-    } else {
-        Pack::splat(0.0)
-    };
+    o_prev.0[VL - 1] = boundary_l;
 }
 
-/// Phase 3 of a temporal sweep: drain the surviving ring into the tail
-/// planes and finish every level scalar-wise up to `x = n` (Algorithm 3
-/// lines 16-22). The scratch ring must hold `V(j)` at slot `j % (s+1)` for
+/// Phase 3 of a temporal sweep: drain the surviving ring level by level
+/// and finish every level scalar-wise up to `x = n` (Algorithm 3 lines
+/// 16-22). The scratch ring must hold `V(j)` at slot `j % (s+1)` for
 /// `j ∈ x_max ..= x_max+s`, as left behind by the steady state. `a` is a
 /// window that starts at cell `first`; cells `x_max ..= n + 1` are
 /// touched.
@@ -433,44 +472,40 @@ pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
     scratch: &mut Scratch1d<VL>,
     x_max: usize,
 ) {
-    let Scratch1d { tail, ring, .. } = scratch;
+    let Scratch1d { planes, ring, .. } = scratch;
     // The window from cell x_max on: a[x - x_max] is cell x.
     let a = &mut a[x_max - first..];
     let ring_len = s + 1;
     let boundary_r = a[n + 1 - x_max];
+    // Level i re-based at x_max + (VL-1-i)·s: `plane`; level i-1: `below`.
+    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
-        // Extract the s+1 surviving lane values of level i.
+        // The s+1 surviving lane values of level i, at base ..= base + s.
         for j in x_max..=x_max + s {
-            let v = ring[j % ring_len];
-            tail[i][j + (VL - 1 - i) * s - base] = v.extract(i);
+            plane[j - x_max] = ring[j % ring_len].extract(i);
         }
         // Scalar completion of level i over x ∈ base+s+1 ..= n, reading
-        // level i-1 from tail[i-1] (or `a` when i == 1).
+        // level i-1 from `below` (based at base + s) or `a` when i == 1.
         let done_hi = base + s; // = x_max + (VL-i)·s
-        let (lo_planes, hi_planes) = tail.split_at_mut(i);
-        let plane = &mut hi_planes[0];
         for x in done_hi + 1..=n {
             let rel = x - base;
             let (bm1, b0, bp1) = if i == 1 {
                 let at = x - x_max;
                 (a[at - 1], a[at], a[at + 1])
             } else {
-                let below = &lo_planes[i - 1];
-                let bb = x - (base + s); // base_{i-1} = base + s
+                let bb = x - done_hi;
                 (below[bb - 1], below[bb], below[bb + 1])
             };
-            let west = plane[rel - 1];
-            plane[rel] = kern.scalar(west, bm1, b0, bp1);
+            plane[rel] = kern.scalar(plane[rel - 1], bm1, b0, bp1);
         }
-        // Right halo of the plane.
-        let rel_halo = n + 1 - base;
-        tail[i][rel_halo] = boundary_r;
+        // Right halo of the level.
+        plane[n + 1 - base] = boundary_r;
+        core::mem::swap(&mut below, &mut plane);
     }
 
-    // Final level VL over x ∈ x_max+1 ..= n, writing into `a`; tail[VL-1]
-    // is based at x_max like the window.
-    let below = &tail[VL - 1];
+    // Final level VL over x ∈ x_max+1 ..= n, writing into `a`; level
+    // VL-1 (`below`) is based at x_max like the window.
     for rel in 1..=n - x_max {
         let west = a[rel - 1]; // already level VL (GS) — unused for Jacobi
         a[rel] = kern.scalar(west, below[rel - 1], below[rel], below[rel + 1]);

@@ -1,21 +1,28 @@
-//! The AVX2 (`std::arch`) engine of the 1-D temporal sweeps (Jacobi *and*
-//! Gauss-Seidel): the codegen sandwiches around [`crate::t1d`].
+//! The `std::arch` engines of the 1-D temporal sweeps (Jacobi *and*
+//! Gauss-Seidel): the codegen sandwiches around [`crate::t1d`], AVX2 at
+//! four lanes and AVX-512 at eight.
 //!
 //! The sweep — prologue, steady state, epilogue — the scalar step, the
 //! kernels' vector formulas and the lane vocabulary they are written in
 //! are one `#[inline(always)]` *source*. The portable engine instantiates
-//! it for baseline x86-64 with `Packs`; this module instantiates it a
-//! second time inside `#[target_feature(enable = "avx2,fma")]` functions
-//! with [`Ymm`], whose methods are the exact AVX instruction mix the
-//! paper's §3.3 analysis assumes — `vfmadd231pd` for the stencil, one
-//! `vpermpd` (lane-crossing rotate) plus one `vblendpd` (in-lane) for the
+//! it for baseline x86-64 with `Packs`; this module instantiates it again
+//! inside `#[target_feature(enable = "avx2,fma")]` functions with [`Ymm`],
+//! whose methods are the exact AVX instruction mix the paper's §3.3
+//! analysis assumes — `vfmadd231pd` for the stencil, one `vpermpd`
+//! (lane-crossing rotate) plus one `vblendpd` (in-lane) for the
 //! input-vector production — and with the strides in [`REGISTER_STRIDES`]
-//! unrolled so that every ring slot is a `ymm` register. So the whole
-//! sweep is compiled for the ISA the plan resolved. Outside a feature
-//! context `f64::mul_add` is a call into libm's `fma`; inside it is one
-//! `vfmadd`. Both are the exactly-rounded fused operation, so results
-//! stay bit-identical to the portable engine (and therefore to the scalar
-//! reference) — do not move a phase back out of the feature context.
+//! unrolled so that every ring slot is a `ymm` register; and once more
+//! inside `#[target_feature(enable = "avx512f,avx2,fma")]` with [`Zmm`]
+//! at eight lanes — one `vpermpd zmm` plus one `k`-mask `vblendmpd` per
+//! output vector, the same two reorganisations at twice the width — with
+//! the strides in [`ZMM_REGISTER_STRIDES`] in `zmm` registers. So the
+//! whole sweep is compiled for the ISA the plan resolved. Outside a
+//! feature context `f64::mul_add` is a call into libm's `fma`; inside it
+//! is one `vfmadd`. Both are the exactly-rounded fused operation, so
+//! results stay bit-identical to the portable engine (and therefore to
+//! the scalar reference) — do not move a phase back out of the feature
+//! context. The scalar step of an AVX-512 plan runs in the AVX2 sandwich:
+//! a scalar `vfmadd` is the same instruction in either.
 //!
 //! Use [`crate::engine`] for transparent runtime dispatch.
 
@@ -24,7 +31,7 @@ use core::ops::RangeInclusive;
 use {
     crate::kernels::Kernel1d,
     crate::t1d::{self, Scratch1d},
-    tempora_simd::arch::Ymm,
+    tempora_simd::arch::{Ymm, Zmm},
 };
 
 /// The strides whose AVX2 steady state keeps the ring in registers: one
@@ -32,6 +39,11 @@ use {
 /// `t1d::steady_ring`). Every other stride runs the rolled loop over the
 /// in-memory ring: same results, under half the speed.
 pub const REGISTER_STRIDES: RangeInclusive<usize> = 2..=13;
+
+/// The strides whose AVX-512 steady state keeps the ring in registers:
+/// every stride the ring holds (`t1d::RING_CAP - 1`), since 32 `zmm`
+/// registers hold `s + 1 = 17` ring vectors beside the kernel's operands.
+pub const ZMM_REGISTER_STRIDES: RangeInclusive<usize> = 2..=16;
 
 /// The anchors `xs` of one Heat-1D or GS-1D temporal sweep
 /// ([`t1d::sweep_body`]'s contract) compiled for AVX2+FMA end to end, computing
@@ -72,8 +84,46 @@ pub(crate) fn sweep<const COUNT: bool, K: Kernel1d>(
     unsafe { sandwich::<COUNT, K>(isa, a, first, n, kern, s, scratch, xs) }
 }
 
+/// [`sweep`] at eight lanes: the same anchors contract, compiled for
+/// AVX-512F+AVX2+FMA end to end and computing in `isa`, the proof that
+/// they are available.
+#[cfg(target_arch = "x86_64")]
+// Justification: `t1d::sweep_body`'s contract, argument for argument.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_zmm<const COUNT: bool, K: Kernel1d>(
+    isa: Zmm,
+    a: &mut [f64],
+    first: usize,
+    n: usize,
+    kern: &K,
+    s: usize,
+    scratch: &mut Scratch1d<8>,
+    xs: RangeInclusive<usize>,
+) {
+    /// # Safety
+    /// Caller must ensure AVX-512F+AVX2+FMA are available
+    /// (`tempora_simd::arch::avx512_available()`).
+    // Justification: `t1d::sweep_body`'s contract, argument for argument.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn sandwich<const COUNT: bool, K: Kernel1d>(
+        isa: Zmm,
+        a: &mut [f64],
+        first: usize,
+        n: usize,
+        kern: &K,
+        s: usize,
+        scratch: &mut Scratch1d<8>,
+        xs: RangeInclusive<usize>,
+    ) {
+        t1d::sweep_body::<8, COUNT, true, K, Zmm>(isa, a, first, n, kern, s, scratch, xs);
+    }
+    // SAFETY: a `Zmm` exists only where AVX-512F+AVX2+FMA are available.
+    unsafe { sandwich::<COUNT, K>(isa, a, first, n, kern, s, scratch, xs) }
+}
+
 /// [`t1d::scalar_cells`] compiled for AVX2+FMA (step remainders and scalar
-/// sweeps of a plan that resolved the AVX2 engine).
+/// sweeps of a plan that resolved either `std::arch` engine).
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn scalar_sweep<K: Kernel1d>(
     _isa: Ymm,
@@ -102,30 +152,48 @@ pub(crate) fn scalar_sweep<K: Kernel1d>(
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{tests::run_whole, Engine};
+    use super::ZMM_REGISTER_STRIDES;
+    use crate::engine::{tests::run_whole, Engine, KernelSpace};
     use crate::kernels::{GsKern1d, JacobiKern1d};
     use tempora_grid::{fill_random_1d, Boundary, Grid1};
     use tempora_stencil::{reference, Gs1dCoeffs, Heat1dCoeffs};
 
+    /// The `std::arch` columns this host runs: AVX2 at `s = 2..=7` and the
+    /// steps around its four lanes, AVX-512 at every stride its registers
+    /// hold and the steps around eight.
+    fn columns() -> Vec<(Engine, Vec<usize>, [usize; 3])> {
+        let mut columns = vec![];
+        if tempora_simd::arch::avx2_available() {
+            columns.push((Engine::Avx2, Vec::from_iter(2..=7), [4, 8, 13]));
+        }
+        if tempora_simd::arch::avx512_available() {
+            columns.push((
+                Engine::Avx512,
+                Vec::from_iter(ZMM_REGISTER_STRIDES),
+                [8, 13, 16],
+            ));
+        }
+        columns
+    }
+
     #[test]
     fn avx2_engine_matches_reference_bitwise() {
-        if !tempora_simd::arch::avx2_available() {
-            return;
-        }
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
-        for &n in &[16usize, 63, 200, 1000] {
-            for s in 2..=7 {
-                for steps in [4usize, 8, 13] {
-                    let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.4));
-                    fill_random_1d(&mut g, (n + s + steps) as u64, -1.0, 1.0);
-                    let ours = run_whole(Engine::Avx2, &g, &kern, steps, s);
-                    let gold = reference::heat1d(&g, c, steps);
-                    assert!(
-                        ours.interior_eq(&gold),
-                        "n={n} s={s} steps={steps} {:?}",
-                        ours.first_diff(&gold)
-                    );
+        for (engine, strides, all_steps) in columns() {
+            for &n in &[16usize, 63, 200, 1000] {
+                for &s in &strides {
+                    for steps in all_steps {
+                        let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.4));
+                        fill_random_1d(&mut g, (n + s + steps) as u64, -1.0, 1.0);
+                        let ours = run_whole(engine, &g, &kern, steps, s);
+                        let gold = reference::heat1d(&g, c, steps);
+                        assert!(
+                            ours.interior_eq(&gold),
+                            "{engine:?} n={n} s={s} steps={steps} {:?}",
+                            ours.first_diff(&gold)
+                        );
+                    }
                 }
             }
         }
@@ -133,33 +201,33 @@ mod tests {
 
     #[test]
     fn gs1d_avx2_matches_reference_bitwise() {
-        if !tempora_simd::arch::avx2_available() {
-            return;
-        }
         let c = Gs1dCoeffs::new(0.4, 0.35, 0.25);
         let kern = GsKern1d(c);
-        for &n in &[16usize, 63, 200, 777] {
-            for s in 2..=7 {
-                for steps in [4usize, 8, 13] {
-                    let mut g = Grid1::new(n, 1, Boundary::Dirichlet(-0.3));
-                    fill_random_1d(&mut g, (2 * n + s + steps) as u64, -1.0, 1.0);
-                    let ours = run_whole(Engine::Avx2, &g, &kern, steps, s);
-                    let gold = reference::gs1d(&g, c, steps);
-                    assert!(
-                        ours.interior_eq(&gold),
-                        "n={n} s={s} steps={steps} {:?}",
-                        ours.first_diff(&gold)
-                    );
+        for (engine, strides, all_steps) in columns() {
+            for &n in &[16usize, 63, 200, 777] {
+                for &s in &strides {
+                    for steps in all_steps {
+                        let mut g = Grid1::new(n, 1, Boundary::Dirichlet(-0.3));
+                        fill_random_1d(&mut g, (2 * n + s + steps) as u64, -1.0, 1.0);
+                        let ours = run_whole(engine, &g, &kern, steps, s);
+                        let gold = reference::gs1d(&g, c, steps);
+                        assert!(
+                            ours.interior_eq(&gold),
+                            "{engine:?} n={n} s={s} steps={steps} {:?}",
+                            ours.first_diff(&gold)
+                        );
+                    }
                 }
             }
-        }
-        // Degenerate n < VL·s falls back to the portable tile.
-        for n in 1..=15 {
-            let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.1));
-            fill_random_1d(&mut g, n as u64, -1.0, 1.0);
-            let ours = run_whole(Engine::Avx2, &g, &kern, 8, 4);
-            let gold = reference::gs1d(&g, c, 8);
-            assert!(ours.interior_eq(&gold), "n={n}");
+            // Degenerate n < VL·s runs scalar steps, in the engine's
+            // codegen context.
+            for n in 1..GsKern1d::vl(engine) * 4 {
+                let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.1));
+                fill_random_1d(&mut g, n as u64, -1.0, 1.0);
+                let ours = run_whole(engine, &g, &kern, 8, 4);
+                let gold = reference::gs1d(&g, c, 8);
+                assert!(ours.interior_eq(&gold), "{engine:?} n={n}");
+            }
         }
     }
 }

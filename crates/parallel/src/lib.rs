@@ -559,7 +559,7 @@ impl Pool {
                     break v - 1;
                 }
                 spins = spins.wrapping_add(1);
-                if spins % 64 == 0 {
+                if spins.is_multiple_of(64) {
                     // Keep oversubscribed pools (threads > cores) live.
                     std::thread::yield_now();
                 } else {
@@ -571,7 +571,7 @@ impl Pool {
                 // panic with a task-graph snapshot instead of spinning
                 // forever (the panic is then contained like any other).
                 if let Some((timeout, last_cursor, since)) = watch.as_mut() {
-                    if spins % 1024 == 0 {
+                    if spins.is_multiple_of(1024) {
                         // Ordering: Relaxed — the cursor is read only as a
                         // progress heartbeat; publication ordering is
                         // carried by the slot loads above.

@@ -16,7 +16,7 @@
 
 use crate::{PlanError, State};
 use tempora_baseline::{dlt, reorg};
-use tempora_core::engine::{Engine, KernelSpace};
+use tempora_core::engine::{Codegen, Engine, KernelSpace};
 use tempora_grid::{Grid1, Grid2, Grid3};
 use tempora_parallel::Pool;
 use tempora_stencil::Heat1dCoeffs;
@@ -100,11 +100,11 @@ pub(crate) struct Reorg1d {
 impl Exec for Reorg1d {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = Grid1::from_state(state)?;
-        *g = match self.isa {
+        *g = match self.isa.codegen() {
             _ if self.counted => reorg::heat1d_counted(g, self.coeffs, self.steps),
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => reorg::heat1d_avx2(g, self.coeffs, self.steps),
-            _ => reorg::heat1d(g, self.coeffs, self.steps),
+            Codegen::Avx2(_) => reorg::heat1d_avx2(g, self.coeffs, self.steps),
+            Codegen::Baseline => reorg::heat1d(g, self.coeffs, self.steps),
         };
         Ok(())
     }
@@ -121,10 +121,10 @@ pub(crate) struct Dlt1d {
 impl Exec for Dlt1d {
     fn run(&mut self, state: &mut State, _pool: &Pool) -> Result<(), PlanError> {
         let g = Grid1::from_state(state)?;
-        *g = match self.isa {
+        *g = match self.isa.codegen() {
             #[cfg(target_arch = "x86_64")]
-            Engine::Avx2 => dlt::heat1d_avx2(g, self.coeffs, self.steps),
-            _ => dlt::heat1d(g, self.coeffs, self.steps),
+            Codegen::Avx2(_) => dlt::heat1d_avx2(g, self.coeffs, self.steps),
+            Codegen::Baseline => dlt::heat1d(g, self.coeffs, self.steps),
         };
         Ok(())
     }

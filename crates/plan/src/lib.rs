@@ -83,10 +83,13 @@ mod tests {
 
     #[test]
     fn default_1d_strides_are_register_specialised() {
-        // The 1-D defaults are only fast because the AVX2 steady states
-        // instantiate them with the ring in registers; change a default
-        // and the specialised set together (`repro ablate-stride` measures
-        // both). An explicit stride is honoured and reported as given.
+        // The 1-D defaults are only fast because the `std::arch` steady
+        // states instantiate them with the ring in registers; change a
+        // default and the specialised set together (`repro ablate-stride`
+        // measures both). Each engine has its own default: the four-lane
+        // one's in `REGISTER_STRIDES`, the eight-lane one's in
+        // `ZMM_REGISTER_STRIDES`. An explicit stride is honoured and
+        // reported as given.
         use tempora_core::{lcs_avx2, t1d_avx2};
         use tempora_stencil::Gs1dCoeffs;
         let heat = Problem::heat1d(4096, 8, Heat1dCoeffs::classic(0.25));
@@ -106,18 +109,64 @@ mod tests {
                 yblock: 32,
             },
         );
-        for (problem, tiling, set) in [
-            (&heat, Tiling::None, t1d_avx2::REGISTER_STRIDES),
-            (&heat, ghost, t1d_avx2::REGISTER_STRIDES),
-            (&gs, Tiling::None, t1d_avx2::REGISTER_STRIDES),
-            (&gs, skew, t1d_avx2::REGISTER_STRIDES),
-            (&lcs, Tiling::None, lcs_avx2::REGISTER_STRIDES),
-            (&lcs, rect, lcs_avx2::REGISTER_STRIDES),
+        let avx2 = tempora_simd::arch::avx2_available().then_some(Select::Avx2);
+        for sel in [Some(Select::Auto), avx2].into_iter().flatten() {
+            for (problem, tiling) in [
+                (&heat, Tiling::None),
+                (&heat, ghost),
+                (&gs, Tiling::None),
+                (&gs, skew),
+                (&lcs, Tiling::None),
+                (&lcs, rect),
+            ] {
+                let b = PlanBuilder::new().tiling(tiling).select(sel);
+                let plan = b.build(problem).unwrap();
+                let set = match (problem, plan.engine()) {
+                    (Problem::Lcs { .. }, _) => lcs_avx2::REGISTER_STRIDES,
+                    (_, Some(Engine::Avx512)) => t1d_avx2::ZMM_REGISTER_STRIDES,
+                    _ => t1d_avx2::REGISTER_STRIDES,
+                };
+                let s = plan.stride();
+                assert!(
+                    set.contains(&s),
+                    "{problem:?} {tiling:?} {sel:?}: default {s}"
+                );
+                assert_eq!(b.stride(3).build(problem).unwrap().stride(), 3);
+            }
+        }
+        // The one table of 1-D defaults (`KernelSpace::default_stride`),
+        // both forms, on any host.
+        use tempora_core::engine::KernelSpace;
+        use tempora_core::kernels::{GsKern1d, JacobiKern1d};
+        for (engine, set) in [
+            (Engine::Avx2, t1d_avx2::REGISTER_STRIDES),
+            (Engine::Avx512, t1d_avx2::ZMM_REGISTER_STRIDES),
         ] {
-            let b = PlanBuilder::new().tiling(tiling);
-            let s = b.build(problem).unwrap().stride();
-            assert!(set.contains(&s), "{problem:?} {tiling:?}: default {s}");
-            assert_eq!(b.stride(3).build(problem).unwrap().stride(), 3);
+            for s in [
+                JacobiKern1d::default_stride(engine),
+                GsKern1d::default_stride(engine),
+            ] {
+                assert!(set.contains(&s), "{engine:?}: default {s}");
+            }
+        }
+        // Both forms are reached by plans: the eight-lane defaults where
+        // the host has AVX-512F (and `auto` takes it), the four-lane ones
+        // under `avx2` and for a run eight lanes would leave scalar levels
+        // in. Heat-1D's differ (13, 10), GS-1D's coincide (7).
+        if tempora_simd::arch::avx512_available() {
+            for (problem, strides) in [(&heat, (13, 10)), (&gs, (7, 7))] {
+                let wide = PlanBuilder::new().build(problem).unwrap();
+                assert_eq!(wide.engine(), Some(Engine::Avx512), "{problem:?}");
+                let narrow = PlanBuilder::new()
+                    .select(Select::Avx2)
+                    .build(problem)
+                    .unwrap();
+                assert_eq!(narrow.engine(), Some(Engine::Avx2), "{problem:?}");
+                assert_eq!((wide.stride(), narrow.stride()), strides, "{problem:?}");
+            }
+            let twelve = Problem::heat1d(4096, 12, Heat1dCoeffs::classic(0.25));
+            let plan = PlanBuilder::new().build(&twelve).unwrap();
+            assert_eq!((plan.engine(), plan.stride()), (Some(Engine::Avx2), 10));
         }
     }
 

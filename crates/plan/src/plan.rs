@@ -13,8 +13,20 @@ use tempora_simd::count;
 use tempora_tiling::{LcsRect, Mode, Sweeps};
 
 /// What the builder hands [`Plan`]: the executor, the engine it resolved
-/// (temporal methods only) and the tile geometry (tiled plans only).
-type Built = (Box<dyn Exec>, Option<Engine>, Option<TileGeometry>);
+/// (temporal methods only), the tile geometry (tiled plans only) and the
+/// temporal stride.
+type Built = (Box<dyn Exec>, Option<Engine>, Option<TileGeometry>, usize);
+
+/// The lane count tile heights are validated against: the integer Life
+/// kernel's 8, the four `f64` lanes of every other kind (an eight-lane
+/// 1-D plan validates as four: the rule is on the wire).
+fn tile_vl(problem: &Problem) -> usize {
+    if matches!(problem, Problem::Life { .. }) {
+        8
+    } else {
+        4
+    }
+}
 
 /// The vectorization scheme a plan executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -177,11 +189,12 @@ impl PlanBuilder {
         self
     }
 
-    /// Set the temporal space stride `s`. The default is per kind: the
-    /// paper's 2 in 2-D/3-D, and in 1-D the start of the measured plateau
-    /// of the register-ring steady states (`repro ablate-stride`) — 10 for
-    /// Heat-1D, 7 for GS-1D, 2 for LCS. [`Plan::stride`] reports what a
-    /// built plan runs.
+    /// Set the temporal space stride `s`. The default is per kind and
+    /// resolved engine ([`KernelSpace::default_stride`]): the paper's 2 in
+    /// 2-D/3-D, and in 1-D the start of the measured plateau of the
+    /// register-ring steady states (`repro ablate-stride`) — for Heat-1D
+    /// 10 at four lanes and 13 at eight, 7 for GS-1D; 2 for LCS.
+    /// [`Plan::stride`] reports what a built plan runs.
     pub fn stride(mut self, stride: usize) -> PlanBuilder {
         self.stride = Some(stride);
         self
@@ -205,30 +218,10 @@ impl PlanBuilder {
         self
     }
 
-    /// Default temporal stride per problem kind. The 1-D values are
-    /// measured, not the paper's host's: each is the smallest
-    /// register-specialised stride within 3 % of its kind's plateau in
-    /// `repro ablate-stride` on this repo's benchmark geometry (a unit
-    /// test ties them to the engines' specialised sets). Heat-1D's chain
-    /// advances `s - 1` iterations per hop and levels off at 10; GS-1D is
-    /// bound by its output chain from 7, and a wider stride would only
-    /// raise the skew tiling's minimum block. The six slab kinds and LCS
-    /// are measured by the same target: a slab ring of `s + 2` slabs
-    /// lives in memory at any stride, so the minimum legal stride 2 (the
-    /// narrowest ring, the shortest boundary phases) is the fastest of
-    /// 2 ..= 4 for all six, and LCS peaks at 2. Tiling does not enter: a
-    /// tiled plan runs the same sweeps, cut into chunks.
-    fn default_stride(&self, problem: &Problem) -> usize {
-        match problem {
-            Problem::Heat1d { .. } => 10,
-            Problem::Gs1d { .. } => 7,
-            _ => 2,
-        }
-    }
-
     /// Compile `problem` into a [`Plan`]: validate the configuration,
-    /// resolve the engine and tile geometry once, and allocate the thread
-    /// pool and every scratch arena the execution will need.
+    /// resolve the engine, the stride and the tile geometry once, and
+    /// allocate the thread pool and every scratch arena the execution will
+    /// need.
     ///
     /// # Errors
     /// Any invalid configuration returns a descriptive [`PlanError`];
@@ -250,16 +243,14 @@ impl PlanBuilder {
         if self.select == Select::Avx2 && !tempora_simd::arch::avx2_available() {
             return Err(PlanError::Avx2Unavailable);
         }
-        let s = match self.stride {
-            Some(0) => return Err(PlanError::ZeroStride),
-            Some(s) => s,
-            None => self.default_stride(problem),
-        };
+        if self.stride == Some(0) {
+            return Err(PlanError::ZeroStride);
+        }
         self.check_method(problem)?;
-        self.check_tiling(problem, s)?;
+        self.check_tiling(problem)?;
         self.check_count(problem)?;
 
-        let (mut exec, engine, tiles) = self.build_exec(problem, s)?;
+        let (mut exec, engine, tiles, s) = self.build_exec(problem)?;
         // Pool first, then first-touch: the workspaces re-allocate their
         // scratch arenas from pool workers. A one-thread pool is the
         // calling thread, which allocated them in `build_exec` already.
@@ -308,8 +299,9 @@ impl PlanBuilder {
         }
     }
 
-    /// Tiling × problem/method legality plus tile-geometry checks.
-    fn check_tiling(&self, problem: &Problem, s: usize) -> Result<(), PlanError> {
+    /// Tiling × problem/method legality plus the tile-geometry checks that
+    /// do not depend on the stride ([`PlanBuilder::check_block`] does).
+    fn check_tiling(&self, problem: &Problem) -> Result<(), PlanError> {
         let reject = |why| {
             Err(PlanError::TilingUnsupported {
                 tiling: self.tiling,
@@ -347,28 +339,11 @@ impl PlanBuilder {
                 if block == 0 {
                     return Err(PlanError::ZeroTileExtent);
                 }
-                let vl = if matches!(problem, Problem::Life { .. }) {
-                    8
-                } else {
-                    4
-                };
+                let vl = tile_vl(problem);
                 if height < vl || height % vl != 0 {
                     return Err(PlanError::BadTileHeight { height, vl });
                 }
-                // The skewed bands' wave-disjointness bound,
-                // height + VL·s + VL (stride 0 for the scalar method). The
-                // pipelined sweeps need only VL·s and widen to it
-                // themselves, but the rule is part of the validated
-                // surface (`BlockTooNarrow` is on the wire), so it stays.
-                let s_eff = if self.method == Method::Temporal {
-                    s
-                } else {
-                    0
-                };
-                match height + vl * s_eff + vl {
-                    min if skew && block < min => Err(PlanError::BlockTooNarrow { block, min }),
-                    _ => Ok(()),
-                }
+                Ok(())
             }
             Tiling::LcsRect { xblock, yblock } => {
                 if !matches!(problem, Problem::Lcs { .. }) {
@@ -379,6 +354,28 @@ impl PlanBuilder {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// The skewed bands' wave-disjointness bound, `height + VL·s + VL`
+    /// (stride 0 for the scalar method), checked once the stride is
+    /// resolved. The pipelined sweeps need only `VL·s` and widen to it
+    /// themselves, but the rule is part of the validated surface
+    /// (`BlockTooNarrow` is on the wire), so it stays — with `VL` the
+    /// four lanes it was written for, whatever engine the plan resolves.
+    fn check_block(&self, problem: &Problem, s: usize) -> Result<(), PlanError> {
+        let Tiling::Skew { block, height } = self.tiling else {
+            return Ok(());
+        };
+        let vl = tile_vl(problem);
+        let s_eff = if self.method == Method::Temporal {
+            s
+        } else {
+            0
+        };
+        match height + vl * s_eff + vl {
+            min if block < min => Err(PlanError::BlockTooNarrow { block, min }),
+            _ => Ok(()),
         }
     }
 
@@ -408,57 +405,65 @@ impl PlanBuilder {
         }
     }
 
-    /// Construct the executor, resolved engine and tile geometry.
-    fn build_exec(&self, problem: &Problem, s: usize) -> Result<Built, PlanError> {
-        let (dims, steps) = (problem.extents(), problem.steps());
+    /// Construct the executor, resolved engine, tile geometry and stride.
+    fn build_exec(&self, problem: &Problem) -> Result<Built, PlanError> {
+        let p = problem;
         match *problem {
             Problem::Heat1d {
-                coeffs, boundary, ..
-            } => match self.method {
-                Method::Reorg => Ok((
-                    Box::new(Reorg1d {
+                n,
+                steps,
+                coeffs,
+                boundary,
+            } => {
+                let isa = self.isa();
+                let baseline: Box<dyn Exec> = match self.method {
+                    Method::Reorg => Box::new(Reorg1d {
                         coeffs,
                         steps,
-                        isa: self.isa(),
+                        isa,
                         counted: self.count_reorg,
                     }),
-                    None,
-                    None,
-                )),
-                Method::Dlt => Ok((
-                    Box::new(Dlt1d {
-                        coeffs,
-                        steps,
-                        isa: self.isa(),
-                    }),
-                    None,
-                    None,
-                )),
-                _ => self.plan_grid(JacobiKern1d(coeffs), dims, boundary, steps, s),
-            },
+                    Method::Dlt => Box::new(Dlt1d { coeffs, steps, isa }),
+                    _ => return self.plan_grid(p, JacobiKern1d(coeffs), boundary),
+                };
+                // The baselines run no temporal sweep; they report the
+                // stride a temporal plan of the problem would run.
+                let (_, s) = self.resolve::<JacobiKern1d>(n, steps);
+                Ok((baseline, None, None, s))
+            }
             Problem::Gs1d {
                 coeffs, boundary, ..
-            } => self.plan_grid(GsKern1d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(p, GsKern1d(coeffs), boundary),
             Problem::Heat2d {
                 coeffs, boundary, ..
-            } => self.plan_grid(JacobiKern2d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(p, JacobiKern2d(coeffs), boundary),
             Problem::Box2d {
                 coeffs, boundary, ..
-            } => self.plan_grid(BoxKern2d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(p, BoxKern2d(coeffs), boundary),
             Problem::Gs2d {
                 coeffs, boundary, ..
-            } => self.plan_grid(GsKern2d(coeffs), dims, boundary, steps, s),
-            Problem::Life { rule, boundary, .. } => {
-                self.plan_grid(LifeKern2d(rule), dims, boundary, steps, s)
-            }
+            } => self.plan_grid(p, GsKern2d(coeffs), boundary),
+            Problem::Life { rule, boundary, .. } => self.plan_grid(p, LifeKern2d(rule), boundary),
             Problem::Heat3d {
                 coeffs, boundary, ..
-            } => self.plan_grid(JacobiKern3d(coeffs), dims, boundary, steps, s),
+            } => self.plan_grid(p, JacobiKern3d(coeffs), boundary),
             Problem::Gs3d {
                 coeffs, boundary, ..
-            } => self.plan_grid(GsKern3d(coeffs), dims, boundary, steps, s),
-            Problem::Lcs { la, lb } => self.plan_lcs(la, lb, s),
+            } => self.plan_grid(p, GsKern3d(coeffs), boundary),
+            Problem::Lcs { la, lb } => self.plan_lcs(la, lb),
         }
+    }
+
+    /// The engine kernel `K`'s temporal sweeps resolve to for `steps`
+    /// levels over `nx` outer slabs, and the stride they run: the one
+    /// given, else that engine's default. One resolution and one stride
+    /// table, both the kernel's ([`KernelSpace::resolve`],
+    /// [`KernelSpace::default_stride`]); tiling does not enter, since a
+    /// tiled plan runs the same sweeps, cut into chunks.
+    fn resolve<K: KernelSpace>(&self, nx: usize, steps: usize) -> (Engine, usize) {
+        let engine = K::resolve(self.select, nx, steps);
+        let s = self.stride.unwrap_or_else(|| K::default_stride(engine));
+        (engine, s)
     }
 
     /// Stride legality for the temporal method (spatial methods ignore
@@ -483,20 +488,24 @@ impl PlanBuilder {
     }
 
     /// The one grid builder, for any kernel, dimensionality, method and
-    /// tiling: the pipelined-sweep workspace. An untiled plan cuts each
-    /// sweep into one chunk and reports no tile geometry.
+    /// tiling: the pipelined-sweep workspace, built for the engine and
+    /// stride [`PlanBuilder::resolve`] gives (the spatial methods run in
+    /// the selection's codegen context instead and report no engine). An
+    /// untiled plan cuts each sweep into one chunk and reports no tile
+    /// geometry.
     fn plan_grid<K: KernelSpace>(
         &self,
+        problem: &Problem,
         kern: K,
-        dims: [usize; 3],
         bc: Boundary<Elem<K>>,
-        steps: usize,
-        s: usize,
     ) -> Result<Built, PlanError>
     where
         K::Grid: StateGrid,
     {
+        let (dims, steps) = (problem.extents(), problem.steps());
+        let (temporal, s) = self.resolve::<K>(dims[0], steps);
         self.check_stride::<K>(s)?;
+        self.check_block(problem, s)?;
         let (block, height) = match self.tiling {
             Tiling::None => (dims[0], None),
             Tiling::Ghost { block, height } | Tiling::Skew { block, height } => {
@@ -504,29 +513,32 @@ impl PlanBuilder {
             }
             Tiling::LcsRect { .. } => unreachable!("validated: LcsRect is LCS-only"),
         };
-        let mode = match self.method {
-            Method::Temporal => Mode::Temporal(s),
-            Method::Multiload => Mode::Auto,
-            Method::Scalar => Mode::Scalar,
+        let (mode, engine) = match self.method {
+            Method::Temporal => (Mode::Temporal(s), temporal),
+            Method::Multiload => (Mode::Auto, self.isa()),
+            Method::Scalar => (Mode::Scalar, self.isa()),
             Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
         };
-        let w = Sweeps::new(kern, dims, bc, steps, block, mode, self.select)
-            .count_reorg(self.count_reorg);
+        let w =
+            Sweeps::new(kern, dims, bc, steps, block, mode, engine).count_reorg(self.count_reorg);
         let geometry = height.map(|height| TileGeometry {
             tiles: w.chunks(),
             block: w.chunk(),
             height,
         });
         let engine = w.engine();
-        Ok((Box::new(Tiled(w)), engine, geometry))
+        Ok((Box::new(Tiled(w)), engine, geometry, s))
     }
 
     /// The one LCS builder: the rectangle wavefront, over one rectangle
-    /// when untiled. The AVX2 steady state needs a full 8-level `A` tile
-    /// and row segments hosting the vector schedule; a degenerate shape
-    /// runs the portable code in every engine — integer, so no slower for
-    /// it, unlike the grid kernels' `mul_add` — and reports portable.
-    fn plan_lcs(&self, la: usize, lb: usize, s: usize) -> Result<Built, PlanError> {
+    /// when untiled, at the stride given or 2 (the peak of `repro
+    /// ablate-stride`'s LCS rows). The AVX2 steady state needs a full
+    /// 8-level `A` tile and row segments hosting the vector schedule; a
+    /// degenerate shape runs the portable code in every engine — integer,
+    /// so no slower for it, unlike the grid kernels' `mul_add` — and
+    /// reports portable.
+    fn plan_lcs(&self, la: usize, lb: usize) -> Result<Built, PlanError> {
+        let s = self.stride.unwrap_or(2);
         let (xblock, yblock) = match self.tiling {
             // An empty sequence still builds (and has LCS length 0).
             Tiling::None => (la.max(1), lb.max(1)),
@@ -543,7 +555,7 @@ impl PlanBuilder {
             height: yblock,
         });
         let engine = w.engine();
-        Ok((Box::new(RectLcs(w)), engine, geometry))
+        Ok((Box::new(RectLcs(w)), engine, geometry, s))
     }
 
     /// The codegen context of the spatial methods (scalar, multi-load,

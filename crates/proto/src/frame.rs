@@ -29,7 +29,10 @@ use tempora_core::engine::Engine;
 /// redefined [`RunReply::digest`] (the word-wise lane-parallel fold of
 /// [`crate::digest`] replaced a byte-serial FNV-1a), so a version-2 peer
 /// gets that same typed error, never a digest that silently mismatches.
-pub const PROTO_VERSION: u8 = 3;
+/// Version 4 added engine byte 3 (`avx512`) to [`RunReply`], which a
+/// version-3 peer would reject as a malformed reply instead of the typed
+/// version error.
+pub const PROTO_VERSION: u8 = 4;
 
 /// Upper bound on one frame's body length (16 MiB). Length prefixes
 /// above this are rejected **before** any allocation.
@@ -211,6 +214,7 @@ impl RunReply {
             None => 0,
             Some(Engine::Portable) => 1,
             Some(Engine::Avx2) => 2,
+            Some(Engine::Avx512) => 3,
         });
         w.put_u64(self.steps);
         w.put_u32(self.threads);
@@ -244,6 +248,7 @@ impl RunReply {
             0 => None,
             1 => Some(Engine::Portable),
             2 => Some(Engine::Avx2),
+            3 => Some(Engine::Avx512),
             _ => return Err(DecodeError::BadValue { what: "engine tag" }),
         };
         let steps = r.u64()?;
@@ -837,10 +842,11 @@ mod tests {
 
     #[test]
     fn unknown_version_is_recoverable() {
-        // The previous version (whose `digest` meant something else) as
-        // much as a future one.
-        assert_eq!(PROTO_VERSION, 3);
-        for version in [2, PROTO_VERSION + 1] {
+        // The previous versions (version 3's replies knew no engine byte
+        // 3, version 2's `digest` meant something else) as much as a
+        // future one.
+        assert_eq!(PROTO_VERSION, 4);
+        for version in [2, 3, PROTO_VERSION + 1] {
             let mut body = Frame::SubmitProblem {
                 request_id: 9,
                 spec: spec(),
@@ -851,5 +857,55 @@ mod tests {
             assert_eq!(err, DecodeError::UnknownVersion { got: version });
             assert!(WireError::from(err).recoverable());
         }
+    }
+
+    #[test]
+    fn engine_bytes_are_pinned() {
+        let body = |engine| {
+            let reply = RunReply {
+                cache_hit: true,
+                plan_builds: 1,
+                resets: 0,
+                batched: 1,
+                engine,
+                steps: 32,
+                threads: 1,
+                pinned: false,
+                tiles: None,
+                lcs_length: None,
+                digest: 7,
+                server_ns: 9,
+            };
+            Frame::ReportReply {
+                request_id: 5,
+                reply,
+            }
+            .encode_body()
+        };
+        // The engine byte: where the encodings of two engines differ.
+        let none = body(None);
+        let at = (0..none.len())
+            .find(|&i| none[i] != body(Some(Engine::Avx512))[i])
+            .unwrap();
+        let engines = [
+            None,
+            Some(Engine::Portable),
+            Some(Engine::Avx2),
+            Some(Engine::Avx512),
+        ];
+        for (byte, engine) in engines.into_iter().enumerate() {
+            let encoded = body(engine);
+            assert_eq!(encoded[at], byte as u8, "{engine:?}");
+            let Ok(Frame::ReportReply { reply, .. }) = Frame::decode_body(&encoded) else {
+                panic!("{engine:?}: the reply does not decode");
+            };
+            assert_eq!(reply.engine, engine);
+        }
+        let mut unknown = none;
+        unknown[at] = 4;
+        assert_eq!(
+            Frame::decode_body(&unknown),
+            Err(DecodeError::BadValue { what: "engine tag" })
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! [`FrameAccum`].
 //!
 //! On the wire each frame is `len: u32le` followed by `len` body bytes;
-//! the body starts with `version: u8` ([`PROTO_VERSION`], currently 3)
+//! the body starts with `version: u8` ([`PROTO_VERSION`], currently 4)
 //! and `tag: u8`.
 //! Decoding is total: truncated bodies, oversized length prefixes
 //! (bounded by [`MAX_FRAME_LEN`]), unknown versions and unknown tags all

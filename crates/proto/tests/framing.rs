@@ -213,7 +213,8 @@ proptest! {
                 resets: seed % 3,
                 batched: 1 + (seed % 7) as u32,
                 engine: [None, Some(tempora_proto::Engine::Portable),
-                         Some(tempora_proto::Engine::Avx2)][(seed % 3) as usize],
+                         Some(tempora_proto::Engine::Avx2),
+                         Some(tempora_proto::Engine::Avx512)][(seed % 4) as usize],
                 steps: size % 1000,
                 threads: 1 + (sel % 8) as u32,
                 pinned: sel & 4 != 0,

@@ -11,11 +11,15 @@
 //! ([`crate::lanes`]): a token that proves AVX2+FMA available, whose safe
 //! methods are the `avx2` calls, so the measured kernels execute the
 //! instruction mix the paper reasons about and no crate above this one
-//! names an intrinsic or writes `unsafe` to reach one.
+//! names an intrinsic or writes `unsafe` to reach one. [`Zmm`] is the
+//! same at eight `f64` lanes: the AVX-512 token, whose methods are the
+//! same rotate-and-blend rule one register wider (`vpermpd zmm` plus a
+//! `k`-mask `vblendmpd`) — the paper's "irrelevant to the vector length"
+//! made an instantiation.
 //!
 //! Everything here is equivalence-tested against the portable model (see
-//! the tests at the bottom; they run on any x86-64 host with AVX2+FMA and
-//! are skipped elsewhere).
+//! the tests at the bottom; they run on any x86-64 host with AVX2+FMA —
+//! the `Zmm` rows on one with AVX-512F — and are skipped elsewhere).
 
 /// Returns true when the running CPU supports the AVX2+FMA fast paths.
 ///
@@ -33,6 +37,22 @@ pub fn avx2_available() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    }
+}
+
+/// Returns true when the running CPU supports the AVX-512F fast path — and
+/// with it AVX2+FMA ([`avx2_available`]), which the rest of an AVX-512
+/// plan runs on.
+///
+/// Always `false` off x86-64 and under Miri, like [`avx2_available`].
+pub fn avx512_available() -> bool {
+    #[cfg(any(miri, not(target_arch = "x86_64")))]
+    {
+        false
+    }
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        avx2_available() && std::arch::is_x86_feature_detected!("avx512f")
     }
 }
 
@@ -78,7 +98,7 @@ macro_rules! ymm_ops {
 #[cfg(target_arch = "x86_64")]
 use {
     crate::lanes::{F64Lanes, I32Lanes, Lanes},
-    crate::pack::{F64x4, I32x8},
+    crate::pack::{F64x4, I32x8, Pack},
     avx2::{__m256d, __m256i},
 };
 
@@ -170,6 +190,87 @@ impl I32Lanes<8> for Ymm {
         // SAFETY: see `Ymm`; the eight indices lie between the first and
         // the last, both checked above.
         unsafe { avx2::gather_u8_i32(src, base, stride) }
+    }
+}
+
+/// The AVX-512 register form of the `f64` lane vocabulary
+/// ([`crate::Lanes`], [`crate::F64Lanes`] at eight lanes): `zmm`
+/// registers, every method the one instruction the paper's §3.3 analysis
+/// names for it at that width — `vpermpd zmm` plus a `k`-mask `vblendmpd`
+/// for the rotate-and-blend rule, `vfmadd`/`vmulpd` for the arithmetic
+/// (`top` is the `vextractf64x4` of the upper half and its top lane).
+///
+/// A value is a proof that AVX-512F, AVX2 and FMA are available on the
+/// running CPU: only [`Zmm::detect`] makes one. That is the `SAFETY`
+/// argument of the `unsafe` block behind every method — intrinsics whose
+/// sole precondition is that availability, and for `load`/`store` the 64
+/// bytes of the pack they are given — and of every `#[target_feature]`
+/// function entered on the strength of a `Zmm` argument. Like [`Ymm`]'s,
+/// the methods are `#[inline(always)]` and reach their instructions by
+/// being inlined into such a function.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+pub struct Zmm(());
+
+#[cfg(target_arch = "x86_64")]
+impl Zmm {
+    /// The token, if the running CPU has AVX-512F, AVX2 and FMA
+    /// ([`avx512_available`]: never under Miri).
+    pub fn detect() -> Option<Zmm> {
+        avx512_available().then_some(Zmm(()))
+    }
+}
+
+/// `fn name(self, args) -> ret`: the AVX-512 intrinsics of `body`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! zmm_ops {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:expr;)*) => {$(
+        #[inline(always)]
+        fn $name(self, $($arg: $ty),*) -> $ret {
+            // SAFETY: see `Zmm`.
+            unsafe { $body }
+        }
+    )*};
+}
+
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{
+    __m512d, _mm256_extractf128_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd, _mm512_loadu_pd,
+    _mm512_mask_blend_pd, _mm512_mul_pd, _mm512_permutexvar_pd, _mm512_set1_pd, _mm512_setr_epi64,
+    _mm512_storeu_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+};
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<f64, 8> for Zmm {
+    type V = __m512d;
+
+    zmm_ops! {
+        load(p: Pack<f64, 8>) -> __m512d = _mm512_loadu_pd(p.0.as_ptr());
+        store(v: __m512d) -> Pack<f64, 8> = {
+            let mut out = Pack([0.0; 8]);
+            _mm512_storeu_pd(out.0.as_mut_ptr(), v);
+            out
+        };
+        splat(v: f64) -> __m512d = _mm512_set1_pd(v);
+        top(v: __m512d) -> f64 = {
+            let hi = _mm256_extractf128_pd::<1>(_mm512_extractf64x4_pd::<1>(v));
+            _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi))
+        };
+        // Lane j of the rotate is lane (j + 7) % 8; bit 0 of the mask
+        // takes lane 0 from the broadcast bottom.
+        shift_up_insert(v: __m512d, bottom: f64) -> __m512d = _mm512_mask_blend_pd(
+            1,
+            _mm512_permutexvar_pd(_mm512_setr_epi64(7, 0, 1, 2, 3, 4, 5, 6), v),
+            _mm512_set1_pd(bottom),
+        );
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl F64Lanes<8> for Zmm {
+    zmm_ops! {
+        mul(a: __m512d, b: __m512d) -> __m512d = _mm512_mul_pd(a, b);
+        fmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d = _mm512_fmadd_pd(a, b, c);
     }
 }
 
@@ -542,7 +643,7 @@ pub mod avx2 {
 #[allow(clippy::undocumented_unsafe_blocks)]
 mod tests {
     use super::avx2::*;
-    use super::{avx2_available, Ymm};
+    use super::{avx2_available, Ymm, Zmm};
     use crate::lanes::{F64Lanes, I32Lanes, Lanes, Packs};
     use crate::pack::{transpose, F64x4, I32x8, Pack};
 
@@ -660,6 +761,119 @@ mod tests {
         }
         assert_eq!(rows(ymm()), rows(Packs));
         assert_eq!(rows(Packs)[1], nan(0x42).to_bits());
+    }
+
+    /// The eight-lane rows: `Zmm` ≡ `Packs` bit for bit, on AVX-512 hosts.
+    fn zmm() -> Option<Zmm> {
+        Zmm::detect()
+    }
+
+    /// Eight lanes of odd values: NaN payloads of both signs, both zeros.
+    fn odd8() -> Pack<f64, 8> {
+        Pack([nan(0xbeef), -0.0, 0.0, -nan(1), 1.5, -2.25, nan(0x7), 8.0])
+    }
+
+    fn bits8(v: Pack<f64, 8>) -> [u64; 8] {
+        v.0.map(f64::to_bits)
+    }
+
+    #[test]
+    fn zmm_load_store_splat_top_match_packs() {
+        let Some(zmm) = zmm() else {
+            return;
+        };
+        fn rows<L: Lanes<f64, 8>>(isa: L) -> Vec<[u64; 8]> {
+            let odd = odd8();
+            let splats = odd.0.map(|k| bits8(isa.store(isa.splat(k))));
+            // `top` of a vector whose top lane is each odd value in turn.
+            let tops = odd.0.map(|t| {
+                let mut v = Pack([1.0; 8]);
+                v.0[7] = t;
+                isa.top(isa.load(v)).to_bits()
+            });
+            [vec![bits8(isa.store(isa.load(odd))), tops], splats.to_vec()].concat()
+        }
+        assert_eq!(rows(zmm), rows(Packs));
+        assert_eq!(rows(Packs)[0], bits8(odd8()));
+        assert_eq!(rows(Packs)[1], bits8(odd8()));
+        // The token implies the AVX2 one.
+        assert!(avx2_available() && Ymm::detect().is_some());
+    }
+
+    #[test]
+    fn zmm_shift_up_insert_matches_packs_in_every_lane() {
+        let Some(zmm) = zmm() else {
+            return;
+        };
+        fn rows<L: Lanes<f64, 8>>(isa: L) -> Vec<[u64; 8]> {
+            let bottoms = [-0.0, 0.0, -nan(1), 3.0];
+            let mut out = Vec::from(
+                bottoms.map(|b| bits8(isa.store(isa.shift_up_insert(isa.load(odd8()), b)))),
+            );
+            // Each lane of the rotate on its own: a one-hot vector moves
+            // its one up one lane, the top lane falls off.
+            for lane in 0..8 {
+                let mut v = Pack([0.0; 8]);
+                v.0[lane] = 1.0 + lane as f64;
+                out.push(bits8(isa.store(isa.shift_up_insert(isa.load(v), -0.0))));
+            }
+            out
+        }
+        assert_eq!(rows(zmm), rows(Packs));
+        let odd = odd8().0;
+        let mut want = [0.0; 8];
+        want[0] = -0.0;
+        want[1..].copy_from_slice(&odd[..7]);
+        assert_eq!(rows(Packs)[0], bits8(Pack(want)));
+        for lane in 0..7 {
+            assert_eq!(
+                rows(Packs)[4 + lane][lane + 1],
+                (1.0 + lane as f64).to_bits()
+            );
+        }
+        assert_eq!(
+            rows(Packs)[4 + 7],
+            bits8(Pack([-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        );
+    }
+
+    #[test]
+    fn zmm_mul_fmadd_match_packs() {
+        let Some(zmm) = zmm() else {
+            return;
+        };
+        // One NaN per operand in distinct lanes (the payload kept from the
+        // operand carrying it), and the zeros' signs.
+        fn rows<L: F64Lanes<8>>(isa: L) -> Vec<[u64; 8]> {
+            let a = isa.load(Pack([nan(0xc0ffee), 2.0, -0.0, -0.0, 1.5, -3.0, 0.1, 7.0]));
+            let b = isa.load(Pack([3.0, nan(0xf00d), 1.0, 1.0, -0.0, 0.25, 0.2, -1.0]));
+            let c = isa.load(Pack([0.5, 0.25, -0.0, 0.0, -0.0, nan(0x5), 0.3, 7.0]));
+            let fused = [[a, b, c], [b, c, a], [c, a, b]].map(|[x, y, z]| isa.fmadd(x, y, z));
+            let products = [[a, b], [b, c], [c, a]].map(|[x, y]| isa.mul(x, y));
+            Vec::from_iter(
+                fused
+                    .into_iter()
+                    .chain(products)
+                    .map(|v| bits8(isa.store(v))),
+            )
+        }
+        assert_eq!(rows(zmm), rows(Packs));
+        let first = rows(Packs)[0];
+        assert_eq!(
+            first[..4],
+            bits8(Pack([
+                nan(0xc0ffee),
+                nan(0xf00d),
+                -0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                0.0
+            ]))[..4]
+        );
+        // 0.1·0.2 + 0.3, rounded once.
+        assert_eq!(first[6], 0.1f64.mul_add(0.2, 0.3).to_bits());
     }
 
     #[test]

@@ -13,17 +13,21 @@
 //!   the portable pack operation: instruction selection is LLVM's;
 //! * [`crate::arch::Ymm`] — `ymm` registers and the exact AVX2
 //!   instructions the paper's §3.3 cost analysis names, one intrinsic per
-//!   method.
+//!   method;
+//! * [`crate::arch::Zmm`] — `zmm` registers at eight `f64` lanes
+//!   (`Lanes<f64, 8>` and `F64Lanes<8>` only): the same rule one register
+//!   wider, `vpermpd zmm` plus a `k`-mask `vblendmpd`.
 //!
 //! A wider register file is one more implementor, not one more copy of
-//! every steady state.
+//! every steady state: `Zmm` is exactly that, and the 1-D ring runs on it
+//! unchanged.
 //!
 //! Every method of every implementor is `#[inline(always)]` and written
 //! over explicit intrinsics or the packs' explicit lane loops: a steady
 //! state reaches its instructions only by being inlined, vocabulary
 //! included, into the codegen context of its engine (`cargo xtask audit`,
 //! rule `phase-inline`, guards the attributes). [`crate::arch`]'s tests
-//! hold the two implementors lane for lane equal.
+//! hold each implementor lane for lane equal to `Packs`.
 
 use crate::pack::{Pack, Scalar};
 

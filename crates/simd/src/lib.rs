@@ -17,8 +17,10 @@
 //!   rotate-and-blend production rule), [`F64Lanes`] and [`I32Lanes`]
 //!   (the kernels' arithmetic), and the portable implementor [`Packs`];
 //! * [`arch`] — `std::arch` AVX2 implementations of the hot operations,
-//!   equivalence-tested against the portable model, and the AVX2
-//!   implementor of the vocabulary, the [`arch::Ymm`] availability token.
+//!   equivalence-tested against the portable model, and the two `std::arch`
+//!   implementors of the vocabulary, the [`arch::Ymm`] (AVX2, four `f64`
+//!   lanes) and [`arch::Zmm`] (AVX-512, eight `f64` lanes) availability
+//!   tokens.
 //!
 //! ## Temporal lane convention (paper Figure 1)
 //!

@@ -73,18 +73,21 @@
 //!
 //! # Engine dispatch
 //!
-//! A temporal workspace resolves its [`Select`] **once**, by capability
-//! ([`KernelSpace::resolve`]: the kernel's AVX2 sweep at this stride and
-//! the CPU's features) — chunking does not change which code runs, so a
-//! narrow `block` forces nothing onto the scalar schedule — and reports
-//! the resolved [`Engine`]. That engine is the
-//! codegen context of everything a task executes; the scalar and
-//! multi-load modes report no engine but still follow the selection for
-//! theirs (`sel.resolve(true)`), so no sweep runs its `mul_add`s through
-//! libm `fma` calls when AVX2+FMA code was allowed.
+//! A temporal workspace is built for an [`Engine`] its caller resolved
+//! **once**, by capability ([`KernelSpace::resolve`]: the kernel's AVX2
+//! sweep and the CPU's features, and for the 1-D kinds under `Auto` the
+//! eight-lane AVX-512 sweep where the run's extent and step count make it
+//! pay) — chunking does not change which code runs, so a narrow `block`
+//! forces nothing onto the scalar schedule — and reports it. The one
+//! schedule is built from that engine's lane count ([`KernelSpace::vl`]:
+//! `VL` below), and that engine is the codegen context of everything a
+//! task executes; the scalar and multi-load modes report no engine but
+//! still run in the context they are given (`sel.resolve(true)`), so no
+//! sweep runs its `mul_add`s through libm `fma` calls when AVX2+FMA code
+//! was allowed.
 
 use core::ops::RangeInclusive;
-use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
+use tempora_core::engine::{Elem, Engine, KernelSpace};
 use tempora_grid::{Boundary, SlabGrid, Slabs, SlabsMut};
 use tempora_parallel::{Pool, SyncSlice};
 
@@ -97,8 +100,8 @@ pub enum Mode {
     /// Jacobi kernels only.
     Auto,
     /// Temporal vectorization with the given space stride (the paper's
-    /// "our" curves); the concrete steady state — portable or AVX2 — is
-    /// resolved from the workspace's [`Select`].
+    /// "our" curves); the concrete steady state is the workspace's
+    /// [`Engine`].
     Temporal(usize),
 }
 
@@ -157,19 +160,21 @@ struct Schedule {
 }
 
 impl Schedule {
-    fn new<K: KernelSpace>(nx: usize, steps: usize, block: usize, mode: Mode) -> Self {
+    /// The task grid of `steps` levels over `nx` outer slabs, the vector
+    /// sweeps `vl` levels each.
+    fn new(nx: usize, steps: usize, block: usize, mode: Mode, vl: usize) -> Self {
         let stride_reach = match mode {
-            Mode::Temporal(s) => K::VL * s,
+            Mode::Temporal(s) => vl * s,
             _ => 0,
         };
         // A grid below VL·s slabs cannot host the vector schedule.
         let reach = if nx >= stride_reach { stride_reach } else { 0 };
         let (vector, rest) = match mode {
-            Mode::Temporal(_) if reach > 0 => (steps / K::VL, SweepKind::Scalar),
+            Mode::Temporal(_) if reach > 0 => (steps / vl, SweepKind::Scalar),
             Mode::Auto => (0, SweepKind::Multiload),
             _ => (0, SweepKind::Scalar),
         };
-        let sweeps = vector + steps - vector * K::VL;
+        let sweeps = vector + steps - vector * vl;
         let x_max = if reach > 0 { nx + 1 - reach } else { nx };
         // At least VL·s: a vector part reads that far past its last
         // anchor, and must stay within the next chunk. At least 2: the
@@ -244,11 +249,11 @@ struct Slot<K: KernelSpace> {
 }
 
 impl<K: KernelSpace> Slot<K> {
-    fn new(dims: [usize; 3], sched: &Schedule, mode: Mode) -> Self {
+    fn new(dims: [usize; 3], sched: &Schedule, mode: Mode, engine: Engine) -> Self {
         let scalar = sched.rest == SweepKind::Scalar && sched.sweeps > sched.vector;
         Slot {
             sc: match mode {
-                Mode::Temporal(s) if sched.vector > 0 => Some(K::scratch(dims, s)),
+                Mode::Temporal(s) if sched.vector > 0 => Some(K::scratch(engine, dims, s)),
                 _ => None,
             },
             bufs: scalar.then(|| K::step_bufs(dims)),
@@ -373,9 +378,9 @@ mod hazards {
 }
 
 /// Reusable workspace of the in-place pipelined sweeps, for any kernel and
-/// dimensionality (see the [module docs](self)): schedule and engine
-/// resolved once in [`Sweeps::new`], scratch slots (and the multi-load
-/// twin) allocated once, then reused by every [`Sweeps::advance`] call —
+/// dimensionality (see the [module docs](self)): schedule built once in
+/// [`Sweeps::new`] for the engine it is given, scratch slots (and the
+/// multi-load twin) allocated once, then reused by every [`Sweeps::advance`] call —
 /// which allocates nothing and copies no slab of the grid.
 pub struct Sweeps<K: KernelSpace> {
     kern: K,
@@ -400,13 +405,17 @@ pub struct Sweeps<K: KernelSpace> {
 impl<K: KernelSpace> Sweeps<K> {
     /// Build a workspace for interior extents `dims` (outer first) with
     /// boundary `bc`, advancing `steps` levels per [`Sweeps::advance`] in
-    /// chunks of `block` anchors (widened to `max(VL·s, 2)`). For
-    /// [`Mode::Temporal`], `sel` picks the steady state (resolved here,
-    /// once, by capability).
+    /// chunks of `block` anchors (widened to `max(VL·s, 2)`). `engine` is
+    /// the codegen context of every task and, for [`Mode::Temporal`], the
+    /// steady state of its vector sweeps and their lane count `VL`: the
+    /// caller resolves it once ([`KernelSpace::resolve`] for a temporal
+    /// run, `sel.resolve(true)` for the other modes, as `tempora_plan`
+    /// does) and [`Sweeps::engine`] reports it.
     ///
     /// # Panics
     /// Panics when `block == 0` (`tempora_plan` validates the geometry
-    /// ahead of time and returns a `PlanError` instead).
+    /// ahead of time and returns a `PlanError` instead); the first
+    /// [`Sweeps::advance`] panics when the CPU cannot run `engine`.
     pub fn new(
         kern: K,
         dims: [usize; 3],
@@ -414,23 +423,21 @@ impl<K: KernelSpace> Sweeps<K> {
         steps: usize,
         block: usize,
         mode: Mode,
-        sel: Select,
+        engine: Engine,
     ) -> Self {
         assert!(block >= 1, "chunks hold at least one anchor");
-        let sched = Schedule::new::<K>(dims[0], steps, block, mode);
-        let engine = match mode {
-            Mode::Temporal(_) => Some(K::resolve(sel)),
-            _ => None,
-        };
+        let isa = engine;
+        let engine = matches!(mode, Mode::Temporal(_)).then_some(engine);
+        let sched = Schedule::new(dims[0], steps, block, mode, K::vl(isa));
         Sweeps {
             kern,
             mode,
             dims,
             sched,
             engine,
-            isa: engine.unwrap_or_else(|| sel.resolve(true)),
+            isa,
             slots: (0..sched.slots)
-                .map(|_| Slot::new(dims, &sched, mode))
+                .map(|_| Slot::new(dims, &sched, mode, isa))
                 .collect(),
             twin: (mode == Mode::Auto).then(|| K::Grid::with_dims(dims, bc)),
             count: false,
@@ -477,7 +484,7 @@ impl<K: KernelSpace> Sweeps<K> {
     /// or not this runs.
     pub fn fault_in(&mut self, pool: &Pool) {
         tempora_failpoint::failpoint!("fault_in");
-        let (dims, sched, mode) = (self.dims, self.sched, self.mode);
+        let (dims, sched, mode, isa) = (self.dims, self.sched, self.mode, self.isa);
         let n_slots = self.slots.len();
         let slots = SyncSlice::new(&mut self.slots);
         let twin = SyncSlice::new(self.twin.as_mut_slice());
@@ -485,7 +492,7 @@ impl<K: KernelSpace> Sweeps<K> {
             if i < n_slots {
                 // SAFETY: slot i is written only by the one task i.
                 let slot = unsafe { &mut slots.slice_mut()[i] };
-                *slot = Slot::new(dims, &sched, mode);
+                *slot = Slot::new(dims, &sched, mode, isa);
             } else {
                 // SAFETY: the twin is written only by the last task.
                 let twin = unsafe { &mut twin.slice_mut()[0] };
@@ -601,14 +608,15 @@ impl<K: KernelSpace> Sweeps<K> {
     }
 }
 
-/// One generated table for the workspace: every kind × mode × stride ×
-/// block × steps × thread count × pinning × selection ≡ the scalar
+/// One generated table for the workspace: every kind × engine × mode ×
+/// stride × block × steps × thread count × pinning ≡ the scalar
 /// reference, bitwise, with the hazard checker armed (it is compiled into
 /// every test build). The helpers are `pub(crate)` because the entry
 /// points in `floor_names.rs` drive the same workspace.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use tempora_core::engine::Select;
     use tempora_core::kernels::{
         BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d,
         LifeKern2d,
@@ -793,7 +801,9 @@ pub(crate) mod tests {
         (g, w.engine())
     }
 
-    /// A workspace of `kern` for `g`'s geometry.
+    /// A workspace of `kern` for `g`'s geometry, for the engine `sel`
+    /// resolves as a plan would: the kernel's rule for a temporal run, the
+    /// selection's codegen context otherwise.
     pub(crate) fn workspace<K: Kind>(
         kern: &K,
         g: &K::Grid,
@@ -802,42 +812,51 @@ pub(crate) mod tests {
         mode: Mode,
         sel: Select,
     ) -> Sweeps<K> {
-        Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, sel)
-    }
-
-    /// The engine a temporal workspace must report: AVX2 exactly when the
-    /// selection allows it and the CPU has it — whatever the stride, the
-    /// block, the extents and the step count (the scalar schedule of a
-    /// degenerate run is compiled for it too).
-    fn expected_engine<K: Kind>(mode: Mode, sel: Select) -> Option<Engine> {
-        let Mode::Temporal(_) = mode else {
-            return None;
+        let engine = match mode {
+            Mode::Temporal(_) => K::resolve(sel, g.dims()[0], steps),
+            Mode::Scalar | Mode::Auto => sel.resolve(true),
         };
-        Some(if sel != Select::Portable && K::has_avx2_tile() {
-            Engine::Avx2
-        } else {
-            Engine::Portable
-        })
+        Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, engine)
     }
 
-    /// Every row of one kind at one geometry: mode × steps × block ×
-    /// selection × pool, `fault_in` on every other row.
+    /// The engines the table runs a kind on: portable, and each
+    /// `std::arch` engine of this host that brings a lane count of its own
+    /// (AVX-512 only for the 1-D kinds; for the others it is the AVX2
+    /// sweep).
+    fn engines<K: Kind>() -> Vec<Engine> {
+        let mut engines = vec![Engine::Portable];
+        if K::has_avx2_tile() {
+            engines.push(Engine::Avx2);
+        }
+        if tempora_simd::arch::avx512_available() && K::vl(Engine::Avx512) != K::vl(Engine::Avx2) {
+            engines.push(Engine::Avx512);
+        }
+        engines
+    }
+
+    /// Every row of one kind at one geometry: engine × mode × steps ×
+    /// block × pool, `fault_in` on every other row. The steps and blocks
+    /// are placed around each engine's own lane count, so the four-lane
+    /// rows and the eight-lane rows of the 1-D kinds each meet every edge
+    /// of their schedule.
     pub(crate) fn table<K: Kind>(kern: &K, dims: [usize; 3], strides: &[usize], pools: &[Pool]) {
-        let (nx, vl) = (dims[0], K::VL);
+        let nx = dims[0];
         let g = K::grid(dims, (nx * dims[1] + dims[2]) as u64);
         let mut row = 0;
-        for mode in modes::<K>(strides) {
-            let reach = match mode {
-                Mode::Temporal(s) => vl * s,
-                _ => vl,
-            };
-            for steps in [0, 1, vl - 1, vl, vl + 1, 2 * vl + 3, 5 * vl] {
-                let gold = kern.gold(&g, steps);
-                for block in [1, reach - 1, reach, reach + 1, nx.div_ceil(2), nx, nx + 5] {
-                    for sel in [Select::Portable, Select::Auto] {
+        for engine in engines::<K>() {
+            let vl = K::vl(engine);
+            for mode in modes::<K>(strides) {
+                let reach = match mode {
+                    Mode::Temporal(s) => vl * s,
+                    _ => vl,
+                };
+                for steps in [0, 1, vl - 1, vl, vl + 1, 2 * vl + 3, 5 * vl] {
+                    let gold = kern.gold(&g, steps);
+                    for block in [1, reach - 1, reach, reach + 1, nx.div_ceil(2), nx, nx + 5] {
                         for pool in pools {
                             row += 1;
-                            cell(kern, &g, &gold, steps, block, mode, sel, pool, row % 2 == 0);
+                            let fault_in = row % 2 == 0;
+                            cell(kern, &g, &gold, steps, block, mode, engine, pool, fault_in);
                         }
                     }
                 }
@@ -856,24 +875,25 @@ pub(crate) mod tests {
         steps: usize,
         block: usize,
         mode: Mode,
-        sel: Select,
+        engine: Engine,
         pool: &Pool,
         fault_in: bool,
     ) {
         let at = || {
             format!(
-                "dims={:?} {mode:?} block={block} steps={steps} {sel:?} threads={} pinned={} \
+                "dims={:?} {mode:?} block={block} steps={steps} {engine:?} threads={} pinned={} \
                  fault_in={fault_in}",
                 g.dims(),
                 pool.threads(),
                 pool.is_pinned()
             )
         };
-        let mut w = workspace(kern, g, steps, block, mode, sel);
+        let mut w = Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, engine);
         if fault_in {
             w.fault_in(pool);
         }
-        assert_eq!(w.engine(), expected_engine::<K>(mode, sel), "{}", at());
+        let expected = matches!(mode, Mode::Temporal(_)).then_some(engine);
+        assert_eq!(w.engine(), expected, "{}", at());
         for run in 0..2 {
             let mut ours = g.clone();
             w.advance(&mut ours, pool);
@@ -962,7 +982,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every schedule of the table, as data.
+    /// Every schedule of the table, as data, at four and eight lanes.
     fn schedules() -> Vec<Schedule> {
         let mut out = vec![];
         for nx in [1usize, 2, 7, 8, 9, 20, 33, 60, 150, 1024] {
@@ -974,8 +994,8 @@ pub(crate) mod tests {
                     Mode::Temporal(7),
                 ] {
                     for block in [1, 2, 7, 8, 9, 27, 28, 29, nx.div_ceil(2), nx, nx + 5] {
-                        out.push(Schedule::new::<JacobiKern1d>(nx, steps, block, mode));
-                        out.push(Schedule::new::<LifeKern2d>(nx, steps, block, mode));
+                        out.push(Schedule::new(nx, steps, block, mode, 4));
+                        out.push(Schedule::new(nx, steps, block, mode, 8));
                     }
                 }
             }
@@ -1039,7 +1059,7 @@ pub(crate) mod tests {
     #[test]
     fn hazard_checker_rejects_each_violation() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let sched = Schedule::new::<JacobiKern1d>(100, 12, 8, Mode::Temporal(2));
+        let sched = Schedule::new(100, 12, 8, Mode::Temporal(2), 4);
         assert_eq!((sched.chunks, sched.sweeps, sched.slots), (12, 3, 3));
         let violation = |setup: &dyn Fn(&hazards::Hazards), sched: &Schedule, p, c| {
             let table = hazards::Hazards::new(sched);

@@ -16,6 +16,22 @@ use tempora::grid::*;
 use tempora::prelude::{Engine, Method, Plan, PlanBuilder, Problem, Select, State, Tiling};
 use tempora::stencil::*;
 
+/// The engine `sel` resolves on this host for a 1-D temporal run of
+/// kernel `K` over `steps` levels of `n` cells: `Auto` takes the
+/// eight-lane AVX-512 engine where the line is at least the kind's
+/// measured crossover wide (`engine::wide_min_nx`), the run has an
+/// eight-lane sweep (`steps ≥ 8`) and `steps % 8 ≤ steps % 4`, else the
+/// four-lane AVX2 one where the CPU has it, whatever the shape and stride.
+fn engine_1d<K: Kernel1d>(sel: Select, n: usize, steps: usize) -> Engine {
+    let wide = n >= engine::wide_min_nx::<K>() && steps >= 8 && steps % 8 <= steps % 4;
+    match sel {
+        Select::Portable => Engine::Portable,
+        _ if !tempora::simd::arch::avx2_available() => Engine::Portable,
+        Select::Auto if wide && tempora::simd::arch::avx512_available() => Engine::Avx512,
+        Select::Auto | Select::Avx2 => Engine::Avx2,
+    }
+}
+
 fn g1(n: usize, seed: u64, b: f64) -> Grid1<f64> {
     let mut g = Grid1::new(n, 1, Boundary::Dirichlet(b));
     fill_random_1d(&mut g, seed, -1.0, 1.0);
@@ -806,17 +822,28 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
         _ => Engine::Portable,
     };
 
-    // Healthy shapes, then the degenerate ones — n < VL·s, steps < VL —
-    // whose scalar steps resolve like any run (the engine is their
-    // codegen context too), and the widest stride the 1-D ring holds,
-    // which the rolled loop serves on either engine.
+    // Healthy shapes (`auto` at eight lanes, with and without a scalar
+    // tail, and at four where eight would leave more scalar levels or the
+    // line is narrower than the kind's crossover: GS-1D's 1024 cells,
+    // Heat-1D's 4096, each met exactly and missed by one), then the
+    // degenerate ones — n < VL·s, steps < VL — whose scalar steps resolve
+    // like any run (the engine is their codegen context too), and the
+    // widest stride the 1-D ring holds, which the rolled loop serves on
+    // the four-lane engines and the registers on the eight-lane one.
     for &(n, s, steps) in &[
         (200usize, 2usize, 8usize),
-        (1000, 7, 12),
+        (1024, 7, 12),
+        (1024, 7, 19),
+        (1023, 7, 16),
+        (1024, 7, 16),
+        (4095, 13, 9),
+        (4096, 13, 9),
+        (40, 7, 16),
         (4096, 3, 5),
         (5, 2, 8),
         (200, 2, 3),
         (4096, 16, 4),
+        (4096, 16, 32),
     ] {
         let g = g1(n, (n + s) as u64, 0.4);
         let c = Heat1dCoeffs::classic(0.24);
@@ -833,15 +860,17 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
             coeffs: cg,
             boundary: g.boundary(),
         };
-        // The dispatch predicate: capability alone, at every stride.
-        let has_impl = true;
+        // The dispatch predicate: capability at every stride, and for
+        // `auto` the eight-lane rule.
         let mut results = vec![];
         for &sel in sels {
             let b = PlanBuilder::new().stride(s).select(sel);
             let (r, e) = run1(&heat, b, &g);
-            assert_eq!(e, Some(expect(sel, has_impl)), "heat1d {sel:?}");
+            let expect = Some(engine_1d::<JacobiKern1d>(sel, n, steps));
+            assert_eq!(e, expect, "heat1d {sel:?} n={n} s={s} steps={steps}");
             let (rg, eg) = run1(&gs, b, &g);
-            assert_eq!(eg, Some(expect(sel, has_impl)), "gs1d {sel:?}");
+            let expect = Some(engine_1d::<GsKern1d>(sel, n, steps));
+            assert_eq!(eg, expect, "gs1d {sel:?} n={n} s={s} steps={steps}");
             results.push((r, rg));
         }
         for (r, rg) in &results[1..] {
@@ -968,15 +997,19 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         &[Select::Portable, Select::Auto]
     };
 
-    // Tiled Jacobi, 1-D: (block, height, steps, s, healthy-geometry?).
-    // steps = 19 leaves a 3-sweep scalar tail; block = 2 with s = 7 is
-    // widened to 28-cell chunks, which run the vector schedule like any
-    // other.
+    // Tiled Jacobi, 1-D: (block, height, steps, s). steps = 19 leaves a
+    // 3-sweep scalar tail at either width (`auto`: eight lanes); 13 leaves
+    // five at eight lanes and one at four (`auto`: four); block = 2 with
+    // s = 7 is widened to 28-cell chunks (56 at eight lanes), which run
+    // the vector schedule like any other. 4096 cells: Heat-1D's crossover,
+    // the narrowest line `auto` runs at eight lanes.
     let c1 = Heat1dCoeffs::classic(0.24);
-    let g = g1(448, 5, 0.3);
-    for &(block, height, steps, s, healthy) in &[
-        (64usize, 8usize, 19usize, 7usize, true),
-        (2, 4, 13, 7, true),
+    let g = g1(4096, 5, 0.3);
+    for &(block, height, steps, s) in &[
+        (64usize, 8usize, 19usize, 7usize),
+        (2, 4, 13, 7),
+        (2, 4, 19, 7),
+        (64, 8, 32, 16),
     ] {
         let problem = Problem::Heat1d {
             n: g.n(),
@@ -1000,11 +1033,7 @@ fn tiled_forced_engines_agree_at(threads: usize) {
                 "ghost1d sel={sel:?} block={block} {:?}",
                 r.first_diff(&gold)
             );
-            let expect = if sel != Select::Portable && can_force_avx2 && healthy {
-                Engine::Avx2
-            } else {
-                Engine::Portable
-            };
+            let expect = engine_1d::<JacobiKern1d>(sel, g.n(), steps);
             assert_eq!(e, Some(expect), "ghost1d sel={sel:?} block={block}");
         }
     }
@@ -1073,34 +1102,34 @@ fn tiled_forced_engines_agree_at(threads: usize) {
     // below VL·s = 28 cells, so every level is a scalar sweep — in the
     // codegen context of the engine the selection resolves, like any run.
     let cg1 = Gs1dCoeffs::classic(0.21);
-    let gg = g1(1000, 11, 0.4);
-    let gold = reference::gs1d(&gg, cg1, 21);
-    let gs1 = Problem::Gs1d {
-        n: gg.n(),
-        steps: 21,
-        coeffs: cg1,
-        boundary: gg.boundary(),
-    };
-    for &sel in sels {
-        let (r, e) = run1(
-            &gs1,
-            PlanBuilder::new()
-                .stride(7)
-                .select(sel)
-                .tiling(Tiling::Skew {
-                    block: 128,
-                    height: 8,
-                })
-                .threads(threads),
-            &gg,
-        );
-        assert!(r.interior_eq(&gold), "skew1d sel={sel:?}");
-        let expect = if sel != Select::Portable && can_force_avx2 {
-            Engine::Avx2
-        } else {
-            Engine::Portable
+    let gg = g1(1024, 11, 0.4);
+    // 1024 cells, GS-1D's crossover. 21 steps: `auto` stays at four
+    // lanes; 24: eight.
+    for steps in [21, 24] {
+        let gold = reference::gs1d(&gg, cg1, steps);
+        let gs1 = Problem::Gs1d {
+            n: gg.n(),
+            steps,
+            coeffs: cg1,
+            boundary: gg.boundary(),
         };
-        assert_eq!(e, Some(expect), "skew1d sel={sel:?}");
+        for &sel in sels {
+            let (r, e) = run1(
+                &gs1,
+                PlanBuilder::new()
+                    .stride(7)
+                    .select(sel)
+                    .tiling(Tiling::Skew {
+                        block: 128,
+                        height: 8,
+                    })
+                    .threads(threads),
+                &gg,
+            );
+            assert!(r.interior_eq(&gold), "skew1d sel={sel:?} steps={steps}");
+            let expect = engine_1d::<GsKern1d>(sel, gg.n(), steps);
+            assert_eq!(e, Some(expect), "skew1d sel={sel:?} steps={steps}");
+        }
     }
     let small = g1(24, 13, 0.0);
     let gold_small = reference::gs1d(&small, cg1, 10);

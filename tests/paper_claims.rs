@@ -18,10 +18,12 @@ fn grid(n: usize) -> Grid1<f64> {
 }
 
 /// Every engine of this host: each is its own instantiation of the one
-/// counted steady state, so each is counted.
+/// counted steady state, so each is counted — the 1-D kinds at four lanes
+/// and, on `Engine::Avx512`, at eight.
 fn engines() -> Vec<Engine> {
     let avx2 = tempora::simd::arch::avx2_available().then_some(Engine::Avx2);
-    [Some(Engine::Portable), avx2]
+    let avx512 = tempora::simd::arch::avx512_available().then_some(Engine::Avx512);
+    [Some(Engine::Portable), avx2, avx512]
         .into_iter()
         .flatten()
         .collect()
@@ -37,14 +39,15 @@ fn count_sweeps<K: KernelSpace>(
     sweeps: usize,
 ) -> count::Counts {
     let (dims, lay) = (g.dims(), g.layout());
-    let mut sc = K::scratch(dims, s);
+    let mut sc = K::scratch(engine, dims, s);
     let sess = count::Session::start();
     for _ in 0..sweeps {
         let a = SlabsMut {
             data: g.data_mut(),
             first: 0,
         };
-        kern.sweep::<true>(engine, &lay, a, 1..=dims[0] + 1 - K::VL * s, s, &mut sc);
+        let x_max = dims[0] + 1 - K::vl(engine) * s;
+        kern.sweep::<true>(engine, &lay, a, 1..=x_max, s, &mut sc);
     }
     sess.finish()
 }
@@ -154,6 +157,22 @@ fn reorg_cost_independent_of_vector_length() {
     let k = sess.finish();
     assert_eq!(k.cross_lane, k.output_vectors);
     assert_eq!(k.in_lane, k.output_vectors);
+    // Measured on the registers too: one sweep at four lanes (`Ymm`) and
+    // at eight (`Zmm`, where the host has AVX-512F) stores one output
+    // vector per anchor, `n + 1 - VL·s`, each for one rotate and one blend.
+    for engine in engines() {
+        let vl = JacobiKern1d::vl(engine);
+        for s in [2usize, 7, 16] {
+            let k = count_sweeps(engine, &kern, &mut grid(4096), s, 1);
+            assert_eq!(
+                k.output_vectors,
+                (4096 + 1 - vl * s) as u64,
+                "{engine:?} s={s}"
+            );
+            assert_eq!(k.cross_lane, k.output_vectors, "{engine:?} s={s}");
+            assert_eq!(k.in_lane, k.output_vectors, "{engine:?} s={s}");
+        }
+    }
 }
 
 /// The "irrelevant to … dimension" clause of the same claim: one whole
@@ -169,7 +188,7 @@ fn reorg_cost_independent_of_dimension() {
             for engine in engines() {
                 let mut g = K::Grid::with_dims(dims, Boundary::Dirichlet(Elem::<K>::ZERO));
                 let k = count_sweeps(engine, &kern, &mut g, s, 1);
-                let slabs = dims[0] + 1 - K::VL * s;
+                let slabs = dims[0] + 1 - K::vl(engine) * s;
                 let vectors = (slabs * dims[1] * dims[2]) as u64;
                 assert_eq!(k.output_vectors, vectors, "{name} {engine:?} s={s}");
                 assert_eq!(k.cross_lane, vectors, "{name} {engine:?} s={s}");

@@ -557,6 +557,94 @@ fn every_accepted_1d_stride_resolves_by_capability() {
     }
 }
 
+/// `Select::Auto` widens to the eight-lane AVX-512 engine only for the 1-D
+/// kinds, only on lines at least the kind's measured crossover wide, and
+/// only where the run has an eight-lane sweep that leaves no more scalar
+/// levels than four lanes would: the `ledger` benchmark's 1-D problems
+/// (and the served one) resolve `avx512`; twelve steps (four scalar
+/// levels at eight lanes, none at four), a line one cell short of the
+/// crossover and `4s ≤ nx < 8s` stay `avx2`; `Select::Avx2` is the
+/// four-lane engine and `Select::Portable`
+/// the portable one whatever the shape; every other kind of the ledger
+/// resolves `avx2`. Every row ≡ the scalar reference. On a host without
+/// AVX-512F every `auto` row is `avx2` (without AVX2: portable).
+#[test]
+fn auto_widens_only_the_1d_kinds_where_eight_lanes_pay() {
+    let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
+    let avx2 = tempora::simd::arch::avx2_available();
+    let wide = if tempora::simd::arch::avx512_available() {
+        Engine::Avx512
+    } else if avx2 {
+        Engine::Avx2
+    } else {
+        Engine::Portable
+    };
+    let narrow = if avx2 { Engine::Avx2 } else { Engine::Portable };
+    let heat = |n, steps| Problem::heat1d(n, steps, h1);
+    let auto = PlanBuilder::new();
+    let mut rows = vec![
+        // The ledger's 1-D problems (compute and served).
+        (heat(1 << 16, 32), auto, wide),
+        (Problem::gs1d(1 << 16, 32, g1), auto, wide),
+        (heat(4096, 32), auto, wide),
+        // Twelve steps: 12 % 8 = 4 scalar levels against 12 % 4 = 0.
+        (heat(1 << 16, 12), auto, narrow),
+        (Problem::gs1d(1 << 16, 12, g1), auto, narrow),
+        // Each kind's measured crossover, met and missed by one cell:
+        // below it the eight-lane sweep's scalar prologue and epilogue
+        // outweigh its steady state (`repro ablate-vl` times both sides).
+        (heat(4095, 32), auto, narrow),
+        (Problem::gs1d(1024, 32, g1), auto, wide),
+        (Problem::gs1d(1023, 32, g1), auto, narrow),
+        // 4s ≤ nx < 8s: four lanes run vector sweeps, eight could not.
+        (heat(60, 32), auto, narrow),
+        (Problem::gs1d(40, 32, g1), auto.stride(7), narrow),
+        // Selections other than `auto` never widen.
+        (
+            heat(1 << 16, 32),
+            auto.select(Select::Portable),
+            Engine::Portable,
+        ),
+        (
+            Problem::gs1d(4096, 32, g1),
+            auto.select(Select::Portable),
+            Engine::Portable,
+        ),
+    ];
+    if avx2 {
+        rows.push((heat(1 << 16, 32), auto.select(Select::Avx2), Engine::Avx2));
+        rows.push((
+            Problem::gs1d(4096, 32, g1),
+            auto.select(Select::Avx2),
+            Engine::Avx2,
+        ));
+    }
+    // Every other kind of the ledger, at its ledger shape.
+    for problem in [
+        Problem::heat2d(256, 256, 12, Heat2dCoeffs::classic(0.125)),
+        Problem::box2d(256, 256, 8, Box2dCoeffs::smooth(0.1)),
+        Problem::heat3d(40, 40, 40, 4, Heat3dCoeffs::classic(0.1)),
+        Problem::life(256, 256, 16, LifeRule::b2s23()),
+        Problem::gs2d(256, 256, 8, Gs2dCoeffs::classic(0.2)),
+        Problem::gs3d(40, 40, 40, 4, Gs3dCoeffs::classic(0.1)),
+        Problem::lcs(1024, 1024),
+    ] {
+        rows.push((problem, auto, narrow));
+    }
+    for (problem, builder, engine) in rows {
+        let mut plan = builder.build(&problem).unwrap();
+        assert_eq!(plan.engine(), Some(engine), "{problem:?} {builder:?}");
+        let init = fresh_state(&problem, 5);
+        let mut state = init.clone();
+        let report = plan.run(&mut state).unwrap();
+        assert_eq!(report.engine, Some(engine), "{problem:?} {builder:?}");
+        assert!(
+            states_equal(&state, &reference_state(&problem, &init)),
+            "{problem:?} {builder:?}"
+        );
+    }
+}
+
 /// A state carrying another boundary than the plan's problem is a typed
 /// error — not a panic inside the run that poisons the plan — and a NaN
 /// boundary, which `==` tells apart from itself, runs: multi-load (whose

@@ -31,6 +31,14 @@ pub unsafe fn incr(p: *mut u32) {
 #[target_feature(enable = "avx2")]
 pub unsafe fn fast() {}
 
+/// The same kernel at eight lanes.
+///
+/// # Safety
+///
+/// Caller must have verified `avx512_available()` before dispatching here.
+#[target_feature(enable = "avx512f,avx2,fma")]
+pub unsafe fn wide() {}
+
 /// A phase function (checked under `crates/core/src`): one source,
 /// instantiated in each caller's codegen context.
 #[inline(always)]

@@ -11,7 +11,7 @@
 //! | `ordering-rationale` | every atomic `Ordering::` use carries an ordering-rationale comment, same line or directly above | non-test code |
 //! | `panic-justification` | every `.unwrap()` / `.expect(` call carries a justification comment, same line or directly above | non-test code |
 //! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module; the raw `tempora_simd::arch::avx2` calls only under `crates/simd/` (everything above computes through the `Lanes` vocabulary) | everywhere |
-//! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the `avx2_available()` capability probe it is dispatched behind | everywhere |
+//! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the capability probe it is dispatched behind, `avx2_available()` or `avx512_available()` | everywhere |
 //! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src`, the lane vocabulary in `crates/simd/src`, the vector formulas in `crates/stencil/src` |
 //!
 //! The engine is deliberately line-based and dependency-free: it
@@ -41,7 +41,12 @@ const CORE_ARCH: &str = concat!("core::", "arch");
 const STD_ARCH: &str = concat!("std::", "arch");
 const MM_INTRINSIC: &str = concat!("_m", "m");
 const TARGET_FEATURE: &str = concat!("#[tar", "get_feature");
-const AVAILABLE_PROBE: &str = concat!("avx2_av", "ailable");
+/// The capability probes a `#[target_feature]` fn may document: AVX2+FMA,
+/// or AVX-512F (with AVX2+FMA) for the eight-lane sandwiches.
+const AVAILABLE_PROBES: [&str; 2] = [
+    concat!("avx2_av", "ailable"),
+    concat!("avx512_av", "ailable"),
+];
 const ARCH_AVX2: &str = concat!("arch::", "avx2");
 const ARCH_BRACE: &str = concat!("arch::", "{");
 const AVX2_MODULE: &str = concat!("av", "x2");
@@ -62,13 +67,15 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 /// test notices.
 ///
 /// * `tempora_core`: the boundary phases and scalar steps, the steady
-///   states (`steady_ring`, `ring_sweep`; `steady`, `ring_regs`,
+///   states (`steady_ring`, `ring_sweep` and its step `ring_step`;
+///   `steady`, `ring_regs`,
 ///   `tile_seg_in`; `steady_row`), which carry no `#[target_feature]` of
 ///   their own and reach their instructions only by being inlined into a
 ///   sandwich, everything on the slab row path (`cursor` … `finish`), the
 ///   kernel adapters (`scalar`, `pack`) and the multi-load step bodies;
-/// * `tempora_simd`: the lane vocabulary — every method of `Packs`, and of
-///   `Ymm` (`$name`: the macro-generated safe forms of the AVX2 calls);
+/// * `tempora_simd`: the lane vocabulary — every method of `Packs`, of
+///   `Ymm` (`$name`: the macro-generated safe forms of the AVX2 calls) and
+///   of `Zmm` (`$name` too: each the AVX-512 intrinsics of its body);
 /// * `tempora_stencil`: the kernels' vector formulas.
 const PHASE_FNS: [(&str, &[&str]); 4] = [
     (
@@ -89,9 +96,9 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "fill_shell",
             "copy_slab",
             "reset_shells",
-            "gs_initial_output",
             "steady_ring",
             "ring_sweep",
+            "ring_step",
             "tile_seg_in",
             "steady",
             "ring_regs",
@@ -614,13 +621,17 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     format!("`{TARGET_FEATURE}]` fn must be declared `{UNSAFE} fn`"),
                 );
             }
-            if !header_block_contains(&v, i, AVAILABLE_PROBE) {
+            if !AVAILABLE_PROBES
+                .iter()
+                .any(|probe| header_block_contains(&v, i, probe))
+            {
+                let [avx2, avx512] = AVAILABLE_PROBES;
                 push(
                     i,
                     "target-feature",
                     format!(
                         "`{TARGET_FEATURE}]` fn must document its capability probe: a \
-                         `{SAFETY_DOC}` section referencing `{AVAILABLE_PROBE}()` \
+                         `{SAFETY_DOC}` section referencing `{avx2}()` or `{avx512}()` \
                          (dispatch goes through engine::Select)"
                     ),
                 );
@@ -791,6 +802,7 @@ mod tests {
     fn safe_target_feature_fn_is_flagged_twice() {
         let src = include_str!("../fixtures/bad/target_feature_safe.rs");
         let d = diags("crates/demo/src/lib.rs", src);
+        let [avx2, avx512] = AVAILABLE_PROBES;
         assert_eq!(
             d,
             vec![
@@ -801,7 +813,7 @@ mod tests {
                 format!(
                     "crates/demo/src/lib.rs:5: [target-feature] `{TARGET_FEATURE}]` fn must \
                      document its capability probe: a `{SAFETY_DOC}` section referencing \
-                     `{AVAILABLE_PROBE}()` (dispatch goes through engine::Select)"
+                     `{avx2}()` or `{avx512}()` (dispatch goes through engine::Select)"
                 ),
             ]
         );
