@@ -16,11 +16,10 @@
 //! extra array is needed, blocking loses a factor `vl` of reuse because
 //! the `vl` rows are independent stencils, and DLT cannot express
 //! Gauss-Seidel updates at all. This implementation requires `vl | n` and
-//! `m ≥ 2`; other sizes fall back to the multi-load scheme (documented
-//! substitution — the fix-up machinery of the original paper adds nothing
-//! to the measured trends).
+//! `m ≥ 2` ([`dlt_applicable`]); the plan runs every other size as the
+//! multi-load sweeps (documented substitution — the fix-up machinery of
+//! the original paper adds nothing to the measured trends).
 
-use crate::multiload;
 use tempora_grid::Grid1;
 use tempora_simd::{Pack, Packs};
 use tempora_stencil::Heat1dCoeffs;
@@ -82,8 +81,10 @@ fn step(t: &[f64], dst: &mut [f64], m: usize, c: &Heat1dCoeffs, halo_l: f64, hal
 }
 
 /// `steps` DLT-vectorized 1D3P Jacobi sweeps: transpose in, sweep in the
-/// lifted layout, transpose out. Falls back to multi-load when
-/// [`dlt_applicable`] is false.
+/// lifted layout, transpose out.
+///
+/// # Panics
+/// Panics unless [`dlt_applicable`] holds for the interior length.
 pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
     sweeps(g, c, steps)
 }
@@ -91,7 +92,8 @@ pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
 /// [`heat1d`] compiled for AVX2+FMA: the same source instantiated inside
 /// a `#[target_feature]` function, where a pack `mul_add` is one `vfmadd`
 /// instead of four calls into libm's `fma` (both exactly rounded, so the
-/// results are bit-identical). Panics if AVX2+FMA are unavailable.
+/// results are bit-identical). Panics if AVX2+FMA are unavailable, and
+/// unless [`dlt_applicable`] holds for the interior length.
 #[cfg(target_arch = "x86_64")]
 pub fn heat1d_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
     assert!(
@@ -114,14 +116,12 @@ unsafe fn sweeps_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f6
 }
 
 /// The body of [`heat1d`], `#[inline(always)]` so each codegen context
-/// gets its own instantiation (multi-load fallback included).
+/// gets its own instantiation.
 #[inline(always)]
 fn sweeps(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
     assert_eq!(g.halo(), 1);
     let n = g.n();
-    if !dlt_applicable(n) {
-        return multiload::heat1d_sweeps(g, c, steps);
-    }
+    assert!(dlt_applicable(n), "DLT cannot lift {n} points");
     if steps == 0 {
         return g.clone();
     }
@@ -173,18 +173,6 @@ mod tests {
                     ours.first_diff(&gold)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn falls_back_on_awkward_sizes() {
-        let c = Heat1dCoeffs::classic(0.2);
-        for &n in &[3usize, 5, 7, 13] {
-            let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.0));
-            fill_random_1d(&mut g, 2, -1.0, 1.0);
-            let ours = heat1d(&g, c, 3);
-            let gold = reference::heat1d(&g, c, 3);
-            assert!(ours.interior_eq(&gold), "n={n}");
         }
     }
 

@@ -28,10 +28,9 @@ const N: usize = 4;
 #[inline(always)]
 fn step<const COUNT: bool>(a: &[f64], b: &mut [f64], n: usize, c: &Heat1dCoeffs) {
     let mut x = 1usize;
-    // Block-aligned loads relative to x-1 (x-1 is a multiple of N when the
-    // interior starts at 1 after one halo cell... in general these loads
-    // are *block*-aligned rather than 32-byte-aligned; the shuffle count
-    // is what the scheme is about).
+    // Each load starts at `x - 1 = 0, N, 2N, …` cells from the left halo
+    // cell, which a grid stores 64-byte aligned: every load is one aligned
+    // vector, and the two neighbour vectors are shuffled out of them.
     // Both aligned loads of a block must stay inside the slice
     // (`a.len() == n + 2`): the `hi` load touches `x-1+2N-1 <= n+1`.
     if x + 2 * N <= n + 3 {

@@ -32,8 +32,8 @@
 //! compiled for the ISA its plan resolved (outside a feature context
 //! `f64::mul_add` is a libm call) and stays bit-identical to the scalar
 //! oracle; see [`engine`] and [`slab`]. No module here names an intrinsic:
-//! of `tempora_simd::arch` they import `avx2_available` and the `Ymm`
-//! token only.
+//! of `tempora_simd::arch` they import the two capability probes and the
+//! `Ymm` and `Zmm` tokens only.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

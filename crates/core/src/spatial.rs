@@ -78,7 +78,7 @@ mod avx2 {
 
 /// The cells `xs` of one multi-load (spatially vectorized) Jacobi step on
 /// 1-D buffers: `dst[xs]` from `src[xs.start() - 1 ..= xs.end() + 1]`,
-/// halos untouched. Bit-identical to the `multiload` baseline; callers
+/// halos untouched. Bit-identical to the scalar reference; callers
 /// ping-pong their own buffers, so no step allocates.
 pub fn step_1d<K: Kernel1d>(
     engine: Engine,
@@ -121,8 +121,8 @@ fn step_1d_body<K: Kernel1d>(
 
 /// The outer slabs `xs` of one multi-load Jacobi step on 2-D buffers laid
 /// out as `lay` (vectorized along `y`): `dst[xs]` from
-/// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the
-/// `multiload` baseline.
+/// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the scalar
+/// reference.
 pub fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
     engine: Engine,
     lay: &SlabLayout<T>,
@@ -195,8 +195,8 @@ fn step_2d_body<T: Scalar, K: Pack2d<T, 4, Packs>>(
 
 /// The outer slabs `xs` of one multi-load Jacobi step on 3-D buffers laid
 /// out as `lay` (vectorized along `z`): `dst[xs]` from
-/// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the
-/// `multiload` baseline.
+/// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the scalar
+/// reference.
 pub fn step_3d<K: Kernel3d>(
     engine: Engine,
     lay: &SlabLayout<f64>,

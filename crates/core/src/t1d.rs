@@ -81,8 +81,8 @@
 //! memory and serves every other stride — and every stride of the
 //! portable engine, whose `mul_add` is a libm call either way.
 //!
-//! [`sweep_body`] and everything under it — [`tile_prologue`],
-//! [`tile_epilogue`], [`scalar_cells`] — is
+//! [`sweep_body`] and everything under it — `tile_prologue`,
+//! `tile_epilogue`, [`scalar_cells`] — is
 //! `#[inline(always)]`: the portable engine instantiates it for baseline
 //! x86-64 with `Packs`, and [`crate::t1d_avx2`] instantiates the same
 //! source again with `Ymm` inside its
@@ -413,7 +413,7 @@ pub const RING_CAP: usize = 17;
 /// `k - 1` of `O(0)` level `k` at `x = (VL-k)·s` (its top lane is the
 /// boundary value).
 #[inline(always)]
-pub fn tile_prologue<const VL: usize, K: Kernel1d>(
+fn tile_prologue<const VL: usize, K: Kernel1d>(
     a: &[f64],
     kern: &K,
     s: usize,
@@ -463,7 +463,7 @@ pub fn tile_prologue<const VL: usize, K: Kernel1d>(
 /// window that starts at cell `first`; cells `x_max ..= n + 1` are
 /// touched.
 #[inline(always)]
-pub fn tile_epilogue<const VL: usize, K: Kernel1d>(
+fn tile_epilogue<const VL: usize, K: Kernel1d>(
     a: &mut [f64],
     first: usize,
     n: usize,

@@ -246,10 +246,10 @@ mod tests {
 
     #[test]
     fn fill_compare() {
-        let mut a = Grid3::<i64>::new(2, 2, 2, 1, Boundary::Dirichlet(0));
+        let mut a = Grid3::<i32>::new(2, 2, 2, 1, Boundary::Dirichlet(0));
         let mut b = a.clone();
-        a.fill_interior(|i, j, k| (i * 100 + j * 10 + k) as i64);
-        b.fill_interior(|i, j, k| (i * 100 + j * 10 + k) as i64);
+        a.fill_interior(|i, j, k| (i * 100 + j * 10 + k) as i32);
+        b.fill_interior(|i, j, k| (i * 100 + j * 10 + k) as i32);
         assert!(a.interior_eq(&b));
         b.set(2, 1, 2, 999);
         assert_eq!(a.first_diff(&b), Some((1, 0, 1, 101, 999)));

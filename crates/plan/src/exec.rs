@@ -111,7 +111,8 @@ impl Exec for Reorg1d {
 }
 
 /// Dimension-lifted-transpose baseline (§2.2), Heat-1D only. One-shot by
-/// design (see [`Reorg1d`]).
+/// design (see [`Reorg1d`]). Built only for a size DLT can lift; the plan
+/// runs any other as the multi-load sweeps.
 pub(crate) struct Dlt1d {
     pub coeffs: Heat1dCoeffs,
     pub steps: usize,

@@ -62,6 +62,8 @@ pub use problem::{LcsState, Problem, State};
 // The engine vocabulary is part of the plan API surface.
 pub use tempora_core::engine::{Engine, Select};
 
+include!("floor_names.rs");
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,6 +3,7 @@
 
 use crate::exec::{Dlt1d, Exec, RectLcs, Reorg1d, StateGrid, Tiled};
 use crate::{PlanError, Problem, State};
+use tempora_baseline::dlt::dlt_applicable;
 use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
 use tempora_core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
@@ -41,7 +42,8 @@ pub enum Method {
     /// design — rebuilds its transposed layout per run.
     Reorg,
     /// The dimension-lifted-transpose baseline (§2.2), Heat-1D only.
-    /// One-shot by design.
+    /// One-shot by design. A size DLT cannot lift (`n` not a multiple of
+    /// 4, or below 8) runs the multi-load sweeps instead.
     Dlt,
     /// The scalar reference sweep.
     Scalar,
@@ -120,6 +122,7 @@ pub struct TileGeometry {
 #[derive(Clone, Debug)]
 pub struct Report {
     /// The steady state that executed, for dispatched (temporal) methods:
+    /// `Some(Engine::Avx512)` (the 1-D kinds at eight lanes),
     /// `Some(Engine::Avx2)` or `Some(Engine::Portable)`; `None` for
     /// non-dispatched methods (scalar, multi-load, baselines).
     pub engine: Option<Engine>,
@@ -423,7 +426,7 @@ impl PlanBuilder {
                         isa,
                         counted: self.count_reorg,
                     }),
-                    Method::Dlt => Box::new(Dlt1d { coeffs, steps, isa }),
+                    Method::Dlt if dlt_applicable(n) => Box::new(Dlt1d { coeffs, steps, isa }),
                     _ => return self.plan_grid(p, JacobiKern1d(coeffs), boundary),
                 };
                 // The baselines run no temporal sweep; they report the
@@ -515,9 +518,10 @@ impl PlanBuilder {
         };
         let (mode, engine) = match self.method {
             Method::Temporal => (Mode::Temporal(s), temporal),
-            Method::Multiload => (Mode::Auto, self.isa()),
+            // DLT reaches here only on a size it cannot lift.
+            Method::Multiload | Method::Dlt => (Mode::Auto, self.isa()),
             Method::Scalar => (Mode::Scalar, self.isa()),
-            Method::Reorg | Method::Dlt => unreachable!("handled per-problem"),
+            Method::Reorg => unreachable!("handled per-problem"),
         };
         let w =
             Sweeps::new(kern, dims, bc, steps, block, mode, engine).count_reorg(self.count_reorg);

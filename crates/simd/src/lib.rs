@@ -4,10 +4,11 @@
 //! reproduction of **"Temporal Vectorization for Stencils"** (Yuan, Cao,
 //! Zhang, Li, Lu, Yue — SC'21, arXiv:2010.04868). It provides:
 //!
-//! * [`pack::Pack`] — a portable, 32-byte-aligned, `N`-lane vector type
-//!   with exactly the operation vocabulary the paper's algorithms use
-//!   (`vloadset` gathers, `vrotate`, `vblend`, aligned loads/stores,
-//!   fused multiply-add, compare/select, in-register transpose);
+//! * [`pack::Pack`] — a portable, 32-byte-aligned, `N`-lane vector type:
+//!   the aligned storage form of every engine's vectors, with the
+//!   arithmetic the portable engine computes in and the paper's
+//!   reorganization operations (`vrotate`, `vblend`, the spatial
+//!   baselines' shifts);
 //! * [`count`] — the in-lane / lane-crossing reorganization-instruction
 //!   cost model of §3.3, as a thread-local counting session used to verify
 //!   the paper's per-output-vector instruction budgets;
@@ -16,11 +17,11 @@
 //!   register form: [`Lanes`] (load, store, splat, top lane, the
 //!   rotate-and-blend production rule), [`F64Lanes`] and [`I32Lanes`]
 //!   (the kernels' arithmetic), and the portable implementor [`Packs`];
-//! * [`arch`] — `std::arch` AVX2 implementations of the hot operations,
-//!   equivalence-tested against the portable model, and the two `std::arch`
+//! * [`arch`] — the two capability probes and the two `std::arch`
 //!   implementors of the vocabulary, the [`arch::Ymm`] (AVX2, four `f64`
 //!   lanes) and [`arch::Zmm`] (AVX-512, eight `f64` lanes) availability
-//!   tokens.
+//!   tokens, whose methods are written over their intrinsics in one macro
+//!   and tested lane for lane against [`Packs`].
 //!
 //! ## Temporal lane convention (paper Figure 1)
 //!
@@ -60,4 +61,4 @@ pub mod lanes;
 pub mod pack;
 
 pub use lanes::{F64Lanes, I32Lanes, Lanes, Packs};
-pub use pack::{transpose, F32x8, F64x4, I32x8, I64x4, Mask, Pack, Scalar};
+pub use pack::{F64x4, I32x8, Pack, Scalar};

@@ -1,26 +1,24 @@
 //! Portable fixed-width SIMD packs.
 //!
 //! Rust has no stable `std::simd`, so the repository carries its own pack
-//! type. [`Pack<T, N>`] is a cache-friendly, 32-byte aligned fixed-size
-//! vector whose operations mirror the instruction set the paper's kernels
-//! are written against (AVX on the authors' machine):
+//! type. [`Pack<T, N>`] is a 32-byte aligned fixed-size vector: the
+//! aligned storage form every engine keeps its vectors in, the register
+//! form of the portable engine ([`crate::Packs`]), and the model the
+//! `std::arch` register forms ([`crate::arch`]) are tested against. Its
+//! operations are the ones the workspace calls:
 //!
-//! * element-wise arithmetic (`+`, `-`, `*`, [`Pack::mul_add`],
-//!   [`Pack::min`], [`Pack::max`]),
+//! * storage — [`Pack::load`], [`Pack::store`], [`Pack::splat`],
+//!   [`Pack::from_fn`], [`Pack::extract`] and indexing;
+//! * the arithmetic [`crate::Packs`] forwards to — `+`, `*`,
+//!   [`Pack::mul_add`], [`Pack::max`];
 //! * the data-reorganization operations of Algorithm 3 — lane rotation
-//!   ([`Pack::rotate_up`], the paper's `vrotate`), lane replacement
-//!   ([`Pack::replace`], the paper's `vblend` with an immediate mask), and
-//!   strided gathers ([`Pack::gather`], the paper's `vloadset` /
-//!   `_mm256_set_pd`),
-//! * comparisons producing [`Mask`]s plus [`Pack::select`] (used by the
-//!   LCS kernel's equality blend),
-//! * cross-pack shuffles used by the spatial-vectorization baselines
-//!   ([`Pack::align_pair`], the `palignr`-style concatenate-and-shift).
-//!
-//! With `-C target-cpu=native` LLVM lowers these packs onto the native
-//! vector unit; the [`crate::arch`] module additionally provides hand-rolled
-//! `std::arch` AVX2 versions of the hot operations, which are
-//! equivalence-tested against this portable model.
+//!   ([`Pack::rotate_up`], the paper's `vrotate`) and lane replacement
+//!   ([`Pack::replace`], the paper's `vblend` with an immediate mask),
+//!   fused into the production rule [`Pack::shift_up_insert`], and their
+//!   mirrors [`Pack::rotate_down`] / [`Pack::shift_down_insert`] (the DLT
+//!   baseline's right-edge column);
+//! * [`Pack::align_pair`], the `palignr`-style concatenate-and-shift of
+//!   the data-reorganization baseline.
 //!
 //! # Lane convention
 //!
@@ -30,7 +28,7 @@
 //! in *lower* lanes; see `tempora-core` for the full picture.
 
 use core::fmt;
-use core::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use core::ops::{Add, Index, Mul};
 
 /// Element types that can live inside a [`Pack`].
 ///
@@ -47,8 +45,6 @@ pub trait Scalar:
 {
     /// Additive identity.
     const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
     /// A poison value that no correct kernel should ever produce or read:
     /// `NaN` for floats, a recognizable sentinel for integers. Test
     /// harnesses fill padding regions with it to detect out-of-bounds
@@ -57,27 +53,14 @@ pub trait Scalar:
 
     /// `self + rhs` (wrapping for integers).
     fn add_s(self, rhs: Self) -> Self;
-    /// `self - rhs` (wrapping for integers).
-    fn sub_s(self, rhs: Self) -> Self;
     /// `self * rhs` (wrapping for integers).
     fn mul_s(self, rhs: Self) -> Self;
     /// Fused `self * m + a` for floats; wrapping `self * m + a` for integers.
     fn mul_add_s(self, m: Self, a: Self) -> Self;
-    /// Numeric minimum.
-    fn min_s(self, rhs: Self) -> Self;
     /// Numeric maximum.
     fn max_s(self, rhs: Self) -> Self;
-    /// Negation.
-    fn neg_s(self) -> Self;
-    /// Lossy conversion from `usize`, for test patterns and initializers.
-    fn from_index(i: usize) -> Self;
     /// Lossy conversion to `f64`, for error metrics and reporting.
     fn to_f64(self) -> f64;
-    /// Branch-free conditional: `if m { a } else { b }`. Integer
-    /// implementations use bit masking so data-dependent selects never
-    /// become mispredicted branches; float implementations rely on the
-    /// compiler's conditional-move/blend lowering.
-    fn select_s(m: bool, a: Self, b: Self) -> Self;
     /// True when the value is the canary / poison pattern (`NaN`-aware for
     /// floats, where `== CANARY` would always be false).
     fn is_canary(self) -> bool;
@@ -87,202 +70,80 @@ pub trait Scalar:
     fn bits(self) -> u64;
 }
 
-macro_rules! impl_scalar_float {
-    ($t:ty) => {
-        impl Scalar for $t {
-            const ZERO: Self = 0.0;
-            const ONE: Self = 1.0;
-            const CANARY: Self = <$t>::NAN;
-            #[inline(always)]
-            fn add_s(self, rhs: Self) -> Self {
-                self + rhs
-            }
-            #[inline(always)]
-            fn sub_s(self, rhs: Self) -> Self {
-                self - rhs
-            }
-            #[inline(always)]
-            fn mul_s(self, rhs: Self) -> Self {
-                self * rhs
-            }
-            #[inline(always)]
-            fn mul_add_s(self, m: Self, a: Self) -> Self {
-                self.mul_add(m, a)
-            }
-            #[inline(always)]
-            fn min_s(self, rhs: Self) -> Self {
-                if self < rhs {
-                    self
-                } else {
-                    rhs
-                }
-            }
-            #[inline(always)]
-            fn max_s(self, rhs: Self) -> Self {
-                if self > rhs {
-                    self
-                } else {
-                    rhs
-                }
-            }
-            #[inline(always)]
-            fn neg_s(self) -> Self {
-                -self
-            }
-            #[inline(always)]
-            fn from_index(i: usize) -> Self {
-                i as $t
-            }
-            #[inline(always)]
-            fn to_f64(self) -> f64 {
-                self as f64
-            }
-            #[inline(always)]
-            fn is_canary(self) -> bool {
-                self.is_nan()
-            }
-            #[inline(always)]
-            fn bits(self) -> u64 {
-                self.to_bits().into()
-            }
-            #[inline(always)]
-            fn select_s(m: bool, a: Self, b: Self) -> Self {
-                if m {
-                    a
-                } else {
-                    b
-                }
-            }
+impl Scalar for f64 {
+    const ZERO: Self = 0.0;
+    const CANARY: Self = f64::NAN;
+    #[inline(always)]
+    fn add_s(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    #[inline(always)]
+    fn mul_s(self, rhs: Self) -> Self {
+        self * rhs
+    }
+    #[inline(always)]
+    fn mul_add_s(self, m: Self, a: Self) -> Self {
+        self.mul_add(m, a)
+    }
+    #[inline(always)]
+    fn max_s(self, rhs: Self) -> Self {
+        if self > rhs {
+            self
+        } else {
+            rhs
         }
-    };
+    }
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn is_canary(self) -> bool {
+        self.is_nan()
+    }
+    #[inline(always)]
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
 }
 
-macro_rules! impl_scalar_int {
-    ($t:ty) => {
-        impl Scalar for $t {
-            const ZERO: Self = 0;
-            const ONE: Self = 1;
-            // 0x5A repeated: stands out in hex dumps and is far from the
-            // small values the integer kernels (Life, LCS) produce.
-            const CANARY: Self = 0x5A5A5A5A as $t;
-            #[inline(always)]
-            fn add_s(self, rhs: Self) -> Self {
-                self.wrapping_add(rhs)
-            }
-            #[inline(always)]
-            fn sub_s(self, rhs: Self) -> Self {
-                self.wrapping_sub(rhs)
-            }
-            #[inline(always)]
-            fn mul_s(self, rhs: Self) -> Self {
-                self.wrapping_mul(rhs)
-            }
-            #[inline(always)]
-            fn mul_add_s(self, m: Self, a: Self) -> Self {
-                self.wrapping_mul(m).wrapping_add(a)
-            }
-            #[inline(always)]
-            fn min_s(self, rhs: Self) -> Self {
-                if self < rhs {
-                    self
-                } else {
-                    rhs
-                }
-            }
-            #[inline(always)]
-            fn max_s(self, rhs: Self) -> Self {
-                if self > rhs {
-                    self
-                } else {
-                    rhs
-                }
-            }
-            #[inline(always)]
-            fn neg_s(self) -> Self {
-                self.wrapping_neg()
-            }
-            #[inline(always)]
-            fn from_index(i: usize) -> Self {
-                i as $t
-            }
-            #[inline(always)]
-            fn to_f64(self) -> f64 {
-                self as f64
-            }
-            #[inline(always)]
-            fn is_canary(self) -> bool {
-                self == Self::CANARY
-            }
-            #[inline(always)]
-            fn bits(self) -> u64 {
-                // Sign extension keeps distinct values distinct.
-                self as u64
-            }
-            #[inline(always)]
-            fn select_s(m: bool, a: Self, b: Self) -> Self {
-                let mask = (m as $t).wrapping_neg();
-                (a & mask) | (b & !mask)
-            }
+impl Scalar for i32 {
+    const ZERO: Self = 0;
+    // 0x5A repeated: stands out in hex dumps and is far from the small
+    // values the integer kernels (Life, LCS) produce.
+    const CANARY: Self = 0x5A5A5A5A;
+    #[inline(always)]
+    fn add_s(self, rhs: Self) -> Self {
+        self.wrapping_add(rhs)
+    }
+    #[inline(always)]
+    fn mul_s(self, rhs: Self) -> Self {
+        self.wrapping_mul(rhs)
+    }
+    #[inline(always)]
+    fn mul_add_s(self, m: Self, a: Self) -> Self {
+        self.wrapping_mul(m).wrapping_add(a)
+    }
+    #[inline(always)]
+    fn max_s(self, rhs: Self) -> Self {
+        if self > rhs {
+            self
+        } else {
+            rhs
         }
-    };
-}
-
-impl_scalar_float!(f32);
-impl_scalar_float!(f64);
-impl_scalar_int!(i32);
-impl_scalar_int!(i64);
-
-/// A per-lane boolean mask produced by pack comparisons and consumed by
-/// [`Pack::select`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Mask<const N: usize>(pub [bool; N]);
-
-impl<const N: usize> Mask<N> {
-    /// Mask with every lane set to `b`.
-    #[inline(always)]
-    pub fn splat(b: bool) -> Self {
-        Mask([b; N])
     }
-
-    /// Build a mask lane-by-lane.
     #[inline(always)]
-    pub fn from_fn(f: impl FnMut(usize) -> bool) -> Self {
-        Mask(core::array::from_fn(f))
+    fn to_f64(self) -> f64 {
+        self as f64
     }
-
-    /// True if any lane is set.
     #[inline(always)]
-    pub fn any(&self) -> bool {
-        self.0.iter().any(|&b| b)
+    fn is_canary(self) -> bool {
+        self == Self::CANARY
     }
-
-    /// True if every lane is set.
     #[inline(always)]
-    pub fn all(&self) -> bool {
-        self.0.iter().all(|&b| b)
-    }
-
-    /// Lane-wise logical AND (non-short-circuit, branchless).
-    #[inline(always)]
-    pub fn and(self, rhs: Self) -> Self {
-        Mask(core::array::from_fn(|i| self.0[i] & rhs.0[i]))
-    }
-
-    /// Lane-wise logical OR (non-short-circuit, branchless).
-    #[inline(always)]
-    pub fn or(self, rhs: Self) -> Self {
-        Mask(core::array::from_fn(|i| self.0[i] | rhs.0[i]))
-    }
-
-    /// Lane-wise logical NOT.
-    ///
-    /// An inherent method (not the `std::ops::Not` trait) so call sites
-    /// read as the mask vocabulary `m.not().and(k)` used throughout.
-    #[inline(always)]
-    // Justification: lane-wise logical not; an inherent method keeps call sites trait-import-free.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Self {
-        Mask(core::array::from_fn(|i| !self.0[i]))
+    fn bits(self) -> u64 {
+        // Sign extension keeps distinct values distinct.
+        self as u64
     }
 }
 
@@ -294,13 +155,6 @@ impl<const N: usize> Mask<N> {
 #[repr(C, align(32))]
 pub struct Pack<T, const N: usize>(pub [T; N]);
 
-impl<T: Scalar, const N: usize> Default for Pack<T, N> {
-    #[inline(always)]
-    fn default() -> Self {
-        Self::splat(T::ZERO)
-    }
-}
-
 impl<T: Scalar, const N: usize> fmt::Debug for Pack<T, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Pack{:?}", self.0)
@@ -308,9 +162,6 @@ impl<T: Scalar, const N: usize> fmt::Debug for Pack<T, N> {
 }
 
 impl<T: Scalar, const N: usize> Pack<T, N> {
-    /// Number of lanes.
-    pub const LANES: usize = N;
-
     /// Pack with every lane equal to `v` (a broadcast).
     #[inline(always)]
     pub fn splat(v: T) -> Self {
@@ -325,9 +176,7 @@ impl<T: Scalar, const N: usize> Pack<T, N> {
 
     /// Contiguous load of `N` elements starting at `src[at]`.
     ///
-    /// Panics (via slice indexing) if the range is out of bounds. This is
-    /// the portable stand-in for both aligned and unaligned vector loads;
-    /// the distinction only matters in [`crate::arch`].
+    /// Panics (via slice indexing) if the range is out of bounds.
     #[inline(always)]
     pub fn load(src: &[T], at: usize) -> Self {
         let s = &src[at..at + N];
@@ -338,30 +187,6 @@ impl<T: Scalar, const N: usize> Pack<T, N> {
     #[inline(always)]
     pub fn store(self, dst: &mut [T], at: usize) {
         dst[at..at + N].copy_from_slice(&self.0);
-    }
-
-    /// Strided gather: lane `i` reads `src[(base as isize + i as isize*stride) as usize]`.
-    ///
-    /// This is the paper's `vloadset` (`_mm256_set_pd`): the initial input
-    /// vectors of the temporal scheme gather values whose spacing in memory
-    /// is the space stride `s` (§3.2, Algorithm 3 lines 5-7). `stride` may
-    /// be negative, which the temporal convention uses to place *older*
-    /// time coordinates (lower lanes) at *larger* space coordinates.
-    #[inline(always)]
-    pub fn gather(src: &[T], base: usize, stride: isize) -> Self {
-        Pack(core::array::from_fn(|i| {
-            let idx = base as isize + i as isize * stride;
-            src[idx as usize]
-        }))
-    }
-
-    /// Strided scatter: lane `i` writes `dst[(base as isize + i as isize*stride) as usize]`.
-    #[inline(always)]
-    pub fn scatter(self, dst: &mut [T], base: usize, stride: isize) {
-        for i in 0..N {
-            let idx = base as isize + i as isize * stride;
-            dst[idx as usize] = self.0[i];
-        }
     }
 
     /// Extract lane `i`.
@@ -385,12 +210,6 @@ impl<T: Scalar, const N: usize> Pack<T, N> {
     #[inline(always)]
     pub fn top(self) -> T {
         self.0[N - 1]
-    }
-
-    /// The lowest ("bottom") lane, `0`.
-    #[inline(always)]
-    pub fn bottom(self) -> T {
-        self.0[0]
     }
 
     /// Rotate lanes one step towards the top: lane `j` of the result is lane
@@ -464,12 +283,6 @@ impl<T: Scalar, const N: usize> Pack<T, N> {
         }))
     }
 
-    /// Reverse the lane order.
-    #[inline(always)]
-    pub fn reverse(self) -> Self {
-        Pack(core::array::from_fn(|j| self.0[N - 1 - j]))
-    }
-
     /// Fused multiply-add, lane-wise: `self * m + a`.
     ///
     /// Every floating-point kernel in the workspace goes through this single
@@ -482,61 +295,10 @@ impl<T: Scalar, const N: usize> Pack<T, N> {
         }))
     }
 
-    /// Lane-wise minimum.
-    #[inline(always)]
-    pub fn min(self, rhs: Self) -> Self {
-        Pack(core::array::from_fn(|i| self.0[i].min_s(rhs.0[i])))
-    }
-
     /// Lane-wise maximum.
     #[inline(always)]
     pub fn max(self, rhs: Self) -> Self {
         Pack(core::array::from_fn(|i| self.0[i].max_s(rhs.0[i])))
-    }
-
-    /// Lane-wise equality mask.
-    #[inline(always)]
-    pub fn eq_mask(self, rhs: Self) -> Mask<N> {
-        Mask(core::array::from_fn(|i| self.0[i] == rhs.0[i]))
-    }
-
-    /// Lane-wise `<` mask.
-    #[inline(always)]
-    pub fn lt_mask(self, rhs: Self) -> Mask<N> {
-        Mask(core::array::from_fn(|i| self.0[i] < rhs.0[i]))
-    }
-
-    /// Lane-wise select: lane `i` of the result is `a[i]` where `mask[i]`
-    /// is set and `b[i]` otherwise (the AVX `blendv` family).
-    #[inline(always)]
-    pub fn select(mask: Mask<N>, a: Self, b: Self) -> Self {
-        Pack(core::array::from_fn(|i| {
-            T::select_s(mask.0[i], a.0[i], b.0[i])
-        }))
-    }
-
-    /// Lane-wise application of an arbitrary scalar function (slow path —
-    /// used by tests and non-hot code only).
-    #[inline]
-    pub fn map(self, mut f: impl FnMut(T) -> T) -> Self {
-        Pack(core::array::from_fn(|i| f(self.0[i])))
-    }
-
-    /// Horizontal sum (`lane 0 + lane 1 + …`, left to right — the order is
-    /// part of the contract so tests can reproduce it exactly).
-    #[inline(always)]
-    pub fn hsum(self) -> T {
-        let mut acc = self.0[0];
-        for i in 1..N {
-            acc = acc.add_s(self.0[i]);
-        }
-        acc
-    }
-
-    /// View as an immutable slice of lanes.
-    #[inline(always)]
-    pub fn as_slice(&self) -> &[T] {
-        &self.0
     }
 }
 
@@ -548,27 +310,11 @@ impl<T: Scalar, const N: usize> Add for Pack<T, N> {
     }
 }
 
-impl<T: Scalar, const N: usize> Sub for Pack<T, N> {
-    type Output = Self;
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Pack(core::array::from_fn(|i| self.0[i].sub_s(rhs.0[i])))
-    }
-}
-
 impl<T: Scalar, const N: usize> Mul for Pack<T, N> {
     type Output = Self;
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
         Pack(core::array::from_fn(|i| self.0[i].mul_s(rhs.0[i])))
-    }
-}
-
-impl<T: Scalar, const N: usize> Neg for Pack<T, N> {
-    type Output = Self;
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Pack(core::array::from_fn(|i| self.0[i].neg_s()))
     }
 }
 
@@ -580,53 +326,36 @@ impl<T, const N: usize> Index<usize> for Pack<T, N> {
     }
 }
 
-impl<T, const N: usize> IndexMut<usize> for Pack<T, N> {
-    #[inline(always)]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.0[i]
-    }
-}
-
-/// In-register `N×N` transpose: `rows[i][j]` becomes `rows[j][i]`.
-///
-/// Used by the DLT baseline (§2.2) and by the temporal scheme's initial
-/// input-vector loading / final output-vector storing (§3.3): `N`
-/// consecutive vectors holding same-time values are transposed into `N`
-/// input vectors holding mixed-time values, and vice versa.
-#[inline]
-pub fn transpose<T: Scalar, const N: usize>(rows: &mut [Pack<T, N>; N]) {
-    for i in 0..N {
-        for j in (i + 1)..N {
-            let a = rows[i].0[j];
-            let b = rows[j].0[i];
-            rows[i].0[j] = b;
-            rows[j].0[i] = a;
-        }
-    }
-}
-
 /// Common 4-lane double-precision pack — the paper's AVX `vl = 4` register.
 pub type F64x4 = Pack<f64, 4>;
-/// 8-lane single-precision pack.
-pub type F32x8 = Pack<f32, 8>;
 /// 8-lane 32-bit integer pack — used by the Life and LCS kernels
 /// (`vl = 8`, the paper's "theoretical maximal speedup of 8" for LCS).
 pub type I32x8 = Pack<i32, 8>;
-/// 4-lane 64-bit integer pack.
-pub type I64x4 = Pack<i64, 4>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::{I32Lanes, Packs};
+
+    /// The columns of an `N×N` block of rows, each assembled by inserting
+    /// its rows bottom-up with the production rule: how the temporal
+    /// prologue lifts same-time values into input vectors.
+    fn columns_by_insert<T: Scalar, const N: usize>(rows: [Pack<T, N>; N]) -> [Pack<T, N>; N] {
+        core::array::from_fn(|j| {
+            (0..N)
+                .rev()
+                .fold(Pack::splat(T::ZERO), |v, i| v.shift_up_insert(rows[i][j]))
+        })
+    }
 
     #[test]
     fn splat_and_extract() {
         let p = F64x4::splat(2.5);
         for i in 0..4 {
             assert_eq!(p.extract(i), 2.5);
+            assert_eq!(p[i], 2.5);
         }
         assert_eq!(p.top(), 2.5);
-        assert_eq!(p.bottom(), 2.5);
     }
 
     #[test]
@@ -642,22 +371,24 @@ mod tests {
 
     #[test]
     fn gather_negative_stride_matches_temporal_layout() {
-        // Input vector of Algorithm 3 line 5 with s = 2:
-        // lane 3 = a[x], lane 2 = a[x+s], lane 1 = a[x+2s], lane 0 = a[x+3s]
-        // i.e. base = x + 3s, stride = -s walking lane 0 -> 3.
-        let a: Vec<f64> = (0..32).map(|i| i as f64 * 10.0).collect();
+        // Input vector of Algorithm 3 line 5 with s = 2, through the
+        // vocabulary's `vloadset`: lane 7 = a[x], lane 6 = a[x+s], …,
+        // lane 0 = a[x+7s], i.e. base = x + 7s, stride = -s.
+        let a: Vec<u8> = (0..32).map(|i| i * 3).collect();
         let (x, s) = (3usize, 2isize);
-        let base = x + 3 * s as usize;
-        let v = F64x4::gather(&a, base, -s);
-        assert_eq!(v.0, [a[x + 6], a[x + 4], a[x + 2], a[x]]);
+        let v: I32x8 = Packs.load_u8(&a, x + 7 * s as usize, -s);
+        assert_eq!(v.0, core::array::from_fn(|i| a[x + (7 - i) * 2] as i32));
     }
 
     #[test]
     fn scatter_inverts_gather() {
-        let src: Vec<i32> = (0..64).collect();
-        let v = I32x8::gather(&src, 7, 7);
-        let mut dst = vec![0i32; 64];
-        v.scatter(&mut dst, 7, 7);
+        // The strided byte load reads exactly lane i from src[base + i·stride].
+        let src: Vec<u8> = (0..64).collect();
+        let v: I32x8 = Packs.load_u8(&src, 7, 7);
+        let mut dst = [0u8; 64];
+        for i in 0..8 {
+            dst[7 + 7 * i] = v.extract(i) as u8;
+        }
         for i in 0..8 {
             assert_eq!(dst[7 + 7 * i], src[7 + 7 * i]);
         }
@@ -718,14 +449,17 @@ mod tests {
 
     #[test]
     fn select_and_masks() {
+        // The vocabulary's select: `cmpeq` makes a mask of whole lanes,
+        // `blendv` takes each lane from its own side.
         let a = I32x8::from_fn(|i| i as i32);
         let b = I32x8::splat(-1);
-        let m = a.lt_mask(I32x8::splat(4));
-        let r = I32x8::select(m, a, b);
-        assert_eq!(r.0, [0, 1, 2, 3, -1, -1, -1, -1]);
-        assert!(m.any() && !m.all());
-        assert_eq!(m.not().and(m), Mask::splat(false));
-        assert_eq!(m.not().or(m), Mask::splat(true));
+        let m = Packs.cmpeq(a.max(I32x8::splat(3)), I32x8::splat(3));
+        assert_eq!(m.0, [-1, -1, -1, -1, 0, 0, 0, 0]);
+        assert_eq!(Packs.blendv(b, a, m).0, [0, 1, 2, 3, -1, -1, -1, -1]);
+        assert_eq!(
+            Packs.and(m, Packs.cmpeq(m, I32x8::splat(0))),
+            I32x8::splat(0)
+        );
     }
 
     #[test]
@@ -736,8 +470,8 @@ mod tests {
         let up = I32x8::from_fn(|i| 7 - i as i32);
         let a = I32x8::from_fn(|i| (i % 2) as i32);
         let b = I32x8::splat(1);
-        let eq = a.eq_mask(b);
-        let r = I32x8::select(eq, diag + I32x8::splat(1), left.max(up));
+        let eq = Packs.cmpeq(a, b);
+        let r = Packs.blendv(left.max(up), diag + I32x8::splat(1), eq);
         for i in 0..8 {
             let expect = if i % 2 == 1 {
                 6
@@ -750,31 +484,31 @@ mod tests {
 
     #[test]
     fn transpose_involution() {
-        let mut rows: [F64x4; 4] =
-            core::array::from_fn(|i| F64x4::from_fn(|j| (10 * i + j) as f64));
-        let orig = rows;
-        transpose(&mut rows);
-        for (i, row) in rows.iter().enumerate() {
+        let rows: [F64x4; 4] = core::array::from_fn(|i| F64x4::from_fn(|j| (10 * i + j) as f64));
+        let t = columns_by_insert(rows);
+        for (i, row) in t.iter().enumerate() {
             for (j, v) in row.0.iter().enumerate() {
-                assert_eq!(*v, orig[j].0[i]);
+                assert_eq!(*v, rows[j].0[i]);
             }
         }
-        transpose(&mut rows);
-        assert_eq!(rows, orig);
+        assert_eq!(columns_by_insert(t), rows);
     }
 
     #[test]
     fn hsum_order_is_left_to_right() {
+        // Lane-wise addition rounds each lane on its own, in the order
+        // written: (1e16 + 1) rounds to 1e16 in every lane.
         let p = Pack([1e16, 1.0, -1e16, 1.0]);
-        // ((1e16 + 1) - 1e16) + 1 = 1 under f64 (1e16+1 rounds to 1e16).
-        assert_eq!(p.hsum(), 1.0);
+        let q = F64x4::splat(1.0);
+        assert_eq!((p + q).0, [1e16, 2.0, -1e16, 2.0]);
+        assert_eq!(((p + q) + F64x4::splat(-1e16)).0[0], 0.0);
     }
 
     #[test]
     fn alignment_is_32_bytes() {
         assert_eq!(core::mem::align_of::<F64x4>(), 32);
         assert_eq!(core::mem::align_of::<I32x8>(), 32);
-        let v = [F64x4::default(); 3];
+        let v = [F64x4::splat(0.0); 3];
         for p in &v {
             assert_eq!(p as *const _ as usize % 32, 0);
         }
@@ -785,17 +519,22 @@ mod tests {
         let a = Pack([1.0, 2.0, 3.0, 4.0]);
         let b = Pack([0.5, 0.25, 2.0, -1.0]);
         assert_eq!((a + b).0, [1.5, 2.25, 5.0, 3.0]);
-        assert_eq!((a - b).0, [0.5, 1.75, 1.0, 5.0]);
         assert_eq!((a * b).0, [0.5, 0.5, 6.0, -4.0]);
-        assert_eq!((-a).0, [-1.0, -2.0, -3.0, -4.0]);
-        assert_eq!(a.min(b).0, [0.5, 0.25, 2.0, -1.0]);
         assert_eq!(a.max(b).0, [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(a.mul_add(b, a).0, [1.5, 2.5, 9.0, 0.0]);
     }
 
     #[test]
     fn reverse_lanes() {
+        // N rotations either way are the identity; one each way cancels.
         let a = I32x8::from_fn(|i| i as i32);
-        assert_eq!(a.reverse().0, [7, 6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(a.rotate_down().0, [1, 2, 3, 4, 5, 6, 7, 0]);
+        let (mut up, mut down) = (a, a);
+        for _ in 0..8 {
+            (up, down) = (up.rotate_up(), down.rotate_down());
+        }
+        assert_eq!((up, down), (a, a));
+        assert_eq!(a.rotate_up().rotate_down(), a);
     }
 
     #[test]

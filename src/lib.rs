@@ -19,10 +19,10 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`simd`] | portable packs, `std::arch` AVX2 paths, reorg-op counting |
+//! | [`simd`] | portable packs, the lane vocabulary and its `std::arch` tokens (`Ymm`, `Zmm`), reorg-op counting |
 //! | [`grid`] | aligned 1/2/3-D grids, ghost cells, double buffering |
 //! | [`stencil`] | problem definitions, dependence analysis, scalar oracles |
-//! | [`baseline`] | spatial schemes: multi-load, data-reorganization, DLT |
+//! | [`baseline`] | spatial schemes: data-reorganization, DLT (multi-load is `core::spatial`) |
 //! | [`core`] | **the paper's contribution**: temporal engines, AVX2 steady states, [`engine`] dispatch |
 //! | [`tiling`] | time-tiling workspaces: in-place pipelined sweeps (every grid kernel) and LCS rectangles |
 //! | [`parallel`] | crossbeam worker pool + wavefront executor |

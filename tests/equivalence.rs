@@ -8,7 +8,7 @@
 //! against a state, so these tests cover validation, engine resolution
 //! and plan execution end to end.
 
-use tempora::baseline::{dlt, multiload, reorg};
+use tempora::baseline::{dlt, reorg};
 use tempora::core::engine;
 use tempora::core::kernels::*;
 use tempora::core::{lcs, t1d};
@@ -116,6 +116,21 @@ fn forced(sel: Select, s: usize) -> PlanBuilder {
     PlanBuilder::new().select(sel).stride(s)
 }
 
+/// The selections a spatial (engine-less) plan can be forced to on this
+/// host.
+fn spatial_selects() -> Vec<Select> {
+    let avx2 = tempora::simd::arch::avx2_available().then_some(Select::Avx2);
+    [Some(Select::Portable), avx2]
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// The untiled multi-load plan under `sel`.
+fn multiload(sel: Select) -> PlanBuilder {
+    PlanBuilder::new().method(Method::Multiload).select(sel)
+}
+
 /// The three tiled in-tile schemes as `(label, method, stride)` rows.
 fn tiled_methods(s: usize, with_auto: bool) -> Vec<(Method, usize)> {
     let mut v = vec![(Method::Scalar, s)];
@@ -141,22 +156,32 @@ fn heat1d_all_schemes_agree() {
         t1d::run::<8, false, _>(&g, &kern, steps, 2).interior_eq(&gold),
         "temporal vl=8"
     );
-    assert!(
-        multiload::heat1d(&g, c, steps).interior_eq(&gold),
-        "multiload"
-    );
     assert!(reorg::heat1d(&g, c, steps).interior_eq(&gold), "reorg");
     assert!(dlt::heat1d(&g, c, steps).interior_eq(&gold), "dlt");
-    // The same baselines compiled for AVX2+FMA (n = 1000 takes the DLT
-    // fast path, n = 1001 its multi-load fallback).
+    // The same baselines compiled for AVX2+FMA.
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
-        let odd = g1(1001, 2, 0.5);
-        let gold_odd = reference::heat1d(&odd, c, steps);
-        assert!(multiload::heat1d_avx2(&g, c, steps).interior_eq(&gold));
         assert!(reorg::heat1d_avx2(&g, c, steps).interior_eq(&gold));
         assert!(dlt::heat1d_avx2(&g, c, steps).interior_eq(&gold));
-        assert!(dlt::heat1d_avx2(&odd, c, steps).interior_eq(&gold_odd));
+    }
+    // Multi-load and DLT plans on every selection: n = 1000 takes the DLT
+    // fast path, n = 1001 the multi-load sweeps the plan routes it to.
+    let odd = g1(1001, 2, 0.5);
+    for g in [&g, &odd] {
+        let gold = reference::heat1d(g, c, steps);
+        let problem = Problem::Heat1d {
+            n: g.n(),
+            steps,
+            coeffs: c,
+            boundary: g.boundary(),
+        };
+        for method in [Method::Multiload, Method::Dlt] {
+            for sel in spatial_selects() {
+                let (r, e) = run1(&problem, PlanBuilder::new().method(method).select(sel), g);
+                assert!(r.interior_eq(&gold), "{method:?} {sel:?} n={}", g.n());
+                assert_eq!(e, None, "{method:?} {sel:?} n={}", g.n());
+            }
+        }
     }
     // All five methods again through the plan API (including the
     // one-shot baselines) plus the ghost tiling on 2 workers.
@@ -200,7 +225,6 @@ fn heat2d_and_box2d_all_schemes_agree() {
 
     let c = Heat2dCoeffs::classic(0.11);
     let gold = reference::heat2d(&g, c, steps);
-    assert!(multiload::heat2d(&g, c, steps).interior_eq(&gold));
     let problem = Problem::Heat2d {
         nx: g.nx(),
         ny: g.ny(),
@@ -208,6 +232,10 @@ fn heat2d_and_box2d_all_schemes_agree() {
         coeffs: c,
         boundary: g.boundary(),
     };
+    for sel in spatial_selects() {
+        let (r, e) = run2(&problem, multiload(sel), &g);
+        assert!(r.interior_eq(&gold) && e.is_none(), "multiload {sel:?}");
+    }
     let (r, _) = run2(&problem, forced(Select::Portable, 2), &g);
     assert!(r.interior_eq(&gold));
     for (method, s) in tiled_methods(2, true) {
@@ -228,7 +256,6 @@ fn heat2d_and_box2d_all_schemes_agree() {
 
     let cb = Box2dCoeffs::smooth(0.07);
     let goldb = reference::box2d(&g, cb, steps);
-    assert!(multiload::box2d(&g, cb, steps).interior_eq(&goldb));
     let problem = Problem::Box2d {
         nx: g.nx(),
         ny: g.ny(),
@@ -236,6 +263,10 @@ fn heat2d_and_box2d_all_schemes_agree() {
         coeffs: cb,
         boundary: g.boundary(),
     };
+    for sel in spatial_selects() {
+        let (r, e) = run2(&problem, multiload(sel), &g);
+        assert!(r.interior_eq(&goldb) && e.is_none(), "multiload {sel:?}");
+    }
     let (r, _) = run2(&problem, forced(Select::Portable, 2), &g);
     assert!(r.interior_eq(&goldb));
     let (r, _) = run2(&problem, PlanBuilder::new().stride(2), &g);
@@ -249,7 +280,6 @@ fn life_all_schemes_agree() {
     fill_random_life(&mut g, 5, 0.37);
     let steps = 16;
     let gold = reference::life(&g, rule, steps);
-    assert!(multiload::life(&g, rule, steps).interior_eq(&gold));
     let problem = Problem::Life {
         nx: g.nx(),
         ny: g.ny(),
@@ -257,6 +287,10 @@ fn life_all_schemes_agree() {
         rule,
         boundary: g.boundary(),
     };
+    for sel in spatial_selects() {
+        let (r, e) = run2i(&problem, multiload(sel), &g);
+        assert!(r.interior_eq(&gold) && e.is_none(), "multiload {sel:?}");
+    }
     let (r, _) = run2i(&problem, forced(Select::Portable, 2), &g);
     assert!(r.interior_eq(&gold));
     for (method, s) in [(Method::Scalar, 2), (Method::Temporal, 2)] {
@@ -292,7 +326,6 @@ fn heat3d_all_schemes_agree() {
     let g = g3(24, 7);
     let steps = 8;
     let gold = reference::heat3d(&g, c, steps);
-    assert!(multiload::heat3d(&g, c, steps).interior_eq(&gold));
     let problem = Problem::Heat3d {
         nx: g.nx(),
         ny: g.ny(),
@@ -301,6 +334,10 @@ fn heat3d_all_schemes_agree() {
         coeffs: c,
         boundary: g.boundary(),
     };
+    for sel in spatial_selects() {
+        let (r, e) = run3(&problem, multiload(sel), &g);
+        assert!(r.interior_eq(&gold) && e.is_none(), "multiload {sel:?}");
+    }
     let (r, _) = run3(&problem, forced(Select::Portable, 2), &g);
     assert!(r.interior_eq(&gold));
     for (method, s) in tiled_methods(2, true) {
@@ -1436,8 +1473,6 @@ fn canaries_survive_every_engine() {
     // No engine may write into the alignment padding.
     let c = Heat2dCoeffs::classic(0.125);
     let g = g2(40, 37, 8, 0.0); // ny chosen so padding exists (37+2=39 -> pitch 40)
-    let rm = multiload::heat2d(&g, c, 8);
-    rm.check_canaries().unwrap();
     let problem = Problem::Heat2d {
         nx: g.nx(),
         ny: g.ny(),
@@ -1445,6 +1480,10 @@ fn canaries_survive_every_engine() {
         coeffs: c,
         boundary: g.boundary(),
     };
+    for sel in spatial_selects() {
+        let (rm, _) = run2(&problem, multiload(sel), &g);
+        rm.check_canaries().unwrap();
+    }
     let (r, _) = run2(&problem, forced(Select::Portable, 2), &g);
     r.check_canaries().unwrap();
     let (rp, _) = run2(

@@ -17,3 +17,14 @@ pub fn tile_epilogue(n: usize) -> usize {
 pub fn tile_epilogue_len(n: usize) -> usize {
     n
 }
+
+/// A vocabulary macro (`crates/simd/src/arch.rs`) whose methods lost the
+/// attribute: every method it generates is a call, not an instruction.
+macro_rules! lane_ops {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:expr;)*) => {$(
+        #[inline]
+        fn $name(self, $($arg: $ty),*) -> $ret {
+            $body
+        }
+    )*};
+}

@@ -63,6 +63,17 @@ impl Rows for u8 {
     }
 }
 
+/// A vocabulary macro of `crates/simd/src/arch.rs`'s shape: every method
+/// it generates is a phase function, and carries the attribute.
+macro_rules! lane_ops {
+    ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:expr;)*) => {$(
+        #[inline(always)]
+        fn $name(self, $($arg: $ty),*) -> $ret {
+            $body
+        }
+    )*};
+}
+
 // Justification: demo helper reached only from doctests.
 #[allow(dead_code)]
 fn helper() {}

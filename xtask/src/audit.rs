@@ -10,7 +10,7 @@
 //! | `allow-justification` | every `#[allow(...)]` carries a justification comment, same line or directly above | everywhere |
 //! | `ordering-rationale` | every atomic `Ordering::` use carries an ordering-rationale comment, same line or directly above | non-test code |
 //! | `panic-justification` | every `.unwrap()` / `.expect(` call carries a justification comment, same line or directly above | non-test code |
-//! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module; the raw `tempora_simd::arch::avx2` calls only under `crates/simd/` (everything above computes through the `Lanes` vocabulary) | everywhere |
+//! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module (everything above computes through the `Lanes` vocabulary) | everywhere |
 //! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the capability probe it is dispatched behind, `avx2_available()` or `avx512_available()` | everywhere |
 //! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src`, the lane vocabulary in `crates/simd/src`, the vector formulas in `crates/stencil/src` |
 //!
@@ -47,13 +47,6 @@ const AVAILABLE_PROBES: [&str; 2] = [
     concat!("avx2_av", "ailable"),
     concat!("avx512_av", "ailable"),
 ];
-const ARCH_AVX2: &str = concat!("arch::", "avx2");
-const ARCH_BRACE: &str = concat!("arch::", "{");
-const AVX2_MODULE: &str = concat!("av", "x2");
-
-/// Directory allowed to name the raw AVX2 vocabulary module.
-const AVX2_SCOPE: &str = "crates/simd/";
-
 const INLINE_ALWAYS: &str = "#[inline(always)]";
 
 /// The phase functions, by the directory or file that defines them: code
@@ -73,9 +66,9 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 ///   their own and reach their instructions only by being inlined into a
 ///   sandwich, everything on the slab row path (`cursor` … `finish`), the
 ///   kernel adapters (`scalar`, `pack`) and the multi-load step bodies;
-/// * `tempora_simd`: the lane vocabulary — every method of `Packs`, of
-///   `Ymm` (`$name`: the macro-generated safe forms of the AVX2 calls) and
-///   of `Zmm` (`$name` too: each the AVX-512 intrinsics of its body);
+/// * `tempora_simd`: the lane vocabulary — every method of `Packs`, and of
+///   the `Ymm` and `Zmm` tokens (`$name`: the methods the one macro of
+///   `arch.rs` writes over their intrinsics);
 /// * `tempora_stencil`: the kernels' vector formulas.
 const PHASE_FNS: [(&str, &[&str]); 4] = [
     (
@@ -117,34 +110,33 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "step_3d_body",
         ],
     ),
-    (
-        "crates/simd/src/lanes.rs",
-        &[
-            "load",
-            "store",
-            "splat",
-            "top",
-            "shift_up_insert",
-            "mul",
-            "fmadd",
-            "add",
-            "mullo",
-            "max",
-            "cmpeq",
-            "blendv",
-            "srav",
-            "and",
-            "load_u8",
-        ],
-    ),
-    (
-        "crates/simd/src/arch.rs",
-        &["$name", "load", "store", "splat", "srav", "load_u8"],
-    ),
+    ("crates/simd/src/lanes.rs", VOCABULARY),
+    ("crates/simd/src/arch.rs", VOCABULARY),
     (
         "crates/stencil/src/",
         &["apply_pack", "apply_neighborhood_pack", "lcs_update_pack"],
     ),
+];
+
+/// The lane vocabulary's methods, and `$name`: a method generated by a
+/// macro of the file.
+const VOCABULARY: &[&str] = &[
+    "load",
+    "store",
+    "splat",
+    "top",
+    "shift_up_insert",
+    "mul",
+    "fmadd",
+    "add",
+    "mullo",
+    "max",
+    "cmpeq",
+    "blendv",
+    "srav",
+    "and",
+    "load_u8",
+    "$name",
 ];
 
 /// The phase function of `path` defined on code line `i`, if any. A
@@ -590,19 +582,6 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 );
             }
         }
-        let names_avx2 = contains_token(code, ARCH_AVX2)
-            || (code.contains(ARCH_BRACE) && contains_token(code, AVX2_MODULE));
-        if names_avx2 && !path.starts_with(AVX2_SCOPE) {
-            push(
-                i,
-                "forbidden-construct",
-                format!(
-                    "`{ARCH_AVX2}` may be named only under {AVX2_SCOPE}: compute through the \
-                     `Lanes` vocabulary (`Ymm`), so that a steady state stays one body for \
-                     every engine"
-                ),
-            );
-        }
 
         // --- target-feature -------------------------------------------
         if code.contains(TARGET_FEATURE) {
@@ -779,26 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_avx2_vocabulary_is_flagged_outside_simd() {
-        let src = include_str!("../fixtures/bad/arch_avx2_outside_simd.rs");
-        let msg = format!(
-            "[forbidden-construct] `{ARCH_AVX2}` may be named only under {AVX2_SCOPE}: compute \
-             through the `Lanes` vocabulary (`Ymm`), so that a steady state stays one body \
-             for every engine"
-        );
-        assert_eq!(
-            diags("crates/core/src/t9d_avx2.rs", src),
-            vec![
-                format!("crates/core/src/t9d_avx2.rs:5: {msg}"),
-                format!("crates/core/src/t9d_avx2.rs:7: {msg}"),
-                format!("crates/core/src/t9d_avx2.rs:14: {msg}"),
-            ]
-        );
-        // The vocabulary's own crate names it freely.
-        assert_eq!(diags("crates/simd/tests/it.rs", src), Vec::<String>::new());
-    }
-
-    #[test]
     fn safe_target_feature_fn_is_flagged_twice() {
         let src = include_str!("../fixtures/bad/target_feature_safe.rs");
         let d = diags("crates/demo/src/lib.rs", src);
@@ -848,6 +807,20 @@ mod tests {
         let good = include_str!("../fixtures/good/clean.rs");
         assert!(good.contains("fn tile_prologue"));
         assert_eq!(diags("crates/core/src/t9d.rs", good), Vec::<String>::new());
+        // Every method the vocabulary macro of `arch.rs` generates is one
+        // (`$name`): the bad fixture's lost its attribute, the good one's
+        // keeps it.
+        let arch = "crates/simd/src/arch.rs";
+        assert_eq!(
+            diags(arch, src),
+            vec![format!(
+                "{arch}:26: [phase-inline] phase function `$name` must be `{INLINE_ALWAYS}`: \
+                 without it the AVX2 sandwiches call the baseline-x86-64 instantiation (libm \
+                 `fma` per `mul_add`) instead of compiling their own"
+            )]
+        );
+        assert!(good.contains("fn $name"));
+        assert_eq!(diags(arch, good), Vec::<String>::new());
     }
 
     #[test]
