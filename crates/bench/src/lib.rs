@@ -962,8 +962,7 @@ pub fn par_figure(row: &Benchmark, scale: usize, max_cores: usize) -> Figure {
             // plan_sample's built-in warm-up faults in pages and spins up
             // the plan's workers before the three timed runs. Workers are
             // pinned one-per-core (best-effort) so the core-count axis
-            // means what it says, and the plan first-touches its tile
-            // arenas from their owning workers.
+            // means what it says.
             s.measure(
                 cores as f64,
                 cores,

@@ -338,9 +338,9 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// (from ghost slab 0 with the prologue) to `xs.end() + VL·s` (to
     /// ghost slab `nx + 1` with the epilogue), which `a` must hold. `sc`
     /// must come from [`KernelSpace::scratch`] for the same engine; a
-    /// `std::arch` engine needs [`KernelSpace::has_avx2_tile`] (and a
-    /// CPU with its features). `COUNT` turns on the steady state's
-    /// reorganization-op accounting ([`tempora_simd::count`]).
+    /// `std::arch` engine needs a CPU with its features. `COUNT` turns on
+    /// the steady state's reorganization-op accounting
+    /// ([`tempora_simd::count`]).
     ///
     /// # Panics
     /// Panics when the outer extent cannot host the vector schedule
@@ -384,14 +384,6 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
         xs: RangeInclusive<usize>,
     );
 
-    /// True when the CPU supports AVX2+FMA, and with it this kernel's
-    /// AVX2 sweeps at every stride it accepts — a `true` return is the
-    /// licence to pass [`Engine::Avx2`] to [`KernelSpace::sweep`]. Always
-    /// false off x86-64 and under Miri.
-    fn has_avx2_tile() -> bool {
-        avx2_available()
-    }
-
     /// Resolve `sel` for a temporal run of `steps` levels over `nx` outer
     /// slabs: AVX2 wherever the CPU has the features, whatever the stride
     /// and shape. A run too short or too narrow for the vector schedule
@@ -399,7 +391,7 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// [module docs](self)). The 1-D kinds widen an `Auto` run to
     /// [`Engine::Avx512`] where it pays.
     fn resolve(sel: Select, _nx: usize, _steps: usize) -> Engine {
-        sel.resolve(Self::has_avx2_tile())
+        sel.resolve(avx2_available())
     }
 
     /// The temporal stride a plan runs on `engine` when none is given:
@@ -589,7 +581,7 @@ macro_rules! slab_kernel_space {
             }
 
             fn scratch(_engine: Engine, dims: [usize; 3], s: usize) -> Self::Scratch {
-                Scratch::new::<Self::Grid>(dims, s)
+                Scratch::new::<Self::Grid>(dims, s, <Self as $kernel>::IS_GS)
             }
 
             fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
@@ -669,7 +661,7 @@ pub(crate) mod tests {
 
     /// The window of `g` holding slabs `lo ..= hi`: what a part is given,
     /// so that a part reaching outside its documented slabs panics.
-    fn window<G: SlabGrid>(g: &mut G, lo: usize, hi: usize) -> SlabsMut<'_, G::Elem> {
+    pub(crate) fn window<G: SlabGrid>(g: &mut G, lo: usize, hi: usize) -> SlabsMut<'_, G::Elem> {
         let slab = g.slab();
         SlabsMut {
             data: &mut g.data_mut()[lo * slab..(hi + 1) * slab],

@@ -54,10 +54,19 @@ use tempora_stencil::{lcs_update, lcs_update_pack};
 /// lanes, one `ymm` — the paper's "theoretical maximal speedup of 8").
 pub const VL: usize = 8;
 
-/// Scratch for the LCS engine (head/tail wavefront triangles).
+/// Everything one LCS tile has in flight at stride `s`, reusable by the
+/// next tile.
+///
+/// The boundary phases compute one level (DP row) at a time from the
+/// level below, as [`crate::t1d::Scratch1d`] does, so two planes of
+/// `VL·s + 2` cells are all they keep: the prologue's level `k` over the
+/// columns `y0-1 ..= y0-1 + (VL-k)·s`, the epilogue's level `i` re-based
+/// at `y_max + (VL-1-i)·s` — `O(VL·s)` cells at any lane count, where a
+/// plane per level would be `O(VL²·s)`.
 pub struct ScratchLcs<const VL: usize> {
-    head: Vec<Vec<i32>>,
-    tail: Vec<Vec<i32>>,
+    /// The two planes, end to end.
+    planes: Vec<i32>,
+    /// The in-flight input vectors: slot `y % (s+1)` holds `V(y)`.
     ring: Vec<Pack<i32, VL>>,
 }
 
@@ -65,9 +74,8 @@ impl<const VL: usize> ScratchLcs<VL> {
     /// Allocate scratch for stride `s`.
     pub fn new(s: usize) -> Self {
         ScratchLcs {
-            head: (0..VL).map(|k| vec![0; (VL - k) * s + 2]).collect(),
-            tail: (0..VL).map(|i| vec![0; (i + 1) * s + 2]).collect(),
-            ring: vec![Pack::splat(0); s + 2],
+            planes: vec![0; 2 * (VL * s + 2)],
+            ring: vec![Pack::splat(0); s + 1],
         }
     }
 }
@@ -162,9 +170,9 @@ pub(crate) fn tile_seg_in<const VL: usize, L: I32Lanes<VL>>(
 }
 
 /// Degenerate-segment guard: when the segment cannot host the vector
-/// schedule (`seg < VL·s + 1`), run the `VL` levels with scalar row steps
-/// instead (same results, `right_col` fully exported) and report `true`.
-/// Also validates the tile contract.
+/// schedule (`seg < VL·s + 1`, however large `s`), run the `VL` levels
+/// with scalar row steps instead (same results, `right_col` fully
+/// exported) and report `true`. Also validates the tile contract.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
 fn tile_seg_fallback_if_degenerate<const VL: usize>(
@@ -182,7 +190,7 @@ fn tile_seg_fallback_if_degenerate<const VL: usize>(
     assert!(left_col.len() > VL && right_col.len() > VL);
     debug_assert!(y0 >= 1 && y1 >= y0 && y1 < row.len());
     right_col[0] = row[y1];
-    if y1 + 1 - y0 > VL * s {
+    if y1 + 1 - y0 > VL.saturating_mul(s) {
         return false;
     }
     for (k, &ca) in a_tile.iter().enumerate() {
@@ -198,6 +206,13 @@ fn tile_seg_fallback_if_degenerate<const VL: usize>(
 /// the last steady anchor column and the output vector the steady state
 /// starts from. The segment must not be degenerate (see
 /// [`tile_seg_fallback_if_degenerate`]).
+///
+/// Level `k = 1 .. VL` is computed into one of the two planes, `plane[j]
+/// = lcs[x0+k][y0-1+j]` for `j ∈ 0 ..= (VL-k)·s`, from level `k - 1` in
+/// the other (the row for `k = 1`), and gathered as soon as it is done:
+/// lane `k` of `V(y)` is level `k` at column `y + (VL-1-k)·s`, lane
+/// `k - 1` of `O(y0-1)` level `k` at column `y0-1 + (VL-k)·s` (its top
+/// lane is the west column's level `VL`).
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
 fn tile_seg_prologue<const VL: usize>(
@@ -213,12 +228,18 @@ fn tile_seg_prologue<const VL: usize>(
     let seg = y1 + 1 - y0;
     assert!(seg > VL * s, "degenerate segment: call the fallback");
     let y_max = y1 - VL * s; // last steady anchor (absolute column)
-
-    // Prologue: head[k][j] = lcs[x0+k][y0-1+j] for j ∈ 0..=(VL-k)·s.
+    let ScratchLcs { planes, ring } = sc;
+    // The ring holds V(y0-1) ..= V(y0-1+s), slot j = (y0-1+j) % (s+1) —
+    // the anchor one left of the first steady iteration, as in Algorithm 3
+    // lines 5-7. Lane 0 is the row.
+    let slot = |j: usize| (y0 - 1 + j) % (s + 1);
+    for j in 0..=s {
+        ring[slot(j)].0[0] = row[y0 - 1 + j + (VL - 1) * s];
+    }
+    let mut o_prev = Pack::splat(left_col[VL]);
+    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
     for k in 1..VL {
         let hi = (VL - k) * s;
-        let (lo, hi_planes) = sc.head.split_at_mut(k);
-        let plane = &mut hi_planes[0];
         plane[0] = left_col[k];
         let ca = a_tile[k - 1];
         for j in 1..=hi {
@@ -229,37 +250,16 @@ fn tile_seg_prologue<const VL: usize>(
                 let d = if j == 1 { left_col[0] } else { row[y - 1] };
                 (d, row[y])
             } else {
-                (lo[k - 1][j - 1], lo[k - 1][j])
+                (below[j - 1], below[j])
             };
             plane[j] = lcs_update(diag, up, plane[j - 1], ca, b[y - 1]);
         }
-    }
-
-    // Initial ring V(y0-1) ..= V(y0-1+s): lane i = lcs[x0+i][y+(VL-1-i)·s]
-    // (the anchor one left of the first steady iteration, as in
-    // Algorithm 3 lines 5-7).
-    let rlen = s + 1;
-    for jj in 0..=s {
-        let y = y0 - 1 + jj;
-        let head = &sc.head;
-        sc.ring[y % rlen] = Pack::from_fn(|i| {
-            let yy = y + (VL - 1 - i) * s;
-            if i == 0 {
-                row[yy]
-            } else {
-                head[i][yy - (y0 - 1)]
-            }
-        });
-    }
-    // O(y0-1): lane i = lcs[x0+1+i][y0-1 + (VL-1-i)·s].
-    let o_prev = Pack::<i32, VL>::from_fn(|i| {
-        let j = (VL - 1 - i) * s;
-        if i == VL - 1 {
-            left_col[VL]
-        } else {
-            sc.head[i + 1][j]
+        for j in 0..=s {
+            ring[slot(j)].0[k] = plane[j + (VL - 1 - k) * s];
         }
-    });
+        o_prev.0[k - 1] = plane[hi];
+        core::mem::swap(&mut below, &mut plane);
+    }
     (y_max, o_prev)
 }
 
@@ -382,10 +382,12 @@ fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
     }
 }
 
-/// Phase 3 of an LCS temporal tile: drain the surviving ring into the
-/// tail triangles, finish every level scalar-wise up to `y1` and export
-/// the east column. `y_max` must match the value [`tile_seg_prologue`]
-/// returned and the ring must hold `V(j)` at slot `j % (s+1)` for
+/// Phase 3 of an LCS temporal tile: drain the surviving ring level by
+/// level, finish every level scalar-wise up to `y1` and export the east
+/// column — level `i` in one of the two planes, re-based at
+/// `y_max + (VL-1-i)·s`, from level `i - 1` in the other (the row for
+/// `i = 1`). `y_max` must match the value [`tile_seg_prologue`] returned
+/// and the ring must hold `V(j)` at slot `j % (s+1)` for
 /// `j ∈ y_max ..= y_max+s`, as left behind by the steady state.
 // Justification: same tile-contract signature as `tile_seg`.
 #[allow(clippy::too_many_arguments)]
@@ -399,38 +401,34 @@ fn tile_seg_epilogue<const VL: usize>(
     sc: &mut ScratchLcs<VL>,
     y_max: usize,
 ) {
-    let rlen = s + 1;
+    let ScratchLcs { planes, ring } = sc;
+    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
     for i in 1..VL {
         let base = y_max + (VL - 1 - i) * s;
         for j in y_max..=y_max + s {
-            let v = sc.ring[j % rlen];
-            sc.tail[i][j - y_max] = v.extract(i);
+            plane[j - y_max] = ring[j % (s + 1)].extract(i);
         }
         let ca = a_tile[i - 1];
-        let (lo, hi_planes) = sc.tail.split_at_mut(i);
-        let plane = &mut hi_planes[0];
         for y in base + s + 1..=y1 {
             let rel = y - base;
             let (diag, up) = if i == 1 {
                 (row[y - 1], row[y])
             } else {
                 let bb = y - (base + s);
-                (lo[i - 1][bb - 1], lo[i - 1][bb])
+                (below[bb - 1], below[bb])
             };
             plane[rel] = lcs_update(diag, up, plane[rel - 1], ca, b[y - 1]);
         }
         right_col[i] = plane[y1 - base];
+        core::mem::swap(&mut below, &mut plane);
     }
-    // Final level VL.
-    {
-        let below = &sc.tail[VL - 1]; // based at y_max
-        let ca = a_tile[VL - 1];
-        for y in y_max + 1..=y1 {
-            let rel = y - y_max;
-            row[y] = lcs_update(below[rel - 1], below[rel], row[y - 1], ca, b[y - 1]);
-        }
-        right_col[VL] = row[y1];
+    // Final level VL; level VL-1 (`below`) is based at y_max.
+    let ca = a_tile[VL - 1];
+    for y in y_max + 1..=y1 {
+        let rel = y - y_max;
+        row[y] = lcs_update(below[rel - 1], below[rel], row[y - 1], ca, b[y - 1]);
     }
+    right_col[VL] = row[y1];
 }
 
 /// Advance the full DP row by [`VL`] sequence-`A` positions (whole-row
@@ -533,33 +531,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vl4_variant_matches_reference() {
-        let a = random_sequence(30, 3, 1);
-        let b = random_sequence(77, 3, 2);
+    /// The tile at `VL` lanes in `Packs`, whole rows, strides `1 ..= 4`.
+    fn variant_matches_reference<const VL: usize>(a: &[u8], b: &[u8]) {
         for s in 1..=4 {
             let mut row = vec![0i32; b.len() + 1];
-            let mut sc = ScratchLcs::<4>::new(s);
-            let (zeros, mut sink) = ([0i32; 5], [0i32; 5]);
-            for a_tile in a.chunks_exact(4) {
-                tile_seg_in(
-                    Packs,
-                    &mut row,
-                    1,
-                    b.len(),
-                    a_tile,
-                    &b,
-                    s,
-                    &zeros,
-                    &mut sink,
-                    &mut sc,
-                );
+            let mut sc = ScratchLcs::<VL>::new(s);
+            let (zeros, mut sink) = (vec![0i32; VL + 1], vec![0i32; VL + 1]);
+            let (sc, n) = (&mut sc, b.len());
+            for a_tile in a.chunks_exact(VL) {
+                tile_seg_in(Packs, &mut row, 1, n, a_tile, b, s, &zeros, &mut sink, sc);
             }
-            for &ca in a.chunks_exact(4).remainder() {
-                scalar_row_step(&mut row, ca, &b);
+            for &ca in a.chunks_exact(VL).remainder() {
+                scalar_row_step(&mut row, ca, b);
             }
-            assert_eq!(row, reference::lcs_final_row(&a, &b));
+            assert_eq!(row, reference::lcs_final_row(a, b), "VL={VL} s={s}");
         }
+    }
+
+    #[test]
+    fn vl4_variant_matches_reference() {
+        // Four lanes, and the sixteen of the next integer width, where a
+        // plane per level was largest: two tiles and a scalar remainder,
+        // every row a vector segment (77 > 16·4).
+        let a = random_sequence(40, 3, 1);
+        let b = random_sequence(77, 3, 2);
+        variant_matches_reference::<4>(&a, &b);
+        variant_matches_reference::<16>(&a, &b);
     }
 
     #[test]

@@ -34,7 +34,8 @@ use {crate::lcs::ScratchLcs, tempora_simd::arch::Ymm};
 /// (`x`-remainder `< VL`) runs scalar rows in every engine, like the
 /// `steps mod height` tails of the grid tilings, and does not demote the
 /// report; a column block too narrow for the steady state would, because
-/// all of its tiles would silently run the scalar schedule.
+/// all of its tiles would silently run the scalar schedule. A stride whose
+/// `VL·s` exceeds every segment, however large, has no vector tile.
 pub fn rect_has_vector_tiles(la: usize, lb: usize, xblock: usize, yblock: usize, s: usize) -> bool {
     if !(tempora_simd::arch::avx2_available() && la >= VL && xblock >= VL) {
         return false;
@@ -43,7 +44,7 @@ pub fn rect_has_vector_tiles(la: usize, lb: usize, xblock: usize, yblock: usize,
         0 => yblock,
         r => r,
     };
-    yblock.min(lb) > VL * s && last > VL * s
+    yblock.min(lb).min(last) > VL.saturating_mul(s)
 }
 
 /// The strides whose steady state keeps the input-vector ring and the
@@ -286,5 +287,8 @@ mod tests {
         assert!(!rect_has_vector_tiles(90, 140, 24, 8, 1)); // yblock segment
         assert_eq!(rect_has_vector_tiles(90, 132, 24, 40, 1), cpu); // ragged 12 ≥ 9
         assert!(!rect_has_vector_tiles(90, 125, 24, 40, 1)); // last segment 5 < 9
+        for s in [1 << 33, usize::MAX / 4 + 2, usize::MAX] {
+            assert!(!rect_has_vector_tiles(90, 140, 24, 40, s)); // VL·s saturates
+        }
     }
 }

@@ -29,7 +29,8 @@
 //! steady state at anchor `x` writes level `t + VL` into slab `x` and
 //! reads level `t` from slab `x + VL·s`: in `(x, t)` it sweeps a
 //! parallelogram of slope `-s`. Everything in flight — the ring, the two
-//! Gauss-Seidel output slabs, the head and tail planes — lives in
+//! Gauss-Seidel output slabs, the two planes the boundary phases roll
+//! their levels through — lives in
 //! [`Scratch`], so the anchor range can be cut anywhere and resumed: the
 //! driver's primitive is one **part** (`sweep_body` over a range of
 //! anchors, with the prologue when the range starts at 1 and the epilogue
@@ -405,7 +406,8 @@ impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Row
 // ---------------------------------------------------------------------
 
 /// The wavefront ring of one sweep: `s + 2` slabs of input-vector packs,
-/// `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output slabs.
+/// `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output slabs
+/// (empty for Jacobi).
 struct Ring<T: Scalar, const VL: usize> {
     slabs: Vec<Vec<Pack<T, VL>>>,
     /// Previous output slab `O(x-1, ·)` (Gauss-Seidel only).
@@ -415,40 +417,58 @@ struct Ring<T: Scalar, const VL: usize> {
 }
 
 impl<T: Scalar, const VL: usize> Ring<T, VL> {
-    fn new(s: usize, shape: SlabShape) -> Self {
-        let slab = || vec![Pack::splat(T::ZERO); shape.elems()];
+    fn new(s: usize, shape: SlabShape, gs: bool) -> Self {
+        let slab = |len| vec![Pack::splat(T::ZERO); len];
+        let out = if gs { shape.elems() } else { 0 };
         Ring {
-            slabs: (0..s + 2).map(|_| slab()).collect(),
-            o_prev: slab(),
-            o_cur: slab(),
+            slabs: (0..s + 2).map(|_| slab(shape.elems())).collect(),
+            o_prev: slab(out),
+            o_cur: slab(out),
         }
     }
 
-    /// Set the ghost packs the steady state reads and never writes to the
-    /// boundary value: the shell of every wavefront slab and, for
-    /// Gauss-Seidel, of both output slabs (per sweep: the boundary value
-    /// comes from the grid).
+    /// Set the packs the steady state reads and never writes to the
+    /// boundary value (per sweep: the boundary value comes from the grid):
+    /// the shell of every wavefront slab, and the output slabs whole — the
+    /// top lane of `O(0, ·)`, level `VL` at slab 0, is the boundary value
+    /// at every point.
     #[inline(always)]
-    fn reset_shells(&mut self, shape: SlabShape, bc: T, is_gs: bool) {
+    fn reset_shells(&mut self, shape: SlabShape, bc: T) {
         for slab in self.slabs.iter_mut() {
             fill_shell(slab, shape, Pack::splat(bc));
         }
-        if is_gs {
-            fill_shell(&mut self.o_prev, shape, Pack::splat(bc));
-            fill_shell(&mut self.o_cur, shape, Pack::splat(bc));
+        self.o_prev.fill(Pack::splat(bc));
+        self.o_cur.fill(Pack::splat(bc));
+    }
+
+    /// Gather level `k` (`lv`) as soon as it is done: lane `k` of the
+    /// initial `W(j)`, `j ∈ 0 ..= s`, is level `k` at slab
+    /// `j + (VL-1-k)·s`, and (Gauss-Seidel) lane `k - 1` of `O(0, ·)` is
+    /// level `k` at slab `(VL-k)·s`.
+    #[inline(always)]
+    fn gather(&mut self, shape: SlabShape, s: usize, k: usize, lv: Level<'_, T>) {
+        for (j, dst) in self.slabs[..=s].iter_mut().enumerate() {
+            insert_lane(dst, k, lv.slab(j + (VL - 1 - k) * s), lv.pitch, shape);
+        }
+        if k > 0 && !self.o_prev.is_empty() {
+            let src = lv.slab((VL - k) * s);
+            insert_lane(&mut self.o_prev, k - 1, src, lv.pitch, shape);
         }
     }
 }
 
 /// Everything one sweep has in flight (slab shape × stride): what its
-/// parts hand each other, reusable by the next sweep.
+/// phases and parts hand each other, reusable by the next sweep.
+///
+/// The boundary phases compute one level at a time from the level below,
+/// as [`crate::t1d::Scratch1d`] does, so two planes of `VL·s + 2` slabs
+/// are all they keep: the prologue's level `k` over slabs
+/// `0 ..= (VL-k)·s` (slab 0 the boundary), the epilogue's level `i`
+/// re-based at `x_max + (VL-1-i)·s` — `O(VL·s)` slabs at any lane count,
+/// where a plane per level would be `O(VL²·s)`.
 pub struct Scratch<T: Scalar, const VL: usize> {
-    /// Head planes: `head[k]` holds level-`k` slabs `0..=(VL-k)·s` (slab 0
-    /// = boundary).
-    head: Vec<Vec<T>>,
-    /// Tail planes: `tail[i]` holds level-`i` slabs re-based at
-    /// `x_max + (VL-1-i)·s`, `(i+1)·s + 1` of them.
-    tail: Vec<Vec<T>>,
+    /// The two planes, end to end.
+    planes: Vec<T>,
     ring: Ring<T, VL>,
     s: usize,
     shape: SlabShape,
@@ -456,14 +476,13 @@ pub struct Scratch<T: Scalar, const VL: usize> {
 
 impl<T: Scalar, const VL: usize> Scratch<T, VL> {
     /// Allocate scratch for a grid of type `G` with interior extents
-    /// `dims`, at stride `s`.
-    pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize) -> Self {
+    /// `dims`, at stride `s`, for a Gauss-Seidel kernel (`gs`) or a
+    /// Jacobi one, whose scratch carries no output slabs.
+    pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize, gs: bool) -> Self {
         let shape = G::slab_shape(dims);
-        let plane = |slabs: usize| vec![T::ZERO; slabs * shape.elems()];
         Scratch {
-            head: (0..VL).map(|k| plane((VL - k) * s + 1)).collect(),
-            tail: (0..VL).map(|i| plane((i + 1) * s + 1)).collect(),
-            ring: Ring::new(s, shape),
+            planes: vec![T::ZERO; 2 * (VL * s + 2) * shape.elems()],
+            ring: Ring::new(s, shape, gs),
             s,
             shape,
         }
@@ -517,9 +536,9 @@ impl<T: Scalar> Geo<T> {
 }
 
 /// One level's slabs as the boundary sweeps read them: the grid itself
-/// (level 0) or a head/tail plane (packed rows), re-based at outer slab
-/// `x0`. The source and its strides are chosen once per level, so the
-/// row loops index plain equal-length slices.
+/// (level 0) or one of the two scratch planes (packed rows), re-based at
+/// outer slab `x0`. The source and its strides are chosen once per level,
+/// so the row loops index plain equal-length slices.
 #[derive(Clone, Copy)]
 struct Level<'a, T> {
     data: &'a [T],
@@ -540,7 +559,7 @@ impl<'a, T> Level<'a, T> {
         }
     }
 
-    /// A head or tail plane of packed slabs whose first is outer slab `x0`.
+    /// A scratch plane of packed slabs whose first is outer slab `x0`.
     #[inline(always)]
     fn plane(data: &'a [T], shape: SlabShape, x0: usize) -> Self {
         Level {
@@ -582,24 +601,40 @@ fn copy_slab<T: Copy>(src: &[T], pitch: usize, dst: &mut [T], shape: SlabShape) 
     }
 }
 
-/// Interleave `VL` equal-length rows into the interior packs of `dst`:
-/// lane `i` of `dst[y]` is `rows[i][y]`.
+/// Lane `k` of the interior packs of the packed slab `dst`, from the
+/// interior of slab `src` (row pitch `pitch`).
 #[inline(always)]
-fn pack_rows<T: Scalar, const VL: usize>(dst: &mut [Pack<T, VL>], rows: [&[T]; VL]) {
-    let w = dst.len();
-    let rows = rows.map(|r| &r[..w]);
-    for y in 1..w - 1 {
-        dst[y] = Pack::from_fn(|i| rows[i][y]);
+fn insert_lane<T: Scalar, const VL: usize>(
+    dst: &mut [Pack<T, VL>],
+    k: usize,
+    src: &[T],
+    pitch: usize,
+    shape: SlabShape,
+) {
+    let w = shape.width;
+    for r in shape.interior() {
+        let src = &src[r * pitch..][1..w - 1];
+        for (d, &v) in dst[r * w..][1..w - 1].iter_mut().zip(src) {
+            d.0[k] = v;
+        }
     }
 }
 
-/// Lane `i` of the interior packs of `src`, into the interior of `out`.
+/// Lane `k` of the interior packs of the packed slab `src`, into the
+/// interior of the packed slab `dst`.
 #[inline(always)]
-fn unpack_lane<T: Scalar, const VL: usize>(src: &[Pack<T, VL>], i: usize, out: &mut [T]) {
-    let w = out.len();
-    let src = &src[..w];
-    for y in 1..w - 1 {
-        out[y] = src[y].extract(i);
+fn extract_lane<T: Scalar, const VL: usize>(
+    src: &[Pack<T, VL>],
+    k: usize,
+    dst: &mut [T],
+    shape: SlabShape,
+) {
+    let w = shape.width;
+    for r in shape.interior() {
+        let src = &src[r * w..][1..w - 1];
+        for (d, p) in dst[r * w..][1..w - 1].iter_mut().zip(src) {
+            *d = p.0[k];
+        }
     }
 }
 
@@ -742,6 +777,11 @@ pub(crate) fn sweep_body<T, const VL: usize, const COUNT: bool, R>(
 /// initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
 /// initial output slab `O(0, ·)`. Reads slabs `0 ..= VL·s` of the array
 /// and writes only `sc`.
+///
+/// Level `k = 1 .. VL` is computed over slabs `1 ..= (VL-k)·s` from level
+/// `k - 1` (the grid for `k = 1`) into one of the two planes, slab 0 the
+/// boundary, and gathered into the ring as soon as it is done
+/// ([`Ring::gather`]); level 0 is gathered from the grid.
 #[inline(always)]
 fn tile_prologue<T, const VL: usize, R>(
     a: &[T],
@@ -755,57 +795,25 @@ fn tile_prologue<T, const VL: usize, R>(
 {
     let (shape, bc) = (geo.shape, geo.bc);
     let (w, wp) = (shape.width, shape.elems());
-
-    // head[k] = level k over slabs 1..=(VL-k)·s (slab 0 = boundary).
+    let Scratch { planes, ring, .. } = sc;
+    ring.reset_shells(shape, bc);
+    ring.gather(shape, s, 0, Level::grid(a, geo));
+    let (mut below, mut plane) = planes.split_at_mut((VL * s + 2) * wp);
     for k in 1..VL {
         let hi = (VL - k) * s;
-        let (lo_planes, hi_planes) = sc.head.split_at_mut(k);
-        let plane = &mut hi_planes[0][..(hi + 1) * wp];
-        plane[..wp].fill(bc);
-        for slab in plane.chunks_exact_mut(wp).skip(1) {
+        let out = &mut plane[..(hi + 1) * wp];
+        out[..wp].fill(bc);
+        for slab in out.chunks_exact_mut(wp).skip(1) {
             fill_shell(slab, shape, bc);
         }
-        let below = if k == 1 {
+        let src = if k == 1 {
             Level::grid(a, geo)
         } else {
-            Level::plane(&lo_planes[k - 1], shape, 0)
+            Level::plane(below, shape, 0)
         };
-        sweep_level(rows, shape, below, plane, [wp, w], 0, 1..=hi);
-    }
-
-    // Initial wavefront ring W(0) ..= W(s): lane i of W(j) is level i at
-    // outer slab j + (VL-1-i)·s — level 0 from the grid, level i ≥ 1 from
-    // head[i] (whose slab 0 holds the boundary value).
-    sc.ring.reset_shells(shape, bc, R::IS_GS);
-    for j in 0..=s {
-        let dst = &mut sc.ring.slabs[j % (s + 2)];
-        for r in shape.interior() {
-            let lanes: [&[T]; VL] = core::array::from_fn(|i| {
-                let x = j + (VL - 1 - i) * s;
-                if i == 0 {
-                    &a[geo.at(x) + r * geo.pitch..][..w]
-                } else {
-                    &sc.head[i][x * wp + r * w..][..w]
-                }
-            });
-            pack_rows(&mut dst[r * w..][..w], lanes);
-        }
-    }
-
-    // Gauss-Seidel: O(0, ·), lane i = level i+1 at slab (VL-1-i)·s; the
-    // top lane (level VL at slab 0) is the boundary slab of a head plane.
-    if R::IS_GS {
-        for r in shape.interior() {
-            let lanes: [&[T]; VL] = core::array::from_fn(|i| {
-                let (k, x) = if i == VL - 1 {
-                    (VL - 1, 0)
-                } else {
-                    (i + 1, (VL - 1 - i) * s)
-                };
-                &sc.head[k][x * wp + r * w..][..w]
-            });
-            pack_rows(&mut sc.ring.o_prev[r * w..][..w], lanes);
-        }
+        sweep_level(rows, shape, src, out, [wp, w], 0, 1..=hi);
+        ring.gather(shape, s, k, Level::plane(plane, shape, 0));
+        core::mem::swap(&mut below, &mut plane);
     }
 }
 
@@ -862,12 +870,13 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     }
 }
 
-/// Phase 3 of a temporal sweep: drain the surviving wavefront ring into
-/// the tail planes and finish every level scalar-wise up to slab `nx`.
-/// The ring must hold `W(j)` at slot `j % (s+2)` for
-/// `j ∈ x_max ..= x_max+s`, as left behind by the steady state. Reads
-/// slabs `x_max + (VL-1)·s ..= nx + 1` of the array and writes slabs
-/// `x_max + 1 ..= nx`.
+/// Phase 3 of a temporal sweep: drain the surviving wavefront ring level
+/// by level and finish every level scalar-wise up to slab `nx`, level `i`
+/// in one of the two planes, re-based at `x_max + (VL-1-i)·s`, from level
+/// `i - 1` in the other (the grid for `i = 1`). The ring must hold `W(j)`
+/// at slot `j % (s+2)` for `j ∈ x_max ..= x_max+s`, as left behind by the
+/// steady state. Reads slabs `x_max + (VL-1)·s ..= nx + 1` of the array
+/// and writes slabs `x_max + 1 ..= nx`.
 #[inline(always)]
 fn tile_epilogue<T, const VL: usize, R>(
     a: &mut [T],
@@ -882,39 +891,39 @@ fn tile_epilogue<T, const VL: usize, R>(
 {
     let (nx, shape, bc) = (geo.nx, geo.shape, geo.bc);
     let (w, wp) = (shape.width, shape.elems());
+    let Scratch { planes, ring, .. } = sc;
+    let (mut below, mut plane) = planes.split_at_mut((VL * s + 2) * wp);
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
         let slabs = (i + 1) * s + 1; // rel 0 ..= (i+1)·s, last = ghost slab nx+1
         debug_assert_eq!(base + slabs - 1, nx + 1);
-        let (lo_planes, hi_planes) = sc.tail.split_at_mut(i);
-        let plane = &mut hi_planes[0][..slabs * wp];
-        for slab in plane.chunks_exact_mut(wp) {
+        let out = &mut plane[..slabs * wp];
+        for slab in out.chunks_exact_mut(wp) {
             fill_shell(slab, shape, bc);
         }
-        plane[(slabs - 1) * wp..].fill(bc);
+        out[(slabs - 1) * wp..].fill(bc);
         // Drain lane i of the surviving ring slabs: lane i of W(j) is
         // level i at outer slab j + (VL-1-i)·s = base + (j - x_max).
         for j in x_max..=x_max + s {
-            let src = &sc.ring.slabs[j % (s + 2)];
-            let dst = &mut plane[(j - x_max) * wp..][..wp];
-            for r in shape.interior() {
-                unpack_lane(&src[r * w..][..w], i, &mut dst[r * w..][..w]);
-            }
+            let dst = &mut out[(j - x_max) * wp..];
+            extract_lane(&ring.slabs[j % (s + 2)], i, dst, shape);
         }
         // Scalar completion over slabs base+s+1 ..= nx, reading level i-1
-        // from the grid or from tail[i-1] (based at base + s).
-        let below = if i == 1 {
+        // from the grid or from `below` (based at base + s).
+        let src = if i == 1 {
             Level::grid(a, geo)
         } else {
-            Level::plane(&lo_planes[i - 1], shape, base + s)
+            Level::plane(below, shape, base + s)
         };
-        sweep_level(rows, shape, below, plane, [wp, w], base, base + s + 1..=nx);
+        sweep_level(rows, shape, src, out, [wp, w], base, base + s + 1..=nx);
+        core::mem::swap(&mut below, &mut plane);
     }
 
-    // Final level VL over slabs x_max+1 ..= nx, written into the array.
-    let below = Level::plane(&sc.tail[VL - 1], shape, x_max);
+    // Final level VL over slabs x_max+1 ..= nx, written into the array;
+    // level VL-1 (`below`) is based at x_max.
+    let src = Level::plane(below, shape, x_max);
     let strides = [geo.slab, geo.pitch];
-    sweep_level(rows, shape, below, a, strides, geo.x0, x_max + 1..=nx);
+    sweep_level(rows, shape, src, a, strides, geo.x0, x_max + 1..=nx);
 }
 
 /// One table-driven suite for the driver: kind × shape × steps
@@ -924,13 +933,15 @@ fn tile_epilogue<T, const VL: usize, R>(
 /// table.
 #[cfg(test)]
 pub(crate) mod tests {
-    use crate::engine::tests::{multiload_in_parts, run_in_parts, run_whole};
+    use super::{scalar_sweep_body, step_bufs, sweep_body, Rows, Rows2, Rows3, Scratch};
+    use crate::engine::tests::{multiload_in_parts, run_in_parts, run_whole, window};
     use crate::engine::{Engine, KernelSpace};
     use crate::kernels::{BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, LifeKern2d};
     use tempora_grid::{
         fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid2, Grid3, SlabGrid,
     };
     use tempora_simd::arch::avx2_available;
+    use tempora_simd::Packs;
     use tempora_stencil::{
         reference, Box2dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule,
     };
@@ -1252,6 +1263,70 @@ pub(crate) mod tests {
                     panic!("multiload {e:?} dims={dims:?} cut={cut} steps={n}: {d}");
                 }
             }
+        }
+    }
+
+    /// `steps` levels of `g` through the driver at eight `f64` lanes,
+    /// computing in `Packs` — a width no engine runs the slab kinds at
+    /// yet, and the one where a plane per level was largest: every sweep
+    /// cut into parts of `cut` anchors, then the scalar remainder steps.
+    fn run_vl8<G, R>(rows: &R, g: &G, steps: usize, s: usize, cut: usize) -> G
+    where
+        G: SlabGrid<Elem = f64>,
+        R: Rows<f64, 8>,
+    {
+        let (dims, lay) = (g.dims(), g.layout());
+        let (mut g, nx, reach) = (g.clone(), lay.nx, 8 * s);
+        let (mut sc, mut bufs) = (Scratch::new::<G>(dims, s, R::IS_GS), step_bufs::<G>(dims));
+        let x_max = nx + 1 - reach;
+        for _ in 0..steps / 8 {
+            for x0 in (1..=x_max).step_by(cut) {
+                let x1 = (x0 + cut - 1).min(x_max);
+                let lo = if x0 == 1 { 0 } else { x0 };
+                let hi = if x1 == x_max { nx + 1 } else { x1 + reach };
+                let a = window(&mut g, lo, hi);
+                sweep_body::<f64, 8, false, R>(&lay, a, rows, x0..=x1, s, &mut sc);
+            }
+        }
+        for _ in 0..steps % 8 {
+            let a = window(&mut g, 0, nx + 1);
+            scalar_sweep_body::<f64, 8, R>(&lay, a, rows, 1..=nx, &mut bufs);
+        }
+        g
+    }
+
+    /// [`run_vl8`] over strides × steps (whole sweeps and remainders) ×
+    /// cuts (whole, as wide as the read-ahead, narrower) ≡ the reference.
+    fn vl8<K: Kind, R: Rows<f64, 8>>(kern: &K, rows: R, dims: [usize; 3])
+    where
+        K::Grid: SlabGrid<Elem = f64>,
+    {
+        for s in [2, 3, 4] {
+            for steps in [8, 9, 16, 19] {
+                let g = K::grid(dims, (dims[0] + dims[1] + s + steps) as u64);
+                let gold = kern.gold(&g, steps);
+                for cut in [dims[0], 8 * s, 5, 1] {
+                    let ours = run_vl8(&rows, &g, steps, s, cut);
+                    if let Some(d) = K::mismatch(&ours, &gold) {
+                        panic!("vl 8 dims={dims:?} cut={cut} s={s} steps={steps}: {d}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vl8_rows_match_reference() {
+        vl8(&heat2d(), Rows2(heat2d(), Packs), [40, 9, 1]);
+        vl8(&heat2d(), Rows2(heat2d(), Packs), [57, 3, 1]);
+        for kern in [gs2d(), gs2d_asym()] {
+            vl8(&kern, Rows2(kern, Packs), [40, 9, 1]);
+            vl8(&kern, Rows2(kern, Packs), [57, 3, 1]);
+        }
+        vl8(&heat3d(), Rows3(heat3d(), Packs), [40, 5, 6]);
+        for kern in [gs3d(), gs3d_asym()] {
+            vl8(&kern, Rows3(kern, Packs), [40, 5, 6]);
+            vl8(&kern, Rows3(kern, Packs), [35, 2, 3]);
         }
     }
 

@@ -5,10 +5,6 @@
 //! replacing the authors' OpenMP runtime with a small pinned-worker
 //! executor:
 //!
-//! * [`Pool::for_each_owned`] — a parallel-for with **static contiguous
-//!   ownership**: index `i` always runs on the same worker, so a
-//!   workspace can first-touch its arenas from the worker that will
-//!   later advance them (NUMA-correct page placement);
 //! * [`Pool::waves`] — a wavefront over a `(band, block)` grid with the
 //!   dependence pattern of skewed/rectangular time tiling (`(b, i)`
 //!   waits for `(b, i-1)` and `(b-1, i..=i+1)`): a dependence-counter
@@ -32,6 +28,11 @@
 //!   survives to run the next job. An opt-in
 //!   [`PoolConfig::stall_timeout`] watchdog converts a silently wedged
 //!   wavefront into a panic carrying a task-graph snapshot.
+//!
+//! The pool places no memory: any worker may claim any task of a
+//! wavefront, so no scratch slot has an owner whose pages it should be
+//! faulted in by. A workspace allocates its arenas once, on the thread
+//! that builds it.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -115,22 +116,12 @@ struct TaskRef {
 // invoked while the dispatching call blocks, keeping the closure alive.
 unsafe impl Send for TaskRef {}
 
-/// How a region's index space is handed to the workers.
-#[derive(Clone, Copy)]
-enum RegionSpec {
-    /// Workers claim one index per `fetch_add`.
-    Dynamic { n: usize },
-    /// Worker `w` of `T` statically owns indices
-    /// `[w·n/T, (w+1)·n/T)` — no atomics, and index `i` lands on the
-    /// same worker in every region of the same size.
-    Owned { n: usize },
-}
-
 struct PoolState {
     /// Region generation; bumped once per dispatched parallel region.
     generation: u64,
-    /// The current region's task and index-space shape.
-    task: Option<(TaskRef, RegionSpec)>,
+    /// The current region's task and its index count `n`: workers claim
+    /// the indices `0..n` one per `fetch_add`.
+    task: Option<(TaskRef, usize)>,
     /// Workers still running the current region.
     active: usize,
     /// Workers that finished startup (pinning settled).
@@ -158,8 +149,6 @@ struct PoolShared {
     work_cv: Condvar,
     done_cv: Condvar,
     next: AtomicUsize,
-    /// Worker count, including the dispatching thread.
-    threads: usize,
     /// False if any requested worker pin failed.
     pin_ok: AtomicBool,
     wave_scratch: Mutex<WaveScratch>,
@@ -256,7 +245,6 @@ impl Pool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             next: AtomicUsize::new(0),
-            threads,
             pin_ok: AtomicBool::new(true),
             wave_scratch: Mutex::new(WaveScratch::default()),
             cancel: AtomicBool::new(false),
@@ -292,7 +280,7 @@ impl Pool {
                         st.started += 1;
                         shared.done_cv.notify_all();
                     }
-                    worker_loop(&shared, k);
+                    worker_loop(&shared);
                 })
             })
             .collect();
@@ -355,11 +343,7 @@ impl Pool {
     /// worker done, including a drain after a panic). Returns the first
     /// panic payload raised by a task of the region, if any; the caller
     /// re-throws it after restoring its own invariants.
-    fn dispatch<F: Fn(usize) + Sync>(
-        &self,
-        spec: RegionSpec,
-        f: &F,
-    ) -> Option<Box<dyn Any + Send>> {
+    fn dispatch<F: Fn(usize) + Sync>(&self, n: usize, f: &F) -> Option<Box<dyn Any + Send>> {
         /// Cast the erased pointer back to `F` and run one index.
         ///
         /// # Safety
@@ -385,13 +369,13 @@ impl Pool {
             // published by the state-mutex release below. No worker from
             // the previous region is live (its dispatch drained fully).
             self.shared.cancel.store(false, Ordering::Relaxed);
-            st.task = Some((task, spec));
+            st.task = Some((task, n));
             st.active = self.threads - 1;
             st.generation += 1;
             self.shared.work_cv.notify_all();
         }
         // The dispatcher helps as worker 0.
-        run_region(&self.shared, 0, task, spec);
+        run_region(&self.shared, task, n);
         // Wait for the workers to drain their in-flight tasks.
         {
             let mut st = self.shared.state.lock();
@@ -424,37 +408,7 @@ impl Pool {
             }
             return;
         }
-        if let Some(payload) = self.dispatch(RegionSpec::Dynamic { n }, &f) {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Run `f(i)` for every `i ∈ 0..n` with **static ownership**:
-    /// worker `w` of `T` always executes the contiguous range
-    /// `[w·n/T, (w+1)·n/T)`. Two calls with the same `n` on the same
-    /// pool run each index on the same worker, which is what lets a
-    /// workspace first-touch tile arenas from the worker that will
-    /// advance them. No atomics are touched on the hot path.
-    ///
-    /// # Panics
-    /// Re-throws the first panic raised by `f` after the region has
-    /// drained (remaining indices are skipped, none run twice). The pool
-    /// itself survives and can dispatch further regions.
-    pub fn for_each_owned<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.threads == 1 {
-            for i in 0..n {
-                failpoint!("pool_task", i);
-                f(i);
-            }
-            return;
-        }
-        if n == 0 {
-            return;
-        }
-        if let Some(payload) = self.dispatch(RegionSpec::Owned { n }, &f) {
+        if let Some(payload) = self.dispatch(n, &f) {
             resume_unwind(payload);
         }
     }
@@ -636,7 +590,7 @@ impl Pool {
         };
         // Tickets are claimed (and awaited) one at a time: claiming runs
         // of them would serialize the pipeline's release order.
-        let panicked = self.dispatch(RegionSpec::Dynamic { n: total }, &run_one);
+        let panicked = self.dispatch(total, &run_one);
         if let Some(payload) = panicked {
             // A cancelled wavefront leaves counts/slots mid-flight; zero
             // the used prefix so the scratch is back to a clean reusable
@@ -697,33 +651,20 @@ fn run_task_contained(shared: &PoolShared, task: TaskRef, i: usize) {
     }
 }
 
-/// Execute one region's share of work as worker `id`. Every task runs
-/// through [`run_task_contained`], so a panic can never unwind out of a
-/// worker thread; once the cancel flag is up, remaining work is skipped.
-fn run_region(shared: &PoolShared, id: usize, task: TaskRef, spec: RegionSpec) {
-    match spec {
-        RegionSpec::Dynamic { n } => loop {
-            if shared.cancelled() {
-                break;
-            }
-            // Ordering: Relaxed — the counter only parcels out indices;
-            // the task closure itself was published through the state
-            // mutex, and claimers need no cross-claim ordering.
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            run_task_contained(shared, task, i);
-        },
-        RegionSpec::Owned { n } => {
-            let t = shared.threads;
-            for i in (id * n / t)..((id + 1) * n / t) {
-                if shared.cancelled() {
-                    break;
-                }
-                run_task_contained(shared, task, i);
-            }
+/// Claim and run indices of the region `0..n` until none is left. Every
+/// task runs through [`run_task_contained`], so a panic can never unwind
+/// out of a worker thread; once the cancel flag is up, remaining work is
+/// skipped.
+fn run_region(shared: &PoolShared, task: TaskRef, n: usize) {
+    while !shared.cancelled() {
+        // Ordering: Relaxed — the counter only parcels out indices; the
+        // task closure itself was published through the state mutex, and
+        // claimers need no cross-claim ordering.
+        let i = shared.next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        run_task_contained(shared, task, i);
     }
 }
 
@@ -767,10 +708,10 @@ fn stall_report(
     )
 }
 
-fn worker_loop(shared: &PoolShared, id: usize) {
+fn worker_loop(shared: &PoolShared) {
     let mut seen = 0u64;
     loop {
-        let (task, spec) = {
+        let (task, n) = {
             let mut st = shared.state.lock();
             loop {
                 if st.shutdown {
@@ -787,7 +728,7 @@ fn worker_loop(shared: &PoolShared, id: usize) {
             // both under one lock), not a recoverable runtime condition.
             st.task.expect("woken without a task")
         };
-        run_region(shared, id, task, spec);
+        run_region(shared, task, n);
         let mut st = shared.state.lock();
         st.active -= 1;
         if st.active == 0 {
@@ -826,16 +767,6 @@ impl<'a, T> SyncSlice<'a, T> {
             len: slice.len(),
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Reborrow the whole slice mutably.
@@ -884,36 +815,6 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn owned_covers_all_once_and_is_stable() {
-        for threads in [1usize, 2, 4, 8] {
-            let pool = Pool::new(threads);
-            for n in [0usize, 1, 3, 37, 100] {
-                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                pool.for_each_owned(n, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "threads={threads} n={n}"
-                );
-            }
-            // Ownership must be stable: the same index lands on the same
-            // worker thread across regions of the same size.
-            let n = 37;
-            let owner_map = || {
-                let owners = Mutex::new(vec![None; n]);
-                pool.for_each_owned(n, |i| {
-                    owners.lock().unwrap()[i] = Some(std::thread::current().id());
-                });
-                owners.into_inner().unwrap()
-            };
-            let first = owner_map();
-            assert!(first.iter().all(|o| o.is_some()));
-            assert_eq!(first, owner_map(), "threads={threads}");
-        }
     }
 
     /// The stamp oracle shared by every wavefront test: run the
@@ -977,7 +878,7 @@ mod tests {
         }
         assert_eq!(count.load(Ordering::Relaxed), 1500 * 3 + 200 * 6);
         for _ in 0..500 {
-            pool.for_each_owned(5, |_| {
+            pool.for_each_index(5, |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -991,7 +892,7 @@ mod tests {
         // honest no-op, never a panic.
         assert_eq!(pool.is_pinned(), Pool::pinning_supported());
         let count = AtomicUsize::new(0);
-        pool.for_each_owned(100, |_| {
+        pool.for_each_index(100, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         pool.waves(3, 4, |_, _| {
@@ -1005,7 +906,7 @@ mod tests {
         let pool = Pool::new(4);
         let mut data = vec![0u64; 64];
         let shared = SyncSlice::new(&mut data);
-        pool.for_each_owned(8, |i| {
+        pool.for_each_index(8, |i| {
             // SAFETY: each task writes a disjoint 8-element block.
             let s = unsafe { shared.slice_mut() };
             for v in &mut s[i * 8..(i + 1) * 8] {
@@ -1086,40 +987,31 @@ mod tests {
             .unwrap_or("<non-string payload>")
     }
 
-    /// Containment on the parallel-for surfaces: the first panic is
+    /// Containment on the parallel-for surface: the first panic is
     /// re-thrown to the caller with its original payload, no index runs
     /// twice, and the same pool instance completes the next region.
     #[test]
     fn for_each_panic_propagates_and_pool_survives() {
         for threads in [1usize, 2, 4, 8] {
-            for owned in [false, true] {
-                let pool = Pool::new(threads);
-                let dispatch = |f: &(dyn Fn(usize) + Sync)| {
-                    if owned {
-                        pool.for_each_owned(64, f);
-                    } else {
-                        pool.for_each_index(64, f);
+            let pool = Pool::new(threads);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each_index(64, |i| {
+                    if i == 17 {
+                        panic!("boom-index");
                     }
-                };
-                let err = catch_unwind(AssertUnwindSafe(|| {
-                    dispatch(&|i| {
-                        if i == 17 {
-                            panic!("boom-index");
-                        }
-                    });
-                }))
-                .expect_err("panic must propagate to the dispatching caller");
-                assert_eq!(payload_str(&*err), "boom-index", "threads={threads}");
-                // Survival: full single coverage on the next region.
-                let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-                dispatch(&|i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
                 });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "threads={threads} owned={owned}"
-                );
-            }
+            }))
+            .expect_err("panic must propagate to the dispatching caller");
+            assert_eq!(payload_str(&*err), "boom-index", "threads={threads}");
+            // Survival: full single coverage on the next region.
+            let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            pool.for_each_index(64, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
+            );
         }
     }
 

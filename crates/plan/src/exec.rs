@@ -28,11 +28,6 @@ use tempora_tiling::{LcsRect, Sweeps};
 /// across request threads.
 pub(crate) trait Exec: Send {
     fn run(&mut self, state: &mut State, pool: &Pool) -> Result<(), PlanError>;
-
-    /// Allocate (or first-touch) the executor's arenas through `pool` so
-    /// their pages are faulted in by pool workers. The one-shot baselines
-    /// have nothing to place, so the default is a no-op.
-    fn fault_in(&mut self, _pool: &Pool) {}
 }
 
 fn mismatch(expected: &'static str, state: &State) -> PlanError {
@@ -147,10 +142,6 @@ where
         self.0.advance(K::Grid::from_state(state)?, pool);
         Ok(())
     }
-
-    fn fault_in(&mut self, pool: &Pool) {
-        self.0.fault_in(pool);
-    }
 }
 
 /// Every LCS plan: the rectangle wavefront (one rectangle when untiled).
@@ -164,9 +155,5 @@ impl Exec for RectLcs {
         };
         l.length = Some(self.0.run(&l.a, &l.b, pool));
         Ok(())
-    }
-
-    fn fault_in(&mut self, pool: &Pool) {
-        self.0.fault_in(pool);
     }
 }

@@ -176,7 +176,7 @@ mod tests {
     fn pin_knob_is_honest_and_bit_identical() {
         use tempora_grid::fill_random_2d;
         // Skewed GS-2D exercises the wavefront; pin(true) exercises
-        // affinity + first-touch fault-in.
+        // affinity.
         let coeffs = Gs2dCoeffs::classic(0.2);
         let problem = Problem::gs2d(96, 9, 8, coeffs);
         let mut gold_state = problem.state();

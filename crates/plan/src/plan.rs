@@ -253,17 +253,8 @@ impl PlanBuilder {
         self.check_tiling(problem)?;
         self.check_count(problem)?;
 
-        let (mut exec, engine, tiles, s) = self.build_exec(problem)?;
-        // Pool first, then first-touch: the workspaces re-allocate their
-        // scratch arenas from pool workers. A one-thread pool is the
-        // calling thread, which allocated them in `build_exec` already.
+        let (exec, engine, tiles, s) = self.build_exec(problem)?;
         let pool = Pool::with_config(PoolConfig::new(threads).pin(self.pin));
-        if threads > 1 {
-            // A panic here (e.g. an injected `fault_in` failpoint) unwinds
-            // to the caller: no `Plan` exists yet, so there is nothing to
-            // poison, and dropping `pool` shuts its workers down cleanly.
-            exec.fault_in(&pool);
-        }
         Ok(Plan {
             problem: *problem,
             method: self.method,
@@ -365,7 +356,8 @@ impl PlanBuilder {
     /// resolved. The pipelined sweeps need only `VL·s` and widen to it
     /// themselves, but the rule is part of the validated surface
     /// (`BlockTooNarrow` is on the wire), so it stays — with `VL` the
-    /// four lanes it was written for, whatever engine the plan resolves.
+    /// four lanes it was written for, whatever engine the plan resolves,
+    /// and saturating: no block clears a stride whose `VL·s` overflows.
     fn check_block(&self, problem: &Problem, s: usize) -> Result<(), PlanError> {
         let Tiling::Skew { block, height } = self.tiling else {
             return Ok(());
@@ -376,7 +368,7 @@ impl PlanBuilder {
         } else {
             0
         };
-        match height + vl * s_eff + vl {
+        match height.saturating_add(vl.saturating_mul(s_eff.saturating_add(1))) {
             min if block < min => Err(PlanError::BlockTooNarrow { block, min }),
             _ => Ok(()),
         }

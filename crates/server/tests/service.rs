@@ -203,6 +203,25 @@ fn unknown_version_gets_error_reply_and_connection_survives() {
     server.shutdown(std::time::Duration::from_secs(5));
 }
 
+/// A small frame naming a huge stride is answered: an LCS `SubmitProblem`
+/// at `s = 2³³` once made the build allocate 256 GiB of scratch and abort
+/// the server. Its `VL·s` exceeds every segment, so the plan runs scalar
+/// rows and needs none; the same connection then serves a normal request.
+#[test]
+fn huge_stride_submit_is_answered_and_connection_survives() {
+    let (server, addr) = start_tcp(CacheConfig::default());
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let mut lcs = JobSpec::new(Problem::lcs(1, 1));
+    lcs.config.stride = Some(1 << 33);
+    let prepared = client.submit(&lcs).expect("huge-stride submit is answered");
+    assert_eq!(prepared.steps, 0, "submit does not run");
+    let run = client
+        .run_steps(&heat_spec(), 3)
+        .expect("normal request after it");
+    assert_eq!(run.steps, 16);
+    server.shutdown(std::time::Duration::from_secs(5));
+}
+
 #[test]
 fn uds_roundtrip() {
     let path = std::env::temp_dir().join(format!("tempora-serve-test-{}.sock", std::process::id()));

@@ -6,9 +6,11 @@
 //! needs tile `(I-1, J)` (the row segment at its top edge, carried by the
 //! shared rolling row) and tile `(I, J-1)` (its west column, carried by a
 //! per-`J` column buffer — the paper's `lcsA`/`lcsB` wavefront arrays).
-//! [`tempora_parallel::Pool::waves`] with waves `w = 2I + J` satisfies
-//! both dependences, and same-wave tiles touch disjoint row segments and
-//! distinct column buffers.
+//! [`tempora_parallel::Pool::waves`] runs tile `(I, J)` after `(I, J-1)`,
+//! `(I-1, J)` and `(I-1, J+1)` — both dependences — and beside no tile
+//! nearer than one band and two block columns, so tiles that may run side
+//! by side touch disjoint row segments, distinct column buffers and
+//! distinct scratch slots.
 //!
 //! [`LcsRect`] is the reusable workspace form (row, column buffers and
 //! per-block temporal scratch allocated once, reused by every
@@ -18,7 +20,9 @@
 //! shape predicate
 //! ([`tempora_core::lcs_avx2::rect_has_vector_tiles`] — every block
 //! column must host the `vl = 8` vector schedule) and reports the
-//! resolved [`Engine`]; degenerate geometries honestly stay portable.
+//! resolved [`Engine`]; degenerate geometries honestly stay portable. It
+//! allocates temporal scratch only when some tile can host the vector
+//! schedule: every other tile runs scalar rows, which need none.
 
 use tempora_core::engine::{Engine, Select};
 use tempora_core::lcs::{scalar_row_step_seg, tile_seg, ScratchLcs, VL};
@@ -30,14 +34,15 @@ struct TileRun<'a> {
     a: &'a [u8],
     b: &'a [u8],
     s: usize,
-    /// The engine of the temporal in-tile kernel; `None` runs scalar rows.
-    engine: Option<Engine>,
+    /// The engine of the temporal in-tile kernel.
+    engine: Engine,
 }
 
 impl TileRun<'_> {
     /// Advance the row segment `[y0, y1]` from level `x0` to `x1`
     /// (exclusive upper), reading `left[h] = lcs[x0+h][y0-1]` and filling
-    /// `right[h] = lcs[x0+h][y1]` for `h ∈ 0..=x1-x0`.
+    /// `right[h] = lcs[x0+h][y1]` for `h ∈ 0..=x1-x0`: temporal tiles when
+    /// given scratch, scalar rows otherwise.
     // Justification: the parameter list is the rectangle-tile contract (sequences, row, columns, scratch, bounds).
     #[allow(clippy::too_many_arguments)]
     fn run(
@@ -49,12 +54,13 @@ impl TileRun<'_> {
         y1: usize,
         left: &[i32],
         right: &mut [i32],
-        sc: &mut ScratchLcs<VL>,
+        sc: Option<&mut ScratchLcs<VL>>,
     ) {
         let height = x1 - x0;
         right[0] = row[y1];
         let mut done = 0;
-        if let Some(engine) = self.engine {
+        if let Some(sc) = sc {
+            let engine = self.engine;
             for base in (0..height / VL).map(|t| t * VL) {
                 let a_tile = &self.a[x0 + base..x0 + base + VL];
                 let lcol = &left[base..base + VL + 1];
@@ -83,6 +89,8 @@ pub struct LcsRect {
     lb: usize,
     row: Vec<i32>,
     cols: Vec<Vec<i32>>,
+    /// `scratch[j]`: the temporal scratch of block column `j`; none when
+    /// no tile hosts the vector schedule.
     scratch: Vec<ScratchLcs<VL>>,
 }
 
@@ -94,7 +102,9 @@ impl LcsRect {
     /// against the AVX2 steady state's rectangle shape predicate: every
     /// block column (the ragged last one included) must host the
     /// `vl = 8` vector schedule, otherwise the run honestly resolves
-    /// portable.
+    /// portable. Temporal scratch is allocated only when some tile hosts
+    /// it: a full `VL`-row band and a segment wider than `VL·s`, however
+    /// large `s`.
     ///
     /// # Panics
     /// Panics when `s`, `xblock` or `yblock` is zero (`tempora_plan`
@@ -114,11 +124,8 @@ impl LcsRect {
         // tile row I; cols[0] is the (all-zero) table west edge, never
         // written.
         let cols: Vec<Vec<i32>> = (0..n_j + 1).map(|_| vec![0i32; xblock + 1]).collect();
-        // Per-block-column scratch: same-wave tiles differ in j by ≥ 2
-        // and tiles sharing j are serialized by the (I-1, J) dependence,
-        // so slot j is never touched concurrently. (Allocated for the
-        // scalar mode too — it is tiny and keeps the executor uniform.)
-        let scratch: Vec<ScratchLcs<VL>> = (0..n_j + 1).map(|_| ScratchLcs::new(s)).collect();
+        let vector = temporal && la.min(xblock) >= VL && lb.min(yblock) > VL.saturating_mul(s);
+        let slots = if vector { n_j } else { 0 };
         LcsRect {
             xblock,
             yblock,
@@ -129,7 +136,7 @@ impl LcsRect {
             lb,
             row: vec![0i32; lb + 1],
             cols,
-            scratch,
+            scratch: (0..slots).map(|_| ScratchLcs::new(s)).collect(),
         }
     }
 
@@ -137,28 +144,6 @@ impl LcsRect {
     /// rows).
     pub fn engine(&self) -> Option<Engine> {
         self.engine
-    }
-
-    /// First-touch the per-column buffers and re-allocate the
-    /// per-block-column scratch through `pool` (best-effort NUMA spread
-    /// — the wavefront schedule has no static tile owner). The rolling
-    /// row, shared by all tiles, stays caller-touched. Results are
-    /// unchanged whether or not this runs.
-    pub fn fault_in(&mut self, pool: &Pool) {
-        tempora_failpoint::failpoint!("fault_in");
-        let s = self.s;
-        let n_slots = self.cols.len();
-        let cols_shared = SyncSlice::new(&mut self.cols);
-        let scratch_shared = SyncSlice::new(&mut self.scratch);
-        pool.for_each_owned(n_slots, |j| {
-            // SAFETY: column slot j is written only by its owning worker.
-            let col = unsafe { &mut cols_shared.slice_mut()[j] };
-            crate::touch_pages(col);
-            // SAFETY: scratch slot j is written only by its owning worker.
-            let sc = unsafe { &mut scratch_shared.slice_mut()[j] };
-            *sc = ScratchLcs::new(s);
-        });
-        crate::touch_pages(&mut self.row);
     }
 
     /// Compute the LCS length of `a` and `b` as a pipelined wavefront on
@@ -187,7 +172,7 @@ impl LcsRect {
             a,
             b,
             s: self.s,
-            engine: self.engine,
+            engine: self.engine.unwrap_or(Engine::Portable),
         };
         let (xblock, yblock) = (self.xblock, self.yblock);
         {
@@ -195,12 +180,15 @@ impl LcsRect {
             let cols_shared = SyncSlice::new(&mut self.cols);
             let scratch_shared = SyncSlice::new(&mut self.scratch);
             pool.waves(n_i, n_j, |i, j| {
-                // SAFETY: tile (i, j) writes row[y0..=y1] only — disjoint
-                // segments across same-wave tiles, which differ in j by ≥ 2.
+                // SAFETY: tile (i, j) writes row[y0..=y1] only, after
+                // (i-1, j) wrote it; tiles that may run beside it are at
+                // band distance ≥ 1 and block distance ≥ 2, so their
+                // segments are disjoint from it.
                 let row = unsafe { row_shared.slice_mut() };
                 // SAFETY: tile (i, j) writes cols[j+1] and reads cols[j],
-                // written by (i, j-1) on an earlier wave (dependence edge).
-                // The zero column cols[0] is never written.
+                // written by (i, j-1), which completed before it (a
+                // dependence edge); a tile at block distance ≥ 2 touches
+                // neither. The zero column cols[0] is never written.
                 let cols = unsafe { cols_shared.slice_mut() };
                 let x0 = i * xblock;
                 let x1 = ((i + 1) * xblock).min(la);
@@ -210,9 +198,10 @@ impl LcsRect {
                 let (head, tail) = cols.split_at_mut(j + 1);
                 let left = &head[j];
                 let right = &mut tail[0];
-                // SAFETY: scratch slot j is owned by the unique in-flight
-                // tile of block column j.
-                let sc = unsafe { &mut scratch_shared.slice_mut()[j] };
+                // SAFETY: scratch slot j is used by the tiles of block
+                // column j only, one after the other (the (i-1, j)
+                // dependence); a tile at block distance ≥ 2 uses another.
+                let sc = unsafe { scratch_shared.slice_mut().get_mut(j) };
                 run.run(row, x0, x1, y0, y1, left, right, sc);
             });
         }
@@ -324,7 +313,6 @@ mod tests {
             let pool = Pool::new(threads);
             for temporal in [false, true] {
                 let mut w = LcsRect::new(100, 140, 24, 40, 1, temporal, Select::Auto);
-                w.fault_in(&pool);
                 assert_eq!(w.run(&a, &b, &pool), gold, "threads={threads}");
                 assert_eq!(w.run(&a, &b, &pool), gold, "reuse threads={threads}");
             }
@@ -338,5 +326,18 @@ mod tests {
         assert_eq!(lcs_tiled(b"ABC", b"", 8, 8, 1, true, &pool), 0);
         assert_eq!(lcs_tiled(b"A", b"A", 8, 8, 1, true, &pool), 1);
         assert_eq!(lcs_tiled(b"GATTACA", b"TACCAGA", 2, 3, 1, false, &pool), 4);
+        // Temporal scratch exists only where a tile hosts the vector
+        // schedule: none for scalar rows, bands below VL rows, segments
+        // of at most VL·s columns, or a stride whose VL·s wraps.
+        let slots = |xb, yb, s, t| {
+            LcsRect::new(100, 140, xb, yb, s, t, Select::Auto)
+                .scratch
+                .len()
+        };
+        assert_eq!(slots(24, 40, 1, true), 4);
+        assert_eq!(slots(24, 40, 1, false), 0);
+        assert_eq!(slots(4, 40, 1, true), 0);
+        assert_eq!(slots(24, 16, 2, true), 0);
+        assert_eq!(slots(24, 40, usize::MAX / 4 + 2, true), 0);
     }
 }

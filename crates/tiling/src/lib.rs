@@ -22,11 +22,13 @@
 //! an untiled plan is their smallest schedule — one chunk per sweep, one
 //! rectangle — on a one-thread pool.
 //!
-//! Workspaces take a
-//! `tempora_core::engine::Select`, resolve it once (portable vs
-//! AVX2, by capability; degenerate LCS geometries honestly portable) and
-//! report the resolved engine for per-series reporting in the bench
-//! harness.
+//! [`Sweeps::new`] takes the `tempora_core::engine::Engine` its caller
+//! resolved once (`KernelSpace::resolve`, by capability), and
+//! [`LcsRect::new`] resolves a `tempora_core::engine::Select` once
+//! against the LCS engine's shape predicate (degenerate geometries
+//! honestly portable); both report the engine that runs, for per-series
+//! reporting in the bench harness. Each allocates its temporal scratch
+//! only for sweeps or tiles that host the vector schedule.
 //!
 //! Every parallel path is bit-identical to the one-thread schedule and the
 //! scalar references, for every thread count, engine selection and mode —
@@ -40,24 +42,6 @@
 
 pub mod lcs_rect;
 pub mod sweeps;
-
-/// Force a write fault on every page of `slice` without changing its
-/// contents (one volatile read + write-back per 4 KiB page).
-/// [`LcsRect::fault_in`] runs this through the pool so a column buffer's
-/// pages are placed on the NUMA node of a pool worker (first-touch
-/// placement).
-pub(crate) fn touch_pages<T: Copy>(slice: &mut [T]) {
-    let step = (4096 / core::mem::size_of::<T>().max(1)).max(1);
-    let mut i = 0;
-    while i < slice.len() {
-        // SAFETY: `i` is in bounds; volatile keeps the no-op write alive.
-        unsafe {
-            let p = slice.as_mut_ptr().add(i);
-            core::ptr::write_volatile(p, core::ptr::read_volatile(p));
-        }
-        i += step;
-    }
-}
 
 pub use lcs_rect::LcsRect;
 pub use sweeps::{Mode, Sweeps};

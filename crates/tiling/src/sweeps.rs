@@ -164,10 +164,11 @@ impl Schedule {
     /// sweeps `vl` levels each.
     fn new(nx: usize, steps: usize, block: usize, mode: Mode, vl: usize) -> Self {
         let stride_reach = match mode {
-            Mode::Temporal(s) => vl * s,
+            Mode::Temporal(s) => vl.saturating_mul(s),
             _ => 0,
         };
-        // A grid below VL·s slabs cannot host the vector schedule.
+        // A grid below VL·s slabs, however large the stride, cannot host
+        // the vector schedule.
         let reach = if nx >= stride_reach { stride_reach } else { 0 };
         let (vector, rest) = match mode {
             Mode::Temporal(_) if reach > 0 => (steps / vl, SweepKind::Scalar),
@@ -475,30 +476,6 @@ impl<K: KernelSpace> Sweeps<K> {
     /// `steps % VL` scalar ones in temporal mode, one per step otherwise.
     pub fn sweeps(&self) -> usize {
         self.sched.sweeps
-    }
-
-    /// Re-allocate the scratch slots and the multi-load twin through
-    /// `pool` so their pages are faulted in by pool workers (best-effort
-    /// NUMA spread — the wavefront has no static owner; the grid itself is
-    /// caller-owned and advanced in place). Results are unchanged whether
-    /// or not this runs.
-    pub fn fault_in(&mut self, pool: &Pool) {
-        tempora_failpoint::failpoint!("fault_in");
-        let (dims, sched, mode, isa) = (self.dims, self.sched, self.mode, self.isa);
-        let n_slots = self.slots.len();
-        let slots = SyncSlice::new(&mut self.slots);
-        let twin = SyncSlice::new(self.twin.as_mut_slice());
-        pool.for_each_owned(n_slots + twin.len(), |i| {
-            if i < n_slots {
-                // SAFETY: slot i is written only by the one task i.
-                let slot = unsafe { &mut slots.slice_mut()[i] };
-                *slot = Slot::new(dims, &sched, mode, isa);
-            } else {
-                // SAFETY: the twin is written only by the last task.
-                let twin = unsafe { &mut twin.slice_mut()[0] };
-                *twin = K::Grid::with_dims(dims, twin.boundary());
-            }
-        });
     }
 
     /// Advance `g` by the workspace's `steps` time levels in place, as one
@@ -825,7 +802,7 @@ pub(crate) mod tests {
     /// sweep).
     fn engines<K: Kind>() -> Vec<Engine> {
         let mut engines = vec![Engine::Portable];
-        if K::has_avx2_tile() {
+        if tempora_simd::arch::avx2_available() {
             engines.push(Engine::Avx2);
         }
         if tempora_simd::arch::avx512_available() && K::vl(Engine::Avx512) != K::vl(Engine::Avx2) {
@@ -835,14 +812,12 @@ pub(crate) mod tests {
     }
 
     /// Every row of one kind at one geometry: engine × mode × steps ×
-    /// block × pool, `fault_in` on every other row. The steps and blocks
-    /// are placed around each engine's own lane count, so the four-lane
-    /// rows and the eight-lane rows of the 1-D kinds each meet every edge
-    /// of their schedule.
+    /// block × pool. The steps and blocks are placed around each engine's
+    /// own lane count, so the four-lane rows and the eight-lane rows of
+    /// the 1-D kinds each meet every edge of their schedule.
     pub(crate) fn table<K: Kind>(kern: &K, dims: [usize; 3], strides: &[usize], pools: &[Pool]) {
         let nx = dims[0];
         let g = K::grid(dims, (nx * dims[1] + dims[2]) as u64);
-        let mut row = 0;
         for engine in engines::<K>() {
             let vl = K::vl(engine);
             for mode in modes::<K>(strides) {
@@ -854,9 +829,7 @@ pub(crate) mod tests {
                     let gold = kern.gold(&g, steps);
                     for block in [1, reach - 1, reach, reach + 1, nx.div_ceil(2), nx, nx + 5] {
                         for pool in pools {
-                            row += 1;
-                            let fault_in = row % 2 == 0;
-                            cell(kern, &g, &gold, steps, block, mode, engine, pool, fault_in);
+                            cell(kern, &g, &gold, steps, block, mode, engine, pool);
                         }
                     }
                 }
@@ -864,8 +837,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// One row: build, optionally fault in, advance twice from the same
-    /// state — both results ≡ `gold` — and check the engine report.
+    /// One row: build, advance twice from the same state — both results
+    /// ≡ `gold` — and check the engine report.
     // Justification: the arguments are the columns of the table.
     #[allow(clippy::too_many_arguments)]
     fn cell<K: Kind>(
@@ -877,21 +850,16 @@ pub(crate) mod tests {
         mode: Mode,
         engine: Engine,
         pool: &Pool,
-        fault_in: bool,
     ) {
         let at = || {
             format!(
-                "dims={:?} {mode:?} block={block} steps={steps} {engine:?} threads={} pinned={} \
-                 fault_in={fault_in}",
+                "dims={:?} {mode:?} block={block} steps={steps} {engine:?} threads={} pinned={}",
                 g.dims(),
                 pool.threads(),
                 pool.is_pinned()
             )
         };
         let mut w = Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, engine);
-        if fault_in {
-            w.fault_in(pool);
-        }
         let expected = matches!(mode, Mode::Temporal(_)).then_some(engine);
         assert_eq!(w.engine(), expected, "{}", at());
         for run in 0..2 {
@@ -982,7 +950,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every schedule of the table, as data, at four and eight lanes.
+    /// Every schedule of the table, as data, at four and eight lanes, and
+    /// at a stride whose `VL·s` wraps: no vector sweep.
     fn schedules() -> Vec<Schedule> {
         let mut out = vec![];
         for nx in [1usize, 2, 7, 8, 9, 20, 33, 60, 150, 1024] {
@@ -992,6 +961,7 @@ pub(crate) mod tests {
                     Mode::Auto,
                     Mode::Temporal(2),
                     Mode::Temporal(7),
+                    Mode::Temporal(usize::MAX / 4 + 2),
                 ] {
                     for block in [1, 2, 7, 8, 9, 27, 28, 29, nx.div_ceil(2), nx, nx + 5] {
                         out.push(Schedule::new(nx, steps, block, mode, 4));

@@ -10,9 +10,8 @@
 //! * a `Plan` whose run panics is poisoned — every later `run` returns
 //!   [`PlanError::Poisoned`] without touching the state — and after
 //!   `Plan::reset` it produces bitwise the same results as a fresh plan;
-//! * construction-time injections (worker spawn, `fault_in`, arena
-//!   allocation) fail the constructor cleanly and leave the process
-//!   healthy.
+//! * construction-time injections (worker spawn, arena allocation) fail
+//!   the constructor cleanly and leave the process healthy.
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! [`fp_guard`] and starts from a cleared registry.
@@ -153,40 +152,31 @@ fn wave_task_injection_is_contained_and_pool_is_reusable() {
     }
 }
 
-/// An injected panic in one indexed task surfaces from `for_each_index` /
-/// `for_each_owned` and the pool then covers a full region exactly once.
+/// An injected panic in one indexed task surfaces from `for_each_index`
+/// and the pool then covers a full region exactly once.
 #[test]
 fn for_each_injection_surfaces_and_pool_survives() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let _g = fp_guard();
     for threads in [1usize, 2, 4, 8] {
-        for owned in [false, true] {
-            let pool = Pool::new(threads);
-            fp::arm("pool_task:17=panic@1");
-            let run = |n: usize, f: &(dyn Fn(usize) + Sync)| {
-                if owned {
-                    pool.for_each_owned(n, f);
-                } else {
-                    pool.for_each_index(n, f);
-                }
-            };
-            let err = catch_unwind(AssertUnwindSafe(|| run(64, &|_| {})))
-                .expect_err("injected panic must propagate out of for_each");
-            assert_eq!(
-                payload_str(&*err),
-                "failpoint `pool_task:17` injected panic on hit 1",
-                "threads={threads} owned={owned}"
-            );
-            fp::clear();
-            let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-            run(64, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads} owned={owned}: region not covered exactly once"
-            );
-        }
+        let pool = Pool::new(threads);
+        fp::arm("pool_task:17=panic@1");
+        let err = catch_unwind(AssertUnwindSafe(|| pool.for_each_index(64, |_| {})))
+            .expect_err("injected panic must propagate out of for_each");
+        assert_eq!(
+            payload_str(&*err),
+            "failpoint `pool_task:17` injected panic on hit 1",
+            "threads={threads}"
+        );
+        fp::clear();
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        pool.for_each_index(64, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "threads={threads}: region not covered exactly once"
+        );
     }
 }
 
@@ -210,69 +200,10 @@ fn worker_spawn_injection_fails_pool_construction_cleanly() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let pool = Pool::new(4);
     let count = AtomicUsize::new(0);
-    pool.for_each_owned(32, |_| {
+    pool.for_each_index(32, |_| {
         count.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(count.load(Ordering::Relaxed), 32);
-}
-
-/// A panic inside `fault_in` (first-touch page faulting of the tile
-/// arenas) escapes `PlanBuilder::build` cleanly; the same builder then
-/// succeeds once disarmed, and the resulting plan matches a one-shot run.
-#[test]
-fn fault_in_injection_fails_build_and_next_build_succeeds() {
-    let _g = fp_guard();
-    let problem = Problem::heat1d(300, 13, Heat1dCoeffs::classic(0.24));
-    let builder = PlanBuilder::new()
-        .stride(3)
-        .tiling(Tiling::Ghost {
-            block: 48,
-            height: 4,
-        })
-        .threads(2);
-    fp::arm("fault_in=panic@1");
-    let err = catch_unwind(AssertUnwindSafe(|| builder.build(&problem)))
-        .expect_err("fault_in panic must propagate out of build");
-    assert!(
-        payload_str(&*err).contains("failpoint `fault_in`"),
-        "unexpected payload: {}",
-        payload_str(&*err)
-    );
-    fp::clear();
-    let mut plan = builder.build(&problem).expect("disarmed build succeeds");
-    let mut a = fresh_state(&problem, 99);
-    let mut b = fresh_state(&problem, 99);
-    plan.run(&mut a).expect("disarmed run succeeds");
-    builder
-        .build(&problem)
-        .expect("one-shot build succeeds")
-        .run(&mut b)
-        .expect("one-shot run succeeds");
-    assert!(states_equal(&a, &b));
-}
-
-/// `fault_in` re-allocates the scratch arenas from pool workers; on a
-/// one-thread pool the only worker is the thread that allocated them, so
-/// the build must not pay for it — untiled builds above all, which are
-/// one-thread tiled builds.
-#[test]
-fn fault_in_runs_only_on_multi_thread_pools() {
-    let _g = fp_guard();
-    let problem = Problem::heat2d(48, 17, 9, Heat2dCoeffs::classic(0.11));
-    let ghost = Tiling::Ghost {
-        block: 12,
-        height: 4,
-    };
-    for (tiling, threads, expect) in [(Tiling::None, 1, 0), (ghost, 1, 0), (ghost, 2, 1)] {
-        // Armed far beyond reach: the directive only counts hits.
-        fp::arm("fault_in=panic@1000");
-        PlanBuilder::new()
-            .tiling(tiling)
-            .threads(threads)
-            .build(&problem)
-            .expect("build succeeds");
-        assert_eq!(fp::hits("fault_in"), expect, "{tiling:?} x{threads}");
-    }
 }
 
 /// A panic at the single arena-allocation funnel escapes state
@@ -340,8 +271,8 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
             .run(&mut gold)
             .expect("gold run");
 
-        // Victim: build first (fault_in runs the pool), then arm the
-        // wavefront's task site, the one a tiled run dispatches.
+        // Victim: build first, then arm the wavefront's task site, the one
+        // a tiled run dispatches.
         let mut plan = builder.build(problem).expect("victim build");
         fp::arm("wave_task=panic@1");
         let mut state = fresh_state(problem, 1234);
@@ -442,7 +373,7 @@ fn env_variable_syntax_arms_failpoints() {
     fp::reload_from_env();
     std::env::remove_var("TEMPORA_FAILPOINT");
     let pool = Pool::new(1);
-    let err = catch_unwind(AssertUnwindSafe(|| pool.for_each_owned(4, |_| {})))
+    let err = catch_unwind(AssertUnwindSafe(|| pool.for_each_index(4, |_| {})))
         .expect_err("env-armed failpoint must fire");
     assert_eq!(
         payload_str(&*err),
@@ -450,7 +381,7 @@ fn env_variable_syntax_arms_failpoints() {
     );
     assert_eq!(fp::hits("pool_task:2"), 1);
     fp::clear();
-    pool.for_each_owned(4, |_| {});
+    pool.for_each_index(4, |_| {});
 }
 
 /// A threaded tiled spec: every run dispatches one wavefront of

@@ -557,6 +557,80 @@ fn every_accepted_1d_stride_resolves_by_capability() {
     }
 }
 
+/// No stride makes `build` panic or abort: the strides whose `VL·s` no
+/// grid or row segment reaches — `1 << 33` once asked the LCS workspace
+/// for 256 GiB of scratch, and the `VL·s` of the other two wraps — build
+/// and run the scalar schedule bitwise ≡ the reference (at 1, 2, 4 and 8
+/// threads where the tiling allows them), or are rejected with the typed
+/// error of the bound they exceed.
+#[test]
+fn huge_strides_run_the_scalar_schedule_or_a_typed_error() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let ghost = Tiling::Ghost {
+        block: 16,
+        height: 8,
+    };
+    let heat2d = Problem::heat2d(64, 64, 8, Heat2dCoeffs::classic(0.11));
+    // (problem, tiling, the error expected, if any)
+    let rows = [
+        (Problem::lcs(1, 1), Tiling::None, None),
+        (
+            Problem::lcs(300, 500),
+            Tiling::LcsRect {
+                xblock: 64,
+                yblock: 96,
+            },
+            None,
+        ),
+        (
+            Problem::heat1d(200, 9, Heat1dCoeffs::classic(0.24)),
+            Tiling::None,
+            Some("StrideTooLarge"),
+        ),
+        (heat2d, Tiling::None, None),
+        (heat2d, ghost, None),
+        (
+            Problem::heat3d(40, 6, 7, 9, Heat3dCoeffs::classic(0.09)),
+            ghost,
+            None,
+        ),
+        (
+            Problem::gs2d(64, 13, 10, Gs2dCoeffs::classic(0.17)),
+            Tiling::Skew {
+                block: 64,
+                height: 4,
+            },
+            Some("BlockTooNarrow"),
+        ),
+    ];
+    for s in [1 << 33, usize::MAX / 4 + 2, usize::MAX] {
+        for (problem, tiling, error) in rows {
+            let init = fresh_state(&problem, 5);
+            let gold = reference_state(&problem, &init);
+            let threads: &[usize] = match tiling {
+                Tiling::None => &[1],
+                _ => &[1, 2, 4, 8],
+            };
+            for &t in threads {
+                let name = format!("{} {tiling:?} s={s} x{t}", problem.kind_name());
+                let builder = PlanBuilder::new().tiling(tiling).threads(t).stride(s);
+                let built = catch_unwind(AssertUnwindSafe(|| builder.build(&problem)))
+                    .unwrap_or_else(|_| panic!("{name}: build panicked"));
+                match (built, error) {
+                    (Ok(mut plan), None) => {
+                        let mut state = init.clone();
+                        plan.run(&mut state)
+                            .unwrap_or_else(|e| panic!("{name}: {e}"));
+                        assert!(states_equal(&state, &gold), "{name}");
+                    }
+                    (Err(e), Some(want)) => assert!(format!("{e:?}").starts_with(want), "{name}"),
+                    (built, _) => panic!("{name}: want {error:?}, got {:?}", built.err()),
+                }
+            }
+        }
+    }
+}
+
 /// `Select::Auto` widens to the eight-lane AVX-512 engine only for the 1-D
 /// kinds, only on lines at least the kind's measured crossover wide, and
 /// only where the run has an eight-lane sweep that leaves no more scalar

@@ -84,11 +84,12 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "sweep_row",
             "steady_row",
             "sweep_level",
-            "pack_rows",
-            "unpack_lane",
+            "insert_lane",
+            "extract_lane",
             "fill_shell",
             "copy_slab",
             "reset_shells",
+            "gather",
             "steady_ring",
             "ring_sweep",
             "ring_step",
