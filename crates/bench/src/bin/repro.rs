@@ -10,19 +10,21 @@
 //!          ablate-stride (fails when an AVX2 kind's default stride runs
 //!          below 0.7× its best stride, or when under `auto` on an AVX2
 //!          host an accepted stride resolves the portable engine),
-//!          ablate-boundary (fails when an AVX2 tile's boundary code is
-//!          more than 12× slower per update than its steady state),
+//!          ablate-boundary (fails when an AVX2 or AVX-512 tile's boundary
+//!          code is more than 12× slower per update than its steady state),
 //!          ablate-tiling (fails when an AVX2 tiled plan takes more than
 //!          1.25× its untiled time on one thread),
 //!          ablate-digest (fails when `state_digest` runs below 1.5× its
 //!          one-chain definition on the served state),
 //!          ablate-rows (fails when an AVX2 Jacobi slab row, ring in L1,
 //!          takes more cycles per vector than its threshold × its port
-//!          bound),
+//!          bound, or when a Heat-2D row of 128 … 1024 columns takes more
+//!          than 1.15× its engine's L1 reading),
 //!          ablate-vl (fails on an AVX-512 host when the eight-lane default
 //!          of GS-1D / Heat-1D runs below 1.4× / 1.1× the four-lane one,
-//!          when `auto` resolves a ledger 1-D problem to another engine
-//!          than avx512, or when on a line of 128 … 4096 points it picks
+//!          when `auto` resolves a ledger problem of a kind with an
+//!          eight-lane sweep to another engine than expected, or when on a
+//!          line of 128 … 4096 points or a square of 16² … 256² it picks
 //!          the width that runs 1.25× slower; the same geometry at any
 //!          --scale),
 //!          seq (all sequential), par (all parallel), ablate, all
@@ -357,6 +359,13 @@ fn vl_gain_floor(kind: &str) -> f64 {
 /// 0.51–0.94 for Heat-1D at 128–1024 points — is what this catches.
 const VL_SHAPE_MARGIN: f64 = 1.25;
 
+/// A Heat-2D row of `ablate-rows`' column sweep, out to 1024 columns, may
+/// take at most this many times the cycles per vector of its engine's row
+/// with the ring in L1. Without segments the whole-row ring leaves L1 from
+/// 320 columns on at four lanes and the rows read 1.4–2.0; cut into
+/// segments they read 0.95–1.1.
+const WIDTH_LIMIT: f64 = 1.15;
+
 /// Times `ablate-rows` measures the rows over their limit again, 0.3 s
 /// apart and keeping the lower readings, before it believes them: a busy
 /// sibling hyperthread takes up to half the FMA issue slots for a
@@ -425,14 +434,14 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
             let over: Vec<String> = table
                 .avx2_rows_over(BOUNDARY_RATIO_LIMIT)
                 .iter()
-                .map(|r| format!("{} {:.1}", r.kind, r.ratio()))
+                .map(|r| format!("{} {} {:.1}", r.kind, r.engine, r.ratio()))
                 .collect();
             Output::Checked {
                 json: table.to_json(),
                 violation: (!over.is_empty()).then(|| {
                     format!(
                         "boundary/steady ns-per-update ratio over {BOUNDARY_RATIO_LIMIT} in an \
-                         AVX2 tile ({}): are the boundary phases still inlined into their \
+                         AVX2 or AVX-512 tile ({}): are the boundary phases still inlined into their \
                          target_feature sandwich?",
                         over.join(", ")
                     )
@@ -483,11 +492,13 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
         "ablate-rows" => {
             let mut table = tb::ablate_rows();
             for _ in 0..STEADY_ROW_RETRIES {
-                if table.avx2_jacobi_rows_over(steady_row_limit).is_empty() {
+                if table.avx2_jacobi_rows_over(steady_row_limit).is_empty()
+                    && table.widths_over(WIDTH_LIMIT).is_empty()
+                {
                     break;
                 }
                 std::thread::sleep(std::time::Duration::from_millis(300));
-                table.remeasure(|r| r.over(steady_row_limit(r.kind)));
+                table.remeasure(|r| r.over(steady_row_limit(r.kind)), WIDTH_LIMIT);
             }
             println!("{}", table.to_table());
             if !tempora_simd::arch::avx2_available() {
@@ -505,16 +516,31 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                     )
                 })
                 .collect();
+            let wide: Vec<String> = table
+                .widths_over(WIDTH_LIMIT)
+                .iter()
+                .map(|w| format!("{} {} columns {:.2}", w.engine, w.columns, table.vs_l1(w)))
+                .collect();
+            let mut violations = vec![];
+            if !over.is_empty() {
+                violations.push(format!(
+                    "L1-resident cycles per vector over the kind's limit x its port bound \
+                     in an AVX2 Jacobi row ({}): does its steady loop carry bounds checks or \
+                     stack reloads again (objdump recipe: .claude/skills/verify/SKILL.md)?",
+                    over.join(", ")
+                ));
+            }
+            if !wide.is_empty() {
+                violations.push(format!(
+                    "Heat-2D rows over {WIDTH_LIMIT}x their L1 reading in cycles per vector \
+                     ({}): does the steady state still cut wide rows into segments that keep \
+                     the ring in L1 (slab::segment_width)?",
+                    wide.join(", ")
+                ));
+            }
             Output::Checked {
                 json: table.to_json(),
-                violation: (!over.is_empty()).then(|| {
-                    format!(
-                        "L1-resident cycles per vector over the kind's limit x its port bound \
-                         in an AVX2 Jacobi row ({}): does its steady loop carry bounds checks or \
-                         stack reloads again (objdump recipe: .claude/skills/verify/SKILL.md)?",
-                        over.join(", ")
-                    )
-                }),
+                violation: (!violations.is_empty()).then(|| violations.join("; ")),
             }
         }
         "ablate-vl" => {
@@ -534,10 +560,11 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                         ));
                     }
                 }
-                for (problem, engine) in &table.ledger {
-                    if *engine != "avx512" {
-                        violations.push(format!("auto resolves {problem} to {engine}, not avx512"));
-                    }
+                for r in table.ledger.iter().filter(|r| r.engine != r.expect) {
+                    violations.push(format!(
+                        "auto resolves {} to {}, not {}",
+                        r.problem, r.engine, r.expect
+                    ));
                 }
                 for r in table
                     .shapes
@@ -546,7 +573,7 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                 {
                     violations.push(format!(
                         "auto resolves {} {} x {} to {}, but eight lanes run {:.2}x four \
-                         (engine::wide_min_nx is off its measured crossover)",
+                         (the kind's KernelSpace::wide_min_nx is off its measured crossover)",
                         r.kind,
                         r.nx,
                         r.steps,

@@ -45,10 +45,12 @@
 
 use std::time::Instant;
 
+use tempora_core::engine::{Engine, KernelSpace};
 use tempora_grid::{
-    fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence,
+    fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence, SlabGrid,
 };
 use tempora_plan::{Method, PlanBuilder, Problem, Select, State, TileGeometry, Tiling};
+use tempora_simd::count;
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
@@ -987,7 +989,6 @@ pub fn par_figure(row: &Benchmark, scale: usize, max_cores: usize) -> Figure {
 /// reports (`PlanBuilder::count_reorg`): the temporal scheme's constant
 /// per-output-vector cost versus the data-reorganization baseline.
 pub fn ablate_reorg() -> String {
-    use tempora_simd::count;
     let c = Heat1dCoeffs::classic(0.25);
     let n = 1 << 14;
     let mut out = String::new();
@@ -1172,7 +1173,6 @@ impl StrideTable {
 /// `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256 gives its
 /// `--smoke` geometry).
 pub fn ablate_stride(scale: usize) -> StrideTable {
-    use tempora_core::engine::KernelSpace;
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::{lcs_avx2, t1d_avx2};
     let d = scale.max(1);
@@ -1180,34 +1180,37 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let sel = Select::from_env();
     let grid_strides = JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE;
-    // No slab stride keeps its ring in registers.
+    // The strides whose ring stays in registers, at four and at eight
+    // lanes; no slab stride keeps its ring there.
+    let none = 0..=0;
     let slab = |k: &SlabKind| {
         let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
-        (k.name, (k.problem)(dims), 2..=4, 0..=0)
+        let problem = (k.problem)(dims, k.ledger_steps);
+        (k.name, problem, 2..=4, [none.clone(), none.clone()])
     };
+    let zmm = t1d_avx2::ZMM_REGISTER_STRIDES;
     let kinds = [
         (
             "heat1d",
             Problem::heat1d(n1, 32, Heat1dCoeffs::classic(0.25)),
             grid_strides.clone(),
-            t1d_avx2::REGISTER_STRIDES,
+            [t1d_avx2::REGISTER_STRIDES, zmm.clone()],
         ),
         (
             "gs1d",
             Problem::gs1d(n1, 32, Gs1dCoeffs::classic(0.25)),
             grid_strides,
-            t1d_avx2::REGISTER_STRIDES,
+            [t1d_avx2::REGISTER_STRIDES, zmm],
         ),
         (
             "lcs",
             Problem::lcs(nl, nl),
             1..=3,
-            lcs_avx2::REGISTER_STRIDES,
+            [lcs_avx2::REGISTER_STRIDES, none.clone()],
         ),
     ];
     let mut rows = vec![];
-    for (kind, problem, strides, register_strides) in
-        kinds.into_iter().chain(SLAB_KINDS.iter().map(slab))
+    for (kind, problem, strides, [ymm, zmm]) in kinds.into_iter().chain(SLAB_KINDS.iter().map(slab))
     {
         let default = default_stride(&problem);
         for s in strides {
@@ -1220,8 +1223,8 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
                 mupd_per_s: (problem.points() * problem.steps()) as f64 / secs / 1e6,
                 default: s == default,
                 registers: match engine {
-                    "avx2" => register_strides.contains(&s),
-                    "avx512" => t1d_avx2::ZMM_REGISTER_STRIDES.contains(&s),
+                    "avx2" => ymm.contains(&s),
+                    "avx512" => zmm.contains(&s),
                     _ => false,
                 },
             });
@@ -1233,21 +1236,21 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
     }
 }
 
-/// One row of [`ablate_vl`]: one 1-D kind at one lane count and stride.
+/// One row of [`ablate_vl`]: one kind at one lane count and stride.
 #[derive(Clone, Debug)]
 pub struct VlRow {
-    /// `heat1d` | `gs1d`.
+    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d`.
     pub kind: &'static str,
     /// Lanes of the steady state: 4 (`Ymm`) or 8 (`Zmm`).
     pub vl: usize,
     /// The space stride `s` of this row.
     pub stride: usize,
-    /// Engine the plan resolved to (`avx2` at four lanes, `avx512` at
-    /// eight).
+    /// Engine the row ran (`avx2` at four lanes, `avx512` at eight).
     pub engine: &'static str,
     /// Throughput, million point-updates per second (best of 20 runs).
     pub mupd_per_s: f64,
-    /// Core cycles per output vector (best of the same 20 runs).
+    /// Core cycles per steady-state output vector (best of the same 20
+    /// runs, the whole run's cycles over its steady vectors).
     pub cycles_per_vector: f64,
     /// Counted reorganization ops (rotates + blends) per output vector of
     /// one run at this stride: 2 at every width, the paper's claim.
@@ -1258,23 +1261,39 @@ pub struct VlRow {
     pub registers: bool,
 }
 
+/// One problem of the `ledger` benchmark and the engine a default plan
+/// of it resolves under `auto`.
+#[derive(Clone, Debug)]
+pub struct VlLedgerRow {
+    /// `kind n x steps`.
+    pub problem: String,
+    /// What `auto` resolved.
+    pub engine: &'static str,
+    /// What it must resolve on an AVX-512 host.
+    pub expect: &'static str,
+}
+
 /// The `ablate-vl` table: the 1-D kinds at four and eight lanes over
-/// every accepted stride, and the engine `auto` resolves for each of the
-/// ledger's 1-D problems.
+/// every accepted stride, the `f64` 2-D kinds at both at their default
+/// stride, the engine `auto` resolves for each of the ledger's problems
+/// with an eight-lane sweep, and both widths around `auto`'s crossovers.
 #[derive(Clone, Debug)]
 pub struct VlTable {
-    /// Points and steps of the swept problems.
+    /// Points and steps of the swept 1-D problems.
     pub geometry: (usize, usize),
-    /// One row per kind, lane count and stride.
+    /// One row per 1-D kind, lane count and stride.
     pub rows: Vec<VlRow>,
+    /// Edge and steps of the 2-D problems of [`VlTable::slab_rows`].
+    pub slab_geometry: (usize, usize),
+    /// One row per `f64` 2-D kind and lane count, at stride 2.
+    pub slab_rows: Vec<VlRow>,
     /// `(kind, gain)`: the eight-lane default plan's throughput over the
     /// four-lane default plan's, the two timed alternately on one state
     /// (best of 20 each); absent without both engines.
     pub gains: Vec<(&'static str, f64)>,
-    /// `(problem, engine)`: the engine a default plan of each of the
-    /// `ledger` benchmark's 1-D problems resolves under `auto`.
-    pub ledger: Vec<(String, &'static str)>,
-    /// Both widths timed over the shapes around `auto`'s crossover
+    /// The ledger's problems of the kinds with an eight-lane sweep.
+    pub ledger: Vec<VlLedgerRow>,
+    /// Both widths timed over the shapes around `auto`'s crossovers
     /// ([`vl_shapes`]).
     pub shapes: Vec<VlShapeRow>,
 }
@@ -1290,19 +1309,21 @@ impl VlTable {
     /// stride, `r` a stride whose ring stays in registers).
     pub fn to_table(&self) -> String {
         let (n, steps) = self.geometry;
-        let mut out = format!(
-            "# ablate-vl — one steady state at four and eight lanes (1-D {n} x {steps} steps; \
-             * = default stride, r = ring in registers)\n\
-             {:<8}{:>4}{:>8}{:>6}{:>10}{:>12}{:>11}{:>11}\n",
+        let header = format!(
+            "{:<8}{:>4}{:>8}{:>6}{:>10}{:>12}{:>11}{:>11}\n",
             "kind", "vl", "stride", "", "engine", "Mupd/s", "cyc/vec", "reorg/vec"
         );
-        for r in &self.rows {
+        let mut out = format!(
+            "# ablate-vl — one steady state at four and eight lanes (1-D {n} x {steps} steps; \
+             * = default stride, r = ring in registers)\n{header}"
+        );
+        let line = |r: &VlRow| {
             let marks = format!(
                 "{}{}",
                 if r.default { "*" } else { "" },
                 if r.registers { "r" } else { "" }
             );
-            out.push_str(&format!(
+            format!(
                 "{:<8}{:>4}{:>8}{:>6}{:>10}{:>12.0}{:>11.2}{:>11.2}\n",
                 r.kind,
                 r.vl,
@@ -1312,19 +1333,30 @@ impl VlTable {
                 r.mupd_per_s,
                 r.cycles_per_vector,
                 r.reorg_per_vector
+            )
+        };
+        out.extend(self.rows.iter().map(line));
+        if !self.slab_rows.is_empty() {
+            let (n, steps) = self.slab_geometry;
+            out.push_str(&format!(
+                "# the f64 2-D kinds, ring in L1 by segments ({n}^2 x {steps} steps)\n{header}"
             ));
+            out.extend(self.slab_rows.iter().map(line));
         }
         for (kind, gain) in &self.gains {
             out.push_str(&format!(
                 "{kind}: eight-lane default / four-lane default = {gain:.2} (timed in pairs)\n"
             ));
         }
-        for (problem, engine) in &self.ledger {
-            out.push_str(&format!("auto resolves {problem}: {engine}\n"));
+        for r in &self.ledger {
+            out.push_str(&format!(
+                "auto resolves {}: {} (expected on avx512 hosts: {})\n",
+                r.problem, r.engine, r.expect
+            ));
         }
         if !self.shapes.is_empty() {
             out.push_str(&format!(
-                "# both widths at their default strides around auto's crossover\n\
+                "# both widths at their default strides around auto's crossovers (2-D: n^2)\n\
                  {:<8}{:>6}{:>6}{:>8}{:>10}{:>10}{:>8}\n",
                 "kind", "nx", "steps", "auto", "vl4 µs", "vl8 µs", "gain"
             ));
@@ -1344,33 +1376,39 @@ impl VlTable {
         out
     }
 
-    /// Render as a JSON object (`{"id", "geometry", "rows", "ledger"}`),
-    /// one entry of the `repro --json` document.
+    /// Render as a JSON object (`{"id", "geometry", "rows", "slab_rows",
+    /// "gains", "ledger", "shapes"}`), one entry of the `repro --json`
+    /// document.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"kind\":\"{}\",\"vl\":{},\"stride\":{},\"engine\":\"{}\",\"mupd_per_s\":{},\
-                     \"cycles_per_vector\":{},\"reorg_per_vector\":{},\"default\":{},\
-                     \"registers\":{}}}",
-                    r.kind,
-                    r.vl,
-                    r.stride,
-                    r.engine,
-                    json_num(r.mupd_per_s),
-                    json_num(r.cycles_per_vector),
-                    json_num(r.reorg_per_vector),
-                    r.default,
-                    r.registers
-                )
-            })
-            .collect();
+        let row = |r: &VlRow| {
+            format!(
+                "{{\"kind\":\"{}\",\"vl\":{},\"stride\":{},\"engine\":\"{}\",\"mupd_per_s\":{},\
+                 \"cycles_per_vector\":{},\"reorg_per_vector\":{},\"default\":{},\
+                 \"registers\":{}}}",
+                r.kind,
+                r.vl,
+                r.stride,
+                r.engine,
+                json_num(r.mupd_per_s),
+                json_num(r.cycles_per_vector),
+                json_num(r.reorg_per_vector),
+                r.default,
+                r.registers
+            )
+        };
+        let rows: Vec<String> = self.rows.iter().map(row).collect();
+        let slab_rows: Vec<String> = self.slab_rows.iter().map(row).collect();
         let ledger: Vec<String> = self
             .ledger
             .iter()
-            .map(|(p, e)| format!("{{\"problem\":\"{}\",\"engine\":\"{e}\"}}", json_escape(p)))
+            .map(|r| {
+                format!(
+                    "{{\"problem\":\"{}\",\"engine\":\"{}\",\"expect\":\"{}\"}}",
+                    json_escape(&r.problem),
+                    r.engine,
+                    r.expect
+                )
+            })
             .collect();
         let gains: Vec<String> = self
             .gains
@@ -1394,16 +1432,27 @@ impl VlTable {
                 )
             })
             .collect();
-        let (n, steps) = self.geometry;
+        let ((n, steps), (n2, steps2)) = (self.geometry, self.slab_geometry);
         format!(
-            "{{\"id\":\"ablate-vl\",\"geometry\":[{n},{steps}],\"rows\":[{}],\"gains\":[{}],\
+            "{{\"id\":\"ablate-vl\",\"geometry\":[{n},{steps}],\"rows\":[{}],\
+             \"slab_geometry\":[{n2},{steps2}],\"slab_rows\":[{}],\"gains\":[{}],\
              \"ledger\":[{}],\"shapes\":[{}]}}",
             rows.join(","),
+            slab_rows.join(","),
             gains.join(","),
             ledger.join(","),
             shapes.join(",")
         )
     }
+}
+
+/// The kinds of [`SLAB_KINDS`] with an eight-lane sweep (the `f64` 2-D
+/// ones), at interior extents `n × n` and `steps` levels.
+fn wide_slab_kinds(n: usize, steps: usize) -> impl Iterator<Item = (&'static str, Problem)> {
+    SLAB_KINDS
+        .iter()
+        .filter(|k| k.wide.is_some())
+        .map(move |k| (k.name, (k.problem)([n, n, 1], steps)))
 }
 
 /// The vector-length claim measured (ROADMAP item 1): Heat-1D and GS-1D
@@ -1415,14 +1464,13 @@ impl VlTable {
 /// with the two widths alternating on one state, and the reorganization
 /// ops a counted run of each row spends per output vector. Then each
 /// kind's two default plans once more, alternating, for the gain the
-/// `repro` gate reads, and both widths over the shapes of
-/// [`vl_shapes`], on each side of `auto`'s crossover. A width the CPU
-/// lacks has no rows. The 2-D/3-D
-/// kinds are left out on purpose: at eight lanes a slab ring of 64-byte
-/// packs leaves L1 at the benchmark widths and loses (README, "Engine
-/// dispatch").
+/// `repro` gate reads. The `f64` 2-D kinds likewise at both widths
+/// (`engine_runs`) at the ledger's 256² × 8 steps, their rings kept in
+/// L1 by segments — counted too: 2 per vector in 2-D as in 1-D. Last, the
+/// engine `auto` resolves for the ledger's problems of these five kinds,
+/// and both widths over the shapes of [`vl_shapes`], on each side of each
+/// kind's crossover. A width the CPU lacks has no rows.
 pub fn ablate_vl() -> VlTable {
-    use tempora_core::engine::KernelSpace;
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::t1d_avx2;
     let (n, steps) = (1 << 16, 32);
@@ -1485,36 +1533,98 @@ pub fn ablate_vl() -> VlTable {
             gains.push((kind, four.secs / eight.secs));
         }
     }
+    let (n2, steps2) = (256, 8);
+    let engines: Vec<Engine> = widths
+        .iter()
+        .map(|&(vl, _)| {
+            if vl == 8 {
+                Engine::Avx512
+            } else {
+                Engine::Avx2
+            }
+        })
+        .collect();
+    let mut slab_rows = vec![];
+    for (kind, problem) in wide_slab_kinds(n2, steps2) {
+        for run in engine_runs(&problem, &engines) {
+            let (vl, s) = (run.vl, SLAB_STRIDE);
+            let vectors = (steps2 / vl * (n2 + 1 - vl * s) * n2) as f64;
+            slab_rows.push(VlRow {
+                kind,
+                vl,
+                stride: s,
+                engine: run.best.engine,
+                mupd_per_s: problem.points() as f64 * steps2 as f64 / run.best.secs / 1e6,
+                cycles_per_vector: run.best.cycles / vectors,
+                reorg_per_vector: run.reorg_per_vector,
+                default: true,
+                registers: false,
+            });
+        }
+    }
     let ledger = [
-        Problem::heat1d(1 << 16, 32, Heat1dCoeffs::classic(0.25)),
-        Problem::gs1d(1 << 16, 32, Gs1dCoeffs::classic(0.25)),
-        Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
+        (
+            Problem::heat1d(1 << 16, 32, Heat1dCoeffs::classic(0.25)),
+            "avx512",
+        ),
+        (
+            Problem::gs1d(1 << 16, 32, Gs1dCoeffs::classic(0.25)),
+            "avx512",
+        ),
+        (
+            Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
+            "avx512",
+        ),
+        // Twelve steps: four scalar levels at eight lanes, none at four.
+        (
+            Problem::heat2d(256, 256, 12, Heat2dCoeffs::classic(0.125)),
+            "avx2",
+        ),
+        (
+            Problem::box2d(256, 256, 8, Box2dCoeffs::smooth(0.1)),
+            "avx512",
+        ),
+        (
+            Problem::gs2d(256, 256, 8, Gs2dCoeffs::classic(0.2)),
+            "avx512",
+        ),
+        (
+            Problem::heat2d(1024, 1024, 24, Heat2dCoeffs::classic(0.125)),
+            "avx512",
+        ),
+        (
+            Problem::gs2d(768, 768, 16, Gs2dCoeffs::classic(0.2)),
+            "avx512",
+        ),
     ]
     .iter()
-    .map(|p| {
+    .map(|(p, expect)| {
         let engine = plan_of(p, PlanBuilder::new()).engine();
-        (
-            format!("{} {} x {}", p.kind_name(), p.points(), p.steps()),
-            engine.map_or("none", |e| e.name()),
-        )
+        VlLedgerRow {
+            problem: format!("{} {} x {}", p.kind_name(), p.extents()[0], p.steps()),
+            engine: engine.map_or("none", |e| e.name()),
+            expect,
+        }
     })
     .collect();
     VlTable {
         geometry: (n, steps),
         rows,
+        slab_geometry: (n2, steps2),
+        slab_rows,
         gains,
         ledger,
         shapes: vl_shapes(),
     }
 }
 
-/// One row of [`vl_shapes`]: one 1-D kind at one shape, timed at four and
+/// One row of [`vl_shapes`]: one kind at one shape, timed at four and
 /// eight lanes, each at its engine's default stride.
 #[derive(Clone, Debug)]
 pub struct VlShapeRow {
-    /// `heat1d` | `gs1d`.
+    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d`.
     pub kind: &'static str,
-    /// Interior points.
+    /// Outer extent: points of a line, the edge of a square.
     pub nx: usize,
     /// Time steps.
     pub steps: usize,
@@ -1544,78 +1654,155 @@ impl VlShapeRow {
 }
 
 /// Where eight lanes start to pay: Heat-1D and GS-1D over lines of
-/// 128 … 4096 points at 32, 12 and 9 steps, each shape through the one
-/// executor (`tempora_tiling::Sweeps`, untiled) at four lanes
-/// ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their default
-/// strides — built for each engine directly, since `auto` picks only one
-/// of them and the point is to time the one it does not — next to the
-/// engine a default plan resolves. Best of 20 alternating rounds, each
-/// timing enough runs to last ≈ 0.1 ms. Empty without AVX-512F.
-///
-/// [`Engine::Avx2`]: tempora_core::engine::Engine::Avx2
-/// [`Engine::Avx512`]: tempora_core::engine::Engine::Avx512
+/// 128 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
+/// over squares of 32² … 256² at 8, 16 and 9 steps, each shape untiled at
+/// four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their
+/// default strides (`engine_runs`: `auto` picks only one of them, and the
+/// point is to time the one it does not), next to the engine a default
+/// plan resolves. Empty without AVX-512F.
 pub fn vl_shapes() -> Vec<VlShapeRow> {
-    use tempora_core::kernels::{GsKern1d, JacobiKern1d};
     if !tempora_simd::arch::avx512_available() {
         return vec![];
     }
-    let row = |kind, problem: Problem, (four_us, eight_us)| VlShapeRow {
-        kind,
-        nx: problem.points(),
-        steps: problem.steps(),
-        auto: plan_of(&problem, PlanBuilder::new())
-            .engine()
-            .map_or("none", |e| e.name()),
-        four_us,
-        eight_us,
+    let row = |kind, problem: Problem| {
+        let [four, eight] = engine_runs(&problem, &[Engine::Avx2, Engine::Avx512])[..] else {
+            unreachable!("one run per engine")
+        };
+        VlShapeRow {
+            kind,
+            nx: problem.extents()[0],
+            steps: problem.steps(),
+            auto: plan_of(&problem, PlanBuilder::new())
+                .engine()
+                .map_or("none", |e| e.name()),
+            four_us: four.best.secs * 1e6,
+            eight_us: eight.best.secs * 1e6,
+        }
     };
     let (h, g) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
     let mut rows = vec![];
     for steps in [32, 12, 9] {
         for nx in [128, 256, 512, 1024, 2048, 4096] {
-            let heat = Problem::heat1d(nx, steps, h);
-            rows.push(row("heat1d", heat, time_widths(JacobiKern1d(h), nx, steps)));
-            let gs = Problem::gs1d(nx, steps, g);
-            rows.push(row("gs1d", gs, time_widths(GsKern1d(g), nx, steps)));
+            rows.push(row("heat1d", Problem::heat1d(nx, steps, h)));
+            rows.push(row("gs1d", Problem::gs1d(nx, steps, g)));
+        }
+    }
+    for steps in [8, 16, 9] {
+        for n in [16, 32, 64, 128, 256] {
+            for (kind, problem) in wide_slab_kinds(n, steps) {
+                rows.push(row(kind, problem));
+            }
         }
     }
     rows
 }
 
-/// The fastest untiled run of `kern` over `nx` points × `steps` levels at
-/// four and at eight lanes, µs, the two alternating on one line.
-fn time_widths<K>(kern: K, nx: usize, steps: usize) -> (f64, f64)
-where
-    K: tempora_core::engine::KernelSpace<Grid = tempora_grid::Grid1<f64>>,
-{
-    use tempora_core::engine::Engine;
+/// One engine's executor in [`engine_runs`].
+#[derive(Clone, Copy)]
+struct EngineRun {
+    /// Fastest run and fewest cycles, as [`best_of_20_each`] states them.
+    best: Best,
+    /// Lanes of the engine's sweeps for the problem's kernel.
+    vl: usize,
+    /// Rotates + blends per output vector of one counted run.
+    reorg_per_vector: f64,
+}
+
+/// The untiled temporal run of grid `problem` on each of `engines`, at
+/// each engine's default stride — through the one executor
+/// (`tempora_tiling::Sweeps`) built for the engine directly, since a plan
+/// resolves one engine and these ablations time the others too (a
+/// `Select` cannot ask for [`Engine::Avx512`]). Like [`best_of_20_each`]:
+/// the executors alternate on one seeded state, 21 rounds, each timing
+/// enough runs to last ≈ 0.1 ms; per engine the fastest run after the
+/// first round and the fewest cycles. Then one counted run per engine.
+///
+/// [`Engine::Avx512`]: tempora_core::engine::Engine::Avx512
+fn engine_runs(problem: &Problem, engines: &[Engine]) -> Vec<EngineRun> {
+    use tempora_core::kernels::*;
+    let steps = problem.steps();
+    let mut state = problem.state();
+    fill_state(&mut state);
+    match (*problem, state) {
+        (Problem::Heat1d { coeffs, .. }, State::Grid1(g)) => {
+            runs_of(JacobiKern1d(coeffs), g, steps, engines)
+        }
+        (Problem::Gs1d { coeffs, .. }, State::Grid1(g)) => {
+            runs_of(GsKern1d(coeffs), g, steps, engines)
+        }
+        (Problem::Heat2d { coeffs, .. }, State::Grid2(g)) => {
+            runs_of(JacobiKern2d(coeffs), g, steps, engines)
+        }
+        (Problem::Box2d { coeffs, .. }, State::Grid2(g)) => {
+            runs_of(BoxKern2d(coeffs), g, steps, engines)
+        }
+        (Problem::Gs2d { coeffs, .. }, State::Grid2(g)) => {
+            runs_of(GsKern2d(coeffs), g, steps, engines)
+        }
+        (Problem::Life { rule, .. }, State::Grid2i(g)) => {
+            runs_of(LifeKern2d(rule), g, steps, engines)
+        }
+        (Problem::Heat3d { coeffs, .. }, State::Grid3(g)) => {
+            runs_of(JacobiKern3d(coeffs), g, steps, engines)
+        }
+        (Problem::Gs3d { coeffs, .. }, State::Grid3(g)) => {
+            runs_of(GsKern3d(coeffs), g, steps, engines)
+        }
+        _ => unreachable!("engine_runs times the grid kinds, on their own states"),
+    }
+}
+
+/// [`engine_runs`] for kernel `kern` on grid `g`.
+fn runs_of<K: KernelSpace>(
+    kern: K,
+    mut g: K::Grid,
+    steps: usize,
+    engines: &[Engine],
+) -> Vec<EngineRun> {
     use tempora_tiling::{Mode, Sweeps};
-    // A boundary of 1: the line tends to it, never to subnormals.
-    let mut g = tempora_grid::Grid1::new(nx, 1, tempora_grid::Boundary::Dirichlet(1.0));
-    fill_random_1d(&mut g, SEED, -1.0, 1.0);
+    let (dims, bc) = (g.dims(), g.boundary());
     let pool = tempora_parallel::Pool::new(1);
-    let mut widths: Vec<Sweeps<K>> = [Engine::Avx2, Engine::Avx512]
-        .into_iter()
-        .map(|e| {
-            let mode = Mode::Temporal(K::default_stride(e));
-            Sweeps::new(kern, [nx, 1, 1], g.boundary(), steps, nx, mode, e)
-        })
-        .collect();
-    let reps = (100_000 / (nx * steps)).max(1);
-    let mut best = [f64::INFINITY; 2];
+    let sweeps = |e: Engine| {
+        let mode = Mode::Temporal(K::default_stride(e));
+        Sweeps::new(kern, dims, bc, steps, dims[0], mode, e)
+    };
+    let mut ws: Vec<Sweeps<K>> = engines.iter().map(|&e| sweeps(e)).collect();
+    let reps = (100_000 / (dims.iter().product::<usize>() * steps).max(1)).max(1);
+    let mut best = vec![[f64::INFINITY; 2]; engines.len()];
     for round in 0..=20 {
-        for (w, best) in widths.iter_mut().zip(&mut best) {
+        for (w, best) in ws.iter_mut().zip(&mut best) {
+            let before = clock_ghz();
             let t = Instant::now();
             for _ in 0..reps {
                 w.advance(&mut g, &pool);
             }
+            let secs = t.elapsed().as_secs_f64() / reps as f64;
             if round > 0 {
-                *best = best.min(t.elapsed().as_secs_f64() / reps as f64 * 1e6);
+                best[0] = best[0].min(secs);
+                best[1] = best[1].min(secs * before.max(clock_ghz()) * 1e9);
             }
             std::hint::black_box(&g);
         }
     }
-    (best[0], best[1])
+    engines
+        .iter()
+        .zip(best)
+        .map(|(&e, [secs, cycles])| {
+            let mut counted = sweeps(e).count_reorg(true);
+            let session = count::Session::start();
+            counted.advance(&mut g, &pool);
+            EngineRun {
+                best: Best {
+                    secs,
+                    cycles,
+                    engine: e.name(),
+                    tiles: None,
+                },
+                vl: K::vl(e),
+                reorg_per_vector: session.finish().reorg_per_output(),
+            }
+        })
+        .collect()
 }
 
 /// The five schemes of [`ablate_baselines`]; "our" is the plan a user
@@ -1683,34 +1870,74 @@ impl RowModel {
 }
 
 /// One 2-D/3-D kind of the steady-state ablations, at the `ledger`
-/// benchmark's step counts (whole tiles each).
+/// benchmark's step counts, rounded up to whole tiles of the lane count
+/// that runs ([`SlabKind::steps`]).
 #[derive(Debug)]
 struct SlabKind {
     name: &'static str,
-    /// Lanes: one temporal tile advances this many levels.
+    /// Lanes of its sweep on the portable and AVX2 engines (one temporal
+    /// tile advances this many levels).
     vl: usize,
+    /// The `f64` 2-D kinds: the steady loop of their eight-lane sweep on
+    /// `Engine::Avx512`.
+    wide: Option<RowModel>,
     /// A slab is a plane (else a row).
     three_d: bool,
-    /// The problem at interior extents `[nx, ny, nz]` (2-D: `nz` unused).
-    problem: fn([usize; 3]) -> Problem,
+    /// The `ledger` benchmark's step count.
+    ledger_steps: usize,
+    /// The problem at interior extents `[nx, ny, nz]` (2-D: `nz` unused)
+    /// and a step count.
+    problem: fn([usize; 3], usize) -> Problem,
     /// Its AVX2 steady loop.
     model: RowModel,
 }
 
 impl SlabKind {
+    /// Lanes of the kind's sweep on `engine`.
+    fn lanes(&self, engine: Engine) -> usize {
+        match (engine, self.wide) {
+            (Engine::Avx512, Some(_)) => 8,
+            _ => self.vl,
+        }
+    }
+
+    /// The ledger's steps, up to whole tiles at `engine`'s lane count.
+    fn steps(&self, engine: Engine) -> usize {
+        self.ledger_steps.next_multiple_of(self.lanes(engine))
+    }
+
+    /// The steady loop `engine` runs (portable: the AVX2 one, as a bound).
+    fn model(&self, engine: Engine) -> RowModel {
+        match (engine, self.wide) {
+            (Engine::Avx512, Some(wide)) => wide,
+            _ => self.model,
+        }
+    }
+
     /// Interior points of one slab at `dims`.
     fn inner(&self, dims: [usize; 3]) -> usize {
-        (self.problem)(dims).points() / dims[0]
+        (self.problem)(dims, self.ledger_steps).points() / dims[0]
     }
 }
 
-/// The six slab kinds.
+/// The six slab kinds. The eight-lane loops' counts are per eight-lane
+/// vector: at 512 bits the vector ports are p0 and p5, and p5 also takes
+/// the rotate, the lane-0 insert of the blend (`vmovlpd` + `vinsertf32x4`)
+/// and the top-lane `vextractf32x4`, so those four count as FMA-port µops.
 static SLAB_KINDS: [SlabKind; 6] = [
     SlabKind {
         name: "heat2d",
         vl: 4,
+        wide: Some(RowModel {
+            insns: 17,
+            uops: 16,
+            fma_port: 9,
+            loads: 4,
+            chain: 0,
+        }),
         three_d: false,
-        problem: |[nx, ny, _]| Problem::heat2d(nx, ny, 12, Heat2dCoeffs::classic(0.125)),
+        ledger_steps: 12,
+        problem: |[nx, ny, _], steps| Problem::heat2d(nx, ny, steps, Heat2dCoeffs::classic(0.125)),
         model: RowModel {
             insns: 17,
             uops: 16,
@@ -1722,8 +1949,16 @@ static SLAB_KINDS: [SlabKind; 6] = [
     SlabKind {
         name: "box2d",
         vl: 4,
+        wide: Some(RowModel {
+            insns: 21,
+            uops: 20,
+            fma_port: 13,
+            loads: 8,
+            chain: 0,
+        }),
         three_d: false,
-        problem: |[nx, ny, _]| Problem::box2d(nx, ny, 8, Box2dCoeffs::smooth(0.1)),
+        ledger_steps: 8,
+        problem: |[nx, ny, _], steps| Problem::box2d(nx, ny, steps, Box2dCoeffs::smooth(0.1)),
         model: RowModel {
             insns: 21,
             uops: 20,
@@ -1735,8 +1970,10 @@ static SLAB_KINDS: [SlabKind; 6] = [
     SlabKind {
         name: "life",
         vl: 8,
+        wide: None,
         three_d: false,
-        problem: |[nx, ny, _]| Problem::life(nx, ny, 16, LifeRule::b2s23()),
+        ledger_steps: 16,
+        problem: |[nx, ny, _], steps| Problem::life(nx, ny, steps, LifeRule::b2s23()),
         // `vpmulld` and the `vpextrd` to memory are two µops each.
         model: RowModel {
             insns: 23,
@@ -1749,8 +1986,16 @@ static SLAB_KINDS: [SlabKind; 6] = [
     SlabKind {
         name: "gs2d",
         vl: 4,
+        wide: Some(RowModel {
+            insns: 18,
+            uops: 17,
+            fma_port: 9,
+            loads: 4,
+            chain: 2,
+        }),
         three_d: false,
-        problem: |[nx, ny, _]| Problem::gs2d(nx, ny, 8, Gs2dCoeffs::classic(0.2)),
+        ledger_steps: 8,
+        problem: |[nx, ny, _], steps| Problem::gs2d(nx, ny, steps, Gs2dCoeffs::classic(0.2)),
         model: RowModel {
             insns: 18,
             uops: 17,
@@ -1762,8 +2007,12 @@ static SLAB_KINDS: [SlabKind; 6] = [
     SlabKind {
         name: "heat3d",
         vl: 4,
+        wide: None,
         three_d: true,
-        problem: |[nx, ny, nz]| Problem::heat3d(nx, ny, nz, 4, Heat3dCoeffs::classic(0.1)),
+        ledger_steps: 4,
+        problem: |[nx, ny, nz], steps| {
+            Problem::heat3d(nx, ny, nz, steps, Heat3dCoeffs::classic(0.1))
+        },
         model: RowModel {
             insns: 19,
             uops: 18,
@@ -1775,8 +2024,10 @@ static SLAB_KINDS: [SlabKind; 6] = [
     SlabKind {
         name: "gs3d",
         vl: 4,
+        wide: None,
         three_d: true,
-        problem: |[nx, ny, nz]| Problem::gs3d(nx, ny, nz, 4, Gs3dCoeffs::classic(0.1)),
+        ledger_steps: 4,
+        problem: |[nx, ny, nz], steps| Problem::gs3d(nx, ny, nz, steps, Gs3dCoeffs::classic(0.1)),
         model: RowModel {
             insns: 20,
             uops: 19,
@@ -1790,33 +2041,52 @@ static SLAB_KINDS: [SlabKind; 6] = [
 /// The stride every slab kind defaults to (`ablate-stride` measures it).
 const SLAB_STRIDE: usize = 2;
 
+/// Rows of the grids of `ablate-rows`' column sweep: at 10× this, the
+/// grid of 1024-column rows (1.3 MB) still fits the 2 MiB L2, so the sweep
+/// prices the ring and not the grid's own traffic (with 64 rows, 512
+/// columns and up read 1.2× from the grid alone, whatever the ring).
+const WIDTH_ROWS: usize = 16;
+
 /// One temporal tile of `kind` at interior extents `dims`, stride
-/// [`SLAB_STRIDE`], under `sel`: `[seconds, cycles]` per tile, the same
-/// per steady-state slab, and the engine that ran. A tile's time is
-/// linear in its steady-state slab count `x_max = nx + 1 - VL·s`, so the
-/// same problem at 10× the outer extent gives the slope. Minimum of 20
-/// runs each.
-fn tile_and_slab(
-    kind: &SlabKind,
-    dims: [usize; 3],
-    sel: Select,
-) -> ([f64; 2], [f64; 2], &'static str) {
+/// [`SLAB_STRIDE`], on `engine` ([`engine_runs`]): `[seconds, cycles]` per
+/// tile, and the same per steady-state slab. A tile's time is linear in
+/// its steady-state slab count `x_max = nx + 1 - VL·s`, so the same
+/// problem at 10× the outer extent gives the slope. Minimum of 20 runs
+/// each.
+fn tile_and_slab(kind: &SlabKind, dims: [usize; 3], engine: Engine) -> ([f64; 2], [f64; 2]) {
+    let (vl, steps) = (kind.lanes(engine), kind.steps(engine));
     let tile = |nx: usize| {
-        let problem = (kind.problem)([nx, dims[1], dims[2]]);
-        let best = best_of_20(&problem, PlanBuilder::new().stride(SLAB_STRIDE).select(sel));
-        let tiles = (problem.steps() / kind.vl) as f64;
-        ([best.secs / tiles, best.cycles / tiles], best.engine)
+        let problem = (kind.problem)([nx, dims[1], dims[2]], steps);
+        let [run] = engine_runs(&problem, &[engine])[..] else {
+            unreachable!("one run per engine")
+        };
+        assert_eq!(run.vl, vl, "{} on {engine:?}", kind.name);
+        let tiles = (steps / vl) as f64;
+        [run.best.secs / tiles, run.best.cycles / tiles]
     };
-    let ((t1, engine), (t10, _)) = (tile(dims[0]), tile(10 * dims[0]));
+    let (t1, t10) = (tile(dims[0]), tile(10 * dims[0]));
     let per_slab = [0, 1].map(|u| (t10[u] - t1[u]) / (9 * dims[0]) as f64);
-    (t1, per_slab, engine)
+    (t1, per_slab)
 }
 
-/// The engine selections the per-engine ablations run: forced AVX2 where
-/// the CPU has it, then forced portable.
-fn forced_selects() -> Vec<Select> {
-    let avx2 = tempora_simd::arch::avx2_available().then_some(Select::Avx2);
-    avx2.into_iter().chain([Select::Portable]).collect()
+/// The engines the per-engine ablations run: AVX2 and AVX-512 where the
+/// CPU has them, then portable.
+fn forced_engines() -> Vec<Engine> {
+    let avx2 = tempora_simd::arch::avx2_available().then_some(Engine::Avx2);
+    let avx512 = tempora_simd::arch::avx512_available().then_some(Engine::Avx512);
+    avx2.into_iter()
+        .chain(avx512)
+        .chain([Engine::Portable])
+        .collect()
+}
+
+/// The kinds of [`SLAB_KINDS`] with a sweep of their own on `engine`:
+/// every kind, and on `Engine::Avx512` the eight-lane ones only (the others
+/// run their AVX2 sweep there).
+fn kinds_on(engine: Engine) -> impl Iterator<Item = &'static SlabKind> {
+    SLAB_KINDS
+        .iter()
+        .filter(move |k| engine != Engine::Avx512 || k.wide.is_some())
 }
 
 /// One row of [`ablate_boundary`]: one kind under one engine selection.
@@ -1923,53 +2193,56 @@ impl BoundaryTable {
         )
     }
 
-    /// The AVX2 rows whose boundary/steady ratio exceeds `limit` — the
-    /// silent failure this target exists to catch: a boundary phase that
-    /// is no longer inlined into its `#[target_feature]` sandwich runs
-    /// its `mul_add`s through libm again and the ratio jumps to ≈ 20.
+    /// The `std::arch` (AVX2 and AVX-512) rows whose boundary/steady ratio
+    /// exceeds `limit` — the silent failure this target exists to catch: a
+    /// boundary phase that is no longer inlined into its
+    /// `#[target_feature]` sandwich runs its `mul_add`s through libm again
+    /// and the ratio jumps to ≈ 20.
     pub fn avx2_rows_over(&self, limit: f64) -> Vec<&BoundaryRow> {
         self.rows
             .iter()
             // A non-finite ratio (noise drove the fitted slope to ≤ 0) is
             // not evidence of a regression.
-            .filter(|r| r.engine == "avx2" && r.ratio().is_finite() && r.ratio() > limit)
+            .filter(|r| r.engine != "portable" && r.ratio().is_finite() && r.ratio() > limit)
             .collect()
     }
 }
 
 /// Where the time goes in a tile (ROADMAP aim 1: "bare steady state vs
-/// whole tile"). Per 2-D/3-D grid kind and engine, time `Plan::run` at
-/// the `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 64 gives
-/// its `--smoke` geometry) and at 10× the outer extent, minimum of 20
+/// whole tile"). Per 2-D/3-D grid kind and engine, time an untiled run
+/// (`engine_runs`) at the `ledger` benchmark's geometry (`scale` = 16;
+/// `scale` ≥ 64 gives its `--smoke` geometry) and at 10× the outer extent, minimum of 20
 /// runs each. A tile's time is linear in its steady-state slab count
 /// `x_max = nx + 1 - VL·s`, so the two points give the steady cost per
 /// slab (the slope) and the fixed boundary cost per tile (the intercept
 /// at `x_max = 0`); dividing by the point-updates each part performs
 /// (`VL·inner` per slab; `VL·inner·(VL·s - 1)` in the boundary) states
 /// both per update. A share within ± 0.03 of zero is below what two
-/// timings resolve. Rows are produced for `Select::Avx2` (when the CPU
-/// has AVX2+FMA) and `Select::Portable`. The 1-D kinds are left out:
+/// timings resolve. Rows are produced for the AVX2 and AVX-512 engines
+/// (where the CPU has them; AVX-512 for the kinds with an eight-lane
+/// sweep) and the portable one. The 1-D kinds are left out:
 /// their boundary is 27 points per level of a 65536-point tile, which
 /// this method cannot see.
 pub fn ablate_boundary(scale: usize) -> BoundaryTable {
     let d = scale.max(1);
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let mut rows = vec![];
-    for sel in forced_selects() {
-        for k in &SLAB_KINDS {
+    for engine in forced_engines() {
+        for k in kinds_on(engine) {
             let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
-            let ([t1, _], [per_slab, _], engine) = tile_and_slab(k, dims, sel);
-            let x_max = (dims[0] + 1 - k.vl * SLAB_STRIDE) as f64;
+            let vl = k.lanes(engine);
+            let ([t1, _], [per_slab, _]) = tile_and_slab(k, dims, engine);
+            let x_max = (dims[0] + 1 - vl * SLAB_STRIDE) as f64;
             let boundary = t1 - per_slab * x_max;
-            let updates_per_slab = (k.vl * k.inner(dims)) as f64;
+            let updates_per_slab = (vl * k.inner(dims)) as f64;
             rows.push(BoundaryRow {
                 kind: k.name,
-                engine,
+                engine: engine.name(),
                 tile_us: t1 * 1e6,
                 boundary_us: boundary * 1e6,
                 steady_ns_per_update: per_slab * 1e9 / updates_per_slab,
                 boundary_ns_per_update: boundary * 1e9
-                    / (updates_per_slab * (k.vl * SLAB_STRIDE - 1) as f64),
+                    / (updates_per_slab * (vl * SLAB_STRIDE - 1) as f64),
             });
         }
     }
@@ -1991,22 +2264,23 @@ pub struct SteadyCost {
     pub cycles_per_vector: f64,
 }
 
-/// One row of [`ablate_rows`]: one slab kind under one engine selection.
+/// One row of [`ablate_rows`]: one slab kind on one engine.
 #[derive(Clone, Debug)]
 pub struct SteadyRowsRow {
     /// Workload kind (`heat2d` … `gs3d`).
     pub kind: &'static str,
-    /// Engine the plan resolved to (`avx2` | `portable`).
+    /// Engine the row ran (`avx2` | `avx512` | `portable`).
     pub engine: &'static str,
     /// With the wavefront ring in L1.
     pub l1: SteadyCost,
     /// At the `ledger` benchmark's geometry.
     pub ledger: SteadyCost,
-    /// The kind's AVX2 steady loop (the portable rows are LLVM's choice
-    /// and have no written model: their ratio is against the same bound).
+    /// The engine's steady loop: the AVX2 one, or the eight-lane one on
+    /// AVX-512 (the portable rows are LLVM's choice and have no written
+    /// model: their ratio is against the AVX2 bound).
     pub model: RowModel,
-    /// What to measure again: the kind and the forced selection.
-    source: (&'static SlabKind, Select),
+    /// What to measure again: the kind and the engine.
+    source: (&'static SlabKind, Engine),
 }
 
 impl SteadyRowsRow {
@@ -2023,16 +2297,44 @@ impl SteadyRowsRow {
     }
 }
 
+/// One row of [`ablate_rows`]' column sweep: Heat-2D's steady cost on one
+/// `std::arch` engine at one row width, against the same engine's reading
+/// with the ring in L1.
+#[derive(Clone, Debug)]
+pub struct WidthRow {
+    /// Engine the row ran (`avx2` | `avx512`).
+    pub engine: &'static str,
+    /// Interior columns of a row.
+    pub columns: usize,
+    /// Lanes of the engine's sweep.
+    pub vl: usize,
+    /// The steady cost at this width.
+    pub cost: SteadyCost,
+    /// The engine whose reading this is.
+    source: Engine,
+}
+
+impl WidthRow {
+    /// Bytes of a ring of whole rows at this width: `s + 2` rows of
+    /// `columns + 2` packs — what the steady state would keep in flight
+    /// without segments.
+    pub fn ring_kb(&self) -> f64 {
+        ((SLAB_STRIDE + 2) * (self.columns + 2) * self.vl * 8) as f64 / 1024.0
+    }
+}
+
 /// The `ablate-rows` table: per slab kind and engine, the steady state
-/// against its port bound.
+/// against its port bound; and Heat-2D's steady state over row widths.
 #[derive(Clone, Debug)]
 pub struct SteadyRowsTable {
     /// Interior extents of the L1-resident geometry, 2-D and 3-D.
     pub l1_dims: [[usize; 3]; 2],
     /// Interior extents of the ledger geometry, 2-D and 3-D.
     pub ledger_dims: [[usize; 3]; 2],
-    /// One row per kind and resolved engine.
+    /// One row per kind and engine.
     pub rows: Vec<SteadyRowsRow>,
+    /// Heat-2D over row widths, per `std::arch` engine.
+    pub widths: Vec<WidthRow>,
 }
 
 impl SteadyRowsTable {
@@ -2066,10 +2368,10 @@ impl SteadyRowsTable {
         );
         for r in &self.rows {
             let m = r.model;
-            // The counts are the AVX2 loop's.
+            // The counts are the `std::arch` loop's.
             let count = |n: u32| match r.engine {
-                "avx2" => n.to_string(),
-                _ => "-".into(),
+                "portable" => "-".into(),
+                _ => n.to_string(),
             };
             out.push_str(&format!(
                 "{:<8}{:>10}{:>10.3}{:>8.2}{:>12.3}{:>8.2}{:>7}{:>6}{:>6}{:>7}{:>7}{:>8.2}{:>8.2}{:>9.2}\n",
@@ -2089,11 +2391,30 @@ impl SteadyRowsTable {
                 r.ledger.cycles_per_vector / m.cycles_per_vector()
             ));
         }
+        if !self.widths.is_empty() {
+            out.push_str(&format!(
+                "# heat2d over row widths ({WIDTH_ROWS} rows; ring = s + 2 whole rows of packs, \
+                 kept in L1 by segments; / L1 = cycles per vector over the engine's L1 reading)\n\
+                 {:<10}{:>8}{:>10}{:>10}{:>8}{:>7}\n",
+                "engine", "columns", "ring KB", "ns/u", "c/v", "/ L1"
+            ));
+        }
+        for w in &self.widths {
+            out.push_str(&format!(
+                "{:<10}{:>8}{:>10.0}{:>10.3}{:>8.2}{:>7.2}\n",
+                w.engine,
+                w.columns,
+                w.ring_kb(),
+                w.cost.ns_per_update,
+                w.cost.cycles_per_vector,
+                self.vs_l1(w)
+            ));
+        }
         out
     }
 
-    /// Render as a JSON object (`{"id", "rows"}`), one entry of the
-    /// `repro --json` document.
+    /// Render as a JSON object (`{"id", "rows", "widths"}`), one entry of
+    /// the `repro --json` document.
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self
             .rows
@@ -2115,7 +2436,27 @@ impl SteadyRowsTable {
                 )
             })
             .collect();
-        format!("{{\"id\":\"ablate-rows\",\"rows\":[{}]}}", rows.join(","))
+        let widths: Vec<String> = self
+            .widths
+            .iter()
+            .map(|w| {
+                format!(
+                    "{{\"engine\":\"{}\",\"columns\":{},\"ring_kb\":{},\"ns_per_update\":{},\
+                     \"cycles_per_vector\":{},\"vs_l1\":{}}}",
+                    w.engine,
+                    w.columns,
+                    json_num(w.ring_kb()),
+                    json_num(w.cost.ns_per_update),
+                    json_num(w.cost.cycles_per_vector),
+                    json_num(self.vs_l1(w))
+                )
+            })
+            .collect();
+        format!(
+            "{{\"id\":\"ablate-rows\",\"rows\":[{}],\"widths\":[{}]}}",
+            rows.join(","),
+            widths.join(",")
+        )
     }
 
     /// The rows [`SteadyRowsRow::over`] their kind's limit.
@@ -2124,56 +2465,107 @@ impl SteadyRowsTable {
         self.rows.iter().filter(over).collect()
     }
 
-    /// Measure the rows `again` picks (once more), keeping the lower
+    /// A width row's cycles per vector over its engine's Heat-2D reading
+    /// with the ring in L1.
+    pub fn vs_l1(&self, w: &WidthRow) -> f64 {
+        let l1 = self
+            .rows
+            .iter()
+            .find(|r| r.kind == "heat2d" && r.engine == w.engine)
+            .map_or(f64::NAN, |r| r.l1.cycles_per_vector);
+        w.cost.cycles_per_vector / l1
+    }
+
+    /// The width rows that read more than `limit` × their L1 reading: a
+    /// ring that left L1 again.
+    pub fn widths_over(&self, limit: f64) -> Vec<&WidthRow> {
+        let over = |ratio: f64| ratio.is_nan() || ratio > limit; // NaN: unmeasured
+        self.widths.iter().filter(|w| over(self.vs_l1(w))).collect()
+    }
+
+    /// Measure the rows `again` picks (once more), and the width rows over
+    /// `width_limit` with their engine's L1 reading, keeping the lower
     /// reading of each cost: a busy sibling hyperthread halves the
     /// throughput of a port-bound loop for a fraction of a second at a
     /// time, and the twenty runs behind a reading span less than that.
-    pub fn remeasure(&mut self, again: impl Fn(&SteadyRowsRow) -> bool) {
-        for r in self.rows.iter_mut().filter(|r| again(r)) {
-            let (kind, sel) = r.source;
+    pub fn remeasure(&mut self, again: impl Fn(&SteadyRowsRow) -> bool, width_limit: f64) {
+        let wide: Vec<Engine> = self
+            .widths_over(width_limit)
+            .iter()
+            .map(|w| w.source)
+            .collect();
+        let heat2d = &SLAB_KINDS[0];
+        let l1_again =
+            |r: &SteadyRowsRow| r.source.0.name == heat2d.name && wide.contains(&r.source.1);
+        for r in self.rows.iter_mut().filter(|r| again(r) || l1_again(r)) {
+            let (kind, engine) = r.source;
             for (cost, dims) in [(&mut r.l1, self.l1_dims), (&mut r.ledger, self.ledger_dims)] {
-                let dims = dims[kind.three_d as usize];
-                let (_, [secs, cycles], engine) = tile_and_slab(kind, dims, sel);
-                let updates = (kind.vl * kind.inner(dims)) as f64;
-                cost.ns_per_update = cost.ns_per_update.min(secs * 1e9 / updates);
-                cost.cycles_per_vector =
-                    (cost.cycles_per_vector).min(cycles / updates * kind.vl as f64);
-                r.engine = engine;
+                measure(cost, kind, dims[kind.three_d as usize], engine);
             }
+        }
+        let nx = WIDTH_ROWS;
+        for w in self.widths.iter_mut().filter(|w| wide.contains(&w.source)) {
+            measure(&mut w.cost, heat2d, [nx, w.columns, 1], w.source);
         }
     }
 }
 
+/// Lower `cost` to `kind`'s steady cost at `dims` on `engine` where that
+/// reads lower.
+fn measure(cost: &mut SteadyCost, kind: &SlabKind, dims: [usize; 3], engine: Engine) {
+    let vl = kind.lanes(engine);
+    let (_, [secs, cycles]) = tile_and_slab(kind, dims, engine);
+    let updates = (vl * kind.inner(dims)) as f64;
+    cost.ns_per_update = cost.ns_per_update.min(secs * 1e9 / updates);
+    cost.cycles_per_vector = cost.cycles_per_vector.min(cycles / updates * vl as f64);
+}
+
 /// ROADMAP item 2(d): the slab steady state against a ceiling. Per slab
-/// kind and engine, the steady cost of a point-update (the slope of
+/// kind and engine — AVX2, AVX-512 for the kinds with an eight-lane sweep,
+/// portable — the steady cost of a point-update (the slope of
 /// [`ablate_boundary`]'s fit) at a geometry whose wavefront ring — `s + 2`
 /// slabs of packs, plus two for Gauss-Seidel — sits in L1, and at the
-/// `ledger` benchmark's geometry, whose ring does not, next to the kind's
-/// [`RowModel`]. The geometry is the same at any `--scale`.
+/// `ledger` benchmark's geometry, next to the kind's [`RowModel`]. Then
+/// Heat-2D on each `std::arch` engine over rows of 128 … 1024 columns,
+/// whose whole-row rings reach 20 times L1 and which the steady state
+/// keeps in L1 by segments. The geometry is the same at any `--scale`.
 pub fn ablate_rows() -> SteadyRowsTable {
     let unmeasured = SteadyCost {
         ns_per_update: f64::INFINITY,
         cycles_per_vector: f64::INFINITY,
     };
-    let rows = forced_selects().into_iter().flat_map(|sel| {
-        SLAB_KINDS.iter().map(move |kind| SteadyRowsRow {
+    let rows = forced_engines().into_iter().flat_map(|engine| {
+        kinds_on(engine).map(move |kind| SteadyRowsRow {
             kind: kind.name,
-            engine: "",
+            engine: engine.name(),
             l1: unmeasured,
             ledger: unmeasured,
-            model: kind.model,
-            source: (kind, sel),
+            model: kind.model(engine),
+            source: (kind, engine),
         })
     });
+    let widths = forced_engines()
+        .into_iter()
+        .filter(|&e| e != Engine::Portable)
+        .flat_map(|engine| {
+            [128, 192, 256, 320, 384, 512, 768, 1024].map(|columns| WidthRow {
+                engine: engine.name(),
+                columns,
+                vl: SLAB_KINDS[0].lanes(engine),
+                cost: unmeasured,
+                source: engine,
+            })
+        });
     let mut table = SteadyRowsTable {
         // Rows as wide as the ledger's 3-D rows; 2-D slabs of 130 packs
-        // (ring 17 KB), 3-D slabs of 6 x 42 (ring 32 KB, 48 KB with the
-        // Gauss-Seidel output slabs).
+        // (ring 17 KB, 33 KB at eight lanes), 3-D slabs of 6 x 42 (ring 32
+        // KB, 48 KB with the Gauss-Seidel output slabs).
         l1_dims: [[64, 128, 1], [16, 4, 40]],
         ledger_dims: [[256, 256, 1], [40, 40, 40]],
         rows: rows.collect(),
+        widths: widths.collect(),
     };
-    table.remeasure(|_| true);
+    table.remeasure(|_| true, 0.0);
     table
 }
 

@@ -1,8 +1,8 @@
 //! Unified engine dispatch: one place that decides, per workload, whether
 //! its sweeps run in the portable register form (`Packs`, compiled for
 //! baseline x86-64), in the `std::arch` AVX2 one (`Ymm`, compiled inside
-//! an AVX2+FMA sandwich) or — the 1-D kinds only — in the AVX-512 one
-//! (`Zmm`, eight `f64` lanes, inside an AVX-512F+AVX2+FMA sandwich).
+//! an AVX2+FMA sandwich) or — the 1-D and `f64` 2-D kinds — in the AVX-512
+//! one (`Zmm`, eight `f64` lanes, inside an AVX-512F+AVX2+FMA sandwich).
 //!
 //! The entry point is the `tempora_plan` crate's
 //! `Problem → PlanBuilder → Plan → Report` lifecycle, which resolves the
@@ -25,9 +25,9 @@
 //!
 //! Every workload's steady state is one source instantiated per engine
 //! (see [`tempora_simd::Lanes`]): the f64 kernels run at `vl = 4` double
-//! lanes — Heat-1D and GS-1D at `vl = 8` on [`Engine::Avx512`] — and the
-//! two integer workloads — Life and LCS — at the paper's `vl = 8` i32
-//! lanes ([`KernelSpace::vl`]). The grid kernels resolve
+//! lanes — Heat-1D, GS-1D, Heat-2D, 2D9P and GS-2D at `vl = 8` on
+//! [`Engine::Avx512`] — and the two integer workloads — Life and LCS — at
+//! the paper's `vl = 8` i32 lanes ([`KernelSpace::vl`]). The grid kernels resolve
 //! by capability alone: a shape that never reaches the vector steady
 //! state — fewer than one full `vl`-level time tile, or an outer extent
 //! below `vl·s` — runs the scalar schedule in every engine, but the
@@ -38,17 +38,23 @@
 //! its degenerate shapes (a row segment below `vl·s + 1`, fewer than `vl`
 //! rows) run the one portable code there is and report it.
 //!
-//! `Select::Auto` takes [`Engine::Avx512`] for the 1-D kinds where the CPU
-//! has AVX-512F, the line is wide enough for eight lanes to pay
-//! ([`wide_min_nx`], measured: 1024 points for GS-1D, 4096 for Heat-1D)
-//! and the run has an eight-lane sweep (`steps ≥ 8`) that leaves no more
-//! scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4` —
-//! so the ledger's 65536 × 32 and 4096 × 32 take it, while `steps = 12`,
-//! narrower lines and runs that are scalar steps at either width stay
-//! AVX2. Each engine runs its own default stride
-//! ([`KernelSpace::default_stride`]). The slab kinds stay at four lanes: a
-//! ring of 64-byte packs leaves L1 at their benchmark widths (README,
-//! "Engine dispatch").
+//! `Select::Auto` takes [`Engine::Avx512`] for the kinds with an eight-lane
+//! sweep where the CPU has AVX-512F, the outer extent is wide enough for
+//! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 1024 points
+//! for GS-1D, 4096 for Heat-1D; 32 rows for Heat-2D and 2D9P, 128 for
+//! GS-2D) and the run has an eight-lane sweep (`steps ≥ 8`) that leaves no
+//! more scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4`
+//! — one rule, [`KernelSpace::resolve`], for every kind. So the ledger's
+//! 65536 × 32, 4096 × 32 and its 2-D problems take it, while `steps = 12`
+//! (Heat-2D's 256² × 12 among them), narrower extents and runs that are
+//! scalar steps at either width stay AVX2. Each engine runs its own
+//! default stride ([`KernelSpace::default_stride`]). The 2-D kinds reach
+//! eight lanes because the steady state keeps their ring in L1 by
+//! segments ([`crate::slab`]): at eight lanes a ring of whole rows of
+//! 64-byte packs fills the 48 KiB L1 at 192 columns. Life (its next width,
+//! `i32 × 16`, needs an `I32Lanes<16>` that `Zmm` does not implement) and
+//! the 3-D kinds (every 3-D plane tried read 0.67–1.03× at eight lanes and
+//! eight steps) keep their widths.
 //!
 //! The selection is overridable at process level through the
 //! `TEMPORA_ENGINE` environment variable (`auto` | `portable` | `avx2`,
@@ -70,8 +76,9 @@
 //! the 2-D/3-D kernels a single one, [`crate::slab_avx2`], generic over
 //! the kernel's row updates, so their one impl below (a macro, one line
 //! per kernel) names a grid, a lane count and `Rows2`/`Rows3` and forwards
-//! to [`crate::slab`] — and the 1-D sweep a third time at eight lanes with
-//! `Zmm` ([`crate::t1d_avx2`]). Whatever does not run at eight lanes in an
+//! to [`crate::slab`] — and the 1-D and `f64` 2-D sweeps a third time at
+//! eight lanes with `Zmm` (`sweep_zmm` in [`crate::t1d_avx2`] and
+//! [`crate::slab_avx2`]). Whatever does not run at eight lanes in an
 //! AVX-512 plan — scalar steps, multi-load steps — runs in the AVX2
 //! context: a `Zmm` implies a `Ymm`. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
@@ -107,9 +114,9 @@ pub const ENV_VAR: &str = "TEMPORA_ENGINE";
 /// Engine-selection policy (see the [module docs](self)).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Select {
-    /// Best available: AVX-512 for the 1-D kinds where the CPU has it and
-    /// the shape makes it pay, AVX2 where supported and implemented, else
-    /// portable.
+    /// Best available: AVX-512 for the kinds with an eight-lane sweep where
+    /// the CPU has it and the shape makes it pay, AVX2 where supported and
+    /// implemented, else portable.
     #[default]
     Auto,
     /// Force the portable pack engine.
@@ -157,8 +164,9 @@ impl Select {
     /// Resolve the policy against CPU capability and whether the workload
     /// reaches an AVX2 codegen context. Public so the tiled layer
     /// (`tempora-tiling`) can resolve its in-tile engine **once per run**
-    /// and report it honestly. Never [`Engine::Avx512`]: only the 1-D
-    /// kinds' [`KernelSpace::resolve`] widens an `Auto` run to it.
+    /// and report it honestly. Never [`Engine::Avx512`]: only
+    /// [`KernelSpace::resolve`] widens an `Auto` run to it, for a kind with
+    /// an eight-lane sweep.
     pub fn resolve(self, has_avx2_impl: bool) -> Engine {
         match self {
             Select::Portable => Engine::Portable,
@@ -191,8 +199,9 @@ pub enum Engine {
     Portable,
     /// The `std::arch` AVX2+FMA engine.
     Avx2,
-    /// The `std::arch` AVX-512 engine of the 1-D kinds: their sweeps at
-    /// eight `f64` lanes, everything else of the plan in the AVX2 context.
+    /// The `std::arch` AVX-512 engine of the 1-D and `f64` 2-D kinds: their
+    /// sweeps at eight `f64` lanes, everything else of the plan in the AVX2
+    /// context.
     Avx512,
 }
 
@@ -215,9 +224,9 @@ fn ymm() -> Ymm {
 /// [`Engine::Avx512`] there.
 #[cfg(target_arch = "x86_64")]
 fn zmm() -> Zmm {
-    // Panic-justification: only the 1-D `resolve` yields `Engine::Avx512`,
-    // after `avx512_available()`; a hand-made one on a lesser CPU stops
-    // here.
+    // Panic-justification: only `KernelSpace::resolve` yields
+    // `Engine::Avx512`, after `avx512_available()`; a hand-made one on a
+    // lesser CPU stops here.
     Zmm::detect().expect("AVX-512F not available on this CPU")
 }
 
@@ -318,8 +327,8 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     const MAX_STRIDE: usize = usize::MAX;
 
     /// Lane count `VL` of `engine`'s temporal sweep: 4 `f64` lanes, 8
-    /// `i32` lanes for Life, 8 `f64` lanes for the 1-D kinds on
-    /// [`Engine::Avx512`]. One temporal sweep advances this many time
+    /// `i32` lanes for Life, 8 `f64` lanes for the 1-D and `f64` 2-D kinds
+    /// on [`Engine::Avx512`]. One temporal sweep advances this many time
     /// levels.
     fn vl(engine: Engine) -> usize;
 
@@ -384,14 +393,33 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
         xs: RangeInclusive<usize>,
     );
 
+    /// The narrowest outer extent at which `Select::Auto` runs this kernel
+    /// at eight lanes on [`Engine::Avx512`] — a crossover measured by
+    /// `repro ablate-vl` — or `None` for a kernel without an eight-lane
+    /// sweep.
+    fn wide_min_nx() -> Option<usize> {
+        None
+    }
+
     /// Resolve `sel` for a temporal run of `steps` levels over `nx` outer
     /// slabs: AVX2 wherever the CPU has the features, whatever the stride
     /// and shape. A run too short or too narrow for the vector schedule
     /// runs scalar steps in the same codegen context (see the
-    /// [module docs](self)). The 1-D kinds widen an `Auto` run to
-    /// [`Engine::Avx512`] where it pays.
-    fn resolve(sel: Select, _nx: usize, _steps: usize) -> Engine {
-        sel.resolve(avx2_available())
+    /// [module docs](self)). An `Auto` run widens to [`Engine::Avx512`]
+    /// where the CPU has AVX-512F, the outer extent is at least the
+    /// kernel's [`wide_min_nx`](KernelSpace::wide_min_nx) and the run has
+    /// an eight-lane sweep that leaves no more scalar levels than the
+    /// four-lane schedule: `steps ≥ 8` and `steps % 8 ≤ steps % 4` (with a
+    /// sweep at eight lanes there is one at four, and the scalar levels
+    /// are `steps % 8` and `steps % 4`).
+    fn resolve(sel: Select, nx: usize, steps: usize) -> Engine {
+        let wide = Self::wide_min_nx().is_some_and(|min| nx >= min)
+            && steps >= 8
+            && steps % 8 <= steps % 4;
+        match sel.resolve(avx2_available()) {
+            Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
+            engine => engine,
+        }
     }
 
     /// The temporal stride a plan runs on `engine` when none is given:
@@ -405,42 +433,26 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     }
 }
 
-/// The narrowest line `Select::Auto` runs 1-D kernel `K` on at eight
-/// lanes: 1024 points for GS-1D, 4096 for Heat-1D — measured, not
-/// derived. `repro ablate-vl` times both widths at their default strides
-/// over lines of 128 … 4096 points at 32, 12 and 9 steps; each value is
-/// the smallest power of two at which eight lanes ran faster in every
-/// reading at the step counts that leave them no more scalar levels
-/// (2-vCPU AVX-512 container, eight over four lanes, 32 / 9 steps: GS-1D
-/// 0.76–0.81 / 0.83–0.84 at 256 points, 0.94–1.03 / 0.97–1.01 at 512,
-/// 1.15–1.28 / 1.06–1.13 at 1024; Heat-1D 0.78–0.91 / 0.84–0.94 at 1024,
-/// 0.92–1.07 / 0.93–1.05 at 2048, 1.04–1.20 / 1.05–1.12 at 4096; at 12
-/// steps, four scalar levels against none, 0.29–0.60 everywhere; README,
-/// "Eight lanes", has the table). The power of two
-/// below each is break-even. Below it the scalar prologue and epilogue of
-/// every sweep — triangles of `s·VL(VL-1)/2` cells each, 364 at eight
-/// lanes and `s = 13` against 60 at four and `s = 10` — outweigh the
-/// wider steady state; GS-1D, whose steady state gains 1.8× at eight lanes
-/// against Heat-1D's 1.3×, crosses over four times earlier. Both lie above
-/// `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane schedule at
-/// every stride.
-pub fn wide_min_nx<K: Kernel1d>() -> usize {
-    if K::IS_GS {
-        1024
-    } else {
-        4096
-    }
+/// The scratch of a sweep at its engine's lane count, for the kernels with
+/// an eight-lane sweep: the 1-D kinds (`ScratchVl<Scratch1d<4>,
+/// Scratch1d<8>>`) and the `f64` 2-D kinds (`ScratchVl<Scratch<f64, 4>,
+/// Scratch<f64, 8>>`).
+// Justification: one per scratch slot of a plan, allocated at build time;
+// the eight-lane 1-D ring's extra 544 bytes cost nothing a box would save.
+#[allow(clippy::large_enum_variant)]
+pub enum ScratchVl<N, W> {
+    /// Four lanes: the portable and AVX2 engines.
+    Vl4(N),
+    /// Eight lanes: [`Engine::Avx512`].
+    Vl8(W),
 }
 
-/// The scratch of a 1-D sweep at its engine's lane count.
-// Justification: one per scratch slot of a plan, allocated at build time;
-// the eight-lane ring's extra 544 bytes cost nothing a box would save.
-#[allow(clippy::large_enum_variant)]
-pub enum Scratch1dVl {
-    /// Four lanes: the portable and AVX2 engines.
-    Vl4(Scratch1d<4>),
-    /// Eight lanes: [`Engine::Avx512`].
-    Vl8(Scratch1d<8>),
+/// The lane count of `engine`'s sweep for a kernel with an eight-lane one.
+fn vl_of(engine: Engine) -> usize {
+    match engine {
+        Engine::Avx512 => 8,
+        Engine::Portable | Engine::Avx2 => 4,
+    }
 }
 
 /// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`], at four `f64`
@@ -448,23 +460,20 @@ pub enum Scratch1dVl {
 /// so only the outer extent of the layout is read.
 impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     type Grid = Grid1<f64>;
-    type Scratch = Scratch1dVl;
+    type Scratch = ScratchVl<Scratch1d<4>, Scratch1d<8>>;
     /// The old value of the last cell updated (Jacobi's west operand).
     type StepBufs = f64;
     const MIN_STRIDE: usize = <K as Kernel1d>::MIN_STRIDE;
     const MAX_STRIDE: usize = t1d::RING_CAP - 1;
 
     fn vl(engine: Engine) -> usize {
-        match engine {
-            Engine::Avx512 => 8,
-            Engine::Portable | Engine::Avx2 => 4,
-        }
+        vl_of(engine)
     }
 
-    fn scratch(engine: Engine, _dims: [usize; 3], s: usize) -> Scratch1dVl {
+    fn scratch(engine: Engine, _dims: [usize; 3], s: usize) -> Self::Scratch {
         match engine {
-            Engine::Avx512 => Scratch1dVl::Vl8(Scratch1d::new(s)),
-            Engine::Portable | Engine::Avx2 => Scratch1dVl::Vl4(Scratch1d::new(s)),
+            Engine::Avx512 => ScratchVl::Vl8(Scratch1d::new(s)),
+            Engine::Portable | Engine::Avx2 => ScratchVl::Vl4(Scratch1d::new(s)),
         }
     }
 
@@ -479,23 +488,23 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         a: SlabsMut<'_, f64>,
         xs: RangeInclusive<usize>,
         s: usize,
-        sc: &mut Scratch1dVl,
+        sc: &mut Self::Scratch,
     ) {
         let (first, a, n) = (a.first, a.data, lay.nx);
         match (engine, sc) {
             #[cfg(target_arch = "x86_64")]
-            (Engine::Avx512, Scratch1dVl::Vl8(sc)) => {
+            (Engine::Avx512, ScratchVl::Vl8(sc)) => {
                 t1d_avx2::sweep_zmm::<COUNT, K>(zmm(), a, first, n, self, s, sc, xs)
             }
             #[cfg(target_arch = "x86_64")]
-            (Engine::Avx2, Scratch1dVl::Vl4(sc)) => {
+            (Engine::Avx2, ScratchVl::Vl4(sc)) => {
                 t1d_avx2::sweep::<COUNT, K>(ymm(), a, first, n, self, s, sc, xs)
             }
-            (Engine::Portable, Scratch1dVl::Vl4(sc)) => {
+            (Engine::Portable, ScratchVl::Vl4(sc)) => {
                 t1d::sweep_body::<4, COUNT, false, K, _>(Packs, a, first, n, self, s, sc, xs)
             }
             (engine, _) => {
-                panic!("1-D sweep scratch was allocated for another engine than {engine:?}")
+                panic!("sweep scratch was allocated for another engine than {engine:?}")
             }
         }
     }
@@ -526,19 +535,26 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         spatial::step_1d(engine, src, dst, xs, self);
     }
 
-    /// [`Engine::Avx512`] for an `Auto` run where the CPU has AVX-512F, the
-    /// line is at least [`wide_min_nx`] points and the run has an
-    /// eight-lane sweep that leaves no more scalar levels than four lanes
-    /// would (see the [module docs](self)); otherwise as every kernel
-    /// resolves.
-    fn resolve(sel: Select, nx: usize, steps: usize) -> Engine {
-        // With a sweep at eight lanes (`steps ≥ 8`) there is one at four,
-        // and the scalar levels are `steps % 8` and `steps % 4`.
-        let wide = nx >= wide_min_nx::<K>() && steps >= 8 && steps % 8 <= steps % 4;
-        match sel.resolve(true) {
-            Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
-            engine => engine,
-        }
+    /// 1024 points for GS-1D, 4096 for Heat-1D — measured, not derived.
+    /// `repro ablate-vl` times both widths at their default strides over
+    /// lines of 128 … 4096 points at 32, 12 and 9 steps; each value is the
+    /// smallest power of two at which eight lanes ran faster in every
+    /// reading at the step counts that leave them no more scalar levels
+    /// (2-vCPU AVX-512 container, eight over four lanes, 32 / 9 steps:
+    /// GS-1D 0.76–0.81 / 0.83–0.84 at 256 points, 0.94–1.03 / 0.97–1.01 at
+    /// 512, 1.15–1.28 / 1.06–1.13 at 1024; Heat-1D 0.78–0.91 / 0.84–0.94 at
+    /// 1024, 0.92–1.07 / 0.93–1.05 at 2048, 1.04–1.20 / 1.05–1.12 at 4096;
+    /// at 12 steps, four scalar levels against none, 0.29–0.60 everywhere;
+    /// README, "Eight lanes", has the table). The power of two below each
+    /// is break-even. Below it the scalar prologue and epilogue of every
+    /// sweep — triangles of `s·VL(VL-1)/2` cells each, 364 at eight lanes
+    /// and `s = 13` against 60 at four and `s = 10` — outweigh the wider
+    /// steady state; GS-1D, whose steady state gains 1.8× at eight lanes
+    /// against Heat-1D's 1.3×, crosses over four times earlier. Both lie
+    /// above `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane
+    /// schedule at every stride.
+    fn wide_min_nx() -> Option<usize> {
+        Some(if K::IS_GS { 1024 } else { 4096 })
     }
 
     /// The smallest register-specialised stride within 3 % of the kind's
@@ -566,15 +582,19 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
 /// the layers above dispatch it exactly like the f64 kernels), the
 /// dimension's kernel trait and row updates, and its multi-load step.
 /// Everything else forwards to [`crate::slab`], in the codegen context and
-/// with the rows' register form of the resolved engine ([`Engine::codegen`]:
-/// an [`Engine::Avx512`] handed to a slab kernel runs its AVX2 rows).
+/// with the rows' register form of the resolved engine ([`Engine::codegen`]).
+///
+/// A line `x $vl` runs one lane count on every engine (an
+/// [`Engine::Avx512`] handed to it runs its AVX2 rows); a line `x 4 | 8`
+/// — the `f64` 2-D kinds — runs eight `f64` lanes on [`Engine::Avx512`],
+/// the rows computing in `Zmm` inside [`slab_avx2::sweep_zmm`], its
+/// scratch a [`ScratchVl`] and `Select::Auto` widening from `$wide` outer
+/// slabs on ([`KernelSpace::wide_min_nx`]).
 macro_rules! slab_kernel_space {
     ($($kern:ty: $grid:ident<$t:ty> x $vl:literal, $kernel:path, $rows:ident, $step:path;)*) => {$(
         impl KernelSpace for $kern {
-            type Grid = $grid<$t>;
+            slab_kernel_space!(@shared $grid<$t> x $vl, $kernel, $rows, $step);
             type Scratch = Scratch<$t, $vl>;
-            type StepBufs = [Vec<$t>; 2];
-            const MIN_STRIDE: usize = <Self as $kernel>::MIN_STRIDE;
 
             fn vl(_engine: Engine) -> usize {
                 $vl
@@ -582,10 +602,6 @@ macro_rules! slab_kernel_space {
 
             fn scratch(_engine: Engine, dims: [usize; 3], s: usize) -> Self::Scratch {
                 Scratch::new::<Self::Grid>(dims, s, <Self as $kernel>::IS_GS)
-            }
-
-            fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
-                slab::step_bufs::<Self::Grid>(dims)
             }
 
             fn sweep<const COUNT: bool>(
@@ -607,6 +623,71 @@ macro_rules! slab_kernel_space {
                         lay, a, &$rows(*self, Packs), xs, s, sc,
                     ),
                 }
+            }
+        }
+    )*};
+    ($($kern:ty: Grid2<f64> x 4 | 8 from $wide:literal, $step:path;)*) => {$(
+        impl KernelSpace for $kern {
+            slab_kernel_space!(@shared Grid2<f64> x 4, Kernel2d<f64>, Rows2, $step);
+            type Scratch = ScratchVl<Scratch<f64, 4>, Scratch<f64, 8>>;
+
+            fn vl(engine: Engine) -> usize {
+                vl_of(engine)
+            }
+
+            fn scratch(engine: Engine, dims: [usize; 3], s: usize) -> Self::Scratch {
+                let gs = <Self as Kernel2d<f64>>::IS_GS;
+                match engine {
+                    Engine::Avx512 => ScratchVl::Vl8(Scratch::new::<Grid2<f64>>(dims, s, gs)),
+                    Engine::Portable | Engine::Avx2 => {
+                        ScratchVl::Vl4(Scratch::new::<Grid2<f64>>(dims, s, gs))
+                    }
+                }
+            }
+
+            fn sweep<const COUNT: bool>(
+                &self,
+                engine: Engine,
+                lay: &SlabLayout<f64>,
+                a: SlabsMut<'_, f64>,
+                xs: RangeInclusive<usize>,
+                s: usize,
+                sc: &mut Self::Scratch,
+            ) {
+                match (engine, sc) {
+                    #[cfg(target_arch = "x86_64")]
+                    (Engine::Avx512, ScratchVl::Vl8(sc)) => {
+                        let rows = Rows2(*self, zmm());
+                        slab_avx2::sweep_zmm::<COUNT, _>(rows.1, lay, a, &rows, xs, s, sc)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    (Engine::Avx2, ScratchVl::Vl4(sc)) => {
+                        let rows = Rows2(*self, ymm());
+                        slab_avx2::sweep::<f64, 4, COUNT, _>(rows.1, lay, a, &rows, xs, s, sc)
+                    }
+                    (Engine::Portable, ScratchVl::Vl4(sc)) => slab::sweep_body::<f64, 4, COUNT, _>(
+                        lay, a, &Rows2(*self, Packs), xs, s, sc,
+                    ),
+                    (engine, _) => {
+                        panic!("sweep scratch was allocated for another engine than {engine:?}")
+                    }
+                }
+            }
+
+            fn wide_min_nx() -> Option<usize> {
+                Some($wide)
+            }
+        }
+    )*};
+    // What every slab kernel shares: its grid, and its one-level steps at
+    // its four-lane (Life: eight-lane) width in every engine.
+    (@shared $grid:ident<$t:ty> x $vl:literal, $kernel:path, $rows:ident, $step:path) => {
+            type Grid = $grid<$t>;
+            type StepBufs = [Vec<$t>; 2];
+            const MIN_STRIDE: usize = <Self as $kernel>::MIN_STRIDE;
+
+            fn step_bufs(dims: [usize; 3]) -> Self::StepBufs {
+                slab::step_bufs::<Self::Grid>(dims)
             }
 
             fn scalar_sweep(
@@ -639,17 +720,27 @@ macro_rules! slab_kernel_space {
             ) {
                 $step(engine, lay, src, dst, xs, self);
             }
-        }
-    )*};
+    };
 }
 
 slab_kernel_space! {
-    JacobiKern2d: Grid2<f64> x 4, Kernel2d<f64>, Rows2, spatial::step_2d;
-    BoxKern2d: Grid2<f64> x 4, Kernel2d<f64>, Rows2, spatial::step_2d;
-    GsKern2d: Grid2<f64> x 4, Kernel2d<f64>, Rows2, spatial::step_2d;
     LifeKern2d: Grid2<i32> x 8, Kernel2d<i32>, Rows2, spatial::step_2d;
     JacobiKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
     GsKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
+}
+
+// The crossovers are measured like the 1-D ones: `repro ablate-vl` times
+// both widths over squares of 16² … 256² at 8, 16 and 9 steps, and each is
+// the smallest power of two at which eight lanes ran faster in every
+// reading (2-vCPU AVX-512 container, eight over four lanes, four runs:
+// Heat-2D 0.75–0.84 at 16², 1.03–1.15 at 32²; 2D9P 0.93–1.12 at 16²,
+// 1.13–1.22 at 32²; GS-2D 0.79–0.85 at 32², 0.98–1.08 at 64², 1.06–1.26
+// at 128²; at 256² every kind 1.2–1.5). GS-2D, bound by its output chain
+// at either width, pays back the eight-lane boundary phases later.
+slab_kernel_space! {
+    JacobiKern2d: Grid2<f64> x 4 | 8 from 32, spatial::step_2d;
+    BoxKern2d: Grid2<f64> x 4 | 8 from 32, spatial::step_2d;
+    GsKern2d: Grid2<f64> x 4 | 8 from 128, spatial::step_2d;
 }
 
 #[cfg(test)]
@@ -929,9 +1020,8 @@ pub(crate) mod tests {
     /// on (where the CPU has them) at any step count that leaves them no
     /// more scalar levels, four below it and at twelve steps; the other
     /// selections never widen.
-    fn widens_at_the_crossover<K: Kernel1d + Send + 'static>() {
-        let (w, auto) = (wide_min_nx::<K>(), Select::Auto.resolve(true));
-        assert!(w >= 8 * <K as KernelSpace>::MAX_STRIDE, "{w}");
+    fn widens_at_the_crossover<K: KernelSpace>() {
+        let (w, auto) = (K::wide_min_nx().unwrap(), Select::Auto.resolve(true));
         let wide = if avx512_available() {
             Engine::Avx512
         } else {
@@ -960,8 +1050,29 @@ pub(crate) mod tests {
 
     #[test]
     fn auto_widens_1d_at_the_measured_crossover() {
+        for w in [JacobiKern1d::wide_min_nx(), GsKern1d::wide_min_nx()] {
+            // A line this wide hosts the eight-lane schedule at every stride.
+            assert!(
+                w >= Some(8 * <JacobiKern1d as KernelSpace>::MAX_STRIDE),
+                "{w:?}"
+            );
+        }
         widens_at_the_crossover::<JacobiKern1d>();
         widens_at_the_crossover::<GsKern1d>();
+    }
+
+    /// The `f64` 2-D kinds widen by the same rule at their own crossover;
+    /// Life and the 3-D kinds have no eight-lane sweep and never widen.
+    #[test]
+    fn auto_widens_the_f64_2d_kinds_at_their_crossover() {
+        widens_at_the_crossover::<JacobiKern2d>();
+        widens_at_the_crossover::<BoxKern2d>();
+        widens_at_the_crossover::<GsKern2d>();
+        let auto = Select::Auto.resolve(true);
+        assert_eq!(LifeKern2d::wide_min_nx(), None);
+        assert_eq!(LifeKern2d::resolve(Select::Auto, 1 << 12, 32), auto);
+        assert_eq!(JacobiKern3d::resolve(Select::Auto, 1 << 12, 32), auto);
+        assert_eq!(GsKern3d::resolve(Select::Auto, 1 << 12, 32), auto);
     }
 
     #[test]

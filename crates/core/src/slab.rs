@@ -42,6 +42,27 @@
 //! the same array. The in-place scalar step (`scalar_sweep_body`) is
 //! resumable the same way; its carried state is the two saved old slabs.
 //!
+//! # Segments: the ring in L1
+//!
+//! The ring is `s + 2` slabs of `VL`-wide packs, `VL` times the bytes of
+//! the grid slabs it stands for: at four lanes a ring of 384-column rows
+//! fills the 48 KiB L1, at eight lanes one of 192-column rows, and from
+//! there every operand comes from L2. So the steady state of a part walks
+//! its anchors inside **segments** of the slab's units — columns of a 2-D
+//! row, rows of a 3-D plane — as wide as two thirds of L1d hold for the
+//! ring (`segment_width`, from sysfs): anchor `x` runs the units
+//! `[1 + b·B − d, 1 + (b+1)·B − d)` of segment `b`, `d = x − x0` its place
+//! in the part, one unit of skew per anchor. A ring that fits stays one
+//! segment, the unsegmented order. Every dependence of that order holds
+//! for `s ≥ 2` — what anchor `x` reads past its segment's edge, anchors
+//! `x − s − 1 ..= x + 1 − s` produced `s − 2` or more units further on; a
+//! ring slot is overwritten only where the three anchors before have read
+//! it; a grid row read as bottom lanes is written as top lanes `VL·s`
+//! anchors later in the same segment or a later one — and
+//! `steady_slabs` states it in full. The pieces are ordinary steady rows
+//! over sub-slices: the row cursor, `finish` and the kernels do not know
+//! about segments.
+//!
 //! # What is shared and what is per kernel
 //!
 //! The driver owns the three phases and the in-place scalar step. A
@@ -50,20 +71,22 @@
 //! [`Pack2d`], `Rows3` over [`Kernel3d`]), the steady row written once,
 //! on a `RowCursor`, generic over the register form it computes in
 //! ([`tempora_simd::Lanes`]: the portable engine's `Packs`, the AVX2
-//! engine's `Ymm`) — the kernel's own vector formula between the cursor's
+//! engine's `Ymm`, the AVX-512 engine's `Zmm`) — the kernel's own vector
+//! formula between the cursor's
 //! operands and its `finish`. Gauss-Seidel (§3.4) adds the previous and
 //! the current output slab (`O(x-1, ·)`, `O(x, ·)`) for the outer
 //! dimensions' newest operands; the innermost one's is the previous
 //! output vector, in a register.
 //!
-//! # One source, two codegen contexts
+//! # One source, three codegen contexts
 //!
 //! Every function below the entry points is `#[inline(always)]`: `sweep`
 //! and `scalar_sweep` instantiate the driver for baseline x86-64, with
 //! rows that compute in `Packs`, and [`crate::slab_avx2`] instantiates
 //! the *same source*, steady rows included, a second time inside
 //! `#[target_feature(enable = "avx2,fma")]` sandwiches, with rows that
-//! compute in `Ymm`. That matters
+//! compute in `Ymm`, and — the `f64` 2-D kinds, at eight lanes — a third
+//! time inside an `avx512f,avx2,fma` one with rows in `Zmm`. That matters
 //! because outside such a context every `f64::mul_add` is a call into
 //! libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both are
 //! the exactly-rounded fused operation, so results do not change, only
@@ -72,7 +95,8 @@
 
 use crate::kernels::{Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::ops::RangeInclusive;
-use tempora_grid::{SlabGrid, SlabLayout, SlabShape, SlabsMut};
+use std::sync::OnceLock;
+use tempora_grid::{AlignedBuf, PackBuf, SlabGrid, SlabLayout, SlabShape, SlabsMut};
 use tempora_simd::count::{self, Op};
 use tempora_simd::{F64Lanes, Lanes, Pack, Scalar};
 
@@ -407,18 +431,20 @@ impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Row
 
 /// The wavefront ring of one sweep: `s + 2` slabs of input-vector packs,
 /// `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output slabs
-/// (empty for Jacobi).
+/// (empty for Jacobi). Every slab starts on a cache line ([`PackBuf`]):
+/// a 64-byte pack of a `Vec`, aligned to 32 bytes only, may straddle two.
 struct Ring<T: Scalar, const VL: usize> {
-    slabs: Vec<Vec<Pack<T, VL>>>,
-    /// Previous output slab `O(x-1, ·)` (Gauss-Seidel only).
-    o_prev: Vec<Pack<T, VL>>,
-    /// Output slab being produced `O(x, ·)` (Gauss-Seidel only).
-    o_cur: Vec<Pack<T, VL>>,
+    slabs: Vec<PackBuf<T, VL>>,
+    /// Output slab `O(x-1, ·)` when the anchor's place in its part is
+    /// even, `O(x, ·)` when odd (Gauss-Seidel only): see [`steady_slabs`].
+    o_prev: PackBuf<T, VL>,
+    /// The other output slab (Gauss-Seidel only).
+    o_cur: PackBuf<T, VL>,
 }
 
 impl<T: Scalar, const VL: usize> Ring<T, VL> {
     fn new(s: usize, shape: SlabShape, gs: bool) -> Self {
-        let slab = |len| vec![Pack::splat(T::ZERO); len];
+        let slab = PackBuf::zeroed;
         let out = if gs { shape.elems() } else { 0 };
         Ring {
             slabs: (0..s + 2).map(|_| slab(shape.elems())).collect(),
@@ -437,8 +463,10 @@ impl<T: Scalar, const VL: usize> Ring<T, VL> {
         for slab in self.slabs.iter_mut() {
             fill_shell(slab, shape, Pack::splat(bc));
         }
-        self.o_prev.fill(Pack::splat(bc));
-        self.o_cur.fill(Pack::splat(bc));
+        // A loop, as in `fill_shell`.
+        for p in self.o_prev.iter_mut().chain(self.o_cur.iter_mut()) {
+            *p = Pack::splat(bc);
+        }
     }
 
     /// Gather level `k` (`lv`) as soon as it is done: lane `k` of the
@@ -468,8 +496,10 @@ impl<T: Scalar, const VL: usize> Ring<T, VL> {
 /// where a plane per level would be `O(VL²·s)`.
 pub struct Scratch<T: Scalar, const VL: usize> {
     /// The two planes, end to end.
-    planes: Vec<T>,
+    planes: AlignedBuf<T>,
     ring: Ring<T, VL>,
+    /// Units per segment of the steady state ([`segment_width`]).
+    seg: usize,
     s: usize,
     shape: SlabShape,
 }
@@ -477,15 +507,83 @@ pub struct Scratch<T: Scalar, const VL: usize> {
 impl<T: Scalar, const VL: usize> Scratch<T, VL> {
     /// Allocate scratch for a grid of type `G` with interior extents
     /// `dims`, at stride `s`, for a Gauss-Seidel kernel (`gs`) or a
-    /// Jacobi one, whose scratch carries no output slabs.
+    /// Jacobi one, whose scratch carries no output slabs. Every buffer
+    /// goes through the `tempora_grid` allocation funnel, once.
     pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize, gs: bool) -> Self {
         let shape = G::slab_shape(dims);
         Scratch {
-            planes: vec![T::ZERO; 2 * (VL * s + 2) * shape.elems()],
+            planes: AlignedBuf::zeroed(2 * (VL * s + 2) * shape.elems()),
             ring: Ring::new(s, shape, gs),
+            seg: segment_width::<T, VL>(shape, dims[0], s, gs),
             s,
             shape,
         }
+    }
+}
+
+/// The interior units of a slab a segment of the steady state cuts, and
+/// the elements of one: the columns of a 2-D row (one each), the rows of
+/// a 3-D plane (a row each).
+#[inline(always)]
+fn units(shape: SlabShape) -> (usize, usize) {
+    if shape.halo_rows == 0 {
+        (shape.width - 2, 1)
+    } else {
+        (shape.rows - 2, shape.width)
+    }
+}
+
+/// Bytes of L1 data cache per core: sysfs, read once; 32 KiB where it
+/// cannot be read (another OS, a sandbox).
+pub(crate) fn l1d_bytes() -> usize {
+    static L1D: OnceLock<usize> = OnceLock::new();
+    *L1D.get_or_init(|| {
+        let cache = "/sys/devices/system/cpu/cpu0/cache";
+        let read = |i: usize, f: &str| std::fs::read_to_string(format!("{cache}/index{i}/{f}"));
+        // The first level-1 data (or unified) cache; stop at the first
+        // index that does not exist.
+        (0..)
+            .map_while(|i| Some((read(i, "level").ok()?, read(i, "type").ok()?, i)))
+            .find(|(level, kind, _)| level.trim() == "1" && kind.trim() != "Instruction")
+            .and_then(|(_, _, i)| {
+                let size = read(i, "size").ok()?;
+                let size = size.trim();
+                let (digits, unit) = match size.strip_suffix('K') {
+                    Some(kib) => (kib, 1 << 10),
+                    None => (size, 1),
+                };
+                Some(digits.parse::<usize>().ok()? * unit)
+            })
+            .unwrap_or(32 << 10)
+    })
+}
+
+/// Units (2-D: columns, 3-D: rows, see [`units`]) per segment of the
+/// steady state of a sweep at `VL` lanes and stride `s` over `nx` slabs
+/// of `shape`, Gauss-Seidel (`gs`) or not: what keeps the ring in L1
+/// ([`steady_slabs`]). A unit of the ring is `s + 2` slabs of packs, two
+/// more for Gauss-Seidel's output slabs: `(s + 2 + 2·gs)·VL` elements a
+/// column. The budget is two thirds of L1d, the rest left to the grid rows
+/// streaming through. A ring whose whole rows fit it stays one segment
+/// (wider than any part can skew: the order of an unsegmented sweep, and
+/// that of every four-lane 256-column row); a wider one is cut into
+/// segments that fill it. Measured (`repro ablate-rows`, Heat-2D): rows
+/// out to 1024 columns read within 1.15× their L1 reading at either lane
+/// count, where whole rows read up to 1.7×; half of L1d read up to 5 %
+/// slower.
+pub(crate) fn segment_width<T, const VL: usize>(
+    shape: SlabShape,
+    nx: usize,
+    s: usize,
+    gs: bool,
+) -> usize {
+    let (units, elems) = units(shape);
+    let unit_bytes = (s + 2 + 2 * gs as usize) * VL * elems * core::mem::size_of::<T>();
+    let budget = 2 * l1d_bytes() / 3;
+    if units * unit_bytes <= budget {
+        units + nx
+    } else {
+        (budget / unit_bytes).max(1)
     }
 }
 
@@ -581,12 +679,16 @@ impl<'a, T> Level<'a, T> {
 #[inline(always)]
 fn fill_shell<P: Copy>(slab: &mut [P], shape: SlabShape, v: P) {
     let (w, rows) = (shape.width, shape.interior());
-    slab[..rows.start * w].fill(v);
-    for row in slab[rows.start * w..rows.end * w].chunks_exact_mut(w) {
+    let (head, rest) = slab[..shape.elems()].split_at_mut(rows.start * w);
+    let (body, tail) = rest.split_at_mut((rows.end - rows.start) * w);
+    // Loops: `fill` on 64-byte packs is an out-of-line call.
+    for p in head.iter_mut().chain(tail) {
+        *p = v;
+    }
+    for row in body.chunks_exact_mut(w) {
         row[0] = v;
         row[w - 1] = v;
     }
-    slab[rows.end * w..shape.elems()].fill(v);
 }
 
 /// Copy slab `src` (row pitch `pitch`) into the packed buffer `dst`, ghost
@@ -767,7 +869,7 @@ pub(crate) fn sweep_body<T, const VL: usize, const COUNT: bool, R>(
     if first {
         tile_prologue(a, geo, rows, s, sc);
     }
-    steady_slabs::<T, VL, COUNT, R>(a, geo, rows, s, &mut sc.ring, xs);
+    steady_slabs::<T, VL, COUNT, R>(a, geo, rows, s, &mut sc.ring, sc.seg, xs);
     if last {
         tile_epilogue(a, geo, rows, s, sc, x_max);
     }
@@ -817,12 +919,45 @@ fn tile_prologue<T, const VL: usize, R>(
     }
 }
 
-/// Phase 2: one pass per anchor `x ∈ xs`,
-/// producing `W(x+s)` from `W(x-1 ..= x+1)` row by row with the
-/// rotate-and-blend rule, storing the finished top lanes into slab `x`
-/// and taking the level-0 bottom lanes from slab `x + VL·s`. The ring
-/// must hold `W(j)` at slot `j % (s+2)` for `j` from the first `x - 1` to
-/// `x + s` — what the prologue, or the part before, left behind.
+/// Phase 2: `W(x+s)` for every anchor `x ∈ xs` from `W(x-1 ..= x+1)`,
+/// row by row with the rotate-and-blend rule, storing the finished top
+/// lanes into slab `x` and taking the level-0 bottom lanes from slab
+/// `x + VL·s`. The ring must hold `W(j)` at slot `j % (s+2)` for `j` from
+/// the first `x - 1` to `x + s` — what the prologue, or the part before,
+/// left behind.
+///
+/// # Segments
+///
+/// A slab's units — the columns of a 2-D row, the rows of a 3-D plane,
+/// `1 ..= n` — are cut into segments of `seg` ([`segment_width`]) and the
+/// anchors are walked inside each segment: segment `b` runs anchor `x` over
+/// the units `[1 + b·seg − d, 1 + (b+1)·seg − d)`, `d = x − x0` its place
+/// in the part, clipped to the interior. The edge is skewed one unit per
+/// anchor, so the ring a segment touches is `seg + s + 2` units wide and
+/// stays in L1 however wide the slab is. Every dependence of the
+/// unsegmented order holds for `s ≥ 2`:
+///
+/// * anchor `x` reads `W(x)` and `W(x ± 1)` up to one unit past its
+///   piece; anchors `x − s − 1 ..= x + 1 − s` produced them earlier in
+///   this segment (or in an earlier one), their pieces reaching at least
+///   `s − 2 ≥ 0` units past that unit;
+/// * `W(x+s)` overwrites the slot of `W(x−2)` only where anchors
+///   `x−3 ..= x−1` have read it, and Gauss-Seidel's `O(x)` the slab of
+///   `O(x−2)` only where anchor `x−1` has: they run before `x` in the
+///   segment, and their reads of the next segment's units lie past what
+///   `x` writes;
+/// * the grid row of slab `x + VL·s`, read by anchor `x` as bottom lanes
+///   and written by anchor `x + VL·s` as top lanes, is written in the same
+///   segment after the read or in a later one.
+///
+/// Each piece is an ordinary steady row over the sub-slices
+/// `[c0 − 1, c1 + 1)` of its operand rows (2-D; a 3-D piece is whole rows):
+/// the cursor's loads of column `c0 − 1` — the centre row's west carry,
+/// Gauss-Seidel's newest west — pick up what the segment before left
+/// there, which are exactly its operands. Gauss-Seidel's `O(x-1, ·)` and
+/// `O(x, ·)` alternate between the two output slabs by the parity of `d`,
+/// and are swapped once at the end of a part of odd length, so that the
+/// part after starts with `O(x1, ·)` as `o_prev`.
 #[inline(always)]
 fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     a: &mut [T],
@@ -830,43 +965,68 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     rows: &R,
     s: usize,
     ring: &mut Ring<T, VL>,
+    seg: usize,
     xs: RangeInclusive<usize>,
 ) {
     // Rows above and below a row exist in 3-D only: `up` packs away.
     let (w, up) = (geo.shape.width, geo.shape.halo_rows * geo.shape.width);
-    let rlen = s + 2;
+    let (rlen, x0) = (s + 2, *xs.start());
     let rows = *rows; // the kernel by value: see `Rows`
-    for x in xs {
-        let ips = (x + s) % rlen;
-        // Detach the write slab so the read slabs can stay borrowed.
-        let mut wslab = core::mem::take(&mut ring.slabs[ips]);
-        let [xm, mid, xp] = [x - 1, x, x + 1].map(|j| &ring.slabs[j % rlen][..]);
-        let (lo, hi) = a.split_at_mut(geo.at(x + VL * s));
-        let (o_prev, o_cur) = (&ring.o_prev[..], &mut ring.o_cur[..]);
-        for r in geo.shape.interior() {
-            let at = r * w;
-            let (newest, o_row) = if R::IS_GS {
-                let (above, o_row) = o_cur[at - up..].split_at_mut(up);
-                let new_x = &o_prev[at..][..w];
-                let new_y = if up > 0 { &above[..w] } else { new_x };
-                ([new_x, new_y], &mut o_row[..w])
+    let (n, _) = units(geo.shape);
+    let anchors = (xs.end() + 1).saturating_sub(x0);
+    for b in 0..(n + anchors).saturating_sub(1).div_ceil(seg) {
+        for x in xs.clone() {
+            let d = x - x0;
+            let lo = (1 + b * seg).saturating_sub(d).max(1);
+            let hi = (1 + (b + 1) * seg).saturating_sub(d).min(n + 1);
+            if lo >= hi {
+                continue;
+            }
+            // 2-D: one row, `len` columns from `c0 - 1`, the columns `lo..hi`
+            // and their ghosts; 3-D: the rows `lo..hi`, whole.
+            let (rs, c0, len) = if up == 0 {
+                (geo.shape.interior(), lo, hi - lo + 2)
             } else {
-                Default::default()
+                (lo..hi, 1, w)
             };
-            rows.steady_row::<COUNT>(SteadyRow {
-                ring: [&xm[at..][..w], &mid[at..][..w], &xp[at..][..w]],
-                sides: [&mid[at - up..][..w], &mid[at + up..][..w]],
-                newest,
-                o_row,
-                out: &mut wslab[at..][..w],
-                top: &mut lo[geo.at(x) + r * geo.pitch..][..w],
-                bottom: &hi[r * geo.pitch..][..w],
-            });
+            let ips = (x + s) % rlen;
+            // Detach the write slab so the read slabs can stay borrowed.
+            let mut wslab = core::mem::take(&mut ring.slabs[ips]);
+            // Written out: an `array::map` here is an out-of-line call.
+            let slot = |j: usize| &ring.slabs[j % rlen][..];
+            let (xm, mid, xp) = (slot(x - 1), slot(x), slot(x + 1));
+            let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
+            let (o_prev, o_cur) = if d % 2 == 0 {
+                (&ring.o_prev[..], &mut ring.o_cur[..])
+            } else {
+                (&ring.o_cur[..], &mut ring.o_prev[..])
+            };
+            for r in rs {
+                // The piece of row `r`, and where it is in the grid rows.
+                let (at, g) = (r * w + c0 - 1, r * geo.pitch + c0 - 1);
+                let (newest, o_row) = if R::IS_GS {
+                    let (above, o_row) = o_cur[at - up..].split_at_mut(up);
+                    let new_x = &o_prev[at..][..len];
+                    let new_y = if up > 0 { &above[..len] } else { new_x };
+                    ([new_x, new_y], &mut o_row[..len])
+                } else {
+                    Default::default()
+                };
+                rows.steady_row::<COUNT>(SteadyRow {
+                    ring: [&xm[at..][..len], &mid[at..][..len], &xp[at..][..len]],
+                    sides: [&mid[at - up..][..len], &mid[at + up..][..len]],
+                    newest,
+                    o_row,
+                    out: &mut wslab[at..][..len],
+                    top: &mut top[geo.at(x) + g..][..len],
+                    bottom: &bottom[g..][..len],
+                });
+            }
+            ring.slabs[ips] = wslab;
         }
-        ring.slabs[ips] = wslab;
-        if R::IS_GS {
-            core::mem::swap(&mut ring.o_prev, &mut ring.o_cur);
-        }
+    }
+    if R::IS_GS && anchors % 2 == 1 {
+        core::mem::swap(&mut ring.o_prev, &mut ring.o_cur);
     }
 }
 
@@ -933,14 +1093,17 @@ fn tile_epilogue<T, const VL: usize, R>(
 /// table.
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::{scalar_sweep_body, step_bufs, sweep_body, Rows, Rows2, Rows3, Scratch};
+    use super::{
+        l1d_bytes, scalar_sweep_body, segment_width, step_bufs, sweep_body, Rows, Rows2, Rows3,
+        Scratch,
+    };
     use crate::engine::tests::{multiload_in_parts, run_in_parts, run_whole, window};
     use crate::engine::{Engine, KernelSpace};
     use crate::kernels::{BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, LifeKern2d};
     use tempora_grid::{
         fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid2, Grid3, SlabGrid,
     };
-    use tempora_simd::arch::avx2_available;
+    use tempora_simd::arch::{avx2_available, avx512_available};
     use tempora_simd::Packs;
     use tempora_stencil::{
         reference, Box2dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule,
@@ -1161,9 +1324,20 @@ pub(crate) mod tests {
         Vec::from_iter(avx2_available().then_some(Engine::Avx2))
     }
 
-    /// Portable, plus AVX2 where the CPU has it.
+    /// Portable, plus AVX2 and AVX-512 where the CPU has them.
     pub(crate) fn engines() -> Vec<Engine> {
-        [vec![Engine::Portable], avx2()].concat()
+        let avx512 = avx512_available().then_some(Engine::Avx512);
+        [vec![Engine::Portable], avx2(), Vec::from_iter(avx512)].concat()
+    }
+
+    /// The engines of `engines` that run `K` a sweep of their own: AVX-512
+    /// only where it brings its eight lanes (for the other kinds it runs
+    /// the AVX2 sweep).
+    fn own_sweeps<K: KernelSpace>(engines: &[Engine]) -> impl Iterator<Item = Engine> + '_ {
+        engines
+            .iter()
+            .copied()
+            .filter(|&e| e != Engine::Avx512 || K::vl(e) != K::vl(Engine::Avx2))
     }
 
     /// Untiled runs (whole sweeps + scalar remainder) over
@@ -1178,7 +1352,7 @@ pub(crate) mod tests {
         for (&dims, &s, &n) in product3(shapes, strides, steps) {
             let g = K::grid(dims, (dims[0] * dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
-            for &e in engines {
+            for e in own_sweeps::<K>(engines) {
                 let ours = run_whole(e, &g, kern, n, s);
                 if let Some(d) = K::mismatch(&ours, &gold) {
                     panic!("{e:?} dims={dims:?} s={s} steps={n}: {d}");
@@ -1197,12 +1371,13 @@ pub(crate) mod tests {
             .flat_map(move |x| b.iter().flat_map(move |y| c.iter().map(move |z| (x, y, z))))
     }
 
-    /// Outer extents `1 ..= VL·s` at the minimum stride, over the inner
-    /// extents of every shape: every outer extent below `VL·s` runs the
-    /// scalar fallback inside the tile entry point, the last one is the
-    /// smallest vector tile.
+    /// Outer extents `1 ..= VL·s` at the minimum stride and the widest
+    /// `VL` of `engines`, over the inner extents of every shape: every
+    /// outer extent below an engine's `VL·s` runs the scalar fallback
+    /// inside the tile entry point, the last one is the smallest vector
+    /// tile at the widest lane count.
     pub(crate) fn degenerate<K: Kind>(kern: &K, engines: &[Engine]) {
-        let vl = K::vl(Engine::Portable);
+        let vl = own_sweeps::<K>(engines).map(K::vl).max().unwrap_or(1);
         let outer = 1..=vl * K::MIN_STRIDE;
         let shapes = Vec::from_iter(
             outer.flat_map(|nx| K::SHAPES.iter().map(move |inner| [nx, inner[1], inner[2]])),
@@ -1237,7 +1412,7 @@ pub(crate) mod tests {
             assert_eq!(cut >= vl * s && cut < dims[0], wide, "{dims:?} {cut} {s}");
             let g = K::grid(dims, (dims[0] + dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
-            for &e in engines {
+            for e in own_sweeps::<K>(engines) {
                 let ours = run_in_parts(e, &g, kern, n, temporal.then_some(s), cut);
                 if let Some(d) = K::mismatch(&ours, &gold) {
                     panic!("{e:?} dims={dims:?} cut={cut} s={s} steps={n}: {d}");
@@ -1266,10 +1441,113 @@ pub(crate) mod tests {
         }
     }
 
+    /// The segment width of `K` at `engine`'s lane count and stride `s`,
+    /// Gauss-Seidel (`gs`) or not, for 3-D planes `nz` wide: how a slab far
+    /// too large for one segment is cut (2-D: into columns; 3-D: rows).
+    fn seg_width<K: KernelSpace>(engine: Engine, s: usize, gs: bool, nz: usize) -> usize {
+        let shape = <K::Grid as SlabGrid>::slab_shape([1, 1 << 20, nz]);
+        match K::vl(engine) {
+            8 => segment_width::<f64, 8>(shape, 1, s, gs),
+            _ => segment_width::<f64, 4>(shape, 1, s, gs),
+        }
+    }
+
+    /// The segment edges of the steady state ([`super::steady_slabs`]):
+    /// slabs of one and two units — 2-D columns, 3-D rows of `nz` — and of
+    /// `B − 1`, `B`, `B + 1` and `2B + 1` around the derived width `B` of
+    /// each engine and stride `s = 2..=4`, every sweep in parts of 1, 5 and
+    /// `VL·s` anchors and whole, two sweeps and a scalar remainder ≡ the
+    /// reference.
+    pub(crate) fn segment_edges<K: Kind>(kern: &K, engines: &[Engine], gs: bool, nz: usize) {
+        for e in own_sweeps::<K>(engines) {
+            let vl = K::vl(e);
+            for s in 2..=4 {
+                let b = seg_width::<K>(e, s, gs, nz);
+                let nx = 2 * vl * s + 6;
+                let mut inner = vec![1, 2, b - 1, b, b + 1, 2 * b + 1];
+                inner.retain(|&n| n > 0);
+                inner.dedup();
+                for ny in inner {
+                    let g = K::grid([nx, ny, nz], (ny + s + vl) as u64);
+                    let steps = 2 * vl + 1;
+                    let gold = kern.gold(&g, steps);
+                    for cut in [1, 5, vl * s, nx] {
+                        let ours = run_in_parts(e, &g, kern, steps, Some(s), cut);
+                        if let Some(d) = K::mismatch(&ours, &gold) {
+                            panic!("{e:?} B={b} nx={nx} ny={ny} nz={nz} cut={cut} s={s}: {d}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Slabs larger than one segment are cut at every engine and stride
+    /// (else the table below would test one order only) — 3-D planes 40
+    /// wide into bands of a few rows, 200 wide into single rows — and a
+    /// ring that fits stays whole: the ledger's four-lane 256-column rows.
+    #[test]
+    fn segment_edges_match_reference() {
+        let e = engines();
+        for s in 2..=4 {
+            for &engine in &e {
+                assert!(
+                    seg_width::<GsKern2d>(engine, s, true, 1) < 300,
+                    "{engine:?} s={s}"
+                );
+                assert!(
+                    seg_width::<GsKern3d>(engine, s, true, 40) < 8,
+                    "{engine:?} s={s}"
+                );
+                assert_eq!(seg_width::<JacobiKern3d>(engine, s, false, 200), 1);
+            }
+        }
+        if l1d_bytes() >= 48 << 10 {
+            let ledger = <Grid2<f64> as SlabGrid>::slab_shape([256, 256, 1]);
+            assert_eq!(segment_width::<f64, 4>(ledger, 256, 2, false), 512);
+        }
+        segment_edges(&heat2d(), &e, false, 1);
+        segment_edges(&box2d(), &e, false, 1);
+        segment_edges(&gs2d(), &e, true, 1);
+        segment_edges(&gs2d_asym(), &e, true, 1);
+        segment_edges(&heat3d(), &e, false, 40);
+        segment_edges(&gs3d_asym(), &e, true, 40);
+        segment_edges(&heat3d(), &e, false, 200);
+    }
+
+    /// Every buffer of a slab scratch starts on a cache line, at both
+    /// `f64` widths, Jacobi and Gauss-Seidel, 2-D and 3-D: a 64-byte pack
+    /// of a buffer that did not would straddle two lines.
+    #[test]
+    fn scratch_buffers_start_on_a_cache_line() {
+        fn check<G: SlabGrid<Elem = f64>, const VL: usize>(dims: [usize; 3]) {
+            for (s, gs) in [(2, false), (2, true), (3, true), (4, false)] {
+                let sc = Scratch::<f64, VL>::new::<G>(dims, s, gs);
+                let ring = &sc.ring;
+                let outputs = [&ring.o_prev, &ring.o_cur].into_iter().filter(|_| gs);
+                for buf in ring.slabs.iter().chain(outputs) {
+                    assert_eq!(buf.as_ptr() as usize % 64, 0, "{dims:?} s={s} gs={gs}");
+                }
+                assert_eq!(
+                    sc.planes.as_ptr() as usize % 64,
+                    0,
+                    "{dims:?} s={s} gs={gs}"
+                );
+            }
+        }
+        for dims in [[40, 1, 1], [40, 9, 1], [40, 255, 1], [40, 1024, 1]] {
+            check::<Grid2<f64>, 4>(dims);
+            check::<Grid2<f64>, 8>(dims);
+        }
+        check::<Grid3<f64>, 4>([24, 6, 7]);
+        check::<Grid3<f64>, 8>([40, 40, 40]);
+    }
+
     /// `steps` levels of `g` through the driver at eight `f64` lanes,
-    /// computing in `Packs` — a width no engine runs the slab kinds at
-    /// yet, and the one where a plane per level was largest: every sweep
-    /// cut into parts of `cut` anchors, then the scalar remainder steps.
+    /// computing in `Packs` — a width the engines run only the 2-D `f64`
+    /// kinds at, and the one where a plane per level was largest: every
+    /// sweep cut into parts of `cut` anchors, then the scalar remainder
+    /// steps.
     fn run_vl8<G, R>(rows: &R, g: &G, steps: usize, s: usize, cut: usize) -> G
     where
         G: SlabGrid<Elem = f64>,

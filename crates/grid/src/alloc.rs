@@ -3,14 +3,15 @@
 //! Stencil kernels want their arrays aligned to cache lines (and therefore
 //! to every vector width in use). `Vec<T>` gives no alignment guarantee
 //! beyond `align_of::<T>()`, so the workspace allocates through
-//! [`AlignedBuf`], a minimal owned buffer with a fixed 64-byte alignment.
+//! [`AlignedBuf`], a minimal owned buffer with a fixed 64-byte alignment,
+//! and [`PackBuf`], the same buffer seen as vector packs.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use tempora_simd::Scalar;
+use tempora_simd::{Pack, Scalar};
 
 /// Cache-line alignment used for every grid allocation (bytes).
 pub const GRID_ALIGN: usize = 64;
@@ -174,6 +175,9 @@ impl<T: Scalar> DerefMut for AlignedBuf<T> {
 }
 
 impl<T: Scalar> Drop for AlignedBuf<T> {
+    // Inline: dropping an empty buffer — what a detached slab leaves
+    // behind — is then one test in the caller's loop, not a call.
+    #[inline]
     fn drop(&mut self) {
         if self.len != 0 {
             // SAFETY: allocated in `zeroed` with the identical layout.
@@ -193,6 +197,72 @@ impl<T: Scalar> Clone for AlignedBuf<T> {
 impl<T: Scalar> core::fmt::Debug for AlignedBuf<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "AlignedBuf(len={})", self.len)
+    }
+}
+
+/// An owned, fixed-length buffer of `N`-lane packs on a 64-byte boundary:
+/// an [`AlignedBuf`] of `N·len` scalars seen as packs, so that a 64-byte
+/// pack never straddles two cache lines (a `Vec` of packs is aligned to
+/// the pack's 32 bytes only). Dereferences to `[Pack<T, N>]`; the empty
+/// buffer ([`Default`]) allocates nothing.
+///
+/// Only widths whose lanes fill their pack exactly can be seen this way
+/// (`f64 × 4`, `f64 × 8`, `i32 × 8`, …): a padded pack does not compile.
+pub struct PackBuf<T: Scalar, const N: usize>(AlignedBuf<T>);
+
+impl<T: Scalar, const N: usize> PackBuf<T, N> {
+    /// The pack is its `N` lanes and nothing else.
+    const UNPADDED: () =
+        assert!(core::mem::size_of::<Pack<T, N>>() == N * core::mem::size_of::<T>());
+
+    /// Allocate `len` packs of zeros (`T::ZERO`, the all-zeroes pattern, in
+    /// every lane).
+    pub fn zeroed(len: usize) -> Self {
+        let () = Self::UNPADDED;
+        // Panic-justification: a buffer whose scalar count overflows
+        // `usize` could never be allocated; `AlignedBuf` fails the same
+        // way on a byte size past `isize::MAX`.
+        let scalars = len.checked_mul(N).expect("pack buffer too large");
+        PackBuf(AlignedBuf::zeroed(scalars))
+    }
+}
+
+impl<T: Scalar, const N: usize> Default for PackBuf<T, N> {
+    fn default() -> Self {
+        PackBuf(AlignedBuf::zeroed(0))
+    }
+}
+
+impl<T: Scalar, const N: usize> Deref for PackBuf<T, N> {
+    type Target = [Pack<T, N>];
+    #[inline(always)]
+    fn deref(&self) -> &[Pack<T, N>] {
+        if self.0.is_empty() {
+            return &[];
+        }
+        // SAFETY: the scalars start on a GRID_ALIGN boundary, which is a
+        // multiple of the pack's alignment, and hold `len / N` whole packs;
+        // a pack is `repr(C)` over `[T; N]` with no padding (`UNPADDED`,
+        // checked in `zeroed`, the only constructor of a non-empty buffer)
+        // and every bit pattern of `T` is a valid lane.
+        unsafe { core::slice::from_raw_parts(self.0.as_ptr().cast(), self.0.len() / N) }
+    }
+}
+
+impl<T: Scalar, const N: usize> DerefMut for PackBuf<T, N> {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut [Pack<T, N>] {
+        if self.0.is_empty() {
+            return &mut [];
+        }
+        // SAFETY: as for `deref`, through the `&mut self` that owns them.
+        unsafe { core::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast(), self.0.len() / N) }
+    }
+}
+
+impl<T: Scalar, const N: usize> core::fmt::Debug for PackBuf<T, N> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "PackBuf(len={})", self.len())
     }
 }
 
@@ -242,6 +312,27 @@ mod tests {
         let _b = AlignedBuf::<i32>::filled(5, 1);
         let _c = _a.clone();
         assert!(alloc_count() - before >= 3);
+    }
+
+    #[test]
+    fn pack_buffers_start_on_a_cache_line() {
+        // Both sides of HEAP_SERVED, at both `f64` widths and Life's.
+        for len in [1usize, 10, 1000, 6724] {
+            // A buffer that takes over a freed one's memory is zeroed too.
+            drop(AlignedBuf::<f64>::filled(8 * len, 7.0));
+            let narrow = PackBuf::<f64, 4>::zeroed(len);
+            let mut wide = PackBuf::<f64, 8>::zeroed(len);
+            let life = PackBuf::<i32, 8>::zeroed(len);
+            assert_eq!(narrow.as_ptr() as usize % GRID_ALIGN, 0, "{len}");
+            assert_eq!(wide.as_ptr() as usize % GRID_ALIGN, 0, "{len}");
+            assert_eq!(life.as_ptr() as usize % GRID_ALIGN, 0, "{len}");
+            assert_eq!((narrow.len(), wide.len(), life.len()), (len, len, len));
+            assert!(wide.iter().all(|p| *p == Pack::splat(0.0)));
+            wide[len - 1] = Pack::splat(-2.0);
+            assert_eq!(wide.last(), Some(&Pack::splat(-2.0)));
+        }
+        let mut empty = PackBuf::<f64, 8>::default();
+        assert!(empty.is_empty() && empty.iter_mut().next().is_none());
     }
 
     #[test]

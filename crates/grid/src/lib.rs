@@ -25,7 +25,7 @@ pub mod grid1;
 pub mod grid2;
 pub mod grid3;
 
-pub use alloc::{alloc_count, runs_allocation_free, AlignedBuf, GRID_ALIGN};
+pub use alloc::{alloc_count, runs_allocation_free, AlignedBuf, PackBuf, GRID_ALIGN};
 pub use grid1::Grid1;
 pub use grid2::Grid2;
 pub use grid3::Grid3;

@@ -20,7 +20,9 @@ type Built = (Box<dyn Exec>, Option<Engine>, Option<TileGeometry>, usize);
 
 /// The lane count tile heights are validated against: the integer Life
 /// kernel's 8, the four `f64` lanes of every other kind (an eight-lane
-/// 1-D plan validates as four: the rule is on the wire).
+/// plan of a 1-D or `f64` 2-D kind validates as four: the rule is on the
+/// wire, and which width runs is the engine's business, not the
+/// request's).
 fn tile_vl(problem: &Problem) -> usize {
     if matches!(problem, Problem::Life { .. }) {
         8
@@ -122,7 +124,7 @@ pub struct TileGeometry {
 #[derive(Clone, Debug)]
 pub struct Report {
     /// The steady state that executed, for dispatched (temporal) methods:
-    /// `Some(Engine::Avx512)` (the 1-D kinds at eight lanes),
+    /// `Some(Engine::Avx512)` (the 1-D and `f64` 2-D kinds at eight lanes),
     /// `Some(Engine::Avx2)` or `Some(Engine::Portable)`; `None` for
     /// non-dispatched methods (scalar, multi-load, baselines).
     pub engine: Option<Engine>,

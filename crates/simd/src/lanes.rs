@@ -19,8 +19,8 @@
 //!   wider, `vpermpd zmm` plus a `k`-mask `vblendmpd`.
 //!
 //! A wider register file is one more implementor, not one more copy of
-//! every steady state: `Zmm` is exactly that, and the 1-D ring runs on it
-//! unchanged.
+//! every steady state: `Zmm` is exactly that, and the 1-D ring and the
+//! 2-D slab rows run on it unchanged.
 //!
 //! Every method of every implementor is `#[inline(always)]` and written
 //! over explicit intrinsics or the packs' explicit lane loops: a steady

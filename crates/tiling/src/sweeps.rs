@@ -75,9 +75,9 @@
 //!
 //! A temporal workspace is built for an [`Engine`] its caller resolved
 //! **once**, by capability ([`KernelSpace::resolve`]: the kernel's AVX2
-//! sweep and the CPU's features, and for the 1-D kinds under `Auto` the
-//! eight-lane AVX-512 sweep where the run's extent and step count make it
-//! pay) — chunking does not change which code runs, so a narrow `block`
+//! sweep and the CPU's features, and for the 1-D and `f64` 2-D kinds
+//! under `Auto` the eight-lane AVX-512 sweep where the run's extent and
+//! step count make it pay) — chunking does not change which code runs, so a narrow `block`
 //! forces nothing onto the scalar schedule — and reports it. The one
 //! schedule is built from that engine's lane count ([`KernelSpace::vl`]:
 //! `VL` below), and that engine is the codegen context of everything a
@@ -798,8 +798,8 @@ pub(crate) mod tests {
 
     /// The engines the table runs a kind on: portable, and each
     /// `std::arch` engine of this host that brings a lane count of its own
-    /// (AVX-512 only for the 1-D kinds; for the others it is the AVX2
-    /// sweep).
+    /// (AVX-512 only for the 1-D and `f64` 2-D kinds; for the others it is
+    /// the AVX2 sweep).
     fn engines<K: Kind>() -> Vec<Engine> {
         let mut engines = vec![Engine::Portable];
         if tempora_simd::arch::avx2_available() {
@@ -814,7 +814,7 @@ pub(crate) mod tests {
     /// Every row of one kind at one geometry: engine × mode × steps ×
     /// block × pool. The steps and blocks are placed around each engine's
     /// own lane count, so the four-lane rows and the eight-lane rows of
-    /// the 1-D kinds each meet every edge of their schedule.
+    /// the 1-D and `f64` 2-D kinds each meet every edge of their schedule.
     pub(crate) fn table<K: Kind>(kern: &K, dims: [usize; 3], strides: &[usize], pools: &[Pool]) {
         let nx = dims[0];
         let g = K::grid(dims, (nx * dims[1] + dims[2]) as u64);

@@ -9,21 +9,23 @@
 //! and plan execution end to end.
 
 use tempora::baseline::{dlt, reorg};
-use tempora::core::engine;
+use tempora::core::engine::{self, KernelSpace};
 use tempora::core::kernels::*;
 use tempora::core::{lcs, t1d};
 use tempora::grid::*;
 use tempora::prelude::{Engine, Method, Plan, PlanBuilder, Problem, Select, State, Tiling};
 use tempora::stencil::*;
 
-/// The engine `sel` resolves on this host for a 1-D temporal run of
-/// kernel `K` over `steps` levels of `n` cells: `Auto` takes the
-/// eight-lane AVX-512 engine where the line is at least the kind's
-/// measured crossover wide (`engine::wide_min_nx`), the run has an
-/// eight-lane sweep (`steps ≥ 8`) and `steps % 8 ≤ steps % 4`, else the
-/// four-lane AVX2 one where the CPU has it, whatever the shape and stride.
-fn engine_1d<K: Kernel1d>(sel: Select, n: usize, steps: usize) -> Engine {
-    let wide = n >= engine::wide_min_nx::<K>() && steps >= 8 && steps % 8 <= steps % 4;
+/// The engine `sel` resolves on this host for a temporal run of kernel
+/// `K` over `steps` levels of `nx` outer slabs: `Auto` takes the
+/// eight-lane AVX-512 engine where the kind has one and the outer extent
+/// is at least its measured crossover (`KernelSpace::wide_min_nx`), the run
+/// has an eight-lane sweep (`steps ≥ 8`) and `steps % 8 ≤ steps % 4`, else
+/// the four-lane AVX2 one where the CPU has it, whatever the shape and
+/// stride.
+fn engine_of<K: KernelSpace>(sel: Select, nx: usize, steps: usize) -> Engine {
+    let wide =
+        K::wide_min_nx().is_some_and(|min| nx >= min) && steps >= 8 && steps % 8 <= steps % 4;
     match sel {
         Select::Portable => Engine::Portable,
         _ if !tempora::simd::arch::avx2_available() => Engine::Portable,
@@ -903,10 +905,10 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
         for &sel in sels {
             let b = PlanBuilder::new().stride(s).select(sel);
             let (r, e) = run1(&heat, b, &g);
-            let expect = Some(engine_1d::<JacobiKern1d>(sel, n, steps));
+            let expect = Some(engine_of::<JacobiKern1d>(sel, n, steps));
             assert_eq!(e, expect, "heat1d {sel:?} n={n} s={s} steps={steps}");
             let (rg, eg) = run1(&gs, b, &g);
-            let expect = Some(engine_1d::<GsKern1d>(sel, n, steps));
+            let expect = Some(engine_of::<GsKern1d>(sel, n, steps));
             assert_eq!(eg, expect, "gs1d {sel:?} n={n} s={s} steps={steps}");
             results.push((r, rg));
         }
@@ -965,12 +967,18 @@ fn forced_portable_and_avx2_selections_agree_bitwise() {
     let mut results = vec![];
     for &sel in sels {
         let b = PlanBuilder::new().stride(2).select(sel);
+        // 41 outer rows: past the Heat-2D and 2D9P crossover, short of
+        // GS-2D's.
         let (h2, e) = run2(&heat2, b, &g);
-        assert_eq!(e, Some(expect(sel, true)), "heat2d {sel:?}");
+        assert_eq!(
+            e,
+            Some(engine_of::<JacobiKern2d>(sel, 41, 8)),
+            "heat2d {sel:?}"
+        );
         let (b2, e) = run2(&box2, b, &g);
-        assert_eq!(e, Some(expect(sel, true)), "box2d {sel:?}");
+        assert_eq!(e, Some(engine_of::<BoxKern2d>(sel, 41, 8)), "box2d {sel:?}");
         let (s2, e) = run2(&gs2, b, &g);
-        assert_eq!(e, Some(expect(sel, true)), "gs2d {sel:?}");
+        assert_eq!(e, Some(engine_of::<GsKern2d>(sel, 41, 8)), "gs2d {sel:?}");
         let (h3, e) = run3(&heat3, b, &g3v);
         assert_eq!(e, Some(expect(sel, true)), "heat3d {sel:?}");
         let (s3, e) = run3(&gs3, b, &g3v);
@@ -1070,7 +1078,7 @@ fn tiled_forced_engines_agree_at(threads: usize) {
                 "ghost1d sel={sel:?} block={block} {:?}",
                 r.first_diff(&gold)
             );
-            let expect = engine_1d::<JacobiKern1d>(sel, g.n(), steps);
+            let expect = engine_of::<JacobiKern1d>(sel, g.n(), steps);
             assert_eq!(e, Some(expect), "ghost1d sel={sel:?} block={block}");
         }
     }
@@ -1135,6 +1143,82 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         assert!(r.interior_eq(&gold3), "ghost3d sel={sel:?}");
     }
 
+    // Eight lanes through the tiled layer: Heat-2D and 2D9P ghost, GS-2D
+    // skew, shaped so that `auto` widens all three (160 outer rows, past
+    // GS-2D's 128; 19 steps, two eight-lane sweeps and a three-level tail
+    // at either width) and with 300-column rows that the steady state cuts
+    // into segments; blocks at the eight-lane read-ahead and wider.
+    let wide = g2(160, 300, 8, 0.3);
+    let (cw, cbw, cgw) = (
+        Heat2dCoeffs::classic(0.13),
+        Box2dCoeffs::smooth(0.06),
+        Gs2dCoeffs::new(0.31, 0.17, 0.23, 0.11, 0.13),
+    );
+    let steps = 19;
+    let (goldw, goldbw, goldgw) = (
+        reference::heat2d(&wide, cw, steps),
+        reference::box2d(&wide, cbw, steps),
+        reference::gs2d(&wide, cgw, steps),
+    );
+    let (nx, ny, boundary) = (wide.nx(), wide.ny(), wide.boundary());
+    let heatw = Problem::Heat2d {
+        nx,
+        ny,
+        steps,
+        coeffs: cw,
+        boundary,
+    };
+    let boxw = Problem::Box2d {
+        nx,
+        ny,
+        steps,
+        coeffs: cbw,
+        boundary,
+    };
+    let gsw = Problem::Gs2d {
+        nx,
+        ny,
+        steps,
+        coeffs: cgw,
+        boundary,
+    };
+    for &sel in sels {
+        let tiled = |tiling| {
+            PlanBuilder::new()
+                .stride(2)
+                .select(sel)
+                .tiling(tiling)
+                .threads(threads)
+        };
+        for block in [16, 40] {
+            let ghost = tiled(Tiling::Ghost { block, height: 8 });
+            let (r, e) = run2(&heatw, ghost, &wide);
+            assert!(
+                r.interior_eq(&goldw),
+                "ghost2d wide sel={sel:?} block={block}"
+            );
+            assert_eq!(
+                e,
+                Some(engine_of::<JacobiKern2d>(sel, nx, steps)),
+                "{sel:?}"
+            );
+            let (r, e) = run2(&boxw, ghost, &wide);
+            assert!(
+                r.interior_eq(&goldbw),
+                "ghost2d box wide sel={sel:?} block={block}"
+            );
+            assert_eq!(e, Some(engine_of::<BoxKern2d>(sel, nx, steps)), "{sel:?}");
+        }
+        for block in [24, 48] {
+            let (r, e) = run2(&gsw, tiled(Tiling::Skew { block, height: 8 }), &wide);
+            assert!(
+                r.interior_eq(&goldgw),
+                "skew2d wide sel={sel:?} block={block}"
+            );
+            assert_eq!(e, Some(engine_of::<GsKern2d>(sel, nx, steps)), "{sel:?}");
+        }
+    }
+
     // Tiled Gauss-Seidel, 1/2/3-D, with tails; the (n=24, s=7) grid is
     // below VL·s = 28 cells, so every level is a scalar sweep — in the
     // codegen context of the engine the selection resolves, like any run.
@@ -1164,7 +1248,7 @@ fn tiled_forced_engines_agree_at(threads: usize) {
                 &gg,
             );
             assert!(r.interior_eq(&gold), "skew1d sel={sel:?} steps={steps}");
-            let expect = engine_1d::<GsKern1d>(sel, gg.n(), steps);
+            let expect = engine_of::<GsKern1d>(sel, gg.n(), steps);
             assert_eq!(e, Some(expect), "skew1d sel={sel:?} steps={steps}");
         }
     }

@@ -18,8 +18,8 @@ fn grid(n: usize) -> Grid1<f64> {
 }
 
 /// Every engine of this host: each is its own instantiation of the one
-/// counted steady state, so each is counted — the 1-D kinds at four lanes
-/// and, on `Engine::Avx512`, at eight.
+/// counted steady state, so each is counted — the 1-D and `f64` 2-D kinds
+/// at four lanes and, on `Engine::Avx512`, at eight.
 fn engines() -> Vec<Engine> {
     let avx2 = tempora::simd::arch::avx2_available().then_some(Engine::Avx2);
     let avx512 = tempora::simd::arch::avx512_available().then_some(Engine::Avx512);
@@ -179,8 +179,11 @@ fn reorg_cost_independent_of_vector_length() {
 /// sweep of every 2-D and 3-D kernel through `KernelSpace::sweep::<true>`,
 /// on every engine, produces one input vector per interior point of every
 /// steady-state slab, each for exactly one rotate and one blend — at
-/// `VL = 4` and, for Life, `VL = 8`, star and box neighbourhoods, Jacobi
-/// and Gauss-Seidel alike.
+/// `VL = 4` and at `VL = 8` (Life on every engine, the `f64` 2-D kinds on
+/// `Engine::Avx512`), star and box neighbourhoods, Jacobi and Gauss-Seidel
+/// alike, and with slabs too large for one segment of the steady state
+/// (600-column rows, planes of 20 rows of 40): a segment edge is no
+/// reorganisation.
 #[test]
 fn reorg_cost_independent_of_dimension() {
     fn check<K: KernelSpace>(name: &str, kern: K, dims: [usize; 3]) {
@@ -210,4 +213,19 @@ fn reorg_cost_independent_of_dimension() {
         [24, 6, 7],
     );
     check("gs3d", GsKern3d(Gs3dCoeffs::classic(0.1)), [24, 6, 7]);
+    check(
+        "heat2d segmented",
+        JacobiKern2d(Heat2dCoeffs::classic(0.125)),
+        [40, 600, 1],
+    );
+    check(
+        "gs2d segmented",
+        GsKern2d(Gs2dCoeffs::classic(0.2)),
+        [40, 600, 1],
+    );
+    check(
+        "heat3d banded",
+        JacobiKern3d(Heat3dCoeffs::classic(0.1)),
+        [24, 20, 40],
+    );
 }

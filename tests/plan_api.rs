@@ -631,20 +631,23 @@ fn huge_strides_run_the_scalar_schedule_or_a_typed_error() {
     }
 }
 
-/// `Select::Auto` widens to the eight-lane AVX-512 engine only for the 1-D
-/// kinds, only on lines at least the kind's measured crossover wide, and
-/// only where the run has an eight-lane sweep that leaves no more scalar
-/// levels than four lanes would: the `ledger` benchmark's 1-D problems
-/// (and the served one) resolve `avx512`; twelve steps (four scalar
-/// levels at eight lanes, none at four), a line one cell short of the
-/// crossover and `4s ≤ nx < 8s` stay `avx2`; `Select::Avx2` is the
-/// four-lane engine and `Select::Portable`
-/// the portable one whatever the shape; every other kind of the ledger
-/// resolves `avx2`. Every row ≡ the scalar reference. On a host without
-/// AVX-512F every `auto` row is `avx2` (without AVX2: portable).
+/// `Select::Auto` widens to the eight-lane AVX-512 engine only for the
+/// kinds with an eight-lane sweep (Heat-1D, GS-1D and the `f64` 2-D
+/// kinds), only where the outer extent is at least the kind's measured
+/// crossover, and only where the run has an eight-lane sweep that leaves
+/// no more scalar levels than four lanes would: the `ledger` benchmark's
+/// 1-D problems (and the served one) and its 2-D ones resolve `avx512`,
+/// except Heat-2D at twelve steps (four scalar levels at eight lanes, none
+/// at four); an outer extent one short of the crossover and `4s ≤ nx < 8s`
+/// stay `avx2`; `Select::Avx2` is the four-lane engine and
+/// `Select::Portable` the portable one whatever the shape; Life, the 3-D
+/// kinds and LCS resolve `avx2`. Every row ≡ the scalar reference. On a
+/// host without AVX-512F every `auto` row is `avx2` (without AVX2:
+/// portable).
 #[test]
-fn auto_widens_only_the_1d_kinds_where_eight_lanes_pay() {
+fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
     let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
+    let (h2, g2) = (Heat2dCoeffs::classic(0.125), Gs2dCoeffs::classic(0.2));
     let avx2 = tempora::simd::arch::avx2_available();
     let wide = if tempora::simd::arch::avx512_available() {
         Engine::Avx512
@@ -661,15 +664,47 @@ fn auto_widens_only_the_1d_kinds_where_eight_lanes_pay() {
         (heat(1 << 16, 32), auto, wide),
         (Problem::gs1d(1 << 16, 32, g1), auto, wide),
         (heat(4096, 32), auto, wide),
+        // Its 2-D problems: untiled (`jacobi-1t`, `gs-lcs-1t`) and tiled
+        // (`tiled-2t`) — Heat-2D's twelve steps excepted.
+        (Problem::heat2d(256, 256, 12, h2), auto, narrow),
+        (
+            Problem::box2d(256, 256, 8, Box2dCoeffs::smooth(0.1)),
+            auto,
+            wide,
+        ),
+        (Problem::gs2d(256, 256, 8, g2), auto, wide),
+        (
+            Problem::heat2d(1024, 1024, 24, h2),
+            auto.tiling(Tiling::Ghost {
+                block: 128,
+                height: 8,
+            })
+            .threads(2),
+            wide,
+        ),
+        (
+            Problem::gs2d(768, 768, 16, g2),
+            auto.tiling(Tiling::Skew {
+                block: 192,
+                height: 8,
+            })
+            .threads(2),
+            wide,
+        ),
         // Twelve steps: 12 % 8 = 4 scalar levels against 12 % 4 = 0.
         (heat(1 << 16, 12), auto, narrow),
         (Problem::gs1d(1 << 16, 12, g1), auto, narrow),
-        // Each kind's measured crossover, met and missed by one cell:
-        // below it the eight-lane sweep's scalar prologue and epilogue
-        // outweigh its steady state (`repro ablate-vl` times both sides).
+        // Each kind's measured crossover, met and missed by one outer
+        // slab: below it the eight-lane sweep's scalar prologue and
+        // epilogue outweigh its steady state (`repro ablate-vl` times both
+        // sides).
         (heat(4095, 32), auto, narrow),
         (Problem::gs1d(1024, 32, g1), auto, wide),
         (Problem::gs1d(1023, 32, g1), auto, narrow),
+        (Problem::heat2d(32, 20, 16, h2), auto, wide),
+        (Problem::heat2d(31, 20, 16, h2), auto, narrow),
+        (Problem::gs2d(128, 20, 16, g2), auto, wide),
+        (Problem::gs2d(127, 20, 16, g2), auto, narrow),
         // 4s ≤ nx < 8s: four lanes run vector sweeps, eight could not.
         (heat(60, 32), auto, narrow),
         (Problem::gs1d(40, 32, g1), auto.stride(7), narrow),
@@ -680,7 +715,7 @@ fn auto_widens_only_the_1d_kinds_where_eight_lanes_pay() {
             Engine::Portable,
         ),
         (
-            Problem::gs1d(4096, 32, g1),
+            Problem::gs2d(768, 768, 16, g2),
             auto.select(Select::Portable),
             Engine::Portable,
         ),
@@ -688,18 +723,16 @@ fn auto_widens_only_the_1d_kinds_where_eight_lanes_pay() {
     if avx2 {
         rows.push((heat(1 << 16, 32), auto.select(Select::Avx2), Engine::Avx2));
         rows.push((
-            Problem::gs1d(4096, 32, g1),
+            Problem::heat2d(256, 256, 16, h2),
             auto.select(Select::Avx2),
             Engine::Avx2,
         ));
     }
-    // Every other kind of the ledger, at its ledger shape.
+    // The kinds without an eight-lane sweep, at their ledger shapes.
     for problem in [
-        Problem::heat2d(256, 256, 12, Heat2dCoeffs::classic(0.125)),
-        Problem::box2d(256, 256, 8, Box2dCoeffs::smooth(0.1)),
         Problem::heat3d(40, 40, 40, 4, Heat3dCoeffs::classic(0.1)),
+        Problem::heat3d(80, 80, 80, 8, Heat3dCoeffs::classic(0.1)),
         Problem::life(256, 256, 16, LifeRule::b2s23()),
-        Problem::gs2d(256, 256, 8, Gs2dCoeffs::classic(0.2)),
         Problem::gs3d(40, 40, 40, 4, Gs3dCoeffs::classic(0.1)),
         Problem::lcs(1024, 1024),
     ] {

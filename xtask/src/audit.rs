@@ -64,8 +64,10 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 ///   `steady`, `ring_regs`,
 ///   `tile_seg_in`; `steady_row`), which carry no `#[target_feature]` of
 ///   their own and reach their instructions only by being inlined into a
-///   sandwich, everything on the slab row path (`cursor` … `finish`), the
-///   kernel adapters (`scalar`, `pack`) and the multi-load step bodies;
+///   sandwich, everything on the slab row path (`cursor` … `finish`, and
+///   `units`, the segments' geometry, which the steady state of every
+///   sandwich — `sweep_zmm`'s included — computes per part), the kernel
+///   adapters (`scalar`, `pack`) and the multi-load step bodies;
 /// * `tempora_simd`: the lane vocabulary — every method of `Packs`, and of
 ///   the `Ymm` and `Zmm` tokens (`$name`: the methods the one macro of
 ///   `arch.rs` writes over their intrinsics);
@@ -78,6 +80,7 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "tile_prologue",
             "tile_epilogue",
             "steady_slabs",
+            "units",
             "scalar_sweep_body",
             "scalar_step_inplace",
             "scalar_cells",
