@@ -22,11 +22,11 @@
 //!          than 1.15× its engine's L1 reading),
 //!          ablate-vl (fails on an AVX-512 host when the eight-lane default
 //!          of GS-1D / Heat-1D runs below 1.4× / 1.1× the four-lane one,
-//!          when `auto` resolves a ledger problem of a kind with an
-//!          eight-lane sweep to another engine than expected, or when on a
-//!          line of 128 … 4096 points or a square of 16² … 256² it picks
-//!          the width that runs 1.25× slower; the same geometry at any
-//!          --scale),
+//!          when `auto` resolves a ledger problem of a kind with a wider
+//!          sweep to another engine than expected, or when on a line of
+//!          128 … 4096 points, a square of 16² … 256² or an LCS table of
+//!          128² … 8192² it picks the width that runs 1.25× slower; the
+//!          same geometry at any --scale),
 //!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
@@ -572,8 +572,9 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
                     .filter(|r| r.misresolved(VL_SHAPE_MARGIN))
                 {
                     violations.push(format!(
-                        "auto resolves {} {} x {} to {}, but eight lanes run {:.2}x four \
-                         (the kind's KernelSpace::wide_min_nx is off its measured crossover)",
+                        "auto resolves {} {} x {} to {}, but the wide lanes run {:.2}x the \
+                         narrow ones (the kind's KernelSpace::wide_min_nx or lcs::WIDE_MIN_LB \
+                         is off its measured crossover)",
                         r.kind,
                         r.nx,
                         r.steps,

@@ -473,6 +473,75 @@ fn best_of_20(problem: &Problem, builder: PlanBuilder) -> Best {
     best_of_20_each(problem, &[builder])[0]
 }
 
+/// The timing loop of [`engine_runs`] and `lcs_runs`: `run(i)` for each
+/// of `n` workspaces in turn, 21 rounds of `reps` runs each; per
+/// workspace `[seconds, cycles]` of the fastest run after the first round
+/// and the fewest cycles, as [`best_of_20_each`] states them.
+fn alternate(n: usize, reps: usize, mut run: impl FnMut(usize)) -> Vec<[f64; 2]> {
+    let mut best = vec![[f64::INFINITY; 2]; n];
+    for round in 0..=20 {
+        for (i, best) in best.iter_mut().enumerate() {
+            let before = clock_ghz();
+            let t = Instant::now();
+            for _ in 0..reps {
+                run(i);
+            }
+            let secs = t.elapsed().as_secs_f64() / reps as f64;
+            if round > 0 {
+                best[0] = best[0].min(secs);
+                best[1] = best[1].min(secs * before.max(clock_ghz()) * 1e9);
+            }
+        }
+    }
+    best
+}
+
+/// [`engine_runs`] for LCS: the untiled band wave of one seeded `la × lb`
+/// table at stride `s` on each of `engines`, through
+/// `tempora_tiling::LcsRect` built for the engine directly — a plan
+/// resolves one engine, and these ablations time the others too, at any
+/// shape ([`alternate`]).
+fn lcs_runs(la: usize, lb: usize, s: usize, engines: &[Engine]) -> Vec<Best> {
+    let pool = tempora_parallel::Pool::new(1);
+    let mut state = Problem::lcs(la, lb).state();
+    fill_state(&mut state);
+    let State::Lcs(l) = &state else {
+        unreachable!("an LCS problem has an LCS state")
+    };
+    let mut ws: Vec<tempora_tiling::LcsRect> = engines
+        .iter()
+        .map(|&e| tempora_tiling::LcsRect::new(la, lb, la.max(1), lb.max(1), s, Some(e)))
+        .collect();
+    let reps = (100_000 / (la * lb).max(1)).max(1);
+    let best = alternate(ws.len(), reps, |i| {
+        std::hint::black_box(ws[i].run(&l.a, &l.b, &pool));
+    });
+    ws.iter()
+        .zip(best)
+        .map(|(w, [secs, cycles])| Best {
+            secs,
+            cycles,
+            engine: w.engine().map_or("portable", |e| e.name()),
+            tiles: None,
+        })
+        .collect()
+}
+
+/// The `std::arch` LCS engines of this host, at both widths: eight lanes
+/// (AVX2) and sixteen (AVX-512) — or the portable engine alone under
+/// `TEMPORA_ENGINE=portable` or without AVX2, and eight lanes alone under
+/// `TEMPORA_ENGINE=avx2`.
+fn lcs_widths(sel: Select) -> Vec<Engine> {
+    if sel == Select::Portable || !tempora_simd::arch::avx2_available() {
+        return vec![Engine::Portable];
+    }
+    let wide = sel == Select::Auto && tempora_simd::arch::avx512_available();
+    [Engine::Avx2]
+        .into_iter()
+        .chain(wide.then_some(Engine::Avx512))
+        .collect()
+}
+
 /// Fill helper: seeded random interior for whichever grid the state
 /// holds; LCS states get two random 4-symbol sequences.
 fn fill_state(state: &mut State) {
@@ -1074,12 +1143,13 @@ pub struct StrideTable {
 }
 
 impl StrideTable {
-    /// `row`'s throughput as a share of its kind's best row.
+    /// `row`'s throughput as a share of the best row of its kind on its
+    /// engine (LCS has rows at both widths).
     pub fn vs_best(&self, row: &StrideRow) -> f64 {
         let best = self
             .rows
             .iter()
-            .filter(|r| r.kind == row.kind)
+            .filter(|r| r.kind == row.kind && r.engine == row.engine)
             .map(|r| r.mupd_per_s)
             .fold(0.0, f64::max);
         row.mupd_per_s / best
@@ -1168,15 +1238,20 @@ impl StrideTable {
 /// §3.3 stride sweep: throughput of the temporal engines as the space
 /// stride `s` — and with it the number of in-flight input vectors —
 /// varies, over every stride Heat-1D and GS-1D accept, `s = 1..=3` for
-/// LCS and `s = 2..=4` for the six slab kinds (whose ring of `s + 2` slabs
+/// LCS at both widths (eight and, on AVX-512 hosts, sixteen lanes; each
+/// engine's workspace built directly, `lcs_runs`) and `s = 2..=4` for
+/// the six slab kinds (whose ring of `s + 2` slabs
 /// lives in memory at any stride: the narrowest ring wins), at the
 /// `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256 gives its
-/// `--smoke` geometry).
+/// `--smoke` geometry; LCS never below the ledger's 1024², the narrowest
+/// table `auto` runs at sixteen lanes — at 256² their head and tail
+/// triangles, which grow with `s`, put `s = 1` far ahead).
 pub fn ablate_stride(scale: usize) -> StrideTable {
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::{lcs_avx2, t1d_avx2};
     let d = scale.max(1);
-    let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(256));
+    // LCS from 1024² up: the narrowest table `auto` runs at sixteen lanes.
+    let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(1024));
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let sel = Select::from_env();
     let grid_strides = JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE;
@@ -1202,12 +1277,6 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
             grid_strides,
             [t1d_avx2::REGISTER_STRIDES, zmm],
         ),
-        (
-            "lcs",
-            Problem::lcs(nl, nl),
-            1..=3,
-            [lcs_avx2::REGISTER_STRIDES, none.clone()],
-        ),
     ];
     let mut rows = vec![];
     for (kind, problem, strides, [ymm, zmm]) in kinds.into_iter().chain(SLAB_KINDS.iter().map(slab))
@@ -1230,6 +1299,24 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
             });
         }
     }
+    // LCS at both widths, each engine's workspace built directly: `auto`
+    // picks sixteen lanes only from 1024 columns on.
+    let default = default_stride(&Problem::lcs(nl, nl));
+    for engine in lcs_widths(sel) {
+        for s in 1..=3 {
+            let [best] = lcs_runs(nl, nl, s, &[engine])[..] else {
+                unreachable!("one run per engine")
+            };
+            rows.push(StrideRow {
+                kind: "lcs",
+                stride: s,
+                engine: best.engine,
+                mupd_per_s: (nl * nl) as f64 / best.secs / 1e6,
+                default: s == default,
+                registers: engine != Engine::Portable && lcs_avx2::REGISTER_STRIDES.contains(&s),
+            });
+        }
+    }
     StrideTable {
         geometry: [n1, nl, n2, n3],
         rows,
@@ -1239,9 +1326,11 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
 /// One row of [`ablate_vl`]: one kind at one lane count and stride.
 #[derive(Clone, Debug)]
 pub struct VlRow {
-    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d`.
+    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d` | `lcs1024` |
+    /// `lcs8192`.
     pub kind: &'static str,
-    /// Lanes of the steady state: 4 (`Ymm`) or 8 (`Zmm`).
+    /// Lanes of the steady state: 4 (`Ymm`) or 8 (`Zmm`); LCS 8 (`Ymm`)
+    /// or 16 (`Zmm`).
     pub vl: usize,
     /// The space stride `s` of this row.
     pub stride: usize,
@@ -1253,7 +1342,8 @@ pub struct VlRow {
     /// runs, the whole run's cycles over its steady vectors).
     pub cycles_per_vector: f64,
     /// Counted reorganization ops (rotates + blends) per output vector of
-    /// one run at this stride: 2 at every width, the paper's claim.
+    /// one run at this stride: 2 at every width, the paper's claim (NaN for
+    /// LCS, whose sweep is not instrumented).
     pub reorg_per_vector: f64,
     /// True at this lane count's default stride.
     pub default: bool,
@@ -1275,8 +1365,9 @@ pub struct VlLedgerRow {
 
 /// The `ablate-vl` table: the 1-D kinds at four and eight lanes over
 /// every accepted stride, the `f64` 2-D kinds at both at their default
-/// stride, the engine `auto` resolves for each of the ledger's problems
-/// with an eight-lane sweep, and both widths around `auto`'s crossovers.
+/// stride, LCS at eight and sixteen, the engine `auto` resolves for each
+/// of the ledger's problems with a wider sweep, and both widths around
+/// `auto`'s crossovers.
 #[derive(Clone, Debug)]
 pub struct VlTable {
     /// Points and steps of the swept 1-D problems.
@@ -1287,6 +1378,9 @@ pub struct VlTable {
     pub slab_geometry: (usize, usize),
     /// One row per `f64` 2-D kind and lane count, at stride 2.
     pub slab_rows: Vec<VlRow>,
+    /// One row per LCS table (the ledger's 1024² and 8192²: kinds
+    /// `lcs1024`, `lcs8192`) and lane count, untiled at stride 2.
+    pub lcs_rows: Vec<VlRow>,
     /// `(kind, gain)`: the eight-lane default plan's throughput over the
     /// four-lane default plan's, the two timed alternately on one state
     /// (best of 20 each); absent without both engines.
@@ -1343,6 +1437,12 @@ impl VlTable {
             ));
             out.extend(self.slab_rows.iter().map(line));
         }
+        if !self.lcs_rows.is_empty() {
+            out.push_str(&format!(
+                "# LCS, untiled n^2 tables (lcs1024, lcs8192), eight and sixteen i32 lanes\n{header}"
+            ));
+            out.extend(self.lcs_rows.iter().map(line));
+        }
         for (kind, gain) in &self.gains {
             out.push_str(&format!(
                 "{kind}: eight-lane default / four-lane default = {gain:.2} (timed in pairs)\n"
@@ -1356,20 +1456,21 @@ impl VlTable {
         }
         if !self.shapes.is_empty() {
             out.push_str(&format!(
-                "# both widths at their default strides around auto's crossovers (2-D: n^2)\n\
-                 {:<8}{:>6}{:>6}{:>8}{:>10}{:>10}{:>8}\n",
-                "kind", "nx", "steps", "auto", "vl4 µs", "vl8 µs", "gain"
+                "# both widths at their default strides around auto's crossovers (2-D and \
+                 LCS: n^2; narrow = four f64 / eight i32 lanes, wide = eight / sixteen)\n\
+                 {:<8}{:>6}{:>6}{:>8}{:>11}{:>11}{:>8}\n",
+                "kind", "nx", "steps", "auto", "narrow µs", "wide µs", "gain"
             ));
         }
         for r in &self.shapes {
             out.push_str(&format!(
-                "{:<8}{:>6}{:>6}{:>8}{:>10.2}{:>10.2}{:>8.2}\n",
+                "{:<8}{:>6}{:>6}{:>8}{:>11.2}{:>11.2}{:>8.2}\n",
                 r.kind,
                 r.nx,
                 r.steps,
                 r.auto,
-                r.four_us,
-                r.eight_us,
+                r.narrow_us,
+                r.wide_us,
                 r.gain()
             ));
         }
@@ -1377,8 +1478,8 @@ impl VlTable {
     }
 
     /// Render as a JSON object (`{"id", "geometry", "rows", "slab_rows",
-    /// "gains", "ledger", "shapes"}`), one entry of the `repro --json`
-    /// document.
+    /// "lcs_rows", "gains", "ledger", "shapes"}`), one entry of the `repro
+    /// --json` document.
     pub fn to_json(&self) -> String {
         let row = |r: &VlRow| {
             format!(
@@ -1398,6 +1499,7 @@ impl VlTable {
         };
         let rows: Vec<String> = self.rows.iter().map(row).collect();
         let slab_rows: Vec<String> = self.slab_rows.iter().map(row).collect();
+        let lcs_rows: Vec<String> = self.lcs_rows.iter().map(row).collect();
         let ledger: Vec<String> = self
             .ledger
             .iter()
@@ -1420,14 +1522,14 @@ impl VlTable {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"kind\":\"{}\",\"nx\":{},\"steps\":{},\"auto\":\"{}\",\"vl4_us\":{},\
-                     \"vl8_us\":{},\"gain\":{}}}",
+                    "{{\"kind\":\"{}\",\"nx\":{},\"steps\":{},\"auto\":\"{}\",\"narrow_us\":{},\
+                     \"wide_us\":{},\"gain\":{}}}",
                     r.kind,
                     r.nx,
                     r.steps,
                     r.auto,
-                    json_num(r.four_us),
-                    json_num(r.eight_us),
+                    json_num(r.narrow_us),
+                    json_num(r.wide_us),
                     json_num(r.gain())
                 )
             })
@@ -1435,10 +1537,11 @@ impl VlTable {
         let ((n, steps), (n2, steps2)) = (self.geometry, self.slab_geometry);
         format!(
             "{{\"id\":\"ablate-vl\",\"geometry\":[{n},{steps}],\"rows\":[{}],\
-             \"slab_geometry\":[{n2},{steps2}],\"slab_rows\":[{}],\"gains\":[{}],\
-             \"ledger\":[{}],\"shapes\":[{}]}}",
+             \"slab_geometry\":[{n2},{steps2}],\"slab_rows\":[{}],\"lcs_rows\":[{}],\
+             \"gains\":[{}],\"ledger\":[{}],\"shapes\":[{}]}}",
             rows.join(","),
             slab_rows.join(","),
+            lcs_rows.join(","),
             gains.join(","),
             ledger.join(","),
             shapes.join(",")
@@ -1466,10 +1569,12 @@ fn wide_slab_kinds(n: usize, steps: usize) -> impl Iterator<Item = (&'static str
 /// kind's two default plans once more, alternating, for the gain the
 /// `repro` gate reads. The `f64` 2-D kinds likewise at both widths
 /// (`engine_runs`) at the ledger's 256² × 8 steps, their rings kept in
-/// L1 by segments — counted too: 2 per vector in 2-D as in 1-D. Last, the
-/// engine `auto` resolves for the ledger's problems of these five kinds,
-/// and both widths over the shapes of [`vl_shapes`], on each side of each
-/// kind's crossover. A width the CPU lacks has no rows.
+/// L1 by segments — counted too: 2 per vector in 2-D as in 1-D. LCS at
+/// eight and sixteen `i32` lanes (`lcs_runs`) on the ledger's untiled
+/// 1024² and on 8192² (not counted: its sweep is not instrumented). Last,
+/// the engine `auto` resolves for the ledger's problems of these six
+/// kinds, and both widths over the shapes of [`vl_shapes`], on each side
+/// of each kind's crossover. A width the CPU lacks has no rows.
 pub fn ablate_vl() -> VlTable {
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::t1d_avx2;
@@ -1562,6 +1667,34 @@ pub fn ablate_vl() -> VlTable {
             });
         }
     }
+    // LCS at eight and sixteen lanes: the ledger's untiled 1024² and the
+    // 8192² its tiled run cuts into blocks.
+    let mut lcs_rows = vec![];
+    for (kind, n) in [("lcs1024", 1024), ("lcs8192", 8192)] {
+        let s = default_stride(&Problem::lcs(n, n));
+        for (&engine, best) in engines.iter().zip(lcs_runs(n, n, s, &engines)) {
+            let vl = tempora_core::lcs::vl(engine);
+            lcs_rows.push(VlRow {
+                kind,
+                vl,
+                stride: s,
+                engine: best.engine,
+                mupd_per_s: (n * n) as f64 / best.secs / 1e6,
+                cycles_per_vector: best.cycles / (n / vl * (n - vl * s)) as f64,
+                reorg_per_vector: f64::NAN,
+                default: true,
+                registers: tempora_core::lcs_avx2::REGISTER_STRIDES.contains(&s),
+            });
+        }
+    }
+    let rect = |n| {
+        PlanBuilder::new()
+            .tiling(Tiling::LcsRect {
+                xblock: n,
+                yblock: n,
+            })
+            .threads(2)
+    };
     let ledger = [
         (
             Problem::heat1d(1 << 16, 32, Heat1dCoeffs::classic(0.25)),
@@ -1596,10 +1729,13 @@ pub fn ablate_vl() -> VlTable {
             Problem::gs2d(768, 768, 16, Gs2dCoeffs::classic(0.2)),
             "avx512",
         ),
+        (Problem::lcs(1024, 1024), "avx512"),
     ]
     .iter()
-    .map(|(p, expect)| {
-        let engine = plan_of(p, PlanBuilder::new()).engine();
+    .map(|&(p, expect)| (p, PlanBuilder::new(), expect))
+    .chain([(Problem::lcs(8192, 8192), rect(1024), "avx512")])
+    .map(|(p, builder, expect)| {
+        let engine = plan_of(&p, builder).engine();
         VlLedgerRow {
             problem: format!("{} {} x {}", p.kind_name(), p.extents()[0], p.steps()),
             engine: engine.map_or("none", |e| e.name()),
@@ -1612,39 +1748,42 @@ pub fn ablate_vl() -> VlTable {
         rows,
         slab_geometry: (n2, steps2),
         slab_rows,
+        lcs_rows,
         gains,
         ledger,
         shapes: vl_shapes(),
     }
 }
 
-/// One row of [`vl_shapes`]: one kind at one shape, timed at four and
-/// eight lanes, each at its engine's default stride.
+/// One row of [`vl_shapes`]: one kind at one shape, timed at its narrow
+/// and its wide lane count (four and eight `f64` lanes, eight and sixteen
+/// `i32` lanes for LCS), each at its engine's default stride.
 #[derive(Clone, Debug)]
 pub struct VlShapeRow {
-    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d`.
+    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d` | `lcs`.
     pub kind: &'static str,
-    /// Outer extent: points of a line, the edge of a square.
+    /// Outer extent: points of a line, the edge of a square (LCS: of an
+    /// `n × n` table).
     pub nx: usize,
-    /// Time steps.
+    /// Time steps (LCS: table rows).
     pub steps: usize,
     /// The engine a default plan of this shape resolves under `auto`.
     pub auto: &'static str,
-    /// Fastest run at four lanes (AVX2), µs.
-    pub four_us: f64,
-    /// Fastest run at eight lanes (AVX-512), µs.
-    pub eight_us: f64,
+    /// Fastest run at the narrow width (AVX2), µs.
+    pub narrow_us: f64,
+    /// Fastest run at the wide width (AVX-512), µs.
+    pub wide_us: f64,
 }
 
 impl VlShapeRow {
-    /// Eight lanes' throughput over four lanes'.
+    /// The wide width's throughput over the narrow one's.
     pub fn gain(&self) -> f64 {
-        self.four_us / self.eight_us
+        self.narrow_us / self.wide_us
     }
 
     /// True when `auto` took the slower width by more than `margin` (a
-    /// ratio, e.g. 1.1): AVX-512 where four lanes run `margin` × faster,
-    /// or AVX2 where eight lanes do.
+    /// ratio, e.g. 1.1): AVX-512 where the narrow width runs `margin` ×
+    /// faster, or AVX2 where the wide one does.
     pub fn misresolved(&self, margin: f64) -> bool {
         match self.auto {
             "avx512" => self.gain() * margin < 1.0,
@@ -1653,13 +1792,15 @@ impl VlShapeRow {
     }
 }
 
-/// Where eight lanes start to pay: Heat-1D and GS-1D over lines of
+/// Where the wider lanes start to pay: Heat-1D and GS-1D over lines of
 /// 128 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
 /// over squares of 32² … 256² at 8, 16 and 9 steps, each shape untiled at
 /// four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their
 /// default strides (`engine_runs`: `auto` picks only one of them, and the
-/// point is to time the one it does not), next to the engine a default
-/// plan resolves. Empty without AVX-512F.
+/// point is to time the one it does not); and LCS over `n × n` tables of
+/// 128 … 8192 at eight and sixteen lanes (`lcs_runs`) — the rows that
+/// set `tempora_core::lcs::WIDE_MIN_LB`. Each next to the engine a
+/// default plan resolves. Empty without AVX-512F.
 pub fn vl_shapes() -> Vec<VlShapeRow> {
     if !tempora_simd::arch::avx512_available() {
         return vec![];
@@ -1675,8 +1816,8 @@ pub fn vl_shapes() -> Vec<VlShapeRow> {
             auto: plan_of(&problem, PlanBuilder::new())
                 .engine()
                 .map_or("none", |e| e.name()),
-            four_us: four.best.secs * 1e6,
-            eight_us: eight.best.secs * 1e6,
+            narrow_us: four.best.secs * 1e6,
+            wide_us: eight.best.secs * 1e6,
         }
     };
     let (h, g) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
@@ -1693,6 +1834,23 @@ pub fn vl_shapes() -> Vec<VlShapeRow> {
                 rows.push(row(kind, problem));
             }
         }
+    }
+    for n in [128, 256, 512, 1024, 2048, 4096, 8192] {
+        let problem = Problem::lcs(n, n);
+        let s = default_stride(&problem);
+        let [narrow, wide] = lcs_runs(n, n, s, &[Engine::Avx2, Engine::Avx512])[..] else {
+            unreachable!("one run per engine")
+        };
+        rows.push(VlShapeRow {
+            kind: "lcs",
+            nx: n,
+            steps: n,
+            auto: plan_of(&problem, PlanBuilder::new())
+                .engine()
+                .map_or("none", |e| e.name()),
+            narrow_us: narrow.secs * 1e6,
+            wide_us: wide.secs * 1e6,
+        });
     }
     rows
 }
@@ -1768,22 +1926,10 @@ fn runs_of<K: KernelSpace>(
     };
     let mut ws: Vec<Sweeps<K>> = engines.iter().map(|&e| sweeps(e)).collect();
     let reps = (100_000 / (dims.iter().product::<usize>() * steps).max(1)).max(1);
-    let mut best = vec![[f64::INFINITY; 2]; engines.len()];
-    for round in 0..=20 {
-        for (w, best) in ws.iter_mut().zip(&mut best) {
-            let before = clock_ghz();
-            let t = Instant::now();
-            for _ in 0..reps {
-                w.advance(&mut g, &pool);
-            }
-            let secs = t.elapsed().as_secs_f64() / reps as f64;
-            if round > 0 {
-                best[0] = best[0].min(secs);
-                best[1] = best[1].min(secs * before.max(clock_ghz()) * 1e9);
-            }
-            std::hint::black_box(&g);
-        }
-    }
+    let best = alternate(ws.len(), reps, |i| {
+        ws[i].advance(&mut g, &pool);
+        std::hint::black_box(&g);
+    });
     engines
         .iter()
         .zip(best)
@@ -2570,16 +2716,18 @@ pub fn ablate_rows() -> SteadyRowsTable {
 }
 
 /// One row of [`ablate_tiling`]: one Table-1 grid benchmark at its
-/// parallel geometry.
+/// parallel geometry, or LCS at one width at the ledger's.
 #[derive(Clone, Debug)]
 pub struct TilingRow {
     /// Benchmark name, as Table 1 prints it.
     pub kind: &'static str,
     /// Engine the tiled plan resolved to (`avx512` | `avx2` | `portable`).
     pub engine: &'static str,
-    /// Anchors per chunk (`TileGeometry::block`: the effective value).
+    /// Anchors per chunk (`TileGeometry::block`: the effective value;
+    /// LCS: the DP rows of a band).
     pub block: usize,
-    /// Chunks per sweep (`TileGeometry::tiles`).
+    /// Chunks per sweep (`TileGeometry::tiles`; LCS: the wave's tasks,
+    /// bands × block columns).
     pub chunks: usize,
     /// Sweeps per run: `steps / vl` temporal plus `steps % vl` scalar.
     pub sweeps: usize,
@@ -2619,8 +2767,8 @@ impl TilingTable {
     pub fn to_table(&self) -> String {
         let mut out = format!(
             "# ablate-tiling — what tiling costs and what a second thread gains \
-             (Table-1 parallel geometry, scale 1/{}; untiled = the same executor's \
-             one-chunk schedule)\n\
+             (Table-1 parallel geometry, scale 1/{}; LCS: the ledger's 8192^2 / 1024^2 \
+             at each width; untiled = the same executor's one-chunk schedule)\n\
              {:<10}{:>10}{:>8}{:>8}{:>8}{:>13}{:>13}{:>13}{:>10}{:>9}\n",
             self.scale,
             "benchmark",
@@ -2699,20 +2847,18 @@ impl TilingTable {
 /// row of Table 1 at its parallel geometry (divided by `scale`), the
 /// default "our" plan untiled on one thread, tiled on one thread and —
 /// when `cores ≥ 2` — tiled on two, minimum of 20 runs each, alternating
-/// on one state.
+/// on one state. LCS likewise at the ledger's `tiled-2t` geometry (8192²
+/// in blocks of 1024², at any `scale`) at each width (`lcs_widths`:
+/// `Select::Avx2` for eight lanes, `auto` for sixteen) — the rows that
+/// say whether the band sweeps, resumed across block columns, lose
+/// anything to the tiling at either width.
 pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
     let sel = Select::from_env();
     let mut rows = vec![];
-    for row in &BENCHMARKS {
-        let vl = match row.family {
-            Family::Ghost { vl, .. } => vl,
-            Family::Skew { .. } => 4,
-            Family::Rect { .. } => continue,
-        };
-        let cfg = row.parallel_config(scale);
-        let problem = (row.problem)(cfg.n, cfg.steps);
-        let our = PlanBuilder::new().select(sel);
-        let tiled = |threads| our.tiling(cfg.tiling).threads(threads);
+    // `vl`: the lanes of the kind's AVX2 sweep; an AVX-512 plan (the 1-D
+    // and `f64` 2-D kinds, LCS) sweeps twice as many.
+    let mut row_of = |kind, problem: Problem, our: PlanBuilder, tiling, vl: usize| {
+        let tiled = |threads| our.tiling(tiling).threads(threads);
         let mut builders = vec![our, tiled(1)];
         if cores >= 2 {
             builders.push(tiled(2));
@@ -2721,18 +2867,51 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
         // Panic-justification: a plan built with a tiling reports its
         // geometry; anything else is a bench-suite bug.
         let tiles = runs[1].tiles.expect("tiled plans report their geometry");
-        // The 1-D rows sweep eight levels at a time on the AVX-512 engine.
-        let vl = if runs[1].engine == "avx512" { 8 } else { vl };
+        let vl = if runs[1].engine == "avx512" {
+            2 * vl
+        } else {
+            vl
+        };
+        let steps = problem.steps();
         rows.push(TilingRow {
-            kind: row.name,
+            kind,
             engine: runs[1].engine,
             block: tiles.block,
             chunks: tiles.tiles,
-            sweeps: cfg.steps / vl + cfg.steps % vl,
+            sweeps: steps / vl + steps % vl,
             untiled_us: runs[0].secs * 1e6,
             tiled_1t_us: runs[1].secs * 1e6,
             tiled_2t_us: runs.get(2).map(|r| r.secs * 1e6),
         });
+    };
+    for row in &BENCHMARKS {
+        let vl = match row.family {
+            Family::Ghost { vl, .. } => vl,
+            Family::Skew { .. } => 4,
+            Family::Rect { .. } => continue,
+        };
+        let cfg = row.parallel_config(scale);
+        let problem = (row.problem)(cfg.n, cfg.steps);
+        row_of(
+            row.name,
+            problem,
+            PlanBuilder::new().select(sel),
+            cfg.tiling,
+            vl,
+        );
+    }
+    let lcs = Problem::lcs(8192, 8192);
+    for engine in lcs_widths(sel) {
+        let sel = match engine {
+            Engine::Avx512 => Select::Auto,
+            Engine::Avx2 => Select::Avx2,
+            Engine::Portable => Select::Portable,
+        };
+        let rect = Tiling::LcsRect {
+            xblock: 1024,
+            yblock: 1024,
+        };
+        row_of("LCS", lcs, PlanBuilder::new().select(sel), rect, 8);
     }
     TilingTable { scale, rows }
 }

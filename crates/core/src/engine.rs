@@ -1,8 +1,9 @@
 //! Unified engine dispatch: one place that decides, per workload, whether
 //! its sweeps run in the portable register form (`Packs`, compiled for
 //! baseline x86-64), in the `std::arch` AVX2 one (`Ymm`, compiled inside
-//! an AVX2+FMA sandwich) or — the 1-D and `f64` 2-D kinds — in the AVX-512
-//! one (`Zmm`, eight `f64` lanes, inside an AVX-512F+AVX2+FMA sandwich).
+//! an AVX2+FMA sandwich) or — the 1-D and `f64` 2-D kinds and LCS — in the
+//! AVX-512 one (`Zmm`, eight `f64` or sixteen `i32` lanes, inside an
+//! AVX-512F+AVX2+FMA sandwich).
 //!
 //! The entry point is the `tempora_plan` crate's
 //! `Problem → PlanBuilder → Plan → Report` lifecycle, which resolves the
@@ -18,16 +19,17 @@
 //!   CPU supports and the kernel and shape reach (below), portable
 //!   otherwise;
 //! * [`Select::Portable`] — always the portable pack engine;
-//! * [`Select::Avx2`] — require the four-lane AVX2 engine (panics if the
-//!   CPU lacks AVX2+FMA; an LCS shape that never reaches the vector steady
-//!   state still resolves to portable, reported as such). It never
-//!   resolves [`Engine::Avx512`].
+//! * [`Select::Avx2`] — require the four-lane AVX2 engine (eight lanes
+//!   for the integer kinds; panics if the CPU lacks AVX2+FMA; an LCS shape
+//!   that never reaches the vector steady state still resolves to
+//!   portable, reported as such). It never resolves [`Engine::Avx512`].
 //!
 //! Every workload's steady state is one source instantiated per engine
 //! (see [`tempora_simd::Lanes`]): the f64 kernels run at `vl = 4` double
 //! lanes — Heat-1D, GS-1D, Heat-2D, 2D9P and GS-2D at `vl = 8` on
 //! [`Engine::Avx512`] — and the two integer workloads — Life and LCS — at
-//! the paper's `vl = 8` i32 lanes ([`KernelSpace::vl`]). The grid kernels resolve
+//! the paper's `vl = 8` i32 lanes ([`KernelSpace::vl`], [`crate::lcs::vl`]),
+//! LCS at `vl = 16` on [`Engine::Avx512`]. The grid kernels resolve
 //! by capability alone: a shape that never reaches the vector steady
 //! state — fewer than one full `vl`-level time tile, or an outer extent
 //! below `vl·s` — runs the scalar schedule in every engine, but the
@@ -51,9 +53,12 @@
 //! default stride ([`KernelSpace::default_stride`]). The 2-D kinds reach
 //! eight lanes because the steady state keeps their ring in L1 by
 //! segments ([`crate::slab`]): at eight lanes a ring of whole rows of
-//! 64-byte packs fills the 48 KiB L1 at 192 columns. Life (its next width,
-//! `i32 × 16`, needs an `I32Lanes<16>` that `Zmm` does not implement) and
-//! the 3-D kinds (every 3-D plane tried read 0.67–1.03× at eight lanes and
+//! 64-byte packs fills the 48 KiB L1 at 192 columns. LCS widens by the
+//! same rows rule ([`wider_pays`] at eight and sixteen lanes) from 1024
+//! columns on ([`crate::lcs_avx2::resolve`]). Life (its next width,
+//! `i32 × 16`, is one arm of `slab_kernel_space!` away now that `Zmm`
+//! implements `I32Lanes<16>`, and waits for its own measurement) and the
+//! 3-D kinds (every 3-D plane tried read 0.67–1.03× at eight lanes and
 //! eight steps) keep their widths.
 //!
 //! The selection is overridable at process level through the
@@ -121,7 +126,8 @@ pub enum Select {
     Auto,
     /// Force the portable pack engine.
     Portable,
-    /// Require the `std::arch` AVX2 engine (panics without AVX2+FMA).
+    /// Require the `std::arch` AVX2 engine (panics without AVX2+FMA): four
+    /// `f64` lanes, eight `i32` lanes.
     Avx2,
 }
 
@@ -199,9 +205,9 @@ pub enum Engine {
     Portable,
     /// The `std::arch` AVX2+FMA engine.
     Avx2,
-    /// The `std::arch` AVX-512 engine of the 1-D and `f64` 2-D kinds: their
-    /// sweeps at eight `f64` lanes, everything else of the plan in the AVX2
-    /// context.
+    /// The `std::arch` AVX-512 engine of the 1-D and `f64` 2-D kinds and of
+    /// LCS: their sweeps at eight `f64` lanes, LCS's band sweeps at sixteen
+    /// `i32` lanes, everything else of the plan in the AVX2 context.
     Avx512,
 }
 
@@ -211,7 +217,7 @@ pub enum Engine {
 /// Panics if the CPU lacks AVX2+FMA: no selection resolves
 /// [`Engine::Avx2`] or [`Engine::Avx512`] there.
 #[cfg(target_arch = "x86_64")]
-fn ymm() -> Ymm {
+pub(crate) fn ymm() -> Ymm {
     // Panic-justification: `Select::resolve` yields `Engine::Avx2` only
     // after `avx2_available()`; a hand-made one on a lesser CPU stops here.
     Ymm::detect().expect("AVX2+FMA not available on this CPU")
@@ -223,7 +229,7 @@ fn ymm() -> Ymm {
 /// Panics if the CPU lacks AVX-512F: no selection resolves
 /// [`Engine::Avx512`] there.
 #[cfg(target_arch = "x86_64")]
-fn zmm() -> Zmm {
+pub(crate) fn zmm() -> Zmm {
     // Panic-justification: only `KernelSpace::resolve` yields
     // `Engine::Avx512`, after `avx512_available()`; a hand-made one on a
     // lesser CPU stops here.
@@ -413,9 +419,7 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// sweep at eight lanes there is one at four, and the scalar levels
     /// are `steps % 8` and `steps % 4`).
     fn resolve(sel: Select, nx: usize, steps: usize) -> Engine {
-        let wide = Self::wide_min_nx().is_some_and(|min| nx >= min)
-            && steps >= 8
-            && steps % 8 <= steps % 4;
+        let wide = Self::wide_min_nx().is_some_and(|min| nx >= min) && wider_pays(steps, 4);
         match sel.resolve(avx2_available()) {
             Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
             engine => engine,
@@ -431,6 +435,17 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     fn default_stride(_engine: Engine) -> usize {
         2
     }
+}
+
+/// True when `levels` time levels (DP rows for LCS) fill at least one
+/// sweep at `2·vl` lanes and leave it no more scalar levels than `vl`
+/// lanes would: `levels ≥ 2·vl` and `levels % 2vl ≤ levels % vl` (with a
+/// sweep at the wider width there is one at the narrower, and the scalar
+/// levels are the two remainders). The one steps rule of every widening:
+/// [`KernelSpace::resolve`]'s at four and eight `f64` lanes, LCS's at
+/// eight and sixteen `i32` lanes ([`crate::lcs_avx2::resolve`]).
+pub fn wider_pays(levels: usize, vl: usize) -> bool {
+    levels >= 2 * vl && levels % (2 * vl) <= levels % vl
 }
 
 /// The scratch of a sweep at its engine's lane count, for the kernels with

@@ -13,8 +13,8 @@
 //! | [`t1d_avx2`] | the AVX2 codegen sandwiches around those sweeps, and the strides whose ring they keep in registers |
 //! | [`slab`] | the 2-D/3-D sweep, written once over a slab shape: resumable three-phase driver (its parts are the §3.4 parallelogram tiles), in-place scalar step, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D), one steady row per dimension |
 //! | [`slab_avx2`] | the AVX2 codegen sandwiches around that driver |
-//! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`): tile phases, the one ring steady state, engine-taking entry points |
-//! | [`lcs_avx2`] | the AVX2 codegen sandwich around the LCS tile, and the shape predicate of its dispatch |
+//! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`, `i32×16`): the resumable band sweep (its parts are the block columns of a tiled run), `B`'s lane layout, the one ring steady state, engine-taking entry points |
+//! | [`lcs_avx2`] | the AVX2 and AVX-512 codegen sandwiches around the LCS band sweep, and the resolution of an LCS run |
 //! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!

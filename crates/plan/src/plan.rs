@@ -8,6 +8,7 @@ use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
 use tempora_core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
+use tempora_core::lcs_avx2;
 use tempora_grid::Boundary;
 use tempora_parallel::{Pool, PoolConfig};
 use tempora_simd::count;
@@ -94,11 +95,18 @@ pub enum Tiling {
         /// for [`Tiling::Ghost`].
         height: usize,
     },
-    /// Rectangle tiling with pipelined wavefronts — LCS only.
+    /// Rectangle tiling with pipelined wavefronts — LCS only. The
+    /// temporal method runs one band sweep per `VL` DP rows, cut at the
+    /// block columns and resumed across them (`tempora_tiling::lcs_rect`);
+    /// the scalar method, and a shape no band sweep fits, scalar rows
+    /// over `xblock × yblock` rectangles. Both extents are clamped to the
+    /// sequence lengths.
     LcsRect {
-        /// DP rows per rectangle.
+        /// DP rows per rectangle of the scalar rows. Validated and echoed,
+        /// but it **does not shape the band sweeps**, which are `VL` rows
+        /// deep whatever `xblock` is.
         xblock: usize,
-        /// DP columns per rectangle.
+        /// DP columns per block column.
         yblock: usize,
     },
 }
@@ -106,16 +114,18 @@ pub enum Tiling {
 /// Tile geometry a plan resolved (for tiled plans).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileGeometry {
-    /// Chunks per sweep (grid tilings), or rectangles per wavefront sweep
-    /// (LCS).
+    /// Chunks per sweep (grid tilings), or the tasks of the wave that
+    /// runs (LCS: bands × block columns, or rectangles of the scalar
+    /// rows).
     pub tiles: usize,
     /// Anchors per chunk along the outer dimension — the `block` asked
-    /// for, widened to `max(VL·s, 2)` when narrower (`xblock` — DP rows
-    /// per rectangle — for LCS).
+    /// for, widened to `max(VL·s, 2)` when narrower (LCS: the DP rows of
+    /// one task — the band's `VL`, or the clamped `xblock` of the scalar
+    /// rows).
     pub block: usize,
     /// The `height` the tiling was given, echoed; the grid tilings'
-    /// schedule does not depend on it (`yblock` — DP columns per
-    /// rectangle — for LCS).
+    /// schedule does not depend on it (LCS: the DP columns of one task,
+    /// the clamped `yblock`).
     pub height: usize,
 }
 
@@ -124,7 +134,8 @@ pub struct TileGeometry {
 #[derive(Clone, Debug)]
 pub struct Report {
     /// The steady state that executed, for dispatched (temporal) methods:
-    /// `Some(Engine::Avx512)` (the 1-D and `f64` 2-D kinds at eight lanes),
+    /// `Some(Engine::Avx512)` (the 1-D and `f64` 2-D kinds at eight lanes,
+    /// LCS at sixteen),
     /// `Some(Engine::Avx2)` or `Some(Engine::Portable)`; `None` for
     /// non-dispatched methods (scalar, multi-load, baselines).
     pub engine: Option<Engine>,
@@ -198,7 +209,8 @@ impl PlanBuilder {
     /// resolved engine ([`KernelSpace::default_stride`]): the paper's 2 in
     /// 2-D/3-D, and in 1-D the start of the measured plateau of the
     /// register-ring steady states (`repro ablate-stride`) — for Heat-1D
-    /// 10 at four lanes and 13 at eight, 7 for GS-1D; 2 for LCS.
+    /// 10 at four lanes and 13 at eight, 7 for GS-1D; 2 for LCS at either
+    /// width.
     /// [`Plan::stride`] reports what a built plan runs.
     pub fn stride(mut self, stride: usize) -> PlanBuilder {
         self.stride = Some(stride);
@@ -528,29 +540,35 @@ impl PlanBuilder {
         Ok((Box::new(Tiled(w)), engine, geometry, s))
     }
 
-    /// The one LCS builder: the rectangle wavefront, over one rectangle
-    /// when untiled, at the stride given or 2 (the peak of `repro
-    /// ablate-stride`'s LCS rows). The AVX2 steady state needs a full
-    /// 8-level `A` tile and row segments hosting the vector schedule; a
-    /// degenerate shape runs the portable code in every engine — integer,
-    /// so no slower for it, unlike the grid kernels' `mul_add` — and
-    /// reports portable.
+    /// The one LCS builder: the band wave, over one block column when
+    /// untiled, at the stride given or 2 (the peak of `repro
+    /// ablate-stride`'s LCS rows at both widths). The band sweeps need a
+    /// full `VL`-row band and block columns hosting the sweep
+    /// (`tempora_core::lcs_avx2::resolve`); a degenerate shape runs the
+    /// portable scalar rows in every engine — integer, so no slower for
+    /// it, unlike the grid kernels' `mul_add` — and reports portable.
     fn plan_lcs(&self, la: usize, lb: usize) -> Result<Built, PlanError> {
         let s = self.stride.unwrap_or(2);
         let (xblock, yblock) = match self.tiling {
-            // An empty sequence still builds (and has LCS length 0).
-            Tiling::None => (la.max(1), lb.max(1)),
+            Tiling::None => (la, lb),
             Tiling::LcsRect { xblock, yblock } => (xblock, yblock),
             Tiling::Ghost { .. } | Tiling::Skew { .. } => {
                 unreachable!("validated: grid tilings are not LCS tilings")
             }
         };
-        let temporal = self.method == Method::Temporal;
-        let w = LcsRect::new(la, lb, xblock, yblock, s, temporal, self.select);
-        let geometry = (self.tiling != Tiling::None).then(|| TileGeometry {
-            tiles: la.div_ceil(xblock) * lb.div_ceil(yblock),
-            block: xblock,
-            height: yblock,
+        // An empty sequence still builds (and has LCS length 0): the
+        // workspace clamps the extents to `max(len, 1)`.
+        let (xblock, yblock) = (xblock.max(1), yblock.max(1));
+        let engine = (self.method == Method::Temporal)
+            .then(|| lcs_avx2::resolve(self.select, la, lb, yblock, s));
+        let w = LcsRect::new(la, lb, xblock, yblock, s, engine);
+        let geometry = (self.tiling != Tiling::None).then(|| {
+            let (tiles, block, height) = w.wave();
+            TileGeometry {
+                tiles,
+                block,
+                height,
+            }
         });
         let engine = w.engine();
         Ok((Box::new(RectLcs(w)), engine, geometry, s))

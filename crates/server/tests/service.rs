@@ -222,6 +222,38 @@ fn huge_stride_submit_is_answered_and_connection_survives() {
     server.shutdown(std::time::Duration::from_secs(5));
 }
 
+/// A small frame naming an oversized LCS block is answered: `xblock =
+/// 2³²` once made the build allocate 16 GiB of column buffers and abort
+/// the server, and `xblock = usize::MAX` poisoned the plan on its first
+/// run. The build clamps both extents to the sequence lengths, so both
+/// run and match an in-process plan's answer; the same connection then
+/// serves a normal request.
+#[test]
+fn oversized_lcs_block_is_answered_and_connection_survives() {
+    let (server, addr) = start_tcp(CacheConfig::default());
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    for xblock in [1 << 32, usize::MAX] {
+        let mut lcs = JobSpec::new(Problem::lcs(100, 100));
+        lcs.config.tiling = Tiling::LcsRect { xblock, yblock: 50 };
+        let mut state = fresh_state(&lcs.problem, 9);
+        let mut plan = lcs
+            .config
+            .plan_builder()
+            .build(&lcs.problem)
+            .expect("build");
+        assert!(plan.run(&mut state).expect("run").lcs_length.is_some());
+        let run = client
+            .run_steps(&lcs, 9)
+            .expect("oversized-block run is answered");
+        assert_eq!(run.digest, state_digest(&state), "xblock={xblock}");
+    }
+    let run = client
+        .run_steps(&heat_spec(), 3)
+        .expect("normal request after it");
+    assert_eq!(run.steps, 16);
+    server.shutdown(std::time::Duration::from_secs(5));
+}
+
 #[test]
 fn uds_roundtrip() {
     let path = std::env::temp_dir().join(format!("tempora-serve-test-{}.sock", std::process::id()));

@@ -11,8 +11,9 @@
 //! instruction mix the paper reasons about, and no crate above this one
 //! names an intrinsic or writes `unsafe` to reach one. `Zmm` is `Ymm`'s
 //! rotate-and-blend rule one register wider (`vpermpd zmm` plus a
-//! `k`-mask `vblendmpd`) — the paper's "irrelevant to the vector length"
-//! made an instantiation.
+//! `k`-mask `vblendmpd` at eight `f64` lanes, one `valignd` at sixteen
+//! `i32` lanes) — the paper's "irrelevant to the vector length" made an
+//! instantiation.
 //!
 //! The tests at the bottom hold both tokens lane for lane equal to
 //! [`crate::Packs`] (they run on any x86-64 host with AVX2+FMA — the `Zmm`
@@ -82,12 +83,14 @@ impl Ymm {
     }
 }
 
-/// The AVX-512 register form of the `f64` lane vocabulary
-/// ([`crate::Lanes`], [`crate::F64Lanes`] at eight lanes): `zmm`
-/// registers, every method the one instruction the paper's §3.3 analysis
-/// names for it at that width — `vpermpd zmm` plus a `k`-mask `vblendmpd`
-/// for the rotate-and-blend rule, `vfmadd`/`vmulpd` for the arithmetic
-/// (`top` is the `vextractf64x4` of the upper half and its top lane).
+/// The AVX-512 register form of the lane vocabulary ([`crate::Lanes`],
+/// [`crate::F64Lanes`] at eight lanes, [`crate::I32Lanes`] at sixteen):
+/// `zmm` registers, every method the one instruction the paper's §3.3
+/// analysis names for it at that width — `vpermpd zmm` plus a `k`-mask
+/// `vblendmpd` for the `f64` rotate-and-blend rule, one `valignd` for the
+/// `i32` one, `vfmadd`/`vmulpd` for the arithmetic, `vpcmpeqd` into a
+/// `k` mask and a masked move for [`I32Lanes::select_eq`] (`top` is an
+/// extract of the upper quarter and its top lane).
 ///
 /// A value is a proof that AVX-512F, AVX2 and FMA are available on the
 /// running CPU: only [`Zmm::detect`] makes one. That is the `SAFETY`
@@ -193,10 +196,10 @@ impl I32Lanes<8> for Ymm {
         add(a: __m256i, b: __m256i) -> __m256i = _mm256_add_epi32(a, b);
         mullo(a: __m256i, b: __m256i) -> __m256i = _mm256_mullo_epi32(a, b);
         max(a: __m256i, b: __m256i) -> __m256i = _mm256_max_epi32(a, b);
-        cmpeq(a: __m256i, b: __m256i) -> __m256i = _mm256_cmpeq_epi32(a, b);
-        // `vpblendvb`: every byte of a mask lane agrees, so the byte blend
-        // is the lane blend.
-        blendv(b: __m256i, a: __m256i, mask: __m256i) -> __m256i = _mm256_blendv_epi8(b, a, mask);
+        // `vpcmpeqd`, then `vpblendvb`: every byte of a mask lane agrees,
+        // so the byte blend is the lane blend.
+        select_eq(a: __m256i, b: __m256i, then: __m256i, otherwise: __m256i) -> __m256i =
+            _mm256_blendv_epi8(otherwise, then, _mm256_cmpeq_epi32(a, b));
         // `vpsravd` saturates its counts; the vocabulary wraps them.
         srav(v: __m256i, counts: __m256i) -> __m256i =
             _mm256_srav_epi32(v, _mm256_and_si256(counts, _mm256_set1_epi32(31)));
@@ -229,6 +232,13 @@ impl I32Lanes<8> for Ymm {
                 lane(7),
             )
         }
+    }
+
+    #[inline(always)]
+    fn load_i32(self, src: &[i32], at: usize) -> __m256i {
+        let src = &src[at..at + 8];
+        // SAFETY: see `Ymm`; `src` is the eight lanes, checked above.
+        unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
     }
 }
 
@@ -263,6 +273,67 @@ impl F64Lanes<8> for Zmm {
     lane_ops! {
         mul(a: __m512d, b: __m512d) -> __m512d = _mm512_mul_pd(a, b);
         fmadd(a: __m512d, b: __m512d, c: __m512d) -> __m512d = _mm512_fmadd_pd(a, b, c);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes<i32, 16> for Zmm {
+    type V = __m512i;
+
+    lane_ops! {
+        load(p: Pack<i32, 16>) -> __m512i = _mm512_loadu_si512(p.0.as_ptr().cast());
+        store(v: __m512i) -> Pack<i32, 16> = {
+            let mut out = Pack([0; 16]);
+            _mm512_storeu_si512(out.0.as_mut_ptr().cast(), v);
+            out
+        };
+        splat(v: i32) -> __m512i = _mm512_set1_epi32(v);
+        top(v: __m512i) -> i32 = _mm_extract_epi32::<3>(_mm512_extracti32x4_epi32::<3>(v));
+        // One `valignd`: lane j of (v : bottom splat) shifted up by one is
+        // lane j - 1 of `v`, lane 0 the top lane of the splat.
+        shift_up_insert(v: __m512i, bottom: i32) -> __m512i =
+            _mm512_alignr_epi32::<15>(v, _mm512_set1_epi32(bottom));
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl I32Lanes<16> for Zmm {
+    lane_ops! {
+        add(a: __m512i, b: __m512i) -> __m512i = _mm512_add_epi32(a, b);
+        mullo(a: __m512i, b: __m512i) -> __m512i = _mm512_mullo_epi32(a, b);
+        max(a: __m512i, b: __m512i) -> __m512i = _mm512_max_epi32(a, b);
+        // `vpcmpeqd` into a `k` mask, then a masked move (LLVM folds it
+        // into the instruction that produced `then`).
+        select_eq(a: __m512i, b: __m512i, then: __m512i, otherwise: __m512i) -> __m512i =
+            _mm512_mask_blend_epi32(_mm512_cmpeq_epi32_mask(a, b), otherwise, then);
+        // `vpsravd` saturates its counts; the vocabulary wraps them.
+        srav(v: __m512i, counts: __m512i) -> __m512i =
+            _mm512_srav_epi32(v, _mm512_and_si512(counts, _mm512_set1_epi32(31)));
+        and(a: __m512i, b: __m512i) -> __m512i = _mm512_and_si512(a, b);
+    }
+
+    #[inline(always)]
+    fn load_u8(self, src: &[u8], base: usize, stride: isize) -> __m512i {
+        let last = base as isize + 15 * stride;
+        assert!(
+            base < src.len() && 0 <= last && (last as usize) < src.len(),
+            "strided load from {base} by {stride} leaves its {} bytes",
+            src.len()
+        );
+        let lanes: [i32; 16] = core::array::from_fn(|k| {
+            // SAFETY: the sixteen indices lie between the first and the
+            // last, both checked above.
+            unsafe { *src.get_unchecked((base as isize + k as isize * stride) as usize) as i32 }
+        });
+        // SAFETY: see `Zmm`; `lanes` is sixteen `i32`.
+        unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn load_i32(self, src: &[i32], at: usize) -> __m512i {
+        let src = &src[at..at + 16];
+        // SAFETY: see `Zmm`; `src` is the sixteen lanes, checked above.
+        unsafe { _mm512_loadu_si512(src.as_ptr().cast()) }
     }
 }
 
@@ -610,19 +681,22 @@ mod tests {
         let take = I32x8::from_fn(|i| 100 + i as i32);
         let other = I32x8::from_fn(|i| -(i as i32));
         let gold = I32x8::from_fn(|i| if a[i] == b[i] { take[i] } else { other[i] });
-        // Through the vocabulary: the mask is all ones or all zeros per
-        // lane, and a mixed mask takes each lane from its own side.
+        // Through the vocabulary's one compare-and-blend: a mixed mask
+        // takes each lane from its own side, whatever the operands' bits.
         fn rows<L: I32Lanes<8>>(isa: L, ops: [I32x8; 4]) -> [I32x8; 2] {
             let [a, b, take, other] = ops.map(|v| isa.load(v));
-            let mask = isa.cmpeq(a, b);
-            [mask, isa.blendv(other, take, mask)].map(|v| isa.store(v))
+            [
+                isa.select_eq(a, b, take, other),
+                isa.select_eq(take, take, other, take),
+            ]
+            .map(|v| isa.store(v))
         }
         let ops = [a, b, take, other];
         assert_eq!(rows(ymm(), ops), rows(Packs, ops));
-        let [mask, blend] = rows(Packs, ops);
-        assert_eq!(mask, I32x8::from_fn(|i| if a[i] == b[i] { -1 } else { 0 }));
-        assert!(mask.0.contains(&0) && mask.0.contains(&-1));
+        let [blend, all] = rows(Packs, ops);
+        assert!((0..8).any(|i| a[i] == b[i]) && (0..8).any(|i| a[i] != b[i]));
         assert_eq!(blend, gold);
+        assert_eq!(all, other);
     }
 
     #[test]
@@ -697,6 +771,143 @@ mod tests {
             assert!(past.is_err(), "{base} {stride}");
             let past = std::panic::catch_unwind(|| row(Packs, &bytes, base, stride));
             assert!(past.is_err(), "{base} {stride}");
+        }
+        // The contiguous load: every window, and none past the end.
+        let words: Vec<i32> = (0..20).map(|i| i * 7 - 60).collect();
+        fn load<L: I32Lanes<8>>(isa: L, words: &[i32], at: usize) -> I32x8 {
+            isa.store(isa.load_i32(words, at))
+        }
+        for at in 0..=12 {
+            let gold = I32x8::from_fn(|i| words[at + i]);
+            assert_eq!(load(Packs, &words, at), gold, "{at}");
+            assert_eq!(load(ymm(), &words, at), gold, "{at}");
+        }
+        for at in [13, 20, usize::MAX - 3] {
+            assert!(std::panic::catch_unwind(|| load(ymm(), &words, at)).is_err());
+            assert!(std::panic::catch_unwind(|| load(Packs, &words, at)).is_err());
+        }
+    }
+
+    /// Sixteen odd `i32` lanes: both ends of the range, zero, ±1.
+    fn odd16() -> Pack<i32, 16> {
+        Pack([
+            i32::MAX,
+            i32::MIN,
+            -1,
+            0,
+            1,
+            1 << 30,
+            65536,
+            -65536,
+            7,
+            -13,
+            0x5a5a,
+            i32::MIN + 1,
+            i32::MAX - 1,
+            3,
+            -3,
+            42,
+        ])
+    }
+
+    #[test]
+    fn zmm_i32_lanes_match_packs() {
+        let Some(zmm) = zmm() else {
+            return;
+        };
+        type P = Pack<i32, 16>;
+        // load/store/splat/top, the production rule (at odd bottoms and on
+        // a one-hot vector per lane), and the arithmetic, wrapping at both
+        // ends: every row through the vocabulary, `Zmm` ≡ `Packs`.
+        fn rows<L: I32Lanes<16>>(isa: L) -> Vec<P> {
+            let odd = odd16();
+            let rev = P::from_fn(|i| odd.0[15 - i]);
+            let [x, y] = [odd, rev].map(|v| isa.load(v));
+            let mut out = vec![isa.store(x)];
+            out.extend(odd.0.map(|k| isa.store(isa.splat(k))));
+            out.push(P::from_fn(|i| {
+                let mut v = P::splat(0);
+                v.0[15] = odd.0[i];
+                isa.top(isa.load(v))
+            }));
+            out.extend([i32::MIN, -1, 99].map(|b| isa.store(isa.shift_up_insert(x, b))));
+            for lane in 0..16 {
+                let hot = P::from_fn(|i| if i == lane { 1 + i as i32 } else { 0 });
+                out.push(isa.store(isa.shift_up_insert(isa.load(hot), -7)));
+            }
+            out.extend([isa.add(x, y), isa.mullo(x, y), isa.max(x, y)].map(|v| isa.store(v)));
+            // A mixed mask: lanes 3, 6 and 12 of (x, x-ish) agree.
+            let z = isa.load(P::from_fn(|i| match i {
+                3 | 6 | 12 => odd.0[i],
+                _ => odd.0[i] ^ 1,
+            }));
+            out.push(isa.store(isa.select_eq(x, z, y, x)));
+            // `srav` counts of 32 and more, and negative ones, wrap.
+            let counts = isa.load(P::from_fn(|i| [31, 32, 1000, -1, i32::MIN, 2, 0, 5][i % 8]));
+            out.extend([isa.srav(x, counts), isa.and(x, counts)].map(|v| isa.store(v)));
+            out
+        }
+        let gold = rows(Packs);
+        assert_eq!(rows(zmm), gold);
+        let (odd, rev) = (odd16(), P::from_fn(|i| odd16().0[15 - i]));
+        assert_eq!(gold[0], odd);
+        assert_eq!(gold[17], odd);
+        assert_eq!(gold[18], odd.shift_up_insert(i32::MIN));
+        for lane in 0..15 {
+            assert_eq!(gold[21 + lane].0[lane + 1], 1 + lane as i32, "lane {lane}");
+            assert_eq!(gold[21 + lane].0[0], -7);
+        }
+        assert_eq!(gold[21 + 15], P::from_fn(|i| if i == 0 { -7 } else { 0 }));
+        assert_eq!(gold[37], odd + rev);
+        assert_eq!(gold[37].0[..2], [i32::MIN + 41, i32::MAX - 2]);
+        let select = gold[40];
+        for i in 0..16 {
+            let want = if [3, 6, 12].contains(&i) {
+                rev.0[i]
+            } else {
+                odd.0[i]
+            };
+            assert_eq!(select.0[i], want, "lane {i}");
+        }
+        assert_eq!(gold[41].0[..4], [0, i32::MIN, -1, 0]);
+    }
+
+    #[test]
+    fn zmm_i32_loads_match_packs() {
+        let Some(zmm) = zmm() else {
+            return;
+        };
+        type P = Pack<i32, 16>;
+        let bytes: Vec<u8> = (0..200).map(|i| (i * 7 % 251) as u8).collect();
+        fn row<L: I32Lanes<16>>(isa: L, bytes: &[u8], base: usize, stride: isize) -> P {
+            isa.store(isa.load_u8(bytes, base, stride))
+        }
+        // The strided load from the first byte, to the last, down to the
+        // first — and never past either end.
+        for (base, stride) in [(0usize, 13isize), (195, -13), (15, -1), (184, 1), (30, -2)] {
+            let gold = P::from_fn(|i| bytes[(base as isize + i as isize * stride) as usize] as i32);
+            assert_eq!(row(Packs, &bytes, base, stride), gold, "{base} {stride}");
+            assert_eq!(row(zmm, &bytes, base, stride), gold, "{base} {stride}");
+        }
+        for (base, stride) in [(185usize, 1isize), (14, -1), (200, 0), (0, 14)] {
+            let past = std::panic::catch_unwind(|| row(zmm, &bytes, base, stride));
+            assert!(past.is_err(), "{base} {stride}");
+            let past = std::panic::catch_unwind(|| row(Packs, &bytes, base, stride));
+            assert!(past.is_err(), "{base} {stride}");
+        }
+        // The contiguous load: every window, and none past the end.
+        let words: Vec<i32> = (0..40).map(|i| i * 7 - 60).collect();
+        fn load<L: I32Lanes<16>>(isa: L, words: &[i32], at: usize) -> P {
+            isa.store(isa.load_i32(words, at))
+        }
+        for at in 0..=24 {
+            let gold = P::from_fn(|i| words[at + i]);
+            assert_eq!(load(Packs, &words, at), gold, "{at}");
+            assert_eq!(load(zmm, &words, at), gold, "{at}");
+        }
+        for at in [25, 40, usize::MAX - 7] {
+            assert!(std::panic::catch_unwind(|| load(zmm, &words, at)).is_err());
+            assert!(std::panic::catch_unwind(|| load(Packs, &words, at)).is_err());
         }
     }
 

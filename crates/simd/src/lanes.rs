@@ -15,12 +15,13 @@
 //!   instructions the paper's §3.3 cost analysis names, one intrinsic per
 //!   method;
 //! * [`crate::arch::Zmm`] — `zmm` registers at eight `f64` lanes
-//!   (`Lanes<f64, 8>` and `F64Lanes<8>` only): the same rule one register
-//!   wider, `vpermpd zmm` plus a `k`-mask `vblendmpd`.
+//!   (`Lanes<f64, 8>`, `F64Lanes<8>`) and sixteen `i32` lanes
+//!   (`Lanes<i32, 16>`, `I32Lanes<16>`): the same rule one register wider,
+//!   `vpermpd zmm` plus a `k`-mask `vblendmpd`, or one `valignd`.
 //!
 //! A wider register file is one more implementor, not one more copy of
-//! every steady state: `Zmm` is exactly that, and the 1-D ring and the
-//! 2-D slab rows run on it unchanged.
+//! every steady state: `Zmm` is exactly that, and the 1-D ring, the 2-D
+//! slab rows and the LCS band sweep run on it unchanged.
 //!
 //! Every method of every implementor is `#[inline(always)]` and written
 //! over explicit intrinsics or the packs' explicit lane loops: a steady
@@ -68,10 +69,10 @@ pub trait I32Lanes<const VL: usize>: Lanes<i32, VL> {
     fn mullo(self, a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise signed maximum.
     fn max(self, a: Self::V, b: Self::V) -> Self::V;
-    /// The mask of `a == b`.
-    fn cmpeq(self, a: Self::V, b: Self::V) -> Self::V;
-    /// Lane-wise `a` where `mask` is set, `b` elsewhere.
-    fn blendv(self, b: Self::V, a: Self::V, mask: Self::V) -> Self::V;
+    /// Lane-wise `then` where `a == b`, `otherwise` elsewhere: the
+    /// paper's "blend instruction with a mask vector of equalities" (LCS,
+    /// §3.4), one compare and one blend.
+    fn select_eq(self, a: Self::V, b: Self::V, then: Self::V, otherwise: Self::V) -> Self::V;
     /// Lane-wise arithmetic `v >> counts`, the counts taken modulo 32.
     fn srav(self, v: Self::V, counts: Self::V) -> Self::V;
     /// Lane-wise bitwise `a & b`.
@@ -83,6 +84,12 @@ pub trait I32Lanes<const VL: usize>: Lanes<i32, VL> {
     /// # Panics
     /// Panics if a lane's index is out of bounds.
     fn load_u8(self, src: &[u8], base: usize, stride: isize) -> Self::V;
+    /// Contiguous load: lane `i` is `src[at + i]` (LCS reads its `B`
+    /// characters from a lane layout with it, see `tempora_core::lcs`).
+    ///
+    /// # Panics
+    /// Panics if `at + VL` exceeds `src.len()`.
+    fn load_i32(self, src: &[i32], at: usize) -> Self::V;
 }
 
 /// The portable register form: the pack itself, LLVM's choice of
@@ -148,13 +155,20 @@ impl<const VL: usize> I32Lanes<VL> for Packs {
     }
 
     #[inline(always)]
-    fn cmpeq(self, a: Pack<i32, VL>, b: Pack<i32, VL>) -> Pack<i32, VL> {
-        Pack::from_fn(|i| -((a.0[i] == b.0[i]) as i32))
-    }
-
-    #[inline(always)]
-    fn blendv(self, b: Pack<i32, VL>, a: Pack<i32, VL>, mask: Pack<i32, VL>) -> Pack<i32, VL> {
-        Pack::from_fn(|i| (a.0[i] & mask.0[i]) | (b.0[i] & !mask.0[i]))
+    fn select_eq(
+        self,
+        a: Pack<i32, VL>,
+        b: Pack<i32, VL>,
+        then: Pack<i32, VL>,
+        otherwise: Pack<i32, VL>,
+    ) -> Pack<i32, VL> {
+        Pack::from_fn(|i| {
+            if a.0[i] == b.0[i] {
+                then.0[i]
+            } else {
+                otherwise.0[i]
+            }
+        })
     }
 
     #[inline(always)]
@@ -170,5 +184,11 @@ impl<const VL: usize> I32Lanes<VL> for Packs {
     #[inline(always)]
     fn load_u8(self, src: &[u8], base: usize, stride: isize) -> Pack<i32, VL> {
         Pack::from_fn(|i| src[(base as isize + i as isize * stride) as usize] as i32)
+    }
+
+    #[inline(always)]
+    fn load_i32(self, src: &[i32], at: usize) -> Pack<i32, VL> {
+        let src = &src[at..at + VL];
+        Pack::from_fn(|i| src[i])
     }
 }

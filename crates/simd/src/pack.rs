@@ -449,17 +449,18 @@ mod tests {
 
     #[test]
     fn select_and_masks() {
-        // The vocabulary's select: `cmpeq` makes a mask of whole lanes,
-        // `blendv` takes each lane from its own side.
+        // The vocabulary's select: lanes where the compared operands agree
+        // take `then`, every other lane `otherwise`.
         let a = I32x8::from_fn(|i| i as i32);
         let b = I32x8::splat(-1);
-        let m = Packs.cmpeq(a.max(I32x8::splat(3)), I32x8::splat(3));
+        let three = I32x8::splat(3);
+        let m = Packs.select_eq(a.max(three), three, I32x8::splat(-1), I32x8::splat(0));
         assert_eq!(m.0, [-1, -1, -1, -1, 0, 0, 0, 0]);
-        assert_eq!(Packs.blendv(b, a, m).0, [0, 1, 2, 3, -1, -1, -1, -1]);
         assert_eq!(
-            Packs.and(m, Packs.cmpeq(m, I32x8::splat(0))),
-            I32x8::splat(0)
+            Packs.select_eq(a.max(three), three, a, b).0,
+            [0, 1, 2, 3, -1, -1, -1, -1]
         );
+        assert_eq!(Packs.select_eq(a, b, a, b), b);
     }
 
     #[test]
@@ -470,8 +471,7 @@ mod tests {
         let up = I32x8::from_fn(|i| 7 - i as i32);
         let a = I32x8::from_fn(|i| (i % 2) as i32);
         let b = I32x8::splat(1);
-        let eq = Packs.cmpeq(a, b);
-        let r = Packs.blendv(left.max(up), diag + I32x8::splat(1), eq);
+        let r = Packs.select_eq(a, b, diag + I32x8::splat(1), left.max(up));
         for i in 0..8 {
             let expect = if i % 2 == 1 {
                 6

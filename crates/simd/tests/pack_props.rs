@@ -98,7 +98,7 @@ proptest! {
         bits in proptest::array::uniform8(any::<bool>()),
     ) {
         let m = Pack(bits.map(|b| -(b as i32)));
-        let r = Packs.blendv(Pack(b), Pack(a), m);
+        let r = Packs.select_eq(m, Pack([-1; N8]), Pack(a), Pack(b));
         for i in 0..N8 {
             prop_assert_eq!(r[i], if bits[i] { a[i] } else { b[i] });
         }
@@ -115,7 +115,7 @@ proptest! {
             prop_assert_eq!(hi[i], a[i].max(b[i]));
         }
         prop_assert_eq!(hi, pa.max(pb));
-        prop_assert_eq!(hi, Packs.blendv(pb, pa, Packs.cmpeq(hi, pa)));
+        prop_assert_eq!(hi, Packs.select_eq(hi, pa, pa, pb));
     }
 
     #[test]

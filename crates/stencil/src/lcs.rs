@@ -8,8 +8,10 @@
 //! observation). Sequence `A` acts as a per-time-level constant and `B` as
 //! a variable per-space coefficient.
 //!
-//! Values are `i32` and the vector kernels use 8 lanes, matching the
-//! paper's "theoretical maximal speedup of 8" for integer SIMD.
+//! Values are `i32`. The vector kernels use 8 lanes — the paper's
+//! "theoretical maximal speedup of 8" for integer SIMD — or 16 where the
+//! CPU has AVX-512F (`tempora_core::lcs`); the update is one formula at
+//! either width.
 
 use crate::deps::{Dep, DepSet};
 use tempora_simd::I32Lanes;
@@ -48,11 +50,7 @@ pub fn lcs_update_pack<const N: usize, L: I32Lanes<N>>(
     a: L::V,
     b: L::V,
 ) -> L::V {
-    isa.blendv(
-        isa.max(up, left),
-        isa.add(diag, isa.splat(1)),
-        isa.cmpeq(a, b),
-    )
+    isa.select_eq(a, b, isa.add(diag, isa.splat(1)), isa.max(up, left))
 }
 
 #[cfg(test)]

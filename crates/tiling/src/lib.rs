@@ -10,8 +10,10 @@
 //!   wavefront lets the next sweep follow through the same array as soon
 //!   as the slabs it reads are final — no tile buffers, no copies, with
 //!   scalar / multi-load ("auto") / temporal sweeps.
-//! * [`lcs_rect`] — rectangle tiling with pipelined wavefronts for LCS,
-//!   the paper's `lcsA`/`lcsB` wavefront-array scheme.
+//! * [`lcs_rect`] — tiling with pipelined wavefronts for LCS: one band
+//!   sweep per `VL` rows, resumed across the block columns as [`Sweeps`]
+//!   resumes the grid kinds' sweeps, and the paper's `lcsA`/`lcsB`
+//!   wavefront-array rectangles for scalar rows.
 //!
 //! Each scheme is exposed as one **reusable workspace** — [`Sweeps`],
 //! generic over the kernel through `tempora_core::engine::KernelSpace` so
@@ -20,15 +22,14 @@
 //! repeated `advance` / `run` calls are then allocation-free. These
 //! workspaces are the whole execution layer behind `tempora_plan::Plan`:
 //! an untiled plan is their smallest schedule — one chunk per sweep, one
-//! rectangle — on a one-thread pool.
+//! block column — on a one-thread pool.
 //!
-//! [`Sweeps::new`] takes the `tempora_core::engine::Engine` its caller
-//! resolved once (`KernelSpace::resolve`, by capability), and
-//! [`LcsRect::new`] resolves a `tempora_core::engine::Select` once
-//! against the LCS engine's shape predicate (degenerate geometries
-//! honestly portable); both report the engine that runs, for per-series
-//! reporting in the bench harness. Each allocates its temporal scratch
-//! only for sweeps or tiles that host the vector schedule.
+//! [`Sweeps::new`] and [`LcsRect::new`] take the
+//! `tempora_core::engine::Engine` their caller resolved once
+//! (`KernelSpace::resolve`, by capability; `lcs_avx2::resolve` for LCS,
+//! degenerate geometries honestly portable); both report the engine that
+//! runs, for per-series reporting in the bench harness. Each allocates its
+//! temporal scratch only for sweeps that host the vector schedule.
 //!
 //! Every parallel path is bit-identical to the one-thread schedule and the
 //! scalar references, for every thread count, engine selection and mode —

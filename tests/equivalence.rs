@@ -1219,6 +1219,44 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         }
     }
 
+    // LCS through the band wave at both widths: 67 rows (`la % 16 ≤
+    // la % 8`, so `auto` widens) over 1100 columns, past the sixteen-lane
+    // crossover. Block columns of 100 host sixteen lanes, of 40 (a ragged
+    // 20) eight only, of 1100 the untiled row; 23 hosts no band at all.
+    let (a, b) = (random_sequence(67, 4, 31), random_sequence(1100, 4, 32));
+    let gold = reference::lcs_len(&a, &b);
+    for &sel in sels {
+        for yblock in [100, 40, 1100, 23] {
+            let problem = Problem::lcs(a.len(), b.len());
+            let mut plan = compile(
+                &problem,
+                PlanBuilder::new()
+                    .stride(2)
+                    .select(sel)
+                    .tiling(Tiling::LcsRect { xblock: 24, yblock })
+                    .threads(threads),
+            );
+            let mut state = problem.state();
+            let l = state.lcs_mut().unwrap();
+            (l.a, l.b) = (a.clone(), b.clone());
+            let report = plan.run(&mut state).expect("state matches plan");
+            assert_eq!(
+                report.lcs_length,
+                Some(gold),
+                "lcs sel={sel:?} yblock={yblock}"
+            );
+            let expect = tempora::core::lcs_avx2::resolve(sel, a.len(), b.len(), yblock, 2);
+            assert_eq!(
+                report.engine,
+                Some(expect),
+                "lcs sel={sel:?} yblock={yblock}"
+            );
+            if sel == Select::Auto && yblock == 100 && tempora::simd::arch::avx512_available() {
+                assert_eq!(expect, Engine::Avx512, "sixteen lanes run here");
+            }
+        }
+    }
+
     // Tiled Gauss-Seidel, 1/2/3-D, with tails; the (n=24, s=7) grid is
     // below VL·s = 28 cells, so every level is a scalar sweep — in the
     // codegen context of the engine the selection resolves, like any run.

@@ -631,6 +631,41 @@ fn huge_strides_run_the_scalar_schedule_or_a_typed_error() {
     }
 }
 
+/// An LCS block extent beyond the table is clamped to the sequence
+/// lengths at build: `xblock = 1 << 32` once asked for 16 GiB of column
+/// buffers and aborted the process, and `xblock = usize::MAX` wrapped the
+/// buffers to nothing and poisoned the plan on its first run. Both build,
+/// and answer the reference at 1, 2 and 4 threads, scalar and temporal.
+#[test]
+fn oversized_lcs_blocks_build_and_answer() {
+    let problem = Problem::lcs(100, 100);
+    let init = fresh_state(&problem, 13);
+    let gold = reference_state(&problem, &init);
+    for (xblock, yblock) in [(1 << 32, 50), (usize::MAX, 50), (50, usize::MAX)] {
+        for method in [Method::Temporal, Method::Scalar] {
+            for threads in [1, 2, 4] {
+                let name = format!("{xblock} x {yblock} {method:?} x{threads}");
+                let mut plan = PlanBuilder::new()
+                    .method(method)
+                    .tiling(Tiling::LcsRect { xblock, yblock })
+                    .threads(threads)
+                    .build(&problem)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let mut state = init.clone();
+                let report = plan
+                    .run(&mut state)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(states_equal(&state, &gold), "{name}");
+                let tiles = report.tiles.expect("tiled plans report geometry");
+                assert!(
+                    tiles.block <= 100 && tiles.height <= 100,
+                    "{name} {tiles:?}"
+                );
+            }
+        }
+    }
+}
+
 /// `Select::Auto` widens to the eight-lane AVX-512 engine only for the
 /// kinds with an eight-lane sweep (Heat-1D, GS-1D and the `f64` 2-D
 /// kinds), only where the outer extent is at least the kind's measured
@@ -640,8 +675,10 @@ fn huge_strides_run_the_scalar_schedule_or_a_typed_error() {
 /// except Heat-2D at twelve steps (four scalar levels at eight lanes, none
 /// at four); an outer extent one short of the crossover and `4s ≤ nx < 8s`
 /// stay `avx2`; `Select::Avx2` is the four-lane engine and
-/// `Select::Portable` the portable one whatever the shape; Life, the 3-D
-/// kinds and LCS resolve `avx2`. Every row ≡ the scalar reference. On a
+/// `Select::Portable` the portable one whatever the shape; LCS widens to
+/// sixteen `i32` lanes by the same rule on its rows, from 1024 columns;
+/// Life and the 3-D kinds resolve `avx2`. Every row ≡ the scalar
+/// reference. On a
 /// host without AVX-512F every `auto` row is `avx2` (without AVX2:
 /// portable).
 #[test]
@@ -728,13 +765,34 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
             Engine::Avx2,
         ));
     }
+    // LCS widens to sixteen lanes by the same rows rule, from 1024
+    // columns: the ledger's untiled 1024² and tiled 8192² / 1024², not
+    // 512 columns, not `la % 16 > la % 8`, and `Select::Avx2` never.
+    let rect = |xblock, yblock| auto.tiling(Tiling::LcsRect { xblock, yblock }).threads(2);
+    rows.extend([
+        (Problem::lcs(1024, 1024), auto, wide),
+        (Problem::lcs(8192, 8192), rect(1024, 1024), wide),
+        (Problem::lcs(1024, 512), auto, narrow),
+        (Problem::lcs(1032, 1024), auto, narrow),
+        (
+            Problem::lcs(1024, 1024),
+            auto.select(Select::Portable),
+            Engine::Portable,
+        ),
+    ]);
+    if avx2 {
+        rows.push((
+            Problem::lcs(1024, 1024),
+            auto.select(Select::Avx2),
+            Engine::Avx2,
+        ));
+    }
     // The kinds without an eight-lane sweep, at their ledger shapes.
     for problem in [
         Problem::heat3d(40, 40, 40, 4, Heat3dCoeffs::classic(0.1)),
         Problem::heat3d(80, 80, 80, 8, Heat3dCoeffs::classic(0.1)),
         Problem::life(256, 256, 16, LifeRule::b2s23()),
         Problem::gs3d(40, 40, 40, 4, Gs3dCoeffs::classic(0.1)),
-        Problem::lcs(1024, 1024),
     ] {
         rows.push((problem, auto, narrow));
     }

@@ -60,9 +60,10 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 /// test notices.
 ///
 /// * `tempora_core`: the boundary phases and scalar steps, the steady
-///   states (`steady_ring`, `ring_sweep` and its step `ring_step`;
-///   `steady`, `ring_regs`,
-///   `tile_seg_in`; `steady_row`), which carry no `#[target_feature]` of
+///   states (`steady_ring`, `ring_sweep` and its step `ring_step`; the
+///   LCS band sweep `sweep_in`, its `steady`, `ring_regs` and the `B`
+///   layout's index `at`, which the sixteen-lane sandwich instantiates
+///   as well; `steady_row`), which carry no `#[target_feature]` of
 ///   their own and reach their instructions only by being inlined into a
 ///   sandwich, everything on the slab row path (`cursor` … `finish`, and
 ///   `units`, the segments' geometry, which the steady state of every
@@ -96,7 +97,8 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "steady_ring",
             "ring_sweep",
             "ring_step",
-            "tile_seg_in",
+            "sweep_in",
+            "at",
             "steady",
             "ring_regs",
             "cursor",
@@ -135,11 +137,11 @@ const VOCABULARY: &[&str] = &[
     "add",
     "mullo",
     "max",
-    "cmpeq",
-    "blendv",
+    "select_eq",
     "srav",
     "and",
     "load_u8",
+    "load_i32",
     "$name",
 ];
 
