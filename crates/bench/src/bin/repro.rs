@@ -11,15 +11,17 @@
 //!          below 0.7× its best stride, or when under `auto` on an AVX2
 //!          host an accepted stride resolves the portable engine),
 //!          ablate-boundary (fails when an AVX2 or AVX-512 tile's boundary
-//!          code is more than 12× slower per update than its steady state),
+//!          code is more than 12× — Gauss-Seidel: 7× — slower per update
+//!          than its steady state),
 //!          ablate-tiling (fails when an AVX2 tiled plan takes more than
 //!          1.25× its untiled time on one thread),
 //!          ablate-digest (fails when `state_digest` runs below 1.5× its
 //!          one-chain definition on the served state),
-//!          ablate-rows (fails when an AVX2 Jacobi slab row, ring in L1,
-//!          takes more cycles per vector than its threshold × its port
-//!          bound, or when a Heat-2D row of 128 … 1024 columns takes more
-//!          than 1.15× its engine's L1 reading),
+//!          ablate-rows (fails when an AVX2 slab row or an eight-lane
+//!          GS-2D one, ring in L1 or at the ledger geometry, takes more
+//!          cycles per vector than its threshold × its port bound, or when
+//!          a Heat-2D row of 128 … 1024 columns takes more than 1.15× its
+//!          engine's L1 reading),
 //!          ablate-vl (fails on an AVX-512 host when the eight-lane default
 //!          of GS-1D / Heat-1D runs below 1.4× / 1.1× the four-lane one,
 //!          when `auto` resolves a ledger problem of a kind with a wider
@@ -302,9 +304,25 @@ enum Output {
 }
 
 /// A boundary point-update may cost at most this many steady-state ones
-/// in an AVX2 tile (measured ≈ 4-6 once the boundary phases are compiled
-/// for AVX2+FMA, ≈ 20 when they call libm `fma`).
-const BOUNDARY_RATIO_LIMIT: f64 = 12.0;
+/// in an AVX2 or AVX-512 tile (measured ≈ 4-6 once the boundary phases are
+/// compiled for AVX2+FMA, ≈ 20 when they call libm `fma`). Gauss-Seidel's
+/// boundary rows run four chains at a time, and their limit is lower: at
+/// `--scale 512` they read 3.7–4.9, and an outlier once 11.4, which is
+/// what the retries are for. With one chain per row they read 4.3–8.8
+/// there (the steady rows were slower too) and up to 13.8 at the ledger's
+/// 256², so this limit does not tell one chain from four at CI's scale:
+/// it catches a boundary phase gone to libm or to bounds checks sooner.
+fn boundary_ratio_limit(row: &tb::BoundaryRow) -> f64 {
+    if row.kind.starts_with("gs") {
+        7.0
+    } else {
+        12.0
+    }
+}
+
+/// Times `ablate-boundary` measures the rows over their limit again,
+/// keeping the lower ratio, before it believes them.
+const BOUNDARY_RETRIES: usize = 5;
 
 /// An AVX2 kind's default stride must reach this share of its best
 /// stride's throughput (measured: the chosen defaults 0.94–1.00, the rolled
@@ -325,19 +343,30 @@ const TILING_OVERHEAD_LIMIT: f64 = 1.25;
 /// sixty runs, so the floor sits well under the quiet-host 3.
 const DIGEST_LANES_FLOOR: f64 = 1.5;
 
-/// An AVX2 Jacobi slab row with its ring in L1 may take at most this many
-/// times its port bound, in cycles per vector. Measured on the 6-wide
-/// host these were chosen on: the cursor rows 1.2–1.4 (Heat-2D), 1.25–1.45
-/// (2D9P), 1.55–1.65 (Life), 1.3–1.6 (Heat-3D, whose 40-vector rows pay
-/// their cutting once per row); the indexed rows they replaced, with
-/// their four to eight bounds checks per vector, 1.8–2.0, 2.0–2.4, 2.3–2.6
-/// and 1.8–2.0.
-fn steady_row_limit(kind: &str) -> f64 {
-    match kind {
-        "heat2d" => 1.65,
-        "heat3d" => 1.85,
-        "box2d" => 1.75,
-        _ => 1.95, // life
+/// A slab row may take at most `[L1, ledger]` times its port bound, in
+/// cycles per vector, with its ring in L1 and at the ledger geometry; a
+/// row given no limit (the portable rows, the eight-lane Jacobi ones) is
+/// not checked. Measured on the 6-wide host these were chosen on, L1
+/// first: the AVX2 cursor rows 1.2–1.4 (Heat-2D), 1.25–1.45 (2D9P),
+/// 1.55–1.65 (Life), 1.3–1.6 (Heat-3D, whose 40-vector rows pay their
+/// cutting once per row); the indexed rows they replaced, with their four
+/// to eight bounds checks per vector, 1.8–2.0, 2.0–2.4, 2.3–2.6 and
+/// 1.8–2.0. At the ledger geometry the Jacobi rows read 1.3–1.65, Heat-3D
+/// 1.95 (its 40³ ring comes from L2). The Gauss-Seidel pairs' bound is
+/// half their one-row chain per vector: at L1 they read 1.22–1.26 (AVX2
+/// GS-2D and GS-3D) and 1.5–1.9 (eight-lane GS-2D), their rows run one at
+/// a time 2.0, 1.6–2.0 and 1.9; at the ledger geometry 1.4–1.65 and 1.73
+/// against 2.1, 1.7–2.3 and 1.96.
+fn steady_row_limit(row: &tb::SteadyRowsRow) -> Option<[f64; 2]> {
+    match (row.engine, row.kind) {
+        ("avx2", "heat2d") => Some([1.65, 2.0]),
+        ("avx2", "heat3d") => Some([1.85, 2.6]),
+        ("avx2", "box2d") => Some([1.75, 2.0]),
+        ("avx2", "life") => Some([1.95, 2.1]),
+        ("avx2", "gs2d") => Some([1.6, 1.9]),
+        ("avx2", "gs3d") => Some([1.45, 2.0]),
+        ("avx512", "gs2d") => Some([1.75, 2.1]),
+        _ => None,
     }
 }
 
@@ -426,23 +455,33 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
             }
         }
         "ablate-boundary" => {
-            let table = tb::ablate_boundary(scale);
+            let mut table = tb::ablate_boundary(scale);
+            for _ in 0..BOUNDARY_RETRIES {
+                if table.avx2_rows_over(boundary_ratio_limit).is_empty() {
+                    break;
+                }
+                table.remeasure(|r| r.over(boundary_ratio_limit(r)));
+            }
             println!("{}", table.to_table());
             if !tempora_simd::arch::avx2_available() {
                 println!("notice: no AVX2+FMA here — portable rows only, ratio check skipped\n");
             }
             let over: Vec<String> = table
-                .avx2_rows_over(BOUNDARY_RATIO_LIMIT)
+                .avx2_rows_over(boundary_ratio_limit)
                 .iter()
-                .map(|r| format!("{} {} {:.1}", r.kind, r.engine, r.ratio()))
+                .map(|r| {
+                    let limit = boundary_ratio_limit(r);
+                    format!("{} {} {:.1} > {limit}", r.kind, r.engine, r.ratio())
+                })
                 .collect();
             Output::Checked {
                 json: table.to_json(),
                 violation: (!over.is_empty()).then(|| {
                     format!(
-                        "boundary/steady ns-per-update ratio over {BOUNDARY_RATIO_LIMIT} in an \
-                         AVX2 or AVX-512 tile ({}): are the boundary phases still inlined into their \
-                         target_feature sandwich?",
+                        "boundary/steady ns-per-update ratio over its limit in an AVX2 or \
+                         AVX-512 tile ({}): are the boundary phases still inlined into their \
+                         target_feature sandwich, and the Gauss-Seidel rows still run four \
+                         chains at a time?",
                         over.join(", ")
                     )
                 }),
@@ -492,27 +531,30 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
         "ablate-rows" => {
             let mut table = tb::ablate_rows();
             for _ in 0..STEADY_ROW_RETRIES {
-                if table.avx2_jacobi_rows_over(steady_row_limit).is_empty()
+                if table.rows_over(steady_row_limit).is_empty()
                     && table.widths_over(WIDTH_LIMIT).is_empty()
                 {
                     break;
                 }
                 std::thread::sleep(std::time::Duration::from_millis(300));
-                table.remeasure(|r| r.over(steady_row_limit(r.kind)), WIDTH_LIMIT);
+                let over = |r: &tb::SteadyRowsRow| steady_row_limit(r).is_some_and(|l| r.over(l));
+                table.remeasure(over, WIDTH_LIMIT);
             }
             println!("{}", table.to_table());
             if !tempora_simd::arch::avx2_available() {
                 println!("notice: no AVX2+FMA here — portable rows only, model check skipped\n");
             }
             let over: Vec<String> = table
-                .avx2_jacobi_rows_over(steady_row_limit)
+                .rows_over(steady_row_limit)
                 .iter()
                 .map(|r| {
+                    let [l1, ledger] = steady_row_limit(r).unwrap_or_default();
                     format!(
-                        "{} {:.2} > {}",
+                        "{} {} L1 {:.2} (limit {l1}), ledger {:.2} (limit {ledger})",
                         r.kind,
+                        r.engine,
                         r.l1_vs_model(),
-                        steady_row_limit(r.kind)
+                        r.ledger_vs_model(),
                     )
                 })
                 .collect();
@@ -524,9 +566,10 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
             let mut violations = vec![];
             if !over.is_empty() {
                 violations.push(format!(
-                    "L1-resident cycles per vector over the kind's limit x its port bound \
-                     in an AVX2 Jacobi row ({}): does its steady loop carry bounds checks or \
-                     stack reloads again (objdump recipe: .claude/skills/verify/SKILL.md)?",
+                    "cycles per vector over the row's limit x its port bound ({}): does its \
+                     steady loop carry bounds checks or stack reloads again, or run its \
+                     Gauss-Seidel rows one at a time (objdump recipe: \
+                     .claude/skills/verify/SKILL.md)?",
                     over.join(", ")
                 ));
             }

@@ -76,7 +76,12 @@
 //! operands and its `finish`. Gauss-Seidel (§3.4) adds the previous and
 //! the current output slab (`O(x-1, ·)`, `O(x, ·)`) for the outer
 //! dimensions' newest operands; the innermost one's is the previous
-//! output vector, in a register.
+//! output vector, in a register. That register is a chain of two or three
+//! dependent FMAs per point, so a Gauss-Seidel row waits on it: its rows
+//! run two at a time in the steady state (`Rows::steady_pair`) and four
+//! at a time in the boundary phases (`Rows::sweep_rows`), each row taking
+//! the newest operand it shares with the row before from that row's
+//! output, in a register, so that the chains overlap.
 //!
 //! # One source, three codegen contexts
 //!
@@ -94,7 +99,8 @@
 //! back; `cargo xtask audit` (rule `phase-inline`) guards them.
 
 use crate::kernels::{Kernel3d, Nbhd, Nbhd3, Pack2d};
-use core::ops::RangeInclusive;
+use core::cell::Cell;
+use core::ops::{Range, RangeInclusive};
 use std::sync::OnceLock;
 use tempora_grid::{AlignedBuf, PackBuf, SlabGrid, SlabLayout, SlabShape, SlabsMut};
 use tempora_simd::count::{self, Op};
@@ -144,6 +150,40 @@ pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize> {
     pub top: &'a mut [T],
     /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes.
     pub bottom: &'a [T],
+}
+
+/// The `N` rows after a [`SweepRow`]'s in sweep order, for
+/// [`Rows::sweep_rows`]: 2-D the rows of slabs `x + 1 ..= x + N`, 3-D rows
+/// `r + 1 ..= r + N` of the same slab.
+pub(crate) struct NextRows<'a, T, const N: usize> {
+    /// Each row's slabs `x-1 ..= x+1` of the level below, from their
+    /// first rows (3-D: the first row's).
+    pub old: [[&'a [T]; 3]; N],
+    /// The rows of the level being written.
+    pub out: [&'a mut [T]; N],
+}
+
+/// Two steady rows of a Gauss-Seidel part in one loop, for
+/// [`Rows::steady_pair`]: `a`, and `b`, the row after it in sweep order,
+/// whose newest operand across the pair is `a`'s output.
+///
+/// * 3-D: rows `r` and `r + 1` of one anchor's piece, point by point.
+///   Both are whole Gauss-Seidel rows, except that `b.newest[1]` — the row
+///   `a` produces — is a stand-in the loop does not read. `shared` is
+///   empty.
+/// * 2-D: anchors `x` and `x + 1`, `b` one column behind `a` (the skew of
+///   the segments). `a` keeps its output row but takes its north operand,
+///   `O(x-1, ·)`, from `shared`: the output row that `b` overwrites with
+///   `O(x+1, ·)` one column behind, from column `c0 − 2` on. `b` has no
+///   output row of its own. At `s = 2` its south row, `W(x+2)`, is the
+///   one `a` produces: `south_from_a` is set and the row is a stand-in.
+///   `a.newest`, and the operands no Gauss-Seidel kernel reads (`W(x-1)`,
+///   the corners), are stand-ins too.
+pub(crate) struct SteadyPair<'a, T: Scalar, const VL: usize> {
+    pub a: SteadyRow<'a, T, VL>,
+    pub b: SteadyRow<'a, T, VL>,
+    pub shared: &'a mut [Pack<T, VL>],
+    pub south_from_a: bool,
 }
 
 /// The interior of one steady row, whatever the kernel and engine: every
@@ -276,12 +316,15 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
     /// `vblend`, whatever the kernel) and, for Gauss-Seidel, keep `o`: in
     /// the output row, and in the register the next point reads. `COUNT`
     /// ticks the produced input vector's reorganization budget in
-    /// [`tempora_simd::count`] (same ticks as `t1d`'s ring).
+    /// [`tempora_simd::count`] (same ticks as `t1d`'s ring). Returns the
+    /// produced input vector, which a 2-D Gauss-Seidel pair at `s = 2`
+    /// hands to its second anchor ([`Rows::steady_pair`]).
     #[inline(always)]
-    pub(crate) fn finish<const COUNT: bool>(&mut self, i: usize, o: L::V) {
+    pub(crate) fn finish<const COUNT: bool>(&mut self, i: usize, o: L::V) -> L::V {
         let isa = self.isa;
         self.top[i] = isa.top(o);
-        self.out[i] = isa.store(isa.shift_up_insert(o, self.bottom[i]));
+        let v = isa.shift_up_insert(o, self.bottom[i]);
+        self.out[i] = isa.store(v);
         if COUNT {
             count::record_output(1);
             count::record(Op::ScalarExtract, 1);
@@ -293,6 +336,7 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
             self.o_row[i] = isa.store(o);
             self.newest = o;
         }
+        v
     }
 }
 
@@ -314,11 +358,89 @@ pub(crate) trait Rows<T: Scalar, const VL: usize>: Copy {
     /// a register.
     fn sweep_row(&self, row: SweepRow<'_, T>);
 
+    /// `1 + N` scalar rows in one loop (Gauss-Seidel only): `a`, and the
+    /// `N` rows after it, each of which takes its newest operand across the
+    /// group — 2-D north, 3-D `y − 1` — from the row before it at the same
+    /// point, in a register. `1 + N` newest-west chains, each as
+    /// `sweep_row` carries it, interleave; the result is bit-identical to
+    /// the rows one after the other.
+    fn sweep_rows<const N: usize>(&self, a: SweepRow<'_, T>, next: NextRows<'_, T, N>);
+
     /// Steady-state row, on a [`RowCursor`] in the rows' register form:
     /// per interior point one vectorized stencil application, then
     /// [`RowCursor::finish`]. `COUNT` ticks [`tempora_simd::count`] like
     /// the 1-D engine does.
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>);
+
+    /// Two steady rows in one loop (Gauss-Seidel only), as
+    /// [`SteadyPair`] lays them out: two output-vector chains interleave,
+    /// the second taking its newest operand across the pair from the
+    /// first in a register. Bit-identical to `a`'s row, then `b`'s.
+    fn steady_pair<const COUNT: bool>(&self, pair: SteadyPair<'_, T, VL>);
+}
+
+/// The west, centre and east views ([`views`]) of the three slabs
+/// `x-1 ..= x+1` of a 2-D row of `n` points.
+#[inline(always)]
+fn views3<P>(old: [&[P]; 3], n: usize) -> [[&[P]; 3]; 3] {
+    [views(old[0], n), views(old[1], n), views(old[2], n)]
+}
+
+/// The old 3×3 neighbourhood of point `i` of [`views3`]. Written out: an
+/// `array::map` here doubled the cost of the 2-D boundary phases.
+#[inline(always)]
+fn at3<P: Copy>(v: &[[&[P]; 3]; 3], i: usize) -> [[P; 3]; 3] {
+    [
+        [v[0][0][i], v[0][1][i], v[0][2][i]],
+        [v[1][0][i], v[1][1][i], v[1][2][i]],
+        [v[2][0][i], v[2][1][i], v[2][2][i]],
+    ]
+}
+
+/// [`Rows2`]'s 2-D anchor pair ([`SteadyPair`]): `a` at column `c` and
+/// `b` at `c − 1` in one iteration, `b` first — it reads `a`'s newest
+/// output, `O(x, c − 1)`, and (`SOUTH`, `s = 2`) the input vector `a`
+/// produced there, `W(x+2, c − 1)`, both still in registers — then `a`,
+/// whose north operand `O(x-1, c)` `b` overwrites one iteration later.
+#[inline(always)]
+fn anchor_pair<T, const VL: usize, L, K, const SOUTH: bool, const COUNT: bool>(
+    kern: K,
+    isa: L,
+    pair: SteadyPair<'_, T, VL>,
+) where
+    T: Scalar,
+    L: Lanes<T, VL>,
+    K: Pack2d<T, VL, L>,
+{
+    let SteadyPair { a, b, shared, .. } = pair;
+    // `a`'s input vector of column `c0 − 1`: `b`'s first south operand.
+    let mut south = isa.load(a.out[0]);
+    let (mut ca, mut cb) = (a.cursor(isa), b.cursor(isa));
+    let n = ca.len();
+    assert_eq!(
+        cb.len(),
+        n,
+        "the anchors of a pair run pieces of one length"
+    );
+    let mut west_b = isa.load(shared[0]);
+    // `b` writes the columns `a` reads one iteration later: two views of
+    // one row, each cut to the piece once.
+    let shared = Cell::from_mut(shared).as_slice_of_cells();
+    let (o_b, north_a) = (&shared[1..][..n], &shared[2..][..n]);
+    for i in 0..n {
+        let mut nb = cb.nbhd(i);
+        (nb.new_n, nb.new_w) = (ca.newest, west_b);
+        if SOUTH {
+            nb.v[2][1] = south;
+        }
+        west_b = kern.pack(isa, nb);
+        cb.finish::<COUNT>(i, west_b);
+        o_b[i].set(isa.store(west_b));
+        let mut nb = ca.nbhd(i);
+        nb.new_n = isa.load(north_a[i].get());
+        let o = kern.pack(isa, nb);
+        south = ca.finish::<COUNT>(i, o);
+    }
 }
 
 /// The rows of a 2-D kernel, their steady row computed in `L`'s
@@ -339,23 +461,17 @@ where
     #[inline(always)]
     fn sweep_row(&self, row: SweepRow<'_, T>) {
         let n = row.out.len() - 2;
-        let [nw, nn, ne] = views(row.old[0], n);
-        let [w, m, e] = views(row.old[1], n);
-        let [sw, ss, se] = views(row.old[2], n);
+        let v = views3(row.old, n);
         let north = if K::IS_GS {
             &row.done[row.done.len() - row.strides[0] + 1..][..n]
         } else {
-            ss
+            v[2][1]
         };
         let mut west = row.out[0];
         let out = &mut row.out[1..][..n];
         for i in 0..n {
             let o = self.0.scalar(Nbhd {
-                v: [
-                    [nw[i], nn[i], ne[i]],
-                    [w[i], m[i], e[i]],
-                    [sw[i], ss[i], se[i]],
-                ],
+                v: at3(&v, i),
                 new_n: north[i],
                 new_w: west,
             });
@@ -365,11 +481,52 @@ where
     }
 
     #[inline(always)]
+    fn sweep_rows<const N: usize>(&self, a: SweepRow<'_, T>, next: NextRows<'_, T, N>) {
+        let n = a.out.len() - 2;
+        let north = &a.done[a.done.len() - a.strides[0] + 1..][..n];
+        let va = views3(a.old, n);
+        let NextRows { old, mut out } = next;
+        let (mut v, mut west) = ([va; N], [a.out[0]; N]);
+        for k in 0..N {
+            v[k] = views3(old[k], n);
+            west[k] = out[k][0];
+            out[k] = &mut core::mem::take(&mut out[k])[1..][..n];
+        }
+        let mut west_a = a.out[0];
+        let out_a = &mut a.out[1..][..n];
+        for i in 0..n {
+            let mut o = self.0.scalar(Nbhd {
+                v: at3(&va, i),
+                new_n: north[i],
+                new_w: west_a,
+            });
+            (out_a[i], west_a) = (o, o);
+            for k in 0..N {
+                o = self.0.scalar(Nbhd {
+                    v: at3(&v[k], i),
+                    new_n: o,
+                    new_w: west[k],
+                });
+                (out[k][i], west[k]) = (o, o);
+            }
+        }
+    }
+
+    #[inline(always)]
     fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
         let mut cur = row.cursor(self.1);
         for i in 0..cur.len() {
             let o = self.0.pack(self.1, cur.nbhd(i));
             cur.finish::<COUNT>(i, o);
+        }
+    }
+
+    #[inline(always)]
+    fn steady_pair<const COUNT: bool>(&self, pair: SteadyPair<'_, T, VL>) {
+        if pair.south_from_a {
+            anchor_pair::<T, VL, L, K, true, COUNT>(self.0, self.1, pair);
+        } else {
+            anchor_pair::<T, VL, L, K, false, COUNT>(self.0, self.1, pair);
         }
     }
 }
@@ -386,32 +543,47 @@ impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Row
 
     #[inline(always)]
     fn sweep_row(&self, row: SweepRow<'_, f64>) {
-        let (n, r, done) = (row.out.len() - 2, row.r, row.done);
-        let at = |k: usize, r: usize| &row.old[k][r * row.pitch[k] + 1..][..n];
-        let (xm, ym, yp, xp) = (at(0, r), at(1, r - 1), at(1, r + 1), at(2, r));
-        let [zm, mid, zp] = views(&row.old[1][r * row.pitch[1]..], n);
+        let (n, done) = (row.out.len() - 2, row.done);
+        let old = Old3::of(row.old, row.pitch, row.r, n);
         let [new_xm, new_ym] = if K::IS_GS {
             row.strides.map(|back| &done[done.len() - back + 1..][..n])
         } else {
-            [xp, xp]
+            [old.xp, old.xp]
         };
         let mut new_zm = row.out[0];
         let out = &mut row.out[1..][..n];
         for i in 0..n {
-            let o = self.0.scalar(Nbhd3 {
-                xm: xm[i],
-                ym: ym[i],
-                zm: zm[i],
-                m: mid[i],
-                zp: zp[i],
-                yp: yp[i],
-                xp: xp[i],
-                new_xm: new_xm[i],
-                new_ym: new_ym[i],
-                new_zm,
-            });
+            let o = self.0.scalar(old.nbhd(i, new_xm[i], new_ym[i], new_zm));
             out[i] = o;
             new_zm = o;
+        }
+    }
+
+    #[inline(always)]
+    fn sweep_rows<const N: usize>(&self, a: SweepRow<'_, f64>, next: NextRows<'_, f64, N>) {
+        let (n, done, [slab, pitch]) = (a.out.len() - 2, a.done, a.strides);
+        let old_a = Old3::of(a.old, a.pitch, a.r, n);
+        // Row `r` of slab `x - 1` lies `slab` back from row `r` of slab
+        // `x`, where `done` ends; the rows after it a row further on each.
+        let new_xm_a = &done[done.len() - slab + 1..][..n];
+        let new_ym_a = &done[done.len() - pitch + 1..][..n];
+        let NextRows { old, mut out } = next;
+        let (mut olds, mut new_xm, mut zm) = ([old_a; N], [new_xm_a; N], [a.out[0]; N]);
+        for k in 0..N {
+            olds[k] = Old3::of(old[k], a.pitch, a.r + 1 + k, n);
+            new_xm[k] = &done[done.len() - slab + (k + 1) * pitch + 1..][..n];
+            zm[k] = out[k][0];
+            out[k] = &mut core::mem::take(&mut out[k])[1..][..n];
+        }
+        let mut zm_a = a.out[0];
+        let out_a = &mut a.out[1..][..n];
+        for i in 0..n {
+            let mut o = self.0.scalar(old_a.nbhd(i, new_xm_a[i], new_ym_a[i], zm_a));
+            (out_a[i], zm_a) = (o, o);
+            for k in 0..N {
+                o = self.0.scalar(olds[k].nbhd(i, new_xm[k][i], o, zm[k]));
+                (out[k][i], zm[k]) = (o, o);
+            }
         }
     }
 
@@ -421,6 +593,71 @@ impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Row
         for i in 0..cur.len() {
             let o = self.0.pack(self.1, cur.nbhd3(i));
             cur.finish::<COUNT>(i, o);
+        }
+    }
+
+    /// Rows `r` and `r + 1` point by point: `b`'s `y − 1` operand is `a`'s
+    /// output vector of the same point.
+    #[inline(always)]
+    fn steady_pair<const COUNT: bool>(&self, pair: SteadyPair<'_, f64, VL>) {
+        let (mut ca, mut cb) = (pair.a.cursor(self.1), pair.b.cursor(self.1));
+        let n = ca.len();
+        assert_eq!(cb.len(), n, "the rows of a pair are one piece long");
+        for i in 0..n {
+            let o = self.0.pack(self.1, ca.nbhd3(i));
+            let mut nb = cb.nbhd3(i);
+            nb.new_ym = o;
+            let p = self.0.pack(self.1, nb);
+            ca.finish::<COUNT>(i, o);
+            cb.finish::<COUNT>(i, p);
+        }
+    }
+}
+
+/// The old operands of the `n` interior points of row `r` of a 3-D slab
+/// `x`: the row in slabs `x-1 ..= x+1` (`old`, from their first rows, row
+/// pitches `pitch`) and the rows above and below it in slab `x`.
+#[derive(Clone, Copy)]
+struct Old3<'a> {
+    xm: &'a [f64],
+    ym: &'a [f64],
+    zm: &'a [f64],
+    m: &'a [f64],
+    zp: &'a [f64],
+    yp: &'a [f64],
+    xp: &'a [f64],
+}
+
+impl<'a> Old3<'a> {
+    #[inline(always)]
+    fn of(old: [&'a [f64]; 3], pitch: [usize; 3], r: usize, n: usize) -> Self {
+        let at = |k: usize, r: usize| &old[k][r * pitch[k] + 1..][..n];
+        let [zm, m, zp] = views(&old[1][r * pitch[1]..], n);
+        Old3 {
+            xm: at(0, r),
+            ym: at(1, r - 1),
+            zm,
+            m,
+            zp,
+            yp: at(1, r + 1),
+            xp: at(2, r),
+        }
+    }
+
+    /// Point `i`'s neighbourhood, with its three newest operands.
+    #[inline(always)]
+    fn nbhd(&self, i: usize, new_xm: f64, new_ym: f64, new_zm: f64) -> Nbhd3<f64> {
+        Nbhd3 {
+            xm: self.xm[i],
+            ym: self.ym[i],
+            zm: self.zm[i],
+            m: self.m[i],
+            zp: self.zp[i],
+            yp: self.yp[i],
+            xp: self.xp[i],
+            new_xm,
+            new_ym,
+            new_zm,
         }
     }
 }
@@ -740,10 +977,24 @@ fn extract_lane<T: Scalar, const VL: usize>(
     }
 }
 
+/// Gauss-Seidel rows a boundary level runs in one loop ([`sweep_level`]):
+/// as many newest-west chains interleave.
+const LEVEL_CHAINS: usize = 4;
+
 /// Sweep one level over the outer slabs `xs`: slab `x` of `out` (strides
 /// `[slab, pitch]`, re-based at outer slab `x0`) from slabs `x-1 ..= x+1`
 /// of the level `below`. The ghost shell of `out` must already hold the
 /// boundary value.
+///
+/// Gauss-Seidel rows run [`LEVEL_CHAINS`] at a time ([`Rows::sweep_rows`]),
+/// each row of a group taking the newest operand it shares with the row
+/// before it — 2-D north, 3-D `y − 1` — from that row's output at the
+/// same point: 2-D the rows of slabs `x, x + 1, …`, 3-D rows `r, r + 1, …`
+/// of slab `x`. Every other operand of a row is in the level below or —
+/// its `x − 1` row, in 3-D — written before the group, and no row reads
+/// what a later one writes, so the group computes what its rows did one
+/// after the other while their newest-west chains overlap. A shorter
+/// group ends the slabs (2-D) or the rows of a slab (3-D).
 #[inline(always)]
 fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
     rows: &R,
@@ -754,19 +1005,109 @@ fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
     x0: usize,
     xs: RangeInclusive<usize>,
 ) {
-    let w = shape.width;
-    for x in xs {
-        for r in shape.interior() {
-            let (done, rest) = out.split_at_mut((x - x0) * strides[0] + r * strides[1]);
-            rows.sweep_row(SweepRow {
-                old: [below.slab(x - 1), below.slab(x), below.slab(x + 1)],
-                pitch: [below.pitch; 3],
-                r,
-                done,
-                out: &mut rest[..w],
-                strides,
-            });
+    let lv = LevelSweep {
+        below,
+        shape,
+        strides,
+        x0,
+    };
+    let rs = shape.interior();
+    if !R::IS_GS {
+        for x in xs {
+            for r in rs.clone() {
+                lv.rows::<VL, R, 0>(rows, out, x, r);
+            }
         }
+    } else if shape.halo_rows == 0 {
+        for x in xs.clone().step_by(LEVEL_CHAINS) {
+            lv.group(rows, out, x, 0, xs.end() + 1 - x);
+        }
+    } else {
+        for x in xs {
+            for r in rs.clone().step_by(LEVEL_CHAINS) {
+                lv.group(rows, out, x, r, rs.end - r);
+            }
+        }
+    }
+}
+
+/// One level of a boundary phase as [`sweep_level`] writes it.
+#[derive(Clone, Copy)]
+struct LevelSweep<'a, T> {
+    below: Level<'a, T>,
+    shape: SlabShape,
+    /// `[slab, pitch]` of the level being written …
+    strides: [usize; 2],
+    /// … and the outer slab it starts with.
+    x0: usize,
+}
+
+impl<'a, T: Scalar> LevelSweep<'a, T> {
+    /// Slabs `x-1 ..= x+1` of the level below.
+    #[inline(always)]
+    fn old(self, x: usize) -> [&'a [T]; 3] {
+        [
+            self.below.slab(x - 1),
+            self.below.slab(x),
+            self.below.slab(x + 1),
+        ]
+    }
+
+    /// A Gauss-Seidel group from row `r` of slab `x`: `LEVEL_CHAINS` rows,
+    /// or the `left` there are.
+    #[inline(always)]
+    fn group<const VL: usize, R: Rows<T, VL>>(
+        self,
+        rows: &R,
+        out: &mut [T],
+        x: usize,
+        r: usize,
+        left: usize,
+    ) {
+        match left.min(LEVEL_CHAINS) {
+            1 => self.rows::<VL, R, 0>(rows, out, x, r),
+            2 => self.rows::<VL, R, 1>(rows, out, x, r),
+            3 => self.rows::<VL, R, 2>(rows, out, x, r),
+            _ => self.rows::<VL, R, 3>(rows, out, x, r),
+        }
+    }
+
+    /// Row `r` of slab `x` of `out`, and the `N` rows after it in sweep
+    /// order in one loop ([`Rows::sweep_rows`]): 2-D those of slabs
+    /// `x + 1 ..= x + N`, 3-D rows `r + 1 ..= r + N` of slab `x`.
+    #[inline(always)]
+    fn rows<const VL: usize, R: Rows<T, VL>, const N: usize>(
+        self,
+        rows: &R,
+        out: &mut [T],
+        x: usize,
+        r: usize,
+    ) {
+        let (w, two_d, [slab, pitch]) = (self.shape.width, self.shape.halo_rows == 0, self.strides);
+        let (done, rest) = out.split_at_mut((x - self.x0) * slab + r * pitch);
+        let (row, mut rest) = rest.split_at_mut(w);
+        let a = SweepRow {
+            old: self.old(x),
+            pitch: [self.below.pitch; 3],
+            r,
+            done,
+            out: row,
+            strides: self.strides,
+        };
+        if N == 0 {
+            rows.sweep_row(a);
+            return;
+        }
+        let step = if two_d { slab } else { pitch };
+        let next = NextRows {
+            old: core::array::from_fn(|k| self.old(x + usize::from(two_d) * (k + 1))),
+            out: core::array::from_fn(|_| {
+                let (row, next) = core::mem::take(&mut rest)[step - w..].split_at_mut(w);
+                rest = next;
+                row
+            }),
+        };
+        rows.sweep_rows::<N>(a, next);
     }
 }
 
@@ -958,6 +1299,31 @@ fn tile_prologue<T, const VL: usize, R>(
 /// `O(x, ·)` alternate between the two output slabs by the parity of `d`,
 /// and are swapped once at the end of a part of odd length, so that the
 /// part after starts with `O(x1, ·)` as `o_prev`.
+///
+/// # Gauss-Seidel pairs
+///
+/// A Gauss-Seidel row waits on its newest-west chain, so its rows run two
+/// at a time ([`Rows::steady_pair`]), the second taking the newest
+/// operand it shares with the first from a register:
+///
+/// * 3-D: rows `r` and `r + 1` of a piece, point by point; row `r + 1`'s
+///   `y − 1` operand is row `r`'s output. Neither reads what the other
+///   writes otherwise (`O(x)` row `r − 1`, `O(x − 1)`, `W(x)`, `W(x+1)`
+///   are older; `W(x+s)` is the slot of `W(x−2)`).
+/// * 2-D: anchors `x` and `x + 1` (`x`'s place in the part anywhere),
+///   `x + 1` one column behind `x` — the segments' skew, so a pair of
+///   pieces is one piece long. At column `c`, `x + 1` reads `O(x, c)` and
+///   (at `s = 2`) `W(x+2, c)`, which `x` produced the iteration before and
+///   hands over in registers; its other operands, `W(x+1)` and (`s ≥ 3`)
+///   `W(x+2)`, are older. It writes `W(x+1+s)` into the slot of `W(x−1)`,
+///   which no Gauss-Seidel kernel reads, and `O(x+1, c)` into the slab of
+///   `O(x−1)`, whose columns up to `c` anchor `x` has read. Where both
+///   pieces start at column 1, `x` runs that column alone first; where both
+///   end at `n`, `x + 1` runs it alone last.
+///
+/// Both orders are the anchors' own orders interleaved, every value read
+/// produced before, none overwritten before its last read: the pairs
+/// compute what the rows did one after the other, bit for bit.
 #[inline(always)]
 fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     a: &mut [T],
@@ -968,65 +1334,225 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
     seg: usize,
     xs: RangeInclusive<usize>,
 ) {
-    // Rows above and below a row exist in 3-D only: `up` packs away.
-    let (w, up) = (geo.shape.width, geo.shape.halo_rows * geo.shape.width);
-    let (rlen, x0) = (s + 2, *xs.start());
-    let rows = *rows; // the kernel by value: see `Rows`
+    let (x0, x1) = (*xs.start(), *xs.end());
+    let part = Part {
+        geo,
+        rows: *rows, // the kernel by value: see `Rows`
+        s,
+        x0,
+    };
     let (n, _) = units(geo.shape);
-    let anchors = (xs.end() + 1).saturating_sub(x0);
+    let anchors = (x1 + 1).saturating_sub(x0);
+    let anchor_pairs = R::IS_GS && geo.shape.halo_rows == 0;
     for b in 0..(n + anchors).saturating_sub(1).div_ceil(seg) {
-        for x in xs.clone() {
+        // Anchor `x`'s units in segment `b`.
+        let piece = |x: usize| {
             let d = x - x0;
             let lo = (1 + b * seg).saturating_sub(d).max(1);
-            let hi = (1 + (b + 1) * seg).saturating_sub(d).min(n + 1);
-            if lo >= hi {
-                continue;
-            }
-            // 2-D: one row, `len` columns from `c0 - 1`, the columns `lo..hi`
-            // and their ghosts; 3-D: the rows `lo..hi`, whole.
-            let (rs, c0, len) = if up == 0 {
-                (geo.shape.interior(), lo, hi - lo + 2)
+            lo..(1 + (b + 1) * seg).saturating_sub(d).min(n + 1)
+        };
+        let mut x = x0;
+        while x <= x1 {
+            let (us, next) = (piece(x), piece(x + 1));
+            if anchor_pairs && x < x1 && !us.is_empty() && !next.is_empty() {
+                // `next` is `us` one column left, clipped to `1 ..= n`.
+                let lo = us.start + usize::from(next.start == us.start);
+                part.steady_piece::<VL, COUNT>(a, ring, x, us.start..lo);
+                part.steady_anchor_pair::<VL, COUNT>(a, ring, x, lo..us.end);
+                part.steady_piece::<VL, COUNT>(
+                    a,
+                    ring,
+                    x + 1,
+                    next.start.max(us.end - 1)..next.end,
+                );
+                x += 2;
             } else {
-                (lo..hi, 1, w)
-            };
-            let ips = (x + s) % rlen;
-            // Detach the write slab so the read slabs can stay borrowed.
-            let mut wslab = core::mem::take(&mut ring.slabs[ips]);
-            // Written out: an `array::map` here is an out-of-line call.
-            let slot = |j: usize| &ring.slabs[j % rlen][..];
-            let (xm, mid, xp) = (slot(x - 1), slot(x), slot(x + 1));
-            let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
-            let (o_prev, o_cur) = if d % 2 == 0 {
-                (&ring.o_prev[..], &mut ring.o_cur[..])
-            } else {
-                (&ring.o_cur[..], &mut ring.o_prev[..])
-            };
-            for r in rs {
-                // The piece of row `r`, and where it is in the grid rows.
-                let (at, g) = (r * w + c0 - 1, r * geo.pitch + c0 - 1);
-                let (newest, o_row) = if R::IS_GS {
-                    let (above, o_row) = o_cur[at - up..].split_at_mut(up);
-                    let new_x = &o_prev[at..][..len];
-                    let new_y = if up > 0 { &above[..len] } else { new_x };
-                    ([new_x, new_y], &mut o_row[..len])
-                } else {
-                    Default::default()
-                };
-                rows.steady_row::<COUNT>(SteadyRow {
-                    ring: [&xm[at..][..len], &mid[at..][..len], &xp[at..][..len]],
-                    sides: [&mid[at - up..][..len], &mid[at + up..][..len]],
-                    newest,
-                    o_row,
-                    out: &mut wslab[at..][..len],
-                    top: &mut top[geo.at(x) + g..][..len],
-                    bottom: &bottom[g..][..len],
-                });
+                part.steady_piece::<VL, COUNT>(a, ring, x, us);
+                x += 1;
             }
-            ring.slabs[ips] = wslab;
         }
     }
     if R::IS_GS && anchors % 2 == 1 {
         core::mem::swap(&mut ring.o_prev, &mut ring.o_cur);
+    }
+}
+
+/// One part of a steady state, as each of its pieces sees it.
+#[derive(Clone, Copy)]
+struct Part<T, R> {
+    geo: Geo<T>,
+    rows: R,
+    s: usize,
+    /// The part's first anchor.
+    x0: usize,
+}
+
+impl<T: Scalar, R: Copy> Part<T, R> {
+    /// Anchor `x` over its units `us` of one segment ([`steady_slabs`]):
+    /// 2-D the columns `us` of its row, 3-D the rows `us` of its plane,
+    /// Gauss-Seidel's two at a time.
+    #[inline(always)]
+    fn steady_piece<const VL: usize, const COUNT: bool>(
+        self,
+        a: &mut [T],
+        ring: &mut Ring<T, VL>,
+        x: usize,
+        us: Range<usize>,
+    ) where
+        R: Rows<T, VL>,
+    {
+        if us.is_empty() {
+            return;
+        }
+        let Part { geo, rows, s, x0 } = self;
+        // Rows above and below a row exist in 3-D only: `up` packs away.
+        let (w, up, rlen) = (
+            geo.shape.width,
+            geo.shape.halo_rows * geo.shape.width,
+            s + 2,
+        );
+        // 2-D: one row, `len` columns from `c0 - 1`, the columns `us` and
+        // their ghosts; 3-D: the rows `us`, whole.
+        let (mut rs, c0, len) = if up == 0 {
+            (geo.shape.interior(), us.start, us.len() + 2)
+        } else {
+            (us, 1, w)
+        };
+        let ips = (x + s) % rlen;
+        // Detach the write slab so the read slabs can stay borrowed.
+        let mut wslab = core::mem::take(&mut ring.slabs[ips]);
+        // Written out: an `array::map` here is an out-of-line call.
+        let slot = |j: usize| &ring.slabs[j % rlen][..];
+        let (xm, mid, xp) = (slot(x - 1), slot(x), slot(x + 1));
+        let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
+        let (o_prev, o_cur) = if (x - x0).is_multiple_of(2) {
+            (&ring.o_prev[..], &mut ring.o_cur[..])
+        } else {
+            (&ring.o_cur[..], &mut ring.o_prev[..])
+        };
+        while let Some(r) = rs.next() {
+            // The piece of row `r`, and where it is in the grid rows.
+            let (at, g) = (r * w + c0 - 1, r * geo.pitch + c0 - 1);
+            if R::IS_GS && up > 0 && !rs.is_empty() {
+                // Rows `r` and `r + 1`.
+                rs.next();
+                let (above, o_rows) = o_cur[at - up..].split_at_mut(up);
+                let (o_a, o_b) = o_rows.split_at_mut(w);
+                let (out_a, out_b) = wslab[at..].split_at_mut(w);
+                let (top_a, top_b) = top[geo.at(x) + g..].split_at_mut(geo.pitch);
+                let next = at + w;
+                rows.steady_pair::<COUNT>(SteadyPair {
+                    a: SteadyRow {
+                        ring: [&xm[at..][..len], &mid[at..][..len], &xp[at..][..len]],
+                        sides: [&mid[at - up..][..len], &mid[at + up..][..len]],
+                        newest: [&o_prev[at..][..len], &above[..len]],
+                        o_row: &mut o_a[..len],
+                        out: &mut out_a[..len],
+                        top: &mut top_a[..len],
+                        bottom: &bottom[g..][..len],
+                    },
+                    b: SteadyRow {
+                        ring: [&xm[next..][..len], &mid[next..][..len], &xp[next..][..len]],
+                        sides: [&mid[at..][..len], &mid[next + up..][..len]],
+                        // `[1]` is the row `a` produces: a stand-in.
+                        newest: [&o_prev[next..][..len]; 2],
+                        o_row: &mut o_b[..len],
+                        out: &mut out_b[..len],
+                        top: &mut top_b[..len],
+                        bottom: &bottom[g + geo.pitch..][..len],
+                    },
+                    shared: &mut [],
+                    south_from_a: false,
+                });
+                continue;
+            }
+            let (newest, o_row) = if R::IS_GS {
+                let (above, o_row) = o_cur[at - up..].split_at_mut(up);
+                let new_x = &o_prev[at..][..len];
+                let new_y = if up > 0 { &above[..len] } else { new_x };
+                ([new_x, new_y], &mut o_row[..len])
+            } else {
+                Default::default()
+            };
+            rows.steady_row::<COUNT>(SteadyRow {
+                ring: [&xm[at..][..len], &mid[at..][..len], &xp[at..][..len]],
+                sides: [&mid[at - up..][..len], &mid[at + up..][..len]],
+                newest,
+                o_row,
+                out: &mut wslab[at..][..len],
+                top: &mut top[geo.at(x) + g..][..len],
+                bottom: &bottom[g..][..len],
+            });
+        }
+        ring.slabs[ips] = wslab;
+    }
+
+    /// 2-D Gauss-Seidel anchors `x` over its columns `us` and `x + 1` over
+    /// the columns one left of them, in one loop ([`steady_slabs`],
+    /// [`SteadyPair`]). `us` starts at column 2 or later.
+    #[inline(always)]
+    fn steady_anchor_pair<const VL: usize, const COUNT: bool>(
+        self,
+        a: &mut [T],
+        ring: &mut Ring<T, VL>,
+        x: usize,
+        us: Range<usize>,
+    ) where
+        R: Rows<T, VL>,
+    {
+        if us.is_empty() {
+            return;
+        }
+        let Part { geo, rows, s, x0 } = self;
+        let rlen = s + 2;
+        // `x`'s columns from `c0 - 1`, in the ring and in the grid rows
+        // (one row, `r = 0`); `x + 1`'s start a column left.
+        let (len, at) = (us.len() + 2, us.start - 1);
+        let (ia, ib) = ((x + s) % rlen, (x + 1 + s) % rlen);
+        let (mut wa, mut wb) = (
+            core::mem::take(&mut ring.slabs[ia]),
+            core::mem::take(&mut ring.slabs[ib]),
+        );
+        let slot = |j: usize| &ring.slabs[j % rlen][..];
+        let (w0, w1) = (slot(x), slot(x + 1));
+        // At `s = 2`, `W(x+2)` is `wa`: `x + 1`'s south row is handed over.
+        let w2 = if s == 2 { w1 } else { slot(x + 2) };
+        let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
+        let (top_a, top_b) = top[geo.at(x)..].split_at_mut(geo.slab);
+        let (o_prev, o_cur) = if (x - x0).is_multiple_of(2) {
+            (&mut ring.o_prev[..], &mut ring.o_cur[..])
+        } else {
+            (&mut ring.o_cur[..], &mut ring.o_prev[..])
+        };
+        let stand_in = &w0[at..][..len];
+        rows.steady_pair::<COUNT>(SteadyPair {
+            a: SteadyRow {
+                ring: [stand_in, stand_in, &w1[at..][..len]],
+                sides: [stand_in; 2],
+                newest: [stand_in; 2],
+                o_row: &mut o_cur[at..][..len],
+                out: &mut wa[at..][..len],
+                top: &mut top_a[at..][..len],
+                bottom: &bottom[at..][..len],
+            },
+            b: SteadyRow {
+                ring: [
+                    &w1[at - 1..][..len],
+                    &w1[at - 1..][..len],
+                    &w2[at - 1..][..len],
+                ],
+                sides: [&w1[at - 1..][..len]; 2],
+                newest: Default::default(),
+                o_row: &mut [],
+                out: &mut wb[at - 1..][..len],
+                top: &mut top_b[at - 1..][..len],
+                bottom: &bottom[geo.slab + at - 1..][..len],
+            },
+            shared: &mut o_prev[at - 1..][..len],
+            south_from_a: s == 2,
+        });
+        ring.slabs[ia] = wa;
+        ring.slabs[ib] = wb;
     }
 }
 
@@ -1606,6 +2132,47 @@ pub(crate) mod tests {
             vl8(&kern, Rows3(kern, Packs), [40, 5, 6]);
             vl8(&kern, Rows3(kern, Packs), [35, 2, 3]);
         }
+    }
+
+    /// The Gauss-Seidel pairs ([`super::steady_slabs`]) and row groups
+    /// ([`super::sweep_level`]) ≡ the reference at `s = 2..=4`, every engine
+    /// and width: sweeps cut into parts of 1, 2 and 3 anchors and of
+    /// `VL·s ± 1`, so that an anchor runs without its partner at either
+    /// end of a part; planes of one to three interior rows and odd counts
+    /// of them; and the ledger's shapes one past them, GS-3D 41³ × 4 and
+    /// GS-2D 257² × 8, whole.
+    #[test]
+    fn gs_pairs_match_reference() {
+        fn cut<K: Kind>(kern: &K, engines: &[Engine], dims: [usize; 3]) {
+            for e in own_sweeps::<K>(engines) {
+                let vl = K::vl(e);
+                for s in 2..=4 {
+                    for steps in [vl, 2 * vl + 1] {
+                        let g = K::grid(dims, (dims[1] + dims[2] + s + steps) as u64);
+                        let gold = kern.gold(&g, steps);
+                        for cut in [1, 2, 3, vl * s - 1, vl * s + 1] {
+                            let ours = run_in_parts(e, &g, kern, steps, Some(s), cut);
+                            if let Some(d) = K::mismatch(&ours, &gold) {
+                                panic!("{e:?} dims={dims:?} cut={cut} s={s} steps={steps}: {d}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let e = engines();
+        for kern in [gs2d(), gs2d_asym()] {
+            for dims in [[41, 7, 1], [37, 1, 1], [40, 2, 1], [35, 3, 1]] {
+                cut(&kern, &e, dims);
+            }
+        }
+        for kern in [gs3d(), gs3d_asym()] {
+            for dims in [[36, 1, 5], [33, 2, 4], [34, 3, 3], [35, 5, 2]] {
+                cut(&kern, &e, dims);
+            }
+        }
+        rect(&gs2d_asym(), &e, &[[257, 257, 1]], &[8], STRIDES);
+        rect(&gs3d_asym(), &e, &[[41, 41, 41]], &[4], STRIDES);
     }
 
     /// A glider on a dead 40×40 board moves one cell diagonally every four

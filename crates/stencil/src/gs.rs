@@ -7,6 +7,14 @@
 //! vectorize spatially — the paper's temporal scheme is, to the authors'
 //! knowledge, the first vectorization that applies (§3.4): newest-value
 //! operands are taken from previous *output* vectors.
+//!
+//! Each formula below is one fixed tree of fused multiply-adds, the
+//! newest operands last, and `apply` and `apply_pack` are the same tree,
+//! scalar and lane-wise. The slab driver of `tempora-core` runs two or
+//! more Gauss-Seidel rows in one loop so that their newest-operand chains
+//! overlap, one row handing its outputs to the next in registers; that
+//! changes the order the points are visited in, never this tree, so every
+//! point is rounded exactly as the reference sweep rounds it.
 
 use crate::deps::{Dep, DepSet};
 use tempora_simd::F64Lanes;

@@ -937,7 +937,7 @@ pub(crate) mod tests {
         // Life at vl = 8: s = 8 leaves 7 anchors (one chunk) of 70 slabs.
         table(&life(), [70, 20, 1], &[2, 8], &pools);
         for kern in gs2d() {
-            table(&kern, [60, 9, 1], &[2, 3], &pools);
+            table(&kern, [60, 9, 1], &[2, 3, 4], &pools);
         }
     }
 
@@ -945,9 +945,12 @@ pub(crate) mod tests {
     fn schedule_table_3d_matches_reference() {
         let pools = pools();
         table(&heat3d(), [40, 6, 7], &[2], &pools);
+        // Five and three interior rows: the Gauss-Seidel pairs and a row
+        // alone.
         for kern in gs3d() {
             table(&kern, [40, 5, 6], &[2], &pools);
         }
+        table(&gs3d()[1], [34, 3, 4], &[2, 3], &pools);
     }
 
     /// Every schedule of the table, as data, at four and eight lanes, and

@@ -1219,6 +1219,52 @@ fn tiled_forced_engines_agree_at(threads: usize) {
         }
     }
 
+    // Gauss-Seidel pairs through the skewed tiles at four lanes (GS-2D
+    // below its eight-lane crossover; GS-3D with an odd count of interior
+    // rows): odd and even blocks from the narrowest a one-sweep band
+    // accepts, `height + VL·(s+1)`, so chunks end inside a pair of
+    // anchors, with a tail.
+    let (cg2, cg3) = (
+        Gs2dCoeffs::new(0.29, 0.19, 0.21, 0.13, 0.11),
+        Gs3dCoeffs::new(0.21, 0.13, 0.08, 0.3, 0.09, 0.11, 0.07),
+    );
+    let (p2, p3) = (g2(70, 33, 9, -0.4), g3(19, 13));
+    let (gold_p2, gold_p3) = (reference::gs2d(&p2, cg2, 13), reference::gs3d(&p3, cg3, 9));
+    let gs2 = Problem::Gs2d {
+        nx: p2.nx(),
+        ny: p2.ny(),
+        steps: 13,
+        coeffs: cg2,
+        boundary: p2.boundary(),
+    };
+    let gs3 = Problem::Gs3d {
+        nx: p3.nx(),
+        ny: p3.ny(),
+        nz: p3.nz(),
+        steps: 9,
+        coeffs: cg3,
+        boundary: p3.boundary(),
+    };
+    for &sel in sels {
+        for block in [16, 17, 19, 23] {
+            let skew = PlanBuilder::new()
+                .stride(2)
+                .select(sel)
+                .tiling(Tiling::Skew { block, height: 4 })
+                .threads(threads);
+            let (r, _) = run2(&gs2, skew, &p2);
+            assert!(
+                r.interior_eq(&gold_p2),
+                "skew2d pairs sel={sel:?} block={block}"
+            );
+            let (r, _) = run3(&gs3, skew, &p3);
+            assert!(
+                r.interior_eq(&gold_p3),
+                "skew3d pairs sel={sel:?} block={block}"
+            );
+        }
+    }
+
     // LCS through the band wave at both widths: 67 rows (`la % 16 ≤
     // la % 8`, so `auto` widens) over 1100 columns, past the sixteen-lane
     // crossover. Block columns of 100 host sixteen lanes, of 40 (a ragged

@@ -65,7 +65,9 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 ///   layout's index `at`, which the sixteen-lane sandwich instantiates
 ///   as well; `steady_row`), which carry no `#[target_feature]` of
 ///   their own and reach their instructions only by being inlined into a
-///   sandwich, everything on the slab row path (`cursor` … `finish`, and
+///   sandwich, the Gauss-Seidel row groups (`sweep_rows`, `steady_pair`
+///   and what cuts their rows), everything on the slab row path
+///   (`cursor` … `finish`, and
 ///   `units`, the segments' geometry, which the steady state of every
 ///   sandwich — `sweep_zmm`'s included — computes per part), the kernel
 ///   adapters (`scalar`, `pack`) and the multi-load step bodies;
@@ -88,6 +90,17 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "sweep_row",
             "steady_row",
             "sweep_level",
+            "sweep_rows",
+            "steady_pair",
+            "anchor_pair",
+            "steady_piece",
+            "steady_anchor_pair",
+            "group",
+            "rows",
+            "old",
+            "of",
+            "views3",
+            "at3",
             "insert_lane",
             "extract_lane",
             "fill_shell",
