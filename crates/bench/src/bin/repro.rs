@@ -7,36 +7,35 @@
 //!          figure of each Table-1 row; every "our" series runs the plan's
 //!          default stride),
 //!          ablate-reorg, ablate-baselines,
-//!          ablate-stride (fails when an AVX2 kind's default stride runs
-//!          below 0.7× its best stride, or when under `auto` on an AVX2
-//!          host an accepted stride resolves the portable engine),
-//!          ablate-boundary (fails when an AVX2 or AVX-512 tile's boundary
-//!          code is more than 12× — Gauss-Seidel: 7× — slower per update
-//!          than its steady state),
-//!          ablate-tiling (fails when an AVX2 tiled plan takes more than
-//!          1.25× its untiled time on one thread),
-//!          ablate-digest (fails when `state_digest` runs below 1.5× its
-//!          one-chain definition on the served state),
-//!          ablate-rows (fails when an AVX2 slab row or an eight-lane
-//!          GS-2D one, ring in L1 or at the ledger geometry, takes more
-//!          cycles per vector than its threshold × its port bound, or when
-//!          a Heat-2D row of 128 … 1024 columns takes more than 1.15× its
-//!          engine's L1 reading),
-//!          ablate-vl (fails on an AVX-512 host when the eight-lane default
-//!          of GS-1D / Heat-1D runs below 1.4× / 1.1× the four-lane one,
-//!          when `auto` resolves a ledger problem of a kind with a wider
-//!          sweep to another engine than expected, or when on a line of
-//!          128 … 4096 points, a square of 16² … 256² or an LCS table of
-//!          128² … 8192² it picks the width that runs 1.25× slower; the
-//!          same geometry at any --scale),
+//!          ablate-stride, ablate-boundary, ablate-tiling, ablate-digest,
+//!          ablate-rows, ablate-vl: one row per measurement (kind, engine,
+//!          shape, metric, value; vs = its ratio to the row it is stated
+//!          against; limit; verdict), and the target fails on a row over
+//!          its limit (re-measured first: boundary 5 times, rows 10) —
+//!            stride    a default (*) >= 0.7x its kind's best stride; under
+//!                      auto on AVX2, each stride on its default's
+//!                      engine, never portable
+//!            boundary  boundary ns/u <= 12x the steady one (GS: 7x)
+//!            tiling    tiled one thread <= 1.25x untiled (two cores)
+//!            digest    served Grid1 >= 1.5x the one-chain spec
+//!            rows      c/v <= [L1, ledger] limit x port bound per AVX2
+//!                      kind and eight-lane GS-2D; width <= 1.15x L1
+//!            vl        eight-lane default >= 1.4x (GS-1D), 1.1x (Heat-1D)
+//!                      the four-lane one; auto's engine for each ledger
+//!                      problem; around a crossover, auto's width >= 0.8x
+//!                      the other (any --scale)
+//!          portable rows are exempt from numeric limits; a ratio still
+//!          non-finite after the retries is "unresolved" and passes; a
+//!          host that runs gated rows fails a table with none,
 //!          seq (all sequential), par (all parallel), ablate, all
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
 //! --cores N   max worker count for parallel figures (default: all;
 //!             clamped to the logical cores actually available)
 //! --csv DIR   additionally write each figure as DIR/<id>.csv
-//! --json FILE additionally write all figures + machine metadata as one
-//!             JSON document (the committed BENCH_*.json baseline format)
+//! --json FILE additionally write all figures, one object per ablation
+//!             row, + machine metadata as one JSON document (schema
+//!             tempora-bench-v2; old baselines: bench/history/)
 //! ```
 //!
 //! A target that fails (panics, or cannot write its CSV) does not abort
@@ -47,6 +46,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tempora_bench as tb;
+use tempora_bench::Limit;
 
 fn machine_banner(avail: usize) -> String {
     format!(
@@ -125,42 +125,21 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => scale = parse_count("--scale", it.next()),
-            "--paper" => scale = 1,
             "--cores" => cores_requested = parse_count("--cores", it.next()),
-            "--csv" => {
-                let Some(dir) = it.next() else {
-                    usage_error("--csv needs a directory");
-                };
-                csv_dir = Some(dir);
-            }
-            "--json" => {
-                let Some(path) = it.next() else {
-                    usage_error("--json needs a file path");
-                };
-                json_path = Some(path);
-            }
+            "--csv" => csv_dir = it.next().or_else(|| usage_error("--csv needs a directory")),
+            "--json" => json_path = it.next().or_else(|| usage_error("--json needs a path")),
             "--help" | "-h" => {
                 // Print the usage block between the doc comment's two
                 // ```text fences, so the help text tracks doc edits
                 // without hand-maintained line numbers.
-                let lines: Vec<&str> = include_str!("repro.rs")
-                    .lines()
-                    .map(|l| {
-                        l.strip_prefix("//! ")
-                            .unwrap_or(l.trim_start_matches("//!"))
-                    })
-                    .collect();
-                let fences: Vec<usize> = lines
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.starts_with("```"))
-                    .map(|(i, _)| i)
-                    .take(2)
-                    .collect();
-                let [open, close] = fences[..] else {
-                    unreachable!("usage block fences missing from repro.rs docs")
-                };
-                println!("{}", lines[open + 1..close].join("\n"));
+                let doc = include_str!("repro.rs").lines().map(|l| {
+                    l.strip_prefix("//! ")
+                        .unwrap_or(l.trim_start_matches("//!"))
+                });
+                let fence = |l: &&str| l.starts_with("```");
+                let block = doc.skip_while(|l| !fence(l)).skip(1);
+                let usage: Vec<&str> = block.take_while(|l| !fence(l)).collect();
+                println!("{}", usage.join("\n"));
                 return;
             }
             t => targets.push(t.to_string()),
@@ -248,7 +227,7 @@ fn main() {
 
     if let Some(path) = &json_path {
         let doc = format!(
-            "{{\"schema\":\"tempora-bench-v1\",\"cores\":{},\"cores_requested\":{},\"cores_effective\":{},\"pinning_supported\":{},\"avx2\":{},\"engine_select\":\"{}\",\"scale\":{},\"figures\":[\n{}\n]}}\n",
+            "{{\"schema\":\"tempora-bench-v2\",\"cores\":{},\"cores_requested\":{},\"cores_effective\":{},\"pinning_supported\":{},\"avx2\":{},\"engine_select\":\"{}\",\"scale\":{},\"figures\":[\n{}\n]}}\n",
             cores,
             cores_requested,
             cores,
@@ -295,8 +274,9 @@ enum Output {
     Text,
     /// A figure for the JSON document (and `--csv`).
     Figure(tb::Figure),
-    /// A JSON entry of its own plus the target's verdict on it: `Some`
-    /// fails the target (reported like any other failed target).
+    /// JSON entries of its own (one per row) plus the target's verdict on
+    /// them: `Some` fails the target (reported like any other failed
+    /// target).
     Checked {
         json: String,
         violation: Option<String>,
@@ -312,13 +292,8 @@ enum Output {
 /// there (the steady rows were slower too) and up to 13.8 at the ledger's
 /// 256², so this limit does not tell one chain from four at CI's scale:
 /// it catches a boundary phase gone to libm or to bounds checks sooner.
-fn boundary_ratio_limit(row: &tb::BoundaryRow) -> f64 {
-    if row.kind.starts_with("gs") {
-        7.0
-    } else {
-        12.0
-    }
-}
+/// `[Jacobi, Gauss-Seidel]`.
+const BOUNDARY_RATIO_LIMIT: [f64; 2] = [12.0, 7.0];
 
 /// Times `ablate-boundary` measures the rows over their limit again,
 /// keeping the lower ratio, before it believes them.
@@ -357,8 +332,8 @@ const DIGEST_LANES_FLOOR: f64 = 1.5;
 /// GS-2D and GS-3D) and 1.5–1.9 (eight-lane GS-2D), their rows run one at
 /// a time 2.0, 1.6–2.0 and 1.9; at the ledger geometry 1.4–1.65 and 1.73
 /// against 2.1, 1.7–2.3 and 1.96.
-fn steady_row_limit(row: &tb::SteadyRowsRow) -> Option<[f64; 2]> {
-    match (row.engine, row.kind) {
+fn steady_row_limit(engine: &str, kind: &str) -> Option<[f64; 2]> {
+    match (engine, kind) {
         ("avx2", "heat2d") => Some([1.65, 2.0]),
         ("avx2", "heat3d") => Some([1.85, 2.6]),
         ("avx2", "box2d") => Some([1.75, 2.0]),
@@ -403,9 +378,85 @@ const WIDTH_LIMIT: f64 = 1.15;
 /// second to the next), and a reading is twenty runs a millisecond apart.
 const STEADY_ROW_RETRIES: usize = 10;
 
+/// The numeric limit of a row of an `ablate-*` target, from the constants
+/// above: a stride row marked default (`*`), a boundary
+/// point-update's cost over a steady one's, a tiled one-thread run over the
+/// untiled one where a second core can run the pool, the served `Grid1`'s
+/// digest over its one-chain spec, a steady row's cycles per vector over
+/// its port bound (`L1`, `ledger`) or over its engine's L1 reading
+/// (`width`), and on `ablate-vl` a kind's eight-lane default plan over its
+/// four-lane one or, around a crossover, the width `auto` takes over the
+/// other. The engine limits — what `auto` must resolve — are set where
+/// they are measured, in `tempora_bench` (`ablate_stride`, `ablate_vl`);
+/// a row holds one limit, and only `ablate-stride`'s default rows get
+/// both: [`checked`] gives such a row this one when it ran on its engine.
+fn limit(row: &tb::Row, cores: usize) -> Option<Limit> {
+    use Limit::{AtLeast, AtMost};
+    let (gs, stated) = (row.kind.starts_with("gs") as usize, row.of.is_some());
+    Some(match (row.target, row.metric) {
+        ("ablate-stride", _) if row.shape.contains('*') => AtLeast(DEFAULT_STRIDE_FLOOR),
+        ("ablate-boundary", "boundary ns/u") => AtMost(BOUNDARY_RATIO_LIMIT[gs]),
+        ("ablate-tiling", "tiled-1t µs") if cores >= 2 => AtMost(TILING_OVERHEAD_LIMIT),
+        ("ablate-digest", "digest MiB/s") if row.kind == "Grid1" => AtLeast(DIGEST_LANES_FLOOR),
+        ("ablate-rows", "c/v") if row.shape.starts_with("width") => AtMost(WIDTH_LIMIT),
+        ("ablate-rows", "c/v") if stated => {
+            let ledger = row.shape.starts_with("ledger") as usize;
+            AtMost(steady_row_limit(row.engine, row.kind)?[ledger])
+        }
+        ("ablate-vl", _) if row.shape == "default plans" && stated => {
+            AtLeast(vl_gain_floor(row.kind))
+        }
+        ("ablate-vl", _) if stated => AtLeast(1.0 / VL_SHAPE_MARGIN),
+        _ => return None,
+    })
+}
+
+/// Gate an `ablate-*` table: give its rows their [`limit`], measure the
+/// rows over it again (`retries` rounds `pause` ms apart), print it and
+/// fail the target on the rows still over, with `question` as the hint.
+/// `gates_here`: this host runs rows the target limits, so a table with
+/// no gated row fails too — a row renamed past [`limit`] is not a pass.
+fn checked(
+    mut table: tb::Table,
+    cores: usize,
+    (retries, pause): (usize, u64),
+    gates_here: bool,
+    question: &str,
+) -> Output {
+    for r in &mut table.rows {
+        // A row off the engine `tempora_bench` limits it to keeps that
+        // limit: the wrong engine is the finding.
+        let off_engine = matches!(r.limit, Some(Limit::Engine(e)) if r.engine != e);
+        if let Some(l) = limit(r, cores).filter(|_| !off_engine) {
+            r.limit = Some(l);
+        }
+    }
+    table.remeasure(retries, std::time::Duration::from_millis(pause));
+    println!("{}", table.to_table());
+    let mut over = table.violations();
+    let gated = |r: &tb::Row| !matches!(table.verdict(r), "-" | "exempt");
+    if !table.rows.iter().any(gated) {
+        if gates_here {
+            over.push("no row is gated (did a shape or metric move past `fn limit`?)".into());
+        } else {
+            println!(
+                "notice: no row is checked here (no AVX2+FMA or avx512, one core, or portable)\n"
+            );
+        }
+    }
+    Output::Checked {
+        json: table.to_json(),
+        violation: (!over.is_empty()).then(|| format!("{} — {question}", over.join("; "))),
+    }
+}
+
 /// Run one target: print its table (or text block) to stdout and return
 /// what it produced.
 fn run_target(id: &str, scale: usize, cores: usize) -> Output {
+    use tempora_core::engine::Select;
+    let avx2 = tempora_simd::arch::avx2_available();
+    // `auto`'s plans, as opposed to the engines the ablations force.
+    let simd = avx2 && Select::from_env() != Select::Portable;
     match id {
         "table1" => {
             println!("{}", tb::table1(scale));
@@ -415,222 +466,54 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
             println!("{}", tb::ablate_reorg());
             Output::Text
         }
-        "ablate-stride" => {
-            let table = tb::ablate_stride(scale);
-            println!("{}", table.to_table());
-            if !tempora_simd::arch::avx2_available() {
-                println!("notice: no AVX2+FMA here — portable rows only, default check skipped\n");
-            }
-            let under: Vec<String> = table
-                .avx2_defaults_under(DEFAULT_STRIDE_FLOOR)
-                .iter()
-                .map(|r| format!("{} s={} {:.2}", r.kind, r.stride, table.vs_best(r)))
-                .collect();
-            let mut violations = vec![];
-            if !under.is_empty() {
-                violations.push(format!(
-                    "default stride below {DEFAULT_STRIDE_FLOOR} of the best stride on the \
-                     AVX2 engine ({}): is the default still one the steady state \
-                     specialises, and still on the plateau?",
-                    under.join(", ")
-                ));
-            }
-            let portable: Vec<String> = table
-                .portable_rows()
-                .iter()
-                .map(|r| format!("{} s={}", r.kind, r.stride))
-                .collect();
-            let auto =
-                tempora_core::engine::Select::from_env() == tempora_core::engine::Select::Auto;
-            if auto && tempora_simd::arch::avx2_available() && !portable.is_empty() {
-                violations.push(format!(
-                    "accepted stride resolved the portable engine under `auto` on an AVX2 \
-                     host ({}): does a kernel's AVX2 sweep refuse a stride its plan accepts?",
-                    portable.join(", ")
-                ));
-            }
-            Output::Checked {
-                json: table.to_json(),
-                violation: (!violations.is_empty()).then(|| violations.join("; ")),
-            }
-        }
-        "ablate-boundary" => {
-            let mut table = tb::ablate_boundary(scale);
-            for _ in 0..BOUNDARY_RETRIES {
-                if table.avx2_rows_over(boundary_ratio_limit).is_empty() {
-                    break;
-                }
-                table.remeasure(|r| r.over(boundary_ratio_limit(r)));
-            }
-            println!("{}", table.to_table());
-            if !tempora_simd::arch::avx2_available() {
-                println!("notice: no AVX2+FMA here — portable rows only, ratio check skipped\n");
-            }
-            let over: Vec<String> = table
-                .avx2_rows_over(boundary_ratio_limit)
-                .iter()
-                .map(|r| {
-                    let limit = boundary_ratio_limit(r);
-                    format!("{} {} {:.1} > {limit}", r.kind, r.engine, r.ratio())
-                })
-                .collect();
-            Output::Checked {
-                json: table.to_json(),
-                violation: (!over.is_empty()).then(|| {
-                    format!(
-                        "boundary/steady ns-per-update ratio over its limit in an AVX2 or \
-                         AVX-512 tile ({}): are the boundary phases still inlined into their \
-                         target_feature sandwich, and the Gauss-Seidel rows still run four \
-                         chains at a time?",
-                        over.join(", ")
-                    )
-                }),
-            }
-        }
-        "ablate-tiling" => {
-            let table = tb::ablate_tiling(scale, cores);
-            println!("{}", table.to_table());
-            let checked = tempora_simd::arch::avx2_available() && cores >= 2;
-            if !checked {
-                println!("notice: no AVX2+FMA or a single core here — overhead check skipped\n");
-            }
-            let over: Vec<String> = table
-                .avx2_rows_over(TILING_OVERHEAD_LIMIT)
-                .iter()
-                .map(|r| format!("{} {:.2}", r.kind, r.overhead()))
-                .collect();
-            Output::Checked {
-                json: table.to_json(),
-                violation: (checked && !over.is_empty()).then(|| {
-                    format!(
-                        "tiled one-thread time over {TILING_OVERHEAD_LIMIT}x the untiled plan's \
-                         ({}): is a tiled run still nothing but the one-chunk sweeps, cut?",
-                        over.join(", ")
-                    )
-                }),
-            }
-        }
-        "ablate-digest" => {
-            let table = tb::ablate_digest();
-            println!("{}", table.to_table());
-            let served = &table.rows[0];
-            Output::Checked {
-                json: table.to_json(),
-                violation: (served.vs_spec() < DIGEST_LANES_FLOOR).then(|| {
-                    format!(
-                        "state_digest runs at {:.2}x its one-chain spec on the served {} \
-                         (floor {DIGEST_LANES_FLOOR}): are the {} lanes still independent \
-                         chains?",
-                        served.vs_spec(),
-                        served.variant,
-                        table.lanes
-                    )
-                }),
-            }
-        }
-        "ablate-rows" => {
-            let mut table = tb::ablate_rows();
-            for _ in 0..STEADY_ROW_RETRIES {
-                if table.rows_over(steady_row_limit).is_empty()
-                    && table.widths_over(WIDTH_LIMIT).is_empty()
-                {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(300));
-                let over = |r: &tb::SteadyRowsRow| steady_row_limit(r).is_some_and(|l| r.over(l));
-                table.remeasure(over, WIDTH_LIMIT);
-            }
-            println!("{}", table.to_table());
-            if !tempora_simd::arch::avx2_available() {
-                println!("notice: no AVX2+FMA here — portable rows only, model check skipped\n");
-            }
-            let over: Vec<String> = table
-                .rows_over(steady_row_limit)
-                .iter()
-                .map(|r| {
-                    let [l1, ledger] = steady_row_limit(r).unwrap_or_default();
-                    format!(
-                        "{} {} L1 {:.2} (limit {l1}), ledger {:.2} (limit {ledger})",
-                        r.kind,
-                        r.engine,
-                        r.l1_vs_model(),
-                        r.ledger_vs_model(),
-                    )
-                })
-                .collect();
-            let wide: Vec<String> = table
-                .widths_over(WIDTH_LIMIT)
-                .iter()
-                .map(|w| format!("{} {} columns {:.2}", w.engine, w.columns, table.vs_l1(w)))
-                .collect();
-            let mut violations = vec![];
-            if !over.is_empty() {
-                violations.push(format!(
-                    "cycles per vector over the row's limit x its port bound ({}): does its \
-                     steady loop carry bounds checks or stack reloads again, or run its \
-                     Gauss-Seidel rows one at a time (objdump recipe: \
-                     .claude/skills/verify/SKILL.md)?",
-                    over.join(", ")
-                ));
-            }
-            if !wide.is_empty() {
-                violations.push(format!(
-                    "Heat-2D rows over {WIDTH_LIMIT}x their L1 reading in cycles per vector \
-                     ({}): does the steady state still cut wide rows into segments that keep \
-                     the ring in L1 (slab::segment_width)?",
-                    wide.join(", ")
-                ));
-            }
-            Output::Checked {
-                json: table.to_json(),
-                violation: (!violations.is_empty()).then(|| violations.join("; ")),
-            }
-        }
-        "ablate-vl" => {
-            let table = tb::ablate_vl();
-            println!("{}", table.to_table());
-            let mut violations = vec![];
-            if !tempora_simd::arch::avx512_available() {
-                println!("notice: no avx512 here — four-lane rows only, gain check skipped\n");
-            } else {
-                for kind in ["heat1d", "gs1d"] {
-                    let gain = table.default_gain(kind).unwrap_or(0.0);
-                    if gain < vl_gain_floor(kind) {
-                        violations.push(format!(
-                            "{kind}: eight-lane default at {gain:.2}x the four-lane one (floor \
-                             {}): is the Zmm sandwich still free of calls, its ring in registers?",
-                            vl_gain_floor(kind)
-                        ));
-                    }
-                }
-                for r in table.ledger.iter().filter(|r| r.engine != r.expect) {
-                    violations.push(format!(
-                        "auto resolves {} to {}, not {}",
-                        r.problem, r.engine, r.expect
-                    ));
-                }
-                for r in table
-                    .shapes
-                    .iter()
-                    .filter(|r| r.misresolved(VL_SHAPE_MARGIN))
-                {
-                    violations.push(format!(
-                        "auto resolves {} {} x {} to {}, but the wide lanes run {:.2}x the \
-                         narrow ones (the kind's KernelSpace::wide_min_nx or lcs::WIDE_MIN_LB \
-                         is off its measured crossover)",
-                        r.kind,
-                        r.nx,
-                        r.steps,
-                        r.auto,
-                        r.gain()
-                    ));
-                }
-            }
-            Output::Checked {
-                json: table.to_json(),
-                violation: (!violations.is_empty()).then(|| violations.join("; ")),
-            }
-        }
+        "ablate-stride" => checked(
+            tb::ablate_stride(scale),
+            cores,
+            (0, 0),
+            simd,
+            "is the default stride still one the steady state specialises, and still on the \
+             plateau; does a kernel's AVX2 sweep refuse a stride its plan accepts?",
+        ),
+        "ablate-boundary" => checked(
+            tb::ablate_boundary(scale),
+            cores,
+            (BOUNDARY_RETRIES, 0),
+            avx2,
+            "are the boundary phases still inlined into their target_feature sandwich, and \
+             the Gauss-Seidel rows still run four chains at a time?",
+        ),
+        "ablate-tiling" => checked(
+            tb::ablate_tiling(scale, cores),
+            cores,
+            (0, 0),
+            simd && cores >= 2,
+            "is a tiled run still nothing but the one-chunk sweeps, cut?",
+        ),
+        "ablate-digest" => checked(
+            tb::ablate_digest(),
+            cores,
+            (0, 0),
+            true,
+            "are the digest's lanes still independent chains?",
+        ),
+        "ablate-rows" => checked(
+            tb::ablate_rows(),
+            cores,
+            (STEADY_ROW_RETRIES, 300),
+            avx2,
+            "does a steady loop carry bounds checks or stack reloads again, or run its \
+             Gauss-Seidel rows one at a time (objdump recipe: .claude/skills/verify/SKILL.md); \
+             does the steady state still cut wide rows into segments that keep the ring in L1 \
+             (slab::segment_width)?",
+        ),
+        "ablate-vl" => checked(
+            tb::ablate_vl(),
+            cores,
+            (0, 0),
+            tempora_simd::arch::avx512_available(),
+            "is the Zmm sandwich still free of calls, its ring in registers; are the kinds' \
+             KernelSpace::wide_min_nx and lcs::WIDE_MIN_LB still on their measured crossovers?",
+        ),
         "ablate-baselines" => print_figure(tb::ablate_baselines(scale)),
         _ => {
             // Unknown ids were rejected before the sweep started.
@@ -650,4 +533,177 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
 fn print_figure(fig: tb::Figure) -> Output {
     println!("{}", fig.to_table());
     Output::Figure(fig)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tb::Row;
+    use Limit::{AtLeast, AtMost};
+
+    #[test]
+    fn limit_gives_each_target_its_constant() {
+        // `r`'s `metric`, stated against another reading of `r`.
+        let stated = |r: Row, metric| {
+            let of = r.reads("ref", 1.0);
+            r.reads(metric, 1.0).against(&of)
+        };
+        let cases: [(Row, usize, Option<Limit>); 19] = [
+            // ablate-stride: the default stride only.
+            (
+                stated(
+                    Row::new("ablate-stride", "heat1d", "avx2", "s=10*r"),
+                    "Mupd/s",
+                ),
+                1,
+                Some(AtLeast(DEFAULT_STRIDE_FLOOR)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-stride", "heat1d", "avx2", "s=9r"),
+                    "Mupd/s",
+                ),
+                1,
+                None,
+            ),
+            // ablate-boundary: the point-update ratio, Gauss-Seidel tighter.
+            (
+                stated(
+                    Row::new("ablate-boundary", "heat2d", "avx2", "64x64x1"),
+                    "boundary ns/u",
+                ),
+                1,
+                Some(AtMost(BOUNDARY_RATIO_LIMIT[0])),
+            ),
+            (
+                stated(
+                    Row::new("ablate-boundary", "gs3d", "avx2", "16x16x16"),
+                    "boundary ns/u",
+                ),
+                1,
+                Some(AtMost(BOUNDARY_RATIO_LIMIT[1])),
+            ),
+            (
+                stated(
+                    Row::new("ablate-boundary", "gs3d", "avx2", "16x16x16"),
+                    "boundary µs",
+                ),
+                1,
+                None,
+            ),
+            // ablate-tiling: one thread tiled, where a second core exists.
+            (
+                stated(
+                    Row::new("ablate-tiling", "heat2d", "avx2", "block 64"),
+                    "tiled-1t µs",
+                ),
+                2,
+                Some(AtMost(TILING_OVERHEAD_LIMIT)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-tiling", "heat2d", "avx2", "block 64"),
+                    "tiled-1t µs",
+                ),
+                1,
+                None,
+            ),
+            (
+                stated(
+                    Row::new("ablate-tiling", "heat2d", "avx2", "block 64"),
+                    "tiled-2t µs",
+                ),
+                2,
+                None,
+            ),
+            // ablate-digest: the served `Grid1` only.
+            (
+                stated(
+                    Row::new("ablate-digest", "Grid1", "-", "4096"),
+                    "digest MiB/s",
+                ),
+                1,
+                Some(AtLeast(DIGEST_LANES_FLOOR)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-digest", "Grid2", "-", "64x64"),
+                    "digest MiB/s",
+                ),
+                1,
+                None,
+            ),
+            // ablate-rows: L1 and ledger pairs, the width sweep.
+            (
+                stated(
+                    Row::new("ablate-rows", "heat2d", "avx2", "L1 64x128x1"),
+                    "c/v",
+                ),
+                1,
+                Some(AtMost(1.65)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-rows", "gs3d", "avx2", "ledger 40x40x40"),
+                    "c/v",
+                ),
+                1,
+                Some(AtMost(2.0)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-rows", "heat2d", "avx512", "L1 64x128x1"),
+                    "c/v",
+                ),
+                1,
+                None,
+            ),
+            (
+                stated(
+                    Row::new("ablate-rows", "heat2d", "avx2", "width 16x128x1 ring 5 KB"),
+                    "c/v",
+                ),
+                1,
+                Some(AtMost(WIDTH_LIMIT)),
+            ),
+            (
+                Row::new("ablate-rows", "heat2d", "avx2", "port bound").reads("c/v", 1.0),
+                1,
+                None,
+            ),
+            // ablate-vl: default-plan gains per kind, crossover shapes.
+            (
+                stated(
+                    Row::new("ablate-vl", "gs1d", "avx512", "default plans"),
+                    "Mupd/s",
+                ),
+                1,
+                Some(AtLeast(vl_gain_floor("gs1d"))),
+            ),
+            (
+                stated(
+                    Row::new("ablate-vl", "heat1d", "avx512", "default plans"),
+                    "Mupd/s",
+                ),
+                1,
+                Some(AtLeast(1.1)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-vl", "heat1d", "avx2", "128 x 32"),
+                    "Mupd/s",
+                ),
+                1,
+                Some(AtLeast(1.0 / VL_SHAPE_MARGIN)),
+            ),
+            (
+                Row::new("ablate-vl", "heat1d", "avx512", "128 x 32").reads("Mupd/s", 1.0),
+                1,
+                None,
+            ),
+        ];
+        for (r, cores, want) in cases {
+            assert_eq!(limit(&r, cores), want, "{r:?} on {cores} cores");
+        }
+    }
 }

@@ -13,13 +13,25 @@
 //! | a row's `seq_id` | its sequential figure | [`seq_figure`] |
 //! | a row's `par_id` | its parallel figure | [`par_figure`] |
 //! | `ablate-reorg` | §3.3/§3.5 reorganization budgets | [`ablate_reorg`] |
-//! | `ablate-stride` | §3.3 stride/ILP sweep, the three 1-D and the six slab kinds, default marked | [`ablate_stride`] |
 //! | `ablate-baselines` | §2.2 baseline comparison | [`ablate_baselines`] |
+//! | `ablate-stride` | §3.3 stride/ILP sweep, the three 1-D and the six slab kinds, default marked | [`ablate_stride`] |
 //! | `ablate-boundary` | bare steady state vs whole tile, per kind and engine | [`ablate_boundary`] |
 //! | `ablate-tiling` | untiled vs tiled on one and two threads, per Table-1 grid row | [`ablate_tiling`] |
 //! | `ablate-digest` | `state_digest` vs its one-chain spec vs a word sum, per `State` variant | [`ablate_digest`] |
 //! | `ablate-rows` | slab steady rows in cycles per vector against their port bound, ring in L1 and at the ledger geometry | [`ablate_rows`] |
 //! | `ablate-vl` | the 1-D steady state at four and eight lanes, every stride: Mupd/s, cycles and reorganizations per output vector; both widths on each side of `auto`'s crossover | [`ablate_vl`], [`vl_shapes`] |
+//!
+//! The last six are one [`Table`] of [`Row`]s each: one measurement per
+//! row — `kind`, `engine`, `shape`, `metric`, `value` — stated against
+//! another row of the table (`of`, in JSON `of_kind` … `of_metric`; the
+//! ratio is what a limit bounds) and
+//! gated by an optional [`Limit`]. One renderer ([`Table::to_table`]),
+//! one JSON writer with one flat object per row ([`Table::to_json`]), one
+//! gate ([`Table::violations`]) and one bounded re-measurement
+//! ([`Table::remeasure`]) serve all six. The numeric limits are the
+//! `repro` binary's constants (`repro.rs`, `fn limit`); the engines `auto`
+//! must resolve are set where they are measured ([`ablate_stride`],
+//! [`ablate_vl`]).
 //!
 //! Every series runs through the unified solver API
 //! (`tempora_plan::Plan`): the harness compiles one plan per
@@ -433,50 +445,35 @@ fn clock_ghz() -> f64 {
 /// steps each vCPU's clock by a quarter for a second at a time, so neither
 /// a nominal frequency nor one sample per table would do.
 fn best_of_20_each(problem: &Problem, builders: &[PlanBuilder]) -> Vec<Best> {
-    let mut plans = vec![];
-    for b in builders {
-        // Panic-justification: every ablation configuration is hard-coded
-        // against its problem; a build failure is a bench-suite bug.
-        plans.push(b.build(problem).expect("bench configurations are valid"));
-    }
+    // Panic-justification: every ablation configuration is hard-coded
+    // against its problem; a build failure is a bench-suite bug.
+    let build = |b: &PlanBuilder| b.build(problem).expect("bench configurations are valid");
+    let mut plans: Vec<tempora_plan::Plan> = builders.iter().map(build).collect();
     let mut state = problem.state();
     fill_state(&mut state);
-    let mut best: Vec<Best> = plans
+    let mut tiles = vec![None; plans.len()];
+    let best = alternate(plans.len(), 1, |i| {
+        // Panic-justification: the state comes from `problem.state()`.
+        tiles[i] = plans[i].run(&mut state).expect("state matches plan").tiles;
+        std::hint::black_box(&state);
+    });
+    plans
         .iter()
-        .map(|p| Best {
-            secs: f64::INFINITY,
-            cycles: f64::INFINITY,
+        .zip(best)
+        .zip(tiles)
+        .map(|((p, [secs, cycles]), tiles)| Best {
+            secs,
+            cycles,
             engine: p.engine().map_or("portable", |e| e.name()),
-            tiles: None,
+            tiles,
         })
-        .collect();
-    for rep in 0..=20 {
-        for (plan, best) in plans.iter_mut().zip(&mut best) {
-            let before = clock_ghz();
-            let t = Instant::now();
-            // Panic-justification: the state comes from `problem.state()`.
-            let report = plan.run(&mut state).expect("state matches plan");
-            let secs = t.elapsed().as_secs_f64();
-            if rep > 0 {
-                best.secs = best.secs.min(secs);
-                best.cycles = best.cycles.min(secs * before.max(clock_ghz()) * 1e9);
-            }
-            best.tiles = report.tiles;
-            std::hint::black_box(&state);
-        }
-    }
-    best
+        .collect()
 }
 
-/// [`best_of_20_each`] for one plan.
-fn best_of_20(problem: &Problem, builder: PlanBuilder) -> Best {
-    best_of_20_each(problem, &[builder])[0]
-}
-
-/// The timing loop of [`engine_runs`] and `lcs_runs`: `run(i)` for each
-/// of `n` workspaces in turn, 21 rounds of `reps` runs each; per
-/// workspace `[seconds, cycles]` of the fastest run after the first round
-/// and the fewest cycles, as [`best_of_20_each`] states them.
+/// The timing loop of [`best_of_20_each`], [`engine_runs`] and
+/// `lcs_runs`: `run(i)` for each of `n` workspaces in turn, 21 rounds of
+/// `reps` runs each; per workspace `[seconds, cycles]` of the fastest run
+/// after the first round and the fewest cycles.
 fn alternate(n: usize, reps: usize, mut run: impl FnMut(usize)) -> Vec<[f64; 2]> {
     let mut best = vec![[f64::INFINITY; 2]; n];
     for round in 0..=20 {
@@ -531,14 +528,14 @@ fn lcs_runs(la: usize, lb: usize, s: usize, engines: &[Engine]) -> Vec<Best> {
 /// (AVX2) and sixteen (AVX-512) — or the portable engine alone under
 /// `TEMPORA_ENGINE=portable` or without AVX2, and eight lanes alone under
 /// `TEMPORA_ENGINE=avx2`.
-fn lcs_widths(sel: Select) -> Vec<Engine> {
+fn lcs_widths(sel: Select) -> Vec<(Engine, Select)> {
     if sel == Select::Portable || !tempora_simd::arch::avx2_available() {
-        return vec![Engine::Portable];
+        return vec![(Engine::Portable, Select::Portable)];
     }
     let wide = sel == Select::Auto && tempora_simd::arch::avx512_available();
-    [Engine::Avx2]
+    [(Engine::Avx2, Select::Avx2)]
         .into_iter()
-        .chain(wide.then_some(Engine::Avx512))
+        .chain(wide.then_some((Engine::Avx512, Select::Auto)))
         .collect()
 }
 
@@ -1108,131 +1105,337 @@ pub fn ablate_reorg() -> String {
     out
 }
 
-/// One row of [`ablate_stride`]: one kind at one stride.
-#[derive(Clone, Debug)]
-pub struct StrideRow {
-    /// Workload kind (`heat1d` | `gs1d` | `lcs` | a slab kind).
+/// What a [`Row`]'s reading must satisfy for its target to pass.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Limit {
+    /// The row's ratio ([`Table::ratio`]) is at most this.
+    AtMost(f64),
+    /// The row's ratio is at least this.
+    AtLeast(f64),
+    /// The row's engine is this one: what `auto` must resolve.
+    Engine(&'static str),
+}
+
+/// `(kind, engine, shape, metric)`: what names a [`Row`] within its
+/// [`Table`].
+type Key = (&'static str, &'static str, String, &'static str);
+
+/// One measurement of an `ablate-*` target: the unit each of those
+/// targets prints, writes to JSON and is gated on, one row at a time.
+#[derive(Clone, Debug, Default)]
+pub struct Row {
+    /// The `repro` target that measured it (`ablate-boundary`, …).
+    pub target: &'static str,
+    /// Workload kind (`heat2d`, `lcs`, a `State` variant, …).
     pub kind: &'static str,
-    /// The space stride `s` of this row.
-    pub stride: usize,
-    /// Engine the plan resolved to (`avx512` | `avx2` | `portable`).
+    /// Engine that ran it (`avx512` | `avx2` | `portable`; `-` for code
+    /// no engine dispatches).
     pub engine: &'static str,
-    /// Throughput, million point-updates per second (best of 20 runs).
-    pub mupd_per_s: f64,
-    /// True when a default-built plan of this kind runs this stride
-    /// (`Plan::stride`) — under the same selection, so each engine's own
-    /// default is the one marked.
-    pub default: bool,
-    /// True when the resolved engine keeps this stride's ring in
-    /// registers (`t1d_avx2::REGISTER_STRIDES` /
-    /// `lcs_avx2::REGISTER_STRIDES` on AVX2,
-    /// `t1d_avx2::ZMM_REGISTER_STRIDES` on AVX-512; never on the portable
-    /// engine).
-    pub registers: bool,
+    /// Geometry and configuration: extents, stride (`*` marks the
+    /// default, `r` a ring in registers), what was timed.
+    pub shape: String,
+    /// What `value` measures, with its unit (`Mupd/s`, `c/v` = core
+    /// cycles per output vector, `µs`, …; `engine` for a row that only
+    /// states which engine ran).
+    pub metric: &'static str,
+    /// The reading (NaN on an `engine` row).
+    pub value: f64,
+    /// `(kind, engine, shape, metric)` of the row of the same table that
+    /// `value` is stated against.
+    pub of: Option<(&'static str, &'static str, String, &'static str)>,
+    /// What the row must satisfy; `None`: printed, not gated.
+    pub limit: Option<Limit>,
+    /// What to measure again: a slab kind on an engine at interior
+    /// extents.
+    source: Option<(&'static SlabKind, Engine, [usize; 3])>,
 }
 
-/// The `ablate-stride` table: throughput per kind and stride, with the
-/// default and the register-specialised strides marked.
-#[derive(Clone, Debug)]
-pub struct StrideTable {
-    /// 1-D points, LCS length, 2-D edge and 3-D edge of the swept
-    /// geometry.
-    pub geometry: [usize; 4],
-    /// One row per kind and accepted stride, strides ascending per kind.
-    pub rows: Vec<StrideRow>,
-}
-
-impl StrideTable {
-    /// `row`'s throughput as a share of the best row of its kind on its
-    /// engine (LCS has rows at both widths).
-    pub fn vs_best(&self, row: &StrideRow) -> f64 {
-        let best = self
-            .rows
-            .iter()
-            .filter(|r| r.kind == row.kind && r.engine == row.engine)
-            .map(|r| r.mupd_per_s)
-            .fold(0.0, f64::max);
-        row.mupd_per_s / best
+impl Row {
+    /// An ungated row with no reference.
+    pub fn new(target: &'static str, kind: &'static str, engine: &'static str, shape: &str) -> Row {
+        Row {
+            target,
+            kind,
+            engine,
+            shape: shape.to_string(),
+            value: f64::NAN,
+            ..Row::default()
+        }
     }
 
-    /// Render as an aligned text table (`*` marks a kind's default
-    /// stride, `r` a register-specialised one).
+    /// This row's `metric` read as `value`.
+    pub fn reads(&self, metric: &'static str, value: f64) -> Row {
+        Row {
+            metric,
+            value,
+            ..self.clone()
+        }
+    }
+
+    /// This row stated against `of`.
+    pub fn against(self, of: &Row) -> Row {
+        Row {
+            of: Some(of.key()),
+            ..self
+        }
+    }
+
+    /// `(kind, engine, shape, metric)`.
+    pub fn key(&self) -> (&'static str, &'static str, String, &'static str) {
+        (self.kind, self.engine, self.shape.clone(), self.metric)
+    }
+}
+
+/// The rows of one `ablate-*` target, with the one renderer, JSON
+/// writer, gate and re-measurement they all share.
+#[derive(Clone, Debug)]
+pub struct Table {
+    /// The heading [`Table::to_table`] prints: target, what it measures,
+    /// at which geometry.
+    pub title: String,
+    /// The measurements, in print order.
+    pub rows: Vec<Row>,
+    /// Fresh readings of a row's `source`: every row of its kind, engine
+    /// and shape. `None` for a target that is not measured again.
+    again: Option<fn(&Row) -> Vec<Row>>,
+}
+
+/// `x` to three or four significant digits; `-` for NaN.
+fn fmt_num(x: f64) -> String {
+    match x.abs() {
+        a if a.is_nan() => "-".into(),
+        a if a >= 100.0 => format!("{x:.0}"),
+        a if a >= 10.0 => format!("{x:.1}"),
+        _ => format!("{x:.2}"),
+    }
+}
+
+impl Limit {
+    /// `<= 12`, `>= 0.7`, `= avx512`.
+    fn text(self) -> String {
+        match self {
+            Limit::AtMost(l) => format!("<= {l}"),
+            Limit::AtLeast(l) => format!(">= {l}"),
+            Limit::Engine(e) => format!("= {e}"),
+        }
+    }
+}
+
+impl Table {
+    /// The row `r` states its value against, if it names one.
+    ///
+    /// # Panics
+    /// When `r.of` names a row the table lacks: a harness bug.
+    pub fn of(&self, r: &Row) -> Option<&Row> {
+        let key = r.of.as_ref()?;
+        let of = self.rows.iter().find(|o| o.key() == *key);
+        Some(of.unwrap_or_else(|| panic!("{}: no row {key:?}", r.target)))
+    }
+
+    /// `r.value` over its [`of`](Table::of) row's value, or `r.value`
+    /// itself: what a limit bounds.
+    pub fn ratio(&self, r: &Row) -> f64 {
+        self.of(r).map_or(r.value, |o| r.value / o.value)
+    }
+
+    /// The verdict on `r`: `-` without a limit, `exempt` for a numeric
+    /// limit on a portable row (LLVM's code, which no limit models),
+    /// `unresolved` for a non-finite ratio (a noisy fit, not evidence
+    /// either way: it does not fail the target), else `pass` or `FAIL`.
+    pub fn verdict(&self, r: &Row) -> &'static str {
+        match r.limit {
+            None => "-",
+            Some(Limit::Engine(e)) if r.engine == e => "pass",
+            Some(Limit::Engine(_)) => "FAIL",
+            Some(_) if r.engine == "portable" => "exempt",
+            Some(_) if !self.ratio(r).is_finite() => "unresolved",
+            Some(Limit::AtMost(l)) if self.ratio(r) > l => "FAIL",
+            Some(Limit::AtLeast(l)) if self.ratio(r) < l => "FAIL",
+            Some(_) => "pass",
+        }
+    }
+
+    /// The one gate: every row whose verdict is `FAIL`, described.
+    pub fn violations(&self) -> Vec<String> {
+        self.rows
+            .iter()
+            .filter(|r| self.verdict(r) == "FAIL")
+            .map(|r| {
+                let reading = match r.limit {
+                    Some(Limit::Engine(_)) => r.engine.to_string(),
+                    _ => fmt_num(self.ratio(r)),
+                };
+                let limit = r.limit.map_or(String::new(), Limit::text);
+                format!(
+                    "{} {} {} {} {reading}, limit {limit}",
+                    r.kind, r.engine, r.shape, r.metric
+                )
+            })
+            .collect()
+    }
+
+    /// Measure the rows that fail their limit or read non-finite again,
+    /// up to `retries` rounds `pause` apart, each with every row measured
+    /// along with it — and, where that was measured on its own, the row
+    /// it is stated against. Of two readings keep the better one for the
+    /// row that asked: the higher ratio under an `AtLeast` limit, else
+    /// the lower (every re-measured reading is a cost), and finite over
+    /// non-finite. A busy sibling hyperthread slows a run for a fraction
+    /// of a second at a time, and moves a fitted intercept by more than a
+    /// small tile's whole boundary.
+    pub fn remeasure(&mut self, retries: usize, pause: std::time::Duration) {
+        let Some(again) = self.again else { return };
+        for _ in 0..retries {
+            // One row of each group of rows measured together.
+            let mut todo: Vec<Key> = vec![];
+            for r in &self.rows {
+                if !matches!(self.verdict(r), "FAIL" | "unresolved") {
+                    continue;
+                }
+                for r in [Some(r), self.of(r)].into_iter().flatten() {
+                    let measured = |t: &Key| (t.0, t.1, &t.2) == (r.kind, r.engine, &r.shape);
+                    if r.source.is_some() && !todo.iter().any(measured) {
+                        todo.push(r.key());
+                    }
+                }
+            }
+            if todo.is_empty() {
+                break;
+            }
+            std::thread::sleep(pause);
+            for key in todo {
+                let named = |r: &&Row| r.key() == key;
+                // Panic-justification: `todo` holds keys of this table.
+                let old = self.rows.iter().find(named).expect("a row of the table");
+                let fresh = again(old);
+                // Panic-justification: `again` measures the group of the row
+                // it is handed; a re-measurement without that row is a
+                // harness bug.
+                let new = fresh.iter().find(named).expect("the row measured again");
+                let ratio = |r: &Row| match &r.of {
+                    Some(of) => {
+                        let mut rows = fresh.iter().chain(&self.rows);
+                        r.value / rows.find(|o| o.key() == *of).map_or(f64::NAN, |o| o.value)
+                    }
+                    None => r.value,
+                };
+                let (n, o) = (ratio(new), self.ratio(old));
+                let better = n.is_finite()
+                    && (!o.is_finite()
+                        || match old.limit {
+                            Some(Limit::AtLeast(_)) => n > o,
+                            _ => n < o,
+                        });
+                if !better {
+                    continue;
+                }
+                for mut f in fresh {
+                    if let Some(r) = self.rows.iter_mut().find(|r| r.key() == f.key()) {
+                        f.limit = r.limit;
+                        *r = f;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Render as an aligned text table: the title, then one line per row
+    /// — its reading, its ratio to the row it is stated against (`vs`),
+    /// its limit and verdict.
     pub fn to_table(&self) -> String {
-        let [n1, nl, n2, n3] = self.geometry;
-        let mut out = format!(
-            "# ablate-stride — temporal stride sweep (1-D {n1} x 32 steps, LCS {nl}², 2-D {n2}², \
-             3-D {n3}³; * = default stride, r = ring in registers)\n\
-             {:<8}{:>8}{:>6}{:>10}{:>12}{:>10}\n",
-            "kind", "stride", "", "engine", "Mupd/s", "vs best"
-        );
-        for r in &self.rows {
-            let marks = format!(
-                "{}{}",
-                if r.default { "*" } else { "" },
-                if r.registers { "r" } else { "" }
+        let line = |[kind, engine, shape, metric, value, vs, limit, verdict]: [&str; 8]| {
+            let line = format!(
+                "{kind:<9}{engine:<9}{shape:<34}{metric:<15}{value:>8}{vs:>7}{limit:>11}  {verdict}"
             );
-            out.push_str(&format!(
-                "{:<8}{:>8}{:>6}{:>10}{:>12.0}{:>10.2}\n",
-                r.kind,
-                r.stride,
-                marks,
-                r.engine,
-                r.mupd_per_s,
-                self.vs_best(r)
-            ));
+            format!("{}\n", line.trim_end())
+        };
+        let head = [
+            "kind", "engine", "shape", "metric", "value", "vs", "limit", "verdict",
+        ];
+        let mut out = format!("{}\n{}", self.title, line(head));
+        for r in &self.rows {
+            let vs = self.of(r).map_or(String::new(), |_| fmt_num(self.ratio(r)));
+            let limit = r.limit.map_or(String::new(), Limit::text);
+            let (value, verdict) = (fmt_num(r.value), self.verdict(r));
+            out += &line([
+                r.kind, r.engine, &r.shape, r.metric, &value, &vs, &limit, verdict,
+            ]);
         }
         out
     }
 
-    /// Render as a JSON object (`{"id", "geometry", "rows"}`), one entry
-    /// of the `repro --json` document.
+    /// Render as JSON: one flat object per row (`target`, `kind`,
+    /// `engine`, `shape`, `metric`, `value`; the row it is stated against
+    /// as `of_kind`, `of_engine`, `of_shape`, `of_metric`, all `null`
+    /// without one; `ratio`, `limit`, `verdict`), joined by `,\n` —
+    /// entries of the `repro --json` document.
     pub fn to_json(&self) -> String {
+        let text = |s: &str| format!("\"{}\"", json_escape(s));
         let rows: Vec<String> = self
             .rows
             .iter()
             .map(|r| {
+                let (of, ratio) = match &r.of {
+                    Some((k, e, s, m)) => {
+                        ([k, e, s.as_str(), m].map(text), json_num(self.ratio(r)))
+                    }
+                    None => (["null"; 4].map(String::from), "null".into()),
+                };
+                let [of_kind, of_engine, of_shape, of_metric] = of;
                 format!(
-                    "{{\"kind\":\"{}\",\"stride\":{},\"engine\":\"{}\",\"mupd_per_s\":{},\
-                     \"vs_best\":{},\"default\":{},\"registers\":{}}}",
-                    r.kind,
-                    r.stride,
-                    r.engine,
-                    json_num(r.mupd_per_s),
-                    json_num(self.vs_best(r)),
-                    r.default,
-                    r.registers
+                    "{{\"target\":{},\"kind\":{},\"engine\":{},\"shape\":{},\"metric\":{},\
+                     \"value\":{},\"of_kind\":{of_kind},\"of_engine\":{of_engine},\
+                     \"of_shape\":{of_shape},\"of_metric\":{of_metric},\"ratio\":{ratio},\
+                     \"limit\":{},\"verdict\":{}}}",
+                    text(r.target),
+                    text(r.kind),
+                    text(r.engine),
+                    text(&r.shape),
+                    text(r.metric),
+                    json_num(r.value),
+                    r.limit.map_or("null".into(), |l| text(&l.text())),
+                    text(self.verdict(r))
                 )
             })
             .collect();
-        let [n1, nl, n2, n3] = self.geometry;
-        format!(
-            "{{\"id\":\"ablate-stride\",\"geometry\":[{n1},{nl},{n2},{n3}],\"rows\":[{}]}}",
-            rows.join(",")
-        )
+        rows.join(",\n")
     }
+}
 
-    /// The `std::arch` (AVX2 and AVX-512) rows at their kind's default
-    /// stride that run below `floor` × the kind's best row — a default
-    /// that no longer sits on the plateau, or a default stride whose
-    /// register-ring instantiation was dropped (the rolled in-memory ring
-    /// measures ≈ 0.45).
-    pub fn avx2_defaults_under(&self, floor: f64) -> Vec<&StrideRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.default && r.engine != "portable" && self.vs_best(r) < floor)
-            .collect()
-    }
+/// `s=10*r`: a stride, `*` when it is the default, `r` when its ring
+/// stays in registers.
+fn stride_shape(s: usize, default: bool, registers: bool) -> String {
+    let mark = |on, m| if on { m } else { "" };
+    format!("s={s}{}{}", mark(default, "*"), mark(registers, "r"))
+}
 
-    /// The rows that resolved the portable engine: none on an AVX2 host
-    /// under `auto`, where every accepted stride resolves by capability —
-    /// a row that does runs through libm's `fma` at a sixteenth of its
-    /// neighbours' speed (the `s = 16` rows of the 1-D kinds once did).
-    pub fn portable_rows(&self) -> Vec<&StrideRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.engine == "portable")
-            .collect()
+/// State every row against the row of the best reading of its kind on
+/// its engine.
+fn against_best(rows: &mut [Row]) {
+    let best: Vec<Key> = rows
+        .iter()
+        .map(|r| {
+            let peers = rows
+                .iter()
+                .filter(|p| (p.kind, p.engine) == (r.kind, r.engine));
+            let best = peers.max_by(|a, b| a.value.total_cmp(&b.value));
+            // Panic-justification: `r` is among its own peers.
+            best.expect("a row is its own peer").key()
+        })
+        .collect();
+    for (r, best) in rows.iter_mut().zip(best) {
+        r.of = Some(best);
     }
+}
+
+/// The engine every stride of a kind must run on under `auto` on an AVX2
+/// host: the one its default `plan` resolves — never the portable one. A
+/// portable default plan on such a host is itself the fault, so its rows
+/// are limited to `avx2` and fail.
+fn simd_engine(plan: Option<Engine>) -> &'static str {
+    plan.filter(|&e| e != Engine::Portable)
+        .unwrap_or(Engine::Avx2)
+        .name()
 }
 
 /// §3.3 stride sweep: throughput of the temporal engines as the space
@@ -1245,8 +1448,16 @@ impl StrideTable {
 /// `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256 gives its
 /// `--smoke` geometry; LCS never below the ledger's 1024², the narrowest
 /// table `auto` runs at sixteen lanes — at 256² their head and tail
-/// triangles, which grow with `s`, put `s = 1` far ahead).
-pub fn ablate_stride(scale: usize) -> StrideTable {
+/// triangles, which grow with `s`, put `s = 1` far ahead). One `Mupd/s`
+/// row per kind, engine and stride, stated against its kind's best
+/// stride on the same engine. Under `auto` on an AVX2 host every row is
+/// limited to the engine its kind's default plan resolves, never the
+/// portable one (`simd_engine`; an LCS row: the engine it was built
+/// for) — every accepted stride resolves by
+/// capability, and a row that does not runs through libm's `fma` at a
+/// sixteenth of its neighbours' speed (the `s = 16` rows of the 1-D
+/// kinds once did).
+pub fn ablate_stride(scale: usize) -> Table {
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::{lcs_avx2, t1d_avx2};
     let d = scale.max(1);
@@ -1254,6 +1465,7 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
     let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(1024));
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let sel = Select::from_env();
+    let checked = sel == Select::Auto && tempora_simd::arch::avx2_available();
     let grid_strides = JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE;
     // The strides whose ring stays in registers, at four and at eight
     // lanes; no slab stride keeps its ring there.
@@ -1263,289 +1475,73 @@ pub fn ablate_stride(scale: usize) -> StrideTable {
         let problem = (k.problem)(dims, k.ledger_steps);
         (k.name, problem, 2..=4, [none.clone(), none.clone()])
     };
-    let zmm = t1d_avx2::ZMM_REGISTER_STRIDES;
+    let registers = [t1d_avx2::REGISTER_STRIDES, t1d_avx2::ZMM_REGISTER_STRIDES];
+    let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
     let kinds = [
         (
             "heat1d",
-            Problem::heat1d(n1, 32, Heat1dCoeffs::classic(0.25)),
+            Problem::heat1d(n1, 32, h1),
             grid_strides.clone(),
-            [t1d_avx2::REGISTER_STRIDES, zmm.clone()],
+            registers.clone(),
         ),
-        (
-            "gs1d",
-            Problem::gs1d(n1, 32, Gs1dCoeffs::classic(0.25)),
-            grid_strides,
-            [t1d_avx2::REGISTER_STRIDES, zmm],
-        ),
+        ("gs1d", Problem::gs1d(n1, 32, g1), grid_strides, registers),
     ];
     let mut rows = vec![];
+    let mut push = |kind, engine, shape: String, mupd_per_s, expect: &'static str| {
+        let row = Row::new("ablate-stride", kind, engine, &shape).reads("Mupd/s", mupd_per_s);
+        let limit = checked.then_some(Limit::Engine(expect));
+        rows.push(Row { limit, ..row });
+    };
     for (kind, problem, strides, [ymm, zmm]) in kinds.into_iter().chain(SLAB_KINDS.iter().map(slab))
     {
-        let default = default_stride(&problem);
+        let plan = plan_of(&problem, PlanBuilder::new().select(sel));
+        let (default, expect) = (plan.stride(), simd_engine(plan.engine()));
         for s in strides {
-            let Best { secs, engine, .. } =
-                best_of_20(&problem, PlanBuilder::new().stride(s).select(sel));
-            rows.push(StrideRow {
+            let builder = PlanBuilder::new().stride(s).select(sel);
+            let Best { secs, engine, .. } = best_of_20_each(&problem, &[builder])[0];
+            let registers = match engine {
+                "avx2" => ymm.contains(&s),
+                "avx512" => zmm.contains(&s),
+                _ => false,
+            };
+            let mupd_per_s = (problem.points() * problem.steps()) as f64 / secs / 1e6;
+            push(
                 kind,
-                stride: s,
                 engine,
-                mupd_per_s: (problem.points() * problem.steps()) as f64 / secs / 1e6,
-                default: s == default,
-                registers: match engine {
-                    "avx2" => ymm.contains(&s),
-                    "avx512" => zmm.contains(&s),
-                    _ => false,
-                },
-            });
+                stride_shape(s, s == default, registers),
+                mupd_per_s,
+                expect,
+            );
         }
     }
     // LCS at both widths, each engine's workspace built directly: `auto`
     // picks sixteen lanes only from 1024 columns on.
     let default = default_stride(&Problem::lcs(nl, nl));
-    for engine in lcs_widths(sel) {
+    for (engine, _) in lcs_widths(sel) {
         for s in 1..=3 {
             let [best] = lcs_runs(nl, nl, s, &[engine])[..] else {
                 unreachable!("one run per engine")
             };
-            rows.push(StrideRow {
-                kind: "lcs",
-                stride: s,
-                engine: best.engine,
-                mupd_per_s: (nl * nl) as f64 / best.secs / 1e6,
-                default: s == default,
-                registers: engine != Engine::Portable && lcs_avx2::REGISTER_STRIDES.contains(&s),
-            });
-        }
-    }
-    StrideTable {
-        geometry: [n1, nl, n2, n3],
-        rows,
-    }
-}
-
-/// One row of [`ablate_vl`]: one kind at one lane count and stride.
-#[derive(Clone, Debug)]
-pub struct VlRow {
-    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d` | `lcs1024` |
-    /// `lcs8192`.
-    pub kind: &'static str,
-    /// Lanes of the steady state: 4 (`Ymm`) or 8 (`Zmm`); LCS 8 (`Ymm`)
-    /// or 16 (`Zmm`).
-    pub vl: usize,
-    /// The space stride `s` of this row.
-    pub stride: usize,
-    /// Engine the row ran (`avx2` at four lanes, `avx512` at eight).
-    pub engine: &'static str,
-    /// Throughput, million point-updates per second (best of 20 runs).
-    pub mupd_per_s: f64,
-    /// Core cycles per steady-state output vector (best of the same 20
-    /// runs, the whole run's cycles over its steady vectors).
-    pub cycles_per_vector: f64,
-    /// Counted reorganization ops (rotates + blends) per output vector of
-    /// one run at this stride: 2 at every width, the paper's claim (NaN for
-    /// LCS, whose sweep is not instrumented).
-    pub reorg_per_vector: f64,
-    /// True at this lane count's default stride.
-    pub default: bool,
-    /// True when this lane count keeps the stride's ring in registers.
-    pub registers: bool,
-}
-
-/// One problem of the `ledger` benchmark and the engine a default plan
-/// of it resolves under `auto`.
-#[derive(Clone, Debug)]
-pub struct VlLedgerRow {
-    /// `kind n x steps`.
-    pub problem: String,
-    /// What `auto` resolved.
-    pub engine: &'static str,
-    /// What it must resolve on an AVX-512 host.
-    pub expect: &'static str,
-}
-
-/// The `ablate-vl` table: the 1-D kinds at four and eight lanes over
-/// every accepted stride, the `f64` 2-D kinds at both at their default
-/// stride, LCS at eight and sixteen, the engine `auto` resolves for each
-/// of the ledger's problems with a wider sweep, and both widths around
-/// `auto`'s crossovers.
-#[derive(Clone, Debug)]
-pub struct VlTable {
-    /// Points and steps of the swept 1-D problems.
-    pub geometry: (usize, usize),
-    /// One row per 1-D kind, lane count and stride.
-    pub rows: Vec<VlRow>,
-    /// Edge and steps of the 2-D problems of [`VlTable::slab_rows`].
-    pub slab_geometry: (usize, usize),
-    /// One row per `f64` 2-D kind and lane count, at stride 2.
-    pub slab_rows: Vec<VlRow>,
-    /// One row per LCS table (the ledger's 1024² and 8192²: kinds
-    /// `lcs1024`, `lcs8192`) and lane count, untiled at stride 2.
-    pub lcs_rows: Vec<VlRow>,
-    /// `(kind, gain)`: the eight-lane default plan's throughput over the
-    /// four-lane default plan's, the two timed alternately on one state
-    /// (best of 20 each); absent without both engines.
-    pub gains: Vec<(&'static str, f64)>,
-    /// The ledger's problems of the kinds with an eight-lane sweep.
-    pub ledger: Vec<VlLedgerRow>,
-    /// Both widths timed over the shapes around `auto`'s crossovers
-    /// ([`vl_shapes`]).
-    pub shapes: Vec<VlShapeRow>,
-}
-
-impl VlTable {
-    /// `kind`'s eight-lane default plan over its four-lane default plan,
-    /// in throughput; `None` without both (a host without AVX-512F).
-    pub fn default_gain(&self, kind: &str) -> Option<f64> {
-        self.gains.iter().find(|(k, _)| *k == kind).map(|&(_, g)| g)
-    }
-
-    /// Render as an aligned text table (`*` marks a lane count's default
-    /// stride, `r` a stride whose ring stays in registers).
-    pub fn to_table(&self) -> String {
-        let (n, steps) = self.geometry;
-        let header = format!(
-            "{:<8}{:>4}{:>8}{:>6}{:>10}{:>12}{:>11}{:>11}\n",
-            "kind", "vl", "stride", "", "engine", "Mupd/s", "cyc/vec", "reorg/vec"
-        );
-        let mut out = format!(
-            "# ablate-vl — one steady state at four and eight lanes (1-D {n} x {steps} steps; \
-             * = default stride, r = ring in registers)\n{header}"
-        );
-        let line = |r: &VlRow| {
-            let marks = format!(
-                "{}{}",
-                if r.default { "*" } else { "" },
-                if r.registers { "r" } else { "" }
+            let registers = engine != Engine::Portable && lcs_avx2::REGISTER_STRIDES.contains(&s);
+            let shape = stride_shape(s, s == default, registers);
+            push(
+                "lcs",
+                best.engine,
+                shape,
+                (nl * nl) as f64 / best.secs / 1e6,
+                engine.name(),
             );
-            format!(
-                "{:<8}{:>4}{:>8}{:>6}{:>10}{:>12.0}{:>11.2}{:>11.2}\n",
-                r.kind,
-                r.vl,
-                r.stride,
-                marks,
-                r.engine,
-                r.mupd_per_s,
-                r.cycles_per_vector,
-                r.reorg_per_vector
-            )
-        };
-        out.extend(self.rows.iter().map(line));
-        if !self.slab_rows.is_empty() {
-            let (n, steps) = self.slab_geometry;
-            out.push_str(&format!(
-                "# the f64 2-D kinds, ring in L1 by segments ({n}^2 x {steps} steps)\n{header}"
-            ));
-            out.extend(self.slab_rows.iter().map(line));
         }
-        if !self.lcs_rows.is_empty() {
-            out.push_str(&format!(
-                "# LCS, untiled n^2 tables (lcs1024, lcs8192), eight and sixteen i32 lanes\n{header}"
-            ));
-            out.extend(self.lcs_rows.iter().map(line));
-        }
-        for (kind, gain) in &self.gains {
-            out.push_str(&format!(
-                "{kind}: eight-lane default / four-lane default = {gain:.2} (timed in pairs)\n"
-            ));
-        }
-        for r in &self.ledger {
-            out.push_str(&format!(
-                "auto resolves {}: {} (expected on avx512 hosts: {})\n",
-                r.problem, r.engine, r.expect
-            ));
-        }
-        if !self.shapes.is_empty() {
-            out.push_str(&format!(
-                "# both widths at their default strides around auto's crossovers (2-D and \
-                 LCS: n^2; narrow = four f64 / eight i32 lanes, wide = eight / sixteen)\n\
-                 {:<8}{:>6}{:>6}{:>8}{:>11}{:>11}{:>8}\n",
-                "kind", "nx", "steps", "auto", "narrow µs", "wide µs", "gain"
-            ));
-        }
-        for r in &self.shapes {
-            out.push_str(&format!(
-                "{:<8}{:>6}{:>6}{:>8}{:>11.2}{:>11.2}{:>8.2}\n",
-                r.kind,
-                r.nx,
-                r.steps,
-                r.auto,
-                r.narrow_us,
-                r.wide_us,
-                r.gain()
-            ));
-        }
-        out
     }
-
-    /// Render as a JSON object (`{"id", "geometry", "rows", "slab_rows",
-    /// "lcs_rows", "gains", "ledger", "shapes"}`), one entry of the `repro
-    /// --json` document.
-    pub fn to_json(&self) -> String {
-        let row = |r: &VlRow| {
-            format!(
-                "{{\"kind\":\"{}\",\"vl\":{},\"stride\":{},\"engine\":\"{}\",\"mupd_per_s\":{},\
-                 \"cycles_per_vector\":{},\"reorg_per_vector\":{},\"default\":{},\
-                 \"registers\":{}}}",
-                r.kind,
-                r.vl,
-                r.stride,
-                r.engine,
-                json_num(r.mupd_per_s),
-                json_num(r.cycles_per_vector),
-                json_num(r.reorg_per_vector),
-                r.default,
-                r.registers
-            )
-        };
-        let rows: Vec<String> = self.rows.iter().map(row).collect();
-        let slab_rows: Vec<String> = self.slab_rows.iter().map(row).collect();
-        let lcs_rows: Vec<String> = self.lcs_rows.iter().map(row).collect();
-        let ledger: Vec<String> = self
-            .ledger
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"problem\":\"{}\",\"engine\":\"{}\",\"expect\":\"{}\"}}",
-                    json_escape(&r.problem),
-                    r.engine,
-                    r.expect
-                )
-            })
-            .collect();
-        let gains: Vec<String> = self
-            .gains
-            .iter()
-            .map(|(k, g)| format!("{{\"kind\":\"{k}\",\"default_gain\":{}}}", json_num(*g)))
-            .collect();
-        let shapes: Vec<String> = self
-            .shapes
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"kind\":\"{}\",\"nx\":{},\"steps\":{},\"auto\":\"{}\",\"narrow_us\":{},\
-                     \"wide_us\":{},\"gain\":{}}}",
-                    r.kind,
-                    r.nx,
-                    r.steps,
-                    r.auto,
-                    json_num(r.narrow_us),
-                    json_num(r.wide_us),
-                    json_num(r.gain())
-                )
-            })
-            .collect();
-        let ((n, steps), (n2, steps2)) = (self.geometry, self.slab_geometry);
-        format!(
-            "{{\"id\":\"ablate-vl\",\"geometry\":[{n},{steps}],\"rows\":[{}],\
-             \"slab_geometry\":[{n2},{steps2}],\"slab_rows\":[{}],\"lcs_rows\":[{}],\
-             \"gains\":[{}],\"ledger\":[{}],\"shapes\":[{}]}}",
-            rows.join(","),
-            slab_rows.join(","),
-            lcs_rows.join(","),
-            gains.join(","),
-            ledger.join(","),
-            shapes.join(",")
-        )
+    against_best(&mut rows);
+    Table {
+        title: format!(
+            "# ablate-stride — temporal stride sweep (1-D {n1} x 32 steps, LCS {nl}², 2-D {n2}², \
+             3-D {n3}³; * = default stride, r = ring in registers; vs = over the kind's best \
+             stride on its engine)"
+        ),
+        rows,
+        again: None,
     }
 }
 
@@ -1566,34 +1562,43 @@ fn wide_slab_kinds(n: usize, steps: usize) -> impl Iterator<Item = (&'static str
 /// shape): throughput and core cycles per output vector, best of 20 runs
 /// with the two widths alternating on one state, and the reorganization
 /// ops a counted run of each row spends per output vector. Then each
-/// kind's two default plans once more, alternating, for the gain the
+/// kind's two default plans once more, alternating: the eight-lane one's
+/// `Mupd/s` row is stated against the four-lane one's, the gain the
 /// `repro` gate reads. The `f64` 2-D kinds likewise at both widths
 /// (`engine_runs`) at the ledger's 256² × 8 steps, their rings kept in
 /// L1 by segments — counted too: 2 per vector in 2-D as in 1-D. LCS at
 /// eight and sixteen `i32` lanes (`lcs_runs`) on the ledger's untiled
-/// 1024² and on 8192² (not counted: its sweep is not instrumented). Last,
-/// the engine `auto` resolves for the ledger's problems of these six
-/// kinds, and both widths over the shapes of [`vl_shapes`], on each side
-/// of each kind's crossover. A width the CPU lacks has no rows.
-pub fn ablate_vl() -> VlTable {
+/// 1024² and on 8192² (not counted: its sweep is not instrumented). Then
+/// one `engine` row per ledger problem of these six kinds: the engine
+/// `auto` resolves, limited on an AVX-512 host to the one it must. Last,
+/// both widths over the shapes of [`vl_shapes`], on each side of each
+/// kind's crossover. A width the CPU lacks has no rows.
+pub fn ablate_vl() -> Table {
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::t1d_avx2;
     let (n, steps) = (1 << 16, 32);
-    let avx2 = tempora_simd::arch::avx2_available().then_some((4, Select::Avx2));
-    let avx512 = tempora_simd::arch::avx512_available().then_some((8, Select::Auto));
-    let widths: Vec<(usize, Select)> = avx2.into_iter().chain(avx512).collect();
+    let avx2 = tempora_simd::arch::avx2_available().then_some((4, Select::Avx2, Engine::Avx2));
+    let avx512 =
+        tempora_simd::arch::avx512_available().then_some((8, Select::Auto, Engine::Avx512));
+    let widths: Vec<(usize, Select, Engine)> = avx2.into_iter().chain(avx512).collect();
+    let engines: Vec<Engine> = widths.iter().map(|w| w.2).collect();
+    let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
     let kinds = [
-        (
-            "heat1d",
-            Problem::heat1d(n, steps, Heat1dCoeffs::classic(0.25)),
-        ),
-        ("gs1d", Problem::gs1d(n, steps, Gs1dCoeffs::classic(0.25))),
+        ("heat1d", Problem::heat1d(n, steps, h1)),
+        ("gs1d", Problem::gs1d(n, steps, g1)),
     ];
-    let (mut rows, mut gains) = (vec![], vec![]);
+    let mut rows = vec![];
+    // Throughput, cycles and reorganizations per vector of one run.
+    let mut push = |row: Row, mupd_per_s, cycles_per_vector, reorg_per_vector: Option<f64>| {
+        rows.push(row.reads("Mupd/s", mupd_per_s));
+        rows.push(row.reads("c/v", cycles_per_vector));
+        rows.extend(reorg_per_vector.map(|k| row.reads("reorg/vec", k)));
+    };
+    let mut gains = vec![];
     for (kind, problem) in kinds {
         let defaults: Vec<PlanBuilder> = widths
             .iter()
-            .map(|&(_, sel)| PlanBuilder::new().select(sel))
+            .map(|&(_, sel, _)| PlanBuilder::new().select(sel))
             .collect();
         let default_strides: Vec<usize> = defaults
             .iter()
@@ -1602,7 +1607,7 @@ pub fn ablate_vl() -> VlTable {
         for s in JacobiKern1d::MIN_STRIDE..=JacobiKern1d::MAX_STRIDE {
             let builders: Vec<PlanBuilder> = defaults.iter().map(|b| b.stride(s)).collect();
             let runs = best_of_20_each(&problem, &builders);
-            for ((&(vl, _), b), (best, &default)) in widths
+            for ((&(vl, ..), b), (best, &default)) in widths
                 .iter()
                 .zip(builders)
                 .zip(runs.iter().zip(&default_strides))
@@ -1616,222 +1621,165 @@ pub fn ablate_vl() -> VlTable {
                     .and_then(|r| r.reorg)
                     .map_or(f64::NAN, |k| k.reorg_per_output());
                 let vectors = (steps / vl * (n + 1 - vl * s)) as f64;
-                let registers = if vl == 8 {
-                    t1d_avx2::ZMM_REGISTER_STRIDES
-                } else {
-                    t1d_avx2::REGISTER_STRIDES
-                };
-                rows.push(VlRow {
-                    kind,
-                    vl,
-                    stride: s,
-                    engine: best.engine,
-                    mupd_per_s: (n * steps) as f64 / best.secs / 1e6,
-                    cycles_per_vector: best.cycles / vectors,
-                    reorg_per_vector: reorg,
-                    default: s == default,
-                    registers: registers.contains(&s),
-                });
+                let registers = [t1d_avx2::REGISTER_STRIDES, t1d_avx2::ZMM_REGISTER_STRIDES];
+                let registers = registers[(vl == 8) as usize].contains(&s);
+                let shape = stride_shape(s, s == default, registers);
+                push(
+                    Row::new("ablate-vl", kind, best.engine, &shape),
+                    (n * steps) as f64 / best.secs / 1e6,
+                    best.cycles / vectors,
+                    Some(reorg),
+                );
             }
         }
         if let [four, eight] = best_of_20_each(&problem, &defaults)[..] {
-            gains.push((kind, four.secs / eight.secs));
+            let mupd_per_s = |b: Best| (n * steps) as f64 / b.secs / 1e6;
+            let four = Row::new("ablate-vl", kind, four.engine, "default plans")
+                .reads("Mupd/s", mupd_per_s(four));
+            let eight = Row::new("ablate-vl", kind, eight.engine, "default plans")
+                .reads("Mupd/s", mupd_per_s(eight));
+            gains.extend([eight.against(&four), four]);
         }
     }
     let (n2, steps2) = (256, 8);
-    let engines: Vec<Engine> = widths
-        .iter()
-        .map(|&(vl, _)| {
-            if vl == 8 {
-                Engine::Avx512
-            } else {
-                Engine::Avx2
-            }
-        })
-        .collect();
-    let mut slab_rows = vec![];
     for (kind, problem) in wide_slab_kinds(n2, steps2) {
         for run in engine_runs(&problem, &engines) {
             let (vl, s) = (run.vl, SLAB_STRIDE);
             let vectors = (steps2 / vl * (n2 + 1 - vl * s) * n2) as f64;
-            slab_rows.push(VlRow {
-                kind,
-                vl,
-                stride: s,
-                engine: run.best.engine,
-                mupd_per_s: problem.points() as f64 * steps2 as f64 / run.best.secs / 1e6,
-                cycles_per_vector: run.best.cycles / vectors,
-                reorg_per_vector: run.reorg_per_vector,
-                default: true,
-                registers: false,
-            });
+            let shape = format!("{n2}^2 x {steps2} s={s}*");
+            push(
+                Row::new("ablate-vl", kind, run.best.engine, &shape),
+                problem.points() as f64 * steps2 as f64 / run.best.secs / 1e6,
+                run.best.cycles / vectors,
+                Some(run.reorg_per_vector),
+            );
         }
     }
     // LCS at eight and sixteen lanes: the ledger's untiled 1024² and the
     // 8192² its tiled run cuts into blocks.
-    let mut lcs_rows = vec![];
     for (kind, n) in [("lcs1024", 1024), ("lcs8192", 8192)] {
         let s = default_stride(&Problem::lcs(n, n));
+        let registers = tempora_core::lcs_avx2::REGISTER_STRIDES.contains(&s);
         for (&engine, best) in engines.iter().zip(lcs_runs(n, n, s, &engines)) {
             let vl = tempora_core::lcs::vl(engine);
-            lcs_rows.push(VlRow {
-                kind,
-                vl,
-                stride: s,
-                engine: best.engine,
-                mupd_per_s: (n * n) as f64 / best.secs / 1e6,
-                cycles_per_vector: best.cycles / (n / vl * (n - vl * s)) as f64,
-                reorg_per_vector: f64::NAN,
-                default: true,
-                registers: tempora_core::lcs_avx2::REGISTER_STRIDES.contains(&s),
-            });
+            push(
+                Row::new(
+                    "ablate-vl",
+                    kind,
+                    best.engine,
+                    &stride_shape(s, true, registers),
+                ),
+                (n * n) as f64 / best.secs / 1e6,
+                best.cycles / (n / vl * (n - vl * s)) as f64,
+                None,
+            );
         }
     }
-    let rect = |n| {
-        PlanBuilder::new()
-            .tiling(Tiling::LcsRect {
-                xblock: n,
-                yblock: n,
-            })
-            .threads(2)
+    rows.extend(gains);
+    let (h2, g2) = (Heat2dCoeffs::classic(0.125), Gs2dCoeffs::classic(0.2));
+    let rect = Tiling::LcsRect {
+        xblock: 1024,
+        yblock: 1024,
     };
     let ledger = [
-        (
-            Problem::heat1d(1 << 16, 32, Heat1dCoeffs::classic(0.25)),
-            "avx512",
-        ),
-        (
-            Problem::gs1d(1 << 16, 32, Gs1dCoeffs::classic(0.25)),
-            "avx512",
-        ),
-        (
-            Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
-            "avx512",
-        ),
+        (Problem::heat1d(1 << 16, 32, h1), "avx512"),
+        (Problem::gs1d(1 << 16, 32, g1), "avx512"),
+        (Problem::heat1d(4096, 32, h1), "avx512"),
         // Twelve steps: four scalar levels at eight lanes, none at four.
-        (
-            Problem::heat2d(256, 256, 12, Heat2dCoeffs::classic(0.125)),
-            "avx2",
-        ),
+        (Problem::heat2d(256, 256, 12, h2), "avx2"),
         (
             Problem::box2d(256, 256, 8, Box2dCoeffs::smooth(0.1)),
             "avx512",
         ),
-        (
-            Problem::gs2d(256, 256, 8, Gs2dCoeffs::classic(0.2)),
-            "avx512",
-        ),
-        (
-            Problem::heat2d(1024, 1024, 24, Heat2dCoeffs::classic(0.125)),
-            "avx512",
-        ),
-        (
-            Problem::gs2d(768, 768, 16, Gs2dCoeffs::classic(0.2)),
-            "avx512",
-        ),
+        (Problem::gs2d(256, 256, 8, g2), "avx512"),
+        (Problem::heat2d(1024, 1024, 24, h2), "avx512"),
+        (Problem::gs2d(768, 768, 16, g2), "avx512"),
         (Problem::lcs(1024, 1024), "avx512"),
     ]
-    .iter()
-    .map(|&(p, expect)| (p, PlanBuilder::new(), expect))
-    .chain([(Problem::lcs(8192, 8192), rect(1024), "avx512")])
-    .map(|(p, builder, expect)| {
-        let engine = plan_of(&p, builder).engine();
-        VlLedgerRow {
-            problem: format!("{} {} x {}", p.kind_name(), p.extents()[0], p.steps()),
-            engine: engine.map_or("none", |e| e.name()),
-            expect,
-        }
-    })
-    .collect();
-    VlTable {
-        geometry: (n, steps),
+    .map(|(p, expect)| (p, PlanBuilder::new(), "", expect))
+    .into_iter()
+    .chain([(
+        Problem::lcs(8192, 8192),
+        PlanBuilder::new().tiling(rect).threads(2),
+        " tiled 1024^2",
+        "avx512",
+    )]);
+    for (p, builder, tiled, expect) in ledger {
+        let engine = plan_of(&p, builder).engine().map_or("none", |e| e.name());
+        let shape = format!("{} x {}{tiled}", p.extents()[0], p.steps());
+        let row = Row::new("ablate-vl", p.kind_name(), engine, &shape).reads("engine", f64::NAN);
+        let limit = avx512.map(|_| Limit::Engine(expect));
+        rows.push(Row { limit, ..row });
+    }
+    rows.extend(vl_shapes());
+    Table {
+        title: format!(
+            "# ablate-vl — one steady state at four and eight lanes (1-D {n} x {steps} steps, \
+             every stride; the f64 2-D kinds at {n2}^2 x {steps2}, ring in L1 by segments; LCS \
+             untiled n^2 at eight and sixteen i32 lanes; * = default stride, r = ring in \
+             registers; default plans: eight lanes vs four; engine: what auto resolves for a \
+             ledger problem; n x steps: both widths around auto's crossovers, the width auto \
+             takes vs the other)"
+        ),
         rows,
-        slab_geometry: (n2, steps2),
-        slab_rows,
-        lcs_rows,
-        gains,
-        ledger,
-        shapes: vl_shapes(),
-    }
-}
-
-/// One row of [`vl_shapes`]: one kind at one shape, timed at its narrow
-/// and its wide lane count (four and eight `f64` lanes, eight and sixteen
-/// `i32` lanes for LCS), each at its engine's default stride.
-#[derive(Clone, Debug)]
-pub struct VlShapeRow {
-    /// `heat1d` | `gs1d` | `heat2d` | `box2d` | `gs2d` | `lcs`.
-    pub kind: &'static str,
-    /// Outer extent: points of a line, the edge of a square (LCS: of an
-    /// `n × n` table).
-    pub nx: usize,
-    /// Time steps (LCS: table rows).
-    pub steps: usize,
-    /// The engine a default plan of this shape resolves under `auto`.
-    pub auto: &'static str,
-    /// Fastest run at the narrow width (AVX2), µs.
-    pub narrow_us: f64,
-    /// Fastest run at the wide width (AVX-512), µs.
-    pub wide_us: f64,
-}
-
-impl VlShapeRow {
-    /// The wide width's throughput over the narrow one's.
-    pub fn gain(&self) -> f64 {
-        self.narrow_us / self.wide_us
-    }
-
-    /// True when `auto` took the slower width by more than `margin` (a
-    /// ratio, e.g. 1.1): AVX-512 where the narrow width runs `margin` ×
-    /// faster, or AVX2 where the wide one does.
-    pub fn misresolved(&self, margin: f64) -> bool {
-        match self.auto {
-            "avx512" => self.gain() * margin < 1.0,
-            _ => self.gain() > margin,
-        }
+        again: None,
     }
 }
 
 /// Where the wider lanes start to pay: Heat-1D and GS-1D over lines of
 /// 128 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
-/// over squares of 32² … 256² at 8, 16 and 9 steps, each shape untiled at
+/// over squares of 16² … 256² at 8, 16 and 9 steps, each shape untiled at
 /// four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their
 /// default strides (`engine_runs`: `auto` picks only one of them, and the
 /// point is to time the one it does not); and LCS over `n × n` tables of
 /// 128 … 8192 at eight and sixteen lanes (`lcs_runs`) — the rows that
-/// set `tempora_core::lcs::WIDE_MIN_LB`. Each next to the engine a
-/// default plan resolves. Empty without AVX-512F.
-pub fn vl_shapes() -> Vec<VlShapeRow> {
+/// set `tempora_core::lcs::WIDE_MIN_LB`. Two `Mupd/s` rows per shape, one
+/// per width; the one of the width a default plan resolves (the narrow
+/// one unless that is `avx512`) is stated against the other. Empty
+/// without AVX-512F.
+///
+/// [`Engine::Avx2`]: tempora_core::engine::Engine::Avx2
+/// [`Engine::Avx512`]: tempora_core::engine::Engine::Avx512
+pub fn vl_shapes() -> Vec<Row> {
     if !tempora_simd::arch::avx512_available() {
         return vec![];
     }
-    let row = |kind, problem: Problem| {
-        let [four, eight] = engine_runs(&problem, &[Engine::Avx2, Engine::Avx512])[..] else {
+    let mut rows = vec![];
+    let mut push = |kind, problem: Problem, [narrow, wide]: [f64; 2]| {
+        let shape = format!("{} x {}", problem.extents()[0], problem.steps());
+        let updates = problem.points() as f64 * problem.steps() as f64;
+        let row = |engine: Engine, secs| {
+            Row::new("ablate-vl", kind, engine.name(), &shape).reads("Mupd/s", updates / secs / 1e6)
+        };
+        let (narrow, wide) = (row(Engine::Avx2, narrow), row(Engine::Avx512, wide));
+        let auto = plan_of(&problem, PlanBuilder::new()).engine();
+        rows.extend(if auto == Some(Engine::Avx512) {
+            [wide.against(&narrow), narrow]
+        } else {
+            [narrow.against(&wide), wide]
+        });
+    };
+    let secs = |problem: &Problem| {
+        let [four, eight] = engine_runs(problem, &[Engine::Avx2, Engine::Avx512])[..] else {
             unreachable!("one run per engine")
         };
-        VlShapeRow {
-            kind,
-            nx: problem.extents()[0],
-            steps: problem.steps(),
-            auto: plan_of(&problem, PlanBuilder::new())
-                .engine()
-                .map_or("none", |e| e.name()),
-            narrow_us: four.best.secs * 1e6,
-            wide_us: eight.best.secs * 1e6,
-        }
+        [four.best.secs, eight.best.secs]
     };
     let (h, g) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
-    let mut rows = vec![];
     for steps in [32, 12, 9] {
         for nx in [128, 256, 512, 1024, 2048, 4096] {
-            rows.push(row("heat1d", Problem::heat1d(nx, steps, h)));
-            rows.push(row("gs1d", Problem::gs1d(nx, steps, g)));
+            for (kind, problem) in [
+                ("heat1d", Problem::heat1d(nx, steps, h)),
+                ("gs1d", Problem::gs1d(nx, steps, g)),
+            ] {
+                push(kind, problem, secs(&problem));
+            }
         }
     }
     for steps in [8, 16, 9] {
         for n in [16, 32, 64, 128, 256] {
             for (kind, problem) in wide_slab_kinds(n, steps) {
-                rows.push(row(kind, problem));
+                push(kind, problem, secs(&problem));
             }
         }
     }
@@ -1841,16 +1789,7 @@ pub fn vl_shapes() -> Vec<VlShapeRow> {
         let [narrow, wide] = lcs_runs(n, n, s, &[Engine::Avx2, Engine::Avx512])[..] else {
             unreachable!("one run per engine")
         };
-        rows.push(VlShapeRow {
-            kind: "lcs",
-            nx: n,
-            steps: n,
-            auto: plan_of(&problem, PlanBuilder::new())
-                .engine()
-                .map_or("none", |e| e.name()),
-            narrow_us: narrow.secs * 1e6,
-            wide_us: wide.secs * 1e6,
-        });
+        push("lcs", problem, [narrow.secs, wide.secs]);
     }
     rows
 }
@@ -2255,144 +2194,9 @@ fn kinds_on(engine: Engine) -> impl Iterator<Item = &'static SlabKind> {
         .filter(move |k| engine != Engine::Avx512 || k.wide.is_some())
 }
 
-/// One row of [`ablate_boundary`]: one kind under one engine selection.
-#[derive(Clone, Debug)]
-pub struct BoundaryRow {
-    /// Workload kind (`heat2d` … `gs3d`).
-    pub kind: &'static str,
-    /// Engine the plan resolved to (`avx2` | `portable`).
-    pub engine: &'static str,
-    /// One whole temporal tile at the base geometry, µs.
-    pub tile_us: f64,
-    /// Its fixed part — prologue, ring fill/drain, epilogue — µs: what a
-    /// tile with zero steady-state slabs would cost.
-    pub boundary_us: f64,
-    /// Cost of one point-update in the steady state, ns.
-    pub steady_ns_per_update: f64,
-    /// Cost of one point-update in the boundary phases, ns.
-    pub boundary_ns_per_update: f64,
-    /// What to measure again: the kind, the engine and the geometry.
-    source: (&'static SlabKind, Engine, [usize; 3]),
-}
-
-impl BoundaryRow {
-    /// Share of the base-geometry tile spent in the boundary phases.
-    pub fn boundary_share(&self) -> f64 {
-        self.boundary_us / self.tile_us
-    }
-
-    /// How many times slower a boundary point-update is than a
-    /// steady-state one. The paper's argument needs this to be a small
-    /// constant; ≈ 20 means the boundary code is calling libm `fma`.
-    pub fn ratio(&self) -> f64 {
-        self.boundary_ns_per_update / self.steady_ns_per_update
-    }
-}
-
-/// The `ablate-boundary` table: per kind and engine, where the time of a
-/// temporal tile goes.
-#[derive(Clone, Debug)]
-pub struct BoundaryTable {
-    /// `(2-D edge, 3-D edge)` of the base geometry.
-    pub geometry: (usize, usize),
-    /// One row per kind and resolved engine.
-    pub rows: Vec<BoundaryRow>,
-}
-
-impl BoundaryTable {
-    /// Render as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let (n2, n3) = self.geometry;
-        let mut out = format!(
-            "# ablate-boundary — where the time goes in a tile \
-             (base: 2-D {n2}², 3-D {n3}³; fitted against 10× the outer extent)\n\
-             {:<8}{:>10}{:>11}{:>13}{:>8}{:>13}{:>15}{:>8}\n",
-            "kind",
-            "engine",
-            "tile µs",
-            "boundary µs",
-            "share",
-            "steady ns/u",
-            "boundary ns/u",
-            "ratio"
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<8}{:>10}{:>11.1}{:>13.1}{:>8.2}{:>13.2}{:>15.2}{:>8.1}\n",
-                r.kind,
-                r.engine,
-                r.tile_us,
-                r.boundary_us,
-                r.boundary_share(),
-                r.steady_ns_per_update,
-                r.boundary_ns_per_update,
-                r.ratio()
-            ));
-        }
-        out
-    }
-
-    /// Render as a JSON object (`{"id", "geometry", "rows"}`), one entry
-    /// of the `repro --json` document.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"kind\":\"{}\",\"engine\":\"{}\",\"tile_us\":{},\"boundary_us\":{},\
-                     \"boundary_share\":{},\"steady_ns_per_update\":{},\
-                     \"boundary_ns_per_update\":{},\"boundary_over_steady\":{}}}",
-                    r.kind,
-                    r.engine,
-                    json_num(r.tile_us),
-                    json_num(r.boundary_us),
-                    json_num(r.boundary_share()),
-                    json_num(r.steady_ns_per_update),
-                    json_num(r.boundary_ns_per_update),
-                    json_num(r.ratio())
-                )
-            })
-            .collect();
-        let (n2, n3) = self.geometry;
-        format!(
-            "{{\"id\":\"ablate-boundary\",\"geometry\":[{n2},{n3}],\"rows\":[{}]}}",
-            rows.join(",")
-        )
-    }
-
-    /// The `std::arch` (AVX2 and AVX-512) rows whose boundary/steady ratio
-    /// exceeds the row's `limit` — the silent failure this target exists
-    /// to catch: a
-    /// boundary phase that is no longer inlined into its
-    /// `#[target_feature]` sandwich runs its `mul_add`s through libm again
-    /// and the ratio jumps to ≈ 20.
-    pub fn avx2_rows_over(&self, limit: impl Fn(&BoundaryRow) -> f64) -> Vec<&BoundaryRow> {
-        self.rows.iter().filter(|r| r.over(limit(r))).collect()
-    }
-
-    /// Measure the rows `again` picks once more, keeping the reading of
-    /// the lower ratio: the fit extrapolates a tile ten times as long, and
-    /// a busy sibling hyperthread during either run moves the intercept
-    /// by more than a small tile's whole boundary.
-    pub fn remeasure(&mut self, again: impl Fn(&BoundaryRow) -> bool) {
-        for r in self.rows.iter_mut().filter(|r| again(r)) {
-            let (kind, engine, dims) = r.source;
-            let fresh = boundary_row(kind, engine, dims);
-            if fresh.ratio().is_finite() && fresh.ratio() < r.ratio() {
-                *r = fresh;
-            }
-        }
-    }
-}
-
-impl BoundaryRow {
-    /// A `std::arch` row whose ratio exceeds `limit`. A non-finite ratio
-    /// (noise drove the fitted slope to ≤ 0) is not evidence of a
-    /// regression.
-    pub fn over(&self, limit: f64) -> bool {
-        self.engine != "portable" && self.ratio().is_finite() && self.ratio() > limit
-    }
+/// `64x128x1`.
+fn dims_shape([x, y, z]: [usize; 3]) -> String {
+    format!("{x}x{y}x{z}")
 }
 
 /// Where the time goes in a tile (ROADMAP aim 1: "bare steady state vs
@@ -2404,325 +2208,106 @@ impl BoundaryRow {
 /// slab (the slope) and the fixed boundary cost per tile (the intercept
 /// at `x_max = 0`); dividing by the point-updates each part performs
 /// (`VL·inner` per slab; `VL·inner·(VL·s - 1)` in the boundary) states
-/// both per update. A share within ± 0.03 of zero is below what two
-/// timings resolve. Rows are produced for the AVX2 and AVX-512 engines
-/// (where the CPU has them; AVX-512 for the kinds with an eight-lane
-/// sweep) and the portable one. The 1-D kinds are left out:
-/// their boundary is 27 points per level of a 65536-point tile, which
-/// this method cannot see.
-pub fn ablate_boundary(scale: usize) -> BoundaryTable {
+/// both per update. Four rows per kind and engine: the whole tile and its
+/// boundary (`µs`, the boundary stated against the tile: its share, of
+/// which ± 0.03 is below what two timings resolve), the steady and the
+/// boundary cost of a point-update (`ns/u`, the boundary's stated against
+/// the steady one's: the paper's argument needs this ratio to be a small
+/// constant; ≈ 20 means the boundary code is calling libm `fma`). Rows
+/// are produced for the AVX2 and AVX-512 engines (where the CPU has them;
+/// AVX-512 for the kinds with an eight-lane sweep) and the portable one.
+/// The 1-D kinds are left out: their boundary is 27 points per level of a
+/// 65536-point tile, which this method cannot see. A row measured again
+/// ([`Table::remeasure`]) is fitted again, all four together.
+pub fn ablate_boundary(scale: usize) -> Table {
     let d = scale.max(1);
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let mut rows = vec![];
     for engine in forced_engines() {
         for k in kinds_on(engine) {
             let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
-            rows.push(boundary_row(k, engine, dims));
+            rows.extend(boundary_rows(k, engine, dims));
         }
     }
-    BoundaryTable {
-        geometry: (n2, n3),
+    Table {
+        title: format!(
+            "# ablate-boundary — where the time goes in a tile (base: 2-D {n2}², 3-D {n3}³; \
+             fitted against 10× the outer extent; vs = boundary share of the tile, boundary \
+             over steady cost of a point-update)"
+        ),
         rows,
+        again: Some(|r| {
+            // Panic-justification: every row of this table has a source.
+            let (k, engine, dims) = r.source.expect("boundary rows know their source");
+            boundary_rows(k, engine, dims)
+        }),
     }
 }
 
-/// One row of [`ablate_boundary`]: `kind` on `engine` at `dims`.
-fn boundary_row(k: &'static SlabKind, engine: Engine, dims: [usize; 3]) -> BoundaryRow {
+/// The rows of [`ablate_boundary`] for `kind` on `engine` at `dims`.
+fn boundary_rows(k: &'static SlabKind, engine: Engine, dims: [usize; 3]) -> Vec<Row> {
     let vl = k.lanes(engine);
     let ([t1, _], [per_slab, _]) = tile_and_slab(k, dims, engine);
     let x_max = (dims[0] + 1 - vl * SLAB_STRIDE) as f64;
     let boundary = t1 - per_slab * x_max;
     let updates_per_slab = (vl * k.inner(dims)) as f64;
-    BoundaryRow {
-        kind: k.name,
-        engine: engine.name(),
-        tile_us: t1 * 1e6,
-        boundary_us: boundary * 1e6,
-        steady_ns_per_update: per_slab * 1e9 / updates_per_slab,
-        boundary_ns_per_update: boundary * 1e9 / (updates_per_slab * (vl * SLAB_STRIDE - 1) as f64),
-        source: (k, engine, dims),
-    }
+    let row = Row {
+        source: Some((k, engine, dims)),
+        ..Row::new("ablate-boundary", k.name, engine.name(), &dims_shape(dims))
+    };
+    let tile = row.reads("tile µs", t1 * 1e6);
+    let steady = row.reads("steady ns/u", per_slab * 1e9 / updates_per_slab);
+    let boundary_ns = boundary * 1e9 / (updates_per_slab * (vl * SLAB_STRIDE - 1) as f64);
+    vec![
+        row.reads("boundary µs", boundary * 1e6).against(&tile),
+        tile,
+        row.reads("boundary ns/u", boundary_ns).against(&steady),
+        steady,
+    ]
 }
 
-/// One slab kind under one engine selection at one geometry of
-/// [`ablate_rows`]: the steady-state cost of a point-update in ns, and of
-/// an output vector (`vl` point-updates) in core cycles.
-#[derive(Clone, Copy, Debug)]
-pub struct SteadyCost {
-    /// ns per point-update (from the fastest runs).
-    pub ns_per_update: f64,
-    /// Core cycles per output vector (from the runs of fewest cycles, each
-    /// converted by a clock sample taken next to it).
-    pub cycles_per_vector: f64,
-}
+/// Interior extents of `ablate-rows`' L1-resident geometry, 2-D and 3-D:
+/// rows as wide as the ledger's 3-D rows; 2-D slabs of 130 packs (ring 17
+/// KB, 33 KB at eight lanes), 3-D slabs of 6 x 42 (ring 32 KB, 48 KB with
+/// the Gauss-Seidel output slabs).
+const ROWS_L1: [[usize; 3]; 2] = [[64, 128, 1], [16, 4, 40]];
 
-/// One row of [`ablate_rows`]: one slab kind on one engine.
-#[derive(Clone, Debug)]
-pub struct SteadyRowsRow {
-    /// Workload kind (`heat2d` … `gs3d`).
-    pub kind: &'static str,
-    /// Engine the row ran (`avx2` | `avx512` | `portable`).
-    pub engine: &'static str,
-    /// With the wavefront ring in L1.
-    pub l1: SteadyCost,
-    /// At the `ledger` benchmark's geometry.
-    pub ledger: SteadyCost,
-    /// The engine's steady loop: the AVX2 one, or the eight-lane one on
-    /// AVX-512 (the portable rows are LLVM's choice and have no written
-    /// model: their ratio is against the AVX2 bound).
-    pub model: RowModel,
-    /// What to measure again: the kind and the engine.
-    source: (&'static SlabKind, Engine),
-}
+/// Interior extents of the ledger geometry, 2-D and 3-D.
+const ROWS_LEDGER: [[usize; 3]; 2] = [[256, 256, 1], [40, 40, 40]];
 
-impl SteadyRowsRow {
-    /// L1-resident cycles per vector over the model's.
-    pub fn l1_vs_model(&self) -> f64 {
-        self.l1.cycles_per_vector / self.model.cycles_per_vector()
-    }
-
-    /// Cycles per vector at the ledger geometry over the model's.
-    pub fn ledger_vs_model(&self) -> f64 {
-        self.ledger.cycles_per_vector / self.model.cycles_per_vector()
-    }
-
-    /// A row whose cycles per vector exceed `limit` × its model, `[L1,
-    /// ledger]`: a steady loop that grew back its bounds checks or spills,
-    /// dropped out of its sandwich, or — Gauss-Seidel — runs its rows on
-    /// one chain again.
-    pub fn over(&self, limit: [f64; 2]) -> bool {
-        self.l1_vs_model() > limit[0] || self.ledger_vs_model() > limit[1]
-    }
-}
-
-/// One row of [`ablate_rows`]' column sweep: Heat-2D's steady cost on one
-/// `std::arch` engine at one row width, against the same engine's reading
-/// with the ring in L1.
-#[derive(Clone, Debug)]
-pub struct WidthRow {
-    /// Engine the row ran (`avx2` | `avx512`).
-    pub engine: &'static str,
-    /// Interior columns of a row.
-    pub columns: usize,
-    /// Lanes of the engine's sweep.
-    pub vl: usize,
-    /// The steady cost at this width.
-    pub cost: SteadyCost,
-    /// The engine whose reading this is.
-    source: Engine,
-}
-
-impl WidthRow {
-    /// Bytes of a ring of whole rows at this width: `s + 2` rows of
-    /// `columns + 2` packs — what the steady state would keep in flight
-    /// without segments.
-    pub fn ring_kb(&self) -> f64 {
-        ((SLAB_STRIDE + 2) * (self.columns + 2) * self.vl * 8) as f64 / 1024.0
-    }
-}
-
-/// The `ablate-rows` table: per slab kind and engine, the steady state
-/// against its port bound; and Heat-2D's steady state over row widths.
-#[derive(Clone, Debug)]
-pub struct SteadyRowsTable {
-    /// Interior extents of the L1-resident geometry, 2-D and 3-D.
-    pub l1_dims: [[usize; 3]; 2],
-    /// Interior extents of the ledger geometry, 2-D and 3-D.
-    pub ledger_dims: [[usize; 3]; 2],
-    /// One row per kind and engine.
-    pub rows: Vec<SteadyRowsRow>,
-    /// Heat-2D over row widths, per `std::arch` engine.
-    pub widths: Vec<WidthRow>,
-}
-
-impl SteadyRowsTable {
-    /// Render as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let dims = |d: [usize; 3]| format!("{}x{}x{}", d[0], d[1], d[2]);
-        let mut out = format!(
-            "# ablate-rows — slab steady rows against their port bound (ring in L1: {} / {}; \
-             ledger: {} / {}; c/v = core cycles per output vector, clock sampled around each \
-             run; counts per pass of the loop, which runs `chains` rows; model = max(FMA-port \
-             µops/2, loads/2, µops/6, Gauss-Seidel: 4 x chained FMAs) / chains)\n\
-             {:<8}{:>10}{:>10}{:>8}{:>12}{:>8}{:>7}{:>6}{:>6}{:>7}{:>7}{:>7}{:>8}{:>8}{:>9}\n",
-            dims(self.l1_dims[0]),
-            dims(self.l1_dims[1]),
-            dims(self.ledger_dims[0]),
-            dims(self.ledger_dims[1]),
-            "kind",
-            "engine",
-            "L1 ns/u",
-            "L1 c/v",
-            "ledger ns/u",
-            "c/v",
-            "insns",
-            "µops",
-            "fma",
-            "loads",
-            "chain",
-            "chains",
-            "model",
-            "L1/mod",
-            "ldgr/mod"
-        );
-        for r in &self.rows {
-            let m = r.model;
-            // The counts are the `std::arch` loop's.
-            let count = |n: u32| match r.engine {
-                "portable" => "-".into(),
-                _ => n.to_string(),
-            };
-            out.push_str(&format!(
-                "{:<8}{:>10}{:>10.3}{:>8.2}{:>12.3}{:>8.2}{:>7}{:>6}{:>6}{:>7}{:>7}{:>7}{:>8.2}{:>8.2}{:>9.2}\n",
-                r.kind,
-                r.engine,
-                r.l1.ns_per_update,
-                r.l1.cycles_per_vector,
-                r.ledger.ns_per_update,
-                r.ledger.cycles_per_vector,
-                count(m.insns),
-                count(m.uops),
-                count(m.fma_port),
-                count(m.loads),
-                count(m.chain),
-                count(m.chains),
-                m.cycles_per_vector(),
-                r.l1_vs_model(),
-                r.ledger_vs_model()
-            ));
-        }
-        if !self.widths.is_empty() {
-            out.push_str(&format!(
-                "# heat2d over row widths ({WIDTH_ROWS} rows; ring = s + 2 whole rows of packs, \
-                 kept in L1 by segments; / L1 = cycles per vector over the engine's L1 reading)\n\
-                 {:<10}{:>8}{:>10}{:>10}{:>8}{:>7}\n",
-                "engine", "columns", "ring KB", "ns/u", "c/v", "/ L1"
-            ));
-        }
-        for w in &self.widths {
-            out.push_str(&format!(
-                "{:<10}{:>8}{:>10.0}{:>10.3}{:>8.2}{:>7.2}\n",
-                w.engine,
-                w.columns,
-                w.ring_kb(),
-                w.cost.ns_per_update,
-                w.cost.cycles_per_vector,
-                self.vs_l1(w)
-            ));
-        }
-        out
-    }
-
-    /// Render as a JSON object (`{"id", "rows", "widths"}`), one entry of
-    /// the `repro --json` document.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"kind\":\"{}\",\"engine\":\"{}\",\"l1_ns_per_update\":{},\
-                     \"l1_cycles_per_vector\":{},\"ledger_ns_per_update\":{},\
-                     \"ledger_cycles_per_vector\":{},\"model_cycles_per_vector\":{},\
-                     \"l1_vs_model\":{},\"ledger_vs_model\":{}}}",
-                    r.kind,
-                    r.engine,
-                    json_num(r.l1.ns_per_update),
-                    json_num(r.l1.cycles_per_vector),
-                    json_num(r.ledger.ns_per_update),
-                    json_num(r.ledger.cycles_per_vector),
-                    json_num(r.model.cycles_per_vector()),
-                    json_num(r.l1_vs_model()),
-                    json_num(r.ledger_vs_model())
-                )
-            })
-            .collect();
-        let widths: Vec<String> = self
-            .widths
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"engine\":\"{}\",\"columns\":{},\"ring_kb\":{},\"ns_per_update\":{},\
-                     \"cycles_per_vector\":{},\"vs_l1\":{}}}",
-                    w.engine,
-                    w.columns,
-                    json_num(w.ring_kb()),
-                    json_num(w.cost.ns_per_update),
-                    json_num(w.cost.cycles_per_vector),
-                    json_num(self.vs_l1(w))
-                )
-            })
-            .collect();
-        format!(
-            "{{\"id\":\"ablate-rows\",\"rows\":[{}],\"widths\":[{}]}}",
-            rows.join(","),
-            widths.join(",")
-        )
-    }
-
-    /// The rows [`SteadyRowsRow::over`] their limit; a row `limit` gives
-    /// none is not checked.
-    pub fn rows_over(
-        &self,
-        limit: impl Fn(&SteadyRowsRow) -> Option<[f64; 2]>,
-    ) -> Vec<&SteadyRowsRow> {
-        let over = |r: &&SteadyRowsRow| limit(r).is_some_and(|l| r.over(l));
-        self.rows.iter().filter(over).collect()
-    }
-
-    /// A width row's cycles per vector over its engine's Heat-2D reading
-    /// with the ring in L1.
-    pub fn vs_l1(&self, w: &WidthRow) -> f64 {
-        let l1 = self
-            .rows
-            .iter()
-            .find(|r| r.kind == "heat2d" && r.engine == w.engine)
-            .map_or(f64::NAN, |r| r.l1.cycles_per_vector);
-        w.cost.cycles_per_vector / l1
-    }
-
-    /// The width rows that read more than `limit` × their L1 reading: a
-    /// ring that left L1 again.
-    pub fn widths_over(&self, limit: f64) -> Vec<&WidthRow> {
-        let over = |ratio: f64| ratio.is_nan() || ratio > limit; // NaN: unmeasured
-        self.widths.iter().filter(|w| over(self.vs_l1(w))).collect()
-    }
-
-    /// Measure the rows `again` picks (once more), and the width rows over
-    /// `width_limit` with their engine's L1 reading, keeping the lower
-    /// reading of each cost: a busy sibling hyperthread halves the
-    /// throughput of a port-bound loop for a fraction of a second at a
-    /// time, and the twenty runs behind a reading span less than that.
-    pub fn remeasure(&mut self, again: impl Fn(&SteadyRowsRow) -> bool, width_limit: f64) {
-        let wide: Vec<Engine> = self
-            .widths_over(width_limit)
-            .iter()
-            .map(|w| w.source)
-            .collect();
-        let heat2d = &SLAB_KINDS[0];
-        let l1_again =
-            |r: &SteadyRowsRow| r.source.0.name == heat2d.name && wide.contains(&r.source.1);
-        for r in self.rows.iter_mut().filter(|r| again(r) || l1_again(r)) {
-            let (kind, engine) = r.source;
-            for (cost, dims) in [(&mut r.l1, self.l1_dims), (&mut r.ledger, self.ledger_dims)] {
-                measure(cost, kind, dims[kind.three_d as usize], engine);
-            }
-        }
-        let nx = WIDTH_ROWS;
-        for w in self.widths.iter_mut().filter(|w| wide.contains(&w.source)) {
-            measure(&mut w.cost, heat2d, [nx, w.columns, 1], w.source);
-        }
-    }
-}
-
-/// Lower `cost` to `kind`'s steady cost at `dims` on `engine` where that
-/// reads lower.
-fn measure(cost: &mut SteadyCost, kind: &SlabKind, dims: [usize; 3], engine: Engine) {
+/// The `ns/u` and `c/v` rows of [`ablate_rows`] for `kind` on `engine` at
+/// `dims`, its geometry `label`led `L1`, `ledger` or `width`: the
+/// steady cost of a point-update in ns and of an output vector (`vl`
+/// point-updates) in core cycles, the latter stated against the kind's
+/// port bound (a `width` row: against Heat-2D's L1 row on the engine).
+fn steady_rows(kind: &'static SlabKind, engine: Engine, dims: [usize; 3], label: &str) -> Vec<Row> {
     let vl = kind.lanes(engine);
     let (_, [secs, cycles]) = tile_and_slab(kind, dims, engine);
     let updates = (vl * kind.inner(dims)) as f64;
-    cost.ns_per_update = cost.ns_per_update.min(secs * 1e9 / updates);
-    cost.cycles_per_vector = cost.cycles_per_vector.min(cycles / updates * vl as f64);
+    let mut shape = format!("{label} {}", dims_shape(dims));
+    let of = if label == "width" {
+        // Bytes of a ring of whole rows: `s + 2` rows of `columns + 2`
+        // packs — what the steady state would keep in flight without
+        // segments.
+        let ring = ((SLAB_STRIDE + 2) * (dims[1] + 2) * vl * 8) as f64 / 1024.0;
+        shape.push_str(&format!(" ring {ring:.0} KB"));
+        let l1 = format!("L1 {}", dims_shape(ROWS_L1[0]));
+        (SLAB_KINDS[0].name, engine.name(), l1, "c/v")
+    } else {
+        (kind.name, engine.name(), "port bound".into(), "c/v")
+    };
+    let row = Row {
+        source: Some((kind, engine, dims)),
+        ..Row::new("ablate-rows", kind.name, engine.name(), &shape)
+    };
+    let cycles_per_vector = row.reads("c/v", cycles / updates * vl as f64);
+    vec![
+        row.reads("ns/u", secs * 1e9 / updates),
+        Row {
+            of: Some(of),
+            ..cycles_per_vector
+        },
+    ]
 }
 
 /// ROADMAP item 2(d): the slab steady state against a ceiling. Per slab
@@ -2730,175 +2315,60 @@ fn measure(cost: &mut SteadyCost, kind: &SlabKind, dims: [usize; 3], engine: Eng
 /// portable — the steady cost of a point-update (the slope of
 /// [`ablate_boundary`]'s fit) at a geometry whose wavefront ring — `s + 2`
 /// slabs of packs, plus two for Gauss-Seidel — sits in L1, and at the
-/// `ledger` benchmark's geometry, next to the kind's [`RowModel`]. Then
-/// Heat-2D on each `std::arch` engine over rows of 128 … 1024 columns,
-/// whose whole-row rings reach 20 times L1 and which the steady state
-/// keeps in L1 by segments. The geometry is the same at any `--scale`.
-pub fn ablate_rows() -> SteadyRowsTable {
-    let unmeasured = SteadyCost {
-        ns_per_update: f64::INFINITY,
-        cycles_per_vector: f64::INFINITY,
-    };
-    let rows = forced_engines().into_iter().flat_map(|engine| {
-        kinds_on(engine).map(move |kind| SteadyRowsRow {
-            kind: kind.name,
-            engine: engine.name(),
-            l1: unmeasured,
-            ledger: unmeasured,
-            model: kind.model(engine),
-            source: (kind, engine),
-        })
-    });
-    let widths = forced_engines()
+/// `ledger` benchmark's geometry, in cycles per vector next to the kind's
+/// [`RowModel`] (a `port bound` row; the portable rows are LLVM's code
+/// and are stated against the AVX2 bound). Then Heat-2D on each
+/// `std::arch` engine over rows of 128 … 1024 columns, whose whole-row
+/// rings reach 20 times L1 and which the steady state keeps in L1 by
+/// segments, stated against the engine's L1 reading. The geometry is the
+/// same at any `--scale`. A row measured again ([`Table::remeasure`]) is
+/// timed again with its `ns/u` twin.
+pub fn ablate_rows() -> Table {
+    let mut rows = vec![];
+    for engine in forced_engines() {
+        for kind in kinds_on(engine) {
+            let bound = Row::new("ablate-rows", kind.name, engine.name(), "port bound");
+            rows.push(bound.reads("c/v", kind.model(engine).cycles_per_vector()));
+            for (label, dims) in [("L1", ROWS_L1), ("ledger", ROWS_LEDGER)] {
+                rows.extend(steady_rows(
+                    kind,
+                    engine,
+                    dims[kind.three_d as usize],
+                    label,
+                ));
+            }
+        }
+    }
+    for engine in forced_engines()
         .into_iter()
         .filter(|&e| e != Engine::Portable)
-        .flat_map(|engine| {
-            [128, 192, 256, 320, 384, 512, 768, 1024].map(|columns| WidthRow {
-                engine: engine.name(),
-                columns,
-                vl: SLAB_KINDS[0].lanes(engine),
-                cost: unmeasured,
-                source: engine,
-            })
-        });
-    let mut table = SteadyRowsTable {
-        // Rows as wide as the ledger's 3-D rows; 2-D slabs of 130 packs
-        // (ring 17 KB, 33 KB at eight lanes), 3-D slabs of 6 x 42 (ring 32
-        // KB, 48 KB with the Gauss-Seidel output slabs).
-        l1_dims: [[64, 128, 1], [16, 4, 40]],
-        ledger_dims: [[256, 256, 1], [40, 40, 40]],
-        rows: rows.collect(),
-        widths: widths.collect(),
-    };
-    table.remeasure(|_| true, 0.0);
-    table
-}
-
-/// One row of [`ablate_tiling`]: one Table-1 grid benchmark at its
-/// parallel geometry, or LCS at one width at the ledger's.
-#[derive(Clone, Debug)]
-pub struct TilingRow {
-    /// Benchmark name, as Table 1 prints it.
-    pub kind: &'static str,
-    /// Engine the tiled plan resolved to (`avx512` | `avx2` | `portable`).
-    pub engine: &'static str,
-    /// Anchors per chunk (`TileGeometry::block`: the effective value;
-    /// LCS: the DP rows of a band).
-    pub block: usize,
-    /// Chunks per sweep (`TileGeometry::tiles`; LCS: the wave's tasks,
-    /// bands × block columns).
-    pub chunks: usize,
-    /// Sweeps per run: `steps / vl` temporal plus `steps % vl` scalar.
-    pub sweeps: usize,
-    /// Untiled plan — the one-chunk schedule of the executor the tiled
-    /// plans run — µs (best of 20 runs, like the others).
-    pub untiled_us: f64,
-    /// Tiled plan, one thread, µs.
-    pub tiled_1t_us: f64,
-    /// Tiled plan, two threads, µs; `None` on a one-core host.
-    pub tiled_2t_us: Option<f64>,
-}
-
-impl TilingRow {
-    /// What tiling costs at one thread: tiled / untiled time.
-    pub fn overhead(&self) -> f64 {
-        self.tiled_1t_us / self.untiled_us
-    }
-
-    /// What the second thread gains: tiled 1-thread / 2-thread time.
-    pub fn speedup_2t(&self) -> Option<f64> {
-        self.tiled_2t_us.map(|t2| self.tiled_1t_us / t2)
-    }
-}
-
-/// The `ablate-tiling` table: per grid benchmark, the default plan
-/// untiled (each sweep one chunk), tiled on one thread and tiled on two.
-#[derive(Clone, Debug)]
-pub struct TilingTable {
-    /// The `--scale` divisor of the geometry.
-    pub scale: usize,
-    /// One row per Ghost/Skew row of Table 1.
-    pub rows: Vec<TilingRow>,
-}
-
-impl TilingTable {
-    /// Render as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "# ablate-tiling — what tiling costs and what a second thread gains \
-             (Table-1 parallel geometry, scale 1/{}; LCS: the ledger's 8192^2 / 1024^2 \
-             at each width; untiled = the same executor's one-chunk schedule)\n\
-             {:<10}{:>10}{:>8}{:>8}{:>8}{:>13}{:>13}{:>13}{:>10}{:>9}\n",
-            self.scale,
-            "benchmark",
-            "engine",
-            "block",
-            "chunks",
-            "sweeps",
-            "untiled µs",
-            "tiled-1t µs",
-            "tiled-2t µs",
-            "1t/untld",
-            "1t/2t"
-        );
-        for r in &self.rows {
-            let (t2, gain) = match (r.tiled_2t_us, r.speedup_2t()) {
-                (Some(t2), Some(gain)) => (format!("{t2:.1}"), format!("{gain:.2}")),
-                _ => ("-".into(), "-".into()),
-            };
-            out.push_str(&format!(
-                "{:<10}{:>10}{:>8}{:>8}{:>8}{:>13.1}{:>13.1}{:>13}{:>10.2}{:>9}\n",
-                r.kind,
-                r.engine,
-                r.block,
-                r.chunks,
-                r.sweeps,
-                r.untiled_us,
-                r.tiled_1t_us,
-                t2,
-                r.overhead(),
-                gain
+    {
+        for columns in [128, 192, 256, 320, 384, 512, 768, 1024] {
+            rows.extend(steady_rows(
+                &SLAB_KINDS[0],
+                engine,
+                [WIDTH_ROWS, columns, 1],
+                "width",
             ));
         }
-        out
     }
-
-    /// Render as a JSON object (`{"id", "scale", "rows"}`), one entry of
-    /// the `repro --json` document.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"kind\":\"{}\",\"engine\":\"{}\",\"block\":{},\"chunks\":{},\
-                     \"sweeps\":{},\"untiled_us\":{},\"tiled_1t_us\":{},\"tiled_2t_us\":{}}}",
-                    r.kind,
-                    r.engine,
-                    r.block,
-                    r.chunks,
-                    r.sweeps,
-                    json_num(r.untiled_us),
-                    json_num(r.tiled_1t_us),
-                    r.tiled_2t_us.map_or("null".into(), json_num)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"id\":\"ablate-tiling\",\"scale\":{},\"rows\":[{}]}}",
-            self.scale,
-            rows.join(",")
-        )
-    }
-
-    /// The `std::arch` (AVX2 and AVX-512) rows whose one-thread tiled run
-    /// takes more than `limit` times the untiled one: chunking a sweep
-    /// should cost the wavefront's bookkeeping and nothing else.
-    pub fn avx2_rows_over(&self, limit: f64) -> Vec<&TilingRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.engine != "portable" && r.overhead() > limit)
-            .collect()
+    Table {
+        title: format!(
+            "# ablate-rows — slab steady rows against their port bound (L1: ring in L1; ledger: \
+             the ledger's geometry; c/v = core cycles per output vector, clock sampled around \
+             each run; port bound = max(FMA-port µops/2, loads/2, µops/6, Gauss-Seidel: 4 x \
+             chained FMAs) / rows a pass runs, counts in `SLAB_KINDS`; width: heat2d over rows \
+             of {WIDTH_ROWS} x columns, ring = s + 2 whole rows of packs kept in L1 by \
+             segments, vs its engine's L1 reading)"
+        ),
+        rows,
+        again: Some(|r| {
+            // Panic-justification: every measured row of this table has a
+            // source; a `port bound` row is never over its limit.
+            let (kind, engine, dims) = r.source.expect("steady rows know their source");
+            let label = r.shape.split(' ').next().unwrap_or_default();
+            steady_rows(kind, engine, dims, label)
+        }),
     }
 }
 
@@ -2910,8 +2380,11 @@ impl TilingTable {
 /// in blocks of 1024², at any `scale`) at each width (`lcs_widths`:
 /// `Select::Avx2` for eight lanes, `auto` for sixteen) — the rows that
 /// say whether the band sweeps, resumed across block columns, lose
-/// anything to the tiling at either width.
-pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
+/// anything to the tiling at either width. Rows in `µs`: the tiled
+/// one-thread run stated against the untiled one (the untiled run is the
+/// one-chunk schedule of the executor the tiled plans run), the
+/// two-thread run against the one-thread one.
+pub fn ablate_tiling(scale: usize, cores: usize) -> Table {
     let sel = Select::from_env();
     let mut rows = vec![];
     // `vl`: the lanes of the kind's AVX2 sweep; an AVX-512 plan (the 1-D
@@ -2926,22 +2399,23 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
         // Panic-justification: a plan built with a tiling reports its
         // geometry; anything else is a bench-suite bug.
         let tiles = runs[1].tiles.expect("tiled plans report their geometry");
-        let vl = if runs[1].engine == "avx512" {
-            2 * vl
-        } else {
-            vl
-        };
+        let vl = vl * if runs[1].engine == "avx512" { 2 } else { 1 };
         let steps = problem.steps();
-        rows.push(TilingRow {
-            kind,
-            engine: runs[1].engine,
-            block: tiles.block,
-            chunks: tiles.tiles,
-            sweeps: steps / vl + steps % vl,
-            untiled_us: runs[0].secs * 1e6,
-            tiled_1t_us: runs[1].secs * 1e6,
-            tiled_2t_us: runs.get(2).map(|r| r.secs * 1e6),
-        });
+        let shape = format!(
+            "block {} x {} chunks, {} sweeps",
+            tiles.block,
+            tiles.tiles,
+            steps / vl + steps % vl
+        );
+        let row = Row::new("ablate-tiling", kind, runs[1].engine, &shape);
+        let untiled = row.reads("untiled µs", runs[0].secs * 1e6);
+        let one = row.reads("tiled-1t µs", runs[1].secs * 1e6);
+        let two = runs
+            .get(2)
+            .map(|r| row.reads("tiled-2t µs", r.secs * 1e6).against(&one));
+        rows.push(untiled.clone());
+        rows.push(one.against(&untiled));
+        rows.extend(two);
     };
     for row in &BENCHMARKS {
         let vl = match row.family {
@@ -2959,103 +2433,27 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> TilingTable {
             vl,
         );
     }
-    let lcs = Problem::lcs(8192, 8192);
-    for engine in lcs_widths(sel) {
-        let sel = match engine {
-            Engine::Avx512 => Select::Auto,
-            Engine::Avx2 => Select::Avx2,
-            Engine::Portable => Select::Portable,
-        };
-        let rect = Tiling::LcsRect {
-            xblock: 1024,
-            yblock: 1024,
-        };
-        row_of("LCS", lcs, PlanBuilder::new().select(sel), rect, 8);
-    }
-    TilingTable { scale, rows }
-}
-
-/// One row of [`ablate_digest`]: one `State` variant at the served size.
-#[derive(Clone, Debug)]
-pub struct DigestRow {
-    /// `State` variant name.
-    pub variant: &'static str,
-    /// Payload size in bytes (eight per digested word).
-    pub bytes: usize,
-    /// `tempora_proto::state_digest`, MiB/s (best of 20, like the others).
-    pub digest_mib_per_s: f64,
-    /// The same definition folded one lane after the other — a single
-    /// dependence chain — MiB/s.
-    pub spec_mib_per_s: f64,
-    /// A wrapping `u64` sum of the same words — what reading them
-    /// costs — MiB/s.
-    pub sum_mib_per_s: f64,
-}
-
-impl DigestRow {
-    /// How many times the single chain's speed the digest runs at.
-    pub fn vs_spec(&self) -> f64 {
-        self.digest_mib_per_s / self.spec_mib_per_s
-    }
-}
-
-/// The `ablate-digest` table: per `State` variant, the digest against
-/// its one-chain definition and against a plain sum.
-#[derive(Clone, Debug)]
-pub struct DigestTable {
-    /// `tempora_proto::digest::LANES`.
-    pub lanes: usize,
-    /// One row per `State` variant; the served 4096-point `Grid1` first.
-    pub rows: Vec<DigestRow>,
-}
-
-impl DigestTable {
-    /// Render as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "# ablate-digest — state_digest ({} lanes) vs its one-chain spec vs a word sum \
-             (served reference sizes, MiB/s)\n\
-             {:<8}{:>9}{:>10}{:>10}{:>10}{:>10}\n",
-            self.lanes, "state", "bytes", "digest", "spec", "sum", "vs spec"
+    let rect = Tiling::LcsRect {
+        xblock: 1024,
+        yblock: 1024,
+    };
+    for (_, sel) in lcs_widths(sel) {
+        row_of(
+            "LCS",
+            Problem::lcs(8192, 8192),
+            PlanBuilder::new().select(sel),
+            rect,
+            8,
         );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:<8}{:>9}{:>10.0}{:>10.0}{:>10.0}{:>10.2}\n",
-                r.variant,
-                r.bytes,
-                r.digest_mib_per_s,
-                r.spec_mib_per_s,
-                r.sum_mib_per_s,
-                r.vs_spec()
-            ));
-        }
-        out
     }
-
-    /// Render as a JSON object (`{"id", "lanes", "rows"}`), one entry of
-    /// the `repro --json` document.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"state\":\"{}\",\"bytes\":{},\"digest_mib_per_s\":{},\
-                     \"spec_mib_per_s\":{},\"sum_mib_per_s\":{},\"vs_spec\":{}}}",
-                    r.variant,
-                    r.bytes,
-                    json_num(r.digest_mib_per_s),
-                    json_num(r.spec_mib_per_s),
-                    json_num(r.sum_mib_per_s),
-                    json_num(r.vs_spec())
-                )
-            })
-            .collect();
-        format!(
-            "{{\"id\":\"ablate-digest\",\"lanes\":{},\"rows\":[{}]}}",
-            self.lanes,
-            rows.join(",")
-        )
+    Table {
+        title: format!(
+            "# ablate-tiling — what tiling costs and what a second thread gains (Table-1 \
+             parallel geometry, scale 1/{scale}; LCS: the ledger's 8192^2 / 1024^2 at each \
+             width; untiled = the same executor's one-chunk schedule)"
+        ),
+        rows,
+        again: None,
     }
 }
 
@@ -3065,9 +2463,11 @@ impl DigestTable {
 /// serialise them every digest stays equal, every test passes, and the
 /// digest of a cache hit costs 7 µs instead of 2. Per `State` variant at the served
 /// size (32 KiB of payload; the ledger's 4096-point Heat-1D first),
-/// minimum of 20 timings of 32 calls each: the digest, its definition
-/// one lane at a time, and a wrapping sum of the same words.
-pub fn ablate_digest() -> DigestTable {
+/// minimum of 20 timings of 32 calls each, in MiB/s: the digest (stated
+/// against the next row), its definition one lane at a time, and a
+/// wrapping sum of the same words — what reading them costs. No engine
+/// runs these (`-`).
+pub fn ablate_digest() -> Table {
     use tempora_proto::digest::{DigestInput, LANES};
     let problems = [
         Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
@@ -3088,27 +2488,40 @@ pub fn ablate_digest() -> DigestTable {
             .fold(f64::INFINITY, f64::min);
         bytes as f64 / best / (1u64 << 20) as f64
     };
-    let rows = problems
-        .iter()
-        .map(|problem| {
-            let state = tempora_server::fresh_state(problem, SEED);
-            let input = DigestInput::of(&state);
-            let bytes = 8 * input.parts.iter().map(Vec::len).sum::<usize>();
-            DigestRow {
-                variant: state.variant_name(),
-                bytes,
-                digest_mib_per_s: mib_per_s(bytes, &mut || {
-                    tempora_proto::state_digest(std::hint::black_box(&state))
-                }),
-                spec_mib_per_s: mib_per_s(bytes, &mut || std::hint::black_box(&input).digest()),
-                sum_mib_per_s: mib_per_s(bytes, &mut || {
-                    let parts = &std::hint::black_box(&input).parts;
-                    parts.iter().flatten().fold(0, |s, &w| s.wrapping_add(w))
-                }),
-            }
-        })
-        .collect();
-    DigestTable { lanes: LANES, rows }
+    let mut rows = vec![];
+    for problem in &problems {
+        let state = tempora_server::fresh_state(problem, SEED);
+        let input = DigestInput::of(&state);
+        let bytes = 8 * input.parts.iter().map(Vec::len).sum::<usize>();
+        let row = Row::new(
+            "ablate-digest",
+            state.variant_name(),
+            "-",
+            &format!("{bytes} B"),
+        );
+        let digest = mib_per_s(bytes, &mut || {
+            tempora_proto::state_digest(std::hint::black_box(&state))
+        });
+        let spec = mib_per_s(bytes, &mut || std::hint::black_box(&input).digest());
+        let sum = mib_per_s(bytes, &mut || {
+            let parts = &std::hint::black_box(&input).parts;
+            parts.iter().flatten().fold(0, |s, &w| s.wrapping_add(w))
+        });
+        let spec = row.reads("spec MiB/s", spec);
+        rows.extend([
+            row.reads("digest MiB/s", digest).against(&spec),
+            spec,
+            row.reads("sum MiB/s", sum),
+        ]);
+    }
+    Table {
+        title: format!(
+            "# ablate-digest — state_digest ({LANES} lanes) vs its one-chain spec vs a word sum \
+             (served reference sizes)"
+        ),
+        rows,
+        again: None,
+    }
 }
 
 #[cfg(test)]
@@ -3130,6 +2543,233 @@ mod tests {
         assert_eq!(bound("gs3d"), 6.0); // 3 chained FMAs, two rows a pass
         let wide = SLAB_KINDS.iter().find(|k| k.name == "gs2d").unwrap().wide;
         assert_eq!(wide.unwrap().cycles_per_vector(), 4.5); // 18 FMA-port µops / 2 / 2
+    }
+
+    /// A row of target `t` measuring `metric` of `kind` on `engine`.
+    fn row(kind: &'static str, engine: &'static str, metric: &'static str, value: f64) -> Row {
+        Row::new("t", kind, engine, "n").reads(metric, value)
+    }
+
+    /// `rows`, measured again by [`fake_again`].
+    fn table(rows: Vec<Row>) -> Table {
+        Table {
+            title: "# t".into(),
+            rows,
+            again: Some(fake_again),
+        }
+    }
+
+    thread_local! {
+        /// The readings [`fake_again`] hands out, and how many it did.
+        static READINGS: std::cell::RefCell<(Vec<f64>, usize)> = Default::default();
+    }
+
+    /// A re-measurement with no timing: the next of [`READINGS`].
+    fn fake_again(r: &Row) -> Vec<Row> {
+        READINGS.with_borrow_mut(|(next, calls)| {
+            *calls += 1;
+            vec![r.reads(r.metric, next.remove(0))]
+        })
+    }
+
+    fn limited(r: Row, limit: Limit) -> Row {
+        Row {
+            limit: Some(limit),
+            ..r
+        }
+    }
+
+    #[test]
+    fn gate_passes_a_limit_at_its_value() {
+        let spec = row("Grid1", "-", "spec", 2.0);
+        let t = table(vec![
+            limited(row("a", "avx2", "m", 12.0), Limit::AtMost(12.0)),
+            limited(row("b", "avx2", "m", 12.01), Limit::AtMost(12.0)),
+            limited(
+                row("Grid1", "-", "digest", 3.0).against(&spec),
+                Limit::AtLeast(1.5),
+            ),
+            limited(
+                row("Grid1", "-", "sum", 2.98).against(&spec),
+                Limit::AtLeast(1.5),
+            ),
+            spec,
+        ]);
+        let verdicts: Vec<&str> = t.rows.iter().map(|r| t.verdict(r)).collect();
+        assert_eq!(verdicts, ["pass", "FAIL", "pass", "FAIL", "-"]);
+        let v = t.violations();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("b avx2 n m 12.0, limit <= 12"), "{v:?}");
+        assert!(v[1].contains("1.49, limit >= 1.5"), "{v:?}");
+    }
+
+    #[test]
+    fn gate_fails_another_engine_even_a_portable_one() {
+        let t = table(vec![
+            limited(
+                row("heat1d", "avx512", "engine", f64::NAN),
+                Limit::Engine("avx512"),
+            ),
+            limited(
+                row("heat2d", "avx2", "engine", f64::NAN),
+                Limit::Engine("avx512"),
+            ),
+            limited(row("lcs", "portable", "Mupd/s", 1.0), Limit::Engine("avx2")),
+            // A stride row whose kind's default plan itself resolved the
+            // portable engine under `auto` on an AVX2 host.
+            limited(
+                row("heat3d", "portable", "Mupd/s", 1.0),
+                Limit::Engine(simd_engine(None)),
+            ),
+            limited(
+                row("gs3d", "portable", "Mupd/s", 1.0),
+                Limit::Engine(simd_engine(Some(Engine::Portable))),
+            ),
+            limited(
+                row("heat1d", "avx512", "Mupd/s", 1.0),
+                Limit::Engine(simd_engine(Some(Engine::Avx512))),
+            ),
+        ]);
+        let verdicts: Vec<&str> = t.rows.iter().map(|r| t.verdict(r)).collect();
+        assert_eq!(verdicts, ["pass", "FAIL", "FAIL", "FAIL", "FAIL", "pass"]);
+        assert!(t.violations()[0].contains("avx2, limit = avx512"));
+        assert!(t.violations()[3].contains("portable, limit = avx2"));
+    }
+
+    #[test]
+    fn gate_exempts_portable_rows_from_numeric_limits() {
+        // The portable rows are LLVM's code: no bound models them.
+        let t = table(vec![
+            limited(
+                row("heat2d", "portable", "ratio", 20.0),
+                Limit::AtMost(12.0),
+            ),
+            limited(row("heat2d", "portable", "gain", 0.1), Limit::AtLeast(0.7)),
+            limited(row("heat2d", "avx2", "ratio", 20.0), Limit::AtMost(12.0)),
+        ]);
+        let verdicts: Vec<&str> = t.rows.iter().map(|r| t.verdict(r)).collect();
+        assert_eq!(verdicts, ["exempt", "exempt", "FAIL"]);
+    }
+
+    #[test]
+    fn gate_leaves_a_non_finite_ratio_unresolved() {
+        // A fit whose slope noise drove to zero is not evidence either way.
+        let steady = row("gs2d", "avx2", "steady", 0.0);
+        let t = table(vec![
+            limited(
+                row("gs2d", "avx2", "boundary", 1.0).against(&steady),
+                Limit::AtMost(7.0),
+            ),
+            limited(
+                row("heat2d", "avx2", "ratio", f64::NAN),
+                Limit::AtLeast(1.1),
+            ),
+            steady,
+        ]);
+        assert_eq!(t.verdict(&t.rows[0]), "unresolved");
+        assert_eq!(t.verdict(&t.rows[1]), "unresolved");
+        assert!(t.violations().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "t: no row (\"heat2d\", \"avx2\", \"L1\", \"c/v\")")]
+    fn gate_panics_on_a_missing_reference_row() {
+        // A width row stated against an L1 row that was never measured is a
+        // harness bug, not a reading.
+        let l1 = row("heat2d", "avx2", "c/v", 3.0);
+        let t = table(vec![limited(
+            row("heat2d", "avx2", "c/v", 4.0).against(&Row {
+                shape: "L1".into(),
+                ..l1
+            }),
+            Limit::AtMost(1.15),
+        )]);
+        t.violations();
+    }
+
+    #[test]
+    fn remeasure_keeps_the_better_reading_within_its_budget() {
+        let source = Some((&SLAB_KINDS[0], Engine::Avx2, [1, 1, 1]));
+        let over = Row {
+            source,
+            ..limited(row("heat2d", "avx2", "c/v", 5.0), Limit::AtMost(2.0))
+        };
+        let short = Row {
+            source,
+            ..limited(row("gs2d", "avx2", "Mupd/s", 5.0), Limit::AtLeast(10.0))
+        };
+        let mut t = table(vec![over.clone()]);
+        READINGS.set((vec![6.0, 4.0, 7.0, 1.0], 0));
+        t.remeasure(3, std::time::Duration::ZERO);
+        // Three readings, the lowest kept; the fourth is never taken.
+        assert_eq!(t.rows[0].value, 4.0);
+        assert_eq!(t.rows[0].limit, Some(Limit::AtMost(2.0)));
+        assert_eq!(READINGS.with_borrow(|r| r.clone()), (vec![1.0], 3));
+        // A row back under its limit stops the retries.
+        READINGS.set((vec![1.0, 9.0], 0));
+        t.remeasure(3, std::time::Duration::ZERO);
+        assert_eq!((t.rows[0].value, t.verdict(&t.rows[0])), (1.0, "pass"));
+        assert_eq!(READINGS.with_borrow(|r| r.1), 1);
+        // A row over its limit against a row measured on its own has that
+        // row measured again too, each keeping its lower reading.
+        let l1 = Row {
+            shape: "L1".into(),
+            ..over.clone()
+        };
+        let width = limited(over.clone(), Limit::AtMost(1.15)).against(&l1);
+        let mut t = table(vec![
+            Row {
+                limit: None,
+                value: 4.0,
+                ..l1
+            },
+            Row {
+                value: 6.0,
+                ..width
+            },
+        ]);
+        READINGS.set((vec![4.5, 3.5, 4.0, 3.9, 1.0], 0));
+        t.remeasure(3, std::time::Duration::ZERO);
+        assert_eq!([t.rows[0].value, t.rows[1].value], [3.5, 4.0]);
+        assert_eq!(t.verdict(&t.rows[1]), "pass");
+        assert_eq!(READINGS.with_borrow(|r| r.1), 4);
+        // Under an `AtLeast` limit the higher reading is the better one.
+        let mut t = table(vec![short]);
+        READINGS.set((vec![8.0, 3.0], 0));
+        t.remeasure(2, std::time::Duration::ZERO);
+        assert_eq!(t.rows[0].value, 8.0);
+    }
+
+    #[test]
+    fn json_is_one_escaped_object_per_row() {
+        let spec = row("Grid1", "-", "spec MiB/s", 2.0);
+        let mut t = table(vec![
+            limited(
+                row("Grid1", "-", "digest MiB/s", 3.0).against(&spec),
+                Limit::AtLeast(1.5),
+            ),
+            spec,
+        ]);
+        t.rows[1].shape = "a \"quoted\"\nshape".into();
+        t.rows[0].of = Some(t.rows[1].key());
+        let json = t.to_json();
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(lines.len(), 2, "{json}");
+        assert_eq!(
+            lines[0],
+            "{\"target\":\"t\",\"kind\":\"Grid1\",\"engine\":\"-\",\"shape\":\"n\",\
+             \"metric\":\"digest MiB/s\",\"value\":3,\"of_kind\":\"Grid1\",\"of_engine\":\"-\",\
+             \"of_shape\":\"a \\\"quoted\\\"\\nshape\",\"of_metric\":\"spec MiB/s\",\
+             \"ratio\":1.5,\"limit\":\">= 1.5\",\"verdict\":\"pass\"},"
+        );
+        assert!(
+            lines[1].contains("\"shape\":\"a \\\"quoted\\\"\\nshape\""),
+            "{json}"
+        );
+        assert!(lines[1].ends_with(
+            "\"of_kind\":null,\"of_engine\":null,\"of_shape\":null,\"of_metric\":null,\
+             \"ratio\":null,\"limit\":null,\"verdict\":\"-\"}"
+        ));
     }
 
     #[test]
