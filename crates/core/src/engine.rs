@@ -81,9 +81,13 @@
 //! the 2-D/3-D kernels a single one, [`crate::slab_avx2`], generic over
 //! the kernel's row updates, so their one impl below (a macro, one line
 //! per kernel) names a grid, a lane count and `Rows2`/`Rows3` and forwards
-//! to [`crate::slab`] — and the 1-D and `f64` 2-D sweeps a third time at
-//! eight lanes with `Zmm` (`sweep_zmm` in [`crate::t1d_avx2`] and
-//! [`crate::slab_avx2`]). Whatever does not run at eight lanes in an
+//! to [`crate::slab`]; for the 1-D sweep, which Heat-1D, GS-1D and the
+//! LCS bands share, a single one too, [`crate::t1d_avx2`], entered through
+//! one dispatch (`t1d::sweep`) from the 1-D impl below and from
+//! [`crate::lcs::sweep`] — and the 1-D sweep and the `f64` 2-D sweeps a
+//! third time at the AVX-512 width with `Zmm` (`sweep_zmm` in
+//! [`crate::t1d_avx2`] and [`crate::slab_avx2`]). Whatever does not run
+//! at eight lanes in an
 //! AVX-512 plan — scalar steps, multi-load steps — runs in the AVX2
 //! context: a `Zmm` implies a `Ymm`. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
@@ -236,6 +240,18 @@ pub(crate) fn zmm() -> Zmm {
     Zmm::detect().expect("AVX-512F not available on this CPU")
 }
 
+/// The register forms of [`Engine::Avx2`] and [`Engine::Avx512`], under
+/// names a trait bound can use on every target: off x86-64, where neither
+/// engine resolves, `Packs` stands in for both.
+#[cfg(target_arch = "x86_64")]
+pub(crate) type Avx2Lanes = Ymm;
+#[cfg(target_arch = "x86_64")]
+pub(crate) type Avx512Lanes = Zmm;
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) type Avx2Lanes = Packs;
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) type Avx512Lanes = Packs;
+
 /// The codegen context an engine runs its four-lane and scalar code in
 /// ([`Engine::codegen`]).
 #[derive(Clone, Copy, Debug)]
@@ -292,10 +308,10 @@ pub type Elem<K> = <<K as KernelSpace>::Grid as SlabGrid>::Elem;
 /// `tempora-tiling`, the executors and the builder of `tempora-plan` —
 /// need from one kernel, and nothing else. Each benchmark kernel
 /// implements it once, naming its grid type, lane count and scratch and
-/// forwarding to its sweep primitives (`t1d*`, or [`crate::slab`] with the
-/// kernel's row updates), so those layers are written once and every call
-/// monomorphises to the same loop a hand-written per-dimension caller
-/// would contain.
+/// forwarding to its sweep primitives ([`crate::t1d`], or [`crate::slab`]
+/// with the kernel's row updates), so those layers are written once and
+/// every call monomorphises to the same loop a hand-written per-dimension
+/// caller would contain.
 ///
 /// # Parts and windows
 ///
@@ -449,17 +465,15 @@ pub fn wider_pays(levels: usize, vl: usize) -> bool {
 }
 
 /// The scratch of a sweep at its engine's lane count, for the kernels with
-/// an eight-lane sweep: the 1-D kinds (`ScratchVl<Scratch1d<4>,
-/// Scratch1d<8>>`) and the `f64` 2-D kinds (`ScratchVl<Scratch<f64, 4>,
-/// Scratch<f64, 8>>`).
-// Justification: one per scratch slot of a plan, allocated at build time;
-// the eight-lane 1-D ring's extra 544 bytes cost nothing a box would save.
-#[allow(clippy::large_enum_variant)]
+/// a wider sweep on [`Engine::Avx512`]: the 1-D kinds
+/// (`ScratchVl<Scratch1d<f64, 4>, Scratch1d<f64, 8>>`), the LCS bands
+/// ([`crate::lcs::Scratch`], eight and sixteen `i32` lanes) and the `f64`
+/// 2-D kinds (`ScratchVl<Scratch<f64, 4>, Scratch<f64, 8>>`).
 pub enum ScratchVl<N, W> {
-    /// Four lanes: the portable and AVX2 engines.
-    Vl4(N),
-    /// Eight lanes: [`Engine::Avx512`].
-    Vl8(W),
+    /// The portable and AVX2 engines' width.
+    Narrow(N),
+    /// [`Engine::Avx512`]'s width.
+    Wide(W),
 }
 
 /// The lane count of `engine`'s sweep for a kernel with an eight-lane one.
@@ -470,12 +484,12 @@ fn vl_of(engine: Engine) -> usize {
     }
 }
 
-/// Every 1-D kernel — Heat-1D and GS-1D — through [`t1d`], at four `f64`
-/// lanes or, on [`Engine::Avx512`], eight; the slab of a line is a cell,
-/// so only the outer extent of the layout is read.
+/// Every 1-D kernel — Heat-1D and GS-1D — through `t1d::sweep`, at four
+/// `f64` lanes or, on [`Engine::Avx512`], eight; the slab of a line is a
+/// cell, so only the outer extent of the layout is read.
 impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     type Grid = Grid1<f64>;
-    type Scratch = ScratchVl<Scratch1d<4>, Scratch1d<8>>;
+    type Scratch = ScratchVl<Scratch1d<f64, 4>, Scratch1d<f64, 8>>;
     /// The old value of the last cell updated (Jacobi's west operand).
     type StepBufs = f64;
     const MIN_STRIDE: usize = <K as Kernel1d>::MIN_STRIDE;
@@ -486,10 +500,7 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     }
 
     fn scratch(engine: Engine, _dims: [usize; 3], s: usize) -> Self::Scratch {
-        match engine {
-            Engine::Avx512 => ScratchVl::Vl8(Scratch1d::new(s)),
-            Engine::Portable | Engine::Avx2 => ScratchVl::Vl4(Scratch1d::new(s)),
-        }
+        ScratchVl::new(engine, s)
     }
 
     fn step_bufs(_dims: [usize; 3]) -> f64 {
@@ -505,23 +516,7 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         s: usize,
         sc: &mut Self::Scratch,
     ) {
-        let (first, a, n) = (a.first, a.data, lay.nx);
-        match (engine, sc) {
-            #[cfg(target_arch = "x86_64")]
-            (Engine::Avx512, ScratchVl::Vl8(sc)) => {
-                t1d_avx2::sweep_zmm::<COUNT, K>(zmm(), a, first, n, self, s, sc, xs)
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Engine::Avx2, ScratchVl::Vl4(sc)) => {
-                t1d_avx2::sweep::<COUNT, K>(ymm(), a, first, n, self, s, sc, xs)
-            }
-            (Engine::Portable, ScratchVl::Vl4(sc)) => {
-                t1d::sweep_body::<4, COUNT, false, K, _>(Packs, a, first, n, self, s, sc, xs)
-            }
-            (engine, _) => {
-                panic!("sweep scratch was allocated for another engine than {engine:?}")
-            }
-        }
+        t1d::sweep::<f64, 4, 8, COUNT, K>(engine, a.data, a.first, lay.nx, *self, s, sc, xs)
     }
 
     fn scalar_sweep(
@@ -653,9 +648,9 @@ macro_rules! slab_kernel_space {
             fn scratch(engine: Engine, dims: [usize; 3], s: usize) -> Self::Scratch {
                 let gs = <Self as Kernel2d<f64>>::IS_GS;
                 match engine {
-                    Engine::Avx512 => ScratchVl::Vl8(Scratch::new::<Grid2<f64>>(dims, s, gs)),
+                    Engine::Avx512 => ScratchVl::Wide(Scratch::new::<Grid2<f64>>(dims, s, gs)),
                     Engine::Portable | Engine::Avx2 => {
-                        ScratchVl::Vl4(Scratch::new::<Grid2<f64>>(dims, s, gs))
+                        ScratchVl::Narrow(Scratch::new::<Grid2<f64>>(dims, s, gs))
                     }
                 }
             }
@@ -671,16 +666,16 @@ macro_rules! slab_kernel_space {
             ) {
                 match (engine, sc) {
                     #[cfg(target_arch = "x86_64")]
-                    (Engine::Avx512, ScratchVl::Vl8(sc)) => {
+                    (Engine::Avx512, ScratchVl::Wide(sc)) => {
                         let rows = Rows2(*self, zmm());
                         slab_avx2::sweep_zmm::<COUNT, _>(rows.1, lay, a, &rows, xs, s, sc)
                     }
                     #[cfg(target_arch = "x86_64")]
-                    (Engine::Avx2, ScratchVl::Vl4(sc)) => {
+                    (Engine::Avx2, ScratchVl::Narrow(sc)) => {
                         let rows = Rows2(*self, ymm());
                         slab_avx2::sweep::<f64, 4, COUNT, _>(rows.1, lay, a, &rows, xs, s, sc)
                     }
-                    (Engine::Portable, ScratchVl::Vl4(sc)) => slab::sweep_body::<f64, 4, COUNT, _>(
+                    (Engine::Portable, ScratchVl::Narrow(sc)) => slab::sweep_body::<f64, 4, COUNT, _>(
                         lay, a, &Rows2(*self, Packs), xs, s, sc,
                     ),
                     (engine, _) => {

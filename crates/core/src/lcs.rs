@@ -31,17 +31,21 @@
 //! # One resumable sweep per band
 //!
 //! A *band* is `VL` consecutive DP rows, advanced by one temporal sweep
-//! of the row: the scalar prologue (the head triangles, from column 1
+//! of the row — the 1-D sweep of [`crate::t1d`], the one Heat-1D and
+//! GS-1D run: the scalar prologue (the head triangles, from column 1
 //! with the table's zero west edge), the steady state over the anchors
-//! `1 ..= y_max` (`y_max = lb - VL·s`) and the scalar epilogue (the tail
+//! `1 ..= y_max` (`y_max = lb - VL·s`: no old east operand, so one anchor
+//! less than a 3-point kernel's) and the scalar epilogue (the tail
 //! triangles up to column `lb`). [`sweep`] runs any range `ys` of those
 //! anchors — the prologue when `ys` starts at 1, the epilogue when it ends
 //! at `y_max` — and leaves everything the sweep has in flight (the ring
-//! of `s + 1` input vectors and the last output vector) in its scratch, so
-//! the parts of one sweep can run as separate tasks in ascending order,
-//! as the grid kinds' sweeps do. That is how `tempora_tiling::LcsRect`
-//! cuts the table into block columns: one sweep per band, resumed at each
-//! block boundary, with no per-block triangles.
+//! of `s + 1` input vectors and the last output vector) in its scratch, a
+//! [`crate::t1d::Scratch1d`], so the parts of one sweep can run as
+//! separate tasks in ascending order, as the grid kinds' sweeps do. That
+//! is how `tempora_tiling::LcsRect` cuts the table into block columns:
+//! one sweep per band, resumed at each block boundary, with no per-block
+//! triangles. What LCS brings to that sweep is its kernel: the band's
+//! `A`, `B` and `B`'s lane layout, its scalar update and its steady state.
 //!
 //! # `B` from a lane layout
 //!
@@ -60,16 +64,19 @@
 //! vector in a register, for the strides in
 //! [`crate::lcs_avx2::REGISTER_STRIDES`], and one rolled loop that keeps
 //! the ring in scratch for wider ones. [`sweep`] takes the resolved
-//! [`Engine`]: portable runs it in `Packs` for baseline x86-64, AVX2 in
-//! `Ymm` inside the sandwich of [`crate::lcs_avx2`] — `vpcmpeqd` with the
-//! `B` load folded in, `vpaddd`/`vpmaxsd`, `vpblendvb`, and one `vpermd`
-//! plus one `vpblendd` per produced vector — and AVX-512 the same source
-//! at sixteen lanes in `Zmm`: `vpcmpeqd` into a mask register, a masked
-//! `vpsubd`, and one `valignd` per produced vector.
+//! [`Engine`] and hands the band to the 1-D sweep's one engine dispatch
+//! (`t1d::sweep`): portable runs it in `Packs` for baseline
+//! x86-64, AVX2 in `Ymm` inside the sandwich of [`crate::t1d_avx2`] —
+//! `vpcmpeqd` with the `B` load folded in, `vpaddd`/`vpmaxsd`,
+//! `vpblendvb`, and one `vpermd` plus one `vpblendd` per produced vector —
+//! and AVX-512 the same source at sixteen lanes in `Zmm`: `vpcmpeqd` into
+//! a mask register, a masked `vpsubd`, and one `valignd` per produced
+//! vector.
 
-use crate::engine::{wider_pays, Engine};
+use crate::engine::{wider_pays, Engine, ScratchVl};
+use crate::t1d::{self, Form, Line, Scratch1d};
 use core::ops::RangeInclusive;
-use tempora_simd::{I32Lanes, Pack, Packs};
+use tempora_simd::{I32Lanes, Pack};
 use tempora_stencil::{lcs_update, lcs_update_pack};
 
 /// The integer vector length of the portable and AVX2 LCS engines (8 ×
@@ -115,52 +122,9 @@ pub fn bands_fit(vl: usize, la: usize, lb: usize, yblock: usize, s: usize) -> bo
     la >= vl && yblock.min(lb).min(last) > vl.saturating_mul(s)
 }
 
-/// Everything one LCS band sweep has in flight at stride `s`, handed from
-/// part to part and reusable by the next sweep.
-///
-/// The boundary phases compute one level (DP row) at a time from the
-/// level below, as [`crate::t1d::Scratch1d`] does, so two planes of
-/// `VL·s + 2` cells are all they keep: the prologue's level `k` over the
-/// columns `0 ..= (VL-k)·s`, the epilogue's level `i` re-based at
-/// `y_max + (VL-1-i)·s` — `O(VL·s)` cells at any lane count, where a
-/// plane per level would be `O(VL²·s)`.
-pub struct ScratchLcs<const VL: usize> {
-    /// The two planes, end to end.
-    planes: Vec<i32>,
-    /// The in-flight input vectors: slot `y % (s+1)` holds `V(y)`.
-    ring: Vec<Pack<i32, VL>>,
-    /// The last output vector `O(y)` of the anchors run so far.
-    o_prev: Pack<i32, VL>,
-}
-
-impl<const VL: usize> ScratchLcs<VL> {
-    /// Allocate scratch for stride `s`.
-    pub fn new(s: usize) -> Self {
-        ScratchLcs {
-            planes: vec![0; 2 * (VL * s + 2)],
-            ring: vec![Pack::splat(0); s + 1],
-            o_prev: Pack::splat(0),
-        }
-    }
-}
-
-/// A band sweep's scratch at its engine's lane count ([`vl`]).
-pub enum LcsScratch {
-    /// Eight lanes: the portable and AVX2 engines.
-    Vl8(ScratchLcs<VL>),
-    /// Sixteen lanes: [`Engine::Avx512`].
-    Vl16(ScratchLcs<WIDE_VL>),
-}
-
-impl LcsScratch {
-    /// Allocate scratch for `engine`'s sweeps at stride `s`.
-    pub fn new(engine: Engine, s: usize) -> Self {
-        match engine {
-            Engine::Avx512 => LcsScratch::Vl16(ScratchLcs::new(s)),
-            Engine::Portable | Engine::Avx2 => LcsScratch::Vl8(ScratchLcs::new(s)),
-        }
-    }
-}
+/// A band sweep's scratch at its engine's lane count ([`vl`]): what the
+/// parts of one band hand each other, reusable by the next band.
+pub type Scratch = ScratchVl<Scratch1d<i32, VL>, Scratch1d<i32, WIDE_VL>>;
 
 /// `B` as the register-ring steady state reads it: the reversed sequence
 /// `r[i] = b[lb-1-i]`, split into its `s` residue classes, each widened to
@@ -262,14 +226,14 @@ pub fn scalar_row_step_seg(
 ///   with the prologue) to `ys.end() + VL·s`;
 /// * `a_band` = `A[x0+1 ..= x0+VL]`; `b` is the whole second sequence and
 ///   `bl` its [`BLanes`] at stride `s`, filled;
-/// * `sc` comes from [`LcsScratch::new`] for the same engine and carries
-///   the sweep from part to part; a `std::arch` engine needs a CPU with
-///   its features.
+/// * `sc` comes from [`Scratch::new`] for the same engine and stride and
+///   carries the sweep from part to part; a `std::arch` engine needs a CPU
+///   with its features.
 ///
 /// # Panics
 /// Panics when the row cannot host the sweep (`b.len() ≤ VL·s`), when
 /// `ys` leaves `1 ..= y_max`, or when `sc` was allocated for another lane
-/// count.
+/// count or stride.
 // Justification: engine, row, sequences, layout, stride, range and carried state are the part's contract.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep(
@@ -280,162 +244,83 @@ pub fn sweep(
     bl: &BLanes,
     s: usize,
     ys: RangeInclusive<usize>,
-    sc: &mut LcsScratch,
+    sc: &mut Scratch,
 ) {
-    match (engine, sc) {
-        #[cfg(target_arch = "x86_64")]
-        (Engine::Avx512, LcsScratch::Vl16(sc)) => {
-            crate::lcs_avx2::sweep_zmm(crate::engine::zmm(), row, a_band, b, bl, s, ys, sc)
-        }
-        #[cfg(target_arch = "x86_64")]
-        (Engine::Avx2, LcsScratch::Vl8(sc)) => {
-            crate::lcs_avx2::sweep(crate::engine::ymm(), row, a_band, b, bl, s, ys, sc)
-        }
-        (Engine::Portable, LcsScratch::Vl8(sc)) => sweep_in(Packs, row, a_band, b, bl, s, ys, sc),
-        (engine, _) => panic!("sweep scratch was allocated for another engine than {engine:?}"),
-    }
+    assert!(a_band.len() == vl(engine) && row.len() == b.len() + 1);
+    let band = Band { a_band, b, bl };
+    t1d::sweep::<i32, VL, WIDE_VL, false, _>(engine, row, 0, b.len(), band, s, sc, ys);
 }
 
-/// [`sweep`] at any lane count, computing in `isa`'s registers, in the
-/// caller's codegen context.
-// Justification: `sweep`'s contract, argument for argument.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-pub(crate) fn sweep_in<const VL: usize, L: I32Lanes<VL>>(
-    isa: L,
-    row: &mut [i32],
-    a_band: &[u8],
-    b: &[u8],
-    bl: &BLanes,
-    s: usize,
-    ys: RangeInclusive<usize>,
-    sc: &mut ScratchLcs<VL>,
-) {
-    let (y0, y1) = ys.into_inner();
-    let lb = b.len();
-    let y_max = match VL.checked_mul(s) {
-        Some(reach) if s >= 1 && reach < lb => lb - reach,
-        _ => panic!("a row of {lb} columns cannot host the sweep at stride {s}"),
-    };
-    assert!(a_band.len() == VL && row.len() == lb + 1);
-    assert!(
-        1 <= y0 && y0 <= y1 && y1 <= y_max,
-        "anchors {y0}..={y1} of 1..={y_max}"
-    );
-    assert_eq!(sc.ring.len(), s + 1, "scratch of another stride");
-    if y0 == 1 {
-        prologue::<VL>(row, a_band, b, s, sc);
-    }
-    steady::<VL, L>(isa, row, y0, y1, a_band, b, bl, s, sc);
-    if y1 == y_max {
-        epilogue::<VL>(row, a_band, b, s, sc);
-    }
+/// The LCS kernel of one band: `A[x0+1 ..= x0+VL]`, the whole `B` and
+/// `B`'s lane layout — the recurrence's variable coefficients (§3.4). In a
+/// [`Form`] it is the [`Line`] the 1-D sweep runs a band with.
+#[derive(Clone, Copy)]
+pub(crate) struct Band<'a> {
+    a_band: &'a [u8],
+    b: &'a [u8],
+    bl: &'a BLanes,
 }
 
-/// Phase 1 of a band sweep: the scalar head wavefront triangles for
-/// levels `1..VL` from column 1 with the table's zero west edge, the
-/// initial input-vector ring `V(0) ..= V(s)` and the initial output
-/// vector `O(0)`.
-///
-/// Level `k = 1 .. VL` is computed into one of the two planes, `plane[j]
-/// = lcs[x0+k][j]` for `j ∈ 0 ..= (VL-k)·s`, from level `k - 1` in the
-/// other (the row for `k = 1`; its column 0 is the zero edge), and
-/// gathered as soon as it is done: lane `k` of `V(y)` is level `k` at
-/// column `y + (VL-1-k)·s`, lane `k - 1` of `O(0)` level `k` at column
-/// `(VL-k)·s` (its top lane is the zero edge's level `VL`).
-fn prologue<const VL: usize>(
-    row: &[i32],
-    a_band: &[u8],
-    b: &[u8],
-    s: usize,
-    sc: &mut ScratchLcs<VL>,
-) {
-    let ScratchLcs {
-        planes,
-        ring,
-        o_prev,
-    } = sc;
-    // The ring holds V(0) ..= V(s), slot j = j — the anchor one left of
-    // the first steady iteration, as in Algorithm 3 lines 5-7. Lane 0 is
-    // the row.
-    for j in 0..=s {
-        ring[j].0[0] = row[j + (VL - 1) * s];
-    }
-    *o_prev = Pack::splat(0);
-    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
-    for k in 1..VL {
-        let hi = (VL - k) * s;
-        plane[0] = 0;
-        let ca = a_band[k - 1];
-        for j in 1..=hi {
-            let (diag, up) = if k == 1 {
-                (row[j - 1], row[j])
-            } else {
-                (below[j - 1], below[j])
-            };
-            plane[j] = lcs_update(diag, up, plane[j - 1], ca, b[j - 1]);
-        }
-        for j in 0..=s {
-            ring[j].0[k] = plane[j + (VL - 1 - k) * s];
-        }
-        o_prev.0[k - 1] = plane[hi];
-        core::mem::swap(&mut below, &mut plane);
-    }
-}
-
-/// Phase 2 of a band sweep: the §3.4 steady state
-/// `O(y) = select(eq, diag + 1, max(up, left))` over the anchors
-/// `y ∈ [y0, y1]`, in `isa`'s registers — the one dispatch on the stride —
-/// from and back into the ring and output vector of `sc`.
-///
-/// The strides in [`crate::lcs_avx2::REGISTER_STRIDES`] run [`ring_regs`].
-/// Wider ones run the rolled loop below, which keeps the ring in scratch
-/// at one read and one write per iteration — the write at column `y`
-/// lands in the very slot the diagonal operand was read from
+/// LCS on the 1-D sweep: no old east operand (stride 1 is legal), the
+/// level-`k` update at column `y` compares `A[x0+k]` with `B[y-1]`, and the
+/// steady state `O(y) = select(eq, diag + 1, max(up, left))` over the
+/// anchors `y ∈ [y0, y1]` of a whole row (`first = 0`), in `isa`'s
+/// registers — the one dispatch on the stride. The strides in
+/// [`crate::lcs_avx2::REGISTER_STRIDES`] run `ring_regs`, whatever the
+/// register form. Wider ones run the rolled loop below, which keeps the
+/// ring in scratch at one read and one write per iteration — the write at
+/// column `y` lands in the very slot the diagonal operand was read from
 /// (`y+s ≡ y-1 mod s+1`), so `diag` is the previous iteration's `up`
 /// vector, carried in a register — and loads the characters strided.
-// Justification: `sweep`'s contract, argument for argument.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn steady<const VL: usize, L: I32Lanes<VL>>(
-    isa: L,
-    row: &mut [i32],
-    y0: usize,
-    y1: usize,
-    a_band: &[u8],
-    b: &[u8],
-    bl: &BLanes,
-    s: usize,
-    sc: &mut ScratchLcs<VL>,
-) {
-    // Per-band constant: lane i compares against A[x0+1+i].
-    let a_vec = isa.load(Pack::from_fn(|i| a_band[i] as i32));
-    let o_prev = isa.load(sc.o_prev);
-    let ring = &mut sc.ring;
-    let o_prev = match s {
-        1 => ring_regs::<1, 2, VL, L>(isa, row, y0, y1, a_vec, bl, ring, o_prev),
-        2 => ring_regs::<2, 3, VL, L>(isa, row, y0, y1, a_vec, bl, ring, o_prev),
-        _ => {
-            let (rlen, mut o_prev) = (s + 1, o_prev);
-            let mut diag = isa.load(ring[(y0 + rlen - 1) % rlen]);
-            let mut iu = y0 % rlen;
-            let mut iw = (y0 + s) % rlen;
-            for y in y0..=y1 {
-                let up = isa.load(ring[iu]);
-                // Lane i reads b[y - 1 + (VL-1-i)·s].
-                let b_vec = isa.load_u8(b, y - 1 + (VL - 1) * s, -(s as isize));
-                let o = lcs_update_pack(isa, diag, up, o_prev, a_vec, b_vec);
-                row[y] = isa.top(o);
-                ring[iw] = isa.store(isa.shift_up_insert(o, row[y + VL * s]));
-                o_prev = o;
-                diag = up;
-                iu = if iu + 1 == rlen { 0 } else { iu + 1 };
-                iw = if iw + 1 == rlen { 0 } else { iw + 1 };
+impl<const VL: usize, L: I32Lanes<VL>> Line<i32, VL> for Form<Band<'_>, L> {
+    const MIN_STRIDE: usize = 1;
+
+    #[inline(always)]
+    fn scalar(&self, k: usize, y: usize, left: i32, diag: i32, up: i32, _: i32) -> i32 {
+        lcs_update(diag, up, left, self.0.a_band[k - 1], self.0.b[y - 1])
+    }
+
+    #[inline(always)]
+    fn steady<const COUNT: bool, const REGS: bool>(
+        &self,
+        row: &mut [i32],
+        first: usize,
+        s: usize,
+        ring: &mut [Pack<i32, VL>],
+        o_prev: Pack<i32, VL>,
+        y0: usize,
+        y1: usize,
+    ) -> Pack<i32, VL> {
+        debug_assert_eq!(first, 0, "a band sweeps a whole row");
+        let Form(Band { a_band, b, bl }, isa) = *self;
+        // Per-band constant: lane i compares against A[x0+1+i].
+        let a_vec = isa.load(Pack::from_fn(|i| a_band[i] as i32));
+        let o_prev = isa.load(o_prev);
+        let o_prev = match s {
+            1 => ring_regs::<1, 2, VL, L>(isa, row, y0, y1, a_vec, bl, ring, o_prev),
+            2 => ring_regs::<2, 3, VL, L>(isa, row, y0, y1, a_vec, bl, ring, o_prev),
+            _ => {
+                let (rlen, mut o_prev) = (s + 1, o_prev);
+                let mut diag = isa.load(ring[(y0 + rlen - 1) % rlen]);
+                let mut iu = y0 % rlen;
+                let mut iw = (y0 + s) % rlen;
+                for y in y0..=y1 {
+                    let up = isa.load(ring[iu]);
+                    // Lane i reads b[y - 1 + (VL-1-i)·s].
+                    let b_vec = isa.load_u8(b, y - 1 + (VL - 1) * s, -(s as isize));
+                    let o = lcs_update_pack(isa, diag, up, o_prev, a_vec, b_vec);
+                    row[y] = isa.top(o);
+                    ring[iw] = isa.store(isa.shift_up_insert(o, row[y + VL * s]));
+                    o_prev = o;
+                    diag = up;
+                    iu = if iu + 1 == rlen { 0 } else { iu + 1 };
+                    iw = if iw + 1 == rlen { 0 } else { iw + 1 };
+                }
+                o_prev
             }
-            o_prev
-        }
-    };
-    sc.o_prev = isa.store(o_prev);
+        };
+        isa.store(o_prev)
+    }
 }
 
 /// The steady state with every vector in a register. `S` is the stride
@@ -452,7 +337,7 @@ fn steady<const VL: usize, L: I32Lanes<VL>>(
 /// iteration `k = m·S + j` of a chunk it starts `m` values before
 /// `B(y_chunk + j)`, which steps back `R` values per chunk — one index per
 /// residue, stepped once per `S·R` iterations.
-// Justification: `sweep`'s contract, argument for argument.
+// Justification: the steady state's contract, argument for argument.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
@@ -469,7 +354,7 @@ fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
     // The one bound of the loop below: every `row[y]` and `row[y + VL·S]`
     // has `1 ≤ y ≤ y1`, inside a row of `lb + 1` columns, and so does
     // every `B(y)` of the layout (`BLanes::at`), which is `B`'s at `S`.
-    // `sweep_in` establishes it (`y1 + VL·S ≤ lb`).
+    // `t1d::sweep_body` establishes it (`y1 + VL·S ≤ lb`).
     let lb = bl.lb;
     assert!(y0 >= 1 && y1 + VL * S <= lb && lb + 1 == row.len() && bl.s == S);
     let mut v = [o_prev; R];
@@ -511,86 +396,9 @@ fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
     o_prev
 }
 
-/// Phase 3 of a band sweep: drain the surviving ring level by level and
-/// finish every level scalar-wise up to `lb` — level `i` in one of the
-/// two planes, re-based at `y_max + (VL-1-i)·s`, from level `i - 1` in the
-/// other (the row for `i = 1`). The ring must hold `V(j)` at slot
-/// `j % (s+1)` for `j ∈ y_max ..= y_max+s`, as the steady state leaves it.
-fn epilogue<const VL: usize>(
-    row: &mut [i32],
-    a_band: &[u8],
-    b: &[u8],
-    s: usize,
-    sc: &mut ScratchLcs<VL>,
-) {
-    let lb = b.len();
-    let y_max = lb - VL * s;
-    let ScratchLcs { planes, ring, .. } = sc;
-    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
-    for i in 1..VL {
-        let base = y_max + (VL - 1 - i) * s;
-        for j in y_max..=y_max + s {
-            plane[j - y_max] = ring[j % (s + 1)].extract(i);
-        }
-        let ca = a_band[i - 1];
-        for y in base + s + 1..=lb {
-            let rel = y - base;
-            let (diag, up) = if i == 1 {
-                (row[y - 1], row[y])
-            } else {
-                let bb = y - (base + s);
-                (below[bb - 1], below[bb])
-            };
-            plane[rel] = lcs_update(diag, up, plane[rel - 1], ca, b[y - 1]);
-        }
-        core::mem::swap(&mut below, &mut plane);
-    }
-    // Final level VL; level VL-1 (`below`) is based at y_max.
-    let ca = a_band[VL - 1];
-    for y in y_max + 1..=lb {
-        let rel = y - y_max;
-        row[y] = lcs_update(below[rel - 1], below[rel], row[y - 1], ca, b[y - 1]);
-    }
-}
-
 /// One scalar DP row step over the whole row (left boundary column 0).
 pub fn scalar_row_step(row: &mut [i32], ca: u8, b: &[u8]) {
     scalar_row_step_seg(row, ca, b, 1, b.len(), 0, 0);
-}
-
-/// Compute the final DP row `lcs[a.len()][0..=b.len()]` with the temporal
-/// scheme (stride `s`) on `engine`: one whole-row band sweep per `VL`
-/// rows, then the remaining rows as scalar steps — all of them when no
-/// band fits ([`bands_fit`]). Bit-identical to
-/// `tempora_stencil::reference::lcs_final_row`.
-pub fn final_row(engine: Engine, a: &[u8], b: &[u8], s: usize) -> Vec<i32> {
-    let (lb, vl) = (b.len(), vl(engine));
-    let mut row = vec![0i32; lb + 1];
-    let mut done = 0;
-    if lb > 0 && bands_fit(vl, a.len(), lb, lb, s) {
-        let mut sc = LcsScratch::new(engine, s);
-        let mut bl = BLanes::new(lb, s);
-        bl.fill(b);
-        let ys = 1..=lb - vl * s;
-        for a_band in a.chunks_exact(vl) {
-            sweep(engine, &mut row, a_band, b, &bl, s, ys.clone(), &mut sc);
-        }
-        done = a.len() / vl * vl;
-    }
-    for &ca in &a[done..] {
-        scalar_row_step(&mut row, ca, b);
-    }
-    row
-}
-
-/// LCS length via the temporal scheme on `engine`.
-pub fn length(engine: Engine, a: &[u8], b: &[u8], s: usize) -> i32 {
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    // Panic-justification: `b` is non-empty (checked above), so the final
-    // row has `b.len()` entries and `last()` is always Some.
-    *final_row(engine, a, b, s).last().unwrap()
 }
 
 /// Whether `Select::Auto`'s sixteen lanes pay for an `la × lb` table
@@ -605,7 +413,28 @@ pub(crate) fn wide_pays(la: usize, lb: usize) -> bool {
 pub(crate) mod tests {
     use super::*;
     use tempora_grid::random_sequence;
+    use tempora_simd::Packs;
     use tempora_stencil::reference;
+
+    /// The final DP row of `a` over `b` on `engine` at stride `s`: one
+    /// whole-row band sweep per band where bands fit ([`bands_fit`]), then
+    /// the rows left over as scalar steps — every row where none fits.
+    pub(crate) fn final_row_of(engine: Engine, a: &[u8], b: &[u8], s: usize) -> Vec<i32> {
+        let lb = b.len();
+        if bands_fit(vl(engine), a.len(), lb, lb.max(1), s) {
+            return waved(engine, a, b, s, lb, 1).0;
+        }
+        let mut row = vec![0; lb + 1];
+        for &ca in a {
+            scalar_row_step(&mut row, ca, b);
+        }
+        row
+    }
+
+    /// The LCS length of `a` and `b`, from [`final_row_of`].
+    pub(crate) fn length_of(engine: Engine, a: &[u8], b: &[u8], s: usize) -> i32 {
+        final_row_of(engine, a, b, s)[b.len()]
+    }
 
     #[test]
     fn fused_update_matches_lcs_update_pack() {
@@ -657,27 +486,31 @@ pub(crate) mod tests {
             for s in 1..=3 {
                 let a = random_sequence(la, 4, la as u64);
                 let b = random_sequence(lb, 4, lb as u64 + 1);
-                let ours = final_row(Engine::Portable, &a, &b, s);
+                let ours = final_row_of(Engine::Portable, &a, &b, s);
                 let gold = reference::lcs_final_row(&a, &b);
                 assert_eq!(ours, gold, "la={la} lb={lb} s={s}");
             }
         }
     }
 
-    /// Whole-row band sweeps at `VL` lanes in `isa`, strides `1 ..= 4`.
+    /// Whole-row band sweeps at `VL` lanes in `isa`, through the 1-D
+    /// sweep's [`t1d::sweep_body`], at every stride of `strides`.
     pub(crate) fn variant_matches_reference<const VL: usize, L: I32Lanes<VL>>(
         isa: L,
         a: &[u8],
         b: &[u8],
+        strides: &[usize],
     ) {
-        for s in 1..=4 {
+        for &s in strides {
             let mut row = vec![0i32; b.len() + 1];
-            let mut sc = ScratchLcs::<VL>::new(s);
+            let mut sc = Scratch1d::<i32, VL>::new(s);
             let mut bl = BLanes::new(b.len(), s);
             bl.fill(b);
             for a_band in a.chunks_exact(VL) {
                 let ys = 1..=b.len() - VL * s;
-                sweep_in(isa, &mut row, a_band, b, &bl, s, ys, &mut sc);
+                let band = Form(Band { a_band, b, bl: &bl }, isa);
+                let lb = b.len();
+                t1d::sweep_body::<i32, VL, false, false, _>(&mut row, 0, lb, &band, s, &mut sc, ys);
             }
             for &ca in a.chunks_exact(VL).remainder() {
                 scalar_row_step(&mut row, ca, b);
@@ -690,24 +523,29 @@ pub(crate) mod tests {
     fn vl4_variant_matches_reference() {
         // Four lanes, and the sixteen of the next integer width — in
         // `Packs` and, where the CPU has it, in `Zmm`: two bands and a
-        // scalar remainder, every row hosting the sweep (77 > 16·4).
+        // scalar remainder, every row hosting the sweep (77 > 16·4), and
+        // strides past the 1-D kinds' ring (16) on a row of 600 > 16·33.
         let a = random_sequence(40, 3, 1);
-        let b = random_sequence(77, 3, 2);
-        variant_matches_reference::<4, _>(Packs, &a, &b);
-        variant_matches_reference::<16, _>(Packs, &a, &b);
-        #[cfg(target_arch = "x86_64")]
-        if let Some(isa) = tempora_simd::arch::Zmm::detect() {
-            variant_matches_reference::<16, _>(isa, &a, &b);
+        for (b, strides) in [
+            (random_sequence(77, 3, 2), &[1, 2, 3, 4][..]),
+            (random_sequence(600, 3, 4), &[17, 33][..]),
+        ] {
+            variant_matches_reference::<4, _>(Packs, &a, &b, strides);
+            variant_matches_reference::<16, _>(Packs, &a, &b, strides);
+            #[cfg(target_arch = "x86_64")]
+            if let Some(isa) = tempora_simd::arch::Zmm::detect() {
+                variant_matches_reference::<16, _>(isa, &a, &b, strides);
+            }
         }
     }
 
     #[test]
     fn length_known_answers() {
-        assert_eq!(length(Engine::Portable, b"ABCBDAB", b"BDCABA", 1), 4);
-        assert_eq!(length(Engine::Portable, b"GATTACA", b"GATTACA", 2), 7);
-        assert_eq!(length(Engine::Portable, b"AAAA", b"BBBB", 1), 0);
-        assert_eq!(length(Engine::Portable, b"", b"ABC", 1), 0);
-        assert_eq!(length(Engine::Portable, b"ABCDEFGHIJKLMNOP", b"", 1), 0);
+        assert_eq!(length_of(Engine::Portable, b"ABCBDAB", b"BDCABA", 1), 4);
+        assert_eq!(length_of(Engine::Portable, b"GATTACA", b"GATTACA", 2), 7);
+        assert_eq!(length_of(Engine::Portable, b"AAAA", b"BBBB", 1), 0);
+        assert_eq!(length_of(Engine::Portable, b"", b"ABC", 1), 0);
+        assert_eq!(length_of(Engine::Portable, b"ABCDEFGHIJKLMNOP", b"", 1), 0);
     }
 
     #[test]
@@ -716,7 +554,7 @@ pub(crate) mod tests {
             let a = random_sequence(48, 2, seed);
             let b = random_sequence(96, 2, seed + 100);
             assert_eq!(
-                length(Engine::Portable, &a, &b, 1),
+                length_of(Engine::Portable, &a, &b, 1),
                 *reference::lcs_final_row(&a, &b).last().unwrap()
             );
         }
@@ -727,7 +565,7 @@ pub(crate) mod tests {
         let a = random_sequence(16, 4, 9);
         let b = random_sequence(5, 4, 10);
         assert_eq!(
-            final_row(Engine::Portable, &a, &b, 1),
+            final_row_of(Engine::Portable, &a, &b, 1),
             reference::lcs_final_row(&a, &b)
         );
     }
@@ -755,7 +593,7 @@ pub(crate) mod tests {
         let (lb, vl) = (b.len(), vl(engine));
         assert!(bands_fit(vl, a.len(), lb, block, s));
         let (y_max, n_t, n_j) = (lb - vl * s, a.len() / vl, lb.div_ceil(block));
-        let mut sc: Vec<LcsScratch> = (0..slots).map(|_| LcsScratch::new(engine, s)).collect();
+        let mut sc: Vec<Scratch> = (0..slots).map(|_| Scratch::new(engine, s)).collect();
         let mut bl = BLanes::new(lb, s);
         bl.fill(b);
         let (mut row, mut written) = (vec![0i32; lb + 1], vec![]);
@@ -778,14 +616,15 @@ pub(crate) mod tests {
     }
 
     /// [`waved`] on `engine` against the reference table: what every part
-    /// wrote and the final row, at strides 1 and 2 (`B` from the layout)
-    /// and 3 (strided), over block columns one past, two and three times
-    /// the sweep's reach, and a ragged last one just past it.
+    /// wrote and the final row, at strides 1 and 2 (`B` from the layout),
+    /// 3 (strided) and 17 and 33 (past the 1-D kinds' ring of 16), over
+    /// block columns one past, two and three times the sweep's reach, and
+    /// a ragged last one just past it.
     pub(crate) fn bands_stitch_exactly(engine: Engine) {
         let vl = vl(engine);
         let a = random_sequence(4 * vl + 3, 3, 5);
         let n_t = a.len() / vl;
-        for s in 1..=3 {
+        for s in [1, 2, 3, 17, 33] {
             for block in [vl * s + 1, 2 * vl * s, 3 * vl * s + 5] {
                 let b = random_sequence(5 * block + vl * s + 1, 3, (block + s) as u64);
                 let gold = reference::lcs_table(&a, &b);

@@ -1,18 +1,15 @@
-//! The `std::arch` engines of the LCS band sweep (paper §3.4): the codegen
-//! sandwiches around [`crate::lcs`] — AVX2 at the paper's integer width
-//! `vl = 8`, AVX-512 at sixteen lanes — and the resolution of an LCS run.
+//! The resolution of an LCS run (paper §3.4), and the strides whose band
+//! sweep keeps its ring in registers.
 //!
-//! The sweep's steady state is one `#[inline(always)]` *source*, generic
-//! over the lane vocabulary it computes in ([`tempora_simd::I32Lanes`]).
-//! The portable engine instantiates it for baseline x86-64 with `Packs`;
-//! this module instantiates it a second time, with [`Ymm`], inside a
-//! `#[target_feature(enable = "avx2")]` function, where the vocabulary is
-//! the instruction mix the paper's analysis assumes — `vpcmpeqd` for the
+//! The band sweep is the 1-D temporal sweep of [`crate::t1d`], and its
+//! `std::arch` engines are that sweep's sandwiches in [`crate::t1d_avx2`]:
+//! with [`tempora_simd::arch::Ymm`] at the paper's integer width `vl = 8`
+//! inside `#[target_feature(enable = "avx2,fma")]` — `vpcmpeqd` for the
 //! character-equality mask (the `B` load from the lane layout folded in),
 //! `vpaddd`/`vpmaxsd` for the two update candidates, `vpblendvb` for the
 //! equality blend, and one `vpermd` (lane-crossing rotate) plus one
 //! `vpblendd` (in-lane) per produced vector for the input production —
-//! and a third time, with [`Zmm`] at sixteen lanes, inside
+//! and with [`tempora_simd::arch::Zmm`] at sixteen lanes inside
 //! `#[target_feature(enable = "avx512f,avx2,fma")]`: `vpcmpeqd` into a
 //! mask register, the blend folded into a masked `vpsubd`, and one
 //! `valignd` per produced vector. At the strides in [`REGISTER_STRIDES`]
@@ -26,12 +23,6 @@
 
 use crate::engine::{Engine, Select};
 use crate::lcs::{bands_fit, wide_pays, VL, WIDE_VL};
-#[cfg(target_arch = "x86_64")]
-use {
-    crate::lcs::{BLanes, ScratchLcs},
-    core::ops::RangeInclusive,
-    tempora_simd::arch::{Ymm, Zmm},
-};
 
 /// The strides whose steady state keeps the input-vector ring in
 /// registers and reads `B(y)` from the lane layout (one unrolled
@@ -63,86 +54,10 @@ pub fn resolve(sel: Select, la: usize, lb: usize, yblock: usize, s: usize) -> En
     }
 }
 
-/// [`crate::lcs::sweep`]'s part compiled for AVX2, computing in `isa`,
-/// the proof that AVX2 is available.
-#[cfg(target_arch = "x86_64")]
-// Justification: `lcs::sweep`'s contract, argument for argument.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep(
-    isa: Ymm,
-    row: &mut [i32],
-    a_band: &[u8],
-    b: &[u8],
-    bl: &BLanes,
-    s: usize,
-    ys: RangeInclusive<usize>,
-    sc: &mut ScratchLcs<VL>,
-) {
-    /// # Safety
-    /// Caller must ensure AVX2 is available
-    /// (`tempora_simd::arch::avx2_available()`).
-    // Justification: `lcs::sweep`'s contract, argument for argument.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sandwich(
-        isa: Ymm,
-        row: &mut [i32],
-        a_band: &[u8],
-        b: &[u8],
-        bl: &BLanes,
-        s: usize,
-        ys: RangeInclusive<usize>,
-        sc: &mut ScratchLcs<VL>,
-    ) {
-        crate::lcs::sweep_in(isa, row, a_band, b, bl, s, ys, sc);
-    }
-    // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
-    unsafe { sandwich(isa, row, a_band, b, bl, s, ys, sc) }
-}
-
-/// [`sweep`] at sixteen lanes: the same part contract, compiled for
-/// AVX-512F+AVX2+FMA end to end and computing in `isa`, the proof that
-/// they are available.
-#[cfg(target_arch = "x86_64")]
-// Justification: `lcs::sweep`'s contract, argument for argument.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_zmm(
-    isa: Zmm,
-    row: &mut [i32],
-    a_band: &[u8],
-    b: &[u8],
-    bl: &BLanes,
-    s: usize,
-    ys: RangeInclusive<usize>,
-    sc: &mut ScratchLcs<WIDE_VL>,
-) {
-    /// # Safety
-    /// Caller must ensure AVX-512F+AVX2+FMA are available
-    /// (`tempora_simd::arch::avx512_available()`).
-    // Justification: `lcs::sweep`'s contract, argument for argument.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn sandwich(
-        isa: Zmm,
-        row: &mut [i32],
-        a_band: &[u8],
-        b: &[u8],
-        bl: &BLanes,
-        s: usize,
-        ys: RangeInclusive<usize>,
-        sc: &mut ScratchLcs<WIDE_VL>,
-    ) {
-        crate::lcs::sweep_in(isa, row, a_band, b, bl, s, ys, sc);
-    }
-    // SAFETY: a `Zmm` exists only where AVX-512F+AVX2+FMA are available.
-    unsafe { sandwich(isa, row, a_band, b, bl, s, ys, sc) }
-}
-
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
-    use crate::lcs::tests::{bands_stitch_exactly, waved};
-    use crate::lcs::{final_row, length};
+    use crate::lcs::tests::{bands_stitch_exactly, final_row_of, length_of, waved};
     use tempora_grid::random_sequence;
     use tempora_simd::arch::{avx2_available, avx512_available};
     use tempora_stencil::reference;
@@ -168,10 +83,10 @@ mod tests {
                 for s in 1..=3 {
                     let a = random_sequence(la, 4, la as u64);
                     let b = random_sequence(lb, 4, lb as u64 + 1);
-                    let ours = final_row(engine, &a, &b, s);
+                    let ours = final_row_of(engine, &a, &b, s);
                     assert_eq!(
                         ours,
-                        final_row(Engine::Portable, &a, &b, s),
+                        final_row_of(Engine::Portable, &a, &b, s),
                         "{engine:?} la={la} lb={lb} s={s} (vs portable)"
                     );
                     assert_eq!(
@@ -191,7 +106,7 @@ mod tests {
                 let a = random_sequence(48, 2, seed);
                 let b = random_sequence(96, 2, seed + 100);
                 assert_eq!(
-                    length(engine, &a, &b, 1),
+                    length_of(engine, &a, &b, 1),
                     *reference::lcs_final_row(&a, &b).last().unwrap()
                 );
             }
@@ -199,11 +114,11 @@ mod tests {
             let a = random_sequence(16, 4, 9);
             let b = random_sequence(5, 4, 10);
             assert_eq!(
-                final_row(engine, &a, &b, 1),
+                final_row_of(engine, &a, &b, 1),
                 reference::lcs_final_row(&a, &b)
             );
-            assert_eq!(length(engine, b"", b"ABC", 1), 0);
-            assert_eq!(length(engine, b"ABC", b"", 1), 0);
+            assert_eq!(length_of(engine, b"", b"ABC", 1), 0);
+            assert_eq!(length_of(engine, b"ABC", b"", 1), 0);
         }
     }
 
@@ -235,12 +150,12 @@ mod tests {
                     let b = random_sequence(seg, 3, (s * k) as u64 + 7);
                     let gold = reference::lcs_final_row(&a, &b);
                     assert_eq!(
-                        final_row(engine, &a, &b, s),
+                        final_row_of(engine, &a, &b, s),
                         gold,
                         "{engine:?} whole row s={s} k={k}"
                     );
                     assert_eq!(
-                        final_row(Engine::Portable, &a, &b, s),
+                        final_row_of(Engine::Portable, &a, &b, s),
                         gold,
                         "portable s={s} k={k}"
                     );

@@ -9,12 +9,12 @@
 //! | module | contents |
 //! |---|---|
 //! | [`engine`] | unified dispatch (portable vs `std::arch` AVX2, `TEMPORA_ENGINE`) and the one [`engine::KernelSpace`] trait every layer above the tile is written against |
-//! | [`t1d`] | 1-D Jacobi and Gauss-Seidel sweeps (Algorithm 3): phases, resumable parts, and the one ring steady state of both kernels and both engines |
-//! | [`t1d_avx2`] | the AVX2 codegen sandwiches around those sweeps, and the strides whose ring they keep in registers |
+//! | [`t1d`] | the one 1-D sweep (Algorithm 3) of Heat-1D, GS-1D and the LCS bands: phases, resumable parts, the engine dispatch, and the one ring steady state of the two 3-point kernels on every engine |
+//! | [`t1d_avx2`] | the AVX2 and AVX-512 codegen sandwiches around that sweep, and the strides whose ring they keep in registers |
 //! | [`slab`] | the 2-D/3-D sweep, written once over a slab shape: resumable three-phase driver (its parts are the §3.4 parallelogram tiles), in-place scalar step, and the per-dimension row updates (Heat-2D, 2D9P, Life at `i32×8`, GS-2D, Heat-3D, GS-3D), one steady row per dimension |
 //! | [`slab_avx2`] | the AVX2 codegen sandwiches around that driver |
-//! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`, `i32×16`): the resumable band sweep (its parts are the block columns of a tiled run), `B`'s lane layout, the one ring steady state, engine-taking entry points |
-//! | [`lcs_avx2`] | the AVX2 and AVX-512 codegen sandwiches around the LCS band sweep, and the resolution of an LCS run |
+//! | [`lcs`] | the LCS dynamic program as a temporal 1-D stencil (`i32×8`, `i32×16`): its kernel on the 1-D sweep — the band's update, `B`'s lane layout, its ring steady state — and the band sweep entry point (its parts are the block columns of a tiled run) |
+//! | [`lcs_avx2`] | the resolution of an LCS run, and the strides whose band ring lives in registers |
 //! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!

@@ -1,5 +1,6 @@
 //! Temporal vectorization of one-dimensional stencils (paper §3.2,
-//! Algorithm 3, generalized).
+//! Algorithm 3, generalized): the one 1-D sweep, which Heat-1D, GS-1D and
+//! the LCS bands all run.
 //!
 //! # The scheme
 //!
@@ -35,13 +36,19 @@
 //! the surviving ring vectors and finishes the right edge scalar-wise
 //! (lines 16-22).
 //!
-//! # Gauss-Seidel
+//! # Gauss-Seidel, and LCS
 //!
 //! For Gauss-Seidel stencils the newest-value west operand is lane-aligned
 //! in the *previous output vector* (§3.4): `O(x) = S(O(x-1), V(x),
 //! V(x+1))`. Everything else — prologue, production rule, epilogue — is
-//! identical; this module implements both update kinds over the same
-//! skeleton.
+//! identical. LCS (§3.4, [`crate::lcs`]) is such a Gauss-Seidel stencil
+//! over one DP row, with `A` and `B` as variable coefficients and no old
+//! east operand, which is why its minimum stride is 1. The driver here
+//! serves all three: a kernel enters as a [`Line`] — its scalar update,
+//! told its level and cell, and its steady state — and its dependence
+//! reach, `MIN_STRIDE - 1` cells east, decides the last anchor
+//! (`n + 1 - VL·s` for the 3-point kernels, `n - VL·s` for LCS) and
+//! whether the epilogue reads past `n` and keeps a right halo.
 //!
 //! # Single-array execution (§3.5)
 //!
@@ -63,50 +70,50 @@
 //! §3.4 parallelogram tiles, and a part touches only the cells from its
 //! first anchor to `VL·s` past its last, which is what lets
 //! `tempora-tiling` run a second sweep through the same array close
-//! behind the first. [`scalar_cells`] cuts the in-place scalar step the
-//! same way.
+//! behind the first (and cut an LCS band at its block columns).
+//! [`scalar_cells`] cuts the in-place scalar step the same way.
 //!
-//! # One steady state, one source, three codegen contexts
+//! # One steady state per kernel, one source, three codegen contexts
 //!
-//! The steady state is written once (`ring_sweep`), for both kernels and
-//! every engine: it is generic over the register form it computes in
-//! ([`tempora_simd::F64Lanes`]) and over the lane count `VL`, and with its
-//! ring length `R = s + 1` a constant it runs unrolled that wide, every
-//! ring slot a local with a constant index — a `ymm` register when the
-//! form is `Ymm`, a `zmm` register when it is `Zmm` at `VL = 8`. A
-//! produced input vector is first consumed `s - 1` iterations later, and
-//! only with the ring in registers does that hop cost the arithmetic's
+//! The 3-point kernels' steady state is written once (`ring_sweep`), for
+//! both kernels and every engine: it is generic over the register form it
+//! computes in ([`tempora_simd::F64Lanes`]) and over the lane count `VL`,
+//! and with its ring length `R = s + 1` a constant it runs unrolled that
+//! wide, every ring slot a local with a constant index — a `ymm` register
+//! when the form is `Ymm`, a `zmm` register when it is `Zmm` at `VL = 8`.
+//! A produced input vector is first consumed `s - 1` iterations later,
+//! and only with the ring in registers does that hop cost the arithmetic's
 //! latency alone (§3.3's reason for the stride; README, "Where the time
 //! goes in a tile"). Its rolled `R = 0` form keeps the ring in scratch
 //! memory and serves every other stride — and every stride of the
-//! portable engine, whose `mul_add` is a libm call either way.
+//! portable engine, whose `mul_add` is a libm call either way. LCS brings
+//! its own (`lcs::ring_regs`), on the same ring.
 //!
 //! [`sweep_body`] and everything under it — `tile_prologue`,
-//! `tile_epilogue`, [`scalar_cells`] — is
+//! `tile_epilogue`, the steady states, [`scalar_cells`] — is
 //! `#[inline(always)]`: the portable engine instantiates it for baseline
 //! x86-64 with `Packs`, and [`crate::t1d_avx2`] instantiates the same
 //! source again with `Ymm` inside its
-//! `#[target_feature(enable = "avx2,fma")]` functions, where `mul_add` is
+//! `#[target_feature(enable = "avx2,fma")]` sandwich, where `mul_add` is
 //! one `vfmadd` instead of a call into libm's `fma` (same exactly-rounded
-//! result), and a third time at eight lanes with `Zmm` inside
-//! `#[target_feature(enable = "avx512f,avx2,fma")]`: one rotate and one
-//! blend per output vector at either width, the paper's "irrelevant to
-//! the vector length". `cargo xtask audit` (rule `phase-inline`) guards
-//! the attributes.
+//! result), and a third time at eight `f64` (sixteen `i32`) lanes with
+//! `Zmm` inside `#[target_feature(enable = "avx512f,avx2,fma")]`: one
+//! rotate and one blend per output vector at either width, the paper's
+//! "irrelevant to the vector length". `sweep` is the one dispatch from
+//! a resolved engine into them. `cargo xtask audit` (rule `phase-inline`)
+//! guards the attributes.
 
+use crate::engine::{Avx2Lanes, Avx512Lanes, Engine, ScratchVl};
 use crate::kernels::Kernel1d;
 use crate::t1d_avx2::{REGISTER_STRIDES, ZMM_REGISTER_STRIDES};
 use core::ops::RangeInclusive;
-use tempora_grid::Grid1;
 use tempora_simd::count::{self, Op};
-use tempora_simd::{F64Lanes, Pack, Packs};
-
-/// Minimum interior size for the vector path of one tile; below this the
-/// tile falls back to the scalar schedule (same results).
-#[inline]
-pub fn min_vector_n<const VL: usize>(s: usize) -> usize {
-    VL * s
-}
+use tempora_simd::{F64Lanes, Pack, Packs, Scalar};
+#[cfg(target_arch = "x86_64")]
+use {
+    crate::engine::{ymm, zmm},
+    crate::t1d_avx2,
+};
 
 /// Everything one sweep has in flight at stride `s`: what its phases and
 /// parts hand each other, reusable by the next sweep.
@@ -117,136 +124,255 @@ pub fn min_vector_n<const VL: usize>(s: usize) -> usize {
 /// value), the epilogue's level `i` around the right edge, re-based at
 /// `x_max + (VL-1-i)·s` — `O(VL·s)` values at any lane count, where a
 /// plane per level would be `O(VL²·s)`.
-pub struct Scratch1d<const VL: usize> {
+pub struct Scratch1d<T, const VL: usize> {
     /// The two planes, end to end.
-    planes: Vec<f64>,
+    planes: Vec<T>,
     /// The in-flight input vectors: slot `j % (s+1)` holds `V(j)`.
-    ring: [Pack<f64, VL>; RING_CAP],
-    /// Gauss-Seidel: the previous output vector `O(x-1)`.
-    o_prev: Pack<f64, VL>,
+    ring: Vec<Pack<T, VL>>,
+    /// The last output vector `O(x)` of the anchors run so far (read by
+    /// the Gauss-Seidel kernels).
+    o_prev: Pack<T, VL>,
 }
 
-impl<const VL: usize> Scratch1d<VL> {
+impl<T: Scalar, const VL: usize> Scratch1d<T, VL> {
     /// Allocate scratch for stride `s`.
     pub fn new(s: usize) -> Self {
         Scratch1d {
-            planes: vec![0.0; 2 * (VL * s + 2)],
-            ring: [Pack::splat(0.0); RING_CAP],
-            o_prev: Pack::splat(0.0),
+            planes: vec![T::ZERO; 2 * (VL * s + 2)],
+            ring: vec![Pack::splat(T::ZERO); s + 1],
+            o_prev: Pack::splat(T::ZERO),
         }
+    }
+}
+
+impl<T: Scalar, const N: usize, const W: usize> ScratchVl<Scratch1d<T, N>, Scratch1d<T, W>> {
+    /// Allocate scratch for `engine`'s 1-D sweeps at stride `s`: `W` lanes
+    /// on [`Engine::Avx512`], `N` on the others.
+    pub fn new(engine: Engine, s: usize) -> Self {
+        match engine {
+            Engine::Avx512 => ScratchVl::Wide(Scratch1d::new(s)),
+            Engine::Portable | Engine::Avx2 => ScratchVl::Narrow(Scratch1d::new(s)),
+        }
+    }
+}
+
+/// A 1-D kernel computing in its register form at `VL` lanes: all the
+/// 1-D sweep needs to know about a stencil. `Copy`: the steady state holds
+/// it by value, so that coefficients and their splats are loop invariants
+/// in registers.
+pub trait Line<T: Scalar, const VL: usize>: Copy {
+    /// Minimum legal stride: 2 for a kernel that reads the old east
+    /// neighbour, 1 for one that does not (LCS). `MIN_STRIDE - 1` is how
+    /// far east of its cell an update reads.
+    const MIN_STRIDE: usize;
+
+    /// The scalar update of level `k ∈ 1 ..= VL` of the sweep at cell `x`:
+    /// `west` is the newest value at `x - 1` (Gauss-Seidel and LCS), `wm1,
+    /// w0, wp1` are level `k - 1` at `x - 1, x, x + 1` (for a kernel without
+    /// an old east operand, whose array ends at `n`, `wp1` is `w0` again).
+    fn scalar(&self, k: usize, x: usize, west: T, wm1: T, w0: T, wp1: T) -> T;
+
+    /// The steady state (Algorithm 3 lines 8-15) over the anchors
+    /// `x0 ..= x1`, in place, on the window `a` that starts at cell
+    /// `first`. On entry ring slot `j % (s+1)` holds `V(j)` for
+    /// `j ∈ x0-1 ..= x0-1+s` and `o_prev` is `O(x0-1)`; on exit the same
+    /// holds for `j ∈ x1 ..= x1+s` and `O(x1)` is returned. `REGS` lets the
+    /// ring live in registers (what only the `std::arch` forms have);
+    /// `COUNT` enables reorganization-instruction accounting (see
+    /// [`tempora_simd::count`]).
+    // Justification: the steady state's operands (window, stride, ring, carried output vector, anchor range) are its contract; a params struct would sit between the loop and its registers.
+    #[allow(clippy::too_many_arguments)]
+    fn steady<const COUNT: bool, const REGS: bool>(
+        &self,
+        a: &mut [T],
+        first: usize,
+        s: usize,
+        ring: &mut [Pack<T, VL>],
+        o_prev: Pack<T, VL>,
+        x0: usize,
+        x1: usize,
+    ) -> Pack<T, VL>;
+}
+
+/// A 1-D kernel `K` computing in the register form `L`, as the engine
+/// dispatch builds it: Heat-1D and GS-1D ([`Kernel1d`]) in `Packs`, `Ymm`
+/// or `Zmm`, an LCS band likewise.
+#[derive(Clone, Copy, Debug)]
+pub struct Form<K, L>(pub K, pub L);
+
+/// The 3-point kernels: their steady state is the ring, the one dispatch
+/// on the stride — `R = s + 1` unrolled for the strides in
+/// [`REGISTER_STRIDES`] (at eight lanes: [`ZMM_REGISTER_STRIDES`]) when
+/// `REGS`, rolled otherwise.
+impl<const VL: usize, K: Kernel1d, L: F64Lanes<VL>> Line<f64, VL> for Form<K, L> {
+    const MIN_STRIDE: usize = K::MIN_STRIDE;
+
+    #[inline(always)]
+    fn scalar(&self, _k: usize, _x: usize, west: f64, wm1: f64, w0: f64, wp1: f64) -> f64 {
+        self.0.scalar(west, wm1, w0, wp1)
+    }
+
+    #[inline(always)]
+    fn steady<const COUNT: bool, const REGS: bool>(
+        &self,
+        a: &mut [f64],
+        first: usize,
+        s: usize,
+        ring: &mut [Pack<f64, VL>],
+        o_prev: Pack<f64, VL>,
+        x0: usize,
+        x_max: usize,
+    ) -> Pack<f64, VL> {
+        let Form(kern, isa) = self;
+        let isa = *isa;
+        if !REGS {
+            return ring_sweep::<0, VL, COUNT, K, L>(
+                isa, a, first, kern, s, ring, o_prev, x0, x_max,
+            );
+        }
+        match s {
+            2 => ring_sweep::<3, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            3 => ring_sweep::<4, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            4 => ring_sweep::<5, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            5 => ring_sweep::<6, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            6 => ring_sweep::<7, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            7 => ring_sweep::<8, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            8 => ring_sweep::<9, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            9 => ring_sweep::<10, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
+            10 => {
+                ring_sweep::<11, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            11 => {
+                ring_sweep::<12, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            12 => {
+                ring_sweep::<13, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            13 => {
+                ring_sweep::<14, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            // The 32 `zmm` registers hold the widest rings too.
+            14 if VL == 8 => {
+                ring_sweep::<15, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            15 if VL == 8 => {
+                ring_sweep::<16, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            16 if VL == 8 => {
+                ring_sweep::<17, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+            _ => {
+                let regs = if VL == 8 {
+                    ZMM_REGISTER_STRIDES
+                } else {
+                    REGISTER_STRIDES
+                };
+                debug_assert!(!regs.contains(&s), "no arm for stride {s}");
+                ring_sweep::<0, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
+            }
+        }
+    }
+}
+
+/// The anchors `xs` of one temporal sweep of `kern` (`VL` time steps, in
+/// place) on the resolved `engine`: the one engine → sandwich dispatch of
+/// the 1-D sweeps, Heat-1D and GS-1D (through `KernelSpace`) and the LCS
+/// bands ([`crate::lcs::sweep`]), at `N` lanes on the portable and AVX2
+/// engines and `W` on [`Engine::Avx512`], `kern` computing in the
+/// engine's register form ([`Form`]). [`sweep_body`]'s contract; `sc`
+/// must come from [`ScratchVl::new`] for `engine`, and a `std::arch`
+/// engine needs a CPU with its features.
+///
+/// # Panics
+/// As [`sweep_body`], and when `sc` was allocated for another lane count.
+// Justification: engine, window, extent, kernel, stride, carried state and anchor range are the part's contract.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep<T, const N: usize, const W: usize, const COUNT: bool, K>(
+    engine: Engine,
+    a: &mut [T],
+    first: usize,
+    n: usize,
+    kern: K,
+    s: usize,
+    sc: &mut ScratchVl<Scratch1d<T, N>, Scratch1d<T, W>>,
+    xs: RangeInclusive<usize>,
+) where
+    T: Scalar,
+    Form<K, Packs>: Line<T, N>,
+    Form<K, Avx2Lanes>: Line<T, N>,
+    Form<K, Avx512Lanes>: Line<T, W>,
+{
+    match (engine, sc) {
+        #[cfg(target_arch = "x86_64")]
+        (Engine::Avx512, ScratchVl::Wide(sc)) => {
+            let isa = zmm();
+            t1d_avx2::sweep_zmm::<T, W, COUNT, _>(isa, a, first, n, &Form(kern, isa), s, sc, xs)
+        }
+        #[cfg(target_arch = "x86_64")]
+        (Engine::Avx2, ScratchVl::Narrow(sc)) => {
+            let isa = ymm();
+            t1d_avx2::sweep::<T, N, COUNT, _>(isa, a, first, n, &Form(kern, isa), s, sc, xs)
+        }
+        (Engine::Portable, ScratchVl::Narrow(sc)) => {
+            sweep_body::<T, N, COUNT, false, _>(a, first, n, &Form(kern, Packs), s, sc, xs)
+        }
+        (engine, _) => panic!("sweep scratch was allocated for another engine than {engine:?}"),
     }
 }
 
 /// The anchors `xs` of one temporal sweep (`VL` time steps, in place):
 /// the prologue when `xs` starts at anchor 1, the steady state over `xs`,
-/// the epilogue when `xs` ends at the last anchor `x_max = n + 1 - VL·s`.
-/// `a` is a window of the array that starts at cell `first`; the part
-/// touches the cells from its first anchor (from the halo cell 0 with the
-/// prologue) to `VL·s` past its last (to the halo cell `n + 1` with the
-/// epilogue). Parts of one sweep run in ascending order over the same
-/// `scratch`, which carries the ring between them.
+/// the epilogue when `xs` ends at the last anchor `x_max = n + e - VL·s`,
+/// `e = K::MIN_STRIDE - 1` the kernel's reach east. `a` is a window of the
+/// array that starts at cell `first`; the part touches the cells from its
+/// first anchor (from cell 0, the left boundary, with the prologue) to
+/// `VL·s` past its last (to cell `n + e` with the epilogue: the right halo
+/// of the 3-point kernels, an LCS row's last column). Parts of one sweep
+/// run in ascending order over the same `scratch`, which carries the ring
+/// between them.
 ///
-/// The steady state computes in `isa`'s registers, and the codegen context
-/// is the caller's: baseline x86-64 for `Packs`, a [`crate::t1d_avx2`]
-/// sandwich for `Ymm` (`VL = 4`) and `Zmm` (`VL = 8`). `REGS` lets the
-/// strides in [`REGISTER_STRIDES`] (at eight lanes:
-/// [`ZMM_REGISTER_STRIDES`]) keep their ring in registers (what only the
-/// `std::arch` forms have); `COUNT` enables reorganization-instruction
-/// accounting (see [`tempora_simd::count`]).
+/// `kern` computes in its register form, and the codegen context is the
+/// caller's: baseline x86-64 for `Packs`, a [`crate::t1d_avx2`] sandwich
+/// for `Ymm` and `Zmm`. `REGS` lets the steady state keep its ring in
+/// registers (what only the `std::arch` forms have); `COUNT` enables
+/// reorganization-instruction accounting (see [`tempora_simd::count`]).
 ///
 /// # Panics
-/// Panics if `s` is illegal for the kernel or `n < VL·s` (no vector
-/// schedule: run scalar steps instead).
-// Justification: register form, window, extent, kernel, stride, carried state and anchor range are the part's contract; a params struct would only rename it.
-#[allow(clippy::too_many_arguments)]
+/// Panics if `s` is illegal for the kernel, when `n` cells cannot host the
+/// sweep (`n + e ≤ VL·s`: run scalar steps instead), when `xs` leaves
+/// `1 ..= x_max`, or when `scratch` was allocated for another stride.
 #[inline(always)]
-pub fn sweep_body<const VL: usize, const COUNT: bool, const REGS: bool, K, L>(
-    isa: L,
-    a: &mut [f64],
+pub fn sweep_body<T, const VL: usize, const COUNT: bool, const REGS: bool, K>(
+    a: &mut [T],
     first: usize,
     n: usize,
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<VL>,
+    scratch: &mut Scratch1d<T, VL>,
     xs: RangeInclusive<usize>,
 ) where
-    K: Kernel1d,
-    L: F64Lanes<VL>,
+    T: Scalar,
+    K: Line<T, VL>,
 {
     assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
-    assert!(n >= min_vector_n::<VL>(s), "n={n} below VL*s: run scalar");
-    let x_max = n + 1 - VL * s;
-    let (x0, x1) = (*xs.start(), *xs.end());
+    let x_max = match VL.checked_mul(s) {
+        Some(reach) if reach < n + K::MIN_STRIDE - 1 => n + K::MIN_STRIDE - 1 - reach,
+        _ => panic!("{n} cells cannot host the sweep at stride {s}: run scalar steps"),
+    };
+    let (x0, x1) = xs.into_inner();
+    assert!(
+        1 <= x0 && x0 <= x1 && x1 <= x_max,
+        "anchors {x0}..={x1} of 1..={x_max}"
+    );
+    assert_eq!(scratch.ring.len(), s + 1, "scratch of another stride");
     if x0 == 1 {
-        assert_eq!(first, 0, "the prologue reads from the halo cell");
-        tile_prologue::<VL, K>(a, kern, s, scratch);
+        assert_eq!(first, 0, "the prologue reads from the left boundary");
+        tile_prologue::<T, VL, K>(a, kern, s, scratch);
     }
     let Scratch1d { ring, o_prev, .. } = scratch;
-    *o_prev = steady_ring::<VL, COUNT, REGS, K, L>(isa, a, first, kern, s, ring, *o_prev, x0, x1);
+    *o_prev = kern.steady::<COUNT, REGS>(a, first, s, ring, *o_prev, x0, x1);
     if x1 == x_max {
-        tile_epilogue::<VL, K>(a, first, n, kern, s, scratch, x_max);
-    }
-}
-
-/// The steady state (Algorithm 3 lines 8-15) over the anchors
-/// `x0 ..= x_max`, in place, on the window `a` that starts at cell
-/// `first`: the one dispatch on the stride. On entry ring slot
-/// `j % (s+1)` holds `V(j)` for `j ∈ x0-1 ..= x0-1+s` and `o_prev` is
-/// `O(x0-1)` (read by Gauss-Seidel only); on exit the same holds for
-/// `j ∈ x_max ..= x_max+s` and `O(x_max)` is returned.
-// Justification: the steady state's operands (register form, window, kernel, stride, ring, carried output vector, anchor range) are its contract; a params struct would sit between the loop and its registers.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn steady_ring<const VL: usize, const COUNT: bool, const REGS: bool, K, L>(
-    isa: L,
-    a: &mut [f64],
-    first: usize,
-    kern: &K,
-    s: usize,
-    ring: &mut [Pack<f64, VL>; RING_CAP],
-    o_prev: Pack<f64, VL>,
-    x0: usize,
-    x_max: usize,
-) -> Pack<f64, VL>
-where
-    K: Kernel1d,
-    L: F64Lanes<VL>,
-{
-    if !REGS {
-        return ring_sweep::<0, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max);
-    }
-    match s {
-        2 => ring_sweep::<3, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        3 => ring_sweep::<4, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        4 => ring_sweep::<5, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        5 => ring_sweep::<6, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        6 => ring_sweep::<7, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        7 => ring_sweep::<8, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        8 => ring_sweep::<9, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        9 => ring_sweep::<10, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        10 => ring_sweep::<11, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        11 => ring_sweep::<12, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        12 => ring_sweep::<13, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        13 => ring_sweep::<14, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max),
-        // The 32 `zmm` registers hold the widest rings too.
-        14 if VL == 8 => {
-            ring_sweep::<15, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
-        }
-        15 if VL == 8 => {
-            ring_sweep::<16, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
-        }
-        16 if VL == 8 => {
-            ring_sweep::<17, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
-        }
-        _ => {
-            let regs = if VL == 8 {
-                ZMM_REGISTER_STRIDES
-            } else {
-                REGISTER_STRIDES
-            };
-            debug_assert!(!regs.contains(&s), "no arm for stride {s}");
-            ring_sweep::<0, VL, COUNT, K, L>(isa, a, first, kern, s, ring, o_prev, x0, x_max)
-        }
+        tile_epilogue::<T, VL, K>(a, first, n, kern, s, scratch, x_max);
     }
 }
 
@@ -269,8 +395,9 @@ macro_rules! for_each_slot {
 // `for_each_slot!` writes out exactly the slots of the widest ring.
 const _: () = assert!(RING_CAP == 17);
 
-/// The steady-state body, written once. `R = s + 1` is the ring length as
-/// a constant: whole chunks of `R` iterations run unrolled with the ring
+/// The steady-state body of the 3-point kernels, written once. `R = s + 1`
+/// is the ring length as a constant: whole chunks of `R` iterations run
+/// unrolled with the ring
 /// in a local `[L::V; R]` whose every index is a compile-time constant, so
 /// each slot is a register — iteration `x+k` reads `V(x+k-1)`, `V(x+k)`,
 /// `V(x+k+1)` from `r[k]`, `r[(k+1) % R]`, `r[(k+2) % R]` and overwrites
@@ -280,7 +407,7 @@ const _: () = assert!(RING_CAP == 17);
 /// carried in registers, indices tracked incrementally: one vector load
 /// and one vector store per output vector) and serves the `< R` remainder
 /// iterations — and, as `R = 0`, whole sweeps.
-// Justification: as for `steady_ring`, whose arguments these are.
+// Justification: [`Line::steady`]'s contract, plus the register form and kernel it is called on.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn ring_sweep<const R: usize, const VL: usize, const COUNT: bool, K, L>(
@@ -289,7 +416,7 @@ fn ring_sweep<const R: usize, const VL: usize, const COUNT: bool, K, L>(
     first: usize,
     kern: &K,
     s: usize,
-    ring: &mut [Pack<f64, VL>; RING_CAP],
+    ring: &mut [Pack<f64, VL>],
     o_prev: Pack<f64, VL>,
     x0: usize,
     x_max: usize,
@@ -299,7 +426,7 @@ where
     L: F64Lanes<VL>,
 {
     let rlen = s + 1;
-    assert!(x0 >= 1 && rlen <= RING_CAP && (R == 0 || R == rlen));
+    assert!(x0 >= 1 && rlen == ring.len() && (R == 0 || R == rlen));
     // From here on `a[i]` is cell `x0 + i` and iteration `i` is anchor
     // `x0 + i`. The one bound of the loop: every store `a[i]` and every
     // bottom load `a[i + VL·s]` below has `i < n`. The parts of a sweep
@@ -398,14 +525,17 @@ unsafe fn ring_step<const VL: usize, const COUNT: bool, K: Kernel1d, L: F64Lanes
     }
 }
 
-/// Ring capacity of the phase API (supports strides up to 16).
+/// The widest ring `ring_sweep` writes out (`for_each_slot!`): the 1-D
+/// kinds run strides up to 16. An LCS band's ring is `s + 1` vectors at
+/// any stride.
 pub const RING_CAP: usize = 17;
 
 /// Phase 1 of a temporal sweep: scalar prologue triangles plus the strided
 /// gather of the initial input vectors `V(0) ..= V(s)` (Algorithm 3 lines
 /// 2-7) into the scratch ring (slot `j % (s+1)` holds `V(j)`), and the
 /// initial Gauss-Seidel output vector. Reads cells `0 ..= VL·s` of `a`,
-/// which starts at the halo cell, and writes only `scratch`.
+/// which starts at the left boundary (an LCS row's zero column), and
+/// writes only `scratch`.
 ///
 /// Level `k = 1 .. VL` is computed over `x ∈ 1 ..= (VL-k)·s` from level
 /// `k - 1` (`a` itself for `k = 1`), and gathered as soon as it is done:
@@ -413,20 +543,18 @@ pub const RING_CAP: usize = 17;
 /// `k - 1` of `O(0)` level `k` at `x = (VL-k)·s` (its top lane is the
 /// boundary value).
 #[inline(always)]
-fn tile_prologue<const VL: usize, K: Kernel1d>(
-    a: &[f64],
+fn tile_prologue<T: Scalar, const VL: usize, K: Line<T, VL>>(
+    a: &[T],
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<VL>,
+    scratch: &mut Scratch1d<T, VL>,
 ) {
-    assert!(s < RING_CAP, "stride too large for the ring capacity");
-    let boundary_l = a[0];
+    let (boundary_l, east) = (a[0], K::MIN_STRIDE - 1);
     let Scratch1d {
         planes,
         ring,
         o_prev,
     } = scratch;
-    let ring = &mut ring[..=s];
     // Lane 0 of V(j): level 0 at x = j + (VL-1)·s (Algorithm 3 lines 5-7).
     for (j, v) in ring.iter_mut().enumerate() {
         v.0[0] = a[j + (VL - 1) * s];
@@ -439,11 +567,12 @@ fn tile_prologue<const VL: usize, K: Kernel1d>(
         plane[0] = boundary_l;
         if k == 1 {
             for x in 1..=hi {
-                plane[x] = kern.scalar(plane[x - 1], a[x - 1], a[x], a[x + 1]);
+                plane[x] = kern.scalar(k, x, plane[x - 1], a[x - 1], a[x], a[x + east]);
             }
         } else {
             for x in 1..=hi {
-                plane[x] = kern.scalar(plane[x - 1], below[x - 1], below[x], below[x + 1]);
+                let (wm1, w0, wp1) = (below[x - 1], below[x], below[x + east]);
+                plane[x] = kern.scalar(k, x, plane[x - 1], wm1, w0, wp1);
             }
         }
         for (j, v) in ring.iter_mut().enumerate() {
@@ -460,30 +589,35 @@ fn tile_prologue<const VL: usize, K: Kernel1d>(
 /// and finish every level scalar-wise up to `x = n` (Algorithm 3 lines
 /// 16-22). The scratch ring must hold `V(j)` at slot `j % (s+1)` for
 /// `j ∈ x_max ..= x_max+s`, as left behind by the steady state. `a` is a
-/// window that starts at cell `first`; cells `x_max ..= n + 1` are
-/// touched.
+/// window that starts at cell `first`; cells `x_max ..= n + e` are
+/// touched, `e = K::MIN_STRIDE - 1`: a kernel that reads east reads the
+/// right halo `n + 1` and keeps it at the right of every level.
 #[inline(always)]
-fn tile_epilogue<const VL: usize, K: Kernel1d>(
-    a: &mut [f64],
+fn tile_epilogue<T: Scalar, const VL: usize, K: Line<T, VL>>(
+    a: &mut [T],
     first: usize,
     n: usize,
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<VL>,
+    scratch: &mut Scratch1d<T, VL>,
     x_max: usize,
 ) {
+    let east = K::MIN_STRIDE - 1;
     let Scratch1d { planes, ring, .. } = scratch;
     // The window from cell x_max on: a[x - x_max] is cell x.
     let a = &mut a[x_max - first..];
     let ring_len = s + 1;
-    let boundary_r = a[n + 1 - x_max];
+    let boundary_r = (east > 0).then(|| a[n + 1 - x_max]);
     // Level i re-based at x_max + (VL-1-i)·s: `plane`; level i-1: `below`.
     let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
     for i in 1..VL {
         let base = x_max + (VL - 1 - i) * s;
-        // The s+1 surviving lane values of level i, at base ..= base + s.
+        // The s+1 surviving lane values of level i, at base ..= base + s,
+        // each read in place: `Pack::extract` copies the pack, and a lane
+        // load cannot be forwarded from a 64-byte store (sixteen-lane LCS
+        // bands of 1024 columns ran 4 % slower).
         for j in x_max..=x_max + s {
-            plane[j - x_max] = ring[j % ring_len].extract(i);
+            plane[j - x_max] = ring[j % ring_len].0[i];
         }
         // Scalar completion of level i over x ∈ base+s+1 ..= n, reading
         // level i-1 from `below` (based at base + s) or `a` when i == 1.
@@ -492,15 +626,17 @@ fn tile_epilogue<const VL: usize, K: Kernel1d>(
             let rel = x - base;
             let (bm1, b0, bp1) = if i == 1 {
                 let at = x - x_max;
-                (a[at - 1], a[at], a[at + 1])
+                (a[at - 1], a[at], a[at + east])
             } else {
                 let bb = x - done_hi;
-                (below[bb - 1], below[bb], below[bb + 1])
+                (below[bb - 1], below[bb], below[bb + east])
             };
-            plane[rel] = kern.scalar(plane[rel - 1], bm1, b0, bp1);
+            plane[rel] = kern.scalar(i, x, plane[rel - 1], bm1, b0, bp1);
         }
         // Right halo of the level.
-        plane[n + 1 - base] = boundary_r;
+        if let Some(b) = boundary_r {
+            plane[n + 1 - base] = b;
+        }
         core::mem::swap(&mut below, &mut plane);
     }
 
@@ -508,20 +644,22 @@ fn tile_epilogue<const VL: usize, K: Kernel1d>(
     // VL-1 (`below`) is based at x_max like the window.
     for rel in 1..=n - x_max {
         let west = a[rel - 1]; // already level VL (GS) — unused for Jacobi
-        a[rel] = kern.scalar(west, below[rel - 1], below[rel], below[rel + 1]);
+        a[rel] = kern.scalar(
+            VL,
+            x_max + rel,
+            west,
+            below[rel - 1],
+            below[rel],
+            below[rel + east],
+        );
     }
 }
 
-/// One in-place scalar time step (used for degenerate tiles and for the
-/// `T mod VL` remainder steps). Bit-identical to the double-buffered
-/// reference: for Jacobi the old west value is carried in a register so a
-/// single array suffices; for Gauss-Seidel in-place *is* the definition.
-#[inline(always)]
-pub fn scalar_step_inplace<K: Kernel1d>(a: &mut [f64], n: usize, kern: &K) {
-    scalar_cells(a, 0, kern, 1..=n, &mut 0.0);
-}
-
-/// The cells `xs` of one in-place scalar time step. `a` is a window of the
+/// The cells `xs` of one in-place scalar time step of a 3-point kernel
+/// (degenerate tiles and the `T mod VL` remainder steps), bit-identical to
+/// the double-buffered reference: for Jacobi the old west value is carried
+/// in a register so a single array suffices; for Gauss-Seidel in-place
+/// *is* the definition. `a` is a window of the
 /// array that starts at cell `first`; cells `xs.start() - 1 ..=
 /// xs.end() + 1` are touched. The step is resumable: `old_west` carries
 /// the old value of the last cell a part updated to the part that
@@ -556,57 +694,36 @@ pub fn scalar_cells<K: Kernel1d>(
     }
 }
 
-/// Run `steps` time steps of a 1-D stencil with the temporal-vectorized
-/// schedule (vector length `VL`) on the portable engine, returning the
-/// final grid.
-///
-/// Full tiles of height `VL` run one whole [`sweep_body`] each — `VL` scalar
-/// steps when `n` cannot host the vector schedule — and the `steps mod VL`
-/// remainder runs scalar. Results are bit-identical to the scalar
-/// reference. `COUNT` records every data-reorganization operation of the
-/// steady state in the active [`tempora_simd::count::Session`] (identical
-/// numerics; for analysis only).
-///
-/// # Panics
-/// Panics if `s` is illegal for the kernel (`s < K::MIN_STRIDE`).
-pub fn run<const VL: usize, const COUNT: bool, K: Kernel1d>(
-    grid: &Grid1<f64>,
-    kern: &K,
-    steps: usize,
-    s: usize,
-) -> Grid1<f64> {
-    assert_eq!(grid.halo(), 1, "temporal engines use halo width 1");
-    assert!(s >= K::MIN_STRIDE, "stride {s} illegal for this kernel");
-    let mut g = grid.clone();
-    let n = g.n();
-    let mut scratch = Scratch1d::<VL>::new(s);
-    let (sweeps, scalar_steps) = if n >= min_vector_n::<VL>(s) {
-        (steps / VL, steps % VL)
-    } else {
-        (0, steps)
-    };
-    let a = g.data_mut();
-    for _ in 0..sweeps {
-        let xs = 1..=n + 1 - VL * s;
-        sweep_body::<VL, COUNT, false, K, _>(Packs, a, 0, n, kern, s, &mut scratch, xs);
-    }
-    for _ in 0..scalar_steps {
-        scalar_step_inplace(a, n, kern);
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::run_whole;
     use crate::kernels::{GsKern1d, JacobiKern1d};
-    use tempora_grid::{fill_random_1d, Boundary};
+    use tempora_grid::{fill_random_1d, Boundary, Grid1};
     use tempora_stencil::reference;
     use tempora_stencil::{Gs1dCoeffs, Heat1dCoeffs};
 
     fn random_grid(n: usize, seed: u64, b: f64) -> Grid1<f64> {
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(b));
         fill_random_1d(&mut g, seed, -1.0, 1.0);
+        g
+    }
+
+    /// `steps` levels of `kern`, whole sweeps at `VL` lanes in `Packs`, on a
+    /// copy of `grid`, whatever the host.
+    fn packs<const VL: usize, const COUNT: bool, K: Kernel1d>(
+        grid: &Grid1<f64>,
+        kern: &K,
+        steps: usize,
+        s: usize,
+    ) -> Grid1<f64> {
+        assert_eq!(steps % VL, 0);
+        let (mut g, n) = (grid.clone(), grid.n());
+        let mut sc = Scratch1d::<f64, VL>::new(s);
+        for _ in 0..steps / VL {
+            let (a, form) = (g.data_mut(), Form(*kern, Packs));
+            sweep_body::<f64, VL, COUNT, false, _>(a, 0, n, &form, s, &mut sc, 1..=n + 1 - VL * s);
+        }
         g
     }
 
@@ -617,7 +734,7 @@ mod tests {
         for &n in &[8usize, 9, 16, 31, 64, 100, 127] {
             for s in 2..=7 {
                 let g = random_grid(n, 42 + n as u64, 0.5);
-                let ours = run::<4, false, _>(&g, &kern, 4, s);
+                let ours = run_whole(Engine::Portable, &g, &kern, 4, s);
                 let gold = reference::heat1d(&g, c, 4);
                 assert!(
                     ours.interior_eq(&gold),
@@ -635,7 +752,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         for steps in [0usize, 1, 2, 3, 4, 5, 7, 8, 12, 13, 29] {
             let g = random_grid(61, 7, -0.25);
-            let ours = run::<4, false, _>(&g, &kern, steps, 3);
+            let ours = run_whole(Engine::Portable, &g, &kern, steps, 3);
             let gold = reference::heat1d(&g, c, steps);
             assert!(
                 ours.interior_eq(&gold),
@@ -651,7 +768,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         for n in 1..=16 {
             let g = random_grid(n, n as u64, 1.0);
-            let ours = run::<4, false, _>(&g, &kern, 8, 4); // needs n >= 16 for vector path
+            let ours = run_whole(Engine::Portable, &g, &kern, 8, 4); // needs n >= 16 for vector path
             let gold = reference::heat1d(&g, c, 8);
             assert!(ours.interior_eq(&gold), "n={n}");
         }
@@ -665,7 +782,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         for &n in &[32usize, 57, 96] {
             let g = random_grid(n, 3, 0.0);
-            let ours = run::<8, false, _>(&g, &kern, 16, 2);
+            let ours = packs::<8, false, _>(&g, &kern, 16, 2);
             let gold = reference::heat1d(&g, c, 16);
             assert!(
                 ours.interior_eq(&gold),
@@ -682,7 +799,7 @@ mod tests {
         for &n in &[8usize, 15, 33, 64, 101] {
             for s in 2..=7 {
                 let g = random_grid(n, 100 + n as u64, 0.25);
-                let ours = run::<4, false, _>(&g, &kern, 4, s);
+                let ours = run_whole(Engine::Portable, &g, &kern, 4, s);
                 let gold = reference::gs1d(&g, c, 4);
                 assert!(
                     ours.interior_eq(&gold),
@@ -699,7 +816,7 @@ mod tests {
         let kern = GsKern1d(c);
         for steps in [1usize, 4, 6, 8, 11, 20] {
             let g = random_grid(77, 9, -1.0);
-            let ours = run::<4, false, _>(&g, &kern, steps, 7); // the paper's s = 7
+            let ours = run_whole(Engine::Portable, &g, &kern, steps, 7); // the paper's s = 7
             let gold = reference::gs1d(&g, c, steps);
             assert!(
                 ours.interior_eq(&gold),
@@ -715,7 +832,7 @@ mod tests {
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
         let g = random_grid(64, 1, 0.0);
-        let _ = run::<4, false, _>(&g, &kern, 4, 1);
+        let _ = run_whole(Engine::Portable, &g, &kern, 4, 1);
     }
 
     #[test]
@@ -723,7 +840,7 @@ mod tests {
         let c = Heat1dCoeffs::classic(0.25);
         let kern = JacobiKern1d(c);
         let g = random_grid(40, 5, 2.5);
-        let ours = run::<4, false, _>(&g, &kern, 12, 2);
+        let ours = run_whole(Engine::Portable, &g, &kern, 12, 2);
         let gold = reference::heat1d(&g, c, 12);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
         // Halo cells must still hold the boundary value.
@@ -737,7 +854,7 @@ mod tests {
         let kern = JacobiKern1d(c);
         let g = random_grid(4096, 11, 0.0);
         let session = tempora_simd::count::Session::start();
-        let _ = run::<4, true, _>(&g, &kern, 4, 7);
+        let _ = packs::<4, true, _>(&g, &kern, 4, 7);
         let counts = session.finish();
         assert!(counts.output_vectors > 0);
         // Per-iteration production rule: exactly 1 lane-crossing rotate

@@ -1,6 +1,6 @@
-//! The `std::arch` engines of the 1-D temporal sweeps (Jacobi *and*
-//! Gauss-Seidel): the codegen sandwiches around [`crate::t1d`], AVX2 at
-//! four lanes and AVX-512 at eight.
+//! The `std::arch` engines of the 1-D temporal sweep — Heat-1D, GS-1D and
+//! the LCS bands alike: the codegen sandwiches around [`crate::t1d`], AVX2
+//! at four `f64` (eight `i32`) lanes and AVX-512 at eight (sixteen).
 //!
 //! The sweep — prologue, steady state, epilogue — the scalar step, the
 //! kernels' vector formulas and the lane vocabulary they are written in
@@ -10,33 +10,38 @@
 //! whose methods are the exact AVX instruction mix the paper's §3.3
 //! analysis assumes — `vfmadd231pd` for the stencil, one `vpermpd`
 //! (lane-crossing rotate) plus one `vblendpd` (in-lane) for the
-//! input-vector production — and with the strides in [`REGISTER_STRIDES`]
-//! unrolled so that every ring slot is a `ymm` register; and once more
-//! inside `#[target_feature(enable = "avx512f,avx2,fma")]` with [`Zmm`]
-//! at eight lanes — one `vpermpd zmm` plus one `k`-mask `vblendmpd` per
-//! output vector, the same two reorganisations at twice the width — with
-//! the strides in [`ZMM_REGISTER_STRIDES`] in `zmm` registers. So the
-//! whole sweep is compiled for the ISA the plan resolved. Outside a
-//! feature context `f64::mul_add` is a call into libm's `fma`; inside it
-//! is one `vfmadd`. Both are the exactly-rounded fused operation, so
-//! results stay bit-identical to the portable engine (and therefore to
-//! the scalar reference) — do not move a phase back out of the feature
-//! context. The scalar step of an AVX-512 plan runs in the AVX2 sandwich:
-//! a scalar `vfmadd` is the same instruction in either.
+//! input-vector production; for LCS `vpcmpeqd` with the `B` load folded
+//! in, `vpmaxsd`, `vpblendvb`, one `vpermd` plus one `vpblendd` — and
+//! with the strides in [`REGISTER_STRIDES`] (LCS:
+//! [`crate::lcs_avx2::REGISTER_STRIDES`]) unrolled so that every ring slot
+//! is a `ymm` register; and once more inside
+//! `#[target_feature(enable = "avx512f,avx2,fma")]` with [`Zmm`] — one
+//! `vpermpd zmm` plus one `k`-mask blend per output vector, the same two
+//! reorganisations at twice the width (LCS: a `vpcmpeqd` into a mask
+//! register, a masked `vpsubd` and one `valignd`) — with the strides in
+//! [`ZMM_REGISTER_STRIDES`] in `zmm` registers. So the whole sweep is
+//! compiled for the ISA the plan resolved. Outside a feature context
+//! `f64::mul_add` is a call into libm's `fma`; inside it is one `vfmadd`.
+//! Both are the exactly-rounded fused operation, so results stay
+//! bit-identical to the portable engine (and therefore to the scalar
+//! reference) — do not move a phase back out of the feature context. The
+//! scalar step of an AVX-512 plan runs in the AVX2 sandwich: a scalar
+//! `vfmadd` is the same instruction in either.
 //!
-//! Use [`crate::engine`] for transparent runtime dispatch.
+//! `t1d::sweep` is the one dispatch into them.
 
 use core::ops::RangeInclusive;
 #[cfg(target_arch = "x86_64")]
 use {
     crate::kernels::Kernel1d,
-    crate::t1d::{self, Scratch1d},
+    crate::t1d::{self, Line, Scratch1d},
     tempora_simd::arch::{Ymm, Zmm},
+    tempora_simd::Scalar,
 };
 
 /// The strides whose AVX2 steady state keeps the ring in registers: one
-/// instantiation of the unrolled body each (the `match` in
-/// `t1d::steady_ring`). Every other stride runs the rolled loop over the
+/// instantiation of the unrolled body each (the `match` of the 3-point
+/// kernels' [`Line::steady`]). Every other stride runs the rolled loop over the
 /// in-memory ring: same results, under half the speed.
 pub const REGISTER_STRIDES: RangeInclusive<usize> = 2..=13;
 
@@ -45,81 +50,74 @@ pub const REGISTER_STRIDES: RangeInclusive<usize> = 2..=13;
 /// registers hold `s + 1 = 17` ring vectors beside the kernel's operands.
 pub const ZMM_REGISTER_STRIDES: RangeInclusive<usize> = 2..=16;
 
-/// The anchors `xs` of one Heat-1D or GS-1D temporal sweep
-/// ([`t1d::sweep_body`]'s contract) compiled for AVX2+FMA end to end, computing
-/// in `isa`, the proof that AVX2+FMA are available. The layers above
-/// reach this through [`crate::engine::KernelSpace`].
+/// The anchors `xs` of one 1-D temporal sweep ([`t1d::sweep_body`]'s
+/// contract) compiled for AVX2+FMA end to end, for a `kern` that computes
+/// in `Ymm`, the proof that AVX2+FMA are available.
 #[cfg(target_arch = "x86_64")]
 // Justification: `t1d::sweep_body`'s contract, argument for argument.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep<const COUNT: bool, K: Kernel1d>(
-    isa: Ymm,
-    a: &mut [f64],
+pub(crate) fn sweep<T: Scalar, const VL: usize, const COUNT: bool, K: Line<T, VL>>(
+    _isa: Ymm,
+    a: &mut [T],
     first: usize,
     n: usize,
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<4>,
+    scratch: &mut Scratch1d<T, VL>,
     xs: RangeInclusive<usize>,
 ) {
     /// # Safety
     /// Caller must ensure AVX2+FMA are available
     /// (`tempora_simd::arch::avx2_available()`).
-    // Justification: `t1d::sweep_body`'s contract, argument for argument.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn sandwich<const COUNT: bool, K: Kernel1d>(
-        isa: Ymm,
-        a: &mut [f64],
+    unsafe fn sandwich<T: Scalar, const VL: usize, const COUNT: bool, K: Line<T, VL>>(
+        a: &mut [T],
         first: usize,
         n: usize,
         kern: &K,
         s: usize,
-        scratch: &mut Scratch1d<4>,
+        scratch: &mut Scratch1d<T, VL>,
         xs: RangeInclusive<usize>,
     ) {
-        t1d::sweep_body::<4, COUNT, true, K, Ymm>(isa, a, first, n, kern, s, scratch, xs);
+        t1d::sweep_body::<T, VL, COUNT, true, K>(a, first, n, kern, s, scratch, xs);
     }
     // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
-    unsafe { sandwich::<COUNT, K>(isa, a, first, n, kern, s, scratch, xs) }
+    unsafe { sandwich::<T, VL, COUNT, K>(a, first, n, kern, s, scratch, xs) }
 }
 
-/// [`sweep`] at eight lanes: the same anchors contract, compiled for
-/// AVX-512F+AVX2+FMA end to end and computing in `isa`, the proof that
-/// they are available.
+/// [`sweep`] at the AVX-512 width: the same anchors contract, compiled for
+/// AVX-512F+AVX2+FMA end to end, for a `kern` that computes in `Zmm`, the
+/// proof that they are available.
 #[cfg(target_arch = "x86_64")]
 // Justification: `t1d::sweep_body`'s contract, argument for argument.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_zmm<const COUNT: bool, K: Kernel1d>(
-    isa: Zmm,
-    a: &mut [f64],
+pub(crate) fn sweep_zmm<T: Scalar, const VL: usize, const COUNT: bool, K: Line<T, VL>>(
+    _isa: Zmm,
+    a: &mut [T],
     first: usize,
     n: usize,
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<8>,
+    scratch: &mut Scratch1d<T, VL>,
     xs: RangeInclusive<usize>,
 ) {
     /// # Safety
     /// Caller must ensure AVX-512F+AVX2+FMA are available
     /// (`tempora_simd::arch::avx512_available()`).
-    // Justification: `t1d::sweep_body`'s contract, argument for argument.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn sandwich<const COUNT: bool, K: Kernel1d>(
-        isa: Zmm,
-        a: &mut [f64],
+    unsafe fn sandwich<T: Scalar, const VL: usize, const COUNT: bool, K: Line<T, VL>>(
+        a: &mut [T],
         first: usize,
         n: usize,
         kern: &K,
         s: usize,
-        scratch: &mut Scratch1d<8>,
+        scratch: &mut Scratch1d<T, VL>,
         xs: RangeInclusive<usize>,
     ) {
-        t1d::sweep_body::<8, COUNT, true, K, Zmm>(isa, a, first, n, kern, s, scratch, xs);
+        t1d::sweep_body::<T, VL, COUNT, true, K>(a, first, n, kern, s, scratch, xs);
     }
     // SAFETY: a `Zmm` exists only where AVX-512F+AVX2+FMA are available.
-    unsafe { sandwich::<COUNT, K>(isa, a, first, n, kern, s, scratch, xs) }
+    unsafe { sandwich::<T, VL, COUNT, K>(a, first, n, kern, s, scratch, xs) }
 }
 
 /// [`t1d::scalar_cells`] compiled for AVX2+FMA (step remainders and scalar

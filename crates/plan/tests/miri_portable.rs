@@ -4,7 +4,9 @@
 //! whole Problem → Plan → Report lifecycle — validation, engine
 //! resolution, scratch arenas, the pinned thread pool and a two-thread
 //! tiled plan of each grid family, whose wavefront tasks advance disjoint
-//! slab windows of one grid in place — with no `std::arch` intrinsics, no
+//! slab windows of one grid in place, and of the LCS band wave, whose
+//! tasks share one DP row and hand each band's scratch slot on — with no
+//! `std::arch` intrinsics, no
 //! inline `asm!` and no
 //! affinity syscalls in sight: `avx2_available()` reports `false` under
 //! Miri, which routes every `Select::Auto` dispatch onto the portable
@@ -133,4 +135,33 @@ fn pipelined_wavefront_agrees_with_untiled_bitwise() {
         height: 4,
     };
     assert_eq!(run(skew, 2), run(Tiling::None, 1));
+}
+
+#[test]
+fn lcs_band_wave_matches_untiled() {
+    let problem = Problem::lcs(40, 60);
+    let run = |tiling: Tiling, threads: usize, s: usize| {
+        let mut state = problem.state();
+        let l = state.lcs_mut().unwrap();
+        l.a = (0..40).map(|i| (i * 7 % 4) as u8).collect();
+        l.b = (0..60).map(|i| (i * 5 % 3) as u8).collect();
+        let report = PlanBuilder::new()
+            .stride(s)
+            .tiling(tiling)
+            .threads(threads)
+            .build(&problem)
+            .expect("LCS plan")
+            .run(&mut state)
+            .expect("run");
+        (report.lcs_length, report.engine)
+    };
+    // Two block columns of 30, each wider than the band's reach at both
+    // strides (8·3 = 24): two threads run the wave of bands × columns.
+    let rect = Tiling::LcsRect {
+        xblock: 16,
+        yblock: 30,
+    };
+    for s in [1, 3] {
+        assert_eq!(run(rect, 2, s), run(Tiling::None, 1, s), "s={s}");
+    }
 }

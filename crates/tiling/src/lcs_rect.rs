@@ -5,7 +5,8 @@
 //! # The vector wave: one sweep per band
 //!
 //! The temporal method runs LCS the way [`crate::Sweeps`] runs the grid
-//! kinds: each band of `vl` DP rows is **one** band sweep
+//! kinds, on the same 1-D sweep Heat-1D and GS-1D run: each band of `vl`
+//! DP rows is **one** band sweep
 //! (`tempora_core::lcs::sweep`: head triangles, steady state, tail
 //! triangles), cut at the block columns of `yblock` and resumed across
 //! each cut — the pipelined temporal blocking of Wittmann, Hager and
@@ -65,9 +66,7 @@
 //! the others, and a degenerate shape honestly portable.
 
 use tempora_core::engine::Engine;
-use tempora_core::lcs::{
-    self, bands_fit, scalar_row_step, scalar_row_step_seg, BLanes, LcsScratch,
-};
+use tempora_core::lcs::{self, bands_fit, scalar_row_step, scalar_row_step_seg, BLanes};
 use tempora_parallel::{Pool, SyncSlice};
 
 /// The schedule a workspace runs.
@@ -80,7 +79,7 @@ enum Wave {
         bl: BLanes,
         /// `slots[t % slots.len()]`: what the parts of band `t` hand each
         /// other.
-        slots: Vec<LcsScratch>,
+        slots: Vec<lcs::Scratch>,
     },
     /// Scalar rows over `xblock × yblock` rectangles.
     Rows {
@@ -140,7 +139,7 @@ impl LcsRect {
                 engine,
                 bl: BLanes::new(lb, s),
                 slots: (0..(la / lcs::vl(engine)).min(lb.div_ceil(yblock)))
-                    .map(|_| LcsScratch::new(engine, s))
+                    .map(|_| lcs::Scratch::new(engine, s))
                     .collect(),
             }
         } else {

@@ -11,9 +11,10 @@
 use tempora::baseline::{dlt, reorg};
 use tempora::core::engine::{self, KernelSpace};
 use tempora::core::kernels::*;
-use tempora::core::{lcs, t1d};
+use tempora::core::t1d::{self, Form, Scratch1d};
 use tempora::grid::*;
 use tempora::prelude::{Engine, Method, Plan, PlanBuilder, Problem, Select, State, Tiling};
+use tempora::simd::Packs;
 use tempora::stencil::*;
 
 /// The engine `sel` resolves on this host for a temporal run of kernel
@@ -150,14 +151,34 @@ fn heat1d_all_schemes_agree() {
     let g = g1(1000, 1, 0.5);
     let steps = 24;
     let gold = reference::heat1d(&g, c, steps);
+    let problem = Problem::Heat1d {
+        n: g.n(),
+        steps,
+        coeffs: c,
+        boundary: g.boundary(),
+    };
     assert!(
-        t1d::run::<4, false, _>(&g, &kern, steps, 7).interior_eq(&gold),
+        run1(&problem, forced(Select::Portable, 7), &g)
+            .0
+            .interior_eq(&gold),
         "temporal"
     );
-    assert!(
-        t1d::run::<8, false, _>(&g, &kern, steps, 2).interior_eq(&gold),
-        "temporal vl=8"
-    );
+    // Eight lanes in `Packs`, whatever the host: three whole sweeps.
+    let (mut vl8, n, s) = (g.clone(), g.n(), 2);
+    let mut sc = Scratch1d::<f64, 8>::new(s);
+    for _ in 0..steps / 8 {
+        let a = vl8.data_mut();
+        t1d::sweep_body::<f64, 8, false, false, _>(
+            a,
+            0,
+            n,
+            &Form(kern, Packs),
+            s,
+            &mut sc,
+            1..=n + 1 - 8 * s,
+        );
+    }
+    assert!(vl8.interior_eq(&gold), "temporal vl=8");
     assert!(reorg::heat1d(&g, c, steps).interior_eq(&gold), "reorg");
     assert!(dlt::heat1d(&g, c, steps).interior_eq(&gold), "dlt");
     // The same baselines compiled for AVX2+FMA.
@@ -364,16 +385,16 @@ fn gauss_seidel_all_schemes_agree() {
     let steps = 12;
 
     let c1 = Gs1dCoeffs::classic(0.23);
-    let k1 = GsKern1d(c1);
     let g = g1(2000, 3, 0.4);
     let gold1 = reference::gs1d(&g, c1, steps);
-    assert!(t1d::run::<4, false, _>(&g, &k1, steps, 7).interior_eq(&gold1));
     let problem = Problem::Gs1d {
         n: g.n(),
         steps,
         coeffs: c1,
         boundary: g.boundary(),
     };
+    let (r, _) = run1(&problem, forced(Select::Portable, 7), &g);
+    assert!(r.interior_eq(&gold1));
     for (method, s) in tiled_methods(7, false) {
         let (r, _) = run1(
             &problem,
@@ -453,9 +474,9 @@ fn lcs_all_schemes_agree() {
     let a = random_sequence(300, 4, 11);
     let b = random_sequence(777, 4, 12);
     let gold = reference::lcs_len(&a, &b);
-    for engine in [Engine::Portable, Select::Auto.resolve(true)] {
-        assert_eq!(lcs::length(engine, &a, &b, 1), gold, "{engine:?}");
-        assert_eq!(lcs::length(engine, &a, &b, 2), gold, "{engine:?}");
+    for sel in [Select::Portable, Select::Auto] {
+        assert_eq!(run_lcs_plan(forced(sel, 1), &a, &b).0, gold, "{sel:?}");
+        assert_eq!(run_lcs_plan(forced(sel, 2), &a, &b).0, gold, "{sel:?}");
     }
     for threads in [1, 2, 4] {
         for method in [Method::Scalar, Method::Temporal] {

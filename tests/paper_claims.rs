@@ -6,9 +6,10 @@ use tempora::core::engine::{Elem, Engine, KernelSpace};
 use tempora::core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
-use tempora::core::t1d;
+use tempora::core::t1d::{self, Form, Scratch1d};
 use tempora::grid::{fill_random_1d, Boundary, Grid1, SlabGrid, SlabsMut};
-use tempora::simd::{count, Scalar};
+use tempora::prelude::{PlanBuilder, Problem, Select, State};
+use tempora::simd::{count, Packs, Scalar};
 use tempora::stencil::*;
 
 fn grid(n: usize) -> Grid1<f64> {
@@ -116,20 +117,21 @@ fn minimum_strides_match_paper() {
     assert_eq!(Gs1dCoeffs::deps().min_stride(), 2);
     assert_eq!(lcs_deps().min_stride(), 1);
 
-    let result = std::panic::catch_unwind(|| {
-        let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
-        let _ = t1d::run::<4, false, _>(&grid(64), &kern, 4, 1);
-    });
+    let problem = Problem::heat1d(64, 4, Heat1dCoeffs::classic(0.25));
+    let result = PlanBuilder::new()
+        .select(Select::Portable)
+        .stride(1)
+        .build(&problem);
     assert!(result.is_err(), "illegal stride must be rejected");
 }
 
 /// §3.5: for the two-array Jacobi stencils the temporal scheme runs on a
 /// *single* array — the in-place engine touches `n` elements of state
 /// where the double-buffered reference touches `2n`.
-/// Verified structurally: `t1d::run` advances a clone of the input grid
-/// and never allocates a second grid-sized buffer (its scratch is `O(s)`
-/// per sweep; checked by observing identical results from a sweep whose
-/// scratch is tiny relative to the grid).
+/// Verified structurally: a temporal plan advances the state's one grid
+/// in place and never allocates a second grid-sized buffer (its scratch is
+/// `O(s)` per sweep; checked by observing identical results from a sweep
+/// whose scratch is tiny relative to the grid).
 #[test]
 fn jacobi_single_array_execution() {
     // The scratch for s = 7, vl = 4 holds under 200 elements; the grid
@@ -137,9 +139,16 @@ fn jacobi_single_array_execution() {
     // the in-place tile applied to one buffer could not be bit-identical
     // to the double-buffered reference across 16 sweeps.
     let c = Heat1dCoeffs::classic(0.25);
-    let kern = JacobiKern1d(c);
     let g = grid(1 << 16);
-    let ours = t1d::run::<4, false, _>(&g, &kern, 64, 7);
+    let problem = Problem::heat1d(g.n(), 64, c);
+    let mut state = State::Grid1(g.clone());
+    let mut plan = PlanBuilder::new()
+        .select(Select::Portable)
+        .stride(7)
+        .build(&problem)
+        .unwrap();
+    plan.run(&mut state).unwrap();
+    let ours = state.grid1().unwrap();
     let gold = reference::heat1d(&g, c, 64);
     assert!(ours.interior_eq(&gold));
 }
@@ -151,9 +160,20 @@ fn jacobi_single_array_execution() {
 fn reorg_cost_independent_of_vector_length() {
     let c = Heat1dCoeffs::classic(0.25);
     let kern = JacobiKern1d(c);
-    let g = grid(4096);
+    // One counted sweep at eight lanes in `Packs`, whatever the host.
+    let (mut g, n, s) = (grid(4096), 4096, 2);
+    let mut sc = Scratch1d::<f64, 8>::new(s);
     let sess = count::Session::start();
-    let _ = t1d::run::<8, true, _>(&g, &kern, 8, 2);
+    let form = Form(kern, Packs);
+    t1d::sweep_body::<f64, 8, true, false, _>(
+        g.data_mut(),
+        0,
+        n,
+        &form,
+        s,
+        &mut sc,
+        1..=n + 1 - 8 * s,
+    );
     let k = sess.finish();
     assert_eq!(k.cross_lane, k.output_vectors);
     assert_eq!(k.in_lane, k.output_vectors);

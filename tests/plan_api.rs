@@ -528,7 +528,9 @@ fn untiled_one_chunk_and_chunked_plans_agree_with_the_reference() {
 /// capability resolves — the register-specialised strides and the rolled
 /// ring alike, up to the ring's capacity (`s = 16` used to fall back to
 /// the portable engine silently, at a sixteenth of the speed) — and is
-/// bit-identical to the scalar reference.
+/// bit-identical to the scalar reference. LCS, whose band sweep is the
+/// same 1-D sweep, has no such cap: its bands run at `s = 17` and `33`
+/// wherever a block column hosts them, two threads tiled.
 #[test]
 fn every_accepted_1d_stride_resolves_by_capability() {
     let kinds = [
@@ -554,6 +556,30 @@ fn every_accepted_1d_stride_resolves_by_capability() {
             assert!(states_equal(&state, &gold), "{problem:?} s={s}");
         }
         assert_eq!(accepted, Vec::from_iter(2..=16), "{problem:?}");
+    }
+    let problem = Problem::lcs(40, 1200);
+    let init = fresh_state(&problem, 19);
+    let gold = reference_state(&problem, &init);
+    for s in [17, 33] {
+        let rect = Tiling::LcsRect {
+            xblock: 24,
+            yblock: 600,
+        };
+        let mut plan = PlanBuilder::new()
+            .stride(s)
+            .tiling(rect)
+            .threads(2)
+            .build(&problem)
+            .unwrap();
+        let mut state = init.clone();
+        let report = plan.run(&mut state).unwrap();
+        assert!(states_equal(&state, &gold), "lcs s={s}");
+        // Bands ran: the band engine, and tasks `vl` rows deep (the
+        // scalar rows' rectangles would be `xblock = 24`).
+        let engine = Select::Auto.resolve(true);
+        assert_eq!(report.engine, Some(engine), "lcs s={s}");
+        let tiles = report.tiles.expect("tiled plans report geometry");
+        assert_eq!(tiles.block, tempora::core::lcs::vl(engine), "lcs s={s}");
     }
 }
 

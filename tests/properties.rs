@@ -4,10 +4,8 @@
 
 use proptest::prelude::*;
 
-use tempora::core::kernels::*;
-use tempora::core::{lcs, t1d};
 use tempora::grid::*;
-use tempora::prelude::{Engine, Method, PlanBuilder, Problem, Select, State, Tiling};
+use tempora::prelude::{Method, PlanBuilder, Problem, Select, State, Tiling};
 use tempora::stencil::*;
 
 /// The untiled temporal plan forced onto the portable engine at stride `s`.
@@ -28,10 +26,12 @@ proptest! {
         bval in -2.0f64..2.0,
     ) {
         let c = Heat1dCoeffs::classic(alpha);
-        let kern = JacobiKern1d(c);
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(bval));
         fill_random_1d(&mut g, seed, -1.0, 1.0);
-        let ours = t1d::run::<4, false, _>(&g, &kern, steps, s);
+        let problem = Problem::Heat1d { n, steps, coeffs: c, boundary: g.boundary() };
+        let mut state = State::Grid1(g.clone());
+        portable(s).build(&problem).unwrap().run(&mut state).unwrap();
+        let ours = state.grid1().unwrap();
         let gold = reference::heat1d(&g, c, steps);
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
         ours.check_canaries().unwrap();
@@ -45,10 +45,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let c = Gs1dCoeffs::classic(0.3);
-        let kern = GsKern1d(c);
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.25));
         fill_random_1d(&mut g, seed, -1.0, 1.0);
-        let ours = t1d::run::<4, false, _>(&g, &kern, steps, s);
+        let problem = Problem::Gs1d { n, steps, coeffs: c, boundary: g.boundary() };
+        let mut state = State::Grid1(g.clone());
+        portable(s).build(&problem).unwrap().run(&mut state).unwrap();
+        let ours = state.grid1().unwrap();
         let gold = reference::gs1d(&g, c, steps);
         prop_assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));
     }
@@ -156,17 +158,18 @@ proptest! {
         let a = random_sequence(la, alpha, seed);
         let b = random_sequence(lb, alpha, seed ^ 0xabcd);
         let gold = reference::lcs_len(&a, &b);
-        prop_assert_eq!(lcs::length(Engine::Portable, &a, &b, 1), gold);
         let problem = Problem::lcs(la, lb);
+        let mut state = problem.state();
+        state.lcs_mut().unwrap().a = a.clone();
+        state.lcs_mut().unwrap().b = b.clone();
+        let report = portable(1).build(&problem).unwrap().run(&mut state).unwrap();
+        prop_assert_eq!(report.lcs_length.unwrap(), gold);
         let mut plan = PlanBuilder::new()
             .stride(1)
             .tiling(Tiling::LcsRect { xblock: xb, yblock: yb })
             .threads(2)
             .build(&problem)
             .unwrap();
-        let mut state = problem.state();
-        state.lcs_mut().unwrap().a = a.clone();
-        state.lcs_mut().unwrap().b = b.clone();
         let report = plan.run(&mut state).unwrap();
         prop_assert_eq!(report.lcs_length.unwrap(), gold);
     }

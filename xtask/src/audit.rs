@@ -60,8 +60,8 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 /// test notices.
 ///
 /// * `tempora_core`: the boundary phases and scalar steps, the steady
-///   states (`steady_ring`, `ring_sweep` and its step `ring_step`; the
-///   LCS band sweep `sweep_in`, its `steady`, `ring_regs` and the `B`
+///   states (each 1-D kernel's `steady` — the 3-point kernels'
+///   `ring_sweep` and its step `ring_step`, LCS's `ring_regs` and the `B`
 ///   layout's index `at`, which the sixteen-lane sandwich instantiates
 ///   as well; `steady_row`), which carry no `#[target_feature]` of
 ///   their own and reach their instructions only by being inlined into a
@@ -85,7 +85,6 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "steady_slabs",
             "units",
             "scalar_sweep_body",
-            "scalar_step_inplace",
             "scalar_cells",
             "sweep_row",
             "steady_row",
@@ -107,10 +106,8 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "copy_slab",
             "reset_shells",
             "gather",
-            "steady_ring",
             "ring_sweep",
             "ring_step",
-            "sweep_in",
             "at",
             "steady",
             "ring_regs",
@@ -840,6 +837,39 @@ mod tests {
         );
         assert!(good.contains("fn $name"));
         assert_eq!(diags(arch, good), Vec::<String>::new());
+    }
+
+    /// Every name `PHASE_FNS` lists for `crates/core/src/` is a function
+    /// defined there: a phase function renamed or retired leaves its old
+    /// name behind, guarding nothing, and this is where that shows.
+    #[test]
+    fn every_core_phase_fn_is_defined_in_core() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+        let core = "crates/core/src/";
+        let mut code = String::new();
+        for f in collect_rs_files(root)
+            .iter()
+            .filter(|f| f.starts_with(core))
+        {
+            let src = std::fs::read_to_string(root.join(f)).unwrap();
+            let mut in_block = false;
+            for line in src.lines() {
+                code.push_str(&strip_comments(line, &mut in_block).0);
+                code.push('\n');
+            }
+        }
+        let (_, names) = PHASE_FNS.iter().find(|(scope, _)| *scope == core).unwrap();
+        for name in *names {
+            let needle = format!("fn {name}");
+            let defined = code.match_indices(&needle).any(|(at, _)| {
+                !code[at + needle.len()..]
+                    .starts_with(|c: char| c == '_' || c.is_ascii_alphanumeric())
+            });
+            assert!(
+                defined,
+                "PHASE_FNS lists `{name}`, defined nowhere under {core}"
+            );
+        }
     }
 
     #[test]
