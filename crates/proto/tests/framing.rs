@@ -6,9 +6,10 @@
 //! `ErrorReply`), never a panic.
 
 use proptest::prelude::*;
+use std::io::{ErrorKind, Read};
 use tempora_proto::{
-    read_frame, write_frame, DecodeError, ErrorCode, Frame, JobSpec, Method, Problem, RunReply,
-    Select, SolveConfig, Tiling, WireError, MAX_FRAME_LEN, PROTO_VERSION,
+    read_frame, write_frame, DecodeError, ErrorCode, Frame, FrameAccum, FramePoll, JobSpec, Method,
+    Problem, RunReply, Select, SolveConfig, Tiling, WireError, MAX_FRAME_LEN, PROTO_VERSION,
 };
 use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
@@ -264,6 +265,107 @@ proptest! {
         // Either it still decodes (the flip hit a don't-care bit like a
         // coefficient) or it errors; it must never panic.
         let _ = Frame::decode_body(&body);
+    }
+}
+
+/// A stream handed out in chunks — one `read` never crosses a cut — with a
+/// `WouldBlock` between consecutive chunks, then EOF: a socket whose read
+/// timeout fires wherever the peer's writes were split.
+struct Chunked {
+    data: Vec<u8>,
+    cuts: Vec<usize>,
+    pos: usize,
+    blocked: bool,
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let end = self.cuts.iter().copied().find(|&c| c > self.pos);
+        let end = end.unwrap_or(self.data.len());
+        if self.pos == self.data.len() || buf.is_empty() {
+            return Ok(0);
+        }
+        if self.cuts.contains(&self.pos) && !self.blocked {
+            self.blocked = true;
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        self.blocked = false;
+        let n = buf.len().min(end - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Drive a `FrameAccum` over `r` to EOF or the first error: the bodies of
+/// the frames it yields, re-encoded, and the error.
+fn accumulate(r: &mut impl Read) -> (Vec<Vec<u8>>, Option<WireError>) {
+    let (mut accum, mut frames) = (FrameAccum::new(), vec![]);
+    loop {
+        match accum.poll(r) {
+            Ok(FramePoll::Frame(f)) => frames.push(f.encode_body()),
+            Ok(FramePoll::Pending { .. }) => {}
+            Ok(FramePoll::Eof) => return (frames, None),
+            Err(e) => return (frames, Some(e)),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any chunking of a stream of one to four frames, with a
+    /// `WouldBlock` between chunks, yields through `FrameAccum::poll` the
+    /// frames `read_frame` decodes from the unsplit stream; a stream cut
+    /// inside its last frame yields the frames before it and then
+    /// `Truncated` — never a panic and never a shorter frame.
+    #[test]
+    fn frame_accum_yields_the_frames_of_read_frame_under_any_chunking(
+        kind in any::<u8>(), size in any::<u64>(), cb in any::<u64>(), sel in any::<u64>(),
+        count in 1usize..=4,
+        cuts in proptest::collection::vec(any::<u64>(), 0..12),
+        cut_last in any::<u64>(),
+    ) {
+        let mut stream = Vec::new();
+        let mut last_start = 0;
+        for i in 0..count as u64 {
+            let spec = spec(kind.wrapping_add(i as u8), size ^ i, cb, sel.rotate_left(i as u32));
+            let frame = match sel.wrapping_add(i) % 3 {
+                0 => Frame::SubmitProblem { request_id: i + 1, spec },
+                1 => Frame::RunSteps { request_id: i + 1, spec, seed: cb ^ i },
+                _ => Frame::ErrorReply {
+                    request_id: i + 1,
+                    code: ErrorCode::BuildFailed,
+                    message: format!("frame {i}"),
+                },
+            };
+            last_start = stream.len();
+            write_frame(&mut stream, &frame).unwrap();
+        }
+        let mut cursor = std::io::Cursor::new(&stream);
+        let mut whole = vec![];
+        while let Some(f) = read_frame(&mut cursor).unwrap() {
+            whole.push(f.encode_body());
+        }
+        prop_assert_eq!(whole.len(), count);
+
+        let split = |data: &[u8]| Chunked {
+            cuts: cuts.iter().map(|&c| (c % (data.len() as u64 + 1)) as usize).collect(),
+            data: data.to_vec(),
+            pos: 0,
+            blocked: false,
+        };
+        let (frames, err) = accumulate(&mut split(&stream));
+        prop_assert!(err.is_none(), "{:?}", err);
+        prop_assert_eq!(&frames, &whole);
+
+        let end = last_start + 1 + (cut_last % (stream.len() - last_start - 1) as u64) as usize;
+        let (frames, err) = accumulate(&mut split(&stream[..end]));
+        prop_assert_eq!(&frames[..], &whole[..count - 1]);
+        prop_assert!(
+            matches!(err, Some(WireError::Decode(DecodeError::Truncated { .. }))),
+            "cut at {} of {}: {:?}", end, stream.len(), err
+        );
     }
 }
 

@@ -18,12 +18,15 @@
 
 #![cfg(feature = "failpoints")]
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use tempora::grid::{fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life};
+use common::states_equal;
 use tempora::parallel::{Pool, PoolConfig, SyncSlice};
 use tempora::prelude::*;
+use tempora::server::fresh_state;
 use tempora_failpoint as fp;
 
 /// Serialize tests on the process-global failpoint registry, and leave it
@@ -53,34 +56,6 @@ fn payload_str(payload: &(dyn std::any::Any + Send)) -> String {
         .map(|s| (*s).to_owned())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_owned())
-}
-
-/// A fresh state for `problem` with a deterministic fill.
-fn fresh_state(problem: &Problem, seed: u64) -> State {
-    let mut state = problem.state();
-    match &mut state {
-        State::Grid1(g) => fill_random_1d(g, seed, -1.0, 1.0),
-        State::Grid2(g) => fill_random_2d(g, seed, -1.0, 1.0),
-        State::Grid2i(g) => fill_random_life(g, seed, 0.4),
-        State::Grid3(g) => fill_random_3d(g, seed, -1.0, 1.0),
-        State::Lcs(l) => {
-            let (la, lb) = (l.a.len(), l.b.len());
-            l.a = vec![1; la];
-            l.b = vec![1; lb];
-        }
-    }
-    state
-}
-
-fn states_equal(a: &State, b: &State) -> bool {
-    match (a, b) {
-        (State::Grid1(x), State::Grid1(y)) => x.interior_eq(y),
-        (State::Grid2(x), State::Grid2(y)) => x.interior_eq(y),
-        (State::Grid2i(x), State::Grid2i(y)) => x.interior_eq(y),
-        (State::Grid3(x), State::Grid3(y)) => x.interior_eq(y),
-        (State::Lcs(x), State::Lcs(y)) => x.length == y.length,
-        _ => false,
-    }
 }
 
 fn splitmix(mut x: u64) -> u64 {
