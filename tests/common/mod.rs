@@ -504,7 +504,6 @@ pub struct Space {
     pub tiles: &'static [Tile],
     pub selects: &'static [Select],
     pub threads: (usize, usize),
-    pub pin: bool,
     pub strides: &'static [Stride],
     pub outer: &'static [Outer],
     pub inner: &'static [Inner],
@@ -521,9 +520,6 @@ const ALL_METHODS: &[Method] = &[
     Method::Dlt,
     Method::Scalar,
 ];
-const SELECTS: &[Select] = &[Select::Portable, Select::Avx2, Select::Auto];
-const FORCED: &[Select] = &[Select::Portable, Select::Avx2];
-const ACCEPTED: &[Stride] = &[Stride::Default, Stride::Accepted];
 
 impl Space {
     /// The whole space, rejected classes included.
@@ -538,9 +534,8 @@ impl Space {
             Tile::Skew,
             Tile::Rect,
         ],
-        selects: SELECTS,
+        selects: &[Select::Portable, Select::Avx2, Select::Auto],
         threads: (1, 8),
-        pin: true,
         strides: &[
             Stride::Default,
             Stride::Accepted,
@@ -579,7 +574,7 @@ impl Space {
     pub const LEGAL: Space = Space {
         methods: &[Method::Temporal, Method::Temporal, Method::Scalar],
         tiles: &[Tile::None, Tile::Native],
-        strides: ACCEPTED,
+        strides: &[Stride::Default, Stride::Accepted],
         outer: &[
             Outer::Tiny,
             Outer::VlS,
@@ -637,7 +632,7 @@ impl Strategy for Space {
             _ if tile == Tile::None => 1,
             _ => int(rng, self.threads.0, self.threads.1),
         };
-        let pin = self.pin && rng.next_u64().is_multiple_of(4);
+        let pin = rng.next_u64().is_multiple_of(4);
         let lanes = pick(rng, kind.lanes());
         // The engine whose default stride goes with `lanes`.
         let engine = if lanes > 4 {
@@ -1071,7 +1066,7 @@ slices! {
         LEGAL { tiles: TILED, threads: (2, 8) };
     boundary_dominated_shapes_match_reference_bitwise: 60, LEGAL {
         methods: TEMPORAL,
-        selects: FORCED,
+        selects: &[Select::Portable, Select::Avx2],
         outer: &[Outer::Tiny, Outer::VlS],
         steps: &[Steps::Zero, Steps::BelowVl, Steps::NearMultiple],
         blocks: &[Block::VlS]
