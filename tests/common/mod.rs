@@ -10,7 +10,8 @@
 //!
 //! The named equivalence tests are slices of that space ([`SLICES`]):
 //! each draws its cases from a seed derived from its name, so every run
-//! on every host replays the same draws. The categorical stratum
+//! on every host replays the same draws (the host decides only which of
+//! them it accepts, and on which engine). The categorical stratum
 //! ([`categorical`]) is the exhaustive 9 kinds × 4 tilings × 5 methods ×
 //! 2 threads product at one shape; the random draws put the extents, steps,
 //! strides and blocks on the edges of the boundary phases of a temporal
@@ -29,9 +30,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::{fnv1a, Strategy, TestRng};
-use tempora::core::engine::{wider_pays, KernelSpace};
-use tempora::core::kernels::*;
-use tempora::core::lcs::WIDE_MIN_LB;
 use tempora::prelude::*;
 use tempora::proto::SolveConfig;
 use tempora::server::fresh_state;
@@ -132,29 +130,6 @@ pub const KINDS: [Kind; 9] = [
     Kind::Lcs,
 ];
 
-/// `$grid` with `$k` and `$c` naming the kernel and coefficient (rule)
-/// types of a grid kind, `$lcs` for LCS.
-macro_rules! per_kernel {
-    ($kind:expr, $k:ident, $c:ident => $grid:expr, $lcs:expr) => {
-        match $kind {
-            Kind::Heat1d => per_kernel!(@ $k = JacobiKern1d, $c = Heat1dCoeffs, $grid),
-            Kind::Gs1d => per_kernel!(@ $k = GsKern1d, $c = Gs1dCoeffs, $grid),
-            Kind::Heat2d => per_kernel!(@ $k = JacobiKern2d, $c = Heat2dCoeffs, $grid),
-            Kind::Box2d => per_kernel!(@ $k = BoxKern2d, $c = Box2dCoeffs, $grid),
-            Kind::Gs2d => per_kernel!(@ $k = GsKern2d, $c = Gs2dCoeffs, $grid),
-            Kind::Life => per_kernel!(@ $k = LifeKern2d, $c = LifeRule, $grid),
-            Kind::Heat3d => per_kernel!(@ $k = JacobiKern3d, $c = Heat3dCoeffs, $grid),
-            Kind::Gs3d => per_kernel!(@ $k = GsKern3d, $c = Gs3dCoeffs, $grid),
-            Kind::Lcs => $lcs,
-        }
-    };
-    (@ $k:ident = $kt:ty, $c:ident = $ct:ty, $grid:expr) => {{
-        type $k = $kt;
-        type $c = $ct;
-        $grid
-    }};
-}
-
 impl Kind {
     pub fn of(problem: &Problem) -> Kind {
         match problem {
@@ -204,30 +179,57 @@ impl Kind {
         }
     }
 
-    /// The lane count of `engine`'s temporal sweep.
+    /// The lane count of `engine`'s temporal sweep: the widest on AVX-512.
     fn vl(self, engine: Engine) -> usize {
-        per_kernel!(self, K, _C => K::vl(engine), tempora::core::lcs::vl(engine))
+        let lanes = self.lanes();
+        lanes[(engine == Engine::Avx512) as usize * (lanes.len() - 1)]
     }
 
     /// The outer extent from which `Select::Auto` widens (LCS: `B`'s
-    /// length).
+    /// length): the crossovers `repro ablate-vl` measured, written out so
+    /// that a change to them fails here.
     fn wide_min(self) -> Option<usize> {
-        per_kernel!(self, K, _C => K::wide_min_nx(), Some(WIDE_MIN_LB))
+        match self {
+            Kind::Heat1d => Some(4096),
+            Kind::Gs1d | Kind::Lcs => Some(1024),
+            Kind::Heat2d | Kind::Box2d => Some(32),
+            Kind::Gs2d => Some(128),
+            Kind::Life | Kind::Heat3d | Kind::Gs3d => None,
+        }
     }
 
     /// The stride a plan runs when none is given.
     fn default_stride(self, engine: Engine) -> usize {
-        per_kernel!(self, K, _C => K::default_stride(engine), 2)
+        match (self, engine) {
+            (Kind::Heat1d, Engine::Avx512) => 13,
+            (Kind::Heat1d, _) => 10,
+            (Kind::Gs1d, _) => 7,
+            _ => 2,
+        }
     }
 
-    /// The widest stride the kind's sweep holds.
+    /// The widest stride the kind's sweep holds: the 1-D ring's 16.
     fn max_stride(self) -> usize {
-        per_kernel!(self, K, _C => K::MAX_STRIDE, usize::MAX)
+        if self.dims() == 1 {
+            16
+        } else {
+            usize::MAX
+        }
     }
 
     /// The dependence set the temporal stride must respect.
     fn deps(self) -> DepSet {
-        per_kernel!(self, _K, C => C::deps(), lcs_deps())
+        match self {
+            Kind::Heat1d => Heat1dCoeffs::deps(),
+            Kind::Gs1d => Gs1dCoeffs::deps(),
+            Kind::Heat2d => Heat2dCoeffs::deps(),
+            Kind::Box2d => Box2dCoeffs::deps(),
+            Kind::Gs2d => Gs2dCoeffs::deps(),
+            Kind::Life => LifeRule::deps(),
+            Kind::Heat3d => Heat3dCoeffs::deps(),
+            Kind::Gs3d => Gs3dCoeffs::deps(),
+            Kind::Lcs => lcs_deps(),
+        }
     }
 
     /// The strides the generator draws as accepted: every one the 1-D
@@ -281,7 +283,7 @@ fn temporal_engine(problem: &Problem, config: &SolveConfig) -> Engine {
             if !fits(8) {
                 return narrow(false);
             }
-            lb >= WIDE_MIN_LB && wider_pays(la, 8) && fits(16)
+            kind.wide_min().is_some_and(|min| lb >= min) && wider_pays(la, 8) && fits(16)
         }
         _ => {
             let nx = problem.extents()[0];
@@ -292,6 +294,12 @@ fn temporal_engine(problem: &Problem, config: &SolveConfig) -> Engine {
         Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
         engine => engine,
     }
+}
+
+/// True when `levels` fill a sweep at `2·vl` lanes and leave it no more
+/// scalar levels than `vl` lanes would.
+fn wider_pays(levels: usize, vl: usize) -> bool {
+    levels >= 2 * vl && levels % (2 * vl) <= levels % vl
 }
 
 /// The `PlanError` variant a case's build returns, in the order
@@ -368,31 +376,17 @@ pub fn expected_error(problem: &Problem, config: &SolveConfig) -> Option<&'stati
 }
 
 /// Units (2-D: columns, 3-D: rows) per segment of a slab sweep's steady
-/// state at `vl` lanes and stride `s`: two thirds of L1d over the ring's
-/// bytes per unit (`tempora_core::slab::segment_width`), restated here so
-/// the generator can put inner extents on either side of it.
-fn segment_width(kind: Kind, vl: usize, s: usize, nz: usize) -> usize {
+/// state at `vl` lanes and stride `s` on an L1d of `l1d` bytes: two thirds
+/// of it over the ring's bytes per unit (`tempora_core::slab::segment_width`),
+/// restated here so the generator can put inner extents on either side of
+/// it. The generator draws `l1d` from the common sizes, not the host's, so
+/// that a draw is the same case on every host.
+fn segment_width(kind: Kind, vl: usize, s: usize, nz: usize, l1d: usize) -> usize {
     let elem = if kind == Kind::Life { 4 } else { 8 };
     let unit_elems = if kind.dims() == 3 { nz + 2 } else { 1 };
     let slabs = s.saturating_add(2 + 2 * kind.is_gs() as usize);
     let unit = slabs.saturating_mul(vl * unit_elems * elem);
-    (2 * l1d_bytes() / 3 / unit).max(1)
-}
-
-/// Bytes of L1 data cache per core, from sysfs; 32 KiB where it cannot be
-/// read, as the engine assumes.
-fn l1d_bytes() -> usize {
-    let cache = "/sys/devices/system/cpu/cpu0/cache";
-    let read = |i: usize, f: &str| std::fs::read_to_string(format!("{cache}/index{i}/{f}"));
-    (0..)
-        .map_while(|i| Some((read(i, "level").ok()?, read(i, "type").ok()?, i)))
-        .find(|(level, kind, _)| level.trim() == "1" && kind.trim() != "Instruction")
-        .and_then(|(_, _, i)| {
-            let size = read(i, "size").ok()?;
-            let kib = size.trim().strip_suffix('K')?;
-            Some(kib.parse::<usize>().ok()? << 10)
-        })
-        .unwrap_or(32 << 10)
+    (2 * l1d / 3 / unit).max(1)
 }
 
 // ---------------------------------------------------------------------
@@ -408,6 +402,19 @@ pub struct Case {
     pub config: SolveConfig,
     pub seed: u64,
     pub tags: Tags,
+}
+
+impl Case {
+    /// A case written out rather than drawn.
+    pub fn fixed(problem: Problem, config: SolveConfig) -> Case {
+        let (seed, tags) = (11, Tags::default());
+        Case {
+            problem,
+            config,
+            seed,
+            tags,
+        }
+    }
 }
 
 /// The classes one case was drawn from (what it was drawn as, where a
@@ -430,7 +437,7 @@ pub enum Outer {
     Tiny,
     /// `VL·s − 1 ..= VL·s + 2` at one of the kind's lane counts.
     VlS,
-    /// The eight-lane crossover `± 1` (`wide_min_nx`, `lcs::WIDE_MIN_LB`).
+    /// The eight-lane crossover `± 1` ([`Kind::wide_min`]).
     WideMin,
     #[default]
     Free,
@@ -692,14 +699,18 @@ impl Strategy for Space {
             tags.outer = Outer::Free;
             free_outer(rng)
         });
-        // The inner extents, `[ny, nz]`.
+        // The inner extents, `[ny, nz]`, around the segment width of a 32
+        // or 48 KiB L1d.
+        let l1d = |rng: &mut TestRng| pick(rng, &[32 << 10, 48 << 10]);
         let inner = match (kind.dims(), tags.inner) {
             (2, Inner::Segment) => {
-                around(rng, segment_width(kind, lanes, s, 1), -1, 2).map(|ny| [ny, 1])
+                let w = segment_width(kind, lanes, s, 1, l1d(rng));
+                around(rng, w, -1, 2).map(|ny| [ny, 1])
             }
             (3, Inner::Segment) => {
                 let nz = int(rng, 3, 40);
-                around(rng, segment_width(kind, lanes, s, nz), -1, 2).map(|ny| [ny, nz])
+                let w = segment_width(kind, lanes, s, nz, l1d(rng));
+                around(rng, w, -1, 2).map(|ny| [ny, nz])
             }
             _ => None,
         };
@@ -879,13 +890,7 @@ pub fn categorical() -> Vec<Case> {
                         threads,
                         ..SolveConfig::default()
                     };
-                    let (seed, tags) = (11, Tags::default());
-                    cases.push(Case {
-                        problem,
-                        config,
-                        seed,
-                        tags,
-                    });
+                    cases.push(Case::fixed(problem, config));
                 }
             }
         }
@@ -959,12 +964,14 @@ pub fn check(case: &Case) -> bool {
     assert_eq!(report.engine, engine_of(problem, config), "{case:?}");
     let tiled = config.tiling != Tiling::None;
     assert_eq!(report.tiles.is_some(), tiled, "{case:?}");
-    // LCS blocks are clamped to the table.
+    // LCS blocks are clamped to the table; where a band engine resolved,
+    // the tasks are bands `vl` rows deep, not scalar rows.
     if let (&Problem::Lcs { la, lb }, Some(t)) = (problem, report.tiles) {
-        assert!(
-            t.block <= la.max(1) && t.height <= lb.max(1),
-            "{case:?}: {t:?}"
-        );
+        let (block, height) = (t.block, t.height);
+        assert!(block <= la.max(1) && height <= lb.max(1), "{case:?}: {t:?}");
+        if let Some(e) = report.engine.filter(|&e| e != Engine::Portable) {
+            assert_eq!(block, Kind::Lcs.vl(e), "{case:?}: no bands ran");
+        }
     }
     assert_eq!(report.threads, config.threads, "{case:?}");
     assert_eq!(report.steps, problem.steps(), "{case:?}");

@@ -14,10 +14,11 @@
 
 mod common;
 
-use common::{reference_state, states_equal};
+use common::{reference_state, states_equal, Case};
 use proptest::prelude::*;
 use tempora::grid::runs_allocation_free;
 use tempora::prelude::*;
+use tempora::proto::SolveConfig;
 use tempora::server::fresh_state;
 
 /// Accepted generated configurations of every kind — temporal, scalar
@@ -156,12 +157,47 @@ fn untiled_one_chunk_and_chunked_plans_agree_with_the_reference() {
     common::check_slice("untiled_one_chunk_and_chunked_plans_agree_with_the_reference");
 }
 
+/// A temporal configuration at `select`; a tiled one on two threads.
+fn temporal(select: Select, tiling: Tiling, stride: Option<usize>) -> SolveConfig {
+    SolveConfig {
+        select,
+        tiling,
+        threads: 1 + (tiling != Tiling::None) as usize,
+        stride,
+        ..SolveConfig::default()
+    }
+}
+
+fn ghost(block: usize, height: usize) -> Tiling {
+    Tiling::Ghost { block, height }
+}
+
+fn skew(block: usize, height: usize) -> Tiling {
+    Tiling::Skew { block, height }
+}
+
+fn rect(xblock: usize, yblock: usize) -> Tiling {
+    Tiling::LcsRect { xblock, yblock }
+}
+
 /// Every stride of the 1-D kinds and LCS, untiled and tiled: the accepted
-/// ones (`2..=16` for the 1-D kinds, any for LCS) run on the engine the
-/// host's capability resolves, the others are the typed error.
+/// ones run on the engine the host's capability resolves, the others are
+/// the typed error. The 1-D kinds accept exactly `2..=16` (the ring's
+/// capacity); LCS has no cap: its bands run at `s = 17` and `33` wherever
+/// a block column hosts them, two threads tiled.
 #[test]
 fn every_accepted_1d_stride_resolves_by_capability() {
     common::check_slice("every_accepted_1d_stride_resolves_by_capability");
+    let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
+    for problem in [Problem::heat1d(700, 13, h1), Problem::gs1d(700, 13, g1)] {
+        let at = |s| Case::fixed(problem, temporal(Select::Auto, Tiling::None, Some(s)));
+        let accepted: Vec<_> = (0..=40).filter(|&s| common::check(&at(s))).collect();
+        assert_eq!(accepted, Vec::from_iter(2..=16), "{problem:?}");
+    }
+    for s in [17, 33] {
+        let config = temporal(Select::Auto, rect(24, 600), Some(s));
+        assert!(common::check(&Case::fixed(Problem::lcs(40, 1200), config)));
+    }
 }
 
 /// No stride makes `build` panic or abort: the strides whose `VL·s` no
@@ -187,12 +223,84 @@ fn oversized_lcs_blocks_build_and_answer() {
 }
 
 /// `Select::Auto` widens to eight lanes (LCS: sixteen) only for the kinds
-/// with a wider sweep, only from the kind's measured crossover (drawn
-/// `± 1`) and only where the steps leave no more scalar levels than four
-/// lanes would; the engine model decides each draw.
+/// with a wider sweep, only from the kind's measured crossover and only
+/// where the steps leave no more scalar levels than four lanes would. The
+/// draws put the outer extent on each crossover `± 1`; the fixed rows pin
+/// the engines of the `ledger` benchmark's shapes and of each crossover met
+/// and missed by one slab (on a host without AVX-512F every wide row is
+/// `avx2`; without AVX2, portable).
 #[test]
 fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
+    use tempora::simd::arch::{avx2_available, avx512_available};
     common::check_slice("auto_widens_the_kinds_with_eight_lanes_where_they_pay");
+    let n = Select::Auto.resolve(avx2_available());
+    let w = if n == Engine::Avx2 && avx512_available() {
+        Engine::Avx512
+    } else {
+        n
+    };
+    let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
+    let (h2, g2) = (Heat2dCoeffs::classic(0.125), Gs2dCoeffs::classic(0.2));
+    let (b2, h3) = (Box2dCoeffs::smooth(0.1), Heat3dCoeffs::classic(0.1));
+    let g3 = Gs3dCoeffs::classic(0.1);
+    let (heat, gs) = (
+        |nx, t| Problem::heat1d(nx, t, h1),
+        |nx, t| Problem::gs1d(nx, t, g1),
+    );
+    let [auto, portable, avx2] =
+        [Select::Auto, Select::Portable, Select::Avx2].map(|sel| temporal(sel, Tiling::None, None));
+    let tiled = |tiling| temporal(Select::Auto, tiling, None);
+    let rows = [
+        // The ledger's problems. At twelve steps eight lanes leave four
+        // scalar levels and four lanes none.
+        (heat(1 << 16, 32), auto, w),
+        (gs(1 << 16, 32), auto, w),
+        (heat(1 << 16, 12), auto, n),
+        (gs(1 << 16, 12), auto, n),
+        (Problem::heat2d(256, 256, 12, h2), auto, n),
+        (Problem::box2d(256, 256, 8, b2), auto, w),
+        (Problem::gs2d(256, 256, 8, g2), auto, w),
+        (Problem::heat2d(1024, 1024, 24, h2), tiled(ghost(128, 8)), w),
+        (Problem::gs2d(768, 768, 16, g2), tiled(skew(192, 8)), w),
+        (Problem::lcs(1024, 1024), auto, w),
+        (Problem::lcs(8192, 8192), tiled(rect(1024, 1024)), w),
+        (Problem::heat3d(40, 40, 40, 4, h3), auto, n),
+        (Problem::heat3d(80, 80, 80, 8, h3), auto, n),
+        (Problem::gs3d(40, 40, 40, 4, g3), auto, n),
+        (Problem::life(256, 256, 16, LifeRule::b2s23()), auto, n),
+        // Each kind's crossover met and missed by one outer slab (LCS: by
+        // one column, and missed by `la % 16 > la % 8`); `4s ≤ nx < 8s`.
+        (heat(4096, 32), auto, w),
+        (heat(4095, 32), auto, n),
+        (gs(1024, 32), auto, w),
+        (gs(1023, 32), auto, n),
+        (Problem::heat2d(32, 20, 16, h2), auto, w),
+        (Problem::heat2d(31, 20, 16, h2), auto, n),
+        (Problem::box2d(32, 20, 16, b2), auto, w),
+        (Problem::box2d(31, 20, 16, b2), auto, n),
+        (Problem::gs2d(128, 20, 16, g2), auto, w),
+        (Problem::gs2d(127, 20, 16, g2), auto, n),
+        (Problem::lcs(1024, 1023), auto, n),
+        (Problem::lcs(1024, 512), auto, n),
+        (Problem::lcs(1032, 1024), auto, n),
+        (heat(60, 32), auto, n),
+        (gs(40, 32), temporal(Select::Auto, Tiling::None, Some(7)), n),
+        // Selections other than `auto` never widen.
+        (heat(1 << 16, 32), portable, Engine::Portable),
+        (Problem::gs2d(768, 768, 16, g2), portable, Engine::Portable),
+        (Problem::lcs(1024, 1024), portable, Engine::Portable),
+        (heat(1 << 16, 32), avx2, n),
+        (Problem::heat2d(256, 256, 16, h2), avx2, n),
+        (Problem::lcs(1024, 1024), avx2, n),
+    ];
+    for (problem, config, engine) in rows {
+        if config.select == Select::Avx2 && n != Engine::Avx2 {
+            continue;
+        }
+        let model = common::engine_of(&problem, &config);
+        assert_eq!(model, Some(engine), "{problem:?} {config:?}");
+        assert!(common::check(&Case::fixed(problem, config)));
+    }
 }
 
 /// A state carrying another boundary than the plan's problem is a typed
@@ -201,10 +309,6 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
 /// twin holds the problem's boundary) and temporal, untiled and tiled.
 #[test]
 fn boundary_is_compared_by_bit_pattern() {
-    let ghost = Tiling::Ghost {
-        block: 16,
-        height: 4,
-    };
     let coeffs = Heat1dCoeffs::classic(0.24);
     let with = |b: f64| Problem::Heat1d {
         n: 64,
@@ -213,7 +317,7 @@ fn boundary_is_compared_by_bit_pattern() {
         boundary: Boundary::Dirichlet(b),
     };
     for method in [Method::Multiload, Method::Temporal] {
-        for (tiling, threads) in [(Tiling::None, 1), (ghost, 2)] {
+        for (tiling, threads) in [(Tiling::None, 1), (ghost(16, 4), 2)] {
             let name = format!("{method:?} {tiling:?}");
             let builder = PlanBuilder::new()
                 .method(method)
@@ -282,202 +386,96 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
     let gs2 = Problem::gs2d(64, 64, 8, Gs2dCoeffs::classic(0.2));
     let life = Problem::life(64, 64, 8, LifeRule::b2s23());
     let lcs = Problem::lcs(64, 64);
-
-    // Stride 0 / below the dependence bound / beyond the ring capacity.
-    assert_eq!(
-        PlanBuilder::new().stride(0).build(&heat1).unwrap_err(),
-        PlanError::ZeroStride
-    );
-    assert_eq!(
-        PlanBuilder::new().stride(1).build(&heat1).unwrap_err(),
-        PlanError::StrideTooSmall { stride: 1, min: 2 }
-    );
-    assert!(matches!(
-        PlanBuilder::new().stride(40).build(&heat1).unwrap_err(),
-        PlanError::StrideTooLarge { .. }
-    ));
-
-    // Threads 0, and threads without tiling.
-    assert_eq!(
-        PlanBuilder::new().threads(0).build(&heat1).unwrap_err(),
-        PlanError::ZeroThreads
-    );
-    assert_eq!(
-        PlanBuilder::new().threads(4).build(&heat1).unwrap_err(),
-        PlanError::ThreadsRequireTiling { threads: 4 }
-    );
-
-    // Empty domain.
-    assert_eq!(
-        PlanBuilder::new()
-            .build(&Problem::heat1d(0, 8, Heat1dCoeffs::classic(0.25)))
-            .unwrap_err(),
-        PlanError::EmptyDomain
-    );
-
-    // Illegal method × stencil combinations.
-    for p in [&gs1, &gs2, &lcs] {
-        assert!(matches!(
-            PlanBuilder::new()
-                .method(Method::Multiload)
-                .build(p)
-                .unwrap_err(),
-            PlanError::MethodUnsupported { .. }
-        ));
+    let empty = Problem::heat1d(0, 8, Heat1dCoeffs::classic(0.25));
+    let b = PlanBuilder::new;
+    let (multiload, reorg, dlt) = (Method::Multiload, Method::Reorg, Method::Dlt);
+    // (builder, problem, the error's `Debug`: in full, or its variant)
+    let rejected = [
+        // Stride 0 / below the dependence bound / beyond the ring capacity.
+        (b().stride(0), &heat1, "ZeroStride"),
+        (
+            b().stride(1),
+            &heat1,
+            "StrideTooSmall { stride: 1, min: 2 }",
+        ),
+        (
+            b().stride(40),
+            &heat1,
+            "StrideTooLarge { stride: 40, max: 16 }",
+        ),
+        // Threads 0, threads without tiling, an empty domain.
+        (b().threads(0), &heat1, "ZeroThreads"),
+        (
+            b().threads(4),
+            &heat1,
+            "ThreadsRequireTiling { threads: 4 }",
+        ),
+        (b(), &empty, "EmptyDomain"),
+        // Illegal method × stencil combinations.
+        (b().method(multiload), &gs1, "MethodUnsupported"),
+        (b().method(multiload), &gs2, "MethodUnsupported"),
+        (b().method(multiload), &lcs, "MethodUnsupported"),
+        (b().method(reorg), &gs1, "MethodUnsupported"),
+        (b().method(reorg), &life, "MethodUnsupported"),
+        (b().method(reorg), &lcs, "MethodUnsupported"),
+        (b().method(dlt), &gs1, "MethodUnsupported"),
+        (b().method(dlt), &life, "MethodUnsupported"),
+        (b().method(dlt), &lcs, "MethodUnsupported"),
+        // Tiling × stencil mismatches.
+        (b().tiling(ghost(32, 4)), &gs1, "TilingUnsupported"),
+        (b().tiling(skew(64, 4)), &heat1, "TilingUnsupported"),
+        (b().tiling(rect(8, 8)), &heat1, "TilingUnsupported"),
+        (b().tiling(ghost(32, 4)), &lcs, "TilingUnsupported"),
+        // Bad tile geometry: zero extents, misaligned heights, skewed
+        // blocks below the wave-disjointness bound (`4 + 4·7 + 4`). Life's
+        // vector length is 8, so a height of 4 is rejected for it.
+        (b().tiling(ghost(0, 4)), &heat1, "ZeroTileExtent"),
+        (
+            b().tiling(ghost(32, 6)),
+            &heat1,
+            "BadTileHeight { height: 6, vl: 4 }",
+        ),
+        (
+            b().tiling(ghost(32, 4)),
+            &life,
+            "BadTileHeight { height: 4, vl: 8 }",
+        ),
+        (
+            b().stride(7).tiling(skew(16, 4)),
+            &gs1,
+            "BlockTooNarrow { block: 16, min: 36 }",
+        ),
+        (b().tiling(rect(0, 8)), &lcs, "ZeroTileExtent"),
+        // Reorg-op counting is only available on instrumented paths.
+        (b().count_reorg(true), &gs2, "CountUnsupported"),
+        (
+            b().count_reorg(true).tiling(ghost(64, 8)),
+            &heat1,
+            "CountUnsupported",
+        ),
+    ];
+    for (builder, problem, want) in rejected {
+        let e = format!("{:?}", builder.build(problem).unwrap_err());
+        let variant = e.starts_with(&format!("{want} {{"));
+        assert!(e == want || variant, "{builder:?}: {e}, want {want}");
     }
-    for p in [&gs1, &life, &lcs] {
-        for method in [Method::Reorg, Method::Dlt] {
-            assert!(matches!(
-                PlanBuilder::new().method(method).build(p).unwrap_err(),
-                PlanError::MethodUnsupported { .. }
-            ));
-        }
-    }
-
-    // Tiling × stencil mismatches.
-    let ghost = Tiling::Ghost {
-        block: 32,
-        height: 4,
-    };
-    let skew = Tiling::Skew {
-        block: 64,
-        height: 4,
-    };
-    let rect = Tiling::LcsRect {
-        xblock: 8,
-        yblock: 8,
-    };
-    assert!(matches!(
-        PlanBuilder::new().tiling(ghost).build(&gs1).unwrap_err(),
-        PlanError::TilingUnsupported { .. }
-    ));
-    assert!(matches!(
-        PlanBuilder::new().tiling(skew).build(&heat1).unwrap_err(),
-        PlanError::TilingUnsupported { .. }
-    ));
-    assert!(matches!(
-        PlanBuilder::new().tiling(rect).build(&heat1).unwrap_err(),
-        PlanError::TilingUnsupported { .. }
-    ));
-    assert!(matches!(
-        PlanBuilder::new().tiling(ghost).build(&lcs).unwrap_err(),
-        PlanError::TilingUnsupported { .. }
-    ));
-
-    // Bad tile geometry: zero extents, misaligned heights, skewed blocks
-    // below the wave-disjointness bound. Life's vector length is 8, so a
-    // height of 4 is rejected for it specifically.
-    assert_eq!(
-        PlanBuilder::new()
-            .tiling(Tiling::Ghost {
-                block: 0,
-                height: 4
-            })
-            .build(&heat1)
-            .unwrap_err(),
-        PlanError::ZeroTileExtent
-    );
-    assert_eq!(
-        PlanBuilder::new()
-            .tiling(Tiling::Ghost {
-                block: 32,
-                height: 6
-            })
-            .build(&heat1)
-            .unwrap_err(),
-        PlanError::BadTileHeight { height: 6, vl: 4 }
-    );
-    assert_eq!(
-        PlanBuilder::new()
-            .tiling(Tiling::Ghost {
-                block: 32,
-                height: 4
-            })
-            .build(&life)
-            .unwrap_err(),
-        PlanError::BadTileHeight { height: 4, vl: 8 }
-    );
-    assert_eq!(
-        PlanBuilder::new()
-            .stride(7)
-            .tiling(Tiling::Skew {
-                block: 16,
-                height: 4
-            })
-            .build(&gs1)
-            .unwrap_err(),
-        PlanError::BlockTooNarrow {
-            block: 16,
-            min: 4 + 4 * 7 + 4
-        }
-    );
-    assert_eq!(
-        PlanBuilder::new()
-            .tiling(Tiling::LcsRect {
-                xblock: 0,
-                yblock: 8
-            })
-            .build(&lcs)
-            .unwrap_err(),
-        PlanError::ZeroTileExtent
-    );
-
-    // Reorg-op counting is only available on instrumented paths.
-    assert!(matches!(
-        PlanBuilder::new()
-            .count_reorg(true)
-            .build(&gs2)
-            .unwrap_err(),
-        PlanError::CountUnsupported { .. }
-    ));
-    assert!(matches!(
-        PlanBuilder::new()
-            .count_reorg(true)
-            .tiling(Tiling::Ghost {
-                block: 64,
-                height: 8
-            })
-            .build(&heat1)
-            .unwrap_err(),
-        PlanError::CountUnsupported { .. }
-    ));
 
     // Select::Avx2 on a non-AVX2 host is an error, not a panic; on an
-    // AVX2 host, degenerate geometries below the engine's `VL·s` bound
-    // build fine, run scalar steps in the AVX2 codegen context and
-    // report it — the integer workloads too (checked at `vl = 8`: a
-    // 12-wide Life outer extent cannot host an 8-lane tile at stride 2).
+    // AVX2 host, degenerate geometries below the engine's `VL·s` bound (a
+    // 12-wide Life outer extent at `vl = 8`, stride 2; eight Heat-1D points
+    // at stride 7) build, run scalar steps in the AVX2 codegen context and
+    // report it.
+    let avx2 = b().select(Select::Avx2);
     if tempora::simd::arch::avx2_available() {
-        let plan = PlanBuilder::new()
-            .select(Select::Avx2)
-            .stride(2)
-            .build(&life)
-            .unwrap();
-        assert_eq!(plan.engine(), Some(Engine::Avx2));
         let tiny_life = Problem::life(12, 64, 8, LifeRule::b2s23());
-        let plan = PlanBuilder::new()
-            .select(Select::Avx2)
-            .stride(2)
-            .build(&tiny_life)
-            .unwrap();
-        assert_eq!(plan.engine(), Some(Engine::Avx2));
-        // Degenerate geometry below VL·s: documented scalar fallback,
-        // compiled for and reported as the engine that was requested.
         let tiny = Problem::heat1d(8, 8, Heat1dCoeffs::classic(0.25));
-        let plan = PlanBuilder::new()
-            .select(Select::Avx2)
-            .stride(7)
-            .build(&tiny)
-            .unwrap();
-        assert_eq!(plan.engine(), Some(Engine::Avx2));
+        for (s, problem) in [(2, &life), (2, &tiny_life), (7, &tiny)] {
+            let plan = avx2.stride(s).build(problem).unwrap();
+            assert_eq!(plan.engine(), Some(Engine::Avx2), "{problem:?}");
+        }
     } else {
-        assert_eq!(
-            PlanBuilder::new()
-                .select(Select::Avx2)
-                .build(&heat1)
-                .unwrap_err(),
-            PlanError::Avx2Unavailable
-        );
+        let e = avx2.build(&heat1).unwrap_err();
+        assert_eq!(e, PlanError::Avx2Unavailable);
     }
 
     // State mismatches are errors, not panics or silent corruption.
@@ -527,10 +525,7 @@ fn report_carries_geometry_and_counts() {
     let problem = Problem::heat1d(4096, 16, Heat1dCoeffs::classic(0.25));
     let mut plan = PlanBuilder::new()
         .stride(7)
-        .tiling(Tiling::Ghost {
-            block: 512,
-            height: 8,
-        })
+        .tiling(ghost(512, 8))
         .threads(2)
         .build(&problem)
         .unwrap();
