@@ -1145,9 +1145,25 @@ pub struct Row {
     pub of: Option<(&'static str, &'static str, String, &'static str)>,
     /// What the row must satisfy; `None`: printed, not gated.
     pub limit: Option<Limit>,
-    /// What to measure again: a slab kind on an engine at interior
-    /// extents.
-    source: Option<(&'static SlabKind, Engine, [usize; 3])>,
+    /// What to measure again, on which engine.
+    source: Option<(Source, Engine)>,
+}
+
+/// What [`Table::remeasure`] measures a row of again: a kind of
+/// [`SLAB_KINDS`] at interior extents, or a kind of the 1-D sweep at its
+/// outer extent (LCS: `B`'s length).
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    Slab(&'static SlabKind, [usize; 3]),
+    Line(Line, usize),
+}
+
+/// The kinds of the one 1-D sweep, as `ablate-boundary` times them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Line {
+    Heat1d,
+    Gs1d,
+    Lcs,
 }
 
 impl Row {
@@ -1447,8 +1463,8 @@ fn simd_engine(plan: Option<Engine>) -> &'static str {
 /// lives in memory at any stride: the narrowest ring wins), at the
 /// `ledger` benchmark's geometry (`scale` = 16; `scale` ≥ 256 gives its
 /// `--smoke` geometry; LCS never below the ledger's 1024², the narrowest
-/// table `auto` runs at sixteen lanes — at 256² their head and tail
-/// triangles, which grow with `s`, put `s = 1` far ahead). One `Mupd/s`
+/// table `auto` runs at sixteen lanes — at 256² their boundary phases,
+/// which grow with `s`, put `s = 1` far ahead). One `Mupd/s`
 /// row per kind, engine and stride, stated against its kind's best
 /// stride on the same engine. Under `auto` on an AVX2 host every row is
 /// limited to the engine its kind's default plan resolves, never the
@@ -2200,15 +2216,20 @@ fn dims_shape([x, y, z]: [usize; 3]) -> String {
 }
 
 /// Where the time goes in a tile (ROADMAP aim 1: "bare steady state vs
-/// whole tile"). Per 2-D/3-D grid kind and engine, time an untiled run
-/// (`engine_runs`) at the `ledger` benchmark's geometry (`scale` = 16;
-/// `scale` ≥ 64 gives its `--smoke` geometry) and at 10× the outer extent, minimum of 20
-/// runs each. A tile's time is linear in its steady-state slab count
-/// `x_max = nx + 1 - VL·s`, so the two points give the steady cost per
-/// slab (the slope) and the fixed boundary cost per tile (the intercept
-/// at `x_max = 0`); dividing by the point-updates each part performs
-/// (`VL·inner` per slab; `VL·inner·(VL·s - 1)` in the boundary) states
-/// both per update. Four rows per kind and engine: the whole tile and its
+/// whole tile"). Per kind and engine, time an untiled run at the `ledger`
+/// benchmark's geometry (`scale` = 16; `scale` ≥ 64 gives its `--smoke`
+/// geometry) and at 10× the outer extent, minimum of 20 runs each: the
+/// 2-D/3-D kinds through `engine_runs`, and the three kinds of the 1-D
+/// sweep — Heat-1D and GS-1D (`engine_runs`, `n` cells × 32 steps) and
+/// LCS (`lcs_runs`, 1024 `× lb` at stride 2, `lb` the outer
+/// extent) — each on its engine's
+/// default stride. A tile (an LCS band) is linear in its steady anchors
+/// `x_max = n + e - VL·s` (`e = 1` for the 3-point kernels, 0 for LCS),
+/// so the two points give the steady cost per anchor (the slope) and the
+/// fixed boundary cost per tile (the intercept at `x_max = 0`); dividing
+/// by the point-updates each part performs (`VL·inner` per anchor, one
+/// cell wide in 1-D; `VL·inner·(n - x_max)` in the boundary) states both
+/// per update. Four rows per kind and engine: the whole tile and its
 /// boundary (`µs`, the boundary stated against the tile: its share, of
 /// which ± 0.03 is below what two timings resolve), the steady and the
 /// boundary cost of a point-update (`ns/u`, the boundary's stated against
@@ -2216,48 +2237,107 @@ fn dims_shape([x, y, z]: [usize; 3]) -> String {
 /// constant; ≈ 20 means the boundary code is calling libm `fma`). Rows
 /// are produced for the AVX2 and AVX-512 engines (where the CPU has them;
 /// AVX-512 for the kinds with an eight-lane sweep) and the portable one.
-/// The 1-D kinds are left out: their boundary is 27 points per level of a
-/// 65536-point tile, which this method cannot see. A row measured again
-/// ([`Table::remeasure`]) is fitted again, all four together.
+/// A row measured again ([`Table::remeasure`]) is fitted again, all four
+/// together.
 pub fn ablate_boundary(scale: usize) -> Table {
     let d = scale.max(1);
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
+    let (n1, nl) = ((8192 / d).max(512), (16384 / d).max(256));
     let mut rows = vec![];
     for engine in forced_engines() {
         for k in kinds_on(engine) {
             let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
-            rows.extend(boundary_rows(k, engine, dims));
+            rows.extend(boundary_rows(Source::Slab(k, dims), engine));
+        }
+        for (line, n) in [(Line::Heat1d, n1), (Line::Gs1d, n1), (Line::Lcs, nl)] {
+            rows.extend(boundary_rows(Source::Line(line, n), engine));
         }
     }
     Table {
         title: format!(
-            "# ablate-boundary — where the time goes in a tile (base: 2-D {n2}², 3-D {n3}³; \
-             fitted against 10× the outer extent; vs = boundary share of the tile, boundary \
-             over steady cost of a point-update)"
+            "# ablate-boundary — where the time goes in a tile (base: 2-D {n2}², 3-D {n3}³, \
+             1-D {n1} x 32 steps, LCS {}x{nl}; fitted against 10× the outer extent; vs = \
+             boundary share of the tile, boundary over steady cost of a point-update)",
+            LCS_ROWS
         ),
         rows,
         again: Some(|r| {
             // Panic-justification: every row of this table has a source.
-            let (k, engine, dims) = r.source.expect("boundary rows know their source");
-            boundary_rows(k, engine, dims)
+            let (source, engine) = r.source.expect("boundary rows know their source");
+            boundary_rows(source, engine)
         }),
     }
 }
 
-/// The rows of [`ablate_boundary`] for `kind` on `engine` at `dims`.
-fn boundary_rows(k: &'static SlabKind, engine: Engine, dims: [usize; 3]) -> Vec<Row> {
-    let vl = k.lanes(engine);
-    let ([t1, _], [per_slab, _]) = tile_and_slab(k, dims, engine);
-    let x_max = (dims[0] + 1 - vl * SLAB_STRIDE) as f64;
-    let boundary = t1 - per_slab * x_max;
-    let updates_per_slab = (vl * k.inner(dims)) as f64;
+/// The DP rows of `ablate-boundary`'s LCS tables, the ledger's: 64 bands
+/// of sixteen lanes share a run's fixed cost at any `--scale`.
+const LCS_ROWS: usize = 1024;
+
+/// One tile of the 1-D kind `line` at outer extent `n` on `engine` (LCS:
+/// one band of a [`LCS_ROWS`] `× n` table): `(seconds, VL, s, e)`, the
+/// stride the engine defaults to and the kind's reach east.
+fn line_tile(line: Line, n: usize, engine: Engine) -> (f64, usize, usize, usize) {
+    let problem = match line {
+        Line::Heat1d => Problem::heat1d(n, 32, Heat1dCoeffs::classic(0.25)),
+        Line::Gs1d => Problem::gs1d(n, 32, Gs1dCoeffs::classic(0.25)),
+        Line::Lcs => {
+            let (s, vl) = (2, tempora_core::lcs::vl(engine));
+            let [best] = lcs_runs(LCS_ROWS, n, s, &[engine])[..] else {
+                unreachable!("one run per engine")
+            };
+            return (best.secs / (LCS_ROWS / vl) as f64, vl, s, 0);
+        }
+    };
+    let [ref run] = engine_runs(&problem, &[engine])[..] else {
+        unreachable!("one run per engine")
+    };
+    let s = match line {
+        Line::Gs1d => tempora_core::kernels::GsKern1d::default_stride(engine),
+        _ => tempora_core::kernels::JacobiKern1d::default_stride(engine),
+    };
+    (run.best.secs / (32 / run.vl) as f64, run.vl, s, 1)
+}
+
+/// The rows of [`ablate_boundary`] for `source` on `engine`.
+fn boundary_rows(source: Source, engine: Engine) -> Vec<Row> {
+    // Seconds per tile at the base extent, per steady anchor (the slope
+    // to 10×), the steady anchors `x_max` and the point-updates of one.
+    let (name, shape, t1, per_anchor, x_max, n, per_update) = match source {
+        Source::Slab(k, dims) => {
+            let vl = k.lanes(engine);
+            let ([t1, _], [per_slab, _]) = tile_and_slab(k, dims, engine);
+            let x_max = dims[0] + 1 - vl * SLAB_STRIDE;
+            let shape = dims_shape(dims);
+            (
+                k.name,
+                shape,
+                t1,
+                per_slab,
+                x_max,
+                dims[0],
+                vl * k.inner(dims),
+            )
+        }
+        Source::Line(line, n) => {
+            let (t1, vl, s, e) = line_tile(line, n, engine);
+            let (t10, ..) = line_tile(line, 10 * n, engine);
+            let (name, shape) = match line {
+                Line::Heat1d => ("heat1d", format!("{n}")),
+                Line::Gs1d => ("gs1d", format!("{n}")),
+                Line::Lcs => ("lcs", format!("{LCS_ROWS}x{n}")),
+            };
+            let per_anchor = (t10 - t1) / (9 * n) as f64;
+            (name, shape, t1, per_anchor, n + e - vl * s, n, vl)
+        }
+    };
+    let boundary = t1 - per_anchor * x_max as f64;
     let row = Row {
-        source: Some((k, engine, dims)),
-        ..Row::new("ablate-boundary", k.name, engine.name(), &dims_shape(dims))
+        source: Some((source, engine)),
+        ..Row::new("ablate-boundary", name, engine.name(), &shape)
     };
     let tile = row.reads("tile µs", t1 * 1e6);
-    let steady = row.reads("steady ns/u", per_slab * 1e9 / updates_per_slab);
-    let boundary_ns = boundary * 1e9 / (updates_per_slab * (vl * SLAB_STRIDE - 1) as f64);
+    let steady = row.reads("steady ns/u", per_anchor * 1e9 / per_update as f64);
+    let boundary_ns = boundary * 1e9 / (per_update * (n - x_max)) as f64;
     vec![
         row.reads("boundary µs", boundary * 1e6).against(&tile),
         tile,
@@ -2297,7 +2377,7 @@ fn steady_rows(kind: &'static SlabKind, engine: Engine, dims: [usize; 3], label:
         (kind.name, engine.name(), "port bound".into(), "c/v")
     };
     let row = Row {
-        source: Some((kind, engine, dims)),
+        source: Some((Source::Slab(kind, dims), engine)),
         ..Row::new("ablate-rows", kind.name, engine.name(), &shape)
     };
     let cycles_per_vector = row.reads("c/v", cycles / updates * vl as f64);
@@ -2365,7 +2445,9 @@ pub fn ablate_rows() -> Table {
         again: Some(|r| {
             // Panic-justification: every measured row of this table has a
             // source; a `port bound` row is never over its limit.
-            let (kind, engine, dims) = r.source.expect("steady rows know their source");
+            let Some((Source::Slab(kind, dims), engine)) = r.source else {
+                unreachable!("steady rows know their slab kind")
+            };
             let label = r.shape.split(' ').next().unwrap_or_default();
             steady_rows(kind, engine, dims, label)
         }),
@@ -2689,7 +2771,7 @@ mod tests {
 
     #[test]
     fn remeasure_keeps_the_better_reading_within_its_budget() {
-        let source = Some((&SLAB_KINDS[0], Engine::Avx2, [1, 1, 1]));
+        let source = Some((Source::Slab(&SLAB_KINDS[0], [1, 1, 1]), Engine::Avx2));
         let over = Row {
             source,
             ..limited(row("heat2d", "avx2", "c/v", 5.0), Limit::AtMost(2.0))

@@ -72,8 +72,8 @@
 //! # One codegen context per resolved engine
 //!
 //! The resolved [`Engine`] names more than the steady state: every
-//! [`KernelSpace`] method takes it and runs *everything* — sweep prologue
-//! and epilogue, remainder scalar steps, the spatial multi-load steps — in
+//! [`KernelSpace`] method takes it and runs *everything* — a sweep's front
+//! and back, remainder scalar steps, the spatial multi-load steps — in
 //! that engine's codegen context ([`Engine::codegen`]). The phase
 //! functions, steady states included, are one `#[inline(always)]` source,
 //! instantiated once for baseline x86-64 with `Packs` and once inside
@@ -363,11 +363,12 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
 
     /// The anchors `xs ⊆ 1 ..= x_max` (`x_max = nx + 1 - VL·s`,
     /// `VL = vl(engine)`) of one temporal sweep — `VL` levels, in place —
-    /// with the resolved `engine` (bit-identical either way): the prologue
-    /// when `xs` starts at 1, the steady state over `xs`, the epilogue
-    /// when `xs` ends at `x_max`. Touches the slabs from `xs.start()`
-    /// (from ghost slab 0 with the prologue) to `xs.end() + VL·s` (to
-    /// ghost slab `nx + 1` with the epilogue), which `a` must hold. `sc`
+    /// with the resolved `engine` (bit-identical either way): the sweep's
+    /// front (the slab prologue, the 1-D masked front) when `xs` starts at
+    /// 1, the steady state over `xs`, its back when `xs` ends at `x_max`.
+    /// Touches the slabs from `xs.start()` (from ghost slab 0 with the
+    /// front) to `xs.end() + VL·s` (to ghost slab `nx + 1` with the back),
+    /// which `a` must hold. `sc`
     /// must come from [`KernelSpace::scratch`] for the same engine; a
     /// `std::arch` engine needs a CPU with its features. `COUNT` turns on
     /// the steady state's reorganization-op accounting
@@ -545,38 +546,35 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         spatial::step_1d(engine, src, dst, xs, self);
     }
 
-    /// 1024 points for GS-1D, 4096 for Heat-1D — measured, not derived.
-    /// `repro ablate-vl` times both widths at their default strides over
-    /// lines of 128 … 4096 points at 32, 12 and 9 steps; each value is the
-    /// smallest power of two at which eight lanes ran faster in every
-    /// reading at the step counts that leave them no more scalar levels
-    /// (2-vCPU AVX-512 container, eight over four lanes, 32 / 9 steps:
-    /// GS-1D 0.76–0.81 / 0.83–0.84 at 256 points, 0.94–1.03 / 0.97–1.01 at
-    /// 512, 1.15–1.28 / 1.06–1.13 at 1024; Heat-1D 0.78–0.91 / 0.84–0.94 at
-    /// 1024, 0.92–1.07 / 0.93–1.05 at 2048, 1.04–1.20 / 1.05–1.12 at 4096;
-    /// at 12 steps, four scalar levels against none, 0.29–0.60 everywhere;
-    /// README, "Eight lanes", has the table). The power of two below each
-    /// is break-even. Below it the scalar prologue and epilogue of every
-    /// sweep — triangles of `s·VL(VL-1)/2` cells each, 364 at eight lanes
-    /// and `s = 13` against 60 at four and `s = 10` — outweigh the wider
-    /// steady state; GS-1D, whose steady state gains 1.8× at eight lanes
-    /// against Heat-1D's 1.3×, crosses over four times earlier. Both lie
-    /// above `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane
-    /// schedule at every stride.
+    /// 1024 points for GS-1D, 4096 for Heat-1D: the smallest powers of two
+    /// at which eight lanes beat four in every `repro ablate-vl` reading
+    /// while a sweep's ends were scalar triangles, `s·VL(VL-1)/2` cells
+    /// each — 364 at eight lanes and `s = 13`, 60 at four and `s = 10`.
+    /// The masked ends cost `(2·VL-1)·s` vector iterations instead, and
+    /// the same rows (2-vCPU AVX-512 container, three runs, eight over four
+    /// lanes at 32 / 9 steps) now read GS-1D 1.35–1.37 / 1.12–1.18 at 128
+    /// points and 1.52–1.61 / 1.22–1.25 at 512, Heat-1D 1.09–1.16 /
+    /// 1.05–1.27 at 256 and 1.28–1.33 / 1.16–1.22 at 2048 (at 12 steps,
+    /// four scalar levels against none, 0.3–0.7 everywhere): both
+    /// crossovers lie lower now, and `ablate-vl`'s shape rows fail until
+    /// they move (with the oracle's literals). Both values lie above
+    /// `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane schedule
+    /// at every stride.
     fn wide_min_nx() -> Option<usize> {
         Some(if K::IS_GS { 1024 } else { 4096 })
     }
 
     /// The smallest register-specialised stride within 3 % of the kind's
     /// plateau on `engine` in `repro ablate-stride` at this repo's
-    /// benchmark geometry (a unit test of `tempora_plan` ties each to its
+    /// benchmark geometry (65536 points × 32 steps, where the boundary is
+    /// a few per mille; a unit test of `tempora_plan` ties each to its
     /// engine's specialised set: `t1d_avx2::REGISTER_STRIDES` /
     /// `ZMM_REGISTER_STRIDES`). At four lanes Heat-1D's chain advances
-    /// `s - 1` iterations per hop and levels off at 10; at eight
-    /// ([`Engine::Avx512`]) it levels off at 13 (4.2 cycles per vector
-    /// against 4.5 at 7–12, and no slower than 10 on the served 4096
-    /// points). GS-1D is bound by its output chain from 7 at either width,
-    /// and a wider stride would only raise the skew tiling's minimum block.
+    /// `s - 1` iterations per hop and levels off from 9 (10 reads 0.97 of
+    /// the best); at eight ([`Engine::Avx512`]) 13 reads 0.97–0.98 against
+    /// 0.85–0.94 at 7–12. GS-1D is bound by its output chain from 7 (0.99
+    /// at four lanes, 0.94–0.95 at eight), and a wider stride would only
+    /// raise the skew tiling's minimum block.
     fn default_stride(engine: Engine) -> usize {
         match (K::IS_GS, engine) {
             (true, _) => 7,
@@ -975,19 +973,33 @@ pub(crate) mod tests {
         // ones and the rolled ring — against every way the unrolled
         // `R = s + 1` chunks can end: a steady state of one iteration
         // (`n = VL·s`), whole chunks, and chunks plus 1 or `R - 1`
-        // remainder iterations; and one cell short of a vector tile
-        // (`n = VL·s - 1`: scalar steps only). Whole tiles and parts, every
-        // engine of the host at its own lane count (`steps` a sweep, two,
-        // and 13: sweeps plus a scalar remainder at either width).
+        // remainder iterations; one cell short of a vector tile
+        // (`n = VL·s - 1`: scalar steps only); and lines of `VL·s + 1 ..=
+        // 2·VL·s + 1` cells, where the masked front and back meet inside
+        // one part. Whole tiles and tiles cut at half their steady
+        // anchors, then parts, every engine of the host at its own lane
+        // count (`steps` a sweep, two, and 13: sweeps plus a scalar
+        // remainder at either width).
         for engine in engines() {
             let vl = JacobiKern1d::vl(engine);
             for s in 2..=<JacobiKern1d as KernelSpace>::MAX_STRIDE {
                 let r = s + 1;
-                for x_max in [0, 1, 3 * r, 3 * r + 1, 4 * r - 1] {
+                for x_max in [
+                    0,
+                    1,
+                    2,
+                    3 * r,
+                    3 * r + 1,
+                    4 * r - 1,
+                    vl * s / 2 + 2,
+                    vl * s + 2,
+                ] {
                     let n = x_max + vl * s - 1;
                     for steps in [vl, 2 * vl, 13] {
                         let g = heat1d(n, (n + steps) as u64);
-                        both_1d_kinds(engine, &g, steps, s, n, "whole");
+                        for cut in [n, x_max.div_ceil(2).max(1)] {
+                            both_1d_kinds(engine, &g, steps, s, cut, &format!("cut={cut}"));
+                        }
                     }
                 }
                 // Parts: a sweep cut every `4·R + rem` anchors enters the

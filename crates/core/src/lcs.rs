@@ -32,30 +32,32 @@
 //!
 //! A *band* is `VL` consecutive DP rows, advanced by one temporal sweep
 //! of the row — the 1-D sweep of [`crate::t1d`], the one Heat-1D and
-//! GS-1D run: the scalar prologue (the head triangles, from column 1
-//! with the table's zero west edge), the steady state over the anchors
+//! GS-1D run: the masked front (whose lanes left of column 1 keep the
+//! table's zero west edge), the steady state over the anchors
 //! `1 ..= y_max` (`y_max = lb - VL·s`: no old east operand, so one anchor
-//! less than a 3-point kernel's) and the scalar epilogue (the tail
-//! triangles up to column `lb`). [`sweep`] runs any range `ys` of those
-//! anchors — the prologue when `ys` starts at 1, the epilogue when it ends
-//! at `y_max` — and leaves everything the sweep has in flight (the ring
-//! of `s + 1` input vectors and the last output vector) in its scratch, a
+//! less than a 3-point kernel's) and the masked back (whose lanes past
+//! column `lb` are discarded) — `(2·VL-1)·s` vector iterations where the
+//! scalar triangles were `VL(VL-1)·s` cells. [`sweep`] runs any range
+//! `ys` of the steady anchors — the front when `ys` starts at 1, the back
+//! when it ends at `y_max` — and leaves the ring of `s + 1` input vectors
+//! and the last output vector in its scratch, a
 //! [`crate::t1d::Scratch1d`], so the parts of one sweep can run as
-//! separate tasks in ascending order, as the grid kinds' sweeps do. That
-//! is how `tempora_tiling::LcsRect` cuts the table into block columns:
-//! one sweep per band, resumed at each block boundary, with no per-block
-//! triangles. What LCS brings to that sweep is its kernel: the band's
-//! `A`, `B` and `B`'s lane layout, its scalar update and its steady state.
+//! separate tasks in ascending order. That is how
+//! `tempora_tiling::LcsRect` cuts the table into block columns: one sweep
+//! per band, resumed at each block boundary. What LCS brings to that
+//! sweep is its kernel: the band's `A`, `B`'s lane layout, its vector
+//! update and its steady state.
 //!
 //! # `B` from a lane layout
 //!
 //! Lane `l` of `B(y)` is `b[y - 1 + (VL-1-l)·s]`. In the reversed
 //! sequence split into its `s` residue classes and widened to `i32`
-//! ([`BLanes`]), the `VL` characters of every `B(y)` are contiguous, so
-//! the strides whose ring lives in registers
-//! ([`crate::lcs_avx2::REGISTER_STRIDES`]) read each `B(y)` with one
-//! contiguous load, which folds into the compare. The layout is built
-//! once per run, in `O(lb)`. Wider strides keep the strided byte load.
+//! ([`BLanes`], padded at both ends for the masked lanes), the `VL`
+//! characters of every `B(y)` are contiguous: one load, which folds into
+//! the compare at the strides whose ring lives in registers
+//! ([`crate::lcs_avx2::REGISTER_STRIDES`]). Wider strides' steady state
+//! keeps the strided byte load. The layout is built once per run, in
+//! `O(lb)`.
 //!
 //! # One steady state, three engines
 //!
@@ -96,19 +98,20 @@ pub fn vl(engine: Engine) -> usize {
 }
 
 /// The narrowest `B` at which `Select::Auto` runs LCS at sixteen lanes:
-/// measured, not derived. Untiled `n × n` tables at stride 2, sixteen
-/// over eight lanes, read 0.70–0.72 at 128, 0.81–0.88 at 256, 0.99–1.18
-/// at 512, 1.27–1.42 at 1024, 1.54–1.72 at 2048 and 2.02–2.32 at 8192
-/// (2-vCPU AVX-512 container, five runs of `repro ablate-vl`, which prints
-/// the rows): the smallest power of two that won every reading. Below it
-/// the sixteen-lane head and tail triangles, four times the eight-lane
-/// ones, outweigh the steady state.
+/// the smallest power of two at which sixteen lanes beat eight in every
+/// `repro ablate-vl` reading (untiled `n × n` at stride 2) while a band's
+/// ends were scalar triangles, four times wider at sixteen lanes than at
+/// eight: 0.70–0.72 at 128, 0.99–1.18 at 512, 1.27–1.42 at 1024. With
+/// the ends masked the same rows (2-vCPU AVX-512 container, three runs)
+/// read 1.2–1.35 at 128, 1.6–1.9 at 256, 2.0–2.1 at 512 and 2.2–2.5 from
+/// 1024 on: the crossover lies below 128 now, and `ablate-vl`'s shape
+/// rows fail until it moves (with the oracle's literals).
 pub const WIDE_MIN_LB: usize = 1024;
 
 /// True when a band sweep of `vl` rows fits an `la × lb` table whose
 /// columns are cut every `yblock`: a whole band exists (`la ≥ vl`) and
 /// **every** block column — the ragged last one included — is wider than
-/// `vl·s`, so each holds at least one anchor and the epilogue's columns
+/// `vl·s`, so each holds at least one anchor and the masked back's columns
 /// `(lb - vl·s, lb]` lie in the last one. A stride whose `vl·s` exceeds
 /// every column, however large, does not fit.
 ///
@@ -126,33 +129,38 @@ pub fn bands_fit(vl: usize, la: usize, lb: usize, yblock: usize, s: usize) -> bo
 /// parts of one band hand each other, reusable by the next band.
 pub type Scratch = ScratchVl<Scratch1d<i32, VL>, Scratch1d<i32, WIDE_VL>>;
 
-/// `B` as the register-ring steady state reads it: the reversed sequence
-/// `r[i] = b[lb-1-i]`, split into its `s` residue classes, each widened to
-/// `i32` and padded to `⌈lb/s⌉` — `data[c·⌈lb/s⌉ + k] = r[c + k·s]`. Lane `l`
-/// of `B(y)` is `r[base + l·s]` with `base = lb - y - (VL-1)·s`, so `B(y)`
-/// is `VL` consecutive values of one class, whatever the lane count.
-/// Empty for a stride outside [`crate::lcs_avx2::REGISTER_STRIDES`]: the
-/// rolled loop loads its characters strided.
+/// `B` as a band's vector updates read it: the reversed sequence padded
+/// by `pad = (WIDE_VL-1)·s` zeros at both ends, `r[pad + i] = b[lb-1-i]`,
+/// split into its `s` residue classes, each widened to `i32` and `class`
+/// long — `data[c·class + k] = r[c + k·s]`. The characters at the anchor
+/// whose lane 0 lies at column `u`, `b[u - 1 - l·s]` in lane `l`, are then
+/// `VL` consecutive values of one class from `j = pad + lb - u` on: one
+/// load, for the steady state at [`crate::lcs_avx2::REGISTER_STRIDES`] and
+/// the masked ends at every stride (whose outer lanes read the padding).
+/// Empty where no eight-lane band fits a row of `lb` columns.
 #[derive(Clone, Debug, Default)]
 pub struct BLanes {
     s: usize,
     lb: usize,
-    /// `⌈lb/s⌉`: the padded length of a residue class.
+    pad: usize,
+    /// `⌈(lb + 2·pad)/s⌉`: the length of a residue class.
     class: usize,
     data: Vec<i32>,
 }
 
 impl BLanes {
     /// Allocate the layout of a `B` of `lb` characters at stride `s`
-    /// (nothing outside [`crate::lcs_avx2::REGISTER_STRIDES`]).
+    /// (nothing where `VL·s ≥ lb`).
     pub fn new(lb: usize, s: usize) -> Self {
-        if !crate::lcs_avx2::REGISTER_STRIDES.contains(&s) {
+        if VL.saturating_mul(s) >= lb {
             return BLanes::default();
         }
-        let class = lb.div_ceil(s);
+        let pad = (WIDE_VL - 1) * s;
+        let class = (lb + 2 * pad).div_ceil(s);
         BLanes {
             s,
             lb,
+            pad,
             class,
             data: vec![0; s * class],
         }
@@ -169,7 +177,7 @@ impl BLanes {
         assert_eq!(b.len(), self.lb, "B does not match its layout");
         for (c, class) in self.data.chunks_exact_mut(self.class).enumerate() {
             for (k, v) in class.iter_mut().enumerate() {
-                let i = c + k * self.s;
+                let i = (c + k * self.s).wrapping_sub(self.pad);
                 *v = if i < self.lb {
                     b[self.lb - 1 - i] as i32
                 } else {
@@ -179,13 +187,15 @@ impl BLanes {
         }
     }
 
-    /// Index of lane 0 of `B(y)` at `vl` lanes. Valid for
-    /// `1 ≤ y ≤ lb - (vl-1)·s`: the `vl` values from it on are then
-    /// `b[y-1 + (vl-1-l)·s]` for `l = 0 ..`, all inside their class.
+    /// Index of lane 0 of the characters at the anchor whose lane 0 lies
+    /// at column `u` (`B(y)` at `vl` lanes for `u = y + (vl-1)·s`). Valid
+    /// for `1 ≤ u ≤ lb + (vl-1)·s`, `vl ≤` [`WIDE_VL`]: the `vl` values
+    /// from it on are then `b[u - 1 - l·s]` for `l = 0 ..`, or padding
+    /// where that leaves `B`, all inside their class.
     #[inline(always)]
-    fn at(&self, vl: usize, y: usize) -> usize {
-        let base = self.lb - y - (vl - 1) * self.s;
-        base % self.s * self.class + base / self.s
+    fn at(&self, u: usize) -> usize {
+        let j = self.pad + self.lb - u;
+        j % self.s * self.class + j / self.s
     }
 }
 
@@ -217,13 +227,13 @@ pub fn scalar_row_step_seg(
 
 /// The anchors `ys ⊆ 1 ..= y_max` (`y_max = b.len() - VL·s`, `VL =`
 /// [`vl`]`(engine)`) of one band sweep with the resolved `engine`
-/// (bit-identical either way): the prologue when `ys` starts at 1, the
-/// steady state over `ys`, the epilogue when `ys` ends at `y_max`.
+/// (bit-identical either way): the masked front when `ys` starts at 1,
+/// the steady state over `ys`, the masked back when `ys` ends at `y_max`.
 ///
 /// * `row` holds `lcs[x0][·]` on entry and `lcs[x0+VL][·]` on exit of the
-///   whole sweep; a part writes `row[y]` for `y ∈ ys` (and the epilogue
-///   `(y_max, lb]`), and reads `row` from `ys.start()` (from column 0
-///   with the prologue) to `ys.end() + VL·s`;
+///   whole sweep; a part writes `row[y]` for `y ∈ ys` (and the masked
+///   back `(y_max, lb]`), and reads `row` from `ys.start()` (from column 0
+///   with the masked front) to `ys.end() + VL·s`;
 /// * `a_band` = `A[x0+1 ..= x0+VL]`; `b` is the whole second sequence and
 ///   `bl` its [`BLanes`] at stride `s`, filled;
 /// * `sc` comes from [`Scratch::new`] for the same engine and stride and
@@ -247,37 +257,60 @@ pub fn sweep(
     sc: &mut Scratch,
 ) {
     assert!(a_band.len() == vl(engine) && row.len() == b.len() + 1);
-    let band = Band { a_band, b, bl };
+    let band = Band::new(a_band, b, bl);
     t1d::sweep::<i32, VL, WIDE_VL, false, _>(engine, row, 0, b.len(), band, s, sc, ys);
 }
 
-/// The LCS kernel of one band: `A[x0+1 ..= x0+VL]`, the whole `B` and
-/// `B`'s lane layout — the recurrence's variable coefficients (§3.4). In a
-/// [`Form`] it is the [`Line`] the 1-D sweep runs a band with.
+/// The LCS kernel of one band: `A[x0+1 ..= x0+VL]`, `B` and its lane
+/// layout, the recurrence's variable coefficients (§3.4); in a [`Form`],
+/// the [`Line`] the 1-D sweep runs a band with.
 #[derive(Clone, Copy)]
 pub(crate) struct Band<'a> {
-    a_band: &'a [u8],
+    /// Lane `i`: `A[x0+1+i]` (the first `VL` of [`WIDE_VL`]).
+    a: Pack<i32, WIDE_VL>,
     b: &'a [u8],
     bl: &'a BLanes,
 }
 
+impl<'a> Band<'a> {
+    /// The band `a_band` over `b`, laid out in `bl`.
+    pub(crate) fn new(a_band: &[u8], b: &'a [u8], bl: &'a BLanes) -> Self {
+        let a = Pack::from_fn(|i| a_band.get(i).map_or(0, |&c| c as i32));
+        Band { a, b, bl }
+    }
+
+    /// The per-band constant of the update at `VL` lanes.
+    #[inline(always)]
+    fn a_vec<const VL: usize, L: I32Lanes<VL>>(&self, isa: L) -> L::V {
+        isa.load(Pack::from_fn(|i| self.a.0[i]))
+    }
+}
+
 /// LCS on the 1-D sweep: no old east operand (stride 1 is legal), the
-/// level-`k` update at column `y` compares `A[x0+k]` with `B[y-1]`, and the
-/// steady state `O(y) = select(eq, diag + 1, max(up, left))` over the
-/// anchors `y ∈ [y0, y1]` of a whole row (`first = 0`), in `isa`'s
-/// registers — the one dispatch on the stride. The strides in
-/// [`crate::lcs_avx2::REGISTER_STRIDES`] run `ring_regs`, whatever the
-/// register form. Wider ones run the rolled loop below, which keeps the
-/// ring in scratch at one read and one write per iteration — the write at
-/// column `y` lands in the very slot the diagonal operand was read from
-/// (`y+s ≡ y-1 mod s+1`), so `diag` is the previous iteration's `up`
-/// vector, carried in a register — and loads the characters strided.
+/// update `O(y) = select(eq, diag + 1, max(up, left))` with lane `i`
+/// comparing `A[x0+1+i]` and `B(y)`'s lane from [`BLanes`], and the
+/// steady state over the anchors `y ∈ [y0, y1]` of a whole row
+/// (`first = 0`), in `isa`'s registers — the one dispatch on the stride.
+/// The strides in [`crate::lcs_avx2::REGISTER_STRIDES`] run `ring_regs`,
+/// whatever the register form. Wider ones run the rolled loop below, which
+/// keeps the ring in scratch at one read and one write per iteration — the
+/// write at column `y` lands in the very slot the diagonal operand was
+/// read from (`y+s ≡ y-1 mod s+1`), so `diag` is the previous iteration's
+/// `up` vector, carried in a register — and loads the characters strided.
 impl<const VL: usize, L: I32Lanes<VL>> Line<i32, VL> for Form<Band<'_>, L> {
     const MIN_STRIDE: usize = 1;
+    type Isa = L;
 
     #[inline(always)]
-    fn scalar(&self, k: usize, y: usize, left: i32, diag: i32, up: i32, _: i32) -> i32 {
-        lcs_update(diag, up, left, self.0.a_band[k - 1], self.0.b[y - 1])
+    fn isa(&self) -> L {
+        self.1
+    }
+
+    #[inline(always)]
+    fn update(&self, u: usize, left: L::V, diag: L::V, up: L::V, _: L::V) -> L::V {
+        let Form(band, isa) = self;
+        let b_vec = isa.load_i32(&band.bl.data, band.bl.at(u));
+        lcs_update_pack(*isa, diag, up, left, band.a_vec(*isa), b_vec)
     }
 
     #[inline(always)]
@@ -292,9 +325,8 @@ impl<const VL: usize, L: I32Lanes<VL>> Line<i32, VL> for Form<Band<'_>, L> {
         y1: usize,
     ) -> Pack<i32, VL> {
         debug_assert_eq!(first, 0, "a band sweeps a whole row");
-        let Form(Band { a_band, b, bl }, isa) = *self;
-        // Per-band constant: lane i compares against A[x0+1+i].
-        let a_vec = isa.load(Pack::from_fn(|i| a_band[i] as i32));
+        let Form(band, isa) = *self;
+        let (a_vec, b, bl) = (band.a_vec(isa), band.b, band.bl);
         let o_prev = isa.load(o_prev);
         let o_prev = match s {
             1 => ring_regs::<1, 2, VL, L>(isa, row, y0, y1, a_vec, bl, ring, o_prev),
@@ -331,7 +363,7 @@ impl<const VL: usize, L: I32Lanes<VL>> Line<i32, VL> for Form<Band<'_>, L> {
 /// produces (`y+S ≡ y-1 mod R`). Slot `j` always holds a `V(m)` with
 /// `m ≡ y0-1+j (mod R)`, wherever the sweep stops, so the ring is read
 /// from scratch before the loop and written back after it for the next
-/// part or the epilogue; the last output vector is returned.
+/// part or the masked back; the last output vector is returned.
 ///
 /// `B(y)` is one contiguous load from the lane layout `bl`: for the
 /// iteration `k = m·S + j` of a chunk it starts `m` values before
@@ -361,7 +393,7 @@ fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
     for (j, v) in v.iter_mut().enumerate() {
         *v = isa.load(ring[(y0 - 1 + j) % R]);
     }
-    let mut at: [usize; S] = core::array::from_fn(|j| bl.at(VL, y0 + j));
+    let mut at: [usize; S] = core::array::from_fn(|j| bl.at(y0 + j + (VL - 1) * S));
     let data = &bl.data[..];
     let mut y = y0;
     'sweep: loop {
@@ -371,8 +403,8 @@ fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
             }
             let b = at[k % S] - k / S;
             // SAFETY: `1 ≤ y ≤ y1`, so `y`, `y + VL·S` (in `row`) and
-            // `b .. b + VL` — `B(y)`'s lanes, `b = BLanes::at(VL, y)` —
-            // are in bounds by the hoisted assert above.
+            // `b .. b + VL` — `B(y)`'s lanes, `b = BLanes::at(y +
+            // (VL-1)·S)` — are in bounds by the hoisted assert above.
             let (b_vec, bottom) = unsafe {
                 let b_vec = isa.load_i32(data.get_unchecked(b..b + VL), 0);
                 (b_vec, *row.get_unchecked(y + VL * S))
@@ -508,7 +540,7 @@ pub(crate) mod tests {
             bl.fill(b);
             for a_band in a.chunks_exact(VL) {
                 let ys = 1..=b.len() - VL * s;
-                let band = Form(Band { a_band, b, bl: &bl }, isa);
+                let band = Form(Band::new(a_band, b, &bl), isa);
                 let lb = b.len();
                 t1d::sweep_body::<i32, VL, false, false, _>(&mut row, 0, lb, &band, s, &mut sc, ys);
             }
@@ -657,26 +689,31 @@ pub(crate) mod tests {
 
     #[test]
     fn lane_layout_is_b_at_every_anchor() {
-        // `B(y)`'s lanes from the layout are the strided characters, at
-        // both lane counts and both register strides, for every anchor.
+        // The characters a band's update reads from the layout are the
+        // strided characters of `B` at both lane counts, for every anchor
+        // of a sweep — the masked ends' included, whose lanes past either
+        // end of `B` read the zero padding — at the register strides and
+        // the rolled ones.
         let b = random_sequence(203, 251, 3);
-        for s in crate::lcs_avx2::REGISTER_STRIDES {
+        for s in [1, 2, 3, 17] {
             let mut bl = BLanes::new(b.len(), s);
             bl.fill(&b);
-            assert_eq!(bl.data.len(), s * b.len().div_ceil(s));
+            let padded = b.len() + 2 * (WIDE_VL - 1) * s;
+            assert_eq!(bl.data.len(), s * padded.div_ceil(s));
             for vl in [VL, WIDE_VL] {
-                for y in 1..=b.len() - vl * s {
-                    let at = bl.at(vl, y);
+                for u in 1..=b.len() + (vl - 1) * s {
+                    let at = bl.at(u);
                     for l in 0..vl {
-                        let want = b[y - 1 + (vl - 1 - l) * s] as i32;
-                        assert_eq!(bl.data[at + l], want, "s={s} vl={vl} y={y} lane {l}");
+                        let at_b = (u - 1).checked_sub(l * s);
+                        let want = at_b.and_then(|i| b.get(i)).map_or(0, |&c| c as i32);
+                        assert_eq!(bl.data[at + l], want, "s={s} vl={vl} u={u} lane {l}");
                     }
                 }
             }
         }
-        // No layout where the rolled loop runs, and none for a stride no
-        // row reaches.
-        assert!(BLanes::new(1000, 3).data.is_empty());
-        assert!(BLanes::new(1000, usize::MAX / 4 + 2).data.is_empty());
+        // No layout for a stride no eight-lane band reaches.
+        for s in [b.len().div_ceil(VL), usize::MAX / 4 + 2] {
+            assert!(BLanes::new(b.len(), s).data.is_empty(), "s={s}");
+        }
     }
 }

@@ -18,10 +18,11 @@
 //! | [`spatial`] | kernel-generic multi-load steps (the "auto" in-tile kernel) |
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!
-//! Every sweep is the same three phases — scalar prologue, vector steady
-//! state, scalar epilogue — and can be cut between any two anchors of its
-//! steady state and resumed, which is how `tempora-tiling` pipelines
-//! sweeps through one array. The phases — the steady state included, which
+//! Every sweep is the same three phases — a front, the vector steady
+//! state, a back (the slab driver's scalar prologue and epilogue, the 1-D
+//! sweep's masked steady iterations) — and can be cut between any two
+//! anchors of its steady state and resumed, which is how `tempora-tiling`
+//! pipelines sweeps through one array. The phases — the steady state included, which
 //! is generic over the lane vocabulary it computes in
 //! ([`tempora_simd::Lanes`]) — are one `#[inline(always)]` source: the
 //! portable engine instantiates it for the baseline target with `Packs`,

@@ -29,48 +29,54 @@
 //!        ───────────────────────────────→ x
 //! ```
 //!
-//! A triangular **prologue** pre-computes levels `1..VL` near the left
-//! boundary scalar-wise (Algorithm 3 lines 2-4), the strided gather of
-//! lines 5-7 assembles the initial `s+1` input vectors, the steady-state
-//! loop runs `x = 1 ..= NX+1-VL·s`, and a triangular **epilogue** drains
-//! the surviving ring vectors and finishes the right edge scalar-wise
-//! (lines 16-22).
+//! The steady-state loop runs the anchors `x = 1 ..= NX+1-VL·s`, where
+//! every lane's cell lies in the grid. Where Algorithm 3 has scalar
+//! triangles (lines 2-7 and 16-22), the **ends are steady iterations
+//! too**, over the anchors `1-(VL-1)·s ..= 0` and `NX+2-VL·s ..= NX`, with
+//! **masked lanes**: a lane whose cell lies outside `1 ..= NX` takes the
+//! boundary value (one lane select per output vector), the halo the
+//! in-grid lanes read. Only a ring fill is left — lane 0 of the first
+//! `s+1` input vectors from `a[0 ..= s]`, the other lanes the boundary —
+//! and an in-grid lane runs the scalar update's fused tree on its
+//! operands, so the result is bit for bit the reference's.
 //!
 //! # Gauss-Seidel, and LCS
 //!
 //! For Gauss-Seidel stencils the newest-value west operand is lane-aligned
 //! in the *previous output vector* (§3.4): `O(x) = S(O(x-1), V(x),
-//! V(x+1))`. Everything else — prologue, production rule, epilogue — is
+//! V(x+1))`. Everything else — the masked ends, the production rule — is
 //! identical. LCS (§3.4, [`crate::lcs`]) is such a Gauss-Seidel stencil
 //! over one DP row, with `A` and `B` as variable coefficients and no old
 //! east operand, which is why its minimum stride is 1. The driver here
-//! serves all three: a kernel enters as a [`Line`] — its scalar update,
-//! told its level and cell, and its steady state — and its dependence
-//! reach, `MIN_STRIDE - 1` cells east, decides the last anchor
-//! (`n + 1 - VL·s` for the 3-point kernels, `n - VL·s` for LCS) and
-//! whether the epilogue reads past `n` and keeps a right halo.
+//! serves all three: a kernel enters as a [`Line`] — its vector update,
+//! told the cell of its lane 0, and its steady state — and its dependence
+//! reach, `MIN_STRIDE - 1` cells east, decides the last steady anchor
+//! (`n + 1 - VL·s` for the 3-point kernels, `n - VL·s` for LCS) and the
+//! value the back's masked lanes keep (the right halo of the 3-point
+//! kernels).
 //!
 //! # Single-array execution (§3.5)
 //!
 //! The sweep is **in place**: the store of `a[t+VL][x]` lands `VL·s` cells
 //! behind every remaining level-`t` read, so one array serves as both
 //! input and output and the memory traffic of Jacobi stencils halves.
-//! Intermediate levels `1..VL` exist only in vector registers plus `O(s)`
-//! scratch at the two boundaries, exactly as the paper prescribes.
+//! Intermediate levels `1..VL` exist only in vector registers and the
+//! ring of `s + 1` input vectors, at the boundaries too.
 //!
 //! # A sweep is resumable
 //!
 //! The steady state at `x` stores into `a[x]` and loads from
 //! `a[x + VL·s]`, so the anchors `1 ..= x_max` may be cut into **parts**
-//! run in ascending order: [`sweep_body`] is the primitive — the prologue when
-//! its range starts at anchor 1, the steady state over the range, the
-//! epilogue when it ends at `x_max` — and a whole tile is its one-part
-//! case. The ring of in-flight input vectors and the Gauss-Seidel output
-//! vector live in [`Scratch1d`] between parts; consecutive parts are the paper's
-//! §3.4 parallelogram tiles, and a part touches only the cells from its
-//! first anchor to `VL·s` past its last, which is what lets
-//! `tempora-tiling` run a second sweep through the same array close
-//! behind the first (and cut an LCS band at its block columns).
+//! run in ascending order: [`sweep_body`] is the primitive — the masked
+//! front when its range starts at anchor 1, the steady state over the
+//! range, the masked back when it ends at `x_max` — and a whole tile is
+//! its one-part case. The ring of in-flight input vectors and the
+//! Gauss-Seidel output vector live in [`Scratch1d`] between parts;
+//! consecutive parts are the paper's §3.4 parallelogram tiles, and a part
+//! touches only the cells from its first anchor to `VL·s` past its last,
+//! which is what lets `tempora-tiling` run a second sweep through the same
+//! array close behind the first (and cut an LCS band at its block
+//! columns).
 //! [`scalar_cells`] cuts the in-place scalar step the same way.
 //!
 //! # One steady state per kernel, one source, three codegen contexts
@@ -89,9 +95,8 @@
 //! portable engine, whose `mul_add` is a libm call either way. LCS brings
 //! its own (`lcs::ring_regs`), on the same ring.
 //!
-//! [`sweep_body`] and everything under it — `tile_prologue`,
-//! `tile_epilogue`, the steady states, [`scalar_cells`] — is
-//! `#[inline(always)]`: the portable engine instantiates it for baseline
+//! [`sweep_body`] and everything under it — `masked_end`, the steady
+//! states, [`scalar_cells`] — is `#[inline(always)]`: the portable engine instantiates it for baseline
 //! x86-64 with `Packs`, and [`crate::t1d_avx2`] instantiates the same
 //! source again with `Ymm` inside its
 //! `#[target_feature(enable = "avx2,fma")]` sandwich, where `mul_add` is
@@ -108,26 +113,18 @@ use crate::kernels::Kernel1d;
 use crate::t1d_avx2::{REGISTER_STRIDES, ZMM_REGISTER_STRIDES};
 use core::ops::RangeInclusive;
 use tempora_simd::count::{self, Op};
-use tempora_simd::{F64Lanes, Pack, Packs, Scalar};
+use tempora_simd::{F64Lanes, Lanes, Mask, Pack, Packs, Scalar};
 #[cfg(target_arch = "x86_64")]
 use {
     crate::engine::{ymm, zmm},
     crate::t1d_avx2,
 };
 
-/// Everything one sweep has in flight at stride `s`: what its phases and
-/// parts hand each other, reusable by the next sweep.
-///
-/// The boundary phases compute one level at a time from the level below,
-/// so two planes of `VL·s + 2` values are all they keep: the prologue's
-/// level `k` over `x ∈ 0 ..= (VL-k)·s` (entry 0 is the left boundary
-/// value), the epilogue's level `i` around the right edge, re-based at
-/// `x_max + (VL-1-i)·s` — `O(VL·s)` values at any lane count, where a
-/// plane per level would be `O(VL²·s)`.
+/// Everything one sweep has in flight at stride `s`: what its parts hand
+/// each other, reusable by the next sweep — `s + 1` input vectors and one
+/// output vector at any lane count, its masked ends included.
 pub struct Scratch1d<T, const VL: usize> {
-    /// The two planes, end to end.
-    planes: Vec<T>,
-    /// The in-flight input vectors: slot `j % (s+1)` holds `V(j)`.
+    /// The in-flight input vectors: slot `j mod (s+1)` holds `V(j)`.
     ring: Vec<Pack<T, VL>>,
     /// The last output vector `O(x)` of the anchors run so far (read by
     /// the Gauss-Seidel kernels).
@@ -138,7 +135,6 @@ impl<T: Scalar, const VL: usize> Scratch1d<T, VL> {
     /// Allocate scratch for stride `s`.
     pub fn new(s: usize) -> Self {
         Scratch1d {
-            planes: vec![T::ZERO; 2 * (VL * s + 2)],
             ring: vec![Pack::splat(T::ZERO); s + 1],
             o_prev: Pack::splat(T::ZERO),
         }
@@ -166,11 +162,25 @@ pub trait Line<T: Scalar, const VL: usize>: Copy {
     /// far east of its cell an update reads.
     const MIN_STRIDE: usize;
 
-    /// The scalar update of level `k ∈ 1 ..= VL` of the sweep at cell `x`:
-    /// `west` is the newest value at `x - 1` (Gauss-Seidel and LCS), `wm1,
-    /// w0, wp1` are level `k - 1` at `x - 1, x, x + 1` (for a kernel without
-    /// an old east operand, whose array ends at `n`, `wp1` is `w0` again).
-    fn scalar(&self, k: usize, x: usize, west: T, wm1: T, w0: T, wp1: T) -> T;
+    /// The register form it computes in.
+    type Isa: Lanes<T, VL>;
+
+    /// Its register form's token.
+    fn isa(&self) -> Self::Isa;
+
+    /// The output vector `O(x)` of the anchor whose lane 0 lies at cell
+    /// `u = x + (VL-1)·s`, from `west = O(x-1)` and `V(x-1), V(x),
+    /// V(x+1)`: lane for lane the scalar update's fused tree. A lane whose
+    /// cell leaves `1 ..= n` (the masked ends discard it) must still read
+    /// inside an allocation.
+    fn update(
+        &self,
+        u: usize,
+        west: V<T, VL, Self>,
+        vm1: V<T, VL, Self>,
+        v0: V<T, VL, Self>,
+        vp1: V<T, VL, Self>,
+    ) -> V<T, VL, Self>;
 
     /// The steady state (Algorithm 3 lines 8-15) over the anchors
     /// `x0 ..= x1`, in place, on the window `a` that starts at cell
@@ -194,6 +204,9 @@ pub trait Line<T: Scalar, const VL: usize>: Copy {
     ) -> Pack<T, VL>;
 }
 
+/// A vector in the register form of the line `K`.
+type V<T, const VL: usize, K> = <<K as Line<T, VL>>::Isa as Lanes<T, VL>>::V;
+
 /// A 1-D kernel `K` computing in the register form `L`, as the engine
 /// dispatch builds it: Heat-1D and GS-1D ([`Kernel1d`]) in `Packs`, `Ymm`
 /// or `Zmm`, an LCS band likewise.
@@ -206,10 +219,17 @@ pub struct Form<K, L>(pub K, pub L);
 /// `REGS`, rolled otherwise.
 impl<const VL: usize, K: Kernel1d, L: F64Lanes<VL>> Line<f64, VL> for Form<K, L> {
     const MIN_STRIDE: usize = K::MIN_STRIDE;
+    type Isa = L;
 
     #[inline(always)]
-    fn scalar(&self, _k: usize, _x: usize, west: f64, wm1: f64, w0: f64, wp1: f64) -> f64 {
-        self.0.scalar(west, wm1, w0, wp1)
+    fn isa(&self) -> L {
+        self.1
+    }
+
+    #[inline(always)]
+    fn update(&self, _u: usize, west: L::V, vm1: L::V, v0: L::V, vp1: L::V) -> L::V {
+        let west = if K::IS_GS { west } else { vm1 };
+        self.0.pack(self.1, west, v0, vp1)
     }
 
     #[inline(always)]
@@ -321,21 +341,22 @@ pub(crate) fn sweep<T, const N: usize, const W: usize, const COUNT: bool, K>(
 }
 
 /// The anchors `xs` of one temporal sweep (`VL` time steps, in place):
-/// the prologue when `xs` starts at anchor 1, the steady state over `xs`,
-/// the epilogue when `xs` ends at the last anchor `x_max = n + e - VL·s`,
-/// `e = K::MIN_STRIDE - 1` the kernel's reach east. `a` is a window of the
-/// array that starts at cell `first`; the part touches the cells from its
-/// first anchor (from cell 0, the left boundary, with the prologue) to
-/// `VL·s` past its last (to cell `n + e` with the epilogue: the right halo
-/// of the 3-point kernels, an LCS row's last column). Parts of one sweep
-/// run in ascending order over the same `scratch`, which carries the ring
-/// between them.
+/// the masked front when `xs` starts at anchor 1, the steady state over
+/// `xs`, the masked back when `xs` ends at the last steady anchor
+/// `x_max = n + e - VL·s`, `e = K::MIN_STRIDE - 1` the kernel's reach
+/// east (`masked_end`). `a` is a window of the array that starts at cell
+/// `first`; the part touches the cells from its first anchor (from cell 0,
+/// the left boundary, with the front) to `VL·s` past its last (to cell
+/// `n + e` with the back: the right halo of the 3-point kernels, an LCS
+/// row's last column). Parts of one sweep run in ascending order over the
+/// same `scratch`, which carries the ring between them.
 ///
 /// `kern` computes in its register form, and the codegen context is the
 /// caller's: baseline x86-64 for `Packs`, a [`crate::t1d_avx2`] sandwich
 /// for `Ymm` and `Zmm`. `REGS` lets the steady state keep its ring in
 /// registers (what only the `std::arch` forms have); `COUNT` enables
-/// reorganization-instruction accounting (see [`tempora_simd::count`]).
+/// reorganization-instruction accounting (see [`tempora_simd::count`]) in
+/// the steady state, where the paper states its budget.
 ///
 /// # Panics
 /// Panics if `s` is illegal for the kernel, when `n` cells cannot host the
@@ -364,15 +385,25 @@ pub fn sweep_body<T, const VL: usize, const COUNT: bool, const REGS: bool, K>(
         1 <= x0 && x0 <= x1 && x1 <= x_max,
         "anchors {x0}..={x1} of 1..={x_max}"
     );
-    assert_eq!(scratch.ring.len(), s + 1, "scratch of another stride");
+    let Scratch1d { ring, o_prev } = scratch;
+    assert_eq!(ring.len(), s + 1, "scratch of another stride");
     if x0 == 1 {
-        assert_eq!(first, 0, "the prologue reads from the left boundary");
-        tile_prologue::<T, VL, K>(a, kern, s, scratch);
+        assert_eq!(first, 0, "the front reads from the left boundary");
+        // The ring at the front's first anchor 1-(VL-1)·s: V(j) for the
+        // j whose lane 0 lies at cell u = 0 ..= s (Algorithm 3 lines 5-7),
+        // every level above it at a cell ≤ 0, as is all of O(j).
+        let (boundary, mut slot) = (a[0], (VL - 1) % (s + 1));
+        for &bottom in &a[..=s] {
+            ring[slot] = Pack::splat(boundary).replace(0, bottom);
+            slot = if slot == s { 0 } else { slot + 1 };
+            // Off the hot path: records only into an active counting session.
+            count::record(Op::Gather, 1);
+        }
+        *o_prev = masked_end(a, 0, n, kern, s, ring, Pack::splat(boundary), true);
     }
-    let Scratch1d { ring, o_prev, .. } = scratch;
     *o_prev = kern.steady::<COUNT, REGS>(a, first, s, ring, *o_prev, x0, x1);
     if x1 == x_max {
-        tile_epilogue::<T, VL, K>(a, first, n, kern, s, scratch, x_max);
+        *o_prev = masked_end(a, first, n, kern, s, ring, *o_prev, false);
     }
 }
 
@@ -530,129 +561,66 @@ unsafe fn ring_step<const VL: usize, const COUNT: bool, K: Kernel1d, L: F64Lanes
 /// any stride.
 pub const RING_CAP: usize = 17;
 
-/// Phase 1 of a temporal sweep: scalar prologue triangles plus the strided
-/// gather of the initial input vectors `V(0) ..= V(s)` (Algorithm 3 lines
-/// 2-7) into the scratch ring (slot `j % (s+1)` holds `V(j)`), and the
-/// initial Gauss-Seidel output vector. Reads cells `0 ..= VL·s` of `a`,
-/// which starts at the left boundary (an LCS row's zero column), and
-/// writes only `scratch`.
-///
-/// Level `k = 1 .. VL` is computed over `x ∈ 1 ..= (VL-k)·s` from level
-/// `k - 1` (`a` itself for `k = 1`), and gathered as soon as it is done:
-/// lane `k` of `V(j)` is level `k` at `x = j + (VL-1-k)·s`, and lane
-/// `k - 1` of `O(0)` level `k` at `x = (VL-k)·s` (its top lane is the
-/// boundary value).
+/// The masked steady iterations of one end of a sweep: the front's
+/// anchors `1-(VL-1)·s ..= 0` (`front`, after the ring fill) or the back's
+/// `x_max+1 ..= n`, each an iteration of the rolled ring ([`Line::update`],
+/// the top-lane store, one rotate and one blend) whose lanes with a cell
+/// outside `1 ..= n` take the boundary by one select: `a[0]` at the front,
+/// `a[n + e]` at the back (the 3-point kernels' right halo). At the front
+/// lanes `0..q` lie inside for the `s` anchors whose lane 0 lies in
+/// `((q-1)·s, q·s]`, at the back lanes `q..VL` for those in
+/// `(n + (q-1)·s, n + q·s]`. The front reads cells `0 ..= VL·s` and stores
+/// nothing (its anchors lie below 1); every bottom the back would load
+/// lies past `n + e`: the halo. Returns the last output vector.
+// Justification: `sweep_body`'s window, extent, kernel, stride and carried state, and which end.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_prologue<T: Scalar, const VL: usize, K: Line<T, VL>>(
-    a: &[T],
-    kern: &K,
-    s: usize,
-    scratch: &mut Scratch1d<T, VL>,
-) {
-    let (boundary_l, east) = (a[0], K::MIN_STRIDE - 1);
-    let Scratch1d {
-        planes,
-        ring,
-        o_prev,
-    } = scratch;
-    // Lane 0 of V(j): level 0 at x = j + (VL-1)·s (Algorithm 3 lines 5-7).
-    for (j, v) in ring.iter_mut().enumerate() {
-        v.0[0] = a[j + (VL - 1) * s];
-        // Off the hot path: records only into an active counting session.
-        count::record(Op::Gather, 1);
-    }
-    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
-    for k in 1..VL {
-        let hi = (VL - k) * s;
-        plane[0] = boundary_l;
-        if k == 1 {
-            for x in 1..=hi {
-                plane[x] = kern.scalar(k, x, plane[x - 1], a[x - 1], a[x], a[x + east]);
-            }
-        } else {
-            for x in 1..=hi {
-                let (wm1, w0, wp1) = (below[x - 1], below[x], below[x + east]);
-                plane[x] = kern.scalar(k, x, plane[x - 1], wm1, w0, wp1);
-            }
-        }
-        for (j, v) in ring.iter_mut().enumerate() {
-            v.0[k] = plane[j + (VL - 1 - k) * s];
-        }
-        // §3.4: the newest-west operand is the previous output vector.
-        o_prev.0[k - 1] = plane[hi];
-        core::mem::swap(&mut below, &mut plane);
-    }
-    o_prev.0[VL - 1] = boundary_l;
-}
-
-/// Phase 3 of a temporal sweep: drain the surviving ring level by level
-/// and finish every level scalar-wise up to `x = n` (Algorithm 3 lines
-/// 16-22). The scratch ring must hold `V(j)` at slot `j % (s+1)` for
-/// `j ∈ x_max ..= x_max+s`, as left behind by the steady state. `a` is a
-/// window that starts at cell `first`; cells `x_max ..= n + e` are
-/// touched, `e = K::MIN_STRIDE - 1`: a kernel that reads east reads the
-/// right halo `n + 1` and keeps it at the right of every level.
-#[inline(always)]
-fn tile_epilogue<T: Scalar, const VL: usize, K: Line<T, VL>>(
+fn masked_end<T: Scalar, const VL: usize, K: Line<T, VL>>(
     a: &mut [T],
     first: usize,
     n: usize,
     kern: &K,
     s: usize,
-    scratch: &mut Scratch1d<T, VL>,
-    x_max: usize,
-) {
-    let east = K::MIN_STRIDE - 1;
-    let Scratch1d { planes, ring, .. } = scratch;
-    // The window from cell x_max on: a[x - x_max] is cell x.
-    let a = &mut a[x_max - first..];
-    let ring_len = s + 1;
-    let boundary_r = (east > 0).then(|| a[n + 1 - x_max]);
-    // Level i re-based at x_max + (VL-1-i)·s: `plane`; level i-1: `below`.
-    let (mut below, mut plane) = planes.split_at_mut(VL * s + 2);
-    for i in 1..VL {
-        let base = x_max + (VL - 1 - i) * s;
-        // The s+1 surviving lane values of level i, at base ..= base + s,
-        // each read in place: `Pack::extract` copies the pack, and a lane
-        // load cannot be forwarded from a 64-byte store (sixteen-lane LCS
-        // bands of 1024 columns ran 4 % slower).
-        for j in x_max..=x_max + s {
-            plane[j - x_max] = ring[j % ring_len].0[i];
-        }
-        // Scalar completion of level i over x ∈ base+s+1 ..= n, reading
-        // level i-1 from `below` (based at base + s) or `a` when i == 1.
-        let done_hi = base + s; // = x_max + (VL-i)·s
-        for x in done_hi + 1..=n {
-            let rel = x - base;
-            let (bm1, b0, bp1) = if i == 1 {
-                let at = x - x_max;
-                (a[at - 1], a[at], a[at + east])
+    ring: &mut [Pack<T, VL>],
+    o_prev: Pack<T, VL>,
+    front: bool,
+) -> Pack<T, VL> {
+    // By value: the coefficient splats hoist.
+    let (kern, rlen, top) = (*kern, s + 1, (VL - 1) * s);
+    let isa = kern.isa();
+    // Anchor x runs as the cell of its lane 0, u = x + top: V(x) sits in
+    // slot (u + VL - 1) % (s+1), which is x's modulo s+1 for x ≥ 0.
+    let (base, q0, mut u) = if front {
+        (0, 1, 1)
+    } else {
+        (n, 0, n + K::MIN_STRIDE - s)
+    };
+    let edge = if front { 0 } else { n + K::MIN_STRIDE - 1 } - first;
+    let boundary = a[edge];
+    let (bnd, mut o_prev) = (isa.splat(boundary), isa.load(o_prev));
+    let mut im1 = (u + VL - 2) % rlen;
+    let mut vm1 = isa.load(ring[im1]);
+    for q in q0..VL {
+        let inside = Mask::lanes(if front { 0..q } else { q..VL });
+        for u in u..=base + q * s {
+            let i0 = if im1 + 1 == rlen { 0 } else { im1 + 1 };
+            let ip1 = if i0 + 1 == rlen { 0 } else { i0 + 1 };
+            let (v0, vp1) = (isa.load(ring[i0]), isa.load(ring[ip1]));
+            let o = isa.select(inside, kern.update(u, o_prev, vm1, v0, vp1), bnd);
+            let bottom = if front {
+                a[u + s]
             } else {
-                let bb = x - done_hi;
-                (below[bb - 1], below[bb], below[bb + east])
+                a[u - top - first] = isa.top(o);
+                boundary
             };
-            plane[rel] = kern.scalar(i, x, plane[rel - 1], bm1, b0, bp1);
+            // V(x+s) reuses the dead V(x-1) slot ((x+s) ≡ (x-1) mod s+1).
+            let v = isa.shift_up_insert(o, bottom);
+            ring[im1] = isa.store(v);
+            (o_prev, vm1, im1) = (o, v0, i0);
         }
-        // Right halo of the level.
-        if let Some(b) = boundary_r {
-            plane[n + 1 - base] = b;
-        }
-        core::mem::swap(&mut below, &mut plane);
+        u = base + q * s + 1;
     }
-
-    // Final level VL over x ∈ x_max+1 ..= n, writing into `a`; level
-    // VL-1 (`below`) is based at x_max like the window.
-    for rel in 1..=n - x_max {
-        let west = a[rel - 1]; // already level VL (GS) — unused for Jacobi
-        a[rel] = kern.scalar(
-            VL,
-            x_max + rel,
-            west,
-            below[rel - 1],
-            below[rel],
-            below[rel + east],
-        );
-    }
+    isa.store(o_prev)
 }
 
 /// The cells `xs` of one in-place scalar time step of a 3-point kernel

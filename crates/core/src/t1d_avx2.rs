@@ -2,7 +2,7 @@
 //! the LCS bands alike: the codegen sandwiches around [`crate::t1d`], AVX2
 //! at four `f64` (eight `i32`) lanes and AVX-512 at eight (sixteen).
 //!
-//! The sweep — prologue, steady state, epilogue — the scalar step, the
+//! The sweep — masked front, steady state, masked back — the scalar step, the
 //! kernels' vector formulas and the lane vocabulary they are written in
 //! are one `#[inline(always)]` *source*. The portable engine instantiates
 //! it for baseline x86-64 with `Packs`; this module instantiates it again

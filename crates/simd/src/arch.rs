@@ -131,7 +131,7 @@ macro_rules! lane_ops {
 #[cfg(target_arch = "x86_64")]
 use {
     crate::lanes::{F64Lanes, I32Lanes, Lanes},
-    crate::pack::{F64x4, I32x8, Pack},
+    crate::pack::{F64x4, I32x8, Mask, Pack},
     core::arch::x86_64::*,
 };
 
@@ -158,6 +158,13 @@ impl Lanes<f64, 4> for Ymm {
             _mm256_permute4x64_pd::<0b10_01_00_11>(v),
             _mm256_set1_pd(bottom),
         );
+        // Lane i of the mask vector is all ones where bit i is set, then
+        // one `vblendvpd`.
+        select(m: Mask<4>, then: __m256d, otherwise: __m256d) -> __m256d = {
+            let bit = _mm256_setr_epi64x(1, 2, 4, 8);
+            let set = _mm256_and_si256(_mm256_set1_epi64x(m.bits() as i64), bit);
+            _mm256_blendv_pd(otherwise, then, _mm256_castsi256_pd(_mm256_cmpeq_epi64(set, bit)))
+        };
     }
 }
 
@@ -187,6 +194,13 @@ impl Lanes<i32, 8> for Ymm {
             _mm256_permutevar8x32_epi32(v, _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6)),
             _mm256_set1_epi32(bottom),
         );
+        // As at four lanes; every byte of a mask lane agrees, so the byte
+        // blend `vpblendvb` is the lane blend.
+        select(m: Mask<8>, then: __m256i, otherwise: __m256i) -> __m256i = {
+            let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            let set = _mm256_and_si256(_mm256_set1_epi32(m.bits() as i32), bit);
+            _mm256_blendv_epi8(otherwise, then, _mm256_cmpeq_epi32(set, bit))
+        };
     }
 }
 
@@ -265,6 +279,9 @@ impl Lanes<f64, 8> for Zmm {
             _mm512_permutexvar_pd(_mm512_setr_epi64(7, 0, 1, 2, 3, 4, 5, 6), v),
             _mm512_set1_pd(bottom),
         );
+        // The mask is a `k` register as it stands: one merge.
+        select(m: Mask<8>, then: __m512d, otherwise: __m512d) -> __m512d =
+            _mm512_mask_blend_pd(m.bits() as __mmask8, otherwise, then);
     }
 }
 
@@ -293,6 +310,8 @@ impl Lanes<i32, 16> for Zmm {
         // lane j - 1 of `v`, lane 0 the top lane of the splat.
         shift_up_insert(v: __m512i, bottom: i32) -> __m512i =
             _mm512_alignr_epi32::<15>(v, _mm512_set1_epi32(bottom));
+        select(m: Mask<16>, then: __m512i, otherwise: __m512i) -> __m512i =
+            _mm512_mask_blend_epi32(m.bits() as __mmask16, otherwise, then);
     }
 }
 
@@ -341,7 +360,7 @@ impl I32Lanes<16> for Zmm {
 mod tests {
     use super::{avx2_available, Ymm, Zmm};
     use crate::lanes::{F64Lanes, I32Lanes, Lanes, Packs};
-    use crate::pack::{F64x4, I32x8, Pack};
+    use crate::pack::{F64x4, I32x8, Mask, Pack, Scalar};
 
     fn p(a: f64, b: f64, c: f64, d: f64) -> F64x4 {
         Pack([a, b, c, d])
@@ -908,6 +927,48 @@ mod tests {
         for at in [25, 40, usize::MAX - 7] {
             assert!(std::panic::catch_unwind(|| load(zmm, &words, at)).is_err());
             assert!(std::panic::catch_unwind(|| load(Packs, &words, at)).is_err());
+        }
+    }
+
+    /// `select` by every contiguous lane range `lo..hi` of `N` lanes
+    /// (the empty ones included) between `then` and `otherwise`, as bits.
+    fn selects<T: Scalar, const N: usize, L: Lanes<T, N>>(
+        isa: L,
+        [then, otherwise]: [Pack<T, N>; 2],
+    ) -> Vec<[u64; N]> {
+        let (t, o) = (isa.load(then), isa.load(otherwise));
+        let ranges = (0..=N).flat_map(|lo| (lo..=N).map(move |hi| lo..hi));
+        let picked = ranges.map(|r| isa.store(isa.select(Mask::lanes(r), t, o)));
+        picked.map(|v| v.0.map(T::bits)).collect()
+    }
+
+    /// [`selects`] in `isa` and in `Packs`, and `Packs` against the
+    /// model: lane `i` from `then` exactly where `lo ≤ i < hi`.
+    fn check_selects<T: Scalar, const N: usize, L: Lanes<T, N>>(isa: L, ops: [Pack<T, N>; 2]) {
+        let gold = selects(Packs, ops);
+        assert_eq!(selects(isa, ops), gold, "{N} lanes");
+        let ranges = (0..=N).flat_map(|lo| (lo..=N).map(move |hi| lo..hi));
+        for (r, got) in ranges.zip(&gold) {
+            let want: [u64; N] =
+                core::array::from_fn(|i| ops[!r.contains(&i) as usize].0[i].bits());
+            assert_eq!(*got, want, "lanes {r:?} of {N}");
+        }
+        assert_eq!(gold.len(), (N + 1) * (N + 2) / 2);
+    }
+
+    #[test]
+    fn select_matches_packs_at_every_lane_range() {
+        // NaN payloads and signed zeros on the `f64` side: the select moves
+        // bits, whatever they mean.
+        let f8 = [odd8(), Pack::from_fn(|i| -(i as f64) - 0.5)];
+        let i16 = [odd16(), Pack::from_fn(|i| !(i as i32))];
+        if let Some(ymm) = Ymm::detect() {
+            check_selects::<f64, 4, _>(ymm, f8.map(|p| Pack::from_fn(|i| p.0[i])));
+            check_selects::<i32, 8, _>(ymm, i16.map(|p| Pack::from_fn(|i| p.0[i])));
+        }
+        if let Some(zmm) = zmm() {
+            check_selects::<f64, 8, _>(zmm, f8);
+            check_selects::<i32, 16, _>(zmm, i16);
         }
     }
 

@@ -30,7 +30,7 @@
 //! rule `phase-inline`, guards the attributes). [`crate::arch`]'s tests
 //! hold each implementor lane for lane equal to `Packs`.
 
-use crate::pack::{Pack, Scalar};
+use crate::pack::{Mask, Pack, Scalar};
 
 /// What every steady state does whatever its kernel: move vectors between
 /// their stored form and registers, broadcast a coefficient, take the
@@ -49,6 +49,10 @@ pub trait Lanes<T: Scalar, const VL: usize>: Copy {
     /// The next input vector from an output vector: one rotate and one
     /// blend, lanes up one level and `bottom` (level 0) into lane 0.
     fn shift_up_insert(self, v: Self::V, bottom: T) -> Self::V;
+    /// Lane-wise `then` where `m` is set, `otherwise` elsewhere: one
+    /// blend (the 1-D sweep's ends keep the boundary in the lanes whose
+    /// cells leave the grid with it).
+    fn select(self, m: Mask<VL>, then: Self::V, otherwise: Self::V) -> Self::V;
 }
 
 /// The arithmetic of the `f64` kernels: every update is a chain of fused
@@ -123,6 +127,17 @@ impl<T: Scalar, const VL: usize> Lanes<T, VL> for Packs {
     #[inline(always)]
     fn shift_up_insert(self, v: Pack<T, VL>, bottom: T) -> Pack<T, VL> {
         v.shift_up_insert(bottom)
+    }
+
+    #[inline(always)]
+    fn select(self, m: Mask<VL>, then: Pack<T, VL>, otherwise: Pack<T, VL>) -> Pack<T, VL> {
+        Pack::from_fn(|i| {
+            if m.bits() >> i & 1 == 1 {
+                then.0[i]
+            } else {
+                otherwise.0[i]
+            }
+        })
     }
 }
 

@@ -15,7 +15,8 @@
 //! * [`lanes`] — the lane vocabulary the temporal steady states and the
 //!   stencils' vector formulas are written in, once, generic over a
 //!   register form: [`Lanes`] (load, store, splat, top lane, the
-//!   rotate-and-blend production rule), [`F64Lanes`] and [`I32Lanes`]
+//!   rotate-and-blend production rule, the select by a lane [`Mask`]),
+//!   [`F64Lanes`] and [`I32Lanes`]
 //!   (the kernels' arithmetic), and the portable implementor [`Packs`];
 //! * [`arch`] — the two capability probes and the two `std::arch`
 //!   implementors of the vocabulary, the [`arch::Ymm`] (AVX2, four `f64`
@@ -61,4 +62,4 @@ pub mod lanes;
 pub mod pack;
 
 pub use lanes::{F64Lanes, I32Lanes, Lanes, Packs};
-pub use pack::{F64x4, I32x8, Pack, Scalar};
+pub use pack::{F64x4, I32x8, Mask, Pack, Scalar};

@@ -326,6 +326,34 @@ impl<T, const N: usize> Index<usize> for Pack<T, N> {
     }
 }
 
+/// A lane mask at `N ≤ 32` lanes, lane `i` set where bit `i` is: the
+/// `maskN` of `std::simd`, one bit per lane, as the register forms'
+/// masked select ([`crate::Lanes::select`]) takes it — a `k` register
+/// as it stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mask<const N: usize>(u32);
+
+impl<const N: usize> Mask<N> {
+    /// The lanes `lanes` set, every other lane clear (none for an empty
+    /// range).
+    ///
+    /// # Panics
+    /// Panics when `lanes` ends past lane `N`.
+    #[inline(always)]
+    pub fn lanes(lanes: core::ops::Range<usize>) -> Self {
+        const { assert!(N <= 32) };
+        assert!(lanes.end <= N, "lanes {lanes:?} of {N}");
+        let below = |k: usize| ((1u64 << k) - 1) as u32;
+        Mask(below(lanes.end) & !below(lanes.start.min(lanes.end)))
+    }
+
+    /// Bit `i` is lane `i`.
+    #[inline(always)]
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+}
+
 /// Common 4-lane double-precision pack — the paper's AVX `vl = 4` register.
 pub type F64x4 = Pack<f64, 4>;
 /// 8-lane 32-bit integer pack — used by the Life and LCS kernels

@@ -7,15 +7,15 @@
 //! The temporal method runs LCS the way [`crate::Sweeps`] runs the grid
 //! kinds, on the same 1-D sweep Heat-1D and GS-1D run: each band of `vl`
 //! DP rows is **one** band sweep
-//! (`tempora_core::lcs::sweep`: head triangles, steady state, tail
-//! triangles), cut at the block columns of `yblock` and resumed across
-//! each cut — the pipelined temporal blocking of Wittmann, Hager and
-//! Wellein (PAPERS.md). [`Pool::waves`] runs the `la / vl` bands ×
-//! `n_j` block columns; task `(t, J)` runs band `t`'s anchors in block
-//! column `J` — the prologue in `J = 0`, the epilogue in the last
-//! column — and hands the paused ring (`s + 1` vectors) and the last
-//! output vector to `(t, J+1)` through band `t`'s scratch slot, so no
-//! rectangle pays its own `vl²·s` scalar triangles. The `la mod vl` rows
+//! (`tempora_core::lcs::sweep`: masked front, steady state, masked
+//! back), cut at the block columns of `yblock` and resumed across each
+//! cut — the pipelined temporal blocking of Wittmann, Hager and Wellein
+//! (PAPERS.md). [`Pool::waves`] runs the `la / vl` bands × `n_j` block
+//! columns; task `(t, J)` runs band `t`'s anchors in block column `J` —
+//! the masked front in `J = 0`, the masked back in the last column — and
+//! hands the paused ring (`s + 1` vectors) and the last output vector to
+//! `(t, J+1)` through band `t`'s scratch slot, so no rectangle pays ends
+//! of its own. The `la mod vl` rows
 //! left over run afterwards as whole-row scalar steps. `xblock` does not
 //! cut this schedule: it is validated and echoed only.
 //!
@@ -31,7 +31,7 @@
 //!   beyond — where `(t-1, J+1)`, a wave edge, has finished writing it
 //!   and `(t, J+1)`, its successor, has not started.
 //! * **Writes.** It writes the row only at its own anchors (and, in the
-//!   last column, at the epilogue's columns `(lb - vl·s, lb]`, which lie
+//!   last column, at the masked back's columns `(lb - vl·s, lb]`, which lie
 //!   in that column because it is wider than `vl·s`). The level it
 //!   overwrites was read by `(t, J-1)` and by itself, both done.
 //! * **Concurrency.** A task two block columns away touches blocks
@@ -214,7 +214,7 @@ impl LcsRect {
                 pool.waves(n_t, n_j, |t, j| {
                     // SAFETY: the hazard argument of the module docs. Task
                     // (t, j) writes the row only at its anchors (and the
-                    // epilogue's columns, inside the last block column)
+                    // masked back's columns, inside the last block column)
                     // and reads it up to `vl·s` columns into block j+1,
                     // where (t-1, j+1) has finished and (t, j+1) has not
                     // started; tasks that may run beside it are at band

@@ -35,9 +35,10 @@
 //!
 //! With `x_max` the anchors of a sweep (`nx + 1 - VL·s` when vector
 //! sweeps run, `nx` otherwise), a sweep is cut every
-//! `chunk = max(block, VL·s, 2)` anchors; chunk 0 also runs the prologue
-//! and the last chunk the epilogue (for a scalar sweep: the slabs up to
-//! `nx`).
+//! `chunk = max(block, VL·s, 2)` anchors; chunk 0 also runs the sweep's
+//! front and the last chunk its back — the slab driver's prologue and
+//! epilogue, the 1-D sweep's masked ends (for a scalar sweep: the slabs up
+//! to `nx`).
 //!
 //! # Why it is race-free (the hazard argument)
 //!
@@ -51,7 +52,7 @@
 //!
 //! * **read after write** — what `(p, c)` reads must be the output of
 //!   sweep `p-1`: its window ends inside chunk `c+1` because
-//!   `chunk ≥ VL·s`, and `(p-1, c+1)` (with its epilogue, if last) has
+//!   `chunk ≥ VL·s`, and `(p-1, c+1)` (with its back, if last) has
 //!   completed;
 //! * **write after read** — a sweep only ever reads *ahead* of where it
 //!   writes, so everything `(p, c)` overwrites was consumed by sweep `p-1`
@@ -538,8 +539,8 @@ impl<K: KernelSpace> Sweeps<K> {
             // chunks on starts at chunk c+2, or one slab before it for
             // the one-slab kinds. So the windows of tasks that may run
             // side by side are disjoint. What (p, c) reads is the output
-            // of sweep p-1 up to chunk c+1 (and the epilogue, if that is
-            // the last), all completed; what it overwrites, sweep p-1
+            // of sweep p-1 up to chunk c+1 (and the back, if that is the
+            // last), all completed; what it overwrites, sweep p-1
             // read from its chunks up to c+1, all completed — a sweep
             // reads ahead of where it writes, never behind, bar the one
             // slab of the scalar kinds.

@@ -439,6 +439,9 @@ pub enum Outer {
     VlS,
     /// The eight-lane crossover `± 1` ([`Kind::wide_min`]).
     WideMin,
+    /// `VL·s + 1 ..= 2·VL·s + 1` at one of the kind's lane counts: a 1-D
+    /// sweep's masked front and back meet inside one part.
+    Masked,
     #[default]
     Free,
 }
@@ -693,6 +696,10 @@ impl Strategy for Space {
             Outer::Tiny => Some(int(rng, 1, 3)),
             Outer::VlS => around(rng, lanes.saturating_mul(s), -1, 2),
             Outer::WideMin => kind.wide_min().and_then(|m| around(rng, m, -1, 1)),
+            Outer::Masked => {
+                let reach = lanes.saturating_mul(s);
+                (reach < 1 << 16).then(|| int(rng, reach + 1, 2 * reach + 1))
+            }
             Outer::Free => None,
         };
         let outer = outer.unwrap_or_else(|| {
@@ -1125,6 +1132,15 @@ slices! {
         threads: (2, 8),
         outer: &[Outer::VlS, Outer::WideMin, Outer::Free],
         steps: &[Steps::NearMultiple, Steps::Free]
+    };
+    masked_ends_meet_inside_one_part: 160, LEGAL {
+        kinds: &[Kind::Heat1d, Kind::Gs1d, Kind::Lcs],
+        methods: TEMPORAL,
+        tiles: &[Tile::None, Tile::Native, Tile::Native],
+        threads: (2, 4),
+        strides: &[Stride::Default, Stride::Accepted, Stride::Accepted],
+        outer: &[Outer::Masked],
+        blocks: &[Block::VlS, Block::Cut]
     };
     stride_legality_is_enforced_and_sufficient: 40, LEGAL {
         kinds: GRIDS,

@@ -68,8 +68,8 @@ fn parallel_results_are_deterministic_across_thread_counts() {
     check_slice("parallel_results_are_deterministic_across_thread_counts");
 }
 
-/// Shapes where the prologue, ring fill and drain, epilogue and remainder
-/// steps are most of the run: outer extents of a few slabs or around
+/// Shapes where the boundary phases (the slab prologue and epilogue, the
+/// 1-D ring fill and masked ends) and remainder steps are most of the run: outer extents of a few slabs or around
 /// `VL·s`, no steps, fewer steps than lanes, steps around multiples of the
 /// lane counts, blocks around `VL·s`; both forced engines.
 #[test]
@@ -139,6 +139,16 @@ fn tempora_engine_env_is_honoured() {
     assert_eq!(report.engine, Some(Engine::Portable));
     std::env::remove_var(engine::ENV_VAR);
     assert_eq!(Select::from_env(), Select::Auto);
+}
+
+/// Heat-1D, GS-1D and LCS on lines of `VL·s + 1 ..= 2·VL·s + 1`, where a
+/// sweep's masked front and back meet inside one part: untiled, and tiled
+/// on two to four threads with block cuts around `VL·s` — LCS at the
+/// strides whose `B` comes from the lane layout (1, 2) and strided (3, 4,
+/// 17, 33), its masked ends reading `B`'s padding past both ends.
+#[test]
+fn masked_ends_meet_inside_one_part() {
+    check_slice("masked_ends_meet_inside_one_part");
 }
 
 /// Every edge class of the case space has, for every kind, a checked draw

@@ -59,7 +59,8 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 /// call instead of an instruction — same results, ≈ 20× slower, and no
 /// test notices.
 ///
-/// * `tempora_core`: the boundary phases and scalar steps, the steady
+/// * `tempora_core`: the boundary phases (the 1-D sweep's masked ends,
+///   `masked_end`, and the slab driver's triangles) and scalar steps, the steady
 ///   states (each 1-D kernel's `steady` — the 3-point kernels'
 ///   `ring_sweep` and its step `ring_step`, LCS's `ring_regs` and the `B`
 ///   layout's index `at`, which the sixteen-lane sandwich instantiates
@@ -70,7 +71,8 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 ///   (`cursor` … `finish`, and
 ///   `units`, the segments' geometry, which the steady state of every
 ///   sandwich — `sweep_zmm`'s included — computes per part), the kernel
-///   adapters (`scalar`, `pack`) and the multi-load step bodies;
+///   adapters (`scalar`, `pack`; the 1-D lines' `isa` and `update`, and
+///   an LCS band's `a_vec`) and the multi-load step bodies;
 /// * `tempora_simd`: the lane vocabulary — every method of `Packs`, and of
 ///   the `Ymm` and `Zmm` tokens (`$name`: the methods the one macro of
 ///   `arch.rs` writes over their intrinsics);
@@ -80,6 +82,7 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
         "crates/core/src/",
         &[
             "sweep_body",
+            "masked_end",
             "tile_prologue",
             "tile_epilogue",
             "steady_slabs",
@@ -121,6 +124,9 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "finish",
             "scalar",
             "pack",
+            "isa",
+            "update",
+            "a_vec",
             "step_1d_body",
             "step_2d_body",
             "step_3d_body",
@@ -142,6 +148,7 @@ const VOCABULARY: &[&str] = &[
     "splat",
     "top",
     "shift_up_insert",
+    "select",
     "mul",
     "fmadd",
     "add",
