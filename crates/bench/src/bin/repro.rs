@@ -294,11 +294,12 @@ enum Output {
 /// it catches a boundary phase gone to libm or to bounds checks sooner.
 /// The 1-D sweep's masked ends run `(2·VL-1)·s` vector iterations for
 /// `VL·s` boundary cells a level, so their ratio is about twice a masked
-/// iteration's cost over a steady one's, plus a band's fixed cost: single
-/// readings on the 2-vCPU AVX-512 host were Heat-1D 3.7–9.4, GS-1D
-/// 2.3–6.7 and LCS (the Jacobi limit: its update has no FMA chain)
-/// 4.6–11.6, of which the retries keep the lowest; the scalar triangles
-/// they replaced read 9–11, 11–14 and 13.5–32. `[Jacobi, Gauss-Seidel]`.
+/// iteration's cost over a steady one's, plus a tile's fixed cost (its
+/// task in the wavefront included): at `--scale 512` on the 2-vCPU
+/// AVX-512 host they read Heat-1D 3.9–7.8, GS-1D 5.0–6.3 and LCS (the
+/// Jacobi limit: its update has no FMA chain) 6.2–9.9, the scalar
+/// triangles they replaced 8.5–9.9, 7.3–13.3 and 14–31.
+/// `[Jacobi, Gauss-Seidel]`.
 const BOUNDARY_RATIO_LIMIT: [f64; 2] = [12.0, 7.0];
 
 /// Times `ablate-boundary` measures the rows over their limit again,

@@ -1155,12 +1155,12 @@ pub struct Row {
 #[derive(Clone, Copy, Debug)]
 enum Source {
     Slab(&'static SlabKind, [usize; 3]),
-    Line(Line, usize),
+    Kind1d(Kind1d, usize),
 }
 
 /// The kinds of the one 1-D sweep, as `ablate-boundary` times them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Line {
+enum Kind1d {
     Heat1d,
     Gs1d,
     Lcs,
@@ -2220,7 +2220,7 @@ fn dims_shape([x, y, z]: [usize; 3]) -> String {
 /// benchmark's geometry (`scale` = 16; `scale` ≥ 64 gives its `--smoke`
 /// geometry) and at 10× the outer extent, minimum of 20 runs each: the
 /// 2-D/3-D kinds through `engine_runs`, and the three kinds of the 1-D
-/// sweep — Heat-1D and GS-1D (`engine_runs`, `n` cells × 32 steps) and
+/// sweep — Heat-1D and GS-1D (`engine_runs`, `n` cells × 256 steps) and
 /// LCS (`lcs_runs`, 1024 `× lb` at stride 2, `lb` the outer
 /// extent) — each on its engine's
 /// default stride. A tile (an LCS band) is linear in its steady anchors
@@ -2249,14 +2249,14 @@ pub fn ablate_boundary(scale: usize) -> Table {
             let dims = if k.three_d { [n3; 3] } else { [n2, n2, 1] };
             rows.extend(boundary_rows(Source::Slab(k, dims), engine));
         }
-        for (line, n) in [(Line::Heat1d, n1), (Line::Gs1d, n1), (Line::Lcs, nl)] {
-            rows.extend(boundary_rows(Source::Line(line, n), engine));
+        for (kind, n) in [(Kind1d::Heat1d, n1), (Kind1d::Gs1d, n1), (Kind1d::Lcs, nl)] {
+            rows.extend(boundary_rows(Source::Kind1d(kind, n), engine));
         }
     }
     Table {
         title: format!(
             "# ablate-boundary — where the time goes in a tile (base: 2-D {n2}², 3-D {n3}³, \
-             1-D {n1} x 32 steps, LCS {}x{nl}; fitted against 10× the outer extent; vs = \
+             1-D {n1} x {STEPS_1D} steps, LCS {}x{nl}; fitted against 10× the outer extent; vs = \
              boundary share of the tile, boundary over steady cost of a point-update)",
             LCS_ROWS
         ),
@@ -2273,14 +2273,19 @@ pub fn ablate_boundary(scale: usize) -> Table {
 /// of sixteen lanes share a run's fixed cost at any `--scale`.
 const LCS_ROWS: usize = 1024;
 
-/// One tile of the 1-D kind `line` at outer extent `n` on `engine` (LCS:
+/// The steps of `ablate-boundary`'s Heat-1D and GS-1D runs: 32 to 64
+/// tiles of about a microsecond share a run's fixed cost, which would
+/// otherwise read as a quarter of a tile's boundary.
+const STEPS_1D: usize = 256;
+
+/// One tile of the 1-D `kind` at outer extent `n` on `engine` (LCS:
 /// one band of a [`LCS_ROWS`] `× n` table): `(seconds, VL, s, e)`, the
 /// stride the engine defaults to and the kind's reach east.
-fn line_tile(line: Line, n: usize, engine: Engine) -> (f64, usize, usize, usize) {
-    let problem = match line {
-        Line::Heat1d => Problem::heat1d(n, 32, Heat1dCoeffs::classic(0.25)),
-        Line::Gs1d => Problem::gs1d(n, 32, Gs1dCoeffs::classic(0.25)),
-        Line::Lcs => {
+fn tile_1d(kind: Kind1d, n: usize, engine: Engine) -> (f64, usize, usize, usize) {
+    let problem = match kind {
+        Kind1d::Heat1d => Problem::heat1d(n, STEPS_1D, Heat1dCoeffs::classic(0.25)),
+        Kind1d::Gs1d => Problem::gs1d(n, STEPS_1D, Gs1dCoeffs::classic(0.25)),
+        Kind1d::Lcs => {
             let (s, vl) = (2, tempora_core::lcs::vl(engine));
             let [best] = lcs_runs(LCS_ROWS, n, s, &[engine])[..] else {
                 unreachable!("one run per engine")
@@ -2291,11 +2296,11 @@ fn line_tile(line: Line, n: usize, engine: Engine) -> (f64, usize, usize, usize)
     let [ref run] = engine_runs(&problem, &[engine])[..] else {
         unreachable!("one run per engine")
     };
-    let s = match line {
-        Line::Gs1d => tempora_core::kernels::GsKern1d::default_stride(engine),
+    let s = match kind {
+        Kind1d::Gs1d => tempora_core::kernels::GsKern1d::default_stride(engine),
         _ => tempora_core::kernels::JacobiKern1d::default_stride(engine),
     };
-    (run.best.secs / (32 / run.vl) as f64, run.vl, s, 1)
+    (run.best.secs / (STEPS_1D / run.vl) as f64, run.vl, s, 1)
 }
 
 /// The rows of [`ablate_boundary`] for `source` on `engine`.
@@ -2318,13 +2323,13 @@ fn boundary_rows(source: Source, engine: Engine) -> Vec<Row> {
                 vl * k.inner(dims),
             )
         }
-        Source::Line(line, n) => {
-            let (t1, vl, s, e) = line_tile(line, n, engine);
-            let (t10, ..) = line_tile(line, 10 * n, engine);
-            let (name, shape) = match line {
-                Line::Heat1d => ("heat1d", format!("{n}")),
-                Line::Gs1d => ("gs1d", format!("{n}")),
-                Line::Lcs => ("lcs", format!("{LCS_ROWS}x{n}")),
+        Source::Kind1d(kind, n) => {
+            let (t1, vl, s, e) = tile_1d(kind, n, engine);
+            let (t10, ..) = tile_1d(kind, 10 * n, engine);
+            let (name, shape) = match kind {
+                Kind1d::Heat1d => ("heat1d", format!("{n}")),
+                Kind1d::Gs1d => ("gs1d", format!("{n}")),
+                Kind1d::Lcs => ("lcs", format!("{LCS_ROWS}x{n}")),
             };
             let per_anchor = (t10 - t1) / (9 * n) as f64;
             (name, shape, t1, per_anchor, n + e - vl * s, n, vl)
