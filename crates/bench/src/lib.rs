@@ -1477,7 +1477,7 @@ pub fn ablate_stride(scale: usize) -> Table {
     use tempora_core::kernels::JacobiKern1d;
     use tempora_core::{lcs_avx2, t1d_avx2};
     let d = scale.max(1);
-    // LCS from 1024² up: the narrowest table `auto` runs at sixteen lanes.
+    // LCS from 1024² up: the ledger's untiled table.
     let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(1024));
     let (n2, n3) = ((4096 / d).max(64), (640 / d).max(16));
     let sel = Select::from_env();
@@ -1531,7 +1531,7 @@ pub fn ablate_stride(scale: usize) -> Table {
         }
     }
     // LCS at both widths, each engine's workspace built directly: `auto`
-    // picks sixteen lanes only from 1024 columns on.
+    // picks only sixteen lanes at these tables.
     let default = default_stride(&Problem::lcs(nl, nl));
     for (engine, _) in lcs_widths(sel) {
         for s in 1..=3 {
@@ -1743,12 +1743,12 @@ pub fn ablate_vl() -> Table {
 }
 
 /// Where the wider lanes start to pay: Heat-1D and GS-1D over lines of
-/// 128 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
-/// over squares of 16² … 256² at 8, 16 and 9 steps, each shape untiled at
+/// 64 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
+/// over squares of 8² … 256² at 8, 16 and 9 steps, each shape untiled at
 /// four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their
 /// default strides (`engine_runs`: `auto` picks only one of them, and the
 /// point is to time the one it does not); and LCS over `n × n` tables of
-/// 128 … 8192 at eight and sixteen lanes (`lcs_runs`) — the rows that
+/// 32 … 8192 at eight and sixteen lanes (`lcs_runs`) — the rows that
 /// set `tempora_core::lcs::WIDE_MIN_LB`. Two `Mupd/s` rows per shape, one
 /// per width; the one of the width a default plan resolves (the narrow
 /// one unless that is `avx512`) is stated against the other. Empty
@@ -1783,7 +1783,7 @@ pub fn vl_shapes() -> Vec<Row> {
     };
     let (h, g) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
     for steps in [32, 12, 9] {
-        for nx in [128, 256, 512, 1024, 2048, 4096] {
+        for nx in [64, 128, 256, 512, 1024, 2048, 4096] {
             for (kind, problem) in [
                 ("heat1d", Problem::heat1d(nx, steps, h)),
                 ("gs1d", Problem::gs1d(nx, steps, g)),
@@ -1793,13 +1793,13 @@ pub fn vl_shapes() -> Vec<Row> {
         }
     }
     for steps in [8, 16, 9] {
-        for n in [16, 32, 64, 128, 256] {
+        for n in [8, 16, 32, 64, 128, 256] {
             for (kind, problem) in wide_slab_kinds(n, steps) {
                 push(kind, problem, secs(&problem));
             }
         }
     }
-    for n in [128, 256, 512, 1024, 2048, 4096, 8192] {
+    for n in [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192] {
         let problem = Problem::lcs(n, n);
         let s = default_stride(&problem);
         let [narrow, wide] = lcs_runs(n, n, s, &[Engine::Avx2, Engine::Avx512])[..] else {
@@ -2982,8 +2982,11 @@ mod tests {
     fn lcs_series_report_resolved_engine() {
         // fig5g/fig5h regression: the LCS temporal series must carry the
         // resolved engine like every other dispatched series — avx2 on
-        // AVX2 hosts now that the integer steady state exists.
-        let expect = if tempora_simd::arch::avx2_available() {
+        // AVX2 hosts now that the integer steady state exists, avx512 on
+        // AVX-512 hosts (128 columns lie past `lcs::WIDE_MIN_LB`).
+        let expect = if tempora_simd::arch::avx512_available() {
+            Some("avx512")
+        } else if tempora_simd::arch::avx2_available() {
             Some("avx2")
         } else {
             Some("portable")

@@ -42,9 +42,9 @@
 //!
 //! `Select::Auto` takes [`Engine::Avx512`] for the kinds with an eight-lane
 //! sweep where the CPU has AVX-512F, the outer extent is wide enough for
-//! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 1024 points
-//! for GS-1D, 4096 for Heat-1D; 32 rows for Heat-2D and 2D9P, 128 for
-//! GS-2D) and the run has an eight-lane sweep (`steps ≥ 8`) that leaves no
+//! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 64 points
+//! for GS-1D, 1024 for Heat-1D; 16 rows for the `f64` 2-D kinds) and the
+//! run has an eight-lane sweep (`steps ≥ 8`) that leaves no
 //! more scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4`
 //! — one rule, [`KernelSpace::resolve`], for every kind. So the ledger's
 //! 65536 × 32, 4096 × 32 and its 2-D problems take it, while `steps = 12`
@@ -54,7 +54,7 @@
 //! eight lanes because the steady state keeps their ring in L1 by
 //! segments ([`crate::slab`]): at eight lanes a ring of whole rows of
 //! 64-byte packs fills the 48 KiB L1 at 192 columns. LCS widens by the
-//! same rows rule ([`wider_pays`] at eight and sixteen lanes) from 1024
+//! same rows rule ([`wider_pays`] at eight and sixteen lanes) from 64
 //! columns on ([`crate::lcs_avx2::resolve`]). Life (its next width,
 //! `i32 × 16`, is one arm of `slab_kernel_space!` away now that `Zmm`
 //! implements `I32Lanes<16>`, and waits for its own measurement) and the
@@ -364,8 +364,10 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// The anchors `xs ⊆ 1 ..= x_max` (`x_max = nx + 1 - VL·s`,
     /// `VL = vl(engine)`) of one temporal sweep — `VL` levels, in place —
     /// with the resolved `engine` (bit-identical either way): the sweep's
-    /// front (the slab prologue, the 1-D masked front) when `xs` starts at
-    /// 1, the steady state over `xs`, its back when `xs` ends at `x_max`.
+    /// masked front (a ring fill, then steady iterations whose lanes
+    /// outside the grid take the boundary value) when `xs` starts at 1,
+    /// the steady state over `xs`, its masked back when `xs` ends at
+    /// `x_max`.
     /// Touches the slabs from `xs.start()` (from ghost slab 0 with the
     /// front) to `xs.end() + VL·s` (to ghost slab `nx + 1` with the back),
     /// which `a` must hold. `sc`
@@ -546,22 +548,20 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         spatial::step_1d(engine, src, dst, xs, self);
     }
 
-    /// 1024 points for GS-1D, 4096 for Heat-1D: the smallest powers of two
+    /// 64 points for GS-1D, 1024 for Heat-1D: the smallest powers of two
     /// at which eight lanes beat four in every `repro ablate-vl` reading
-    /// while a sweep's ends were scalar triangles, `s·VL(VL-1)/2` cells
-    /// each — 364 at eight lanes and `s = 13`, 60 at four and `s = 10`.
-    /// The masked ends cost `(2·VL-1)·s` vector iterations instead, and
-    /// the same rows (2-vCPU AVX-512 container, three runs, eight over four
-    /// lanes at 32 / 9 steps) now read GS-1D 1.35–1.37 / 1.12–1.18 at 128
-    /// points and 1.52–1.61 / 1.22–1.25 at 512, Heat-1D 1.09–1.16 /
-    /// 1.05–1.27 at 256 and 1.28–1.33 / 1.16–1.22 at 2048 (at 12 steps,
-    /// four scalar levels against none, 0.3–0.7 everywhere): both
-    /// crossovers lie lower now, and `ablate-vl`'s shape rows fail until
-    /// they move (with the oracle's literals). Both values lie above
-    /// `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane schedule
-    /// at every stride.
+    /// with the sweep's ends masked (2-vCPU AVX-512 container, fourteen
+    /// runs, eight over four lanes at 32 / 9 steps): GS-1D 1.01–1.27 /
+    /// 0.98–1.18 at 64 points and 1.13–1.37 / 1.07–1.31 at 128, where at
+    /// 32 points eight lanes run scalar steps; Heat-1D 0.84–0.98 / 0.92–1.09
+    /// at 128, 0.99–1.21 / 0.79–1.07 at 256, 1.12–1.20 / 0.95–1.18 at 512,
+    /// 1.15–1.33 / 0.94–1.19 at 1024 and 1.29–1.45 / 1.08–1.27 at 2048 (at
+    /// 12 steps, four scalar levels against none, 0.3–0.9 everywhere). The
+    /// one reading below 1 at each crossover (0.98, 0.94) is one of
+    /// fourteen, within the host's run-to-run spread. Both values host the
+    /// eight-lane schedule at the kind's eight-lane default stride.
     fn wide_min_nx() -> Option<usize> {
-        Some(if K::IS_GS { 1024 } else { 4096 })
+        Some(if K::IS_GS { 64 } else { 1024 })
     }
 
     /// The smallest register-specialised stride within 3 % of the kind's
@@ -738,17 +738,18 @@ slab_kernel_space! {
 }
 
 // The crossovers are measured like the 1-D ones: `repro ablate-vl` times
-// both widths over squares of 16² … 256² at 8, 16 and 9 steps, and each is
+// both widths over squares of 8² … 256² at 8, 16 and 9 steps, and each is
 // the smallest power of two at which eight lanes ran faster in every
-// reading (2-vCPU AVX-512 container, eight over four lanes, four runs:
-// Heat-2D 0.75–0.84 at 16², 1.03–1.15 at 32²; 2D9P 0.93–1.12 at 16²,
-// 1.13–1.22 at 32²; GS-2D 0.79–0.85 at 32², 0.98–1.08 at 64², 1.06–1.26
-// at 128²; at 256² every kind 1.2–1.5). GS-2D, bound by its output chain
-// at either width, pays back the eight-lane boundary phases later.
+// reading. With the sweep's ends masked every kind crosses at 16², the
+// narrowest square that hosts the eight-lane schedule at `s = 2` (2-vCPU
+// AVX-512 container, eight over four lanes, fourteen runs at 8 / 9 / 16
+// steps: Heat-2D 1.27–1.51 / 1.13–1.38 / 1.18–1.59, 2D9P 1.08–1.32 /
+// 1.15–1.24 / 1.16–1.34, GS-2D 1.32–1.51 / 1.18–1.37 / 1.33–1.62; at 8²,
+// where eight lanes run scalar steps, 0.5–1.5).
 slab_kernel_space! {
-    JacobiKern2d: Grid2<f64> x 4 | 8 from 32, spatial::step_2d;
-    BoxKern2d: Grid2<f64> x 4 | 8 from 32, spatial::step_2d;
-    GsKern2d: Grid2<f64> x 4 | 8 from 128, spatial::step_2d;
+    JacobiKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
+    BoxKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
+    GsKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
 }
 
 #[cfg(test)]
@@ -1072,13 +1073,14 @@ pub(crate) mod tests {
 
     #[test]
     fn auto_widens_1d_at_the_measured_crossover() {
-        for w in [JacobiKern1d::wide_min_nx(), GsKern1d::wide_min_nx()] {
-            // A line this wide hosts the eight-lane schedule at every stride.
-            assert!(
-                w >= Some(8 * <JacobiKern1d as KernelSpace>::MAX_STRIDE),
-                "{w:?}"
-            );
+        fn hosts_its_default_stride<K: KernelSpace>() {
+            // A line this wide hosts the eight-lane schedule at the
+            // kind's eight-lane default stride.
+            let (w, s) = (K::wide_min_nx(), K::default_stride(Engine::Avx512));
+            assert!(w >= Some(8 * s), "{w:?} at s = {s}");
         }
+        hosts_its_default_stride::<JacobiKern1d>();
+        hosts_its_default_stride::<GsKern1d>();
         widens_at_the_crossover::<JacobiKern1d>();
         widens_at_the_crossover::<GsKern1d>();
     }

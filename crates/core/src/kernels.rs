@@ -2,7 +2,7 @@
 //!
 //! The engines are generic over *what* a stencil computes, but fix *which*
 //! operands are available at each site (register ring, previous output
-//! vector, scratch planes). These traits pin the calling convention:
+//! vector, wavefront slabs). These traits pin the calling convention:
 //!
 //! * **1-D kernels** ([`Kernel1d`]) receive a `west` operand (the newest
 //!   value at `x-1`, used only by Gauss-Seidel) plus the three old values

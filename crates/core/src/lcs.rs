@@ -99,14 +99,11 @@ pub fn vl(engine: Engine) -> usize {
 
 /// The narrowest `B` at which `Select::Auto` runs LCS at sixteen lanes:
 /// the smallest power of two at which sixteen lanes beat eight in every
-/// `repro ablate-vl` reading (untiled `n × n` at stride 2) while a band's
-/// ends were scalar triangles, four times wider at sixteen lanes than at
-/// eight: 0.70–0.72 at 128, 0.99–1.18 at 512, 1.27–1.42 at 1024. With
-/// the ends masked the same rows (2-vCPU AVX-512 container, three runs)
-/// read 1.2–1.35 at 128, 1.6–1.9 at 256, 2.0–2.1 at 512 and 2.2–2.5 from
-/// 1024 on: the crossover lies below 128 now, and `ablate-vl`'s shape
-/// rows fail until it moves (with the oracle's literals).
-pub const WIDE_MIN_LB: usize = 1024;
+/// `repro ablate-vl` reading (untiled `n × n` at stride 2; 2-vCPU AVX-512
+/// container, fourteen runs, with the band's ends masked): 0.65–0.81 at
+/// 32, where a sixteen-lane band at `s = 2` barely fits, 1.26–1.48 at 64,
+/// 1.31–1.68 at 128, 1.7–2.0 at 256 and 2.1–2.8 from 1024 on.
+pub const WIDE_MIN_LB: usize = 64;
 
 /// True when a band sweep of `vl` rows fits an `la × lb` table whose
 /// columns are cut every `yblock`: a whole band exists (`la ≥ vl`) and

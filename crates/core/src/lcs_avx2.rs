@@ -193,7 +193,7 @@ mod tests {
             assert!(!fits(90, 140, 40, s)); // VL·s saturates
         }
         // The resolution: eight lanes wherever bands fit, portable where
-        // they do not, and sixteen from 1024 columns under `Auto` only —
+        // they do not, and sixteen from 64 columns under `Auto` only —
         // with sixteen-lane bands fitting and `la % 16 ≤ la % 8`.
         let wide = if wide { Engine::Avx512 } else { narrow };
         for (sel, la, lb, yb, s, want) in [
@@ -201,7 +201,8 @@ mod tests {
             (Select::Auto, 90, 125, 40, 1, Engine::Portable),
             (Select::Auto, 1024, 1024, 1024, 2, wide),
             (Select::Auto, 8192, 8192, 1024, 2, wide),
-            (Select::Auto, 1024, 1023, 1023, 2, narrow),
+            (Select::Auto, 64, 64, 64, 2, wide),
+            (Select::Auto, 1024, 63, 63, 2, narrow),
             (Select::Auto, 1032, 1024, 1024, 2, narrow), // 1032 % 16 > 1032 % 8
             (Select::Auto, 24, 4096, 4096, 2, narrow),   // 24 % 16 > 24 % 8
             (Select::Auto, 32, 4096, 4096, 2, wide),

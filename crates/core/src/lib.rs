@@ -19,8 +19,8 @@
 //! | [`kernels`] | operand-convention adapters between stencils and engines |
 //!
 //! Every sweep is the same three phases — a front, the vector steady
-//! state, a back (the slab driver's scalar prologue and epilogue, the 1-D
-//! sweep's masked steady iterations) — and can be cut between any two
+//! state, a back (at either end steady iterations whose lanes outside the
+//! grid are masked to the boundary value) — and can be cut between any two
 //! anchors of its steady state and resumed, which is how `tempora-tiling`
 //! pipelines sweeps through one array. The phases — the steady state included, which
 //! is generic over the lane vocabulary it computes in

@@ -23,18 +23,25 @@
 //!
 //! # A sweep is resumable, and its chunks are the §3.4 tiles
 //!
-//! One sweep advances the grid `VL` levels: a prologue (scalar head slabs,
-//! initial ring), the steady state over the anchors `1 ..= x_max`
-//! (`x_max = nx + 1 - VL·s`), and an epilogue (drain, scalar tail). The
-//! steady state at anchor `x` writes level `t + VL` into slab `x` and
-//! reads level `t` from slab `x + VL·s`: in `(x, t)` it sweeps a
-//! parallelogram of slope `-s`. Everything in flight — the ring, the two
-//! Gauss-Seidel output slabs, the two planes the boundary phases roll
-//! their levels through — lives in
+//! One sweep advances the grid `VL` levels: the steady state over the
+//! anchors `1 ..= x_max` (`x_max = nx + 1 - VL·s`), where every lane's
+//! slab lies in the grid, and — where Algorithm 3 has scalar triangles —
+//! **masked ends** as in [`crate::t1d`]: the anchors `1 - (VL-1)·s ..= 0`
+//! after a ring fill (lane 0 of the first `s + 1` wavefront slabs from the
+//! grid, the boundary value everywhere else) and `x_max + 1 ..= nx`, steady
+//! iterations whose lanes with a slab outside `1 ..= nx` take the boundary
+//! value by one select per output vector (`masked_slabs`). They run the
+//! steady rows, instantiated with the mask, through the steady state's
+//! segment walk, so producing an input vector costs the same at the edges
+//! of a sweep as in its middle. The steady state at anchor `x` writes
+//! level `t + VL` into slab `x` and reads level `t` from slab `x + VL·s`:
+//! in `(x, t)` it sweeps a parallelogram of slope `-s`. Everything in
+//! flight — the ring and the two Gauss-Seidel output slabs — lives in
 //! [`Scratch`], so the anchor range can be cut anywhere and resumed: the
 //! driver's primitive is one **part** (`sweep_body` over a range of
-//! anchors, with the prologue when the range starts at 1 and the epilogue
-//! when it ends at `x_max`), and a whole tile is its one-part case.
+//! anchors, with the masked front when the range starts at 1 and the
+//! masked back when it ends at `x_max`), and a whole tile is its one-part
+//! case.
 //! Consecutive parts of one sweep *are* the paper's §3.4 parallelogram
 //! tiles, and a part touches one contiguous window of slabs, from its
 //! first anchor to `VL·s` past its last — which is all that
@@ -65,9 +72,9 @@
 //!
 //! # What is shared and what is per kernel
 //!
-//! The driver owns the three phases and the in-place scalar step. A
-//! kernel contributes a `Rows` implementation and nothing else: one
-//! scalar row sweep and one steady row per dimension (`Rows2` over
+//! The driver owns the sweep, its masked ends included, and the in-place
+//! scalar step. A kernel contributes a `Rows` implementation and nothing
+//! else: one scalar row sweep and one steady row per dimension (`Rows2` over
 //! [`Pack2d`], `Rows3` over [`Kernel3d`]), the steady row written once,
 //! on a `RowCursor`, generic over the register form it computes in
 //! ([`tempora_simd::Lanes`]: the portable engine's `Packs`, the AVX2
@@ -78,10 +85,9 @@
 //! dimensions' newest operands; the innermost one's is the previous
 //! output vector, in a register. That register is a chain of two or three
 //! dependent FMAs per point, so a Gauss-Seidel row waits on it: its rows
-//! run two at a time in the steady state (`Rows::steady_pair`) and four
-//! at a time in the boundary phases (`Rows::sweep_rows`), each row taking
-//! the newest operand it shares with the row before from that row's
-//! output, in a register, so that the chains overlap.
+//! run two at a time (`Rows::steady_pair`), at the masked ends too, the
+//! second row taking the newest operand it shares with the first from
+//! that row's output, in a register, so that the chains overlap.
 //!
 //! # One source, three codegen contexts
 //!
@@ -102,9 +108,9 @@ use crate::kernels::{Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::cell::Cell;
 use core::ops::{Range, RangeInclusive};
 use std::sync::OnceLock;
-use tempora_grid::{AlignedBuf, PackBuf, SlabGrid, SlabLayout, SlabShape, SlabsMut};
+use tempora_grid::{PackBuf, SlabGrid, SlabLayout, SlabShape, SlabsMut};
 use tempora_simd::count::{self, Op};
-use tempora_simd::{F64Lanes, Lanes, Pack, Scalar};
+use tempora_simd::{F64Lanes, Lanes, Mask, Pack, Scalar};
 
 // ---------------------------------------------------------------------
 // The per-kernel part: row updates
@@ -128,11 +134,25 @@ pub(crate) struct SweepRow<'a, T> {
     pub strides: [usize; 2],
 }
 
+/// Where the anchors of a steady row lie in their sweep, as its `END`
+/// parameter: [`STEADY`] at `1 ..= x_max`, where every lane's slab
+/// `x + (VL−1−k)·s` lies in `1 ..= nx`, or at one of the two masked ends,
+/// where the lanes whose slab does not take the boundary value by one
+/// select ([`RowCursor::finish`]). The front's anchors `x ≤ 0` store no
+/// top lane (slab `x` is no grid slab); the back's `x > x_max` take their
+/// bottoms as the boundary value (slab `x + VL·s` lies past `nx + 1`).
+pub(crate) const STEADY: u8 = 0;
+/// The masked front: anchors `1 − (VL−1)·s ..= 0` ([`STEADY`]).
+pub(crate) const FRONT: u8 = 1;
+/// The masked back: anchors `x_max + 1 ..= nx` ([`STEADY`]).
+pub(crate) const BACK: u8 = 2;
+
 /// One steady-state row: the interior packs of a row of `W(x+s)`, the
 /// finished top lanes and (Gauss-Seidel) the output row, from the rows
 /// around it in the wavefront slabs around `x`. Every row is `w` wide
-/// with its ghost columns in place.
-pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize> {
+/// with its ghost columns in place. `END` says where `x` lies
+/// ([`STEADY`]).
+pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize, const END: u8> {
     /// The row in `W(x-1)`, `W(x)`, `W(x+1)`.
     pub ring: [&'a [Pack<T, VL>]; 3],
     /// The rows above and below it in `W(x)`; the row itself in 2-D,
@@ -146,21 +166,16 @@ pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize> {
     pub o_row: &'a mut [Pack<T, VL>],
     /// The row of `W(x+s)` to produce.
     pub out: &'a mut [Pack<T, VL>],
-    /// Grid row `(x, ·)`: receives the finished top lanes.
+    /// Grid row `(x, ·)`: receives the finished top lanes (empty at the
+    /// front).
     pub top: &'a mut [T],
-    /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes.
+    /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes (empty
+    /// at the back).
     pub bottom: &'a [T],
-}
-
-/// The `N` rows after a [`SweepRow`]'s in sweep order, for
-/// [`Rows::sweep_rows`]: 2-D the rows of slabs `x + 1 ..= x + N`, 3-D rows
-/// `r + 1 ..= r + N` of the same slab.
-pub(crate) struct NextRows<'a, T, const N: usize> {
-    /// Each row's slabs `x-1 ..= x+1` of the level below, from their
-    /// first rows (3-D: the first row's).
-    pub old: [[&'a [T]; 3]; N],
-    /// The rows of the level being written.
-    pub out: [&'a mut [T]; N],
+    /// The lanes whose slab lies in `1 ..= nx` (masked ends only) …
+    pub inside: Mask<VL>,
+    /// … and the boundary value the others take.
+    pub bc: T,
 }
 
 /// Two steady rows of a Gauss-Seidel part in one loop, for
@@ -179,9 +194,9 @@ pub(crate) struct NextRows<'a, T, const N: usize> {
 ///   one `a` produces: `south_from_a` is set and the row is a stand-in.
 ///   `a.newest`, and the operands no Gauss-Seidel kernel reads (`W(x-1)`,
 ///   the corners), are stand-ins too.
-pub(crate) struct SteadyPair<'a, T: Scalar, const VL: usize> {
-    pub a: SteadyRow<'a, T, VL>,
-    pub b: SteadyRow<'a, T, VL>,
+pub(crate) struct SteadyPair<'a, T: Scalar, const VL: usize, const END: u8> {
+    pub a: SteadyRow<'a, T, VL, END>,
+    pub b: SteadyRow<'a, T, VL, END>,
     pub shared: &'a mut [Pack<T, VL>],
     pub south_from_a: bool,
 }
@@ -192,7 +207,7 @@ pub(crate) struct SteadyPair<'a, T: Scalar, const VL: usize> {
 /// no bounds check — the per-point operands in the engine's register
 /// form, and what a steady iteration does whatever the kernel
 /// ([`RowCursor::finish`]).
-pub(crate) struct RowCursor<'a, T: Scalar, const VL: usize, L: Lanes<T, VL>> {
+pub(crate) struct RowCursor<'a, T: Scalar, const VL: usize, L: Lanes<T, VL>, const END: u8> {
     isa: L,
     /// The centre row from its third pack on: the east operands.
     east: &'a [Pack<T, VL>],
@@ -210,6 +225,8 @@ pub(crate) struct RowCursor<'a, T: Scalar, const VL: usize, L: Lanes<T, VL>> {
     out: &'a mut [Pack<T, VL>],
     /// Empty unless the outputs are kept (Gauss-Seidel).
     o_row: &'a mut [Pack<T, VL>],
+    inside: Mask<VL>,
+    bc: T,
 }
 
 /// The three `n`-element views of a `n + 2`-element row: the points'
@@ -219,10 +236,10 @@ fn views<P>(row: &[P], n: usize) -> [&[P]; 3] {
     [&row[..n], &row[1..][..n], &row[2..][..n]]
 }
 
-impl<'a, T: Scalar, const VL: usize> SteadyRow<'a, T, VL> {
+impl<'a, T: Scalar, const VL: usize, const END: u8> SteadyRow<'a, T, VL, END> {
     /// The row's cursor in `isa`'s register form.
     #[inline(always)]
-    pub(crate) fn cursor<L: Lanes<T, VL>>(self, isa: L) -> RowCursor<'a, T, VL, L> {
+    pub(crate) fn cursor<L: Lanes<T, VL>>(self, isa: L) -> RowCursor<'a, T, VL, L, END> {
         let n = self.out.len() - 2;
         let [rm1, r0, rp1] = self.ring;
         let ([nw, nn, ne], [sw, ss, se]) = (views(rm1, n), views(rp1, n));
@@ -246,15 +263,25 @@ impl<'a, T: Scalar, const VL: usize> SteadyRow<'a, T, VL> {
             carry,
             reads: [nw, nn, ne, sw, ss, se, up, down, new_x, new_y],
             newest,
-            bottom: &self.bottom[1..][..n],
-            top: &mut self.top[1..][..n],
+            bottom: if END == BACK {
+                &[]
+            } else {
+                &self.bottom[1..][..n]
+            },
+            top: if END == FRONT {
+                &mut []
+            } else {
+                &mut self.top[1..][..n]
+            },
             out: &mut self.out[1..][..n],
             o_row,
+            inside: self.inside,
+            bc: self.bc,
         }
     }
 }
 
-impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
+impl<T: Scalar, const VL: usize, L: Lanes<T, VL>, const END: u8> RowCursor<'_, T, VL, L, END> {
     /// Interior points of the row.
     #[inline(always)]
     pub(crate) fn len(&self) -> usize {
@@ -311,19 +338,30 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
     }
 
     /// What every steady iteration does with the output vector `o` of
-    /// point `i`: store its finished top lane into the grid, rotate and
-    /// blend the next input vector into the ring (one `vrotate`, one
-    /// `vblend`, whatever the kernel) and, for Gauss-Seidel, keep `o`: in
-    /// the output row, and in the register the next point reads. `COUNT`
-    /// ticks the produced input vector's reorganization budget in
-    /// [`tempora_simd::count`] (same ticks as `t1d`'s ring). Returns the
-    /// produced input vector, which a 2-D Gauss-Seidel pair at `s = 2`
-    /// hands to its second anchor ([`Rows::steady_pair`]).
+    /// point `i`: at a masked end, give the lanes whose slab leaves
+    /// `1 ..= nx` the boundary value (one select); store its finished top
+    /// lane into the grid (not at the front), rotate and blend the next
+    /// input vector into the ring (one `vrotate`, one `vblend`, whatever
+    /// the kernel; the back's bottom is the boundary value) and, for
+    /// Gauss-Seidel, keep `o`: in the output row, and in the register the
+    /// next point reads. `COUNT` ticks the produced input vector's
+    /// reorganization budget in [`tempora_simd::count`] (same ticks as
+    /// `t1d`'s ring). Returns `o` as kept, which a 2-D Gauss-Seidel pair
+    /// stores for its second anchor, and the produced input vector, which
+    /// it hands to that anchor at `s = 2` ([`Rows::steady_pair`]).
     #[inline(always)]
-    pub(crate) fn finish<const COUNT: bool>(&mut self, i: usize, o: L::V) -> L::V {
+    pub(crate) fn finish<const COUNT: bool>(&mut self, i: usize, o: L::V) -> [L::V; 2] {
         let isa = self.isa;
-        self.top[i] = isa.top(o);
-        let v = isa.shift_up_insert(o, self.bottom[i]);
+        let o = if END == STEADY {
+            o
+        } else {
+            isa.select(self.inside, o, isa.splat(self.bc))
+        };
+        if END != FRONT {
+            self.top[i] = isa.top(o);
+        }
+        let bottom = if END == BACK { self.bc } else { self.bottom[i] };
+        let v = isa.shift_up_insert(o, bottom);
         self.out[i] = isa.store(v);
         if COUNT {
             count::record_output(1);
@@ -336,7 +374,7 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>> RowCursor<'_, T, VL, L> {
             self.o_row[i] = isa.store(o);
             self.newest = o;
         }
-        v
+        [o, v]
     }
 }
 
@@ -358,25 +396,18 @@ pub(crate) trait Rows<T: Scalar, const VL: usize>: Copy {
     /// a register.
     fn sweep_row(&self, row: SweepRow<'_, T>);
 
-    /// `1 + N` scalar rows in one loop (Gauss-Seidel only): `a`, and the
-    /// `N` rows after it, each of which takes its newest operand across the
-    /// group — 2-D north, 3-D `y − 1` — from the row before it at the same
-    /// point, in a register. `1 + N` newest-west chains, each as
-    /// `sweep_row` carries it, interleave; the result is bit-identical to
-    /// the rows one after the other.
-    fn sweep_rows<const N: usize>(&self, a: SweepRow<'_, T>, next: NextRows<'_, T, N>);
-
     /// Steady-state row, on a [`RowCursor`] in the rows' register form:
     /// per interior point one vectorized stencil application, then
     /// [`RowCursor::finish`]. `COUNT` ticks [`tempora_simd::count`] like
-    /// the 1-D engine does.
-    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>);
+    /// the 1-D engine does; `END` instantiates the masked ends' rows
+    /// ([`STEADY`]).
+    fn steady_row<const COUNT: bool, const END: u8>(&self, row: SteadyRow<'_, T, VL, END>);
 
     /// Two steady rows in one loop (Gauss-Seidel only), as
     /// [`SteadyPair`] lays them out: two output-vector chains interleave,
     /// the second taking its newest operand across the pair from the
     /// first in a register. Bit-identical to `a`'s row, then `b`'s.
-    fn steady_pair<const COUNT: bool>(&self, pair: SteadyPair<'_, T, VL>);
+    fn steady_pair<const COUNT: bool, const END: u8>(&self, pair: SteadyPair<'_, T, VL, END>);
 }
 
 /// The west, centre and east views ([`views`]) of the three slabs
@@ -387,7 +418,7 @@ fn views3<P>(old: [&[P]; 3], n: usize) -> [[&[P]; 3]; 3] {
 }
 
 /// The old 3×3 neighbourhood of point `i` of [`views3`]. Written out: an
-/// `array::map` here doubled the cost of the 2-D boundary phases.
+/// `array::map` here doubled the cost of the 2-D scalar rows.
 #[inline(always)]
 fn at3<P: Copy>(v: &[[&[P]; 3]; 3], i: usize) -> [[P; 3]; 3] {
     [
@@ -403,10 +434,10 @@ fn at3<P: Copy>(v: &[[&[P]; 3]; 3], i: usize) -> [[P; 3]; 3] {
 /// produced there, `W(x+2, c − 1)`, both still in registers — then `a`,
 /// whose north operand `O(x-1, c)` `b` overwrites one iteration later.
 #[inline(always)]
-fn anchor_pair<T, const VL: usize, L, K, const SOUTH: bool, const COUNT: bool>(
+fn anchor_pair<T, const VL: usize, L, K, const SOUTH: bool, const COUNT: bool, const END: u8>(
     kern: K,
     isa: L,
-    pair: SteadyPair<'_, T, VL>,
+    pair: SteadyPair<'_, T, VL, END>,
 ) where
     T: Scalar,
     L: Lanes<T, VL>,
@@ -433,13 +464,12 @@ fn anchor_pair<T, const VL: usize, L, K, const SOUTH: bool, const COUNT: bool>(
         if SOUTH {
             nb.v[2][1] = south;
         }
-        west_b = kern.pack(isa, nb);
-        cb.finish::<COUNT>(i, west_b);
+        [west_b, _] = cb.finish::<COUNT>(i, kern.pack(isa, nb));
         o_b[i].set(isa.store(west_b));
         let mut nb = ca.nbhd(i);
         nb.new_n = isa.load(north_a[i].get());
         let o = kern.pack(isa, nb);
-        south = ca.finish::<COUNT>(i, o);
+        [_, south] = ca.finish::<COUNT>(i, o);
     }
 }
 
@@ -481,39 +511,7 @@ where
     }
 
     #[inline(always)]
-    fn sweep_rows<const N: usize>(&self, a: SweepRow<'_, T>, next: NextRows<'_, T, N>) {
-        let n = a.out.len() - 2;
-        let north = &a.done[a.done.len() - a.strides[0] + 1..][..n];
-        let va = views3(a.old, n);
-        let NextRows { old, mut out } = next;
-        let (mut v, mut west) = ([va; N], [a.out[0]; N]);
-        for k in 0..N {
-            v[k] = views3(old[k], n);
-            west[k] = out[k][0];
-            out[k] = &mut core::mem::take(&mut out[k])[1..][..n];
-        }
-        let mut west_a = a.out[0];
-        let out_a = &mut a.out[1..][..n];
-        for i in 0..n {
-            let mut o = self.0.scalar(Nbhd {
-                v: at3(&va, i),
-                new_n: north[i],
-                new_w: west_a,
-            });
-            (out_a[i], west_a) = (o, o);
-            for k in 0..N {
-                o = self.0.scalar(Nbhd {
-                    v: at3(&v[k], i),
-                    new_n: o,
-                    new_w: west[k],
-                });
-                (out[k][i], west[k]) = (o, o);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, T, VL>) {
+    fn steady_row<const COUNT: bool, const END: u8>(&self, row: SteadyRow<'_, T, VL, END>) {
         let mut cur = row.cursor(self.1);
         for i in 0..cur.len() {
             let o = self.0.pack(self.1, cur.nbhd(i));
@@ -522,11 +520,11 @@ where
     }
 
     #[inline(always)]
-    fn steady_pair<const COUNT: bool>(&self, pair: SteadyPair<'_, T, VL>) {
+    fn steady_pair<const COUNT: bool, const END: u8>(&self, pair: SteadyPair<'_, T, VL, END>) {
         if pair.south_from_a {
-            anchor_pair::<T, VL, L, K, true, COUNT>(self.0, self.1, pair);
+            anchor_pair::<T, VL, L, K, true, COUNT, END>(self.0, self.1, pair);
         } else {
-            anchor_pair::<T, VL, L, K, false, COUNT>(self.0, self.1, pair);
+            anchor_pair::<T, VL, L, K, false, COUNT, END>(self.0, self.1, pair);
         }
     }
 }
@@ -560,35 +558,7 @@ impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Row
     }
 
     #[inline(always)]
-    fn sweep_rows<const N: usize>(&self, a: SweepRow<'_, f64>, next: NextRows<'_, f64, N>) {
-        let (n, done, [slab, pitch]) = (a.out.len() - 2, a.done, a.strides);
-        let old_a = Old3::of(a.old, a.pitch, a.r, n);
-        // Row `r` of slab `x - 1` lies `slab` back from row `r` of slab
-        // `x`, where `done` ends; the rows after it a row further on each.
-        let new_xm_a = &done[done.len() - slab + 1..][..n];
-        let new_ym_a = &done[done.len() - pitch + 1..][..n];
-        let NextRows { old, mut out } = next;
-        let (mut olds, mut new_xm, mut zm) = ([old_a; N], [new_xm_a; N], [a.out[0]; N]);
-        for k in 0..N {
-            olds[k] = Old3::of(old[k], a.pitch, a.r + 1 + k, n);
-            new_xm[k] = &done[done.len() - slab + (k + 1) * pitch + 1..][..n];
-            zm[k] = out[k][0];
-            out[k] = &mut core::mem::take(&mut out[k])[1..][..n];
-        }
-        let mut zm_a = a.out[0];
-        let out_a = &mut a.out[1..][..n];
-        for i in 0..n {
-            let mut o = self.0.scalar(old_a.nbhd(i, new_xm_a[i], new_ym_a[i], zm_a));
-            (out_a[i], zm_a) = (o, o);
-            for k in 0..N {
-                o = self.0.scalar(olds[k].nbhd(i, new_xm[k][i], o, zm[k]));
-                (out[k][i], zm[k]) = (o, o);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn steady_row<const COUNT: bool>(&self, row: SteadyRow<'_, f64, VL>) {
+    fn steady_row<const COUNT: bool, const END: u8>(&self, row: SteadyRow<'_, f64, VL, END>) {
         let mut cur = row.cursor(self.1);
         for i in 0..cur.len() {
             let o = self.0.pack(self.1, cur.nbhd3(i));
@@ -599,7 +569,7 @@ impl<const VL: usize, L: F64Lanes<VL>, K: Kernel3d + Copy> Rows<f64, VL> for Row
     /// Rows `r` and `r + 1` point by point: `b`'s `y − 1` operand is `a`'s
     /// output vector of the same point.
     #[inline(always)]
-    fn steady_pair<const COUNT: bool>(&self, pair: SteadyPair<'_, f64, VL>) {
+    fn steady_pair<const COUNT: bool, const END: u8>(&self, pair: SteadyPair<'_, f64, VL, END>) {
         let (mut ca, mut cb) = (pair.a.cursor(self.1), pair.b.cursor(self.1));
         let n = ca.len();
         assert_eq!(cb.len(), n, "the rows of a pair are one piece long");
@@ -706,34 +676,37 @@ impl<T: Scalar, const VL: usize> Ring<T, VL> {
         }
     }
 
-    /// Gather level `k` (`lv`) as soon as it is done: lane `k` of the
-    /// initial `W(j)`, `j ∈ 0 ..= s`, is level `k` at slab
-    /// `j + (VL-1-k)·s`, and (Gauss-Seidel) lane `k - 1` of `O(0, ·)` is
-    /// level `k` at slab `(VL-k)·s`.
+    /// The ring at the masked front's first anchor `1 − (VL−1)·s`: the
+    /// shells ([`Ring::reset_shells`]), and `W(j)` for the `s + 1` anchors
+    /// `j` before it, at their slots in the front's frame
+    /// ([`front_shift`]). Lane 0 of `W(j)` is level 0 at grid slab
+    /// `j + (VL−1)·s`, one of `0 ..= s`; every other lane holds a level at
+    /// a slab `≤ 0`, the boundary value, as do both output slabs, whole.
+    /// Reads grid slabs `0 ..= s` of `a`.
     #[inline(always)]
-    fn gather(&mut self, shape: SlabShape, s: usize, k: usize, lv: Level<'_, T>) {
-        for (j, dst) in self.slabs[..=s].iter_mut().enumerate() {
-            insert_lane(dst, k, lv.slab(j + (VL - 1 - k) * s), lv.pitch, shape);
-        }
-        if k > 0 && !self.o_prev.is_empty() {
-            let src = lv.slab((VL - k) * s);
-            insert_lane(&mut self.o_prev, k - 1, src, lv.pitch, shape);
+    fn fill_front(&mut self, a: &[T], geo: Geo<T>, s: usize) {
+        let (shape, w) = (geo.shape, geo.shape.width);
+        self.reset_shells(shape, geo.bc);
+        for q in 0..=s {
+            let (src, dst) = (
+                &a[geo.at(q)..],
+                &mut self.slabs[(q + 2 * (VL - 1)) % (s + 2)],
+            );
+            for r in shape.interior() {
+                let src = &src[r * geo.pitch..][1..w - 1];
+                for (d, &v) in dst[r * w..][1..w - 1].iter_mut().zip(src) {
+                    *d = Pack::splat(geo.bc).replace(0, v);
+                }
+            }
         }
     }
 }
 
 /// Everything one sweep has in flight (slab shape × stride): what its
-/// phases and parts hand each other, reusable by the next sweep.
-///
-/// The boundary phases compute one level at a time from the level below,
-/// as [`crate::t1d::Scratch1d`] does, so two planes of `VL·s + 2` slabs
-/// are all they keep: the prologue's level `k` over slabs
-/// `0 ..= (VL-k)·s` (slab 0 the boundary), the epilogue's level `i`
-/// re-based at `x_max + (VL-1-i)·s` — `O(VL·s)` slabs at any lane count,
-/// where a plane per level would be `O(VL²·s)`.
+/// parts hand each other, reusable by the next sweep — the ring of `s + 2`
+/// wavefront slabs and the two Gauss-Seidel output slabs, its masked ends
+/// included, as [`crate::t1d::Scratch1d`] is the 1-D sweep's.
 pub struct Scratch<T: Scalar, const VL: usize> {
-    /// The two planes, end to end.
-    planes: AlignedBuf<T>,
     ring: Ring<T, VL>,
     /// Units per segment of the steady state ([`segment_width`]).
     seg: usize,
@@ -749,7 +722,6 @@ impl<T: Scalar, const VL: usize> Scratch<T, VL> {
     pub fn new<G: SlabGrid<Elem = T>>(dims: [usize; 3], s: usize, gs: bool) -> Self {
         let shape = G::slab_shape(dims);
         Scratch {
-            planes: AlignedBuf::zeroed(2 * (VL * s + 2) * shape.elems()),
             ring: Ring::new(s, shape, gs),
             seg: segment_width::<T, VL>(shape, dims[0], s, gs),
             s,
@@ -870,47 +842,6 @@ impl<T: Scalar> Geo<T> {
     }
 }
 
-/// One level's slabs as the boundary sweeps read them: the grid itself
-/// (level 0) or one of the two scratch planes (packed rows), re-based at
-/// outer slab `x0`. The source and its strides are chosen once per level,
-/// so the row loops index plain equal-length slices.
-#[derive(Clone, Copy)]
-struct Level<'a, T> {
-    data: &'a [T],
-    slab: usize,
-    pitch: usize,
-    x0: usize,
-}
-
-impl<'a, T> Level<'a, T> {
-    /// Level 0: the array of `geo`.
-    #[inline(always)]
-    fn grid(a: &'a [T], geo: Geo<T>) -> Self {
-        Level {
-            data: a,
-            slab: geo.slab,
-            pitch: geo.pitch,
-            x0: geo.x0,
-        }
-    }
-
-    /// A scratch plane of packed slabs whose first is outer slab `x0`.
-    #[inline(always)]
-    fn plane(data: &'a [T], shape: SlabShape, x0: usize) -> Self {
-        Level {
-            data,
-            slab: shape.elems(),
-            pitch: shape.width,
-            x0,
-        }
-    }
-
-    #[inline(always)]
-    fn slab(self, x: usize) -> &'a [T] {
-        &self.data[(x - self.x0) * self.slab..]
-    }
-}
-
 /// Set the ghost shell of one packed slab to `v`: its ghost rows and the
 /// first and last column of every interior row.
 #[inline(always)]
@@ -937,177 +868,6 @@ fn copy_slab<T: Copy>(src: &[T], pitch: usize, dst: &mut [T], shape: SlabShape) 
         .enumerate()
     {
         row.copy_from_slice(&src[r * pitch..][..shape.width]);
-    }
-}
-
-/// Lane `k` of the interior packs of the packed slab `dst`, from the
-/// interior of slab `src` (row pitch `pitch`).
-#[inline(always)]
-fn insert_lane<T: Scalar, const VL: usize>(
-    dst: &mut [Pack<T, VL>],
-    k: usize,
-    src: &[T],
-    pitch: usize,
-    shape: SlabShape,
-) {
-    let w = shape.width;
-    for r in shape.interior() {
-        let src = &src[r * pitch..][1..w - 1];
-        for (d, &v) in dst[r * w..][1..w - 1].iter_mut().zip(src) {
-            d.0[k] = v;
-        }
-    }
-}
-
-/// Lane `k` of the interior packs of the packed slab `src`, into the
-/// interior of the packed slab `dst`.
-#[inline(always)]
-fn extract_lane<T: Scalar, const VL: usize>(
-    src: &[Pack<T, VL>],
-    k: usize,
-    dst: &mut [T],
-    shape: SlabShape,
-) {
-    let w = shape.width;
-    for r in shape.interior() {
-        let src = &src[r * w..][1..w - 1];
-        for (d, p) in dst[r * w..][1..w - 1].iter_mut().zip(src) {
-            *d = p.0[k];
-        }
-    }
-}
-
-/// Gauss-Seidel rows a boundary level runs in one loop ([`sweep_level`]):
-/// as many newest-west chains interleave.
-const LEVEL_CHAINS: usize = 4;
-
-/// Sweep one level over the outer slabs `xs`: slab `x` of `out` (strides
-/// `[slab, pitch]`, re-based at outer slab `x0`) from slabs `x-1 ..= x+1`
-/// of the level `below`. The ghost shell of `out` must already hold the
-/// boundary value.
-///
-/// Gauss-Seidel rows run [`LEVEL_CHAINS`] at a time ([`Rows::sweep_rows`]),
-/// each row of a group taking the newest operand it shares with the row
-/// before it — 2-D north, 3-D `y − 1` — from that row's output at the
-/// same point: 2-D the rows of slabs `x, x + 1, …`, 3-D rows `r, r + 1, …`
-/// of slab `x`. Every other operand of a row is in the level below or —
-/// its `x − 1` row, in 3-D — written before the group, and no row reads
-/// what a later one writes, so the group computes what its rows did one
-/// after the other while their newest-west chains overlap. A shorter
-/// group ends the slabs (2-D) or the rows of a slab (3-D).
-#[inline(always)]
-fn sweep_level<T: Scalar, const VL: usize, R: Rows<T, VL>>(
-    rows: &R,
-    shape: SlabShape,
-    below: Level<'_, T>,
-    out: &mut [T],
-    strides: [usize; 2],
-    x0: usize,
-    xs: RangeInclusive<usize>,
-) {
-    let lv = LevelSweep {
-        below,
-        shape,
-        strides,
-        x0,
-    };
-    let rs = shape.interior();
-    if !R::IS_GS {
-        for x in xs {
-            for r in rs.clone() {
-                lv.rows::<VL, R, 0>(rows, out, x, r);
-            }
-        }
-    } else if shape.halo_rows == 0 {
-        for x in xs.clone().step_by(LEVEL_CHAINS) {
-            lv.group(rows, out, x, 0, xs.end() + 1 - x);
-        }
-    } else {
-        for x in xs {
-            for r in rs.clone().step_by(LEVEL_CHAINS) {
-                lv.group(rows, out, x, r, rs.end - r);
-            }
-        }
-    }
-}
-
-/// One level of a boundary phase as [`sweep_level`] writes it.
-#[derive(Clone, Copy)]
-struct LevelSweep<'a, T> {
-    below: Level<'a, T>,
-    shape: SlabShape,
-    /// `[slab, pitch]` of the level being written …
-    strides: [usize; 2],
-    /// … and the outer slab it starts with.
-    x0: usize,
-}
-
-impl<'a, T: Scalar> LevelSweep<'a, T> {
-    /// Slabs `x-1 ..= x+1` of the level below.
-    #[inline(always)]
-    fn old(self, x: usize) -> [&'a [T]; 3] {
-        [
-            self.below.slab(x - 1),
-            self.below.slab(x),
-            self.below.slab(x + 1),
-        ]
-    }
-
-    /// A Gauss-Seidel group from row `r` of slab `x`: `LEVEL_CHAINS` rows,
-    /// or the `left` there are.
-    #[inline(always)]
-    fn group<const VL: usize, R: Rows<T, VL>>(
-        self,
-        rows: &R,
-        out: &mut [T],
-        x: usize,
-        r: usize,
-        left: usize,
-    ) {
-        match left.min(LEVEL_CHAINS) {
-            1 => self.rows::<VL, R, 0>(rows, out, x, r),
-            2 => self.rows::<VL, R, 1>(rows, out, x, r),
-            3 => self.rows::<VL, R, 2>(rows, out, x, r),
-            _ => self.rows::<VL, R, 3>(rows, out, x, r),
-        }
-    }
-
-    /// Row `r` of slab `x` of `out`, and the `N` rows after it in sweep
-    /// order in one loop ([`Rows::sweep_rows`]): 2-D those of slabs
-    /// `x + 1 ..= x + N`, 3-D rows `r + 1 ..= r + N` of slab `x`.
-    #[inline(always)]
-    fn rows<const VL: usize, R: Rows<T, VL>, const N: usize>(
-        self,
-        rows: &R,
-        out: &mut [T],
-        x: usize,
-        r: usize,
-    ) {
-        let (w, two_d, [slab, pitch]) = (self.shape.width, self.shape.halo_rows == 0, self.strides);
-        let (done, rest) = out.split_at_mut((x - self.x0) * slab + r * pitch);
-        let (row, mut rest) = rest.split_at_mut(w);
-        let a = SweepRow {
-            old: self.old(x),
-            pitch: [self.below.pitch; 3],
-            r,
-            done,
-            out: row,
-            strides: self.strides,
-        };
-        if N == 0 {
-            rows.sweep_row(a);
-            return;
-        }
-        let step = if two_d { slab } else { pitch };
-        let next = NextRows {
-            old: core::array::from_fn(|k| self.old(x + usize::from(two_d) * (k + 1))),
-            out: core::array::from_fn(|_| {
-                let (row, next) = core::mem::take(&mut rest)[step - w..].split_at_mut(w);
-                rest = next;
-                row
-            }),
-        };
-        rows.sweep_rows::<N>(a, next);
     }
 }
 
@@ -1169,16 +929,16 @@ pub(crate) fn scalar_sweep_body<T, const VL: usize, R>(
 
 /// The anchors `xs` of one temporal sweep (`VL` time steps, in place,
 /// single array) over the window `a` of a grid laid out as `lay`: the
-/// prologue when `xs` starts at anchor 1, the steady
-/// state over `xs`, the epilogue when `xs` ends at the last anchor
-/// `x_max = nx + 1 - VL·s`. A whole tile is `xs = 1 ..= x_max`; parts of
-/// one sweep run in ascending order over the same `sc`, which carries
-/// everything in flight between them. The part touches the slabs from
-/// its first anchor (from ghost slab 0 with the prologue) to `VL·s` past
-/// its last (to ghost slab `nx + 1` with the epilogue). `COUNT`
-/// instruments the steady rows. The codegen context is the caller's, and
-/// must be the one `rows` compute in: baseline x86-64 for `Packs`, a
-/// [`crate::slab_avx2`] sandwich for `Ymm`.
+/// ring fill and the masked front when `xs` starts at anchor 1, the
+/// steady state over `xs`, the masked back when `xs` ends at the last
+/// steady anchor `x_max = nx + 1 - VL·s` ([`masked_slabs`]). A whole tile
+/// is `xs = 1 ..= x_max`; parts of one sweep run in ascending order over
+/// the same `sc`, which carries everything in flight between them. The
+/// part touches the slabs from its first anchor (from ghost slab 0 with
+/// the front) to `VL·s` past its last (to ghost slab `nx + 1` with the
+/// back). `COUNT` instruments the steady rows. The codegen context is the
+/// caller's, and must be the one `rows` compute in: baseline x86-64 for
+/// `Packs`, a [`crate::slab_avx2`] sandwich for `Ymm` and `Zmm`.
 ///
 /// # Panics
 /// Panics if `s < R::MIN_STRIDE`, the outer extent cannot host the vector
@@ -1208,64 +968,62 @@ pub(crate) fn sweep_body<T, const VL: usize, const COUNT: bool, R>(
     let x_max = geo.nx + 1 - VL * s;
     let (first, last) = (*xs.start() == 1, *xs.end() == x_max);
     if first {
-        tile_prologue(a, geo, rows, s, sc);
+        masked_slabs::<T, VL, FRONT, R>(a, geo, rows, s, sc);
     }
-    steady_slabs::<T, VL, COUNT, R>(a, geo, rows, s, &mut sc.ring, sc.seg, xs);
+    steady_slabs::<T, VL, COUNT, STEADY, R>(a, geo, rows, s, &mut sc.ring, sc.seg, xs);
     if last {
-        tile_epilogue(a, geo, rows, s, sc, x_max);
+        masked_slabs::<T, VL, BACK, R>(a, geo, rows, s, sc);
     }
 }
 
-/// Phase 1 of a temporal sweep: scalar head slabs for levels `1..VL`, the
-/// initial wavefront ring `W(0) ..= W(s)`, and (for Gauss-Seidel) the
-/// initial output slab `O(0, ·)`. Reads slabs `0 ..= VL·s` of the array
-/// and writes only `sc`.
-///
-/// Level `k = 1 .. VL` is computed over slabs `1 ..= (VL-k)·s` from level
-/// `k - 1` (the grid for `k = 1`) into one of the two planes, slab 0 the
-/// boundary, and gathered into the ring as soon as it is done
-/// ([`Ring::gather`]); level 0 is gathered from the grid.
+/// The shift of the masked front's frame: its anchors
+/// `1 − (VL−1)·s ..= 0` run as `x + front_shift(s)`, a multiple of the
+/// ring's `s + 2` slots large enough that no anchor, nor the one before
+/// it, is below 1; the ring slot of `W(j)` is `j % (s+2)` in either frame.
 #[inline(always)]
-fn tile_prologue<T, const VL: usize, R>(
-    a: &[T],
+const fn front_shift<const VL: usize>(s: usize) -> usize {
+    (VL - 1) * (s + 2)
+}
+
+/// The masked steady iterations of one end of a sweep (`END` [`FRONT`] or
+/// [`BACK`]): where Algorithm 3 has scalar triangles, the front's anchors
+/// `1 − (VL−1)·s ..= 0`, after the ring fill ([`Ring::fill_front`]), or the
+/// back's `x_max + 1 ..= nx`, through the steady state's segment walk
+/// ([`steady_slabs`]) on rows instantiated with the mask. Anchor `x`'s
+/// lane `k` keeps its output only where its slab `x + (VL−1−k)·s` lies in
+/// `1 ..= nx` and takes the boundary value elsewhere — the halo the
+/// lanes inside read, and in Gauss-Seidel's output slabs the newest
+/// operand past the edge — so an inside lane runs the steady update on
+/// the operands of the reference's. The front reads grid slabs
+/// `0 ..= VL·s` and stores nothing; the back stores the top lanes of slabs
+/// `x_max + 1 ..= nx` and reads no grid slab. Masked anchors tick no
+/// [`tempora_simd::count`] ops.
+#[inline(always)]
+fn masked_slabs<T: Scalar, const VL: usize, const END: u8, R: Rows<T, VL>>(
+    a: &mut [T],
     geo: Geo<T>,
     rows: &R,
     s: usize,
     sc: &mut Scratch<T, VL>,
-) where
-    T: Scalar,
-    R: Rows<T, VL>,
-{
-    let (shape, bc) = (geo.shape, geo.bc);
-    let (w, wp) = (shape.width, shape.elems());
-    let Scratch { planes, ring, .. } = sc;
-    ring.reset_shells(shape, bc);
-    ring.gather(shape, s, 0, Level::grid(a, geo));
-    let (mut below, mut plane) = planes.split_at_mut((VL * s + 2) * wp);
-    for k in 1..VL {
-        let hi = (VL - k) * s;
-        let out = &mut plane[..(hi + 1) * wp];
-        out[..wp].fill(bc);
-        for slab in out.chunks_exact_mut(wp).skip(1) {
-            fill_shell(slab, shape, bc);
-        }
-        let src = if k == 1 {
-            Level::grid(a, geo)
-        } else {
-            Level::plane(below, shape, 0)
-        };
-        sweep_level(rows, shape, src, out, [wp, w], 0, 1..=hi);
-        ring.gather(shape, s, k, Level::plane(plane, shape, 0));
-        core::mem::swap(&mut below, &mut plane);
-    }
+) {
+    let xs = if END == FRONT {
+        sc.ring.fill_front(a, geo, s);
+        let shift = front_shift::<VL>(s);
+        shift + 1 - (VL - 1) * s..=shift
+    } else {
+        geo.nx + 2 - VL * s..=geo.nx
+    };
+    steady_slabs::<T, VL, false, END, R>(a, geo, rows, s, &mut sc.ring, sc.seg, xs);
 }
 
-/// Phase 2: `W(x+s)` for every anchor `x ∈ xs` from `W(x-1 ..= x+1)`,
-/// row by row with the rotate-and-blend rule, storing the finished top
-/// lanes into slab `x` and taking the level-0 bottom lanes from slab
-/// `x + VL·s`. The ring must hold `W(j)` at slot `j % (s+2)` for `j` from
-/// the first `x - 1` to `x + s` — what the prologue, or the part before,
-/// left behind.
+/// The steady state: `W(x+s)` for every anchor `x ∈ xs` from
+/// `W(x-1 ..= x+1)`, row by row with the rotate-and-blend rule, storing
+/// the finished top lanes into slab `x` and taking the level-0 bottom
+/// lanes from slab `x + VL·s` — or, `END` a masked end, the anchors of
+/// [`masked_slabs`], the front's in its shifted frame. The ring must hold
+/// `W(j)` at slot `j % (s+2)` for `j` from the first `x - 1` to `x + s - 1`
+/// — what the ring fill and the masked front, or the part before, left
+/// behind.
 ///
 /// # Segments
 ///
@@ -1325,7 +1083,7 @@ fn tile_prologue<T, const VL: usize, R>(
 /// produced before, none overwritten before its last read: the pairs
 /// compute what the rows did one after the other, bit for bit.
 #[inline(always)]
-fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
+fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, const END: u8, R: Rows<T, VL>>(
     a: &mut [T],
     geo: Geo<T>,
     rows: &R,
@@ -1357,9 +1115,9 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
             if anchor_pairs && x < x1 && !us.is_empty() && !next.is_empty() {
                 // `next` is `us` one column left, clipped to `1 ..= n`.
                 let lo = us.start + usize::from(next.start == us.start);
-                part.steady_piece::<VL, COUNT>(a, ring, x, us.start..lo);
-                part.steady_anchor_pair::<VL, COUNT>(a, ring, x, lo..us.end);
-                part.steady_piece::<VL, COUNT>(
+                part.steady_piece::<VL, COUNT, END>(a, ring, x, us.start..lo);
+                part.steady_anchor_pair::<VL, COUNT, END>(a, ring, x, lo..us.end);
+                part.steady_piece::<VL, COUNT, END>(
                     a,
                     ring,
                     x + 1,
@@ -1367,7 +1125,7 @@ fn steady_slabs<T: Scalar, const VL: usize, const COUNT: bool, R: Rows<T, VL>>(
                 );
                 x += 2;
             } else {
-                part.steady_piece::<VL, COUNT>(a, ring, x, us);
+                part.steady_piece::<VL, COUNT, END>(a, ring, x, us);
                 x += 1;
             }
         }
@@ -1388,11 +1146,42 @@ struct Part<T, R> {
 }
 
 impl<T: Scalar, R: Copy> Part<T, R> {
+    /// The grid slabs anchor `x` stores its top lanes into and takes its
+    /// bottoms from, from their first rows: slab `x` — none at the front —
+    /// and slab `x + VL·s` — none at the back ([`STEADY`]).
+    #[inline(always)]
+    fn grid_slabs<const VL: usize, const END: u8>(self, a: &mut [T], x: usize) -> (&mut [T], &[T]) {
+        let Part { geo, s, .. } = self;
+        match END {
+            FRONT => (&mut [], &a[geo.at(x + VL * s - front_shift::<VL>(s))..]),
+            BACK => (&mut a[geo.at(x)..], &[]),
+            _ => {
+                let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
+                (&mut top[geo.at(x)..], bottom)
+            }
+        }
+    }
+
+    /// The lanes of anchor `x` whose slab `x + (VL−1−k)·s` lies in
+    /// `1 ..= nx`: lanes `0 ..` at the front, `.. VL` at the back, all in
+    /// the steady state.
+    #[inline(always)]
+    fn inside<const VL: usize, const END: u8>(self, x: usize) -> Mask<VL> {
+        let Part { geo, s, .. } = self;
+        // Lane 0's slab, at least 1.
+        let u = match END {
+            STEADY => return Mask::lanes(0..VL),
+            FRONT => x + (VL - 1) * s - front_shift::<VL>(s),
+            _ => x + (VL - 1) * s,
+        };
+        Mask::lanes(u.saturating_sub(geo.nx).div_ceil(s)..((u - 1) / s + 1).min(VL))
+    }
+
     /// Anchor `x` over its units `us` of one segment ([`steady_slabs`]):
     /// 2-D the columns `us` of its row, 3-D the rows `us` of its plane,
     /// Gauss-Seidel's two at a time.
     #[inline(always)]
-    fn steady_piece<const VL: usize, const COUNT: bool>(
+    fn steady_piece<const VL: usize, const COUNT: bool, const END: u8>(
         self,
         a: &mut [T],
         ring: &mut Ring<T, VL>,
@@ -1424,7 +1213,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
         // Written out: an `array::map` here is an out-of-line call.
         let slot = |j: usize| &ring.slabs[j % rlen][..];
         let (xm, mid, xp) = (slot(x - 1), slot(x), slot(x + 1));
-        let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
+        let (top, bottom) = self.grid_slabs::<VL, END>(a, x);
+        let (inside, bc) = (self.inside::<VL, END>(x), geo.bc);
         let (o_prev, o_cur) = if (x - x0).is_multiple_of(2) {
             (&ring.o_prev[..], &mut ring.o_cur[..])
         } else {
@@ -1439,17 +1229,20 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                 let (above, o_rows) = o_cur[at - up..].split_at_mut(up);
                 let (o_a, o_b) = o_rows.split_at_mut(w);
                 let (out_a, out_b) = wslab[at..].split_at_mut(w);
-                let (top_a, top_b) = top[geo.at(x) + g..].split_at_mut(geo.pitch);
+                // Grid rows `r` and `r + 1` of the top slab (none at the front).
+                let (top_a, top_b) = top.split_at_mut((g + geo.pitch).min(top.len()));
                 let next = at + w;
-                rows.steady_pair::<COUNT>(SteadyPair {
+                rows.steady_pair::<COUNT, END>(SteadyPair {
                     a: SteadyRow {
                         ring: [&xm[at..][..len], &mid[at..][..len], &xp[at..][..len]],
                         sides: [&mid[at - up..][..len], &mid[at + up..][..len]],
                         newest: [&o_prev[at..][..len], &above[..len]],
                         o_row: &mut o_a[..len],
                         out: &mut out_a[..len],
-                        top: &mut top_a[..len],
-                        bottom: &bottom[g..][..len],
+                        top: grid_row_mut(top_a, g, len),
+                        bottom: grid_row(bottom, g, len),
+                        inside,
+                        bc,
                     },
                     b: SteadyRow {
                         ring: [&xm[next..][..len], &mid[next..][..len], &xp[next..][..len]],
@@ -1458,8 +1251,10 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                         newest: [&o_prev[next..][..len]; 2],
                         o_row: &mut o_b[..len],
                         out: &mut out_b[..len],
-                        top: &mut top_b[..len],
-                        bottom: &bottom[g + geo.pitch..][..len],
+                        top: grid_row_mut(top_b, 0, len),
+                        bottom: grid_row(bottom, g + geo.pitch, len),
+                        inside,
+                        bc,
                     },
                     shared: &mut [],
                     south_from_a: false,
@@ -1474,14 +1269,16 @@ impl<T: Scalar, R: Copy> Part<T, R> {
             } else {
                 Default::default()
             };
-            rows.steady_row::<COUNT>(SteadyRow {
+            rows.steady_row::<COUNT, END>(SteadyRow {
                 ring: [&xm[at..][..len], &mid[at..][..len], &xp[at..][..len]],
                 sides: [&mid[at - up..][..len], &mid[at + up..][..len]],
                 newest,
                 o_row,
                 out: &mut wslab[at..][..len],
-                top: &mut top[geo.at(x) + g..][..len],
-                bottom: &bottom[g..][..len],
+                top: grid_row_mut(top, g, len),
+                bottom: grid_row(bottom, g, len),
+                inside,
+                bc,
             });
         }
         ring.slabs[ips] = wslab;
@@ -1491,7 +1288,7 @@ impl<T: Scalar, R: Copy> Part<T, R> {
     /// the columns one left of them, in one loop ([`steady_slabs`],
     /// [`SteadyPair`]). `us` starts at column 2 or later.
     #[inline(always)]
-    fn steady_anchor_pair<const VL: usize, const COUNT: bool>(
+    fn steady_anchor_pair<const VL: usize, const COUNT: bool, const END: u8>(
         self,
         a: &mut [T],
         ring: &mut Ring<T, VL>,
@@ -1517,23 +1314,26 @@ impl<T: Scalar, R: Copy> Part<T, R> {
         let (w0, w1) = (slot(x), slot(x + 1));
         // At `s = 2`, `W(x+2)` is `wa`: `x + 1`'s south row is handed over.
         let w2 = if s == 2 { w1 } else { slot(x + 2) };
-        let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
-        let (top_a, top_b) = top[geo.at(x)..].split_at_mut(geo.slab);
+        let (top, bottom) = self.grid_slabs::<VL, END>(a, x);
+        // The top slabs of `x` and `x + 1` (none at the front).
+        let (top_a, top_b) = top.split_at_mut(geo.slab.min(top.len()));
         let (o_prev, o_cur) = if (x - x0).is_multiple_of(2) {
             (&mut ring.o_prev[..], &mut ring.o_cur[..])
         } else {
             (&mut ring.o_cur[..], &mut ring.o_prev[..])
         };
         let stand_in = &w0[at..][..len];
-        rows.steady_pair::<COUNT>(SteadyPair {
+        rows.steady_pair::<COUNT, END>(SteadyPair {
             a: SteadyRow {
                 ring: [stand_in, stand_in, &w1[at..][..len]],
                 sides: [stand_in; 2],
                 newest: [stand_in; 2],
                 o_row: &mut o_cur[at..][..len],
                 out: &mut wa[at..][..len],
-                top: &mut top_a[at..][..len],
-                bottom: &bottom[at..][..len],
+                top: grid_row_mut(top_a, at, len),
+                bottom: grid_row(bottom, at, len),
+                inside: self.inside::<VL, END>(x),
+                bc: geo.bc,
             },
             b: SteadyRow {
                 ring: [
@@ -1545,8 +1345,10 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                 newest: Default::default(),
                 o_row: &mut [],
                 out: &mut wb[at - 1..][..len],
-                top: &mut top_b[at - 1..][..len],
-                bottom: &bottom[geo.slab + at - 1..][..len],
+                top: grid_row_mut(top_b, at - 1, len),
+                bottom: grid_row(bottom, geo.slab + at - 1, len),
+                inside: self.inside::<VL, END>(x + 1),
+                bc: geo.bc,
             },
             shared: &mut o_prev[at - 1..][..len],
             south_from_a: s == 2,
@@ -1556,60 +1358,25 @@ impl<T: Scalar, R: Copy> Part<T, R> {
     }
 }
 
-/// Phase 3 of a temporal sweep: drain the surviving wavefront ring level
-/// by level and finish every level scalar-wise up to slab `nx`, level `i`
-/// in one of the two planes, re-based at `x_max + (VL-1-i)·s`, from level
-/// `i - 1` in the other (the grid for `i = 1`). The ring must hold `W(j)`
-/// at slot `j % (s+2)` for `j ∈ x_max ..= x_max+s`, as left behind by the
-/// steady state. Reads slabs `x_max + (VL-1)·s ..= nx + 1` of the array
-/// and writes slabs `x_max + 1 ..= nx`.
+/// `len` elements from `g` of a grid slab's rows; none of a slab a masked
+/// anchor does not have ([`Part::grid_slabs`]).
 #[inline(always)]
-fn tile_epilogue<T, const VL: usize, R>(
-    a: &mut [T],
-    geo: Geo<T>,
-    rows: &R,
-    s: usize,
-    sc: &mut Scratch<T, VL>,
-    x_max: usize,
-) where
-    T: Scalar,
-    R: Rows<T, VL>,
-{
-    let (nx, shape, bc) = (geo.nx, geo.shape, geo.bc);
-    let (w, wp) = (shape.width, shape.elems());
-    let Scratch { planes, ring, .. } = sc;
-    let (mut below, mut plane) = planes.split_at_mut((VL * s + 2) * wp);
-    for i in 1..VL {
-        let base = x_max + (VL - 1 - i) * s;
-        let slabs = (i + 1) * s + 1; // rel 0 ..= (i+1)·s, last = ghost slab nx+1
-        debug_assert_eq!(base + slabs - 1, nx + 1);
-        let out = &mut plane[..slabs * wp];
-        for slab in out.chunks_exact_mut(wp) {
-            fill_shell(slab, shape, bc);
-        }
-        out[(slabs - 1) * wp..].fill(bc);
-        // Drain lane i of the surviving ring slabs: lane i of W(j) is
-        // level i at outer slab j + (VL-1-i)·s = base + (j - x_max).
-        for j in x_max..=x_max + s {
-            let dst = &mut out[(j - x_max) * wp..];
-            extract_lane(&ring.slabs[j % (s + 2)], i, dst, shape);
-        }
-        // Scalar completion over slabs base+s+1 ..= nx, reading level i-1
-        // from the grid or from `below` (based at base + s).
-        let src = if i == 1 {
-            Level::grid(a, geo)
-        } else {
-            Level::plane(below, shape, base + s)
-        };
-        sweep_level(rows, shape, src, out, [wp, w], base, base + s + 1..=nx);
-        core::mem::swap(&mut below, &mut plane);
+fn grid_row<T>(slab: &[T], g: usize, len: usize) -> &[T] {
+    if slab.is_empty() {
+        slab
+    } else {
+        &slab[g..][..len]
     }
+}
 
-    // Final level VL over slabs x_max+1 ..= nx, written into the array;
-    // level VL-1 (`below`) is based at x_max.
-    let src = Level::plane(below, shape, x_max);
-    let strides = [geo.slab, geo.pitch];
-    sweep_level(rows, shape, src, a, strides, geo.x0, x_max + 1..=nx);
+/// [`grid_row`], mutable.
+#[inline(always)]
+fn grid_row_mut<T>(slab: &mut [T], g: usize, len: usize) -> &mut [T] {
+    if slab.is_empty() {
+        slab
+    } else {
+        &mut slab[g..][..len]
+    }
 }
 
 /// One table-driven suite for the driver: kind × shape × steps
@@ -2054,11 +1821,6 @@ pub(crate) mod tests {
                 for buf in ring.slabs.iter().chain(outputs) {
                     assert_eq!(buf.as_ptr() as usize % 64, 0, "{dims:?} s={s} gs={gs}");
                 }
-                assert_eq!(
-                    sc.planes.as_ptr() as usize % 64,
-                    0,
-                    "{dims:?} s={s} gs={gs}"
-                );
             }
         }
         for dims in [[40, 1, 1], [40, 9, 1], [40, 255, 1], [40, 1024, 1]] {
@@ -2071,9 +1833,8 @@ pub(crate) mod tests {
 
     /// `steps` levels of `g` through the driver at eight `f64` lanes,
     /// computing in `Packs` — a width the engines run only the 2-D `f64`
-    /// kinds at, and the one where a plane per level was largest: every
-    /// sweep cut into parts of `cut` anchors, then the scalar remainder
-    /// steps.
+    /// kinds at, and the widest masked ends: every sweep cut into parts of
+    /// `cut` anchors, then the scalar remainder steps.
     fn run_vl8<G, R>(rows: &R, g: &G, steps: usize, s: usize, cut: usize) -> G
     where
         G: SlabGrid<Elem = f64>,
@@ -2134,13 +1895,45 @@ pub(crate) mod tests {
         }
     }
 
-    /// The Gauss-Seidel pairs ([`super::steady_slabs`]) and row groups
-    /// ([`super::sweep_level`]) ≡ the reference at `s = 2..=4`, every engine
-    /// and width: sweeps cut into parts of 1, 2 and 3 anchors and of
-    /// `VL·s ± 1`, so that an anchor runs without its partner at either
-    /// end of a part; planes of one to three interior rows and odd counts
-    /// of them; and the ledger's shapes one past them, GS-3D 41³ × 4 and
-    /// GS-2D 257² × 8, whole.
+    /// `steps` levels of `g` on `e`, every sweep cut where its steady
+    /// anchors meet the masked ends: parts `1 ..= 1`, `2 ..= x_max − 1` and
+    /// `x_max ..= x_max` (the front and the back each run beside a part of
+    /// one anchor), then the scalar remainder steps whole.
+    fn run_cut_at_the_ends<K: KernelSpace>(
+        e: Engine,
+        g: &K::Grid,
+        kern: &K,
+        steps: usize,
+        s: usize,
+    ) -> K::Grid {
+        let (dims, lay) = (g.dims(), g.layout());
+        let (mut g, nx, vl) = (g.clone(), lay.nx, K::vl(e));
+        let (mut sc, reach) = (K::scratch(e, dims, s), vl * s);
+        let x_max = nx + 1 - reach;
+        let parts = [(1, 1), (2, x_max - 1), (x_max.max(2), x_max)];
+        for _ in 0..steps / vl {
+            for (x0, x1) in parts.into_iter().filter(|(x0, x1)| x0 <= x1) {
+                let lo = if x0 == 1 { 0 } else { x0 };
+                let hi = if x1 == x_max { nx + 1 } else { x1 + reach };
+                let a = window(&mut g, lo, hi);
+                kern.sweep::<false>(e, &lay, a, x0..=x1, s, &mut sc);
+            }
+        }
+        let mut bufs = K::step_bufs(dims);
+        for _ in 0..steps % vl {
+            kern.scalar_sweep(e, &lay, window(&mut g, 0, nx + 1), 1..=nx, &mut bufs);
+        }
+        g
+    }
+
+    /// The Gauss-Seidel pairs ([`super::steady_slabs`]), at the masked
+    /// ends too, ≡ the reference at `s = 2..=4`, every engine and width:
+    /// sweeps cut into parts of 1, 2 and 3 anchors and of `VL·s ± 1`, so
+    /// that an anchor runs without its partner at either end of a part,
+    /// and cut at the first and the last steady anchor
+    /// ([`run_cut_at_the_ends`]); planes of one to three interior rows and
+    /// odd counts of them; and the ledger's shapes one past them, GS-3D
+    /// 41³ × 4 and GS-2D 257² × 8, whole.
     #[test]
     fn gs_pairs_match_reference() {
         fn cut<K: Kind>(kern: &K, engines: &[Engine], dims: [usize; 3]) {
@@ -2154,6 +1947,12 @@ pub(crate) mod tests {
                             let ours = run_in_parts(e, &g, kern, steps, Some(s), cut);
                             if let Some(d) = K::mismatch(&ours, &gold) {
                                 panic!("{e:?} dims={dims:?} cut={cut} s={s} steps={steps}: {d}");
+                            }
+                        }
+                        if dims[0] >= vl * s {
+                            let ours = run_cut_at_the_ends(e, &g, kern, steps, s);
+                            if let Some(d) = K::mismatch(&ours, &gold) {
+                                panic!("{e:?} dims={dims:?} ends s={s} steps={steps}: {d}");
                             }
                         }
                     }

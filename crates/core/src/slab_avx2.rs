@@ -2,8 +2,8 @@
 //! the driver of [`crate::slab`], AVX2 for every slab kind and AVX-512 for
 //! the `f64` 2-D kinds at eight lanes.
 //!
-//! The driver — ring rotation, prologue, epilogue, scalar steps and the
-//! steady rows — is one `#[inline(always)]` *source*, and so are the
+//! The driver — ring fill, ring rotation, the masked ends, scalar steps
+//! and the steady rows — is one `#[inline(always)]` *source*, and so are the
 //! kernels' vector formulas and the lane vocabulary they are written in
 //! ([`tempora_simd::Lanes`]). The portable engine instantiates all of it
 //! for baseline x86-64 with rows that compute in `Packs`; this module
@@ -17,8 +17,9 @@
 //! produced input vector, whatever the dimension. So a whole sweep, not
 //! just its steady rows, is compiled for the ISA the plan resolved. Why it
 //! matters: outside a feature context `f64::mul_add` is a call into
-//! libm's `fma`, which made the scalar boundary slabs ≈ 20× slower per
-//! point than the vector loop they bracket. A hardware `vfmadd` and
+//! libm's `fma`, which makes a scalar step ≈ 20× slower per point than
+//! the vector loop (it made the scalar boundary slabs so before the ends
+//! were masked). A hardware `vfmadd` and
 //! libm's `fma` are both the exactly-rounded fused operation, so results
 //! stay bit-identical to the portable engine and to the scalar
 //! references.
@@ -45,8 +46,8 @@ use {
     },
 };
 
-/// [`slab::sweep_body`] compiled for AVX2+FMA end to end — boundary
-/// phases and steady rows of a part as one codegen context — for `rows`
+/// [`slab::sweep_body`] compiled for AVX2+FMA end to end — masked ends
+/// and steady rows of a part as one codegen context — for `rows`
 /// that compute in `Ymm`, the proof that AVX2+FMA are available.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn sweep<T, const VL: usize, const COUNT: bool, R>(

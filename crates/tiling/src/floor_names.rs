@@ -269,7 +269,13 @@ mod skew {
                 Some(Engine::Portable)
             );
             if tempora_simd::arch::avx2_available() {
-                assert_eq!(engine(Mode::Temporal(2), Select::Auto), Some(Engine::Avx2));
+                // 500 cells lie past GS-1D's eight-lane crossover.
+                let auto = if tempora_simd::arch::avx512_available() {
+                    Engine::Avx512
+                } else {
+                    Engine::Avx2
+                };
+                assert_eq!(engine(Mode::Temporal(2), Select::Auto), Some(auto));
                 // A grid below VL·s = 28 cells has no vector schedule: its
                 // scalar steps run in, and report, the AVX2 context.
                 let small: Grid1<f64> = GsKern1d::grid([24, 1, 1], 2);

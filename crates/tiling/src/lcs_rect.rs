@@ -313,9 +313,9 @@ mod tests {
     #[test]
     fn workspace_reuse_is_identical_and_allocation_free() {
         let pool = Pool::new(2);
-        // Eight lanes at 140 columns; sixteen, where the CPU has them, at
-        // 1100 (`Auto` widens from 1024).
-        for (lb, wide) in [(140, false), (1100, true)] {
+        // Eight lanes at 60 columns; sixteen, where the CPU has them, at
+        // 1100 (`Auto` widens from 64).
+        for (lb, wide) in [(60, false), (1100, true)] {
             let a = random_sequence(96, 4, 1);
             let b = random_sequence(lb, 4, 2);
             let gold = reference::lcs_len(&a, &b);

@@ -190,10 +190,9 @@ impl Kind {
     /// that a change to them fails here.
     fn wide_min(self) -> Option<usize> {
         match self {
-            Kind::Heat1d => Some(4096),
-            Kind::Gs1d | Kind::Lcs => Some(1024),
-            Kind::Heat2d | Kind::Box2d => Some(32),
-            Kind::Gs2d => Some(128),
+            Kind::Heat1d => Some(1024),
+            Kind::Gs1d | Kind::Lcs => Some(64),
+            Kind::Heat2d | Kind::Box2d | Kind::Gs2d => Some(16),
             Kind::Life | Kind::Heat3d | Kind::Gs3d => None,
         }
     }
@@ -439,7 +438,7 @@ pub enum Outer {
     VlS,
     /// The eight-lane crossover `± 1` ([`Kind::wide_min`]).
     WideMin,
-    /// `VL·s + 1 ..= 2·VL·s + 1` at one of the kind's lane counts: a 1-D
+    /// `VL·s + 1 ..= 2·VL·s + 1` at one of the kind's lane counts: a
     /// sweep's masked front and back meet inside one part.
     Masked,
     #[default]
@@ -1055,6 +1054,14 @@ const GRIDS: &[Kind] = &[
     Kind::Heat3d,
     Kind::Gs3d,
 ];
+const SLABS: &[Kind] = &[
+    Kind::Heat2d,
+    Kind::Box2d,
+    Kind::Gs2d,
+    Kind::Life,
+    Kind::Heat3d,
+    Kind::Gs3d,
+];
 const TILED: &[Tile] = &[Tile::Native];
 const TEMPORAL: &[Method] = &[Method::Temporal];
 const GS: &[Kind] = &[Kind::Gs1d, Kind::Gs2d, Kind::Gs3d];
@@ -1140,6 +1147,17 @@ slices! {
         threads: (2, 4),
         strides: &[Stride::Default, Stride::Accepted, Stride::Accepted],
         outer: &[Outer::Masked],
+        blocks: &[Block::VlS, Block::Cut]
+    };
+    slab_masked_ends_cross_segments_and_parts: 160, LEGAL {
+        kinds: SLABS,
+        methods: TEMPORAL,
+        selects: &[Select::Portable, Select::Avx2, Select::Auto, Select::Auto],
+        threads: (2, 4),
+        strides: &[Stride::Default, Stride::Accepted, Stride::Accepted],
+        outer: &[Outer::Masked],
+        inner: &[Inner::Segment],
+        steps: &[Steps::NearMultiple],
         blocks: &[Block::VlS, Block::Cut]
     };
     stride_legality_is_enforced_and_sufficient: 40, LEGAL {

@@ -151,6 +151,17 @@ fn masked_ends_meet_inside_one_part() {
     check_slice("masked_ends_meet_inside_one_part");
 }
 
+/// The six slab kinds on `VL·s + 1 ..= 2·VL·s + 1` slabs, where a sweep's
+/// masked front and back meet inside one part, with inner extents around
+/// the segment width, so that masked anchors cross segment edges — the
+/// `f64` 2-D kinds at both widths, strides 2 to 5: untiled, and ghost /
+/// skew tiles on two to four threads with blocks around `VL·s` or cutting
+/// the grid in two to four, whose part edges fall next to the masked ends.
+#[test]
+fn slab_masked_ends_cross_segments_and_parts() {
+    check_slice("slab_masked_ends_cross_segments_and_parts");
+}
+
 /// Every edge class of the case space has, for every kind, a checked draw
 /// the plan accepts and one it rejects — wherever the kind admits one —
 /// over the categorical stratum and the draws of every slice.

@@ -270,18 +270,18 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         (Problem::life(256, 256, 16, LifeRule::b2s23()), auto, n),
         // Each kind's crossover met and missed by one outer slab (LCS: by
         // one column, and missed by `la % 16 > la % 8`); `4s ≤ nx < 8s`.
-        (heat(4096, 32), auto, w),
-        (heat(4095, 32), auto, n),
-        (gs(1024, 32), auto, w),
-        (gs(1023, 32), auto, n),
-        (Problem::heat2d(32, 20, 16, h2), auto, w),
-        (Problem::heat2d(31, 20, 16, h2), auto, n),
-        (Problem::box2d(32, 20, 16, b2), auto, w),
-        (Problem::box2d(31, 20, 16, b2), auto, n),
-        (Problem::gs2d(128, 20, 16, g2), auto, w),
-        (Problem::gs2d(127, 20, 16, g2), auto, n),
-        (Problem::lcs(1024, 1023), auto, n),
-        (Problem::lcs(1024, 512), auto, n),
+        (heat(1024, 32), auto, w),
+        (heat(1023, 32), auto, n),
+        (gs(64, 32), auto, w),
+        (gs(63, 32), auto, n),
+        (Problem::heat2d(16, 20, 16, h2), auto, w),
+        (Problem::heat2d(15, 20, 16, h2), auto, n),
+        (Problem::box2d(16, 20, 16, b2), auto, w),
+        (Problem::box2d(15, 20, 16, b2), auto, n),
+        (Problem::gs2d(16, 20, 16, g2), auto, w),
+        (Problem::gs2d(15, 20, 16, g2), auto, n),
+        (Problem::lcs(1024, 64), auto, w),
+        (Problem::lcs(1024, 63), auto, n),
         (Problem::lcs(1032, 1024), auto, n),
         (heat(60, 32), auto, n),
         (gs(40, 32), temporal(Select::Auto, Tiling::None, Some(7)), n),

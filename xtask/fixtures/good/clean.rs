@@ -42,7 +42,7 @@ pub unsafe fn wide() {}
 /// A phase function (checked under `crates/core/src`): one source,
 /// instantiated in each caller's codegen context.
 #[inline(always)]
-pub fn tile_prologue(n: usize) -> usize {
+pub fn fill_front(n: usize) -> usize {
     n + 1
 }
 

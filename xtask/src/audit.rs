@@ -59,15 +59,16 @@ const INLINE_ALWAYS: &str = "#[inline(always)]";
 /// call instead of an instruction — same results, ≈ 20× slower, and no
 /// test notices.
 ///
-/// * `tempora_core`: the boundary phases (the 1-D sweep's masked ends,
-///   `masked_end`, and the slab driver's triangles) and scalar steps, the steady
+/// * `tempora_core`: the boundary phases (the masked ends, the 1-D
+///   sweep's `masked_end` and the slab driver's `masked_slabs`, with the
+///   ring fills and the masks) and scalar steps, the steady
 ///   states (each 1-D kernel's `steady` — the 3-point kernels'
 ///   `ring_sweep` and its step `ring_step`, LCS's `ring_regs` and the `B`
 ///   layout's index `at`, which the sixteen-lane sandwich instantiates
 ///   as well; `steady_row`), which carry no `#[target_feature]` of
 ///   their own and reach their instructions only by being inlined into a
-///   sandwich, the Gauss-Seidel row groups (`sweep_rows`, `steady_pair`
-///   and what cuts their rows), everything on the slab row path
+///   sandwich, the Gauss-Seidel row pairs (`steady_pair` and what cuts
+///   their rows), everything on the slab row path
 ///   (`cursor` … `finish`, and
 ///   `units`, the segments' geometry, which the steady state of every
 ///   sandwich — `sweep_zmm`'s included — computes per part), the kernel
@@ -83,32 +84,29 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
         &[
             "sweep_body",
             "masked_end",
-            "tile_prologue",
-            "tile_epilogue",
+            "masked_slabs",
+            "front_shift",
+            "fill_front",
             "steady_slabs",
             "units",
             "scalar_sweep_body",
             "scalar_cells",
             "sweep_row",
             "steady_row",
-            "sweep_level",
-            "sweep_rows",
             "steady_pair",
             "anchor_pair",
             "steady_piece",
             "steady_anchor_pair",
-            "group",
-            "rows",
-            "old",
+            "grid_slabs",
+            "inside",
+            "grid_row",
+            "grid_row_mut",
             "of",
             "views3",
             "at3",
-            "insert_lane",
-            "extract_lane",
             "fill_shell",
             "copy_slab",
             "reset_shells",
-            "gather",
             "ring_sweep",
             "ring_step",
             "at",
@@ -807,7 +805,7 @@ mod tests {
         assert_eq!(
             diags("crates/core/src/t9d.rs", src),
             vec![format!(
-                "crates/core/src/t9d.rs:12: [phase-inline] phase function `tile_epilogue` must \
+                "crates/core/src/t9d.rs:12: [phase-inline] phase function `masked_slabs` must \
                  be `{INLINE_ALWAYS}`: without it the AVX2 sandwiches call the \
                  baseline-x86-64 instantiation (libm `fma` per `mul_add`) instead of \
                  compiling their own"
@@ -828,7 +826,7 @@ mod tests {
         );
         // The good fixture defines a phase function with the attribute.
         let good = include_str!("../fixtures/good/clean.rs");
-        assert!(good.contains("fn tile_prologue"));
+        assert!(good.contains("fn fill_front"));
         assert_eq!(diags("crates/core/src/t9d.rs", good), Vec::<String>::new());
         // Every method the vocabulary macro of `arch.rs` generates is one
         // (`$name`): the bad fixture's lost its attribute, the good one's
