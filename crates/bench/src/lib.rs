@@ -1744,7 +1744,7 @@ pub fn ablate_vl() -> Table {
 
 /// Where the wider lanes start to pay: Heat-1D and GS-1D over lines of
 /// 64 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
-/// over squares of 8² … 256² at 8, 16 and 9 steps, each shape untiled at
+/// over squares of 16² … 256² at 8, 16 and 9 steps, each shape untiled at
 /// four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their
 /// default strides (`engine_runs`: `auto` picks only one of them, and the
 /// point is to time the one it does not); and LCS over `n × n` tables of
@@ -1793,7 +1793,7 @@ pub fn vl_shapes() -> Vec<Row> {
         }
     }
     for steps in [8, 16, 9] {
-        for n in [8, 16, 32, 64, 128, 256] {
+        for n in [16, 32, 64, 128, 256] {
             for (kind, problem) in wide_slab_kinds(n, steps) {
                 push(kind, problem, secs(&problem));
             }

@@ -43,7 +43,7 @@
 //! `Select::Auto` takes [`Engine::Avx512`] for the kinds with an eight-lane
 //! sweep where the CPU has AVX-512F, the outer extent is wide enough for
 //! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 64 points
-//! for GS-1D, 1024 for Heat-1D; 16 rows for the `f64` 2-D kinds) and the
+//! for GS-1D, 256 for Heat-1D; 16 rows for the `f64` 2-D kinds) and the
 //! run has an eight-lane sweep (`steps ≥ 8`) that leaves no
 //! more scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4`
 //! — one rule, [`KernelSpace::resolve`], for every kind. So the ledger's
@@ -548,20 +548,18 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         spatial::step_1d(engine, src, dst, xs, self);
     }
 
-    /// 64 points for GS-1D, 1024 for Heat-1D: the smallest powers of two
-    /// at which eight lanes beat four in every `repro ablate-vl` reading
-    /// with the sweep's ends masked (2-vCPU AVX-512 container, fourteen
-    /// runs, eight over four lanes at 32 / 9 steps): GS-1D 1.01–1.27 /
-    /// 0.98–1.18 at 64 points and 1.13–1.37 / 1.07–1.31 at 128, where at
-    /// 32 points eight lanes run scalar steps; Heat-1D 0.84–0.98 / 0.92–1.09
-    /// at 128, 0.99–1.21 / 0.79–1.07 at 256, 1.12–1.20 / 0.95–1.18 at 512,
-    /// 1.15–1.33 / 0.94–1.19 at 1024 and 1.29–1.45 / 1.08–1.27 at 2048 (at
-    /// 12 steps, four scalar levels against none, 0.3–0.9 everywhere). The
-    /// one reading below 1 at each crossover (0.98, 0.94) is one of
-    /// fourteen, within the host's run-to-run spread. Both values host the
-    /// eight-lane schedule at the kind's eight-lane default stride.
+    /// 64 points for GS-1D, 256 for Heat-1D: the smallest powers of two
+    /// that host the eight-lane schedule at the kind's default stride and
+    /// from which eight lanes win the median `repro ablate-vl` reading of
+    /// every row with the sweep's ends masked (2-vCPU AVX-512 container, 27
+    /// runs, eight over four lanes at 32 / 9 steps: GS-1D 1.14 / 1.07 at
+    /// 64, Heat-1D 0.91 / 0.96 at 128, 1.08 / 1.01 at 256; at 12 steps,
+    /// four scalar levels against none, 0.3–0.9 everywhere). The old rule,
+    /// every reading a win, would give 128 and 2048, where `auto`'s
+    /// four-lane pick at 64 × 32 and 1024 × 32 read up to 1.27× and 1.35×
+    /// slower than eight lanes (README, "Eight lanes", has the ranges).
     fn wide_min_nx() -> Option<usize> {
-        Some(if K::IS_GS { 64 } else { 1024 })
+        Some(if K::IS_GS { 64 } else { 256 })
     }
 
     /// The smallest register-specialised stride within 3 % of the kind's
@@ -738,14 +736,13 @@ slab_kernel_space! {
 }
 
 // The crossovers are measured like the 1-D ones: `repro ablate-vl` times
-// both widths over squares of 8² … 256² at 8, 16 and 9 steps, and each is
+// both widths over squares of 16² … 256² at 8, 16 and 9 steps, and each is
 // the smallest power of two at which eight lanes ran faster in every
 // reading. With the sweep's ends masked every kind crosses at 16², the
 // narrowest square that hosts the eight-lane schedule at `s = 2` (2-vCPU
-// AVX-512 container, eight over four lanes, fourteen runs at 8 / 9 / 16
-// steps: Heat-2D 1.27–1.51 / 1.13–1.38 / 1.18–1.59, 2D9P 1.08–1.32 /
-// 1.15–1.24 / 1.16–1.34, GS-2D 1.32–1.51 / 1.18–1.37 / 1.33–1.62; at 8²,
-// where eight lanes run scalar steps, 0.5–1.5).
+// AVX-512 container, eight over four lanes, 27 runs at 8 / 9 / 16 steps:
+// Heat-2D 1.25–1.62 / 1.13–1.44 / 1.18–1.80, 2D9P 1.08–1.37 / 1.13–1.60 /
+// 1.16–1.41, GS-2D 1.12–1.51 / 1.04–1.37 / 1.08–1.62).
 slab_kernel_space! {
     JacobiKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
     BoxKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;

@@ -100,9 +100,9 @@ pub fn vl(engine: Engine) -> usize {
 /// The narrowest `B` at which `Select::Auto` runs LCS at sixteen lanes:
 /// the smallest power of two at which sixteen lanes beat eight in every
 /// `repro ablate-vl` reading (untiled `n × n` at stride 2; 2-vCPU AVX-512
-/// container, fourteen runs, with the band's ends masked): 0.65–0.81 at
-/// 32, where a sixteen-lane band at `s = 2` barely fits, 1.26–1.48 at 64,
-/// 1.31–1.68 at 128, 1.7–2.0 at 256 and 2.1–2.8 from 1024 on.
+/// container, 27 runs, with the band's ends masked): 0.59–0.81 at 32,
+/// where a sixteen-lane band at `s = 2` barely fits, 1.26–1.51 at 64,
+/// 1.05–1.68 at 128, 1.6–2.1 at 256 and 2.1–2.8 from 1024 on.
 pub const WIDE_MIN_LB: usize = 64;
 
 /// True when a band sweep of `vl` rows fits an `la × lb` table whose

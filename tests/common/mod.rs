@@ -190,7 +190,7 @@ impl Kind {
     /// that a change to them fails here.
     fn wide_min(self) -> Option<usize> {
         match self {
-            Kind::Heat1d => Some(1024),
+            Kind::Heat1d => Some(256),
             Kind::Gs1d | Kind::Lcs => Some(64),
             Kind::Heat2d | Kind::Box2d | Kind::Gs2d => Some(16),
             Kind::Life | Kind::Heat3d | Kind::Gs3d => None,

@@ -270,8 +270,8 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         (Problem::life(256, 256, 16, LifeRule::b2s23()), auto, n),
         // Each kind's crossover met and missed by one outer slab (LCS: by
         // one column, and missed by `la % 16 > la % 8`); `4s ≤ nx < 8s`.
-        (heat(1024, 32), auto, w),
-        (heat(1023, 32), auto, n),
+        (heat(256, 32), auto, w),
+        (heat(255, 32), auto, n),
         (gs(64, 32), auto, w),
         (gs(63, 32), auto, n),
         (Problem::heat2d(16, 20, 16, h2), auto, w),
