@@ -42,8 +42,8 @@
 //!
 //! `Select::Auto` takes [`Engine::Avx512`] for the kinds with an eight-lane
 //! sweep where the CPU has AVX-512F, the outer extent is wide enough for
-//! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 64 points
-//! for GS-1D, 256 for Heat-1D; 16 rows for the `f64` 2-D kinds) and the
+//! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 128 points
+//! for GS-1D, 2048 for Heat-1D; 16 rows for the `f64` 2-D kinds) and the
 //! run has an eight-lane sweep (`steps ≥ 8`) that leaves no
 //! more scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4`
 //! — one rule, [`KernelSpace::resolve`], for every kind. So the ledger's
@@ -364,10 +364,8 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// The anchors `xs ⊆ 1 ..= x_max` (`x_max = nx + 1 - VL·s`,
     /// `VL = vl(engine)`) of one temporal sweep — `VL` levels, in place —
     /// with the resolved `engine` (bit-identical either way): the sweep's
-    /// masked front (a ring fill, then steady iterations whose lanes
-    /// outside the grid take the boundary value) when `xs` starts at 1,
-    /// the steady state over `xs`, its masked back when `xs` ends at
-    /// `x_max`.
+    /// masked front when `xs` starts at 1, the steady state over `xs`, its
+    /// masked back when `xs` ends at `x_max`.
     /// Touches the slabs from `xs.start()` (from ghost slab 0 with the
     /// front) to `xs.end() + VL·s` (to ghost slab `nx + 1` with the back),
     /// which `a` must hold. `sc`
@@ -436,7 +434,8 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     /// an eight-lane sweep that leaves no more scalar levels than the
     /// four-lane schedule: `steps ≥ 8` and `steps % 8 ≤ steps % 4` (with a
     /// sweep at eight lanes there is one at four, and the scalar levels
-    /// are `steps % 8` and `steps % 4`).
+    /// are `steps % 8` and `steps % 4`). A plan given a stride `s` keeps
+    /// four lanes where `nx < 8·s` (`tempora_plan`).
     fn resolve(sel: Select, nx: usize, steps: usize) -> Engine {
         let wide = Self::wide_min_nx().is_some_and(|min| nx >= min) && wider_pays(steps, 4);
         match sel.resolve(avx2_available()) {
@@ -548,18 +547,20 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         spatial::step_1d(engine, src, dst, xs, self);
     }
 
-    /// 64 points for GS-1D, 256 for Heat-1D: the smallest powers of two
-    /// that host the eight-lane schedule at the kind's default stride and
-    /// from which eight lanes win the median `repro ablate-vl` reading of
-    /// every row with the sweep's ends masked (2-vCPU AVX-512 container, 27
-    /// runs, eight over four lanes at 32 / 9 steps: GS-1D 1.14 / 1.07 at
-    /// 64, Heat-1D 0.91 / 0.96 at 128, 1.08 / 1.01 at 256; at 12 steps,
-    /// four scalar levels against none, 0.3–0.9 everywhere). The old rule,
-    /// every reading a win, would give 128 and 2048, where `auto`'s
-    /// four-lane pick at 64 × 32 and 1024 × 32 read up to 1.27× and 1.35×
-    /// slower than eight lanes (README, "Eight lanes", has the ranges).
+    /// 128 points for GS-1D, 2048 for Heat-1D: the smallest powers of two
+    /// at which eight lanes beat four in every `repro ablate-vl` reading
+    /// with the sweep's ends masked (2-vCPU AVX-512 container, 27 runs,
+    /// eight over four lanes at 32 / 9 steps: GS-1D 0.97–1.27 /
+    /// 0.98–1.27 at 64, 1.13–1.37 / 1.05–1.31 at 128; Heat-1D 1.15–1.35 /
+    /// 0.94–1.20 at 1024, 1.20–1.45 / 1.01–1.28 at 2048; at 12 steps, four
+    /// scalar levels against none, 0.3–0.9 everywhere). Below them `auto`'s
+    /// four lanes can read more than 1.25× slower than eight (Heat-1D
+    /// 1024 × 32), which `ablate-vl`'s gate flags on this host in most
+    /// runs (README, "Eight lanes"). Both values lie at or above
+    /// `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane schedule
+    /// at every stride.
     fn wide_min_nx() -> Option<usize> {
-        Some(if K::IS_GS { 64 } else { 256 })
+        Some(if K::IS_GS { 128 } else { 2048 })
     }
 
     /// The smallest register-specialised stride within 3 % of the kind's
@@ -1070,14 +1071,13 @@ pub(crate) mod tests {
 
     #[test]
     fn auto_widens_1d_at_the_measured_crossover() {
-        fn hosts_its_default_stride<K: KernelSpace>() {
-            // A line this wide hosts the eight-lane schedule at the
-            // kind's eight-lane default stride.
-            let (w, s) = (K::wide_min_nx(), K::default_stride(Engine::Avx512));
-            assert!(w >= Some(8 * s), "{w:?} at s = {s}");
+        for w in [JacobiKern1d::wide_min_nx(), GsKern1d::wide_min_nx()] {
+            // A line this wide hosts the eight-lane schedule at every stride.
+            assert!(
+                w >= Some(8 * <JacobiKern1d as KernelSpace>::MAX_STRIDE),
+                "{w:?}"
+            );
         }
-        hosts_its_default_stride::<JacobiKern1d>();
-        hosts_its_default_stride::<GsKern1d>();
         widens_at_the_crossover::<JacobiKern1d>();
         widens_at_the_crossover::<GsKern1d>();
     }

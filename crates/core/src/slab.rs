@@ -108,7 +108,7 @@ use crate::kernels::{Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::cell::Cell;
 use core::ops::{Range, RangeInclusive};
 use std::sync::OnceLock;
-use tempora_grid::{PackBuf, SlabGrid, SlabLayout, SlabShape, SlabsMut};
+use tempora_grid::{pad_len, AlignedBuf, PackBuf, SlabGrid, SlabLayout, SlabShape, SlabsMut};
 use tempora_simd::count::{self, Op};
 use tempora_simd::{F64Lanes, Lanes, Mask, Pack, Scalar};
 
@@ -138,9 +138,10 @@ pub(crate) struct SweepRow<'a, T> {
 /// parameter: [`STEADY`] at `1 ..= x_max`, where every lane's slab
 /// `x + (VL−1−k)·s` lies in `1 ..= nx`, or at one of the two masked ends,
 /// where the lanes whose slab does not take the boundary value by one
-/// select ([`RowCursor::finish`]). The front's anchors `x ≤ 0` store no
-/// top lane (slab `x` is no grid slab); the back's `x > x_max` take their
-/// bottoms as the boundary value (slab `x + VL·s` lies past `nx + 1`).
+/// select ([`RowCursor::finish`]). Where an end's anchor has no grid slab
+/// to store its top lanes into (the front's `x ≤ 0`) or to take its
+/// bottoms from (the back's `x > x_max`: slab `x + VL·s` lies past
+/// `nx + 1`), it uses the ring's edge instead ([`Part::grid_slabs`]).
 pub(crate) const STEADY: u8 = 0;
 /// The masked front: anchors `1 − (VL−1)·s ..= 0` ([`STEADY`]).
 pub(crate) const FRONT: u8 = 1;
@@ -166,11 +167,11 @@ pub(crate) struct SteadyRow<'a, T: Scalar, const VL: usize, const END: u8> {
     pub o_row: &'a mut [Pack<T, VL>],
     /// The row of `W(x+s)` to produce.
     pub out: &'a mut [Pack<T, VL>],
-    /// Grid row `(x, ·)`: receives the finished top lanes (empty at the
-    /// front).
+    /// Grid row `(x, ·)`: receives the finished top lanes (at the front,
+    /// a row of the ring's edge).
     pub top: &'a mut [T],
-    /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes (empty
-    /// at the back).
+    /// Grid row `(x + VL·s, ·)`: supplies the level-0 bottom lanes (at the
+    /// back, a row of the boundary value).
     pub bottom: &'a [T],
     /// The lanes whose slab lies in `1 ..= nx` (masked ends only) …
     pub inside: Mask<VL>,
@@ -263,16 +264,8 @@ impl<'a, T: Scalar, const VL: usize, const END: u8> SteadyRow<'a, T, VL, END> {
             carry,
             reads: [nw, nn, ne, sw, ss, se, up, down, new_x, new_y],
             newest,
-            bottom: if END == BACK {
-                &[]
-            } else {
-                &self.bottom[1..][..n]
-            },
-            top: if END == FRONT {
-                &mut []
-            } else {
-                &mut self.top[1..][..n]
-            },
+            bottom: &self.bottom[1..][..n],
+            top: &mut self.top[1..][..n],
             out: &mut self.out[1..][..n],
             o_row,
             inside: self.inside,
@@ -340,9 +333,8 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>, const END: u8> RowCursor<'_, T
     /// What every steady iteration does with the output vector `o` of
     /// point `i`: at a masked end, give the lanes whose slab leaves
     /// `1 ..= nx` the boundary value (one select); store its finished top
-    /// lane into the grid (not at the front), rotate and blend the next
-    /// input vector into the ring (one `vrotate`, one `vblend`, whatever
-    /// the kernel; the back's bottom is the boundary value) and, for
+    /// lane, rotate and blend the next input vector into the ring (one
+    /// `vrotate`, one `vblend`, whatever the kernel) and, for
     /// Gauss-Seidel, keep `o`: in the output row, and in the register the
     /// next point reads. `COUNT` ticks the produced input vector's
     /// reorganization budget in [`tempora_simd::count`] (same ticks as
@@ -357,11 +349,8 @@ impl<T: Scalar, const VL: usize, L: Lanes<T, VL>, const END: u8> RowCursor<'_, T
         } else {
             isa.select(self.inside, o, isa.splat(self.bc))
         };
-        if END != FRONT {
-            self.top[i] = isa.top(o);
-        }
-        let bottom = if END == BACK { self.bc } else { self.bottom[i] };
-        let v = isa.shift_up_insert(o, bottom);
+        self.top[i] = isa.top(o);
+        let v = isa.shift_up_insert(o, self.bottom[i]);
         self.out[i] = isa.store(v);
         if COUNT {
             count::record_output(1);
@@ -637,9 +626,10 @@ impl<'a> Old3<'a> {
 // ---------------------------------------------------------------------
 
 /// The wavefront ring of one sweep: `s + 2` slabs of input-vector packs,
-/// `W(j)` at slot `j % (s+2)`, and the two Gauss-Seidel output slabs
-/// (empty for Jacobi). Every slab starts on a cache line ([`PackBuf`]):
-/// a 64-byte pack of a `Vec`, aligned to 32 bytes only, may straddle two.
+/// `W(j)` at slot `j % (s+2)`, the two Gauss-Seidel output slabs (empty
+/// for Jacobi) and the masked ends' edge slab. Every slab starts on a
+/// cache line ([`PackBuf`]): a 64-byte pack of a `Vec`, aligned to 32
+/// bytes only, may straddle two.
 struct Ring<T: Scalar, const VL: usize> {
     slabs: Vec<PackBuf<T, VL>>,
     /// Output slab `O(x-1, ·)` when the anchor's place in its part is
@@ -647,6 +637,12 @@ struct Ring<T: Scalar, const VL: usize> {
     o_prev: PackBuf<T, VL>,
     /// The other output slab (Gauss-Seidel only).
     o_cur: PackBuf<T, VL>,
+    /// One grid slab and one row, in the grid's layout: where the masked
+    /// front stores its top lanes (slab `x ≤ 0` is no grid slab) and the
+    /// masked back takes its bottoms from, the boundary value (slab
+    /// `x + VL·s` lies past `nx + 1`) — a 2-D Gauss-Seidel pair's two
+    /// anchors reach one row into the next slab ([`Part::grid_slabs`]).
+    edge: AlignedBuf<T>,
 }
 
 impl<T: Scalar, const VL: usize> Ring<T, VL> {
@@ -657,6 +653,9 @@ impl<T: Scalar, const VL: usize> Ring<T, VL> {
             slabs: (0..s + 2).map(|_| slab(shape.elems())).collect(),
             o_prev: slab(out),
             o_cur: slab(out),
+            // A grid row is `pad_len(width)` elements apart: the layout
+            // `sweep_body` checks.
+            edge: AlignedBuf::zeroed((shape.rows + 1) * pad_len(shape.width)),
         }
     }
 
@@ -960,6 +959,10 @@ pub(crate) fn sweep_body<T, const VL: usize, const COUNT: bool, R>(
     assert!(s >= R::MIN_STRIDE, "stride {s} illegal for this kernel");
     assert_eq!((sc.s, sc.shape), (s, geo.shape), "scratch shape mismatch");
     assert!(
+        sc.ring.edge.len() >= geo.slab + geo.pitch,
+        "grid rows wider than the scratch's"
+    );
+    assert!(
         geo.nx >= VL * s,
         "outer extent {} below VL*s = {}: no vector schedule, run scalar steps",
         geo.nx,
@@ -1011,6 +1014,7 @@ fn masked_slabs<T: Scalar, const VL: usize, const END: u8, R: Rows<T, VL>>(
         let shift = front_shift::<VL>(s);
         shift + 1 - (VL - 1) * s..=shift
     } else {
+        sc.ring.edge.fill(geo.bc);
         geo.nx + 2 - VL * s..=geo.nx
     };
     steady_slabs::<T, VL, false, END, R>(a, geo, rows, s, &mut sc.ring, sc.seg, xs);
@@ -1147,14 +1151,21 @@ struct Part<T, R> {
 
 impl<T: Scalar, R: Copy> Part<T, R> {
     /// The grid slabs anchor `x` stores its top lanes into and takes its
-    /// bottoms from, from their first rows: slab `x` — none at the front —
-    /// and slab `x + VL·s` — none at the back ([`STEADY`]).
+    /// bottoms from, from their first rows: slab `x` and slab `x + VL·s`,
+    /// or where a masked end has no such slab the ring's `edge` — the
+    /// front's top lanes go there, the back's bottoms come from there
+    /// ([`STEADY`]).
     #[inline(always)]
-    fn grid_slabs<const VL: usize, const END: u8>(self, a: &mut [T], x: usize) -> (&mut [T], &[T]) {
+    fn grid_slabs<'a, const VL: usize, const END: u8>(
+        self,
+        a: &'a mut [T],
+        edge: &'a mut [T],
+        x: usize,
+    ) -> (&'a mut [T], &'a [T]) {
         let Part { geo, s, .. } = self;
         match END {
-            FRONT => (&mut [], &a[geo.at(x + VL * s - front_shift::<VL>(s))..]),
-            BACK => (&mut a[geo.at(x)..], &[]),
+            FRONT => (edge, &a[geo.at(x + VL * s - front_shift::<VL>(s))..]),
+            BACK => (&mut a[geo.at(x)..], edge),
             _ => {
                 let (top, bottom) = a.split_at_mut(geo.at(x + VL * s));
                 (&mut top[geo.at(x)..], bottom)
@@ -1213,7 +1224,7 @@ impl<T: Scalar, R: Copy> Part<T, R> {
         // Written out: an `array::map` here is an out-of-line call.
         let slot = |j: usize| &ring.slabs[j % rlen][..];
         let (xm, mid, xp) = (slot(x - 1), slot(x), slot(x + 1));
-        let (top, bottom) = self.grid_slabs::<VL, END>(a, x);
+        let (top, bottom) = self.grid_slabs::<VL, END>(a, &mut ring.edge, x);
         let (inside, bc) = (self.inside::<VL, END>(x), geo.bc);
         let (o_prev, o_cur) = if (x - x0).is_multiple_of(2) {
             (&ring.o_prev[..], &mut ring.o_cur[..])
@@ -1229,8 +1240,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                 let (above, o_rows) = o_cur[at - up..].split_at_mut(up);
                 let (o_a, o_b) = o_rows.split_at_mut(w);
                 let (out_a, out_b) = wslab[at..].split_at_mut(w);
-                // Grid rows `r` and `r + 1` of the top slab (none at the front).
-                let (top_a, top_b) = top.split_at_mut((g + geo.pitch).min(top.len()));
+                // Grid rows `r` and `r + 1` of the top slab.
+                let (top_a, top_b) = top.split_at_mut(g + geo.pitch);
                 let next = at + w;
                 rows.steady_pair::<COUNT, END>(SteadyPair {
                     a: SteadyRow {
@@ -1239,8 +1250,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                         newest: [&o_prev[at..][..len], &above[..len]],
                         o_row: &mut o_a[..len],
                         out: &mut out_a[..len],
-                        top: grid_row_mut(top_a, g, len),
-                        bottom: grid_row(bottom, g, len),
+                        top: &mut top_a[g..][..len],
+                        bottom: &bottom[g..][..len],
                         inside,
                         bc,
                     },
@@ -1251,8 +1262,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                         newest: [&o_prev[next..][..len]; 2],
                         o_row: &mut o_b[..len],
                         out: &mut out_b[..len],
-                        top: grid_row_mut(top_b, 0, len),
-                        bottom: grid_row(bottom, g + geo.pitch, len),
+                        top: &mut top_b[..len],
+                        bottom: &bottom[g + geo.pitch..][..len],
                         inside,
                         bc,
                     },
@@ -1275,8 +1286,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                 newest,
                 o_row,
                 out: &mut wslab[at..][..len],
-                top: grid_row_mut(top, g, len),
-                bottom: grid_row(bottom, g, len),
+                top: &mut top[g..][..len],
+                bottom: &bottom[g..][..len],
                 inside,
                 bc,
             });
@@ -1314,9 +1325,9 @@ impl<T: Scalar, R: Copy> Part<T, R> {
         let (w0, w1) = (slot(x), slot(x + 1));
         // At `s = 2`, `W(x+2)` is `wa`: `x + 1`'s south row is handed over.
         let w2 = if s == 2 { w1 } else { slot(x + 2) };
-        let (top, bottom) = self.grid_slabs::<VL, END>(a, x);
-        // The top slabs of `x` and `x + 1` (none at the front).
-        let (top_a, top_b) = top.split_at_mut(geo.slab.min(top.len()));
+        let (top, bottom) = self.grid_slabs::<VL, END>(a, &mut ring.edge, x);
+        // The top slabs of `x` and `x + 1`.
+        let (top_a, top_b) = top.split_at_mut(geo.slab);
         let (o_prev, o_cur) = if (x - x0).is_multiple_of(2) {
             (&mut ring.o_prev[..], &mut ring.o_cur[..])
         } else {
@@ -1330,8 +1341,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                 newest: [stand_in; 2],
                 o_row: &mut o_cur[at..][..len],
                 out: &mut wa[at..][..len],
-                top: grid_row_mut(top_a, at, len),
-                bottom: grid_row(bottom, at, len),
+                top: &mut top_a[at..][..len],
+                bottom: &bottom[at..][..len],
                 inside: self.inside::<VL, END>(x),
                 bc: geo.bc,
             },
@@ -1345,8 +1356,8 @@ impl<T: Scalar, R: Copy> Part<T, R> {
                 newest: Default::default(),
                 o_row: &mut [],
                 out: &mut wb[at - 1..][..len],
-                top: grid_row_mut(top_b, at - 1, len),
-                bottom: grid_row(bottom, geo.slab + at - 1, len),
+                top: &mut top_b[at - 1..][..len],
+                bottom: &bottom[geo.slab + at - 1..][..len],
                 inside: self.inside::<VL, END>(x + 1),
                 bc: geo.bc,
             },
@@ -1355,27 +1366,6 @@ impl<T: Scalar, R: Copy> Part<T, R> {
         });
         ring.slabs[ia] = wa;
         ring.slabs[ib] = wb;
-    }
-}
-
-/// `len` elements from `g` of a grid slab's rows; none of a slab a masked
-/// anchor does not have ([`Part::grid_slabs`]).
-#[inline(always)]
-fn grid_row<T>(slab: &[T], g: usize, len: usize) -> &[T] {
-    if slab.is_empty() {
-        slab
-    } else {
-        &slab[g..][..len]
-    }
-}
-
-/// [`grid_row`], mutable.
-#[inline(always)]
-fn grid_row_mut<T>(slab: &mut [T], g: usize, len: usize) -> &mut [T] {
-    if slab.is_empty() {
-        slab
-    } else {
-        &mut slab[g..][..len]
     }
 }
 

@@ -18,8 +18,7 @@
 //! just its steady rows, is compiled for the ISA the plan resolved. Why it
 //! matters: outside a feature context `f64::mul_add` is a call into
 //! libm's `fma`, which makes a scalar step ≈ 20× slower per point than
-//! the vector loop (it made the scalar boundary slabs so before the ends
-//! were masked). A hardware `vfmadd` and
+//! the vector loop. A hardware `vfmadd` and
 //! libm's `fma` are both the exactly-rounded fused operation, so results
 //! stay bit-identical to the portable engine and to the scalar
 //! references.

@@ -468,9 +468,20 @@ impl PlanBuilder {
     /// given, else that engine's default. One resolution and one stride
     /// table, both the kernel's ([`KernelSpace::resolve`],
     /// [`KernelSpace::default_stride`]); tiling does not enter, since a
-    /// tiled plan runs the same sweeps, cut into chunks.
+    /// tiled plan runs the same sweeps, cut into chunks. A given stride
+    /// too long for the wider sweep over `nx` (`nx < VL·s`, which would
+    /// run scalar steps) keeps the narrower one, which may host it.
     fn resolve<K: KernelSpace>(&self, nx: usize, steps: usize) -> (Engine, usize) {
-        let engine = K::resolve(self.select, nx, steps);
+        let engine = match K::resolve(self.select, nx, steps) {
+            Engine::Avx512
+                if self
+                    .stride
+                    .is_some_and(|s| nx < K::vl(Engine::Avx512).saturating_mul(s)) =>
+            {
+                self.select.resolve(true)
+            }
+            engine => engine,
+        };
         let s = self.stride.unwrap_or_else(|| K::default_stride(engine));
         (engine, s)
     }

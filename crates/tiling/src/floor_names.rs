@@ -120,19 +120,13 @@ mod ghost {
                 engine(&g, 8, 64, Mode::Temporal(7), Select::Portable),
                 Some(Engine::Portable)
             );
-            // The engine is resolved by the untiled rule (448 cells lie
-            // past Heat-1D's eight-lane crossover): a narrow block is
-            // widened to VL·s cells and runs the same vector code as a
-            // wide one, so it reports the same engine.
-            let auto = if tempora_simd::arch::avx512_available() {
-                Engine::Avx512
-            } else {
-                best()
-            };
+            // The engine is resolved by the untiled rule: a narrow block
+            // is widened to VL·s = 28 cells and runs the same vector code
+            // as a wide one, so it reports the same engine.
             for block in [64, 2] {
                 assert_eq!(
                     engine(&g, 8, block, Mode::Temporal(7), Select::Auto),
-                    Some(auto),
+                    Some(best()),
                     "block={block}"
                 );
             }

@@ -407,8 +407,8 @@ mod tests {
 
     /// The equivalence table: every engine this host runs, forced at the
     /// workspace whatever `Auto` would pick, over rows `la` around both
-    /// lane counts, `B` around both sweeps' reach and the sixteen-lane
-    /// crossover, block columns one past and one short of the reach,
+    /// lane counts, `B` around both sweeps' reach and around 1024, block
+    /// columns one past and one short of the reach,
     /// twice it and ragged, strides 1 to 3, at 1, 2, 4 and 8 threads —
     /// bitwise ≡ `reference::lcs_len`, reporting the engine that ran.
     #[test]

@@ -36,9 +36,9 @@
 //! With `x_max` the anchors of a sweep (`nx + 1 - VL·s` when vector
 //! sweeps run, `nx` otherwise), a sweep is cut every
 //! `chunk = max(block, VL·s, 2)` anchors; chunk 0 also runs the sweep's
-//! front and the last chunk its back — the slab driver's prologue and
-//! epilogue, the 1-D sweep's masked ends (for a scalar sweep: the slabs up
-//! to `nx`).
+//! front and the last chunk its back — masked steady iterations, in the
+//! slab driver as in the 1-D sweep (for a scalar sweep: the slabs up to
+//! `nx`).
 //!
 //! # Why it is race-free (the hazard argument)
 //!

@@ -190,8 +190,9 @@ impl Kind {
     /// that a change to them fails here.
     fn wide_min(self) -> Option<usize> {
         match self {
-            Kind::Heat1d => Some(256),
-            Kind::Gs1d | Kind::Lcs => Some(64),
+            Kind::Heat1d => Some(2048),
+            Kind::Gs1d => Some(128),
+            Kind::Lcs => Some(64),
             Kind::Heat2d | Kind::Box2d | Kind::Gs2d => Some(16),
             Kind::Life | Kind::Heat3d | Kind::Gs3d => None,
         }
@@ -251,8 +252,9 @@ impl Kind {
 /// The engine a case's `Report` names: `None` for the spatial methods;
 /// for the temporal one the selection resolved by capability, widened by
 /// `Select::Auto` to eight lanes (LCS: sixteen) where the kind has a
-/// wider sweep, the outer extent reaches its crossover and
-/// [`wider_pays`]; LCS resolves portable where no eight-lane band fits.
+/// wider sweep, the outer extent reaches its crossover, [`wider_pays`]
+/// and a given stride fits the wider sweep; LCS resolves portable where
+/// no eight-lane band fits.
 pub fn engine_of(problem: &Problem, config: &SolveConfig) -> Option<Engine> {
     (config.method == Method::Temporal).then(|| temporal_engine(problem, config))
 }
@@ -285,8 +287,10 @@ fn temporal_engine(problem: &Problem, config: &SolveConfig) -> Engine {
             kind.wide_min().is_some_and(|min| lb >= min) && wider_pays(la, 8) && fits(16)
         }
         _ => {
-            let nx = problem.extents()[0];
-            kind.wide_min().is_some_and(|min| nx >= min) && wider_pays(problem.steps(), 4)
+            let (nx, vl) = (problem.extents()[0], kind.vl(Engine::Avx512));
+            kind.wide_min().is_some_and(|min| nx >= min)
+                && wider_pays(problem.steps(), 4)
+                && config.stride.is_none_or(|s| nx >= vl.saturating_mul(s))
         }
     };
     match narrow(true) {

@@ -270,10 +270,10 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         (Problem::life(256, 256, 16, LifeRule::b2s23()), auto, n),
         // Each kind's crossover met and missed by one outer slab (LCS: by
         // one column, and missed by `la % 16 > la % 8`); `4s ≤ nx < 8s`.
-        (heat(256, 32), auto, w),
-        (heat(255, 32), auto, n),
-        (gs(64, 32), auto, w),
-        (gs(63, 32), auto, n),
+        (heat(2048, 32), auto, w),
+        (heat(2047, 32), auto, n),
+        (gs(128, 32), auto, w),
+        (gs(127, 32), auto, n),
         (Problem::heat2d(16, 20, 16, h2), auto, w),
         (Problem::heat2d(15, 20, 16, h2), auto, n),
         (Problem::box2d(16, 20, 16, b2), auto, w),
@@ -285,6 +285,33 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         (Problem::lcs(1032, 1024), auto, n),
         (heat(60, 32), auto, n),
         (gs(40, 32), temporal(Select::Auto, Tiling::None, Some(7)), n),
+        // A given stride the eight-lane schedule cannot host over the outer
+        // extent (`nx < 8s`) keeps four lanes, which host it.
+        (
+            gs(64, 32),
+            temporal(Select::Auto, Tiling::None, Some(16)),
+            n,
+        ),
+        (
+            Problem::heat2d(16, 20, 16, h2),
+            temporal(Select::Auto, Tiling::None, Some(3)),
+            n,
+        ),
+        (
+            Problem::heat2d(24, 20, 16, h2),
+            temporal(Select::Auto, Tiling::None, Some(3)),
+            w,
+        ),
+        (
+            Problem::gs2d(39, 20, 16, g2),
+            temporal(Select::Auto, Tiling::None, Some(5)),
+            n,
+        ),
+        (
+            Problem::gs2d(40, 20, 16, g2),
+            temporal(Select::Auto, Tiling::None, Some(5)),
+            w,
+        ),
         // Selections other than `auto` never widen.
         (heat(1 << 16, 32), portable, Engine::Portable),
         (Problem::gs2d(768, 768, 16, g2), portable, Engine::Portable),

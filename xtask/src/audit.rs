@@ -99,8 +99,6 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
             "steady_anchor_pair",
             "grid_slabs",
             "inside",
-            "grid_row",
-            "grid_row_mut",
             "of",
             "views3",
             "at3",
