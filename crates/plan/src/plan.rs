@@ -472,16 +472,11 @@ impl PlanBuilder {
     /// too long for the wider sweep over `nx` (`nx < VL·s`, which would
     /// run scalar steps) keeps the narrower one, which may host it.
     fn resolve<K: KernelSpace>(&self, nx: usize, steps: usize) -> (Engine, usize) {
-        let engine = match K::resolve(self.select, nx, steps) {
-            Engine::Avx512
-                if self
-                    .stride
-                    .is_some_and(|s| nx < K::vl(Engine::Avx512).saturating_mul(s)) =>
-            {
-                self.select.resolve(true)
-            }
-            engine => engine,
-        };
+        let mut engine = K::resolve(self.select, nx, steps);
+        let wide = K::vl(Engine::Avx512);
+        if engine == Engine::Avx512 && self.stride.is_some_and(|s| nx < wide.saturating_mul(s)) {
+            engine = self.select.resolve(true);
+        }
         let s = self.stride.unwrap_or_else(|| K::default_stride(engine));
         (engine, s)
     }

@@ -250,6 +250,7 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
     let [auto, portable, avx2] =
         [Select::Auto, Select::Portable, Select::Avx2].map(|sel| temporal(sel, Tiling::None, None));
     let tiled = |tiling| temporal(Select::Auto, tiling, None);
+    let strided = |s| temporal(Select::Auto, Tiling::None, Some(s));
     let rows = [
         // The ledger's problems. At twelve steps eight lanes leave four
         // scalar levels and four lanes none.
@@ -287,31 +288,11 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         (gs(40, 32), temporal(Select::Auto, Tiling::None, Some(7)), n),
         // A given stride the eight-lane schedule cannot host over the outer
         // extent (`nx < 8s`) keeps four lanes, which host it.
-        (
-            gs(64, 32),
-            temporal(Select::Auto, Tiling::None, Some(16)),
-            n,
-        ),
-        (
-            Problem::heat2d(16, 20, 16, h2),
-            temporal(Select::Auto, Tiling::None, Some(3)),
-            n,
-        ),
-        (
-            Problem::heat2d(24, 20, 16, h2),
-            temporal(Select::Auto, Tiling::None, Some(3)),
-            w,
-        ),
-        (
-            Problem::gs2d(39, 20, 16, g2),
-            temporal(Select::Auto, Tiling::None, Some(5)),
-            n,
-        ),
-        (
-            Problem::gs2d(40, 20, 16, g2),
-            temporal(Select::Auto, Tiling::None, Some(5)),
-            w,
-        ),
+        (gs(64, 32), strided(16), n),
+        (Problem::heat2d(16, 20, 16, h2), strided(3), n),
+        (Problem::heat2d(24, 20, 16, h2), strided(3), w),
+        (Problem::gs2d(39, 20, 16, g2), strided(5), n),
+        (Problem::gs2d(40, 20, 16, g2), strided(5), w),
         // Selections other than `auto` never widen.
         (heat(1 << 16, 32), portable, Engine::Portable),
         (Problem::gs2d(768, 768, 16, g2), portable, Engine::Portable),
