@@ -19,7 +19,7 @@
 //! | `ablate-tiling` | untiled vs tiled on one and two threads, per Table-1 grid row | [`ablate_tiling`] |
 //! | `ablate-digest` | `state_digest` vs its one-chain spec vs a word sum, per `State` variant | [`ablate_digest`] |
 //! | `ablate-rows` | slab steady rows in cycles per vector against their port bound, ring in L1 and at the ledger geometry | [`ablate_rows`] |
-//! | `ablate-vl` | the 1-D steady state at four and eight lanes, every stride: Mupd/s, cycles and reorganizations per output vector; both widths on each side of `auto`'s crossover | [`ablate_vl`], [`vl_shapes`] |
+//! | `ablate-vl` | the 1-D steady state at four and eight lanes, every stride: Mupd/s, cycles and reorganizations per output vector; both widths on each side of `auto`'s crossover, and the width formula's prediction beside them | [`ablate_vl`], [`vl_shapes`] |
 //!
 //! The last six are one [`Table`] of [`Row`]s each: one measurement per
 //! row — `kind`, `engine`, `shape`, `metric`, `value` — stated against
@@ -1659,7 +1659,7 @@ pub fn ablate_vl() -> Table {
     }
     let (n2, steps2) = (256, 8);
     for (kind, problem) in wide_slab_kinds(n2, steps2) {
-        for run in engine_runs(&problem, &engines) {
+        for run in engine_runs(&problem, &engines, None) {
             let (vl, s) = (run.vl, SLAB_STRIDE);
             let vectors = (steps2 / vl * (n2 + 1 - vl * s) * n2) as f64;
             let shape = format!("{n2}^2 x {steps2} s={s}*");
@@ -1701,8 +1701,9 @@ pub fn ablate_vl() -> Table {
         (Problem::heat1d(1 << 16, 32, h1), "avx512"),
         (Problem::gs1d(1 << 16, 32, g1), "avx512"),
         (Problem::heat1d(4096, 32, h1), "avx512"),
-        // Twelve steps: four scalar levels at eight lanes, none at four.
-        (Problem::heat2d(256, 256, 12, h2), "avx2"),
+        // Twelve steps: one eight-lane sweep and four spatially vectorised
+        // scalar levels cost less than three four-lane sweeps.
+        (Problem::heat2d(256, 256, 12, h2), "avx512"),
         (
             Problem::box2d(256, 256, 8, Box2dCoeffs::smooth(0.1)),
             "avx512",
@@ -1744,15 +1745,20 @@ pub fn ablate_vl() -> Table {
 
 /// Where the wider lanes start to pay: Heat-1D and GS-1D over lines of
 /// 64 … 4096 points at 32, 12 and 9 steps, and Heat-2D, 2D9P and GS-2D
-/// over squares of 16² … 256² at 8, 16 and 9 steps, each shape untiled at
-/// four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`]) at their
-/// default strides (`engine_runs`: `auto` picks only one of them, and the
-/// point is to time the one it does not); and LCS over `n × n` tables of
-/// 32 … 8192 at eight and sixteen lanes (`lcs_runs`) — the rows that
-/// set `tempora_core::lcs::WIDE_MIN_LB`. Two `Mupd/s` rows per shape, one
-/// per width; the one of the width a default plan resolves (the narrow
-/// one unless that is `avx512`) is stated against the other. Empty
-/// without AVX-512F.
+/// over squares of 12² … 256² at 8, 16, 9 and 12 steps, each shape
+/// untiled at four lanes ([`Engine::Avx2`]) and eight ([`Engine::Avx512`])
+/// at their default strides (`engine_runs`: `auto` picks only one of them,
+/// and the point is to time the one it does not), and Heat-2D over 11² …
+/// 24² × 16 at `s = 3` on both; and LCS over `n × n`
+/// tables of 32 … 8192 and two tables with `la mod 16 = 8` at eight and
+/// sixteen lanes (`lcs_runs`) — the rows the width formula's constants
+/// are fit to. Two `Mupd/s` rows per shape, one per width; the one of the
+/// width a default plan resolves (the narrow one unless that is `avx512`)
+/// is stated against the other. Then a `model` row: the wide `Mupd/s` the
+/// formula predicts from the narrow reading (times its narrow-over-wide
+/// cost ratio, `model_ratio`), stated against the wide reading — its
+/// ratio is the predicted cost ratio over the measured one. Empty without
+/// AVX-512F.
 ///
 /// [`Engine::Avx2`]: tempora_core::engine::Engine::Avx2
 /// [`Engine::Avx512`]: tempora_core::engine::Engine::Avx512
@@ -1761,22 +1767,33 @@ pub fn vl_shapes() -> Vec<Row> {
         return vec![];
     }
     let mut rows = vec![];
-    let mut push = |kind, problem: Problem, [narrow, wide]: [f64; 2]| {
-        let shape = format!("{} x {}", problem.extents()[0], problem.steps());
-        let updates = problem.points() as f64 * problem.steps() as f64;
-        let row = |engine: Engine, secs| {
-            Row::new("ablate-vl", kind, engine.name(), &shape).reads("Mupd/s", updates / secs / 1e6)
+    let mut push = |kind, problem: Problem, stride: Option<usize>, [narrow, wide]: [f64; 2]| {
+        let mut shape = match problem {
+            Problem::Lcs { la, lb } => format!("{la} x {lb}"),
+            _ => format!("{} x {}", problem.extents()[0], problem.steps()),
         };
-        let (narrow, wide) = (row(Engine::Avx2, narrow), row(Engine::Avx512, wide));
-        let auto = plan_of(&problem, PlanBuilder::new()).engine();
+        let mut builder = PlanBuilder::new();
+        if let Some(s) = stride {
+            shape += &format!(" s={s}");
+            builder = builder.stride(s);
+        }
+        let updates = problem.points() as f64 * problem.steps() as f64;
+        let [narrow, wide] = [narrow, wide].map(|secs| updates / secs / 1e6);
+        let row = |engine, mupd_per_s| {
+            Row::new("ablate-vl", kind, engine, &shape).reads("Mupd/s", mupd_per_s)
+        };
+        let (narrow, wide) = (row("avx2", narrow), row("avx512", wide));
+        let model = row("model", narrow.value * model_ratio(&problem, stride)).against(&wide);
+        let auto = plan_of(&problem, builder).engine();
         rows.extend(if auto == Some(Engine::Avx512) {
-            [wide.against(&narrow), narrow]
+            [wide.against(&narrow), narrow, model]
         } else {
-            [narrow.against(&wide), wide]
+            [narrow.against(&wide), wide, model]
         });
     };
-    let secs = |problem: &Problem| {
-        let [four, eight] = engine_runs(problem, &[Engine::Avx2, Engine::Avx512])[..] else {
+    let secs = |problem: &Problem, stride| {
+        let engines = [Engine::Avx2, Engine::Avx512];
+        let [four, eight] = engine_runs(problem, &engines, stride)[..] else {
             unreachable!("one run per engine")
         };
         [four.best.secs, eight.best.secs]
@@ -1788,26 +1805,71 @@ pub fn vl_shapes() -> Vec<Row> {
                 ("heat1d", Problem::heat1d(nx, steps, h)),
                 ("gs1d", Problem::gs1d(nx, steps, g)),
             ] {
-                push(kind, problem, secs(&problem));
+                push(kind, problem, None, secs(&problem, None));
             }
         }
     }
-    for steps in [8, 16, 9] {
-        for n in [16, 32, 64, 128, 256] {
+    for steps in [8, 16, 9, 12] {
+        for n in [12, 16, 32, 64, 128, 256] {
             for (kind, problem) in wide_slab_kinds(n, steps) {
-                push(kind, problem, secs(&problem));
+                push(kind, problem, None, secs(&problem, None));
             }
         }
     }
-    for n in [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192] {
-        let problem = Problem::lcs(n, n);
+    // A given stride at both widths: Heat-2D at `s = 3` on each side of
+    // `VL·s` of each width.
+    for n in [11, 12, 16, 23, 24] {
+        let problem = Problem::heat2d(n, n, 16, Heat2dCoeffs::classic(0.125));
+        push("heat2d", problem, Some(3), secs(&problem, Some(3)));
+    }
+    let lcs = [32, 64, 128, 256, 512, 1024, 2048, 4096, 8192].map(|n| (n, n));
+    for (la, lb) in lcs.into_iter().chain([(1032, 1024), (40, 4096)]) {
+        let problem = Problem::lcs(la, lb);
         let s = default_stride(&problem);
-        let [narrow, wide] = lcs_runs(n, n, s, &[Engine::Avx2, Engine::Avx512])[..] else {
+        let [narrow, wide] = lcs_runs(la, lb, s, &[Engine::Avx2, Engine::Avx512])[..] else {
             unreachable!("one run per engine")
         };
-        push("lcs", problem, [narrow.secs, wide.secs]);
+        push("lcs", problem, None, [narrow.secs, wide.secs]);
     }
     rows
+}
+
+/// The width formula's narrow-over-wide cost ratio for `problem` at
+/// `stride`, else each width's default: four over eight `f64` lanes, LCS
+/// eight over sixteen `i32` lanes (`tempora_core::engine::SweepCost`).
+fn model_ratio(problem: &Problem, stride: Option<usize>) -> f64 {
+    use tempora_core::engine::{Engine, KernelSpace, SweepCost};
+    use tempora_core::kernels::*;
+    fn ratio(
+        cost: SweepCost,
+        nx: usize,
+        levels: usize,
+        at: impl Fn(Engine) -> (usize, usize),
+    ) -> f64 {
+        let run = |e| cost.run(e, at(e), nx, levels);
+        run(Engine::Avx2) / run(Engine::Avx512)
+    }
+    fn of<K: KernelSpace>(problem: &Problem, stride: Option<usize>) -> f64 {
+        // Panic-justification: `model_ratio` dispatches only the kinds
+        // with two widths, each with its `COST`.
+        let cost = K::COST.expect("vl_shapes times the kinds with two widths");
+        let at = |e| (K::vl(e), stride.unwrap_or_else(|| K::default_stride(e)));
+        ratio(cost, problem.extents()[0], problem.steps(), at)
+    }
+    match *problem {
+        Problem::Heat1d { .. } => of::<JacobiKern1d>(problem, stride),
+        Problem::Gs1d { .. } => of::<GsKern1d>(problem, stride),
+        Problem::Heat2d { .. } => of::<JacobiKern2d>(problem, stride),
+        Problem::Box2d { .. } => of::<BoxKern2d>(problem, stride),
+        Problem::Gs2d { .. } => of::<GsKern2d>(problem, stride),
+        Problem::Lcs { la, lb } => {
+            let s = stride.unwrap_or_else(|| default_stride(problem));
+            ratio(tempora_core::lcs::COST, lb, la, |e| {
+                (tempora_core::lcs::vl(e), s)
+            })
+        }
+        _ => unreachable!("vl_shapes times the kinds with two widths"),
+    }
 }
 
 /// One engine's executor in [`engine_runs`].
@@ -1822,7 +1884,7 @@ struct EngineRun {
 }
 
 /// The untiled temporal run of grid `problem` on each of `engines`, at
-/// each engine's default stride — through the one executor
+/// `stride`, else each engine's default — through the one executor
 /// (`tempora_tiling::Sweeps`) built for the engine directly, since a plan
 /// resolves one engine and these ablations time the others too (a
 /// `Select` cannot ask for [`Engine::Avx512`]). Like [`best_of_20_each`]:
@@ -1831,9 +1893,9 @@ struct EngineRun {
 /// first round and the fewest cycles. Then one counted run per engine.
 ///
 /// [`Engine::Avx512`]: tempora_core::engine::Engine::Avx512
-fn engine_runs(problem: &Problem, engines: &[Engine]) -> Vec<EngineRun> {
+fn engine_runs(problem: &Problem, engines: &[Engine], stride: Option<usize>) -> Vec<EngineRun> {
     use tempora_core::kernels::*;
-    let steps = problem.steps();
+    let steps = (problem.steps(), stride);
     let mut state = problem.state();
     fill_state(&mut state);
     match (*problem, state) {
@@ -1869,14 +1931,14 @@ fn engine_runs(problem: &Problem, engines: &[Engine]) -> Vec<EngineRun> {
 fn runs_of<K: KernelSpace>(
     kern: K,
     mut g: K::Grid,
-    steps: usize,
+    (steps, stride): (usize, Option<usize>),
     engines: &[Engine],
 ) -> Vec<EngineRun> {
     use tempora_tiling::{Mode, Sweeps};
     let (dims, bc) = (g.dims(), g.boundary());
     let pool = tempora_parallel::Pool::new(1);
     let sweeps = |e: Engine| {
-        let mode = Mode::Temporal(K::default_stride(e));
+        let mode = Mode::Temporal(stride.unwrap_or_else(|| K::default_stride(e)));
         Sweeps::new(kern, dims, bc, steps, dims[0], mode, e)
     };
     let mut ws: Vec<Sweeps<K>> = engines.iter().map(|&e| sweeps(e)).collect();
@@ -2178,7 +2240,7 @@ fn tile_and_slab(kind: &SlabKind, dims: [usize; 3], engine: Engine) -> ([f64; 2]
     let (vl, steps) = (kind.lanes(engine), kind.steps(engine));
     let tile = |nx: usize| {
         let problem = (kind.problem)([nx, dims[1], dims[2]], steps);
-        let [run] = engine_runs(&problem, &[engine])[..] else {
+        let [run] = engine_runs(&problem, &[engine], None)[..] else {
             unreachable!("one run per engine")
         };
         assert_eq!(run.vl, vl, "{} on {engine:?}", kind.name);
@@ -2293,7 +2355,7 @@ fn tile_1d(kind: Kind1d, n: usize, engine: Engine) -> (f64, usize, usize, usize)
             return (best.secs / (LCS_ROWS / vl) as f64, vl, s, 0);
         }
     };
-    let [ref run] = engine_runs(&problem, &[engine])[..] else {
+    let [ref run] = engine_runs(&problem, &[engine], None)[..] else {
         unreachable!("one run per engine")
     };
     let s = match kind {
@@ -2983,7 +3045,7 @@ mod tests {
         // fig5g/fig5h regression: the LCS temporal series must carry the
         // resolved engine like every other dispatched series — avx2 on
         // AVX2 hosts now that the integer steady state exists, avx512 on
-        // AVX-512 hosts (128 columns lie past `lcs::WIDE_MIN_LB`).
+        // AVX-512 hosts (the width formula widens a 128² table).
         let expect = if tempora_simd::arch::avx512_available() {
             Some("avx512")
         } else if tempora_simd::arch::avx2_available() {

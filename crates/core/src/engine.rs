@@ -40,26 +40,23 @@
 //! its degenerate shapes (a row segment below `vl·s + 1`, fewer than `vl`
 //! rows) run the one portable code there is and report it.
 //!
-//! `Select::Auto` takes [`Engine::Avx512`] for the kinds with an eight-lane
-//! sweep where the CPU has AVX-512F, the outer extent is wide enough for
-//! eight lanes to pay ([`KernelSpace::wide_min_nx`], measured: 128 points
-//! for GS-1D, 2048 for Heat-1D; 16 rows for the `f64` 2-D kinds) and the
-//! run has an eight-lane sweep (`steps ≥ 8`) that leaves no
-//! more scalar levels than the four-lane schedule: `steps % 8 ≤ steps % 4`
-//! — one rule, [`KernelSpace::resolve`], for every kind. So the ledger's
-//! 65536 × 32, 4096 × 32 and its 2-D problems take it, while `steps = 12`
-//! (Heat-2D's 256² × 12 among them), narrower extents and runs that are
-//! scalar steps at either width stay AVX2. Each engine runs its own
-//! default stride ([`KernelSpace::default_stride`]). The 2-D kinds reach
-//! eight lanes because the steady state keeps their ring in L1 by
-//! segments ([`crate::slab`]): at eight lanes a ring of whole rows of
-//! 64-byte packs fills the 48 KiB L1 at 192 columns. LCS widens by the
-//! same rows rule ([`wider_pays`] at eight and sixteen lanes) from 64
-//! columns on ([`crate::lcs_avx2::resolve`]). Life (its next width,
-//! `i32 × 16`, is one arm of `slab_kernel_space!` away now that `Zmm`
-//! implements `I32Lanes<16>`, and waits for its own measurement) and the
-//! 3-D kinds (every 3-D plane tried read 0.67–1.03× at eight lanes and
-//! eight steps) keep their widths.
+//! `Select::Auto` takes [`Engine::Avx512`] for the kinds with a wider
+//! sweep (Heat-1D, GS-1D, Heat-2D, 2D9P, GS-2D at eight `f64` lanes, LCS
+//! at sixteen `i32` lanes) where the CPU has AVX-512F and one formula
+//! prices the wider sweep lower ([`SweepCost::widen`]). A temporal vector
+//! costs one rotate plus one blend at any width, and every anchor of a
+//! sweep, the masked ends included, one steady iteration; so a run of
+//! `steps` levels over `nx` outer slabs at `VL` lanes and stride `s`
+//! costs `⌊steps/VL⌋ · (nx + (VL−1)·s) · c(kind, VL) + (steps mod VL) ·
+//! nx · c_scalar(kind)`, all of it scalar steps where `nx < VL·s`. `s` is
+//! the given stride, else the width's default; a tie keeps the narrower
+//! width, and so does a grid without a wide steady anchor. The constants
+//! sit beside each kind's default stride with the `repro ablate-vl`
+//! readings they came from. The 2-D kinds reach eight lanes because the
+//! steady state keeps their ring in L1 by segments ([`crate::slab`]).
+//! Life (its `i32 × 16` width is one arm of `slab_kernel_space!` away)
+//! and the 3-D kinds (every plane tried read 0.67–1.03× at eight lanes)
+//! keep one width and have no constants.
 //!
 //! The selection is overridable at process level through the
 //! `TEMPORA_ENGINE` environment variable (`auto` | `portable` | `avx2`,
@@ -416,32 +413,19 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
         xs: RangeInclusive<usize>,
     );
 
-    /// The narrowest outer extent at which `Select::Auto` runs this kernel
-    /// at eight lanes on [`Engine::Avx512`] — a crossover measured by
-    /// `repro ablate-vl` — or `None` for a kernel without an eight-lane
-    /// sweep.
-    fn wide_min_nx() -> Option<usize> {
-        None
-    }
+    /// The width formula's constants of a kernel with a wider sweep.
+    const COST: Option<SweepCost> = None;
 
     /// Resolve `sel` for a temporal run of `steps` levels over `nx` outer
-    /// slabs: AVX2 wherever the CPU has the features, whatever the stride
-    /// and shape. A run too short or too narrow for the vector schedule
-    /// runs scalar steps in the same codegen context (see the
-    /// [module docs](self)). An `Auto` run widens to [`Engine::Avx512`]
-    /// where the CPU has AVX-512F, the outer extent is at least the
-    /// kernel's [`wide_min_nx`](KernelSpace::wide_min_nx) and the run has
-    /// an eight-lane sweep that leaves no more scalar levels than the
-    /// four-lane schedule: `steps ≥ 8` and `steps % 8 ≤ steps % 4` (with a
-    /// sweep at eight lanes there is one at four, and the scalar levels
-    /// are `steps % 8` and `steps % 4`). A plan given a stride `s` keeps
-    /// four lanes where `nx < 8·s` (`tempora_plan`).
-    fn resolve(sel: Select, nx: usize, steps: usize) -> Engine {
-        let wide = Self::wide_min_nx().is_some_and(|min| nx >= min) && wider_pays(steps, 4);
-        match sel.resolve(avx2_available()) {
-            Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
-            engine => engine,
-        }
+    /// slabs at the `stride` given (else each width's default): AVX2
+    /// wherever the CPU has the features, whatever the stride and shape (a
+    /// run too short or narrow for the vector schedule runs scalar steps in
+    /// that codegen context), widened by [`SweepCost::widen`].
+    fn resolve(sel: Select, nx: usize, steps: usize, stride: Option<usize>) -> Engine {
+        let narrow = sel.resolve(avx2_available());
+        let s = |e| stride.unwrap_or_else(|| Self::default_stride(e));
+        let at = |e| (Self::vl(e), s(e));
+        Self::COST.map_or(narrow, |c| c.widen(sel, narrow, nx, steps, at))
     }
 
     /// The temporal stride a plan runs on `engine` when none is given:
@@ -455,15 +439,58 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
     }
 }
 
-/// True when `levels` time levels (DP rows for LCS) fill at least one
-/// sweep at `2·vl` lanes and leave it no more scalar levels than `vl`
-/// lanes would: `levels ≥ 2·vl` and `levels % 2vl ≤ levels % vl` (with a
-/// sweep at the wider width there is one at the narrower, and the scalar
-/// levels are the two remainders). The one steps rule of every widening:
-/// [`KernelSpace::resolve`]'s at four and eight `f64` lanes, LCS's at
-/// eight and sixteen `i32` lanes ([`crate::lcs_avx2::resolve`]).
-pub fn wider_pays(levels: usize, vl: usize) -> bool {
-    levels >= 2 * vl && levels % (2 * vl) <= levels % vl
+/// The width formula of a kind with a wider sweep (see the
+/// [module docs](self)), in ns per inner unit (a 1-D cell, a 2-D column,
+/// an LCS column). Fit to `repro ablate-vl` on the 2-vCPU AVX-512
+/// container, 29 runs: `anchor[0]` is the narrow reading of the kind's
+/// largest shape without remainder levels; `anchor[1]` and `scalar` are
+/// the multiples of it that fit the narrow-over-wide time ratios of its
+/// shapes best (least squares in the logarithm of the medians, shapes
+/// where both widths have a steady anchor), among those that keep `auto`
+/// on the one width whose worst reading is within 0.85 of the other's.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SweepCost {
+    /// `c(kind, VL)`: one anchor of a sweep at the narrow (portable, AVX2)
+    /// and the wide ([`Engine::Avx512`]) width.
+    pub anchor: [f64; 2],
+    /// `c_scalar(kind)`: one point of a scalar step.
+    pub scalar: f64,
+}
+
+impl SweepCost {
+    /// The cost of `levels` levels over `nx` outer slabs on `engine`, whose
+    /// sweep runs `vl` lanes at stride `s`.
+    pub fn run(&self, engine: Engine, (vl, s): (usize, usize), nx: usize, levels: usize) -> f64 {
+        let sweeps = (nx >= vl.saturating_mul(s)) as usize * (levels / vl);
+        let anchors = nx as f64 + (vl - 1) as f64 * s as f64;
+        let anchor = self.anchor[(engine == Engine::Avx512) as usize];
+        sweeps as f64 * anchors * anchor + (levels - sweeps * vl) as f64 * nx as f64 * self.scalar
+    }
+
+    /// The one width rule ([`KernelSpace::resolve`], LCS's `la` rows over
+    /// `B` in [`crate::lcs_avx2::resolve`]): `narrow`, the engine `sel`
+    /// resolves by capability, widened under `Select::Auto` where the CPU
+    /// has AVX-512F, the wide sweep has a steady anchor (`nx ≥ VL·s`; four
+    /// lanes read 1.1–1.9× the scalar steps on 12², 1.2–1.3× on Heat-2D's
+    /// 12 and 16 rows at `s = 3`) and `t` levels over `nx` outer slabs
+    /// cost less there (a tie stays narrow), `at(engine)` giving each
+    /// width's lanes and stride.
+    pub fn widen(
+        &self,
+        sel: Select,
+        narrow: Engine,
+        nx: usize,
+        t: usize,
+        at: impl Fn(Engine) -> (usize, usize),
+    ) -> Engine {
+        let cost = |engine| self.run(engine, at(engine), nx, t);
+        let (vl, s) = at(Engine::Avx512);
+        let cheaper = nx >= vl.saturating_mul(s) && cost(Engine::Avx512) < cost(Engine::Avx2);
+        match narrow {
+            Engine::Avx2 if sel == Select::Auto && cheaper && avx512_available() => Engine::Avx512,
+            engine => engine,
+        }
+    }
 }
 
 /// The scratch of a sweep at its engine's lane count, for the kernels with
@@ -547,21 +574,21 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
         spatial::step_1d(engine, src, dst, xs, self);
     }
 
-    /// 128 points for GS-1D, 2048 for Heat-1D: the smallest powers of two
-    /// at which eight lanes beat four in every `repro ablate-vl` reading
-    /// with the sweep's ends masked (2-vCPU AVX-512 container, 27 runs,
-    /// eight over four lanes at 32 / 9 steps: GS-1D 0.97–1.27 /
-    /// 0.98–1.27 at 64, 1.13–1.37 / 1.05–1.31 at 128; Heat-1D 1.15–1.35 /
-    /// 0.94–1.20 at 1024, 1.20–1.45 / 1.01–1.28 at 2048; at 12 steps, four
-    /// scalar levels against none, 0.3–0.9 everywhere). Below them `auto`'s
-    /// four lanes can read more than 1.25× slower than eight (Heat-1D
-    /// 1024 × 32), which `ablate-vl`'s gate flags on this host in most
-    /// runs (README, "Eight lanes"). Both values lie at or above
-    /// `8 · MAX_STRIDE`, so a line this wide hosts the eight-lane schedule
-    /// at every stride.
-    fn wide_min_nx() -> Option<usize> {
-        Some(if K::IS_GS { 128 } else { 2048 })
-    }
+    /// `c(kind, 4)` is the four-lane reading at 4096 × 32 ([`SweepCost`]);
+    /// the fit multiples are Heat-1D 1.52 and 0.975, GS-1D 1.24 and 1.825
+    /// (its scalar steps are one dependence chain). At 32 steps they cross
+    /// at 163 points and at 56, the narrowest line eight lanes host at
+    /// `s = 7`; at twelve steps four lanes win at every extent.
+    const COST: Option<SweepCost> = Some(match K::IS_GS {
+        true => SweepCost {
+            anchor: [1.60, 1.99],
+            scalar: 2.92,
+        },
+        false => SweepCost {
+            anchor: [1.12, 1.70],
+            scalar: 1.09,
+        },
+    });
 
     /// The smallest register-specialised stride within 3 % of the kind's
     /// plateau on `engine` in `repro ablate-stride` at this repo's
@@ -595,8 +622,8 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
 /// [`Engine::Avx512`] handed to it runs its AVX2 rows); a line `x 4 | 8`
 /// — the `f64` 2-D kinds — runs eight `f64` lanes on [`Engine::Avx512`],
 /// the rows computing in `Zmm` inside [`slab_avx2::sweep_zmm`], its
-/// scratch a [`ScratchVl`] and `Select::Auto` widening from `$wide` outer
-/// slabs on ([`KernelSpace::wide_min_nx`]).
+/// scratch a [`ScratchVl`] and its width formula's constants
+/// `$anchor, $scalar` ([`KernelSpace::COST`]).
 macro_rules! slab_kernel_space {
     ($($kern:ty: $grid:ident<$t:ty> x $vl:literal, $kernel:path, $rows:ident, $step:path;)*) => {$(
         impl KernelSpace for $kern {
@@ -633,10 +660,11 @@ macro_rules! slab_kernel_space {
             }
         }
     )*};
-    ($($kern:ty: Grid2<f64> x 4 | 8 from $wide:literal, $step:path;)*) => {$(
+    ($($kern:ty: Grid2<f64> x 4 | 8 at $anchor:expr, $scalar:literal, $step:path;)*) => {$(
         impl KernelSpace for $kern {
             slab_kernel_space!(@shared Grid2<f64> x 4, Kernel2d<f64>, Rows2, $step);
             type Scratch = ScratchVl<Scratch<f64, 4>, Scratch<f64, 8>>;
+            const COST: Option<SweepCost> = Some(SweepCost { anchor: $anchor, scalar: $scalar });
 
             fn vl(engine: Engine) -> usize {
                 vl_of(engine)
@@ -679,10 +707,6 @@ macro_rules! slab_kernel_space {
                         panic!("sweep scratch was allocated for another engine than {engine:?}")
                     }
                 }
-            }
-
-            fn wide_min_nx() -> Option<usize> {
-                Some($wide)
             }
         }
     )*};
@@ -736,18 +760,16 @@ slab_kernel_space! {
     GsKern3d: Grid3<f64> x 4, Kernel3d, Rows3, spatial::step_3d;
 }
 
-// The crossovers are measured like the 1-D ones: `repro ablate-vl` times
-// both widths over squares of 16² … 256² at 8, 16 and 9 steps, and each is
-// the smallest power of two at which eight lanes ran faster in every
-// reading. With the sweep's ends masked every kind crosses at 16², the
-// narrowest square that hosts the eight-lane schedule at `s = 2` (2-vCPU
-// AVX-512 container, eight over four lanes, 27 runs at 8 / 9 / 16 steps:
-// Heat-2D 1.25–1.62 / 1.13–1.44 / 1.18–1.80, 2D9P 1.08–1.37 / 1.13–1.60 /
-// 1.16–1.41, GS-2D 1.12–1.51 / 1.04–1.37 / 1.08–1.62).
+// The width formula's constants (`SweepCost`): `c(kind, 4)` is the
+// four-lane reading at 256² × 16; the fit multiples are Heat-2D and 2D9P
+// 1.37 and 0.40 (a Jacobi scalar step in 2-D is spatially vectorised),
+// GS-2D 1.28 and 1.225. At 8, 9 or 16 steps all three cross at 16 rows,
+// the narrowest grid eight lanes host at `s = 2`; at twelve steps Heat-2D
+// crosses at 49 rows, 2D9P at 48, and GS-2D stays on four lanes.
 slab_kernel_space! {
-    JacobiKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
-    BoxKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
-    GsKern2d: Grid2<f64> x 4 | 8 from 16, spatial::step_2d;
+    JacobiKern2d: Grid2<f64> x 4 | 8 at [1.69, 2.31], 0.68, spatial::step_2d;
+    BoxKern2d: Grid2<f64> x 4 | 8 at [2.37, 3.25], 0.95, spatial::step_2d;
+    GsKern2d: Grid2<f64> x 4 | 8 at [2.18, 2.80], 2.68, spatial::step_2d;
 }
 
 #[cfg(test)]
@@ -856,7 +878,7 @@ pub(crate) mod tests {
         steps: usize,
         s: usize,
     ) -> (K::Grid, Engine) {
-        let engine = K::resolve(sel, g.dims()[0], steps);
+        let engine = K::resolve(sel, g.dims()[0], steps, Some(s));
         (run_whole(engine, g, kern, steps, s), engine)
     }
 
@@ -1037,63 +1059,97 @@ pub(crate) mod tests {
         }
     }
 
-    /// `K` under `Auto` at its crossover `w`: eight lanes from `w` points
-    /// on (where the CPU has them) at any step count that leaves them no
-    /// more scalar levels, four below it and at twelve steps; the other
+    /// The first outer extent, below 2¹⁶, at which eight lanes have a
+    /// steady anchor and `K`'s formula prices `steps` levels cheaper there
+    /// than at four, at stride `s` (`None`: each width's default).
+    fn crossover<K: KernelSpace>(steps: usize, s: Option<usize>) -> Option<usize> {
+        let cost = K::COST?;
+        let at = |e| (K::vl(e), s.unwrap_or_else(|| K::default_stride(e)));
+        let run = |e, nx| cost.run(e, at(e), nx, steps);
+        let (vl, s) = at(Engine::Avx512);
+        (1..1 << 16).find(|&nx| nx >= vl * s && run(Engine::Avx512, nx) < run(Engine::Avx2, nx))
+    }
+
+    /// `K` under `Auto` at the crossovers `(steps, w)` its formula gives at
+    /// the default strides: eight lanes from `w` on (where the CPU has
+    /// them), four below it and at every extent without one; the other
     /// selections never widen.
-    fn widens_at_the_crossover<K: KernelSpace>() {
-        let (w, auto) = (K::wide_min_nx().unwrap(), Select::Auto.resolve(true));
+    fn widens_at_the_crossover<K: KernelSpace>(crossovers: &[(usize, Option<usize>)]) {
+        let auto = Select::Auto.resolve(true);
         let wide = if avx512_available() {
             Engine::Avx512
         } else {
             auto
         };
-        for (nx, steps, expect) in [
-            (w, 32, wide),
-            (w, 9, wide),
-            (w, 8, wide),
-            (1 << 16, 32, wide),
-            (w - 1, 32, auto),
-            (w, 12, auto),
-            (w, 7, auto),
-        ] {
-            assert_eq!(
-                K::resolve(Select::Auto, nx, steps),
-                expect,
-                "{nx} x {steps}"
-            );
+        for &(steps, w) in crossovers {
+            assert_eq!(crossover::<K>(steps, None), w, "{steps} steps");
+            let resolve = |nx| K::resolve(Select::Auto, nx, steps, None);
+            match w {
+                Some(w) => {
+                    assert_eq!(resolve(w), wide, "{w} x {steps}");
+                    assert_eq!(resolve(1 << 16), wide, "65536 x {steps}");
+                    assert_eq!(resolve(w - 1), auto, "{} x {steps}", w - 1);
+                }
+                None => assert_eq!(resolve(1 << 16), auto, "65536 x {steps}"),
+            }
         }
-        assert_eq!(K::resolve(Select::Portable, w, 32), Engine::Portable);
+        assert_eq!(
+            K::resolve(Select::Portable, 1 << 16, 32, None),
+            Engine::Portable
+        );
         if avx2_available() {
-            assert_eq!(K::resolve(Select::Avx2, w, 32), Engine::Avx2);
+            assert_eq!(K::resolve(Select::Avx2, 1 << 16, 32, None), Engine::Avx2);
         }
     }
 
     #[test]
     fn auto_widens_1d_at_the_measured_crossover() {
-        for w in [JacobiKern1d::wide_min_nx(), GsKern1d::wide_min_nx()] {
-            // A line this wide hosts the eight-lane schedule at every stride.
-            assert!(
-                w >= Some(8 * <JacobiKern1d as KernelSpace>::MAX_STRIDE),
-                "{w:?}"
-            );
+        widens_at_the_crossover::<JacobiKern1d>(&[(32, Some(163)), (9, Some(163)), (12, None)]);
+        widens_at_the_crossover::<GsKern1d>(&[(32, Some(56)), (9, Some(56)), (12, None)]);
+        // A given stride enters the formula at both widths: `auto` widens
+        // from that stride's crossover on.
+        fn at_stride<K: KernelSpace>(s: usize, steps: usize) {
+            let w = crossover::<K>(steps, Some(s)).expect("every stride has a crossover");
+            let resolve = |nx| K::resolve(Select::Auto, nx, steps, Some(s));
+            let auto = Select::Auto.resolve(true);
+            assert_eq!(resolve(w - 1), auto, "s={s}: {} x {steps}", w - 1);
+            let wide = if avx512_available() {
+                Engine::Avx512
+            } else {
+                auto
+            };
+            assert_eq!(resolve(w), wide, "s={s}: {w} x {steps}");
         }
-        widens_at_the_crossover::<JacobiKern1d>();
-        widens_at_the_crossover::<GsKern1d>();
+        for s in 2..=<JacobiKern1d as KernelSpace>::MAX_STRIDE {
+            for steps in [8, 9, 32] {
+                at_stride::<JacobiKern1d>(s, steps);
+                at_stride::<GsKern1d>(s, steps);
+            }
+        }
     }
 
-    /// The `f64` 2-D kinds widen by the same rule at their own crossover;
-    /// Life and the 3-D kinds have no eight-lane sweep and never widen.
+    /// The `f64` 2-D kinds widen by the same formula: from 16 rows, the
+    /// narrowest grid that hosts eight lanes at `s = 2`, except at twelve
+    /// steps (Heat-2D from 49, 2D9P from 48, GS-2D never); Life and the
+    /// 3-D kinds have one width and never widen.
     #[test]
     fn auto_widens_the_f64_2d_kinds_at_their_crossover() {
-        widens_at_the_crossover::<JacobiKern2d>();
-        widens_at_the_crossover::<BoxKern2d>();
-        widens_at_the_crossover::<GsKern2d>();
+        let jacobi = |twelve| {
+            [
+                (8, Some(16)),
+                (9, Some(16)),
+                (12, Some(twelve)),
+                (16, Some(16)),
+            ]
+        };
+        widens_at_the_crossover::<JacobiKern2d>(&jacobi(49));
+        widens_at_the_crossover::<BoxKern2d>(&jacobi(48));
+        widens_at_the_crossover::<GsKern2d>(&[(8, Some(16)), (9, Some(16)), (12, None)]);
         let auto = Select::Auto.resolve(true);
-        assert_eq!(LifeKern2d::wide_min_nx(), None);
-        assert_eq!(LifeKern2d::resolve(Select::Auto, 1 << 12, 32), auto);
-        assert_eq!(JacobiKern3d::resolve(Select::Auto, 1 << 12, 32), auto);
-        assert_eq!(GsKern3d::resolve(Select::Auto, 1 << 12, 32), auto);
+        assert_eq!(LifeKern2d::COST, None);
+        assert_eq!(LifeKern2d::resolve(Select::Auto, 1 << 12, 32, None), auto);
+        assert_eq!(JacobiKern3d::resolve(Select::Auto, 1 << 12, 32, None), auto);
+        assert_eq!(GsKern3d::resolve(Select::Auto, 1 << 12, 32, None), auto);
     }
 
     #[test]

@@ -75,7 +75,7 @@
 //! a mask register, a masked `vpsubd`, and one `valignd` per produced
 //! vector.
 
-use crate::engine::{wider_pays, Engine, ScratchVl};
+use crate::engine::{Engine, ScratchVl, SweepCost};
 use crate::t1d::{self, Form, Line, Scratch1d};
 use core::ops::RangeInclusive;
 use tempora_simd::{I32Lanes, Pack};
@@ -97,13 +97,15 @@ pub fn vl(engine: Engine) -> usize {
     }
 }
 
-/// The narrowest `B` at which `Select::Auto` runs LCS at sixteen lanes:
-/// the smallest power of two at which sixteen lanes beat eight in every
-/// `repro ablate-vl` reading (untiled `n × n` at stride 2; 2-vCPU AVX-512
-/// container, 27 runs, with the band's ends masked): 0.59–0.81 at 32,
-/// where a sixteen-lane band at `s = 2` barely fits, 1.26–1.51 at 64,
-/// 1.05–1.68 at 128, 1.6–2.1 at 256 and 2.1–2.8 from 1024 on.
-pub const WIDE_MIN_LB: usize = 64;
+/// LCS's width formula (`la` rows over `B`, [`SweepCost`]): `c(lcs, 8)`
+/// is the eight-lane reading of the untiled 8192²; the fit multiples are
+/// 1.01 and 0.75. Where sixteen-lane bands fit ([`bands_fit`]) they win
+/// at every `B` when `la mod 16 < 8`; when `la mod 16 ≥ 8`, their eight
+/// more scalar rows keep tables of fewer than 88 rows on eight lanes.
+pub const COST: SweepCost = SweepCost {
+    anchor: [1.72, 1.74],
+    scalar: 1.29,
+};
 
 /// True when a band sweep of `vl` rows fits an `la × lb` table whose
 /// columns are cut every `yblock`: a whole band exists (`la ≥ vl`) and
@@ -428,14 +430,6 @@ fn ring_regs<const S: usize, const R: usize, const VL: usize, L: I32Lanes<VL>>(
 /// One scalar DP row step over the whole row (left boundary column 0).
 pub fn scalar_row_step(row: &mut [i32], ca: u8, b: &[u8]) {
     scalar_row_step_seg(row, ca, b, 1, b.len(), 0, 0);
-}
-
-/// Whether `Select::Auto`'s sixteen lanes pay for an `la × lb` table
-/// whose band sweeps fit at both widths: `B` at least [`WIDE_MIN_LB`]
-/// wide, and `la` rows leaving no more scalar rows at sixteen lanes than
-/// at eight — the grid kinds' steps rule ([`wider_pays`]).
-pub(crate) fn wide_pays(la: usize, lb: usize) -> bool {
-    lb >= WIDE_MIN_LB && wider_pays(la, VL)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! runtime dispatch; [`resolve`] is how a run picks its engine.
 
 use crate::engine::{Engine, Select};
-use crate::lcs::{bands_fit, wide_pays, VL, WIDE_VL};
+use crate::lcs::{bands_fit, vl, COST, VL, WIDE_VL};
 
 /// The strides whose steady state keeps the input-vector ring in
 /// registers and reads `B(y)` from the lane layout (one unrolled
@@ -35,22 +35,17 @@ pub const REGISTER_STRIDES: core::ops::RangeInclusive<usize> = 1..=2;
 /// gives where eight-lane bands fit ([`bands_fit`]) — portable where they
 /// do not: LCS is integer code, one and the same in every engine's
 /// context, so a shape without a band runs the portable scalar rows and
-/// reports them. `Select::Auto` widens to sixteen lanes
-/// ([`Engine::Avx512`]) where the CPU has AVX-512F, sixteen-lane bands
-/// fit, `B` is at least [`crate::lcs::WIDE_MIN_LB`] wide and `la` rows
-/// leave no more scalar rows at sixteen lanes than at eight
-/// ([`crate::engine::wider_pays`]). `Select::Avx2` means eight lanes.
+/// reports them. Where sixteen-lane bands fit, the grid kinds' width rule
+/// ([`crate::engine::SweepCost::widen`] on [`crate::lcs::COST`], `la`
+/// rows over `B`) may widen it. `Select::Avx2` means eight lanes.
 ///
 /// # Panics
 /// Panics when `yblock == 0`, or on `Select::Avx2` without AVX2+FMA.
 pub fn resolve(sel: Select, la: usize, lb: usize, yblock: usize, s: usize) -> Engine {
-    let wide = sel == Select::Auto
-        && wide_pays(la, lb)
-        && bands_fit(WIDE_VL, la, lb, yblock, s)
-        && tempora_simd::arch::avx512_available();
-    match sel.resolve(bands_fit(VL, la, lb, yblock, s)) {
-        Engine::Avx2 if wide => Engine::Avx512,
-        engine => engine,
+    let narrow = sel.resolve(bands_fit(VL, la, lb, yblock, s));
+    match bands_fit(WIDE_VL, la, lb, yblock, s) {
+        true => COST.widen(sel, narrow, lb, la, |engine| (vl(engine), s)),
+        false => narrow,
     }
 }
 
@@ -193,18 +188,21 @@ mod tests {
             assert!(!fits(90, 140, 40, s)); // VL·s saturates
         }
         // The resolution: eight lanes wherever bands fit, portable where
-        // they do not, and sixteen from 64 columns under `Auto` only —
-        // with sixteen-lane bands fitting and `la % 16 ≤ la % 8`.
+        // they do not, and sixteen under `Auto` only, where sixteen-lane
+        // bands fit and the width formula prices them cheaper.
         let wide = if wide { Engine::Avx512 } else { narrow };
         for (sel, la, lb, yb, s, want) in [
-            (Select::Auto, 90, 140, 40, 1, narrow),
+            (Select::Auto, 90, 140, 40, 1, narrow), // 10 scalar rows against 2
             (Select::Auto, 90, 125, 40, 1, Engine::Portable),
             (Select::Auto, 1024, 1024, 1024, 2, wide),
             (Select::Auto, 8192, 8192, 1024, 2, wide),
             (Select::Auto, 64, 64, 64, 2, wide),
-            (Select::Auto, 1024, 63, 63, 2, narrow),
-            (Select::Auto, 1032, 1024, 1024, 2, narrow), // 1032 % 16 > 1032 % 8
-            (Select::Auto, 24, 4096, 4096, 2, narrow),   // 24 % 16 > 24 % 8
+            (Select::Auto, 1024, 33, 33, 2, wide),
+            (Select::Auto, 1024, 32, 32, 2, narrow), // 32 < 16·2 + 1
+            (Select::Auto, 1032, 1024, 1024, 2, wide), // 8 scalar rows against 0
+            (Select::Auto, 104, 4096, 4096, 2, wide),
+            (Select::Auto, 95, 4096, 4096, 2, narrow), // 15 scalar rows against 7
+            (Select::Auto, 24, 4096, 4096, 2, narrow),
             (Select::Auto, 32, 4096, 4096, 2, wide),
             (Select::Auto, 15, 4096, 4096, 2, narrow), // no sixteen-lane band
             (Select::Auto, 1024, 8192, 32, 1, wide),

@@ -227,9 +227,9 @@ impl PlanBuilder {
     }
 
     /// Record data-reorganization operation counts in each run's
-    /// [`Report`]. Only the instrumented paths support this: 1-D temporal
-    /// without tiling (the counters are per thread), on whichever engine
-    /// the plan resolves, and the reorg baseline.
+    /// [`Report`]. Only the instrumented paths support this: untiled
+    /// temporal sweeps of the grid kinds (the counters are per thread), on
+    /// whichever engine the plan resolves, and the reorg baseline.
     pub fn count_reorg(mut self, on: bool) -> PlanBuilder {
         self.count_reorg = on;
         self
@@ -388,30 +388,22 @@ impl PlanBuilder {
         }
     }
 
-    /// Reorg-op counting support.
+    /// Reorg-op counting support: the reorg baseline, and the untiled
+    /// temporal sweeps of every grid kind (`tempora_simd::count`).
     fn check_count(&self, problem: &Problem) -> Result<(), PlanError> {
         if !self.count_reorg {
             return Ok(());
         }
-        match self.method {
-            Method::Reorg => Ok(()),
-            Method::Temporal => {
-                if !matches!(problem, Problem::Heat1d { .. } | Problem::Gs1d { .. }) {
-                    Err(PlanError::CountUnsupported {
-                        why: "only the 1-D temporal engine is instrumented",
-                    })
-                } else if !matches!(self.tiling, Tiling::None) {
-                    Err(PlanError::CountUnsupported {
-                        why: "tiled runs are not instrumented",
-                    })
-                } else {
-                    Ok(())
-                }
+        let why = match self.method {
+            Method::Reorg => return Ok(()),
+            Method::Temporal if matches!(problem, Problem::Lcs { .. }) => {
+                "the LCS band sweeps are not instrumented"
             }
-            _ => Err(PlanError::CountUnsupported {
-                why: "this method has no instrumented form",
-            }),
-        }
+            Method::Temporal if self.tiling != Tiling::None => "tiled runs are not instrumented",
+            Method::Temporal => return Ok(()),
+            _ => "this method has no instrumented form",
+        };
+        Err(PlanError::CountUnsupported { why })
     }
 
     /// Construct the executor, resolved engine, tile geometry and stride.
@@ -465,18 +457,14 @@ impl PlanBuilder {
 
     /// The engine kernel `K`'s temporal sweeps resolve to for `steps`
     /// levels over `nx` outer slabs, and the stride they run: the one
-    /// given, else that engine's default. One resolution and one stride
-    /// table, both the kernel's ([`KernelSpace::resolve`],
-    /// [`KernelSpace::default_stride`]); tiling does not enter, since a
-    /// tiled plan runs the same sweeps, cut into chunks. A given stride
-    /// too long for the wider sweep over `nx` (`nx < VL·s`, which would
-    /// run scalar steps) keeps the narrower one, which may host it.
+    /// given, else that engine's default. One call to the kernel's
+    /// [`KernelSpace::resolve`] with the optional stride: `Select::Auto`
+    /// widens where eight lanes have a steady anchor (`nx ≥ 8·s`) and
+    /// `⌊steps/VL⌋ · (nx + (VL−1)·s) · c(kind, VL) + (steps mod VL) · nx ·
+    /// c_scalar(kind)` is lower there. Tiling does
+    /// not enter: a tiled plan runs the same sweeps, cut into chunks.
     fn resolve<K: KernelSpace>(&self, nx: usize, steps: usize) -> (Engine, usize) {
-        let mut engine = K::resolve(self.select, nx, steps);
-        let wide = K::vl(Engine::Avx512);
-        if engine == Engine::Avx512 && self.stride.is_some_and(|s| nx < wide.saturating_mul(s)) {
-            engine = self.select.resolve(true);
-        }
+        let engine = K::resolve(self.select, nx, steps, self.stride);
         let s = self.stride.unwrap_or_else(|| K::default_stride(engine));
         (engine, s)
     }

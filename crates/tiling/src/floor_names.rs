@@ -13,7 +13,7 @@ mod ghost {
     mod tests {
         use crate::sweeps::tests::{run, workspace, Kind};
         use crate::Mode;
-        use tempora_core::engine::{Engine, Select};
+        use tempora_core::engine::{Engine, KernelSpace, Select};
         use tempora_core::kernels::{
             BoxKern2d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
         };
@@ -37,24 +37,24 @@ mod ghost {
         fn extents_partition_domain() {
             // Chunks of the effective width cover the anchors of a sweep,
             // the last one possibly short: 1 ..= n + 1 - VL·s for vector
-            // sweeps (VL·s = 8 here), 1 ..= n for scalar ones.
+            // sweeps (VL·s = 8 or, where `auto` widens, 16 here), 1 ..= n
+            // for scalar ones.
             let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
             for &(n, block) in &[(100usize, 17usize), (64, 64), (10, 3), (100, 5), (9, 1)] {
                 let g: Grid1<f64> = JacobiKern1d::grid([n, 1, 1], 1);
-                for (mode, anchors, widest) in [
-                    (Mode::Temporal(2), n + 1 - 8, 8),
-                    (Mode::Scalar, n, 2),
-                    (Mode::Auto, n, 2),
-                ] {
+                for mode in [Mode::Temporal(2), Mode::Scalar, Mode::Auto] {
                     let w = workspace(&kern, &g, 8, block, mode, Select::Auto);
+                    let (anchors, widest) = match w.engine() {
+                        Some(e) => (n + 1 - 2 * JacobiKern1d::vl(e), 2 * JacobiKern1d::vl(e)),
+                        None => (n, 2),
+                    };
                     assert_eq!(w.chunk(), block.max(widest), "{mode:?} n={n}");
                     assert!((w.chunks() - 1) * w.chunk() < anchors, "{mode:?} n={n}");
                     assert!(anchors <= w.chunks() * w.chunk(), "{mode:?} n={n}");
                 }
-                assert_eq!(
-                    workspace(&kern, &g, 11, block, Mode::Temporal(2), Select::Auto).sweeps(),
-                    2 + 3
-                );
+                let w = workspace(&kern, &g, 11, block, Mode::Temporal(2), Select::Auto);
+                let vl = w.engine().map_or(4, JacobiKern1d::vl);
+                assert_eq!(w.sweeps(), 11 / vl + 11 % vl);
             }
         }
 
@@ -108,7 +108,9 @@ mod ghost {
         fn ghost_1d_engine_report_is_honest() {
             let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
             let pool = Pool::new(2);
-            let g: Grid1<f64> = JacobiKern1d::grid([448, 1, 1], 3);
+            // 64 points lie below Heat-1D's crossover at 8 steps and s = 7
+            // (68, by the width formula).
+            let g: Grid1<f64> = JacobiKern1d::grid([64, 1, 1], 3);
             let engine = |g: &Grid1<f64>, steps, block, mode, sel| {
                 run(workspace(&kern, g, steps, block, mode, sel), g, &pool).1
             };
@@ -269,7 +271,8 @@ mod skew {
                 Some(Engine::Portable)
             );
             if tempora_simd::arch::avx2_available() {
-                // 500 cells lie past GS-1D's eight-lane crossover.
+                // 500 cells lie past GS-1D's crossover at 8 steps and
+                // s = 2: 16 cells, by the width formula.
                 let auto = if tempora_simd::arch::avx512_available() {
                     Engine::Avx512
                 } else {

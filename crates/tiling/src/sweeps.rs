@@ -791,7 +791,7 @@ pub(crate) mod tests {
         sel: Select,
     ) -> Sweeps<K> {
         let engine = match mode {
-            Mode::Temporal(_) => K::resolve(sel, g.dims()[0], steps),
+            Mode::Temporal(s) => K::resolve(sel, g.dims()[0], steps, Some(s)),
             Mode::Scalar | Mode::Auto => sel.resolve(true),
         };
         Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, engine)

@@ -15,8 +15,8 @@
 //! ([`categorical`]) is the exhaustive 9 kinds × 4 tilings × 5 methods ×
 //! 2 threads product at one shape; the random draws put the extents, steps,
 //! strides and blocks on the edges of the boundary phases of a temporal
-//! sweep: `VL·s ± 1`, the eight-lane crossovers, the slab segment width,
-//! `steps mod VL`.
+//! sweep: `VL·s ± 1`, the width formula's crossovers, the slab segment
+//! width, `steps mod VL`; and reorganization-op counting.
 //!
 //! The generator never reads `TEMPORA_ENGINE`: every case forces its
 //! selection (`Portable`, `Avx2` or `Auto`).
@@ -185,17 +185,46 @@ impl Kind {
         lanes[(engine == Engine::Avx512) as usize * (lanes.len() - 1)]
     }
 
-    /// The outer extent from which `Select::Auto` widens (LCS: `B`'s
-    /// length): the crossovers `repro ablate-vl` measured, written out so
-    /// that a change to them fails here.
-    fn wide_min(self) -> Option<usize> {
+    /// The width formula's costs, written out so that a change to them
+    /// fails here: ns per anchor at the two lane counts, ns per scalar
+    /// point (`None`: one width).
+    fn cost(self) -> Option<([f64; 2], f64)> {
         match self {
-            Kind::Heat1d => Some(2048),
-            Kind::Gs1d => Some(128),
-            Kind::Lcs => Some(64),
-            Kind::Heat2d | Kind::Box2d | Kind::Gs2d => Some(16),
+            Kind::Heat1d => Some(([1.12, 1.70], 1.09)),
+            Kind::Gs1d => Some(([1.60, 1.99], 2.92)),
+            Kind::Heat2d => Some(([1.69, 2.31], 0.68)),
+            Kind::Box2d => Some(([2.37, 3.25], 0.95)),
+            Kind::Gs2d => Some(([2.18, 2.80], 2.68)),
+            Kind::Lcs => Some(([1.72, 1.74], 1.29)),
             Kind::Life | Kind::Heat3d | Kind::Gs3d => None,
         }
+    }
+
+    /// True when the wide sweep has a steady anchor and the width formula
+    /// prices `levels` levels over `nx` outer slabs lower at the wide lane
+    /// count, at the stride given or each width's default: `⌊levels/VL⌋`
+    /// sweeps of `nx + (VL−1)·s` anchors and the other levels scalar steps
+    /// (all of them where `nx < VL·s`).
+    fn wide_pays(self, nx: usize, levels: usize, stride: Option<usize>) -> bool {
+        let Some((anchor, scalar)) = self.cost() else {
+            return false;
+        };
+        let at = |engine| {
+            let s = stride.unwrap_or(self.default_stride(engine));
+            (self.vl(engine), s, nx >= self.vl(engine).saturating_mul(s))
+        };
+        let cost = |w: usize, engine| {
+            let (vl, s, hosts) = at(engine);
+            let sweeps = hosts as usize * (levels / vl);
+            let anchors = nx as f64 + (vl - 1) as f64 * s as f64;
+            sweeps as f64 * anchors * anchor[w] + (levels - sweeps * vl) as f64 * nx as f64 * scalar
+        };
+        at(Engine::Avx512).2 && cost(1, Engine::Avx512) < cost(0, Engine::Avx2)
+    }
+
+    /// The first outer extent below 2¹² at which [`Kind::wide_pays`].
+    fn crossover(self, levels: usize, stride: Option<usize>) -> Option<usize> {
+        (1..1 << 12).find(|&nx| self.wide_pays(nx, levels, stride))
     }
 
     /// The stride a plan runs when none is given.
@@ -251,10 +280,9 @@ impl Kind {
 
 /// The engine a case's `Report` names: `None` for the spatial methods;
 /// for the temporal one the selection resolved by capability, widened by
-/// `Select::Auto` to eight lanes (LCS: sixteen) where the kind has a
-/// wider sweep, the outer extent reaches its crossover, [`wider_pays`]
-/// and a given stride fits the wider sweep; LCS resolves portable where
-/// no eight-lane band fits.
+/// `Select::Auto` to eight lanes (LCS: sixteen, where its bands fit) where
+/// [`Kind::wide_pays`]; LCS resolves portable where no eight-lane band
+/// fits.
 pub fn engine_of(problem: &Problem, config: &SolveConfig) -> Option<Engine> {
     (config.method == Method::Temporal).then(|| temporal_engine(problem, config))
 }
@@ -284,14 +312,9 @@ fn temporal_engine(problem: &Problem, config: &SolveConfig) -> Engine {
             if !fits(8) {
                 return narrow(false);
             }
-            kind.wide_min().is_some_and(|min| lb >= min) && wider_pays(la, 8) && fits(16)
+            fits(16) && kind.wide_pays(lb, la, config.stride)
         }
-        _ => {
-            let (nx, vl) = (problem.extents()[0], kind.vl(Engine::Avx512));
-            kind.wide_min().is_some_and(|min| nx >= min)
-                && wider_pays(problem.steps(), 4)
-                && config.stride.is_none_or(|s| nx >= vl.saturating_mul(s))
-        }
+        _ => kind.wide_pays(problem.extents()[0], problem.steps(), config.stride),
     };
     match narrow(true) {
         Engine::Avx2 if sel == Select::Auto && wide && avx512_available() => Engine::Avx512,
@@ -299,15 +322,14 @@ fn temporal_engine(problem: &Problem, config: &SolveConfig) -> Engine {
     }
 }
 
-/// True when `levels` fill a sweep at `2·vl` lanes and leave it no more
-/// scalar levels than `vl` lanes would.
-fn wider_pays(levels: usize, vl: usize) -> bool {
-    levels >= 2 * vl && levels % (2 * vl) <= levels % vl
-}
-
 /// The `PlanError` variant a case's build returns, in the order
-/// `PlanBuilder::build` validates; `None` for a case it accepts.
-pub fn expected_error(problem: &Problem, config: &SolveConfig) -> Option<&'static str> {
+/// `PlanBuilder::build` validates, `count` asking for reorganization-op
+/// counts; `None` for a case it accepts.
+pub fn expected_error(
+    problem: &Problem,
+    config: &SolveConfig,
+    count: bool,
+) -> Option<&'static str> {
     let kind = Kind::of(problem);
     let (method, tiling) = (config.method, config.tiling);
     let lcs = kind == Kind::Lcs;
@@ -357,10 +379,15 @@ pub fn expected_error(problem: &Problem, config: &SolveConfig) -> Option<&'stati
             }
         }
     }
+    // Counted: the untiled temporal sweeps of the grid kinds, the reorg
+    // baseline.
+    let temporal = method == Method::Temporal;
+    if count && method != Method::Reorg && !(temporal && !lcs && tiling == Tiling::None) {
+        return Some("CountUnsupported");
+    }
     if lcs || (kind == Kind::Heat1d && baseline) {
         return None;
     }
-    let temporal = method == Method::Temporal;
     let s =
         (config.stride).unwrap_or_else(|| kind.default_stride(temporal_engine(problem, config)));
     if temporal && !kind.deps().stride_legal(s) {
@@ -405,17 +432,20 @@ pub struct Case {
     pub config: SolveConfig,
     pub seed: u64,
     pub tags: Tags,
+    /// Build with `PlanBuilder::count_reorg`.
+    pub count: bool,
 }
 
 impl Case {
     /// A case written out rather than drawn.
     pub fn fixed(problem: Problem, config: SolveConfig) -> Case {
-        let (seed, tags) = (11, Tags::default());
+        let (seed, tags, count) = (11, Tags::default(), false);
         Case {
             problem,
             config,
             seed,
             tags,
+            count,
         }
     }
 }
@@ -440,7 +470,8 @@ pub enum Outer {
     Tiny,
     /// `VL·s − 1 ..= VL·s + 2` at one of the kind's lane counts.
     VlS,
-    /// The eight-lane crossover `± 1` ([`Kind::wide_min`]).
+    /// The width formula's crossover `± 1` at the drawn steps and stride
+    /// ([`Kind::crossover`]).
     WideMin,
     /// `VL·s + 1 ..= 2·VL·s + 1` at one of the kind's lane counts: a
     /// sweep's masked front and back meet inside one part.
@@ -522,6 +553,8 @@ pub struct Space {
     pub inner: &'static [Inner],
     pub steps: &'static [Steps],
     pub blocks: &'static [Block],
+    /// Whether the case counts reorganization ops.
+    pub counts: &'static [bool],
 }
 
 const ALL_METHODS: &[Method] = &[
@@ -580,6 +613,7 @@ impl Space {
             Block::Free,
             Block::Bad,
         ],
+        counts: &[false, true],
     };
 
     /// Accepted draws only: the kinds' own tilings, legal strides,
@@ -602,6 +636,7 @@ impl Space {
             Steps::Free,
         ],
         blocks: &[Block::VlS, Block::Whole, Block::Cut, Block::Free],
+        counts: &[false, false, true],
         ..Space::ALL
     };
 }
@@ -698,7 +733,9 @@ impl Strategy for Space {
             Outer::Empty => Some(0),
             Outer::Tiny => Some(int(rng, 1, 3)),
             Outer::VlS => around(rng, lanes.saturating_mul(s), -1, 2),
-            Outer::WideMin => kind.wide_min().and_then(|m| around(rng, m, -1, 1)),
+            Outer::WideMin => kind
+                .crossover(steps, stride)
+                .and_then(|m| around(rng, m, -1, 1)),
             Outer::Masked => {
                 let reach = lanes.saturating_mul(s);
                 (reach < 1 << 16).then(|| int(rng, reach + 1, 2 * reach + 1))
@@ -797,6 +834,9 @@ impl Strategy for Space {
         };
 
         let problem = problem(rng, kind, outer, inner, steps);
+        // Counted only where a plan counts: the untiled temporal sweeps of
+        // the grid kinds (the refusals are `expected_error`'s fixed rows).
+        let countable = method == Method::Temporal && tile == Tile::None && kind != Kind::Lcs;
         Case {
             problem,
             config: SolveConfig {
@@ -809,6 +849,7 @@ impl Strategy for Space {
             },
             seed: rng.next_u64(),
             tags,
+            count: pick(rng, self.counts) && countable,
         }
     }
 }
@@ -922,7 +963,7 @@ pub fn draws(name: &str, n: usize, space: &Space) -> Vec<Case> {
 
 /// The first `n` draws of `space` that the validation model accepts.
 pub fn accepted_draws(name: &str, n: usize, space: &Space) -> Vec<Case> {
-    let accepted = |c: &Case| expected_error(&c.problem, &c.config).is_none();
+    let accepted = |c: &Case| expected_error(&c.problem, &c.config, c.count).is_none();
     draw(name, space).filter(accepted).take(n).collect()
 }
 
@@ -942,10 +983,10 @@ pub fn accepted_draws(name: &str, n: usize, space: &Space) -> Vec<Case> {
 /// untiled plan or missing for a tiled one.
 pub fn check(case: &Case) -> bool {
     let (problem, config) = (&case.problem, &case.config);
-    let builder = config.plan_builder();
+    let builder = config.plan_builder().count_reorg(case.count);
     let built = catch_unwind(AssertUnwindSafe(|| builder.build(problem)))
         .unwrap_or_else(|_| panic!("{case:?}: build panicked"));
-    let want = expected_error(problem, config);
+    let want = expected_error(problem, config, case.count);
     let mut plan = match (built, want) {
         (Err(e), Some(want)) => {
             assert!(!e.to_string().is_empty(), "{case:?}: {e:?} has no message");
@@ -972,6 +1013,26 @@ pub fn check(case: &Case) -> bool {
         assert_eq!(report.lcs_length, l.length, "{case:?}");
     }
     assert_eq!(report.engine, engine_of(problem, config), "{case:?}");
+    // A counted run is the uncounted one; its temporal sweeps spend one
+    // rotate and one blend per output vector, and count vectors exactly
+    // when a sweep runs.
+    assert_eq!(report.reorg.is_some(), case.count, "{case:?}");
+    if let Some(k) = report.reorg {
+        let mut plain = fresh_state(problem, case.seed);
+        let mut uncounted = config.plan_builder().build(problem).unwrap();
+        uncounted.run(&mut plain).unwrap();
+        assert!(
+            states_equal(&state, &plain),
+            "{case:?}: counting changed it"
+        );
+        if let Some(e) = report.engine {
+            let (kind, [nx, ..]) = (Kind::of(problem), problem.extents());
+            let (vl, s) = (kind.vl(e), config.stride.unwrap_or(kind.default_stride(e)));
+            let swept = problem.steps() >= vl && nx >= vl.saturating_mul(s);
+            assert_eq!(k.output_vectors > 0, swept, "{case:?}: {k:?}");
+            assert_eq!([k.cross_lane, k.in_lane], [k.output_vectors; 2], "{case:?}");
+        }
+    }
     let tiled = config.tiling != Tiling::None;
     assert_eq!(report.tiles.is_some(), tiled, "{case:?}");
     // LCS blocks are clamped to the table; where a band engine resolved,
@@ -1182,7 +1243,7 @@ pub fn tally(cases: &[Case]) -> BTreeMap<(Kind, String), (usize, usize)> {
     let mut t = BTreeMap::<_, (usize, usize)>::new();
     for case in cases {
         let kind = Kind::of(&case.problem);
-        let accepted = expected_error(&case.problem, &case.config).is_none();
+        let accepted = expected_error(&case.problem, &case.config, case.count).is_none();
         for class in classes(case) {
             let e = t.entry((kind, class)).or_default();
             if accepted {
@@ -1224,6 +1285,7 @@ fn classes(case: &Case) -> Vec<String> {
     if tags.stride == Stride::Accepted {
         v.push(format!("s={}", config.stride.unwrap_or(0)));
     }
+    v.extend(case.count.then(|| "count".to_string()));
     v
 }
 
@@ -1267,7 +1329,8 @@ pub fn edge_classes(kind: Kind) -> Vec<String> {
     }
     v.sort();
     v.dedup();
-    v.retain(|c| c != "outer WideMin" || kind.wide_min().is_some());
+    v.retain(|c| c != "outer WideMin" || kind.cost().is_some());
+    v.extend((kind != Kind::Lcs).then(|| "count".to_string()));
     v
 }
 

@@ -287,7 +287,8 @@ fn poisoned_plan_returns_poisoned_until_reset_and_reset_matches_fresh() {
 /// require bitwise agreement with the untiled single-thread plan.
 fn stalled_wavefront_matches_untiled(problem: &Problem, builder: PlanBuilder, stalled: &str) {
     let mut gold = fresh_state(problem, 77);
-    PlanBuilder::new()
+    builder
+        .tiling(Tiling::None)
         .build(problem)
         .expect("untiled build")
         .run(&mut gold)
@@ -309,6 +310,13 @@ fn stalled_wavefront_matches_untiled(problem: &Problem, builder: PlanBuilder, st
     }
 }
 
+/// A builder on a four-lane engine, so that a wave's geometry does not
+/// depend on whether the host has AVX-512F.
+fn four_lanes() -> PlanBuilder {
+    let avx2 = tempora::simd::arch::avx2_available();
+    PlanBuilder::new().select(if avx2 { Select::Avx2 } else { Select::Portable })
+}
+
 /// The leading sweep stalls in its third chunk: the sweep behind it has
 /// chunk 0 to run and then must wait on `(p-1, c+1)` — if it did not, it
 /// would read slabs the leading sweep has not produced.
@@ -317,7 +325,7 @@ fn trailing_sweep_waits_for_a_stalled_leading_sweep() {
     let _g = fp_guard();
     // 3 vector sweeps + 1 scalar × 4 chunks (x_max = 57, chunk = 16).
     let problem = Problem::heat2d(64, 16, 13, Heat2dCoeffs::classic(0.11));
-    let builder = PlanBuilder::new().stride(2).tiling(Tiling::Ghost {
+    let builder = four_lanes().stride(2).tiling(Tiling::Ghost {
         block: 16,
         height: 4,
     });
@@ -332,7 +340,7 @@ fn stalled_trailing_sweep_keeps_its_scratch_slot() {
     let _g = fp_guard();
     // 4 vector sweeps + 2 scalar × 2 chunks (x_max = 33, chunk = 20).
     let problem = Problem::gs2d(40, 11, 18, Gs2dCoeffs::classic(0.17));
-    let builder = PlanBuilder::new().stride(2).tiling(Tiling::Skew {
+    let builder = four_lanes().stride(2).tiling(Tiling::Skew {
         block: 20,
         height: 4,
     });

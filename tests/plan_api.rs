@@ -60,19 +60,24 @@ proptest! {
     }
 }
 
+/// True when `builder`'s plan of `problem`, after a warm-up run, runs a
+/// second fresh state without an aligned-buffer (grid/scratch) allocation.
+fn reuse_is_allocation_free(problem: &Problem, builder: PlanBuilder, seed: u64) -> bool {
+    let mut plan = builder.build(problem).unwrap();
+    plan.run(&mut fresh_state(problem, seed)).unwrap(); // warm-up (first run)
+    let mut state = fresh_state(problem, seed ^ 0x5bd1e995);
+    runs_allocation_free(|| {
+        plan.run(&mut state).unwrap();
+    })
+}
+
 /// Allocation regression: after the warm-up run, `plan.run` performs
 /// **zero** aligned-buffer (grid/scratch) allocations — every arena was
 /// allocated at build time or during the first run.
 #[test]
 fn second_run_is_allocation_free() {
     for (name, problem, builder) in catalogue(7) {
-        let mut plan = builder.build(&problem).unwrap();
-        let mut state = fresh_state(&problem, 42);
-        plan.run(&mut state).unwrap(); // warm-up (first run)
-        let mut state2 = fresh_state(&problem, 43);
-        let clean = runs_allocation_free(|| {
-            plan.run(&mut state2).unwrap();
-        });
+        let clean = reuse_is_allocation_free(&problem, builder, 42);
         assert!(
             clean,
             "{name}: repeated plan.run allocated aligned buffers in every observed window"
@@ -99,35 +104,15 @@ proptest! {
         let configs: Vec<(Problem, PlanBuilder)> = vec![
             (life, PlanBuilder::new().stride(2)),
             (life, PlanBuilder::new().stride(2).select(Select::Portable)),
-            (
-                life,
-                PlanBuilder::new()
-                    .stride(2)
-                    .tiling(Tiling::Ghost { block: 24, height: 8 })
-                    .threads(2),
-            ),
+            (life, PlanBuilder::new().stride(2).tiling(ghost(24, 8)).threads(2)),
             (lcs, PlanBuilder::new().stride(1)),
             (lcs, PlanBuilder::new().stride(1).select(Select::Portable)),
-            (
-                lcs,
-                PlanBuilder::new()
-                    .stride(1)
-                    .tiling(Tiling::LcsRect { xblock: 16, yblock: 32 })
-                    .threads(2),
-            ),
+            (lcs, PlanBuilder::new().stride(1).tiling(rect(16, 32)).threads(2)),
         ];
         for (i, (problem, builder)) in configs.into_iter().enumerate() {
-            let mut plan = builder.build(&problem).unwrap();
-            let mut state = fresh_state(&problem, seed);
-            plan.run(&mut state).unwrap(); // warm-up (first run)
-            let mut state2 = fresh_state(&problem, seed ^ 0x5bd1e995);
-            let clean = runs_allocation_free(|| {
-                plan.run(&mut state2).unwrap();
-            });
             prop_assert!(
-                clean,
-                "config #{i} ({:?}): reused integer plan allocated in every observed window",
-                plan.engine()
+                reuse_is_allocation_free(&problem, builder, seed),
+                "config #{i} ({problem:?}): reused integer plan allocated in every observed window"
             );
         }
     }
@@ -223,12 +208,12 @@ fn oversized_lcs_blocks_build_and_answer() {
 }
 
 /// `Select::Auto` widens to eight lanes (LCS: sixteen) only for the kinds
-/// with a wider sweep, only from the kind's measured crossover and only
-/// where the steps leave no more scalar levels than four lanes would. The
-/// draws put the outer extent on each crossover `± 1`; the fixed rows pin
-/// the engines of the `ledger` benchmark's shapes and of each crossover met
-/// and missed by one slab (on a host without AVX-512F every wide row is
-/// `avx2`; without AVX2, portable).
+/// with a wider sweep, only where the width formula prices the run lower
+/// there. The draws put the outer extent on the formula's crossover `± 1`
+/// for the drawn steps and stride; the fixed rows pin the engines of the
+/// `ledger` benchmark's shapes and of each crossover met and missed by one
+/// slab (on a host without AVX-512F every wide row is `avx2`; without
+/// AVX2, portable).
 #[test]
 fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
     use tempora::simd::arch::{avx2_available, avx512_available};
@@ -252,13 +237,13 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
     let tiled = |tiling| temporal(Select::Auto, tiling, None);
     let strided = |s| temporal(Select::Auto, Tiling::None, Some(s));
     let rows = [
-        // The ledger's problems. At twelve steps eight lanes leave four
-        // scalar levels and four lanes none.
+        // The ledger's problems; at twelve steps eight lanes leave four
+        // scalar levels, which only Heat-2D's spatial vectors make cheap.
         (heat(1 << 16, 32), auto, w),
         (gs(1 << 16, 32), auto, w),
         (heat(1 << 16, 12), auto, n),
         (gs(1 << 16, 12), auto, n),
-        (Problem::heat2d(256, 256, 12, h2), auto, n),
+        (Problem::heat2d(256, 256, 12, h2), auto, w),
         (Problem::box2d(256, 256, 8, b2), auto, w),
         (Problem::gs2d(256, 256, 8, g2), auto, w),
         (Problem::heat2d(1024, 1024, 24, h2), tiled(ghost(128, 8)), w),
@@ -269,27 +254,32 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         (Problem::heat3d(80, 80, 80, 8, h3), auto, n),
         (Problem::gs3d(40, 40, 40, 4, g3), auto, n),
         (Problem::life(256, 256, 16, LifeRule::b2s23()), auto, n),
-        // Each kind's crossover met and missed by one outer slab (LCS: by
-        // one column, and missed by `la % 16 > la % 8`); `4s ≤ nx < 8s`.
-        (heat(2048, 32), auto, w),
-        (heat(2047, 32), auto, n),
-        (gs(128, 32), auto, w),
-        (gs(127, 32), auto, n),
+        // Each kind's crossover under the width formula met and missed by
+        // one slab (LCS: where sixteen-lane bands fit; 40 rows stay narrow).
+        // Below 16 rows eight lanes have no steady anchor at s = 2: on 12²
+        // four-lane sweeps read 1.1-1.9x the scalar steps (`ablate-vl`).
+        (heat(163, 32), auto, w),
+        (heat(162, 32), auto, n),
+        (gs(56, 32), auto, w),
+        (gs(55, 32), auto, n),
         (Problem::heat2d(16, 20, 16, h2), auto, w),
         (Problem::heat2d(15, 20, 16, h2), auto, n),
         (Problem::box2d(16, 20, 16, b2), auto, w),
         (Problem::box2d(15, 20, 16, b2), auto, n),
         (Problem::gs2d(16, 20, 16, g2), auto, w),
         (Problem::gs2d(15, 20, 16, g2), auto, n),
-        (Problem::lcs(1024, 64), auto, w),
-        (Problem::lcs(1024, 63), auto, n),
-        (Problem::lcs(1032, 1024), auto, n),
+        (Problem::lcs(1024, 33), auto, w),
+        (Problem::lcs(1024, 32), auto, n),
+        (Problem::lcs(1032, 1024), auto, w),
+        (Problem::lcs(40, 1024), auto, n),
         (heat(60, 32), auto, n),
         (gs(40, 32), temporal(Select::Auto, Tiling::None, Some(7)), n),
-        // A given stride the eight-lane schedule cannot host over the outer
-        // extent (`nx < 8s`) keeps four lanes, which host it.
+        // A given stride enters the formula at both widths: eight lanes
+        // from the narrowest grid they host, 40 rows for GS-2D at s = 5 and
+        // 24 for Heat-2D at s = 3 (four lanes read 1.2-1.3x faster at 12
+        // and 16 rows, 0.81x at 24; medians of 40 `ablate-vl` runs).
         (gs(64, 32), strided(16), n),
-        (Problem::heat2d(16, 20, 16, h2), strided(3), n),
+        (Problem::heat2d(23, 20, 16, h2), strided(3), n),
         (Problem::heat2d(24, 20, 16, h2), strided(3), w),
         (Problem::gs2d(39, 20, 16, g2), strided(5), n),
         (Problem::gs2d(40, 20, 16, g2), strided(5), w),
@@ -455,7 +445,7 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
         ),
         (b().tiling(rect(0, 8)), &lcs, "ZeroTileExtent"),
         // Reorg-op counting is only available on instrumented paths.
-        (b().count_reorg(true), &gs2, "CountUnsupported"),
+        (b().count_reorg(true), &lcs, "CountUnsupported"),
         (
             b().count_reorg(true).tiling(ghost(64, 8)),
             &heat1,
@@ -526,8 +516,8 @@ fn plan_is_send_and_runs_on_another_thread() {
 }
 
 /// The `Report` carries the plan's resolved facts: engine, steps, tile
-/// geometry, reorg-op counts (portable and `auto`, Heat-1D and GS-1D),
-/// LCS length.
+/// geometry, reorg-op counts (portable and `auto`, Heat-1D, GS-1D and
+/// GS-2D), LCS length.
 #[test]
 fn report_carries_geometry_and_counts() {
     let problem = Problem::heat1d(4096, 16, Heat1dCoeffs::classic(0.25));
@@ -546,25 +536,34 @@ fn report_carries_geometry_and_counts() {
     assert_eq!((tiles.block, tiles.height), (512, 8));
     assert!(report.engine.is_some());
 
-    // Counted 1-D temporal runs, on whichever engine they resolve
-    // (`auto`: eight lanes where the host has them): the paper's 1 rotate
-    // + 1 blend per output vector shows up in the report.
-    let gs = Problem::gs1d(4096, 16, Gs1dCoeffs::classic(0.25));
-    for (problem, sel) in [problem, gs]
-        .into_iter()
-        .flat_map(|p| [(p, Select::Portable), (p, Select::Auto)])
-    {
-        let mut counted = PlanBuilder::new()
-            .select(sel)
-            .count_reorg(true)
-            .build(&problem)
-            .unwrap();
-        let report = counted.run(&mut fresh_state(&problem, 6)).unwrap();
-        let k = report.reorg.expect("count_reorg plans report counts");
-        assert!(k.output_vectors > 0, "{problem:?} {sel:?}");
-        assert_eq!(k.cross_lane, k.output_vectors, "{problem:?} {sel:?}");
-        assert_eq!(k.in_lane, k.output_vectors, "{problem:?} {sel:?}");
+    // Counted temporal runs, on whichever engine they resolve (`auto`:
+    // eight lanes where the host has them): the paper's 1 rotate + 1 blend
+    // per output vector shows up in the report (`common::check`).
+    let (g1, g2) = (Gs1dCoeffs::classic(0.25), Gs2dCoeffs::classic(0.2));
+    let gs = [Problem::gs1d(4096, 16, g1), Problem::gs2d(64, 64, 16, g2)];
+    let counted = |problem, config| {
+        let mut case = Case::fixed(problem, config);
+        case.count = true;
+        common::check(&case)
+    };
+    for problem in [problem].into_iter().chain(gs) {
+        for sel in [Select::Portable, Select::Auto] {
+            assert!(counted(problem, temporal(sel, Tiling::None, None)));
+        }
     }
+    // The reorg baseline counts too; LCS, tiled and the other spatial
+    // plans are refused, as the validation model says.
+    let method = |method| SolveConfig {
+        method,
+        ..SolveConfig::default()
+    };
+    assert!(counted(problem, method(Method::Reorg)));
+    assert!(!counted(Problem::lcs(64, 64), method(Method::Temporal)));
+    assert!(!counted(
+        problem,
+        temporal(Select::Auto, ghost(512, 8), None)
+    ));
+    assert!(!counted(gs[1], method(Method::Scalar)));
 
     // LCS length lands in the report (and the state).
     let lcs = Problem::lcs(120, 200);
