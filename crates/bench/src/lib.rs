@@ -67,6 +67,7 @@ use tempora_stencil::{
     Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs,
     LifeRule,
 };
+use tempora_tiling::sweeps::pipeline_bound;
 
 /// One measured curve: label + `(x, Gstencils/s)` points, with the
 /// resolved engine and worker count recorded **per point** (a sweep can
@@ -1939,7 +1940,7 @@ fn runs_of<K: KernelSpace>(
     let pool = tempora_parallel::Pool::new(1);
     let sweeps = |e: Engine| {
         let mode = Mode::Temporal(stride.unwrap_or_else(|| K::default_stride(e)));
-        Sweeps::new(kern, dims, bc, steps, dims[0], mode, e)
+        Sweeps::new(kern, dims, bc, steps, dims[0], 1, mode, e)
     };
     let mut ws: Vec<Sweeps<K>> = engines.iter().map(|&e| sweeps(e)).collect();
     let reps = (100_000 / (dims.iter().product::<usize>() * steps).max(1)).max(1);
@@ -2532,7 +2533,12 @@ pub fn ablate_rows() -> Table {
 /// anything to the tiling at either width. Rows in `µs`: the tiled
 /// one-thread run stated against the untiled one (the untiled run is the
 /// one-chunk schedule of the executor the tiled plans run), the
-/// two-thread run against the one-thread one.
+/// two-thread run against the one-thread one. Each two-thread run, at
+/// the geometry it ran (on two threads the executor may cut narrower
+/// chunks), also states its pipeline bound `P·C / (C + 2(P − 1))`
+/// (`bound x`: `P` sweeps — LCS bands — of `C` chunks, the speedup the
+/// wavefront allows) and the measured tiled-1t ÷ tiled-2t (`speedup x`)
+/// against it.
 pub fn ablate_tiling(scale: usize, cores: usize) -> Table {
     let sel = Select::from_env();
     let mut rows = vec![];
@@ -2550,21 +2556,31 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> Table {
         let tiles = runs[1].tiles.expect("tiled plans report their geometry");
         let vl = vl * if runs[1].engine == "avx512" { 2 } else { 1 };
         let steps = problem.steps();
-        let shape = format!(
-            "block {} x {} chunks, {} sweeps",
-            tiles.block,
-            tiles.tiles,
-            steps / vl + steps % vl
-        );
-        let row = Row::new("ablate-tiling", kind, runs[1].engine, &shape);
+        // `(P, C)`: an LCS wave's tiles are its bands × block columns.
+        let wave = |t: TileGeometry| match problem {
+            Problem::Lcs { .. } => (steps / vl, t.tiles / (steps / vl)),
+            _ => (steps / vl + steps % vl, t.tiles),
+        };
+        let shape = |t: TileGeometry| {
+            let (sweeps, chunks) = wave(t);
+            format!("block {} x {chunks} chunks, {sweeps} sweeps", t.block)
+        };
+        let row = Row::new("ablate-tiling", kind, runs[1].engine, &shape(tiles));
         let untiled = row.reads("untiled µs", runs[0].secs * 1e6);
         let one = row.reads("tiled-1t µs", runs[1].secs * 1e6);
-        let two = runs
-            .get(2)
-            .map(|r| row.reads("tiled-2t µs", r.secs * 1e6).against(&one));
         rows.push(untiled.clone());
-        rows.push(one.against(&untiled));
-        rows.extend(two);
+        rows.push(one.clone().against(&untiled));
+        if let Some(r) = runs.get(2) {
+            // Panic-justification: as for `tiles` above.
+            let tiles = r.tiles.expect("tiled plans report their geometry");
+            let (sweeps, chunks) = wave(tiles);
+            let row = Row::new("ablate-tiling", kind, r.engine, &shape(tiles));
+            let bound = row.reads("bound x", pipeline_bound(sweeps, chunks));
+            let speedup = row.reads("speedup x", runs[1].secs / r.secs);
+            rows.push(row.reads("tiled-2t µs", r.secs * 1e6).against(&one));
+            rows.push(bound.clone());
+            rows.push(speedup.against(&bound));
+        }
     };
     for row in &BENCHMARKS {
         let vl = match row.family {

@@ -10,7 +10,11 @@
 //!   waits for `(b, i-1)` and `(b-1, i..=i+1)`): a dependence-counter
 //!   pipeline that tracks per-task predecessor counts and releases each
 //!   task the moment its last dependence completes — no full-pool
-//!   barrier per anti-diagonal;
+//!   barrier per anti-diagonal. The worker whose completion readies a
+//!   task keeps one such **continuation** and runs it next (a band's
+//!   next block first), so a band stays on the core that holds its
+//!   scratch; a completed-task counter ends the region and is the
+//!   watchdog's heartbeat;
 //! * [`Pool::for_each_index`] — a bare dynamic region (one index per
 //!   atomic claim), the kind the pipeline claims its ready slots
 //!   through. No tiling dispatches it; it is public because the `ledger`
@@ -57,8 +61,8 @@ pub struct PoolConfig {
     /// Best-effort: [`Pool::is_pinned`] reports whether every pin took
     /// effect. The dispatcher's original affinity is restored on drop.
     pub pin: bool,
-    /// Opt-in wavefront watchdog: when set, a worker that observes no
-    /// publish-cursor progress for this long while waiting on a ready
+    /// Opt-in wavefront watchdog: when set, a worker that sees no task
+    /// of the wavefront complete for this long while waiting on a ready
     /// slot panics with a task-graph snapshot instead of spinning
     /// forever, converting a silent scheduler wedge into a contained,
     /// diagnosable failure. `None` (the default) keeps the hot claim
@@ -130,18 +134,24 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// Reusable scratch for the pipelined wavefront: predecessor counts and
-/// the ready-slot queue. Grow-only, so steady-state `waves` calls are
-/// allocation-free.
+/// Reusable scratch for the pipelined wavefront: predecessor counts, the
+/// ready-slot queue and the region's tallies. Grow-only, so steady-state
+/// `waves` calls are allocation-free.
 #[derive(Default)]
 struct WaveScratch {
     /// Remaining unfinished predecessors per task.
     counts: Vec<AtomicUsize>,
     /// Ready queue: slot `k` holds `task_id + 1` once the `k`-th task to
-    /// become ready is published (0 = not yet).
+    /// be published is (0 = not yet).
     slots: Vec<AtomicUsize>,
     /// Next free publish slot.
     cursor: AtomicUsize,
+    /// Tasks run to completion: the region ends when it reaches the task
+    /// count, and the stall watchdog keys on it.
+    completed: AtomicUsize,
+    /// Tasks run next by the worker whose completion readied them,
+    /// instead of being published.
+    kept: AtomicUsize,
 }
 
 struct PoolShared {
@@ -189,6 +199,15 @@ impl PoolShared {
     /// Take the recorded panic payload, if any, leaving the slot empty.
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.panic_payload.lock().take()
+    }
+
+    /// Hand out no further index of the current region `0..n`: what is
+    /// left of it has nothing to do.
+    fn close_region(&self, n: usize) {
+        // Ordering: Relaxed — like every claim of `next`, this only
+        // parcels out indices; a claimer that still gets one below `n`
+        // finds nothing to do there.
+        self.next.fetch_max(n, Ordering::Relaxed);
     }
 }
 
@@ -418,10 +437,18 @@ impl Pool {
     /// `(b, i)` after `(b, i-1)`, `(b-1, i)` and `(b-1, i+1)` — as a
     /// dependence-counter pipeline. One parallel region covers the whole
     /// grid: every task carries an atomic count of its ≤ 3 unfinished
-    /// predecessors, decremented as they complete, and is published to a
-    /// lock-free ready queue when the count hits zero. Workers claim
-    /// ready slots in publish order, so bands overlap, no full-pool
-    /// barrier runs per anti-diagonal and the pool is woken exactly once.
+    /// predecessors, decremented as they complete, so bands overlap, no
+    /// full-pool barrier runs per anti-diagonal and the pool is woken
+    /// exactly once.
+    ///
+    /// The worker whose completion readies successors **keeps** one of
+    /// them and runs it next — the same band's next block, else
+    /// `(b+1, i)`, else `(b+1, i-1)` — and publishes the others to a
+    /// lock-free ready queue, whose slots the workers claim in publish
+    /// order. A band's consecutive blocks therefore tend to run on one
+    /// core, next to the state they hand each other, instead of moving to
+    /// whichever worker waits on the next slot. The region ends when a
+    /// completed-task counter reaches `n_bands · n_blocks`.
     ///
     /// Tasks that may run concurrently are at band distance ≥ 1 and
     /// block distance ≥ 2, which the tiling layer uses to prove
@@ -460,8 +487,8 @@ impl Pool {
             scratch.counts.resize_with(total, || AtomicUsize::new(0));
             scratch.slots.resize_with(total, || AtomicUsize::new(0));
         }
-        // Ordering (all four init loops/stores): Relaxed — this thread
-        // holds the scratch mutex and has not dispatched yet; the whole
+        // Ordering (all init loops/stores): Relaxed — this thread holds
+        // the scratch mutex and has not dispatched yet; the whole
         // initialized state is published to the workers by the region
         // handoff in `dispatch` (state-mutex release → condvar wake),
         // which happens-after every store here.
@@ -483,34 +510,51 @@ impl Pool {
         scratch.slots[0].store(1, Ordering::Relaxed);
         // Ordering: Relaxed — see the init-block comment above.
         scratch.cursor.store(1, Ordering::Relaxed);
+        // Ordering: Relaxed — see the init-block comment above.
+        scratch.completed.store(0, Ordering::Relaxed);
+        // Ordering: Relaxed — see the init-block comment above.
+        scratch.kept.store(0, Ordering::Relaxed);
         let scratch = &*scratch;
         let shared = &*self.shared;
         let stall = shared.stall_timeout;
         // Each worker claims sequential tickets; ticket k spins until
-        // the k-th ready task is published. Liveness: among the workers
-        // the one spinning on the lowest ticket always has every lower
-        // ticket's task executing on some other worker, and whenever
-        // unexecuted tasks remain the dependence DAG has a minimal
-        // element whose final predecessor's completion publishes it.
-        // A panicking task breaks the second half of that argument, so
-        // the claim loop also watches the pool-wide cancel flag.
+        // the k-th published task appears or every task has completed,
+        // then runs the task and the chain of continuations it keeps.
+        // Liveness: a ready task is either kept — its keeper runs it
+        // next — or published to a slot below the cursor, whose ticket
+        // some worker holds or will claim (tickets go out in order, one
+        // per task, and fewer tasks are published than there are
+        // tasks). Whenever unexecuted tasks remain the dependence DAG
+        // has a minimal element whose final predecessor's completion
+        // readies it. A panicking task breaks the second half of that
+        // argument, so the claim loop also watches the pool-wide cancel
+        // flag.
         let run_one = move |ticket: usize| {
             let mut spins = 0u32;
             let mut watch = stall.map(|timeout| (timeout, usize::MAX, Instant::now()));
-            let task = loop {
+            let first = loop {
                 if shared.cancelled() {
                     // A peer panicked; this ticket's task may never be
                     // published, so stop waiting and drain.
                     return;
                 }
                 // Ordering: Acquire — pairs with the Release publish in
-                // `release` below; seeing slot != 0 therefore also makes
+                // `ready` below; seeing slot != 0 therefore also makes
                 // every predecessor task's stencil writes visible to
                 // this claimer (the happens-before edge the schedule's
                 // correctness rests on).
                 let v = scratch.slots[ticket].load(Ordering::Acquire);
                 if v != 0 {
                     break v - 1;
+                }
+                // Ordering: Relaxed — a claimer that sees every task
+                // completed leaves without touching task data; the
+                // caller is ordered after all of it by `dispatch`'s
+                // end-of-region handshake.
+                let done = scratch.completed.load(Ordering::Relaxed);
+                if done == total {
+                    // Kept continuations left this slot unpublished.
+                    return;
                 }
                 spins = spins.wrapping_add(1);
                 if spins.is_multiple_of(64) {
@@ -519,19 +563,15 @@ impl Pool {
                 } else {
                     std::hint::spin_loop();
                 }
-                // Opt-in watchdog: if the publish cursor makes no progress
-                // for the configured window while this claimer starves, a
-                // lost wakeup or wedged peer has silenced the wavefront —
+                // Opt-in watchdog: if no task completes for the
+                // configured window while this claimer starves, a lost
+                // wakeup or wedged peer has silenced the wavefront —
                 // panic with a task-graph snapshot instead of spinning
                 // forever (the panic is then contained like any other).
-                if let Some((timeout, last_cursor, since)) = watch.as_mut() {
+                if let Some((timeout, last_done, since)) = watch.as_mut() {
                     if spins.is_multiple_of(1024) {
-                        // Ordering: Relaxed — the cursor is read only as a
-                        // progress heartbeat; publication ordering is
-                        // carried by the slot loads above.
-                        let cur = scratch.cursor.load(Ordering::Relaxed);
-                        if cur != *last_cursor {
-                            *last_cursor = cur;
+                        if done != *last_done {
+                            *last_done = done;
                             *since = Instant::now();
                         } else if since.elapsed() >= *timeout {
                             panic!(
@@ -542,49 +582,69 @@ impl Pool {
                     }
                 }
             };
-            let b = task / n_blocks;
-            let i = task % n_blocks;
-            // Contain this task's panic locally so the releases below
-            // still run: successors must be freed (they are then skipped
-            // under the cancel flag) or peers would spin forever on a
-            // dead predecessor. Under an already-raised cancel flag the
-            // task body is skipped outright — only the drain remains.
-            if !shared.cancelled() {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    failpoint!("wave_task", b, i);
-                    f(b, i);
-                }));
-                if let Err(payload) = result {
-                    shared.record_panic(payload);
+            let mut next = Some(first);
+            while let Some(task) = next.take() {
+                let b = task / n_blocks;
+                let i = task % n_blocks;
+                // Contain this task's panic locally so the releases below
+                // still run: successors must be freed (they are then
+                // skipped under the cancel flag) or peers would spin
+                // forever on a dead predecessor. Under an already-raised
+                // cancel flag the task body is skipped outright — only
+                // the drain remains.
+                if !shared.cancelled() {
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        failpoint!("wave_task", b, i);
+                        f(b, i);
+                    }));
+                    if let Err(payload) = result {
+                        shared.record_panic(payload);
+                    }
                 }
-            }
-            let release = |tb: usize, ti: usize| {
-                let id = tb * n_blocks + ti;
-                // Ordering: AcqRel — the Release half publishes this
-                // predecessor's stencil writes into the counter; the
-                // Acquire half makes the *other* predecessors' writes
-                // (published by their own decrements) visible to
-                // whichever thread performs the final decrement, so the
-                // Release publish below carries all of them.
-                if scratch.counts[id].fetch_sub(1, Ordering::AcqRel) == 1 {
+                let mut ready = |tb: usize, ti: usize| {
+                    let id = tb * n_blocks + ti;
+                    // Ordering: AcqRel — the Release half publishes this
+                    // predecessor's stencil writes into the counter; the
+                    // Acquire half makes the *other* predecessors' writes
+                    // (published by their own decrements) visible to
+                    // whichever thread performs the final decrement: a
+                    // kept successor runs on that thread, and a
+                    // published one carries them in its slot's Release
+                    // store.
+                    if scratch.counts[id].fetch_sub(1, Ordering::AcqRel) != 1 {
+                        return;
+                    }
+                    if next.is_none() {
+                        next = Some(id);
+                        // Ordering: Relaxed — a tally, read once the
+                        // region has drained.
+                        scratch.kept.fetch_add(1, Ordering::Relaxed);
+                        return;
+                    }
                     // Ordering: Relaxed — the cursor only reserves a
                     // unique publish slot; the payload is ordered by the
                     // slot's own Release store below.
                     let p = scratch.cursor.fetch_add(1, Ordering::Relaxed);
                     // Ordering: Release — pairs with the claimer's
                     // Acquire load; publishes the task id together with
-                    // every predecessor write chained through the
-                    // AcqRel decrement above.
+                    // every predecessor write chained through the AcqRel
+                    // decrement above.
                     scratch.slots[p].store(id + 1, Ordering::Release);
+                };
+                // In order of preference for the one kept.
+                if i + 1 < n_blocks {
+                    ready(b, i + 1);
                 }
-            };
-            if i + 1 < n_blocks {
-                release(b, i + 1);
-            }
-            if b + 1 < n_bands {
-                release(b + 1, i);
-                if i > 0 {
-                    release(b + 1, i - 1);
+                if b + 1 < n_bands {
+                    ready(b + 1, i);
+                    if i > 0 {
+                        ready(b + 1, i - 1);
+                    }
+                }
+                // Ordering: Relaxed — a heartbeat and the end-of-region
+                // count; task data is ordered by the counts and slots.
+                if scratch.completed.fetch_add(1, Ordering::Relaxed) + 1 == total {
+                    shared.close_region(total);
                 }
             }
         };
@@ -592,22 +652,25 @@ impl Pool {
         // of them would serialize the pipeline's release order.
         let panicked = self.dispatch(total, &run_one);
         if let Some(payload) = panicked {
-            // A cancelled wavefront leaves counts/slots mid-flight; zero
-            // the used prefix so the scratch is back to a clean reusable
-            // state (the next `waves` call re-initializes it anyway, but
-            // a zeroed prefix keeps the reuse invariant auditable).
+            // A cancelled wavefront leaves the scratch mid-flight; zero
+            // the used prefix and the tallies so the scratch is back to a
+            // clean reusable state (the next `waves` call re-initializes
+            // it anyway, but a zeroed prefix keeps the reuse invariant
+            // auditable).
             for c in &scratch.counts[..total] {
-                // Ordering (all three reset stores): Relaxed — every
-                // worker of the region has drained (`dispatch` returned)
-                // and the next region's handoff publishes these values.
+                // Ordering (all reset stores): Relaxed — every worker of
+                // the region has drained (`dispatch` returned) and the
+                // next region's handoff publishes these values.
                 c.store(0, Ordering::Relaxed);
             }
             for s in &scratch.slots[..total] {
                 // Ordering: Relaxed — see the reset-block comment above.
                 s.store(0, Ordering::Relaxed);
             }
-            // Ordering: Relaxed — see the reset-block comment above.
-            scratch.cursor.store(0, Ordering::Relaxed);
+            for tally in [&scratch.cursor, &scratch.completed, &scratch.kept] {
+                // Ordering: Relaxed — see the reset-block comment above.
+                tally.store(0, Ordering::Relaxed);
+            }
             resume_unwind(payload);
         }
     }
@@ -669,8 +732,9 @@ fn run_region(shared: &PoolShared, task: TaskRef, n: usize) {
 }
 
 /// Compose the watchdog's diagnostic: which ready slot the claimer was
-/// starving on, how far publication got, and a bounded snapshot of the
-/// tasks still waiting on predecessors.
+/// starving on, how many tasks completed, how many were published or
+/// kept, and a bounded snapshot of the tasks still waiting on
+/// predecessors.
 fn stall_report(
     scratch: &WaveScratch,
     n_bands: usize,
@@ -680,9 +744,13 @@ fn stall_report(
 ) -> String {
     use std::fmt::Write as _;
     let total = n_bands * n_blocks;
-    // Ordering (both snapshot loads): Relaxed — diagnostic only; the
+    // Ordering (all snapshot loads): Relaxed — diagnostic only; the
     // wavefront is already considered wedged.
+    let completed = scratch.completed.load(Ordering::Relaxed);
+    // Ordering: Relaxed — see the snapshot comment above.
     let published = scratch.cursor.load(Ordering::Relaxed).min(total);
+    // Ordering: Relaxed — see the snapshot comment above.
+    let kept = scratch.kept.load(Ordering::Relaxed);
     let mut blocked = String::new();
     let mut n_blocked = 0usize;
     for b in 0..n_bands {
@@ -701,10 +769,10 @@ fn stall_report(
         let _ = write!(blocked, " ...and {} more", n_blocked - 8);
     }
     format!(
-        "wavefront stalled: no publish-cursor progress for {timeout:?} while \
-         waiting on ready slot {ticket} ({published}/{total} tasks published \
-         on a {n_bands}x{n_blocks} grid); tasks still awaiting predecessors \
-         (task<=count):{blocked}"
+        "wavefront stalled: no task completed for {timeout:?} while waiting \
+         on ready slot {ticket} ({completed}/{total} tasks completed, \
+         {published} published, {kept} kept on a {n_bands}x{n_blocks} grid); \
+         tasks still awaiting predecessors (task<=count):{blocked}"
     )
 }
 
@@ -939,11 +1007,21 @@ mod tests {
         (counts, slots, sc.cursor.load(Ordering::Relaxed))
     }
 
-    /// Regression: the pipelined queue's `counts`/`slots`/`cursor` must
+    /// The wave scratch's tallies: `(completed, kept)`.
+    fn tallies(pool: &Pool) -> (usize, usize) {
+        let sc = pool.shared.wave_scratch.lock();
+        (
+            sc.completed.load(Ordering::Relaxed),
+            sc.kept.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Regression: the pipelined queue's counts, slots and tallies must
     /// re-initialize on every `waves` call, including a *smaller* grid
     /// reusing scratch that still holds the previous run's state — a
     /// stale non-zero slot inside the new prefix would release a wrong
-    /// (or out-of-bounds) task id.
+    /// (or out-of-bounds) task id. Every task becomes ready once, and is
+    /// then either published or kept by the worker that readied it.
     #[test]
     fn wave_scratch_resets_across_reuse() {
         let pool = Pool::new(4);
@@ -954,7 +1032,7 @@ mod tests {
             });
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "coverage hole at {nb}x{nc}"
+                "every task runs exactly once at {nb}x{nc}"
             );
         };
         for &(nb, nc) in &[(5usize, 7usize), (3, 3), (5, 7), (2, 2)] {
@@ -967,14 +1045,20 @@ mod tests {
                 counts.iter().all(|&c| c == 0),
                 "{nb}x{nc}: counts {counts:?}"
             );
-            // Every task id was published exactly once: the slot prefix
-            // is a permutation of 1..=total (ids stored off-by-one).
-            let mut seen = slots.clone();
-            seen.sort_unstable();
-            let expect: Vec<usize> = (1..=total).collect();
-            assert_eq!(seen, expect, "{nb}x{nc}: slots {slots:?}");
-            // The publish cursor stopped exactly at the grid size.
-            assert_eq!(cursor, total, "{nb}x{nc}");
+            // The published ids fill the slots below the cursor, each a
+            // task of the grid (stored off-by-one), none twice.
+            assert!(
+                slots[..cursor].iter().all(|&s| (1..=total).contains(&s))
+                    && slots[cursor..].iter().all(|&s| s == 0),
+                "{nb}x{nc}: slots {slots:?} cursor {cursor}"
+            );
+            let mut published = slots[..cursor].to_vec();
+            published.sort_unstable();
+            published.dedup();
+            assert_eq!(published.len(), cursor, "{nb}x{nc}: slots {slots:?}");
+            let (completed, kept) = tallies(&pool);
+            assert_eq!(cursor + kept, total, "{nb}x{nc}: published + kept");
+            assert_eq!(completed, total, "{nb}x{nc}: completed");
         }
     }
 
@@ -1081,8 +1165,8 @@ mod tests {
         }
     }
 
-    /// The opt-in watchdog: a wavefront whose publish cursor stops moving
-    /// (here: one task sleeping far past the timeout on a fully serial
+    /// The opt-in watchdog: a wavefront in which no task completes (here:
+    /// one task sleeping far past the timeout on a fully serial
     /// dependence chain) panics with a task-graph snapshot instead of
     /// spinning forever, and the pool survives to run the next job.
     #[test]
@@ -1110,6 +1194,24 @@ mod tests {
         // Survival: the same pool completes the next wavefront.
         let count = AtomicUsize::new(0);
         pool.waves(1, 16, |_, _| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(count.load(Ordering::Relaxed), 16);
+    }
+
+    /// The watchdog's heartbeat is completed tasks, not publication: a
+    /// serial chain of slow tasks, each kept by the worker that ran the
+    /// one before and never published, completes under a watchdog far
+    /// shorter than the chain.
+    #[test]
+    #[cfg_attr(miri, ignore = "wall-clock watchdog is meaningless under miri")]
+    fn watchdog_spares_a_chain_of_kept_continuations() {
+        let pool = Pool::with_config(
+            PoolConfig::new(4).stall_timeout(std::time::Duration::from_millis(50)),
+        );
+        let count = AtomicUsize::new(0);
+        pool.waves(1, 16, |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 16);

@@ -56,11 +56,13 @@ pub enum Method {
 ///
 /// Every grid plan runs the same executor: the method's sweeps —
 /// `steps / VL` temporal sweeps plus `steps % VL` scalar ones, or one
-/// scalar or multi-load sweep per step — are cut into chunks of `block`
-/// anchors along the outer dimension and pipelined through the grid **in
-/// place** by one wavefront: the next sweep starts on a chunk as soon as
-/// the sweep before has finished the chunk after it (see
-/// `tempora_tiling::sweeps`). Consecutive chunks of a sweep are the
+/// scalar or multi-load sweep per step — are cut into chunks of at most
+/// `block` anchors along the outer dimension and pipelined through the
+/// grid **in place** by one wavefront: the next sweep starts on a chunk as
+/// soon as the sweep before has finished the chunk after it (see
+/// `tempora_tiling::sweeps`). On several threads the executor cuts
+/// narrower chunks where the pipeline needs more of them to keep the
+/// threads busy. Consecutive chunks of a sweep are the
 /// paper's parallelogram tiles; nothing is copied and no level runs
 /// outside the wavefront — the `steps % VL` remainder levels are chunked
 /// sweeps like the rest, not scalar steps on the calling thread.
@@ -76,8 +78,12 @@ pub enum Tiling {
     None,
     /// Pipelined in-place sweeps — Jacobi stencils only.
     Ghost {
-        /// Anchors (outer slabs) per chunk of a sweep; a narrower value is
-        /// widened to `max(VL·s, 2)`, the slabs a chunk reads ahead.
+        /// Anchors (outer slabs) per chunk of a sweep, at most; a
+        /// narrower value is widened to `max(VL·s, 2)`, the slabs a chunk
+        /// reads ahead. On several threads, with several sweeps, the
+        /// chunks are narrowed until `P` sweeps of `C` chunks have a
+        /// pipeline bound `P·C / (C + 2(P − 1))` of 90 % of
+        /// `min(threads, P)`, or reach that `max(VL·s, 2)` floor.
         block: usize,
         /// Validated (a positive multiple of the vector length) and echoed
         /// in [`TileGeometry`], but **it no longer shapes the schedule**:
@@ -87,8 +93,9 @@ pub enum Tiling {
     },
     /// Pipelined in-place sweeps — Gauss-Seidel stencils only.
     Skew {
-        /// Anchors (outer slabs) per chunk of a sweep; validated against
-        /// `height + VL·s + VL` (stride 0 for the scalar method).
+        /// Anchors (outer slabs) per chunk of a sweep, at most; validated
+        /// against `height + VL·s + VL` (stride 0 for the scalar method),
+        /// and narrowed on several threads as for [`Tiling::Ghost`].
         block: usize,
         /// Validated (a positive multiple of 4) and echoed in
         /// [`TileGeometry`], but **it no longer shapes the schedule**, as
@@ -118,10 +125,11 @@ pub struct TileGeometry {
     /// runs (LCS: bands × block columns, or rectangles of the scalar
     /// rows).
     pub tiles: usize,
-    /// Anchors per chunk along the outer dimension — the `block` asked
-    /// for, widened to `max(VL·s, 2)` when narrower (LCS: the DP rows of
-    /// one task — the band's `VL`, or the clamped `xblock` of the scalar
-    /// rows).
+    /// Anchors per chunk along the outer dimension, as the schedule runs
+    /// them — the `block` asked for, narrowed where several threads need
+    /// a deeper pipeline and widened to `max(VL·s, 2)` (LCS: the DP rows
+    /// of one task — the band's `VL`, or the clamped `xblock` of the
+    /// scalar rows).
     pub block: usize,
     /// The `height` the tiling was given, echoed; the grid tilings'
     /// schedule does not depend on it (LCS: the DP columns of one task,
@@ -523,8 +531,9 @@ impl PlanBuilder {
             Method::Scalar => (Mode::Scalar, self.isa()),
             Method::Reorg => unreachable!("handled per-problem"),
         };
-        let w =
-            Sweeps::new(kern, dims, bc, steps, block, mode, engine).count_reorg(self.count_reorg);
+        let threads = self.threads.unwrap_or(1);
+        let w = Sweeps::new(kern, dims, bc, steps, block, threads, mode, engine)
+            .count_reorg(self.count_reorg);
         let geometry = height.map(|height| TileGeometry {
             tiles: w.chunks(),
             block: w.chunk(),

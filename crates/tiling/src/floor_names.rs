@@ -56,6 +56,14 @@ mod ghost {
                 let vl = w.engine().map_or(4, JacobiKern1d::vl);
                 assert_eq!(w.sweeps(), 11 / vl + 11 % vl);
             }
+            // Two threads, two four-lane sweeps: the block is an upper
+            // bound, and the sweep is cut into the 18 chunks whose
+            // pipeline bound, 36 / 20, reaches 90 % of two threads.
+            let bc = tempora_grid::Boundary::Dirichlet(0.0);
+            let dims = [1000, 1, 1];
+            let w = crate::Sweeps::new(kern, dims, bc, 8, 500, 2, Mode::Temporal(2), best());
+            let anchors = 1000 + 1 - 2 * JacobiKern1d::vl(best());
+            assert_eq!((w.chunk(), w.chunks()), (anchors.div_ceil(18), 18));
         }
 
         #[test]

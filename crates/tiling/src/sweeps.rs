@@ -34,11 +34,25 @@
 //!   one workspace-owned twin (copied back once if the result ends there).
 //!
 //! With `x_max` the anchors of a sweep (`nx + 1 - VL·s` when vector
-//! sweeps run, `nx` otherwise), a sweep is cut every
-//! `chunk = max(block, VL·s, 2)` anchors; chunk 0 also runs the sweep's
-//! front and the last chunk its back — masked steady iterations, in the
-//! slab driver as in the 1-D sweep (for a scalar sweep: the slabs up to
-//! `nx`).
+//! sweeps run, `nx` otherwise), a sweep is cut every `chunk` anchors;
+//! chunk 0 also runs the sweep's front and the last chunk its back —
+//! masked steady iterations, in the slab driver as in the 1-D sweep (for a
+//! scalar sweep: the slabs up to `nx`).
+//!
+//! On one thread, or for one sweep, `chunk = max(block, VL·s, 2)`. With
+//! `T > 1` threads and `P > 1` sweeps the caller's `block` is an upper
+//! bound, and the schedule cuts as many chunks as the pipeline needs to
+//! keep the threads busy. Task `(p, c)` waits for `(p, c-1)` and
+//! `(p-1, c+1)`, so `P` sweeps of `C` chunks take at least `C + 2(P-1)`
+//! task times, and speed up by at most `P·C / (C + 2(P-1))`
+//! ([`pipeline_bound`]). `C*` is the fewest chunks whose bound reaches
+//! [`PIPELINE_TARGET_PERCENT`] of `min(T, P)`, and
+//! `chunk = max(VL·s, 2, min(block, w))`, `w` the balanced width
+//! `⌈x_max / C*⌉` — narrowed to `⌊(x_max-1) / (C*-1)⌋` where the balanced
+//! width would cut fewer than `C*` chunks. A sweep resumes across its
+//! chunks, so narrower ones cost only the wavefront's bookkeeping, and
+//! [`Pool::waves`] runs a sweep's next chunk, where it can, on the worker
+//! that ran the one before, next to the sweep's scratch.
 //!
 //! # Why it is race-free (the hazard argument)
 //!
@@ -139,6 +153,34 @@ struct Part {
     view: Option<Span>,
 }
 
+/// The share of `min(T, P)`, in percent, that the pipeline bound of a
+/// schedule of `P` sweeps on `T > 1` threads must reach (module docs, "The
+/// schedule"): 90 cuts Heat-3D 80³ × 8 and GS-2D 768² × 16 into 18
+/// chunks (bound 1.8 on two threads) and leaves Heat-2D 1024² × 24 at
+/// its 8 blocks of 128 (3 sweeps, bound 2.0).
+pub const PIPELINE_TARGET_PERCENT: usize = 90;
+
+/// The speedup `sweeps` pipelined sweeps of `chunks` chunks each can
+/// reach at most, on any number of threads: `P·C / (C + 2(P-1))`.
+pub fn pipeline_bound(sweeps: usize, chunks: usize) -> f64 {
+    let (p, c) = (sweeps as f64, chunks as f64);
+    p * c / (c + 2.0 * (p - 1.0))
+}
+
+/// The fewest chunks per sweep whose [`pipeline_bound`] reaches
+/// [`PIPELINE_TARGET_PERCENT`] of `min(threads, sweeps)`; `None` on one
+/// thread or for one sweep, which have nothing to pipeline.
+fn pipeline_chunks(threads: usize, sweeps: usize) -> Option<usize> {
+    if threads < 2 || sweeps < 2 {
+        return None;
+    }
+    // 100·P·C ≥ t·m·(C + 2(P-1)), solved for C; 100·P > t·m as m ≤ P.
+    let (p, m) = (sweeps as u128, threads.min(sweeps) as u128);
+    let t = PIPELINE_TARGET_PERCENT as u128;
+    let c = (2 * t * m * (p - 1)).div_ceil(100 * p - t * m);
+    Some(usize::try_from(c).unwrap_or(usize::MAX))
+}
+
 /// The task grid of one `advance`: `sweeps` rows of `chunks` parts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Schedule {
@@ -162,8 +204,8 @@ struct Schedule {
 
 impl Schedule {
     /// The task grid of `steps` levels over `nx` outer slabs, the vector
-    /// sweeps `vl` levels each.
-    fn new(nx: usize, steps: usize, block: usize, mode: Mode, vl: usize) -> Self {
+    /// sweeps `vl` levels each, for a pool of `threads` workers.
+    fn new(nx: usize, steps: usize, block: usize, mode: Mode, vl: usize, threads: usize) -> Self {
         let stride_reach = match mode {
             Mode::Temporal(s) => vl.saturating_mul(s),
             _ => 0,
@@ -178,10 +220,16 @@ impl Schedule {
         };
         let sweeps = vector + steps - vector * vl;
         let x_max = if reach > 0 { nx + 1 - reach } else { nx };
+        // Where the pipeline needs them, at least `C*` chunks: the
+        // balanced width, narrowed where it would cut fewer.
+        let width = pipeline_chunks(threads, sweeps).map_or(usize::MAX, |c| {
+            let narrowed = x_max.saturating_sub(1).checked_div(c - 1);
+            x_max.div_ceil(c).min(narrowed.unwrap_or(x_max))
+        });
         // At least VL·s: a vector part reads that far past its last
         // anchor, and must stay within the next chunk. At least 2: the
         // one-slab halos of parts two chunks apart must not meet.
-        let chunk = block.max(stride_reach).max(2);
+        let chunk = block.min(width).max(stride_reach).max(2);
         let chunks = x_max.div_ceil(chunk);
         Schedule {
             nx,
@@ -406,8 +454,11 @@ pub struct Sweeps<K: KernelSpace> {
 
 impl<K: KernelSpace> Sweeps<K> {
     /// Build a workspace for interior extents `dims` (outer first) with
-    /// boundary `bc`, advancing `steps` levels per [`Sweeps::advance`] in
-    /// chunks of `block` anchors (widened to `max(VL·s, 2)`). `engine` is
+    /// boundary `bc`, advancing `steps` levels per [`Sweeps::advance`] on
+    /// a pool of `threads` workers, in chunks of `block` anchors (widened
+    /// to `max(VL·s, 2)`; with several threads and sweeps, narrowed
+    /// where the pipeline needs more chunks — see the
+    /// [module docs](self)). `engine` is
     /// the codegen context of every task and, for [`Mode::Temporal`], the
     /// steady state of its vector sweeps and their lane count `VL`: the
     /// caller resolves it once ([`KernelSpace::resolve`] for a temporal
@@ -418,19 +469,23 @@ impl<K: KernelSpace> Sweeps<K> {
     /// Panics when `block == 0` (`tempora_plan` validates the geometry
     /// ahead of time and returns a `PlanError` instead); the first
     /// [`Sweeps::advance`] panics when the CPU cannot run `engine`.
+    // Justification: the geometry, the schedule's two inputs and the
+    // engine are independent settings of one workspace.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         kern: K,
         dims: [usize; 3],
         bc: Boundary<Elem<K>>,
         steps: usize,
         block: usize,
+        threads: usize,
         mode: Mode,
         engine: Engine,
     ) -> Self {
         assert!(block >= 1, "chunks hold at least one anchor");
         let isa = engine;
         let engine = matches!(mode, Mode::Temporal(_)).then_some(engine);
-        let sched = Schedule::new(dims[0], steps, block, mode, K::vl(isa));
+        let sched = Schedule::new(dims[0], steps, block, mode, K::vl(isa), threads);
         Sweeps {
             kern,
             mode,
@@ -467,8 +522,8 @@ impl<K: KernelSpace> Sweeps<K> {
         self.sched.chunks
     }
 
-    /// Anchors per chunk: the `block` asked for, widened to
-    /// `max(VL·s, 2)`.
+    /// Anchors per chunk: the `block` asked for, narrowed where several
+    /// threads need a deeper pipeline, and widened to `max(VL·s, 2)`.
     pub fn chunk(&self) -> usize {
         self.sched.chunk
     }
@@ -794,7 +849,7 @@ pub(crate) mod tests {
             Mode::Temporal(s) => K::resolve(sel, g.dims()[0], steps, Some(s)),
             Mode::Scalar | Mode::Auto => sel.resolve(true),
         };
-        Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, engine)
+        Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, 1, mode, engine)
     }
 
     /// The engines the table runs a kind on: portable, and each
@@ -860,7 +915,8 @@ pub(crate) mod tests {
                 pool.is_pinned()
             )
         };
-        let mut w = Sweeps::new(*kern, g.dims(), g.boundary(), steps, block, mode, engine);
+        let (dims, bc, threads) = (g.dims(), g.boundary(), pool.threads());
+        let mut w = Sweeps::new(*kern, dims, bc, steps, block, threads, mode, engine);
         let expected = matches!(mode, Mode::Temporal(_)).then_some(engine);
         assert_eq!(w.engine(), expected, "{}", at());
         for run in 0..2 {
@@ -954,8 +1010,9 @@ pub(crate) mod tests {
         table(&gs3d()[1], [34, 3, 4], &[2, 3], &pools);
     }
 
-    /// Every schedule of the table, as data, at four and eight lanes, and
-    /// at a stride whose `VL·s` wraps: no vector sweep.
+    /// Every schedule of the table, as data, at four and eight lanes, at
+    /// a stride whose `VL·s` wraps (no vector sweep), and for pools of 1,
+    /// 2, 4 and 8 threads (the chunks the pipeline bound cuts).
     fn schedules() -> Vec<Schedule> {
         let mut out = vec![];
         for nx in [1usize, 2, 7, 8, 9, 20, 33, 60, 150, 1024] {
@@ -968,13 +1025,71 @@ pub(crate) mod tests {
                     Mode::Temporal(usize::MAX / 4 + 2),
                 ] {
                     for block in [1, 2, 7, 8, 9, 27, 28, 29, nx.div_ceil(2), nx, nx + 5] {
-                        out.push(Schedule::new(nx, steps, block, mode, 4));
-                        out.push(Schedule::new(nx, steps, block, mode, 8));
+                        for vl in [4, 8] {
+                            for threads in [1, 2, 4, 8] {
+                                out.push(Schedule::new(nx, steps, block, mode, vl, threads));
+                            }
+                        }
                     }
                 }
             }
         }
         out
+    }
+
+    /// The chunk rule: on one thread or for one sweep the block widened to
+    /// `max(VL·s, 2)`; otherwise never wider than that, and cut so that
+    /// the pipeline bound reaches its target share of `min(T, P)` unless
+    /// the chunk sits at the `max(VL·s, 2)` floor; and the cuts
+    /// [`PIPELINE_TARGET_PERCENT`]'s docs give for the ledger's geometries.
+    #[test]
+    fn chunks_reach_the_pipeline_target_or_the_floor() {
+        for nx in [1usize, 2, 9, 33, 60, 150, 753, 1024, 4096] {
+            for steps in [1, 3, 4, 8, 11, 16, 24, 40] {
+                for mode in [Mode::Scalar, Mode::Temporal(2), Mode::Temporal(7)] {
+                    for block in [1, 7, 16, 42, 128, nx.div_ceil(3), nx, nx + 5] {
+                        for (vl, threads) in [(4, 1), (4, 2), (4, 8), (8, 2), (8, 4)] {
+                            let sched = Schedule::new(nx, steps, block, mode, vl, threads);
+                            let Schedule {
+                                chunk,
+                                chunks,
+                                sweeps: p,
+                                ..
+                            } = sched;
+                            let floor = match mode {
+                                Mode::Temporal(s) => vl * s,
+                                _ => 0,
+                            }
+                            .max(2);
+                            if threads == 1 || p == 1 {
+                                assert_eq!(chunk, block.max(floor), "{sched:?}");
+                                continue;
+                            }
+                            assert!(chunk <= block.max(floor), "{sched:?}");
+                            // 100·P·C ≥ target · min(T, P) · (C + 2(P-1)).
+                            let m = threads.min(p);
+                            let reaches = 100 * p * chunks
+                                >= PIPELINE_TARGET_PERCENT * m * (chunks + 2 * (p - 1));
+                            assert!(
+                                reaches || chunk == floor,
+                                "{sched:?}: bound {}",
+                                pipeline_bound(p, chunks)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The ledger's two-thread geometries: Heat-2D keeps its blocks,
+        // Heat-3D drops to the `VL·s` floor, GS-2D to the balanced width.
+        for (nx, steps, block, vl, cut) in [
+            (1024, 24, 128, 8, (128, 8)),
+            (80, 8, 16, 4, (8, 10)),
+            (768, 16, 192, 8, (42, 18)),
+        ] {
+            let sched = Schedule::new(nx, steps, block, Mode::Temporal(2), vl, 2);
+            assert_eq!((sched.chunk, sched.chunks), cut, "{sched:?}");
+        }
     }
 
     /// The hazard argument as a property of the schedule alone, whatever
@@ -1033,7 +1148,7 @@ pub(crate) mod tests {
     #[test]
     fn hazard_checker_rejects_each_violation() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let sched = Schedule::new(100, 12, 8, Mode::Temporal(2), 4);
+        let sched = Schedule::new(100, 12, 8, Mode::Temporal(2), 4, 1);
         assert_eq!((sched.chunks, sched.sweeps, sched.slots), (12, 3, 3));
         let violation = |setup: &dyn Fn(&hazards::Hazards), sched: &Schedule, p, c| {
             let table = hazards::Hazards::new(sched);

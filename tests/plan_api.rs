@@ -532,8 +532,30 @@ fn report_carries_geometry_and_counts() {
     assert_eq!(report.steps, 16);
     assert_eq!(report.threads, 2);
     let tiles = report.tiles.expect("tiled plans report geometry");
-    assert_eq!(tiles.tiles, 8);
-    assert_eq!((tiles.block, tiles.height), (512, 8));
+    // The chunk rule on two threads: `block` is an upper bound, and the
+    // `P` sweeps are cut into the fewest chunks `C*` whose pipeline bound
+    // `P·C / (C + 2(P − 1))` reaches 90 % of `min(threads, P)` — at the
+    // balanced width, narrowed where it would cut fewer — never below
+    // the `VL·s` slabs a chunk reads ahead.
+    let vl = if report.engine == Some(Engine::Avx512) {
+        8
+    } else {
+        4
+    };
+    let (reach, p) = (vl * plan.stride(), 16 / vl + 16 % vl);
+    let anchors = 4096 + 1 - reach;
+    let m = p.min(2);
+    let c_star = (1..)
+        .find(|&c| 100 * p * c >= 90 * m * (c + 2 * (p - 1)))
+        .unwrap();
+    let width = anchors.div_ceil(c_star).min((anchors - 1) / (c_star - 1));
+    assert_eq!(tiles.block, width.min(512).max(reach), "{tiles:?}");
+    assert!(tiles.block <= 512, "{tiles:?}");
+    assert!(
+        (tiles.tiles - 1) * tiles.block < anchors && anchors <= tiles.tiles * tiles.block,
+        "{tiles:?}"
+    );
+    assert_eq!(tiles.height, 8);
     assert!(report.engine.is_some());
 
     // Counted temporal runs, on whichever engine they resolve (`auto`:
