@@ -21,6 +21,8 @@
 //! the original paper adds nothing to the measured trends).
 
 use tempora_grid::Grid1;
+#[cfg(target_arch = "x86_64")]
+use tempora_simd::arch::Ymm;
 use tempora_simd::{Pack, Packs};
 use tempora_stencil::Heat1dCoeffs;
 
@@ -90,29 +92,18 @@ pub fn heat1d(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
 }
 
 /// [`heat1d`] compiled for AVX2+FMA: the same source instantiated inside
-/// a `#[target_feature]` function, where a pack `mul_add` is one `vfmadd`
+/// `isa`'s codegen sandwich, where a pack `mul_add` is one `vfmadd`
 /// instead of four calls into libm's `fma` (both exactly rounded, so the
-/// results are bit-identical). Panics if AVX2+FMA are unavailable, and
-/// unless [`dlt_applicable`] holds for the interior length.
-#[cfg(target_arch = "x86_64")]
-pub fn heat1d_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    // SAFETY: availability asserted above.
-    unsafe { sweeps_avx2(g, c, steps) }
-}
-
-/// [`sweeps`] instantiated in an AVX2+FMA codegen context.
+/// results are bit-identical).
 ///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available
-/// (`tempora_simd::arch::avx2_available()`).
+/// # Panics
+/// Panics unless [`dlt_applicable`] holds for the interior length.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sweeps_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
-    sweeps(g, c, steps)
+pub fn heat1d_avx2(isa: Ymm, g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    isa.run(
+        #[inline(always)]
+        move || sweeps(g, c, steps),
+    )
 }
 
 /// The body of [`heat1d`], `#[inline(always)]` so each codegen context

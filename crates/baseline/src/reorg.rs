@@ -14,6 +14,8 @@
 //! right neighbours; `vl`-aligned blocks make the centre free).
 
 use tempora_grid::Grid1;
+#[cfg(target_arch = "x86_64")]
+use tempora_simd::arch::Ymm;
 use tempora_simd::count::{self, Op};
 use tempora_simd::{Pack, Packs};
 use tempora_stencil::Heat1dCoeffs;
@@ -89,28 +91,15 @@ pub fn heat1d_counted(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f6
 }
 
 /// [`heat1d`] compiled for AVX2+FMA: the same source instantiated inside
-/// a `#[target_feature]` function, where a pack `mul_add` is one `vfmadd`
+/// `isa`'s codegen sandwich, where a pack `mul_add` is one `vfmadd`
 /// instead of four calls into libm's `fma` (both exactly rounded, so the
-/// results are bit-identical). Panics if AVX2+FMA are unavailable.
+/// results are bit-identical).
 #[cfg(target_arch = "x86_64")]
-pub fn heat1d_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
-    assert!(
-        tempora_simd::arch::avx2_available(),
-        "AVX2+FMA not available on this CPU"
-    );
-    // SAFETY: availability asserted above.
-    unsafe { sweeps_avx2(g, c, steps) }
-}
-
-/// [`sweeps`] instantiated in an AVX2+FMA codegen context.
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available
-/// (`tempora_simd::arch::avx2_available()`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sweeps_avx2(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
-    sweeps::<false>(g, c, steps)
+pub fn heat1d_avx2(isa: Ymm, g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
+    isa.run(
+        #[inline(always)]
+        move || sweeps::<false>(g, c, steps),
+    )
 }
 
 #[cfg(test)]

@@ -31,7 +31,8 @@
 //! --scale K   divide the paper's problem sizes by K (default 16;
 //!             --scale 1 = paper sizes, needs a big machine)
 //! --cores N   max worker count for parallel figures (default: all;
-//!             clamped to the logical cores actually available)
+//!             clamped to the logical cores actually available and to
+//!             the plan bound tempora_plan::MAX_THREADS)
 //! --csv DIR   additionally write each figure as DIR/<id>.csv
 //! --json FILE additionally write all figures, one object per ablation
 //!             row, + machine metadata as one JSON document (schema
@@ -151,12 +152,14 @@ fn main() {
 
     // Oversubscribing a 1-core host with `--cores 8` would print a
     // "scaling" curve where every point ran the same hardware — clamp to
-    // what the machine actually has, loudly.
-    let cores = cores_requested.min(avail);
+    // what the machine actually has, and to what a plan may run, loudly.
+    let bound = avail.min(tempora_plan::MAX_THREADS);
+    let cores = cores_requested.min(bound);
     if cores < cores_requested {
         eprintln!(
-            "repro: --cores {cores_requested} exceeds the {avail} available logical cores; \
-             clamping to {cores}"
+            "repro: --cores {cores_requested} exceeds the {avail} available logical cores \
+             or the plan bound of {} threads; clamping to {cores}",
+            tempora_plan::MAX_THREADS
         );
     }
 

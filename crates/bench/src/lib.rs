@@ -1476,7 +1476,7 @@ fn simd_engine(plan: Option<Engine>) -> &'static str {
 /// kinds once did).
 pub fn ablate_stride(scale: usize) -> Table {
     use tempora_core::kernels::JacobiKern1d;
-    use tempora_core::{lcs_avx2, t1d_avx2};
+    use tempora_core::{lcs, t1d};
     let d = scale.max(1);
     // LCS from 1024² up: the ledger's untiled table.
     let (n1, nl) = (((1usize << 20) / d).max(1 << 12), (16384 / d).max(1024));
@@ -1492,7 +1492,7 @@ pub fn ablate_stride(scale: usize) -> Table {
         let problem = (k.problem)(dims, k.ledger_steps);
         (k.name, problem, 2..=4, [none.clone(), none.clone()])
     };
-    let registers = [t1d_avx2::REGISTER_STRIDES, t1d_avx2::ZMM_REGISTER_STRIDES];
+    let registers = [t1d::REGISTER_STRIDES, t1d::ZMM_REGISTER_STRIDES];
     let (h1, g1) = (Heat1dCoeffs::classic(0.25), Gs1dCoeffs::classic(0.25));
     let kinds = [
         (
@@ -1539,7 +1539,7 @@ pub fn ablate_stride(scale: usize) -> Table {
             let [best] = lcs_runs(nl, nl, s, &[engine])[..] else {
                 unreachable!("one run per engine")
             };
-            let registers = engine != Engine::Portable && lcs_avx2::REGISTER_STRIDES.contains(&s);
+            let registers = engine != Engine::Portable && lcs::REGISTER_STRIDES.contains(&s);
             let shape = stride_shape(s, s == default, registers);
             push(
                 "lcs",
@@ -1592,7 +1592,7 @@ fn wide_slab_kinds(n: usize, steps: usize) -> impl Iterator<Item = (&'static str
 /// kind's crossover. A width the CPU lacks has no rows.
 pub fn ablate_vl() -> Table {
     use tempora_core::kernels::JacobiKern1d;
-    use tempora_core::t1d_avx2;
+    use tempora_core::t1d;
     let (n, steps) = (1 << 16, 32);
     let avx2 = tempora_simd::arch::avx2_available().then_some((4, Select::Avx2, Engine::Avx2));
     let avx512 =
@@ -1638,7 +1638,7 @@ pub fn ablate_vl() -> Table {
                     .and_then(|r| r.reorg)
                     .map_or(f64::NAN, |k| k.reorg_per_output());
                 let vectors = (steps / vl * (n + 1 - vl * s)) as f64;
-                let registers = [t1d_avx2::REGISTER_STRIDES, t1d_avx2::ZMM_REGISTER_STRIDES];
+                let registers = [t1d::REGISTER_STRIDES, t1d::ZMM_REGISTER_STRIDES];
                 let registers = registers[(vl == 8) as usize].contains(&s);
                 let shape = stride_shape(s, s == default, registers);
                 push(
@@ -1676,7 +1676,7 @@ pub fn ablate_vl() -> Table {
     // 8192² its tiled run cuts into blocks.
     for (kind, n) in [("lcs1024", 1024), ("lcs8192", 8192)] {
         let s = default_stride(&Problem::lcs(n, n));
-        let registers = tempora_core::lcs_avx2::REGISTER_STRIDES.contains(&s);
+        let registers = tempora_core::lcs::REGISTER_STRIDES.contains(&s);
         for (&engine, best) in engines.iter().zip(lcs_runs(n, n, s, &engines)) {
             let vl = tempora_core::lcs::vl(engine);
             push(

@@ -73,18 +73,18 @@
 //! and back, remainder scalar steps, the spatial multi-load steps — in
 //! that engine's codegen context ([`Engine::codegen`]). The phase
 //! functions, steady states included, are one `#[inline(always)]` source,
-//! instantiated once for baseline x86-64 with `Packs` and once inside
-//! `#[target_feature(enable = "avx2,fma")]` sandwiches with `Ymm` — for
-//! the 2-D/3-D kernels a single one, [`crate::slab_avx2`], generic over
-//! the kernel's row updates, so their one impl below (a macro, one line
-//! per kernel) names a grid, a lane count and `Rows2`/`Rows3` and forwards
-//! to [`crate::slab`]; for the 1-D sweep, which Heat-1D, GS-1D and the
-//! LCS bands share, a single one too, [`crate::t1d_avx2`], entered through
-//! one dispatch (`t1d::sweep`) from the 1-D impl below and from
-//! [`crate::lcs::sweep`] — and the 1-D sweep and the `f64` 2-D sweeps a
-//! third time at the AVX-512 width with `Zmm` (`sweep_zmm` in
-//! [`crate::t1d_avx2`] and [`crate::slab_avx2`]). Whatever does not run
-//! at eight lanes in an
+//! instantiated once for baseline x86-64 with `Packs` and once inside the
+//! AVX2 sandwich with `Ymm`: each dispatch hands the token's one codegen
+//! function, [`Ymm::run`] (`#[target_feature(enable = "avx2,fma")]`), an
+//! `#[inline(always)]` closure over its phase function. The dispatch
+//! sites are few: the 2-D/3-D kernels' one impl below (a macro, one line
+//! per kernel, that names a grid, a lane count and `Rows2`/`Rows3` and
+//! forwards to [`crate::slab`]), the 1-D sweep that Heat-1D, GS-1D and
+//! the LCS bands share (`t1d::sweep`, from the 1-D impl below and from
+//! [`crate::lcs::sweep`]), the 1-D scalar step and the multi-load steps
+//! of [`crate::spatial`]. The 1-D sweep and the `f64` 2-D sweeps run a
+//! third time at the AVX-512 width with `Zmm` inside [`Zmm::run`]
+//! (`avx512f,avx2,fma`). Whatever does not run at eight lanes in an
 //! AVX-512 plan — scalar steps, multi-load steps — runs in the AVX2
 //! context: a `Zmm` implies a `Ymm`. The reason is
 //! `f64::mul_add`: outside a feature context it is a call into libm's
@@ -107,12 +107,9 @@ use crate::{spatial, t1d};
 use core::ops::RangeInclusive;
 use tempora_grid::{Grid1, Grid2, Grid3, SlabGrid, SlabLayout, Slabs, SlabsMut};
 use tempora_simd::arch::{avx2_available, avx512_available};
-use tempora_simd::Packs;
 #[cfg(target_arch = "x86_64")]
-use {
-    crate::{slab_avx2, t1d_avx2},
-    tempora_simd::arch::{Ymm, Zmm},
-};
+use tempora_simd::arch::{Ymm, Zmm};
+use tempora_simd::Packs;
 
 /// Environment variable consulted by [`Select::from_env`].
 pub const ENV_VAR: &str = "TEMPORA_ENGINE";
@@ -255,7 +252,7 @@ pub(crate) type Avx512Lanes = Packs;
 pub enum Codegen {
     /// Baseline x86-64: `mul_add` is a libm call.
     Baseline,
-    /// The AVX2+FMA sandwiches, entered with their token.
+    /// The AVX2+FMA sandwich ([`Ymm::run`]), entered with its token.
     #[cfg(target_arch = "x86_64")]
     Avx2(Ymm),
 }
@@ -468,7 +465,7 @@ impl SweepCost {
     }
 
     /// The one width rule ([`KernelSpace::resolve`], LCS's `la` rows over
-    /// `B` in [`crate::lcs_avx2::resolve`]): `narrow`, the engine `sel`
+    /// `B` in [`crate::lcs::resolve`]): `narrow`, the engine `sel`
     /// resolves by capability, widened under `Select::Auto` where the CPU
     /// has AVX-512F, the wide sweep has a steady anchor (`nx ≥ VL·s`; four
     /// lanes read 1.1–1.9× the scalar steps on 12², 1.2–1.3× on Heat-2D's
@@ -558,7 +555,13 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     ) {
         match engine.codegen() {
             #[cfg(target_arch = "x86_64")]
-            Codegen::Avx2(isa) => t1d_avx2::scalar_sweep(isa, a.data, a.first, self, xs, old_west),
+            Codegen::Avx2(isa) => {
+                let kern = *self; // by value: its coefficients hoist out of the loop
+                isa.run(
+                    #[inline(always)]
+                    move || t1d::scalar_cells(a.data, a.first, &kern, xs, old_west),
+                )
+            }
             Codegen::Baseline => t1d::scalar_cells(a.data, a.first, self, xs, old_west),
         }
     }
@@ -594,7 +597,7 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     /// plateau on `engine` in `repro ablate-stride` at this repo's
     /// benchmark geometry (65536 points × 32 steps, where the boundary is
     /// a few per mille; a unit test of `tempora_plan` ties each to its
-    /// engine's specialised set: `t1d_avx2::REGISTER_STRIDES` /
+    /// engine's specialised set: `t1d::REGISTER_STRIDES` /
     /// `ZMM_REGISTER_STRIDES`). At four lanes Heat-1D's chain advances
     /// `s - 1` iterations per hop and levels off from 9 (10 reads 0.97 of
     /// the best); at eight ([`Engine::Avx512`]) 13 reads 0.97–0.98 against
@@ -621,7 +624,7 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
 /// A line `x $vl` runs one lane count on every engine (an
 /// [`Engine::Avx512`] handed to it runs its AVX2 rows); a line `x 4 | 8`
 /// — the `f64` 2-D kinds — runs eight `f64` lanes on [`Engine::Avx512`],
-/// the rows computing in `Zmm` inside [`slab_avx2::sweep_zmm`], its
+/// the rows computing in `Zmm` inside [`Zmm::run`], its
 /// scratch a [`ScratchVl`] and its width formula's constants
 /// `$anchor, $scalar` ([`KernelSpace::COST`]).
 macro_rules! slab_kernel_space {
@@ -649,10 +652,12 @@ macro_rules! slab_kernel_space {
             ) {
                 match engine.codegen() {
                     #[cfg(target_arch = "x86_64")]
-                    Codegen::Avx2(isa) => {
-                        let rows = $rows(*self, isa);
-                        slab_avx2::sweep::<$t, $vl, COUNT, _>(isa, lay, a, &rows, xs, s, sc)
-                    }
+                    Codegen::Avx2(isa) => isa.run(
+                        #[inline(always)]
+                        move || slab::sweep_body::<$t, $vl, COUNT, _>(
+                            lay, a, &$rows(*self, isa), xs, s, sc,
+                        ),
+                    ),
                     Codegen::Baseline => slab::sweep_body::<$t, $vl, COUNT, _>(
                         lay, a, &$rows(*self, Packs), xs, s, sc,
                     ),
@@ -692,13 +697,23 @@ macro_rules! slab_kernel_space {
                 match (engine, sc) {
                     #[cfg(target_arch = "x86_64")]
                     (Engine::Avx512, ScratchVl::Wide(sc)) => {
-                        let rows = Rows2(*self, zmm());
-                        slab_avx2::sweep_zmm::<COUNT, _>(rows.1, lay, a, &rows, xs, s, sc)
+                        let isa = zmm();
+                        isa.run(
+                            #[inline(always)]
+                            move || slab::sweep_body::<f64, 8, COUNT, _>(
+                                lay, a, &Rows2(*self, isa), xs, s, sc,
+                            ),
+                        )
                     }
                     #[cfg(target_arch = "x86_64")]
                     (Engine::Avx2, ScratchVl::Narrow(sc)) => {
-                        let rows = Rows2(*self, ymm());
-                        slab_avx2::sweep::<f64, 4, COUNT, _>(rows.1, lay, a, &rows, xs, s, sc)
+                        let isa = ymm();
+                        isa.run(
+                            #[inline(always)]
+                            move || slab::sweep_body::<f64, 4, COUNT, _>(
+                                lay, a, &Rows2(*self, isa), xs, s, sc,
+                            ),
+                        )
                     }
                     (Engine::Portable, ScratchVl::Narrow(sc)) => slab::sweep_body::<f64, 4, COUNT, _>(
                         lay, a, &Rows2(*self, Packs), xs, s, sc,
@@ -731,10 +746,12 @@ macro_rules! slab_kernel_space {
             ) {
                 match engine.codegen() {
                     #[cfg(target_arch = "x86_64")]
-                    Codegen::Avx2(isa) => {
-                        let rows = $rows(*self, isa);
-                        slab_avx2::scalar_sweep::<$t, $vl, _>(isa, lay, a, &rows, xs, bufs)
-                    }
+                    Codegen::Avx2(isa) => isa.run(
+                        #[inline(always)]
+                        move || slab::scalar_sweep_body::<$t, $vl, _>(
+                            lay, a, &$rows(*self, isa), xs, bufs,
+                        ),
+                    ),
                     Codegen::Baseline => slab::scalar_sweep_body::<$t, $vl, _>(
                         lay, a, &$rows(*self, Packs), xs, bufs,
                     ),

@@ -55,7 +55,7 @@
 //! ([`BLanes`], padded at both ends for the masked lanes), the `VL`
 //! characters of every `B(y)` are contiguous: one load, which folds into
 //! the compare at the strides whose ring lives in registers
-//! ([`crate::lcs_avx2::REGISTER_STRIDES`]). Wider strides' steady state
+//! ([`REGISTER_STRIDES`]). Wider strides' steady state
 //! keeps the strided byte load. The layout is built once per run, in
 //! `O(lb)`.
 //!
@@ -64,18 +64,19 @@
 //! The steady state is written once, generic over the register form it
 //! computes in ([`tempora_simd::I32Lanes`]): `ring_regs`, with every
 //! vector in a register, for the strides in
-//! [`crate::lcs_avx2::REGISTER_STRIDES`], and one rolled loop that keeps
+//! [`REGISTER_STRIDES`], and one rolled loop that keeps
 //! the ring in scratch for wider ones. [`sweep`] takes the resolved
 //! [`Engine`] and hands the band to the 1-D sweep's one engine dispatch
 //! (`t1d::sweep`): portable runs it in `Packs` for baseline
-//! x86-64, AVX2 in `Ymm` inside the sandwich of [`crate::t1d_avx2`] —
+//! x86-64, AVX2 in `Ymm` inside the AVX2 sandwich
+//! ([`tempora_simd::arch::Ymm::run`]) —
 //! `vpcmpeqd` with the `B` load folded in, `vpaddd`/`vpmaxsd`,
 //! `vpblendvb`, and one `vpermd` plus one `vpblendd` per produced vector —
 //! and AVX-512 the same source at sixteen lanes in `Zmm`: `vpcmpeqd` into
 //! a mask register, a masked `vpsubd`, and one `valignd` per produced
-//! vector.
+//! vector. [`resolve`] is how a run picks its engine.
 
-use crate::engine::{Engine, ScratchVl, SweepCost};
+use crate::engine::{Engine, ScratchVl, Select, SweepCost};
 use crate::t1d::{self, Form, Line, Scratch1d};
 use core::ops::RangeInclusive;
 use tempora_simd::{I32Lanes, Pack};
@@ -107,6 +108,31 @@ pub const COST: SweepCost = SweepCost {
     scalar: 1.29,
 };
 
+/// The strides whose steady state keeps the input-vector ring in
+/// registers and reads `B(y)` from the lane layout (one unrolled
+/// instantiation each, see `ring_regs`); wider strides index the ring in
+/// scratch memory and load the characters strided.
+pub const REGISTER_STRIDES: RangeInclusive<usize> = 1..=2;
+
+/// Resolve `sel` for the band sweeps of an `la × lb` table whose columns
+/// are cut every `yblock`, at stride `s`: the engine [`Select::resolve`]
+/// gives where eight-lane bands fit ([`bands_fit`]) — portable where they
+/// do not: LCS is integer code, one and the same in every engine's
+/// context, so a shape without a band runs the portable scalar rows and
+/// reports them. Where sixteen-lane bands fit, the grid kinds' width rule
+/// ([`SweepCost::widen`] on [`COST`], `la` rows over `B`) may widen it.
+/// `Select::Avx2` means eight lanes.
+///
+/// # Panics
+/// Panics when `yblock == 0`, or on `Select::Avx2` without AVX2+FMA.
+pub fn resolve(sel: Select, la: usize, lb: usize, yblock: usize, s: usize) -> Engine {
+    let narrow = sel.resolve(bands_fit(VL, la, lb, yblock, s));
+    match bands_fit(WIDE_VL, la, lb, yblock, s) {
+        true => COST.widen(sel, narrow, lb, la, |engine| (vl(engine), s)),
+        false => narrow,
+    }
+}
+
 /// True when a band sweep of `vl` rows fits an `la × lb` table whose
 /// columns are cut every `yblock`: a whole band exists (`la ≥ vl`) and
 /// **every** block column — the ragged last one included — is wider than
@@ -134,7 +160,7 @@ pub type Scratch = ScratchVl<Scratch1d<i32, VL>, Scratch1d<i32, WIDE_VL>>;
 /// long — `data[c·class + k] = r[c + k·s]`. The characters at the anchor
 /// whose lane 0 lies at column `u`, `b[u - 1 - l·s]` in lane `l`, are then
 /// `VL` consecutive values of one class from `j = pad + lb - u` on: one
-/// load, for the steady state at [`crate::lcs_avx2::REGISTER_STRIDES`] and
+/// load, for the steady state at [`REGISTER_STRIDES`] and
 /// the masked ends at every stride (whose outer lanes read the padding).
 /// Empty where no eight-lane band fits a row of `lb` columns.
 #[derive(Clone, Debug, Default)]
@@ -290,7 +316,7 @@ impl<'a> Band<'a> {
 /// comparing `A[x0+1+i]` and `B(y)`'s lane from [`BLanes`], and the
 /// steady state over the anchors `y ∈ [y0, y1]` of a whole row
 /// (`first = 0`), in `isa`'s registers — the one dispatch on the stride.
-/// The strides in [`crate::lcs_avx2::REGISTER_STRIDES`] run `ring_regs`,
+/// The strides in [`REGISTER_STRIDES`] run `ring_regs`,
 /// whatever the register form. Wider ones run the rolled loop below, which
 /// keeps the ring in scratch at one read and one write per iteration — the
 /// write at column `y` lands in the very slot the diagonal operand was

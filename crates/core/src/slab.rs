@@ -91,18 +91,22 @@
 //!
 //! # One source, three codegen contexts
 //!
-//! Every function below the entry points is `#[inline(always)]`: `sweep`
-//! and `scalar_sweep` instantiate the driver for baseline x86-64, with
-//! rows that compute in `Packs`, and [`crate::slab_avx2`] instantiates
-//! the *same source*, steady rows included, a second time inside
-//! `#[target_feature(enable = "avx2,fma")]` sandwiches, with rows that
-//! compute in `Ymm`, and — the `f64` 2-D kinds, at eight lanes — a third
-//! time inside an `avx512f,avx2,fma` one with rows in `Zmm`. That matters
+//! Every function below the entry points is `#[inline(always)]`: the
+//! `sweep` and `scalar_sweep` of the slab kernels' `KernelSpace` impl
+//! instantiate the driver for baseline x86-64, with rows that compute in
+//! `Packs`, and instantiate the *same source*, steady rows included, a
+//! second time inside the AVX2 sandwich ([`tempora_simd::arch::Ymm::run`],
+//! `avx2,fma`, handed an `#[inline(always)]` closure over
+//! `sweep_body` or `scalar_sweep_body`) with rows that compute in
+//! `Ymm`, and — the `f64` 2-D kinds, at eight lanes — a third time inside
+//! the AVX-512 one ([`tempora_simd::arch::Zmm::run`], `avx512f,avx2,fma`)
+//! with rows in `Zmm`. That matters
 //! because outside such a context every `f64::mul_add` is a call into
 //! libm's `fma` (≈ 3 ns each), while inside it is one `vfmadd` — both are
 //! the exactly-rounded fused operation, so results do not change, only
 //! speed. Dropping one of these attributes silently brings the libm calls
-//! back; `cargo xtask audit` (rule `phase-inline`) guards them.
+//! back; `cargo xtask audit` (rules `phase-inline` and `sandwich-inline`)
+//! guards them.
 
 use crate::kernels::{Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::cell::Cell;
@@ -937,7 +941,7 @@ pub(crate) fn scalar_sweep_body<T, const VL: usize, R>(
 /// the front) to `VL·s` past its last (to ghost slab `nx + 1` with the
 /// back). `COUNT` instruments the steady rows. The codegen context is the
 /// caller's, and must be the one `rows` compute in: baseline x86-64 for
-/// `Packs`, a [`crate::slab_avx2`] sandwich for `Ymm` and `Zmm`.
+/// `Packs`, the token's `run` sandwich for `Ymm` and `Zmm`.
 ///
 /// # Panics
 /// Panics if `s < R::MIN_STRIDE`, the outer extent cannot host the vector
@@ -1372,7 +1376,7 @@ impl<T: Scalar, R: Copy> Part<T, R> {
 /// One table-driven suite for the driver: kind × shape × steps
 /// (remainders included) × stride × engine ≡ the scalar reference, as
 /// whole tiles and cut into parts. The helpers are `pub(crate)` because
-/// the entry points in `slab_floor_names.rs` select rows of the same
+/// the entry points in `floor_names.rs` select rows of the same
 /// table.
 #[cfg(test)]
 pub(crate) mod tests {

@@ -9,72 +9,19 @@
 //! Each step takes the [`Engine`] its plan resolved and runs in that
 //! engine's codegen context ([`Engine::codegen`]: AVX2 for both
 //! `std::arch` engines): the bodies are `#[inline(always)]` and
-//! instantiated once for baseline x86-64 and once inside a
-//! `#[target_feature(enable = "avx2,fma")]` wrapper, where the packs'
-//! `mul_add`s are `vfmadd`s instead of four calls into libm's `fma` per
-//! vector. This is the comparison the paper is about — a spatial baseline
-//! measured through libm calls is not a baseline. Results are
-//! bit-identical in both contexts (both fused operations are exactly
-//! rounded).
+//! instantiated once for baseline x86-64 and once inside the AVX2
+//! sandwich ([`tempora_simd::arch::Ymm::run`], entered with an
+//! `#[inline(always)]` closure), where the packs' `mul_add`s are
+//! `vfmadd`s instead of four calls into libm's `fma` per vector. This is
+//! the comparison the paper is about — a spatial baseline measured
+//! through libm calls is not a baseline. Results are bit-identical in
+//! both contexts (both fused operations are exactly rounded).
 
 use crate::engine::{Codegen, Engine};
 use crate::kernels::{Kernel1d, Kernel3d, Nbhd, Nbhd3, Pack2d};
 use core::ops::RangeInclusive;
 use tempora_grid::{SlabLayout, Slabs, SlabsMut};
 use tempora_simd::{Pack, Packs, Scalar};
-
-/// The step bodies instantiated in an AVX2+FMA codegen context.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::*;
-
-    /// [`step_1d`] compiled for AVX2+FMA.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_1d<K: Kernel1d>(
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        kern: &K,
-    ) {
-        step_1d_body(src, dst, xs, kern);
-    }
-
-    /// [`step_2d`] compiled for AVX2+FMA.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
-        lay: &SlabLayout<T>,
-        src: Slabs<'_, T>,
-        dst: SlabsMut<'_, T>,
-        xs: RangeInclusive<usize>,
-        kern: &K,
-    ) {
-        step_2d_body(lay, src, dst, xs, kern);
-    }
-
-    /// [`step_3d`] compiled for AVX2+FMA.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA are available
-    /// (`tempora_simd::arch::avx2_available()`).
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn step_3d<K: Kernel3d>(
-        lay: &SlabLayout<f64>,
-        src: Slabs<'_, f64>,
-        dst: SlabsMut<'_, f64>,
-        xs: RangeInclusive<usize>,
-        kern: &K,
-    ) {
-        step_3d_body(lay, src, dst, xs, kern);
-    }
-}
 
 /// The cells `xs` of one multi-load (spatially vectorized) Jacobi step on
 /// 1-D buffers: `dst[xs]` from `src[xs.start() - 1 ..= xs.end() + 1]`,
@@ -89,8 +36,13 @@ pub fn step_1d<K: Kernel1d>(
 ) {
     match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
-        Codegen::Avx2(_) => unsafe { avx2::step_1d(src, dst, xs, kern) },
+        Codegen::Avx2(isa) => {
+            let kern = *kern; // by value: its coefficients hoist out of the loops
+            isa.run(
+                #[inline(always)]
+                move || step_1d_body(src, dst, xs, &kern),
+            )
+        }
         Codegen::Baseline => step_1d_body(src, dst, xs, kern),
     }
 }
@@ -123,7 +75,7 @@ fn step_1d_body<K: Kernel1d>(
 /// out as `lay` (vectorized along `y`): `dst[xs]` from
 /// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the scalar
 /// reference.
-pub fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
+pub fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs> + Copy>(
     engine: Engine,
     lay: &SlabLayout<T>,
     src: Slabs<'_, T>,
@@ -133,8 +85,13 @@ pub fn step_2d<T: Scalar, K: Pack2d<T, 4, Packs>>(
 ) {
     match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
-        Codegen::Avx2(_) => unsafe { avx2::step_2d(lay, src, dst, xs, kern) },
+        Codegen::Avx2(isa) => {
+            let kern = *kern; // by value: its coefficients hoist out of the loops
+            isa.run(
+                #[inline(always)]
+                move || step_2d_body(lay, src, dst, xs, &kern),
+            )
+        }
         Codegen::Baseline => step_2d_body(lay, src, dst, xs, kern),
     }
 }
@@ -197,7 +154,7 @@ fn step_2d_body<T: Scalar, K: Pack2d<T, 4, Packs>>(
 /// out as `lay` (vectorized along `z`): `dst[xs]` from
 /// `src[xs.start() - 1 ..= xs.end() + 1]`. Bit-identical to the scalar
 /// reference.
-pub fn step_3d<K: Kernel3d>(
+pub fn step_3d<K: Kernel3d + Copy>(
     engine: Engine,
     lay: &SlabLayout<f64>,
     src: Slabs<'_, f64>,
@@ -207,8 +164,13 @@ pub fn step_3d<K: Kernel3d>(
 ) {
     match engine.codegen() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
-        Codegen::Avx2(_) => unsafe { avx2::step_3d(lay, src, dst, xs, kern) },
+        Codegen::Avx2(isa) => {
+            let kern = *kern; // by value: its coefficients hoist out of the loops
+            isa.run(
+                #[inline(always)]
+                move || step_3d_body(lay, src, dst, xs, &kern),
+            )
+        }
         Codegen::Baseline => step_3d_body(lay, src, dst, xs, kern),
     }
 }

@@ -96,29 +96,37 @@
 //! its own (`lcs::ring_regs`), on the same ring.
 //!
 //! [`sweep_body`] and everything under it — `masked_end`, the steady
-//! states, [`scalar_cells`] — is `#[inline(always)]`: the portable engine instantiates it for baseline
-//! x86-64 with `Packs`, and [`crate::t1d_avx2`] instantiates the same
-//! source again with `Ymm` inside its
-//! `#[target_feature(enable = "avx2,fma")]` sandwich, where `mul_add` is
-//! one `vfmadd` instead of a call into libm's `fma` (same exactly-rounded
-//! result), and a third time at eight `f64` (sixteen `i32`) lanes with
-//! `Zmm` inside `#[target_feature(enable = "avx512f,avx2,fma")]`: one
-//! rotate and one blend per output vector at either width, the paper's
-//! "irrelevant to the vector length". `sweep` is the one dispatch from
-//! a resolved engine into them. `cargo xtask audit` (rule `phase-inline`)
-//! guards the attributes.
+//! states, [`scalar_cells`] — is `#[inline(always)]`: the portable engine
+//! instantiates it for baseline x86-64 with `Packs`, and `sweep`, the one
+//! dispatch from a resolved engine, instantiates the same source again
+//! with `Ymm` inside the AVX2 sandwich ([`tempora_simd::arch::Ymm::run`]),
+//! where `mul_add` is one `vfmadd` instead of a call into libm's `fma`
+//! (same exactly-rounded result), and a third time at eight `f64`
+//! (sixteen `i32`) lanes with `Zmm` inside the AVX-512 one
+//! ([`tempora_simd::arch::Zmm::run`]): one rotate and one blend per output
+//! vector at either width, the paper's "irrelevant to the vector length".
+//! The strides whose ring those steady states keep in registers are
+//! [`REGISTER_STRIDES`] and [`ZMM_REGISTER_STRIDES`]. `cargo xtask audit`
+//! (rules `phase-inline` and `sandwich-inline`) guards the attributes.
 
+#[cfg(target_arch = "x86_64")]
+use crate::engine::{ymm, zmm};
 use crate::engine::{Avx2Lanes, Avx512Lanes, Engine, ScratchVl};
 use crate::kernels::Kernel1d;
-use crate::t1d_avx2::{REGISTER_STRIDES, ZMM_REGISTER_STRIDES};
 use core::ops::RangeInclusive;
 use tempora_simd::count::{self, Op};
 use tempora_simd::{F64Lanes, Lanes, Mask, Pack, Packs, Scalar};
-#[cfg(target_arch = "x86_64")]
-use {
-    crate::engine::{ymm, zmm},
-    crate::t1d_avx2,
-};
+
+/// The strides whose AVX2 steady state keeps the ring in registers: one
+/// instantiation of the unrolled body each (the `match` of the 3-point
+/// kernels' [`Line::steady`]). Every other stride runs the rolled loop over the
+/// in-memory ring: same results, under half the speed.
+pub const REGISTER_STRIDES: RangeInclusive<usize> = 2..=13;
+
+/// The strides whose AVX-512 steady state keeps the ring in registers:
+/// every stride the ring holds (`RING_CAP - 1`), since 32 `zmm`
+/// registers hold `s + 1 = 17` ring vectors beside the kernel's operands.
+pub const ZMM_REGISTER_STRIDES: RangeInclusive<usize> = 2..=16;
 
 /// Everything one sweep has in flight at stride `s`: what its parts hand
 /// each other, reusable by the next sweep — `s + 1` input vectors and one
@@ -326,12 +334,22 @@ pub(crate) fn sweep<T, const N: usize, const W: usize, const COUNT: bool, K>(
         #[cfg(target_arch = "x86_64")]
         (Engine::Avx512, ScratchVl::Wide(sc)) => {
             let isa = zmm();
-            t1d_avx2::sweep_zmm::<T, W, COUNT, _>(isa, a, first, n, &Form(kern, isa), s, sc, xs)
+            isa.run(
+                #[inline(always)]
+                move || {
+                    sweep_body::<T, W, COUNT, true, _>(a, first, n, &Form(kern, isa), s, sc, xs)
+                },
+            )
         }
         #[cfg(target_arch = "x86_64")]
         (Engine::Avx2, ScratchVl::Narrow(sc)) => {
             let isa = ymm();
-            t1d_avx2::sweep::<T, N, COUNT, _>(isa, a, first, n, &Form(kern, isa), s, sc, xs)
+            isa.run(
+                #[inline(always)]
+                move || {
+                    sweep_body::<T, N, COUNT, true, _>(a, first, n, &Form(kern, isa), s, sc, xs)
+                },
+            )
         }
         (Engine::Portable, ScratchVl::Narrow(sc)) => {
             sweep_body::<T, N, COUNT, false, _>(a, first, n, &Form(kern, Packs), s, sc, xs)
@@ -352,8 +370,8 @@ pub(crate) fn sweep<T, const N: usize, const W: usize, const COUNT: bool, K>(
 /// same `scratch`, which carries the ring between them.
 ///
 /// `kern` computes in its register form, and the codegen context is the
-/// caller's: baseline x86-64 for `Packs`, a [`crate::t1d_avx2`] sandwich
-/// for `Ymm` and `Zmm`. `REGS` lets the steady state keep its ring in
+/// caller's: baseline x86-64 for `Packs`, the token's `run` sandwich for
+/// `Ymm` and `Zmm`. `REGS` lets the steady state keep its ring in
 /// registers (what only the `std::arch` forms have); `COUNT` enables
 /// reorganization-instruction accounting (see [`tempora_simd::count`]) in
 /// the steady state, where the paper states its budget.

@@ -32,6 +32,14 @@ pub enum PlanError {
     },
     /// The builder asked for zero worker threads.
     ZeroThreads,
+    /// The builder asked for more worker threads than a plan may run
+    /// ([`crate::MAX_THREADS`]); rejected before any thread starts.
+    TooManyThreads {
+        /// Requested worker count.
+        threads: usize,
+        /// The bound, [`crate::MAX_THREADS`].
+        max: usize,
+    },
     /// More than one thread was requested without a tiling scheme — an
     /// untiled plan is one chunk per sweep, which extra workers cannot
     /// share, so this is almost certainly a misconfiguration.
@@ -142,6 +150,9 @@ impl std::fmt::Display for PlanError {
                 "temporal stride {stride} exceeds the engine ring capacity (max {max})"
             ),
             PlanError::ZeroThreads => write!(f, "thread count must be at least 1"),
+            PlanError::TooManyThreads { threads, max } => {
+                write!(f, "{threads} threads requested; a plan runs at most {max}")
+            }
             PlanError::ThreadsRequireTiling { threads } => write!(
                 f,
                 "{threads} threads requested but no tiling scheme selected; \

@@ -98,7 +98,7 @@ impl Exec for Reorg1d {
         *g = match self.isa.codegen() {
             _ if self.counted => reorg::heat1d_counted(g, self.coeffs, self.steps),
             #[cfg(target_arch = "x86_64")]
-            Codegen::Avx2(_) => reorg::heat1d_avx2(g, self.coeffs, self.steps),
+            Codegen::Avx2(isa) => reorg::heat1d_avx2(isa, g, self.coeffs, self.steps),
             Codegen::Baseline => reorg::heat1d(g, self.coeffs, self.steps),
         };
         Ok(())
@@ -119,7 +119,7 @@ impl Exec for Dlt1d {
         let g = Grid1::from_state(state)?;
         *g = match self.isa.codegen() {
             #[cfg(target_arch = "x86_64")]
-            Codegen::Avx2(_) => dlt::heat1d_avx2(g, self.coeffs, self.steps),
+            Codegen::Avx2(isa) => dlt::heat1d_avx2(isa, g, self.coeffs, self.steps),
             Codegen::Baseline => dlt::heat1d(g, self.coeffs, self.steps),
         };
         Ok(())

@@ -56,7 +56,7 @@ mod plan;
 mod problem;
 
 pub use error::PlanError;
-pub use plan::{Method, Plan, PlanBuilder, Report, TileGeometry, Tiling};
+pub use plan::{Method, Plan, PlanBuilder, Report, TileGeometry, Tiling, MAX_THREADS};
 pub use problem::{LcsState, Problem, State};
 
 // The engine vocabulary is part of the plan API surface.
@@ -92,7 +92,7 @@ mod tests {
         // one's in `REGISTER_STRIDES`, the eight-lane one's in
         // `ZMM_REGISTER_STRIDES`. An explicit stride is honoured and
         // reported as given.
-        use tempora_core::{lcs_avx2, t1d_avx2};
+        use tempora_core::{lcs, t1d};
         use tempora_stencil::Gs1dCoeffs;
         let heat = Problem::heat1d(4096, 8, Heat1dCoeffs::classic(0.25));
         let gs = Problem::gs1d(4096, 8, Gs1dCoeffs::classic(0.25));
@@ -124,9 +124,9 @@ mod tests {
                 let b = PlanBuilder::new().tiling(tiling).select(sel);
                 let plan = b.build(problem).unwrap();
                 let set = match (problem, plan.engine()) {
-                    (Problem::Lcs { .. }, _) => lcs_avx2::REGISTER_STRIDES,
-                    (_, Some(Engine::Avx512)) => t1d_avx2::ZMM_REGISTER_STRIDES,
-                    _ => t1d_avx2::REGISTER_STRIDES,
+                    (Problem::Lcs { .. }, _) => lcs::REGISTER_STRIDES,
+                    (_, Some(Engine::Avx512)) => t1d::ZMM_REGISTER_STRIDES,
+                    _ => t1d::REGISTER_STRIDES,
                 };
                 let s = plan.stride();
                 assert!(
@@ -141,8 +141,8 @@ mod tests {
         use tempora_core::engine::KernelSpace;
         use tempora_core::kernels::{GsKern1d, JacobiKern1d};
         for (engine, set) in [
-            (Engine::Avx2, t1d_avx2::REGISTER_STRIDES),
-            (Engine::Avx512, t1d_avx2::ZMM_REGISTER_STRIDES),
+            (Engine::Avx2, t1d::REGISTER_STRIDES),
+            (Engine::Avx512, t1d::ZMM_REGISTER_STRIDES),
         ] {
             for s in [
                 JacobiKern1d::default_stride(engine),
@@ -214,6 +214,30 @@ mod tests {
         assert_eq!(
             PlanBuilder::new().threads(0).build(&heat).unwrap_err(),
             PlanError::ZeroThreads
+        );
+        // Above the bound the build fails before a pool exists, so no
+        // thread starts. The huge counts go only into builds that would
+        // fail anyway without the bound — untiled, or at stride 0 — so
+        // even a build that lost it starts none; the tiled legal build
+        // above it would start `MAX_THREADS` at most.
+        let tiled = PlanBuilder::new().tiling(Tiling::Ghost {
+            block: 32,
+            height: 4,
+        });
+        let too_many = |threads| PlanError::TooManyThreads {
+            threads,
+            max: MAX_THREADS,
+        };
+        for threads in [MAX_THREADS + 1, usize::MAX] {
+            for b in [PlanBuilder::new(), tiled.stride(0)] {
+                let err = b.threads(threads).build(&heat).unwrap_err();
+                assert_eq!(err, too_many(threads));
+            }
+        }
+        let over = MAX_THREADS + 1;
+        assert_eq!(
+            tiled.threads(over).build(&heat).unwrap_err(),
+            too_many(over)
         );
         let life = Problem::life(64, 64, 8, LifeRule::b2s23());
         assert!(matches!(

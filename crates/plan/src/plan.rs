@@ -8,7 +8,7 @@ use tempora_core::engine::{Elem, Engine, KernelSpace, Select};
 use tempora_core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
-use tempora_core::lcs_avx2;
+use tempora_core::lcs;
 use tempora_grid::Boundary;
 use tempora_parallel::{Pool, PoolConfig};
 use tempora_simd::count;
@@ -137,6 +137,14 @@ pub struct TileGeometry {
     pub height: usize,
 }
 
+/// The most worker threads a plan may run ([`PlanBuilder::threads`]). A
+/// plan's pool spawns `threads − 1` OS threads when it is built, and a
+/// served request names its own count, so this is what one request can
+/// make a process spawn. [`PlanBuilder::build`] rejects a larger count
+/// with [`PlanError::TooManyThreads`] before any thread starts; every
+/// host this workspace is measured on has far fewer cores.
+pub const MAX_THREADS: usize = 256;
+
 /// What one [`Plan::run`] call did: the resolved engine, the work
 /// executed, and optional instrumentation.
 #[derive(Clone, Debug)]
@@ -206,8 +214,8 @@ impl PlanBuilder {
         self
     }
 
-    /// Set the worker-thread count (default 1). More than one thread
-    /// requires a tiling scheme.
+    /// Set the worker-thread count (default 1, at most [`MAX_THREADS`]).
+    /// More than one thread requires a tiling scheme.
     pub fn threads(mut self, threads: usize) -> PlanBuilder {
         self.threads = Some(threads);
         self
@@ -258,6 +266,12 @@ impl PlanBuilder {
         let threads = self.threads.unwrap_or(1);
         if threads == 0 {
             return Err(PlanError::ZeroThreads);
+        }
+        if threads > MAX_THREADS {
+            return Err(PlanError::TooManyThreads {
+                threads,
+                max: MAX_THREADS,
+            });
         }
         if matches!(self.tiling, Tiling::None) && threads > 1 {
             return Err(PlanError::ThreadsRequireTiling { threads });
@@ -547,7 +561,7 @@ impl PlanBuilder {
     /// untiled, at the stride given or 2 (the peak of `repro
     /// ablate-stride`'s LCS rows at both widths). The band sweeps need a
     /// full `VL`-row band and block columns hosting the sweep
-    /// (`tempora_core::lcs_avx2::resolve`); a degenerate shape runs the
+    /// (`tempora_core::lcs::resolve`); a degenerate shape runs the
     /// portable scalar rows in every engine — integer, so no slower for
     /// it, unlike the grid kernels' `mul_add` — and reports portable.
     fn plan_lcs(&self, la: usize, lb: usize) -> Result<Built, PlanError> {
@@ -562,8 +576,8 @@ impl PlanBuilder {
         // An empty sequence still builds (and has LCS length 0): the
         // workspace clamps the extents to `max(len, 1)`.
         let (xblock, yblock) = (xblock.max(1), yblock.max(1));
-        let engine = (self.method == Method::Temporal)
-            .then(|| lcs_avx2::resolve(self.select, la, lb, yblock, s));
+        let engine =
+            (self.method == Method::Temporal).then(|| lcs::resolve(self.select, la, lb, yblock, s));
         let w = LcsRect::new(la, lb, xblock, yblock, s, engine);
         let geometry = (self.tiling != Tiling::None).then(|| {
             let (tiles, block, height) = w.wave();

@@ -254,6 +254,49 @@ fn oversized_lcs_block_is_answered_and_connection_survives() {
     server.shutdown(std::time::Duration::from_secs(5));
 }
 
+/// A small frame naming a huge thread count is refused: a plan's pool
+/// spawns `threads − 1` OS threads, and the wire carries the count as a
+/// raw integer. The build rejects anything above `MAX_THREADS` before a
+/// pool exists, so the reply is `BuildFailed` and the same connection
+/// then serves a normal request. Each refused spec would also fail
+/// without the bound — untiled (`ThreadsRequireTiling`) or at stride 0 —
+/// so a server that lost it still starts no thread here; the message
+/// tells the two apart.
+#[test]
+fn huge_thread_count_is_refused_before_any_thread_starts() {
+    use tempora_client::ClientError;
+    use tempora_plan::MAX_THREADS;
+
+    let (server, addr) = start_tcp(CacheConfig::default());
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    for threads in [MAX_THREADS + 1, usize::MAX] {
+        let mut untiled = heat_spec();
+        untiled.config.threads = threads;
+        let mut tiled = untiled;
+        tiled.config.tiling = Tiling::Ghost {
+            block: 64,
+            height: 4,
+        };
+        tiled.config.stride = Some(0);
+        for spec in [untiled, tiled] {
+            match client.run_steps(&spec, 1) {
+                Err(ClientError::Server { code, message }) => {
+                    assert_eq!(code, ErrorCode::BuildFailed, "{message}");
+                    let want =
+                        format!("{threads} threads requested; a plan runs at most {MAX_THREADS}");
+                    assert!(message.contains(&want), "{message}");
+                }
+                other => panic!("threads={threads}: wanted BuildFailed, got {other:?}"),
+            }
+        }
+    }
+    let run = client
+        .run_steps(&heat_spec(), 3)
+        .expect("normal request after it");
+    assert_eq!(run.steps, 16);
+    server.shutdown(std::time::Duration::from_secs(5));
+}
+
 #[test]
 fn uds_roundtrip() {
     let path = std::env::temp_dir().join(format!("tempora-serve-test-{}.sock", std::process::id()));

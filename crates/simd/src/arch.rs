@@ -1,5 +1,6 @@
-//! The `std::arch` register forms of the lane vocabulary — the one file
-//! of the workspace allowed intrinsics.
+//! The `std::arch` register forms of the lane vocabulary and their codegen
+//! sandwiches — the one file of the workspace allowed intrinsics, and the
+//! only one with a `#[target_feature]` function.
 //!
 //! The paper's cost analysis (§3.3) is stated in terms of *specific* AVX
 //! instructions — `vpermpd` for the lane-crossing rotate, `vblendpd` for
@@ -14,6 +15,15 @@
 //! `k`-mask `vblendmpd` at eight `f64` lanes, one `valignd` at sixteen
 //! `i32` lanes) — the paper's "irrelevant to the vector length" made an
 //! instantiation.
+//!
+//! Those instructions are emitted only where the code runs in its feature
+//! context. Each token enters it through one generic function,
+//! [`Ymm::run`] (`avx2,fma`) and [`Zmm::run`] (`avx512f,avx2,fma`): every
+//! engine dispatch in the workspace hands it an `#[inline(always)]`
+//! closure over the `#[inline(always)]` phase functions, so a whole sweep
+//! is compiled for the ISA its plan resolved, and the token is the proof
+//! that makes the call sound. They are the workspace's only `unsafe` calls
+//! into a feature context.
 //!
 //! The tests at the bottom hold both tokens lane for lane equal to
 //! [`crate::Packs`] (they run on any x86-64 host with AVX2+FMA — the `Zmm`
@@ -66,10 +76,9 @@ pub fn avx512_available() -> bool {
 /// preconditions are that availability and, for `load`/`store`, the 32
 /// bytes of the 32-byte aligned pack they are given (the aligned
 /// `vmovapd`/`vmovdqa`; [`I32Lanes::load_u8`] checks its indices first) —
-/// and of every AVX2 codegen sandwich entered on the strength of a `Ymm`
-/// argument. The methods are `#[inline(always)]` and reach their
-/// instructions by being inlined into such a function; called from
-/// baseline code they are correct, and slow.
+/// and of [`Ymm::run`], the AVX2 codegen sandwich. The methods are
+/// `#[inline(always)]` and reach their instructions by being inlined into
+/// that sandwich; called from baseline code they are correct, and slow.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug)]
 pub struct Ymm(());
@@ -80,6 +89,29 @@ impl Ymm {
     /// never under Miri).
     pub fn detect() -> Option<Ymm> {
         avx2_available().then_some(Ymm(()))
+    }
+
+    /// `f()` compiled for AVX2+FMA: the AVX2 codegen sandwich, the one
+    /// way into that feature context. Hand it an `#[inline(always)]`
+    /// closure over `#[inline(always)]` code, and the whole body is
+    /// instantiated inside the context — `f64::mul_add` one `vfmadd`, each
+    /// method of the token its instruction. A closure that is not inlined
+    /// runs its body compiled for baseline x86-64 (a libm `fma` call per
+    /// `mul_add`): same results, ≈ 20× slower. `cargo xtask audit` (rule
+    /// `sandwich-inline`) requires the attribute at every call. Capture
+    /// small `Copy` operands — a kernel and its coefficients — by value
+    /// (`move`): read through a reference the closure holds, they are
+    /// reloaded on every iteration of the loops inside.
+    #[inline(always)]
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        /// # Safety
+        /// Caller must ensure AVX2+FMA are available (`avx2_available()`).
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn sandwich<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        // SAFETY: a `Ymm` exists only where AVX2+FMA are available.
+        unsafe { sandwich(f) }
     }
 }
 
@@ -96,10 +128,9 @@ impl Ymm {
 /// running CPU: only [`Zmm::detect`] makes one. That is the `SAFETY`
 /// argument of the `unsafe` block behind every method — intrinsics whose
 /// sole precondition is that availability, and for `load`/`store` the 64
-/// bytes of the pack they are given — and of every AVX-512 codegen
-/// sandwich entered on the strength of a `Zmm` argument. Like [`Ymm`]'s,
-/// the methods are `#[inline(always)]` and reach their instructions by
-/// being inlined into such a function.
+/// bytes of the pack they are given — and of [`Zmm::run`], the AVX-512
+/// codegen sandwich. Like [`Ymm`]'s, the methods are `#[inline(always)]`
+/// and reach their instructions by being inlined into it.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy, Debug)]
 pub struct Zmm(());
@@ -110,6 +141,22 @@ impl Zmm {
     /// ([`avx512_available`]: never under Miri).
     pub fn detect() -> Option<Zmm> {
         avx512_available().then_some(Zmm(()))
+    }
+
+    /// `f()` compiled for AVX-512F+AVX2+FMA: the AVX-512 codegen
+    /// sandwich, entered like [`Ymm::run`] and under the same rule — an
+    /// `#[inline(always)]` closure, or its body runs in baseline code.
+    #[inline(always)]
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        /// # Safety
+        /// Caller must ensure AVX-512F+AVX2+FMA are available
+        /// (`avx512_available()`).
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        unsafe fn sandwich<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        // SAFETY: a `Zmm` exists only where AVX-512F+AVX2+FMA are available.
+        unsafe { sandwich(f) }
     }
 }
 

@@ -61,7 +61,7 @@
 //! [`LcsRect::run`] call — the wavefront runs allocation-free). Both block
 //! extents are clamped to the sequence lengths, so no extent asks for
 //! more memory than the table has columns. The workspace is built for
-//! the [`Engine`] its caller resolved once ([`tempora_core::lcs_avx2::resolve`]) and
+//! the [`Engine`] its caller resolved once ([`tempora_core::lcs::resolve`]) and
 //! reports what runs: sixteen-lane bands on [`Engine::Avx512`], eight on
 //! the others, and a degenerate shape honestly portable.
 
@@ -110,7 +110,7 @@ impl LcsRect {
     /// `xblock × yblock` blocks (each clamped to its sequence's length)
     /// and temporal stride `s`: band sweeps on `engine` ("our"), or scalar
     /// rows for `None` ("scalar"); both are exact. The caller resolves the
-    /// engine once ([`tempora_core::lcs_avx2::resolve`], as `tempora_plan` does; a test
+    /// engine once ([`tempora_core::lcs::resolve`], as `tempora_plan` does; a test
     /// or an ablation may force any engine the CPU has, at any shape).
     /// Where `engine`'s bands do not fit every block column
     /// ([`bands_fit`]) the run is the scalar wave, and
@@ -273,7 +273,6 @@ impl LcsRect {
 mod tests {
     use super::*;
     use tempora_core::engine::Select;
-    use tempora_core::lcs_avx2;
     use tempora_grid::random_sequence;
     use tempora_simd::arch::{avx2_available, avx512_available};
     use tempora_stencil::reference;
@@ -281,7 +280,7 @@ mod tests {
     /// A workspace for `sel` resolved as `tempora_plan` resolves it, or
     /// scalar rows when not `temporal`.
     fn rect(la: usize, lb: usize, xb: usize, yb: usize, s: usize, t: bool, sel: Select) -> LcsRect {
-        let engine = t.then(|| lcs_avx2::resolve(sel, la, lb, yb, s));
+        let engine = t.then(|| lcs::resolve(sel, la, lb, yb, s));
         LcsRect::new(la, lb, xb, yb, s, engine)
     }
 

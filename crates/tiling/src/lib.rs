@@ -26,7 +26,7 @@
 //!
 //! [`Sweeps::new`] and [`LcsRect::new`] take the
 //! `tempora_core::engine::Engine` their caller resolved once
-//! (`KernelSpace::resolve`, by capability; `lcs_avx2::resolve` for LCS,
+//! (`KernelSpace::resolve`, by capability; `lcs::resolve` for LCS,
 //! degenerate geometries honestly portable); both report the engine that
 //! runs, for per-series reporting in the bench harness. Each allocates its
 //! temporal scratch only for sweeps that host the vector schedule.

@@ -336,6 +336,9 @@ pub fn expected_error(
     if config.threads == 0 {
         return Some("ZeroThreads");
     }
+    if config.threads > tempora::plan::MAX_THREADS {
+        return Some("TooManyThreads");
+    }
     if tiling == Tiling::None && config.threads > 1 {
         return Some("ThreadsRequireTiling");
     }

@@ -401,8 +401,15 @@ fn invalid_configurations_error_and_fallbacks_are_honest() {
             &heat1,
             "StrideTooLarge { stride: 40, max: 16 }",
         ),
-        // Threads 0, threads without tiling, an empty domain.
+        // Threads 0, above the bound (257: untiled, so no thread could
+        // start even without the bound), threads without tiling, an empty
+        // domain.
         (b().threads(0), &heat1, "ZeroThreads"),
+        (
+            b().threads(tempora::plan::MAX_THREADS + 1),
+            &heat1,
+            "TooManyThreads { threads: 257, max: 256 }",
+        ),
         (
             b().threads(4),
             &heat1,

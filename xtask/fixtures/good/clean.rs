@@ -74,6 +74,18 @@ macro_rules! lane_ops {
     )*};
 }
 
+/// Dispatch into the codegen sandwiches: each closure handed to a token's
+/// `run` carries the attribute, on the call's line or (rustfmt's layout)
+/// on the next; a plan's `run` takes no closure.
+pub fn dispatch(ymm: Ymm, zmm: Zmm, plan: &mut Plan, state: &mut State) {
+    ymm.run(#[inline(always)] || fill_front(1));
+    zmm.run(
+        #[inline(always)]
+        move || fill_front(2),
+    );
+    let _ = plan.run(state);
+}
+
 // Justification: demo helper reached only from doctests.
 #[allow(dead_code)]
 fn helper() {}

@@ -1,6 +1,6 @@
 //! The safety audit wall: repo-specific lints over workspace sources.
 //!
-//! Seven rules, each scoped to where it is meaningful (unit-test regions
+//! Eight rules, each scoped to where it is meaningful (unit-test regions
 //! are recognized by `#[cfg(test)]` / `#[test]` tracking, and files
 //! under `tests/`, `benches/` or `examples/` count as test code):
 //!
@@ -13,6 +13,7 @@
 //! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module (everything above computes through the `Lanes` vocabulary) | everywhere |
 //! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the capability probe it is dispatched behind, `avx2_available()` or `avx512_available()` | everywhere |
 //! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src`, the lane vocabulary in `crates/simd/src`, the vector formulas in `crates/stencil/src` |
+//! | `sandwich-inline` | every closure handed to a `.run(` call — the codegen sandwiches `Ymm::run` / `Zmm::run` — carries `#[inline(always)]` | everywhere |
 //!
 //! The engine is deliberately line-based and dependency-free: it
 //! complements (never replaces) the denied rustc/clippy lints in
@@ -48,6 +49,9 @@ const AVAILABLE_PROBES: [&str; 2] = [
     concat!("avx512_av", "ailable"),
 ];
 const INLINE_ALWAYS: &str = "#[inline(always)]";
+/// A method call named `run`: the codegen sandwiches `Ymm::run` and
+/// `Zmm::run` are the workspace's only `run` that takes a closure.
+const RUN_CALL: &str = ".run(";
 
 /// The phase functions, by the directory or file that defines them: code
 /// written once and instantiated twice — for baseline x86-64 by the
@@ -636,6 +640,35 @@ pub(crate) fn audit_source(path: &str, src: &str) -> Vec<Diagnostic> {
             }
         }
 
+        // --- sandwich-inline ------------------------------------------
+        // The argument of each `.run(` of the line: the rest of the line,
+        // or the next non-empty line where rustfmt breaks after the paren.
+        // A closure there (or any attribute but the one) without
+        // `#[inline(always)]` is compiled for baseline x86-64 and called
+        // from the sandwich; a non-closure argument is some other `run`.
+        for (at, _) in code.match_indices(RUN_CALL) {
+            let arg = std::iter::once(&code[at + RUN_CALL.len()..])
+                .chain(v.code[i + 1..].iter().take(2).map(String::as_str))
+                .map(str::trim)
+                .find(|c| !c.is_empty())
+                .unwrap_or("");
+            let closure = arg.starts_with('|')
+                || arg
+                    .strip_prefix("move")
+                    .is_some_and(|r| r.trim_start().starts_with('|'));
+            if !arg.starts_with(INLINE_ALWAYS) && (closure || arg.starts_with("#[")) {
+                push(
+                    i,
+                    "sandwich-inline",
+                    format!(
+                        "closure handed to `run` must be `{INLINE_ALWAYS}`: without it the \
+                         codegen sandwich calls the closure's baseline-x86-64 instantiation \
+                         (libm `fma` per `mul_add`) instead of compiling its body"
+                    ),
+                );
+            }
+        }
+
         // --- phase-inline ---------------------------------------------
         if !in_test {
             if let Some(name) = defined_phase_fn(path, &v.code, i) {
@@ -840,6 +873,33 @@ mod tests {
         );
         assert!(good.contains("fn $name"));
         assert_eq!(diags(arch, good), Vec::<String>::new());
+    }
+
+    #[test]
+    fn sandwich_closure_without_inline_always_is_flagged() {
+        let src = include_str!("../fixtures/bad/sandwich_not_inlined.rs");
+        let msg = format!(
+            "closure handed to `run` must be `{INLINE_ALWAYS}`: without it the codegen \
+             sandwich calls the closure's baseline-x86-64 instantiation (libm `fma` per \
+             `mul_add`) instead of compiling its body"
+        );
+        let want: Vec<String> = [14, 22, 27]
+            .iter()
+            .map(|line| format!("crates/demo/src/lib.rs:{line}: [sandwich-inline] {msg}"))
+            .collect();
+        assert_eq!(diags("crates/demo/src/lib.rs", src), want);
+        // Test code is held to it too: a sandwich is a sandwich.
+        let tests: Vec<String> = want
+            .iter()
+            .map(|d| d.replace("crates/demo/src/lib.rs", "crates/demo/tests/it.rs"))
+            .collect();
+        assert_eq!(diags("crates/demo/tests/it.rs", src), tests);
+        // The good fixture hands attributed closures to `run`, on the
+        // call's line and on the next, and a plan's `run` a state.
+        let good = include_str!("../fixtures/good/clean.rs");
+        assert!(good.contains(".run(#[inline(always)] ||"));
+        assert!(good.contains("plan.run(state)"));
+        assert_eq!(diags("crates/demo/src/lib.rs", good), Vec::<String>::new());
     }
 
     /// Every name `PHASE_FNS` lists for `crates/core/src/` is a function
