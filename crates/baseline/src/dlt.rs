@@ -57,29 +57,23 @@ fn transpose_out(t: &[f64], a: &mut [f64], m: usize) {
 /// two boundary columns assembled by lane shifts against the halo values.
 #[inline(always)]
 fn step(t: &[f64], dst: &mut [f64], m: usize, c: &Heat1dCoeffs, halo_l: f64, halo_r: f64) {
-    let col = |i: usize| Pack::<f64, N>::load(t, i * N);
+    // The `m` columns, cut once: with `m ≥ 2` known (`sweeps` asserts
+    // it), no column access below carries a bounds check.
+    let t = &t.as_chunks::<N>().0[..m];
+    let dst = &mut dst.as_chunks_mut::<N>().0[..m];
+    let col = |i: usize| Pack(t[i]);
     // Column 0: left neighbour lane k is a[k·m - 1] = lane k-1 of T(m-1),
     // with the true left halo entering lane 0.
-    {
-        let left = col(m - 1).shift_up_insert(halo_l);
-        let mid = col(0);
-        let right = col(1);
-        c.apply_pack(Packs, left, mid, right).store(dst, 0);
-    }
+    let left = col(m - 1).shift_up_insert(halo_l);
+    dst[0] = c.apply_pack(Packs, left, col(0), col(1)).0;
     // Bulk: full vectors, no shuffles at all.
-    for i in 1..m - 1 {
-        let out = c.apply_pack(Packs, col(i - 1), col(i), col(i + 1));
-        out.store(dst, i * N);
+    for (out, w) in dst[1..m - 1].iter_mut().zip(t.windows(3)) {
+        *out = c.apply_pack(Packs, Pack(w[0]), Pack(w[1]), Pack(w[2])).0;
     }
     // Column m-1: right neighbour lane k is a[k·m + m] = lane k+1 of T(0),
     // with the true right halo entering lane N-1.
-    {
-        let left = col(m - 2);
-        let mid = col(m - 1);
-        let right = col(0).shift_down_insert(halo_r);
-        c.apply_pack(Packs, left, mid, right)
-            .store(dst, (m - 1) * N);
-    }
+    let right = col(0).shift_down_insert(halo_r);
+    dst[m - 1] = c.apply_pack(Packs, col(m - 2), col(m - 1), right).0;
 }
 
 /// `steps` DLT-vectorized 1D3P Jacobi sweeps: transpose in, sweep in the

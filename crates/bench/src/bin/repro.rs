@@ -341,7 +341,10 @@ const DIGEST_LANES_FLOOR: f64 = 1.5;
 /// half their one-row chain per vector: at L1 they read 1.22–1.26 (AVX2
 /// GS-2D and GS-3D) and 1.5–1.9 (eight-lane GS-2D), their rows run one at
 /// a time 2.0, 1.6–2.0 and 1.9; at the ledger geometry 1.4–1.65 and 1.73
-/// against 2.1, 1.7–2.3 and 1.96.
+/// against 2.1, 1.7–2.3 and 1.96. The eight-lane GS-2D pair's bound fell
+/// from 4.5 (ports) to 4.0 (its chain) when its rotate-with-insert became
+/// one `vpermt2pd`; it reads the same 7–9.5 cycles, 1.75–2.4× the new
+/// bound, and fails these limits.
 fn steady_row_limit(engine: &str, kind: &str) -> Option<[f64; 2]> {
     match (engine, kind) {
         ("avx2", "heat2d") => Some([1.65, 2.0]),
@@ -357,8 +360,9 @@ fn steady_row_limit(engine: &str, kind: &str) -> Option<[f64; 2]> {
 
 /// The eight-lane default of each 1-D kind must reach this many times the
 /// four-lane default's throughput on an AVX-512 host (measured: GS-1D
-/// 1.8–1.9, whose one-`vfmadd` output chain is what doubling the lanes
-/// doubles; Heat-1D 1.2–1.3, bound by its ports rather than a chain).
+/// 2.0–2.1, whose one-`vfmadd` output chain is what doubling the lanes
+/// doubles; Heat-1D 2.0–2.3, bound by its ports rather than a chain, and
+/// 1.25–1.45 while its rotate-with-insert took three port-5 µops).
 fn vl_gain_floor(kind: &str) -> f64 {
     match kind {
         "gs1d" => 1.4,

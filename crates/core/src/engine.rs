@@ -439,12 +439,16 @@ pub trait KernelSpace: Copy + Send + Sync + 'static {
 /// The width formula of a kind with a wider sweep (see the
 /// [module docs](self)), in ns per inner unit (a 1-D cell, a 2-D column,
 /// an LCS column). Fit to `repro ablate-vl` on the 2-vCPU AVX-512
-/// container, 29 runs: `anchor[0]` is the narrow reading of the kind's
-/// largest shape without remainder levels; `anchor[1]` and `scalar` are
-/// the multiples of it that fit the narrow-over-wide time ratios of its
-/// shapes best (least squares in the logarithm of the medians, shapes
-/// where both widths have a steady anchor), among those that keep `auto`
-/// on the one width whose worst reading is within 0.85 of the other's.
+/// container (LCS 29 runs; the `f64` kinds' wide anchors refit to 40 runs
+/// once the eight-lane rotate-with-insert became one `vpermt2pd`, Heat-1D
+/// to the 20 of them at its new default stride): `anchor[0]` is the narrow
+/// reading of the kind's largest shape without remainder levels;
+/// `anchor[1]` and `scalar` are the multiples of it that fit the
+/// narrow-over-wide time ratios of its shapes best (least squares in the
+/// logarithm of the medians, shapes where both widths have a steady
+/// anchor), among those that keep `auto` on the one width whose worst
+/// reading is within 0.85 of the other's (the second-worst of 20 or 40
+/// runs: one disturbed run per shape is dropped).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SweepCost {
     /// `c(kind, VL)`: one anchor of a sweep at the narrow (portable, AVX2)
@@ -578,37 +582,40 @@ impl<K: Kernel1d + Send + 'static> KernelSpace for K {
     }
 
     /// `c(kind, 4)` is the four-lane reading at 4096 × 32 ([`SweepCost`]);
-    /// the fit multiples are Heat-1D 1.52 and 0.975, GS-1D 1.24 and 1.825
-    /// (its scalar steps are one dependence chain). At 32 steps they cross
-    /// at 163 points and at 56, the narrowest line eight lanes host at
-    /// `s = 7`; at twelve steps four lanes win at every extent.
+    /// the fit multiples are Heat-1D 1.18 and 0.975, GS-1D 1.12 and 1.825
+    /// (its scalar steps are one dependence chain; both scalar multiples
+    /// fit as well as a refit one, so they stay). At 32 steps they cross
+    /// at 80 and 56 points, the narrowest lines eight lanes host at the
+    /// default strides 10 and 7; at twelve steps four lanes win at every
+    /// extent.
     const COST: Option<SweepCost> = Some(match K::IS_GS {
         true => SweepCost {
-            anchor: [1.60, 1.99],
+            anchor: [1.60, 1.79],
             scalar: 2.92,
         },
         false => SweepCost {
-            anchor: [1.12, 1.70],
+            anchor: [1.12, 1.32],
             scalar: 1.09,
         },
     });
 
     /// The smallest register-specialised stride within 3 % of the kind's
-    /// plateau on `engine` in `repro ablate-stride` at this repo's
-    /// benchmark geometry (65536 points × 32 steps, where the boundary is
-    /// a few per mille; a unit test of `tempora_plan` ties each to its
-    /// engine's specialised set: `t1d::REGISTER_STRIDES` /
-    /// `ZMM_REGISTER_STRIDES`). At four lanes Heat-1D's chain advances
-    /// `s - 1` iterations per hop and levels off from 9 (10 reads 0.97 of
-    /// the best); at eight ([`Engine::Avx512`]) 13 reads 0.97–0.98 against
-    /// 0.85–0.94 at 7–12. GS-1D is bound by its output chain from 7 (0.99
-    /// at four lanes, 0.94–0.95 at eight), and a wider stride would only
-    /// raise the skew tiling's minimum block.
-    fn default_stride(engine: Engine) -> usize {
-        match (K::IS_GS, engine) {
-            (true, _) => 7,
-            (false, Engine::Avx512) => 13,
-            (false, Engine::Portable | Engine::Avx2) => 10,
+    /// plateau on `engine` in `repro ablate-vl`'s stride rows at this
+    /// repo's benchmark geometry (65536 points × 32 steps, where the
+    /// boundary is a few per mille; a unit test of `tempora_plan` ties
+    /// each to its engine's specialised set: `t1d::REGISTER_STRIDES` /
+    /// `ZMM_REGISTER_STRIDES`). Heat-1D's chain advances `s - 1`
+    /// iterations per hop. At eight lanes ([`Engine::Avx512`]) it levels
+    /// off from 10 (0.97 of the best stride, medians of 20 runs; 9 reads
+    /// 0.96, 13 0.96), and at the served 4096 points 10 reads 0.98 against
+    /// 13's 0.93 (`ablate-stride`). At four lanes 10 was fit the same way
+    /// (0.97 then) and reads 0.93 in the same runs. GS-1D is bound by its
+    /// output chain from 7 (0.97–0.98 at either width), and a wider stride
+    /// would only raise the skew tiling's minimum block.
+    fn default_stride(_engine: Engine) -> usize {
+        match K::IS_GS {
+            true => 7,
+            false => 10,
         }
     }
 }
@@ -778,15 +785,16 @@ slab_kernel_space! {
 }
 
 // The width formula's constants (`SweepCost`): `c(kind, 4)` is the
-// four-lane reading at 256² × 16; the fit multiples are Heat-2D and 2D9P
-// 1.37 and 0.40 (a Jacobi scalar step in 2-D is spatially vectorised),
-// GS-2D 1.28 and 1.225. At 8, 9 or 16 steps all three cross at 16 rows,
-// the narrowest grid eight lanes host at `s = 2`; at twelve steps Heat-2D
-// crosses at 49 rows, 2D9P at 48, and GS-2D stays on four lanes.
+// four-lane reading at 256² × 16; the fit multiples are Heat-2D 1.16 and
+// 0.40, 2D9P 1.25 and 0.40 (a Jacobi scalar step in 2-D is spatially
+// vectorised; their scalar multiples fit as well as a refit one, so they
+// stay), GS-2D 1.21 and 0.99. At 8, 9, 12 (the Jacobi kinds) or 16 steps
+// all three cross at 16 rows, the narrowest grid eight lanes host at
+// `s = 2`; at twelve steps GS-2D stays on four lanes.
 slab_kernel_space! {
-    JacobiKern2d: Grid2<f64> x 4 | 8 at [1.69, 2.31], 0.68, spatial::step_2d;
-    BoxKern2d: Grid2<f64> x 4 | 8 at [2.37, 3.25], 0.95, spatial::step_2d;
-    GsKern2d: Grid2<f64> x 4 | 8 at [2.18, 2.80], 2.68, spatial::step_2d;
+    JacobiKern2d: Grid2<f64> x 4 | 8 at [1.69, 1.96], 0.68, spatial::step_2d;
+    BoxKern2d: Grid2<f64> x 4 | 8 at [2.37, 2.96], 0.95, spatial::step_2d;
+    GsKern2d: Grid2<f64> x 4 | 8 at [2.18, 2.64], 2.16, spatial::step_2d;
 }
 
 #[cfg(test)]
@@ -1121,7 +1129,7 @@ pub(crate) mod tests {
 
     #[test]
     fn auto_widens_1d_at_the_measured_crossover() {
-        widens_at_the_crossover::<JacobiKern1d>(&[(32, Some(163)), (9, Some(163)), (12, None)]);
+        widens_at_the_crossover::<JacobiKern1d>(&[(32, Some(80)), (9, Some(80)), (12, None)]);
         widens_at_the_crossover::<GsKern1d>(&[(32, Some(56)), (9, Some(56)), (12, None)]);
         // A given stride enters the formula at both widths: `auto` widens
         // from that stride's crossover on.
@@ -1146,21 +1154,14 @@ pub(crate) mod tests {
     }
 
     /// The `f64` 2-D kinds widen by the same formula: from 16 rows, the
-    /// narrowest grid that hosts eight lanes at `s = 2`, except at twelve
-    /// steps (Heat-2D from 49, 2D9P from 48, GS-2D never); Life and the
-    /// 3-D kinds have one width and never widen.
+    /// narrowest grid that hosts eight lanes at `s = 2`, except GS-2D at
+    /// twelve steps (never); Life and the 3-D kinds have one width and
+    /// never widen.
     #[test]
     fn auto_widens_the_f64_2d_kinds_at_their_crossover() {
-        let jacobi = |twelve| {
-            [
-                (8, Some(16)),
-                (9, Some(16)),
-                (12, Some(twelve)),
-                (16, Some(16)),
-            ]
-        };
-        widens_at_the_crossover::<JacobiKern2d>(&jacobi(49));
-        widens_at_the_crossover::<BoxKern2d>(&jacobi(48));
+        let jacobi = [(8, Some(16)), (9, Some(16)), (12, Some(16)), (16, Some(16))];
+        widens_at_the_crossover::<JacobiKern2d>(&jacobi);
+        widens_at_the_crossover::<BoxKern2d>(&jacobi);
         widens_at_the_crossover::<GsKern2d>(&[(8, Some(16)), (9, Some(16)), (12, None)]);
         let auto = Select::Auto.resolve(true);
         assert_eq!(LifeKern2d::COST, None);

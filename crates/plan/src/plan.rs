@@ -224,9 +224,8 @@ impl PlanBuilder {
     /// Set the temporal space stride `s`. The default is per kind and
     /// resolved engine ([`KernelSpace::default_stride`]): the paper's 2 in
     /// 2-D/3-D, and in 1-D the start of the measured plateau of the
-    /// register-ring steady states (`repro ablate-stride`) — for Heat-1D
-    /// 10 at four lanes and 13 at eight, 7 for GS-1D; 2 for LCS at either
-    /// width.
+    /// register-ring steady states (`repro ablate-vl`) — 10 for Heat-1D
+    /// and 7 for GS-1D at either width; 2 for LCS at either width.
     /// [`Plan::stride`] reports what a built plan runs.
     pub fn stride(mut self, stride: usize) -> PlanBuilder {
         self.stride = Some(stride);

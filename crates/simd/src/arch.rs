@@ -11,10 +11,13 @@
 //! written for both tokens in one macro. The measured kernels execute the
 //! instruction mix the paper reasons about, and no crate above this one
 //! names an intrinsic or writes `unsafe` to reach one. `Zmm` is `Ymm`'s
-//! rotate-and-blend rule one register wider (`vpermpd zmm` plus a
-//! `k`-mask `vblendmpd` at eight `f64` lanes, one `valignd` at sixteen
-//! `i32` lanes) — the paper's "irrelevant to the vector length" made an
-//! instantiation.
+//! rotate-and-blend rule one register wider — the paper's "irrelevant to
+//! the vector length" made an instantiation — where AVX-512's two-source
+//! permutes fold the rotate and the blend into one instruction: one
+//! `vpermt2pd` over the vector and the splatted bottom at eight `f64`
+//! lanes, one `valignd` at sixteen `i32` lanes. The counted budget stays
+//! one rotate plus one blend per output vector at every width
+//! ([`crate::count`]); at 512 bits it is one port-5 µop.
 //!
 //! Those instructions are emitted only where the code runs in its feature
 //! context. Each token enters it through one generic function,
@@ -118,11 +121,13 @@ impl Ymm {
 /// The AVX-512 register form of the lane vocabulary ([`crate::Lanes`],
 /// [`crate::F64Lanes`] at eight lanes, [`crate::I32Lanes`] at sixteen):
 /// `zmm` registers, every method the one instruction the paper's §3.3
-/// analysis names for it at that width — `vpermpd zmm` plus a `k`-mask
-/// `vblendmpd` for the `f64` rotate-and-blend rule, one `valignd` for the
-/// `i32` one, `vfmadd`/`vmulpd` for the arithmetic, `vpcmpeqd` into a
-/// `k` mask and a masked move for [`I32Lanes::select_eq`] (`top` is an
-/// extract of the upper quarter and its top lane).
+/// analysis names for it at that width — one `vpermt2pd` for the `f64`
+/// rotate-and-blend rule (its bottom a scalar load), one `valignd` for the
+/// `i32` one, `vfmadd`/`vmulpd` for the arithmetic, `vpcmpeqd` into a `k`
+/// mask and a masked move for [`I32Lanes::select_eq`] (`top` is an
+/// extract of the upper quarter and its top lane: LLVM turns a one-lane
+/// masked store back into that extract, so there is no
+/// store-the-top-lane method).
 ///
 /// A value is a proof that AVX-512F, AVX2 and FMA are available on the
 /// running CPU: only [`Zmm::detect`] makes one. That is the `SAFETY`
@@ -319,11 +324,13 @@ impl Lanes<f64, 8> for Zmm {
             let hi = _mm256_extractf128_pd::<1>(_mm512_extractf64x4_pd::<1>(v));
             _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi))
         };
-        // Lane j of the rotate is lane (j + 7) % 8; bit 0 of the mask
-        // takes lane 0 from the broadcast bottom.
-        shift_up_insert(v: __m512d, bottom: f64) -> __m512d = _mm512_mask_blend_pd(
-            1,
-            _mm512_permutexvar_pd(_mm512_setr_epi64(7, 0, 1, 2, 3, 4, 5, 6), v),
+        // One `vpermt2pd` over (v : bottom splat): lane 0 is lane 8 of the
+        // pair (the splat), lane j ≥ 1 lane j - 1 of `v`. The rotate and
+        // the blend are one µop; only lane 0 of the splat is read, so LLVM
+        // loads a bottom from memory with a scalar `vmovsd`.
+        shift_up_insert(v: __m512d, bottom: f64) -> __m512d = _mm512_permutex2var_pd(
+            v,
+            _mm512_setr_epi64(8, 0, 1, 2, 3, 4, 5, 6),
             _mm512_set1_pd(bottom),
         );
         // The mask is a `k` register as it stands: one merge.
@@ -621,6 +628,45 @@ mod tests {
             rows(Packs)[4 + 7],
             bits8(Pack([-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
         );
+    }
+
+    #[test]
+    fn zmm_shift_up_insert_from_memory_inside_run_matches_packs() {
+        let Some(zmm) = zmm() else {
+            return;
+        };
+        // The steady loops' form: inside the sandwich, each bottom read
+        // from a slice, every output fed back as the next input, as the
+        // ring does.
+        #[inline(always)]
+        fn rows<L: Lanes<f64, 8>>(isa: L, bottoms: &[f64]) -> Vec<[u64; 8]> {
+            let mut v = isa.load(odd8());
+            let mut out = Vec::with_capacity(bottoms.len());
+            for &bottom in bottoms {
+                v = isa.shift_up_insert(v, bottom);
+                out.push(bits8(isa.store(v)));
+            }
+            out
+        }
+        let draws = [-0.0, 0.0, nan(0xdead), -nan(0x5), 1.25];
+        let bottoms: Vec<f64> = (0..24).map(|i| draws[i * 7 % draws.len()]).collect();
+        let got = zmm.run(
+            #[inline(always)]
+            || rows(zmm, &bottoms),
+        );
+        let gold = rows(Packs, &bottoms);
+        assert_eq!(got, gold);
+        // Packs against the model: after `k` inserts lane `j ≤ k` holds
+        // the `(k - j)`-th bottom back, the rest `odd8` moved up by `k + 1`.
+        for (k, row) in gold.iter().enumerate() {
+            for (j, &lane) in row.iter().enumerate() {
+                let want = match j <= k {
+                    true => bottoms[k - j],
+                    false => odd8().0[j - k - 1],
+                };
+                assert_eq!(lane, want.to_bits(), "insert {k}, lane {j}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`crate::arch::Zmm`] — `zmm` registers at eight `f64` lanes
 //!   (`Lanes<f64, 8>`, `F64Lanes<8>`) and sixteen `i32` lanes
 //!   (`Lanes<i32, 16>`, `I32Lanes<16>`): the same rule one register wider,
-//!   `vpermpd zmm` plus a `k`-mask `vblendmpd`, or one `valignd`.
+//!   where the rotate and the blend are one instruction — `vpermt2pd` or
+//!   `valignd` over the vector and the splatted bottom.
 //!
 //! A wider register file is one more implementor, not one more copy of
 //! every steady state: `Zmm` is exactly that, and the 1-D ring, the 2-D

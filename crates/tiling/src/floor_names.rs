@@ -116,9 +116,10 @@ mod ghost {
         fn ghost_1d_engine_report_is_honest() {
             let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
             let pool = Pool::new(2);
-            // 64 points lie below Heat-1D's crossover at 8 steps and s = 7
-            // (68, by the width formula).
-            let g: Grid1<f64> = JacobiKern1d::grid([64, 1, 1], 3);
+            // 48 points lie below Heat-1D's crossover at 8 steps and s = 7
+            // (56 by the width formula, the narrowest line eight lanes
+            // host at that stride).
+            let g: Grid1<f64> = JacobiKern1d::grid([48, 1, 1], 3);
             let engine = |g: &Grid1<f64>, steps, block, mode, sel| {
                 run(workspace(&kern, g, steps, block, mode, sel), g, &pool).1
             };

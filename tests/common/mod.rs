@@ -190,11 +190,11 @@ impl Kind {
     /// point (`None`: one width).
     fn cost(self) -> Option<([f64; 2], f64)> {
         match self {
-            Kind::Heat1d => Some(([1.12, 1.70], 1.09)),
-            Kind::Gs1d => Some(([1.60, 1.99], 2.92)),
-            Kind::Heat2d => Some(([1.69, 2.31], 0.68)),
-            Kind::Box2d => Some(([2.37, 3.25], 0.95)),
-            Kind::Gs2d => Some(([2.18, 2.80], 2.68)),
+            Kind::Heat1d => Some(([1.12, 1.32], 1.09)),
+            Kind::Gs1d => Some(([1.60, 1.79], 2.92)),
+            Kind::Heat2d => Some(([1.69, 1.96], 0.68)),
+            Kind::Box2d => Some(([2.37, 2.96], 0.95)),
+            Kind::Gs2d => Some(([2.18, 2.64], 2.16)),
             Kind::Lcs => Some(([1.72, 1.74], 1.29)),
             Kind::Life | Kind::Heat3d | Kind::Gs3d => None,
         }
@@ -228,11 +228,10 @@ impl Kind {
     }
 
     /// The stride a plan runs when none is given.
-    fn default_stride(self, engine: Engine) -> usize {
-        match (self, engine) {
-            (Kind::Heat1d, Engine::Avx512) => 13,
-            (Kind::Heat1d, _) => 10,
-            (Kind::Gs1d, _) => 7,
+    fn default_stride(self, _engine: Engine) -> usize {
+        match self {
+            Kind::Heat1d => 10,
+            Kind::Gs1d => 7,
             _ => 2,
         }
     }

@@ -258,8 +258,8 @@ fn auto_widens_the_kinds_with_eight_lanes_where_they_pay() {
         // one slab (LCS: where sixteen-lane bands fit; 40 rows stay narrow).
         // Below 16 rows eight lanes have no steady anchor at s = 2: on 12²
         // four-lane sweeps read 1.1-1.9x the scalar steps (`ablate-vl`).
-        (heat(163, 32), auto, w),
-        (heat(162, 32), auto, n),
+        (heat(80, 32), auto, w),
+        (heat(79, 32), auto, n),
         (gs(56, 32), auto, w),
         (gs(55, 32), auto, n),
         (Problem::heat2d(16, 20, 16, h2), auto, w),
