@@ -17,7 +17,8 @@
 //!                      engine, never portable
 //!            boundary  boundary ns/u <= 12x the steady one (GS: 7x)
 //!            tiling    tiled one thread <= 1.25x untiled (two cores)
-//!            digest    served Grid1 >= 1.5x the one-chain spec
+//!            digest    served Grid1 >= 1.5x the one-chain spec, and its
+//!                      seeded fill >= 3x the fill's one-chain spec
 //!            rows      c/v <= [L1, ledger] limit x port bound per AVX2
 //!                      kind and eight-lane GS-2D; width <= 1.15x L1
 //!            vl        eight-lane default >= 1.4x (GS-1D), 1.1x (Heat-1D)
@@ -328,6 +329,18 @@ const TILING_OVERHEAD_LIMIT: f64 = 1.25;
 /// sixty runs, so the floor sits well under the quiet-host 3.
 const DIGEST_LANES_FLOOR: f64 = 1.5;
 
+/// `fresh_state`'s seeded fill must run at least this many times as fast
+/// as its one-chain spec (`fresh_state_spec`), on the served 4096-point
+/// `Grid1`, wherever it runs in a vector sandwich. Derived from 36 runs on
+/// the 2-vCPU AVX-512 host: inside `Zmm::run` 24 quiet runs read
+/// 5.73–9.36 (median 6.3) and 12 with the other vCPU running a second
+/// `repro` 6.33–8.78; inside `Ymm::run` (forced) 3.56–4.37. Mutated on a
+/// copy: the fill collapsed to one chain read 0.78–1.05, its body compiled
+/// for baseline x86-64 (the `Zmm` closure without `#[inline(always)]`)
+/// 1.36–2.04, and the baseline instantiation 1.73–1.99 — the floor sits
+/// between those and the lowest `Ymm` reading.
+const FILL_LANES_FLOOR: f64 = 3.0;
+
 /// A slab row may take at most `[L1, ledger]` times its port bound, in
 /// cycles per vector, with its ring in L1 and at the ledger geometry; a
 /// row given no limit (the portable rows, the eight-lane Jacobi ones) is
@@ -396,11 +409,11 @@ const STEADY_ROW_RETRIES: usize = 10;
 /// above: a stride row marked default (`*`), a boundary
 /// point-update's cost over a steady one's, a tiled one-thread run over the
 /// untiled one where a second core can run the pool, the served `Grid1`'s
-/// digest over its one-chain spec, a steady row's cycles per vector over
-/// its port bound (`L1`, `ledger`) or over its engine's L1 reading
-/// (`width`), and on `ablate-vl` a kind's eight-lane default plan over its
-/// four-lane one or, around a crossover, the width `auto` takes over the
-/// other. The engine limits — what `auto` must resolve — are set where
+/// digest and seeded fill over their one-chain specs, a steady row's
+/// cycles per vector over its port bound (`L1`, `ledger`) or over its
+/// engine's L1 reading (`width`), and on `ablate-vl` a kind's eight-lane
+/// default plan over its four-lane one or, around a crossover, the width
+/// `auto` takes over the other. The engine limits — what `auto` must resolve — are set where
 /// they are measured, in `tempora_bench` (`ablate_stride`, `ablate_vl`);
 /// a row holds one limit, and only `ablate-stride`'s default rows get
 /// both: [`checked`] gives such a row this one when it ran on its engine.
@@ -414,6 +427,7 @@ fn limit(row: &tb::Row, cores: usize) -> Option<Limit> {
         ("ablate-boundary", "boundary ns/u") => AtMost(BOUNDARY_RATIO_LIMIT[gs]),
         ("ablate-tiling", "tiled-1t µs") if cores >= 2 => AtMost(TILING_OVERHEAD_LIMIT),
         ("ablate-digest", "digest MiB/s") if row.kind == "Grid1" => AtLeast(DIGEST_LANES_FLOOR),
+        ("ablate-digest", "fill MiB/s") if row.kind == "Grid1" => AtLeast(FILL_LANES_FLOOR),
         ("ablate-rows", "c/v") if row.shape.starts_with("width") => AtMost(WIDTH_LIMIT),
         ("ablate-rows", "c/v") if stated => {
             let ledger = row.shape.starts_with("ledger") as usize;
@@ -512,7 +526,8 @@ fn run_target(id: &str, scale: usize, cores: usize) -> Output {
             cores,
             (0, 0),
             true,
-            "are the digest's lanes still independent chains?",
+            "are the digest's lanes, and the seeded fill's streams, still independent chains \
+             compiled inside their sandwich?",
         ),
         "ablate-rows" => checked(
             tb::ablate_rows(),
@@ -567,7 +582,7 @@ mod tests {
             let of = r.reads("ref", 1.0);
             r.reads(metric, 1.0).against(&of)
         };
-        let cases: [(Row, usize, Option<Limit>); 23] = [
+        let cases: [(Row, usize, Option<Limit>); 25] = [
             // ablate-stride: the default stride only.
             (
                 stated(
@@ -660,7 +675,7 @@ mod tests {
                 2,
                 None,
             ),
-            // ablate-digest: the served `Grid1` only.
+            // ablate-digest: the served `Grid1`'s digest only ...
             (
                 stated(
                     Row::new("ablate-digest", "Grid1", "-", "4096"),
@@ -673,6 +688,23 @@ mod tests {
                 stated(
                     Row::new("ablate-digest", "Grid2", "-", "64x64"),
                     "digest MiB/s",
+                ),
+                1,
+                None,
+            ),
+            // ... and the served `Grid1`'s seeded fill.
+            (
+                stated(
+                    Row::new("ablate-digest", "Grid1", "avx512", "32784 B"),
+                    "fill MiB/s",
+                ),
+                1,
+                Some(AtLeast(FILL_LANES_FLOOR)),
+            ),
+            (
+                stated(
+                    Row::new("ablate-digest", "Lcs", "avx512", "32768 B"),
+                    "fill MiB/s",
                 ),
                 1,
                 None,

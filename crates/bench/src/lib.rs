@@ -2632,9 +2632,15 @@ pub fn ablate_tiling(scale: usize, cores: usize) -> Table {
 /// size (32 KiB of payload; the ledger's 4096-point Heat-1D first),
 /// minimum of 20 timings of 32 calls each, in MiB/s: the digest (stated
 /// against the next row), its definition one lane at a time, and a
-/// wrapping sum of the same words — what reading them costs. No engine
-/// runs these (`-`).
+/// wrapping sum of the same words — what reading them costs. Then the
+/// seeded fill of the same state, the next recurrence of a served
+/// request: `fresh_state` (sixteen streams side by side), stated against
+/// `fresh_state_spec`, its definition one stream at a time, both over the
+/// state's stored bytes (as the ledger's `grid.fill_mib_per_s`) and
+/// checked equal first. No engine runs the digest rows (`-`); the fill
+/// rows name the codegen context the fill ran in.
 pub fn ablate_digest() -> Table {
+    use tempora_grid::fill::LANES as FILL_LANES;
     use tempora_proto::digest::{DigestInput, LANES};
     let problems = [
         Problem::heat1d(4096, 32, Heat1dCoeffs::classic(0.25)),
@@ -2654,6 +2660,15 @@ pub fn ablate_digest() -> Table {
             })
             .fold(f64::INFINITY, f64::min);
         bytes as f64 / best / (1u64 << 20) as f64
+    };
+    // The codegen context the fill runs in: the widest sandwich the CPU
+    // has, else baseline code, whose rows the gate exempts.
+    let fill_engine = if tempora_simd::arch::avx512_available() {
+        "avx512"
+    } else if tempora_simd::arch::avx2_available() {
+        "avx2"
+    } else {
+        "portable"
     };
     let mut rows = vec![];
     for problem in &problems {
@@ -2675,16 +2690,55 @@ pub fn ablate_digest() -> Table {
             parts.iter().flatten().fold(0, |s, &w| s.wrapping_add(w))
         });
         let spec = row.reads("spec MiB/s", spec);
+        // The seeded fill of the same state, over its bytes as stored.
+        let stored = match &state {
+            State::Grid1(g) => std::mem::size_of_val(g.data()),
+            State::Grid2(g) => std::mem::size_of_val(g.data()),
+            State::Grid2i(g) => std::mem::size_of_val(g.data()),
+            State::Grid3(g) => std::mem::size_of_val(g.data()),
+            State::Lcs(l) => l.a.len() + l.b.len(),
+        };
+        let one_chain = tempora_server::fresh_state_spec(problem, SEED);
+        assert_eq!(
+            tempora_proto::state_digest(&one_chain),
+            tempora_proto::state_digest(&state),
+            "{}: the fill differs from its one-chain spec",
+            state.variant_name()
+        );
+        let fill = mib_per_s(stored, &mut || {
+            std::hint::black_box(tempora_server::fresh_state(
+                std::hint::black_box(problem),
+                SEED,
+            ));
+            0
+        });
+        let fill_spec = mib_per_s(stored, &mut || {
+            std::hint::black_box(tempora_server::fresh_state_spec(
+                std::hint::black_box(problem),
+                SEED,
+            ));
+            0
+        });
+        let fill_row = Row::new(
+            "ablate-digest",
+            state.variant_name(),
+            fill_engine,
+            &format!("{stored} B"),
+        );
+        let fill_spec = fill_row.reads("fill spec MiB/s", fill_spec);
         rows.extend([
             row.reads("digest MiB/s", digest).against(&spec),
             spec,
             row.reads("sum MiB/s", sum),
+            fill_row.reads("fill MiB/s", fill).against(&fill_spec),
+            fill_spec,
         ]);
     }
     Table {
         title: format!(
-            "# ablate-digest — state_digest ({LANES} lanes) vs its one-chain spec vs a word sum \
-             (served reference sizes)"
+            "# ablate-digest — state_digest ({LANES} lanes) vs its one-chain spec vs a word sum, \
+             and fresh_state's seeded fill ({FILL_LANES} lanes) vs its one-chain spec (served \
+             reference sizes)"
         ),
         rows,
         again: None,

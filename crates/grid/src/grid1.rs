@@ -88,6 +88,12 @@ impl<T: Scalar> Grid1<T> {
         &mut self.buf[h..h + n]
     }
 
+    /// The interior as one row, in the shape [`crate::fill::fill_rows`]
+    /// takes.
+    pub fn interior_rows_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        core::iter::once(self.interior_mut())
+    }
+
     /// Value at global coordinate `x`.
     #[inline(always)]
     pub fn get(&self, x: usize) -> T {

@@ -129,6 +129,16 @@ impl<T: Scalar> Grid2<T> {
         &mut self.buf[x * p..x * p + w]
     }
 
+    /// The interior rows, ghost columns cut off, outer row first.
+    pub fn interior_rows_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        let (h, nx, ny) = (self.h, self.nx, self.ny);
+        self.buf
+            .chunks_exact_mut(self.pitch)
+            .skip(h)
+            .take(nx)
+            .map(move |row| &mut row[h..h + ny])
+    }
+
     /// (Re)write the ghost frame from the boundary condition.
     pub fn refresh_halo(&mut self) {
         let Boundary::Dirichlet(b) = self.bc;

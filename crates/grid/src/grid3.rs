@@ -124,6 +124,22 @@ impl<T: Scalar> Grid3<T> {
         &mut self.buf
     }
 
+    /// The interior pencils, ghost cells cut off, in row-major order.
+    pub fn interior_rows_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        let (h, nx, ny, nz, pitch) = (self.h, self.nx, self.ny, self.nz, self.pitch);
+        self.buf
+            .chunks_exact_mut(self.plane)
+            .skip(h)
+            .take(nx)
+            .flat_map(move |plane| {
+                plane
+                    .chunks_exact_mut(pitch)
+                    .skip(h)
+                    .take(ny)
+                    .map(move |row| &mut row[h..h + nz])
+            })
+    }
+
     /// (Re)write the ghost shell from the boundary condition.
     pub fn refresh_halo(&mut self) {
         let Boundary::Dirichlet(b) = self.bc;

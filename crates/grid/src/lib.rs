@@ -4,7 +4,10 @@
 //! Vectorization for Stencils", SC'21): cache-line aligned 1/2/3-D grids
 //! with ghost cells, Dirichlet boundary handling, canary-guarded padding,
 //! double buffering for Jacobi updates, and seeded random initialization
-//! for workloads.
+//! for workloads ([`fill`]: cell `k` of the interior, in row-major order,
+//! halo skipped, takes word `k` of sixteen xoshiro256** streams dealt
+//! side by side — stream `k mod 16`, its `⌊k / 16⌋`-th output — seeded
+//! through splitmix64 and drawn at vector speed).
 //!
 //! Layout conventions (shared by every kernel in the workspace):
 //!
@@ -21,11 +24,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod alloc;
+pub mod fill;
 pub mod grid1;
 pub mod grid2;
 pub mod grid3;
 
 pub use alloc::{alloc_count, runs_allocation_free, AlignedBuf, PackBuf, GRID_ALIGN};
+pub use fill::{fill_rows, Alive, Draw, Symbol, Uniform};
 pub use grid1::Grid1;
 pub use grid2::Grid2;
 pub use grid3::Grid3;
@@ -367,35 +372,36 @@ impl<G: Clone> DoubleBuffer<G> {
     }
 }
 
-/// Deterministic seeded RNG used by all workload initializers, so every
-/// experiment is reproducible bit-for-bit.
+/// Deterministic seeded RNG of [`random_sequence`] (the grid fills draw
+/// from [`fill`]'s sixteen streams), so every experiment is reproducible
+/// bit-for-bit.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Fill a 1-D grid's interior with uniform random values in `[lo, hi)`.
+/// Fill a 1-D grid's interior with uniform random values in `[lo, hi)`,
+/// from the seeded stream of [`fill`].
 pub fn fill_random_1d(g: &mut Grid1<f64>, seed: u64, lo: f64, hi: f64) {
-    let mut rng = seeded_rng(seed);
-    g.fill_interior(|_| rng.gen_range(lo..hi));
+    fill_rows(g.interior_rows_mut(), seed, Uniform::new(lo, hi));
 }
 
-/// Fill a 2-D grid's interior with uniform random values in `[lo, hi)`.
+/// Fill a 2-D grid's interior with uniform random values in `[lo, hi)`,
+/// from the seeded stream of [`fill`] (row after row).
 pub fn fill_random_2d(g: &mut Grid2<f64>, seed: u64, lo: f64, hi: f64) {
-    let mut rng = seeded_rng(seed);
-    g.fill_interior(|_, _| rng.gen_range(lo..hi));
+    fill_rows(g.interior_rows_mut(), seed, Uniform::new(lo, hi));
 }
 
-/// Fill a 3-D grid's interior with uniform random values in `[lo, hi)`.
+/// Fill a 3-D grid's interior with uniform random values in `[lo, hi)`,
+/// from the seeded stream of [`fill`] (pencil after pencil).
 pub fn fill_random_3d(g: &mut Grid3<f64>, seed: u64, lo: f64, hi: f64) {
-    let mut rng = seeded_rng(seed);
-    g.fill_interior(|_, _, _| rng.gen_range(lo..hi));
+    fill_rows(g.interior_rows_mut(), seed, Uniform::new(lo, hi));
 }
 
 /// Fill a 2-D integer grid with random 0/1 cells alive with probability
-/// `p_alive` (the Game-of-Life workload initializer).
+/// `p_alive` (the Game-of-Life workload initializer), from the seeded
+/// stream of [`fill`].
 pub fn fill_random_life(g: &mut Grid2<i32>, seed: u64, p_alive: f64) {
-    let mut rng = seeded_rng(seed);
-    g.fill_interior(|_, _| if rng.gen_bool(p_alive) { 1 } else { 0 });
+    fill_rows(g.interior_rows_mut(), seed, Alive(p_alive));
 }
 
 /// Generate a random byte-alphabet sequence for the LCS workload.

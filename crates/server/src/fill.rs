@@ -6,8 +6,16 @@
 //! `(problem, seed)`. This module is that single definition — the bench
 //! harness and the fault-injection tests call it in-process to assert
 //! bitwise identity against server-side runs.
+//!
+//! Every variant draws from one generator, `tempora_grid::fill`: cell `k`
+//! of the payload — the interior in row-major order, halo skipped; an LCS
+//! state's `a`, then its `b` — takes word `k` of sixteen xoshiro256**
+//! streams seeded through splitmix64 from `seed`, the `⌊k / 16⌋`-th output
+//! of stream `k mod 16`, drawn as uniform `[-1, 1)` values, Life cells
+//! alive below 0.35, or symbols `0 .. 4`.
 
-use tempora_grid::{fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life};
+use tempora_grid::fill::{spec_fill_rows, Alive, Draw, Symbol, Uniform};
+use tempora_grid::fill_rows;
 use tempora_plan::{Problem, State};
 
 /// A freshly initialized state for `problem`, deterministically filled
@@ -15,52 +23,87 @@ use tempora_plan::{Problem, State};
 /// for Life, and 4-symbol pseudo-random sequences for LCS.
 #[must_use]
 pub fn fresh_state(problem: &Problem, seed: u64) -> State {
+    seeded::<false>(problem, seed)
+}
+
+/// [`fresh_state`] drawn by the one-chain definition of its stream
+/// (`tempora_grid::fill::spec_fill_rows`): the same state at the speed of
+/// one chain, the baseline of `repro ablate-digest`'s fill rows.
+#[doc(hidden)]
+#[must_use]
+pub fn fresh_state_spec(problem: &Problem, seed: u64) -> State {
+    seeded::<true>(problem, seed)
+}
+
+/// The one definition of both, instantiated apart so that the served
+/// path links no one-chain code.
+fn seeded<const ONE_CHAIN: bool>(problem: &Problem, seed: u64) -> State {
+    fn fill<'a, T: Copy + Default + 'a, const ONE_CHAIN: bool>(
+        rows: impl IntoIterator<Item = &'a mut [T]>,
+        seed: u64,
+        draw: impl Draw<T>,
+    ) {
+        if ONE_CHAIN {
+            spec_fill_rows(rows, seed, draw);
+        } else {
+            fill_rows(rows, seed, draw);
+        }
+    }
     let mut state = problem.state();
+    let values = Uniform::new(-1.0, 1.0);
     match &mut state {
-        State::Grid1(g) => fill_random_1d(g, seed, -1.0, 1.0),
-        State::Grid2(g) => fill_random_2d(g, seed, -1.0, 1.0),
-        State::Grid2i(g) => fill_random_life(g, seed, 0.35),
-        State::Grid3(g) => fill_random_3d(g, seed, -1.0, 1.0),
+        State::Grid1(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, values),
+        State::Grid2(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, values),
+        State::Grid2i(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, Alive(0.35)),
+        State::Grid3(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, values),
         State::Lcs(l) => {
-            let mut s = splitmix(seed);
-            for v in l.a.iter_mut() {
-                s = splitmix(s);
-                *v = (s % 4) as u8;
-            }
-            for v in l.b.iter_mut() {
-                s = splitmix(s);
-                *v = (s % 4) as u8;
-            }
+            fill::<_, ONE_CHAIN>([&mut l.a[..], &mut l.b[..]], seed, Symbol(4));
             l.length = None;
         }
     }
     state
 }
 
-/// One SplitMix64 step — a tiny, stable PRNG for the LCS alphabets
-/// (the grid fills reuse the workspace RNG via `tempora_grid`).
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tempora_proto::state_digest;
-    use tempora_stencil::Heat1dCoeffs;
+    use tempora_stencil::{Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule};
+
+    fn problems() -> [Problem; 5] {
+        [
+            Problem::heat1d(128, 4, Heat1dCoeffs::classic(0.25)),
+            Problem::heat2d(9, 21, 4, Heat2dCoeffs::classic(0.125)),
+            Problem::life(17, 33, 4, LifeRule::b2s23()),
+            Problem::heat3d(3, 5, 7, 4, Heat3dCoeffs::classic(0.1)),
+            Problem::lcs(64, 48),
+        ]
+    }
 
     #[test]
     fn same_seed_same_state_different_seed_different_state() {
-        let heat = Problem::heat1d(128, 4, Heat1dCoeffs::classic(0.25));
-        for p in [heat, Problem::lcs(64, 48)] {
+        for p in problems() {
             let a = fresh_state(&p, 7);
             let b = fresh_state(&p, 7);
             let c = fresh_state(&p, 8);
             assert_eq!(state_digest(&a), state_digest(&b));
             assert_ne!(state_digest(&a), state_digest(&c));
         }
+    }
+
+    #[test]
+    fn every_variant_is_its_one_chain_spec() {
+        for p in problems() {
+            for seed in [0, 5, u64::MAX] {
+                let (got, want) = (fresh_state(&p, seed), fresh_state_spec(&p, seed));
+                assert_eq!(state_digest(&got), state_digest(&want), "{p:?}");
+            }
+        }
+        // The LCS symbols are one stream across `a` then `b`.
+        let lcs = fresh_state(&Problem::lcs(5, 20), 3);
+        let l = lcs.lcs().unwrap();
+        let mut both = [0u8; 25];
+        spec_fill_rows([&mut both[..]], 3, Symbol(4));
+        assert_eq!([&l.a[..], &l.b[..]].concat(), both);
     }
 }

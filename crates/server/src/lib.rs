@@ -40,6 +40,8 @@ mod fill;
 
 pub use cache::{CacheConfig, PlanCache, StatsSnapshot};
 pub use fill::fresh_state;
+#[doc(hidden)]
+pub use fill::fresh_state_spec;
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

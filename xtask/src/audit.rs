@@ -12,7 +12,7 @@
 //! | `panic-justification` | every `.unwrap()` / `.expect(` call carries a justification comment, same line or directly above | non-test code |
 //! | `forbidden-construct` | `transmute`, raw `core::arch`/`std::arch` intrinsics and inline `asm!` only in `tempora_simd::arch` and the pinning module (everything above computes through the `Lanes` vocabulary) | everywhere |
 //! | `target-feature` | every `#[target_feature]` fn is `unsafe` and documents the capability probe it is dispatched behind, `avx2_available()` or `avx512_available()` | everywhere |
-//! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src`, the lane vocabulary in `crates/simd/src`, the vector formulas in `crates/stencil/src` |
+//! | `phase-inline` | every definition of a phase function (one source, instantiated per codegen context) carries `#[inline(always)]` | `crates/core/src`, the lane vocabulary in `crates/simd/src`, the vector formulas in `crates/stencil/src`, the seeded fill in `crates/grid/src` |
 //! | `sandwich-inline` | every closure handed to a `.run(` call — the codegen sandwiches `Ymm::run` / `Zmm::run` — carries `#[inline(always)]` | everywhere |
 //!
 //! The engine is deliberately line-based and dependency-free: it
@@ -81,8 +81,14 @@ const RUN_CALL: &str = ".run(";
 /// * `tempora_simd`: the lane vocabulary — every method of `Packs`, and of
 ///   the `Ymm` and `Zmm` tokens (`$name`: the methods the one macro of
 ///   `arch.rs` writes over their intrinsics);
-/// * `tempora_stencil`: the kernels' vector formulas.
-const PHASE_FNS: [(&str, &[&str]); 4] = [
+/// * `tempora_stencil`: the kernels' vector formulas;
+/// * `tempora_grid`: the seeded fill's generator step and helpers
+///   (`fill::fill_lanes` and what it calls per step: the streams' `step`,
+///   the word → cell `draw`s; the seeding runs once, outside), which
+///   `Zmm::run` and `Ymm::run` instantiate — drop the attribute from one
+///   and the served fill can run slower than the one-chain generator it
+///   replaced, every test green.
+const PHASE_FNS: [(&str, &[&str]); 5] = [
     (
         "crates/core/src/",
         &[
@@ -138,6 +144,10 @@ const PHASE_FNS: [(&str, &[&str]); 4] = [
         "crates/stencil/src/",
         &["apply_pack", "apply_neighborhood_pack", "lcs_update_pack"],
     ),
+    (
+        "crates/grid/src/",
+        &["fill_lanes", "drawn", "step", "unit", "draw"],
+    ),
 ];
 
 /// The lane vocabulary's methods, and `$name`: a method generated by a
@@ -165,7 +175,8 @@ const VOCABULARY: &[&str] = &[
 /// The phase function of `path` defined on code line `i`, if any. A
 /// bodiless trait-method prototype (its signature ends in `;` before any
 /// `{`) is a declaration, not a definition: the attribute belongs on each
-/// impl.
+/// impl. A signature with an array type, `-> [u64; 16] {`, is a
+/// definition.
 fn defined_phase_fn(path: &str, code: &[String], i: usize) -> Option<&'static str> {
     let rest = &code[i][code[i].find("fn ")? + 3..];
     // `$name`: a function generated by a macro of the scope.
@@ -178,10 +189,17 @@ fn defined_phase_fn(path: &str, code: &[String], i: usize) -> Option<&'static st
         .filter(|(scope, _)| path.starts_with(scope))
         .flat_map(|(_, fns)| fns.iter().copied())
         .find(|&f| f == &rest[..name_len])?;
-    let end = code[i..]
-        .iter()
-        .find_map(|l| l.find(['{', ';']).map(|at| &l[at..=at]));
-    (end != Some(";")).then_some(name)
+    // A line with a `{` opens the body; a line ending in `;` before any
+    // such line ends a prototype (a `;` inside the signature, as in an
+    // array type `[u64; 16]`, does neither).
+    let end = code[i..].iter().find_map(|l| {
+        if l.contains('{') {
+            Some('{')
+        } else {
+            l.trim_end().ends_with(';').then_some(';')
+        }
+    });
+    (end != Some(';')).then_some(name)
 }
 
 /// Files allowed to use `transmute` / raw intrinsics / inline `asm!`:
@@ -875,6 +893,35 @@ mod tests {
         assert_eq!(diags(arch, good), Vec::<String>::new());
     }
 
+    /// The seeded fill's helpers are phase functions of `crates/grid/src`:
+    /// a generator step that lost `#[inline(always)]` is a call per step
+    /// from the fill's sandwich, slower than the one chain it replaced.
+    #[test]
+    fn fill_helper_without_inline_always_is_flagged_in_grid_only() {
+        let src = include_str!("../fixtures/bad/fill_not_inlined.rs");
+        assert_eq!(
+            diags("crates/grid/src/fill.rs", src),
+            vec![format!(
+                "crates/grid/src/fill.rs:15: [phase-inline] phase function `step` must be \
+                 `{INLINE_ALWAYS}`: without it the AVX2 sandwiches call the baseline-x86-64 \
+                 instantiation (libm `fma` per `mul_add`) instead of compiling their own"
+            )]
+        );
+        assert_eq!(diags("crates/demo/src/lib.rs", src), Vec::<String>::new());
+        // The attributed twin is clean, and so is a bodiless prototype
+        // with the same array type.
+        let fixed = src.replace("    #[inline]\n", "    #[inline(always)]\n");
+        assert_eq!(
+            diags("crates/grid/src/fill.rs", &fixed),
+            Vec::<String>::new()
+        );
+        let prototype = "trait Step {\n    fn step(&mut self) -> [u64; 16];\n}\n";
+        assert_eq!(
+            diags("crates/grid/src/fill.rs", prototype),
+            Vec::<String>::new()
+        );
+    }
+
     #[test]
     fn sandwich_closure_without_inline_always_is_flagged() {
         let src = include_str!("../fixtures/bad/sandwich_not_inlined.rs");
@@ -902,36 +949,34 @@ mod tests {
         assert_eq!(diags("crates/demo/src/lib.rs", good), Vec::<String>::new());
     }
 
-    /// Every name `PHASE_FNS` lists for `crates/core/src/` is a function
-    /// defined there: a phase function renamed or retired leaves its old
-    /// name behind, guarding nothing, and this is where that shows.
+    /// Every name `PHASE_FNS` lists for a directory is a function defined
+    /// there: a phase function renamed or retired leaves its old name
+    /// behind, guarding nothing, and this is where that shows.
     #[test]
-    fn every_core_phase_fn_is_defined_in_core() {
+    fn every_listed_phase_fn_is_defined_in_its_directory() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
-        let core = "crates/core/src/";
-        let mut code = String::new();
-        for f in collect_rs_files(root)
-            .iter()
-            .filter(|f| f.starts_with(core))
-        {
-            let src = std::fs::read_to_string(root.join(f)).unwrap();
-            let mut in_block = false;
-            for line in src.lines() {
-                code.push_str(&strip_comments(line, &mut in_block).0);
-                code.push('\n');
+        let files = collect_rs_files(root);
+        for (dir, names) in PHASE_FNS.iter().filter(|(scope, _)| scope.ends_with('/')) {
+            let mut code = String::new();
+            for f in files.iter().filter(|f| f.starts_with(dir)) {
+                let src = std::fs::read_to_string(root.join(f)).unwrap();
+                let mut in_block = false;
+                for line in src.lines() {
+                    code.push_str(&strip_comments(line, &mut in_block).0);
+                    code.push('\n');
+                }
             }
-        }
-        let (_, names) = PHASE_FNS.iter().find(|(scope, _)| *scope == core).unwrap();
-        for name in *names {
-            let needle = format!("fn {name}");
-            let defined = code.match_indices(&needle).any(|(at, _)| {
-                !code[at + needle.len()..]
-                    .starts_with(|c: char| c == '_' || c.is_ascii_alphanumeric())
-            });
-            assert!(
-                defined,
-                "PHASE_FNS lists `{name}`, defined nowhere under {core}"
-            );
+            for name in *names {
+                let needle = format!("fn {name}");
+                let defined = code.match_indices(&needle).any(|(at, _)| {
+                    !code[at + needle.len()..]
+                        .starts_with(|c: char| c == '_' || c.is_ascii_alphanumeric())
+                });
+                assert!(
+                    defined,
+                    "PHASE_FNS lists `{name}`, defined nowhere under {dir}"
+                );
+            }
         }
     }
 
