@@ -129,13 +129,13 @@ fn sweeps(g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> Grid1<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_grid::{fill_random_1d, Boundary};
+    use tempora_grid::{fill_random, Boundary};
     use tempora_stencil::reference;
 
     #[test]
     fn transpose_round_trip() {
         let mut g = Grid1::new(24, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 1, -1.0, 1.0);
+        fill_random(&mut g, 1, -1.0, 1.0);
         let mut t = vec![0.0; 24];
         let mut back = g.clone();
         transpose_in(g.data(), &mut t, 6);
@@ -149,7 +149,7 @@ mod tests {
         for &n in &[8usize, 16, 24, 100, 256] {
             for steps in [1usize, 2, 5, 12] {
                 let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.7));
-                fill_random_1d(&mut g, (n + steps) as u64, -1.0, 1.0);
+                fill_random(&mut g, (n + steps) as u64, -1.0, 1.0);
                 let ours = heat1d(&g, c, steps);
                 let gold = reference::heat1d(&g, c, steps);
                 assert!(
@@ -165,7 +165,7 @@ mod tests {
     fn nonzero_halo_values_enter_boundary_columns() {
         let c = Heat1dCoeffs::classic(0.25);
         let mut g = Grid1::new(16, 1, Boundary::Dirichlet(5.0));
-        fill_random_1d(&mut g, 4, -1.0, 1.0);
+        fill_random(&mut g, 4, -1.0, 1.0);
         let ours = heat1d(&g, c, 4);
         let gold = reference::heat1d(&g, c, 4);
         assert!(ours.interior_eq(&gold), "{:?}", ours.first_diff(&gold));

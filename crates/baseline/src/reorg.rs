@@ -105,7 +105,7 @@ pub fn heat1d_avx2(isa: Ymm, g: &Grid1<f64>, c: Heat1dCoeffs, steps: usize) -> G
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_grid::{fill_random_1d, Boundary};
+    use tempora_grid::{fill_random, Boundary};
     use tempora_stencil::reference;
 
     #[test]
@@ -114,7 +114,7 @@ mod tests {
         for &n in &[3usize, 4, 7, 16, 41, 128] {
             for steps in [0usize, 1, 2, 9] {
                 let mut g = Grid1::new(n, 1, Boundary::Dirichlet(1.0));
-                fill_random_1d(&mut g, n as u64 + steps as u64, -1.0, 1.0);
+                fill_random(&mut g, n as u64 + steps as u64, -1.0, 1.0);
                 let ours = heat1d(&g, c, steps);
                 let gold = reference::heat1d(&g, c, steps);
                 assert!(
@@ -130,7 +130,7 @@ mod tests {
     fn shuffle_budget_is_two_per_output_vector() {
         let c = Heat1dCoeffs::classic(0.25);
         let mut g = Grid1::new(4096, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 9, -1.0, 1.0);
+        fill_random(&mut g, 9, -1.0, 1.0);
         let session = tempora_simd::count::Session::start();
         let _ = heat1d_counted(&g, c, 4);
         let counts = session.finish();

@@ -58,9 +58,7 @@
 use std::time::Instant;
 
 use tempora_core::engine::{Engine, KernelSpace};
-use tempora_grid::{
-    fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, random_sequence, SlabGrid,
-};
+use tempora_grid::{fill_random, fill_random_life, random_sequence, SlabGrid};
 use tempora_plan::{Method, PlanBuilder, Problem, Select, State, TileGeometry, Tiling};
 use tempora_simd::count;
 use tempora_stencil::{
@@ -544,10 +542,10 @@ fn lcs_widths(sel: Select) -> Vec<(Engine, Select)> {
 /// holds; LCS states get two random 4-symbol sequences.
 fn fill_state(state: &mut State) {
     match state {
-        State::Grid1(g) => fill_random_1d(g, SEED, -1.0, 1.0),
-        State::Grid2(g) => fill_random_2d(g, SEED, -1.0, 1.0),
+        State::Grid1(g) => fill_random(g, SEED, -1.0, 1.0),
+        State::Grid2(g) => fill_random(g, SEED, -1.0, 1.0),
         State::Grid2i(g) => fill_random_life(g, SEED, 0.35),
-        State::Grid3(g) => fill_random_3d(g, SEED, -1.0, 1.0),
+        State::Grid3(g) => fill_random(g, SEED, -1.0, 1.0),
         State::Lcs(l) => {
             let (la, lb) = (l.a.len(), l.b.len());
             l.a = random_sequence(la, 4, SEED);

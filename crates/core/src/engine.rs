@@ -801,7 +801,7 @@ slab_kernel_space! {
 pub(crate) mod tests {
     use super::*;
     use crate::kernels::{GsKern1d, JacobiKern1d};
-    use tempora_grid::{fill_random_1d, Boundary};
+    use tempora_grid::{fill_random, Boundary};
     use tempora_stencil::{reference, Gs1dCoeffs, Heat1dCoeffs};
 
     /// The window of `g` holding slabs `lo ..= hi`: what a part is given,
@@ -909,7 +909,7 @@ pub(crate) mod tests {
 
     fn heat1d(n: usize, seed: u64) -> Grid1<f64> {
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, seed, -1.0, 1.0);
+        fill_random(&mut g, seed, -1.0, 1.0);
         g
     }
 
@@ -964,7 +964,7 @@ pub(crate) mod tests {
         }
         let c2 = tempora_stencil::Heat2dCoeffs::classic(0.12);
         let mut g2 = Grid2::new(5, 9, 1, Boundary::Dirichlet(0.0));
-        tempora_grid::fill_random_2d(&mut g2, 6, -1.0, 1.0);
+        tempora_grid::fill_random(&mut g2, 6, -1.0, 1.0);
         let (r, e) = run(Select::Auto, &g2, &JacobiKern2d(c2), 8, 2);
         assert_eq!(e, auto);
         assert!(r.interior_eq(&reference::heat2d(&g2, c2, 8)));

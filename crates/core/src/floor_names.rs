@@ -211,7 +211,7 @@ mod t1d_avx2 {
         use crate::t1d::ZMM_REGISTER_STRIDES;
         use crate::engine::{tests::run_whole, Engine, KernelSpace};
         use crate::kernels::{GsKern1d, JacobiKern1d};
-        use tempora_grid::{fill_random_1d, Boundary, Grid1};
+        use tempora_grid::{fill_random, Boundary, Grid1};
         use tempora_stencil::{reference, Gs1dCoeffs, Heat1dCoeffs};
 
         /// The `std::arch` columns this host runs: AVX2 at `s = 2..=7` and the
@@ -241,7 +241,7 @@ mod t1d_avx2 {
                     for &s in &strides {
                         for steps in all_steps {
                             let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.4));
-                            fill_random_1d(&mut g, (n + s + steps) as u64, -1.0, 1.0);
+                            fill_random(&mut g, (n + s + steps) as u64, -1.0, 1.0);
                             let ours = run_whole(engine, &g, &kern, steps, s);
                             let gold = reference::heat1d(&g, c, steps);
                             assert!(
@@ -264,7 +264,7 @@ mod t1d_avx2 {
                     for &s in &strides {
                         for steps in all_steps {
                             let mut g = Grid1::new(n, 1, Boundary::Dirichlet(-0.3));
-                            fill_random_1d(&mut g, (2 * n + s + steps) as u64, -1.0, 1.0);
+                            fill_random(&mut g, (2 * n + s + steps) as u64, -1.0, 1.0);
                             let ours = run_whole(engine, &g, &kern, steps, s);
                             let gold = reference::gs1d(&g, c, steps);
                             assert!(
@@ -279,7 +279,7 @@ mod t1d_avx2 {
                 // codegen context.
                 for n in 1..GsKern1d::vl(engine) * 4 {
                     let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.1));
-                    fill_random_1d(&mut g, n as u64, -1.0, 1.0);
+                    fill_random(&mut g, n as u64, -1.0, 1.0);
                     let ours = run_whole(engine, &g, &kern, 8, 4);
                     let gold = reference::gs1d(&g, c, 8);
                     assert!(ours.interior_eq(&gold), "{engine:?} n={n}");

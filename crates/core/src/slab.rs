@@ -1387,25 +1387,55 @@ pub(crate) mod tests {
     use crate::engine::tests::{multiload_in_parts, run_in_parts, run_whole, window};
     use crate::engine::{Engine, KernelSpace};
     use crate::kernels::{BoxKern2d, GsKern2d, GsKern3d, JacobiKern2d, JacobiKern3d, LifeKern2d};
-    use tempora_grid::{
-        fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid2, Grid3, SlabGrid,
-    };
+    use tempora_grid::{fill_random, fill_random_life, Boundary, Grid, Grid2, Grid3, SlabGrid};
     use tempora_simd::arch::{avx2_available, avx512_available};
-    use tempora_simd::Packs;
+    use tempora_simd::{Packs, Scalar};
     use tempora_stencil::{
         reference, Box2dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule,
     };
 
     /// What the table needs from a kernel besides [`KernelSpace`].
-    pub(crate) trait Kind: KernelSpace {
+    pub(crate) trait Kind: KernelSpace<Grid: TableGrid> {
         /// The rectangular shapes every kernel of this dimension runs.
         const SHAPES: &'static [[usize; 3]];
-        /// A seeded grid with a seed-dependent boundary value.
-        fn grid(dims: [usize; 3], seed: u64) -> Self::Grid;
         /// `steps` sweeps of the scalar reference.
         fn gold(&self, g: &Self::Grid, steps: usize) -> Self::Grid;
+    }
+
+    /// What the table needs from a grid: the same for every `Grid<T, D>`
+    /// of one element type.
+    pub(crate) trait TableGrid: SlabGrid {
+        /// A seeded grid with a seed-dependent boundary value.
+        fn seeded(dims: [usize; 3], seed: u64) -> Self;
         /// The first interior difference or clobbered canary, if any.
-        fn mismatch(ours: &Self::Grid, gold: &Self::Grid) -> Option<String>;
+        fn mismatch(&self, gold: &Self) -> Option<String>;
+    }
+
+    impl<const D: usize> TableGrid for Grid<f64, D> {
+        fn seeded(dims: [usize; 3], seed: u64) -> Self {
+            let mut g = Self::with_dims(dims, Boundary::Dirichlet((seed % 7) as f64 * 0.5 - 1.0));
+            fill_random(&mut g, seed, -1.0, 1.0);
+            g
+        }
+        fn mismatch(&self, gold: &Self) -> Option<String> {
+            mismatch(self, gold)
+        }
+    }
+
+    impl TableGrid for Grid2<i32> {
+        fn seeded(dims: [usize; 3], seed: u64) -> Self {
+            let mut g = Self::with_dims(dims, Boundary::Dirichlet(0));
+            fill_random_life(&mut g, seed, 0.35);
+            g
+        }
+        fn mismatch(&self, gold: &Self) -> Option<String> {
+            mismatch(self, gold)
+        }
+    }
+
+    fn mismatch<T: Scalar, const D: usize>(ours: &Grid<T, D>, gold: &Grid<T, D>) -> Option<String> {
+        let canary = ours.check_canaries().err().map(|at| format!("canary {at}"));
+        ours.first_diff(gold).map(|d| format!("{d:?}")).or(canary)
     }
 
     /// The last three of each: rows of one, two and three interior
@@ -1470,105 +1500,45 @@ pub(crate) mod tests {
         ([20, 3, 2], 1),
     ];
 
-    fn grid2(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-        let bc = (seed % 7) as f64 * 0.5 - 1.0;
-        let mut g = Grid2::with_dims(dims, Boundary::Dirichlet(bc));
-        fill_random_2d(&mut g, seed, -1.0, 1.0);
-        g
-    }
-
-    fn grid3(dims: [usize; 3], seed: u64) -> Grid3<f64> {
-        let bc = (seed % 7) as f64 * 0.5 - 1.0;
-        let mut g = Grid3::with_dims(dims, Boundary::Dirichlet(bc));
-        fill_random_3d(&mut g, seed, -1.0, 1.0);
-        g
-    }
-
-    fn mismatch<D: core::fmt::Debug>(
-        canaries: Result<(), usize>,
-        diff: Option<D>,
-    ) -> Option<String> {
-        let canary = canaries.err().map(|at| format!("canary {at}"));
-        diff.map(|d| format!("{d:?}")).or(canary)
-    }
-
     impl Kind for JacobiKern2d {
         const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-            grid2(dims, seed)
-        }
         fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
             reference::heat2d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for BoxKern2d {
         const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-            grid2(dims, seed)
-        }
         fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
             reference::box2d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for GsKern2d {
         const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-            grid2(dims, seed)
-        }
         fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
             reference::gs2d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for LifeKern2d {
         const SHAPES: &'static [[usize; 3]] = SHAPES_2D;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<i32> {
-            let mut g = Grid2::with_dims(dims, Boundary::Dirichlet(0));
-            fill_random_life(&mut g, seed, 0.35);
-            g
-        }
         fn gold(&self, g: &Grid2<i32>, steps: usize) -> Grid2<i32> {
             reference::life(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<i32>, gold: &Grid2<i32>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for JacobiKern3d {
         const SHAPES: &'static [[usize; 3]] = SHAPES_3D;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid3<f64> {
-            grid3(dims, seed)
-        }
         fn gold(&self, g: &Grid3<f64>, steps: usize) -> Grid3<f64> {
             reference::heat3d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid3<f64>, gold: &Grid3<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for GsKern3d {
         const SHAPES: &'static [[usize; 3]] = SHAPES_3D;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid3<f64> {
-            grid3(dims, seed)
-        }
         fn gold(&self, g: &Grid3<f64>, steps: usize) -> Grid3<f64> {
             reference::gs3d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid3<f64>, gold: &Grid3<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
@@ -1637,11 +1607,11 @@ pub(crate) mod tests {
         strides: &[usize],
     ) {
         for (&dims, &s, &n) in product3(shapes, strides, steps) {
-            let g = K::grid(dims, (dims[0] * dims[1] + s + n) as u64);
+            let g = K::Grid::seeded(dims, (dims[0] * dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
             for e in own_sweeps::<K>(engines) {
                 let ours = run_whole(e, &g, kern, n, s);
-                if let Some(d) = K::mismatch(&ours, &gold) {
+                if let Some(d) = ours.mismatch(&gold) {
                     panic!("{e:?} dims={dims:?} s={s} steps={n}: {d}");
                 }
             }
@@ -1697,11 +1667,11 @@ pub(crate) mod tests {
         let vl = K::vl(Engine::Portable);
         for (&(dims, cut), &s, &n) in product3(cases, strides, &[vl, 2 * vl, 2 * vl + 2]) {
             assert_eq!(cut >= vl * s && cut < dims[0], wide, "{dims:?} {cut} {s}");
-            let g = K::grid(dims, (dims[0] + dims[1] + s + n) as u64);
+            let g = K::Grid::seeded(dims, (dims[0] + dims[1] + s + n) as u64);
             let gold = kern.gold(&g, n);
             for e in own_sweeps::<K>(engines) {
                 let ours = run_in_parts(e, &g, kern, n, temporal.then_some(s), cut);
-                if let Some(d) = K::mismatch(&ours, &gold) {
+                if let Some(d) = ours.mismatch(&gold) {
                     panic!("{e:?} dims={dims:?} cut={cut} s={s} steps={n}: {d}");
                 }
             }
@@ -1717,11 +1687,11 @@ pub(crate) mod tests {
         cuts: &[usize],
     ) {
         for (&dims, &cut, &n) in product3(shapes, cuts, &[1, 2, 5]) {
-            let g = K::grid(dims, (dims[0] * dims[1] + cut + n) as u64);
+            let g = K::Grid::seeded(dims, (dims[0] * dims[1] + cut + n) as u64);
             let gold = kern.gold(&g, n);
             for &e in engines {
                 let ours = multiload_in_parts(e, &g, kern, n, cut);
-                if let Some(d) = K::mismatch(&ours, &gold) {
+                if let Some(d) = ours.mismatch(&gold) {
                     panic!("multiload {e:?} dims={dims:?} cut={cut} steps={n}: {d}");
                 }
             }
@@ -1755,12 +1725,12 @@ pub(crate) mod tests {
                 inner.retain(|&n| n > 0);
                 inner.dedup();
                 for ny in inner {
-                    let g = K::grid([nx, ny, nz], (ny + s + vl) as u64);
+                    let g = K::Grid::seeded([nx, ny, nz], (ny + s + vl) as u64);
                     let steps = 2 * vl + 1;
                     let gold = kern.gold(&g, steps);
                     for cut in [1, 5, vl * s, nx] {
                         let ours = run_in_parts(e, &g, kern, steps, Some(s), cut);
-                        if let Some(d) = K::mismatch(&ours, &gold) {
+                        if let Some(d) = ours.mismatch(&gold) {
                             panic!("{e:?} B={b} nx={nx} ny={ny} nz={nz} cut={cut} s={s}: {d}");
                         }
                     }
@@ -1862,11 +1832,11 @@ pub(crate) mod tests {
     {
         for s in [2, 3, 4] {
             for steps in [8, 9, 16, 19] {
-                let g = K::grid(dims, (dims[0] + dims[1] + s + steps) as u64);
+                let g = K::Grid::seeded(dims, (dims[0] + dims[1] + s + steps) as u64);
                 let gold = kern.gold(&g, steps);
                 for cut in [dims[0], 8 * s, 5, 1] {
                     let ours = run_vl8(&rows, &g, steps, s, cut);
-                    if let Some(d) = K::mismatch(&ours, &gold) {
+                    if let Some(d) = ours.mismatch(&gold) {
                         panic!("vl 8 dims={dims:?} cut={cut} s={s} steps={steps}: {d}");
                     }
                 }
@@ -1935,17 +1905,17 @@ pub(crate) mod tests {
                 let vl = K::vl(e);
                 for s in 2..=4 {
                     for steps in [vl, 2 * vl + 1] {
-                        let g = K::grid(dims, (dims[1] + dims[2] + s + steps) as u64);
+                        let g = K::Grid::seeded(dims, (dims[1] + dims[2] + s + steps) as u64);
                         let gold = kern.gold(&g, steps);
                         for cut in [1, 2, 3, vl * s - 1, vl * s + 1] {
                             let ours = run_in_parts(e, &g, kern, steps, Some(s), cut);
-                            if let Some(d) = K::mismatch(&ours, &gold) {
+                            if let Some(d) = ours.mismatch(&gold) {
                                 panic!("{e:?} dims={dims:?} cut={cut} s={s} steps={steps}: {d}");
                             }
                         }
                         if dims[0] >= vl * s {
                             let ours = run_cut_at_the_ends(e, &g, kern, steps, s);
-                            if let Some(d) = K::mismatch(&ours, &gold) {
+                            if let Some(d) = ours.mismatch(&gold) {
                                 panic!("{e:?} dims={dims:?} ends s={s} steps={steps}: {d}");
                             }
                         }
@@ -1977,7 +1947,7 @@ pub(crate) mod tests {
         }
         for &e in engines {
             let ours = run_whole(e, &g, &conway(), 24, 2);
-            assert_eq!(LifeKern2d::mismatch(&ours, &conway().gold(&g, 24)), None);
+            assert_eq!(ours.mismatch(&conway().gold(&g, 24)), None);
             assert_eq!(ours.get(4 + 6, 3 + 6), 1);
         }
     }

@@ -685,13 +685,13 @@ mod tests {
     use super::*;
     use crate::engine::tests::run_whole;
     use crate::kernels::{GsKern1d, JacobiKern1d};
-    use tempora_grid::{fill_random_1d, Boundary, Grid1};
+    use tempora_grid::{fill_random, Boundary, Grid1};
     use tempora_stencil::reference;
     use tempora_stencil::{Gs1dCoeffs, Heat1dCoeffs};
 
     fn random_grid(n: usize, seed: u64, b: f64) -> Grid1<f64> {
         let mut g = Grid1::new(n, 1, Boundary::Dirichlet(b));
-        fill_random_1d(&mut g, seed, -1.0, 1.0);
+        fill_random(&mut g, seed, -1.0, 1.0);
         g
     }
 

@@ -16,6 +16,10 @@ use tempora_simd::{Pack, Scalar};
 /// Cache-line alignment used for every grid allocation (bytes).
 pub const GRID_ALIGN: usize = 64;
 
+/// The panic of a grid or buffer whose size overflows what can be
+/// allocated.
+pub(crate) const TOO_LARGE: &str = "grid allocation too large";
+
 /// Buffers below this many bytes come out of the allocator's heap rather
 /// than a mapping of their own (glibc's initial `M_MMAP_THRESHOLD`).
 const HEAP_SERVED: usize = 128 << 10;
@@ -124,7 +128,9 @@ impl<T: Scalar> AlignedBuf<T> {
     }
 
     fn layout(len: usize) -> Layout {
-        let bytes = len * core::mem::size_of::<T>();
+        // Panic-justification: as below, a byte size overflowing `usize`
+        // cannot be allocated.
+        let bytes = len.checked_mul(core::mem::size_of::<T>()).expect(TOO_LARGE);
         // A buffer small enough for the allocator's heap is aligned by
         // hand inside an ordinary allocation with room to reach the next
         // boundary: glibc's `posix_memalign` (2.36) cannot give a freed
@@ -141,7 +147,7 @@ impl<T: Scalar> AlignedBuf<T> {
         // be allocated on any supported target; there is no fallible
         // grid-construction API to surface it through, and real callers
         // run out of memory (handle_alloc_error) long before this bound.
-        Layout::from_size_align(bytes, align).expect("grid allocation too large")
+        Layout::from_size_align(bytes, align).expect(TOO_LARGE)
     }
 
     /// Number of elements.

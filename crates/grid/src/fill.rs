@@ -34,8 +34,10 @@
 //! [`Zmm::run`]: tempora_simd::arch::Zmm::run
 //! [`Ymm::run`]: tempora_simd::arch::Ymm::run
 
+use crate::Grid;
 #[cfg(target_arch = "x86_64")]
 use tempora_simd::arch::{Ymm, Zmm};
+use tempora_simd::Scalar;
 
 /// Streams side by side: word `k` comes from stream `k % LANES`.
 pub const LANES: usize = 16;
@@ -176,32 +178,77 @@ fn drawn<T: Copy + Default, D: Draw<T>>(streams: &mut Streams, draw: D) -> [T; L
     cells
 }
 
-/// The fill, written once for every codegen context: whole steps straight
-/// into the rows, a row's ragged end from one step whose rest begins the
-/// next row.
-#[inline(always)]
-fn fill_lanes<'a, T: Copy + Default + 'a, D: Draw<T>>(
-    rows: impl IntoIterator<Item = &'a mut [T]>,
-    mut streams: Streams,
-    draw: D,
-) {
-    let mut carry = [T::default(); LANES];
-    let mut used = LANES;
-    for row in rows {
-        let take = (LANES - used).min(row.len());
-        let (head, row) = row.split_at_mut(take);
-        head.copy_from_slice(&carry[used..used + take]);
-        used += take;
-        let (steps, tail) = row.as_chunks_mut::<LANES>();
-        for cells in steps {
-            *cells = drawn(&mut streams, draw);
-        }
-        if !tail.is_empty() {
-            carry = drawn(&mut streams, draw);
-            tail.copy_from_slice(&carry[..tail.len()]);
-            used = tail.len();
+/// Rows a fill writes, in order: any sequence of slices, or a grid's
+/// interior walked by slab, row and pitch ([`fill_grid`]).
+pub(crate) trait FillRows<T> {
+    /// Hand each row to `fill`, in order, in plain loops: no closure and
+    /// no call leaves the codegen context the fill runs in.
+    fn fill_each<D: Draw<T>>(self, fill: &mut Fill<T, D>);
+}
+
+impl<'a, T: Copy + Default + 'a, I: IntoIterator<Item = &'a mut [T]>> FillRows<T> for I {
+    #[inline(always)]
+    fn fill_each<D: Draw<T>>(self, fill: &mut Fill<T, D>) {
+        for row in self {
+            fill.row(row);
         }
     }
+}
+
+/// `dst = src` for fewer than [`LANES`] cells, as at most four copies of
+/// a constant length and none when empty: a row's ragged ends, which a
+/// `memcpy` call per row would cost more than they are worth.
+#[inline(always)]
+fn copy_short<T: Copy>(dst: &mut [T], src: &[T]) {
+    let mut at = 0;
+    for piece in [8, 4, 2, 1] {
+        if dst.len() - at >= piece {
+            dst[at..at + piece].copy_from_slice(&src[at..at + piece]);
+            at += piece;
+        }
+    }
+}
+
+/// A fill between two rows: the streams, and the step whose first cells
+/// ended the last row (`carry[used..]` begins the next).
+pub(crate) struct Fill<T, D> {
+    streams: Streams,
+    draw: D,
+    carry: [T; LANES],
+    used: usize,
+}
+
+impl<T: Copy + Default, D: Draw<T>> Fill<T, D> {
+    /// The next row: the carried cells, whole steps straight into it, and
+    /// its ragged end from one step whose rest is carried.
+    #[inline(always)]
+    pub(crate) fn row(&mut self, row: &mut [T]) {
+        let take = (LANES - self.used).min(row.len());
+        let (head, row) = row.split_at_mut(take);
+        copy_short(head, &self.carry[self.used..self.used + take]);
+        self.used += take;
+        let (steps, tail) = row.as_chunks_mut::<LANES>();
+        for cells in steps {
+            *cells = drawn(&mut self.streams, self.draw);
+        }
+        if !tail.is_empty() {
+            self.carry = drawn(&mut self.streams, self.draw);
+            copy_short(tail, &self.carry[..tail.len()]);
+            self.used = tail.len();
+        }
+    }
+}
+
+/// The fill, written once for every codegen context.
+#[inline(always)]
+fn fill_lanes<T: Copy + Default, D: Draw<T>>(rows: impl FillRows<T>, streams: Streams, draw: D) {
+    let carry = [T::default(); LANES];
+    rows.fill_each(&mut Fill {
+        streams,
+        draw,
+        carry,
+        used: LANES,
+    });
 }
 
 /// A codegen context the fill can run in.
@@ -233,9 +280,9 @@ impl Codegen {
     }
 
     /// Fill `rows` in this context.
-    pub(crate) fn fill<'a, T: Copy + Default + 'a, D: Draw<T>>(
+    pub(crate) fn fill<T: Copy + Default, D: Draw<T>>(
         self,
-        rows: impl IntoIterator<Item = &'a mut [T]>,
+        rows: impl FillRows<T>,
         seed: u64,
         draw: D,
     ) {
@@ -264,6 +311,13 @@ pub fn fill_rows<'a, T: Copy + Default + 'a>(
     draw: impl Draw<T>,
 ) {
     Codegen::detect().fill(rows, seed, draw);
+}
+
+/// Fill the interior of `g` with the seeded stream of the module docs, in
+/// row-major order: [`fill_rows`] over its interior rows, with the rows
+/// walked inside the fill's loop.
+pub fn fill_grid<T: Scalar, const D: usize>(g: &mut Grid<T, D>, seed: u64, draw: impl Draw<T>) {
+    Codegen::detect().fill(g.rows_for_fill(), seed, draw);
 }
 
 /// The definition of the module docs restated one stream after the other
@@ -357,7 +411,7 @@ mod tests {
                 }
                 // The public fill is one of them.
                 let mut got = Grid1::new(n, 1, Boundary::Dirichlet(0.5));
-                crate::fill_random_1d(&mut got, seed, -1.0, 1.0);
+                crate::fill_random(&mut got, seed, -1.0, 1.0);
                 assert_eq!(bits(got.data()), bits(want.data()));
             }
         }
@@ -383,7 +437,7 @@ mod tests {
                 got.check_canaries().unwrap();
             }
             let mut got = Grid2::new(nx, ny, 1, Boundary::Dirichlet(2.0));
-            crate::fill_random_2d(&mut got, 3, 0.0, 1.0);
+            crate::fill_random(&mut got, 3, 0.0, 1.0);
             assert_eq!(bits(got.data()), bits(want.data()));
             let mut got = Grid2::new(nx, ny, 1, Boundary::Dirichlet(0));
             crate::fill_random_life(&mut got, 3, 0.35);
@@ -403,7 +457,7 @@ mod tests {
                 got.check_canaries().unwrap();
             }
             let mut got = Grid3::new(nx, ny, nz, 1, Boundary::Dirichlet(-3.0));
-            crate::fill_random_3d(&mut got, 11, -1.0, 1.0);
+            crate::fill_random(&mut got, 11, -1.0, 1.0);
             assert_eq!(bits(got.data()), bits(want.data()));
         }
         // Two sequences, one stream.
@@ -420,16 +474,16 @@ mod tests {
     #[test]
     fn fills_leave_halo_and_padding_alone() {
         let mut g = Grid2::new(7, 13, 2, Boundary::Dirichlet(0.25));
-        crate::fill_random_2d(&mut g, 1, -1.0, 1.0);
+        crate::fill_random(&mut g, 1, -1.0, 1.0);
         g.check_canaries().unwrap();
-        for x in 0..g.rows() {
+        for x in 0..7 + 4 {
             for y in 0..13 + 4 {
                 let halo = !(2..9).contains(&x) || !(2..15).contains(&y);
                 assert_eq!(g.get(x, y) == 0.25, halo, "({x}, {y})");
             }
         }
         let mut g = Grid3::new(3, 5, 6, 1, Boundary::Dirichlet(0.25));
-        crate::fill_random_3d(&mut g, 1, -1.0, 1.0);
+        crate::fill_random(&mut g, 1, -1.0, 1.0);
         g.check_canaries().unwrap();
         for x in 0..5 {
             for y in 0..7 {
@@ -440,7 +494,7 @@ mod tests {
             }
         }
         let mut g = Grid1::new(37, 3, Boundary::Dirichlet(0.25));
-        crate::fill_random_1d(&mut g, 1, -1.0, 1.0);
+        crate::fill_random(&mut g, 1, -1.0, 1.0);
         g.check_canaries().unwrap();
         assert!(g.data()[..3]
             .iter()
@@ -451,13 +505,13 @@ mod tests {
     #[test]
     fn values_stay_in_the_half_open_range() {
         let mut g = Grid1::new(4096, 1, Boundary::Dirichlet(0.0));
-        crate::fill_random_1d(&mut g, 9, -1.0, 1.0);
+        crate::fill_random(&mut g, 9, -1.0, 1.0);
         assert!(g.interior().iter().all(|v| (-1.0..1.0).contains(v)));
         // One ulp wide: the product of every unit value above one half
         // rounds up to `hi`, and the guard returns `lo` instead.
         let (lo, hi) = (1.0, 1.0 + f64::EPSILON);
         assert_eq!(lo + (hi - lo) * unit(u64::MAX), hi);
-        crate::fill_random_1d(&mut g, 9, lo, hi);
+        crate::fill_random(&mut g, 9, lo, hi);
         assert!(g.interior().iter().all(|&v| v == lo));
         assert_eq!(Uniform::new(lo, hi).draw(u64::MAX), lo);
         assert_eq!(
@@ -471,7 +525,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for seed in 0..64u64 {
             let mut g = Grid2::new(8, 9, 1, Boundary::Dirichlet(0.0));
-            crate::fill_random_2d(&mut g, seed, -1.0, 1.0);
+            crate::fill_random(&mut g, seed, -1.0, 1.0);
             assert!(seen.insert(bits(g.data())), "seed {seed}");
         }
     }
@@ -480,7 +534,7 @@ mod tests {
     fn life_is_alive_at_its_probability() {
         let mut g = Grid2::new(256, 256, 1, Boundary::Dirichlet(0));
         crate::fill_random_life(&mut g, 7, 0.35);
-        let cells: Vec<i32> = (1..=256).flat_map(|x| g.row(x)[1..=256].to_vec()).collect();
+        let cells: Vec<i32> = g.interior_rows_mut().flat_map(|row| row.to_vec()).collect();
         assert!(cells.iter().all(|&c| c == 0 || c == 1));
         let share = cells.iter().sum::<i32>() as f64 / cells.len() as f64;
         assert!((share - 0.35).abs() <= 0.02, "alive share {share}");

@@ -1,13 +1,15 @@
 //! # tempora-grid — aligned grid containers for stencil computations
 //!
 //! Data substrate of the *tempora* workspace (reproduction of "Temporal
-//! Vectorization for Stencils", SC'21): cache-line aligned 1/2/3-D grids
-//! with ghost cells, Dirichlet boundary handling, canary-guarded padding,
-//! double buffering for Jacobi updates, and seeded random initialization
-//! for workloads ([`fill`]: cell `k` of the interior, in row-major order,
-//! halo skipped, takes word `k` of sixteen xoshiro256** streams dealt
-//! side by side — stream `k mod 16`, its `⌊k / 16⌋`-th output — seeded
-//! through splitmix64 and drawn at vector speed).
+//! Vectorization for Stencils", SC'21): one cache-line aligned grid type,
+//! [`Grid<T, D>`](Grid), for every dimension (`Grid1`, `Grid2`, `Grid3` are
+//! its aliases), with ghost cells, Dirichlet boundary handling,
+//! canary-guarded padding, the [`SlabGrid`] view of it as a stack of outer
+//! slabs, and seeded random initialization for workloads ([`fill`]: cell
+//! `k` of the interior, in row-major order, halo skipped, takes word `k`
+//! of sixteen xoshiro256** streams dealt side by side — stream `k mod 16`,
+//! its `⌊k / 16⌋`-th output — seeded through splitmix64 and drawn at
+//! vector speed).
 //!
 //! Layout conventions (shared by every kernel in the workspace):
 //!
@@ -16,24 +18,20 @@
 //!   stride;
 //! * ghost cells of width `h ≥ 1` surround the interior and encode the
 //!   boundary condition; kernels read but never write them;
-//! * physical row/pencil lengths are padded to a multiple of 8 elements
-//!   and the padding is poisoned with canary values, so tests can prove
-//!   kernels stay in bounds.
+//! * physical rows (in 1-D the whole line) are padded to a multiple of 8
+//!   elements and the padding is poisoned with canary values, so tests can
+//!   prove kernels stay in bounds.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod alloc;
 pub mod fill;
-pub mod grid1;
-pub mod grid2;
-pub mod grid3;
+mod grid;
 
 pub use alloc::{alloc_count, runs_allocation_free, AlignedBuf, PackBuf, GRID_ALIGN};
-pub use fill::{fill_rows, Alive, Draw, Symbol, Uniform};
-pub use grid1::Grid1;
-pub use grid2::Grid2;
-pub use grid3::Grid3;
+pub use fill::{fill_grid, fill_rows, Alive, Draw, Symbol, Uniform};
+pub use grid::{Grid, Grid1, Grid2, Grid3};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,8 +140,8 @@ pub struct SlabsMut<'a, T> {
 
 /// A halo-1 grid viewed as a stack of **outer slabs** — cells in 1-D, rows
 /// in 2-D, planes in 3-D: the unit the time-tiled layers chunk their
-/// sweeps by. One implementation per grid type lets every layer above
-/// the tile be written once for all three dimensionalities.
+/// sweeps by. [`Grid`] implements it once for every dimension, so every
+/// layer above the tile is written once for all three dimensionalities.
 pub trait SlabGrid: Clone + Send {
     /// Element type.
     type Elem: Scalar;
@@ -191,217 +189,24 @@ pub trait SlabGrid: Clone + Send {
     }
 }
 
-impl<T: Scalar> SlabGrid for Grid1<T> {
-    type Elem = T;
-
-    fn slab_shape(dims: [usize; 3]) -> SlabShape {
-        let _ = dims;
-        SlabShape {
-            rows: 1,
-            width: 1,
-            halo_rows: 0,
-        }
-    }
-
-    fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
-        Grid1::new(dims[0], 1, bc)
-    }
-
-    fn dims(&self) -> [usize; 3] {
-        [self.n(), 1, 1]
-    }
-
-    fn halo(&self) -> usize {
-        Grid1::halo(self)
-    }
-
-    fn slab(&self) -> usize {
-        1
-    }
-
-    fn row_pitch(&self) -> usize {
-        1
-    }
-
-    fn boundary(&self) -> Boundary<T> {
-        Grid1::boundary(self)
-    }
-
-    fn data(&self) -> &[T] {
-        Grid1::data(self)
-    }
-
-    fn data_mut(&mut self) -> &mut [T] {
-        Grid1::data_mut(self)
-    }
-}
-
-impl<T: Scalar> SlabGrid for Grid2<T> {
-    type Elem = T;
-
-    fn slab_shape(dims: [usize; 3]) -> SlabShape {
-        SlabShape {
-            rows: 1,
-            width: dims[1] + 2,
-            halo_rows: 0,
-        }
-    }
-
-    fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
-        Grid2::new(dims[0], dims[1], 1, bc)
-    }
-
-    fn dims(&self) -> [usize; 3] {
-        [self.nx(), self.ny(), 1]
-    }
-
-    fn halo(&self) -> usize {
-        Grid2::halo(self)
-    }
-
-    fn slab(&self) -> usize {
-        self.pitch()
-    }
-
-    fn row_pitch(&self) -> usize {
-        self.pitch()
-    }
-
-    fn boundary(&self) -> Boundary<T> {
-        Grid2::boundary(self)
-    }
-
-    fn data(&self) -> &[T] {
-        Grid2::data(self)
-    }
-
-    fn data_mut(&mut self) -> &mut [T] {
-        Grid2::data_mut(self)
-    }
-}
-
-impl<T: Scalar> SlabGrid for Grid3<T> {
-    type Elem = T;
-
-    fn slab_shape(dims: [usize; 3]) -> SlabShape {
-        SlabShape {
-            rows: dims[1] + 2,
-            width: dims[2] + 2,
-            halo_rows: 1,
-        }
-    }
-
-    fn with_dims(dims: [usize; 3], bc: Boundary<T>) -> Self {
-        Grid3::new(dims[0], dims[1], dims[2], 1, bc)
-    }
-
-    fn dims(&self) -> [usize; 3] {
-        [self.nx(), self.ny(), self.nz()]
-    }
-
-    fn halo(&self) -> usize {
-        Grid3::halo(self)
-    }
-
-    fn slab(&self) -> usize {
-        self.plane()
-    }
-
-    fn row_pitch(&self) -> usize {
-        self.pitch()
-    }
-
-    fn boundary(&self) -> Boundary<T> {
-        Grid3::boundary(self)
-    }
-
-    fn data(&self) -> &[T] {
-        Grid3::data(self)
-    }
-
-    fn data_mut(&mut self) -> &mut [T] {
-        Grid3::data_mut(self)
-    }
-}
-
-/// A pair of equally-shaped buffers for Jacobi-style ping-pong updates.
-///
-/// `src` is the time-`t` state, `dst` the time-`t+1` state being produced;
-/// [`DoubleBuffer::swap`] advances time.
-#[derive(Clone, Debug)]
-pub struct DoubleBuffer<G> {
-    cur: G,
-    next: G,
-}
-
-impl<G: Clone> DoubleBuffer<G> {
-    /// Create a double buffer from the initial state; the second copy is a
-    /// clone (its interior will be fully overwritten by the first step).
-    pub fn new(initial: G) -> Self {
-        let next = initial.clone();
-        DoubleBuffer { cur: initial, next }
-    }
-
-    /// The current (time-`t`) state.
-    #[inline(always)]
-    pub fn src(&self) -> &G {
-        &self.cur
-    }
-
-    /// The next (time-`t+1`) state being written.
-    #[inline(always)]
-    pub fn dst_mut(&mut self) -> &mut G {
-        &mut self.next
-    }
-
-    /// Borrow source and destination simultaneously.
-    #[inline(always)]
-    pub fn pair_mut(&mut self) -> (&G, &mut G) {
-        (&self.cur, &mut self.next)
-    }
-
-    /// Advance time: the freshly written state becomes current.
-    #[inline(always)]
-    pub fn swap(&mut self) {
-        core::mem::swap(&mut self.cur, &mut self.next);
-    }
-
-    /// Consume the buffer, returning the current state.
-    pub fn into_current(self) -> G {
-        self.cur
-    }
-}
-
 /// Deterministic seeded RNG of [`random_sequence`] (the grid fills draw
 /// from [`fill`]'s sixteen streams), so every experiment is reproducible
 /// bit-for-bit.
-pub fn seeded_rng(seed: u64) -> StdRng {
+pub(crate) fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
-/// Fill a 1-D grid's interior with uniform random values in `[lo, hi)`,
-/// from the seeded stream of [`fill`].
-pub fn fill_random_1d(g: &mut Grid1<f64>, seed: u64, lo: f64, hi: f64) {
-    fill_rows(g.interior_rows_mut(), seed, Uniform::new(lo, hi));
-}
-
-/// Fill a 2-D grid's interior with uniform random values in `[lo, hi)`,
-/// from the seeded stream of [`fill`] (row after row).
-pub fn fill_random_2d(g: &mut Grid2<f64>, seed: u64, lo: f64, hi: f64) {
-    fill_rows(g.interior_rows_mut(), seed, Uniform::new(lo, hi));
-}
-
-/// Fill a 3-D grid's interior with uniform random values in `[lo, hi)`,
-/// from the seeded stream of [`fill`] (pencil after pencil).
-pub fn fill_random_3d(g: &mut Grid3<f64>, seed: u64, lo: f64, hi: f64) {
-    fill_rows(g.interior_rows_mut(), seed, Uniform::new(lo, hi));
+/// Fill a grid's interior with uniform random values in `[lo, hi)`, from
+/// the seeded stream of [`fill`] (row after row).
+pub fn fill_random<const D: usize>(g: &mut Grid<f64, D>, seed: u64, lo: f64, hi: f64) {
+    fill_grid(g, seed, Uniform::new(lo, hi));
 }
 
 /// Fill a 2-D integer grid with random 0/1 cells alive with probability
 /// `p_alive` (the Game-of-Life workload initializer), from the seeded
 /// stream of [`fill`].
 pub fn fill_random_life(g: &mut Grid2<i32>, seed: u64, p_alive: f64) {
-    fill_rows(g.interior_rows_mut(), seed, Alive(p_alive));
+    fill_grid(g, seed, Alive(p_alive));
 }
 
 /// Generate a random byte-alphabet sequence for the LCS workload.
@@ -409,6 +214,8 @@ pub fn random_sequence(len: usize, alphabet: u8, seed: u64) -> Vec<u8> {
     let mut rng = seeded_rng(seed);
     (0..len).map(|_| rng.gen_range(0..alphabet)).collect()
 }
+
+include!("floor_names.rs");
 
 #[cfg(test)]
 mod tests {
@@ -425,28 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn double_buffer_swaps() {
-        let g = Grid1::<f64>::new(4, 1, Boundary::Dirichlet(0.0));
-        let mut db = DoubleBuffer::new(g);
-        db.dst_mut().set(1, 42.0);
-        assert_eq!(db.src().get(1), 0.0);
-        db.swap();
-        assert_eq!(db.src().get(1), 42.0);
-        let (src, dst) = db.pair_mut();
-        assert_eq!(src.get(1), 42.0);
-        dst.set(1, 7.0);
-        db.swap();
-        assert_eq!(db.into_current().get(1), 7.0);
-    }
-
-    #[test]
     fn random_fills_are_deterministic() {
         let mut a = Grid1::new(32, 1, Boundary::Dirichlet(0.0));
         let mut b = Grid1::new(32, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut a, 42, -1.0, 1.0);
-        fill_random_1d(&mut b, 42, -1.0, 1.0);
+        fill_random(&mut a, 42, -1.0, 1.0);
+        fill_random(&mut b, 42, -1.0, 1.0);
         assert!(a.interior_eq(&b));
-        fill_random_1d(&mut b, 43, -1.0, 1.0);
+        fill_random(&mut b, 43, -1.0, 1.0);
         assert!(!a.interior_eq(&b));
         assert!(a.interior().iter().all(|v| (-1.0..1.0).contains(v)));
     }

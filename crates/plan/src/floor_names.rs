@@ -12,7 +12,7 @@ mod multiload {
         use crate::exec::StateGrid;
         use crate::{Method, PlanBuilder, Problem, Select, State};
         use tempora_grid::{
-            fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, Boundary, Grid1,
+            fill_random, fill_random_life, Boundary, Grid1,
             Grid2, Grid3,
         };
         use tempora_stencil::{
@@ -44,7 +44,7 @@ mod multiload {
             for &n in &[4usize, 5, 16, 33, 100] {
                 for steps in [0usize, 1, 3, 8] {
                     let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.3));
-                    fill_random_1d(&mut g, n as u64, -1.0, 1.0);
+                    fill_random(&mut g, n as u64, -1.0, 1.0);
                     let problem = Problem::Heat1d {
                         n,
                         steps,
@@ -64,7 +64,7 @@ mod multiload {
             let c = Heat2dCoeffs::classic(0.12);
             for &(nx, ny) in &[(5usize, 4usize), (8, 9), (16, 21)] {
                 let mut g = Grid2::new(nx, ny, 1, Boundary::Dirichlet(-0.5));
-                fill_random_2d(&mut g, 17, -1.0, 1.0);
+                fill_random(&mut g, 17, -1.0, 1.0);
                 let problem = Problem::Heat2d {
                     nx,
                     ny,
@@ -83,7 +83,7 @@ mod multiload {
         fn heat3d_matches_reference() {
             let c = Heat3dCoeffs::classic(0.1);
             let mut g = Grid3::new(6, 7, 9, 1, Boundary::Dirichlet(0.0));
-            fill_random_3d(&mut g, 5, -1.0, 1.0);
+            fill_random(&mut g, 5, -1.0, 1.0);
             let problem = Problem::heat3d(6, 7, 9, 4, c);
             let gold = reference::heat3d(&g, c, 4);
             for ours in outputs(&problem, Method::Multiload, &g, State::Grid3) {
@@ -95,7 +95,7 @@ mod multiload {
         fn box2d_matches_reference() {
             let c = Box2dCoeffs::smooth(0.09);
             let mut g = Grid2::new(12, 13, 1, Boundary::Dirichlet(0.25));
-            fill_random_2d(&mut g, 23, -1.0, 1.0);
+            fill_random(&mut g, 23, -1.0, 1.0);
             let problem = Problem::Box2d {
                 nx: 12,
                 ny: 13,
@@ -129,7 +129,7 @@ mod dlt {
         use crate::multiload::tests::outputs;
         use crate::{Method, Problem, State};
         use tempora_baseline::dlt;
-        use tempora_grid::{fill_random_1d, Boundary, Grid1};
+        use tempora_grid::{fill_random, Boundary, Grid1};
         use tempora_stencil::{reference, Heat1dCoeffs};
 
         #[test]
@@ -140,7 +140,7 @@ mod dlt {
             for &n in &[3usize, 5, 7, 13, 1001] {
                 assert!(!dlt::dlt_applicable(n), "n={n}");
                 let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.0));
-                fill_random_1d(&mut g, 2, -1.0, 1.0);
+                fill_random(&mut g, 2, -1.0, 1.0);
                 let gold = reference::heat1d(&g, c, 3);
                 let problem = Problem::heat1d(n, 3, c);
                 for ours in outputs(&problem, Method::Dlt, &g, State::Grid1) {

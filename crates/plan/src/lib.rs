@@ -67,7 +67,7 @@ include!("floor_names.rs");
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_grid::fill_random_1d;
+    use tempora_grid::fill_random;
     use tempora_stencil::{reference, Gs2dCoeffs, Heat1dCoeffs, LifeRule};
 
     #[test]
@@ -75,7 +75,7 @@ mod tests {
         let problem = Problem::heat1d(500, 12, Heat1dCoeffs::classic(0.25));
         let mut plan = PlanBuilder::new().stride(7).build(&problem).unwrap();
         let mut state = problem.state();
-        fill_random_1d(state.grid1_mut().unwrap(), 3, -1.0, 1.0);
+        fill_random(state.grid1_mut().unwrap(), 3, -1.0, 1.0);
         let gold = reference::heat1d(state.grid1().unwrap(), Heat1dCoeffs::classic(0.25), 12);
         let report = plan.run(&mut state).unwrap();
         assert_eq!(report.steps, 12);
@@ -174,13 +174,13 @@ mod tests {
 
     #[test]
     fn pin_knob_is_honest_and_bit_identical() {
-        use tempora_grid::fill_random_2d;
+        use tempora_grid::fill_random;
         // Skewed GS-2D exercises the wavefront; pin(true) exercises
         // affinity.
         let coeffs = Gs2dCoeffs::classic(0.2);
         let problem = Problem::gs2d(96, 9, 8, coeffs);
         let mut gold_state = problem.state();
-        fill_random_2d(gold_state.grid2_mut().unwrap(), 11, -1.0, 1.0);
+        fill_random(gold_state.grid2_mut().unwrap(), 11, -1.0, 1.0);
         let gold = reference::gs2d(gold_state.grid2().unwrap(), coeffs, 8);
         for pin in [true, false] {
             let mut plan = PlanBuilder::new()
@@ -193,7 +193,7 @@ mod tests {
                 .build(&problem)
                 .unwrap();
             let mut state = problem.state();
-            fill_random_2d(state.grid2_mut().unwrap(), 11, -1.0, 1.0);
+            fill_random(state.grid2_mut().unwrap(), 11, -1.0, 1.0);
             let report = plan.run(&mut state).unwrap();
             assert!(state.grid2().unwrap().interior_eq(&gold));
             // Pinning is honest: reported iff requested AND the host

@@ -228,7 +228,7 @@ fn spec_part(h: u64, words: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use tempora_grid::{fill_random_1d, fill_random_life, random_sequence};
+    use tempora_grid::{fill_random, fill_random_life, random_sequence};
     use tempora_plan::Problem;
     use tempora_stencil::{Heat1dCoeffs, Heat2dCoeffs, Heat3dCoeffs, LifeRule};
 
@@ -286,10 +286,10 @@ mod tests {
             Problem::lcs(40, 50),
         ]
         .map(|p| p.state());
-        fill_random_1d(states[0].grid1_mut().unwrap(), 7, -1.0, 1.0);
-        tempora_grid::fill_random_2d(states[1].grid2_mut().unwrap(), 7, -1.0, 1.0);
+        fill_random(states[0].grid1_mut().unwrap(), 7, -1.0, 1.0);
+        fill_random(states[1].grid2_mut().unwrap(), 7, -1.0, 1.0);
         fill_random_life(states[2].grid2i_mut().unwrap(), 7, 0.35);
-        tempora_grid::fill_random_3d(states[3].grid3_mut().unwrap(), 7, -1.0, 1.0);
+        fill_random(states[3].grid3_mut().unwrap(), 7, -1.0, 1.0);
         let l = states[4].lcs_mut().unwrap();
         (l.a, l.b) = (random_sequence(40, 4, 7), random_sequence(50, 4, 8));
         states

@@ -15,8 +15,9 @@
 //! alive below 0.35, or symbols `0 .. 4`.
 
 use tempora_grid::fill::{spec_fill_rows, Alive, Draw, Symbol, Uniform};
-use tempora_grid::fill_rows;
+use tempora_grid::{fill_grid, fill_rows, Grid};
 use tempora_plan::{Problem, State};
+use tempora_simd::Scalar;
 
 /// A freshly initialized state for `problem`, deterministically filled
 /// from `seed`: uniform `[-1, 1)` for the `f64` grids, 35% alive cells
@@ -38,26 +39,35 @@ pub fn fresh_state_spec(problem: &Problem, seed: u64) -> State {
 /// The one definition of both, instantiated apart so that the served
 /// path links no one-chain code.
 fn seeded<const ONE_CHAIN: bool>(problem: &Problem, seed: u64) -> State {
-    fn fill<'a, T: Copy + Default + 'a, const ONE_CHAIN: bool>(
-        rows: impl IntoIterator<Item = &'a mut [T]>,
+    fn grid<const ONE_CHAIN: bool, T: Scalar, const D: usize>(
+        g: &mut Grid<T, D>,
         seed: u64,
         draw: impl Draw<T>,
     ) {
         if ONE_CHAIN {
+            // The rows collected first: the spec flattens its rows once
+            // per cell, and over the grid's nested row iterator that cost
+            // twice what it does over a list (2-D) or one row (1-D).
+            let rows: Vec<_> = g.interior_rows_mut().collect();
             spec_fill_rows(rows, seed, draw);
         } else {
-            fill_rows(rows, seed, draw);
+            fill_grid(g, seed, draw);
         }
     }
     let mut state = problem.state();
     let values = Uniform::new(-1.0, 1.0);
     match &mut state {
-        State::Grid1(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, values),
-        State::Grid2(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, values),
-        State::Grid2i(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, Alive(0.35)),
-        State::Grid3(g) => fill::<_, ONE_CHAIN>(g.interior_rows_mut(), seed, values),
+        State::Grid1(g) => grid::<ONE_CHAIN, _, _>(g, seed, values),
+        State::Grid2(g) => grid::<ONE_CHAIN, _, _>(g, seed, values),
+        State::Grid2i(g) => grid::<ONE_CHAIN, _, _>(g, seed, Alive(0.35)),
+        State::Grid3(g) => grid::<ONE_CHAIN, _, _>(g, seed, values),
         State::Lcs(l) => {
-            fill::<_, ONE_CHAIN>([&mut l.a[..], &mut l.b[..]], seed, Symbol(4));
+            let sequences = [&mut l.a[..], &mut l.b[..]];
+            if ONE_CHAIN {
+                spec_fill_rows(sequences, seed, Symbol(4));
+            } else {
+                fill_rows(sequences, seed, Symbol(4));
+            }
             l.length = None;
         }
     }

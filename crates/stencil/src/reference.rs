@@ -64,7 +64,7 @@ pub fn heat3d(g: &Grid3<f64>, c: Heat3dCoeffs, steps: usize) -> Grid3<f64> {
     let mut cur = g.clone();
     let mut next = g.clone();
     let (h, nx, ny, nz) = (g.halo(), g.nx(), g.ny(), g.nz());
-    let (p, pl) = (g.pitch(), g.plane());
+    let (p, pl) = (g.pitch(), g.slab());
     for _ in 0..steps {
         let a = cur.data();
         let b = next.data_mut();
@@ -183,7 +183,7 @@ pub fn gs3d(g: &Grid3<f64>, c: Gs3dCoeffs, steps: usize) -> Grid3<f64> {
     assert!(g.halo() >= 1);
     let mut cur = g.clone();
     let (h, nx, ny, nz) = (g.halo(), g.nx(), g.ny(), g.nz());
-    let (p, pl) = (g.pitch(), g.plane());
+    let (p, pl) = (g.pitch(), g.slab());
     for _ in 0..steps {
         let a = cur.data_mut();
         for x in h..h + nx {
@@ -262,7 +262,7 @@ pub fn lcs_len(a: &[u8], b: &[u8]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempora_grid::{fill_random_1d, fill_random_2d, Boundary};
+    use tempora_grid::{fill_random, Boundary};
 
     #[test]
     fn heat1d_constant_field_is_fixed_point() {
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn heat1d_zero_steps_is_identity() {
         let mut g = Grid1::new(16, 1, Boundary::Dirichlet(0.0));
-        fill_random_1d(&mut g, 1, -1.0, 1.0);
+        fill_random(&mut g, 1, -1.0, 1.0);
         assert!(heat1d(&g, Heat1dCoeffs::classic(0.2), 0).interior_eq(&g));
     }
 
@@ -325,7 +325,7 @@ mod tests {
     fn box2d_matches_heat2d_when_corners_zero() {
         // A 9P kernel with zero corner weights equals the 5P star kernel.
         let mut g = Grid2::new(12, 10, 1, Boundary::Dirichlet(0.5));
-        fill_random_2d(&mut g, 3, -1.0, 1.0);
+        fill_random(&mut g, 3, -1.0, 1.0);
         let a = 0.15;
         let b9 = Box2dCoeffs::new([[0.0, a, 0.0], [a, 1.0 - 4.0 * a, a], [0.0, a, 0.0]]);
         let b5 = Heat2dCoeffs::classic(a);

@@ -11,7 +11,7 @@
 #[cfg(test)]
 mod ghost {
     mod tests {
-        use crate::sweeps::tests::{run, workspace, Kind};
+        use crate::sweeps::tests::{run, workspace, TableGrid};
         use crate::Mode;
         use tempora_core::engine::{Engine, KernelSpace, Select};
         use tempora_core::kernels::{
@@ -41,7 +41,7 @@ mod ghost {
             // for scalar ones.
             let kern = JacobiKern1d(Heat1dCoeffs::classic(0.25));
             for &(n, block) in &[(100usize, 17usize), (64, 64), (10, 3), (100, 5), (9, 1)] {
-                let g: Grid1<f64> = JacobiKern1d::grid([n, 1, 1], 1);
+                let g = Grid1::<f64>::seeded([n, 1, 1], 1);
                 for mode in [Mode::Temporal(2), Mode::Scalar, Mode::Auto] {
                     let w = workspace(&kern, &g, 8, block, mode, Select::Auto);
                     let (anchors, widest) = match w.engine() {
@@ -75,7 +75,7 @@ mod ghost {
                 for &(n, block, steps) in
                     &[(200usize, 64usize, 8usize), (333, 50, 13), (64, 100, 4)]
                 {
-                    let g: Grid1<f64> = JacobiKern1d::grid([n, 1, 1], n as u64);
+                    let g = Grid1::<f64>::seeded([n, 1, 1], n as u64);
                     let gold = reference::heat1d(&g, c, steps);
                     for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(7)] {
                         let w = workspace(&kern, &g, steps, block, mode, Select::Auto);
@@ -94,7 +94,7 @@ mod ghost {
         fn ghost_1d_workspace_reuse_is_identical_and_allocation_free() {
             let c = Heat1dCoeffs::classic(0.25);
             let pool = Pool::new(2);
-            let g0: Grid1<f64> = JacobiKern1d::grid([300, 1, 1], 17);
+            let g0 = Grid1::<f64>::seeded([300, 1, 1], 17);
             for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(7)] {
                 let mut w = workspace(&JacobiKern1d(c), &g0, 8, 64, mode, Select::Auto);
                 let mut a = g0.clone();
@@ -119,7 +119,7 @@ mod ghost {
             // 48 points lie below Heat-1D's crossover at 8 steps and s = 7
             // (56 by the width formula, the narrowest line eight lanes
             // host at that stride).
-            let g: Grid1<f64> = JacobiKern1d::grid([48, 1, 1], 3);
+            let g = Grid1::<f64>::seeded([48, 1, 1], 3);
             let engine = |g: &Grid1<f64>, steps, block, mode, sel| {
                 run(workspace(&kern, g, steps, block, mode, sel), g, &pool).1
             };
@@ -148,7 +148,7 @@ mod ghost {
                 engine(&g, 3, 64, Mode::Temporal(7), Select::Auto),
                 Some(best())
             );
-            let small: Grid1<f64> = JacobiKern1d::grid([27, 1, 1], 4);
+            let small = Grid1::<f64>::seeded([27, 1, 1], 4);
             assert_eq!(
                 engine(&small, 8, 64, Mode::Temporal(7), Select::Auto),
                 Some(best())
@@ -159,7 +159,7 @@ mod ghost {
         fn ghost_2d_star_and_box_match_reference() {
             let pool = Pool::new(2);
             let c = Heat2dCoeffs::classic(0.12);
-            let g: Grid2<f64> = JacobiKern2d::grid([60, 13, 1], 9);
+            let g = Grid2::<f64>::seeded([60, 13, 1], 9);
             let gold = reference::heat2d(&g, c, 8);
             let cb = Box2dCoeffs::smooth(0.08);
             let goldb = reference::box2d(&g, cb, 8);
@@ -181,7 +181,7 @@ mod ghost {
             let pool = Pool::new(2);
             let rule = LifeRule::b2s23();
             let kern = LifeKern2d(rule);
-            let g: Grid2<i32> = LifeKern2d::grid([70, 20, 1], 4);
+            let g = Grid2::<i32>::seeded([70, 20, 1], 4);
             let gold = reference::life(&g, rule, 16);
             let life =
                 |block, mode, sel| run(workspace(&kern, &g, 16, block, mode, sel), &g, &pool);
@@ -213,7 +213,7 @@ mod ghost {
         fn ghost_3d_matches_reference() {
             let pool = Pool::new(2);
             let c = Heat3dCoeffs::classic(0.1);
-            let g: Grid3<f64> = JacobiKern3d::grid([40, 6, 7], 11);
+            let g = Grid3::<f64>::seeded([40, 6, 7], 11);
             let gold = reference::heat3d(&g, c, 9); // 2 vector sweeps + 1 scalar
             for mode in [Mode::Scalar, Mode::Auto, Mode::Temporal(2)] {
                 let w = workspace(&JacobiKern3d(c), &g, 9, 12, mode, Select::Auto);
@@ -231,7 +231,7 @@ mod ghost {
 #[cfg(test)]
 mod skew {
     mod tests {
-        use crate::sweeps::tests::{run, workspace, Kind};
+        use crate::sweeps::tests::{run, workspace, TableGrid};
         use crate::Mode;
         use tempora_core::engine::{Engine, Select};
         use tempora_core::kernels::{GsKern1d, GsKern2d, GsKern3d};
@@ -250,7 +250,7 @@ mod skew {
                     (1000, 128, 7, 12),
                     (300, 120, 3, 13),
                 ] {
-                    let g: Grid1<f64> = GsKern1d::grid([n, 1, 1], (n + threads) as u64);
+                    let g = Grid1::<f64>::seeded([n, 1, 1], (n + threads) as u64);
                     let gold = reference::gs1d(&g, c, steps);
                     for mode in [Mode::Scalar, Mode::Temporal(s)] {
                         let w = workspace(&kern, &g, steps, block, mode, Select::Auto);
@@ -271,7 +271,7 @@ mod skew {
             let c = Gs1dCoeffs::classic(0.27);
             let kern = GsKern1d(c);
             let pool = Pool::new(2);
-            let g: Grid1<f64> = GsKern1d::grid([500, 1, 1], 9);
+            let g = Grid1::<f64>::seeded([500, 1, 1], 9);
             let engine =
                 |mode, sel| run(workspace(&kern, &g, 8, 64, mode, sel), &g, &pool).1;
             assert_eq!(engine(Mode::Scalar, Select::Auto), None);
@@ -290,7 +290,7 @@ mod skew {
                 assert_eq!(engine(Mode::Temporal(2), Select::Auto), Some(auto));
                 // A grid below VL·s = 28 cells has no vector schedule: its
                 // scalar steps run in, and report, the AVX2 context.
-                let small: Grid1<f64> = GsKern1d::grid([24, 1, 1], 2);
+                let small = Grid1::<f64>::seeded([24, 1, 1], 2);
                 let w = workspace(&kern, &small, 8, 36, Mode::Temporal(7), Select::Avx2);
                 let (r, e) = run(w, &small, &pool);
                 assert_eq!(e, Some(Engine::Avx2));
@@ -304,7 +304,7 @@ mod skew {
             let kern = GsKern2d(c);
             for threads in [1usize, 2] {
                 let pool = Pool::new(threads);
-                let g: Grid2<f64> = GsKern2d::grid([120, 9, 1], 21);
+                let g = Grid2::<f64>::seeded([120, 9, 1], 21);
                 let gold = reference::gs2d(&g, c, 8);
                 for mode in [Mode::Scalar, Mode::Temporal(2)] {
                     let mut w = workspace(&kern, &g, 8, 48, mode, Select::Auto);
@@ -331,7 +331,7 @@ mod skew {
         fn pipelined_wavefront_matches_reference_at_every_thread_count() {
             let c = Gs2dCoeffs::classic(0.19);
             let kern = GsKern2d(c);
-            let g: Grid2<f64> = GsKern2d::grid([120, 9, 1], 21);
+            let g = Grid2::<f64>::seeded([120, 9, 1], 21);
             let gold = reference::gs2d(&g, c, 8);
             for threads in [1usize, 2, 4, 8] {
                 let pool = Pool::new(threads);
@@ -351,7 +351,7 @@ mod skew {
         fn gs3d_parallel_matches_reference() {
             let c = Gs3dCoeffs::classic(0.11);
             let pool = Pool::new(2);
-            let g: Grid3<f64> = GsKern3d::grid([80, 5, 6], 13);
+            let g = Grid3::<f64>::seeded([80, 5, 6], 13);
             let gold = reference::gs3d(&g, c, 9); // 2 vector sweeps + 1 scalar
             for mode in [Mode::Scalar, Mode::Temporal(2)] {
                 let w = workspace(&GsKern3d(c), &g, 9, 24, mode, Select::Auto);

@@ -654,148 +654,111 @@ pub(crate) mod tests {
         BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d,
         LifeKern2d,
     };
-    use tempora_grid::{
-        fill_random_1d, fill_random_2d, fill_random_3d, fill_random_life, Grid1, Grid2, Grid3,
-    };
+    use tempora_grid::{fill_random, fill_random_life, Grid, Grid1, Grid2, Grid3};
     use tempora_parallel::PoolConfig;
+    use tempora_simd::Scalar;
     use tempora_stencil::{
         reference, Box2dCoeffs, Gs1dCoeffs, Gs2dCoeffs, Gs3dCoeffs, Heat1dCoeffs, Heat2dCoeffs,
         Heat3dCoeffs, LifeRule,
     };
 
     /// What the table needs from a kernel besides [`KernelSpace`].
-    pub(crate) trait Kind: KernelSpace {
+    pub(crate) trait Kind: KernelSpace<Grid: TableGrid> {
         /// False for Gauss-Seidel (no multi-load mode).
         const JACOBI: bool;
-        /// A seeded grid with a seed-dependent boundary value.
-        fn grid(dims: [usize; 3], seed: u64) -> Self::Grid;
         /// `steps` sweeps of the scalar reference.
         fn gold(&self, g: &Self::Grid, steps: usize) -> Self::Grid;
+    }
+
+    /// What the table needs from a grid: the same for every `Grid<T, D>`
+    /// of one element type.
+    pub(crate) trait TableGrid: SlabGrid {
+        /// A seeded grid with a seed-dependent boundary value.
+        fn seeded(dims: [usize; 3], seed: u64) -> Self;
         /// The first interior difference or clobbered canary, if any.
-        fn mismatch(ours: &Self::Grid, gold: &Self::Grid) -> Option<String>;
+        fn mismatch(&self, gold: &Self) -> Option<String>;
     }
 
-    fn bc(seed: u64) -> Boundary<f64> {
-        Boundary::Dirichlet((seed % 7) as f64 * 0.5 - 1.0)
+    impl<const D: usize> TableGrid for Grid<f64, D> {
+        fn seeded(dims: [usize; 3], seed: u64) -> Self {
+            let mut g = Self::with_dims(dims, Boundary::Dirichlet((seed % 7) as f64 * 0.5 - 1.0));
+            fill_random(&mut g, seed, -1.0, 1.0);
+            g
+        }
+        fn mismatch(&self, gold: &Self) -> Option<String> {
+            mismatch(self, gold)
+        }
     }
 
-    fn mismatch<D: core::fmt::Debug>(
-        canaries: Result<(), usize>,
-        diff: Option<D>,
-    ) -> Option<String> {
-        let canary = canaries.err().map(|at| format!("canary {at}"));
-        diff.map(|d| format!("{d:?}")).or(canary)
+    impl TableGrid for Grid2<i32> {
+        fn seeded(dims: [usize; 3], seed: u64) -> Self {
+            let mut g = Self::with_dims(dims, Boundary::Dirichlet(0));
+            fill_random_life(&mut g, seed, 0.4);
+            g
+        }
+        fn mismatch(&self, gold: &Self) -> Option<String> {
+            mismatch(self, gold)
+        }
+    }
+
+    fn mismatch<T: Scalar, const D: usize>(ours: &Grid<T, D>, gold: &Grid<T, D>) -> Option<String> {
+        let canary = ours.check_canaries().err().map(|at| format!("canary {at}"));
+        ours.first_diff(gold).map(|d| format!("{d:?}")).or(canary)
     }
 
     impl Kind for JacobiKern1d {
         const JACOBI: bool = true;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid1<f64> {
-            let mut g = Grid1::with_dims(dims, bc(seed));
-            fill_random_1d(&mut g, seed, -1.0, 1.0);
-            g
-        }
         fn gold(&self, g: &Grid1<f64>, steps: usize) -> Grid1<f64> {
             reference::heat1d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid1<f64>, gold: &Grid1<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for GsKern1d {
         const JACOBI: bool = false;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid1<f64> {
-            JacobiKern1d::grid(dims, seed)
-        }
         fn gold(&self, g: &Grid1<f64>, steps: usize) -> Grid1<f64> {
             reference::gs1d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid1<f64>, gold: &Grid1<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for JacobiKern2d {
         const JACOBI: bool = true;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-            let mut g = Grid2::with_dims(dims, bc(seed));
-            fill_random_2d(&mut g, seed, -1.0, 1.0);
-            g
-        }
         fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
             reference::heat2d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for BoxKern2d {
         const JACOBI: bool = true;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-            JacobiKern2d::grid(dims, seed)
-        }
         fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
             reference::box2d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for GsKern2d {
         const JACOBI: bool = false;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<f64> {
-            JacobiKern2d::grid(dims, seed)
-        }
         fn gold(&self, g: &Grid2<f64>, steps: usize) -> Grid2<f64> {
             reference::gs2d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<f64>, gold: &Grid2<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for LifeKern2d {
         const JACOBI: bool = true;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid2<i32> {
-            let mut g = Grid2::with_dims(dims, Boundary::Dirichlet(0));
-            fill_random_life(&mut g, seed, 0.4);
-            g
-        }
         fn gold(&self, g: &Grid2<i32>, steps: usize) -> Grid2<i32> {
             reference::life(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid2<i32>, gold: &Grid2<i32>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for JacobiKern3d {
         const JACOBI: bool = true;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid3<f64> {
-            let mut g = Grid3::with_dims(dims, bc(seed));
-            fill_random_3d(&mut g, seed, -1.0, 1.0);
-            g
-        }
         fn gold(&self, g: &Grid3<f64>, steps: usize) -> Grid3<f64> {
             reference::heat3d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid3<f64>, gold: &Grid3<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
     impl Kind for GsKern3d {
         const JACOBI: bool = false;
-        fn grid(dims: [usize; 3], seed: u64) -> Grid3<f64> {
-            JacobiKern3d::grid(dims, seed)
-        }
         fn gold(&self, g: &Grid3<f64>, steps: usize) -> Grid3<f64> {
             reference::gs3d(g, self.0, steps)
-        }
-        fn mismatch(ours: &Grid3<f64>, gold: &Grid3<f64>) -> Option<String> {
-            mismatch(ours.check_canaries(), ours.first_diff(gold))
         }
     }
 
@@ -873,7 +836,7 @@ pub(crate) mod tests {
     /// the 1-D and `f64` 2-D kinds each meet every edge of their schedule.
     pub(crate) fn table<K: Kind>(kern: &K, dims: [usize; 3], strides: &[usize], pools: &[Pool]) {
         let nx = dims[0];
-        let g = K::grid(dims, (nx * dims[1] + dims[2]) as u64);
+        let g = K::Grid::seeded(dims, (nx * dims[1] + dims[2]) as u64);
         for engine in engines::<K>() {
             let vl = K::vl(engine);
             for mode in modes::<K>(strides) {
@@ -922,7 +885,7 @@ pub(crate) mod tests {
         for run in 0..2 {
             let mut ours = g.clone();
             w.advance(&mut ours, pool);
-            if let Some(d) = K::mismatch(&ours, gold) {
+            if let Some(d) = ours.mismatch(gold) {
                 panic!("{} run {run}: {d}", at());
             }
         }

@@ -20,7 +20,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`simd`] | portable packs, the lane vocabulary and its `std::arch` tokens (`Ymm`, `Zmm`), reorg-op counting |
-//! | [`grid`] | aligned 1/2/3-D grids, ghost cells, double buffering |
+//! | [`grid`] | one aligned grid type for 1/2/3-D, `Grid<T, D>`: ghost cells, canary-guarded padding, the seeded fill |
 //! | [`stencil`] | problem definitions, dependence analysis, scalar oracles |
 //! | [`baseline`] | spatial schemes: data-reorganization, DLT (multi-load is `core::spatial`) |
 //! | [`core`] | **the paper's contribution**: temporal engines, AVX2 steady states, [`engine`] dispatch |
@@ -35,7 +35,8 @@
 //! [`prelude::Problem`], compile a [`prelude::Plan`] (geometry validated,
 //! engine resolved, scratch and thread pool allocated once), then execute
 //! it against any number of states with amortized setup. Engine selection
-//! (portable pack model vs `std::arch` AVX2, two instantiations of one steady state) is unified in
+//! (the portable pack model `Packs` or the `std::arch` tokens `Ymm` and
+//! `Zmm`, three instantiations of one steady state) is unified in
 //! [`engine`]; the `TEMPORA_ENGINE` environment variable (`auto` |
 //! `portable` | `avx2`) overrides it process-wide via
 //! [`engine::Select::from_env`]. Every engine is bit-identical to the
@@ -90,7 +91,7 @@ pub use tempora_tiling as tiling;
 /// compare against the oracle. The quickstart in the crate docs compiles
 /// from this prelude alone.
 pub mod prelude {
-    pub use tempora_grid::{Boundary, DoubleBuffer, Grid1, Grid2, Grid3};
+    pub use tempora_grid::{Boundary, Grid1, Grid2, Grid3};
     pub use tempora_plan::{
         Engine, LcsState, Method, Plan, PlanBuilder, PlanError, Problem, Report, Select, State,
         TileGeometry, Tiling,

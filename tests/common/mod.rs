@@ -461,6 +461,7 @@ pub struct Tags {
     pub steps: Steps,
     pub stride: Stride,
     pub block: Block,
+    pub given: Given,
 }
 
 /// The outer extent (LCS: `B`'s length, the line its bands sweep).
@@ -531,6 +532,37 @@ pub enum Block {
     Bad,
 }
 
+/// The state an accepted plan is handed first: its own, or one of the four
+/// that `Plan::run` rejects before it runs (the plan is then handed its
+/// own).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Given {
+    #[default]
+    Own,
+    /// Another `State` variant (`StateMismatch`).
+    Variant,
+    /// One interior extent more (`StateShapeMismatch`).
+    Shape,
+    /// A grid of halo 2 (`UnsupportedHalo`); not LCS.
+    Halo,
+    /// The boundary's other zero: the problem's `0.0` (Life: `0`) against
+    /// the state's `-0.0` (`1`) (`StateBoundaryMismatch`); not LCS.
+    Boundary,
+}
+
+impl Given {
+    /// The rejection `Plan::run` answers this state with.
+    fn rejection(self) -> Option<&'static str> {
+        match self {
+            Given::Own => None,
+            Given::Variant => Some("StateMismatch"),
+            Given::Shape => Some("StateShapeMismatch"),
+            Given::Halo => Some("UnsupportedHalo"),
+            Given::Boundary => Some("StateBoundaryMismatch"),
+        }
+    }
+}
+
 /// The tiling asked for: `Native` is the kind's own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tile {
@@ -555,6 +587,7 @@ pub struct Space {
     pub inner: &'static [Inner],
     pub steps: &'static [Steps],
     pub blocks: &'static [Block],
+    pub given: &'static [Given],
     /// Whether the case counts reorganization ops.
     pub counts: &'static [bool],
 }
@@ -614,6 +647,15 @@ impl Space {
             Block::Cut,
             Block::Free,
             Block::Bad,
+        ],
+        given: &[
+            Given::Own,
+            Given::Own,
+            Given::Own,
+            Given::Variant,
+            Given::Shape,
+            Given::Halo,
+            Given::Boundary,
         ],
         counts: &[false, true],
     };
@@ -697,6 +739,7 @@ impl Strategy for Space {
             steps: pick(rng, self.steps),
             stride: pick(rng, self.strides),
             block: pick(rng, self.blocks),
+            given: Given::Own,
         };
         let min = kind.deps().min_stride();
         let stride = match tags.stride {
@@ -839,7 +882,7 @@ impl Strategy for Space {
         // Counted only where a plan counts: the untiled temporal sweeps of
         // the grid kinds (the refusals are `expected_error`'s fixed rows).
         let countable = method == Method::Temporal && tile == Tile::None && kind != Kind::Lcs;
-        Case {
+        let mut case = Case {
             problem,
             config: SolveConfig {
                 method,
@@ -852,7 +895,17 @@ impl Strategy for Space {
             seed: rng.next_u64(),
             tags,
             count: pick(rng, self.counts) && countable,
+        };
+        // Drawn last, so that the draws before it are those of a space
+        // without the class.
+        case.tags.given = match pick(rng, self.given) {
+            Given::Halo | Given::Boundary if kind == Kind::Lcs => Given::Own,
+            given => given,
+        };
+        if case.tags.given == Given::Boundary {
+            set_boundary(&mut case.problem, 0, 0.0);
         }
+        case
     }
 }
 
@@ -881,20 +934,25 @@ fn problem(rng: &mut TestRng, kind: Kind, n: usize, [ny, nz]: [usize; 2], t: usi
         Kind::Lcs => Problem::lcs(t, n),
     };
     let bits = rng.next_u64();
-    match &mut p {
-        Problem::Life { boundary, .. } => *boundary = Boundary::Dirichlet((bits & 1) as i32),
+    let value = (bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+    set_boundary(&mut p, (bits & 1) as i32, value);
+    p
+}
+
+/// Set `p`'s boundary: `life` for Life, `value` for the `f64` kinds (LCS
+/// has none).
+fn set_boundary(p: &mut Problem, life: i32, value: f64) {
+    match p {
+        Problem::Life { boundary, .. } => *boundary = Boundary::Dirichlet(life),
         Problem::Heat1d { boundary, .. }
         | Problem::Gs1d { boundary, .. }
         | Problem::Heat2d { boundary, .. }
         | Problem::Box2d { boundary, .. }
         | Problem::Gs2d { boundary, .. }
         | Problem::Heat3d { boundary, .. }
-        | Problem::Gs3d { boundary, .. } => {
-            *boundary = Boundary::Dirichlet((bits >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
-        }
+        | Problem::Gs3d { boundary, .. } => *boundary = Boundary::Dirichlet(value),
         _ => {}
     }
-    p
 }
 
 /// The first stratum: all nine kinds × all four tilings × all five
@@ -1003,6 +1061,17 @@ pub fn check(case: &Case) -> bool {
         (Ok(_), Some(want)) => panic!("{case:?}: accepted, want {want}"),
         (Ok(plan), None) => plan,
     };
+    if let Some(want) = case.tags.given.rejection() {
+        let mut wrong = given_state(case);
+        let e = plan
+            .run(&mut wrong)
+            .expect_err(&format!("{case:?}: ran the wrong state"));
+        assert!(
+            format!("{e:?}").starts_with(want),
+            "{case:?}: want {want}, got {e:?}"
+        );
+        assert!(!plan.is_poisoned(), "{case:?}: {e} poisoned the plan");
+    }
     let init = fresh_state(problem, case.seed);
     let gold = reference_state(problem, &init);
     let mut state = init;
@@ -1050,6 +1119,39 @@ pub fn check(case: &Case) -> bool {
     assert_eq!(report.steps, problem.steps(), "{case:?}");
     check_stride_bound(case);
     true
+}
+
+/// The state of `case.tags.given` that `Plan::run` rejects: its own
+/// state's variant, extents, halo or boundary changed. Another variant
+/// keeps the extents where it can: a `Grid2` of the other element type for
+/// the 2-D grids, a `Grid2` for the 1-D and 3-D ones, a line for LCS.
+fn given_state(case: &Case) -> State {
+    let own = fresh_state(&case.problem, case.seed);
+    let [mut a, mut b, mut c] = own.extents();
+    if case.tags.given == Given::Shape {
+        match case.seed % 3 {
+            0 => a += 1,
+            1 if !matches!(own, State::Grid1(_)) => b += 1,
+            _ if matches!(own, State::Grid3(_)) => c += 1,
+            _ => a += 1,
+        }
+    }
+    let halo = if case.tags.given == Given::Halo { 2 } else { 1 };
+    let flip = case.tags.given == Given::Boundary;
+    let f64s = |g: Boundary<f64>| Boundary::Dirichlet(if flip { -g.value() } else { g.value() });
+    let life = |g: Boundary<i32>| Boundary::Dirichlet(if flip { 1 - g.value() } else { g.value() });
+    match (case.tags.given, &own) {
+        (Given::Variant, State::Grid2(_)) => {
+            State::Grid2i(Grid2::new(a, b, 1, Boundary::Dirichlet(0)))
+        }
+        (Given::Variant, State::Lcs(_)) => State::Grid1(Grid1::new(a, 1, Boundary::Dirichlet(0.0))),
+        (Given::Variant, _) => State::Grid2(Grid2::new(a, b, 1, Boundary::Dirichlet(0.0))),
+        (_, State::Grid1(g)) => State::Grid1(Grid1::new(a, halo, f64s(g.boundary()))),
+        (_, State::Grid2(g)) => State::Grid2(Grid2::new(a, b, halo, f64s(g.boundary()))),
+        (_, State::Grid2i(g)) => State::Grid2i(Grid2::new(a, b, halo, life(g.boundary()))),
+        (_, State::Grid3(g)) => State::Grid3(Grid3::new(a, b, c, halo, f64s(g.boundary()))),
+        (_, State::Lcs(_)) => Problem::lcs(a, b).state(),
+    }
 }
 
 /// The dependence analysis and the schedule interpreter agree on a
@@ -1277,6 +1379,7 @@ fn classes(case: &Case) -> Vec<String> {
         format!("select {:?}", config.select),
         format!("threads {}", threads_class(config.threads)),
         format!("pin {}", config.pin),
+        format!("given {:?}", tags.given),
     ];
     if matches!(kind.dims(), 2 | 3) {
         v.push(format!("inner {:?}", tags.inner));
@@ -1316,6 +1419,7 @@ pub fn edge_classes(kind: Kind) -> Vec<String> {
         each("method", all.methods),
         each("select", all.selects),
         each("pin", &[false, true]),
+        each("given", all.given),
         ["None", "Ghost", "Skew", "LcsRect"]
             .map(|t| format!("tiling {t}"))
             .into(),
@@ -1332,6 +1436,7 @@ pub fn edge_classes(kind: Kind) -> Vec<String> {
     v.sort();
     v.dedup();
     v.retain(|c| c != "outer WideMin" || kind.cost().is_some());
+    v.retain(|c| kind != Kind::Lcs || !["given Halo", "given Boundary"].contains(&c.as_str()));
     v.extend((kind != Kind::Lcs).then(|| "count".to_string()));
     v
 }

@@ -7,14 +7,14 @@ use tempora::core::kernels::{
     BoxKern2d, GsKern1d, GsKern2d, GsKern3d, JacobiKern1d, JacobiKern2d, JacobiKern3d, LifeKern2d,
 };
 use tempora::core::t1d::{self, Form, Scratch1d};
-use tempora::grid::{fill_random_1d, Boundary, Grid1, SlabGrid, SlabsMut};
+use tempora::grid::{fill_random, Boundary, Grid1, SlabGrid, SlabsMut};
 use tempora::prelude::{PlanBuilder, Problem, Select, State};
 use tempora::simd::{count, Packs, Scalar};
 use tempora::stencil::*;
 
 fn grid(n: usize) -> Grid1<f64> {
     let mut g = Grid1::new(n, 1, Boundary::Dirichlet(0.0));
-    fill_random_1d(&mut g, 1, -1.0, 1.0);
+    fill_random(&mut g, 1, -1.0, 1.0);
     g
 }
 

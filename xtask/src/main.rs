@@ -1,12 +1,15 @@
 //! Repo-local automation for the tempora workspace.
 //!
-//! Two subcommands, wired up as a cargo alias (`.cargo/config.toml`):
+//! Three subcommands, wired up as a cargo alias (`.cargo/config.toml`):
 //!
 //! ```text
 //! cargo xtask audit
 //! cargo xtask bench-diff OLD NEW
+//! cargo xtask loc
 //! ```
 //!
+//! `loc` prints the non-test lines of every crate and their total — all
+//! lines, non-blank lines and code lines; see [`loc`].
 //! `bench-diff` compares two files of captured `ledger` output under the
 //! bounds of `BENCHMARK.json`; see [`bench_diff`]. `audit` is the safety
 //! audit wall.
@@ -18,6 +21,7 @@
 
 mod audit;
 mod bench_diff;
+mod loc;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -28,14 +32,17 @@ fn main() -> ExitCode {
     match args[..] {
         ["audit"] => run_audit(),
         ["bench-diff", old, new] => run_bench_diff(old, new),
+        ["loc"] => run_loc(),
         _ => {
             eprintln!("usage: cargo xtask audit");
             eprintln!("       cargo xtask bench-diff OLD NEW");
+            eprintln!("       cargo xtask loc");
             eprintln!();
             eprintln!("subcommands:");
             eprintln!("  audit        run the repo safety lints over every workspace .rs file");
             eprintln!("  bench-diff   compare two files of captured `ledger` output under the");
             eprintln!("               bounds of BENCHMARK.json; fails on an end-to-end regression");
+            eprintln!("  loc          count each crate's non-test lines: all, non-blank, code");
             ExitCode::from(2)
         }
     }
@@ -72,6 +79,20 @@ fn run_bench_diff(old: &str, new: &str) -> ExitCode {
         Err(e) => {
             eprintln!("xtask bench-diff: {e}");
             ExitCode::from(2)
+        }
+    }
+}
+
+fn run_loc() -> ExitCode {
+    let root = workspace_root();
+    match loc::table(&root, &audit::collect_rs_files(&root)) {
+        Ok(table) => {
+            print!("{table}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask loc: {e}");
+            ExitCode::FAILURE
         }
     }
 }
